@@ -30,8 +30,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smartflux_datastore::{ContainerRef, DataStore, Snapshot};
-use smartflux_durability::{codec, read_checkpoint, DurabilityError, DurabilityManager};
+use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_durability::codec::{self, FrameRead};
+use smartflux_durability::{read_checkpoint, DurabilityError, DurabilityManager};
 use smartflux_telemetry::{names, Telemetry, WaveDecisionRecord};
 use smartflux_wms::{StepId, TriggerPolicy, Workflow};
 
@@ -39,8 +40,8 @@ use crate::confidence::ConfidenceTracker;
 use crate::config::EngineConfig;
 use crate::error::CoreError;
 use crate::knowledge::KnowledgeBase;
-use crate::metric::MetricContext;
-use crate::monitoring::Monitor;
+use crate::metric::{MetricContext, MetricFn, MetricKind};
+use crate::monitoring::{Monitor, TrackerId};
 use crate::predictor::Predictor;
 use crate::qod::{AccumulationMode, ErrorBound, QodSpec};
 
@@ -74,32 +75,89 @@ pub struct WaveDiagnostics {
     pub training: bool,
 }
 
-/// State tracked per input container of a QoD step.
-#[derive(Debug, Clone)]
-struct InputTracker {
+/// State tracked per monitored container of a QoD step: an input (the
+/// step's impact metric) or, in training mode, an output (its error metric).
+///
+/// The previous state the metric compares against is a *mark* on the
+/// [`Monitor`]'s change set `id`: the step's last (virtual or actual)
+/// execution under [`AccumulationMode::Cancel`], the end of the previous
+/// wave under [`AccumulationMode::Accumulate`].
+struct Tracker {
+    id: TrackerId,
     container: ContainerRef,
-    /// Container state at the step's last (virtual or actual) execution.
-    baseline: Snapshot,
-    /// Container state at the end of the previous wave (Accumulate mode).
-    prev_wave: Snapshot,
-    /// Impact accumulated since the last execution (Accumulate mode).
+    /// The metric's accumulator, reset and reused by every evaluation.
+    metric: Box<dyn MetricFn>,
+    /// `Σ x'` over the container at the mark, kept only for metrics that
+    /// read it.
+    previous_state_sum: Option<f64>,
+    /// Metric value accumulated since the last execution (Accumulate mode).
     accumulated: f64,
-    /// Memoised impact tagged with the container's cumulative write count
-    /// at computation time; any further write invalidates it. Backed by the
-    /// Monitoring component's counters.
-    cached_impact: Option<(u64, f64)>,
 }
 
-/// State tracked per output container of a QoD step (training mode).
-#[derive(Debug, Clone)]
-struct OutputTracker {
-    container: ContainerRef,
-    /// Output state at the step's last virtual execution.
-    baseline: Snapshot,
-    /// Output state at the end of the previous wave (Accumulate mode).
-    prev_wave: Snapshot,
-    /// Error accumulated since the last virtual execution (Accumulate mode).
-    accumulated: f64,
+/// `Σ x'` of an empty container: the identity `Iterator::sum` starts from,
+/// so summing nothing yields the same bits here as it does there.
+const EMPTY_SUM: f64 = -0.0;
+
+impl Tracker {
+    fn new(monitor: &Monitor, container: &ContainerRef, kind: &MetricKind) -> Self {
+        Self {
+            id: monitor.track(container.clone()),
+            container: container.clone(),
+            metric: kind.instantiate(),
+            previous_state_sum: kind.reads_previous_state_sum().then_some(EMPTY_SUM),
+            accumulated: 0.0,
+        }
+    }
+
+    /// The metric over everything that changed since the mark.
+    fn since_mark(&mut self, monitor: &Monitor) -> f64 {
+        self.metric.reset();
+        let total_elements = monitor.stream_changes(self.id, self.metric.as_mut());
+        self.metric.compute(&MetricContext::new(
+            total_elements,
+            self.previous_state_sum.unwrap_or(EMPTY_SUM),
+        ))
+    }
+
+    /// The metric since the step's last execution.
+    fn evaluate(&mut self, mode: AccumulationMode, monitor: &Monitor) -> f64 {
+        let since_mark = self.since_mark(monitor);
+        match mode {
+            AccumulationMode::Cancel => since_mark,
+            AccumulationMode::Accumulate => self.accumulated + since_mark,
+        }
+    }
+
+    /// Moves the mark to the container's current state.
+    fn mark(&mut self, monitor: &Monitor, store: &DataStore) {
+        monitor.mark(self.id);
+        if let Some(sum) = &mut self.previous_state_sum {
+            // One ordered pass over the live cells: at the mark the change
+            // set is empty, so the container *is* the previous state.
+            *sum = store
+                .fold_cells(&self.container, EMPTY_SUM, |sum, _, _, value| {
+                    value.as_f64().map_or(sum, |x| sum + x)
+                })
+                .unwrap_or(EMPTY_SUM);
+        }
+    }
+
+    /// The step executed (actually or virtually): the metric restarts from
+    /// the current container state. Accumulate-mode marks follow the wave
+    /// boundary instead, so there only the accumulated value restarts.
+    fn restart(&mut self, mode: AccumulationMode, monitor: &Monitor, store: &DataStore) {
+        if mode == AccumulationMode::Cancel {
+            self.mark(monitor, store);
+        }
+        self.accumulated = 0.0;
+    }
+
+    /// A wave ended under Accumulate mode: what changed during it joins the
+    /// accumulated value, and the next wave's changes count from here.
+    fn roll_wave(&mut self, monitor: &Monitor, store: &DataStore) {
+        self.accumulated += self.since_mark(monitor);
+        self.mark(monitor, store);
+    }
 }
 
 /// Everything the engine tracks for one QoD-managed step.
@@ -107,12 +165,8 @@ struct QodStepState {
     name: String,
     bound: ErrorBound,
     spec: QodSpec,
-    inputs: Vec<InputTracker>,
-    outputs: Vec<OutputTracker>,
-}
-
-fn snapshot_sum(s: &Snapshot) -> f64 {
-    s.iter().filter_map(|(_, v)| v.as_f64()).sum()
+    inputs: Vec<Tracker>,
+    outputs: Vec<Tracker>,
 }
 
 /// The QoD Engine. Usually driven through [`SmartFluxSession`]; constructed
@@ -132,6 +186,8 @@ pub struct QodEngine {
     current_impacts: Vec<f64>,
     /// Decisions of the current wave (diagnostics).
     current_decisions: Vec<bool>,
+    /// Per-container impacts of the step being evaluated, before combining.
+    container_impacts: Vec<f64>,
     /// Per-step running bound-compliance confidence (Fig. 10), updated on
     /// waves with ground truth (training) and carried into journal records.
     confidence: Vec<ConfidenceTracker>,
@@ -208,29 +264,12 @@ impl QodEngine {
             let inputs = info
                 .inputs()
                 .iter()
-                .map(|c| {
-                    monitor.watch(c.clone());
-                    InputTracker {
-                        container: c.clone(),
-                        baseline: Snapshot::new(),
-                        prev_wave: Snapshot::new(),
-                        accumulated: 0.0,
-                        cached_impact: None,
-                    }
-                })
+                .map(|c| Tracker::new(&monitor, c, &spec.impact))
                 .collect();
             let outputs = info
                 .outputs()
                 .iter()
-                .map(|c| {
-                    monitor.watch(c.clone());
-                    OutputTracker {
-                        container: c.clone(),
-                        baseline: Snapshot::new(),
-                        prev_wave: Snapshot::new(),
-                        accumulated: 0.0,
-                    }
-                })
+                .map(|c| Tracker::new(&monitor, c, &spec.error))
                 .collect();
             steps.push(QodStepState {
                 name: name.clone(),
@@ -293,6 +332,7 @@ impl QodEngine {
             monitor,
             current_impacts: vec![0.0; n],
             current_decisions: vec![true; n],
+            container_impacts: Vec::new(),
             confidence: vec![ConfidenceTracker::new(); n],
             telemetry: Telemetry::disabled(),
             diagnostics: Vec::new(),
@@ -345,7 +385,7 @@ impl QodEngine {
         // checkpointed predictor state immediately replaces; skip it.
         config.initial_knowledge = None;
         let mut engine = Self::from_workflow(workflow, store.clone(), config)?;
-        engine.apply_state(&checkpoint.engine)?;
+        engine.import_state(&checkpoint.engine)?;
         if let Some(manager) = &engine.durability {
             // The WAL tail past the checkpoint describes waves that will
             // re-execute and re-commit; a stale copy must not survive.
@@ -376,7 +416,7 @@ impl QodEngine {
             return Ok(false);
         }
         manager
-            .checkpoint(wave, &self.store, self.encode_state())
+            .checkpoint(wave, &self.store, self.export_state())
             .map_err(CoreError::Durability)?;
         Ok(true)
     }
@@ -415,6 +455,14 @@ impl QodEngine {
     #[must_use]
     pub fn diagnostics(&self) -> &[WaveDiagnostics] {
         &self.diagnostics
+    }
+
+    /// The diagnostics of `wave` and every later wave. Waves are recorded
+    /// in strictly increasing order, so the tail is found by binary search.
+    #[must_use]
+    pub fn diagnostics_since(&self, wave: u64) -> &[WaveDiagnostics] {
+        let from = self.diagnostics.partition_point(|d| d.wave < wave);
+        &self.diagnostics[from..]
     }
 
     /// Whether the test-phase quality gates were met when the model was
@@ -465,127 +513,60 @@ impl QodEngine {
 
     /// Computes the current input impact of QoD step `idx` (combined across
     /// its input containers).
-    ///
-    /// Containers the Monitoring component reports untouched this wave
-    /// reuse their memoised impact — neither the current state nor the
-    /// baseline can have moved, so the recomputation is skipped (§4's
-    /// Monitoring exists precisely to make this cheap).
     fn compute_impact(&mut self, idx: usize) -> f64 {
         let _span = self.telemetry.span(names::IMPACT_LATENCY, idx as u64);
-        let spec = self.steps[idx].spec.clone();
-        let monitor = self.monitor.clone();
-        let mut per_container = Vec::with_capacity(self.steps[idx].inputs.len());
-        for tracker in &mut self.steps[idx].inputs {
-            let writes_now = monitor.total_writes(&tracker.container);
-            if let Some((writes_at_cache, cached)) = tracker.cached_impact {
-                if writes_at_cache == writes_now {
-                    per_container.push(cached);
-                    continue;
-                }
-            }
-            let current = self.store.snapshot(&tracker.container).unwrap_or_default();
-            let value = match spec.mode {
-                AccumulationMode::Cancel => {
-                    let diff = current.diff(&tracker.baseline);
-                    let ctx = MetricContext::new(
-                        current.len().max(tracker.baseline.len()),
-                        snapshot_sum(&tracker.baseline),
-                    );
-                    spec.impact.evaluate(&diff, &ctx)
-                }
-                AccumulationMode::Accumulate => {
-                    let diff = current.diff(&tracker.prev_wave);
-                    let ctx = MetricContext::new(
-                        current.len().max(tracker.prev_wave.len()),
-                        snapshot_sum(&tracker.prev_wave),
-                    );
-                    tracker.accumulated + spec.impact.evaluate(&diff, &ctx)
-                }
-            };
-            tracker.cached_impact = Some((writes_now, value));
-            per_container.push(value);
+        let step = &mut self.steps[idx];
+        self.container_impacts.clear();
+        for tracker in &mut step.inputs {
+            self.container_impacts
+                .push(tracker.evaluate(step.spec.mode, &self.monitor));
         }
-        spec.combiner.combine(&per_container)
+        step.spec.combiner.combine(&self.container_impacts)
     }
 
     /// Computes the simulated output error of QoD step `idx` against its
     /// virtual baseline (training mode).
     fn compute_error(&mut self, idx: usize) -> f64 {
-        let spec = self.steps[idx].spec.clone();
+        let _span = self.telemetry.span(names::ERROR_LATENCY, idx as u64);
+        let step = &mut self.steps[idx];
         let mut worst: f64 = 0.0;
-        for tracker in &mut self.steps[idx].outputs {
-            let current = self.store.snapshot(&tracker.container).unwrap_or_default();
-            let value = match spec.mode {
-                AccumulationMode::Cancel => {
-                    let diff = current.diff(&tracker.baseline);
-                    let ctx = MetricContext::new(
-                        current.len().max(tracker.baseline.len()),
-                        snapshot_sum(&tracker.baseline),
-                    );
-                    spec.error.evaluate(&diff, &ctx)
-                }
-                AccumulationMode::Accumulate => {
-                    let diff = current.diff(&tracker.prev_wave);
-                    let ctx = MetricContext::new(
-                        current.len().max(tracker.prev_wave.len()),
-                        snapshot_sum(&tracker.prev_wave),
-                    );
-                    tracker.accumulated + spec.error.evaluate(&diff, &ctx)
-                }
-            };
-            worst = worst.max(value);
+        for tracker in &mut step.outputs {
+            worst = worst.max(tracker.evaluate(step.spec.mode, &self.monitor));
         }
         worst
     }
 
-    /// Resets step `idx`'s input baselines to the current container state
+    /// Restarts step `idx`'s input impact from the current container state
     /// (called when the step executes, actually or virtually).
     fn reset_input_baselines(&mut self, idx: usize) {
-        for tracker in &mut self.steps[idx].inputs {
-            tracker.baseline = self.store.snapshot(&tracker.container).unwrap_or_default();
-            tracker.accumulated = 0.0;
-            tracker.cached_impact = None;
+        let _span = self
+            .telemetry
+            .span(names::BASELINE_RESET_LATENCY, idx as u64);
+        let step = &mut self.steps[idx];
+        for tracker in &mut step.inputs {
+            tracker.restart(step.spec.mode, &self.monitor, &self.store);
         }
     }
 
-    /// Resets step `idx`'s output baselines (training mode virtual
+    /// Restarts step `idx`'s output error (training mode virtual
     /// execution).
     fn reset_output_baselines(&mut self, idx: usize) {
-        for tracker in &mut self.steps[idx].outputs {
-            tracker.baseline = self.store.snapshot(&tracker.container).unwrap_or_default();
-            tracker.accumulated = 0.0;
+        let _span = self
+            .telemetry
+            .span(names::BASELINE_RESET_LATENCY, idx as u64);
+        let step = &mut self.steps[idx];
+        for tracker in &mut step.outputs {
+            tracker.restart(step.spec.mode, &self.monitor, &self.store);
         }
     }
 
-    /// Rolls the per-wave snapshots forward (Accumulate-mode bookkeeping).
-    fn roll_wave_snapshots(&mut self) {
-        for idx in 0..self.steps.len() {
-            let spec_mode = self.steps[idx].spec.mode;
-            if spec_mode != AccumulationMode::Accumulate {
-                continue;
-            }
-            let impact_kind = self.steps[idx].spec.impact.clone();
-            let error_kind = self.steps[idx].spec.error.clone();
-            for tracker in &mut self.steps[idx].inputs {
-                let current = self.store.snapshot(&tracker.container).unwrap_or_default();
-                let diff = current.diff(&tracker.prev_wave);
-                let ctx = MetricContext::new(
-                    current.len().max(tracker.prev_wave.len()),
-                    snapshot_sum(&tracker.prev_wave),
-                );
-                tracker.accumulated += impact_kind.evaluate(&diff, &ctx);
-                tracker.prev_wave = current;
-                tracker.cached_impact = None;
-            }
-            for tracker in &mut self.steps[idx].outputs {
-                let current = self.store.snapshot(&tracker.container).unwrap_or_default();
-                let diff = current.diff(&tracker.prev_wave);
-                let ctx = MetricContext::new(
-                    current.len().max(tracker.prev_wave.len()),
-                    snapshot_sum(&tracker.prev_wave),
-                );
-                tracker.accumulated += error_kind.evaluate(&diff, &ctx);
-                tracker.prev_wave = current;
+    /// Rolls the per-wave marks forward (Accumulate-mode bookkeeping).
+    fn roll_wave_marks(&mut self) {
+        for step in &mut self.steps {
+            if step.spec.mode == AccumulationMode::Accumulate {
+                for tracker in step.inputs.iter_mut().chain(&mut step.outputs) {
+                    tracker.roll_wave(&self.monitor, &self.store);
+                }
             }
         }
     }
@@ -738,7 +719,7 @@ impl QodEngine {
                 .commit_wave(wave, self.store.clock())
                 .and_then(|()| {
                     if wave > 0 && wave.is_multiple_of(manager.options().checkpoint_interval()) {
-                        manager.checkpoint(wave, &self.store, self.encode_state())
+                        manager.checkpoint(wave, &self.store, self.export_state())
                     } else {
                         Ok(())
                     }
@@ -750,16 +731,16 @@ impl QodEngine {
     }
 
     /// Serialises the engine's full decision state into the versioned
-    /// binary form embedded in checkpoints. Everything that influences a
-    /// future wave decision is captured: phase, knowledge base, predictor
-    /// models (or a deterministic-retrain marker), quality flags, impact
-    /// and error trackers with their snapshots, confidence series, SDF
-    /// fallbacks, and the monitor's cumulative write counts. Per-wave
-    /// diagnostics are reporting-only and deliberately excluded.
-    fn encode_state(&self) -> Vec<u8> {
+    /// binary form embedded in checkpoints (`SFES` v2: magic, version, one
+    /// CRC frame). Everything that influences a future wave decision is
+    /// captured: phase, knowledge base, predictor models (or a
+    /// deterministic-retrain marker), quality flags, confidence series, SDF
+    /// fallbacks, and per tracker its accumulated value, previous-state sum
+    /// and change set. Per-wave diagnostics are reporting-only and
+    /// deliberately excluded.
+    #[must_use]
+    pub fn export_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(b"SFES");
-        codec::put_u16(&mut out, 1); // engine-state format version
 
         match self.phase {
             Phase::Training { until_wave } => {
@@ -833,276 +814,282 @@ impl QodEngine {
             }
         }
 
-        let totals = self.monitor.total_write_counts();
-        codec::put_u32(&mut out, totals.len() as u32);
-        for t in &totals {
-            codec::put_u64(&mut out, *t);
+        for step in &self.steps {
+            for trackers in [&step.inputs, &step.outputs] {
+                codec::put_u32(&mut out, trackers.len() as u32);
+                for tracker in trackers {
+                    self.encode_tracker(&mut out, tracker);
+                }
+            }
         }
 
-        for step in &self.steps {
-            codec::put_u32(&mut out, step.inputs.len() as u32);
-            for tracker in &step.inputs {
-                encode_snapshot(&mut out, &tracker.baseline);
-                encode_snapshot(&mut out, &tracker.prev_wave);
-                codec::put_f64(&mut out, tracker.accumulated);
-            }
-            codec::put_u32(&mut out, step.outputs.len() as u32);
-            for tracker in &step.outputs {
-                encode_snapshot(&mut out, &tracker.baseline);
-                encode_snapshot(&mut out, &tracker.prev_wave);
-                codec::put_f64(&mut out, tracker.accumulated);
-            }
-        }
-        out
+        let mut blob = Vec::with_capacity(out.len() + 14);
+        blob.extend_from_slice(STATE_MAGIC);
+        codec::put_u16(&mut blob, STATE_VERSION);
+        codec::write_frame(&mut blob, &out);
+        blob
     }
 
-    /// Restores the engine from a checkpointed [`encode_state`] blob. The
-    /// engine must have been freshly built over the same workflow (same
-    /// QoD steps in the same order).
+    /// `accumulated | previous_state_sum | count | (row, qualifier, value at
+    /// the mark, latest value)*`, changes in ascending key order.
+    fn encode_tracker(&self, out: &mut Vec<u8>, tracker: &Tracker) {
+        codec::put_f64(out, tracker.accumulated);
+        codec::put_f64(out, tracker.previous_state_sum.unwrap_or(EMPTY_SUM));
+        let count_at = out.len();
+        codec::put_u32(out, 0);
+        let mut count = 0u32;
+        self.monitor
+            .for_each_change(tracker.id, |row, qualifier, at_mark, latest| {
+                codec::put_str(out, row);
+                codec::put_str(out, qualifier);
+                put_optional_value(out, at_mark);
+                put_optional_value(out, latest);
+                count += 1;
+            });
+        out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    }
+
+    /// Restores the engine from an [`export_state`] blob. The engine must
+    /// have been freshly built over the same workflow (same QoD steps in
+    /// the same order) and over the store the blob was exported beside.
     ///
-    /// [`encode_state`]: Self::encode_state
-    fn apply_state(&mut self, bytes: &[u8]) -> Result<(), CoreError> {
-        let corrupt = |context: &str| {
-            CoreError::Durability(DurabilityError::Corrupt {
-                context: context.into(),
-            })
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Durability`]: [`DurabilityError::Corrupt`] for a
+    /// damaged or mismatching blob, [`DurabilityError::UnsupportedVersion`]
+    /// for another format version. The engine is left untouched on error.
+    ///
+    /// [`export_state`]: Self::export_state
+    pub fn import_state(&mut self, bytes: &[u8]) -> Result<(), CoreError> {
+        self.decode_state(bytes).map_err(CoreError::Durability)
+    }
+
+    fn decode_state(&mut self, bytes: &[u8]) -> Result<(), DurabilityError> {
+        let corrupt = |context: &str| DurabilityError::Corrupt {
+            context: context.into(),
         };
-        let mut r = codec::Reader::new(bytes);
-        if r.u32().map_err(CoreError::Durability)? != u32::from_le_bytes(*b"SFES") {
+        let mut header = codec::Reader::new(bytes);
+        if header.u32()? != u32::from_le_bytes(*STATE_MAGIC) {
             return Err(corrupt("bad engine-state magic"));
         }
-        let version = r.u16().map_err(CoreError::Durability)?;
-        if version != 1 {
-            return Err(CoreError::Durability(DurabilityError::UnsupportedVersion {
-                found: version,
-            }));
+        let version = header.u16()?;
+        if version != STATE_VERSION {
+            return Err(DurabilityError::UnsupportedVersion { found: version });
+        }
+        let body_at = bytes.len() - header.remaining();
+        let body = match codec::read_frame(bytes, body_at)? {
+            FrameRead::Frame { payload, next } if next == bytes.len() => payload,
+            FrameRead::Frame { .. } => return Err(corrupt("trailing bytes after engine state")),
+            FrameRead::End | FrameRead::Torn => return Err(corrupt("truncated engine state")),
+        };
+        let r = &mut codec::Reader::new(body);
+
+        let phase = match r.u8()? {
+            0 => Phase::Training {
+                until_wave: r.u64()?,
+            },
+            1 => Phase::Application,
+            _ => return Err(corrupt("unknown engine phase tag")),
+        };
+
+        let n = r.u32()? as usize;
+        if n != self.steps.len() {
+            return Err(corrupt("checkpointed step count does not match workflow"));
         }
 
-        let inner = |r: &mut codec::Reader<'_>, this: &mut Self| -> Result<(), DurabilityError> {
-            let corrupt = |context: &str| DurabilityError::Corrupt {
-                context: context.into(),
-            };
-
-            let phase = match r.u8()? {
-                0 => Phase::Training {
-                    until_wave: r.u64()?,
-                },
-                1 => Phase::Application,
-                _ => return Err(corrupt("unknown engine phase tag")),
-            };
-
-            let n = r.u32()? as usize;
-            if n != this.steps.len() {
-                return Err(corrupt("checkpointed step count does not match workflow"));
-            }
-
-            let mut names = Vec::with_capacity(n);
+        let mut names = Vec::with_capacity(n);
+        for _ in 0..n {
+            names.push(r.str()?);
+        }
+        if names
+            .iter()
+            .zip(&self.steps)
+            .any(|(name, step)| *name != step.name)
+        {
+            return Err(corrupt("checkpointed step names do not match workflow"));
+        }
+        let mut kb = KnowledgeBase::new(names);
+        let rows = r.u32()? as usize;
+        for _ in 0..rows {
+            let wave = r.u64()?;
+            let mut impacts = Vec::with_capacity(n);
             for _ in 0..n {
-                names.push(r.str()?);
+                impacts.push(r.f64()?);
             }
-            if names
-                .iter()
-                .zip(&this.steps)
-                .any(|(name, step)| *name != step.name)
-            {
-                return Err(corrupt("checkpointed step names do not match workflow"));
-            }
-            let mut kb = KnowledgeBase::new(names);
-            let rows = r.u32()? as usize;
-            for _ in 0..rows {
-                let wave = r.u64()?;
-                let mut impacts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    impacts.push(r.f64()?);
-                }
-                let mut labels = Vec::with_capacity(n);
-                for _ in 0..n {
-                    labels.push(r.u8()? != 0);
-                }
-                kb.append(wave, impacts, labels)
-                    .map_err(|_| corrupt("knowledge-base row has the wrong shape"))?;
-            }
-
-            let predictor_mode = r.u8()?;
-            let mut blobs = Vec::new();
-            if predictor_mode == 1 {
-                let count = r.u32()? as usize;
-                if count != n {
-                    return Err(corrupt("predictor model count does not match steps"));
-                }
-                for _ in 0..count {
-                    blobs.push(r.bytes()?);
-                }
-            } else if predictor_mode > 2 {
-                return Err(corrupt("unknown predictor mode tag"));
-            }
-            let quality = match r.u8()? {
-                0 => None,
-                1 => Some(crate::predictor::PredictorQuality {
-                    accuracy: r.f64()?,
-                    precision: r.f64()?,
-                    recall: r.f64()?,
-                }),
-                _ => return Err(corrupt("unknown predictor-quality tag")),
-            };
-
-            let quality_met = r.u8()? != 0;
-            let training_extensions_used = r.u64()? as usize;
-            let application_waves_since_training = r.u64()?;
-            let mut current_impacts = Vec::with_capacity(n);
+            let mut labels = Vec::with_capacity(n);
             for _ in 0..n {
-                current_impacts.push(r.f64()?);
+                labels.push(r.u8()? != 0);
             }
-            let mut current_decisions = Vec::with_capacity(n);
-            for _ in 0..n {
-                current_decisions.push(r.u8()? != 0);
-            }
-            let mut sdf_fallback = Vec::with_capacity(n);
-            for _ in 0..n {
-                sdf_fallback.push(r.u8()? != 0);
-            }
-            let mut confidence = Vec::with_capacity(n);
-            for _ in 0..n {
-                let compliant = r.u64()?;
-                let total = r.u64()?;
-                let len = r.u32()? as usize;
-                let mut series = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    series.push(r.f64()?);
-                }
-                confidence.push(ConfidenceTracker::from_parts(compliant, total, series));
-            }
+            kb.append(wave, impacts, labels)
+                .map_err(|_| corrupt("knowledge-base row has the wrong shape"))?;
+        }
 
-            let totals_len = r.u32()? as usize;
-            let mut totals = Vec::with_capacity(totals_len.min(1 << 20));
-            for _ in 0..totals_len {
-                totals.push(r.u64()?);
+        let predictor_mode = r.u8()?;
+        let mut blobs = Vec::new();
+        if predictor_mode == 1 {
+            let count = r.u32()? as usize;
+            if count != n {
+                return Err(corrupt("predictor model count does not match steps"));
             }
-
-            let mut inputs_restored = Vec::with_capacity(n);
-            let mut outputs_restored = Vec::with_capacity(n);
-            for step in &this.steps {
-                let n_inputs = r.u32()? as usize;
-                if n_inputs != step.inputs.len() {
-                    return Err(corrupt("input tracker count does not match workflow"));
-                }
-                let mut inputs = Vec::with_capacity(n_inputs);
-                for _ in 0..n_inputs {
-                    let baseline = decode_snapshot(r)?;
-                    let prev_wave = decode_snapshot(r)?;
-                    let accumulated = r.f64()?;
-                    inputs.push((baseline, prev_wave, accumulated));
-                }
-                let n_outputs = r.u32()? as usize;
-                if n_outputs != step.outputs.len() {
-                    return Err(corrupt("output tracker count does not match workflow"));
-                }
-                let mut outputs = Vec::with_capacity(n_outputs);
-                for _ in 0..n_outputs {
-                    let baseline = decode_snapshot(r)?;
-                    let prev_wave = decode_snapshot(r)?;
-                    let accumulated = r.f64()?;
-                    outputs.push((baseline, prev_wave, accumulated));
-                }
-                inputs_restored.push(inputs);
-                outputs_restored.push(outputs);
+            for _ in 0..count {
+                blobs.push(r.bytes()?);
             }
-            if !r.is_exhausted() {
-                return Err(corrupt("trailing bytes after engine state"));
-            }
-
-            // Everything validated — commit the restored state.
-            this.phase = phase;
-            this.kb = kb;
-            match predictor_mode {
-                1 => {
-                    let mut models: Vec<Box<dyn smartflux_ml::Classifier>> =
-                        Vec::with_capacity(blobs.len());
-                    for blob in &blobs {
-                        let forest = smartflux_ml::RandomForest::from_bytes(blob).map_err(|e| {
-                            DurabilityError::Corrupt {
-                                context: format!("checkpointed model: {e}"),
-                            }
-                        })?;
-                        models.push(Box::new(forest));
-                    }
-                    this.predictor.restore_models(models, quality);
-                }
-                2 => {
-                    // The model kind has no binary codec; rebuild it by
-                    // deterministic retraining over the restored knowledge
-                    // base. An undersized KB leaves the predictor
-                    // untrained — predictions then fail safe (execute).
-                    let _ = this.predictor.train(&this.kb);
-                }
-                _ => {}
-            }
-            this.quality_met = quality_met;
-            this.training_extensions_used = training_extensions_used;
-            this.application_waves_since_training = application_waves_since_training;
-            this.current_impacts = current_impacts;
-            this.current_decisions = current_decisions;
-            this.sdf_fallback = sdf_fallback;
-            this.confidence = confidence;
-            this.monitor.restore_total_write_counts(&totals);
-            for (step, (inputs, outputs)) in this
-                .steps
-                .iter_mut()
-                .zip(inputs_restored.into_iter().zip(outputs_restored))
-            {
-                for (tracker, (baseline, prev_wave, accumulated)) in
-                    step.inputs.iter_mut().zip(inputs)
-                {
-                    tracker.baseline = baseline;
-                    tracker.prev_wave = prev_wave;
-                    tracker.accumulated = accumulated;
-                    tracker.cached_impact = None;
-                }
-                for (tracker, (baseline, prev_wave, accumulated)) in
-                    step.outputs.iter_mut().zip(outputs)
-                {
-                    tracker.baseline = baseline;
-                    tracker.prev_wave = prev_wave;
-                    tracker.accumulated = accumulated;
-                }
-            }
-            this.failed_this_wave = false;
-            this.deferred_this_wave = 0;
-            this.durability_error = None;
-            Ok(())
+        } else if predictor_mode > 2 {
+            return Err(corrupt("unknown predictor mode tag"));
+        }
+        let quality = match r.u8()? {
+            0 => None,
+            1 => Some(crate::predictor::PredictorQuality {
+                accuracy: r.f64()?,
+                precision: r.f64()?,
+                recall: r.f64()?,
+            }),
+            _ => return Err(corrupt("unknown predictor-quality tag")),
         };
-        inner(&mut r, self).map_err(CoreError::Durability)
+
+        let quality_met = r.u8()? != 0;
+        let training_extensions_used = r.u64()? as usize;
+        let application_waves_since_training = r.u64()?;
+        let mut current_impacts = Vec::with_capacity(n);
+        for _ in 0..n {
+            current_impacts.push(r.f64()?);
+        }
+        let mut current_decisions = Vec::with_capacity(n);
+        for _ in 0..n {
+            current_decisions.push(r.u8()? != 0);
+        }
+        let mut sdf_fallback = Vec::with_capacity(n);
+        for _ in 0..n {
+            sdf_fallback.push(r.u8()? != 0);
+        }
+        let mut confidence = Vec::with_capacity(n);
+        for _ in 0..n {
+            let compliant = r.u64()?;
+            let total = r.u64()?;
+            let len = r.u32()? as usize;
+            let mut series = Vec::with_capacity(len.min(1 << 20));
+            for _ in 0..len {
+                series.push(r.f64()?);
+            }
+            confidence.push(ConfidenceTracker::from_parts(compliant, total, series));
+        }
+
+        let mut trackers_restored = Vec::with_capacity(n);
+        for step in &self.steps {
+            let mut restored = Vec::with_capacity(step.inputs.len() + step.outputs.len());
+            for (trackers, what) in [(&step.inputs, "input"), (&step.outputs, "output")] {
+                if r.u32()? as usize != trackers.len() {
+                    return Err(corrupt(&format!(
+                        "{what} tracker count does not match workflow"
+                    )));
+                }
+                for _ in trackers {
+                    restored.push(decode_tracker(r)?);
+                }
+            }
+            trackers_restored.push(restored);
+        }
+        if !r.is_exhausted() {
+            return Err(corrupt("trailing bytes after engine state"));
+        }
+
+        let mut models: Vec<Box<dyn smartflux_ml::Classifier>> = Vec::with_capacity(blobs.len());
+        for blob in &blobs {
+            let forest = smartflux_ml::RandomForest::from_bytes(blob).map_err(|e| {
+                DurabilityError::Corrupt {
+                    context: format!("checkpointed model: {e}"),
+                }
+            })?;
+            models.push(Box::new(forest));
+        }
+
+        // Everything validated — commit the restored state.
+        self.phase = phase;
+        self.kb = kb;
+        match predictor_mode {
+            1 => self.predictor.restore_models(models, quality),
+            2 => {
+                // The model kind has no binary codec; rebuild it by
+                // deterministic retraining over the restored knowledge
+                // base. An undersized KB leaves the predictor
+                // untrained — predictions then fail safe (execute).
+                let _ = self.predictor.train(&self.kb);
+            }
+            _ => {}
+        }
+        self.quality_met = quality_met;
+        self.training_extensions_used = training_extensions_used;
+        self.application_waves_since_training = application_waves_since_training;
+        self.current_impacts = current_impacts;
+        self.current_decisions = current_decisions;
+        self.sdf_fallback = sdf_fallback;
+        self.confidence = confidence;
+        for (step, restored) in self.steps.iter_mut().zip(trackers_restored) {
+            let trackers = step.inputs.iter_mut().chain(&mut step.outputs);
+            for (tracker, (accumulated, previous_state_sum, changes)) in trackers.zip(restored) {
+                tracker.accumulated = accumulated;
+                if let Some(sum) = &mut tracker.previous_state_sum {
+                    *sum = previous_state_sum;
+                }
+                self.monitor.restore_changes(tracker.id, changes);
+            }
+        }
+        self.failed_this_wave = false;
+        self.deferred_this_wave = 0;
+        self.durability_error = None;
+        Ok(())
     }
 }
 
-/// Serialises one snapshot as `count | (row, qualifier, value)*`.
-fn encode_snapshot(out: &mut Vec<u8>, snapshot: &Snapshot) {
-    codec::put_u32(out, snapshot.len() as u32);
-    for ((row, qualifier), value) in snapshot.iter() {
-        codec::put_str(out, row);
-        codec::put_str(out, qualifier);
-        codec::put_value(out, value);
+/// Engine-state blob magic and format version. v1 embedded two full
+/// container snapshots per tracker and had no checksum of its own.
+const STATE_MAGIC: &[u8; 4] = b"SFES";
+const STATE_VERSION: u16 = 2;
+
+fn put_optional_value(out: &mut Vec<u8>, value: Option<&Value>) {
+    match value {
+        Some(value) => {
+            codec::put_u8(out, 1);
+            codec::put_value(out, value);
+        }
+        None => codec::put_u8(out, 0),
     }
 }
 
-/// Rebuilds a snapshot serialised by [`encode_snapshot`].
-fn decode_snapshot(r: &mut codec::Reader<'_>) -> Result<Snapshot, DurabilityError> {
+fn optional_value(r: &mut codec::Reader<'_>) -> Result<Option<Value>, DurabilityError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.value()?)),
+        _ => Err(DurabilityError::Corrupt {
+            context: "unknown optional-value tag".into(),
+        }),
+    }
+}
+
+/// One decoded tracker: accumulated value, previous-state sum, change set.
+type RestoredTracker = (
+    f64,
+    f64,
+    Vec<(String, String, Option<Value>, Option<Value>)>,
+);
+
+/// Decodes what [`QodEngine::encode_tracker`] wrote.
+fn decode_tracker(r: &mut codec::Reader<'_>) -> Result<RestoredTracker, DurabilityError> {
+    let accumulated = r.f64()?;
+    let previous_state_sum = r.f64()?;
     let count = r.u32()? as usize;
-    let mut snapshot = Snapshot::new();
+    // A change is at least ten bytes: a damaged count cannot size this.
+    let mut changes = Vec::with_capacity(count.min(r.remaining() / 10));
     for _ in 0..count {
-        let row = r.str()?;
-        let qualifier = r.str()?;
-        let value = r.value()?;
-        snapshot.set(row, qualifier, value);
+        changes.push((r.str()?, r.str()?, optional_value(r)?, optional_value(r)?));
     }
-    Ok(snapshot)
+    Ok((accumulated, previous_state_sum, changes))
 }
 
 impl TriggerPolicy for QodEngine {
     fn begin_wave(&mut self, _wave: u64, _workflow: &Workflow) {
         self.monitor.begin_wave();
-        let n = self.steps.len();
-        self.current_decisions = vec![false; n];
+        self.current_decisions.fill(false);
         self.failed_this_wave = false;
         self.deferred_this_wave = 0;
     }
@@ -1182,13 +1169,14 @@ impl TriggerPolicy for QodEngine {
     }
 
     fn end_wave(&mut self, wave: u64, _workflow: &Workflow) {
+        let _span = self.telemetry.span(names::END_WAVE_LATENCY, wave);
         match self.phase {
             Phase::Training { until_wave } => {
                 self.end_training_wave(wave, until_wave);
-                self.roll_wave_snapshots();
+                self.roll_wave_marks();
             }
             Phase::Application => {
-                self.roll_wave_snapshots();
+                self.roll_wave_marks();
                 self.journal_wave(
                     wave,
                     "application",

@@ -60,7 +60,7 @@ pub use metric::{
     MagnitudeImpact, MeanRelativeError, MetricContext, MetricFn, MetricKind, NetDriftImpact,
     RelativeError, RelativeImpact, RmseError,
 };
-pub use monitoring::Monitor;
+pub use monitoring::{Monitor, TrackerId};
 pub use policy::{EveryNPolicy, RandomSkipPolicy};
 pub use predictor::{FeatureMode, ModelKind, Predictor, PredictorQuality};
 pub use qod::{AccumulationMode, ErrorBound, ImpactCombiner, QodSpec};

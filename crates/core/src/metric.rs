@@ -384,6 +384,18 @@ impl MetricKind {
         }
     }
 
+    /// Whether [`MetricFn::compute`] may read
+    /// [`MetricContext::previous_state_sum`] — the one statistic that costs
+    /// a pass over the whole container to produce. A custom metric is
+    /// opaque, so it is assumed to.
+    #[must_use]
+    pub fn reads_previous_state_sum(&self) -> bool {
+        matches!(
+            self,
+            MetricKind::RelativeError | MetricKind::MeanRelative | MetricKind::Custom(_)
+        )
+    }
+
     /// Evaluates this metric over a snapshot diff in one call.
     #[must_use]
     pub fn evaluate(&self, diff: &SnapshotDiff, ctx: &MetricContext) -> f64 {

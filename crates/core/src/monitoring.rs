@@ -2,15 +2,24 @@
 //!
 //! SmartFlux's Monitoring analyses "all requests directed to the data store"
 //! (§4). Here it registers as a [`WriteObserver`] on the store, attributes
-//! every mutation to the watched containers it falls in, and exposes
-//! per-wave dirtiness and write counts. The QoD engine uses dirtiness to
-//! avoid recomputing impacts for containers nothing touched.
+//! every mutation to the watched containers it falls in, and keeps two
+//! things per container: per-wave dirtiness and write counts, and — for
+//! every tracker registered with [`Monitor::track`] — a **change set**: for
+//! each cell written since the tracker's mark, the value it held at the mark
+//! and its latest value. The QoD engine streams its impact and error metrics
+//! over those touched cells only (the paper's `update(new, old)` once per
+//! changed element, §4.2), so evaluating a metric costs O(cells written since
+//! the mark) and resetting a baseline is clearing the set.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smartflux_datastore::{ContainerRef, DataStore, ObserverHandle, WriteEvent, WriteObserver};
+use smartflux_datastore::{
+    ContainerRef, DataStore, ObserverHandle, Value, WriteEvent, WriteObserver,
+};
+
+use crate::metric::MetricFn;
 
 #[derive(Debug, Default, Clone)]
 struct ContainerCounters {
@@ -19,10 +28,178 @@ struct ContainerCounters {
     magnitude_this_wave: f64,
 }
 
+/// Marks a slot no change of the set refers to.
+const UNTOUCHED: usize = usize::MAX;
+
+/// Handle to one change set, returned by [`Monitor::track`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TrackerId(usize);
+
+/// One cell written since its change set's mark.
+#[derive(Debug)]
+struct Change {
+    /// The cell's interned key (index into [`WatchEntry::keys`]).
+    slot: usize,
+    /// Timestamps of the earliest and latest events folded in. Observers are
+    /// notified after the shard guard drops, so two writers of one cell can
+    /// deliver out of order; the store timestamp says which `old` is the
+    /// value at the mark and which `new` is the latest.
+    first_ts: u64,
+    last_ts: u64,
+    /// Value at the mark (`None`: the cell did not exist).
+    at_mark: Option<Value>,
+    /// Latest value (`None`: the cell was deleted).
+    latest: Option<Value>,
+}
+
+/// The cells of one container written since a mark.
+#[derive(Debug)]
+struct ChangeSet {
+    /// Position of the watched container in [`MonitorState::entries`].
+    entry: usize,
+    /// Slot → index into `changes`, [`UNTOUCHED`] when unwritten since the
+    /// mark; grown to a slot the first time the set sees it.
+    position: Vec<usize>,
+    changes: Vec<Change>,
+    /// Whether `changes` is in ascending key order.
+    sorted: bool,
+}
+
+impl ChangeSet {
+    fn new(entry: usize) -> Self {
+        Self {
+            entry,
+            position: Vec::new(),
+            changes: Vec::new(),
+            sorted: true,
+        }
+    }
+
+    /// Folds one write of the cell interned at `slot` into the set.
+    fn fold_write(&mut self, slot: usize, old: Option<&Value>, new: Option<&Value>, ts: u64) {
+        if self.position.len() <= slot {
+            self.position.resize(slot + 1, UNTOUCHED);
+        }
+        let at = self.position[slot];
+        if at == UNTOUCHED {
+            self.position[slot] = self.changes.len();
+            self.changes.push(Change {
+                slot,
+                first_ts: ts,
+                last_ts: ts,
+                at_mark: old.cloned(),
+                latest: new.cloned(),
+            });
+            self.sorted = false;
+            return;
+        }
+        let change = &mut self.changes[at];
+        if ts >= change.last_ts {
+            change.latest = new.cloned();
+            change.last_ts = ts;
+        }
+        if ts < change.first_ts {
+            change.at_mark = old.cloned();
+            change.first_ts = ts;
+        }
+    }
+
+    /// Moves the mark to now: nothing has changed since.
+    fn clear(&mut self) {
+        for change in &self.changes {
+            self.position[change.slot] = UNTOUCHED;
+        }
+        self.changes.clear();
+        self.sorted = true;
+    }
+
+    /// Puts `changes` in ascending `(row, qualifier)` order. The sort is
+    /// adaptive, so re-sorting after a few new cells joined an ordered set
+    /// costs about one pass.
+    fn sort(&mut self, keys: &[(String, String)]) {
+        if self.sorted {
+            return;
+        }
+        self.changes.sort_by(|a, b| keys[a.slot].cmp(&keys[b.slot]));
+        for (at, change) in self.changes.iter().enumerate() {
+            self.position[change.slot] = at;
+        }
+        self.sorted = true;
+    }
+}
+
+/// One watched container.
+#[derive(Debug)]
+struct WatchEntry {
+    container: ContainerRef,
+    counters: ContainerCounters,
+    /// Interned cell keys, `row 0xFF qualifier → slot` (0xFF occurs in no
+    /// UTF-8 string, so the joined key is unambiguous): a write to a cell
+    /// seen before finds its slot by one lookup, allocating nothing.
+    slots: HashMap<Vec<u8>, usize>,
+    /// The joined key of the write being looked up, reused across writes.
+    joined_key: Vec<u8>,
+    /// Slot → `(row, qualifier)`.
+    keys: Vec<(String, String)>,
+    /// Cells currently in the container. Signed: a delete can be delivered
+    /// ahead of the insert it follows.
+    live_cells: i64,
+    /// The change sets over this container (indices into
+    /// [`MonitorState::change_sets`]). Keys and the live count are only
+    /// maintained while there is one.
+    trackers: Vec<usize>,
+}
+
+impl WatchEntry {
+    fn new(container: ContainerRef) -> Self {
+        Self {
+            container,
+            counters: ContainerCounters::default(),
+            slots: HashMap::new(),
+            joined_key: Vec::new(),
+            keys: Vec::new(),
+            live_cells: 0,
+            trackers: Vec::new(),
+        }
+    }
+
+    /// The slot of `(row, qualifier)`, interning the key when it is new.
+    fn slot(&mut self, row: &str, qualifier: &str) -> usize {
+        self.joined_key.clear();
+        self.joined_key.extend_from_slice(row.as_bytes());
+        self.joined_key.push(0xFF);
+        self.joined_key.extend_from_slice(qualifier.as_bytes());
+        if let Some(&slot) = self.slots.get(self.joined_key.as_slice()) {
+            return slot;
+        }
+        let slot = self.keys.len();
+        self.slots.insert(self.joined_key.clone(), slot);
+        self.keys.push((row.to_owned(), qualifier.to_owned()));
+        slot
+    }
+
+    /// Folds one write into the live count and every change set.
+    fn fold_write(
+        &mut self,
+        change_sets: &mut [ChangeSet],
+        row: &str,
+        qualifier: &str,
+        old: Option<&Value>,
+        new: Option<&Value>,
+        ts: u64,
+    ) {
+        self.live_cells += i64::from(new.is_some()) - i64::from(old.is_some());
+        let slot = self.slot(row, qualifier);
+        for &t in &self.trackers {
+            change_sets[t].fold_write(slot, old, new, ts);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct MonitorState {
-    /// Watched containers with their counters, in watch order.
-    entries: Vec<(ContainerRef, ContainerCounters)>,
+    /// Watched containers, in watch order.
+    entries: Vec<WatchEntry>,
     /// `table → family → entry positions`: lets [`Monitor::on_write`]
     /// attribute a mutation by two hash lookups plus a qualifier check on
     /// the (typically tiny) per-family list, instead of scanning every
@@ -30,11 +207,33 @@ struct MonitorState {
     by_family: HashMap<String, HashMap<String, Vec<usize>>>,
     /// Exact-container lookup for the read-side accessors.
     index: HashMap<ContainerRef, usize>,
+    /// Every registered change set, indexed by [`TrackerId`].
+    change_sets: Vec<ChangeSet>,
 }
 
 impl MonitorState {
     fn counters(&self, container: &ContainerRef) -> Option<&ContainerCounters> {
-        self.index.get(container).map(|&i| &self.entries[i].1)
+        self.index
+            .get(container)
+            .map(|&i| &self.entries[i].counters)
+    }
+
+    /// Position of `container`'s entry, adding it to the watch list first
+    /// when it is new.
+    fn watch(&mut self, container: ContainerRef) -> usize {
+        if let Some(&pos) = self.index.get(&container) {
+            return pos;
+        }
+        let pos = self.entries.len();
+        self.by_family
+            .entry(container.table().to_owned())
+            .or_default()
+            .entry(container.family_name().to_owned())
+            .or_default()
+            .push(pos);
+        self.index.insert(container.clone(), pos);
+        self.entries.push(WatchEntry::new(container));
+        pos
     }
 }
 
@@ -64,6 +263,31 @@ impl MonitorState {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Streaming a metric over the cells written since a mark:
+///
+/// ```
+/// use smartflux::{MagnitudeImpact, MetricContext, MetricFn, Monitor};
+/// use smartflux_datastore::{ContainerRef, DataStore, Value};
+///
+/// # fn main() -> Result<(), smartflux_datastore::StoreError> {
+/// let store = DataStore::new();
+/// let c = ContainerRef::family("t", "f");
+/// store.ensure_container(&c)?;
+/// store.put("t", "f", "r", "q", Value::from(3.0))?;
+///
+/// let monitor = Monitor::new();
+/// let tracker = monitor.track(c);
+/// let _handle = monitor.attach(&store);
+/// monitor.mark(tracker); // changes count from here
+///
+/// store.put("t", "f", "r", "q", Value::from(5.0))?;
+/// let mut impact = MagnitudeImpact::new();
+/// let cells = monitor.stream_changes(tracker, &mut impact);
+/// assert_eq!(impact.compute(&MetricContext::new(cells, 0.0)), 2.0);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct Monitor {
     state: Arc<Mutex<MonitorState>>,
@@ -79,35 +303,183 @@ impl Monitor {
     /// Adds a container to the watch list. Watching the same container
     /// twice is a no-op.
     pub fn watch(&self, container: ContainerRef) {
-        let mut s = self.state.lock();
-        if s.index.contains_key(&container) {
-            return;
-        }
-        let pos = s.entries.len();
-        s.by_family
-            .entry(container.table().to_owned())
-            .or_default()
-            .entry(container.family_name().to_owned())
-            .or_default()
-            .push(pos);
-        s.index.insert(container.clone(), pos);
-        s.entries.push((container, ContainerCounters::default()));
+        self.state.lock().watch(container);
     }
 
-    /// Registers this monitor as an observer on `store`. Keep the returned
-    /// handle to unregister later.
+    /// Watches `container` and registers a change set over it, marked at
+    /// the empty container: until the first [`mark`](Self::mark), every
+    /// cell counts as inserted. Track before [`attach`](Self::attach), which
+    /// is what tells the set about the cells already stored.
+    ///
+    /// Trackers are independent: each call returns a set with its own mark,
+    /// also over a container that already has one.
+    pub fn track(&self, container: ContainerRef) -> TrackerId {
+        let mut s = self.state.lock();
+        let entry = s.watch(container);
+        let id = s.change_sets.len();
+        s.change_sets.push(ChangeSet::new(entry));
+        s.entries[entry].trackers.push(id);
+        TrackerId(id)
+    }
+
+    /// Registers this monitor as an observer on `store` and records the
+    /// cells every tracked container already holds as inserted since the
+    /// (empty) mark. Attach while the store is quiescent: a write racing
+    /// the registration may be counted twice. Keep the returned handle to
+    /// unregister later.
     pub fn attach(&self, store: &DataStore) -> ObserverHandle {
         let observer: Arc<dyn WriteObserver> = Arc::new(self.clone());
-        store.register_observer(observer)
+        let handle = store.register_observer(observer);
+        let tracked: Vec<(usize, ContainerRef)> = {
+            let s = self.state.lock();
+            s.entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| !e.trackers.is_empty())
+                .map(|(pos, e)| (pos, e.container.clone()))
+                .collect()
+        };
+        for (pos, container) in tracked {
+            // Copied out under the shard guard alone, folded in under the
+            // monitor lock alone: the two are never nested. A container
+            // that does not exist yet holds no cells.
+            let cells = store
+                .fold_cells(
+                    &container,
+                    Vec::new(),
+                    |mut cells, row, qualifier, value| {
+                        cells.push((row.to_owned(), qualifier.to_owned(), value.clone()));
+                        cells
+                    },
+                )
+                .unwrap_or_default();
+            let mut s = self.state.lock();
+            let MonitorState {
+                entries,
+                change_sets,
+                ..
+            } = &mut *s;
+            for (row, qualifier, value) in &cells {
+                entries[pos].fold_write(change_sets, row, qualifier, None, Some(value), 0);
+            }
+        }
+        handle
+    }
+
+    /// Moves `tracker`'s mark to the container's current state, emptying its
+    /// change set.
+    pub fn mark(&self, tracker: TrackerId) {
+        if let Some(set) = self.state.lock().change_sets.get_mut(tracker.0) {
+            set.clear();
+        }
+    }
+
+    /// Streams every cell that differs between `tracker`'s mark and now
+    /// into `metric` — [`MetricFn::update`]`(new, old)` once per cell, cells
+    /// still present in ascending `(row, qualifier)` order, then cells
+    /// removed since the mark in the same order, the order
+    /// [`Snapshot::diff`] lists changes in — and returns the container's
+    /// element count `n`: the larger of its cell counts at the mark and now.
+    ///
+    /// `metric` runs under the monitor's lock and must not touch the store.
+    ///
+    /// [`Snapshot::diff`]: smartflux_datastore::Snapshot::diff
+    pub fn stream_changes(&self, tracker: TrackerId, metric: &mut dyn MetricFn) -> usize {
+        self.with_ordered_changes(tracker, |entry, changes| {
+            let mut at_mark_cells = entry.live_cells;
+            for change in changes {
+                at_mark_cells +=
+                    i64::from(change.at_mark.is_some()) - i64::from(change.latest.is_some());
+                if let Some(new) = &change.latest {
+                    if change.at_mark.as_ref() != Some(new) {
+                        metric.update(Some(new), change.at_mark.as_ref());
+                    }
+                }
+            }
+            for change in changes {
+                if let (Some(old), None) = (&change.at_mark, &change.latest) {
+                    metric.update(None, Some(old));
+                }
+            }
+            usize::try_from(entry.live_cells.max(at_mark_cells)).unwrap_or(0)
+        })
+        .unwrap_or(0)
+    }
+
+    /// Visits `tracker`'s change set in ascending `(row, qualifier)` order
+    /// as `(row, qualifier, value at the mark, latest value)` — the
+    /// tracker's contribution to an engine checkpoint.
+    pub(crate) fn for_each_change(
+        &self,
+        tracker: TrackerId,
+        mut f: impl FnMut(&str, &str, Option<&Value>, Option<&Value>),
+    ) {
+        self.with_ordered_changes(tracker, |entry, changes| {
+            for change in changes {
+                let (row, qualifier) = &entry.keys[change.slot];
+                f(
+                    row,
+                    qualifier,
+                    change.at_mark.as_ref(),
+                    change.latest.as_ref(),
+                );
+            }
+        });
+    }
+
+    /// Runs `f` on `tracker`'s container and its changes in ascending key
+    /// order, under the monitor's lock; `None` for an unknown tracker.
+    fn with_ordered_changes<R>(
+        &self,
+        tracker: TrackerId,
+        f: impl FnOnce(&WatchEntry, &[Change]) -> R,
+    ) -> Option<R> {
+        let mut s = self.state.lock();
+        let MonitorState {
+            entries,
+            change_sets,
+            ..
+        } = &mut *s;
+        let set = change_sets.get_mut(tracker.0)?;
+        let entry = &entries[set.entry];
+        set.sort(&entry.keys);
+        Some(f(entry, &set.changes))
+    }
+
+    /// Replaces `tracker`'s change set with one restored from a checkpoint.
+    /// The live cell count is not part of it: [`attach`](Self::attach)
+    /// counted the recovered store.
+    pub(crate) fn restore_changes(
+        &self,
+        tracker: TrackerId,
+        changes: Vec<(String, String, Option<Value>, Option<Value>)>,
+    ) {
+        let mut s = self.state.lock();
+        let MonitorState {
+            entries,
+            change_sets,
+            ..
+        } = &mut *s;
+        let Some(set) = change_sets.get_mut(tracker.0) else {
+            return;
+        };
+        set.clear();
+        let entry = set.entry;
+        for (row, qualifier, at_mark, latest) in changes {
+            let slot = entries[entry].slot(&row, &qualifier);
+            // Restored changes predate every write the recovered store will
+            // see, hence timestamp 0.
+            change_sets[tracker.0].fold_write(slot, at_mark.as_ref(), latest.as_ref(), 0);
+        }
     }
 
     /// Marks the start of a new wave: per-wave counters reset, cumulative
     /// ones are kept.
     pub fn begin_wave(&self) {
         let mut s = self.state.lock();
-        for (_, c) in &mut s.entries {
-            c.writes_this_wave = 0;
-            c.magnitude_this_wave = 0.0;
+        for entry in &mut s.entries {
+            entry.counters.writes_this_wave = 0;
+            entry.counters.magnitude_this_wave = 0.0;
         }
     }
 
@@ -141,36 +513,13 @@ impl Monitor {
 
     /// Sum of absolute change magnitudes observed for `container` in the
     /// current wave (a cheap streaming signal; the engine's metric functions
-    /// compute the authoritative values from snapshots).
+    /// compute the authoritative values from the change sets).
     #[must_use]
     pub fn magnitude_this_wave(&self, container: &ContainerRef) -> f64 {
         self.state
             .lock()
             .counters(container)
             .map_or(0.0, |c| c.magnitude_this_wave)
-    }
-
-    /// Cumulative write counts per watched container, in watch order —
-    /// the monitor's contribution to an engine checkpoint.
-    #[must_use]
-    pub fn total_write_counts(&self) -> Vec<u64> {
-        self.state
-            .lock()
-            .entries
-            .iter()
-            .map(|(_, c)| c.total_writes)
-            .collect()
-    }
-
-    /// Restores cumulative write counts from a checkpoint, pairing
-    /// `totals` with the watched containers in watch order. Extra or
-    /// missing entries are ignored (the caller validates shape); per-wave
-    /// counters are left for the next [`begin_wave`](Self::begin_wave).
-    pub fn restore_total_write_counts(&self, totals: &[u64]) {
-        let mut s = self.state.lock();
-        for ((_, counters), total) in s.entries.iter_mut().zip(totals) {
-            counters.total_writes = *total;
-        }
     }
 
     /// All watched containers, in watch order.
@@ -180,7 +529,7 @@ impl Monitor {
             .lock()
             .entries
             .iter()
-            .map(|(c, _)| c.clone())
+            .map(|e| e.container.clone())
             .collect()
     }
 }
@@ -192,9 +541,13 @@ impl WriteObserver for Monitor {
         // a family-level watcher plus any column-level ones — so cost no
         // longer grows with the total number of watched containers.
         let mut s = self.state.lock();
-        let s = &mut *s;
-        let Some(positions) = s
-            .by_family
+        let MonitorState {
+            entries,
+            by_family,
+            change_sets,
+            ..
+        } = &mut *s;
+        let Some(positions) = by_family
             .get(&event.table)
             .and_then(|families| families.get(&event.family))
         else {
@@ -207,11 +560,26 @@ impl WriteObserver for Monitor {
             (None, None) => 0.0,
         };
         for &pos in positions {
-            let (container, counters) = &mut s.entries[pos];
-            if container.qualifier().is_none_or(|q| q == event.qualifier) {
-                counters.writes_this_wave += 1;
-                counters.total_writes += 1;
-                counters.magnitude_this_wave += magnitude;
+            let entry = &mut entries[pos];
+            if entry
+                .container
+                .qualifier()
+                .is_some_and(|q| q != event.qualifier)
+            {
+                continue;
+            }
+            entry.counters.writes_this_wave += 1;
+            entry.counters.total_writes += 1;
+            entry.counters.magnitude_this_wave += magnitude;
+            if !entry.trackers.is_empty() {
+                entry.fold_write(
+                    change_sets,
+                    &event.row,
+                    &event.qualifier,
+                    event.old.as_ref(),
+                    event.new.as_ref(),
+                    event.timestamp,
+                );
             }
         }
     }
@@ -302,6 +670,82 @@ mod tests {
         store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
         assert_eq!(m.writes_this_wave(&c), 1);
         assert_eq!(m.watched().len(), 1);
+    }
+
+    /// `(element count, Eq. 1 impact)` of everything since the mark.
+    fn magnitude(m: &Monitor, tracker: TrackerId) -> (usize, f64) {
+        use crate::metric::{MagnitudeImpact, MetricContext};
+        let mut metric = MagnitudeImpact::new();
+        let total = m.stream_changes(tracker, &mut metric);
+        (total, metric.compute(&MetricContext::new(total, 0.0)))
+    }
+
+    #[test]
+    fn attach_counts_stored_cells_as_inserted_since_the_empty_mark() {
+        let store = DataStore::new();
+        let c = ContainerRef::family("t", "f");
+        store.ensure_container(&c).unwrap();
+        store.put("t", "f", "r1", "q", Value::from(3.0)).unwrap();
+        store.put("t", "f", "r2", "q", Value::from(4.0)).unwrap();
+        let m = Monitor::new();
+        let tracker = m.track(c);
+        m.attach(&store);
+        // Two inserts of magnitude 3 and 4: (3 + 4) × m, m = 2.
+        assert_eq!(magnitude(&m, tracker), (2, 14.0));
+        m.mark(tracker);
+        assert_eq!(magnitude(&m, tracker), (2, 0.0));
+    }
+
+    #[test]
+    fn trackers_on_one_container_mark_independently() {
+        let (store, m, c) = setup();
+        let early = m.track(c.clone());
+        let late = m.track(c);
+        store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
+        m.mark(late);
+        store.put("t", "f", "r", "q", Value::from(4.0)).unwrap();
+        assert_eq!(magnitude(&m, early), (1, 4.0));
+        assert_eq!(magnitude(&m, late), (1, 3.0));
+        // A removed cell still counts towards `n` at the mark.
+        store.delete("t", "f", "r", "q").unwrap();
+        assert_eq!(magnitude(&m, late), (1, 1.0));
+        assert_eq!(magnitude(&m, early), (0, 0.0));
+    }
+
+    #[test]
+    fn change_sets_survive_export_and_restore() {
+        let (store, m, c) = setup();
+        let tracker = m.track(c.clone());
+        store.put("t", "f", "b", "q", Value::from(1.0)).unwrap();
+        m.mark(tracker);
+        store.put("t", "f", "b", "q", Value::from(2.0)).unwrap();
+        store.put("t", "f", "a", "q", Value::from(7.0)).unwrap();
+        let mut exported = Vec::new();
+        m.for_each_change(tracker, |row, qualifier, at_mark, latest| {
+            exported.push((
+                row.to_owned(),
+                qualifier.to_owned(),
+                at_mark.cloned(),
+                latest.cloned(),
+            ));
+        });
+        let row = |r: &str, old: Option<f64>, new: f64| {
+            (
+                r.to_owned(),
+                "q".to_owned(),
+                old.map(Value::from),
+                Some(Value::from(new)),
+            )
+        };
+        assert_eq!(exported, [row("a", None, 7.0), row("b", Some(1.0), 2.0)]);
+
+        // A fresh monitor over the same store, as recovery builds one.
+        let restored = Monitor::new();
+        let tracker = restored.track(c);
+        restored.attach(&store);
+        restored.restore_changes(tracker, exported);
+        assert_eq!(magnitude(&restored, tracker), magnitude(&m, tracker));
+        assert_eq!(magnitude(&restored, tracker), (2, 16.0));
     }
 
     #[test]

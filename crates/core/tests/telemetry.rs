@@ -161,6 +161,19 @@ fn snapshot_reports_waves_and_store_traffic() {
         snap.histogram(names::IMPACT_LATENCY).is_some(),
         "impact spans recorded"
     );
+    // One error span per QoD step per training wave; a baseline reset
+    // whenever a bound fired or a step ran; one end-of-wave span per wave.
+    for name in [names::ERROR_LATENCY, names::BASELINE_RESET_LATENCY] {
+        assert!(
+            snap.histogram(name).is_some_and(|h| h.count > 0),
+            "{name} spans recorded"
+        );
+    }
+    assert_eq!(
+        snap.histogram(names::END_WAVE_LATENCY).map(|h| h.count),
+        Some(session.executed_waves()),
+        "one end-of-wave span per wave"
+    );
     assert!(
         snap.histogram(names::TRAIN_LATENCY)
             .is_some_and(|h| h.count >= 1),

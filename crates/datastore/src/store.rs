@@ -493,6 +493,43 @@ impl DataStore {
         })
     }
 
+    /// Folds `f` over a container's current cells in ascending
+    /// `(row, qualifier)` order — the order [`snapshot`](Self::snapshot)
+    /// iterates in — without copying a key or a value.
+    ///
+    /// `f` runs under the owning shard's read guard: it must not call back
+    /// into the store.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the container's table or family does not exist.
+    pub fn fold_cells<T>(
+        &self,
+        container: &ContainerRef,
+        init: T,
+        mut f: impl FnMut(T, &str, &str, &Value) -> T,
+    ) -> Result<T, StoreError> {
+        let table = container.table();
+        let family = container.family_name();
+        let shard = shard_index(self.shared.mask, table, family);
+        self.timed(OpKind::Scan, shard, || {
+            let data = self.shard_ref(shard);
+            let Some(fam) = data.get(table).and_then(|t| t.get(family)) else {
+                drop(data);
+                return Err(self.missing(table, family));
+            };
+            let mut acc = init;
+            for (key, row) in fam.iter() {
+                for (q, cell) in row.iter() {
+                    if container.qualifier().is_none_or(|cq| cq == q) {
+                        acc = f(acc, key, q, cell.current());
+                    }
+                }
+            }
+            Ok(acc)
+        })
+    }
+
     /// Number of populated cells in a container.
     ///
     /// # Errors
@@ -1001,6 +1038,32 @@ mod tests {
         let col_snap = s.snapshot(&ContainerRef::column("t", "f", "a")).unwrap();
         assert_eq!(col_snap.len(), 2);
         assert_eq!(col_snap.get("r1", "a"), Some(&Value::from(1.0)));
+    }
+
+    #[test]
+    fn fold_cells_visits_what_snapshot_captures_in_the_same_order() {
+        let s = store_with_tf();
+        for (r, q, v) in [("r2", "a", 3.0), ("r1", "b", 2.0), ("r1", "a", 1.0)] {
+            s.put("t", "f", r, q, Value::from(v)).unwrap();
+        }
+        for c in [
+            ContainerRef::family("t", "f"),
+            ContainerRef::column("t", "f", "a"),
+        ] {
+            let visited = s
+                .fold_cells(&c, Vec::new(), |mut acc, r, q, v| {
+                    acc.push(((r.to_owned(), q.to_owned()), v.clone()));
+                    acc
+                })
+                .unwrap();
+            let snap = s.snapshot(&c).unwrap();
+            let captured: Vec<_> = snap.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            assert_eq!(visited, captured);
+        }
+        assert!(matches!(
+            s.fold_cells(&ContainerRef::family("t", "nope"), 0, |n, _, _, _| n + 1),
+            Err(StoreError::FamilyNotFound { .. })
+        ));
     }
 
     #[test]

@@ -40,7 +40,9 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use smartflux::{CoreError, DurabilityError, DurabilityOptions, SmartFluxSession, SyncPolicy};
+use smartflux::{
+    CoreError, DurabilityError, DurabilityOptions, Phase, SmartFluxSession, SyncPolicy,
+};
 use smartflux_datastore::DataStore;
 use smartflux_durability::encode_store_state;
 use smartflux_telemetry::{names, Counter, Gauge, Telemetry};
@@ -415,9 +417,8 @@ impl EngineHost {
             return unknown_session(session);
         };
         let rows = live.engine().with(|e| {
-            e.diagnostics()
+            e.diagnostics_since(from_wave)
                 .iter()
-                .filter(|d| d.wave >= from_wave)
                 .map(|d| DecisionRow {
                     wave: d.wave,
                     training: d.training,
@@ -798,15 +799,14 @@ fn execute_submit(
     // `net.submit` histogram on drop (and is inert when telemetry is
     // off). Client-perceived latency is the bench harness's job — this
     // crate never reads a clock itself.
+    // The phase only changes at a wave's end, so the phase going in is the
+    // mode the wave runs in.
+    let training = matches!(session.phase(), Phase::Training { .. });
     let span = inner.telemetry.span(names::NET_SUBMIT_LATENCY, wave);
     let outcome = session.run_wave();
     drop(span);
     match outcome {
         Ok(outcome) => {
-            let training = session
-                .engine()
-                .with(|e| e.diagnostics().last().map(|d| d.training))
-                .unwrap_or(false);
             let graph_names = |ids: &[StepId]| -> Vec<String> {
                 let graph = session.scheduler().workflow().graph();
                 ids.iter().map(|s| graph.step_name(*s).to_owned()).collect()

@@ -250,6 +250,9 @@ pub fn preregister(telemetry: &Telemetry) {
         names::STEP_TOTAL_LATENCY,
         names::STEP_ATTEMPT_LATENCY,
         names::IMPACT_LATENCY,
+        names::ERROR_LATENCY,
+        names::BASELINE_RESET_LATENCY,
+        names::END_WAVE_LATENCY,
         names::PREDICT_LATENCY,
         names::TRAIN_LATENCY,
         names::ML_PREDICT_LATENCY,
@@ -322,6 +325,17 @@ mod tests {
         let parsed = crate::openmetrics::parse(&metrics).unwrap();
         assert_eq!(parsed.counter_total("wms.step_retries"), Some(2.0));
         assert_eq!(parsed.counter_total("durability.wal_records"), Some(0.0));
+        for span in [
+            names::ERROR_LATENCY,
+            names::BASELINE_RESET_LATENCY,
+            names::END_WAVE_LATENCY,
+        ] {
+            assert_eq!(
+                parsed.quantile(span, "0.5"),
+                Some(0.0),
+                "`{span}` is listed before its first span"
+            );
+        }
 
         let (status, health) = get(&addr, "/healthz", timeout).unwrap();
         assert_eq!(status, 200);

@@ -324,6 +324,13 @@ pub mod names {
     pub const SDF_FALLBACKS: &str = "engine.sdf_fallbacks";
     /// Latency of one QoD impact computation.
     pub const IMPACT_LATENCY: &str = "engine.impact";
+    /// Latency of one simulated output-error computation (training waves).
+    pub const ERROR_LATENCY: &str = "engine.error";
+    /// Latency of restarting one step's input or output baselines.
+    pub const BASELINE_RESET_LATENCY: &str = "engine.baseline_reset";
+    /// Latency of the engine's wave-boundary work: training bookkeeping or
+    /// the application-wave record, journal, and the durability commit.
+    pub const END_WAVE_LATENCY: &str = "engine.end_wave";
     /// Latency of one predictor query.
     pub const PREDICT_LATENCY: &str = "engine.predict";
     /// Latency of one model (re)build, including cross-validation.

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use smartflux_datastore::{DataStore, OpKind, OpObserver};
 use smartflux_telemetry::{names, JsonlSink, Telemetry};
-use smartflux_wms::{Scheduler, WaveOutcome, Workflow};
+use smartflux_wms::{Scheduler, WaveOutcome, WmsError, Workflow};
 
 use crate::config::EngineConfig;
 use crate::engine::{Phase, QodEngine, SharedEngine, WaveDiagnostics};
@@ -150,12 +150,17 @@ impl SmartFluxSession {
         publish_shard_stats(&self.telemetry, &self.store);
     }
 
-    /// Surfaces a durability failure recorded by the engine at the last
-    /// wave boundary; `end_wave` itself cannot return one.
-    fn check_durability(&self) -> Result<(), CoreError> {
+    /// The post-wave hook, run after every wave — completed or aborted,
+    /// since an aborted wave still ends (and commits) in the engine:
+    /// refreshes the shard gauges and surfaces a durability failure the
+    /// engine recorded at the wave boundary (`end_wave` itself cannot
+    /// return one). A durability failure outranks the wave's own: a step
+    /// failure is retriable, lost data is not.
+    fn after_wave(&self, result: Result<WaveOutcome, WmsError>) -> Result<WaveOutcome, CoreError> {
+        self.publish_shard_stats();
         match self.engine.with_mut(QodEngine::take_durability_error) {
             Some(e) => Err(CoreError::Durability(e)),
-            None => Ok(()),
+            None => Ok(result?),
         }
     }
 
@@ -192,12 +197,11 @@ impl SmartFluxSession {
     ///
     /// # Errors
     ///
-    /// Propagates workflow failures.
+    /// Propagates workflow failures, and durability failures of the wave's
+    /// commit or checkpoint — the latter first when a wave has both.
     pub fn run_wave(&mut self) -> Result<WaveOutcome, CoreError> {
-        let outcome = self.scheduler.run_wave()?;
-        self.check_durability()?;
-        self.publish_shard_stats();
-        Ok(outcome)
+        let result = self.scheduler.run_wave();
+        self.after_wave(result)
     }
 
     /// Runs `count` waves.
@@ -222,12 +226,10 @@ impl SmartFluxSession {
     ///
     /// # Errors
     ///
-    /// Propagates workflow failures.
+    /// As [`run_wave`](Self::run_wave).
     pub fn run_wave_parallel(&mut self) -> Result<WaveOutcome, CoreError> {
-        let outcome = self.scheduler.run_wave_parallel()?;
-        self.check_durability()?;
-        self.publish_shard_stats();
-        Ok(outcome)
+        let result = self.scheduler.run_wave_parallel();
+        self.after_wave(result)
     }
 
     /// Number of waves executed so far.
@@ -550,6 +552,59 @@ mod tests {
             snap.gauge(smartflux_telemetry::names::STORE_SHARD_WRITE_CONTENTION),
             0
         );
+    }
+
+    #[test]
+    fn aborted_wave_runs_the_post_wave_hook() {
+        // Wave 3 aborts on a step failure *and* its wave-boundary checkpoint
+        // fails. That wave must report the durability error (it outranks
+        // the retriable step failure) and refresh the shard gauges; wave 4
+        // must not inherit it.
+        use smartflux_durability::{DurabilityOptions, CHECKPOINT_FILE};
+        let dir = std::env::temp_dir().join(format!("sf-session-abort-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DataStore::new();
+        let raw = ContainerRef::family("t", "raw");
+        store.ensure_container(&raw).unwrap();
+        let mut g = GraphBuilder::new("demo");
+        let feed = g.add_step("feed");
+        let mut wf = Workflow::new(g.build().unwrap());
+        wf.bind(
+            feed,
+            FnStep::new(|ctx: &StepContext| {
+                ctx.put("t", "raw", "r", "v", Value::from(ctx.wave() as f64))?;
+                if ctx.wave() == 3 {
+                    return Err(smartflux_wms::StepError::msg("wave 3 breaks"));
+                }
+                Ok(())
+            }),
+        )
+        .source()
+        .writes(raw)
+        .error_bound(0.1);
+        let config = EngineConfig::new()
+            .with_training_waves(10)
+            .with_telemetry(true)
+            .with_durability(DurabilityOptions::new(&dir).with_checkpoint_interval(1));
+        let mut s = SmartFluxSession::new(wf, store, config).unwrap();
+        s.run_waves(2).unwrap();
+
+        // Plant the failure: a directory squatting on the checkpoint's
+        // temporary path makes the next checkpoint write fail.
+        let squatter = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+        std::fs::create_dir(&squatter).unwrap();
+        let err = s.run_wave().unwrap_err();
+        assert!(matches!(err, CoreError::Durability(_)), "got {err}");
+        assert_eq!(s.scheduler().stats().waves_aborted(), 1);
+        // The failed checkpoint still quiesced the store to export it.
+        assert_eq!(
+            s.telemetry().snapshot().gauge(names::STORE_QUIESCES),
+            i64::try_from(s.store.shard_stats().quiesces).unwrap()
+        );
+
+        std::fs::remove_dir(&squatter).unwrap();
+        s.run_wave().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Run drivers: executing one [`Scenario`] through the real stack.
 //!
 //! Three drivers share one artifact shape so the oracles can compare
-//! them pairwise (a fourth, [`run_differential`], compares the engine with
-//! its reference evaluator wave by wave and returns only the mismatches):
+//! them pairwise:
 //!
 //! - [`run_scenario`] — in-process, honouring the scenario's full plan
 //!   (checkpointing *and* crash kills).
@@ -352,27 +351,6 @@ pub fn run_uninterrupted(
     tag: &str,
 ) -> Result<RunArtifacts, SimError> {
     run_in_process(scenario, workdir, tag, false)
-}
-
-/// Runs the scenario in-process (no durability, no kills) with the engine
-/// shadowed by the snapshot evaluator it replaced, returning every impact,
-/// error or training label on which the two disagree — the differential
-/// side of [`crate::oracles::check_reference`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_scenario`].
-pub fn run_differential(scenario: &Scenario) -> Result<Vec<String>, SimError> {
-    scenario.validate()?;
-    let store = DataStore::with_shard_policy(shard_policy(scenario.shards));
-    let workflow = workload::build_workflow(scenario, &store)?;
-    crate::reference::run_differential(
-        workflow,
-        &store,
-        workload::engine_config(scenario),
-        scenario.waves,
-        scenario.has_hangs(),
-    )
 }
 
 /// Workload name generated scenarios register under on loopback hosts.

@@ -19,10 +19,6 @@
 //!    `WaveStarted` closed by exactly one terminal event, trace trees
 //!    connected, telemetry counters consistent with journal records.
 //!
-//! 5. **Reference** — every impact and simulated error the engine streams
-//!    from its write-driven change sets equals, bit for bit, what the
-//!    snapshot+diff evaluator it replaced computes ([`reference`]).
-//!
 //! When an oracle trips, the harness **shrinks** the scenario (fewer
 //! waves, fewer faults, smaller DAG, simpler plans) while the failure
 //! persists and prints a one-line repro string (`sfsim1;…`) that replays
@@ -40,7 +36,6 @@ pub mod error;
 pub mod faults;
 pub mod harness;
 pub mod oracles;
-pub mod reference;
 pub mod rng;
 pub mod scenario;
 pub mod shrink;

@@ -1,11 +1,10 @@
 //! The whole-stack oracles: what "correct" means for a simulated run.
 //!
-//! Each oracle but one is a pure function over [`RunArtifacts`] (no
-//! re-execution, no I/O) returning the list of [`Violation`]s it found —
-//! empty means the property held; `reference` runs the scenario itself,
-//! because it compares two evaluators inside one run. [`run_all`] is the composition the sweep driver
-//! uses: it executes every run mode the scenario calls for and applies
-//! every applicable oracle.
+//! Each oracle is a pure function over [`RunArtifacts`] (no re-execution,
+//! no I/O) returning the list of [`Violation`]s it found — empty means the
+//! property held. [`run_all`] is the composition the sweep driver uses: it
+//! executes every run mode the scenario calls for and applies every
+//! applicable oracle.
 //!
 //! | Oracle | Property |
 //! |---|---|
@@ -14,7 +13,6 @@
 //! | `wire-equivalence` | the loopback net plane matches the in-process run |
 //! | `invariants` | clock = writes; waves closed; traces connected; counters = events |
 //! | `close-race` | a submit racing a close is answered, never stranded |
-//! | `reference` | change-set impacts/errors == the snapshot+diff evaluator's, bit for bit |
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -461,21 +459,6 @@ pub fn check_invariants(scenario: &Scenario, run: &RunArtifacts) -> Vec<Violatio
     found
 }
 
-/// **Reference oracle**: the engine's change-set evaluation must agree,
-/// bit for bit, with the snapshot+diff evaluator it replaced
-/// ([`crate::reference`]) on every impact, simulated error and training
-/// label of the scenario.
-///
-/// # Errors
-///
-/// Propagates harness infrastructure failures.
-pub fn check_reference(scenario: &Scenario) -> Result<Vec<Violation>, SimError> {
-    Ok(harness::run_differential(scenario)?
-        .into_iter()
-        .map(|detail| violation("reference", detail))
-        .collect())
-}
-
 /// Race rounds per close-race exercise in [`run_all`].
 pub const RACE_ROUNDS: u32 = 8;
 
@@ -493,7 +476,6 @@ pub fn run_all(scenario: &Scenario, workdir: &Path) -> Result<Vec<Violation>, Si
     let b = harness::run_scenario(scenario, workdir, "b")?;
     found.extend(check_determinism(&a, &b));
     found.extend(check_invariants(scenario, &a));
-    found.extend(check_reference(scenario)?);
 
     let killed = scenario
         .durability

@@ -12,9 +12,8 @@ use smartflux_telemetry::{names, Telemetry};
 
 use crate::error::{StepFailure, WmsError};
 use crate::events::{EventBus, EventSubscription, SchedulerEvent};
-use crate::graph::StepId;
+use crate::graph::{StepId, WorkflowGraph};
 use crate::policy::TriggerPolicy;
-use crate::retry::RetryPolicy;
 use crate::stats::ExecutionStats;
 use crate::step::{Step, StepContext, StepError};
 use crate::workflow::Workflow;
@@ -110,26 +109,34 @@ struct StepExecution {
     attempts: u32,
 }
 
-/// Executes `implementation` under `retry`: up to `max_attempts` tries,
+/// Executes `step` under its `RetryPolicy`: up to `max_attempts` tries,
 /// separated by the policy's deterministic backoff delays, each optionally
 /// bounded by a watchdog timeout. A fresh [`StepContext`] is built per
-/// attempt. Runs on the calling thread, so the parallel scheduler invokes
-/// it from each worker and sibling backoffs overlap instead of serialising.
+/// attempt. Runs on the calling thread, so the workers of a multi-step
+/// batch each invoke it and sibling backoffs overlap instead of serialising.
 ///
 /// Each attempt opens a `wms.step_attempt` span (tag = attempt number), so
 /// retries show up as sibling children of the enclosing step span in trace
 /// trees.
-#[allow(clippy::too_many_arguments)] // flat borrows: both schedulers call this from worker scopes
 fn run_step_with_retry(
     telemetry: &Telemetry,
     abandoned: &AbandonedWatchdogs,
-    implementation: &Arc<dyn Step>,
-    retry: RetryPolicy,
+    workflow: &Workflow,
     store: &DataStore,
     wave: WaveId,
     step: StepId,
-    name: &str,
 ) -> StepExecution {
+    let info = workflow.info(step);
+    let Some(implementation) = info.implementation() else {
+        // A wave refuses to start with an unbound step, so this is not
+        // reached; if it ever were, the step fails its wave cleanly.
+        return StepExecution {
+            outcome: Err(StepError::msg("step has no implementation")),
+            attempts: 1,
+        };
+    };
+    let retry = info.retry();
+    let name = workflow.graph().step_name(step);
     let mut attempts = 0;
     loop {
         attempts += 1;
@@ -229,8 +236,8 @@ fn attempt_with_watchdog(
 
 /// Drives a [`Workflow`] through waves of continuous processing.
 ///
-/// Each wave walks the DAG in topological order. For every step the
-/// scheduler applies the paper's triggering semantics:
+/// Each wave walks the DAG level by level, in topological order. For every
+/// step the scheduler applies the paper's triggering semantics:
 ///
 /// 1. if any predecessor has never completed an execution, the step is
 ///    *deferred* (not counted as a skip — it is simply not eligible yet);
@@ -249,6 +256,11 @@ pub struct Scheduler {
     ever_executed: Vec<bool>,
     next_wave: WaveId,
     abandoned: AbandonedWatchdogs,
+    /// The DAG's topological levels (level 0 holds the sources, level k the
+    /// steps whose deepest predecessor sits in level k−1); concatenated they
+    /// are exactly `topo_order()`. Computed once — the graph is immutable —
+    /// and shared so a wave can walk them while it mutates the scheduler.
+    levels: Arc<[Vec<StepId>]>,
 }
 
 impl Scheduler {
@@ -256,6 +268,7 @@ impl Scheduler {
     #[must_use]
     pub fn new(workflow: Workflow, store: DataStore, policy: Box<dyn TriggerPolicy>) -> Self {
         let n = workflow.graph().len();
+        let levels = topological_levels(workflow.graph()).into();
         Self {
             workflow,
             store,
@@ -266,6 +279,7 @@ impl Scheduler {
             ever_executed: vec![false; n],
             next_wave: 1,
             abandoned: AbandonedWatchdogs::default(),
+            levels,
         }
     }
 
@@ -354,7 +368,7 @@ impl Scheduler {
         }
     }
 
-    /// Runs a single wave.
+    /// Runs a single wave, one step at a time.
     ///
     /// # Errors
     ///
@@ -365,120 +379,10 @@ impl Scheduler {
     /// stats record the aborted wave, a terminal [`WaveAborted`] event is
     /// published, and the next `run_wave` starts a fresh wave.
     ///
+    /// [`RetryPolicy`]: crate::retry::RetryPolicy
     /// [`WaveAborted`]: SchedulerEvent::WaveAborted
     pub fn run_wave(&mut self) -> Result<WaveOutcome, WmsError> {
-        if let Some(id) = self.workflow.first_unbound() {
-            return Err(WmsError::UnboundStep(
-                self.workflow.graph().step_name(id).to_owned(),
-            ));
-        }
-        let wave = self.next_wave;
-        self.next_wave += 1;
-
-        let _wave_span = self.telemetry.span(names::WAVE_LATENCY, wave);
-        self.events.publish(&SchedulerEvent::WaveStarted { wave });
-        self.policy.begin_wave(wave, &self.workflow);
-
-        let mut outcome = WaveOutcome {
-            wave,
-            executed: Vec::new(),
-            skipped: Vec::new(),
-            deferred: Vec::new(),
-        };
-
-        let order: Vec<StepId> = self.workflow.graph().topo_order().to_vec();
-        for step in order {
-            let preds_ready = self
-                .workflow
-                .graph()
-                .predecessors(step)
-                .iter()
-                .all(|p| self.ever_executed[p.index()]);
-            if !preds_ready {
-                self.stats.record_deferral(step);
-                self.note_deferred();
-                outcome.deferred.push(step);
-                self.policy.step_deferred(wave, step, &self.workflow);
-                self.events
-                    .publish(&SchedulerEvent::StepDeferred { wave, step });
-                continue;
-            }
-
-            let info = self.workflow.info(step);
-            let trigger =
-                info.always_run() || self.policy.should_trigger(wave, step, &self.workflow);
-
-            if trigger {
-                self.events
-                    .publish(&SchedulerEvent::StepTriggered { wave, step });
-                let implementation = self
-                    .workflow
-                    .info(step)
-                    .implementation()
-                    .ok_or_else(|| {
-                        WmsError::UnboundStep(self.workflow.graph().step_name(step).to_owned())
-                    })?
-                    .clone();
-                let retry = self.workflow.info(step).retry();
-                let name = self.workflow.graph().step_name(step).to_owned();
-                let exec = {
-                    // Scoped so the step span closes before policy callbacks
-                    // run; the span's tag is the step index.
-                    let _step_span = self
-                        .telemetry
-                        .span(names::STEP_TOTAL_LATENCY, step.index() as u64);
-                    run_step_with_retry(
-                        &self.telemetry,
-                        &self.abandoned,
-                        &implementation,
-                        retry,
-                        &self.store,
-                        wave,
-                        step,
-                        &name,
-                    )
-                };
-                self.publish_retries(wave, step, exec.attempts);
-                match exec.outcome {
-                    Ok(elapsed) => {
-                        self.stats.record_execution(step, elapsed);
-                        self.note_executed(elapsed);
-                        self.ever_executed[step.index()] = true;
-                        outcome.executed.push(step);
-                        self.policy.step_completed(wave, step, &self.workflow);
-                        self.events
-                            .publish(&SchedulerEvent::StepCompleted { wave, step });
-                    }
-                    Err(source) => {
-                        let failure = StepFailure {
-                            step,
-                            step_name: name,
-                            attempts: exec.attempts,
-                            source,
-                        };
-                        return Err(self.abort_wave(wave, &outcome, vec![failure]));
-                    }
-                }
-            } else {
-                self.stats.record_skip(step);
-                self.note_skipped();
-                outcome.skipped.push(step);
-                self.policy.step_skipped(wave, step, &self.workflow);
-                self.events
-                    .publish(&SchedulerEvent::StepSkipped { wave, step });
-            }
-        }
-
-        self.policy.end_wave(wave, &self.workflow);
-        self.stats.record_wave();
-        self.abandoned.reap_finished();
-        self.events.publish(&SchedulerEvent::WaveCompleted {
-            wave,
-            executed: outcome.executed.len(),
-            skipped: outcome.skipped.len(),
-            deferred: outcome.deferred.len(),
-        });
-        Ok(outcome)
+        self.run_wave_in_batches(1)
     }
 
     /// Runs `count` consecutive waves, returning each outcome.
@@ -496,13 +400,14 @@ impl Scheduler {
 
     /// Runs a single wave executing independent steps in parallel.
     ///
-    /// Steps are processed level by level (a level being the set of steps
-    /// whose predecessors all belong to earlier levels — the natural
-    /// parallelism of the paper's Hadoop deployment). Trigger decisions are
-    /// still made sequentially in topological order, so adaptive policies
-    /// observe exactly the same state they would under [`run_wave`]; only
-    /// the `execute` calls of one level run concurrently, on scoped
-    /// threads.
+    /// Steps are processed a whole level at a time (a level being the set
+    /// of steps whose predecessors all belong to earlier levels — the
+    /// natural parallelism of the paper's Hadoop deployment). Trigger
+    /// decisions are still made sequentially in topological order, so
+    /// adaptive policies observe exactly the same state they would under
+    /// [`run_wave`]; only the `execute` calls of one level run
+    /// concurrently, on scoped threads — and a level with a single
+    /// triggered step runs it on the calling thread.
     ///
     /// [`run_wave`]: Self::run_wave
     ///
@@ -515,6 +420,16 @@ impl Scheduler {
     /// carrying them all. The wave aborts before later levels run, with
     /// the same clean-abort guarantees as `run_wave`.
     pub fn run_wave_parallel(&mut self) -> Result<WaveOutcome, WmsError> {
+        self.run_wave_in_batches(usize::MAX)
+    }
+
+    /// The wave executor. Walks the levels in batches of at most
+    /// `max_batch` steps: decide the batch sequentially, execute its
+    /// triggered steps, process their results in order, abort the wave if
+    /// any failed. Batches of one are the sequential wave — decide, run,
+    /// notify, step by step, stopping at the first failure — and a whole
+    /// level per batch is the parallel one.
+    fn run_wave_in_batches(&mut self, max_batch: usize) -> Result<WaveOutcome, WmsError> {
         if let Some(id) = self.workflow.first_unbound() {
             return Err(WmsError::UnboundStep(
                 self.workflow.graph().step_name(id).to_owned(),
@@ -534,10 +449,11 @@ impl Scheduler {
             deferred: Vec::new(),
         };
 
-        for level in self.topological_levels() {
-            // Phase 1: sequential decisions for this level.
-            let mut to_run: Vec<StepId> = Vec::new();
-            for step in level {
+        let levels = Arc::clone(&self.levels);
+        let mut to_run: Vec<StepId> = Vec::new();
+        for batch in levels.iter().flat_map(|level| level.chunks(max_batch)) {
+            to_run.clear();
+            for &step in batch {
                 let preds_ready = self
                     .workflow
                     .graph()
@@ -546,23 +462,20 @@ impl Scheduler {
                     .all(|p| self.ever_executed[p.index()]);
                 if !preds_ready {
                     self.stats.record_deferral(step);
-                    self.note_deferred();
+                    self.count(names::STEPS_DEFERRED, 1);
                     outcome.deferred.push(step);
                     self.policy.step_deferred(wave, step, &self.workflow);
                     self.events
                         .publish(&SchedulerEvent::StepDeferred { wave, step });
-                    continue;
-                }
-                let info = self.workflow.info(step);
-                let trigger =
-                    info.always_run() || self.policy.should_trigger(wave, step, &self.workflow);
-                if trigger {
+                } else if self.workflow.info(step).always_run()
+                    || self.policy.should_trigger(wave, step, &self.workflow)
+                {
                     self.events
                         .publish(&SchedulerEvent::StepTriggered { wave, step });
                     to_run.push(step);
                 } else {
                     self.stats.record_skip(step);
-                    self.note_skipped();
+                    self.count(names::STEPS_SKIPPED, 1);
                     outcome.skipped.push(step);
                     self.policy.step_skipped(wave, step, &self.workflow);
                     self.events
@@ -570,70 +483,11 @@ impl Scheduler {
                 }
             }
 
-            // Phase 2: concurrent execution of the level's triggered steps.
-            let mut implementations = Vec::with_capacity(to_run.len());
-            for &step in &to_run {
-                let implementation = self
-                    .workflow
-                    .info(step)
-                    .implementation()
-                    .ok_or_else(|| {
-                        WmsError::UnboundStep(self.workflow.graph().step_name(step).to_owned())
-                    })?
-                    .clone();
-                implementations.push(implementation);
-            }
-            // Capture the wave span's trace context once; each worker
-            // re-enters it so its step span parents under the wave root.
-            let trace_ctx = self.telemetry.trace_context();
-            let results: Vec<(StepId, StepExecution)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = to_run
-                    .iter()
-                    .zip(&implementations)
-                    .map(|(&step, implementation)| {
-                        let name = self.workflow.graph().step_name(step);
-                        let retry = self.workflow.info(step).retry();
-                        let store = &self.store;
-                        let telemetry = &self.telemetry;
-                        let abandoned = &self.abandoned;
-                        scope.spawn(move || {
-                            let _trace_guard = telemetry.propagate(trace_ctx);
-                            let _step_span =
-                                telemetry.span(names::STEP_TOTAL_LATENCY, step.index() as u64);
-                            run_step_with_retry(
-                                telemetry,
-                                abandoned,
-                                implementation,
-                                retry,
-                                store,
-                                wave,
-                                step,
-                                name,
-                            )
-                        })
-                    })
-                    .collect();
-                to_run
-                    .iter()
-                    .zip(handles)
-                    .map(|(&step, h)| {
-                        // `run_step_with_retry` catches step panics itself;
-                        // this guards the worker harness, not the step.
-                        let exec = h.join().unwrap_or_else(|_| StepExecution {
-                            outcome: Err(StepError::msg("step panicked")),
-                            attempts: 1,
-                        });
-                        (step, exec)
-                    })
-                    .collect()
-            });
-
-            // Process results in topological order so adaptive policies and
-            // event subscribers observe the same per-step sequence as the
-            // sequential scheduler. Every failure is kept: the parallel
-            // path must not drop sibling failures of a level.
+            // Results are processed in topological order whatever order the
+            // steps finished in, and every failure is kept: a batch must not
+            // drop the failures of a failed step's siblings.
             let mut failures: Vec<StepFailure> = Vec::new();
-            for (step, exec) in results {
+            for (&step, exec) in to_run.iter().zip(self.execute(wave, &to_run)) {
                 self.publish_retries(wave, step, exec.attempts);
                 match exec.outcome {
                     Ok(elapsed) => {
@@ -645,14 +499,12 @@ impl Scheduler {
                         self.events
                             .publish(&SchedulerEvent::StepCompleted { wave, step });
                     }
-                    Err(source) => {
-                        failures.push(StepFailure {
-                            step,
-                            step_name: self.workflow.graph().step_name(step).to_owned(),
-                            attempts: exec.attempts,
-                            source,
-                        });
-                    }
+                    Err(source) => failures.push(StepFailure {
+                        step,
+                        step_name: self.workflow.graph().step_name(step).to_owned(),
+                        attempts: exec.attempts,
+                        source,
+                    }),
                 }
             }
             if !failures.is_empty() {
@@ -672,6 +524,48 @@ impl Scheduler {
         Ok(outcome)
     }
 
+    /// Executes the triggered steps of one batch through their retry
+    /// budgets, returning one result per step in `steps` order. A lone step
+    /// runs on the calling thread; several run concurrently on scoped
+    /// threads, each re-entering the wave span's trace context so its step
+    /// span parents under the wave root. Either way the step span (tag =
+    /// step index) closes before any policy callback runs.
+    fn execute(&self, wave: WaveId, steps: &[StepId]) -> Vec<StepExecution> {
+        let (telemetry, abandoned) = (&self.telemetry, &self.abandoned);
+        let (workflow, store) = (&self.workflow, &self.store);
+        let run = |step: StepId| {
+            let _step_span = telemetry.span(names::STEP_TOTAL_LATENCY, step.index() as u64);
+            run_step_with_retry(telemetry, abandoned, workflow, store, wave, step)
+        };
+        if steps.len() <= 1 {
+            return steps.iter().map(|&step| run(step)).collect();
+        }
+        let trace_ctx = telemetry.trace_context();
+        let run = &run;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = steps
+                .iter()
+                .map(|&step| {
+                    scope.spawn(move || {
+                        let _trace_guard = telemetry.propagate(trace_ctx);
+                        run(step)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| {
+                    // `run_step_with_retry` catches step panics itself;
+                    // this guards the worker harness, not the step.
+                    worker.join().unwrap_or_else(|_| StepExecution {
+                        outcome: Err(StepError::msg("step panicked")),
+                        attempts: 1,
+                    })
+                })
+                .collect()
+        })
+    }
+
     /// Completes a wave that cannot finish: records every failure, keeps
     /// the policy lifecycle balanced (`step_failed` then `end_wave`),
     /// counts the aborted wave, and publishes the terminal
@@ -685,7 +579,7 @@ impl Scheduler {
     ) -> WmsError {
         for failure in &failures {
             self.stats.record_failure(failure.step);
-            self.note_failed();
+            self.count(names::STEPS_FAILED, 1);
             self.policy.step_failed(wave, failure.step, &self.workflow);
             self.events.publish(&SchedulerEvent::StepFailed {
                 wave,
@@ -696,9 +590,7 @@ impl Scheduler {
         self.policy.end_wave(wave, &self.workflow);
         self.stats.record_aborted_wave();
         self.abandoned.reap_finished();
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter(names::WAVES_ABORTED).incr();
-        }
+        self.count(names::WAVES_ABORTED, 1);
         self.events.publish(&SchedulerEvent::WaveAborted {
             wave,
             executed: outcome.executed.len(),
@@ -722,7 +614,7 @@ impl Scheduler {
         if attempts > 1 {
             let retries = u64::from(attempts - 1);
             self.stats.record_retries(step, retries);
-            self.note_retried(retries);
+            self.count(names::STEP_RETRIES, retries);
         }
     }
 
@@ -735,50 +627,34 @@ impl Scheduler {
         }
     }
 
-    fn note_skipped(&self) {
+    /// Adds `n` to a telemetry counter; one atomic load when disabled.
+    fn count(&self, counter: &'static str, n: u64) {
         if self.telemetry.is_enabled() {
-            self.telemetry.counter(names::STEPS_SKIPPED).incr();
+            self.telemetry.counter(counter).add(n);
         }
     }
+}
 
-    fn note_deferred(&self) {
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter(names::STEPS_DEFERRED).incr();
-        }
+/// Groups the DAG into topological levels: level 0 holds the sources,
+/// level k the steps whose deepest predecessor sits in level k−1. Each
+/// level keeps `topo_order()`'s relative order; that order never visits a
+/// shallower step after a deeper one, so the levels concatenate back to it.
+fn topological_levels(graph: &WorkflowGraph) -> Vec<Vec<StepId>> {
+    let mut depth = vec![0usize; graph.len()];
+    for &step in graph.topo_order() {
+        depth[step.index()] = graph
+            .predecessors(step)
+            .iter()
+            .map(|p| depth[p.index()] + 1)
+            .max()
+            .unwrap_or(0);
     }
-
-    fn note_retried(&self, retries: u64) {
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter(names::STEP_RETRIES).add(retries);
-        }
+    let max_depth = depth.iter().copied().max().unwrap_or(0);
+    let mut levels = vec![Vec::new(); max_depth + 1];
+    for &step in graph.topo_order() {
+        levels[depth[step.index()]].push(step);
     }
-
-    fn note_failed(&self) {
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter(names::STEPS_FAILED).incr();
-        }
-    }
-
-    /// Groups the DAG into topological levels: level 0 holds the sources,
-    /// level k the steps whose deepest predecessor sits in level k−1.
-    fn topological_levels(&self) -> Vec<Vec<StepId>> {
-        let graph = self.workflow.graph();
-        let mut depth = vec![0usize; graph.len()];
-        for &step in graph.topo_order() {
-            depth[step.index()] = graph
-                .predecessors(step)
-                .iter()
-                .map(|p| depth[p.index()] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        let max_depth = depth.iter().copied().max().unwrap_or(0);
-        let mut levels = vec![Vec::new(); max_depth + 1];
-        for &step in graph.topo_order() {
-            levels[depth[step.index()]].push(step);
-        }
-        levels
-    }
+    levels
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -1012,112 +888,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_wave_matches_sequential_results() {
-        // Two independent branches plus a join, run both ways over the same
-        // feed: final container state and statistics must agree.
-        fn build(store: &DataStore) -> Workflow {
-            store
-                .ensure_container(&ContainerRef::family("t", "f"))
-                .unwrap();
-            let mut b = GraphBuilder::new("par");
-            let src = b.add_step("src");
-            let left = b.add_step("left");
-            let right = b.add_step("right");
-            let join = b.add_step("join");
-            b.add_edge(src, left).unwrap();
-            b.add_edge(src, right).unwrap();
-            b.add_edge(left, join).unwrap();
-            b.add_edge(right, join).unwrap();
-            let mut w = Workflow::new(b.build().unwrap());
-            w.bind(
-                src,
-                FnStep::new(|ctx: &StepContext| {
-                    ctx.put("t", "f", "src", "v", Value::from(ctx.wave() as f64))?;
-                    Ok(())
-                }),
-            )
-            .source();
-            w.bind(
-                left,
-                FnStep::new(|ctx: &StepContext| {
-                    let v = ctx.get_f64("t", "f", "src", "v", 0.0)?;
-                    ctx.put("t", "f", "left", "v", Value::from(v * 2.0))?;
-                    Ok(())
-                }),
-            );
-            w.bind(
-                right,
-                FnStep::new(|ctx: &StepContext| {
-                    let v = ctx.get_f64("t", "f", "src", "v", 0.0)?;
-                    ctx.put("t", "f", "right", "v", Value::from(v + 10.0))?;
-                    Ok(())
-                }),
-            );
-            w.bind(
-                join,
-                FnStep::new(|ctx: &StepContext| {
-                    let l = ctx.get_f64("t", "f", "left", "v", 0.0)?;
-                    let r = ctx.get_f64("t", "f", "right", "v", 0.0)?;
-                    ctx.put("t", "f", "join", "v", Value::from(l + r))?;
-                    Ok(())
-                }),
-            );
-            w
-        }
-
-        let store_seq = DataStore::new();
-        let mut seq = Scheduler::new(
-            build(&store_seq),
-            store_seq.clone(),
-            Box::new(SynchronousPolicy),
-        );
-        let store_par = DataStore::new();
-        let mut par = Scheduler::new(
-            build(&store_par),
-            store_par.clone(),
-            Box::new(SynchronousPolicy),
-        );
-
-        for _ in 0..4 {
-            let a = seq.run_wave().unwrap();
-            let b = par.run_wave_parallel().unwrap();
-            assert_eq!(a.wave, b.wave);
-            assert_eq!(a.executed.len(), b.executed.len());
-        }
-        assert_eq!(
-            store_seq.snapshot(&ContainerRef::family("t", "f")).unwrap(),
-            store_par.snapshot(&ContainerRef::family("t", "f")).unwrap()
-        );
-        assert_eq!(
-            seq.stats().total_executions(),
-            par.stats().total_executions()
-        );
-    }
-
-    #[test]
-    fn parallel_wave_respects_policy_skips() {
-        let (mut s, _a, c) = pipeline(Box::new(SynchronousPolicy));
-        s.run_wave_parallel().unwrap();
-        s.swap_policy(Box::new(SkipStep(c)));
-        let o = s.run_wave_parallel().unwrap();
-        assert!(o.skipped.contains(&c));
-        assert!(!o.did_execute(c));
-    }
-
-    #[test]
-    fn parallel_wave_propagates_failures() {
-        let store = DataStore::new();
-        let mut b = GraphBuilder::new("boom");
+    fn lone_triggered_step_of_a_level_runs_on_the_calling_thread() {
+        // Two steps share level 0 but the policy skips one, so the batch
+        // holds a single triggered step: no worker thread is spawned.
+        use std::thread::ThreadId;
+        let ran_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+        let record = |ran_on: &Arc<Mutex<Vec<ThreadId>>>| {
+            let ran_on = Arc::clone(ran_on);
+            FnStep::new(move |_: &StepContext| {
+                ran_on.lock().push(std::thread::current().id());
+                Ok(())
+            })
+        };
+        let mut b = GraphBuilder::new("lone");
         let a = b.add_step("a");
+        let c = b.add_step("c");
         let mut w = Workflow::new(b.build().unwrap());
-        w.bind(
-            a,
-            FnStep::new(|_: &StepContext| Err(StepError::msg("parallel boom"))),
-        )
-        .source();
-        let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
-        let err = s.run_wave_parallel().unwrap_err();
-        assert!(err.to_string().contains("parallel boom"));
+        w.bind(a, record(&ran_on));
+        w.bind(c, record(&ran_on));
+        let mut s = Scheduler::new(w, DataStore::new(), Box::new(SkipStep(c)));
+        let o = s.run_wave_parallel().unwrap();
+        assert_eq!((o.executed, o.skipped), (vec![a], vec![c]));
+        assert_eq!(*ran_on.lock(), [std::thread::current().id()]);
+
+        // With both triggered the level does fan out, off the caller.
+        s.swap_policy(Box::new(SynchronousPolicy));
+        ran_on.lock().clear();
+        s.run_wave_parallel().unwrap();
+        let ran_on = ran_on.lock();
+        assert_eq!(ran_on.len(), 2);
+        assert!(!ran_on.contains(&std::thread::current().id()));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! throughput (the work is deterministic; the fastest repetition is the
 //! measurement) and the reported percentiles come from that repetition.
 //!
-//! Honest caveats, printed with the table: everything — server, engine
-//! workers, and all clients — shares this host's cores, so the numbers
+//! Honest caveats, printed with the table: everything — the server's
+//! connection threads and all clients — shares this host's cores, so the numbers
 //! are a loopback plane-overhead ceiling, not a distributed-deployment
 //! measurement; and the workload is a deliberately compute-light
 //! two-step ramp so the wire framing, queueing, and session dispatch
@@ -138,11 +138,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// One repetition of one grid cell: fresh server, `clients` threads,
 /// returns (aggregate waves/sec, client-observed latencies in µs).
 fn run_once(clients: usize, writes: usize) -> (f64, Vec<f64>) {
-    let host = EngineHost::new(
-        registry(),
-        HostConfig::new().with_workers(clients.min(8)),
-        Telemetry::disabled(),
-    );
+    let host = EngineHost::new(registry(), HostConfig::new(), Telemetry::disabled());
     // tidy:allow(panic): bench harness aborts loudly on setup failure
     let server = NetServer::start("127.0.0.1:0", host, clients + 1).expect("bind");
     let addr: SocketAddr = server.addr();

@@ -1088,7 +1088,6 @@ fn decode_tracker(r: &mut codec::Reader<'_>) -> Result<RestoredTracker, Durabili
 
 impl TriggerPolicy for QodEngine {
     fn begin_wave(&mut self, _wave: u64, _workflow: &Workflow) {
-        self.monitor.begin_wave();
         self.current_decisions.fill(false);
         self.failed_this_wave = false;
         self.deferred_this_wave = 0;

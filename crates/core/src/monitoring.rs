@@ -3,7 +3,7 @@
 //! SmartFlux's Monitoring analyses "all requests directed to the data store"
 //! (§4). Here it registers as a [`WriteObserver`] on the store, attributes
 //! every mutation to the watched containers it falls in, and keeps two
-//! things per container: per-wave dirtiness and write counts, and — for
+//! things per container: a cumulative write count, and — for
 //! every tracker registered with [`Monitor::track`] — a **change set**: for
 //! each cell written since the tracker's mark, the value it held at the mark
 //! and its latest value. The QoD engine streams its impact and error metrics
@@ -20,13 +20,6 @@ use smartflux_datastore::{
 };
 
 use crate::metric::MetricFn;
-
-#[derive(Debug, Default, Clone)]
-struct ContainerCounters {
-    writes_this_wave: u64,
-    total_writes: u64,
-    magnitude_this_wave: f64,
-}
 
 /// Marks a slot no change of the set refers to.
 const UNTOUCHED: usize = usize::MAX;
@@ -132,7 +125,8 @@ impl ChangeSet {
 #[derive(Debug)]
 struct WatchEntry {
     container: ContainerRef,
-    counters: ContainerCounters,
+    /// Writes observed since watching began.
+    total_writes: u64,
     /// Interned cell keys, `row 0xFF qualifier → slot` (0xFF occurs in no
     /// UTF-8 string, so the joined key is unambiguous): a write to a cell
     /// seen before finds its slot by one lookup, allocating nothing.
@@ -154,7 +148,7 @@ impl WatchEntry {
     fn new(container: ContainerRef) -> Self {
         Self {
             container,
-            counters: ContainerCounters::default(),
+            total_writes: 0,
             slots: HashMap::new(),
             joined_key: Vec::new(),
             keys: Vec::new(),
@@ -212,12 +206,6 @@ struct MonitorState {
 }
 
 impl MonitorState {
-    fn counters(&self, container: &ContainerRef) -> Option<&ContainerCounters> {
-        self.index
-            .get(container)
-            .map(|&i| &self.entries[i].counters)
-    }
-
     /// Position of `container`'s entry, adding it to the watch list first
     /// when it is new.
     fn watch(&mut self, container: ContainerRef) -> usize {
@@ -258,8 +246,7 @@ impl MonitorState {
 /// let _handle = monitor.attach(&store);
 ///
 /// store.put("t", "f", "r", "q", Value::from(3.0))?;
-/// assert!(monitor.is_dirty(&c));
-/// assert_eq!(monitor.writes_this_wave(&c), 1);
+/// assert_eq!(monitor.total_writes(&c), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -473,53 +460,13 @@ impl Monitor {
         }
     }
 
-    /// Marks the start of a new wave: per-wave counters reset, cumulative
-    /// ones are kept.
-    pub fn begin_wave(&self) {
-        let mut s = self.state.lock();
-        for entry in &mut s.entries {
-            entry.counters.writes_this_wave = 0;
-            entry.counters.magnitude_this_wave = 0.0;
-        }
-    }
-
-    /// Returns `true` if `container` received any write since the last
-    /// [`begin_wave`](Self::begin_wave).
-    #[must_use]
-    pub fn is_dirty(&self, container: &ContainerRef) -> bool {
-        self.state
-            .lock()
-            .counters(container)
-            .is_some_and(|c| c.writes_this_wave > 0)
-    }
-
-    /// Writes observed for `container` in the current wave.
-    #[must_use]
-    pub fn writes_this_wave(&self, container: &ContainerRef) -> u64 {
-        self.state
-            .lock()
-            .counters(container)
-            .map_or(0, |c| c.writes_this_wave)
-    }
-
     /// Total writes observed for `container` since watching began.
     #[must_use]
     pub fn total_writes(&self, container: &ContainerRef) -> u64 {
-        self.state
-            .lock()
-            .counters(container)
-            .map_or(0, |c| c.total_writes)
-    }
-
-    /// Sum of absolute change magnitudes observed for `container` in the
-    /// current wave (a cheap streaming signal; the engine's metric functions
-    /// compute the authoritative values from the change sets).
-    #[must_use]
-    pub fn magnitude_this_wave(&self, container: &ContainerRef) -> f64 {
-        self.state
-            .lock()
-            .counters(container)
-            .map_or(0.0, |c| c.magnitude_this_wave)
+        let s = self.state.lock();
+        s.index
+            .get(container)
+            .map_or(0, |&i| s.entries[i].total_writes)
     }
 
     /// All watched containers, in watch order.
@@ -553,12 +500,6 @@ impl WriteObserver for Monitor {
         else {
             return;
         };
-        let magnitude = match (&event.old, &event.new) {
-            (Some(o), Some(n)) => n.abs_diff(o),
-            (None, Some(n)) => n.as_f64().map_or(1.0, f64::abs),
-            (Some(o), None) => o.as_f64().map_or(1.0, f64::abs),
-            (None, None) => 0.0,
-        };
         for &pos in positions {
             let entry = &mut entries[pos];
             if entry
@@ -568,9 +509,7 @@ impl WriteObserver for Monitor {
             {
                 continue;
             }
-            entry.counters.writes_this_wave += 1;
-            entry.counters.total_writes += 1;
-            entry.counters.magnitude_this_wave += magnitude;
+            entry.total_writes += 1;
             if !entry.trackers.is_empty() {
                 entry.fold_write(
                     change_sets,
@@ -605,19 +544,7 @@ mod tests {
         let (store, m, c) = setup();
         store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
         store.put("t", "f", "r", "q", Value::from(4.0)).unwrap();
-        assert_eq!(m.writes_this_wave(&c), 2);
         assert_eq!(m.total_writes(&c), 2);
-        assert_eq!(m.magnitude_this_wave(&c), 1.0 + 3.0);
-    }
-
-    #[test]
-    fn wave_reset_keeps_totals() {
-        let (store, m, c) = setup();
-        store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
-        m.begin_wave();
-        assert!(!m.is_dirty(&c));
-        assert_eq!(m.writes_this_wave(&c), 0);
-        assert_eq!(m.total_writes(&c), 1);
     }
 
     #[test]
@@ -626,7 +553,6 @@ mod tests {
         store.create_family("t", "other").unwrap();
         store.put("t", "other", "r", "q", Value::from(1.0)).unwrap();
         let other = ContainerRef::family("t", "other");
-        assert_eq!(m.writes_this_wave(&other), 0);
         assert_eq!(m.total_writes(&other), 0);
     }
 
@@ -640,7 +566,7 @@ mod tests {
         m.attach(&store);
         store.put("t", "f", "r", "a", Value::from(1.0)).unwrap();
         store.put("t", "f", "r", "b", Value::from(1.0)).unwrap();
-        assert_eq!(m.writes_this_wave(&col), 1);
+        assert_eq!(m.total_writes(&col), 1);
     }
 
     #[test]
@@ -656,11 +582,9 @@ mod tests {
         m.watch(other_col.clone());
         m.attach(&store);
         store.put("t", "f", "r", "a", Value::from(2.0)).unwrap();
-        assert_eq!(m.writes_this_wave(&fam), 1);
-        assert_eq!(m.writes_this_wave(&col), 1);
-        assert_eq!(m.writes_this_wave(&other_col), 0);
-        assert_eq!(m.magnitude_this_wave(&fam), 2.0);
-        assert_eq!(m.magnitude_this_wave(&col), 2.0);
+        assert_eq!(m.total_writes(&fam), 1);
+        assert_eq!(m.total_writes(&col), 1);
+        assert_eq!(m.total_writes(&other_col), 0);
     }
 
     #[test]
@@ -668,7 +592,7 @@ mod tests {
         let (store, m, c) = setup();
         m.watch(c.clone());
         store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
-        assert_eq!(m.writes_this_wave(&c), 1);
+        assert_eq!(m.total_writes(&c), 1);
         assert_eq!(m.watched().len(), 1);
     }
 
@@ -767,9 +691,9 @@ mod tests {
             .unwrap();
         for (i, fam) in fams.iter().enumerate() {
             let expected = u64::from(i == 7) * 2;
-            assert_eq!(m.writes_this_wave(fam), expected, "family f{i}");
+            assert_eq!(m.total_writes(fam), expected, "family f{i}");
             let col = ContainerRef::column("t", format!("f{i}"), "q");
-            assert_eq!(m.writes_this_wave(&col), u64::from(i == 7), "column f{i}:q");
+            assert_eq!(m.total_writes(&col), u64::from(i == 7), "column f{i}:q");
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Little-endian binary primitives shared by the model codecs.
 //!
-//! The text forms (`to_text`/`from_text`) are for human inspection; the
-//! binary forms (`to_bytes`/`from_bytes`) are for checkpoints, where
+//! The binary forms (`to_bytes`/`from_bytes`) are for checkpoints, where
 //! exactness matters: `f64` values travel as raw IEEE-754 bit patterns,
 //! so a restored model is bit-identical to the one serialised.
 

@@ -247,141 +247,13 @@ impl RandomForest {
 }
 
 impl RandomForest {
-    /// Split-frequency feature importance of the fitted forest: how often
-    /// each feature was chosen as a split, normalised to sum to 1.
-    ///
-    /// Useful for diagnosing which steps' impacts actually drive a
-    /// full-vector predictor. Returns `None` before fitting; returns a
-    /// uniform vector when the forest is all leaves.
-    #[must_use]
-    pub fn feature_importance(&self, n_features: usize) -> Option<Vec<f64>> {
-        if self.trees.is_empty() {
-            return None;
-        }
-        let mut counts = vec![0.0; n_features];
-        for tree in &self.trees {
-            if let Some(text) = tree.to_text() {
-                for line in text.lines() {
-                    if let Some(rest) = line.strip_prefix("S ") {
-                        if let Some(feature) = rest
-                            .split_whitespace()
-                            .next()
-                            .and_then(|f| f.parse::<usize>().ok())
-                        {
-                            if feature < n_features {
-                                counts[feature] += 1.0;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let total: f64 = counts.iter().sum();
-        if total == 0.0 {
-            return Some(vec![1.0 / n_features as f64; n_features]);
-        }
-        Some(counts.into_iter().map(|c| c / total).collect())
-    }
-
-    /// Serialises the fitted forest into a versioned text form.
-    ///
-    /// Returns `None` before fitting.
-    #[must_use]
-    pub fn to_text(&self) -> Option<String> {
-        if self.trees.is_empty() {
-            return None;
-        }
-        let mut out = format!(
-            "forest v1 trees={} threshold={:e}\n",
-            self.trees.len(),
-            self.threshold
-        );
-        for tree in &self.trees {
-            out.push_str("tree\n");
-            out.push_str(&tree.to_text()?);
-        }
-        Some(out)
-    }
-
-    /// Reconstructs a fitted forest from its [`to_text`](Self::to_text)
-    /// form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first structural problem.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty forest text")?;
-        let mut fields = header.split_whitespace();
-        if fields.next() != Some("forest") || fields.next() != Some("v1") {
-            return Err("bad forest header".into());
-        }
-        let mut n_trees = None;
-        let mut threshold = 0.5;
-        for field in fields {
-            if let Some(v) = field.strip_prefix("trees=") {
-                n_trees = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad tree count: {e}"))?,
-                );
-            } else if let Some(v) = field.strip_prefix("threshold=") {
-                threshold = v.parse().map_err(|e| format!("bad threshold: {e}"))?;
-            } else {
-                return Err(format!("unknown header field `{field}`"));
-            }
-        }
-        let n_trees = n_trees.ok_or("header missing tree count")?;
-        if n_trees == 0 {
-            return Err("forest must hold at least one tree".into());
-        }
-        if !(threshold > 0.0 && threshold < 1.0) {
-            return Err(format!("threshold {threshold} out of range"));
-        }
-
-        // Split the remainder on "tree" sentinel lines.
-        let mut chunks: Vec<String> = Vec::new();
-        for line in lines {
-            if line.trim() == "tree" {
-                chunks.push(String::new());
-            } else if let Some(current) = chunks.last_mut() {
-                current.push_str(line);
-                current.push('\n');
-            } else if !line.trim().is_empty() {
-                return Err("tree data before first `tree` sentinel".into());
-            }
-        }
-        if chunks.len() != n_trees {
-            return Err(format!(
-                "header declared {n_trees} trees, found {}",
-                chunks.len()
-            ));
-        }
-        let trees = chunks
-            .iter()
-            .map(|c| DecisionTree::from_text(c))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut forest = Self {
-            n_trees,
-            max_depth: 16,
-            min_samples_split: 2,
-            max_features: None,
-            threshold,
-            seed: 0,
-            parallelism: TrainParallelism::Auto,
-            trees,
-            arena: TreeArena::new(),
-        };
-        forest.rebuild_arena();
-        Ok(forest)
-    }
-
     /// Serialises the fitted forest into a versioned binary form.
     ///
-    /// Unlike [`to_text`](Self::to_text), every `f64` travels as its exact
-    /// IEEE-754 bit pattern, so [`from_bytes`](Self::from_bytes) restores
-    /// a forest whose predictions are bit-identical — the property the
-    /// engine checkpoint relies on for recovery determinism. Returns
-    /// `None` before fitting.
+    /// Every `f64` travels as its exact IEEE-754 bit pattern, so
+    /// [`from_bytes`](Self::from_bytes) restores a forest whose
+    /// predictions are bit-identical — the property the engine
+    /// checkpoint relies on for recovery determinism. Returns `None`
+    /// before fitting.
     #[must_use]
     pub fn to_bytes(&self) -> Option<Vec<u8>> {
         if self.trees.is_empty() {
@@ -402,7 +274,7 @@ impl RandomForest {
 
     /// Reconstructs a fitted forest from its [`to_bytes`](Self::to_bytes)
     /// form. Training hyper-parameters not needed for prediction are
-    /// restored to defaults, mirroring [`from_text`](Self::from_text).
+    /// restored to defaults.
     ///
     /// # Errors
     ///
@@ -682,40 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn feature_importance_highlights_the_informative_feature() {
-        // Feature 1 is pure noise; feature 0 carries the signal.
-        let data = Dataset::new(
-            (0..60)
-                .map(|i| vec![i as f64, ((i * 7919) % 13) as f64])
-                .collect(),
-            (0..60).map(|i| i >= 30).collect(),
-        )
-        .unwrap();
-        let mut rf = RandomForest::new(20).with_seed(3);
-        rf.fit(&data).unwrap();
-        let imp = rf.feature_importance(2).unwrap();
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(imp[0] > imp[1], "importance {imp:?}");
-        assert!(RandomForest::new(2).feature_importance(2).is_none());
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_predictions() {
-        let mut rf = RandomForest::new(9).with_threshold(0.3).with_seed(2);
-        rf.fit(&banded()).unwrap();
-        let text = rf.to_text().unwrap();
-        let restored = RandomForest::from_text(&text).unwrap();
-        assert_eq!(restored.n_trees(), 9);
-        assert_eq!(restored.threshold(), 0.3);
-        for x in -10..40 {
-            let probe = [f64::from(x)];
-            assert_eq!(rf.predict_proba(&probe), restored.predict_proba(&probe));
-            assert_eq!(rf.predict(&probe), restored.predict(&probe));
-        }
-        assert!(RandomForest::new(3).to_text().is_none());
-    }
-
-    #[test]
     fn binary_roundtrip_is_exact() {
         let mut rf = RandomForest::new(9).with_threshold(0.3).with_seed(2);
         rf.fit(&banded()).unwrap();
@@ -760,15 +598,6 @@ mod tests {
         let mut vbumped = good;
         vbumped[4] = 2;
         assert!(RandomForest::from_bytes(&vbumped).is_err());
-    }
-
-    #[test]
-    fn from_text_rejects_malformed_input() {
-        assert!(RandomForest::from_text("").is_err());
-        assert!(RandomForest::from_text("forest v2 trees=1").is_err());
-        assert!(RandomForest::from_text("forest v1 trees=2 threshold=0.5\ntree\nL 0.5\n").is_err());
-        assert!(RandomForest::from_text("forest v1 trees=1 threshold=2.0\ntree\nL 0.5\n").is_err());
-        assert!(RandomForest::from_text("forest v1 trees=1 threshold=0.5\nL 0.5\n").is_err());
     }
 
     #[test]

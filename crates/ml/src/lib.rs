@@ -6,9 +6,10 @@
 //! [`NeuralNetwork`] (MLP), [`RandomForest`], and a linear [`LinearSvm`]
 //! (Pegasos) — plus the supporting machinery:
 //!
-//! - [`Dataset`] / [`MultiLabelDataset`] containers;
-//! - [`BinaryRelevance`] multi-label wrapping (the MEKA role: one binary
-//!   classifier per label, shared feature vector);
+//! - [`Dataset`] / [`MultiLabelDataset`] containers (the MEKA role —
+//!   binary relevance, one classifier per label — is played by
+//!   `smartflux::Predictor`, which fits one [`Classifier`] per
+//!   `MultiLabelDataset` label);
 //! - evaluation [`metrics`]: accuracy, precision, recall, F1, ROC AUC;
 //! - stratified k-fold [`crossval`] (the paper's 10-fold test phase).
 //!
@@ -47,7 +48,6 @@ mod forest;
 mod kernel_svm;
 mod logistic;
 mod mlp;
-mod multilabel;
 mod naive_bayes;
 mod scaler;
 mod svm;
@@ -60,7 +60,6 @@ pub use forest::{RandomForest, TrainParallelism};
 pub use kernel_svm::{Kernel, KernelSvm};
 pub use logistic::LogisticRegression;
 pub use mlp::NeuralNetwork;
-pub use multilabel::BinaryRelevance;
 pub use naive_bayes::GaussianNaiveBayes;
 pub use scaler::StandardScaler;
 pub use svm::LinearSvm;
@@ -102,7 +101,7 @@ pub trait Classifier: Send + Sync {
 
     /// [`predict_proba`](Classifier::predict_proba) that rejects
     /// untrained models instead of answering with the prior,
-    /// export-consistent with `to_text`/`to_bytes` returning `None`
+    /// export-consistent with `to_bytes` returning `None`
     /// before a fit.
     ///
     /// # Errors

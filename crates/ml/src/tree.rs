@@ -203,88 +203,6 @@ impl DecisionTree {
         best.map(|(_, f, t)| (f, t))
     }
 
-    /// Serialises the fitted tree into a compact line-based text form
-    /// (preorder; `S <feature> <threshold>` for splits, `L <p>` for
-    /// leaves). Returns `None` before fitting.
-    #[must_use]
-    pub fn to_text(&self) -> Option<String> {
-        fn emit(node: &Node, out: &mut String) {
-            match node {
-                Node::Leaf { p_positive } => {
-                    out.push_str(&format!("L {p_positive:e}\n"));
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    out.push_str(&format!("S {feature} {threshold:e}\n"));
-                    emit(left, out);
-                    emit(right, out);
-                }
-            }
-        }
-        let root = self.root.as_ref()?;
-        let mut out = String::new();
-        emit(root, &mut out);
-        Some(out)
-    }
-
-    /// Reconstructs a fitted tree from its [`to_text`](Self::to_text) form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        fn parse<'a, I: Iterator<Item = &'a str>>(lines: &mut I) -> Result<Node, String> {
-            let line = lines.next().ok_or("unexpected end of tree text")?;
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("L") => {
-                    let p: f64 = parts
-                        .next()
-                        .ok_or("leaf missing probability")?
-                        .parse()
-                        .map_err(|e| format!("bad leaf probability: {e}"))?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("leaf probability {p} out of range"));
-                    }
-                    Ok(Node::Leaf { p_positive: p })
-                }
-                Some("S") => {
-                    let feature: usize = parts
-                        .next()
-                        .ok_or("split missing feature")?
-                        .parse()
-                        .map_err(|e| format!("bad split feature: {e}"))?;
-                    let threshold: f64 = parts
-                        .next()
-                        .ok_or("split missing threshold")?
-                        .parse()
-                        .map_err(|e| format!("bad split threshold: {e}"))?;
-                    let left = parse(lines)?;
-                    let right = parse(lines)?;
-                    Ok(Node::Split {
-                        feature,
-                        threshold,
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    })
-                }
-                other => Err(format!("unknown node tag {other:?}")),
-            }
-        }
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let root = parse(&mut lines)?;
-        if lines.next().is_some() {
-            return Err("trailing lines after tree".into());
-        }
-        let mut tree = DecisionTree::new();
-        tree.root = Some(root);
-        Ok(tree)
-    }
-
     /// Appends the fitted tree in binary preorder form (tag 0 = leaf with
     /// probability bits, tag 1 = split with feature index and threshold
     /// bits). Returns `false` (appending nothing) before fitting.
@@ -520,30 +438,6 @@ mod tests {
         t.fit(&d).unwrap();
         assert_eq!(t.depth(), Some(0));
         assert_eq!(t.predict_proba(&[3.0]), 0.5);
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_predictions() {
-        let mut t = DecisionTree::new();
-        t.fit(&step_data()).unwrap();
-        let text = t.to_text().unwrap();
-        let restored = DecisionTree::from_text(&text).unwrap();
-        for x in -5..30 {
-            assert_eq!(
-                t.predict_proba(&[f64::from(x)]),
-                restored.predict_proba(&[f64::from(x)])
-            );
-        }
-        assert!(DecisionTree::new().to_text().is_none());
-    }
-
-    #[test]
-    fn from_text_rejects_malformed_input() {
-        assert!(DecisionTree::from_text("").is_err());
-        assert!(DecisionTree::from_text("X 1 2").is_err());
-        assert!(DecisionTree::from_text("L 2.5").is_err()); // out of range
-        assert!(DecisionTree::from_text("S 0 1.0\nL 0.5").is_err()); // missing child
-        assert!(DecisionTree::from_text("L 0.5\nL 0.5").is_err()); // trailing
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //! bit-identical to the original pointer-walking, sequential
 //! implementation. These tests pin that equivalence with `==` on `f64`
 //! (never a tolerance) across a grid of seeds, ensemble sizes, and
-//! depths, including the `SFRF`/`SFML` codec round-trips the recovery
-//! path relies on.
+//! depths, including the `SFRF` codec round-trip the recovery path
+//! relies on.
 
-use smartflux_ml::{
-    BinaryRelevance, Classifier, Dataset, MultiLabelDataset, RandomForest, TrainParallelism,
-};
+use smartflux_ml::{Classifier, Dataset, RandomForest, TrainParallelism};
 
 /// Deterministic multi-feature dataset with interacting signal, noise,
 /// and duplicated values (so trees exercise tie handling).
@@ -108,43 +106,6 @@ fn sfrf_round_trip_rebuilds_the_same_flat_arena() {
     let original = rf.predict_batch(&batch).expect("fitted");
     let decoded = restored.predict_batch(&batch).expect("fitted");
     assert_eq!(original, decoded);
-
-    // Text codec too (decimal round-trip is exact for these values or
-    // not — so compare through the stricter arena equality only after
-    // re-encoding to bytes agrees).
-    let text = rf.to_text().expect("fitted");
-    let from_text = RandomForest::from_text(&text).expect("decode");
-    assert_eq!(from_text.arena().n_trees(), rf.arena().n_trees());
-}
-
-#[test]
-fn sfml_round_trip_rebuilds_per_label_arenas() {
-    let data = MultiLabelDataset::new(
-        (0..120)
-            .map(|i| vec![(i % 12) as f64, (i / 12) as f64, (i % 5) as f64])
-            .collect(),
-        (0..120)
-            .map(|i| vec![(i % 12) >= 6, (i / 12) >= 5, i % 5 == 0])
-            .collect(),
-    )
-    .expect("well-formed");
-    let mut ml = BinaryRelevance::new(RandomForest::new(11).with_seed(5));
-    ml.fit(&data).expect("fit");
-    assert!(ml.is_fitted());
-
-    let bytes = ml.to_bytes().expect("fitted");
-    let restored = BinaryRelevance::<RandomForest>::from_bytes(&bytes).expect("decode");
-    assert!(restored.is_fitted());
-    for j in 0..3 {
-        let a = ml.label_model(j).expect("label");
-        let b = restored.label_model(j).expect("label");
-        assert_eq!(a.arena(), b.arena(), "label {j}");
-        assert!(!b.arena().is_empty(), "label {j}");
-    }
-    for probe in probes(100) {
-        let probe3 = &probe[..3];
-        assert_eq!(ml.predict_proba(probe3), restored.predict_proba(probe3));
-    }
 }
 
 #[test]

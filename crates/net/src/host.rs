@@ -1,44 +1,41 @@
 //! The multi-session engine host.
 //!
-//! An [`EngineHost`] multiplexes N independent SmartFlux sessions — each
-//! with its own [`SmartFluxSession`] (engine + sharded store + optional
-//! WAL) — over a fixed pool of worker threads. Mutating requests
-//! (submissions, drain, close) are queued per session and executed
-//! strictly FIFO by whichever worker wins the session's mutex, so one
-//! slow session never blocks the others while each individual session
-//! stays single-threaded and deterministic. Queues are bounded: a
-//! submission that arrives with the queue full is rejected immediately
-//! with [`Response::Busy`] instead of absorbing unbounded memory.
+//! An [`EngineHost`] holds N independent SmartFlux sessions — each with
+//! its own [`SmartFluxSession`] (engine + sharded store + optional WAL)
+//! — and runs every request on the thread that made it. The host spawns
+//! no thread: its callers are already threads waiting for an answer (a
+//! [`NetServer`](crate::NetServer) connection has one outstanding
+//! request at a time), so a session's mutex *is* its queue.
 //!
-//! Scheduling works on tickets: a job enqueued onto an *idle* session
-//! sends that session's slot down one shared unbounded channel; the
-//! ticket wakes one worker, which becomes the session's sole server —
-//! it locks the session, pops jobs FIFO, and after each job either
-//! parks the session (queue empty) or re-sends the ticket so other
-//! sessions' work interleaves fairly across the pool. At most one
-//! worker ever serves a given session, so a slow session costs the
-//! pool exactly one thread, and every queued job is answered either by
-//! its session's server or by the close/kill drain paths — never
-//! stranded.
+//! Every request takes its session's *turn* through one private helper:
+//! refuse if the host stopped accepting, find the slot, count the caller
+//! as waiting, lock the session, run the request body. A submission that
+//! finds `queue_capacity` callers already waiting is rejected at once
+//! with [`Response::Busy`] instead of piling up; control requests
+//! (queries, drain, close) bypass the cap. A session executes one
+//! request at a time and stays deterministic, and a slow session delays
+//! only the callers waiting for *it*. `Close` empties the slot and unmaps
+//! it under the session mutex, so a request racing a close either ran
+//! before it or finds the slot empty and is answered `unknown-session` —
+//! it cannot be stranded.
 //!
-//! Shutdown comes in two flavours:
+//! Shutdown comes in two flavours. Both stop admission, then take each
+//! session under its mutex, so a wave that is executing finishes first:
 //!
-//! - [`shutdown`](EngineHost::shutdown) — orderly drain: stop admitting,
-//!   let the workers finish every queued job, join them, then checkpoint
-//!   every durable session so [`SmartFluxSession::recover`] resumes
-//!   exactly where processing stopped.
-//! - [`kill`](EngineHost::kill) — simulated crash: queued jobs are
+//! - [`shutdown`](EngineHost::shutdown) — orderly: a waiting caller that
+//!   gets its turn before the session is taken still runs, and every
+//!   durable session is checkpointed so [`SmartFluxSession::recover`]
+//!   resumes exactly where processing stopped.
+//! - [`kill`](EngineHost::kill) — simulated crash: waiting callers are
 //!   answered with a `shutting-down` error and **no** checkpoint is
 //!   written, leaving recovery to the periodic checkpoint + WAL exactly
 //!   as a real crash would.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use smartflux::{
     CoreError, DurabilityError, DurabilityOptions, Phase, SmartFluxSession, SyncPolicy,
@@ -54,10 +51,9 @@ use crate::wire::{ContainerWrite, DecisionRow, ErrorCode, Response, SessionSpec,
 /// Tuning knobs for an [`EngineHost`].
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// Worker threads executing queued session jobs.
-    pub workers: usize,
-    /// Per-session bound on queued (not yet executing) jobs; a
-    /// submission beyond it is answered with [`Response::Busy`].
+    /// Per-session bound on callers waiting for the session (admitted,
+    /// not yet executing); a submission beyond it is answered with
+    /// [`Response::Busy`].
     pub queue_capacity: usize,
     /// Root directory for durable sessions; each session's
     /// `durable_key` becomes a subdirectory. `None` refuses durable
@@ -70,7 +66,6 @@ pub struct HostConfig {
 impl Default for HostConfig {
     fn default() -> Self {
         Self {
-            workers: 4,
             queue_capacity: 16,
             durability_root: None,
             checkpoint_interval: 20,
@@ -85,14 +80,14 @@ impl HostConfig {
         Self::default()
     }
 
-    /// Sets the worker-thread count.
+    /// Does nothing: requests run on their caller's thread, so there is
+    /// no worker pool to size. Kept so existing callers still compile.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
-    /// Sets the per-session queue bound.
+    /// Sets the per-session bound on waiting callers.
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
@@ -145,45 +140,16 @@ impl NetMetrics {
     }
 }
 
-enum JobRequest {
-    Submit {
-        writes: Vec<ContainerWrite>,
-        run_wave: bool,
-    },
-    Drain,
-    Close,
-}
-
-struct Job {
-    request: JobRequest,
-    reply: Sender<Response>,
-}
-
-/// Queue state behind one mutex, so admission, close, and the serving
-/// hand-off all agree on a single interleaving.
-#[derive(Default)]
-struct SessionQueue {
-    /// Pending jobs, strictly FIFO.
-    jobs: VecDeque<Job>,
-    /// True while a ticket for this session is in flight or a worker is
-    /// serving it. [`EngineHost::enqueue`] sends a ticket only on the
-    /// idle→serving transition; the server clears the flag only after
-    /// observing an empty queue under this mutex.
-    serving: bool,
-    /// Set (under this mutex) by the Close job *before* it drains
-    /// leftovers; `enqueue` checks it under the same lock, so no job
-    /// can slip in after the drain and sit in a queue nothing serves.
-    closed: bool,
-}
-
 struct SessionSlot {
     id: u64,
     durable: bool,
-    /// `None` once the session is closed. Lock order: this mutex is
-    /// always acquired *before* `queue` and before the host-wide
-    /// `sessions` map lock; never the other way around.
+    /// `None` once the session is closed or the host has stopped. Lock
+    /// order: this mutex is acquired *before* the host-wide `sessions`
+    /// map lock; never the other way around.
     session: Mutex<Option<SmartFluxSession>>,
-    queue: Mutex<SessionQueue>,
+    /// Callers admitted to this session that do not hold `session` yet.
+    // tidy:atomic(waiting: relaxed): admission count — every access is a read-modify-write on this one cell, and no other data is published through it
+    waiting: AtomicU32,
 }
 
 struct HostInner {
@@ -194,19 +160,9 @@ struct HostInner {
     sessions: RwLock<HashMap<u64, Arc<SessionSlot>>>,
     // tidy:atomic(next_id: relaxed): id allocator — only uniqueness matters, no ordering with other state
     next_id: AtomicU64,
-    /// `None` once shutdown begins; cloned out (single statement) before
-    /// each send so the channel is never used under the mutex.
-    tickets: Mutex<Option<Sender<Arc<SessionSlot>>>>,
-    /// Workers share the single receiver; `recv` under the mutex *is*
-    /// the dispatch protocol (the holder parks until a ticket arrives,
-    /// takes it, and releases before executing). The receiver lives
-    /// here for the host's whole lifetime, so a ticket send through a
-    /// live sender clone can never fail.
-    ticket_rx: Mutex<Receiver<Arc<SessionSlot>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
     // tidy:atomic(accepting: acq-rel): admission flag — the release store at shutdown publishes the decision, acquire loads in request paths observe it; no total order needed
     accepting: AtomicBool,
-    // tidy:atomic(abort: acq-rel): kill switch — release store in kill(), acquire loads in workers skip queued jobs after it
+    // tidy:atomic(abort: acq-rel): kill switch — release store in kill(), acquire load by each caller once it holds its session, so callers that were waiting do not run
     abort: AtomicBool,
 }
 
@@ -224,47 +180,35 @@ pub struct ShutdownReport {
 
 /// The multi-session engine host (cheaply cloneable handle).
 ///
-/// Dropping the last handle without calling [`shutdown`](Self::shutdown)
-/// or [`kill`](Self::kill) leaves the worker threads parked until
-/// process exit (they hold their own references); orderly teardown is
-/// the caller's job, exactly like [`ListenerPool`].
-///
-/// [`ListenerPool`]: smartflux_obs::ListenerPool
+/// The host owns no thread, so dropping the last handle frees every
+/// session; call [`shutdown`](Self::shutdown) first when durable
+/// sessions must get their close-time checkpoint.
 #[derive(Clone)]
 pub struct EngineHost {
     inner: Arc<HostInner>,
 }
 
 impl EngineHost {
-    /// Starts the host's worker pool over `registry`.
+    /// Creates a host over `registry`.
     ///
     /// `telemetry` receives the `net.*` counters, gauges, and the
     /// submit-latency histogram when enabled; pass
     /// [`Telemetry::disabled`] to make every instrumentation site
     /// short-circuit.
     #[must_use]
-    pub fn new(registry: WorkflowRegistry, config: HostConfig, telemetry: Telemetry) -> Self {
-        let (ticket_tx, ticket_rx) = unbounded();
+    pub fn new(registry: WorkflowRegistry, mut config: HostConfig, telemetry: Telemetry) -> Self {
+        config.queue_capacity = config.queue_capacity.max(1);
+        config.checkpoint_interval = config.checkpoint_interval.max(1);
         let inner = Arc::new(HostInner {
             registry,
+            config,
             metrics: NetMetrics::build(&telemetry),
             telemetry,
             sessions: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            tickets: Mutex::new(Some(ticket_tx)),
-            ticket_rx: Mutex::new(ticket_rx),
-            workers: Mutex::new(Vec::new()),
             accepting: AtomicBool::new(true),
             abort: AtomicBool::new(false),
-            config: inner_config(config),
         });
-        let workers: Vec<JoinHandle<()>> = (0..inner.config.workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
-            })
-            .collect();
-        *inner.workers.lock() = workers;
         Self { inner }
     }
 
@@ -295,7 +239,7 @@ impl EngineHost {
     pub fn open_session(&self, spec: &SessionSpec) -> Response {
         let inner = &self.inner;
         if !inner.accepting.load(Ordering::Acquire) {
-            return error_response(ErrorCode::ShuttingDown, "host is shutting down");
+            return shutting_down();
         }
         let Some((mut config, builder)) = inner.registry.get(&spec.workload) else {
             return error_response(
@@ -309,7 +253,7 @@ impl EngineHost {
         if let Some(waves) = spec.training_waves {
             config = config.with_training_waves(waves as usize);
         }
-        let mut durable = false;
+        let durable = spec.durable_key.is_some();
         if let Some(key) = &spec.durable_key {
             let Some(root) = &inner.config.durability_root else {
                 return error_response(
@@ -328,7 +272,6 @@ impl EngineHost {
                     .with_sync(SyncPolicy::Never)
                     .with_checkpoint_interval(inner.config.checkpoint_interval),
             );
-            durable = true;
         }
 
         let mut resumed = false;
@@ -367,9 +310,20 @@ impl EngineHost {
             id,
             durable,
             session: Mutex::new(Some(session)),
-            queue: Mutex::new(SessionQueue::default()),
+            waiting: AtomicU32::new(0),
         });
-        inner.sessions.write().insert(id, slot);
+        {
+            // Construction above is slow (a recovery replays a WAL) and a
+            // shutdown may have emptied the map meanwhile. Shutdown clears
+            // `accepting` before it takes this lock, so re-checking under
+            // it leaves no window in which a session is inserted that
+            // nothing will ever checkpoint or close.
+            let mut sessions = inner.sessions.write();
+            if !inner.accepting.load(Ordering::Acquire) {
+                return shutting_down();
+            }
+            sessions.insert(id, slot);
+        }
         if let Some(m) = &inner.metrics {
             m.sessions_open.add(1);
         }
@@ -380,223 +334,205 @@ impl EngineHost {
         }
     }
 
-    /// Queues a batch of container writes (plus, with `run_wave`, one
-    /// wave trigger) and blocks until the worker pool executes it.
+    /// Applies a batch of container writes (plus, with `run_wave`, one
+    /// wave) on the calling thread once the session is free.
     ///
-    /// Returns [`Response::Busy`] immediately — without queueing — when
-    /// the session's queue is at capacity.
+    /// Returns [`Response::Busy`] immediately — without waiting — when
+    /// `queue_capacity` callers are already waiting for the session.
     #[must_use]
     pub fn submit(&self, session: u64, writes: Vec<ContainerWrite>, run_wave: bool) -> Response {
-        self.enqueue(session, JobRequest::Submit { writes, run_wave }, false)
+        let inner = &self.inner;
+        self.turn(session, false, |_, live| {
+            Some(execute_submit(inner, live.as_mut()?, &writes, run_wave))
+        })
     }
 
-    /// Blocks until every job queued before this call has executed.
-    /// Control jobs bypass the queue-capacity bound.
+    /// Blocks until the requests that took their turn before this one
+    /// have executed. Control requests bypass the queue-capacity bound.
     #[must_use]
     pub fn drain(&self, session: u64) -> Response {
-        self.enqueue(session, JobRequest::Drain, true)
+        self.turn(session, true, |_, live| {
+            Some(Response::Drained {
+                session,
+                executed_waves: live.as_ref()?.executed_waves(),
+            })
+        })
     }
 
-    /// Closes `session` after the jobs already queued ahead of it,
-    /// checkpointing first when the session is durable.
+    /// Closes `session` once it is free, checkpointing first when the
+    /// session is durable.
     #[must_use]
     pub fn close(&self, session: u64) -> Response {
-        self.enqueue(session, JobRequest::Close, true)
+        let inner = &self.inner;
+        self.turn(session, true, |slot, live| {
+            let mut closing = live.take()?;
+            // Unmapped while the session mutex is still held: a racer
+            // either never finds the slot or finds it empty.
+            inner.sessions.write().remove(&session);
+            if let Some(m) = &inner.metrics {
+                m.sessions_open.add(-1);
+            }
+            if slot.durable {
+                if let Err(e) = closing.checkpoint() {
+                    return Some(error_response(
+                        ErrorCode::SessionFailed,
+                        &format!("close-time checkpoint failed: {e}"),
+                    ));
+                }
+            }
+            Some(Response::Closed { session })
+        })
     }
 
-    /// Reads per-wave decision rows from `from_wave` onward. Runs on the
-    /// caller's thread (it only waits for the session mutex, not for the
-    /// session's queue to drain).
+    /// Reads per-wave decision rows from `from_wave` onward.
     #[must_use]
     pub fn query_decisions(&self, session: u64, from_wave: u64) -> Response {
-        let Some(slot) = self.slot(session) else {
-            return unknown_session(session);
-        };
-        let guard = slot.session.lock();
-        let Some(live) = guard.as_ref() else {
-            return unknown_session(session);
-        };
-        let rows = live.engine().with(|e| {
-            e.diagnostics_since(from_wave)
-                .iter()
-                .map(|d| DecisionRow {
-                    wave: d.wave,
-                    training: d.training,
-                    impacts: d.impacts.clone(),
-                    decisions: d.decisions.clone(),
-                })
-                .collect()
-        });
-        Response::Decisions { rows }
+        self.turn(session, true, |_, live| {
+            let rows = live.as_ref()?.engine().with(|e| {
+                e.diagnostics_since(from_wave)
+                    .iter()
+                    .map(|d| DecisionRow {
+                        wave: d.wave,
+                        training: d.training,
+                        impacts: d.impacts.clone(),
+                        decisions: d.decisions.clone(),
+                    })
+                    .collect()
+            });
+            Some(Response::Decisions { rows })
+        })
     }
 
     /// Reads the session's full store image (durability encoding) and
-    /// logical clock. Runs on the caller's thread.
+    /// logical clock.
     #[must_use]
     pub fn query_store(&self, session: u64) -> Response {
-        let Some(slot) = self.slot(session) else {
-            return unknown_session(session);
-        };
-        let guard = slot.session.lock();
-        let Some(live) = guard.as_ref() else {
-            return unknown_session(session);
-        };
-        let store = live.scheduler().store();
-        let bytes = encode_store_state(&store.export_state());
-        Response::StoreImage {
-            clock: store.clock(),
-            bytes,
-        }
+        self.turn(session, true, |_, live| {
+            let store = live.as_ref()?.scheduler().store();
+            let bytes = encode_store_state(&store.export_state());
+            Some(Response::StoreImage {
+                clock: store.clock(),
+                bytes,
+            })
+        })
     }
 
-    /// Orderly shutdown: stops admitting requests, lets the workers
-    /// finish every queued job, joins them, then checkpoints and closes
-    /// every durable session. The report counts the checkpoints written
-    /// and lists every checkpoint that *failed* — a failure means the
+    /// Orderly shutdown: stops admitting requests, waits for each
+    /// session's executing request, then checkpoints and closes every
+    /// durable session. The report counts the checkpoints written and
+    /// lists every checkpoint that *failed* — a failure means the
     /// session's WAL tail may be unsynced, so callers must not fold it
     /// into "nothing to checkpoint". Idempotent.
     pub fn shutdown(&self) -> ShutdownReport {
-        let inner = &self.inner;
-        inner.accepting.store(false, Ordering::Release);
-        drop(inner.tickets.lock().take());
-        let workers = std::mem::take(&mut *inner.workers.lock());
-        for worker in workers {
-            let _ = worker.join();
-        }
-        let slots: Vec<Arc<SessionSlot>> = inner
-            .sessions
-            .write()
-            .drain()
-            .map(|(_, slot)| slot)
-            .collect();
         let mut report = ShutdownReport::default();
-        for slot in slots {
-            let taken = slot.session.lock().take();
-            if let Some(mut session) = taken {
-                if let Some(m) = &inner.metrics {
-                    m.sessions_open.add(-1);
-                }
-                if slot.durable {
-                    match session.checkpoint() {
-                        Ok(true) => report.checkpointed += 1,
-                        Ok(false) => {}
-                        Err(e) => report
-                            .checkpoint_failures
-                            .push(format!("session {}: {e}", slot.id)),
-                    }
+        for (slot, mut session) in self.take_sessions() {
+            if slot.durable {
+                match session.checkpoint() {
+                    Ok(true) => report.checkpointed += 1,
+                    Ok(false) => {}
+                    Err(e) => report
+                        .checkpoint_failures
+                        .push(format!("session {}: {e}", slot.id)),
                 }
             }
         }
         report
     }
 
-    /// Simulated crash: queued jobs are answered with a
-    /// `shutting-down` error, workers are joined, and **no** checkpoint
-    /// is written — durable sessions must come back through
+    /// Simulated crash: callers waiting for a session are answered with
+    /// a `shutting-down` error and **no** checkpoint is written —
+    /// durable sessions must come back through
     /// [`SmartFluxSession::recover`] from their last periodic
     /// checkpoint, exactly as after a real crash. Idempotent.
     pub fn kill(&self) {
+        self.inner.abort.store(true, Ordering::Release);
+        drop(self.take_sessions());
+    }
+
+    /// Stops admission and empties every slot, each under its session
+    /// mutex — so this waits for the request a session is executing, and
+    /// every caller that gets the mutex afterwards finds the slot empty.
+    fn take_sessions(&self) -> Vec<(Arc<SessionSlot>, SmartFluxSession)> {
         let inner = &self.inner;
         inner.accepting.store(false, Ordering::Release);
-        inner.abort.store(true, Ordering::Release);
-        drop(inner.tickets.lock().take());
-        let workers = std::mem::take(&mut *inner.workers.lock());
-        for worker in workers {
-            let _ = worker.join();
-        }
-        let slots: Vec<Arc<SessionSlot>> = inner
-            .sessions
-            .write()
-            .drain()
-            .map(|(_, slot)| slot)
-            .collect();
-        for slot in slots {
-            // Belt and braces: the abort path drained every served
-            // session, but any straggler still queued gets a typed
-            // reply rather than a hang.
-            let leftovers = std::mem::take(&mut slot.queue.lock().jobs);
-            for job in leftovers {
-                if let Some(m) = &inner.metrics {
-                    m.queue_depth.add(-1);
-                }
-                let _ = job
-                    .reply
-                    .send(error_response(ErrorCode::ShuttingDown, "host killed"));
-            }
-            let taken = slot.session.lock().take();
-            if taken.is_some() {
+        let slots = std::mem::take(&mut *inner.sessions.write());
+        let mut taken = Vec::with_capacity(slots.len());
+        for slot in slots.into_values() {
+            let session = slot.session.lock().take();
+            if let Some(session) = session {
                 if let Some(m) = &inner.metrics {
                     m.sessions_open.add(-1);
                 }
+                taken.push((slot, session));
             }
         }
+        taken
     }
 
     fn slot(&self, id: u64) -> Option<Arc<SessionSlot>> {
         self.inner.sessions.read().get(&id).cloned()
     }
 
-    fn enqueue(&self, id: u64, request: JobRequest, control: bool) -> Response {
+    /// Takes session `id`'s turn and runs `body` on the calling thread.
+    ///
+    /// This is the only place a request meets the host's admission
+    /// state: the `accepting` check, the slot lookup, the waiting count
+    /// (capped at `queue_capacity` unless `control`), the session lock,
+    /// and the `abort` check that turns away callers a kill found
+    /// waiting. `body` gets the slot's contents and returns `None` when
+    /// it found them gone — closed, or taken by a shutdown, while this
+    /// caller waited.
+    fn turn(
+        &self,
+        id: u64,
+        control: bool,
+        body: impl FnOnce(&SessionSlot, &mut Option<SmartFluxSession>) -> Option<Response>,
+    ) -> Response {
         let inner = &self.inner;
         if !inner.accepting.load(Ordering::Acquire) {
-            return error_response(ErrorCode::ShuttingDown, "host is shutting down");
+            return shutting_down();
         }
         let Some(slot) = self.slot(id) else {
             return unknown_session(id);
         };
-        // Clone the sender out first: holding a clone keeps the channel
-        // alive, so a ticket sent below is guaranteed to be drained by a
-        // worker even if shutdown takes the original concurrently.
-        let ticket_tx = inner.tickets.lock().clone();
-        let Some(ticket_tx) = ticket_tx else {
-            return error_response(ErrorCode::ShuttingDown, "host is shutting down");
-        };
-        let (reply_tx, reply_rx) = unbounded();
-        // Simulation mutation: reintroduce the PR 9 close-vs-submit race
-        // for the harness to catch — widen the window between the map
-        // lookup above and the queue admission below, so a concurrent
-        // close can complete in between.
-        if cfg!(sim_mutation) && !control {
-            std::thread::sleep(std::time::Duration::from_millis(4));
-        }
-        let schedule = {
-            let mut queue = slot.queue.lock();
-            // Checked under the queue mutex the Close drain also holds:
-            // either this job lands before the drain (and is answered by
-            // it), or it observes `closed` — it can never be pushed into
-            // a queue nothing will ever serve again. (Skipped under the
-            // sim mutation: the reintroduced bug admits jobs to a closed
-            // queue.)
-            if cfg!(not(sim_mutation)) && queue.closed {
-                return unknown_session(id);
-            }
-            if !control && queue.jobs.len() >= inner.config.queue_capacity {
-                let depth = queue.jobs.len() as u32;
-                drop(queue);
-                if let Some(m) = &inner.metrics {
-                    m.busy_rejections.incr();
-                }
-                return Response::Busy { session: id, depth };
-            }
-            queue.jobs.push_back(Job {
-                request,
-                reply: reply_tx,
+        let admitted = slot
+            .waiting
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                (control || (depth as usize) < inner.config.queue_capacity).then_some(depth + 1)
             });
-            !std::mem::replace(&mut queue.serving, true)
-        };
+        if let Err(depth) = admitted {
+            if let Some(m) = &inner.metrics {
+                m.busy_rejections.incr();
+            }
+            return Response::Busy { session: id, depth };
+        }
         if let Some(m) = &inner.metrics {
             m.queue_depth.add(1);
         }
-        if schedule {
-            // Idle→serving transition: wake one worker for this session.
-            // The receiver lives in `HostInner` for the host's lifetime,
-            // so this send cannot fail while we hold a sender clone.
-            let _ = ticket_tx.send(Arc::clone(&slot));
+        // Simulation mutation: strand a submit that races a close — hold
+        // it here until the close has run, and (below) have the close
+        // leak the session guard this caller is about to wait for.
+        if cfg!(sim_mutation) && !control {
+            std::thread::sleep(std::time::Duration::from_millis(4));
         }
-        match reply_rx.recv() {
-            Ok(response) => response,
-            Err(_) => error_response(ErrorCode::ShuttingDown, "host shut down before replying"),
+        let mut live = slot.session.lock();
+        slot.waiting.fetch_sub(1, Ordering::Relaxed);
+        if let Some(m) = &inner.metrics {
+            m.queue_depth.add(-1);
         }
+        if inner.abort.load(Ordering::Acquire) {
+            return error_response(ErrorCode::ShuttingDown, "host killed");
+        }
+        let response = body(&slot, &mut live);
+        #[cfg(sim_mutation)]
+        std::mem::forget(live.is_none().then_some(live));
+        response.unwrap_or_else(|| {
+            if inner.accepting.load(Ordering::Acquire) {
+                unknown_session(id)
+            } else {
+                shutting_down()
+            }
+        })
     }
 }
 
@@ -607,13 +543,6 @@ impl std::fmt::Debug for EngineHost {
             .field("workloads", &self.inner.registry.names())
             .finish()
     }
-}
-
-fn inner_config(mut config: HostConfig) -> HostConfig {
-    config.workers = config.workers.max(1);
-    config.queue_capacity = config.queue_capacity.max(1);
-    config.checkpoint_interval = config.checkpoint_interval.max(1);
-    config
 }
 
 fn fresh_session(
@@ -636,141 +565,8 @@ fn unknown_session(id: u64) -> Response {
     error_response(ErrorCode::UnknownSession, &format!("no open session {id}"))
 }
 
-fn worker_loop(inner: &HostInner) {
-    loop {
-        // The receiver is shared through the mutex: the holder parks in
-        // recv until a ticket arrives, then releases the guard (end of
-        // statement) before executing, so dispatch stays concurrent.
-        let ticket = inner.ticket_rx.lock().recv();
-        match ticket {
-            Ok(slot) => run_one(inner, &slot),
-            // All senders gone: shutdown drained every buffered ticket.
-            Err(_) => return,
-        }
-    }
-}
-
-/// Serves queued jobs of one session. The ticket carries the slot
-/// itself (never a map lookup — a job stays reachable even after its
-/// session leaves the map), and the `serving` flag guarantees at most
-/// one worker is in here per session, so a slow session occupies
-/// exactly one pool thread. After each job the remaining work is
-/// handed back through the ticket channel so other sessions interleave
-/// fairly; once shutdown has taken the channel, the drain finishes
-/// inline instead.
-fn run_one(inner: &HostInner, slot: &Arc<SessionSlot>) {
-    let id = slot.id;
-    loop {
-        let mut session_guard = slot.session.lock();
-        let job = {
-            let mut queue = slot.queue.lock();
-            match queue.jobs.pop_front() {
-                Some(job) => job,
-                None => {
-                    queue.serving = false;
-                    return;
-                }
-            }
-        };
-        if let Some(m) = &inner.metrics {
-            m.queue_depth.add(-1);
-        }
-        if inner.abort.load(Ordering::Acquire) {
-            drop(session_guard);
-            let _ = job
-                .reply
-                .send(error_response(ErrorCode::ShuttingDown, "host killed"));
-        } else {
-            match job.request {
-                JobRequest::Submit { writes, run_wave } => {
-                    let response = match session_guard.as_mut() {
-                        Some(session) => execute_submit(inner, session, &writes, run_wave),
-                        None => unknown_session(id),
-                    };
-                    drop(session_guard);
-                    let _ = job.reply.send(response);
-                }
-                JobRequest::Drain => {
-                    let response = match session_guard.as_ref() {
-                        Some(session) => Response::Drained {
-                            session: id,
-                            executed_waves: session.executed_waves(),
-                        },
-                        None => unknown_session(id),
-                    };
-                    drop(session_guard);
-                    let _ = job.reply.send(response);
-                }
-                JobRequest::Close => {
-                    let taken = session_guard.take();
-                    // Jobs enqueued after the close (FIFO) die with the
-                    // session: `closed` flips under the queue mutex, so
-                    // every concurrent enqueue either landed in these
-                    // leftovers or observes the flag and is refused.
-                    let leftovers = {
-                        let mut queue = slot.queue.lock();
-                        queue.closed = true;
-                        std::mem::take(&mut queue.jobs)
-                    };
-                    inner.sessions.write().remove(&id);
-                    drop(session_guard);
-                    let response = match taken {
-                        None => unknown_session(id),
-                        Some(mut session) => {
-                            if let Some(m) = &inner.metrics {
-                                m.sessions_open.add(-1);
-                            }
-                            if slot.durable {
-                                match session.checkpoint() {
-                                    Ok(_) => Response::Closed { session: id },
-                                    Err(e) => error_response(
-                                        ErrorCode::SessionFailed,
-                                        &format!("close-time checkpoint failed: {e}"),
-                                    ),
-                                }
-                            } else {
-                                Response::Closed { session: id }
-                            }
-                        }
-                    };
-                    for leftover in leftovers {
-                        if let Some(m) = &inner.metrics {
-                            m.queue_depth.add(-1);
-                        }
-                        let _ = leftover.reply.send(error_response(
-                            ErrorCode::UnknownSession,
-                            "session closed before the job ran",
-                        ));
-                    }
-                    let _ = job.reply.send(response);
-                    // Simulation mutation: the reintroduced PR 9 bug
-                    // assumed the drain emptied the queue and stopped
-                    // serving here without re-checking (or clearing
-                    // `serving`), stranding any job the racing enqueue
-                    // slipped in after the drain.
-                    if cfg!(sim_mutation) {
-                        return;
-                    }
-                }
-            }
-        }
-        {
-            let mut queue = slot.queue.lock();
-            if queue.jobs.is_empty() {
-                queue.serving = false;
-                return;
-            }
-        }
-        // More work queued: hand the session back through the channel so
-        // other sessions' tickets get a turn on this thread. When
-        // shutdown/kill already took the channel, keep draining inline —
-        // every queued job must still be answered.
-        let handoff = inner.tickets.lock().clone();
-        match handoff {
-            Some(tx) if tx.send(Arc::clone(slot)).is_ok() => return,
-            _ => {}
-        }
-    }
+fn shutting_down() -> Response {
+    error_response(ErrorCode::ShuttingDown, "host is shutting down")
 }
 
 fn execute_submit(
@@ -830,8 +626,13 @@ mod tests {
     use smartflux::EngineConfig;
     use smartflux_datastore::{ContainerRef, Value};
     use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
+    use std::time::{Duration, Instant};
 
-    fn ramp_workflow(store: &DataStore) -> Workflow {
+    /// The two-step ramp workload; `on_feed` runs inside its first step.
+    fn hooked_ramp_workflow(
+        store: &DataStore,
+        on_feed: impl Fn() + Send + Sync + 'static,
+    ) -> Workflow {
         let raw = ContainerRef::family("t", "raw");
         let out = ContainerRef::family("t", "out");
         store.ensure_container(&raw).unwrap();
@@ -843,7 +644,8 @@ mod tests {
         let mut wf = Workflow::new(g.build().unwrap());
         wf.bind(
             feed,
-            FnStep::new(|ctx: &StepContext| {
+            FnStep::new(move |ctx: &StepContext| {
+                on_feed();
                 let w = ctx.wave() as f64;
                 ctx.put("t", "raw", "r", "v", Value::from(100.0 + w))?;
                 Ok(())
@@ -865,7 +667,13 @@ mod tests {
         wf
     }
 
-    fn test_registry() -> WorkflowRegistry {
+    fn ramp_workflow(store: &DataStore) -> Workflow {
+        hooked_ramp_workflow(store, || {})
+    }
+
+    fn registry_of(
+        builder: impl Fn(&DataStore) -> Workflow + Send + Sync + 'static,
+    ) -> WorkflowRegistry {
         let mut registry = WorkflowRegistry::new();
         registry.register(
             "ramp",
@@ -873,9 +681,20 @@ mod tests {
                 .with_training_waves(10)
                 .with_quality_gates(0.3, 0.3)
                 .with_seed(1),
-            ramp_workflow,
+            builder,
         );
         registry
+    }
+
+    fn test_registry() -> WorkflowRegistry {
+        registry_of(ramp_workflow)
+    }
+
+    fn ramp_spec() -> SessionSpec {
+        SessionSpec {
+            workload: "ramp".into(),
+            ..SessionSpec::default()
+        }
     }
 
     fn open(host: &EngineHost, spec: &SessionSpec) -> u64 {
@@ -885,16 +704,53 @@ mod tests {
         }
     }
 
+    /// Spawns `n` threads that each submit one wave to `id`.
+    fn spawn_submitters(
+        host: &EngineHost,
+        id: u64,
+        n: usize,
+    ) -> Vec<std::thread::JoinHandle<Response>> {
+        (0..n)
+            .map(|_| {
+                let host = host.clone();
+                std::thread::spawn(move || host.submit(id, vec![], true))
+            })
+            .collect()
+    }
+
+    /// Spins until `n` callers are parked on `slot`'s session mutex.
+    fn await_waiting(slot: &SessionSlot, n: u32) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while slot.waiting.load(Ordering::Relaxed) < n {
+            assert!(Instant::now() < deadline, "callers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    fn is_shutting_down(response: &Response) -> bool {
+        matches!(
+            response,
+            Response::Error {
+                code: ErrorCode::ShuttingDown,
+                ..
+            }
+        )
+    }
+
+    fn is_unknown_session(response: &Response) -> bool {
+        matches!(
+            response,
+            Response::Error {
+                code: ErrorCode::UnknownSession,
+                ..
+            }
+        )
+    }
+
     #[test]
     fn open_submit_query_drain_close() {
         let host = EngineHost::new(test_registry(), HostConfig::new(), Telemetry::disabled());
-        let id = open(
-            &host,
-            &SessionSpec {
-                workload: "ramp".into(),
-                ..SessionSpec::default()
-            },
-        );
+        let id = open(&host, &ramp_spec());
         assert_eq!(host.session_count(), 1);
 
         for wave in 1..=12u64 {
@@ -934,26 +790,14 @@ mod tests {
         ));
         assert!(matches!(host.close(id), Response::Closed { .. }));
         assert_eq!(host.session_count(), 0);
-        assert!(matches!(
-            host.submit(id, vec![], true),
-            Response::Error {
-                code: ErrorCode::UnknownSession,
-                ..
-            }
-        ));
+        assert!(is_unknown_session(&host.submit(id, vec![], true)));
         host.shutdown();
     }
 
     #[test]
     fn ingest_only_writes_are_visible_to_steps() {
         let host = EngineHost::new(test_registry(), HostConfig::new(), Telemetry::disabled());
-        let id = open(
-            &host,
-            &SessionSpec {
-                workload: "ramp".into(),
-                ..SessionSpec::default()
-            },
-        );
+        let id = open(&host, &ramp_spec());
         let write = ContainerWrite {
             table: "t".into(),
             family: "raw".into(),
@@ -984,19 +828,12 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(
-            host.submit(999, vec![], true),
-            Response::Error {
-                code: ErrorCode::UnknownSession,
-                ..
-            }
-        ));
+        assert!(is_unknown_session(&host.submit(999, vec![], true)));
         // Durable spec without a durability root is refused up front.
         assert!(matches!(
             host.open_session(&SessionSpec {
-                workload: "ramp".into(),
                 durable_key: Some("k".into()),
-                ..SessionSpec::default()
+                ..ramp_spec()
             }),
             Response::Error {
                 code: ErrorCode::Internal,
@@ -1007,72 +844,114 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_answers_busy_without_blocking() {
+    fn requests_run_on_the_calling_thread() {
+        let seen = Arc::new(Mutex::new(None));
+        let record = Arc::clone(&seen);
+        let host = EngineHost::new(
+            registry_of(move |store| {
+                let record = Arc::clone(&record);
+                hooked_ramp_workflow(store, move || {
+                    *record.lock() = Some(std::thread::current().id());
+                })
+            }),
+            HostConfig::new(),
+            Telemetry::disabled(),
+        );
+        let id = open(&host, &ramp_spec());
+        assert!(matches!(
+            host.submit(id, vec![], true),
+            Response::WaveResult(_)
+        ));
+        assert_eq!(*seen.lock(), Some(std::thread::current().id()));
+    }
+
+    /// The host owns no thread, so nothing can outlive its last handle:
+    /// the registry and every open session (whose steps hold `token`)
+    /// are freed by the drop alone, without `shutdown()`.
+    #[test]
+    fn dropped_host_leaves_nothing_behind() {
+        let token = Arc::new(());
+        let held = Arc::clone(&token);
+        let host = EngineHost::new(
+            registry_of(move |store| {
+                let held = Arc::clone(&held);
+                hooked_ramp_workflow(store, move || {
+                    let _ = &held;
+                })
+            }),
+            HostConfig::new(),
+            Telemetry::disabled(),
+        );
+        let id = open(&host, &ramp_spec());
+        assert!(matches!(
+            host.submit(id, vec![], true),
+            Response::WaveResult(_)
+        ));
+        assert!(Arc::strong_count(&token) > 1);
+        drop(host);
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn busy_counts_the_parked_callers_and_control_requests_pass_a_full_session() {
+        let telemetry = Telemetry::enabled();
         let host = EngineHost::new(
             test_registry(),
             HostConfig::new().with_queue_capacity(2),
-            Telemetry::disabled(),
+            telemetry.clone(),
         );
-        let id = open(
-            &host,
-            &SessionSpec {
-                workload: "ramp".into(),
-                ..SessionSpec::default()
-            },
-        );
+        let id = open(&host, &ramp_spec());
         let slot = host.slot(id).unwrap();
-
-        // Hold the session mutex so no worker can pop jobs, fill the
-        // queue from two threads, then watch the third submit bounce.
-        let stall = slot.session.lock();
-        let filler = |host: EngineHost| std::thread::spawn(move || host.submit(id, vec![], true));
-        let a = filler(host.clone());
-        let b = filler(host.clone());
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while slot.queue.lock().jobs.len() < 2 {
-            assert!(std::time::Instant::now() < deadline, "queue never filled");
-            std::thread::yield_now();
-        }
-        match host.submit(id, vec![], true) {
-            Response::Busy { session, depth } => {
-                assert_eq!(session, id);
-                assert_eq!(depth, 2);
-            }
+        let expect_busy = |depth: u32| match host.submit(id, vec![], true) {
+            Response::Busy { session, depth: d } => assert_eq!((session, d), (id, depth)),
             other => panic!("expected Busy, got {other:?}"),
-        }
+        };
+
+        // Hold the session mutex so every caller parks, fill the session
+        // to capacity, then watch the third submit bounce.
+        let stall = slot.session.lock();
+        let parked = spawn_submitters(&host, id, 2);
+        await_waiting(&slot, 2);
+        expect_busy(2);
+
+        // A control request is admitted past the cap and counted.
+        let drainer = {
+            let host = host.clone();
+            std::thread::spawn(move || host.drain(id))
+        };
+        await_waiting(&slot, 3);
+        expect_busy(3);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.gauge(names::NET_QUEUE_DEPTH), 3);
+        assert_eq!(snapshot.counter(names::NET_BUSY_REJECTIONS), 2);
+
         drop(stall);
-        assert!(matches!(a.join().unwrap(), Response::WaveResult(_)));
-        assert!(matches!(b.join().unwrap(), Response::WaveResult(_)));
+        for t in parked {
+            assert!(matches!(t.join().unwrap(), Response::WaveResult(_)));
+        }
+        assert!(matches!(drainer.join().unwrap(), Response::Drained { .. }));
+        assert_eq!(telemetry.snapshot().gauge(names::NET_QUEUE_DEPTH), 0);
         host.shutdown();
     }
 
-    /// Regression: a submit racing a close used to be able to push its
-    /// job after the close drain; the ticket then found no slot in the
-    /// map and the caller hung forever on its reply channel. Every call
-    /// below must return (with a typed answer), never hang.
+    /// A submit racing a close is answered — it ran, or it was told the
+    /// session is gone — and never stranded: every call below returns.
     #[test]
     fn concurrent_close_and_submit_never_strand_a_caller() {
         for _ in 0..25 {
-            let host = EngineHost::new(
-                test_registry(),
-                HostConfig::new().with_workers(2),
-                Telemetry::disabled(),
-            );
-            let id = open(
-                &host,
-                &SessionSpec {
-                    workload: "ramp".into(),
-                    ..SessionSpec::default()
-                },
-            );
+            let host = EngineHost::new(test_registry(), HostConfig::new(), Telemetry::disabled());
+            let id = open(&host, &ramp_spec());
             let submitters: Vec<_> = (0..4)
                 .map(|_| {
                     let host = host.clone();
                     std::thread::spawn(move || {
                         for _ in 0..8 {
-                            // Every response shape is legal here; the
-                            // invariant under test is that one arrives.
-                            let _ = host.submit(id, vec![], true);
+                            let response = host.submit(id, vec![], true);
+                            assert!(
+                                matches!(response, Response::WaveResult(_))
+                                    || is_unknown_session(&response),
+                                "submit racing close answered {response:?}"
+                            );
                         }
                     })
                 })
@@ -1081,50 +960,30 @@ mod tests {
                 let host = host.clone();
                 std::thread::spawn(move || {
                     std::thread::yield_now();
-                    let _ = host.close(id);
+                    host.close(id)
                 })
             };
             for t in submitters {
                 t.join().unwrap();
             }
-            closer.join().unwrap();
+            assert!(matches!(closer.join().unwrap(), Response::Closed { .. }));
+            assert_eq!(host.session_count(), 0);
             host.shutdown();
         }
     }
 
-    /// A stalled session must occupy at most one worker: with two
-    /// workers and several jobs queued on a blocked session, a second
-    /// session's submit still completes.
+    /// A stalled session holds up only its own callers: with three
+    /// submits parked on it, another session's submit still completes.
     #[test]
-    fn slow_session_never_absorbs_the_whole_pool() {
-        let host = EngineHost::new(
-            test_registry(),
-            HostConfig::new().with_workers(2),
-            Telemetry::disabled(),
-        );
-        let spec = SessionSpec {
-            workload: "ramp".into(),
-            ..SessionSpec::default()
-        };
-        let slow = open(&host, &spec);
-        let fast = open(&host, &spec);
+    fn stalled_session_does_not_delay_another_session() {
+        let host = EngineHost::new(test_registry(), HostConfig::new(), Telemetry::disabled());
+        let slow = open(&host, &ramp_spec());
+        let fast = open(&host, &ramp_spec());
         let slow_slot = host.slot(slow).unwrap();
 
-        // Stall the slow session and queue three jobs on it; under the
-        // old ticket-per-job scheme each would wake (and wedge) its own
-        // worker, leaving none for `fast`.
         let stall = slow_slot.session.lock();
-        let blocked: Vec<_> = (0..3)
-            .map(|_| {
-                let host = host.clone();
-                std::thread::spawn(move || host.submit(slow, vec![], true))
-            })
-            .collect();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while slow_slot.queue.lock().jobs.len() < 3 {
-            assert!(std::time::Instant::now() < deadline, "queue never filled");
-            std::thread::yield_now();
-        }
+        let parked = spawn_submitters(&host, slow, 3);
+        await_waiting(&slow_slot, 3);
 
         assert!(matches!(
             host.submit(fast, vec![], true),
@@ -1132,100 +991,88 @@ mod tests {
         ));
 
         drop(stall);
-        for t in blocked {
+        for t in parked {
             assert!(matches!(t.join().unwrap(), Response::WaveResult(_)));
         }
         host.shutdown();
     }
 
     #[test]
-    fn kill_answers_queued_jobs_and_zeroes_queue_depth() {
+    fn kill_answers_parked_callers_and_zeroes_the_gauges() {
         let telemetry = Telemetry::enabled();
-        let host = EngineHost::new(
-            test_registry(),
-            HostConfig::new().with_workers(1),
-            telemetry.clone(),
-        );
-        let id = open(
-            &host,
-            &SessionSpec {
-                workload: "ramp".into(),
-                ..SessionSpec::default()
-            },
-        );
+        let host = EngineHost::new(test_registry(), HostConfig::new(), telemetry.clone());
+        let id = open(&host, &ramp_spec());
         let slot = host.slot(id).unwrap();
 
-        // Stall the session so three submits pile up in its queue, then
-        // kill the host; once the stall lifts, every queued job must be
-        // answered and the depth gauge must return to zero.
+        // Stall the session so three submits park on it, then kill the
+        // host; once the stall lifts, every parked caller must be turned
+        // away and both gauges must return to zero.
         let stall = slot.session.lock();
-        let blocked: Vec<_> = (0..3)
-            .map(|_| {
-                let host = host.clone();
-                std::thread::spawn(move || host.submit(id, vec![], true))
-            })
-            .collect();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while slot.queue.lock().jobs.len() < 3 {
-            assert!(std::time::Instant::now() < deadline, "queue never filled");
-            std::thread::yield_now();
-        }
+        let parked = spawn_submitters(&host, id, 3);
+        await_waiting(&slot, 3);
         let killer = {
             let host = host.clone();
             std::thread::spawn(move || host.kill())
         };
+        let deadline = Instant::now() + Duration::from_secs(5);
         while !host.inner.abort.load(Ordering::Acquire) {
-            assert!(std::time::Instant::now() < deadline, "kill never aborted");
+            assert!(Instant::now() < deadline, "kill never aborted");
             std::thread::yield_now();
         }
         drop(stall);
-        for t in blocked {
-            assert!(matches!(
-                t.join().unwrap(),
-                Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    ..
-                }
-            ));
+        for t in parked {
+            assert!(is_shutting_down(&t.join().unwrap()));
         }
         killer.join().unwrap();
         let snapshot = telemetry.snapshot();
         assert_eq!(snapshot.gauge(names::NET_QUEUE_DEPTH), 0);
         assert_eq!(snapshot.gauge(names::NET_SESSIONS_OPEN), 0);
+        assert_eq!(host.session_count(), 0);
+    }
+
+    /// Regression: `open_session` checked `accepting` only before it
+    /// built the session, so one that was mid-construction while
+    /// `shutdown()` emptied the map was inserted afterwards and never
+    /// checkpointed, closed or counted.
+    #[test]
+    fn open_session_losing_to_shutdown_is_refused() {
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        // The builder must be `Sync`; a std receiver alone is not.
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let telemetry = Telemetry::enabled();
+        let host = EngineHost::new(
+            registry_of(move |store| {
+                entered_tx.lock().send(()).unwrap();
+                release_rx.lock().recv().unwrap();
+                ramp_workflow(store)
+            }),
+            HostConfig::new(),
+            telemetry.clone(),
+        );
+        let opener = {
+            let host = host.clone();
+            std::thread::spawn(move || host.open_session(&ramp_spec()))
+        };
+        entered_rx.recv().unwrap();
+        host.shutdown();
+        release_tx.send(()).unwrap();
+        assert!(is_shutting_down(&opener.join().unwrap()));
+        assert_eq!(host.session_count(), 0);
+        assert_eq!(telemetry.snapshot().gauge(names::NET_SESSIONS_OPEN), 0);
     }
 
     #[test]
     fn shutdown_rejects_new_work_and_is_idempotent() {
         let host = EngineHost::new(test_registry(), HostConfig::new(), Telemetry::disabled());
-        let id = open(
-            &host,
-            &SessionSpec {
-                workload: "ramp".into(),
-                ..SessionSpec::default()
-            },
-        );
+        let id = open(&host, &ramp_spec());
         assert!(matches!(
             host.submit(id, vec![], true),
             Response::WaveResult(_)
         ));
         host.shutdown();
-        assert!(matches!(
-            host.submit(id, vec![], true),
-            Response::Error {
-                code: ErrorCode::ShuttingDown,
-                ..
-            }
-        ));
-        assert!(matches!(
-            host.open_session(&SessionSpec {
-                workload: "ramp".into(),
-                ..SessionSpec::default()
-            }),
-            Response::Error {
-                code: ErrorCode::ShuttingDown,
-                ..
-            }
-        ));
+        assert!(is_shutting_down(&host.submit(id, vec![], true)));
+        assert!(is_shutting_down(&host.open_session(&ramp_spec())));
         host.shutdown(); // second call is a no-op
         host.kill(); // and so is a kill after shutdown
     }
@@ -1236,17 +1083,15 @@ mod tests {
         let a = open(
             &host,
             &SessionSpec {
-                workload: "ramp".into(),
                 seed: Some(5),
-                ..SessionSpec::default()
+                ..ramp_spec()
             },
         );
         let b = open(
             &host,
             &SessionSpec {
-                workload: "ramp".into(),
                 seed: Some(6),
-                ..SessionSpec::default()
+                ..ramp_spec()
             },
         );
         assert_ne!(a, b);
@@ -1281,13 +1126,7 @@ mod tests {
     fn net_metrics_land_on_the_host_telemetry() {
         let telemetry = Telemetry::enabled();
         let host = EngineHost::new(test_registry(), HostConfig::new(), telemetry.clone());
-        let id = open(
-            &host,
-            &SessionSpec {
-                workload: "ramp".into(),
-                ..SessionSpec::default()
-            },
-        );
+        let id = open(&host, &ramp_spec());
         assert!(matches!(
             host.submit(id, vec![], true),
             Response::WaveResult(_)

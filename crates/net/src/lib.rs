@@ -12,9 +12,10 @@
 //! - [`registry`] — named workload catalogue
 //!   ([`WorkflowRegistry`]): clients open sessions by name; code never
 //!   travels over the wire.
-//! - [`host`] — the [`EngineHost`]: N independent SmartFlux sessions
-//!   multiplexed over a fixed worker pool, per-session FIFO queues with
-//!   an explicit [`Response::Busy`] overload answer, orderly
+//! - [`host`] — the [`EngineHost`]: N independent SmartFlux sessions,
+//!   every request run on its caller's thread under the session's mutex
+//!   (the host owns no thread), a per-session bound on waiting callers
+//!   with an explicit [`Response::Busy`] overload answer, orderly
 //!   checkpoint-on-shutdown and crash-style [`EngineHost::kill`].
 //! - [`server`] — [`NetServer`], the TCP front end built on the shared
 //!   [`ListenerPool`](smartflux_obs::ListenerPool).

@@ -67,19 +67,19 @@ impl NetServer {
 
     /// Orderly shutdown: closes the listeners (waking idle connections
     /// via the stop flag), then drains and checkpoints the host
-    /// ([`EngineHost::shutdown`]). In-flight waves finish first; the
-    /// host worker pool stays alive until every connection handler has
-    /// returned, so no blocked request is stranded. The report counts
-    /// checkpoints written and lists any that failed (whose sessions'
-    /// WAL tails may be unsynced).
+    /// ([`EngineHost::shutdown`]). In-flight waves finish first: the
+    /// host keeps accepting until every connection handler has
+    /// returned, so no request a connection already read is refused.
+    /// The report counts checkpoints written and lists any that failed
+    /// (whose sessions' WAL tails may be unsynced).
     pub fn shutdown(self) -> ShutdownReport {
         self.pool.shutdown();
         self.host.shutdown()
     }
 
     /// Simulated crash: aborts the host first ([`EngineHost::kill`] —
-    /// queued jobs get `shutting-down` errors, nothing is checkpointed),
-    /// then closes the listeners.
+    /// waiting requests get `shutting-down` errors, nothing is
+    /// checkpointed), then closes the listeners.
     pub fn kill(self) {
         self.host.kill();
         self.pool.shutdown();

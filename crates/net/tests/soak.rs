@@ -88,11 +88,7 @@ fn four_concurrent_clients_match_the_in_process_run_exactly() {
     // One telemetry handle shared between the engine host and the
     // observability plane — exactly how a deployment wires them.
     let telemetry = Telemetry::enabled();
-    let host = EngineHost::new(
-        lrb_registry(),
-        HostConfig::new().with_workers(4),
-        telemetry.clone(),
-    );
+    let host = EngineHost::new(lrb_registry(), HostConfig::new(), telemetry.clone());
     let server = NetServer::start("127.0.0.1:0", host, CLIENTS + 1).unwrap();
     let addr = server.addr();
     let obs = ObsServer::start(

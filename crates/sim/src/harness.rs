@@ -362,11 +362,7 @@ const DAMAGE_SALT: u64 = 0xF00D_FACE_CAFE_0001;
 fn loopback_server(scenario: &Scenario) -> Result<NetServer, SimError> {
     let mut registry = WorkflowRegistry::new();
     workload::register_workload(&mut registry, WIRE_WORKLOAD, scenario)?;
-    let host = EngineHost::new(
-        registry,
-        HostConfig::new().with_workers(2),
-        Telemetry::enabled(),
-    );
+    let host = EngineHost::new(registry, HostConfig::new(), Telemetry::enabled());
     Ok(NetServer::start("127.0.0.1:0", host, 4)?)
 }
 
@@ -508,11 +504,7 @@ pub fn exercise_close_race(scenario: &Scenario, rounds: u32) -> Result<RaceRepor
     scenario.validate()?;
     let mut registry = WorkflowRegistry::new();
     workload::register_workload(&mut registry, WIRE_WORKLOAD, scenario)?;
-    let host = EngineHost::new(
-        registry,
-        HostConfig::new().with_workers(2),
-        Telemetry::disabled(),
-    );
+    let host = EngineHost::new(registry, HostConfig::new(), Telemetry::disabled());
     let mut report = RaceReport::default();
     for round in 0..rounds {
         report.rounds += 1;
@@ -568,13 +560,13 @@ pub fn exercise_close_race(scenario: &Scenario, rounds: u32) -> Result<RaceRepor
                 report.violations.push(format!(
                     "round {round}: submit racing close stranded without an answer"
                 ));
-                // The racing thread is wedged inside the host and still
-                // holds a ticket-sender clone, so a kill from this
-                // thread would block forever joining workers that never
-                // see the channel close. Abandon the wedged host on a
-                // detached reaper instead — the harness must outlive
-                // the system under test. (On a healthy host that was
-                // merely slow, the reaper's kill completes normally.)
+                // The racing thread is wedged inside the host, waiting
+                // for a session mutex that may never be released, and a
+                // kill from this thread takes every mapped session under
+                // that same mutex. Abandon the wedged host on a detached
+                // reaper instead — the harness must outlive the system
+                // under test. (On a healthy host that was merely slow,
+                // the reaper's kill completes normally.)
                 let wedged = host.clone();
                 std::thread::spawn(move || wedged.kill());
                 return Ok(report);

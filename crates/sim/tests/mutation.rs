@@ -2,9 +2,10 @@
 //! known-fixed bug.
 //!
 //! Built only under `RUSTFLAGS="--cfg sim_mutation"`, which recompiles
-//! `smartflux-net` with the PR 9 close-vs-submit race put back (a
-//! racing submit can be admitted to an already-drained session queue
-//! and stranded without an answer). The smoke sweep must find it,
+//! `smartflux-net` with a close-vs-submit race put back (a submit that
+//! found its session's slot just before a close then waits for a
+//! session mutex the close never releases, and is stranded without an
+//! answer). The smoke sweep must find it,
 //! shrink it, and hand back a parseable repro that still names the
 //! close-race exercise.
 

@@ -1,6 +1,12 @@
 //! Criterion benches of the datastore substrate: put/get/scan throughput
 //! with and without a registered observer (the paper's monitoring
 //! interception path).
+//!
+//! `put_lrb_shaped` overwrites the cells of an `lrb`-shaped family (240
+//! rows × 3 qualifiers) in turn: `bare` is the store alone, which builds no
+//! event; `owned_closure` adds an `Fn(&WriteEvent)` observer, which is
+//! handed an owned copy per write. The `Monitor` and WAL-capture cases over
+//! the same shape are in `monitor.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -53,6 +59,46 @@ fn bench_put(c: &mut Criterion) {
     group.finish();
 }
 
+/// Row keys of an `lrb`-shaped family; with [`LRB_QUALIFIERS`], 720 cells.
+fn lrb_rows() -> Vec<String> {
+    (0..240).map(|i| format!("x{}-s{i:03}", i % 4)).collect()
+}
+
+const LRB_QUALIFIERS: [&str; 3] = ["speed", "count", "toll"];
+
+fn bench_put_lrb_shaped(c: &mut Criterion) {
+    let rows = lrb_rows();
+    let mut group = c.benchmark_group("put_lrb_shaped");
+    for observed in [false, true] {
+        let store = fresh_store();
+        let seen = Arc::new(AtomicU64::new(0));
+        if observed {
+            let sink = Arc::clone(&seen);
+            store.register_observer(Arc::new(move |e: &WriteEvent| {
+                sink.fetch_add(e.timestamp, Ordering::Relaxed);
+            }));
+        }
+        let name = if observed { "owned_closure" } else { "bare" };
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i += 1;
+                store
+                    .put(
+                        "t",
+                        "f",
+                        &rows[i % rows.len()],
+                        LRB_QUALIFIERS[i % LRB_QUALIFIERS.len()],
+                        Value::from(i as f64),
+                    )
+                    .expect("write succeeds")
+            });
+        });
+        black_box(seen.load(Ordering::Relaxed));
+    }
+    group.finish();
+}
+
 fn bench_get_scan(c: &mut Criterion) {
     let store = fresh_store();
     for i in 0..1000 {
@@ -73,5 +119,5 @@ fn bench_get_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_put, bench_get_scan);
+criterion_group!(benches, bench_put, bench_put_lrb_shaped, bench_get_scan);
 criterion_main!(benches);

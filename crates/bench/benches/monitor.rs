@@ -7,12 +7,21 @@
 //! the written container (what a source, and an intermediate container
 //! between two QoD steps, carry in the engine), rotating over 1 024 cells:
 //! the per-write price of write-driven impact tracking.
+//!
+//! `put_lrb_shaped` is the store→Monitor→WAL path per observed cell, on the
+//! family shape of `benches/datastore.rs` (240 rows × 3 qualifiers, each
+//! overwritten in turn): with a tracking `Monitor`, and with the `Monitor`
+//! plus the durability capture, both reading the borrowed `WriteRef` in
+//! place. Every 720th write ends a wave — the tracker's mark moves and the
+//! captured batch is committed (`sync = never`) — so the change set and the
+//! capture buffer cycle as they do in the engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use smartflux::Monitor;
+use smartflux::{DurabilityOptions, Monitor, SyncPolicy};
 use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_durability::DurabilityManager;
 
 fn bench_on_write(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_on_write");
@@ -74,5 +83,72 @@ fn bench_change_sets(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_on_write, bench_change_sets);
+fn bench_put_lrb_shaped(c: &mut Criterion) {
+    const QUALIFIERS: [&str; 3] = ["speed", "count", "toll"];
+    let rows: Vec<String> = (0..240).map(|i| format!("x{}-s{i:03}", i % 4)).collect();
+    let cells = rows.len() * QUALIFIERS.len();
+    let mut group = c.benchmark_group("put_lrb_shaped");
+    for with_wal in [false, true] {
+        let store = DataStore::new();
+        let fam = ContainerRef::family("t", "f");
+        store.ensure_container(&fam).expect("fresh store");
+        let monitor = Monitor::new();
+        let tracker = monitor.track(fam);
+        monitor.attach(&store);
+        let dir = std::env::temp_dir().join(format!("smartflux-bench-put-{}", std::process::id()));
+        let wal = with_wal.then(|| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let wal =
+                DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never))
+                    .expect("scratch directory is writable");
+            wal.attach(&store);
+            wal
+        });
+        let name = if with_wal {
+            "monitor_and_wal"
+        } else {
+            "monitor"
+        };
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i += 1;
+                store
+                    .put(
+                        "t",
+                        "f",
+                        &rows[i % rows.len()],
+                        QUALIFIERS[i % QUALIFIERS.len()],
+                        Value::from(i as f64),
+                    )
+                    .expect("watched family exists");
+                if i.is_multiple_of(cells) {
+                    monitor.mark(tracker);
+                    if let Some(wal) = &wal {
+                        let wave = (i / cells) as u64;
+                        wal.commit_wave(wave, store.clock())
+                            .expect("commit succeeds");
+                        // Bound the log (~2 MiB) without giving up the
+                        // grown capture buffer more than once in 64 waves.
+                        if wave.is_multiple_of(64) {
+                            wal.reset_wal().expect("truncate succeeds");
+                        }
+                    }
+                }
+                black_box(i)
+            });
+        });
+        if with_wal {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_on_write,
+    bench_change_sets,
+    bench_put_lrb_shaped
+);
 criterion_main!(benches);

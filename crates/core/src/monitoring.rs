@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use smartflux_datastore::{
-    ContainerRef, DataStore, ObserverHandle, Value, WriteEvent, WriteObserver,
+    ContainerRef, DataStore, ObserverHandle, Value, WriteObserver, WriteRef,
 };
 
 use crate::metric::MetricFn;
@@ -190,15 +190,30 @@ impl WatchEntry {
     }
 }
 
+/// The watched containers over one `(table, family)`: a family-level
+/// watcher plus any column-level ones.
+#[derive(Debug)]
+struct FamilyWatch {
+    table: String,
+    family: String,
+    /// Positions in [`MonitorState::entries`].
+    entries: Vec<usize>,
+}
+
 #[derive(Debug, Default)]
 struct MonitorState {
     /// Watched containers, in watch order.
     entries: Vec<WatchEntry>,
-    /// `table → family → entry positions`: lets [`Monitor::on_write`]
-    /// attribute a mutation by two hash lookups plus a qualifier check on
-    /// the (typically tiny) per-family list, instead of scanning every
-    /// watched container on every write.
-    by_family: HashMap<String, HashMap<String, Vec<usize>>>,
+    /// One element per watched `(table, family)`.
+    families: Vec<FamilyWatch>,
+    /// `table → family → position in families`: attributes a mutation
+    /// without scanning every watched container. [`Monitor::on_write`]
+    /// only comes here when the write left the family of the one before
+    /// it; a step's run of cells into one family costs two string
+    /// comparisons each.
+    by_family: HashMap<String, HashMap<String, usize>>,
+    /// The family the previous attributed write resolved to.
+    last_family: usize,
     /// Exact-container lookup for the read-side accessors.
     index: HashMap<ContainerRef, usize>,
     /// Every registered change set, indexed by [`TrackerId`].
@@ -213,15 +228,38 @@ impl MonitorState {
             return pos;
         }
         let pos = self.entries.len();
-        self.by_family
+        let families = &mut self.families;
+        let family = *self
+            .by_family
             .entry(container.table().to_owned())
             .or_default()
             .entry(container.family_name().to_owned())
-            .or_default()
-            .push(pos);
+            .or_insert_with(|| {
+                families.push(FamilyWatch {
+                    table: container.table().to_owned(),
+                    family: container.family_name().to_owned(),
+                    entries: Vec::new(),
+                });
+                families.len() - 1
+            });
+        self.families[family].entries.push(pos);
         self.index.insert(container.clone(), pos);
         self.entries.push(WatchEntry::new(container));
         pos
+    }
+
+    /// The watchers over `(table, family)`, if any.
+    fn family_watch(&mut self, table: &str, family: &str) -> Option<usize> {
+        if self
+            .families
+            .get(self.last_family)
+            .is_some_and(|f| f.family == family && f.table == table)
+        {
+            return Some(self.last_family);
+        }
+        let found = *self.by_family.get(table)?.get(family)?;
+        self.last_family = found;
+        Some(found)
     }
 }
 
@@ -482,25 +520,22 @@ impl Monitor {
 }
 
 impl WriteObserver for Monitor {
-    fn on_write(&self, event: &WriteEvent) {
-        // Hot path: one event per store mutation. The (table, family) index
-        // narrows the candidates to the containers over the written family —
-        // a family-level watcher plus any column-level ones — so cost no
-        // longer grows with the total number of watched containers.
+    fn on_write(&self, event: &WriteRef<'_>) {
+        // Hot path: one event per store mutation, read in place — nothing
+        // of it is copied unless a change set keeps a value. Attribution
+        // narrows the candidates to the containers over the written family,
+        // so cost does not grow with the number of watched containers.
         let mut s = self.state.lock();
+        let Some(family) = s.family_watch(event.table, event.family) else {
+            return;
+        };
         let MonitorState {
             entries,
-            by_family,
+            families,
             change_sets,
             ..
         } = &mut *s;
-        let Some(positions) = by_family
-            .get(&event.table)
-            .and_then(|families| families.get(&event.family))
-        else {
-            return;
-        };
-        for &pos in positions {
+        for &pos in &families[family].entries {
             let entry = &mut entries[pos];
             if entry
                 .container
@@ -513,10 +548,10 @@ impl WriteObserver for Monitor {
             if !entry.trackers.is_empty() {
                 entry.fold_write(
                     change_sets,
-                    &event.row,
-                    &event.qualifier,
-                    event.old.as_ref(),
-                    event.new.as_ref(),
+                    event.row,
+                    event.qualifier,
+                    event.old,
+                    event.new,
                     event.timestamp,
                 );
             }

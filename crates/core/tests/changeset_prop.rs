@@ -125,7 +125,7 @@ fn deliver(monitor: &Monitor, pending: &Mutex<Vec<WriteEvent>>, seed: &mut u64) 
         events.swap(i, (*seed >> 33) as usize % (i + 1));
     }
     for event in &events {
-        monitor.on_write(event);
+        monitor.on_write(&event.as_write_ref());
     }
 }
 

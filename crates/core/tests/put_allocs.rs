@@ -1,0 +1,145 @@
+//! The store→Monitor→WAL path allocates nothing per observed cell.
+//!
+//! Interception "costs next to nothing" (paper §5.3) only while the write
+//! notification stays a borrowed view: the store builds no event, the
+//! tracking `Monitor` and the WAL capture read it in place, and only an
+//! observer that asks for an owned `WriteEvent` pays for one. A counting
+//! global allocator pins that down, so a stray `to_owned()` on the hot
+//! path fails here instead of showing up as a slower wave. The allocator is
+//! process-wide, hence a test binary of its own with a single test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use smartflux::{DurabilityOptions, Monitor, SyncPolicy};
+use smartflux_datastore::{ContainerRef, DataStore, Value, WriteEvent};
+use smartflux_durability::DurabilityManager;
+
+/// Forwards to the system allocator, counting this thread's requests.
+struct Counting;
+
+thread_local! {
+    static REQUESTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // No destructor is registered for a const-initialised `Cell<u64>`, so
+    // this is reachable at any point of a thread's life.
+    let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap requests (alloc, zeroed alloc, realloc) this thread makes in `f`.
+fn requests_during(f: impl FnOnce()) -> u64 {
+    let before = REQUESTS.with(Cell::get);
+    f();
+    REQUESTS.with(Cell::get) - before
+}
+
+/// The `lrb` segment-statistics shape: 240 rows × 3 qualifiers.
+const ROWS: usize = 240;
+const QUALIFIERS: [&str; 3] = ["speed", "count", "toll"];
+const CELLS: u64 = (ROWS * QUALIFIERS.len()) as u64;
+
+/// Overwrites every cell once with a numeric value derived from `wave`.
+fn write_wave(store: &DataStore, rows: &[String], wave: u64) {
+    for (r, row) in rows.iter().enumerate() {
+        for qualifier in QUALIFIERS {
+            store
+                .put(
+                    "t",
+                    "f",
+                    row,
+                    qualifier,
+                    Value::from((wave + r as u64) as f64),
+                )
+                .unwrap();
+        }
+    }
+}
+
+#[test]
+fn an_observed_overwriting_put_allocates_nothing() {
+    let rows: Vec<String> = (0..ROWS).map(|i| format!("x{}-s{i:03}", i % 4)).collect();
+    let container = ContainerRef::family("t", "f");
+
+    // Unobserved: no event is built at all.
+    let bare = DataStore::new();
+    bare.ensure_container(&container).unwrap();
+    // Version histories reach their bound (and stop growing) after
+    // DEFAULT_MAX_VERSIONS + 1 writes; a few more waves for good measure.
+    for wave in 0..8 {
+        write_wave(&bare, &rows, wave);
+    }
+    assert_eq!(requests_during(|| write_wave(&bare, &rows, 8)), 0);
+
+    // Observed by the two in-program observers: a tracking Monitor and the
+    // WAL capture, each reading the borrowed event in place.
+    let store = DataStore::new();
+    store.ensure_container(&container).unwrap();
+    let monitor = Monitor::new();
+    let tracker = monitor.track(container);
+    let _monitor_handle = monitor.attach(&store);
+    let dir = std::env::temp_dir().join(format!("smartflux-put-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal =
+        DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never)).unwrap();
+    let _wal_handle = wal.attach(&store);
+    // A wave as the engine runs it: steps write, the tracker's baseline
+    // moves, the batch is committed. Warm-up grows the change set, the
+    // capture buffer and the version histories to their steady size.
+    let end_wave = |wave: u64| {
+        monitor.mark(tracker);
+        wal.commit_wave(wave, store.clock()).unwrap();
+    };
+    for wave in 0..8 {
+        write_wave(&store, &rows, wave);
+        end_wave(wave);
+    }
+    assert_eq!(requests_during(|| write_wave(&store, &rows, 8)), 0);
+    assert_eq!(wal.pending_ops() as u64, CELLS);
+    end_wave(8);
+
+    // A closure observer asks for the owned form, and pays for exactly
+    // that: four key strings per event (numeric values own no heap).
+    let kept = Arc::new(AtomicU64::new(0));
+    let sink = Arc::clone(&kept);
+    store.register_observer(Arc::new(move |event: &WriteEvent| {
+        sink.fetch_add(event.timestamp, Ordering::Relaxed);
+    }));
+    assert_eq!(requests_during(|| write_wave(&store, &rows, 9)), 4 * CELLS);
+    assert!(kept.load(Ordering::Relaxed) > 0);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -24,9 +24,11 @@
 //! # Observation
 //!
 //! Every mutation is reported to registered [`WriteObserver`]s as a
-//! [`WriteEvent`] carrying the old and new value. This is the single
-//! interception point that replaces the paper's three options (adapted client
-//! libraries, adapted WMS shared libraries, HBase co-processors).
+//! [`WriteRef`] — a borrowed view carrying the old and new value, copied
+//! into an owned [`WriteEvent`] only for observers that keep it. This is the
+//! single interception point that replaces the paper's three options
+//! (adapted client libraries, adapted WMS shared libraries, HBase
+//! co-processors).
 //!
 //! # Concurrency
 //!
@@ -77,6 +79,7 @@ pub use container::ContainerRef;
 pub use error::StoreError;
 pub use observer::{
     ObserverHandle, OpKind, OpObserver, OpObserverHandle, WriteEvent, WriteKind, WriteObserver,
+    WriteRef,
 };
 pub use scan::{RowScan, ScanFilter};
 pub use shard::{ShardPolicy, ShardStats, AUTO_SHARDS};

@@ -24,10 +24,52 @@ impl fmt::Display for WriteKind {
     }
 }
 
-/// A mutation event delivered to [`WriteObserver`]s.
+/// A mutation as [`WriteObserver`]s see it: a borrowed view built on the
+/// writer's stack, valid for the duration of the callback only.
 ///
 /// Carries both the old and the new value so observers can compute
-/// magnitude-of-change metrics without reading the store back.
+/// magnitude-of-change metrics without reading the store back. An observer
+/// that needs to keep the mutation calls [`to_owned`](Self::to_owned) and
+/// pays for the copy itself.
+#[derive(Debug)]
+pub struct WriteRef<'a> {
+    /// Table that was written.
+    pub table: &'a str,
+    /// Column family that was written.
+    pub family: &'a str,
+    /// Row key that was written.
+    pub row: &'a str,
+    /// Column qualifier that was written.
+    pub qualifier: &'a str,
+    /// Kind of mutation.
+    pub kind: WriteKind,
+    /// Value displaced by the write (`None` for a fresh insert).
+    pub old: Option<&'a Value>,
+    /// Value written (`None` for a delete).
+    pub new: Option<&'a Value>,
+    /// Store timestamp assigned to the write.
+    pub timestamp: u64,
+}
+
+impl WriteRef<'_> {
+    /// Copies the view into an owned, storable [`WriteEvent`].
+    #[must_use]
+    pub fn to_owned(&self) -> WriteEvent {
+        WriteEvent {
+            table: self.table.to_owned(),
+            family: self.family.to_owned(),
+            row: self.row.to_owned(),
+            qualifier: self.qualifier.to_owned(),
+            kind: self.kind,
+            old: self.old.cloned(),
+            new: self.new.cloned(),
+            timestamp: self.timestamp,
+        }
+    }
+}
+
+/// The owned form of a [`WriteRef`]: what closure observers receive and
+/// what an observer stores when it keeps a mutation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WriteEvent {
     /// Table that was written.
@@ -48,6 +90,23 @@ pub struct WriteEvent {
     pub timestamp: u64,
 }
 
+impl WriteEvent {
+    /// Borrows the event as the view a [`WriteObserver`] takes.
+    #[must_use]
+    pub fn as_write_ref(&self) -> WriteRef<'_> {
+        WriteRef {
+            table: &self.table,
+            family: &self.family,
+            row: &self.row,
+            qualifier: &self.qualifier,
+            kind: self.kind,
+            old: self.old.as_ref(),
+            new: self.new.as_ref(),
+            timestamp: self.timestamp,
+        }
+    }
+}
+
 /// An observer of store mutations.
 ///
 /// This is the single interception surface standing in for the paper's three
@@ -57,18 +116,22 @@ pub struct WriteEvent {
 ///
 /// Observers are invoked synchronously on the writing thread, after the write
 /// has been applied, with the store lock released; implementations must be
-/// `Send + Sync`.
+/// `Send + Sync`. The store allocates nothing to notify: the [`WriteRef`]
+/// borrows the writer's arguments.
+///
+/// Any `Fn(&WriteEvent)` closure is an observer too; it is handed an owned
+/// copy made for it, one per call.
 pub trait WriteObserver: Send + Sync {
     /// Called once per mutation.
-    fn on_write(&self, event: &WriteEvent);
+    fn on_write(&self, event: &WriteRef<'_>);
 }
 
 impl<F> WriteObserver for F
 where
     F: Fn(&WriteEvent) + Send + Sync,
 {
-    fn on_write(&self, event: &WriteEvent) {
-        self(event);
+    fn on_write(&self, event: &WriteRef<'_>) {
+        self(&event.to_owned());
     }
 }
 
@@ -308,9 +371,24 @@ mod tests {
             new: Some(Value::from(1.0)),
             timestamp: 1,
         };
-        obs.on_write(&event);
-        obs.on_write(&event);
+        obs.on_write(&event.as_write_ref());
+        obs.on_write(&event.as_write_ref());
         assert_eq!(count.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_view_round_trips_through_its_owned_form() {
+        let event = WriteEvent {
+            table: "t".into(),
+            family: "f".into(),
+            row: "r".into(),
+            qualifier: "q".into(),
+            kind: WriteKind::Delete,
+            old: Some(Value::from("gone")),
+            new: None,
+            timestamp: 9,
+        };
+        assert_eq!(event.as_write_ref().to_owned(), event);
     }
 
     #[test]

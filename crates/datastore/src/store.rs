@@ -10,7 +10,7 @@
 //! for rejected writes or absent-cell deletes) and always *inside* the
 //! owning shard's write guard, which makes per-cell timestamp order
 //! identical to apply order and every tick correspond to exactly one
-//! observable [`WriteEvent`]. A table
+//! observable [`WriteRef`]. A table
 //! registry (names only) backs existence checks for tables whose families
 //! are spread across shards; lock order is registry → shard, and a shard
 //! guard is always dropped before the registry is consulted on an error
@@ -28,8 +28,8 @@ use crate::cell::{Timestamp, VersionedCell};
 use crate::container::ContainerRef;
 use crate::error::StoreError;
 use crate::observer::{
-    ObserverBus, ObserverHandle, OpKind, OpObserver, OpObserverBus, OpObserverHandle, WriteEvent,
-    WriteKind, WriteObserver,
+    ObserverBus, ObserverHandle, OpKind, OpObserver, OpObserverBus, OpObserverHandle, WriteKind,
+    WriteObserver, WriteRef,
 };
 use crate::scan::{RowScan, ScanFilter};
 use crate::shard::{shard_index, ShardPolicy, ShardStats};
@@ -96,8 +96,9 @@ struct StoreShared {
 pub struct DataStore {
     shared: Arc<StoreShared>,
     observers: Arc<RwLock<ObserverBus>>,
-    // Mirror of observers.len(), so unobserved writes skip the bus lock.
-    // tidy:atomic(observer_count: load=relaxed, store=release): fast-path hint only — a stale zero skips the bus lock briefly, and the bus RwLock is the true synchronizer
+    // Mirror of observers.len(), so unobserved writes build no event and
+    // skip the bus lock.
+    // tidy:atomic(observer_count: load=relaxed, store=release): fast-path hint only — a stale zero skips a notification briefly, and the bus RwLock is the true synchronizer
     observer_count: Arc<AtomicUsize>,
     op_observers: Arc<RwLock<OpObserverBus>>,
     // Mirror of op_observers.len(), so the per-operation fast path is one
@@ -277,7 +278,7 @@ impl DataStore {
     /// write does **not** advance the logical clock: the container is
     /// resolved first and the timestamp is only drawn once the mutation
     /// is guaranteed to apply, so every tick corresponds to exactly one
-    /// observable [`WriteEvent`]. (The original global-lock
+    /// observable [`WriteRef`]. (The original global-lock
     /// implementation ticked before resolving the container, leaving
     /// gaps in the timestamp sequence on rejected writes.)
     pub fn put(
@@ -291,6 +292,9 @@ impl DataStore {
         let shard = shard_index(self.shared.mask, table, family);
         self.timed(OpKind::Put, shard, || {
             let max_versions = self.max_versions();
+            // The cell takes `value`; observers get the one copy kept here,
+            // and an unobserved write keeps none.
+            let new = self.observed().then(|| value.clone());
             let mut data = self.shard_mut(shard);
             let Some(fam) = data.get_mut(table).and_then(|t| t.get_mut(family)) else {
                 drop(data);
@@ -300,20 +304,20 @@ impl DataStore {
             // happens inside the shard write guard, so the timestamp
             // order matches the apply order within the shard.
             let ts = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            let old =
-                fam.row_mut(row)
-                    .put_with_versions(qualifier, value.clone(), ts, max_versions);
+            let old = fam.put_cell(row, qualifier, value, ts, max_versions);
             drop(data);
-            self.notify(WriteEvent {
-                table: table.to_owned(),
-                family: family.to_owned(),
-                row: row.to_owned(),
-                qualifier: qualifier.to_owned(),
-                kind: WriteKind::Put,
-                old: old.clone(),
-                new: Some(value),
-                timestamp: ts,
-            });
+            if let Some(new) = &new {
+                self.notify(&WriteRef {
+                    table,
+                    family,
+                    row,
+                    qualifier,
+                    kind: WriteKind::Put,
+                    old: old.as_ref(),
+                    new: Some(new),
+                    timestamp: ts,
+                });
+            }
             Ok(old)
         })
     }
@@ -351,16 +355,18 @@ impl DataStore {
                 .then(|| self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1);
             drop(data);
             if let (Some(old_value), Some(ts)) = (&old, ts) {
-                self.notify(WriteEvent {
-                    table: table.to_owned(),
-                    family: family.to_owned(),
-                    row: row.to_owned(),
-                    qualifier: qualifier.to_owned(),
-                    kind: WriteKind::Delete,
-                    old: Some(old_value.clone()),
-                    new: None,
-                    timestamp: ts,
-                });
+                if self.observed() {
+                    self.notify(&WriteRef {
+                        table,
+                        family,
+                        row,
+                        qualifier,
+                        kind: WriteKind::Delete,
+                        old: Some(old_value),
+                        new: None,
+                        timestamp: ts,
+                    });
+                }
             }
             Ok(old)
         })
@@ -646,8 +652,7 @@ impl DataStore {
             drop(data);
             return Err(self.missing(table, family));
         };
-        fam.row_mut(row)
-            .put_with_versions(qualifier, value, ts, max_versions);
+        fam.put_cell(row, qualifier, value, ts, max_versions);
         Ok(())
     }
 
@@ -805,15 +810,18 @@ impl DataStore {
         self.shared.registry.read().iter().cloned().collect()
     }
 
-    fn notify(&self, event: WriteEvent) {
-        if self.observer_count.load(Ordering::Relaxed) == 0 {
-            return;
-        }
+    /// Whether any write observer is registered: the one relaxed load an
+    /// unobserved mutation pays before building nothing.
+    fn observed(&self) -> bool {
+        self.observer_count.load(Ordering::Relaxed) != 0
+    }
+
+    fn notify(&self, event: &WriteRef<'_>) {
         // The snapshot is a cached Arc clone; the bus guard is released
         // before any callback runs, so observers may re-enter the store.
         let observers = self.observers.read().snapshot();
         for obs in observers.iter() {
-            obs.on_write(&event);
+            obs.on_write(event);
         }
     }
 
@@ -865,6 +873,7 @@ impl fmt::Debug for DataStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::WriteEvent;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn store_with_tf() -> DataStore {

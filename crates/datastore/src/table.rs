@@ -103,9 +103,31 @@ impl ColumnFamily {
         self.rows.get(key)
     }
 
-    /// Returns the row under `key`, creating it if absent.
-    pub fn row_mut(&mut self, key: &str) -> &mut Row {
-        self.rows.entry(key.to_owned()).or_default()
+    /// Writes `value` under `(key, qualifier)`, creating the row if absent,
+    /// and returns the displaced current value. New cells retain up to
+    /// `max_versions` versions.
+    ///
+    /// Looks the row up before inserting, so a write to an existing row
+    /// copies no key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_versions` is zero.
+    pub fn put_cell(
+        &mut self,
+        key: &str,
+        qualifier: &str,
+        value: Value,
+        ts: Timestamp,
+        max_versions: usize,
+    ) -> Option<Value> {
+        if let Some(row) = self.rows.get_mut(key) {
+            return row.put_with_versions(qualifier, value, ts, max_versions);
+        }
+        self.rows
+            .entry(key.to_owned())
+            .or_default()
+            .put_with_versions(qualifier, value, ts, max_versions)
     }
 
     /// Removes an entire row, returning it.
@@ -201,6 +223,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::DEFAULT_MAX_VERSIONS as VERSIONS;
 
     #[test]
     fn row_put_returns_old_value() {
@@ -215,9 +238,22 @@ mod tests {
     }
 
     #[test]
+    fn family_put_cell_returns_the_displaced_value() {
+        let mut fam = ColumnFamily::new();
+        assert_eq!(fam.put_cell("r", "q", Value::from(1.0), 1, VERSIONS), None);
+        assert_eq!(
+            fam.put_cell("r", "q", Value::from(2.0), 2, VERSIONS),
+            Some(Value::from(1.0))
+        );
+        assert_eq!(fam.put_cell("r", "q2", Value::from(3.0), 3, VERSIONS), None);
+        assert_eq!(fam.len(), 1);
+        assert_eq!(fam.cell_count(), 2);
+    }
+
+    #[test]
     fn family_delete_cell_drops_empty_row() {
         let mut fam = ColumnFamily::new();
-        fam.row_mut("r").put("q", Value::from(1.0), 1);
+        fam.put_cell("r", "q", Value::from(1.0), 1, VERSIONS);
         assert_eq!(fam.len(), 1);
         assert_eq!(fam.delete_cell("r", "q"), Some(Value::from(1.0)));
         assert!(fam.is_empty());
@@ -227,9 +263,9 @@ mod tests {
     #[test]
     fn family_cell_count_sums_rows() {
         let mut fam = ColumnFamily::new();
-        fam.row_mut("a").put("q1", Value::from(1.0), 1);
-        fam.row_mut("a").put("q2", Value::from(1.0), 1);
-        fam.row_mut("b").put("q1", Value::from(1.0), 1);
+        fam.put_cell("a", "q1", Value::from(1.0), 1, VERSIONS);
+        fam.put_cell("a", "q2", Value::from(1.0), 1, VERSIONS);
+        fam.put_cell("b", "q1", Value::from(1.0), 1, VERSIONS);
         assert_eq!(fam.cell_count(), 3);
     }
 
@@ -246,7 +282,7 @@ mod tests {
     fn rows_iterate_in_key_order() {
         let mut fam = ColumnFamily::new();
         for k in ["b", "a", "c"] {
-            fam.row_mut(k).put("q", Value::from(0.0), 0);
+            fam.put_cell(k, "q", Value::from(0.0), 0, VERSIONS);
         }
         let keys: Vec<&str> = fam.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);

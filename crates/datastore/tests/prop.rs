@@ -1,12 +1,59 @@
 //! Property-based tests for the datastore invariants.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 
-use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value};
+use smartflux_datastore::{
+    ContainerRef, DataStore, ScanFilter, Value, WriteEvent, WriteKind, WriteObserver, WriteRef,
+};
 
 /// An arbitrary sequence of puts into a single family.
 fn ops() -> impl Strategy<Value = Vec<(u8, u8, f64)>> {
     prop::collection::vec((0u8..6, 0u8..4, -1e6f64..1e6), 1..60)
+}
+
+/// One mutation attempt against `t/f` (or, with `missing_family`, against a
+/// family that does not exist): a put of `value`, or a delete.
+#[derive(Debug, Clone)]
+struct Op {
+    row: u8,
+    qualifier: u8,
+    put: Option<Value>,
+    missing_family: bool,
+}
+
+fn value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-1e6f64..1e6).prop_map(Value::from),
+        (-50i64..50).prop_map(Value::I64),
+        ".{0,6}".prop_map(Value::from),
+    ]
+}
+
+/// Puts, overwrites, deletes of present and absent cells (few slots, so all
+/// three happen), and writes to a missing family.
+fn mutations() -> impl Strategy<Value = Vec<Op>> {
+    let op = (0u8..4, 0u8..3, prop::option::of(value()), 0u8..10).prop_map(
+        |(row, qualifier, put, miss)| Op {
+            row,
+            qualifier,
+            put,
+            missing_family: miss == 0,
+        },
+    );
+    prop::collection::vec(op, 1..80)
+}
+
+/// A borrowed observer: keeps what it saw by copying each view itself.
+#[derive(Default)]
+struct BorrowedLog(Mutex<Vec<WriteEvent>>);
+
+impl WriteObserver for BorrowedLog {
+    fn on_write(&self, event: &WriteRef<'_>) {
+        self.0.lock().unwrap().push(event.to_owned());
+    }
 }
 
 fn store() -> DataStore {
@@ -102,6 +149,65 @@ proptest! {
         }
     }
 
+    /// Differential oracle for the notification path: on one store, a
+    /// borrowed observer's `to_owned()` stream equals what an owned closure
+    /// observer recorded, element for element, and both equal what the
+    /// store's contract prescribes — one event per applied mutation, each
+    /// with the next clock tick, `old`/`new` as stored; rejected writes and
+    /// deletes of absent cells produce nothing.
+    #[test]
+    fn borrowed_and_owned_observers_see_the_prescribed_stream(ops in mutations()) {
+        let s = store();
+        let borrowed = Arc::new(BorrowedLog::default());
+        s.register_observer(Arc::clone(&borrowed) as Arc<dyn WriteObserver>);
+        let owned: Arc<Mutex<Vec<WriteEvent>>> = Arc::default();
+        let sink = Arc::clone(&owned);
+        s.register_observer(Arc::new(move |e: &WriteEvent| sink.lock().unwrap().push(e.clone())));
+
+        let mut model: HashMap<(String, String), Value> = HashMap::new();
+        let mut prescribed = Vec::new();
+        for op in &ops {
+            let (row, qualifier) = (format!("r{}", op.row), format!("q{}", op.qualifier));
+            if op.missing_family {
+                let rejected = match &op.put {
+                    Some(v) => s.put("t", "nope", &row, &qualifier, v.clone()).is_err(),
+                    None => s.delete("t", "nope", &row, &qualifier).is_err(),
+                };
+                prop_assert!(rejected);
+                continue;
+            }
+            let key = (row.clone(), qualifier.clone());
+            let (kind, old) = match &op.put {
+                Some(v) => {
+                    let old = s.put("t", "f", &row, &qualifier, v.clone()).unwrap();
+                    prop_assert_eq!(&old, &model.insert(key, v.clone()));
+                    (WriteKind::Put, old)
+                }
+                None => {
+                    let old = s.delete("t", "f", &row, &qualifier).unwrap();
+                    prop_assert_eq!(&old, &model.remove(&key));
+                    if old.is_none() {
+                        continue; // absent cell: no mutation, no event
+                    }
+                    (WriteKind::Delete, old)
+                }
+            };
+            prescribed.push(WriteEvent {
+                table: "t".to_owned(),
+                family: "f".to_owned(),
+                row,
+                qualifier,
+                kind,
+                old,
+                new: op.put.clone(),
+                timestamp: prescribed.len() as u64 + 1,
+            });
+        }
+        prop_assert_eq!(s.clock(), prescribed.len() as u64);
+        prop_assert_eq!(&*borrowed.0.lock().unwrap(), &prescribed);
+        prop_assert_eq!(&*owned.lock().unwrap(), &prescribed);
+    }
+
     /// Deleting every written slot leaves the container empty.
     #[test]
     fn delete_restores_empty(ops in ops()) {
@@ -125,12 +231,11 @@ proptest! {
 #[test]
 fn concurrent_writers_are_fully_observed() {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     let store = store();
     let events = Arc::new(AtomicU64::new(0));
     let e2 = Arc::clone(&events);
-    store.register_observer(Arc::new(move |_: &smartflux_datastore::WriteEvent| {
+    store.register_observer(Arc::new(move |_: &WriteEvent| {
         e2.fetch_add(1, Ordering::SeqCst);
     }));
 

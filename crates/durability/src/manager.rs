@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smartflux_datastore::{DataStore, ObserverHandle, WriteEvent, WriteKind};
+use smartflux_datastore::{DataStore, ObserverHandle, Value, WriteKind, WriteObserver, WriteRef};
 use smartflux_telemetry::{names, Telemetry};
 
 use crate::checkpoint::{write_checkpoint, Checkpoint};
@@ -32,6 +32,41 @@ pub const WAL_FILE: &str = "wal.log";
 struct OpBuffer {
     bytes: Vec<u8>,
     ops: Vec<(u64, usize)>,
+}
+
+/// The write-capture observer: encodes each mutation, read in place from
+/// the borrowed event, onto the end of the shared [`OpBuffer`].
+struct WalCapture {
+    buffer: Arc<Mutex<OpBuffer>>,
+}
+
+impl WriteObserver for WalCapture {
+    fn on_write(&self, event: &WriteRef<'_>) {
+        let mut buf = self.buffer.lock();
+        let start = buf.bytes.len();
+        buf.ops.push((event.timestamp, start));
+        match event.kind {
+            WriteKind::Put => encode_op_put(
+                &mut buf.bytes,
+                event.table,
+                event.family,
+                event.row,
+                event.qualifier,
+                event.timestamp,
+                // A put always carries a new value; tolerate a
+                // malformed event rather than dropping the op.
+                event.new.unwrap_or(&Value::I64(0)),
+            ),
+            WriteKind::Delete => encode_op_delete(
+                &mut buf.bytes,
+                event.table,
+                event.family,
+                event.row,
+                event.qualifier,
+                event.timestamp,
+            ),
+        }
+    }
 }
 
 /// Reorders a captured batch into timestamp order.
@@ -104,33 +139,8 @@ impl DurabilityManager {
     /// Every mutation notified after this call is buffered until the next
     /// [`commit_wave`](Self::commit_wave).
     pub fn attach(&self, store: &DataStore) -> ObserverHandle {
-        let buffer = Arc::clone(&self.buffer);
-        let fallback = smartflux_datastore::Value::I64(0);
-        store.register_observer(Arc::new(move |event: &WriteEvent| {
-            let mut buf = buffer.lock();
-            let start = buf.bytes.len();
-            buf.ops.push((event.timestamp, start));
-            match event.kind {
-                WriteKind::Put => encode_op_put(
-                    &mut buf.bytes,
-                    &event.table,
-                    &event.family,
-                    &event.row,
-                    &event.qualifier,
-                    event.timestamp,
-                    // A put always carries a new value; tolerate a
-                    // malformed event rather than dropping the op.
-                    event.new.as_ref().unwrap_or(&fallback),
-                ),
-                WriteKind::Delete => encode_op_delete(
-                    &mut buf.bytes,
-                    &event.table,
-                    &event.family,
-                    &event.row,
-                    &event.qualifier,
-                    event.timestamp,
-                ),
-            }
+        store.register_observer(Arc::new(WalCapture {
+            buffer: Arc::clone(&self.buffer),
         }))
     }
 
@@ -159,14 +169,28 @@ impl DurabilityManager {
         // Commit runs on the scheduler thread while the wave span is still
         // open, so this span parents under the wave's trace root.
         let _commit_span = self.telemetry.span(names::WAL_COMMIT_LATENCY, wave);
-        let OpBuffer { bytes, ops } = std::mem::take(&mut *self.buffer.lock());
-        let bytes = if ops.windows(2).all(|pair| pair[0].0 <= pair[1].0) {
-            bytes
+        let mut batch = std::mem::take(&mut *self.buffer.lock());
+        let count = u32::try_from(batch.ops.len()).unwrap_or(u32::MAX);
+        let sorted;
+        let bytes = if batch.ops.windows(2).all(|pair| pair[0].0 <= pair[1].0) {
+            &batch.bytes
         } else {
-            sort_batch(&bytes, &ops)
+            sorted = sort_batch(&batch.bytes, &batch.ops);
+            &sorted
         };
-        let count = u32::try_from(ops.len()).unwrap_or(u32::MAX);
-        let outcome = self.wal.lock().append_encoded(wave, clock, count, &bytes)?;
+        let appended = self.wal.lock().append_encoded(wave, clock, count, bytes);
+        // Hand the grown buffers back, so the next wave's capture appends
+        // into capacity this one already paid for — unless a writer got in
+        // first, whose ops must stay.
+        batch.bytes.clear();
+        batch.ops.clear();
+        {
+            let mut live = self.buffer.lock();
+            if live.ops.is_empty() {
+                *live = batch;
+            }
+        }
+        let outcome = appended?;
         if self.telemetry.is_enabled() {
             self.telemetry.counter(names::WAL_RECORDS).incr();
             self.telemetry.counter(names::WAL_BYTES).add(outcome.bytes);

@@ -26,6 +26,7 @@
 //! Training waves polluted by a failure contribute no knowledge-base
 //! example and no confidence sample.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -215,6 +216,8 @@ pub struct QodEngine {
     /// A WAL/checkpoint failure raised inside `end_wave` (which cannot
     /// return errors); surfaced by the session on the next wave call.
     durability_error: Option<DurabilityError>,
+    /// Size of the last [`export_state`](Self::export_state) blob.
+    exported_len: Cell<usize>,
 }
 
 impl QodEngine {
@@ -344,6 +347,7 @@ impl QodEngine {
             deferred_this_wave: 0,
             durability,
             durability_error: None,
+            exported_len: Cell::new(0),
         })
     }
 
@@ -713,18 +717,12 @@ impl QodEngine {
     /// checkpoint covers). A failure is remembered for the session to
     /// surface — `end_wave` itself cannot return one.
     fn durability_commit(&mut self, wave: u64) {
-        let result = match &self.durability {
-            None => return,
-            Some(manager) => manager
-                .commit_wave(wave, self.store.clock())
-                .and_then(|()| {
-                    if wave > 0 && wave.is_multiple_of(manager.options().checkpoint_interval()) {
-                        manager.checkpoint(wave, &self.store, self.export_state())
-                    } else {
-                        Ok(())
-                    }
-                }),
+        let Some(manager) = &self.durability else {
+            return;
         };
+        let result = manager
+            .commit_wave(wave, self.store.clock())
+            .and_then(|()| manager.maybe_checkpoint(wave, &self.store, || self.export_state()));
         if let Err(e) = result {
             self.durability_error = Some(e);
         }
@@ -740,7 +738,15 @@ impl QodEngine {
     /// deliberately excluded.
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // The body is encoded straight into its frame, sized by the blob
+        // before it (a regrown 400 KB buffer costs a quarter of the
+        // export): the model blobs are most of it, and they are copied here
+        // once, from the predictor's cache.
+        let models = self.predictor.export_models();
+        let mut out = Vec::with_capacity(self.exported_len.get() * 9 / 8);
+        out.extend_from_slice(STATE_MAGIC);
+        codec::put_u16(&mut out, STATE_VERSION);
+        let body_at = codec::begin_frame(&mut out);
 
         match self.phase {
             Phase::Training { until_wave } => {
@@ -771,11 +777,11 @@ impl QodEngine {
         // Predictor: exact model blobs when the kind has a binary codec,
         // otherwise a marker telling recovery to retrain deterministically
         // from the knowledge base restored above.
-        match self.predictor.export_models() {
+        match models {
             Some(blobs) => {
                 codec::put_u8(&mut out, 1);
                 codec::put_u32(&mut out, blobs.len() as u32);
-                for blob in &blobs {
+                for blob in blobs {
                     codec::put_bytes(&mut out, blob);
                 }
             }
@@ -823,11 +829,9 @@ impl QodEngine {
             }
         }
 
-        let mut blob = Vec::with_capacity(out.len() + 14);
-        blob.extend_from_slice(STATE_MAGIC);
-        codec::put_u16(&mut blob, STATE_VERSION);
-        codec::write_frame(&mut blob, &out);
-        blob
+        codec::end_frame(&mut out, body_at);
+        self.exported_len.set(out.len());
+        out
     }
 
     /// `accumulated | previous_state_sum | count | (row, qualifier, value at
@@ -1211,6 +1215,10 @@ impl TriggerPolicy for QodEngine {
                 if let Ok(len) = manager.wal_len() {
                     health.set_wal_lag_bytes(len);
                 }
+                health.set_checkpoint_lag(
+                    manager.checkpoint_lag_waves(wave),
+                    manager.options().checkpoint_interval(),
+                );
             }
         }
     }

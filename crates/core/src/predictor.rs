@@ -151,6 +151,10 @@ pub struct Predictor {
     cv_folds: usize,
     feature_mode: FeatureMode,
     models: Vec<Box<dyn Classifier>>,
+    /// `models` in their binary form, encoded once when they were built or
+    /// restored: models do not change between trainings, checkpoints do
+    /// recur. `None` while untrained or when a kind has no binary codec.
+    encoded: Option<Vec<Vec<u8>>>,
     quality: Option<PredictorQuality>,
     last_build_time: Option<Duration>,
     /// Inert (disabled) unless the owning engine attaches a handle; feeds
@@ -168,6 +172,7 @@ impl Predictor {
             cv_folds: 10,
             feature_mode: FeatureMode::default(),
             models: Vec::new(),
+            encoded: None,
             quality: None,
             last_build_time: None,
             telemetry: Telemetry::disabled(),
@@ -324,7 +329,7 @@ impl Predictor {
             models.push(model);
         }
         drop(fit_span);
-        self.models = models;
+        self.install(models);
         self.quality = Some(quality);
         self.last_build_time = Some(start.elapsed());
         Ok(quality)
@@ -412,15 +417,12 @@ impl Predictor {
         Ok(decision)
     }
 
-    /// Serialises every trained per-label model into its binary form, for
-    /// engine checkpoints. Returns `None` if the predictor is untrained or
-    /// any model kind lacks a binary codec (such predictors are restored
-    /// by deterministic retraining from the checkpointed knowledge base).
-    pub(crate) fn export_models(&self) -> Option<Vec<Vec<u8>>> {
-        if self.models.is_empty() {
-            return None;
-        }
-        self.models.iter().map(Classifier::export_bytes).collect()
+    /// Every trained per-label model in its binary form, for engine
+    /// checkpoints. `None` if the predictor is untrained or any model kind
+    /// lacks a binary codec (such predictors are restored by deterministic
+    /// retraining from the checkpointed knowledge base).
+    pub(crate) fn export_models(&self) -> Option<&[Vec<u8>]> {
+        self.encoded.as_deref()
     }
 
     /// Installs models deserialized from a checkpoint, together with the
@@ -431,9 +433,18 @@ impl Predictor {
         models: Vec<Box<dyn Classifier>>,
         quality: Option<PredictorQuality>,
     ) {
-        self.models = models;
+        self.install(models);
         self.quality = quality;
         self.last_build_time = None;
+    }
+
+    fn install(&mut self, models: Vec<Box<dyn Classifier>>) {
+        self.encoded = if models.is_empty() {
+            None
+        } else {
+            models.iter().map(|m| m.export_bytes()).collect()
+        };
+        self.models = models;
     }
 
     /// Per-label execution probabilities, in the same single pass as

@@ -23,6 +23,7 @@ use smartflux_datastore::{CellState, FamilyState, StoreState, TableState};
 
 use crate::codec::{
     put_str, put_u16, put_u32, put_u64, put_value, read_frame, write_frame, FrameRead, Reader,
+    FRAME_HEADER,
 };
 use crate::error::DurabilityError;
 
@@ -31,6 +32,8 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ckpt";
 
 const MAGIC: &[u8; 4] = b"SFCP";
 const VERSION: u16 = 1;
+/// Bytes of the meta frame's payload.
+const META_LEN: usize = 22;
 
 /// A decoded checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +136,7 @@ pub fn decode_store_state(payload: &[u8]) -> Result<StoreState, DurabilityError>
 ///
 /// Returns an I/O error if writing, syncing or renaming fails.
 pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> Result<u64, DurabilityError> {
-    let mut meta = Vec::with_capacity(24);
+    let mut meta = Vec::with_capacity(META_LEN);
     meta.extend_from_slice(MAGIC);
     put_u16(&mut meta, VERSION);
     put_u64(&mut meta, checkpoint.wave);
@@ -200,7 +203,18 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, DurabilityError
         });
     }
 
-    let mut meta = Reader::new(frames[0]);
+    let (wave, clock) = decode_meta(frames[0])?;
+    Ok(Some(Checkpoint {
+        wave,
+        clock,
+        store: decode_store_state(frames[1])?,
+        engine: frames[2].to_vec(),
+    }))
+}
+
+/// Decodes the meta frame's payload into `(wave, clock)`.
+fn decode_meta(payload: &[u8]) -> Result<(u64, u64), DurabilityError> {
+    let mut meta = Reader::new(payload);
     let magic = [meta.u8()?, meta.u8()?, meta.u8()?, meta.u8()?];
     if &magic != MAGIC {
         return Err(DurabilityError::Corrupt {
@@ -211,15 +225,22 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, DurabilityError
     if version != VERSION {
         return Err(DurabilityError::UnsupportedVersion { found: version });
     }
-    let wave = meta.u64()?;
-    let clock = meta.u64()?;
+    Ok((meta.u64()?, meta.u64()?))
+}
 
-    Ok(Some(Checkpoint {
-        wave,
-        clock,
-        store: decode_store_state(frames[1])?,
-        engine: frames[2].to_vec(),
-    }))
+/// The wave of the checkpoint in `dir`, read from the meta frame alone;
+/// `None` when there is no checkpoint or its head does not read as one
+/// (recovery is where damage gets reported).
+pub(crate) fn checkpoint_wave(dir: &Path) -> Option<u64> {
+    let mut head = [0u8; FRAME_HEADER + META_LEN];
+    File::open(dir.join(CHECKPOINT_FILE))
+        .ok()?
+        .read_exact(&mut head)
+        .ok()?;
+    match read_frame(&head, 0) {
+        Ok(FrameRead::Frame { payload, .. }) => decode_meta(payload).ok().map(|(wave, _)| wave),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

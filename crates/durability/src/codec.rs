@@ -17,14 +17,34 @@ use smartflux_datastore::Value;
 use crate::crc::crc32;
 use crate::error::DurabilityError;
 
+/// Bytes of a frame header (`len:u32 | crc:u32`).
+pub const FRAME_HEADER: usize = 8;
+
 /// Appends a length-and-CRC framed `payload` to `out`, returning the
 /// number of bytes appended.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) -> usize {
-    let before = out.len();
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(payload));
+    let at = begin_frame(out);
     out.extend_from_slice(payload);
-    out.len() - before
+    end_frame(out, at)
+}
+
+/// Starts a frame whose payload is encoded straight into `out`: reserves
+/// the header and returns its offset for [`end_frame`]. Saves building
+/// the payload in a buffer of its own only to copy it behind the header.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    at
+}
+
+/// Seals the frame begun at `at`: everything appended since is its
+/// payload, whose length and CRC are patched into the reserved header.
+/// Returns the frame's size in bytes, header included.
+pub fn end_frame(out: &mut [u8], at: usize) -> usize {
+    let (header, payload) = out[at..].split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    FRAME_HEADER + payload.len()
 }
 
 /// Outcome of reading one frame from a byte buffer.

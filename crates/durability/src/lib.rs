@@ -17,7 +17,9 @@
 //! - Every [`DurabilityOptions::checkpoint_interval`] waves,
 //!   [`DurabilityManager::maybe_checkpoint`] writes a [`Checkpoint`] — the
 //!   full store state plus opaque engine bytes — via an atomic
-//!   temp-file-and-rename, then compacts the WAL prefix it supersedes.
+//!   temp-file-and-rename, then compacts the WAL prefix it supersedes by
+//!   copying the byte ranges of the frames it keeps (the log indexes its
+//!   frames; nothing is decoded).
 //! - [`recover_store`] rebuilds a store from checkpoint + WAL tail,
 //!   tolerating a torn final record (the signature of a crash
 //!   mid-append). Everything else that is malformed yields a typed

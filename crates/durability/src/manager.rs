@@ -1,13 +1,14 @@
 //! The durability manager: buffers observed writes, group-commits them at
 //! wave boundaries, and takes periodic checkpoints.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use smartflux_datastore::{DataStore, ObserverHandle, Value, WriteKind, WriteObserver, WriteRef};
 use smartflux_telemetry::{names, Telemetry};
 
-use crate::checkpoint::{write_checkpoint, Checkpoint};
+use crate::checkpoint::{checkpoint_wave, write_checkpoint, Checkpoint};
 use crate::error::DurabilityError;
 use crate::options::DurabilityOptions;
 use crate::wal::{encode_op_delete, encode_op_put, Wal};
@@ -104,6 +105,9 @@ pub struct DurabilityManager {
     wal: Mutex<Wal>,
     buffer: Arc<Mutex<OpBuffer>>,
     telemetry: Telemetry,
+    /// Wave of the newest checkpoint known to be durable on disk.
+    // tidy:atomic(durable_wave: relaxed): feeds the checkpoint-lag gauge only; no other data is ordered by it
+    durable_wave: AtomicU64,
 }
 
 impl DurabilityManager {
@@ -115,11 +119,15 @@ impl DurabilityManager {
     pub fn open(options: DurabilityOptions) -> Result<Self, DurabilityError> {
         std::fs::create_dir_all(options.dir())?;
         let wal = Wal::open(options.dir().join(WAL_FILE), options.sync())?;
+        // A checkpoint already in the directory is durable: lag counts
+        // from it, not from wave 0.
+        let durable_wave = checkpoint_wave(options.dir()).unwrap_or(0);
         Ok(Self {
             options,
             wal: Mutex::new(wal),
             buffer: Arc::new(Mutex::new(OpBuffer::default())),
             telemetry: Telemetry::disabled(),
+            durable_wave: AtomicU64::new(durable_wave),
         })
     }
 
@@ -194,6 +202,9 @@ impl DurabilityManager {
         if self.telemetry.is_enabled() {
             self.telemetry.counter(names::WAL_RECORDS).incr();
             self.telemetry.counter(names::WAL_BYTES).add(outcome.bytes);
+            self.telemetry
+                .gauge(names::CHECKPOINT_LAG_WAVES)
+                .set(i64::try_from(self.checkpoint_lag_waves(wave)).unwrap_or(i64::MAX));
             if outcome.synced {
                 self.telemetry
                     .histogram(names::FSYNC_LATENCY)
@@ -203,7 +214,8 @@ impl DurabilityManager {
         Ok(())
     }
 
-    /// Takes a checkpoint if `wave` falls on the configured interval.
+    /// Takes a checkpoint if `wave` falls on the configured interval;
+    /// `engine` is asked for its state only then.
     ///
     /// Returns `true` if a checkpoint was written.
     ///
@@ -215,17 +227,21 @@ impl DurabilityManager {
         &self,
         wave: u64,
         store: &DataStore,
-        engine: Vec<u8>,
+        engine: impl FnOnce() -> Vec<u8>,
     ) -> Result<bool, DurabilityError> {
         if wave == 0 || !wave.is_multiple_of(self.options.checkpoint_interval()) {
             return Ok(false);
         }
-        self.checkpoint(wave, store, engine)?;
+        self.take_checkpoint(wave, store, engine)?;
         Ok(true)
     }
 
     /// Unconditionally checkpoints the full store plus `engine` state at
-    /// wave `wave`, then compacts the WAL prefix the checkpoint covers.
+    /// wave `wave`, then compacts the WAL prefix the checkpoint covers —
+    /// in that order: the log's prefix is only superseded once the rename
+    /// (and the directory entry) are on disk, so a crash in between finds
+    /// either the old checkpoint with the whole log, or the new one with
+    /// a prefix recovery skips.
     ///
     /// # Errors
     ///
@@ -236,24 +252,46 @@ impl DurabilityManager {
         store: &DataStore,
         engine: Vec<u8>,
     ) -> Result<(), DurabilityError> {
+        self.take_checkpoint(wave, store, || engine)
+    }
+
+    fn take_checkpoint(
+        &self,
+        wave: u64,
+        store: &DataStore,
+        engine: impl FnOnce() -> Vec<u8>,
+    ) -> Result<(), DurabilityError> {
         let _checkpoint_span = self.telemetry.span(names::CHECKPOINT_WRITE_LATENCY, wave);
-        // One export only: `export_state` quiesces writers and captures
-        // state and clock as a single consistent cut. Reading the clock
-        // separately could pair a newer clock with older data under
-        // concurrent writers.
-        let state = store.export_state();
-        let checkpoint = Checkpoint {
-            wave,
-            clock: state.clock,
-            store: state,
-            engine,
+        let checkpoint = {
+            let _capture_span = self.telemetry.span(names::CHECKPOINT_CAPTURE_LATENCY, wave);
+            // One export only: `export_state` quiesces writers and
+            // captures state and clock as a single consistent cut. Reading
+            // the clock separately could pair a newer clock with older
+            // data under concurrent writers.
+            let state = store.export_state();
+            Checkpoint {
+                wave,
+                clock: state.clock,
+                store: state,
+                engine: engine(),
+            }
         };
         write_checkpoint(self.options.dir(), &checkpoint)?;
-        self.wal.lock().compact(wave)?;
+        self.durable_wave.store(wave, Ordering::Relaxed);
+        {
+            let _compact_span = self.telemetry.span(names::WAL_COMPACT_LATENCY, wave);
+            self.wal.lock().compact(wave)?;
+        }
         if self.telemetry.is_enabled() {
             self.telemetry.counter(names::CHECKPOINTS).incr();
         }
         Ok(())
+    }
+
+    /// Waves committed since the newest durable checkpoint, as of `wave`.
+    #[must_use]
+    pub fn checkpoint_lag_waves(&self, wave: u64) -> u64 {
+        wave.saturating_sub(self.durable_wave.load(Ordering::Relaxed))
     }
 
     /// Truncates the WAL to empty.
@@ -274,9 +312,10 @@ impl DurabilityManager {
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the log metadata cannot be read.
+    /// None today — the log tracks its own length; the signature is kept
+    /// for callers written when this read the file's metadata.
     pub fn wal_len(&self) -> Result<u64, DurabilityError> {
-        self.wal.lock().len()
+        Ok(self.wal.lock().len())
     }
 }
 
@@ -370,8 +409,10 @@ mod tests {
                 .put("t", "f", "r", "q", Value::from(wave as f64))
                 .unwrap();
             mgr.commit_wave(wave, store.clock()).unwrap();
-            mgr.maybe_checkpoint(wave, &store, vec![wave as u8])
+            let written = mgr
+                .maybe_checkpoint(wave, &store, || vec![wave as u8])
                 .unwrap();
+            assert_eq!(written, wave % 2 == 0);
         }
         // Last checkpoint was at wave 4; the WAL holds only wave 5.
         let read = crate::wal::read_wal(&dir.join(WAL_FILE)).unwrap();
@@ -389,6 +430,48 @@ mod tests {
             Some(Value::from(5.0))
         );
         assert_eq!(recovered.store.clock(), store.clock());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_lag_counts_from_the_newest_durable_checkpoint() {
+        let dir = tmp_dir("lag");
+        let options = DurabilityOptions::new(&dir)
+            .with_sync(SyncPolicy::Never)
+            .with_checkpoint_interval(2);
+        let mut mgr = DurabilityManager::open(options.clone()).unwrap();
+        let telemetry = Telemetry::enabled();
+        mgr.set_telemetry(telemetry.clone());
+        let store = store_with_tf();
+        let _handle = mgr.attach(&store);
+        let lag = || telemetry.snapshot().gauge(names::CHECKPOINT_LAG_WAVES);
+        let wave = |mgr: &DurabilityManager, wave: u64| {
+            store
+                .put("t", "f", "r", "q", Value::from(wave as f64))
+                .unwrap();
+            mgr.commit_wave(wave, store.clock()).unwrap();
+            mgr.maybe_checkpoint(wave, &store, Vec::new)
+        };
+        for w in 1..=3 {
+            wave(&mgr, w).unwrap();
+        }
+        // Sampled at the commit, before wave 2's checkpoint: 1, 2, 1.
+        assert_eq!(lag(), 1);
+        assert_eq!(mgr.checkpoint_lag_waves(3), 1);
+
+        // A checkpoint that fails is not durable: the lag keeps counting
+        // from the last one that is.
+        let squatter = dir.join(format!("{}.tmp", crate::CHECKPOINT_FILE));
+        std::fs::create_dir(&squatter).unwrap();
+        assert!(wave(&mgr, 4).is_err());
+        wave(&mgr, 5).unwrap();
+        assert_eq!(lag(), 3);
+        std::fs::remove_dir(&squatter).unwrap();
+
+        // A reopened manager finds the checkpoint on disk.
+        drop(mgr);
+        let mgr = DurabilityManager::open(options).unwrap();
+        assert_eq!(mgr.checkpoint_lag_waves(5), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

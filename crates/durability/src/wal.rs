@@ -17,14 +17,15 @@
 //! producing an op).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use smartflux_datastore::Value;
 
 use crate::codec::{
-    put_str, put_u32, put_u64, put_u8, put_value, read_frame, write_frame, FrameRead, Reader,
+    begin_frame, end_frame, put_str, put_u32, put_u64, put_u8, put_value, read_frame, FrameRead,
+    Reader, FRAME_HEADER,
 };
 use crate::error::DurabilityError;
 use crate::options::SyncPolicy;
@@ -116,12 +117,19 @@ pub fn encode_op_delete(
     put_u64(out, timestamp);
 }
 
-fn encode_batch(batch: &WalBatch) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + batch.ops.len() * 48);
-    put_u8(&mut out, BATCH_TAG);
-    put_u64(&mut out, batch.wave);
-    put_u64(&mut out, batch.clock);
-    put_u32(&mut out, batch.ops.len() as u32);
+/// Bytes of a batch header (`tag | wave | clock | op_count`).
+const BATCH_HEADER: usize = 21;
+
+fn put_batch_header(out: &mut Vec<u8>, wave: u64, clock: u64, op_count: u32) {
+    put_u8(out, BATCH_TAG);
+    put_u64(out, wave);
+    put_u64(out, clock);
+    put_u32(out, op_count);
+}
+
+/// Appends `batch` in the record wire format (the frame's payload).
+fn put_batch(out: &mut Vec<u8>, batch: &WalBatch) {
+    put_batch_header(out, batch.wave, batch.clock, batch.ops.len() as u32);
     for op in &batch.ops {
         match op {
             WalOp::Put {
@@ -131,17 +139,16 @@ fn encode_batch(batch: &WalBatch) -> Vec<u8> {
                 qualifier,
                 value,
                 timestamp,
-            } => encode_op_put(&mut out, table, family, row, qualifier, *timestamp, value),
+            } => encode_op_put(out, table, family, row, qualifier, *timestamp, value),
             WalOp::Delete {
                 table,
                 family,
                 row,
                 qualifier,
                 timestamp,
-            } => encode_op_delete(&mut out, table, family, row, qualifier, *timestamp),
+            } => encode_op_delete(out, table, family, row, qualifier, *timestamp),
         }
     }
-    out
 }
 
 fn decode_batch(payload: &[u8]) -> Result<WalBatch, DurabilityError> {
@@ -157,6 +164,8 @@ fn decode_batch(payload: &[u8]) -> Result<WalBatch, DurabilityError> {
     let op_count = r.u32()? as usize;
     let mut ops = Vec::with_capacity(op_count.min(4096));
     for _ in 0..op_count {
+        #[cfg(test)]
+        tests::OPS_DECODED.with(|n| n.set(n.get() + 1));
         let kind = r.u8()?;
         let table = r.str()?;
         let family = r.str()?;
@@ -205,29 +214,128 @@ pub struct AppendOutcome {
     pub sync_nanos: u64,
 }
 
+/// Where one complete frame sits in the log file.
+#[derive(Debug, Clone, Copy)]
+struct FrameSpan {
+    /// The batch's wave; [`UNKNOWN_WAVE`] for a frame [`scan_frames`]
+    /// could not read as a batch.
+    wave: u64,
+    start: u64,
+    end: u64,
+}
+
+/// Wave of a scanned frame that does not look like a batch. It sorts after
+/// every checkpoint, so compaction always keeps — and therefore validates
+/// and rejects — such a frame instead of silently dropping it.
+const UNKNOWN_WAVE: u64 = u64::MAX;
+
 /// A write-ahead log opened for appending.
+///
+/// Beside the file the log keeps an index — wave and byte range of every
+/// complete frame, maintained by `append` and rebuilt at `open` by a
+/// header-only scan — so [`compact`](Self::compact) drops a checkpointed
+/// prefix by copying the bytes of the frames it keeps, decoding nothing.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
     file: File,
     policy: SyncPolicy,
     appends_since_sync: u64,
+    /// Length of the log file in bytes (where the next frame starts).
+    len: u64,
+    /// Every complete frame of the file, in file order.
+    frames: Vec<FrameSpan>,
+    /// Reused across calls: the frame being appended, or the frames a
+    /// compaction keeps.
+    buf: Vec<u8>,
+}
+
+fn open_log(path: &Path) -> std::io::Result<File> {
+    // Appends always land at the end of the file whatever the read
+    // position, so compaction can seek and read through the same handle.
+    OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)
+}
+
+/// Indexes the complete frames of a `len`-byte log by reading, per frame,
+/// the frame header and the batch's tag and wave — never the ops, and no
+/// CRC: what compaction keeps it checks then, and what it drops need not
+/// be intact. Stops at a torn tail exactly where [`read_wal_bytes`] does.
+fn scan_frames(mut file: &File, len: u64) -> std::io::Result<Vec<FrameSpan>> {
+    const WAVE_AT: usize = FRAME_HEADER + 1;
+    let mut head = [0u8; WAVE_AT + 8];
+    let mut frames = Vec::new();
+    let mut pos = 0u64;
+    while len - pos >= FRAME_HEADER as u64 {
+        let have = head.len().min((len - pos) as usize);
+        file.seek(SeekFrom::Start(pos))?;
+        file.read_exact(&mut head[..have])?;
+        let payload = u64::from(u32::from_le_bytes([head[0], head[1], head[2], head[3]]));
+        if payload > len - pos - FRAME_HEADER as u64 {
+            break;
+        }
+        let mut wave = [0u8; 8];
+        wave.copy_from_slice(&head[WAVE_AT..]);
+        let is_batch = payload >= BATCH_HEADER as u64 && head[FRAME_HEADER] == BATCH_TAG;
+        let end = pos + FRAME_HEADER as u64 + payload;
+        frames.push(FrameSpan {
+            wave: if is_batch {
+                u64::from_le_bytes(wave)
+            } else {
+                UNKNOWN_WAVE
+            },
+            start: pos,
+            end,
+        });
+        pos = end;
+    }
+    Ok(frames)
+}
+
+/// Validates one frame a compaction is about to keep: complete, CRC-clean,
+/// and a batch of the wave the index has for it. Reads the batch header
+/// only — no op is decoded.
+fn check_kept_frame(frame: &[u8], span: &FrameSpan) -> Result<(), DurabilityError> {
+    let corrupt = |what: &str| DurabilityError::Corrupt {
+        context: format!("WAL frame at offset {}: {what}", span.start),
+    };
+    let payload = match read_frame(frame, 0)? {
+        FrameRead::Frame { payload, next } if next == frame.len() => payload,
+        _ => return Err(corrupt("length does not match the log index")),
+    };
+    let mut r = Reader::new(payload);
+    if r.u8()? != BATCH_TAG || payload.len() < BATCH_HEADER {
+        return Err(corrupt("not a WAL batch"));
+    }
+    if r.u64()? != span.wave {
+        return Err(corrupt("wave does not match the log index"));
+    }
+    Ok(())
 }
 
 impl Wal {
-    /// Opens (creating if absent) the log at `path` for appending.
+    /// Opens (creating if absent) the log at `path` for appending and
+    /// indexes the frames already in it.
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the file cannot be opened.
+    /// Returns an I/O error if the file cannot be opened or scanned.
     pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<Self, DurabilityError> {
         let path = path.into();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let file = open_log(&path)?;
+        let len = file.metadata()?.len();
+        let frames = scan_frames(&file, len)?;
         Ok(Self {
             path,
             file,
             policy,
             appends_since_sync: 0,
+            len,
+            frames,
+            buf: Vec::new(),
         })
     }
 
@@ -238,21 +346,15 @@ impl Wal {
     }
 
     /// Current log length in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file metadata cannot be read.
-    pub fn len(&self) -> Result<u64, DurabilityError> {
-        Ok(self.file.metadata()?.len())
+    #[must_use]
+    pub fn len(&self) -> u64 {
+        self.len
     }
 
-    /// Returns `true` if the log holds no records.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file metadata cannot be read.
-    pub fn is_empty(&self) -> Result<bool, DurabilityError> {
-        Ok(self.len()? == 0)
+    /// Returns `true` if the log holds no bytes.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Appends one committed batch, flushing per the sync policy.
@@ -261,12 +363,17 @@ impl Wal {
     ///
     /// Returns an I/O error if the write or fsync fails.
     pub fn append(&mut self, batch: &WalBatch) -> Result<AppendOutcome, DurabilityError> {
-        self.append_payload(&encode_batch(batch))
+        self.buf.clear();
+        let at = begin_frame(&mut self.buf);
+        put_batch(&mut self.buf, batch);
+        end_frame(&mut self.buf, at);
+        self.write_frame_buf(batch.wave)
     }
 
     /// Appends a batch whose ops were pre-encoded with [`encode_op_put`] /
-    /// [`encode_op_delete`] — the group-commit fast path: the header is
-    /// prepended and the op bytes are spliced in without re-encoding.
+    /// [`encode_op_delete`] — the group-commit fast path: the record is
+    /// framed in place in a buffer the log keeps, so a commit copies the
+    /// op bytes once and allocates nothing.
     ///
     /// # Errors
     ///
@@ -278,19 +385,31 @@ impl Wal {
         op_count: u32,
         ops: &[u8],
     ) -> Result<AppendOutcome, DurabilityError> {
-        let mut payload = Vec::with_capacity(21 + ops.len());
-        put_u8(&mut payload, BATCH_TAG);
-        put_u64(&mut payload, wave);
-        put_u64(&mut payload, clock);
-        put_u32(&mut payload, op_count);
-        payload.extend_from_slice(ops);
-        self.append_payload(&payload)
+        self.buf.clear();
+        let at = begin_frame(&mut self.buf);
+        put_batch_header(&mut self.buf, wave, clock, op_count);
+        self.buf.extend_from_slice(ops);
+        end_frame(&mut self.buf, at);
+        self.write_frame_buf(wave)
     }
 
-    fn append_payload(&mut self, payload: &[u8]) -> Result<AppendOutcome, DurabilityError> {
-        let mut buf = Vec::with_capacity(payload.len() + 8);
-        let bytes = write_frame(&mut buf, payload) as u64;
-        self.file.write_all(&buf)?;
+    /// Writes the one frame in `self.buf` to the end of the log.
+    fn write_frame_buf(&mut self, wave: u64) -> Result<AppendOutcome, DurabilityError> {
+        if let Err(e) = self.file.write_all(&self.buf) {
+            // A partial write leaves bytes no index entry covers; later
+            // frames must be indexed where they really land.
+            if let Ok(meta) = self.file.metadata() {
+                self.len = meta.len();
+            }
+            return Err(e.into());
+        }
+        let bytes = self.buf.len() as u64;
+        self.frames.push(FrameSpan {
+            wave,
+            start: self.len,
+            end: self.len + bytes,
+        });
+        self.len += bytes;
         self.appends_since_sync += 1;
         let should_sync = match self.policy {
             SyncPolicy::Always => true,
@@ -324,8 +443,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log to empty (used when a checkpoint supersedes the
-    /// whole log, and when recovery restarts from a checkpoint).
+    /// Truncates the log to empty (recovery restarts from a checkpoint
+    /// and re-commits the waves behind it).
     ///
     /// # Errors
     ///
@@ -333,34 +452,53 @@ impl Wal {
     pub fn reset(&mut self) -> Result<(), DurabilityError> {
         self.file.set_len(0)?;
         self.file.sync_data()?;
+        self.len = 0;
+        self.frames.clear();
         Ok(())
     }
 
     /// Rewrites the log keeping only batches with `wave > checkpoint_wave`.
     ///
-    /// The surviving suffix is written to a temporary file which atomically
-    /// replaces the log, so a crash mid-compaction leaves either the old
-    /// or the new log, never a mix. A torn final record is dropped.
+    /// The surviving frames are copied byte for byte — by the ranges the
+    /// index holds, CRC-checked, nothing decoded — to a temporary file
+    /// which atomically replaces the log, so a crash mid-compaction leaves
+    /// either the old or the new log, never a mix. The cost is O(bytes
+    /// kept): usually nothing, the checkpoint having just superseded the
+    /// whole log. Bytes no index entry covers (a torn final record) are
+    /// dropped; a damaged frame in the superseded prefix is dropped like
+    /// any other.
     ///
     /// # Errors
     ///
     /// Returns an I/O error on filesystem failure, or
-    /// [`DurabilityError::Corrupt`] if a fully-present record fails
-    /// validation.
+    /// [`DurabilityError::Corrupt`] if a frame that would be kept fails
+    /// validation; the log is then left as it was.
     pub fn compact(&mut self, checkpoint_wave: u64) -> Result<(), DurabilityError> {
-        let read = read_wal(&self.path)?;
-        let mut buf = Vec::new();
-        for batch in read.batches.iter().filter(|b| b.wave > checkpoint_wave) {
-            write_frame(&mut buf, &encode_batch(batch));
+        self.buf.clear();
+        let mut kept = Vec::new();
+        let mut log = &self.file;
+        for span in self.frames.iter().filter(|s| s.wave > checkpoint_wave) {
+            let at = self.buf.len();
+            self.buf.resize(at + (span.end - span.start) as usize, 0);
+            log.seek(SeekFrom::Start(span.start))?;
+            log.read_exact(&mut self.buf[at..])?;
+            check_kept_frame(&self.buf[at..], span)?;
+            kept.push(FrameSpan {
+                wave: span.wave,
+                start: at as u64,
+                end: self.buf.len() as u64,
+            });
         }
         let tmp = self.path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
+            f.write_all(&self.buf)?;
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.file = open_log(&self.path)?;
+        self.len = self.buf.len() as u64;
+        self.frames = kept;
         self.appends_since_sync = 0;
         Ok(())
     }
@@ -436,6 +574,14 @@ pub fn read_wal_bytes(buf: &[u8]) -> Result<WalReadResult, DurabilityError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::write_frame;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Ops materialised by `decode_batch` on this thread.
+        pub(super) static OPS_DECODED: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn tmp_path(name: &str) -> PathBuf {
         let dir =
@@ -468,6 +614,187 @@ mod tests {
         }
     }
 
+    fn frame_of(batch: &WalBatch) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_batch(&mut payload, batch);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &payload);
+        frame
+    }
+
+    /// The compaction `Wal::compact` replaced, kept as its oracle: decode
+    /// the whole log, keep the batches past the checkpoint, re-encode.
+    fn reference_compaction(log: &[u8], checkpoint_wave: u64) -> Result<Vec<u8>, DurabilityError> {
+        let mut out = Vec::new();
+        for batch in &read_wal_bytes(log)?.batches {
+            if batch.wave > checkpoint_wave {
+                out.extend_from_slice(&frame_of(batch));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Byte-range compaction of the log image `log`, through a `Wal`
+    /// opened on it (so the index comes from the header scan). `damage`
+    /// is applied to the file *after* the open: with it the index is that
+    /// of a log which rotted under a live process.
+    fn compacted(
+        path: &Path,
+        log: &[u8],
+        damage: Option<(usize, u8)>,
+        checkpoint_wave: u64,
+    ) -> Result<Vec<u8>, DurabilityError> {
+        std::fs::write(path, log).unwrap();
+        let mut wal = Wal::open(path, SyncPolicy::Never).unwrap();
+        if let Some((at, mask)) = damage {
+            let mut damaged = log.to_vec();
+            damaged[at] ^= mask;
+            std::fs::write(path, &damaged).unwrap();
+        }
+        let decoded = OPS_DECODED.with(Cell::get);
+        let outcome = wal.compact(checkpoint_wave);
+        assert_eq!(OPS_DECODED.with(Cell::get), decoded, "compact decoded ops");
+        outcome.map(|()| {
+            let bytes = std::fs::read(path).unwrap();
+            assert_eq!(wal.len(), bytes.len() as u64);
+            bytes
+        })
+    }
+
+    fn assert_same(
+        new: Result<Vec<u8>, DurabilityError>,
+        reference: Result<Vec<u8>, DurabilityError>,
+        what: &str,
+    ) {
+        match (new, reference) {
+            (Ok(new), Ok(reference)) => {
+                assert_eq!(new, reference, "{what}");
+                // What either leaves behind reads back whole.
+                assert!(!read_wal_bytes(&new).unwrap().torn_tail, "{what}");
+            }
+            (Err(DurabilityError::Corrupt { .. }), Err(DurabilityError::Corrupt { .. })) => {}
+            (new, reference) => panic!("{what}: new {new:?} vs reference {reference:?}"),
+        }
+    }
+
+    fn op() -> impl Strategy<Value = WalOp> {
+        let value = prop_oneof![
+            (-1e6f64..1e6).prop_map(Value::from),
+            (-50i64..50).prop_map(Value::I64),
+            ".{0,6}".prop_map(Value::from),
+        ];
+        (0u8..3, 0u8..4, prop::option::of(value), 0u64..1000).prop_map(
+            |(row, qualifier, put, timestamp)| {
+                let (table, family) = ("t".to_owned(), format!("f{}", row % 2));
+                let (row, qualifier) = (format!("r{row}"), format!("q{qualifier}"));
+                match put {
+                    Some(value) => WalOp::Put {
+                        table,
+                        family,
+                        row,
+                        qualifier,
+                        value,
+                        timestamp,
+                    },
+                    None => WalOp::Delete {
+                        table,
+                        family,
+                        row,
+                        qualifier,
+                        timestamp,
+                    },
+                }
+            },
+        )
+    }
+
+    /// 0–30 batches with strictly increasing waves (gaps of 1–3).
+    fn batches() -> impl Strategy<Value = Vec<WalBatch>> {
+        prop::collection::vec((1u64..4, prop::collection::vec(op(), 0..5)), 0..=30).prop_map(
+            |raw| {
+                let mut wave = 0;
+                raw.into_iter()
+                    .map(|(gap, ops)| {
+                        wave += gap;
+                        WalBatch {
+                            wave,
+                            clock: wave * 7,
+                            ops,
+                        }
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn byte_range_compaction_matches_the_decoding_reference(batches in batches()) {
+            let path = tmp_path("prop");
+            let frames: Vec<Vec<u8>> = batches.iter().map(frame_of).collect();
+            let log = frames.concat();
+            let last_wave = batches.last().map_or(0, |b| b.wave);
+
+            // Clean end, every cut wave.
+            for cut in 0..=last_wave + 1 {
+                assert_same(
+                    compacted(&path, &log, None, cut),
+                    reference_compaction(&log, cut),
+                    &format!("clean log, cut {cut}"),
+                );
+            }
+            let Some(last_frame) = frames.last() else {
+                return;
+            };
+            let last_start = log.len() - last_frame.len();
+            let mid_cut = batches[batches.len() / 2].wave;
+
+            // Torn tail at every byte of the last frame, keeping all or
+            // half of the log in turn.
+            for end in last_start + 1..log.len() {
+                let cut = if end % 2 == 0 { 0 } else { mid_cut };
+                assert_same(
+                    compacted(&path, &log[..end], None, cut),
+                    reference_compaction(&log[..end], cut),
+                    &format!("log torn at {end}, cut {cut}"),
+                );
+            }
+
+            // One flipped byte: length, CRC, tag, wave, last payload byte.
+            let mut start = 0;
+            for (batch, frame) in batches.iter().zip(&frames) {
+                for offset in [0, 4, 8, 9, frame.len() - 1] {
+                    let at = start + offset;
+                    let what = format!("wave {} flipped at +{offset}, cut {mid_cut}", batch.wave);
+                    let rotted = compacted(&path, &log, Some((at, 0xFF)), mid_cut);
+                    if batch.wave > mid_cut {
+                        // In a kept frame: typed, and the log is left alone.
+                        assert!(matches!(rotted, Err(DurabilityError::Corrupt { .. })), "{what}");
+                        let mut damaged = log.clone();
+                        damaged[at] ^= 0xFF;
+                        assert_eq!(std::fs::read(&path).unwrap(), damaged, "{what}");
+                        // Found damaged at open, it ends as the decoding
+                        // compaction ended. (Not for the wave field: the
+                        // scan trusts it, the CRC check comes after.)
+                        if offset != 9 {
+                            assert_same(
+                                compacted(&path, &damaged, None, mid_cut),
+                                reference_compaction(&damaged, mid_cut),
+                                &format!("{what}, reopened"),
+                            );
+                        }
+                    } else {
+                        // In a frame the checkpoint supersedes: dropped
+                        // with it, as if it had been intact.
+                        assert_same(rotted, reference_compaction(&log, mid_cut), &what);
+                    }
+                }
+                start += frame.len();
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
     #[test]
     fn append_and_read_roundtrip() {
         let path = tmp_path("roundtrip");
@@ -491,6 +818,38 @@ mod tests {
         assert_eq!(read.batches.len(), 4);
         assert_eq!(read.batches[2], sample_batch(3));
         assert_eq!(read.batches[3].clock, 41);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn pre_encoded_append_writes_the_same_frame() {
+        let path = tmp_path("encoded");
+        let _ = std::fs::remove_file(&path);
+        let batch = sample_batch(7);
+        let mut ops = Vec::new();
+        for op in &batch.ops {
+            match op {
+                WalOp::Put {
+                    table,
+                    family,
+                    row,
+                    qualifier,
+                    value,
+                    timestamp,
+                } => encode_op_put(&mut ops, table, family, row, qualifier, *timestamp, value),
+                WalOp::Delete {
+                    table,
+                    family,
+                    row,
+                    qualifier,
+                    timestamp,
+                } => encode_op_delete(&mut ops, table, family, row, qualifier, *timestamp),
+            }
+        }
+        let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+        let out = wal.append_encoded(7, 70, 2, &ops).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), frame_of(&batch));
+        assert_eq!(out.bytes, wal.len());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -530,6 +889,36 @@ mod tests {
     }
 
     #[test]
+    fn appends_after_a_torn_tail_survive_compaction() {
+        // A crash tore wave 3's record. The reopened log is appended to
+        // (behind the torn bytes, which no index entry covers), then
+        // compacted: the torn bytes go, what was appended stays readable —
+        // with and without a compaction in between.
+        let path = tmp_path("torn-append");
+        let mut log: Vec<u8> = (1..=3).flat_map(|w| frame_of(&sample_batch(w))).collect();
+        log.truncate(log.len() - 5);
+        for compact_first in [true, false] {
+            std::fs::write(&path, &log).unwrap();
+            let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+            if compact_first {
+                wal.compact(1).unwrap();
+            }
+            wal.append(&sample_batch(4)).unwrap();
+            wal.compact(1).unwrap();
+            wal.append(&sample_batch(5)).unwrap();
+            let read = read_wal(&path).unwrap();
+            assert!(!read.torn_tail);
+            assert_eq!(
+                read.batches,
+                [2, 4, 5].map(sample_batch),
+                "compact first: {compact_first}"
+            );
+            assert_eq!(wal.len(), std::fs::metadata(&path).unwrap().len());
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn missing_file_reads_as_empty() {
         let read = read_wal(Path::new("/nonexistent/smartflux/wal.log")).unwrap();
         assert!(read.batches.is_empty());
@@ -542,10 +931,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path, SyncPolicy::Always).unwrap();
         wal.append(&sample_batch(1)).unwrap();
-        assert!(!wal.is_empty().unwrap());
+        assert!(!wal.is_empty());
         wal.reset().unwrap();
-        assert!(wal.is_empty().unwrap());
+        assert!(wal.is_empty());
         assert!(read_wal(&path).unwrap().batches.is_empty());
+        // Appendable, and indexed from the start again.
+        wal.append(&sample_batch(2)).unwrap();
+        wal.compact(1).unwrap();
+        assert_eq!(read_wal(&path).unwrap().batches, [sample_batch(2)]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -558,5 +951,15 @@ mod tests {
             read_wal_bytes(&buf),
             Err(DurabilityError::Corrupt { .. })
         ));
+        // Compaction never drops such a frame silently: it is not known to
+        // be superseded, so it is kept, checked and refused.
+        let path = tmp_path("garbage");
+        std::fs::write(&path, &buf).unwrap();
+        let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+        assert!(matches!(
+            wal.compact(u64::MAX - 1),
+            Err(DurabilityError::Corrupt { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -147,7 +147,7 @@ fn recovery_survives_torn_tail_after_a_checkpoint() {
             .unwrap();
         last_record_start = mgr.wal_len().unwrap();
         mgr.commit_wave(wave, store.clock()).unwrap();
-        mgr.maybe_checkpoint(wave, &store, Vec::new()).unwrap();
+        mgr.maybe_checkpoint(wave, &store, Vec::new).unwrap();
     }
 
     let wal_path = dir.join(WAL_FILE);

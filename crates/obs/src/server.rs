@@ -11,7 +11,7 @@
 //! | Path        | Content                                                   |
 //! |-------------|-----------------------------------------------------------|
 //! | `/metrics`  | OpenMetrics exposition of the telemetry snapshot          |
-//! | `/healthz`  | JSON: engine phase, last wave + age, WAL lag              |
+//! | `/healthz`  | JSON: status, phase, last wave + age, WAL/checkpoint lag  |
 //! | `/waves`    | JSON array: ring-buffered tail of wave-decision records   |
 //! | `/trace`    | Chrome trace JSON of the span ring (`?waves=N` to filter) |
 
@@ -142,15 +142,22 @@ fn query_u64(request: &Request, key: &str) -> Option<u64> {
     request.query.get(key).and_then(|v| v.parse().ok())
 }
 
-/// Renders `/healthz`: engine phase, last wave and its age, WAL lag.
+/// Renders `/healthz`: status, engine phase, last wave and its age, WAL
+/// and checkpoint lag. The status is `degraded` while checkpoints are
+/// overdue (more than two intervals of waves since the last durable one).
 fn health_json(telemetry: &Telemetry) -> String {
     let health = telemetry.health().snapshot();
     let age = health
         .last_wave_age
         .map_or("null".to_owned(), |age| age.as_millis().to_string());
+    let status = if health.checkpoints_overdue() {
+        "degraded"
+    } else {
+        "ok"
+    };
     format!(
-        "{{\"phase\":\"{}\",\"last_wave\":{},\"last_wave_age_ms\":{},\"wal_lag_bytes\":{}}}",
-        health.phase, health.last_wave, age, health.wal_lag_bytes
+        "{{\"status\":\"{status}\",\"phase\":\"{}\",\"last_wave\":{},\"last_wave_age_ms\":{},\"wal_lag_bytes\":{},\"checkpoint_lag_waves\":{}}}",
+        health.phase, health.last_wave, age, health.wal_lag_bytes, health.checkpoint_lag_waves
     )
 }
 
@@ -241,6 +248,7 @@ pub fn preregister(telemetry: &Telemetry) {
         names::NET_ACTIVE_CONNECTIONS,
         names::NET_SESSIONS_OPEN,
         names::NET_QUEUE_DEPTH,
+        names::CHECKPOINT_LAG_WAVES,
     ] {
         let _ = telemetry.gauge(name);
     }
@@ -262,6 +270,8 @@ pub fn preregister(telemetry: &Telemetry) {
         names::FSYNC_LATENCY,
         names::WAL_COMMIT_LATENCY,
         names::CHECKPOINT_WRITE_LATENCY,
+        names::CHECKPOINT_CAPTURE_LATENCY,
+        names::WAL_COMPACT_LATENCY,
         names::NET_SUBMIT_LATENCY,
     ] {
         let _ = telemetry.histogram(name);
@@ -316,6 +326,7 @@ mod tests {
             })
             .unwrap();
 
+        let telemetry = s.telemetry.clone();
         let server = ObsServer::start("127.0.0.1:0", s, 2).unwrap();
         let addr = server.addr().to_string();
         let timeout = Duration::from_secs(5);
@@ -342,6 +353,13 @@ mod tests {
         assert!(health.contains("\"phase\":\"application\""));
         assert!(health.contains("\"last_wave\":17"));
         assert!(health.contains("\"wal_lag_bytes\":512"));
+        assert!(health.contains("\"status\":\"ok\""));
+        // Checkpoints stopped landing: the report degrades.
+        telemetry.health().set_checkpoint_lag(41, 20);
+        let (status, health) = get(&addr, "/healthz", timeout).unwrap();
+        assert_eq!(status, 200);
+        assert!(health.contains("\"status\":\"degraded\""));
+        assert!(health.contains("\"checkpoint_lag_waves\":41"));
 
         let (status, waves) = get(&addr, "/waves", timeout).unwrap();
         assert_eq!(status, 200);

@@ -1,8 +1,8 @@
 //! Engine health state served by the observability plane's `/healthz`.
 //!
 //! A tiny always-on bundle of atomics the engine refreshes at wave
-//! boundaries: phase, last completed wave (with its timestamp), and the
-//! WAL lag in bytes. Living in the telemetry crate keeps the server crate
+//! boundaries: phase, last completed wave (with its timestamp), the WAL
+//! lag in bytes and the checkpoint lag in waves. Living in the telemetry crate keeps the server crate
 //! free of engine dependencies — the engine writes through its
 //! [`Telemetry`](crate::Telemetry) handle, the server reads a
 //! [`HealthSnapshot`].
@@ -26,6 +26,11 @@ pub struct Health {
     last_wave_at_ns: AtomicU64,
     // tidy:atomic(wal_lag_bytes: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
     wal_lag_bytes: AtomicU64,
+    // tidy:atomic(checkpoint_lag_waves: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
+    checkpoint_lag_waves: AtomicU64,
+    /// Configured waves between checkpoints; `0` = no durability.
+    // tidy:atomic(checkpoint_interval: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
+    checkpoint_interval: AtomicU64,
 }
 
 impl Default for Health {
@@ -35,6 +40,8 @@ impl Default for Health {
             last_wave: AtomicU64::new(0),
             last_wave_at_ns: AtomicU64::new(0),
             wal_lag_bytes: AtomicU64::new(0),
+            checkpoint_lag_waves: AtomicU64::new(0),
+            checkpoint_interval: AtomicU64::new(0),
         }
     }
 }
@@ -57,6 +64,13 @@ impl Health {
         self.wal_lag_bytes.store(bytes, Ordering::Relaxed);
     }
 
+    /// Publishes how many waves were committed since the last durable
+    /// checkpoint, beside the configured `interval` between checkpoints.
+    pub fn set_checkpoint_lag(&self, waves: u64, interval: u64) {
+        self.checkpoint_lag_waves.store(waves, Ordering::Relaxed);
+        self.checkpoint_interval.store(interval, Ordering::Relaxed);
+    }
+
     /// Captures a point-in-time health view.
     #[must_use]
     pub fn snapshot(&self) -> HealthSnapshot {
@@ -71,6 +85,8 @@ impl Health {
             last_wave: self.last_wave.load(Ordering::Relaxed),
             last_wave_age,
             wal_lag_bytes: self.wal_lag_bytes.load(Ordering::Relaxed),
+            checkpoint_lag_waves: self.checkpoint_lag_waves.load(Ordering::Relaxed),
+            checkpoint_interval: self.checkpoint_interval.load(Ordering::Relaxed),
         }
     }
 }
@@ -86,6 +102,20 @@ pub struct HealthSnapshot {
     pub last_wave_age: Option<Duration>,
     /// WAL bytes accumulated since the last checkpoint.
     pub wal_lag_bytes: u64,
+    /// Waves committed since the last durable checkpoint.
+    pub checkpoint_lag_waves: u64,
+    /// Configured waves between checkpoints (0 = durability off).
+    pub checkpoint_interval: u64,
+}
+
+impl HealthSnapshot {
+    /// Whether checkpoints have stopped landing: more than two intervals
+    /// of waves committed since the last durable one. Every such wave is
+    /// in the WAL only, and would be re-executed after a crash.
+    #[must_use]
+    pub fn checkpoints_overdue(&self) -> bool {
+        self.checkpoint_interval > 0 && self.checkpoint_lag_waves > 2 * self.checkpoint_interval
+    }
 }
 
 #[cfg(test)]
@@ -114,5 +144,16 @@ mod tests {
         assert!(s.last_wave_age.is_some());
         assert!(s.last_wave_age.unwrap() < Duration::from_secs(60));
         assert_eq!(s.wal_lag_bytes, 4096);
+    }
+
+    #[test]
+    fn checkpoints_are_overdue_past_two_intervals() {
+        let h = Health::default();
+        // No durability configured: never overdue.
+        assert!(!h.snapshot().checkpoints_overdue());
+        h.set_checkpoint_lag(40, 20);
+        assert!(!h.snapshot().checkpoints_overdue());
+        h.set_checkpoint_lag(41, 20);
+        assert!(h.snapshot().checkpoints_overdue());
     }
 }

@@ -375,8 +375,17 @@ pub mod names {
     pub const FSYNC_LATENCY: &str = "durability.fsync";
     /// Latency of one wave's WAL group-commit (sort + append + sync).
     pub const WAL_COMMIT_LATENCY: &str = "durability.commit";
-    /// Latency of one checkpoint write (store export + file + compaction).
+    /// Latency of one checkpoint capture — the store export under the
+    /// quiesce plus the engine blob, all in memory (inside
+    /// [`CHECKPOINT_WRITE_LATENCY`]).
+    pub const CHECKPOINT_CAPTURE_LATENCY: &str = "durability.checkpoint_capture";
+    /// Latency of one whole checkpoint: the capture, then encode, file
+    /// write, fsync, rename, and the WAL compaction.
     pub const CHECKPOINT_WRITE_LATENCY: &str = "durability.checkpoint_write";
+    /// Latency of one WAL compaction (inside [`CHECKPOINT_WRITE_LATENCY`]).
+    pub const WAL_COMPACT_LATENCY: &str = "durability.wal_compact";
+    /// Waves committed since the last checkpoint that is durable on disk.
+    pub const CHECKPOINT_LAG_WAVES: &str = "durability.checkpoint_lag_waves";
     /// Connections accepted by the network plane since start.
     pub const NET_CONNECTIONS: &str = "net.connections";
     /// Connections currently being served by the network plane.

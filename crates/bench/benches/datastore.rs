@@ -5,8 +5,13 @@
 //! `put_lrb_shaped` overwrites the cells of an `lrb`-shaped family (240
 //! rows × 3 qualifiers) in turn: `bare` is the store alone, which builds no
 //! event; `owned_closure` adds an `Fn(&WriteEvent)` observer, which is
-//! handed an owned copy per write. The `Monitor` and WAL-capture cases over
-//! the same shape are in `monitor.rs`.
+//! handed an owned copy per write; `bare_handle` is `bare` through a
+//! `FamilyHandle` resolved once outside the loop. The `Monitor` and
+//! WAL-capture cases over the same shape are in `monitor.rs`.
+//!
+//! `read_lrb_shaped` reads that family whole, three numbers a row, the way
+//! `lrb`'s `update-positions` does: by `scan` (a `String` key, a `Vec` and
+//! three qualifier `String`s per row) and by `for_each_row` in place.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -96,6 +101,62 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
         });
         black_box(seen.load(Ordering::Relaxed));
     }
+    let store = fresh_store();
+    group.bench_function("bare_handle", |b| {
+        let family = store.family("t", "f").expect("family exists");
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            family
+                .put(
+                    &rows[i % rows.len()],
+                    LRB_QUALIFIERS[i % LRB_QUALIFIERS.len()],
+                    Value::from(i as f64),
+                )
+                .expect("write succeeds")
+        });
+    });
+    group.finish();
+}
+
+fn bench_read_lrb_shaped(c: &mut Criterion) {
+    let store = fresh_store();
+    for (i, row) in lrb_rows().iter().enumerate() {
+        for q in LRB_QUALIFIERS {
+            store
+                .put("t", "f", row, q, Value::from(i as f64))
+                .expect("setup write");
+        }
+    }
+    let mut group = c.benchmark_group("read_lrb_shaped");
+    group.bench_function("scan", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for row in store
+                .scan("t", "f", &ScanFilter::all())
+                .expect("family exists")
+            {
+                for q in LRB_QUALIFIERS {
+                    sum += row.f64(q).unwrap_or(0.0);
+                }
+            }
+            black_box(sum)
+        });
+    });
+    group.bench_function("for_each_row", |b| {
+        let family = store.family("t", "f").expect("family exists");
+        b.iter(|| {
+            let mut sum = 0.0;
+            family
+                .for_each_row(|_, row| {
+                    for q in LRB_QUALIFIERS {
+                        sum += row.f64(q).unwrap_or(0.0);
+                    }
+                })
+                .expect("family exists");
+            black_box(sum)
+        });
+    });
     group.finish();
 }
 
@@ -119,5 +180,11 @@ fn bench_get_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_put, bench_put_lrb_shaped, bench_get_scan);
+criterion_group!(
+    benches,
+    bench_put,
+    bench_put_lrb_shaped,
+    bench_read_lrb_shaped,
+    bench_get_scan
+);
 criterion_main!(benches);

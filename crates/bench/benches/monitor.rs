@@ -12,9 +12,11 @@
 //! family shape of `benches/datastore.rs` (240 rows × 3 qualifiers, each
 //! overwritten in turn): with a tracking `Monitor`, and with the `Monitor`
 //! plus the durability capture, both reading the borrowed `WriteRef` in
-//! place. Every 720th write ends a wave — the tracker's mark moves and the
-//! captured batch is committed (`sync = never`) — so the change set and the
-//! capture buffer cycle as they do in the engine.
+//! place, each by string-addressed `put` and through a `FamilyHandle`
+//! resolved once per wave (`_handle`). Every 720th write ends a wave — the
+//! tracker's mark moves and the captured batch is committed
+//! (`sync = never`) — so the change set and the capture buffer cycle as
+//! they do in the engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -88,7 +90,7 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
     let rows: Vec<String> = (0..240).map(|i| format!("x{}-s{i:03}", i % 4)).collect();
     let cells = rows.len() * QUALIFIERS.len();
     let mut group = c.benchmark_group("put_lrb_shaped");
-    for with_wal in [false, true] {
+    for (with_wal, by_handle) in [(false, false), (false, true), (true, false), (true, true)] {
         let store = DataStore::new();
         let fam = ContainerRef::family("t", "f");
         store.ensure_container(&fam).expect("fresh store");
@@ -104,24 +106,25 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
             wal.attach(&store);
             wal
         });
-        let name = if with_wal {
-            "monitor_and_wal"
-        } else {
-            "monitor"
+        let name = match (with_wal, by_handle) {
+            (false, false) => "monitor",
+            (false, true) => "monitor_handle",
+            (true, false) => "monitor_and_wal",
+            (true, true) => "monitor_and_wal_handle",
         };
         group.bench_function(name, |b| {
+            let mut family = store.family("t", "f").expect("watched family exists");
             let mut i = 0usize;
             b.iter(|| {
                 i += 1;
-                store
-                    .put(
-                        "t",
-                        "f",
-                        &rows[i % rows.len()],
-                        QUALIFIERS[i % QUALIFIERS.len()],
-                        Value::from(i as f64),
-                    )
-                    .expect("watched family exists");
+                let (row, qualifier) = (&rows[i % rows.len()], QUALIFIERS[i % QUALIFIERS.len()]);
+                let value = Value::from(i as f64);
+                if by_handle {
+                    family.put(row, qualifier, value)
+                } else {
+                    store.put("t", "f", row, qualifier, value)
+                }
+                .expect("watched family exists");
                 if i.is_multiple_of(cells) {
                     monitor.mark(tracker);
                     if let Some(wal) = &wal {
@@ -134,6 +137,8 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
                             wal.reset_wal().expect("truncate succeeds");
                         }
                     }
+                    // A step resolves its handles anew every wave.
+                    family = store.family("t", "f").expect("watched family exists");
                 }
                 black_box(i)
             });

@@ -11,6 +11,7 @@
 //! changed element, §4.2), so evaluating a metric costs O(cells written since
 //! the mark) and resetting a baseline is clearing the set.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -106,16 +107,53 @@ impl ChangeSet {
         self.sorted = true;
     }
 
-    /// Puts `changes` in ascending `(row, qualifier)` order. The sort is
-    /// adaptive, so re-sorting after a few new cells joined an ordered set
-    /// costs about one pass.
-    fn sort(&mut self, keys: &[(String, String)]) {
+    /// Puts `changes` in ascending `(row, qualifier)` order, by whichever
+    /// of two routes the set's own size says is cheaper; both produce the
+    /// one order a total order over distinct keys has.
+    ///
+    /// A set that touches at least half of a fully ranked container walks
+    /// the container's rank order and picks its own cells out — no
+    /// comparison at all, at most two steps per cell (`lrb/positions`: all
+    /// 720 cells, every wave). Any other set is sorted by rank with the
+    /// *stable* sort, because that one is adaptive: a Cancel-mode set is an
+    /// ordered prefix (everything up to the previous evaluation) plus a few
+    /// appended cells, which it re-orders in about one pass. The unstable
+    /// sort is faster on shuffled input and was measured 4–7 % slower on
+    /// `pagerank_wide` for exactly that reason (DESIGN.md §5.8).
+    fn sort(&mut self, entry: &mut WatchEntry) {
         if self.sorted {
             return;
         }
-        self.changes.sort_by(|a, b| keys[a.slot].cmp(&keys[b.slot]));
-        for (at, change) in self.changes.iter().enumerate() {
-            self.position[change.slot] = at;
+        entry.rank_keys_if_paid_for();
+        if entry.fully_ranked() && 2 * self.changes.len() >= entry.by_rank.len() {
+            let mut next = 0;
+            for &slot in &entry.by_rank {
+                if let Some(at) = self.position.get_mut(slot) {
+                    if *at != UNTOUCHED {
+                        *at = next;
+                        next += 1;
+                    }
+                }
+            }
+            // `position` now holds where each change belongs; every swap
+            // puts one change there for good.
+            for i in 0..self.changes.len() {
+                loop {
+                    let target = self.position[self.changes[i].slot];
+                    if target == i {
+                        break;
+                    }
+                    self.changes.swap(i, target);
+                }
+            }
+        } else {
+            let mut by_string = 0;
+            self.changes
+                .sort_by(|a, b| entry.cmp_slots(a.slot, b.slot, &mut by_string));
+            entry.string_compares += by_string;
+            for (at, change) in self.changes.iter().enumerate() {
+                self.position[change.slot] = at;
+            }
         }
         self.sorted = true;
     }
@@ -135,6 +173,15 @@ struct WatchEntry {
     joined_key: Vec<u8>,
     /// Slot → `(row, qualifier)`.
     keys: Vec<(String, String)>,
+    /// The first `by_rank.len()` slots in ascending `(row, qualifier)`
+    /// order, and its inverse `rank[slot]`: two ranked keys compare as two
+    /// integers. Slots interned since the last ranking are in neither and
+    /// compare by string.
+    by_rank: Vec<usize>,
+    rank: Vec<usize>,
+    /// String comparisons made since the last ranking because a key was
+    /// unranked — what not ranking has cost so far.
+    string_compares: usize,
     /// Cells currently in the container. Signed: a delete can be delivered
     /// ahead of the insert it follows.
     live_cells: i64,
@@ -152,6 +199,9 @@ impl WatchEntry {
             slots: HashMap::new(),
             joined_key: Vec::new(),
             keys: Vec::new(),
+            by_rank: Vec::new(),
+            rank: Vec::new(),
+            string_compares: 0,
             live_cells: 0,
             trackers: Vec::new(),
         }
@@ -170,6 +220,44 @@ impl WatchEntry {
         self.slots.insert(self.joined_key.clone(), slot);
         self.keys.push((row.to_owned(), qualifier.to_owned()));
         slot
+    }
+
+    fn fully_ranked(&self) -> bool {
+        self.by_rank.len() == self.keys.len()
+    }
+
+    /// Orders two slots as their keys order: by rank when both have one.
+    fn cmp_slots(&self, a: usize, b: usize, by_string: &mut usize) -> Ordering {
+        match (self.rank.get(a), self.rank.get(b)) {
+            (Some(a), Some(b)) => a.cmp(b),
+            _ => {
+                *by_string += 1;
+                self.keys[a].cmp(&self.keys[b])
+            }
+        }
+    }
+
+    /// Ranks every key interned so far, once the string comparisons made
+    /// for want of a rank have cost as much as ranking does (about
+    /// `n log n` of them). Renting until the rent equals the price is within
+    /// a factor two of the best schedule whatever the key set does: a fixed
+    /// set is ranked after its first evaluation and for good, and a set that
+    /// gains keys every wave is re-ranked ever more rarely, not every wave.
+    fn rank_keys_if_paid_for(&mut self) {
+        let n = self.keys.len();
+        if self.fully_ranked() || self.string_compares < n * n.max(2).ilog2() as usize {
+            return;
+        }
+        let keys = &self.keys;
+        self.by_rank.clear();
+        self.by_rank.extend(0..n);
+        self.by_rank
+            .sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
+        self.rank.resize(n, 0);
+        for (rank, &slot) in self.by_rank.iter().enumerate() {
+            self.rank[slot] = rank;
+        }
+        self.string_compares = 0;
     }
 
     /// Folds one write into the live count and every change set.
@@ -466,8 +554,8 @@ impl Monitor {
             ..
         } = &mut *s;
         let set = change_sets.get_mut(tracker.0)?;
-        let entry = &entries[set.entry];
-        set.sort(&entry.keys);
+        let entry = &mut entries[set.entry];
+        set.sort(entry);
         Some(f(entry, &set.changes))
     }
 

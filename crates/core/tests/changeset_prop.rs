@@ -11,6 +11,14 @@
 //! before the monitor attaches, events delivered out of timestamp order,
 //! every built-in metric plus DSL metrics reading `prev_sum` and `total`,
 //! and both accumulation modes.
+//!
+//! A second property aims at the order the sets are streamed in, which is
+//! kept by integer key ranks: a key universe that keeps growing (keys
+//! interned between evaluations, ranked and unranked keys compared with each
+//! other), evaluations without a mark in between (an ordered prefix plus an
+//! unordered tail of new cells) and long stretches between marks (a set
+//! that covers most of its container) — all still bit-equal to the snapshot
+//! diff, whose `BTreeMap` order is the `(row, qualifier)` order itself.
 
 use std::sync::Arc;
 
@@ -18,11 +26,17 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use smartflux::dsl::compile;
-use smartflux::{AccumulationMode, MetricContext, MetricKind, Monitor, TrackerId};
+use smartflux::{AccumulationMode, MetricContext, MetricFn, MetricKind, Monitor, TrackerId};
 use smartflux_datastore::{ContainerRef, DataStore, Snapshot, Value, WriteEvent, WriteObserver};
 
 const ROWS: [&str; 5] = ["r0", "r1", "r2", "r3", "r4"];
 const QUALIFIERS: [&str; 3] = ["a", "b", "c"];
+
+/// Rows of the growing universe, named so that the order they are first
+/// written in is nothing like their key order.
+fn scattered_rows() -> Vec<String> {
+    (0..24).map(|i| format!("k{:02}", (i * 7) % 24)).collect()
+}
 
 /// A small value universe, so re-adding a cell at the value it held at the
 /// mark happens often.
@@ -103,6 +117,26 @@ fn tracked_values(monitor: &Monitor, t: &Tracked, kinds: &[MetricKind]) -> (usiz
     (total, values)
 }
 
+/// A metric that keeps the `update(new, old)` calls it was streamed, in
+/// order: the witness that a change set streams in the diff's own order
+/// (sums of the small dyadic values used here come out the same in any).
+#[derive(Default)]
+struct Recorder(Vec<(Option<Value>, Option<Value>)>);
+
+impl MetricFn for Recorder {
+    fn reset(&mut self) {
+        self.0.clear();
+    }
+
+    fn update(&mut self, new: Option<&Value>, old: Option<&Value>) {
+        self.0.push((new.cloned(), old.cloned()));
+    }
+
+    fn compute(&self, _ctx: &MetricContext) -> f64 {
+        self.0.len() as f64
+    }
+}
+
 fn mark(store: &DataStore, monitor: &Monitor, r: &mut Reference, t: &mut Tracked) {
     r.baseline = store.snapshot(&r.container).unwrap();
     monitor.mark(t.id);
@@ -145,6 +179,20 @@ fn assert_same(
             new_total, ref_total,
             "element count, tracker {slot} at step {at}"
         );
+        let mut streamed = Recorder::default();
+        monitor.stream_changes(t.id, &mut streamed);
+        let listed: Vec<_> = store
+            .snapshot(&r.container)
+            .unwrap()
+            .diff(&r.baseline)
+            .changes()
+            .iter()
+            .map(|c| (c.new.clone(), c.old.clone()))
+            .collect();
+        assert_eq!(
+            streamed.0, listed,
+            "streaming order, tracker {slot} at step {at}"
+        );
         for (k, (new, old)) in new_values.iter().zip(&ref_values).enumerate() {
             let (new, old) = match mode {
                 AccumulationMode::Cancel => (*new, *old),
@@ -160,25 +208,57 @@ fn assert_same(
     }
 }
 
-fn run_case(steps: &[Step], prepopulated: usize, shuffle: Option<u64>, mode: AccumulationMode) {
+/// What a case's steps write to, and what.
+#[derive(Clone, Copy)]
+struct Universe<'a> {
+    rows: &'a [&'a str],
+    /// Step `at` can only reach the first `1 + at / 4` rows, so new keys
+    /// keep appearing.
+    growing: bool,
+    /// Every value names its cell, so a change streamed out of place shows;
+    /// otherwise values come from the small universe of [`value`].
+    cell_values: bool,
+}
+
+fn run_case(
+    steps: &[Step],
+    universe: Universe<'_>,
+    prepopulated: usize,
+    shuffle: Option<u64>,
+    mode: AccumulationMode,
+) {
     let kinds = kinds();
     let store = DataStore::new();
     let family = ContainerRef::family("t", "f");
     store.ensure_container(&family).unwrap();
-    let apply = |step: &Step| {
+    let apply = |at: usize, step: &Step| {
         let (kind, row, qualifier, pick, _) = *step;
+        let Universe {
+            rows,
+            growing,
+            cell_values,
+        } = universe;
+        let reachable = if growing { 1 + at / 4 } else { rows.len() };
+        let row = row % reachable.min(rows.len());
         if kind < 3 {
             store
-                .delete("t", "f", ROWS[row], QUALIFIERS[qualifier])
+                .delete("t", "f", rows[row], QUALIFIERS[qualifier])
                 .unwrap();
         } else {
+            let value = if cell_values {
+                Value::from((row * QUALIFIERS.len() + qualifier) as f64 + pick as f64 / 8.0)
+            } else {
+                value(pick)
+            };
             store
-                .put("t", "f", ROWS[row], QUALIFIERS[qualifier], value(pick))
+                .put("t", "f", rows[row], QUALIFIERS[qualifier], value)
                 .unwrap();
         }
     };
     let prepopulated = prepopulated.min(steps.len());
-    steps[..prepopulated].iter().for_each(apply);
+    for (at, step) in steps[..prepopulated].iter().enumerate() {
+        apply(at, step);
+    }
 
     // Two independently marked trackers over the family, one per column
     // over two of its three qualifiers.
@@ -254,7 +334,7 @@ fn run_case(steps: &[Step], prepopulated: usize, shuffle: Option<u64>, mode: Acc
                     }
                 }
             }
-            _ => apply(step),
+            _ => apply(at, step),
         }
     }
     settle(&monitor);
@@ -269,7 +349,49 @@ proptest! {
         shuffle in proptest::option::of(any::<u64>()),
     ) {
         for mode in [AccumulationMode::Cancel, AccumulationMode::Accumulate] {
-            run_case(&steps, prepopulated, shuffle, mode);
+            let universe = Universe {
+                rows: &ROWS,
+                growing: false,
+                cell_values: false,
+            };
+            run_case(&steps, universe, prepopulated, shuffle, mode);
+        }
+    }
+
+    /// The streaming order over 72 keys that are first written in anything
+    /// but key order, writes outnumbering marks and evaluations four times
+    /// as much as above: once with the key set growing throughout (ranked
+    /// against unranked keys), once with every key reachable from the start
+    /// (the set is soon fully ranked, and sets that cover most of it are
+    /// picked out of the rank order instead of sorted).
+    #[test]
+    fn ranked_change_sets_keep_key_order(
+        steps in prop::collection::vec(
+            (0usize..48, 0usize..24, 0usize..3, 0usize..7, 0usize..4),
+            100..400,
+        ),
+        shuffle in proptest::option::of(any::<u64>()),
+    ) {
+        let rows = scattered_rows();
+        let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let steps: Vec<Step> = steps
+            .into_iter()
+            .map(|(kind, row, qualifier, pick, which)| {
+                // Kinds 12.. are more puts (3..10); the first two trackers
+                // are the family's, so they mark rarely and grow large.
+                let kind = if kind < 12 { kind } else { 3 + kind % 7 };
+                (kind, row, qualifier, pick, which)
+            })
+            .collect();
+        for mode in [AccumulationMode::Cancel, AccumulationMode::Accumulate] {
+            for growing in [true, false] {
+                let universe = Universe {
+                    rows: &rows,
+                    growing,
+                    cell_values: true,
+                };
+                run_case(&steps, universe, 0, shuffle, mode);
+            }
         }
     }
 }

@@ -5,7 +5,11 @@
 //! tracking `Monitor` and the WAL capture read it in place, and only an
 //! observer that asks for an owned `WriteEvent` pays for one. A counting
 //! global allocator pins that down, so a stray `to_owned()` on the hot
-//! path fails here instead of showing up as a slower wave. The allocator is
+//! path fails here instead of showing up as a slower wave. The same holds
+//! through a `FamilyHandle` — resolving one, an observed overwriting `put`,
+//! a `get_f64` and a whole-family `for_each_row` request no heap — which is
+//! the point of reading rows in place: `scan` of the same family makes some
+//! 1 200 requests to hand back three numbers a row. The allocator is
 //! process-wide, hence a test binary of its own with a single test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smartflux::{DurabilityOptions, Monitor, SyncPolicy};
-use smartflux_datastore::{ContainerRef, DataStore, Value, WriteEvent};
+use smartflux_datastore::{ContainerRef, DataStore, FamilyHandle, ScanFilter, Value, WriteEvent};
 use smartflux_durability::DurabilityManager;
 
 /// Forwards to the system allocator, counting this thread's requests.
@@ -89,6 +93,17 @@ fn write_wave(store: &DataStore, rows: &[String], wave: u64) {
     }
 }
 
+/// [`write_wave`] through a handle resolved once.
+fn write_wave_by_handle(family: &FamilyHandle<'_>, rows: &[String], wave: u64) {
+    for (r, row) in rows.iter().enumerate() {
+        for qualifier in QUALIFIERS {
+            family
+                .put(row, qualifier, Value::from((wave + r as u64) as f64))
+                .unwrap();
+        }
+    }
+}
+
 #[test]
 fn an_observed_overwriting_put_allocates_nothing() {
     let rows: Vec<String> = (0..ROWS).map(|i| format!("x{}-s{i:03}", i % 4)).collect();
@@ -131,6 +146,57 @@ fn an_observed_overwriting_put_allocates_nothing() {
     assert_eq!(wal.pending_ops() as u64, CELLS);
     end_wave(8);
 
+    // The same wave through a family handle, as a step writes it: neither
+    // resolving the handle nor an observed overwrite through it allocates,
+    // and both observers still got every cell.
+    assert_eq!(requests_during(|| drop(store.family("t", "f").unwrap())), 0);
+    let family = store.family("t", "f").unwrap();
+    assert_eq!(
+        requests_during(|| write_wave_by_handle(&family, &rows, 9)),
+        0
+    );
+    assert_eq!(wal.pending_ops() as u64, CELLS);
+    end_wave(9);
+    // ...and row by row, three cells under one guard.
+    let by_row = requests_during(|| {
+        for (r, row) in rows.iter().enumerate() {
+            let cells = QUALIFIERS.map(|q| (q, Value::from((9 + r) as f64)));
+            family.put_row(row, cells).unwrap();
+        }
+    });
+    assert_eq!(by_row, 0);
+    assert_eq!(wal.pending_ops() as u64, CELLS);
+    end_wave(9);
+
+    // Reading in place: a numeric get, and the whole family row by row.
+    let mut sum = 0.0;
+    let gets = requests_during(|| {
+        for row in &rows {
+            sum += family.get_f64(row, "speed").unwrap().unwrap_or(0.0);
+        }
+    });
+    let visit = requests_during(|| {
+        family
+            .for_each_row(|_, row| {
+                for qualifier in QUALIFIERS {
+                    sum -= row.f64(qualifier).unwrap_or(0.0);
+                }
+            })
+            .unwrap();
+    });
+    assert_eq!((gets, visit), (0, 0));
+    assert!(sum < 0.0);
+    // What the visitor replaces: `scan` copies a key, a column vector and
+    // three qualifiers per row (plus the growth of the result vector).
+    let scan = requests_during(|| {
+        let rows = store.scan("t", "f", &ScanFilter::all()).unwrap();
+        assert_eq!(rows.len(), ROWS);
+    });
+    assert!(
+        (5 * ROWS as u64..5 * ROWS as u64 + 16).contains(&scan),
+        "scan made {scan} heap requests"
+    );
+
     // A closure observer asks for the owned form, and pays for exactly
     // that: four key strings per event (numeric values own no heap).
     let kept = Arc::new(AtomicU64::new(0));
@@ -138,7 +204,12 @@ fn an_observed_overwriting_put_allocates_nothing() {
     store.register_observer(Arc::new(move |event: &WriteEvent| {
         sink.fetch_add(event.timestamp, Ordering::Relaxed);
     }));
-    assert_eq!(requests_during(|| write_wave(&store, &rows, 9)), 4 * CELLS);
+    assert_eq!(requests_during(|| write_wave(&store, &rows, 10)), 4 * CELLS);
+    end_wave(10);
+    assert_eq!(
+        requests_during(|| write_wave_by_handle(&family, &rows, 11)),
+        4 * CELLS
+    );
     assert!(kept.load(Ordering::Relaxed) > 0);
 
     std::fs::remove_dir_all(&dir).unwrap();

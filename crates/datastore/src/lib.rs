@@ -39,6 +39,16 @@
 //! lock for A/B comparison) and [`DataStore::shard_stats`] exposes
 //! contention counters. See `DESIGN.md` §11 for the full model.
 //!
+//! # Family handles
+//!
+//! Every operation is addressed by `(table, family)` names, HBase-client
+//! style. A step that reads or writes hundreds of cells of one family in a
+//! row resolves it once with [`DataStore::family`]: the [`FamilyHandle`]'s
+//! `put` / `put_row` / `delete` / `get` / `get_f64` / `for_each_row` are the
+//! same routines minus the name lookup — same guard per call, same
+//! timestamps, same [`WriteRef`]s — and read rows in place instead of
+//! copying them out (`DESIGN.md` §11 "Family handles").
+//!
 //! # Example
 //!
 //! ```
@@ -85,6 +95,6 @@ pub use scan::{RowScan, ScanFilter};
 pub use shard::{ShardPolicy, ShardStats, AUTO_SHARDS};
 pub use snapshot::{SlotChange, Snapshot, SnapshotDiff};
 pub use state::{CellState, FamilyState, StoreState, TableState};
-pub use store::DataStore;
+pub use store::{DataStore, FamilyHandle};
 pub use table::{ColumnFamily, Row, Table};
 pub use value::Value;

@@ -143,6 +143,9 @@ where
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObserverHandle(pub(crate) u64);
 
+/// A dispatch list as writers share it.
+pub(crate) type ObserverList = Arc<Vec<Arc<dyn WriteObserver>>>;
+
 /// Internal registry of observers.
 ///
 /// The dispatch list is kept pre-materialized as a shared `Arc` slice,
@@ -152,7 +155,10 @@ pub struct ObserverHandle(pub(crate) u64);
 pub(crate) struct ObserverBus {
     next_id: u64,
     observers: Vec<(u64, Arc<dyn WriteObserver>)>,
-    cached: Arc<Vec<Arc<dyn WriteObserver>>>,
+    cached: ObserverList,
+    /// Bumped whenever `cached` is rebuilt: a writer holding a list from
+    /// generation `g` knows it is current while the bus is still at `g`.
+    generation: u64,
 }
 
 impl ObserverBus {
@@ -176,10 +182,15 @@ impl ObserverBus {
 
     fn rebuild(&mut self) {
         self.cached = Arc::new(self.observers.iter().map(|(_, o)| Arc::clone(o)).collect());
+        self.generation += 1;
     }
 
-    pub(crate) fn snapshot(&self) -> Arc<Vec<Arc<dyn WriteObserver>>> {
+    pub(crate) fn snapshot(&self) -> ObserverList {
         Arc::clone(&self.cached)
+    }
+
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     pub(crate) fn len(&self) -> usize {

@@ -26,6 +26,21 @@ impl Row {
         self.cells.get(qualifier)
     }
 
+    /// Current value under `qualifier`, if present — [`RowScan::value`] for
+    /// a row read in place.
+    ///
+    /// [`RowScan::value`]: crate::RowScan::value
+    #[must_use]
+    pub fn value(&self, qualifier: &str) -> Option<&Value> {
+        self.cell(qualifier).map(VersionedCell::current)
+    }
+
+    /// Current numeric value under `qualifier`, if present and numeric.
+    #[must_use]
+    pub fn f64(&self, qualifier: &str) -> Option<f64> {
+        self.value(qualifier).and_then(Value::as_f64)
+    }
+
     /// Writes `value` under `qualifier`, returning the displaced current
     /// value if the cell already existed.
     pub fn put(&mut self, qualifier: &str, value: Value, ts: Timestamp) -> Option<Value> {
@@ -128,6 +143,37 @@ impl ColumnFamily {
             .entry(key.to_owned())
             .or_default()
             .put_with_versions(qualifier, value, ts, max_versions)
+    }
+
+    /// Writes `cells` — `(qualifier, value)` pairs, applied in order — into
+    /// the row under `key`, creating it if absent: the first at `first_ts`,
+    /// each next one a timestamp later. Returns the displaced values.
+    ///
+    /// One row lookup for all of them, made before inserting as in
+    /// [`put_cell`](Self::put_cell).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_versions` is zero.
+    pub fn put_cells<const N: usize>(
+        &mut self,
+        key: &str,
+        cells: [(&str, Value); N],
+        first_ts: Timestamp,
+        max_versions: usize,
+    ) -> [Option<Value>; N] {
+        let mut ts = first_ts;
+        let put = |row: &mut Row| {
+            cells.map(|(qualifier, value)| {
+                let old = row.put_with_versions(qualifier, value, ts, max_versions);
+                ts += 1;
+                old
+            })
+        };
+        if let Some(row) = self.rows.get_mut(key) {
+            return put(row);
+        }
+        put(self.rows.entry(key.to_owned()).or_default())
     }
 
     /// Removes an entire row, returning it.
@@ -248,6 +294,27 @@ mod tests {
         assert_eq!(fam.put_cell("r", "q2", Value::from(3.0), 3, VERSIONS), None);
         assert_eq!(fam.len(), 1);
         assert_eq!(fam.cell_count(), 2);
+    }
+
+    #[test]
+    fn family_put_cells_is_put_cell_in_order_with_consecutive_timestamps() {
+        let mut by_row = ColumnFamily::new();
+        let olds = by_row.put_cells(
+            "r",
+            [
+                ("a", Value::from(1.0)),
+                ("b", Value::from(2.0)),
+                ("a", Value::from(3.0)),
+            ],
+            7,
+            VERSIONS,
+        );
+        assert_eq!(olds, [None, None, Some(Value::from(1.0))]);
+        let mut by_cell = ColumnFamily::new();
+        by_cell.put_cell("r", "a", Value::from(1.0), 7, VERSIONS);
+        by_cell.put_cell("r", "b", Value::from(2.0), 8, VERSIONS);
+        by_cell.put_cell("r", "a", Value::from(3.0), 9, VERSIONS);
+        assert_eq!(by_row, by_cell);
     }
 
     #[test]

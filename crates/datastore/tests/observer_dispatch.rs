@@ -11,15 +11,18 @@
 //! There is one dispatch path and two ways onto it: an observer that reads
 //! the borrowed `WriteRef` in place (the Monitor, the WAL capture), and an
 //! `Fn(&WriteEvent)` closure that is handed an owned copy. Every case runs
-//! for each form and for both registered side by side.
+//! for each form and for both registered side by side — and once with the
+//! writers string-addressing every `put`, once with each writer going
+//! through a `FamilyHandle` it resolved up front, whose cached dispatch
+//! list must keep all four guarantees.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use smartflux_datastore::{
-    DataStore, ObserverHandle, OpKind, ShardPolicy, Value, WriteEvent, WriteKind, WriteObserver,
-    WriteRef,
+    DataStore, ObserverHandle, OpKind, OpObserver, ShardPolicy, Value, WriteEvent, WriteKind,
+    WriteObserver, WriteRef,
 };
 
 const THREADS: usize = 4;
@@ -46,6 +49,24 @@ const MIXES: [&[Form]; 3] = [
     &[Form::Owned],
     &[Form::Borrowed, Form::Owned],
 ];
+
+/// How the writers address the store.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// `store.put(table, family, ..)` per cell.
+    OneShot,
+    /// One `store.family(table, family)` per writer, then `handle.put(..)`.
+    Handle,
+}
+
+const VIAS: [Via; 2] = [Via::OneShot, Via::Handle];
+
+/// `(observer forms, writer addressing)`: every combination.
+fn cases() -> impl Iterator<Item = (&'static [Form], Via)> {
+    MIXES
+        .into_iter()
+        .flat_map(|mix| VIAS.into_iter().map(move |via| (mix, via)))
+}
 
 struct Borrowed<F>(F);
 
@@ -75,16 +96,21 @@ fn sharded_store(tables: &[&str]) -> DataStore {
     store
 }
 
-fn hammer_puts(store: &DataStore, table: &'static str) {
+fn hammer_puts(store: &DataStore, table: &'static str, via: Via) {
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let store = store.clone();
             scope.spawn(move || {
+                let family = store.family(table, "f").unwrap();
                 for i in 0..PUTS_PER_THREAD {
                     let row = format!("r{}", i % 16);
                     let qual = format!("q{t}");
-                    let v = (t * PUTS_PER_THREAD + i) as i64;
-                    store.put(table, "f", &row, &qual, Value::I64(v)).unwrap();
+                    let v = Value::I64((t * PUTS_PER_THREAD + i) as i64);
+                    match via {
+                        Via::OneShot => store.put(table, "f", &row, &qual, v),
+                        Via::Handle => family.put(&row, &qual, v),
+                    }
+                    .unwrap();
                 }
             });
         }
@@ -93,7 +119,7 @@ fn hammer_puts(store: &DataStore, table: &'static str) {
 
 #[test]
 fn every_write_fires_exactly_one_callback() {
-    for mix in MIXES {
+    for (mix, via) in cases() {
         let store = sharded_store(&["src"]);
         let logs: Vec<Arc<Mutex<Vec<u64>>>> = mix
             .iter()
@@ -116,13 +142,13 @@ fn every_write_fires_exactly_one_callback() {
             }
         }));
 
-        hammer_puts(&store, "src");
+        hammer_puts(&store, "src", via);
 
         let total = THREADS * PUTS_PER_THREAD;
         for log in &logs {
             let mut timestamps = log.lock().unwrap().clone();
             // Exactly one write event per put...
-            assert_eq!(timestamps.len(), total, "{mix:?}");
+            assert_eq!(timestamps.len(), total, "{mix:?} {via:?}");
             // ...each carrying a distinct store timestamp covering 1..=total.
             timestamps.sort_unstable();
             assert_eq!(timestamps, (1..=total as u64).collect::<Vec<_>>());
@@ -147,7 +173,7 @@ fn callbacks_may_reenter_the_store_without_deadlocking() {
         ShardPolicy::Fixed(2),
         ShardPolicy::Auto,
     ] {
-        for mix in MIXES {
+        for (mix, via) in cases() {
             let store = sharded_store(&["src", MIRRORS[0], MIRRORS[1]]);
             let store = DataStore::from_state_with_policy(store.export_state(), policy).unwrap();
             for (&form, mirror) in mix.iter().zip(MIRRORS) {
@@ -156,19 +182,24 @@ fn callbacks_may_reenter_the_store_without_deadlocking() {
                     if event.table != "src" {
                         return; // don't mirror the mirror writes
                     }
-                    mirror_writer
-                        .put(
-                            mirror,
-                            "f",
+                    // The re-entrant write takes the same route as the
+                    // outer one: a handle built inside the callback.
+                    let value = event.new.cloned().unwrap();
+                    match via {
+                        Via::OneShot => {
+                            mirror_writer.put(mirror, "f", event.row, event.qualifier, value)
+                        }
+                        Via::Handle => mirror_writer.family(mirror, "f").unwrap().put(
                             event.row,
                             event.qualifier,
-                            event.new.cloned().unwrap(),
-                        )
-                        .unwrap();
+                            value,
+                        ),
+                    }
+                    .unwrap();
                 }));
             }
 
-            hammer_puts(&store, "src");
+            hammer_puts(&store, "src", via);
 
             // Every src cell has a mirror twin with the same final value.
             // (Mirror writes race with src writes, so only the *final* value
@@ -184,7 +215,7 @@ fn callbacks_may_reenter_the_store_without_deadlocking() {
                         assert!(src.is_some());
                         assert_eq!(
                             src, twin,
-                            "{mirror} of {row}/{qual} diverged ({policy:?}, {mix:?})"
+                            "{mirror} of {row}/{qual} diverged ({policy:?}, {mix:?}, {via:?})"
                         );
                     }
                 }
@@ -198,8 +229,9 @@ fn an_observer_can_unregister_itself_from_its_own_callback() {
     // Dispatch iterates an Arc snapshot with the bus lock released, so an
     // observer calling back into `unregister_observer` must not deadlock —
     // and in a mix, the one behind it in the snapshot still gets the write
-    // during which the first one left.
-    for mix in MIXES {
+    // during which the first one left. A handle's cached dispatch list is
+    // from before the callback ran: the second write must notice it is stale.
+    for (mix, via) in cases() {
         let store = sharded_store(&["src"]);
         let registered: Vec<(ObserverHandle, Arc<AtomicU64>)> = mix
             .iter()
@@ -219,12 +251,18 @@ fn an_observer_can_unregister_itself_from_its_own_callback() {
             })
             .collect();
 
-        store.put("src", "f", "r", "q", Value::I64(1)).unwrap();
-        store.put("src", "f", "r", "q", Value::I64(2)).unwrap();
+        let family = store.family("src", "f").unwrap();
+        for v in [1, 2] {
+            match via {
+                Via::OneShot => store.put("src", "f", "r", "q", Value::I64(v)),
+                Via::Handle => family.put("r", "q", Value::I64(v)),
+            }
+            .unwrap();
+        }
 
         for (h, fired) in registered {
             // Fired for the first write only; the second found an empty bus.
-            assert_eq!(fired.load(Ordering::Relaxed), 1, "{mix:?}");
+            assert_eq!(fired.load(Ordering::Relaxed), 1, "{mix:?} {via:?}");
             // Unregistering again reports the handle as gone.
             assert!(!store.unregister_observer(h));
         }
@@ -237,7 +275,7 @@ fn registration_churn_does_not_disturb_a_permanent_observer() {
     // alternating form — while writers storm the store. The dispatch-list
     // rebuilds race with in-flight notifications, but every permanent
     // observer still sees every write exactly once.
-    for mix in MIXES {
+    for (mix, via) in cases() {
         let store = sharded_store(&["src"]);
         let permanent: Vec<Arc<AtomicU64>> = mix
             .iter()
@@ -253,7 +291,7 @@ fn registration_churn_does_not_disturb_a_permanent_observer() {
 
         std::thread::scope(|scope| {
             let writer = store.clone();
-            let storm = scope.spawn(move || hammer_puts(&writer, "src"));
+            let storm = scope.spawn(move || hammer_puts(&writer, "src", via));
 
             let churner = store.clone();
             scope.spawn(move || {
@@ -275,8 +313,55 @@ fn registration_churn_does_not_disturb_a_permanent_observer() {
 
         let total = (THREADS * PUTS_PER_THREAD) as u64;
         for count in &permanent {
-            assert_eq!(count.load(Ordering::Relaxed), total, "{mix:?}");
+            assert_eq!(count.load(Ordering::Relaxed), total, "{mix:?} {via:?}");
         }
         assert_eq!(store.clock(), total);
+    }
+}
+
+#[test]
+fn a_handle_call_is_one_op_on_the_family_s_shard() {
+    // `datastore.writes_per_wave` / `reads_per_wave` and the simulator's
+    // `clock == store.writes` count ops: a handle call must be exactly the
+    // op its string-addressed twin is, on the same shard, and resolving a
+    // handle must be none.
+    struct Ops(Mutex<Vec<(OpKind, usize)>>);
+    impl OpObserver for Ops {
+        fn on_op(&self, _op: OpKind, _elapsed: Duration) {}
+        fn on_shard_op(&self, op: OpKind, shard: usize, _elapsed: Duration) {
+            self.0.lock().unwrap().push((op, shard));
+        }
+    }
+
+    let store = sharded_store(&["a", "b", "c"]);
+    let ops = Arc::new(Ops(Mutex::default()));
+    store.register_op_observer(Arc::clone(&ops) as Arc<dyn OpObserver>);
+    let seen = || std::mem::take(&mut *ops.0.lock().unwrap());
+    for table in ["a", "b", "c"] {
+        store.put(table, "f", "r", "q", Value::I64(0)).unwrap();
+        let [(OpKind::Put, shard)] = seen()[..] else {
+            panic!("a one-shot put is one op");
+        };
+
+        let family = store.family(table, "f").unwrap();
+        assert_eq!(seen(), [], "resolving a handle is not an op");
+        family.put("r", "q", Value::I64(1)).unwrap();
+        assert_eq!(seen(), [(OpKind::Put, shard)]);
+        assert_eq!(family.get("r", "q").unwrap(), Some(Value::I64(1)));
+        assert_eq!(seen(), [(OpKind::Get, shard)]);
+        assert_eq!(family.get_f64("r", "q").unwrap(), Some(1.0));
+        assert_eq!(seen(), [(OpKind::Get, shard)]);
+        let mut rows = 0;
+        family.for_each_row(|_, _| rows += 1).unwrap();
+        assert_eq!((rows, seen()), (1, vec![(OpKind::Scan, shard)]));
+        // A row put is as many puts as it has cells.
+        let cells = ["q", "q2", "q3"].map(|q| (q, Value::I64(2)));
+        family.put_row("r", cells).unwrap();
+        assert_eq!(seen(), [(OpKind::Put, shard); 3]);
+        family.delete("r", "q").unwrap();
+        assert_eq!(seen(), [(OpKind::Delete, shard)]);
+        // A delete that removes nothing is still the op that was paid for.
+        family.delete("r", "q").unwrap();
+        assert_eq!(seen(), [(OpKind::Delete, shard)]);
     }
 }

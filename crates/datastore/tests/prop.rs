@@ -6,7 +6,8 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use smartflux_datastore::{
-    ContainerRef, DataStore, ScanFilter, Value, WriteEvent, WriteKind, WriteObserver, WriteRef,
+    ContainerRef, DataStore, FamilyHandle, ObserverHandle, ScanFilter, StoreError, StoreState,
+    Value, WriteEvent, WriteKind, WriteObserver, WriteRef,
 };
 
 /// An arbitrary sequence of puts into a single family.
@@ -44,6 +45,198 @@ fn mutations() -> impl Strategy<Value = Vec<Op>> {
         },
     );
     prop::collection::vec(op, 1..80)
+}
+
+/// One step of the handle-versus-one-shot comparison.
+#[derive(Debug, Clone)]
+enum HandleOp {
+    /// A put of `put`, or a delete, of a cell of family `FAMILIES[family]`;
+    /// in the handle run, `one_shot` sends it string-addressed anyway.
+    Write {
+        family: usize,
+        row: u8,
+        qualifier: u8,
+        put: Option<Value>,
+        one_shot: bool,
+    },
+    /// Puts of one to three cells of one row, in order — qualifiers may
+    /// repeat: one `put_row` in the handle run, that many `put`s otherwise.
+    WriteRow {
+        family: usize,
+        row: u8,
+        cells: Vec<(u8, Value)>,
+    },
+    /// Registers the transient observer, or unregisters it if it is on.
+    ToggleObserver,
+    /// Creates `t/late` — after the handles to `t/f` and `t/g` were built.
+    CreateLate,
+}
+
+/// `(table, family)` a [`HandleOp::Write`] can address: two families that
+/// exist from the start, one created mid-sequence, one in a missing table.
+const FAMILIES: [(&str, &str); 4] = [("t", "f"), ("t", "g"), ("t", "late"), ("nope", "f")];
+
+fn handle_ops() -> impl Strategy<Value = Vec<HandleOp>> {
+    // `f` and `g` take most writes, interleaved.
+    const TARGETS: [usize; 12] = [0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 2, 3];
+    let op = (
+        (0usize..14, any::<bool>()),
+        0u8..3,
+        0u8..3,
+        prop::option::of(value()),
+        prop::collection::vec((0u8..3, value()), 1..4),
+    )
+        .prop_map(
+            |((kind, flag), row, qualifier, put, cells)| match (kind, flag) {
+                (0, _) => HandleOp::ToggleObserver,
+                (1, _) => HandleOp::CreateLate,
+                (2..=5, true) => HandleOp::WriteRow {
+                    family: TARGETS[kind - 2],
+                    row,
+                    cells,
+                },
+                _ => HandleOp::Write {
+                    family: TARGETS[kind - 2],
+                    row,
+                    qualifier,
+                    put,
+                    one_shot: flag,
+                },
+            },
+        );
+    prop::collection::vec(op, 1..120)
+}
+
+/// Everything observable about a run of [`HandleOp`]s.
+#[derive(Debug, PartialEq)]
+struct HandleRun {
+    /// What an observer registered before the first write — but after the
+    /// handles were built — saw.
+    permanent: Vec<WriteEvent>,
+    /// What the observer toggled mid-sequence saw.
+    transient: Vec<WriteEvent>,
+    /// Results of the writes, in order, cell by cell.
+    results: Vec<Result<Option<Value>, StoreError>>,
+    clock: u64,
+    state: StoreState,
+}
+
+/// The handle to `FAMILIES[family]`, resolved the first time it is there to
+/// resolve: a handle to a family that is not is the one-shot's typed error.
+fn resolved<'h, 's>(
+    s: &'s DataStore,
+    handles: &'h mut [Option<FamilyHandle<'s>>; 3],
+    family: usize,
+) -> Result<&'h FamilyHandle<'s>, StoreError> {
+    let (table, name) = FAMILIES[family];
+    match handles.get_mut(family) {
+        Some(Some(handle)) => Ok(handle),
+        Some(unresolved) => s.family(table, name).map(|h| &*unresolved.insert(h)),
+        None => s.family(table, name).map(|_| unreachable!("no such table")),
+    }
+}
+
+/// Applies `ops` to a fresh store: through family handles (one-shots mixed
+/// in where an op says so) or, as the reference, through string-addressed
+/// one-shots only.
+fn run_handle_ops(ops: &[HandleOp], through_handles: bool) -> HandleRun {
+    let s = store();
+    s.create_family("t", "g").expect("fresh store");
+    // Built before any observer exists and before `t/late` does.
+    let mut handles: [Option<FamilyHandle<'_>>; 3] = [
+        Some(s.family("t", "f").expect("family exists")),
+        Some(s.family("t", "g").expect("family exists")),
+        None,
+    ];
+    let permanent = Arc::new(BorrowedLog::default());
+    s.register_observer(Arc::clone(&permanent) as Arc<dyn WriteObserver>);
+    let transient = Arc::new(BorrowedLog::default());
+    let mut transient_on: Option<ObserverHandle> = None;
+    let mut results = Vec::new();
+    for op in ops {
+        match op {
+            HandleOp::ToggleObserver => match transient_on.take() {
+                Some(h) => assert!(s.unregister_observer(h)),
+                None => {
+                    let observer = Arc::clone(&transient) as Arc<dyn WriteObserver>;
+                    transient_on = Some(s.register_observer(observer));
+                }
+            },
+            HandleOp::CreateLate => match s.create_family("t", "late") {
+                Ok(()) | Err(StoreError::FamilyExists { .. }) => {}
+                Err(e) => panic!("create t/late: {e}"),
+            },
+            HandleOp::Write {
+                family,
+                row,
+                qualifier,
+                put,
+                one_shot,
+            } => {
+                let (table, name) = FAMILIES[*family];
+                let (row, qualifier) = (format!("r{row}"), format!("q{qualifier}"));
+                let clock_before = s.clock();
+                let result = if through_handles && !one_shot {
+                    resolved(&s, &mut handles, *family).and_then(|handle| match put {
+                        Some(v) => handle.put(&row, &qualifier, v.clone()),
+                        None => handle.delete(&row, &qualifier),
+                    })
+                } else {
+                    match put {
+                        Some(v) => s.put(table, name, &row, &qualifier, v.clone()),
+                        None => s.delete(table, name, &row, &qualifier),
+                    }
+                };
+                // One tick per applied mutation, none for anything else.
+                let applied = matches!(&result, Ok(old) if put.is_some() || old.is_some());
+                assert_eq!(s.clock(), clock_before + u64::from(applied));
+                results.push(result);
+            }
+            HandleOp::WriteRow { family, row, cells } => {
+                let (table, name) = FAMILIES[*family];
+                let row = format!("r{row}");
+                let cells: Vec<(String, Value)> = cells
+                    .iter()
+                    .map(|(q, v)| (format!("q{q}"), v.clone()))
+                    .collect();
+                let clock_before = s.clock();
+                if through_handles {
+                    let cell = |i: usize| (cells[i].0.as_str(), cells[i].1.clone());
+                    let handle = resolved(&s, &mut handles, *family);
+                    let olds = handle.and_then(|handle| match cells.len() {
+                        1 => handle.put_row(&row, [cell(0)]).map(Vec::from),
+                        2 => handle.put_row(&row, [cell(0), cell(1)]).map(Vec::from),
+                        _ => handle
+                            .put_row(&row, [cell(0), cell(1), cell(2)])
+                            .map(Vec::from),
+                    });
+                    match olds {
+                        Ok(olds) => results.extend(olds.into_iter().map(Ok)),
+                        // The row is refused whole, like each put of it.
+                        Err(e) => results.extend(cells.iter().map(|_| Err(e.clone()))),
+                    }
+                } else {
+                    for (qualifier, value) in &cells {
+                        results.push(s.put(table, name, &row, qualifier, value.clone()));
+                    }
+                }
+                let applied = results[results.len() - cells.len()..]
+                    .iter()
+                    .filter(|r| r.is_ok())
+                    .count();
+                assert_eq!(s.clock(), clock_before + applied as u64);
+            }
+        }
+    }
+    let permanent = permanent.0.lock().unwrap().clone();
+    let transient = transient.0.lock().unwrap().clone();
+    HandleRun {
+        permanent,
+        transient,
+        results,
+        clock: s.clock(),
+        state: s.export_state(),
+    }
 }
 
 /// A borrowed observer: keeps what it saw by copying each view itself.
@@ -208,6 +401,24 @@ proptest! {
         prop_assert_eq!(&*owned.lock().unwrap(), &prescribed);
     }
 
+    /// Differential oracle for family handles: a sequence of puts,
+    /// overwrites, row puts of one to three cells, deletes of present and
+    /// absent cells, writes to a missing table and to a family created only
+    /// after the handles were built, with an observer registering and
+    /// unregistering along the way, applied through handles to two
+    /// interleaved families (one-shots mixed in, each row put one
+    /// `put_row`) leaves exactly what string-addressed one-shots — each row
+    /// put that many `put`s — leave: the same
+    /// `WriteRef::to_owned()` streams with the same timestamps, the same
+    /// results and typed errors, the same clock, the same exported state.
+    #[test]
+    fn handles_and_one_shots_are_the_same_store(ops in handle_ops()) {
+        let by_handle = run_handle_ops(&ops, true);
+        let one_shots = run_handle_ops(&ops, false);
+        prop_assert_eq!(by_handle.clock, by_handle.permanent.len() as u64);
+        prop_assert_eq!(by_handle, one_shots);
+    }
+
     /// Deleting every written slot leaves the container empty.
     #[test]
     fn delete_restores_empty(ops in ops()) {
@@ -300,4 +511,41 @@ fn concurrent_writes_to_one_cell_serialise() {
     for pair in versions.windows(2) {
         assert!(pair[0].0 < pair[1].0, "timestamps must increase");
     }
+}
+
+/// Concurrency: `put_row` writes its cells under one write guard, so a
+/// reader that visits the row — under the read guard — sees the cells of one
+/// row put, never a mix of two.
+#[test]
+fn a_row_put_is_atomic_for_readers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let store = store();
+    const ROUNDS: i64 = 2_000;
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let family = store.family("t", "f").expect("family exists");
+            for i in 1..=ROUNDS {
+                let cells = ["a", "b", "c"].map(|q| (q, Value::I64(i)));
+                family.put_row("r", cells).expect("write succeeds");
+            }
+            done.store(true, Ordering::Release);
+        });
+        scope.spawn(|| {
+            let family = store.family("t", "f").expect("family exists");
+            while !done.load(Ordering::Acquire) {
+                family
+                    .for_each_row(|_, row| {
+                        let seen = ["a", "b", "c"].map(|q| row.value(q).cloned());
+                        assert!(
+                            seen[0] == seen[1] && seen[1] == seen[2],
+                            "half a row: {seen:?}"
+                        );
+                    })
+                    .expect("family exists");
+            }
+        });
+    });
+    assert_eq!(store.clock(), 3 * ROUNDS as u64);
 }

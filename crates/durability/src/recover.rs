@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use smartflux_datastore::{ContainerRef, DataStore, StoreError};
+use smartflux_datastore::{ContainerRef, DataStore, FamilyHandle, StoreError};
 
 use crate::checkpoint::read_checkpoint;
 use crate::error::DurabilityError;
@@ -75,44 +75,45 @@ pub fn recover_store(dir: &Path) -> Result<RecoveredStore, DurabilityError> {
     let wal = read_wal(&dir.join(WAL_FILE))?;
     let mut last_wave = checkpoint_wave;
     for batch in wal.batches.iter().filter(|b| b.wave > checkpoint_wave) {
+        // A wave's ops come in runs into one family (a step's writes):
+        // each run resolves its family once.
+        let mut run: Option<(&str, &str, FamilyHandle<'_>)> = None;
         for op in &batch.ops {
+            let (WalOp::Put {
+                table,
+                family,
+                timestamp,
+                ..
+            }
+            | WalOp::Delete {
+                table,
+                family,
+                timestamp,
+                ..
+            }) = op;
+            if *timestamp <= cut {
+                continue;
+            }
+            let target = match &run {
+                Some((t, f, target)) if t == table && f == family => target,
+                _ => {
+                    store
+                        .ensure_container(&ContainerRef::family(table, family))
+                        .map_err(|e| replay_error(&e))?;
+                    let target = store.family(table, family).map_err(|e| replay_error(&e))?;
+                    &run.insert((table, family, target)).2
+                }
+            };
             match op {
                 WalOp::Put {
-                    table,
-                    family,
                     row,
                     qualifier,
                     value,
-                    timestamp,
-                } => {
-                    if *timestamp <= cut {
-                        continue;
-                    }
-                    store
-                        .ensure_container(&ContainerRef::family(table, family))
-                        .map_err(|e| replay_error(&e))?;
-                    store
-                        .apply_put(table, family, row, qualifier, value.clone(), *timestamp)
-                        .map_err(|e| replay_error(&e))?;
-                }
-                WalOp::Delete {
-                    table,
-                    family,
-                    row,
-                    qualifier,
-                    timestamp,
-                } => {
-                    if *timestamp <= cut {
-                        continue;
-                    }
-                    store
-                        .ensure_container(&ContainerRef::family(table, family))
-                        .map_err(|e| replay_error(&e))?;
-                    store
-                        .apply_delete(table, family, row, qualifier)
-                        .map_err(|e| replay_error(&e))?;
-                }
+                    ..
+                } => target.apply_put(row, qualifier, value.clone(), *timestamp),
+                WalOp::Delete { row, qualifier, .. } => target.apply_delete(row, qualifier),
             }
+            .map_err(|e| replay_error(&e))?;
         }
         store.set_clock(batch.clock);
         last_wave = batch.wave;

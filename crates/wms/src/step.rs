@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use smartflux_datastore::{DataStore, ScanFilter, StoreError, Value};
+use smartflux_datastore::{DataStore, FamilyHandle, ScanFilter, StoreError, Value};
 
 use crate::graph::StepId;
 
@@ -105,6 +105,22 @@ impl StepContext {
     #[must_use]
     pub fn store(&self) -> &DataStore {
         &self.store
+    }
+
+    /// Resolves a family once, for a loop that reads or writes many of its
+    /// cells: the handle's calls are this context's without the per-call
+    /// name lookup, and observers see the same mutations. See
+    /// [`DataStore::family`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the table or family does not exist.
+    pub fn family<'a>(
+        &'a self,
+        table: &'a str,
+        family: &'a str,
+    ) -> Result<FamilyHandle<'a>, StepError> {
+        Ok(self.store.family(table, family)?)
     }
 
     /// Writes a value.
@@ -278,6 +294,17 @@ mod tests {
         c.put("t", "f", "r", "q", Value::from(2.5)).unwrap();
         assert_eq!(c.get_f64("t", "f", "r", "q", 0.0).unwrap(), 2.5);
         assert_eq!(c.get_f64("t", "f", "r", "missing", -1.0).unwrap(), -1.0);
+    }
+
+    #[test]
+    fn family_handle_forwards_to_the_store() {
+        let c = ctx();
+        let f = c.family("t", "f").unwrap();
+        f.put("r", "q", Value::from(2.5)).unwrap();
+        assert_eq!(c.get_f64("t", "f", "r", "q", 0.0).unwrap(), 2.5);
+        assert_eq!(f.get_f64("r", "q").unwrap(), Some(2.5));
+        let err = c.family("t", "missing").unwrap_err();
+        assert!(err.source().is_some());
     }
 
     #[test]

@@ -226,17 +226,20 @@ impl WorkloadFactory for AqhiFactory {
             ingest,
             FnStep::new(move |ctx: &StepContext| {
                 let wave = ctx.wave();
+                let readings = ctx.family(TABLE, "readings")?;
                 for x in 0..c.grid {
                     for y in 0..c.grid {
                         let row = det_row(x, y);
-                        for (qual, pollutant) in [
-                            ("o3", Pollutant::O3),
-                            ("pm25", Pollutant::Pm25),
-                            ("no2", Pollutant::No2),
-                        ] {
-                            let v = sensor_value(c.seed, pollutant, x, y, wave);
-                            ctx.put(TABLE, "readings", &row, qual, Value::from(v))?;
-                        }
+                        let reading =
+                            |pollutant| Value::from(sensor_value(c.seed, pollutant, x, y, wave));
+                        readings.put_row(
+                            &row,
+                            [
+                                ("o3", reading(Pollutant::O3)),
+                                ("pm25", reading(Pollutant::Pm25)),
+                                ("no2", reading(Pollutant::No2)),
+                            ],
+                        )?;
                     }
                 }
                 Ok(())
@@ -256,17 +259,19 @@ impl WorkloadFactory for AqhiFactory {
         wf.bind(
             concentration,
             FnStep::new(move |ctx: &StepContext| {
+                let readings = ctx.family(TABLE, "readings")?;
+                let concentration = ctx.family(TABLE, "concentration")?;
                 for x in 0..c.grid {
                     for y in 0..c.grid {
                         let row = det_row(x, y);
-                        let o3 = ctx.get_f64(TABLE, "readings", &row, "o3", 0.0)?;
-                        let pm = ctx.get_f64(TABLE, "readings", &row, "pm25", 0.0)?;
-                        let no2 = ctx.get_f64(TABLE, "readings", &row, "no2", 0.0)?;
+                        let o3 = readings.get_f64(&row, "o3")?.unwrap_or(0.0);
+                        let pm = readings.get_f64(&row, "pm25")?.unwrap_or(0.0);
+                        let no2 = readings.get_f64(&row, "no2")?.unwrap_or(0.0);
                         let combined = 100.0
                             * (o3 / 100.0).powf(0.40)
                             * (pm / 100.0).powf(0.35)
                             * (no2 / 100.0).powf(0.25);
-                        ctx.put(TABLE, "concentration", &row, "value", Value::from(combined))?;
+                        concentration.put(&row, "value", Value::from(combined))?;
                     }
                 }
                 Ok(())
@@ -282,17 +287,19 @@ impl WorkloadFactory for AqhiFactory {
             zones,
             FnStep::new(move |ctx: &StepContext| {
                 let per_side = c.grid / c.zone_size;
+                let concentration = ctx.family(TABLE, "concentration")?;
+                let zones = ctx.family(TABLE, "zones")?;
                 for zx in 0..per_side {
                     for zy in 0..per_side {
                         let mut sum = 0.0;
                         for dx in 0..c.zone_size {
                             for dy in 0..c.zone_size {
                                 let row = det_row(zx * c.zone_size + dx, zy * c.zone_size + dy);
-                                sum += ctx.get_f64(TABLE, "concentration", &row, "value", 0.0)?;
+                                sum += concentration.get_f64(&row, "value")?.unwrap_or(0.0);
                             }
                         }
                         let avg = sum / (c.zone_size * c.zone_size) as f64;
-                        ctx.put(TABLE, "zones", &zone_row(zx, zy), "value", Value::from(avg))?;
+                        zones.put(&zone_row(zx, zy), "value", Value::from(avg))?;
                     }
                 }
                 Ok(())
@@ -309,20 +316,18 @@ impl WorkloadFactory for AqhiFactory {
         wf.bind(
             interp,
             FnStep::new(move |ctx: &StepContext| {
+                let concentration = ctx.family(TABLE, "concentration")?;
+                let interp = ctx.family(TABLE, "interp")?;
                 for x in 0..c.grid - 1 {
                     for y in 0..c.grid - 1 {
                         let mut sum = 0.0;
                         for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
-                            sum += ctx.get_f64(
-                                TABLE,
-                                "concentration",
-                                &det_row(x + dx, y + dy),
-                                "value",
-                                0.0,
-                            )?;
+                            sum += concentration
+                                .get_f64(&det_row(x + dx, y + dy), "value")?
+                                .unwrap_or(0.0);
                         }
                         let row = format!("cell-{x:02}-{y:02}");
-                        ctx.put(TABLE, "interp", &row, "value", Value::from(sum / 4.0))?;
+                        interp.put(&row, "value", Value::from(sum / 4.0))?;
                     }
                 }
                 Ok(())
@@ -339,25 +344,19 @@ impl WorkloadFactory for AqhiFactory {
             hotspots,
             FnStep::new(move |ctx: &StepContext| {
                 let rows = ctx.scan(TABLE, "zones", &ScanFilter::all())?;
+                let hotspots = ctx.family(TABLE, "hotspots")?;
                 for row in rows {
                     let v = row.f64("value").unwrap_or(0.0);
                     let hot = v > c.hotspot_reference;
                     // Flags are encoded 1 (clear) / 2 (hotspot) so the
                     // container keeps a non-zero previous-state sum for the
                     // relative error metrics.
-                    ctx.put(
-                        TABLE,
-                        "hotspots",
+                    hotspots.put_row(
                         &row.key,
-                        "hot",
-                        Value::from(if hot { 2i64 } else { 1i64 }),
-                    )?;
-                    ctx.put(
-                        TABLE,
-                        "hotspots",
-                        &row.key,
-                        "excess",
-                        Value::from((v - c.hotspot_reference).max(0.0)),
+                        [
+                            ("hot", Value::from(if hot { 2i64 } else { 1i64 })),
+                            ("excess", Value::from((v - c.hotspot_reference).max(0.0))),
+                        ],
                     )?;
                 }
                 Ok(())
@@ -372,27 +371,25 @@ impl WorkloadFactory for AqhiFactory {
         wf.bind(
             index,
             FnStep::new(move |ctx: &StepContext| {
-                let rows = ctx.scan(TABLE, "hotspots", &ScanFilter::all())?;
                 // Additive model: each hotspot contributes its pollution
                 // excess, so the index moves smoothly as fronts build up
                 // rather than jumping by whole units per zone flip.
                 let mut hot_count = 0.0;
                 let mut hot_excess = 0.0;
-                for row in &rows {
+                ctx.family(TABLE, "hotspots")?.for_each_row(|_, row| {
                     if row.f64("hot").unwrap_or(1.0) > 1.5 {
                         hot_count += 1.0;
                     }
                     hot_excess += row.f64("excess").unwrap_or(0.0);
-                }
+                })?;
                 let _ = hot_count;
                 let index_value = 1.0 + hot_excess / 8.0;
-                ctx.put(TABLE, "index", "region", "value", Value::from(index_value))?;
-                ctx.put(
-                    TABLE,
-                    "index",
+                ctx.family(TABLE, "index")?.put_row(
                     "region",
-                    "class",
-                    Value::from(risk_class(index_value)),
+                    [
+                        ("value", Value::from(index_value)),
+                        ("class", Value::from(risk_class(index_value))),
+                    ],
                 )?;
                 Ok(())
             }),

@@ -189,19 +189,19 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             map_update,
             FnStep::new(move |ctx: &StepContext| {
+                let sensors = ctx.family(TABLE, "sensors")?;
                 for x in 0..c.grid {
                     for y in 0..c.grid {
                         let w = weather(c.seed, x, y, ctx.wave(), c.heat_wave);
                         let row = sensor_row(x, y);
-                        ctx.put(TABLE, "sensors", &row, "temp", Value::from(w.temperature))?;
-                        ctx.put(
-                            TABLE,
-                            "sensors",
+                        sensors.put_row(
                             &row,
-                            "precip",
-                            Value::from(w.precipitation),
+                            [
+                                ("temp", Value::from(w.temperature)),
+                                ("precip", Value::from(w.precipitation)),
+                                ("wind", Value::from(w.wind)),
+                            ],
                         )?;
-                        ctx.put(TABLE, "sensors", &row, "wind", Value::from(w.wind))?;
                     }
                 }
                 Ok(())
@@ -219,22 +219,29 @@ impl WorkloadFactory for FireFactory {
             calc_areas,
             FnStep::new(move |ctx: &StepContext| {
                 let per_side = c.grid / c.area_size;
+                let sensors = ctx.family(TABLE, "sensors")?;
+                let areas = ctx.family(TABLE, "areas")?;
                 for ax in 0..per_side {
                     for ay in 0..per_side {
                         let (mut t, mut p, mut w) = (0.0, 0.0, 0.0);
                         for dx in 0..c.area_size {
                             for dy in 0..c.area_size {
                                 let row = sensor_row(ax * c.area_size + dx, ay * c.area_size + dy);
-                                t += ctx.get_f64(TABLE, "sensors", &row, "temp", 0.0)?;
-                                p += ctx.get_f64(TABLE, "sensors", &row, "precip", 0.0)?;
-                                w += ctx.get_f64(TABLE, "sensors", &row, "wind", 0.0)?;
+                                t += sensors.get_f64(&row, "temp")?.unwrap_or(0.0);
+                                p += sensors.get_f64(&row, "precip")?.unwrap_or(0.0);
+                                w += sensors.get_f64(&row, "wind")?.unwrap_or(0.0);
                             }
                         }
                         let n = (c.area_size * c.area_size) as f64;
                         let row = area_row(ax, ay);
-                        ctx.put(TABLE, "areas", &row, "temp", Value::from(t / n))?;
-                        ctx.put(TABLE, "areas", &row, "precip", Value::from(p / n))?;
-                        ctx.put(TABLE, "areas", &row, "wind", Value::from(w / n))?;
+                        areas.put_row(
+                            &row,
+                            [
+                                ("temp", Value::from(t / n)),
+                                ("precip", Value::from(p / n)),
+                                ("wind", Value::from(w / n)),
+                            ],
+                        )?;
                     }
                 }
                 Ok(())
@@ -248,11 +255,12 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             thermal,
             FnStep::new(move |ctx: &StepContext| {
+                let thermal = ctx.family(TABLE, "thermal")?;
                 for row in ctx.scan(TABLE, "areas", &ScanFilter::all().with_qualifier("temp"))? {
                     let t = row.f64("temp").unwrap_or(24.0);
                     // Shade in [0, 255] for the rendering pipeline.
                     let shade = ((t - 22.0) / 12.0 * 255.0).clamp(0.0, 255.0);
-                    ctx.put(TABLE, "thermal", &row.key, "shade", Value::from(shade))?;
+                    thermal.put(&row.key, "shade", Value::from(shade))?;
                 }
                 Ok(())
             }),
@@ -265,18 +273,18 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             area_risk,
             FnStep::new(move |ctx: &StepContext| {
+                let risk = ctx.family(TABLE, "risk")?;
                 for row in ctx.scan(TABLE, "areas", &ScanFilter::all())? {
                     let t = row.f64("temp").unwrap_or(24.0);
                     let p = row.f64("precip").unwrap_or(0.0);
                     let w = row.f64("wind").unwrap_or(2.0);
                     let score = risk_score(t, p, w);
-                    ctx.put(TABLE, "risk", &row.key, "score", Value::from(score))?;
-                    ctx.put(
-                        TABLE,
-                        "risk",
+                    risk.put_row(
                         &row.key,
-                        "level",
-                        Value::from(risk_level(score)),
+                        [
+                            ("score", Value::from(score)),
+                            ("level", Value::from(risk_level(score))),
+                        ],
                     )?;
                 }
                 Ok(())
@@ -292,33 +300,25 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             overall,
             FnStep::new(move |ctx: &StepContext| {
-                let rows = ctx.scan(TABLE, "risk", &ScanFilter::all())?;
                 let mut total = 0.0;
                 let mut n = 0.0;
                 let mut hotspots = 0.0;
-                for row in &rows {
+                ctx.family(TABLE, "risk")?.for_each_row(|_, row| {
                     let score = row.f64("score").unwrap_or(0.0);
                     total += score;
                     n += 1.0;
                     if row.f64("level").unwrap_or(0.0) >= 3.0 {
                         hotspots += 1.0;
                     }
-                }
+                })?;
                 let avg = if n > 0.0 { total / n } else { 0.0 };
-                ctx.put(TABLE, "overall", "region", "risk", Value::from(avg))?;
-                ctx.put(
-                    TABLE,
-                    "overall",
+                ctx.family(TABLE, "overall")?.put_row(
                     "region",
-                    "hotspots",
-                    Value::from(hotspots),
-                )?;
-                ctx.put(
-                    TABLE,
-                    "overall",
-                    "region",
-                    "level",
-                    Value::from(risk_level(avg)),
+                    [
+                        ("risk", Value::from(avg)),
+                        ("hotspots", Value::from(hotspots)),
+                        ("level", Value::from(risk_level(avg))),
+                    ],
                 )?;
                 Ok(())
             }),
@@ -334,15 +334,14 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             satellite,
             FnStep::new(move |ctx: &StepContext| {
+                let satellite = ctx.family(TABLE, "satellite")?;
                 for row in ctx.scan(TABLE, "risk", &ScanFilter::all().with_qualifier("level"))? {
                     let level = row.f64("level").unwrap_or(0.0);
                     if level >= 4.0 {
                         // Deterministic "image analysis": confirm a fire in
                         // a small fraction of extreme-risk inspections.
                         let confirmed = unit_hash(c.seed ^ 0xAB, ctx.wave(), 0) < 0.3;
-                        ctx.put(
-                            TABLE,
-                            "satellite",
+                        satellite.put(
                             &row.key,
                             "fire_confirmed",
                             Value::from(i64::from(confirmed)),
@@ -361,11 +360,10 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             orders,
             FnStep::new(move |ctx: &StepContext| {
-                let confirmed = ctx
-                    .scan(TABLE, "satellite", &ScanFilter::all())?
-                    .iter()
-                    .filter(|r| r.f64("fire_confirmed").unwrap_or(0.0) > 0.5)
-                    .count() as i64;
+                let mut confirmed = 0i64;
+                ctx.family(TABLE, "satellite")?.for_each_row(|_, row| {
+                    confirmed += i64::from(row.f64("fire_confirmed").unwrap_or(0.0) > 0.5);
+                })?;
                 ctx.put(TABLE, "orders", "region", "pending", Value::from(confirmed))?;
                 Ok(())
             }),

@@ -12,7 +12,7 @@
 //! outputs §2.3 names (word counts, page ranking, reverse links).
 
 use smartflux::eval::WorkloadFactory;
-use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value};
+use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
@@ -120,6 +120,13 @@ fn page_row(p: usize) -> String {
     format!("page-{p:04}")
 }
 
+/// The qualifiers a page's outlinks are stored under.
+fn link_qualifiers(links_per_page: usize) -> Vec<String> {
+    (0..links_per_page)
+        .map(|slot| format!("link{slot}"))
+        .collect()
+}
+
 /// Builds the PageRank workflow over a store.
 #[derive(Debug, Clone, Default)]
 pub struct PagerankFactory {
@@ -171,26 +178,16 @@ impl WorkloadFactory for PagerankFactory {
             crawl,
             FnStep::new(move |ctx: &StepContext| {
                 let wave = ctx.wave();
+                let crawl = ctx.family(TABLE, "crawl")?;
+                let links = link_qualifiers(c.links_per_page);
                 for b in 0..c.crawl_batch {
                     let page = ((wave as usize * c.crawl_batch + b) * 7919 + b) % c.pages;
                     let row = page_row(page);
-                    for slot in 0..c.links_per_page {
+                    for (slot, link) in links.iter().enumerate() {
                         let target = outlink(&c, page, slot, wave);
-                        ctx.put(
-                            TABLE,
-                            "crawl",
-                            &row,
-                            &format!("link{slot}"),
-                            Value::from(target as i64),
-                        )?;
+                        crawl.put(&row, link, Value::from(target as i64))?;
                     }
-                    ctx.put(
-                        TABLE,
-                        "crawl",
-                        &row,
-                        "words",
-                        Value::from(word_count(&c, page, wave)),
-                    )?;
+                    crawl.put(&row, "words", Value::from(word_count(&c, page, wave)))?;
                 }
                 Ok(())
             }),
@@ -205,24 +202,20 @@ impl WorkloadFactory for PagerankFactory {
             histogram,
             FnStep::new(move |ctx: &StepContext| {
                 let mut indegree = vec![0i64; c.pages];
-                for row in ctx.scan(TABLE, "crawl", &ScanFilter::all())? {
-                    for slot in 0..c.links_per_page {
-                        if let Some(target) = row.f64(&format!("link{slot}")) {
+                let links = link_qualifiers(c.links_per_page);
+                ctx.family(TABLE, "crawl")?.for_each_row(|_, row| {
+                    for link in &links {
+                        if let Some(target) = row.f64(link) {
                             let t = target as usize;
                             if t < c.pages {
                                 indegree[t] += 1;
                             }
                         }
                     }
-                }
+                })?;
+                let histogram = ctx.family(TABLE, "histogram")?;
                 for (p, count) in indegree.iter().enumerate() {
-                    ctx.put(
-                        TABLE,
-                        "histogram",
-                        &page_row(p),
-                        "indegree",
-                        Value::from(*count),
-                    )?;
+                    histogram.put(&page_row(p), "indegree", Value::from(*count))?;
                 }
                 Ok(())
             }),
@@ -237,20 +230,18 @@ impl WorkloadFactory for PagerankFactory {
             words,
             FnStep::new(move |ctx: &StepContext| {
                 let mut buckets = [0i64; 8];
-                for row in ctx.scan(TABLE, "crawl", &ScanFilter::all().with_qualifier("words"))? {
-                    let w = row.f64("words").unwrap_or(0.0);
-                    let b = ((w / 150.0) as usize).min(7);
-                    buckets[b] += 1;
-                }
+                ctx.family(TABLE, "crawl")?.for_each_row(|_, row| {
+                    // A crawled row without a word count is not a page.
+                    if let Some(words) = row.value("words") {
+                        let w = words.as_f64().unwrap_or(0.0);
+                        let b = ((w / 150.0) as usize).min(7);
+                        buckets[b] += 1;
+                    }
+                })?;
                 let _ = &c;
+                let words = ctx.family(TABLE, "words")?;
                 for (i, count) in buckets.iter().enumerate() {
-                    ctx.put(
-                        TABLE,
-                        "words",
-                        &format!("bucket-{i}"),
-                        "pages",
-                        Value::from(*count),
-                    )?;
+                    words.put(&format!("bucket-{i}"), "pages", Value::from(*count))?;
                 }
                 Ok(())
             }),
@@ -266,23 +257,23 @@ impl WorkloadFactory for PagerankFactory {
             FnStep::new(move |ctx: &StepContext| {
                 // Load adjacency.
                 let mut out: Vec<Vec<usize>> = vec![Vec::new(); c.pages];
-                for row in ctx.scan(TABLE, "crawl", &ScanFilter::all())? {
-                    let Some(p) = row
-                        .key
+                let links = link_qualifiers(c.links_per_page);
+                ctx.family(TABLE, "crawl")?.for_each_row(|key, row| {
+                    let Some(p) = key
                         .strip_prefix("page-")
                         .and_then(|s| s.parse::<usize>().ok())
                     else {
-                        continue;
+                        return;
                     };
-                    for slot in 0..c.links_per_page {
-                        if let Some(target) = row.f64(&format!("link{slot}")) {
+                    for link in &links {
+                        if let Some(target) = row.f64(link) {
                             let t = target as usize;
                             if t < c.pages && t != p {
                                 out[p].push(t);
                             }
                         }
                     }
-                }
+                })?;
                 let n = c.pages as f64;
                 let mut rank = vec![1.0 / n; c.pages];
                 for _ in 0..c.iterations {
@@ -303,15 +294,10 @@ impl WorkloadFactory for PagerankFactory {
                     }
                     rank = next;
                 }
+                let ranks = ctx.family(TABLE, "ranks")?;
                 for (p, r) in rank.iter().enumerate() {
                     // Scaled to ~[0, 1000] for readability.
-                    ctx.put(
-                        TABLE,
-                        "ranks",
-                        &page_row(p),
-                        "value",
-                        Value::from(r * 1000.0 * n),
-                    )?;
+                    ranks.put(&page_row(p), "value", Value::from(r * 1000.0 * n))?;
                 }
                 Ok(())
             }),
@@ -327,18 +313,15 @@ impl WorkloadFactory for PagerankFactory {
         wf.bind(
             ranking,
             FnStep::new(move |ctx: &StepContext| {
-                let mut scores: Vec<(String, f64)> = ctx
-                    .scan(TABLE, "ranks", &ScanFilter::all())?
-                    .into_iter()
-                    .map(|row| {
-                        let v = row.f64("value").unwrap_or(0.0);
-                        (row.key, v)
-                    })
-                    .collect();
-                scores.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ranks are finite"));
-                for (i, (_page, score)) in scores.iter().take(c.top_k).enumerate() {
+                let mut scores: Vec<f64> = Vec::new();
+                ctx.family(TABLE, "ranks")?.for_each_row(|_, row| {
+                    scores.push(row.f64("value").unwrap_or(0.0));
+                })?;
+                scores.sort_by(|a, b| b.partial_cmp(a).expect("ranks are finite"));
+                let top = ctx.family(TABLE, "top")?;
+                for (i, score) in scores.iter().take(c.top_k).enumerate() {
                     let row = format!("pos-{i:02}");
-                    ctx.put(TABLE, "top", &row, "score", Value::from(*score))?;
+                    top.put(&row, "score", Value::from(*score))?;
                 }
                 Ok(())
             }),
@@ -363,6 +346,7 @@ impl WorkloadFactory for PagerankFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartflux_datastore::ScanFilter;
     use smartflux_wms::{Scheduler, SynchronousPolicy};
 
     #[test]

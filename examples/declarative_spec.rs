@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use smartflux::{dsl, EngineConfig, QodSpec, SmartFluxSession};
-use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value};
+use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_wms::{FnStep, Step, StepContext, WorkflowSpec};
 
 const WORKFLOW_XML: &str = r#"
@@ -35,26 +35,25 @@ fn implementation(name: &str) -> Option<Arc<dyn Step>> {
     match name {
         "telemetry" => Some(Arc::new(FnStep::new(|ctx: &StepContext| {
             let w = ctx.wave() as f64;
+            let levels = ctx.family("dam", "levels")?;
             for s in 0..12 {
                 let level =
                     40.0 + 6.0 * ((w + s as f64) / 9.0).sin() + 0.4 * ((w * 3.1 + s as f64).sin());
-                ctx.put(
-                    "dam",
-                    "levels",
-                    &format!("gauge-{s:02}"),
-                    "m",
-                    Value::from(level),
-                )?;
+                levels.put(&format!("gauge-{s:02}"), "m", Value::from(level))?;
             }
             Ok(())
         }))),
         "aggregate" => Some(Arc::new(FnStep::new(|ctx: &StepContext| {
-            let rows = ctx.scan("dam", "levels", &ScanFilter::all())?;
-            let levels: Vec<f64> = rows.iter().filter_map(|r| r.f64("m")).collect();
+            let mut levels: Vec<f64> = Vec::new();
+            ctx.family("dam", "levels")?
+                .for_each_row(|_gauge, row| levels.extend(row.f64("m")))?;
             let mean = levels.iter().sum::<f64>() / levels.len().max(1) as f64;
             let peak = levels.iter().copied().fold(0.0, f64::max);
-            ctx.put("dam", "summary", "all", "mean", Value::from(mean))?;
-            ctx.put("dam", "summary", "all", "peak", Value::from(peak))?;
+            // Both cells of the summary row, under one write guard.
+            ctx.family("dam", "summary")?.put_row(
+                "all",
+                [("mean", Value::from(mean)), ("peak", Value::from(peak))],
+            )?;
             Ok(())
         }))),
         "spill-forecast" => Some(Arc::new(FnStep::new(|ctx: &StepContext| {

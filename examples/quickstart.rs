@@ -36,15 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             FnStep::new(|ctx: &StepContext| {
                 let hour = ctx.wave() % 24;
                 let day = ((hour as f64 - 6.0) / 24.0 * std::f64::consts::TAU).sin();
+                // A loop over one family resolves it once.
+                let raw = ctx.family("plant", "raw")?;
                 for s in 0..16 {
                     let v = 60.0 + 25.0 * day.max(0.0) + (s as f64) * 0.25;
-                    ctx.put(
-                        "plant",
-                        "raw",
-                        &format!("sensor-{s:02}"),
-                        "value",
-                        Value::from(v),
-                    )?;
+                    raw.put(&format!("sensor-{s:02}"), "value", Value::from(v))?;
                 }
                 Ok(())
             }),
@@ -58,9 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .bind(
             average,
             FnStep::new(|ctx: &StepContext| {
-                let rows = ctx.scan("plant", "raw", &smartflux_datastore::ScanFilter::all())?;
-                let sum: f64 = rows.iter().filter_map(|r| r.f64("value")).sum();
-                let mean = sum / rows.len().max(1) as f64;
+                // Rows are read in place, under the store's read guard.
+                let (mut sum, mut rows) = (0.0, 0usize);
+                ctx.family("plant", "raw")?.for_each_row(|_sensor, row| {
+                    sum += row.f64("value").unwrap_or(0.0);
+                    rows += 1;
+                })?;
+                let mean = sum / rows.max(1) as f64;
                 ctx.put("plant", "avg", "all", "value", Value::from(mean))?;
                 Ok(())
             }),

@@ -92,7 +92,7 @@ pub fn run() {
         // Fig. 10: confidence series.
         let mut fig10 = Vec::new();
         for r in &runs {
-            for (i, c) in r.smartflux.confidence.series().iter().enumerate() {
+            for (i, c) in r.smartflux.confidence_series().iter().enumerate() {
                 fig10.push(format!("{},{},{:.6}", r.bound, i + 1, c));
             }
         }

@@ -42,7 +42,7 @@ pub fn compare(workload: Workload) -> Vec<PolicyResult> {
                 policy: name,
                 confidence: report.confidence.confidence(),
                 normalized_executions: report.normalized_executions(),
-                series: report.confidence.series().to_vec(),
+                series: report.confidence_series(),
             }
         })
         .collect()

@@ -1,8 +1,10 @@
 //! Confidence tracking: cumulative error-bound compliance (Fig. 10).
 
-/// Tracks, wave by wave, whether the measured output error respected the
-/// bound, and exposes the running confidence level — "the normalized
-/// cumulative sum of correct waves where `maxε` was respected" (§5.2).
+/// Counts the waves in which the measured output error respected the bound,
+/// and exposes the running confidence level — "the normalized cumulative
+/// sum of correct waves where `maxε` was respected" (§5.2). Two counters:
+/// whoever plots the level over time keeps what [`record`](Self::record)
+/// returns (`EvalReport::confidence_series`).
 ///
 /// # Example
 ///
@@ -21,7 +23,6 @@
 pub struct ConfidenceTracker {
     compliant: u64,
     total: u64,
-    series: Vec<f64>,
 }
 
 impl ConfidenceTracker {
@@ -37,9 +38,7 @@ impl ConfidenceTracker {
         if compliant {
             self.compliant += 1;
         }
-        let c = self.confidence();
-        self.series.push(c);
-        c
+        self.confidence()
     }
 
     /// Current confidence level (1.0 before any observation).
@@ -64,24 +63,15 @@ impl ConfidenceTracker {
         self.total - self.compliant
     }
 
-    /// The per-wave confidence series (one value per recorded wave).
-    #[must_use]
-    pub fn series(&self) -> &[f64] {
-        &self.series
-    }
-
     /// Decomposes the tracker for checkpoint serialization.
-    pub(crate) fn to_parts(&self) -> (u64, u64, &[f64]) {
-        (self.compliant, self.total, &self.series)
+    pub(crate) fn to_parts(&self) -> (u64, u64) {
+        (self.compliant, self.total)
     }
 
-    /// Rebuilds a tracker from its checkpointed parts.
-    pub(crate) fn from_parts(compliant: u64, total: u64, series: Vec<f64>) -> Self {
-        Self {
-            compliant,
-            total,
-            series,
-        }
+    /// Rebuilds a tracker from its checkpointed parts; `None` when they
+    /// claim more compliant waves than waves.
+    pub(crate) fn from_parts(compliant: u64, total: u64) -> Option<Self> {
+        (compliant <= total).then_some(Self { compliant, total })
     }
 }
 
@@ -97,12 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn series_tracks_running_ratio() {
+    fn record_returns_the_running_ratio() {
         let mut t = ConfidenceTracker::new();
-        t.record(true);
-        t.record(false);
-        t.record(true);
-        assert_eq!(t.series(), &[1.0, 0.5, 2.0 / 3.0]);
+        let series = [true, false, true].map(|compliant| t.record(compliant));
+        assert_eq!(series, [1.0, 0.5, 2.0 / 3.0]);
         assert_eq!(t.violations(), 1);
     }
 

@@ -356,7 +356,7 @@ impl QodEngine {
     ///
     /// Recovery is **checkpoint-anchored**: the store and the full engine
     /// state (phase, knowledge base, predictor, impact trackers,
-    /// confidence series) are restored exactly as they were at the end of
+    /// confidence counters) are restored exactly as they were at the end of
     /// the checkpointed wave `c`, and the returned next wave is `c + 1`.
     /// Waves after `c` that ran before the crash re-execute — the WAL tail
     /// covering them is truncated so they re-commit cleanly — and, because
@@ -495,14 +495,6 @@ impl QodEngine {
         &self.telemetry
     }
 
-    /// Per-step running confidence trackers, in feature/label order (the
-    /// cumulative fraction of ground-truth waves where `maxε` held —
-    /// Fig. 10).
-    #[must_use]
-    pub fn confidence_trackers(&self) -> &[ConfidenceTracker] {
-        &self.confidence
-    }
-
     /// Requests a fresh training phase of `waves` waves starting at the next
     /// wave — the paper's on-demand retraining "useful if data patterns
     /// start to change suddenly".
@@ -594,7 +586,7 @@ impl QodEngine {
         if self.failed_this_wave {
             // A wave with a step failure has no trustworthy ground truth:
             // outputs may be partial or stale, so the example would poison
-            // the knowledge base and the confidence series. Drop it; the
+            // the knowledge base and the confidence counters. Drop it; the
             // wave still journals and counts toward the training window.
         } else {
             // The engine built the KB with its own step count, so a shape
@@ -614,7 +606,7 @@ impl QodEngine {
             }
 
             // Ground truth exists on training waves: fold bound compliance
-            // into the per-step confidence series (Fig. 10). A fired label
+            // into the per-step confidence (Fig. 10). A fired label
             // means the measured ε exceeded maxε this wave.
             for (idx, fired) in labels.iter().enumerate() {
                 self.confidence[idx].record(!*fired);
@@ -729,10 +721,10 @@ impl QodEngine {
     }
 
     /// Serialises the engine's full decision state into the versioned
-    /// binary form embedded in checkpoints (`SFES` v2: magic, version, one
+    /// binary form embedded in checkpoints (`SFES` v3: magic, version, one
     /// CRC frame). Everything that influences a future wave decision is
     /// captured: phase, knowledge base, predictor models (or a
-    /// deterministic-retrain marker), quality flags, confidence series, SDF
+    /// deterministic-retrain marker), quality flags, confidence counters, SDF
     /// fallbacks, and per tracker its accumulated value, previous-state sum
     /// and change set. Per-wave diagnostics are reporting-only and
     /// deliberately excluded.
@@ -811,13 +803,9 @@ impl QodEngine {
             codec::put_u8(&mut out, u8::from(*s));
         }
         for tracker in &self.confidence {
-            let (compliant, total, series) = tracker.to_parts();
+            let (compliant, total) = tracker.to_parts();
             codec::put_u64(&mut out, compliant);
             codec::put_u64(&mut out, total);
-            codec::put_u32(&mut out, series.len() as u32);
-            for v in series {
-                codec::put_f64(&mut out, *v);
-            }
         }
 
         for step in &self.steps {
@@ -968,14 +956,9 @@ impl QodEngine {
         }
         let mut confidence = Vec::with_capacity(n);
         for _ in 0..n {
-            let compliant = r.u64()?;
-            let total = r.u64()?;
-            let len = r.u32()? as usize;
-            let mut series = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                series.push(r.f64()?);
-            }
-            confidence.push(ConfidenceTracker::from_parts(compliant, total, series));
+            let tracker = ConfidenceTracker::from_parts(r.u64()?, r.u64()?)
+                .ok_or_else(|| corrupt("more compliant waves than waves"))?;
+            confidence.push(tracker);
         }
 
         let mut trackers_restored = Vec::with_capacity(n);
@@ -1048,7 +1031,7 @@ impl QodEngine {
 /// Engine-state blob magic and format version. v1 embedded two full
 /// container snapshots per tracker and had no checksum of its own.
 const STATE_MAGIC: &[u8; 4] = b"SFES";
-const STATE_VERSION: u16 = 2;
+const STATE_VERSION: u16 = 3;
 
 fn put_optional_value(out: &mut Vec<u8>, value: Option<&Value>) {
     match value {

@@ -153,6 +153,16 @@ impl EvalReport {
             .collect()
     }
 
+    /// Running confidence after each recorded wave (the Fig. 10 series).
+    #[must_use]
+    pub fn confidence_series(&self) -> Vec<f64> {
+        let mut running = ConfidenceTracker::new();
+        self.waves
+            .iter()
+            .map(|w| running.record(w.compliant))
+            .collect()
+    }
+
     /// Fraction of waves where the bound was violated.
     #[must_use]
     pub fn violation_rate(&self) -> f64 {

@@ -108,7 +108,7 @@ impl SmartFluxSession {
     /// checkpointed wave.
     ///
     /// The store, engine phase, knowledge base, trained models, impact
-    /// trackers, and confidence series are all restored exactly as they
+    /// trackers, and confidence counters are all restored exactly as they
     /// were at the checkpoint; the scheduler resumes at the following wave
     /// and the WAL is reset so re-executed waves are re-journaled. Given a
     /// deterministic workflow, the recovered session makes the same

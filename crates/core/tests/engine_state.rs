@@ -1,4 +1,4 @@
-//! The engine-state blob (`SFES` v2): round trip with non-empty change
+//! The engine-state blob (`SFES` v3): round trip with non-empty change
 //! sets, and typed errors for other versions and damaged bytes.
 
 use smartflux::{
@@ -189,12 +189,11 @@ fn other_versions_and_damage_are_typed_errors_that_change_nothing() {
     assert_eq!(engine.with(QodEngine::phase), Phase::Application);
     let blob = engine.with(QodEngine::export_state);
 
-    // What a v1 writer produced: same magic, version 1, an unframed body.
-    let mut v1 = b"SFES".to_vec();
-    v1.extend_from_slice(&1u16.to_le_bytes());
-    v1.extend_from_slice(&blob[6..]);
-    let damaged: [(&str, Vec<u8>); 5] = [
-        ("v1", v1),
+    // What an earlier writer produced: same magic, its version, another body.
+    let older = |version: u16| [b"SFES", &version.to_le_bytes()[..], &blob[6..]].concat();
+    let damaged: [(&str, Vec<u8>); 6] = [
+        ("v1", older(1)),
+        ("v2", older(2)),
         ("empty", Vec::new()),
         ("truncated", blob[..blob.len() - 1].to_vec()),
         ("trailing", [blob.as_slice(), &[0]].concat()),
@@ -208,8 +207,9 @@ fn other_versions_and_damage_are_typed_errors_that_change_nothing() {
     for (what, bytes) in &damaged {
         let error = durability_error(engine.with_mut(|e| e.import_state(bytes)));
         match (*what, &error) {
-            ("v1", DurabilityError::UnsupportedVersion { found: 1 }) => {}
-            ("v1", _) => panic!("v1 blob: {error:?}"),
+            ("v1", DurabilityError::UnsupportedVersion { found: 1 })
+            | ("v2", DurabilityError::UnsupportedVersion { found: 2 }) => {}
+            ("v1" | "v2", _) => panic!("{what} blob: {error:?}"),
             (_, DurabilityError::Corrupt { .. }) => {}
             _ => panic!("{what}: {error:?}"),
         }

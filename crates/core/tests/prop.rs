@@ -110,16 +110,14 @@ proptest! {
         }
     }
 
-    /// Confidence equals compliant/total and its series never leaves [0, 1].
+    /// Confidence equals compliant/total and never leaves [0, 1] on the way.
     #[test]
     fn confidence_is_a_running_ratio(outcomes in prop::collection::vec(any::<bool>(), 1..200)) {
         let mut t = ConfidenceTracker::new();
-        for &ok in &outcomes {
-            t.record(ok);
-        }
+        let series: Vec<f64> = outcomes.iter().map(|&ok| t.record(ok)).collect();
         let compliant = outcomes.iter().filter(|&&b| b).count() as f64;
         prop_assert!((t.confidence() - compliant / outcomes.len() as f64).abs() < 1e-12);
-        prop_assert!(t.series().iter().all(|c| (0.0..=1.0).contains(c)));
+        prop_assert!(series.iter().all(|c| (0.0..=1.0).contains(c)));
         prop_assert_eq!(t.waves() as usize, outcomes.len());
     }
 

@@ -5,7 +5,10 @@
 //! tracking `Monitor` and the WAL capture read it in place, and only an
 //! observer that asks for an owned `WriteEvent` pays for one. A counting
 //! global allocator pins that down, so a stray `to_owned()` on the hot
-//! path fails here instead of showing up as a slower wave. The same holds
+//! path fails here instead of showing up as a slower wave. A cell is its
+//! current value and nothing else, so an overwrite moves the displaced value
+//! out to the caller — a text is not copied on the way — and a new cell asks
+//! for its qualifier key only. The same holds
 //! through a `FamilyHandle` — resolving one, an observed overwriting `put`,
 //! a `get_f64` and a whole-family `for_each_row` request no heap — which is
 //! the point of reading rows in place: `scan` of the same family makes some
@@ -112,12 +115,23 @@ fn an_observed_overwriting_put_allocates_nothing() {
     // Unobserved: no event is built at all.
     let bare = DataStore::new();
     bare.ensure_container(&container).unwrap();
-    // Version histories reach their bound (and stop growing) after
-    // DEFAULT_MAX_VERSIONS + 1 writes; a few more waves for good measure.
-    for wave in 0..8 {
-        write_wave(&bare, &rows, wave);
-    }
-    assert_eq!(requests_during(|| write_wave(&bare, &rows, 8)), 0);
+    write_wave(&bare, &rows, 0);
+    assert_eq!(requests_during(|| write_wave(&bare, &rows, 1)), 0);
+    // A first write to a new qualifier of an existing row asks for the
+    // qualifier key and nothing else (the row's map node has room for it);
+    // overwriting a text hands the displaced string back, not a copy of it.
+    let labels = |tag: &str| -> Vec<Value> {
+        let label = |row| Value::from(format!("{tag}-{row}"));
+        rows.iter().map(label).collect()
+    };
+    let put_labels = |labels: Vec<Value>| {
+        for (row, label) in rows.iter().zip(labels) {
+            bare.put("t", "f", row, "label", label).unwrap();
+        }
+    };
+    let (first, second) = (labels("a"), labels("b"));
+    assert_eq!(requests_during(|| put_labels(first)), ROWS as u64);
+    assert_eq!(requests_during(|| put_labels(second)), 0);
 
     // Observed by the two in-program observers: a tracking Monitor and the
     // WAL capture, each reading the borrowed event in place.
@@ -132,8 +146,8 @@ fn an_observed_overwriting_put_allocates_nothing() {
         DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never)).unwrap();
     let _wal_handle = wal.attach(&store);
     // A wave as the engine runs it: steps write, the tracker's baseline
-    // moves, the batch is committed. Warm-up grows the change set, the
-    // capture buffer and the version histories to their steady size.
+    // moves, the batch is committed. Warm-up grows the change set and the
+    // capture buffer to their steady size.
     let end_wave = |wave: u64| {
         monitor.mark(tracker);
         wal.commit_wave(wave, store.clock()).unwrap();

@@ -1,6 +1,11 @@
-//! Versioned cells.
-
-use crate::value::Value;
+//! Write timestamps.
+//!
+//! A cell — one `(row, qualifier)` slot of a [`Row`] — is its current
+//! `(Timestamp, Value)` pair and nothing else: an overwrite replaces the
+//! pair and hands the displaced value to the write's [`WriteRef`].
+//!
+//! [`Row`]: crate::Row
+//! [`WriteRef`]: crate::WriteRef
 
 /// A logical timestamp assigned by the store to every write.
 ///
@@ -9,164 +14,3 @@ use crate::value::Value;
 ///
 /// [`DataStore`]: crate::DataStore
 pub type Timestamp = u64;
-
-/// Default number of versions retained per cell.
-///
-/// The paper's integration keeps the current and previous state in adjacent
-/// HBase column qualifiers; we generalise to a small bounded history.
-pub const DEFAULT_MAX_VERSIONS: usize = 4;
-
-/// A cell holding a bounded history of timestamped values.
-///
-/// The newest version is the *current* value; the one before it is the
-/// *previous* value used by impact/error diffing.
-///
-/// # Example
-///
-/// ```
-/// use smartflux_datastore::{VersionedCell, Value};
-///
-/// let mut cell = VersionedCell::new(Value::from(1.0), 1);
-/// cell.push(Value::from(2.0), 2);
-/// assert_eq!(cell.current().as_f64(), Some(2.0));
-/// assert_eq!(cell.previous().unwrap().as_f64(), Some(1.0));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct VersionedCell {
-    /// Versions ordered oldest → newest. Never empty.
-    versions: Vec<(Timestamp, Value)>,
-    max_versions: usize,
-}
-
-impl VersionedCell {
-    /// Creates a cell with a single initial version.
-    #[must_use]
-    pub fn new(value: Value, ts: Timestamp) -> Self {
-        Self {
-            versions: vec![(ts, value)],
-            max_versions: DEFAULT_MAX_VERSIONS,
-        }
-    }
-
-    /// Creates a cell retaining up to `max_versions` versions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_versions` is zero.
-    #[must_use]
-    pub fn with_max_versions(value: Value, ts: Timestamp, max_versions: usize) -> Self {
-        assert!(max_versions > 0, "a cell must retain at least one version");
-        Self {
-            versions: vec![(ts, value)],
-            max_versions,
-        }
-    }
-
-    /// Appends a new current version, evicting the oldest beyond the bound.
-    pub fn push(&mut self, value: Value, ts: Timestamp) {
-        self.versions.push((ts, value));
-        if self.versions.len() > self.max_versions {
-            let overflow = self.versions.len() - self.max_versions;
-            self.versions.drain(..overflow);
-        }
-    }
-
-    /// The current (newest) value.
-    #[must_use]
-    pub fn current(&self) -> &Value {
-        &self
-            .versions
-            .last()
-            // tidy:allow(panic): constructors start with one version and
-            // push never drains below max_versions >= 1, so `last` is Some
-            .expect("cell invariant: at least one version")
-            .1
-    }
-
-    /// The timestamp of the current value.
-    #[must_use]
-    pub fn current_ts(&self) -> Timestamp {
-        self.versions
-            .last()
-            // tidy:allow(panic): constructors start with one version and
-            // push never drains below max_versions >= 1, so `last` is Some
-            .expect("cell invariant: at least one version")
-            .0
-    }
-
-    /// The previous value, if more than one version is retained.
-    #[must_use]
-    pub fn previous(&self) -> Option<&Value> {
-        if self.versions.len() >= 2 {
-            Some(&self.versions[self.versions.len() - 2].1)
-        } else {
-            None
-        }
-    }
-
-    /// The value that was current as of timestamp `ts` (newest version with
-    /// timestamp `<= ts`), if any version that old is still retained.
-    #[must_use]
-    pub fn as_of(&self, ts: Timestamp) -> Option<&Value> {
-        self.versions
-            .iter()
-            .rev()
-            .find(|(vts, _)| *vts <= ts)
-            .map(|(_, v)| v)
-    }
-
-    /// All retained versions, oldest first.
-    #[must_use]
-    pub fn versions(&self) -> &[(Timestamp, Value)] {
-        &self.versions
-    }
-
-    /// Number of retained versions.
-    #[must_use]
-    pub fn version_count(&self) -> usize {
-        self.versions.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn push_and_previous() {
-        let mut c = VersionedCell::new(Value::from(1.0), 10);
-        assert!(c.previous().is_none());
-        c.push(Value::from(2.0), 11);
-        c.push(Value::from(3.0), 12);
-        assert_eq!(c.current().as_f64(), Some(3.0));
-        assert_eq!(c.previous().unwrap().as_f64(), Some(2.0));
-        assert_eq!(c.current_ts(), 12);
-    }
-
-    #[test]
-    fn bounded_history_evicts_oldest() {
-        let mut c = VersionedCell::with_max_versions(Value::from(0.0), 0, 2);
-        for i in 1..10u64 {
-            c.push(Value::from(i as f64), i);
-        }
-        assert_eq!(c.version_count(), 2);
-        assert_eq!(c.current().as_f64(), Some(9.0));
-        assert_eq!(c.previous().unwrap().as_f64(), Some(8.0));
-    }
-
-    #[test]
-    fn as_of_finds_historic_version() {
-        let mut c = VersionedCell::new(Value::from(1.0), 10);
-        c.push(Value::from(2.0), 20);
-        c.push(Value::from(3.0), 30);
-        assert_eq!(c.as_of(25).unwrap().as_f64(), Some(2.0));
-        assert_eq!(c.as_of(30).unwrap().as_f64(), Some(3.0));
-        assert!(c.as_of(5).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one version")]
-    fn zero_max_versions_panics() {
-        let _ = VersionedCell::with_max_versions(Value::from(1.0), 0, 0);
-    }
-}

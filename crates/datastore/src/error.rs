@@ -26,10 +26,6 @@ pub enum StoreError {
         /// Family that already exists.
         family: String,
     },
-    /// An exported [`StoreState`] failed validation during reconstruction.
-    ///
-    /// [`StoreState`]: crate::StoreState
-    InvalidState(String),
 }
 
 impl fmt::Display for StoreError {
@@ -45,9 +41,6 @@ impl fmt::Display for StoreError {
                     f,
                     "column family `{family}` already exists in table `{table}`"
                 )
-            }
-            StoreError::InvalidState(detail) => {
-                write!(f, "invalid store state: {detail}")
             }
         }
     }

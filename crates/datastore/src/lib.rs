@@ -1,4 +1,4 @@
-//! An in-memory, versioned, columnar key-value store with write observation.
+//! An in-memory, columnar key-value store with write observation.
 //!
 //! This crate is the storage substrate of the SmartFlux reproduction. It plays
 //! the role HBase plays in the paper: workflow processing steps communicate
@@ -11,10 +11,12 @@
 //! The store follows the BigTable/HBase model: a [`DataStore`] holds named
 //! [`Table`]s; each table holds named *column families*; each family maps a
 //! row key to a set of *column qualifiers*; each `(row, qualifier)` slot is a
-//! [`VersionedCell`] retaining a bounded history of timestamped [`Value`]s.
-//! Retaining the previous version next to the current one is what lets
-//! SmartFlux diff new state against old state without extra reads (§4.2 of
-//! the paper).
+//! cell holding its current [`Value`] and the [`Timestamp`] of the write that
+//! put it there. The paper keeps the previous state next to the current one
+//! so SmartFlux can diff them without extra reads (§4.2); here the previous
+//! value travels with the write instead — an overwrite moves it out of the
+//! cell into the [`WriteRef`]'s `old` — and whoever needs "the state at my
+//! last execution" keeps it from there.
 //!
 //! # Containers
 //!
@@ -84,7 +86,7 @@ mod store;
 mod table;
 mod value;
 
-pub use cell::{Timestamp, VersionedCell};
+pub use cell::Timestamp;
 pub use container::ContainerRef;
 pub use error::StoreError;
 pub use observer::{

@@ -213,10 +213,6 @@ pub enum OpKind {
     ///
     /// [`DataStore::get`]: crate::DataStore::get
     Get,
-    /// Versioned-cell read ([`DataStore::get_versioned`]).
-    ///
-    /// [`DataStore::get_versioned`]: crate::DataStore::get_versioned
-    GetVersioned,
     /// Row scan ([`DataStore::scan`]).
     ///
     /// [`DataStore::scan`]: crate::DataStore::scan
@@ -253,7 +249,6 @@ impl OpKind {
     pub fn name(self) -> &'static str {
         match self {
             OpKind::Get => "get",
-            OpKind::GetVersioned => "get_versioned",
             OpKind::Scan => "scan",
             OpKind::Snapshot => "snapshot",
             OpKind::Put => "put",

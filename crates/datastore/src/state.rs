@@ -2,7 +2,7 @@
 //!
 //! [`StoreState`] is the bridge between the in-memory store and the
 //! durability subsystem: `DataStore::export_state` captures everything a
-//! checkpoint needs (tables, families, full version histories, the logical
+//! checkpoint needs (tables, families, every cell's current pair, the logical
 //! clock), and `DataStore::from_state` reconstructs an identical store
 //! during recovery. The types are deliberately dumb — no interior
 //! mutability, no locks — so a checkpoint codec can walk them without
@@ -18,8 +18,6 @@ use crate::value::Value;
 pub struct StoreState {
     /// Logical clock at capture time (timestamp of the most recent write).
     pub clock: Timestamp,
-    /// Version-retention bound applied to newly created cells.
-    pub max_versions: usize,
     /// All tables, in name order.
     pub tables: Vec<TableState>,
 }
@@ -42,13 +40,14 @@ pub struct FamilyState {
     pub cells: Vec<CellState>,
 }
 
-/// One versioned cell within a [`FamilyState`].
+/// One cell within a [`FamilyState`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellState {
     /// Row key.
     pub row: String,
     /// Column qualifier.
     pub qualifier: String,
-    /// Retained versions, oldest first. Never empty for a live cell.
-    pub versions: Vec<(Timestamp, Value)>,
+    /// The cell's `(timestamp, value)` — an array of one, so a cell without
+    /// a pair cannot be built; the field's name is the one `benchmark/` reads.
+    pub versions: [(Timestamp, Value); 1],
 }

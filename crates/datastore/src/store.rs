@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::cell::{Timestamp, VersionedCell};
+use crate::cell::Timestamp;
 use crate::container::ContainerRef;
 use crate::error::StoreError;
 use crate::observer::{
@@ -88,8 +88,6 @@ struct StoreShared {
     /// the shard being mutated, so per-cell timestamps order like applies.
     // tidy:atomic(clock: load=acquire, store=release, rmw=relaxed): advances happen under the shard write guard, so rmw needs no extra ordering; recovery publishes a restored clock with release and snapshot readers pair with acquire
     clock: AtomicU64,
-    // tidy:atomic(max_versions: relaxed): config scalar read on its own; the shard guard orders it against cell data
-    max_versions: AtomicUsize,
     // tidy:atomic(quiesces: relaxed): monitoring counter; no other data is ordered by it
     quiesces: AtomicU64,
 }
@@ -136,7 +134,7 @@ pub struct DataStore {
 
 impl Default for DataStore {
     fn default() -> Self {
-        Self::with_options(ShardPolicy::default(), crate::cell::DEFAULT_MAX_VERSIONS)
+        Self::with_shard_policy(ShardPolicy::default())
     }
 }
 
@@ -153,31 +151,6 @@ impl DataStore {
     /// behaviour exactly and is kept for A/B benchmarking.
     #[must_use]
     pub fn with_shard_policy(policy: ShardPolicy) -> Self {
-        Self::with_options(policy, crate::cell::DEFAULT_MAX_VERSIONS)
-    }
-
-    /// Creates an empty store whose cells retain up to `max_versions`
-    /// versions (HBase's per-column-family `VERSIONS` setting, applied
-    /// store-wide).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_versions` is zero — the current version must always
-    /// be retained.
-    #[must_use]
-    pub fn with_max_versions(max_versions: usize) -> Self {
-        Self::with_options(ShardPolicy::default(), max_versions)
-    }
-
-    /// Creates an empty store with both knobs set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_versions` is zero — the current version must always
-    /// be retained.
-    #[must_use]
-    pub fn with_options(policy: ShardPolicy, max_versions: usize) -> Self {
-        assert!(max_versions > 0, "cells must retain at least one version");
         let shard_count = policy.shard_count();
         let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::default()).collect();
         Self {
@@ -187,7 +160,6 @@ impl DataStore {
                 shards,
                 registry: RwLock::new(BTreeSet::new()),
                 clock: AtomicU64::new(0),
-                max_versions: AtomicUsize::new(max_versions),
                 quiesces: AtomicU64::new(0),
             }),
             observers: Arc::new(RwLock::new(ObserverBus::default())),
@@ -196,12 +168,6 @@ impl DataStore {
             op_observers: Arc::new(RwLock::new(OpObserverBus::default())),
             op_observer_count: Arc::new(AtomicUsize::new(0)),
         }
-    }
-
-    /// The version-retention bound applied to newly created cells.
-    #[must_use]
-    pub fn max_versions(&self) -> usize {
-        self.shared.max_versions.load(Ordering::Relaxed)
     }
 
     /// The shard policy this store was built with.
@@ -354,7 +320,6 @@ impl DataStore {
         value: Value,
     ) -> Result<Option<Value>, StoreError> {
         self.timed(OpKind::Put, 1, at.shard, || {
-            let max_versions = self.max_versions();
             // The cell takes `value`; observers get the one copy kept here,
             // and an unobserved write keeps none.
             let new = via.observed().then(|| value.clone());
@@ -365,7 +330,7 @@ impl DataStore {
             // happens inside the shard write guard, so the timestamp
             // order matches the apply order within the shard.
             let ts = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            let old = data.families[slot].put_cell(row, qualifier, value, ts, max_versions);
+            let old = data.families[slot].put_cell(row, qualifier, value, ts);
             drop(data);
             if let Some(new) = &new {
                 via.notify(&WriteRef {
@@ -397,7 +362,6 @@ impl DataStore {
         cells: [(&str, Value); N],
     ) -> Result<[Option<Value>; N], StoreError> {
         self.timed(OpKind::Put, N, at.shard, || {
-            let max_versions = self.max_versions();
             let observed = via.observed();
             let written = cells
                 .each_ref()
@@ -407,7 +371,7 @@ impl DataStore {
             };
             // As in `put_at`, `N` ticks at once.
             let first_ts = self.shared.clock.fetch_add(N as u64, Ordering::Relaxed) + 1;
-            let olds = data.families[slot].put_cells(row, cells, first_ts, max_versions);
+            let olds = data.families[slot].put_cells(row, cells, first_ts);
             drop(data);
             if observed {
                 for (timestamp, ((qualifier, new), old)) in
@@ -517,33 +481,8 @@ impl DataStore {
             let Some((data, slot)) = self.read_at(at) else {
                 return Err(self.missing(at));
             };
-            let cell = data.families[slot].row(row).and_then(|r| r.cell(qualifier));
-            Ok(f(cell.map(VersionedCell::current)))
-        })
-    }
-
-    /// Reads the full versioned cell (current plus retained history).
-    ///
-    /// This mirrors the paper's trick of fetching the previous state in the
-    /// same request as the current one (§5.3 "Overhead").
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the table or family does not exist.
-    pub fn get_versioned(
-        &self,
-        table: &str,
-        family: &str,
-        row: &str,
-        qualifier: &str,
-    ) -> Result<Option<VersionedCell>, StoreError> {
-        let at = self.addr(table, family);
-        self.timed(OpKind::GetVersioned, 1, at.shard, || {
-            let Some((data, slot)) = self.read_at(&at) else {
-                return Err(self.missing(&at));
-            };
-            let cell = data.families[slot].row(row).and_then(|r| r.cell(qualifier));
-            Ok(cell.cloned())
+            let row = data.families[slot].row(row);
+            Ok(f(row.and_then(|r| r.value(qualifier))))
         })
     }
 
@@ -570,8 +509,8 @@ impl DataStore {
                 }
                 let columns: Vec<(String, Value)> = row
                     .iter()
-                    .filter(|(q, _)| filter.matches_qualifier(q))
-                    .map(|(q, c)| (q.to_owned(), c.current().clone()))
+                    .filter(|(q, _, _)| filter.matches_qualifier(q))
+                    .map(|(q, _, v)| (q.to_owned(), v.clone()))
                     .collect();
                 if columns.is_empty() {
                     continue;
@@ -623,9 +562,9 @@ impl DataStore {
             };
             let mut snap = Snapshot::new();
             for (key, row) in data.families[slot].iter() {
-                for (q, cell) in row.iter() {
+                for (q, _, value) in row.iter() {
                     if container.qualifier().is_none_or(|cq| cq == q) {
-                        snap.insert(key.to_owned(), q.to_owned(), cell.current().clone());
+                        snap.insert(key.to_owned(), q.to_owned(), value.clone());
                     }
                 }
             }
@@ -656,9 +595,9 @@ impl DataStore {
             };
             let mut acc = init;
             for (key, row) in data.families[slot].iter() {
-                for (q, cell) in row.iter() {
+                for (q, _, value) in row.iter() {
                     if container.qualifier().is_none_or(|cq| cq == q) {
-                        acc = f(acc, key, q, cell.current());
+                        acc = f(acc, key, q, value);
                     }
                 }
             }
@@ -679,7 +618,7 @@ impl DataStore {
         let fam = &data.families[slot];
         Ok(match container.qualifier() {
             None => fam.cell_count(),
-            Some(q) => fam.iter().filter(|(_, row)| row.cell(q).is_some()).count(),
+            Some(q) => fam.iter().filter(|(_, row)| row.value(q).is_some()).count(),
         })
     }
 
@@ -797,11 +736,10 @@ impl DataStore {
         value: Value,
         ts: Timestamp,
     ) -> Result<(), StoreError> {
-        let max_versions = self.max_versions();
         let Some((mut data, slot)) = self.write_at(at) else {
             return Err(self.missing(at));
         };
-        data.families[slot].put_cell(row, qualifier, value, ts, max_versions);
+        data.families[slot].put_cell(row, qualifier, value, ts);
         Ok(())
     }
 
@@ -837,8 +775,8 @@ impl DataStore {
         Ok(())
     }
 
-    /// Captures the full store contents — every table, family, cell and
-    /// retained version, plus the logical clock — as plain data.
+    /// Captures the full store contents — every table, family and cell, plus
+    /// the logical clock — as plain data.
     ///
     /// This is the checkpoint surface of the durability subsystem: the
     /// returned [`StoreState`] owns copies of everything and holds no lock.
@@ -880,10 +818,10 @@ impl DataStore {
                             cells: guard.families[slot]
                                 .iter()
                                 .flat_map(|(row, r)| {
-                                    r.iter().map(move |(q, cell)| CellState {
+                                    r.iter().map(move |(q, ts, value)| CellState {
                                         row: row.to_owned(),
                                         qualifier: q.to_owned(),
-                                        versions: cell.versions().to_vec(),
+                                        versions: [(ts, value.clone())],
                                     })
                                 })
                                 .collect(),
@@ -897,24 +835,19 @@ impl DataStore {
                 }
             })
             .collect();
-        StoreState {
-            clock,
-            max_versions: self.max_versions(),
-            tables,
-        }
+        StoreState { clock, tables }
     }
 
     /// Reconstructs a store from a previously exported [`StoreState`].
     ///
     /// The recovery constructor: the result is indistinguishable from the
-    /// store that produced the state — same containers, same version
-    /// histories, same clock. No observers are registered and none are
+    /// store that produced the state — same containers, same cells, same
+    /// timestamps, same clock. No observers are registered and none are
     /// notified during reconstruction.
     ///
     /// # Errors
     ///
-    /// Returns an error if the state names a duplicate table or family, or
-    /// contains a cell with no versions.
+    /// Returns an error if the state names a duplicate table or family.
     pub fn from_state(state: StoreState) -> Result<Self, StoreError> {
         Self::from_state_with_policy(state, ShardPolicy::default())
     }
@@ -923,17 +856,12 @@ impl DataStore {
     ///
     /// # Errors
     ///
-    /// Returns an error if the state names a duplicate table or family, or
-    /// contains a cell with no versions.
+    /// Returns an error if the state names a duplicate table or family.
     pub fn from_state_with_policy(
         state: StoreState,
         policy: ShardPolicy,
     ) -> Result<Self, StoreError> {
-        if state.max_versions == 0 {
-            return Err(StoreError::InvalidState("max_versions is zero".to_owned()));
-        }
-        let max_versions = state.max_versions;
-        let store = Self::with_options(policy, max_versions);
+        let store = Self::with_shard_policy(policy);
         for table in state.tables {
             store.create_table(&table.name)?;
             for family in table.families {
@@ -945,15 +873,8 @@ impl DataStore {
                 };
                 let fam = &mut data.families[slot];
                 for cell in family.cells {
-                    if cell.versions.is_empty() {
-                        return Err(StoreError::InvalidState(format!(
-                            "cell ({}, {}) in {}/{} has no versions",
-                            cell.row, cell.qualifier, table.name, family.name
-                        )));
-                    }
-                    for (ts, value) in cell.versions {
-                        fam.put_cell(&cell.row, &cell.qualifier, value, ts, max_versions);
-                    }
+                    let [(ts, value)] = cell.versions;
+                    fam.put_cell(&cell.row, &cell.qualifier, value, ts);
                 }
             }
         }
@@ -1169,16 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn versioned_get_keeps_previous() {
-        let s = store_with_tf();
-        s.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
-        s.put("t", "f", "r", "q", Value::from(2.0)).unwrap();
-        let cell = s.get_versioned("t", "f", "r", "q").unwrap().unwrap();
-        assert_eq!(cell.current().as_f64(), Some(2.0));
-        assert_eq!(cell.previous().unwrap().as_f64(), Some(1.0));
-    }
-
-    #[test]
     fn delete_removes_and_notifies_once() {
         let s = store_with_tf();
         let count = Arc::new(AtomicUsize::new(0));
@@ -1327,28 +1238,6 @@ mod tests {
     }
 
     #[test]
-    fn configurable_version_retention() {
-        let s = DataStore::with_max_versions(2);
-        assert_eq!(s.max_versions(), 2);
-        s.create_table("t").unwrap();
-        s.create_family("t", "f").unwrap();
-        for i in 0..6 {
-            s.put("t", "f", "r", "q", Value::from(f64::from(i)))
-                .unwrap();
-        }
-        let cell = s.get_versioned("t", "f", "r", "q").unwrap().unwrap();
-        assert_eq!(cell.version_count(), 2);
-        assert_eq!(cell.current().as_f64(), Some(5.0));
-        assert_eq!(cell.previous().unwrap().as_f64(), Some(4.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one version")]
-    fn zero_version_retention_panics() {
-        let _ = DataStore::with_max_versions(0);
-    }
-
-    #[test]
     fn store_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DataStore>();
@@ -1376,9 +1265,9 @@ mod tests {
     fn single_and_sharded_stores_agree_on_everything() {
         // The same operation sequence applied to a Single-policy store and
         // an Auto-policy store must export identical state — timestamps,
-        // versions, clock, the lot.
+        // values, clock, the lot.
         let build = |policy| {
-            let s = DataStore::with_options(policy, 3);
+            let s = DataStore::with_shard_policy(policy);
             s.create_table("t").unwrap();
             for f in ["a", "b", "c"] {
                 s.create_family("t", f).unwrap();
@@ -1420,8 +1309,8 @@ mod tests {
         let c = ContainerRef::family("t", "f");
         let before = s.snapshot(&c).unwrap();
 
-        // Delete and re-add the slot at the same value. The cell's version
-        // history restarts, but the snapshot diff sees current values only.
+        // Delete and re-add the slot at the same value. The cell's
+        // timestamp moves, but the snapshot diff sees values only.
         s.delete("t", "f", "r", "q").unwrap();
         s.put("t", "f", "r", "q", Value::from(5.0)).unwrap();
         let after = s.snapshot(&c).unwrap();
@@ -1437,30 +1326,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_self_diff_is_empty_after_version_compaction() {
-        // Overflow the version bound so the cell compacts its history,
-        // then check a snapshot still diffs empty against itself.
-        let s = DataStore::with_max_versions(2);
-        s.create_table("t").unwrap();
-        s.create_family("t", "f").unwrap();
-        for i in 0..10 {
-            s.put("t", "f", "r", "q", Value::from(f64::from(i)))
-                .unwrap();
-        }
-        let c = ContainerRef::family("t", "f");
-        let snap = s.snapshot(&c).unwrap();
-        let d = snap.diff(&snap);
-        assert!(d.is_empty());
-        assert_eq!(d.total_slots(), 1);
-        // And against a freshly captured snapshot of the unchanged store.
-        assert!(s.snapshot(&c).unwrap().diff(&snap).is_empty());
-    }
-
-    #[test]
     fn export_state_roundtrips_through_from_state() {
-        let s = DataStore::with_max_versions(3);
-        s.create_table("t").unwrap();
-        s.create_family("t", "f").unwrap();
+        let s = store_with_tf();
         s.create_family("t", "g").unwrap();
         s.create_table("empty").unwrap();
         for i in 0..5 {
@@ -1476,11 +1343,9 @@ mod tests {
         let restored = DataStore::from_state(state.clone()).unwrap();
         assert_eq!(restored.export_state(), state);
         assert_eq!(restored.clock(), s.clock());
-        assert_eq!(restored.max_versions(), 3);
         assert!(restored.has_table("empty"));
-        let cell = restored.get_versioned("t", "f", "r", "q").unwrap().unwrap();
-        assert_eq!(cell.version_count(), 3);
-        assert_eq!(cell.current().as_f64(), Some(4.0));
+        let cell = &state.tables[1].families[0].cells[0];
+        assert_eq!(cell.versions, [(5, Value::from(4.0))]);
     }
 
     #[test]
@@ -1498,21 +1363,21 @@ mod tests {
     }
 
     #[test]
-    fn from_state_rejects_invalid_states() {
+    fn from_state_rejects_duplicate_names() {
         let mut state = store_with_tf().export_state();
-        state.max_versions = 0;
-        assert!(matches!(
-            DataStore::from_state(state),
-            Err(StoreError::InvalidState(_))
-        ));
+        let table = state.tables[0].clone();
+        state.tables.push(table);
+        assert_eq!(
+            DataStore::from_state(state).unwrap_err(),
+            StoreError::TableExists("t".into())
+        );
 
-        let s = store_with_tf();
-        s.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
-        let mut state = s.export_state();
-        state.tables[0].families[0].cells[0].versions.clear();
+        let mut state = store_with_tf().export_state();
+        let family = state.tables[0].families[0].clone();
+        state.tables[0].families.push(family);
         assert!(matches!(
             DataStore::from_state(state),
-            Err(StoreError::InvalidState(_))
+            Err(StoreError::FamilyExists { .. })
         ));
     }
 
@@ -1550,16 +1415,15 @@ mod tests {
         ));
         s.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
         s.get("t", "f", "r", "q").unwrap();
-        s.get_versioned("t", "f", "r", "q").unwrap();
         s.scan("t", "f", &ScanFilter::all()).unwrap();
         s.snapshot(&ContainerRef::family("t", "f")).unwrap();
         s.delete("t", "f", "r", "q").unwrap();
-        assert_eq!(reads.load(Ordering::SeqCst), 4);
+        assert_eq!(reads.load(Ordering::SeqCst), 3);
         assert_eq!(writes.load(Ordering::SeqCst), 2);
 
         // Failed operations are still timed (the cost was paid).
         let _ = s.get("t", "missing", "r", "q");
-        assert_eq!(reads.load(Ordering::SeqCst), 5);
+        assert_eq!(reads.load(Ordering::SeqCst), 4);
 
         assert!(s.unregister_op_observer(h));
         assert!(!s.unregister_op_observer(h));

@@ -2,15 +2,16 @@
 
 use std::collections::BTreeMap;
 
-use crate::cell::{Timestamp, VersionedCell};
+use crate::cell::Timestamp;
 use crate::value::Value;
 
-/// A row: a sorted map from column qualifier to versioned cell.
+/// A row: a sorted map from column qualifier to the cell's current
+/// `(timestamp, value)`.
 ///
 /// Rows are sparse — only qualifiers that were written exist.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
-    cells: BTreeMap<String, VersionedCell>,
+    cells: BTreeMap<String, (Timestamp, Value)>,
 }
 
 impl Row {
@@ -20,19 +21,13 @@ impl Row {
         Self::default()
     }
 
-    /// Returns the cell under `qualifier`, if present.
-    #[must_use]
-    pub fn cell(&self, qualifier: &str) -> Option<&VersionedCell> {
-        self.cells.get(qualifier)
-    }
-
     /// Current value under `qualifier`, if present — [`RowScan::value`] for
     /// a row read in place.
     ///
     /// [`RowScan::value`]: crate::RowScan::value
     #[must_use]
     pub fn value(&self, qualifier: &str) -> Option<&Value> {
-        self.cell(qualifier).map(VersionedCell::current)
+        self.cells.get(qualifier).map(|(_, value)| value)
     }
 
     /// Current numeric value under `qualifier`, if present and numeric.
@@ -41,49 +36,26 @@ impl Row {
         self.value(qualifier).and_then(Value::as_f64)
     }
 
-    /// Writes `value` under `qualifier`, returning the displaced current
-    /// value if the cell already existed.
+    /// Writes `value` under `qualifier`, returning the displaced value —
+    /// moved out, not copied — if the cell already existed.
     pub fn put(&mut self, qualifier: &str, value: Value, ts: Timestamp) -> Option<Value> {
-        self.put_with_versions(qualifier, value, ts, crate::cell::DEFAULT_MAX_VERSIONS)
-    }
-
-    /// Like [`put`](Self::put), but new cells retain up to `max_versions`
-    /// versions (existing cells keep their original bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_versions` is zero.
-    pub fn put_with_versions(
-        &mut self,
-        qualifier: &str,
-        value: Value,
-        ts: Timestamp,
-        max_versions: usize,
-    ) -> Option<Value> {
         match self.cells.get_mut(qualifier) {
-            Some(cell) => {
-                let old = cell.current().clone();
-                cell.push(value, ts);
-                Some(old)
-            }
+            Some(cell) => Some(std::mem::replace(cell, (ts, value)).1),
             None => {
-                self.cells.insert(
-                    qualifier.to_owned(),
-                    VersionedCell::with_max_versions(value, ts, max_versions),
-                );
+                self.cells.insert(qualifier.to_owned(), (ts, value));
                 None
             }
         }
     }
 
-    /// Removes the cell under `qualifier`, returning its current value.
+    /// Removes the cell under `qualifier`, returning its value.
     pub fn delete(&mut self, qualifier: &str) -> Option<Value> {
-        self.cells.remove(qualifier).map(|c| c.current().clone())
+        self.cells.remove(qualifier).map(|(_, value)| value)
     }
 
-    /// Iterates `(qualifier, cell)` pairs in qualifier order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &VersionedCell)> {
-        self.cells.iter().map(|(q, c)| (q.as_str(), c))
+    /// Iterates `(qualifier, timestamp, value)` triples in qualifier order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Timestamp, &Value)> {
+        self.cells.iter().map(|(q, (ts, v))| (q.as_str(), *ts, v))
     }
 
     /// Number of populated cells.
@@ -119,30 +91,24 @@ impl ColumnFamily {
     }
 
     /// Writes `value` under `(key, qualifier)`, creating the row if absent,
-    /// and returns the displaced current value. New cells retain up to
-    /// `max_versions` versions.
+    /// and returns the displaced value.
     ///
     /// Looks the row up before inserting, so a write to an existing row
     /// copies no key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_versions` is zero.
     pub fn put_cell(
         &mut self,
         key: &str,
         qualifier: &str,
         value: Value,
         ts: Timestamp,
-        max_versions: usize,
     ) -> Option<Value> {
         if let Some(row) = self.rows.get_mut(key) {
-            return row.put_with_versions(qualifier, value, ts, max_versions);
+            return row.put(qualifier, value, ts);
         }
         self.rows
             .entry(key.to_owned())
             .or_default()
-            .put_with_versions(qualifier, value, ts, max_versions)
+            .put(qualifier, value, ts)
     }
 
     /// Writes `cells` — `(qualifier, value)` pairs, applied in order — into
@@ -151,21 +117,16 @@ impl ColumnFamily {
     ///
     /// One row lookup for all of them, made before inserting as in
     /// [`put_cell`](Self::put_cell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_versions` is zero.
     pub fn put_cells<const N: usize>(
         &mut self,
         key: &str,
         cells: [(&str, Value); N],
         first_ts: Timestamp,
-        max_versions: usize,
     ) -> [Option<Value>; N] {
         let mut ts = first_ts;
         let put = |row: &mut Row| {
             cells.map(|(qualifier, value)| {
-                let old = row.put_with_versions(qualifier, value, ts, max_versions);
+                let old = row.put(qualifier, value, ts);
                 ts += 1;
                 old
             })
@@ -269,29 +230,27 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::DEFAULT_MAX_VERSIONS as VERSIONS;
 
     #[test]
     fn row_put_returns_old_value() {
         let mut row = Row::new();
         assert_eq!(row.put("q", Value::from(1.0), 1), None);
         assert_eq!(row.put("q", Value::from(2.0), 2), Some(Value::from(1.0)));
-        assert_eq!(row.cell("q").unwrap().current().as_f64(), Some(2.0));
         assert_eq!(
-            row.cell("q").unwrap().previous().unwrap().as_f64(),
-            Some(1.0)
+            row.iter().collect::<Vec<_>>(),
+            [("q", 2, &Value::from(2.0))]
         );
     }
 
     #[test]
     fn family_put_cell_returns_the_displaced_value() {
         let mut fam = ColumnFamily::new();
-        assert_eq!(fam.put_cell("r", "q", Value::from(1.0), 1, VERSIONS), None);
+        assert_eq!(fam.put_cell("r", "q", Value::from(1.0), 1), None);
         assert_eq!(
-            fam.put_cell("r", "q", Value::from(2.0), 2, VERSIONS),
+            fam.put_cell("r", "q", Value::from(2.0), 2),
             Some(Value::from(1.0))
         );
-        assert_eq!(fam.put_cell("r", "q2", Value::from(3.0), 3, VERSIONS), None);
+        assert_eq!(fam.put_cell("r", "q2", Value::from(3.0), 3), None);
         assert_eq!(fam.len(), 1);
         assert_eq!(fam.cell_count(), 2);
     }
@@ -307,20 +266,19 @@ mod tests {
                 ("a", Value::from(3.0)),
             ],
             7,
-            VERSIONS,
         );
         assert_eq!(olds, [None, None, Some(Value::from(1.0))]);
         let mut by_cell = ColumnFamily::new();
-        by_cell.put_cell("r", "a", Value::from(1.0), 7, VERSIONS);
-        by_cell.put_cell("r", "b", Value::from(2.0), 8, VERSIONS);
-        by_cell.put_cell("r", "a", Value::from(3.0), 9, VERSIONS);
+        by_cell.put_cell("r", "a", Value::from(1.0), 7);
+        by_cell.put_cell("r", "b", Value::from(2.0), 8);
+        by_cell.put_cell("r", "a", Value::from(3.0), 9);
         assert_eq!(by_row, by_cell);
     }
 
     #[test]
     fn family_delete_cell_drops_empty_row() {
         let mut fam = ColumnFamily::new();
-        fam.put_cell("r", "q", Value::from(1.0), 1, VERSIONS);
+        fam.put_cell("r", "q", Value::from(1.0), 1);
         assert_eq!(fam.len(), 1);
         assert_eq!(fam.delete_cell("r", "q"), Some(Value::from(1.0)));
         assert!(fam.is_empty());
@@ -330,9 +288,9 @@ mod tests {
     #[test]
     fn family_cell_count_sums_rows() {
         let mut fam = ColumnFamily::new();
-        fam.put_cell("a", "q1", Value::from(1.0), 1, VERSIONS);
-        fam.put_cell("a", "q2", Value::from(1.0), 1, VERSIONS);
-        fam.put_cell("b", "q1", Value::from(1.0), 1, VERSIONS);
+        fam.put_cell("a", "q1", Value::from(1.0), 1);
+        fam.put_cell("a", "q2", Value::from(1.0), 1);
+        fam.put_cell("b", "q1", Value::from(1.0), 1);
         assert_eq!(fam.cell_count(), 3);
     }
 
@@ -349,7 +307,7 @@ mod tests {
     fn rows_iterate_in_key_order() {
         let mut fam = ColumnFamily::new();
         for k in ["b", "a", "c"] {
-            fam.put_cell(k, "q", Value::from(0.0), 0, VERSIONS);
+            fam.put_cell(k, "q", Value::from(0.0), 0);
         }
         let keys: Vec<&str> = fam.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);

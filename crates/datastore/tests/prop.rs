@@ -1,6 +1,6 @@
 //! Property-based tests for the datastore invariants.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -9,6 +9,7 @@ use smartflux_datastore::{
     ContainerRef, DataStore, FamilyHandle, ObserverHandle, ScanFilter, StoreError, StoreState,
     Value, WriteEvent, WriteKind, WriteObserver, WriteRef,
 };
+use smartflux_durability::{decode_store_state, encode_store_state};
 
 /// An arbitrary sequence of puts into a single family.
 fn ops() -> impl Strategy<Value = Vec<(u8, u8, f64)>> {
@@ -306,19 +307,41 @@ proptest! {
         prop_assert_eq!(from_empty.modified_count(), snap.len());
     }
 
-    /// Versioned cells keep the previous value consistent with history.
+    /// A cell is the last write applied to it: after puts, row puts and
+    /// deletes through handles and one-shots mixed, every exported cell
+    /// carries the timestamp and value of the last write a recording observer
+    /// saw for it (and a deleted cell is gone), no timestamp is ahead of the
+    /// exported clock, and the export survives `from_state` and the durable
+    /// encoding unchanged.
     #[test]
-    fn previous_version_tracks_writes(values in prop::collection::vec(-1e6f64..1e6, 2..20)) {
-        let s = store();
-        for v in &values {
-            s.put("t", "f", "r", "q", Value::from(*v)).unwrap();
+    fn exported_cells_are_the_last_observed_writes(ops in handle_ops()) {
+        let run = run_handle_ops(&ops, true);
+        let mut last = BTreeMap::new();
+        for e in &run.permanent {
+            let cell = (&e.table, &e.family, &e.row, &e.qualifier);
+            match &e.new {
+                Some(value) => last.insert(cell, (e.timestamp, value)),
+                None => last.remove(&cell),
+            };
         }
-        let cell = s.get_versioned("t", "f", "r", "q").unwrap().unwrap();
-        prop_assert_eq!(cell.current().as_f64(), Some(values[values.len() - 1]));
-        prop_assert_eq!(
-            cell.previous().and_then(Value::as_f64),
-            Some(values[values.len() - 2])
-        );
+        let mut exported = BTreeMap::new();
+        for table in &run.state.tables {
+            for family in &table.families {
+                for cell in &family.cells {
+                    let [(ts, value)] = &cell.versions;
+                    prop_assert!(*ts <= run.state.clock);
+                    let at = (&table.name, &family.name, &cell.row, &cell.qualifier);
+                    prop_assert!(exported.insert(at, (*ts, value)).is_none());
+                }
+            }
+        }
+        prop_assert_eq!(exported, last);
+        prop_assert_eq!(run.state.clock, run.clock);
+
+        let restored = DataStore::from_state(run.state.clone()).unwrap();
+        prop_assert_eq!(&restored.export_state(), &run.state);
+        let decoded = decode_store_state(&encode_store_state(&run.state)).unwrap();
+        prop_assert_eq!(&decoded, &run.state);
     }
 
     /// Scans respect row-prefix filtering and never invent rows.
@@ -480,12 +503,14 @@ fn concurrent_writers_are_fully_observed() {
     );
 }
 
-/// Concurrency: concurrent writers to the *same* cell serialise cleanly —
-/// the final value is one of the written values and the version history
-/// remains bounded and ordered.
+/// Concurrency: concurrent writers to the *same* cell serialise — the pair
+/// that survives is the observed write with the largest timestamp, and that
+/// timestamp is the clock.
 #[test]
 fn concurrent_writes_to_one_cell_serialise() {
     let store = store();
+    let log = Arc::new(BorrowedLog::default());
+    store.register_observer(Arc::clone(&log) as Arc<dyn WriteObserver>);
     const THREADS: usize = 8;
     const WRITES: usize = 100;
     std::thread::scope(|scope| {
@@ -500,17 +525,20 @@ fn concurrent_writes_to_one_cell_serialise() {
             });
         }
     });
-    let cell = store
-        .get_versioned("t", "f", "hot", "v")
-        .expect("family exists")
-        .expect("cell exists");
-    let current = cell.current().as_f64().expect("numeric");
-    assert!((0.0..(THREADS * WRITES) as f64).contains(&current));
-    // Timestamps in the retained history are strictly increasing.
-    let versions = cell.versions();
-    for pair in versions.windows(2) {
-        assert!(pair[0].0 < pair[1].0, "timestamps must increase");
-    }
+    let seen = log.0.lock().unwrap();
+    assert_eq!(seen.len(), THREADS * WRITES);
+    let newest = seen
+        .iter()
+        .max_by_key(|e| e.timestamp)
+        .expect("writes were observed");
+    let state = store.export_state();
+    let [cell] = &state.tables[0].families[0].cells[..] else {
+        panic!("one hot cell, got {:?}", state.tables);
+    };
+    let [(ts, value)] = &cell.versions;
+    assert_eq!((*ts, Some(value)), (newest.timestamp, newest.new.as_ref()));
+    assert_eq!(newest.timestamp, (THREADS * WRITES) as u64);
+    assert_eq!(state.clock, newest.timestamp);
 }
 
 /// Concurrency: `put_row` writes its cells under one write guard, so a

@@ -7,7 +7,7 @@
 //! `ShardPolicy::Single` oracle. Because the logical clock only advances
 //! inside the owning shard's write guard, timestamp order per cell equals
 //! apply order, so the replayed oracle must land on the *identical* final
-//! state: same cells, same version histories, same timestamps, same clock.
+//! state: same cells, same values, same timestamps, same clock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -47,7 +47,7 @@ impl Rng {
 }
 
 fn store_with_containers(policy: ShardPolicy) -> DataStore {
-    let store = DataStore::with_options(policy, 3);
+    let store = DataStore::with_shard_policy(policy);
     for table in TABLES {
         store.create_table(table).unwrap();
         for family in FAMILIES {
@@ -166,7 +166,7 @@ fn assert_replay_matches(policy: ShardPolicy, seed: u64) {
     // concurrent run before comparing exported state.
     oracle.set_clock(store.clock());
 
-    // Identical final state: contents, version histories, timestamps,
+    // Identical final state: contents, timestamps,
     // clock — and per-container cell counts.
     assert_eq!(oracle.export_state(), store.export_state());
     for table in TABLES {

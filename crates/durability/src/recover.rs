@@ -40,8 +40,7 @@ fn replay_error(e: &StoreError) -> DurabilityError {
 ///   compacted away or are skipped. Within a replayed batch, ops whose
 ///   timestamp is at or below the checkpoint's clock are skipped too: a
 ///   checkpoint taken *mid-wave* under concurrent writers is a consistent
-///   cut that already contains them, and re-applying a put would duplicate
-///   a cell version.
+///   cut that already contains them.
 /// - Each remaining batch is applied atomically: its operations replay
 ///   with their original timestamps, then the clock is set to the batch's
 ///   committed clock. Containers named by ops are created on demand — a

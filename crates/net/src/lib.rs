@@ -5,7 +5,7 @@
 //! drive it. It is dependency-free by design (blocking `std::net`, like
 //! the observability plane's HTTP listener) and splits into:
 //!
-//! - [`wire`] — the SFNP v1 framed binary protocol: `len|crc|payload`
+//! - [`wire`] — the SFNP v2 framed binary protocol: `len|crc|payload`
 //!   envelopes reusing the durability codec's conventions, a versioned
 //!   handshake, and typed error frames. Torn and corrupt frames are
 //!   distinguished exactly like WAL damage and can never panic a peer.

@@ -1,4 +1,4 @@
-//! The SFNP v1 wire protocol: framing, message types, and their codec.
+//! The SFNP v2 wire protocol: framing, message types, and their codec.
 //!
 //! Every message travels in one CRC-framed envelope reusing the
 //! durability layer's conventions ([`smartflux_durability::codec`]):
@@ -33,7 +33,7 @@ use crate::error::NetError;
 pub const MAGIC: [u8; 4] = *b"SFNP";
 
 /// The protocol version this build speaks.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Upper bound on a frame's declared payload length. A header
 /// announcing more is rejected as corrupt before any allocation.

@@ -117,19 +117,23 @@ fn handshaken(server: &NetServer) -> TcpStream {
 #[test]
 fn wrong_version_is_rejected_with_a_typed_frame() {
     let server = start_server();
-    let mut stream = raw_connection(&server);
-    stream
-        .write_all(&frame(&Request::Hello { version: 99 }))
-        .unwrap();
-    match read_reply(&mut stream) {
-        Some(Response::Error { code, message }) => {
-            assert_eq!(code, ErrorCode::UnsupportedVersion);
-            assert!(message.contains("99"));
+    // The version before this one (its store image has another layout), and
+    // one nobody has spoken yet.
+    for version in [VERSION - 1, 99] {
+        let mut stream = raw_connection(&server);
+        stream
+            .write_all(&frame(&Request::Hello { version }))
+            .unwrap();
+        match read_reply(&mut stream) {
+            Some(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::UnsupportedVersion);
+                assert!(message.contains(&version.to_string()));
+            }
+            other => panic!("expected a typed rejection, got {other:?}"),
         }
-        other => panic!("expected a typed rejection, got {other:?}"),
+        // The server closes the connection after rejecting the handshake.
+        assert!(read_reply(&mut stream).is_none());
     }
-    // The server closes the connection after rejecting the handshake.
-    assert!(read_reply(&mut stream).is_none());
     server.shutdown();
 }
 

@@ -1,9 +1,18 @@
-//! The damage battery over the engine-state blob: `SFES` v2 flipped and
-//! truncated at every offset ([`smartflux_sim::faults::wire`]) — a typed
-//! error every time, the engine unchanged, no panic.
+//! The damage batteries over what a checkpoint holds — the engine-state
+//! blob (`SFES`) and the checkpoint file around it (`SFCP`) — flipped and
+//! truncated at every offset ([`smartflux_sim::faults::wire`]): a typed
+//! error every time, nothing changed, no panic, no reservation a damaged
+//! count talked the decoder into.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use smartflux::{CoreError, DurabilityError, QodEngine, SharedEngine};
-use smartflux_datastore::DataStore;
+use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_durability::codec::{write_frame, FRAME_HEADER};
+use smartflux_durability::{
+    encode_store_state, read_checkpoint, write_checkpoint, Checkpoint, CHECKPOINT_FILE,
+};
 use smartflux_sim::faults::wire;
 use smartflux_sim::{workload, Scenario};
 use smartflux_wms::Scheduler;
@@ -68,4 +77,134 @@ fn engine_state_damaged_at_every_offset_is_a_typed_error() {
     // And the undamaged blob still imports.
     import(&blob).unwrap();
     assert_eq!(target.with(QodEngine::export_state), blob);
+}
+
+/// Forwards to the system allocator, remembering the largest request this
+/// thread made.
+struct Metered;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // No destructor is registered for a const-initialised `Cell<usize>`, so
+    // this is reachable at any point of a thread's life.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches no allocator
+// state.
+unsafe impl GlobalAlloc for Metered {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Metered = Metered;
+
+#[test]
+fn checkpoint_file_damaged_at_every_offset_is_a_typed_error() {
+    let store = DataStore::new();
+    for (family, row, qualifier, value) in [
+        ("f", "r1", "speed", Value::from(61.5)),
+        ("f", "r1", "count", Value::I64(-3)),
+        ("f", "r2", "name", Value::from("segment")),
+        ("g", "r", "raw", Value::from(vec![0u8, 255, 7])),
+    ] {
+        store
+            .ensure_container(&ContainerRef::family("t", family))
+            .unwrap();
+        store.put("t", family, row, qualifier, value).unwrap();
+    }
+    store
+        .put("t", "f", "r1", "speed", Value::from(58.0))
+        .unwrap();
+    let checkpoint = Checkpoint {
+        wave: 7,
+        clock: store.clock(),
+        store: store.export_state(),
+        engine: vec![1, 2, 3],
+    };
+    let dir = std::env::temp_dir().join(format!("smartflux-sfcp-damage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    write_checkpoint(&dir, &checkpoint).unwrap();
+    let path = dir.join(CHECKPOINT_FILE);
+    let file = std::fs::read(&path).unwrap();
+
+    // What reading `bytes` as the checkpoint gives, and the largest heap
+    // request made on the way.
+    let read = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        LARGEST.set(0);
+        (read_checkpoint(&dir), LARGEST.get())
+    };
+    let refused = |what: String, bytes: &[u8]| match read(bytes) {
+        (
+            Err(DurabilityError::Corrupt { .. } | DurabilityError::UnsupportedVersion { .. }),
+            largest,
+        ) => largest,
+        (other, _) => panic!("{what}: expected a typed durability error, got {other:?}"),
+    };
+    for (offset, damaged) in wire::flips(&file).enumerate() {
+        refused(format!("flip at {offset}"), &damaged);
+    }
+    refused("empty file".into(), &[]);
+    for (keep, damaged) in wire::truncations(&file) {
+        refused(format!("truncation to {keep}"), &damaged);
+    }
+
+    // Damage a CRC cannot see — the store frame was written that way: a
+    // cell count of `u32::MAX`, and a frame that ends inside its last value.
+    // Both are refused, and a claimed count reserves for no more cells than
+    // the bytes behind it could hold (a few times their size, never the
+    // count's).
+    let meta_end = FRAME_HEADER + 22;
+    let store_frame = encode_store_state(&checkpoint.store);
+    let reframed = |payload: &[u8]| {
+        let mut bytes = file[..meta_end].to_vec();
+        write_frame(&mut bytes, payload);
+        write_frame(&mut bytes, &checkpoint.engine);
+        bytes
+    };
+    assert_eq!(reframed(&store_frame), file);
+    // clock | n_tables | "t" | n_families | "f" | n_cells
+    let n_cells_at = 8 + 4 + (4 + 1) + 4 + (4 + 1);
+    let mut huge = store_frame.clone();
+    assert_eq!(huge[n_cells_at..n_cells_at + 4], 3u32.to_le_bytes());
+    huge[n_cells_at..n_cells_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    for (what, payload) in [
+        ("cell count of u32::MAX", &huge[..]),
+        (
+            "frame ends inside a value",
+            &store_frame[..store_frame.len() - 2],
+        ),
+    ] {
+        let largest = refused(what.into(), &reframed(payload));
+        assert!(
+            largest <= 8 * file.len(),
+            "{what}: a {largest}-byte request for a {}-byte file",
+            file.len()
+        );
+    }
+
+    // And the undamaged file still reads as what was written.
+    assert_eq!(read(&file).0.unwrap(), Some(checkpoint));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

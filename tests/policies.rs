@@ -271,5 +271,5 @@ fn evaluation_is_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(a.waves, b.waves);
-    assert_eq!(a.confidence.series(), b.confidence.series());
+    assert_eq!(a.confidence_series(), b.confidence_series());
 }

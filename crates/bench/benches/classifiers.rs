@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use smartflux_ml::{
     Classifier, Dataset, DecisionTree, GaussianNaiveBayes, LinearSvm, LogisticRegression,
-    NeuralNetwork, RandomForest,
+    NeuralNetwork, RandomForest, TrainParallelism,
 };
 
 /// A noisy threshold problem of the size SmartFlux trains per label:
@@ -71,6 +71,66 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
+/// The training set a session builds its forests from, at `aqhi`'s size:
+/// 768 waves of near-continuous impacts, `width` of them per row
+/// (1 = `FeatureMode::OwnImpact`, 6 = a `FullVector` workflow), the label a
+/// threshold on the first with one wave in sixteen flipped — noise is what
+/// makes the trees deep, and depth is what induction costs.
+fn session_shaped(width: usize) -> Dataset {
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let x: Vec<Vec<f64>> = (0..768)
+        .map(|_| {
+            (0..width)
+                .map(|_| (next() % 100_000) as f64 / 1000.0)
+                .collect()
+        })
+        .collect();
+    let y = x
+        .iter()
+        .map(|r| (r[0] > 50.0) ^ (next() % 16 == 0))
+        .collect();
+    Dataset::new(x, y).expect("well-formed data")
+}
+
+/// The model build's kernel: one forest fit at the default `ModelKind`
+/// (60 trees, depth 12), single-threaded and at the host's parallelism.
+fn bench_forest_fit(c: &mut Criterion) {
+    for (name, data, max_features) in [
+        ("fit_768x1", session_shaped(1), None),
+        ("fit_768x6", session_shaped(6), Some(3)),
+    ] {
+        let mut group = c.benchmark_group(name);
+        group.sample_size(20);
+        for (id, parallelism) in [
+            ("random_forest_60/fixed1", TrainParallelism::Fixed(1)),
+            ("random_forest_60/auto", TrainParallelism::Auto),
+        ] {
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    let mut m = RandomForest::new(60)
+                        .with_max_depth(12)
+                        .with_seed(7)
+                        .with_parallelism(parallelism);
+                    if let Some(k) = max_features {
+                        m = m.with_max_features(k);
+                    }
+                    m.fit(black_box(&data)).expect("fit succeeds");
+                    black_box(m.arena().n_nodes())
+                });
+            });
+        }
+        group.finish();
+    }
+}
+
 fn bench_predict(c: &mut Criterion) {
     let data = training_data();
     let mut forest = RandomForest::new(60).with_max_depth(12).with_seed(7);
@@ -88,5 +148,5 @@ fn bench_predict(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fit, bench_predict);
+criterion_group!(benches, bench_fit, bench_forest_fit, bench_predict);
 criterion_main!(benches);

@@ -221,13 +221,23 @@ fn write_bench_json(
     batched_speedup: f64,
 ) {
     let path = results_dir().join("..").join("BENCH_ml.json");
+    // The `fit` member records alternating parent / change passes of the
+    // `classifiers` bench — two builds, which one run of this binary
+    // cannot reproduce — so it is carried over from the file replaced.
+    let fit = fs::read_to_string(&path)
+        .ok()
+        .and_then(|old| {
+            let (at, end) = (old.find(",\n  \"fit\": ")?, old.rfind('}')?);
+            Some(old.get(at..end)?.trim_end().to_owned())
+        })
+        .unwrap_or_default();
     let json = format!(
         "{{\n  \"schema\": 1,\n  \"bench\": \"forest_inference\",\n  \
          \"config\": {{ \"n_trees\": 50, \"depth\": 16, \"labels\": 4 }},\n  \
          \"waves_per_sec\": {waves_per_sec:.0},\n  \
          \"predict_ns_per_label\": {ns_per_label:.1},\n  \
          \"speedup_flat_vs_scalar\": {flat_speedup:.2},\n  \
-         \"speedup_batched_vs_scalar\": {batched_speedup:.2}\n}}\n"
+         \"speedup_batched_vs_scalar\": {batched_speedup:.2}{fit}\n}}\n"
     );
     // tidy:allow(panic): bench harness aborts loudly on I/O failure
     fs::write(&path, json).expect("cannot write BENCH_ml.json");

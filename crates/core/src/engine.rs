@@ -673,6 +673,15 @@ impl QodEngine {
             let _span = self.telemetry.span(names::TRAIN_LATENCY, wave);
             self.predictor.train(&self.kb)
         };
+        if self.telemetry.is_enabled() {
+            if let Some(build) = self.predictor.last_build_time() {
+                let ms = u64::try_from(build.as_millis()).unwrap_or(u64::MAX);
+                self.telemetry
+                    .gauge(names::ML_MODEL_BUILD_MS)
+                    .set(i64::try_from(ms).unwrap_or(i64::MAX));
+                self.telemetry.health().set_model_build_ms(ms);
+            }
+        }
         match trained {
             Ok(quality) => {
                 let gates_met = quality.accuracy >= self.config.min_accuracy
@@ -1194,6 +1203,11 @@ impl TriggerPolicy for QodEngine {
                 Phase::Application => "application",
             });
             health.note_wave(wave);
+            let age = self.application_waves_since_training;
+            health.set_model_age_waves(age);
+            self.telemetry
+                .gauge(names::QOD_MODEL_AGE_WAVES)
+                .set(i64::try_from(age).unwrap_or(i64::MAX));
             if let Some(manager) = &self.durability {
                 if let Ok(len) = manager.wal_len() {
                     health.set_wal_lag_bytes(len);

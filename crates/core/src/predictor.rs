@@ -312,7 +312,12 @@ impl Predictor {
         // tidy:allow(time): measures model build latency (Table 2), which is
         // reported, never replayed
         let start = Instant::now();
-        let quality = self.assess(&data)?;
+        // One single-label view per step, shared by the test phase and
+        // the final fit.
+        let views = (0..data.n_labels())
+            .map(|j| self.label_view(&data, j))
+            .collect::<Result<Vec<_>, _>>()?;
+        let quality = self.assess(&views)?;
 
         // The fit span covers only the kernel work (per-label model
         // fitting), not the cross-validated test phase above — `ml.fit_ns`
@@ -321,11 +326,10 @@ impl Predictor {
         let fit_span = self
             .telemetry
             .span(names::ML_FIT_LATENCY, data.n_labels() as u64);
-        let mut models = Vec::with_capacity(data.n_labels());
-        for j in 0..data.n_labels() {
-            let view = self.label_view(&data, j)?;
+        let mut models = Vec::with_capacity(views.len());
+        for (j, view) in views.iter().enumerate() {
             let mut model = self.kind.build(self.seed.wrapping_add(j as u64));
-            model.fit(&view)?;
+            model.fit(view)?;
             models.push(model);
         }
         drop(fit_span);
@@ -335,14 +339,13 @@ impl Predictor {
         Ok(quality)
     }
 
-    /// Runs the test phase only: k-fold CV per label, pooled.
-    fn assess(&self, data: &MultiLabelDataset) -> Result<PredictorQuality, CoreError> {
-        let folds = self.cv_folds.min(data.len() / 2).max(2);
+    /// Runs the test phase only: k-fold CV per label view, pooled.
+    fn assess(&self, views: &[smartflux_ml::Dataset]) -> Result<PredictorQuality, CoreError> {
         let mut pooled = ConfusionMatrix::default();
-        for j in 0..data.n_labels() {
-            let view = self.label_view(data, j)?;
+        for (j, view) in views.iter().enumerate() {
+            let folds = self.cv_folds.min(view.len() / 2).max(2);
             let seed = self.seed.wrapping_add(j as u64);
-            let result = cross_validate(&view, folds, seed, || self.kind.build(seed))?;
+            let result = cross_validate(view, folds, seed, || self.kind.build(seed))?;
             pooled.merge(&result.confusion);
         }
         Ok(PredictorQuality {

@@ -184,6 +184,15 @@ fn snapshot_reports_waves_and_store_traffic() {
             .is_some_and(|h| h.count > 0),
         "predict spans recorded"
     );
+    // How old is the model: five application waves since the build, on
+    // `/metrics` and `/healthz` alike.
+    assert_eq!(snap.gauge(names::QOD_MODEL_AGE_WAVES), 5);
+    let health = session.telemetry().health().snapshot();
+    assert_eq!(health.model_age_waves, 5);
+    assert_eq!(
+        snap.gauge(names::ML_MODEL_BUILD_MS),
+        i64::try_from(health.model_build_ms).unwrap()
+    );
 }
 
 #[test]
@@ -204,4 +213,5 @@ fn disabled_telemetry_stays_silent() {
     assert_eq!(snap.counter(names::STEPS_EXECUTED), 0);
     assert_eq!(snap.counter(names::STORE_READS), 0);
     assert!(snap.histogram(names::WAVE_LATENCY).is_none());
+    assert_eq!(snap.gauge(names::QOD_MODEL_AGE_WAVES), 0);
 }

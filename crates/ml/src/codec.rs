@@ -35,12 +35,16 @@ impl<'a> Reader<'a> {
         Self { buf, pos: 0 }
     }
 
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     pub(crate) fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
+        self.remaining() == 0
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], MlError> {
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if remaining < n {
             return Err(MlError::Decode(format!(
                 "truncated model bytes: needed {n} bytes for {what}, had {remaining}"

@@ -124,7 +124,11 @@ where
     let folds = stratified_folds(data.y(), k, seed);
     let mut pooled = ConfusionMatrix::default();
     for held_out in &folds {
-        let train_idx: Vec<usize> = (0..data.len()).filter(|i| !held_out.contains(i)).collect();
+        let mut held = vec![false; data.len()];
+        for &i in held_out {
+            held[i] = true;
+        }
+        let train_idx: Vec<usize> = (0..data.len()).filter(|&i| !held[i]).collect();
         if train_idx.is_empty() {
             continue;
         }

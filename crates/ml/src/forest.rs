@@ -10,7 +10,7 @@ use crate::arena::TreeArena;
 use crate::codec;
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::tree::DecisionTree;
+use crate::tree::{DecisionTree, Presorted};
 use crate::Classifier;
 
 /// Worker budget for [`RandomForest::fit`].
@@ -197,6 +197,20 @@ impl RandomForest {
         &self.arena
     }
 
+    /// Tree `t` of the ensemble, unfitted: the forest's limits, `√d`
+    /// features per split unless set, and a seed derived from the index.
+    fn tree_config(&self, n_features: usize, t: usize) -> DecisionTree {
+        let k = self
+            .max_features
+            .unwrap_or_else(|| (n_features as f64).sqrt().ceil() as usize)
+            .max(1);
+        DecisionTree::new()
+            .with_max_depth(self.max_depth)
+            .with_min_samples_split(self.min_samples_split)
+            .with_max_features(k)
+            .with_seed(self.seed.wrapping_add(t as u64).wrapping_mul(0x9E37_79B9))
+    }
+
     /// Rebuilds the flat arena from the pointer trees. Every path that
     /// installs trees (fit, text/binary decode) calls this, so the two
     /// representations can never diverge.
@@ -302,7 +316,17 @@ impl RandomForest {
         if n_trees == 0 {
             return Err(MlError::Decode("forest must hold at least one tree".into()));
         }
-        let mut trees = Vec::with_capacity(n_trees.min(4096));
+        // The smallest tree is one leaf: a tag and a probability. A count
+        // the remaining bytes cannot hold is refused before it is
+        // reserved for.
+        const MIN_TREE_BYTES: usize = 1 + 8;
+        if n_trees > r.remaining() / MIN_TREE_BYTES {
+            return Err(MlError::Decode(format!(
+                "{n_trees} trees claimed, {} bytes left",
+                r.remaining()
+            )));
+        }
+        let mut trees = Vec::with_capacity(n_trees);
         for _ in 0..n_trees {
             trees.push(DecisionTree::read_binary(&mut r)?);
         }
@@ -330,43 +354,40 @@ impl RandomForest {
 
 impl Classifier for RandomForest {
     fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
+        if data.is_empty() {
+            return Err(MlError::EmptyDataset); // `Dataset::subset(&[])`
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let k = self
-            .max_features
-            .unwrap_or_else(|| (data.n_features() as f64).sqrt().ceil() as usize)
-            .max(1);
         // Bootstrap samples (with replacement) are drawn sequentially
         // from the single forest RNG *before* any tree is fitted,
         // preserving the historical draw order: tree `t` always receives
         // draws [t·n, (t+1)·n), no matter how many workers then fit the
-        // trees. Per-tree feature subsampling is seeded from the tree
-        // index, so the fitted ensemble is bit-identical at every
-        // parallelism setting.
-        let samples: Vec<Vec<usize>> = (0..self.n_trees)
-            .map(|_| {
-                (0..data.len())
-                    .map(|_| rng.random_range(0..data.len()))
-                    .collect()
-            })
-            .collect();
+        // trees. A sample is kept as how often each row was drawn — the
+        // grower walks the shared sort order with those counts as
+        // weights, so no tree copies or sorts a row. Per-tree feature
+        // subsampling is seeded from the tree index, so the fitted
+        // ensemble is bit-identical at every parallelism setting.
+        let n = data.len();
+        let mut draws = vec![0_u32; self.n_trees * n];
+        for sample in draws.chunks_exact_mut(n) {
+            for _ in 0..n {
+                sample[rng.random_range(0..n)] += 1;
+            }
+        }
+        let view = Presorted::new(data)?;
 
-        let fit_one = |t: usize, sample: &[usize]| -> Result<DecisionTree, MlError> {
-            let boot = data.subset(sample);
-            let mut tree = DecisionTree::new()
-                .with_max_depth(self.max_depth)
-                .with_min_samples_split(self.min_samples_split)
-                .with_max_features(k)
-                .with_seed(self.seed.wrapping_add(t as u64).wrapping_mul(0x9E37_79B9));
-            tree.fit(&boot)?;
-            Ok(tree)
+        let fit_one = |t: usize, sample: &[u32]| -> DecisionTree {
+            let mut tree = self.tree_config(data.n_features(), t);
+            tree.fit_presorted(&view, data.y(), sample);
+            tree
         };
 
         let workers = self.parallelism.workers().min(self.n_trees);
-        let mut slots: Vec<Option<Result<DecisionTree, MlError>>> = Vec::new();
+        let mut slots: Vec<Option<DecisionTree>> = Vec::new();
         slots.resize_with(self.n_trees, || None);
         if workers <= 1 {
-            for (t, sample) in samples.iter().enumerate() {
-                slots[t] = Some(fit_one(t, sample));
+            for (t, (sample, slot)) in draws.chunks_exact(n).zip(&mut slots).enumerate() {
+                *slot = Some(fit_one(t, sample));
             }
         } else {
             // Contiguous chunks keep every worker's output slots disjoint;
@@ -375,12 +396,14 @@ impl Classifier for RandomForest {
             let per = self.n_trees.div_ceil(workers);
             std::thread::scope(|scope| {
                 for (w, (sample_chunk, slot_chunk)) in
-                    samples.chunks(per).zip(slots.chunks_mut(per)).enumerate()
+                    draws.chunks(per * n).zip(slots.chunks_mut(per)).enumerate()
                 {
                     let fit_one = &fit_one;
                     scope.spawn(move || {
-                        for (i, (sample, slot)) in
-                            sample_chunk.iter().zip(slot_chunk.iter_mut()).enumerate()
+                        for (i, (sample, slot)) in sample_chunk
+                            .chunks_exact(n)
+                            .zip(slot_chunk.iter_mut())
+                            .enumerate()
                         {
                             *slot = Some(fit_one(w * per + i, sample));
                         }
@@ -391,13 +414,9 @@ impl Classifier for RandomForest {
 
         let mut trees = Vec::with_capacity(self.n_trees);
         for slot in slots {
-            match slot {
-                Some(Ok(tree)) => trees.push(tree),
-                Some(Err(e)) => return Err(e),
-                // Unreachable — the chunked loops fill every slot — but
-                // handled without panicking per the lib-code discipline.
-                None => return Err(MlError::NotFitted),
-            }
+            // Unreachable — the chunked loops fill every slot — but
+            // handled without panicking per the lib-code discipline.
+            trees.push(slot.ok_or(MlError::NotFitted)?);
         }
         self.trees = trees;
         self.rebuild_arena();
@@ -430,7 +449,68 @@ impl Classifier for RandomForest {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::tree::tied_dataset;
+
+    /// `fit` as it was before the presorted grower: every tree's
+    /// bootstrap materialised with `Dataset::subset` and grown by the
+    /// per-node-sort reference, on one thread.
+    fn fit_reference(forest: &mut RandomForest, data: &Dataset) {
+        let mut rng = StdRng::seed_from_u64(forest.seed);
+        let samples: Vec<Vec<usize>> = (0..forest.n_trees)
+            .map(|_| {
+                (0..data.len())
+                    .map(|_| rng.random_range(0..data.len()))
+                    .collect()
+            })
+            .collect();
+        forest.trees = samples
+            .iter()
+            .enumerate()
+            .map(|(t, sample)| {
+                let mut tree = forest.tree_config(data.n_features(), t);
+                tree.fit_reference(&data.subset(sample));
+                tree
+            })
+            .collect();
+        forest.rebuild_arena();
+    }
+
+    proptest! {
+        /// The forest half of the differential oracle: at every worker
+        /// count the presorted fit serialises to the bytes of the
+        /// reference fit.
+        #[test]
+        fn presorted_forest_bytes_match_reference(
+            seed in any::<u64>(),
+            (n_rows, n_features) in (1usize..70, 1usize..=6),
+            (n_trees, max_depth, min_samples_split) in (1usize..=9, 1usize..=12, 2usize..=6),
+            max_features in proptest::option::of(1usize..=6),
+        ) {
+            let data = tied_dataset(&mut StdRng::seed_from_u64(seed), n_rows, n_features);
+            let mut config = RandomForest::new(n_trees)
+                .with_max_depth(max_depth)
+                .with_min_samples_split(min_samples_split)
+                .with_seed(seed);
+            config.max_features = max_features;
+
+            let mut reference = config.clone();
+            fit_reference(&mut reference, &data);
+            let expected = reference.to_bytes();
+            for parallelism in [
+                TrainParallelism::Fixed(1),
+                TrainParallelism::Fixed(2),
+                TrainParallelism::Fixed(4),
+                TrainParallelism::Auto,
+            ] {
+                let mut forest = config.clone().with_parallelism(parallelism);
+                forest.fit(&data).unwrap();
+                prop_assert_eq!(forest.to_bytes(), expected.clone(), "{:?}", parallelism);
+            }
+        }
+    }
 
     fn banded() -> Dataset {
         // Positive iff x in [10, 20).

@@ -149,3 +149,32 @@ fn auto_parallelism_matches_sequential_training() {
     auto.fit(&data).expect("fit");
     assert_eq!(baseline.to_bytes(), auto.to_bytes());
 }
+
+/// FNV-1a (64-bit) of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The models are the same models: the SFRF bytes of one fixed forest,
+/// hashed at the commit before the presorted grower replaced the
+/// per-node sort and pinned. Induction is deterministic (seeded RNG,
+/// IEEE arithmetic, no hash-map order), so any change to this value is
+/// a change to what every session trains, recovers and checkpoints —
+/// never "harmless".
+#[test]
+fn induction_golden_is_pinned() {
+    let full = dataset(300, 19);
+    // 300 × 2: one near-continuous column, one with seven distinct values.
+    let x: Vec<Vec<f64>> = full.x().iter().map(|r| vec![r[0], r[2]]).collect();
+    let data = Dataset::new(x, full.y().to_vec()).expect("well-formed");
+    let mut rf = RandomForest::new(20).with_max_depth(10).with_seed(19);
+    rf.fit(&data).expect("fit");
+    let bytes = rf.to_bytes().expect("fitted");
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (18_128, 0xBC22_4BB4_1708_4362_u64),
+        "forest induction no longer produces the pinned model"
+    );
+}

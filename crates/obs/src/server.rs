@@ -143,8 +143,9 @@ fn query_u64(request: &Request, key: &str) -> Option<u64> {
 }
 
 /// Renders `/healthz`: status, engine phase, last wave and its age, WAL
-/// and checkpoint lag. The status is `degraded` while checkpoints are
-/// overdue (more than two intervals of waves since the last durable one).
+/// and checkpoint lag, the model's build time and age. The status is
+/// `degraded` while checkpoints are overdue (more than two intervals of
+/// waves since the last durable one).
 fn health_json(telemetry: &Telemetry) -> String {
     let health = telemetry.health().snapshot();
     let age = health
@@ -156,8 +157,14 @@ fn health_json(telemetry: &Telemetry) -> String {
         "ok"
     };
     format!(
-        "{{\"status\":\"{status}\",\"phase\":\"{}\",\"last_wave\":{},\"last_wave_age_ms\":{},\"wal_lag_bytes\":{},\"checkpoint_lag_waves\":{}}}",
-        health.phase, health.last_wave, age, health.wal_lag_bytes, health.checkpoint_lag_waves
+        "{{\"status\":\"{status}\",\"phase\":\"{}\",\"last_wave\":{},\"last_wave_age_ms\":{},\"wal_lag_bytes\":{},\"checkpoint_lag_waves\":{},\"model_build_ms\":{},\"model_age_waves\":{}}}",
+        health.phase,
+        health.last_wave,
+        age,
+        health.wal_lag_bytes,
+        health.checkpoint_lag_waves,
+        health.model_build_ms,
+        health.model_age_waves
     )
 }
 
@@ -245,6 +252,8 @@ pub fn preregister(telemetry: &Telemetry) {
         names::STORE_SHARD_WRITE_CONTENTION,
         names::STORE_QUIESCES,
         names::ML_BATCH_SIZE,
+        names::ML_MODEL_BUILD_MS,
+        names::QOD_MODEL_AGE_WAVES,
         names::NET_ACTIVE_CONNECTIONS,
         names::NET_SESSIONS_OPEN,
         names::NET_QUEUE_DEPTH,
@@ -305,6 +314,8 @@ mod tests {
         s.telemetry.health().set_phase("application");
         s.telemetry.health().note_wave(17);
         s.telemetry.health().set_wal_lag_bytes(512);
+        s.telemetry.health().set_model_build_ms(180);
+        s.telemetry.health().set_model_age_waves(9);
         {
             let _span = s.telemetry.span(names::WAVE_LATENCY, 1);
         }
@@ -353,6 +364,7 @@ mod tests {
         assert!(health.contains("\"phase\":\"application\""));
         assert!(health.contains("\"last_wave\":17"));
         assert!(health.contains("\"wal_lag_bytes\":512"));
+        assert!(health.contains("\"model_build_ms\":180,\"model_age_waves\":9"));
         assert!(health.contains("\"status\":\"ok\""));
         // Checkpoints stopped landing: the report degrades.
         telemetry.health().set_checkpoint_lag(41, 20);

@@ -2,7 +2,8 @@
 //!
 //! A tiny always-on bundle of atomics the engine refreshes at wave
 //! boundaries: phase, last completed wave (with its timestamp), the WAL
-//! lag in bytes and the checkpoint lag in waves. Living in the telemetry crate keeps the server crate
+//! lag in bytes, the checkpoint lag in waves, and the model's build time
+//! and age. Living in the telemetry crate keeps the server crate
 //! free of engine dependencies — the engine writes through its
 //! [`Telemetry`](crate::Telemetry) handle, the server reads a
 //! [`HealthSnapshot`].
@@ -31,6 +32,10 @@ pub struct Health {
     /// Configured waves between checkpoints; `0` = no durability.
     // tidy:atomic(checkpoint_interval: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
     checkpoint_interval: AtomicU64,
+    // tidy:atomic(model_build_ms: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
+    model_build_ms: AtomicU64,
+    // tidy:atomic(model_age_waves: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
+    model_age_waves: AtomicU64,
 }
 
 impl Default for Health {
@@ -42,6 +47,8 @@ impl Default for Health {
             wal_lag_bytes: AtomicU64::new(0),
             checkpoint_lag_waves: AtomicU64::new(0),
             checkpoint_interval: AtomicU64::new(0),
+            model_build_ms: AtomicU64::new(0),
+            model_age_waves: AtomicU64::new(0),
         }
     }
 }
@@ -71,6 +78,16 @@ impl Health {
         self.checkpoint_interval.store(interval, Ordering::Relaxed);
     }
 
+    /// Publishes how long the latest model build took.
+    pub fn set_model_build_ms(&self, ms: u64) {
+        self.model_build_ms.store(ms, Ordering::Relaxed);
+    }
+
+    /// Publishes how many application waves the current model has decided.
+    pub fn set_model_age_waves(&self, waves: u64) {
+        self.model_age_waves.store(waves, Ordering::Relaxed);
+    }
+
     /// Captures a point-in-time health view.
     #[must_use]
     pub fn snapshot(&self) -> HealthSnapshot {
@@ -87,6 +104,8 @@ impl Health {
             wal_lag_bytes: self.wal_lag_bytes.load(Ordering::Relaxed),
             checkpoint_lag_waves: self.checkpoint_lag_waves.load(Ordering::Relaxed),
             checkpoint_interval: self.checkpoint_interval.load(Ordering::Relaxed),
+            model_build_ms: self.model_build_ms.load(Ordering::Relaxed),
+            model_age_waves: self.model_age_waves.load(Ordering::Relaxed),
         }
     }
 }
@@ -106,6 +125,10 @@ pub struct HealthSnapshot {
     pub checkpoint_lag_waves: u64,
     /// Configured waves between checkpoints (0 = durability off).
     pub checkpoint_interval: u64,
+    /// Milliseconds the latest model build took (0 = none this process).
+    pub model_build_ms: u64,
+    /// Application waves decided since the model was built.
+    pub model_age_waves: u64,
 }
 
 impl HealthSnapshot {

@@ -345,6 +345,12 @@ pub mod names {
     /// Labels answered by the latest prediction pass (1 for per-step
     /// queries, the label count for whole-vector `predict_all` passes).
     pub const ML_BATCH_SIZE: &str = "ml.batch_size";
+    /// Wall-clock milliseconds the latest model build took: the
+    /// cross-validated test phase plus the per-label fits (0 before the
+    /// first build and after a recovery, which restores models unbuilt).
+    pub const ML_MODEL_BUILD_MS: &str = "ml.model_build_ms";
+    /// Application waves decided by the current model since it was built.
+    pub const QOD_MODEL_AGE_WAVES: &str = "qod.model_age_waves";
     /// Data-store read operations (gets, scans, snapshots).
     pub const STORE_READS: &str = "store.reads";
     /// Data-store write operations (puts, deletes).

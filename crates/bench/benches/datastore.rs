@@ -12,6 +12,16 @@
 //! `read_lrb_shaped` reads that family whole, three numbers a row, the way
 //! `lrb`'s `update-positions` does: by `scan` (a `String` key, a `Vec` and
 //! three qualifier `String`s per row) and by `for_each_row` in place.
+//!
+//! `key_order` is the row layout's own account — a sorted vector with a
+//! finger (DESIGN.md §11): `get_ascending_1k` reads the 1 000 one-cell rows
+//! of a family in key order (every lookup is the row after the previous
+//! one), `get_shuffled_1k` the same rows in a fixed random order (every
+//! lookup searches); `insert_ascending_10k` fills an empty family with
+//! 10 000 rows in key order (appends), `insert_shuffled_10k` in a fixed
+//! random order (a `memmove` of half the family per row) — one iteration is
+//! the whole pass or fill, and the shuffled cases are where the layout is
+//! expected to lose to the `BTreeMap`s it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -180,11 +190,68 @@ fn bench_get_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` row keys in ascending order, and the same keys shuffled by a fixed
+/// seed.
+fn ordered_and_shuffled_keys(n: usize) -> (Vec<String>, Vec<String>) {
+    let ordered: Vec<String> = (0..n).map(|i| format!("r{i:05}")).collect();
+    let mut shuffled = ordered.clone();
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..n).rev() {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        shuffled.swap(i, (seed >> 33) as usize % (i + 1));
+    }
+    (ordered, shuffled)
+}
+
+fn bench_key_order(c: &mut Criterion) {
+    let mut group = c.benchmark_group("key_order");
+    let (ordered, shuffled) = ordered_and_shuffled_keys(1_000);
+    let store = fresh_store();
+    for (i, row) in ordered.iter().enumerate() {
+        store
+            .put("t", "f", row, "v", Value::from(i as f64))
+            .expect("setup write");
+    }
+    for (name, keys) in [
+        ("get_ascending_1k", &ordered),
+        ("get_shuffled_1k", &shuffled),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for row in keys {
+                    black_box(store.get("t", "f", row, "v").expect("family exists"));
+                }
+            });
+        });
+    }
+    let (ordered, shuffled) = ordered_and_shuffled_keys(10_000);
+    for (name, keys) in [
+        ("insert_ascending_10k", &ordered),
+        ("insert_shuffled_10k", &shuffled),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let store = fresh_store();
+                for row in keys {
+                    store
+                        .put("t", "f", row, "v", Value::from(1.0))
+                        .expect("write succeeds");
+                }
+                black_box(store.clock())
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_put,
     bench_put_lrb_shaped,
     bench_read_lrb_shaped,
-    bench_get_scan
+    bench_get_scan,
+    bench_key_order
 );
 criterion_main!(benches);

@@ -17,12 +17,19 @@
 //! tracker's mark moves and the captured batch is committed
 //! (`sync = never`) — so the change set and the capture buffer cycle as
 //! they do in the engine.
+//!
+//! `monitor_arrival_order` is the `Monitor` alone — `on_write` called with
+//! prebuilt events, no store — over the same 720 cells with one change set:
+//! `in_order` delivers every wave in the order the cells were first seen
+//! (each write is the slot after the previous one's, found by two string
+//! comparisons), `shuffled` in a fixed random order (each write is found by
+//! joining and hashing its key, after the comparisons missed).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use smartflux::{DurabilityOptions, Monitor, SyncPolicy};
-use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_datastore::{ContainerRef, DataStore, Value, WriteEvent, WriteKind, WriteObserver};
 use smartflux_durability::DurabilityManager;
 
 fn bench_on_write(c: &mut Criterion) {
@@ -150,10 +157,57 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_arrival_order(c: &mut Criterion) {
+    const QUALIFIERS: [&str; 3] = ["speed", "count", "toll"];
+    let mut group = c.benchmark_group("monitor_arrival_order");
+    let in_order: Vec<WriteEvent> = (0..240)
+        .flat_map(|row| QUALIFIERS.map(|q| (format!("x{}-s{:02}", row / 60, row % 60), q)))
+        .map(|(row, qualifier)| WriteEvent {
+            table: "t".into(),
+            family: "f".into(),
+            row,
+            qualifier: qualifier.into(),
+            kind: WriteKind::Put,
+            old: Some(Value::from(1.0)),
+            new: Some(Value::from(2.0)),
+            timestamp: 1,
+        })
+        .collect();
+    let mut shuffled = in_order.clone();
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..shuffled.len()).rev() {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        shuffled.swap(i, (seed >> 33) as usize % (i + 1));
+    }
+    for (name, wave) in [("in_order", &in_order), ("shuffled", &shuffled)] {
+        let monitor = Monitor::new();
+        let tracker = monitor.track(ContainerRef::family("t", "f"));
+        // Both cases intern the cells in the same (first-arrival) order.
+        for event in &in_order {
+            monitor.on_write(&event.as_write_ref());
+        }
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                monitor.on_write(&wave[i % wave.len()].as_write_ref());
+                i += 1;
+                if i.is_multiple_of(wave.len()) {
+                    monitor.mark(tracker);
+                }
+                black_box(i)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_on_write,
     bench_change_sets,
-    bench_put_lrb_shaped
+    bench_put_lrb_shaped,
+    bench_arrival_order
 );
 criterion_main!(benches);

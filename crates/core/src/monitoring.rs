@@ -173,6 +173,14 @@ struct WatchEntry {
     joined_key: Vec<u8>,
     /// Slot → `(row, qualifier)`.
     keys: Vec<(String, String)>,
+    /// The slot of the write before this one. Slots are interned in
+    /// first-arrival order and a continuous workflow's writes arrive in that
+    /// order again every wave, so the next write is most often the key one
+    /// slot on, else the same key: found by comparing, not by hashing.
+    last_slot: usize,
+    /// Test switch: every lookup takes the hash path, the finger's oracle.
+    #[cfg(test)]
+    hash_only: bool,
     /// The first `by_rank.len()` slots in ascending `(row, qualifier)`
     /// order, and its inverse `rank[slot]`: two ranked keys compare as two
     /// integers. Slots interned since the last ranking are in neither and
@@ -199,6 +207,9 @@ impl WatchEntry {
             slots: HashMap::new(),
             joined_key: Vec::new(),
             keys: Vec::new(),
+            last_slot: 0,
+            #[cfg(test)]
+            hash_only: false,
             by_rank: Vec::new(),
             rank: Vec::new(),
             string_compares: 0,
@@ -209,6 +220,29 @@ impl WatchEntry {
 
     /// The slot of `(row, qualifier)`, interning the key when it is new.
     fn slot(&mut self, row: &str, qualifier: &str) -> usize {
+        #[cfg(test)]
+        if self.hash_only {
+            return self.hashed_slot(row, qualifier);
+        }
+        let is_at = |slot: usize| {
+            self.keys
+                .get(slot)
+                .is_some_and(|(r, q)| r == row && q == qualifier)
+        };
+        let next = self.last_slot + 1;
+        let slot = if is_at(next) {
+            next
+        } else if is_at(self.last_slot) {
+            self.last_slot
+        } else {
+            self.hashed_slot(row, qualifier)
+        };
+        self.last_slot = slot;
+        slot
+    }
+
+    /// [`slot`](Self::slot) by the joined key's hash.
+    fn hashed_slot(&mut self, row: &str, qualifier: &str) -> usize {
         self.joined_key.clear();
         self.joined_key.extend_from_slice(row.as_bytes());
         self.joined_key.push(0xFF);
@@ -586,6 +620,15 @@ impl Monitor {
         }
     }
 
+    /// Test switch: every container watched so far finds its slots by hash
+    /// alone — the finger's oracle.
+    #[cfg(test)]
+    pub(crate) fn hash_only(&self) {
+        for entry in &mut self.state.lock().entries {
+            entry.hash_only = true;
+        }
+    }
+
     /// Total writes observed for `container` since watching began.
     #[must_use]
     pub fn total_writes(&self, container: &ContainerRef) -> u64 {
@@ -817,6 +860,201 @@ mod tests {
             assert_eq!(m.total_writes(fam), expected, "family f{i}");
             let col = ContainerRef::column("t", format!("f{i}"), "q");
             assert_eq!(m.total_writes(&col), u64::from(i == 7), "column f{i}:q");
+        }
+    }
+
+    mod finger {
+        //! The slot finger against the hash path it shortcuts: write streams
+        //! built to defeat it leave the same change sets, in the same order.
+
+        use proptest::prelude::*;
+
+        use super::super::*;
+        use crate::metric::{MetricContext, MetricFn};
+
+        const ROWS: usize = 6;
+        const QUALIFIERS: [&str; 3] = ["a", "b", "c"];
+
+        type Exported = Vec<(String, String, Option<Value>, Option<Value>)>;
+        type Streamed = Vec<(Option<Value>, Option<Value>)>;
+
+        /// Keeps the `update(new, old)` calls it is streamed, in order.
+        #[derive(Default)]
+        struct Recorder(Streamed);
+
+        impl MetricFn for Recorder {
+            fn reset(&mut self) {
+                self.0.clear();
+            }
+
+            fn update(&mut self, new: Option<&Value>, old: Option<&Value>) {
+                self.0.push((new.cloned(), old.cloned()));
+            }
+
+            fn compute(&self, _ctx: &MetricContext) -> f64 {
+                self.0.len() as f64
+            }
+        }
+
+        /// A store, a monitor over it and the monitor's trackers: one over
+        /// the family, one over a column of it.
+        struct Side {
+            store: DataStore,
+            monitor: Monitor,
+            trackers: [TrackerId; 2],
+        }
+
+        impl Side {
+            fn over(store: DataStore, hash_only: bool) -> Self {
+                let monitor = Monitor::new();
+                let trackers = [
+                    monitor.track(ContainerRef::family("t", "f")),
+                    monitor.track(ContainerRef::column("t", "f", "b")),
+                ];
+                if hash_only {
+                    monitor.hash_only();
+                }
+                monitor.attach(&store);
+                Self {
+                    store,
+                    monitor,
+                    trackers,
+                }
+            }
+
+            fn new(hash_only: bool) -> Self {
+                let store = DataStore::new();
+                store
+                    .ensure_container(&ContainerRef::family("t", "f"))
+                    .unwrap();
+                Self::over(store, hash_only)
+            }
+
+            fn exported(&self, tracker: TrackerId) -> Exported {
+                let mut out = Vec::new();
+                self.monitor
+                    .for_each_change(tracker, |row, qualifier, at_mark, latest| {
+                        out.push((
+                            row.to_owned(),
+                            qualifier.to_owned(),
+                            at_mark.cloned(),
+                            latest.cloned(),
+                        ));
+                    });
+                out
+            }
+
+            /// Everything a tracker shows: element count, streamed updates,
+            /// exported changes.
+            fn view(&self) -> Vec<(usize, Streamed, Exported)> {
+                self.trackers
+                    .iter()
+                    .map(|&t| {
+                        let mut streamed = Recorder::default();
+                        let n = self.monitor.stream_changes(t, &mut streamed);
+                        (n, streamed.0, self.exported(t))
+                    })
+                    .collect()
+            }
+
+            /// A monitor as recovery builds one: a fresh one over the same
+            /// store, its change sets restored — slots interned in key order,
+            /// whatever order the writes arrived in.
+            fn recovered(&self, hash_only: bool) -> Self {
+                let next = Self::over(self.store.clone(), hash_only);
+                for (&from, &to) in self.trackers.iter().zip(&next.trackers) {
+                    next.monitor.restore_changes(to, self.exported(from));
+                }
+                next
+            }
+        }
+
+        /// One write: `(row, qualifier, delete?)`.
+        type Write = (usize, usize, bool);
+
+        /// One wave of a stream: the cells of the `rows` first rows in the
+        /// order `walk` names — in key order, reversed, two cells turn about,
+        /// or as generated — with the generated `extra` writes (new keys,
+        /// deletes) spliced into the middle.
+        fn wave(walk: usize, rows: usize, extra: &[Write]) -> Vec<Write> {
+            let cells: Vec<Write> = (0..rows)
+                .flat_map(|r| (0..QUALIFIERS.len()).map(move |q| (r, q, false)))
+                .collect();
+            let mut wave: Vec<Write> = match walk {
+                0 => cells,
+                1 => cells.into_iter().rev().collect(),
+                2 => (0..cells.len())
+                    .map(|i| [cells[0], cells[cells.len() - 1]][i % 2])
+                    .collect(),
+                _ => Vec::new(),
+            };
+            let middle = wave.len() / 2;
+            wave.splice(middle..middle, extra.iter().copied());
+            wave
+        }
+
+        fn apply(sides: &[&Side], wave: &[Write], stamp: &mut f64) {
+            for &(row, qualifier, delete) in wave {
+                *stamp += 1.0;
+                for side in sides {
+                    let (row, qualifier) = (format!("r{row}"), QUALIFIERS[qualifier]);
+                    if delete {
+                        side.store.delete("t", "f", &row, qualifier).unwrap();
+                    } else {
+                        side.store
+                            .put("t", "f", &row, qualifier, Value::from(*stamp))
+                            .unwrap();
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn the_finger_changes_nothing_a_tracker_shows(
+                waves in prop::collection::vec(
+                    (
+                        0usize..4,
+                        1usize..ROWS,
+                        prop::collection::vec((0..ROWS, 0..QUALIFIERS.len(), any::<bool>()), 0..8),
+                        any::<bool>(),
+                    ),
+                    1..12,
+                ),
+                recover_at in 0usize..12,
+            ) {
+                let (mut fingered, mut hashed) = (Side::new(false), Side::new(true));
+                let mut stamp = 0.0;
+                for (at, (walk, rows, extra, mark)) in waves.iter().enumerate() {
+                    if at == recover_at {
+                        (fingered, hashed) = (fingered.recovered(false), hashed.recovered(true));
+                        prop_assert_eq!(fingered.view(), hashed.view());
+                    }
+                    apply(&[&fingered, &hashed], &wave(*walk, *rows, extra), &mut stamp);
+                    prop_assert_eq!(fingered.view(), hashed.view());
+                    if *mark {
+                        for side in [&fingered, &hashed] {
+                            side.monitor.mark(side.trackers[at % 2]);
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_finger_hit_leaves_the_joined_key_alone() {
+            let side = Side::new(false);
+            let mut stamp = 0.0;
+            apply(&[&side], &wave(0, ROWS, &[]), &mut stamp);
+            // The next wave writes a prefix of the same cells in the same
+            // order: its first write misses (the finger is on the last slot)
+            // and is found by hash; every one after it is the slot one on.
+            apply(&[&side], &wave(0, 2, &[]), &mut stamp);
+            let s = side.monitor.state.lock();
+            let family = &s.entries[0];
+            assert_eq!(family.joined_key, b"r0\xFFa");
+            assert_eq!(family.last_slot, 2 * QUALIFIERS.len() - 1);
+            assert_eq!(family.keys.len(), ROWS * QUALIFIERS.len());
         }
     }
 }

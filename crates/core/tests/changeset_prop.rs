@@ -19,6 +19,14 @@
 //! unordered tail of new cells) and long stretches between marks (a set
 //! that covers most of its container) — all still bit-equal to the snapshot
 //! diff, whose `BTreeMap` order is the `(row, qualifier)` order itself.
+//!
+//! A third aims at the finger the monitor finds a written cell's slot with
+//! (the slot after the previous write's, then the same one, then a hash):
+//! waves that rewrite the same cells in the order they were first written,
+//! reversed, or two cells turn about, with deletes and never-seen keys
+//! spliced into the middle of a wave. (The finger against the hash path it
+//! shortcuts, checkpointed change sets included, is a unit test beside the
+//! monitor: the switch that turns the finger off is `cfg(test)`.)
 
 use std::sync::Arc;
 
@@ -392,6 +400,65 @@ proptest! {
                 };
                 run_case(&steps, universe, 0, shuffle, mode);
             }
+        }
+    }
+}
+
+/// One wave of a finger-defeating stream as [`Step`]s: puts of the cells of
+/// the first `rows` rows in the order `walk` names, `extra` in the middle,
+/// then `close`: `(0, tracker)` marks that tracker, `(1, _)` ends the wave.
+fn wave_steps(
+    walk: usize,
+    rows: usize,
+    pick: usize,
+    extra: &[Step],
+    close: (usize, usize),
+) -> Vec<Step> {
+    const PUT: usize = 5;
+    let cells: Vec<Step> = (0..rows)
+        .flat_map(|row| (0..QUALIFIERS.len()).map(move |q| (PUT, row, q, pick, 0)))
+        .collect();
+    let mut wave: Vec<Step> = match walk {
+        0 => cells,
+        1 => cells.into_iter().rev().collect(),
+        _ => (0..cells.len())
+            .map(|i| [cells[0], cells[cells.len() - 1]][i % 2])
+            .collect(),
+    };
+    let middle = wave.len() / 2;
+    wave.splice(middle..middle, extra.iter().copied());
+    wave.push((10 + close.0, 0, 0, 0, close.1));
+    wave
+}
+
+proptest! {
+    #[test]
+    fn streams_that_defeat_the_slot_finger_equal_snapshot_diffs(
+        waves in prop::collection::vec(
+            (
+                0usize..3,
+                1usize..24,
+                0usize..7,
+                prop::collection::vec((0usize..10, 0usize..24, 0usize..3, 0usize..7, 0usize..4), 0..6),
+                (0usize..2, 0usize..4),
+            ),
+            1..8,
+        ),
+        prepopulated in 0usize..40,
+    ) {
+        let rows = scattered_rows();
+        let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let steps: Vec<Step> = waves
+            .iter()
+            .flat_map(|(walk, rows, pick, extra, close)| wave_steps(*walk, *rows, *pick, extra, *close))
+            .collect();
+        for mode in [AccumulationMode::Cancel, AccumulationMode::Accumulate] {
+            let universe = Universe {
+                rows: &rows,
+                growing: false,
+                cell_values: true,
+            };
+            run_case(&steps, universe, prepopulated, None, mode);
         }
     }
 }

@@ -8,12 +8,14 @@
 //! path fails here instead of showing up as a slower wave. A cell is its
 //! current value and nothing else, so an overwrite moves the displaced value
 //! out to the caller — a text is not copied on the way — and a new cell asks
-//! for its qualifier key only. The same holds
-//! through a `FamilyHandle` — resolving one, an observed overwriting `put`,
-//! a `get_f64` and a whole-family `for_each_row` request no heap — which is
-//! the point of reading rows in place: `scan` of the same family makes some
-//! 1 200 requests to hand back three numbers a row. The allocator is
-//! process-wide, hence a test binary of its own with a single test.
+//! for its qualifier key plus, when the row's cell vector is full, that
+//! vector's growth (it doubles, so one request in a while, not one a cell).
+//! The same holds through a `FamilyHandle` — resolving one, an observed
+//! overwriting `put`, a `get_f64` and a whole-family `for_each_row` request no
+//! heap — which is the point of reading rows in place: `scan` of the same
+//! family makes some 1 200 requests to hand back three numbers a row. The
+//! allocator is process-wide, hence a test binary of its own with a single
+//! test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,20 +120,27 @@ fn an_observed_overwriting_put_allocates_nothing() {
     write_wave(&bare, &rows, 0);
     assert_eq!(requests_during(|| write_wave(&bare, &rows, 1)), 0);
     // A first write to a new qualifier of an existing row asks for the
-    // qualifier key and nothing else (the row's map node has room for it);
-    // overwriting a text hands the displaced string back, not a copy of it.
+    // qualifier key, and for the row's cell vector to grow when it is full:
+    // a row's vector starts at four cells and doubles, so the fourth cell of
+    // these three-cell rows is its key alone and the fifth is its key and a
+    // regrowth. Overwriting a text hands the displaced string back, not a
+    // copy of it.
     let labels = |tag: &str| -> Vec<Value> {
         let label = |row| Value::from(format!("{tag}-{row}"));
         rows.iter().map(label).collect()
     };
-    let put_labels = |labels: Vec<Value>| {
+    let put_labels = |qualifier: &str, labels: Vec<Value>| {
         for (row, label) in rows.iter().zip(labels) {
-            bare.put("t", "f", row, "label", label).unwrap();
+            bare.put("t", "f", row, qualifier, label).unwrap();
         }
     };
-    let (first, second) = (labels("a"), labels("b"));
-    assert_eq!(requests_during(|| put_labels(first)), ROWS as u64);
-    assert_eq!(requests_during(|| put_labels(second)), 0);
+    let (first, second, fifth) = (labels("a"), labels("b"), labels("c"));
+    assert_eq!(requests_during(|| put_labels("label", first)), ROWS as u64);
+    assert_eq!(requests_during(|| put_labels("label", second)), 0);
+    assert_eq!(
+        requests_during(|| put_labels("note", fifth)),
+        2 * ROWS as u64
+    );
 
     // Observed by the two in-program observers: a tracking Monitor and the
     // WAL capture, each reading the borrowed event in place.

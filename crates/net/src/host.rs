@@ -40,7 +40,7 @@ use parking_lot::{Mutex, RwLock};
 use smartflux::{
     CoreError, DurabilityError, DurabilityOptions, Phase, SmartFluxSession, SyncPolicy,
 };
-use smartflux_datastore::DataStore;
+use smartflux_datastore::{DataStore, StoreError};
 use smartflux_durability::encode_store_state;
 use smartflux_telemetry::{names, Counter, Gauge, Telemetry};
 use smartflux_wms::StepId;
@@ -343,7 +343,7 @@ impl EngineHost {
     pub fn submit(&self, session: u64, writes: Vec<ContainerWrite>, run_wave: bool) -> Response {
         let inner = &self.inner;
         self.turn(session, false, |_, live| {
-            Some(execute_submit(inner, live.as_mut()?, &writes, run_wave))
+            Some(execute_submit(inner, live.as_mut()?, writes, run_wave))
         })
     }
 
@@ -572,21 +572,45 @@ fn shutting_down() -> Response {
 fn execute_submit(
     inner: &HostInner,
     session: &mut SmartFluxSession,
-    writes: &[ContainerWrite],
+    writes: Vec<ContainerWrite>,
     run_wave: bool,
 ) -> Response {
     let store = session.scheduler().store().clone();
-    for w in writes {
-        if let Err(e) = store.put(&w.table, &w.family, &w.row, &w.qualifier, w.value.clone()) {
-            return error_response(
+    let count = writes.len() as u32;
+    // Each value is moved into its cell, and a run of consecutive writes to
+    // one `(table, family)` resolves the family once.
+    let mut writes = writes.into_iter().peekable();
+    while let Some(first) = writes.next() {
+        let ContainerWrite {
+            table,
+            family,
+            mut row,
+            mut qualifier,
+            mut value,
+        } = first;
+        let failed = |row: &str, e: StoreError| {
+            error_response(
                 ErrorCode::SessionFailed,
-                &format!("write to {}/{}/{} failed: {e}", w.table, w.family, w.row),
-            );
+                &format!("write to {table}/{family}/{row} failed: {e}"),
+            )
+        };
+        let handle = match store.family(&table, &family) {
+            Ok(handle) => handle,
+            Err(e) => return failed(&row, e),
+        };
+        loop {
+            if let Err(e) = handle.put(&row, &qualifier, value) {
+                return failed(&row, e);
+            }
+            let Some(w) = writes.next_if(|w| w.table == table && w.family == family) else {
+                break;
+            };
+            (row, qualifier, value) = (w.row, w.qualifier, w.value);
         }
     }
     if !run_wave {
         return Response::Ingested {
-            count: writes.len() as u32,
+            count,
             clock: store.clock(),
         };
     }
@@ -812,6 +836,53 @@ mod tests {
             }
             other => panic!("ingest failed: {other:?}"),
         }
+        host.shutdown();
+    }
+
+    #[test]
+    fn a_submit_stops_at_its_first_failing_write_and_names_it() {
+        let host = EngineHost::new(test_registry(), HostConfig::new(), Telemetry::disabled());
+        let id = open(&host, &ramp_spec());
+        let write = |family: &str, row: &str, value: Value| ContainerWrite {
+            table: "t".into(),
+            family: family.into(),
+            row: row.into(),
+            qualifier: "v".into(),
+            value,
+        };
+        // Two runs (`raw`, `out`), a family that does not exist, and a write
+        // behind it that must not be applied; a text value is moved in whole.
+        let writes = vec![
+            write("raw", "a", Value::from(1.0)),
+            write("raw", "b", Value::from("moved")),
+            write("out", "c", Value::from(2.0)),
+            write("nope", "d", Value::from(3.0)),
+            write("raw", "e", Value::from(4.0)),
+        ];
+        match host.submit(id, writes, false) {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::SessionFailed);
+                let cause = StoreError::FamilyNotFound {
+                    table: "t".into(),
+                    family: "nope".into(),
+                };
+                assert_eq!(message, format!("write to t/nope/d failed: {cause}"));
+            }
+            other => panic!("expected the write to fail: {other:?}"),
+        }
+        let Response::StoreImage { clock, bytes } = host.query_store(id) else {
+            panic!("store query failed");
+        };
+        assert_eq!(clock, 3);
+        let store =
+            DataStore::from_state(smartflux_durability::decode_store_state(&bytes).unwrap())
+                .unwrap();
+        assert_eq!(
+            store.get("t", "raw", "b", "v").unwrap(),
+            Some("moved".into())
+        );
+        assert_eq!(store.get("t", "out", "c", "v").unwrap(), Some(2.0.into()));
+        assert_eq!(store.get("t", "raw", "e", "v").unwrap(), None);
         host.shutdown();
     }
 

@@ -1,8 +1,8 @@
 //! Store-scaling micro-bench: sharded vs single-lock throughput.
 //!
-//! Measures aggregate store throughput (operations per second) for the
-//! seed's single global lock (`ShardPolicy::Single`) against the sharded
-//! layout (`ShardPolicy::Auto`) at 1, 2, 4 and 8 threads, over three
+//! Measures aggregate store throughput (operations per second) for one
+//! shard (`ShardPolicy::Fixed(1)`) against the sharded layout
+//! (`ShardPolicy::Auto`) at 1, 2, 4 and 8 threads, over three
 //! workloads: pure reads, pure writes and a 80/20 read/write mix. A fixed
 //! total operation count is split across the threads, so the number is
 //! end-to-end wall clock for the same work at every level.
@@ -246,7 +246,7 @@ pub fn measure(reps: u32) -> Vec<StoreScalingRow> {
     ];
     let thread_counts = [1usize, 2, 4, 8];
     let policies: [(&str, ShardPolicy); 2] = [
-        ("single", ShardPolicy::Single),
+        ("single", ShardPolicy::Fixed(1)),
         ("sharded", ShardPolicy::Auto),
     ];
 

@@ -43,7 +43,7 @@ use crate::error::CoreError;
 use crate::knowledge::KnowledgeBase;
 use crate::metric::{MetricContext, MetricFn, MetricKind};
 use crate::monitoring::{Monitor, TrackerId};
-use crate::predictor::Predictor;
+use crate::predictor::{ModelKind, Predictor};
 use crate::qod::{AccumulationMode, ErrorBound, QodSpec};
 
 /// Which mode the engine is operating in.
@@ -355,9 +355,10 @@ impl QodEngine {
     /// checkpoint under [`EngineConfig::durability`].
     ///
     /// Recovery is **checkpoint-anchored**: the store and the full engine
-    /// state (phase, knowledge base, predictor, impact trackers,
-    /// confidence counters) are restored exactly as they were at the end of
-    /// the checkpointed wave `c`, and the returned next wave is `c + 1`.
+    /// state (phase, knowledge base, impact trackers, confidence counters,
+    /// and the predictor, refit from the knowledge base) are restored
+    /// exactly as they were at the end of the checkpointed wave `c`, and
+    /// the returned next wave is `c + 1`.
     /// Waves after `c` that ran before the crash re-execute — the WAL tail
     /// covering them is truncated so they re-commit cleanly — and, because
     /// every engine input is deterministic, re-produce the decisions of
@@ -386,7 +387,7 @@ impl QodEngine {
             })?;
         let store = DataStore::from_state(checkpoint.store).map_err(CoreError::Store)?;
         // Any supplied initial knowledge would train a model that the
-        // checkpointed predictor state immediately replaces; skip it.
+        // recovered predictor immediately replaces; skip it.
         config.initial_knowledge = None;
         let mut engine = Self::from_workflow(workflow, store.clone(), config)?;
         engine.import_state(&checkpoint.engine)?;
@@ -730,20 +731,18 @@ impl QodEngine {
     }
 
     /// Serialises the engine's full decision state into the versioned
-    /// binary form embedded in checkpoints (`SFES` v3: magic, version, one
+    /// binary form embedded in checkpoints (`SFES` v4: magic, version, one
     /// CRC frame). Everything that influences a future wave decision is
-    /// captured: phase, knowledge base, predictor models (or a
-    /// deterministic-retrain marker), quality flags, confidence counters, SDF
+    /// captured: phase, knowledge base, the model kind and seed the
+    /// predictor is a function of, quality flags, confidence counters, SDF
     /// fallbacks, and per tracker its accumulated value, previous-state sum
-    /// and change set. Per-wave diagnostics are reporting-only and
-    /// deliberately excluded.
+    /// and change set. The fitted models are not: recovery refits them
+    /// from the knowledge base (see [`import_state`](Self::import_state)).
+    /// Per-wave diagnostics are reporting-only and deliberately excluded.
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
         // The body is encoded straight into its frame, sized by the blob
-        // before it (a regrown 400 KB buffer costs a quarter of the
-        // export): the model blobs are most of it, and they are copied here
-        // once, from the predictor's cache.
-        let models = self.predictor.export_models();
+        // before it, so a recurring checkpoint does not regrow its buffer.
         let mut out = Vec::with_capacity(self.exported_len.get() * 9 / 8);
         out.extend_from_slice(STATE_MAGIC);
         codec::put_u16(&mut out, STATE_VERSION);
@@ -775,20 +774,9 @@ impl QodEngine {
             }
         }
 
-        // Predictor: exact model blobs when the kind has a binary codec,
-        // otherwise a marker telling recovery to retrain deterministically
-        // from the knowledge base restored above.
-        match models {
-            Some(blobs) => {
-                codec::put_u8(&mut out, 1);
-                codec::put_u32(&mut out, blobs.len() as u32);
-                for blob in blobs {
-                    codec::put_bytes(&mut out, blob);
-                }
-            }
-            None if self.predictor.is_trained() => codec::put_u8(&mut out, 2),
-            None => codec::put_u8(&mut out, 0),
-        }
+        // Predictor: what its models are a function of besides the
+        // knowledge base above, not the models themselves.
+        codec::put_bytes(&mut out, &model_identity(&self.config));
         match self.predictor.quality() {
             Some(q) => {
                 codec::put_u8(&mut out, 1);
@@ -852,12 +840,23 @@ impl QodEngine {
 
     /// Restores the engine from an [`export_state`] blob. The engine must
     /// have been freshly built over the same workflow (same QoD steps in
-    /// the same order) and over the store the blob was exported beside.
+    /// the same order), over the store the blob was exported beside, and
+    /// with the model kind and seed it was exported under.
+    ///
+    /// The blob holds no models. In the application phase the predictor is
+    /// refit from the restored knowledge base — the rows the live model was
+    /// fit on, since that phase never appends to it — which reproduces the
+    /// exported engine's models exactly, and the test-phase quality is
+    /// restored as recorded. In a training phase the predictor is left
+    /// untrained: no decision consults it there, and the end of training
+    /// rebuilds it from the knowledge base anyway.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Durability`]: [`DurabilityError::Corrupt`] for a
-    /// damaged or mismatching blob, [`DurabilityError::UnsupportedVersion`]
+    /// damaged or mismatching blob — including one recorded under another
+    /// model kind or seed, and an application-phase blob whose knowledge
+    /// base cannot be fitted — and [`DurabilityError::UnsupportedVersion`]
     /// for another format version. The engine is left untouched on error.
     ///
     /// [`export_state`]: Self::export_state
@@ -925,18 +924,10 @@ impl QodEngine {
                 .map_err(|_| corrupt("knowledge-base row has the wrong shape"))?;
         }
 
-        let predictor_mode = r.u8()?;
-        let mut blobs = Vec::new();
-        if predictor_mode == 1 {
-            let count = r.u32()? as usize;
-            if count != n {
-                return Err(corrupt("predictor model count does not match steps"));
-            }
-            for _ in 0..count {
-                blobs.push(r.bytes()?);
-            }
-        } else if predictor_mode > 2 {
-            return Err(corrupt("unknown predictor mode tag"));
+        if r.bytes()? != model_identity(&self.config) {
+            return Err(corrupt(
+                "checkpointed model kind or seed does not match the engine's config",
+            ));
         }
         let quality = match r.u8()? {
             0 => None,
@@ -989,30 +980,19 @@ impl QodEngine {
             return Err(corrupt("trailing bytes after engine state"));
         }
 
-        let mut models: Vec<Box<dyn smartflux_ml::Classifier>> = Vec::with_capacity(blobs.len());
-        for blob in &blobs {
-            let forest = smartflux_ml::RandomForest::from_bytes(blob).map_err(|e| {
-                DurabilityError::Corrupt {
-                    context: format!("checkpointed model: {e}"),
-                }
-            })?;
-            models.push(Box::new(forest));
-        }
+        let models = match phase {
+            Phase::Application => self.predictor.refit(&kb).map_err(|e| {
+                corrupt(&format!(
+                    "application-phase knowledge base cannot be fitted: {e}"
+                ))
+            })?,
+            Phase::Training { .. } => Vec::new(),
+        };
 
         // Everything validated — commit the restored state.
         self.phase = phase;
         self.kb = kb;
-        match predictor_mode {
-            1 => self.predictor.restore_models(models, quality),
-            2 => {
-                // The model kind has no binary codec; rebuild it by
-                // deterministic retraining over the restored knowledge
-                // base. An undersized KB leaves the predictor
-                // untrained — predictions then fail safe (execute).
-                let _ = self.predictor.train(&self.kb);
-            }
-            _ => {}
-        }
+        self.predictor.restore(models, quality);
         self.quality_met = quality_met;
         self.training_extensions_used = training_extensions_used;
         self.application_waves_since_training = application_waves_since_training;
@@ -1038,9 +1018,42 @@ impl QodEngine {
 }
 
 /// Engine-state blob magic and format version. v1 embedded two full
-/// container snapshots per tracker and had no checksum of its own.
+/// container snapshots per tracker and had no checksum of its own; v3
+/// carried the fitted forests beside the knowledge base they are refit
+/// from.
 const STATE_MAGIC: &[u8; 4] = b"SFES";
-const STATE_VERSION: u16 = 3;
+const STATE_VERSION: u16 = 4;
+
+/// What the predictor's models are a function of besides the knowledge
+/// base: the model kind with its parameters, and the seed. `SFES` records
+/// these bytes in place of the models, and import refits only under the
+/// same ones.
+fn model_identity(config: &EngineConfig) -> Vec<u8> {
+    let mut out = Vec::with_capacity(33);
+    match config.model {
+        ModelKind::RandomForest {
+            trees,
+            max_depth,
+            threshold,
+        } => {
+            codec::put_u8(&mut out, 0);
+            codec::put_u64(&mut out, trees as u64);
+            codec::put_u64(&mut out, max_depth as u64);
+            codec::put_f64(&mut out, threshold);
+        }
+        ModelKind::DecisionTree => codec::put_u8(&mut out, 1),
+        ModelKind::Logistic => codec::put_u8(&mut out, 2),
+        ModelKind::NaiveBayes => codec::put_u8(&mut out, 3),
+        ModelKind::Svm => codec::put_u8(&mut out, 4),
+        ModelKind::KernelSvm => codec::put_u8(&mut out, 5),
+        ModelKind::NeuralNetwork { hidden } => {
+            codec::put_u8(&mut out, 6);
+            codec::put_u64(&mut out, hidden as u64);
+        }
+    }
+    codec::put_u64(&mut out, config.seed);
+    out
+}
 
 fn put_optional_value(out: &mut Vec<u8>, value: Option<&Value>) {
     match value {

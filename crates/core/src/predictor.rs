@@ -1,6 +1,7 @@
 //! The Predictor component: multi-label classification of execution
 //! configurations.
 
+use std::any::Any;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -151,10 +152,6 @@ pub struct Predictor {
     cv_folds: usize,
     feature_mode: FeatureMode,
     models: Vec<Box<dyn Classifier>>,
-    /// `models` in their binary form, encoded once when they were built or
-    /// restored: models do not change between trainings, checkpoints do
-    /// recur. `None` while untrained or when a kind has no binary codec.
-    encoded: Option<Vec<Vec<u8>>>,
     quality: Option<PredictorQuality>,
     last_build_time: Option<Duration>,
     /// Inert (disabled) unless the owning engine attaches a handle; feeds
@@ -172,7 +169,6 @@ impl Predictor {
             cv_folds: 10,
             feature_mode: FeatureMode::default(),
             models: Vec::new(),
-            encoded: None,
             quality: None,
             last_build_time: None,
             telemetry: Telemetry::disabled(),
@@ -281,6 +277,15 @@ impl Predictor {
         &self.kind
     }
 
+    /// Label `j`'s fitted model as a [`RandomForest`], when the model kind
+    /// is one — what node-for-node equality oracles compare the
+    /// [`arena`](RandomForest::arena) of.
+    #[must_use]
+    pub fn forest(&self, j: usize) -> Option<&RandomForest> {
+        let model: &dyn Any = &**self.models.get(j)?;
+        model.downcast_ref()
+    }
+
     /// Quality measured at the latest training, if any.
     #[must_use]
     pub fn quality(&self) -> Option<PredictorQuality> {
@@ -302,6 +307,49 @@ impl Predictor {
     /// Returns [`CoreError::InsufficientTraining`] for logs smaller than
     /// the fold count and propagates training failures.
     pub fn train(&mut self, kb: &KnowledgeBase) -> Result<PredictorQuality, CoreError> {
+        // tidy:allow(time): measures model build latency (Table 2), which is
+        // reported, never replayed
+        let start = Instant::now();
+        // One single-label view per step, shared by the test phase and
+        // the final fit.
+        let views = self.label_views(kb)?;
+        let quality = self.assess(&views)?;
+        self.models = self.fit_views(&views)?;
+        self.quality = Some(quality);
+        self.last_build_time = Some(start.elapsed());
+        Ok(quality)
+    }
+
+    /// The models [`train`](Self::train) installs for `kb`, without its
+    /// test phase. They are a function of `kb`, the model kind and the
+    /// seed alone — fitting is seeded and bit-identical at every worker
+    /// count — which is what lets a checkpoint keep the knowledge base
+    /// and recompute the models from it.
+    ///
+    /// # Errors
+    ///
+    /// As [`train`](Self::train).
+    pub(crate) fn refit(&self, kb: &KnowledgeBase) -> Result<Vec<Box<dyn Classifier>>, CoreError> {
+        self.fit_views(&self.label_views(kb)?)
+    }
+
+    /// Installs what [`refit`](Self::refit) built — no models leave the
+    /// predictor untrained — with the quality the test phase measured when
+    /// the models were first trained. The build-time measurement does not
+    /// survive recovery (it is reporting-only).
+    pub(crate) fn restore(
+        &mut self,
+        models: Vec<Box<dyn Classifier>>,
+        quality: Option<PredictorQuality>,
+    ) {
+        self.models = models;
+        self.quality = quality;
+        self.last_build_time = None;
+    }
+
+    /// One single-label training view of `kb` per step; a log of fewer
+    /// than four examples is refused.
+    fn label_views(&self, kb: &KnowledgeBase) -> Result<Vec<smartflux_ml::Dataset>, CoreError> {
         let data = kb.to_dataset()?;
         if data.len() < 4 {
             return Err(CoreError::InsufficientTraining {
@@ -309,34 +357,30 @@ impl Predictor {
                 need: 4,
             });
         }
-        // tidy:allow(time): measures model build latency (Table 2), which is
-        // reported, never replayed
-        let start = Instant::now();
-        // One single-label view per step, shared by the test phase and
-        // the final fit.
-        let views = (0..data.n_labels())
+        (0..data.n_labels())
             .map(|j| self.label_view(&data, j))
-            .collect::<Result<Vec<_>, _>>()?;
-        let quality = self.assess(&views)?;
+            .collect()
+    }
 
+    /// Fits one model per label view, label `j`'s seeded with `seed + j`.
+    fn fit_views(
+        &self,
+        views: &[smartflux_ml::Dataset],
+    ) -> Result<Vec<Box<dyn Classifier>>, CoreError> {
         // The fit span covers only the kernel work (per-label model
-        // fitting), not the cross-validated test phase above — `ml.fit_ns`
+        // fitting), not the cross-validated test phase — `ml.fit_ns`
         // answers "how long does (re)building the models take", the
         // engine-level `engine.train` span covers the whole phase.
-        let fit_span = self
+        let _fit_span = self
             .telemetry
-            .span(names::ML_FIT_LATENCY, data.n_labels() as u64);
+            .span(names::ML_FIT_LATENCY, views.len() as u64);
         let mut models = Vec::with_capacity(views.len());
         for (j, view) in views.iter().enumerate() {
             let mut model = self.kind.build(self.seed.wrapping_add(j as u64));
             model.fit(view)?;
             models.push(model);
         }
-        drop(fit_span);
-        self.install(models);
-        self.quality = Some(quality);
-        self.last_build_time = Some(start.elapsed());
-        Ok(quality)
+        Ok(models)
     }
 
     /// Runs the test phase only: k-fold CV per label view, pooled.
@@ -418,36 +462,6 @@ impl Predictor {
             .map_err(|_| CoreError::NotTrained)?;
         self.record_batch_size(1);
         Ok(decision)
-    }
-
-    /// Every trained per-label model in its binary form, for engine
-    /// checkpoints. `None` if the predictor is untrained or any model kind
-    /// lacks a binary codec (such predictors are restored by deterministic
-    /// retraining from the checkpointed knowledge base).
-    pub(crate) fn export_models(&self) -> Option<&[Vec<u8>]> {
-        self.encoded.as_deref()
-    }
-
-    /// Installs models deserialized from a checkpoint, together with the
-    /// quality measured when they were originally trained. The build-time
-    /// measurement does not survive recovery (it is reporting-only).
-    pub(crate) fn restore_models(
-        &mut self,
-        models: Vec<Box<dyn Classifier>>,
-        quality: Option<PredictorQuality>,
-    ) {
-        self.install(models);
-        self.quality = quality;
-        self.last_build_time = None;
-    }
-
-    fn install(&mut self, models: Vec<Box<dyn Classifier>>) {
-        self.encoded = if models.is_empty() {
-            None
-        } else {
-            models.iter().map(|m| m.export_bytes()).collect()
-        };
-        self.models = models;
     }
 
     /// Per-label execution probabilities, in the same single pass as

@@ -107,9 +107,10 @@ impl SmartFluxSession {
     /// `config.durability`, resuming wave processing right after the last
     /// checkpointed wave.
     ///
-    /// The store, engine phase, knowledge base, trained models, impact
-    /// trackers, and confidence counters are all restored exactly as they
-    /// were at the checkpoint; the scheduler resumes at the following wave
+    /// The store, engine phase, knowledge base, impact trackers, and
+    /// confidence counters are all restored exactly as they were at the
+    /// checkpoint, and the trained models are refit from the knowledge base
+    /// to exactly what they were; the scheduler resumes at the following wave
     /// and the WAL is reset so re-executed waves are re-journaled. Given a
     /// deterministic workflow, the recovered session makes the same
     /// decisions the uninterrupted run would have made.

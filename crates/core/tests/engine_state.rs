@@ -1,11 +1,18 @@
-//! The engine-state blob (`SFES` v3): round trip with non-empty change
-//! sets, and typed errors for other versions and damaged bytes.
+//! The engine-state blob (`SFES` v4): round trip with non-empty change
+//! sets, typed errors for other versions and damaged bytes, and the refit
+//! rule — a blob holds no models, recovery refits them from the knowledge
+//! base it carries — checked as a differential oracle against the run that
+//! was never interrupted.
+
+use std::path::{Path, PathBuf};
 
 use smartflux::{
-    AccumulationMode, CoreError, DurabilityError, EngineConfig, Phase, QodEngine, QodSpec,
-    SharedEngine, WaveDiagnostics,
+    AccumulationMode, CoreError, DurabilityError, DurabilityOptions, EngineConfig, ModelKind,
+    Phase, QodEngine, QodSpec, SharedEngine, SmartFluxSession, SyncPolicy, WaveDiagnostics,
 };
-use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_datastore::{ContainerRef, DataStore, StoreState, Value};
+use smartflux_durability::codec::{read_frame, write_frame, FrameRead};
+use smartflux_ml::TreeArena;
 use smartflux_wms::{FnStep, GraphBuilder, Scheduler, StepContext, Workflow};
 
 /// Row key of the sensor cells; it reaches the blob only through a change
@@ -95,8 +102,12 @@ fn config(mode: AccumulationMode) -> EngineConfig {
 
 /// An engine and the scheduler driving it, over `store`.
 fn stand_up(store: &DataStore, mode: AccumulationMode) -> (SharedEngine, Scheduler) {
+    stand_up_with(store, config(mode))
+}
+
+fn stand_up_with(store: &DataStore, config: EngineConfig) -> (SharedEngine, Scheduler) {
     let wf = workflow(store);
-    let engine = QodEngine::from_workflow(&wf, store.clone(), config(mode)).unwrap();
+    let engine = QodEngine::from_workflow(&wf, store.clone(), config).unwrap();
     let shared = SharedEngine::new(engine);
     let scheduler = Scheduler::new(wf, store.clone(), Box::new(shared.clone()));
     (shared, scheduler)
@@ -191,9 +202,10 @@ fn other_versions_and_damage_are_typed_errors_that_change_nothing() {
 
     // What an earlier writer produced: same magic, its version, another body.
     let older = |version: u16| [b"SFES", &version.to_le_bytes()[..], &blob[6..]].concat();
-    let damaged: [(&str, Vec<u8>); 6] = [
+    let damaged: [(&str, Vec<u8>); 7] = [
         ("v1", older(1)),
         ("v2", older(2)),
+        ("v3", older(3)),
         ("empty", Vec::new()),
         ("truncated", blob[..blob.len() - 1].to_vec()),
         ("trailing", [blob.as_slice(), &[0]].concat()),
@@ -208,8 +220,9 @@ fn other_versions_and_damage_are_typed_errors_that_change_nothing() {
         let error = durability_error(engine.with_mut(|e| e.import_state(bytes)));
         match (*what, &error) {
             ("v1", DurabilityError::UnsupportedVersion { found: 1 })
-            | ("v2", DurabilityError::UnsupportedVersion { found: 2 }) => {}
-            ("v1" | "v2", _) => panic!("{what} blob: {error:?}"),
+            | ("v2", DurabilityError::UnsupportedVersion { found: 2 })
+            | ("v3", DurabilityError::UnsupportedVersion { found: 3 }) => {}
+            ("v1" | "v2" | "v3", _) => panic!("{what} blob: {error:?}"),
             (_, DurabilityError::Corrupt { .. }) => {}
             _ => panic!("{what}: {error:?}"),
         }
@@ -219,4 +232,244 @@ fn other_versions_and_damage_are_typed_errors_that_change_nothing() {
             "{what}: a rejected import changed the engine"
         );
     }
+}
+
+/// The checkpoint wave and the last wave of the refit-rule runs.
+const CHECKPOINT_WAVE: u64 = 41;
+const TOTAL_WAVES: u64 = 80;
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "smartflux-engine-state-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `config` with durability in `dir`, checkpointing only when asked.
+fn durable(config: EngineConfig, dir: &Path) -> EngineConfig {
+    config.with_durability(
+        DurabilityOptions::new(dir)
+            .with_sync(SyncPolicy::Never)
+            .with_checkpoint_interval(10_000),
+    )
+}
+
+fn session(config: EngineConfig) -> SmartFluxSession {
+    let store = DataStore::new();
+    SmartFluxSession::new(workflow(&store), store, config).unwrap()
+}
+
+/// Runs `session` through [`TOTAL_WAVES`]: its diagnostics from here on,
+/// and the store (cells, timestamps, clock) it ends with.
+fn finish(session: &mut SmartFluxSession) -> (Vec<WaveDiagnostics>, StoreState) {
+    let from = session.scheduler().next_wave();
+    while session.scheduler().next_wave() <= TOTAL_WAVES {
+        session.run_wave().unwrap();
+    }
+    let tail = session
+        .engine()
+        .with(|e| e.diagnostics_since(from).to_vec());
+    (tail, session.scheduler().store().export_state())
+}
+
+/// One wave's diagnostics with every f64 as its bits: wave, impacts,
+/// errors, decisions, training.
+type WaveBits = (u64, Vec<u64>, Vec<u64>, Vec<bool>, bool);
+
+/// A diagnostics trail with every f64 as its bits, so `-0.0` / `0.0` or a
+/// NaN cannot pass or fail `==` by accident.
+fn bits(trail: &[WaveDiagnostics]) -> Vec<WaveBits> {
+    let as_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    trail
+        .iter()
+        .map(|d| {
+            let impacts = as_bits(&d.impacts);
+            let errors = as_bits(&d.errors);
+            (d.wave, impacts, errors, d.decisions.clone(), d.training)
+        })
+        .collect()
+}
+
+/// What the predictor is, as far as an oracle can compare it: each label's
+/// forest arena when the kind is a forest, else its probabilities over a
+/// probe grid of impact vectors — and the recorded test-phase quality.
+#[derive(Debug, PartialEq)]
+struct ModelPrint {
+    forests: Vec<TreeArena>,
+    probabilities: Vec<Vec<u64>>,
+    quality: Option<(u64, u64, u64)>,
+}
+
+fn model_print(engine: &SharedEngine) -> ModelPrint {
+    engine.with(|e| {
+        let p = e.predictor();
+        let labels = e.qod_step_names().len();
+        let forests = (0..labels)
+            .filter_map(|j| p.forest(j).map(|f| f.arena().clone()))
+            .collect();
+        let probabilities = (0..40)
+            .filter_map(|i| {
+                let impacts = vec![f64::from(i) * 0.05; labels];
+                p.predict_proba(&impacts).ok()
+            })
+            .map(|probs| probs.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        let quality = p.quality().map(|q| {
+            (
+                q.accuracy.to_bits(),
+                q.precision.to_bits(),
+                q.recall.to_bits(),
+            )
+        });
+        ModelPrint {
+            forests,
+            probabilities,
+            quality,
+        }
+    })
+}
+
+/// Checkpoints a durable run of `config` at `checkpoint`, runs on past it
+/// and drops it (the kill), recovers from the checkpoint and finishes the
+/// schedule: the resumed run must make the uninterrupted run's decisions
+/// on the same impact bits and end on its store bytes and clock. Returns
+/// the checkpointing and the recovered predictors, as the recovered one
+/// stood before its first wave.
+fn kill_and_recover(config: &EngineConfig, checkpoint: u64, what: &str) -> [ModelPrint; 2] {
+    let reference = finish(&mut session(config.clone()));
+    assert_eq!(reference.0.len() as u64, TOTAL_WAVES, "{what}");
+
+    let dir = tmp_dir(what);
+    let config = durable(config.clone(), &dir);
+    let mut doomed = session(config.clone());
+    while doomed.scheduler().next_wave() <= checkpoint {
+        doomed.run_wave().unwrap();
+    }
+    assert!(doomed.checkpoint().unwrap(), "{what}");
+    let checkpointed = model_print(&doomed.engine());
+    doomed.run_waves(5).unwrap();
+    drop(doomed);
+
+    let mut resumed = SmartFluxSession::recover(workflow(&DataStore::new()), config)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(resumed.scheduler().next_wave(), checkpoint + 1, "{what}");
+    let refit = model_print(&resumed.engine());
+    let (trail, store) = finish(&mut resumed);
+    assert_eq!(
+        bits(&trail),
+        bits(&reference.0[checkpoint as usize..]),
+        "{what}: decision trail"
+    );
+    assert_eq!(store, reference.1, "{what}: store bytes and clock");
+    let _ = std::fs::remove_dir_all(&dir);
+    [checkpointed, refit]
+}
+
+#[test]
+fn recovery_refits_the_predictor_the_uninterrupted_run_used() {
+    let base = config(AccumulationMode::Cancel);
+
+    // (a) The application phase: the refit forests are the checkpointing
+    // engine's, node for node.
+    let [live, refit] = kill_and_recover(&base, CHECKPOINT_WAVE, "application");
+    assert_eq!(live.forests.len(), 2, "one forest per QoD step");
+    assert_eq!(refit, live, "application: refit predictor");
+
+    // (c) A session started from a training set given beforehand: the blob
+    // carries that set as its knowledge base, and the refit is the model
+    // the session started with.
+    let mut donor = session(base.clone());
+    donor.run_waves(30).unwrap();
+    let given = base.clone().with_initial_knowledge(donor.knowledge_base());
+    let [live, refit] = kill_and_recover(&given, 15, "initial-knowledge");
+    assert_eq!(live.forests.len(), 2);
+    assert_eq!(refit, live, "initial knowledge: refit predictor");
+
+    // (d) A kind without a forest — the path that used to retrain with its
+    // test phase — is refit like every other.
+    let logistic = base.clone().with_model(ModelKind::Logistic);
+    let [live, refit] = kill_and_recover(&logistic, CHECKPOINT_WAVE, "logistic");
+    assert!(live.forests.is_empty());
+    assert_eq!(live.probabilities.len(), 40);
+    assert_eq!(refit, live, "logistic: refit predictor");
+
+    // (b) Mid-retraining: application waves 26–35, then a fresh training
+    // phase whose knowledge base no longer holds the rows the live model
+    // was fit on. The recovered predictor stays untrained — nothing
+    // consults it before that phase ends and rebuilds it — and the run
+    // still ends where the uninterrupted one does.
+    let retraining = base.clone().with_retraining_interval(10);
+    let [live, refit] = kill_and_recover(&retraining, 45, "retraining");
+    assert_eq!(live.forests.len(), 2, "the live model outlives its rows");
+    assert!(refit.forests.is_empty() && refit.probabilities.is_empty());
+    assert_eq!(refit.quality, live.quality);
+
+    // (e) The first training phase, before any model exists.
+    let [live, refit] = kill_and_recover(&base, 13, "first-training");
+    assert!(live.quality.is_none());
+    assert_eq!(refit, live);
+}
+
+/// `blob` with its body replaced by `edit(body)`, re-framed under a valid
+/// CRC — damage the frame cannot see.
+fn reframed(blob: &[u8], edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    let FrameRead::Frame { payload, .. } = read_frame(blob, 6).unwrap() else {
+        panic!("a whole blob holds one frame");
+    };
+    let mut out = blob[..6].to_vec();
+    write_frame(&mut out, &edit(payload));
+    out
+}
+
+#[test]
+fn a_blob_the_config_cannot_refit_is_refused_and_changes_nothing() {
+    let store = DataStore::new();
+    let (engine, mut scheduler) = stand_up(&store, AccumulationMode::Cancel);
+    run(&mut scheduler, CHECKPOINT_WAVE);
+    assert_eq!(engine.with(QodEngine::phase), Phase::Application);
+    let blob = engine.with(QodEngine::export_state);
+
+    // Forests used to carry themselves; now the config must be the one the
+    // models are a function of.
+    let base = config(AccumulationMode::Cancel);
+    for (what, other) in [
+        ("another seed", base.clone().with_seed(4)),
+        ("another kind", base.clone().with_model(ModelKind::Logistic)),
+        (
+            "another forest",
+            base.clone().with_model(ModelKind::recall_optimised()),
+        ),
+    ] {
+        let target = stand_up_with(&DataStore::from_state(store.export_state()).unwrap(), other).0;
+        let pristine = target.with(QodEngine::export_state);
+        let error = durability_error(target.with_mut(|e| e.import_state(&blob)));
+        assert!(
+            matches!(error, DurabilityError::Corrupt { .. }),
+            "{what}: {error:?}"
+        );
+        assert_eq!(target.with(QodEngine::export_state), pristine, "{what}");
+    }
+
+    // An application-phase blob whose knowledge base is two rows: the phase
+    // tag of a wave-2 training blob flipped, its `until_wave` dropped.
+    let (early, mut early_scheduler) = stand_up(&DataStore::new(), AccumulationMode::Cancel);
+    run(&mut early_scheduler, 2);
+    let training = early.with(QodEngine::export_state);
+    let unfittable = reframed(&training, |body| {
+        assert_eq!(body[0], 0, "a training-phase tag");
+        [&[1u8][..], &body[9..]].concat()
+    });
+    let target = stand_up(&DataStore::new(), AccumulationMode::Cancel).0;
+    let pristine = target.with(QodEngine::export_state);
+    let error = durability_error(target.with_mut(|e| e.import_state(&unfittable)));
+    assert!(
+        matches!(&error, DurabilityError::Corrupt { context } if context.contains("fitted")),
+        "{error:?}"
+    );
+    assert_eq!(target.with(QodEngine::export_state), pristine);
+    // The same bytes in the training phase they came from import fine.
+    target.with_mut(|e| e.import_state(&training)).unwrap();
+    assert_eq!(target.with(QodEngine::export_state), training);
 }

@@ -37,8 +37,8 @@
 //! The store is hash-sharded by container: each `(table, family)` pair maps
 //! to one of a fixed set of shards, each behind its own reader-writer lock,
 //! with a single atomic logical clock ordering all writes. [`ShardPolicy`]
-//! selects the partitioning ([`ShardPolicy::Single`] reproduces a global
-//! lock for A/B comparison) and [`DataStore::shard_stats`] exposes
+//! selects the partitioning (`ShardPolicy::Fixed(1)` is one shard, for
+//! A/B comparison) and [`DataStore::shard_stats`] exposes
 //! contention counters. See `DESIGN.md` §11 for the full model.
 //!
 //! # Family handles

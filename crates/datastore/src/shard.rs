@@ -6,19 +6,15 @@
 //! container — a `(table, family)` pair — is the unit of placement: every
 //! cell of a family lives on exactly one shard, chosen by hashing the
 //! container name. The shard count is fixed at construction (always a
-//! power of two, so placement is a mask instead of a modulo) and
-//! [`ShardPolicy::Single`] reproduces the seed's global-lock behaviour for
-//! A/B comparison.
+//! power of two, so placement is a mask instead of a modulo);
+//! `ShardPolicy::Fixed(1)` puts everything on one shard.
 
 /// How the store partitions containers across locks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// One shard guarding everything — the seed's global-lock behaviour.
-    ///
-    /// Kept for A/B benchmarking and as the single-threaded replay oracle
-    /// in the concurrency test battery.
-    Single,
-    /// A fixed shard count, rounded up to the next power of two (minimum 1).
+    /// A fixed shard count, rounded up to the next power of two (minimum
+    /// 1). `Fixed(1)` is one shard guarding everything: the A/B baseline
+    /// and the single-threaded replay oracle of the concurrency battery.
     Fixed(usize),
     /// The default: a shard count sized for typical workflow fan-out.
     #[default]
@@ -37,7 +33,6 @@ impl ShardPolicy {
     #[must_use]
     pub fn shard_count(self) -> usize {
         match self {
-            ShardPolicy::Single => 1,
             ShardPolicy::Fixed(n) => n.max(1).next_power_of_two(),
             ShardPolicy::Auto => AUTO_SHARDS,
         }
@@ -89,7 +84,6 @@ mod tests {
 
     #[test]
     fn policies_resolve_to_powers_of_two() {
-        assert_eq!(ShardPolicy::Single.shard_count(), 1);
         assert_eq!(ShardPolicy::Fixed(0).shard_count(), 1);
         assert_eq!(ShardPolicy::Fixed(3).shard_count(), 4);
         assert_eq!(ShardPolicy::Fixed(8).shard_count(), 8);

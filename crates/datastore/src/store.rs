@@ -145,10 +145,8 @@ impl DataStore {
         Self::default()
     }
 
-    /// Creates an empty store partitioned per `policy`.
-    ///
-    /// [`ShardPolicy::Single`] reproduces the seed's single-global-lock
-    /// behaviour exactly and is kept for A/B benchmarking.
+    /// Creates an empty store partitioned per `policy`; `Fixed(1)` is one
+    /// shard, kept for A/B benchmarking.
     #[must_use]
     pub fn with_shard_policy(policy: ShardPolicy) -> Self {
         let shard_count = policy.shard_count();
@@ -1063,8 +1061,7 @@ mod tests {
     #[test]
     fn failed_writes_do_not_advance_the_clock() {
         // Regression test for a seed-era bug: the original global-lock
-        // implementation (and its `ShardPolicy::Single` compatibility
-        // mode) ticked the clock *before* resolving the container, so a
+        // implementation ticked the clock *before* resolving the container, so a
         // rejected put, a delete against a missing table, or a delete of
         // an absent cell each consumed a timestamp. The sequence below
         // used to leave the clock at 3. Timestamps now map one-to-one
@@ -1249,7 +1246,7 @@ mod tests {
         assert_eq!(auto.shard_policy(), ShardPolicy::Auto);
         assert_eq!(auto.shard_count(), crate::shard::AUTO_SHARDS);
 
-        let single = DataStore::with_shard_policy(ShardPolicy::Single);
+        let single = DataStore::with_shard_policy(ShardPolicy::Fixed(1));
         assert_eq!(single.shard_count(), 1);
 
         let fixed = DataStore::with_shard_policy(ShardPolicy::Fixed(5));
@@ -1263,7 +1260,7 @@ mod tests {
 
     #[test]
     fn single_and_sharded_stores_agree_on_everything() {
-        // The same operation sequence applied to a Single-policy store and
+        // The same operation sequence applied to a one-shard store and
         // an Auto-policy store must export identical state — timestamps,
         // values, clock, the lot.
         let build = |policy| {
@@ -1287,7 +1284,7 @@ mod tests {
             s.delete("t", "b", "r1", "q").unwrap();
             s
         };
-        let single = build(ShardPolicy::Single);
+        let single = build(ShardPolicy::Fixed(1));
         let sharded = build(ShardPolicy::Auto);
         assert_eq!(single.export_state(), sharded.export_state());
         assert_eq!(single.clock(), sharded.clock());
@@ -1356,7 +1353,8 @@ mod tests {
                 .unwrap();
         }
         let state = s.export_state();
-        let single = DataStore::from_state_with_policy(state.clone(), ShardPolicy::Single).unwrap();
+        let single =
+            DataStore::from_state_with_policy(state.clone(), ShardPolicy::Fixed(1)).unwrap();
         let sharded = DataStore::from_state_with_policy(state.clone(), ShardPolicy::Auto).unwrap();
         assert_eq!(single.export_state(), state);
         assert_eq!(sharded.export_state(), state);

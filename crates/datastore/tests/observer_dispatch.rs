@@ -169,7 +169,7 @@ fn callbacks_may_reenter_the_store_without_deadlocking() {
     // always do).
     const MIRRORS: [&str; 2] = ["mirror0", "mirror1"];
     for policy in [
-        ShardPolicy::Single,
+        ShardPolicy::Fixed(1),
         ShardPolicy::Fixed(2),
         ShardPolicy::Auto,
     ] {

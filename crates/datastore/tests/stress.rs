@@ -4,7 +4,7 @@
 //! seeded random puts, deletes, gets and scans concurrently; every
 //! mutation the store reports through its observer bus is collected, then
 //! replayed single-threaded — in store-timestamp order — against a
-//! `ShardPolicy::Single` oracle. Because the logical clock only advances
+//! one-shard (`ShardPolicy::Fixed(1)`) oracle. Because the logical clock only advances
 //! inside the owning shard's write guard, timestamp order per cell equals
 //! apply order, so the replayed oracle must land on the *identical* final
 //! state: same cells, same values, same timestamps, same clock.
@@ -112,7 +112,7 @@ fn hammer(store: &DataStore, seed: u64) -> u64 {
     mutations.load(Ordering::Relaxed) as u64
 }
 
-/// Collects every observed mutation, replays it on a `Single` oracle in
+/// Collects every observed mutation, replays it on a one-shard oracle in
 /// timestamp order, and asserts the oracle matches the concurrent store.
 fn assert_replay_matches(policy: ShardPolicy, seed: u64) {
     let store = store_with_containers(policy);
@@ -143,7 +143,7 @@ fn assert_replay_matches(policy: ShardPolicy, seed: u64) {
     dedup.dedup();
     assert_eq!(timestamps, dedup, "store timestamps must be unique");
 
-    let oracle = store_with_containers(ShardPolicy::Single);
+    let oracle = store_with_containers(ShardPolicy::Fixed(1));
     for event in &events {
         match event.kind {
             WriteKind::Put => oracle
@@ -196,7 +196,7 @@ fn concurrent_two_shard_run_replays_on_single_oracle() {
 #[test]
 fn concurrent_single_shard_run_replays_on_single_oracle() {
     // The degenerate policy must satisfy the same contract.
-    assert_replay_matches(ShardPolicy::Single, 0x5EED_5EED);
+    assert_replay_matches(ShardPolicy::Fixed(1), 0x5EED_5EED);
 }
 
 #[test]
@@ -220,7 +220,7 @@ fn single_threaded_runs_are_bit_for_bit_deterministic() {
         }
         store.export_state()
     };
-    let single = run(ShardPolicy::Single);
+    let single = run(ShardPolicy::Fixed(1));
     let sharded = run(ShardPolicy::Auto);
     assert_eq!(single, sharded);
     assert_eq!(run(ShardPolicy::Auto), sharded, "same seed, same state");

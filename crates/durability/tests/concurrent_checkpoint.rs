@@ -185,7 +185,7 @@ fn recovered_store_matches_across_shard_policies() {
     assert_eq!(baseline, store.export_state());
 
     for policy in [
-        ShardPolicy::Single,
+        ShardPolicy::Fixed(1),
         ShardPolicy::Fixed(2),
         ShardPolicy::Auto,
     ] {

@@ -1,10 +1,9 @@
 //! Flattened struct-of-arrays tree storage for the forest hot path.
 //!
 //! The pointer-based [`DecisionTree`] representation is ideal for
-//! training (recursive splitting) and for the text/binary codecs, but
-//! prediction over `Box`ed nodes chases one heap allocation per level
-//! per tree. A fitted forest is immutable, so at fit/decode time every
-//! tree is flattened into one contiguous arena shared by the whole
+//! training (recursive splitting), but prediction over `Box`ed nodes
+//! chases one heap allocation per level per tree. A fitted forest is
+//! immutable, so at fit time every tree is flattened into one contiguous arena shared by the whole
 //! forest: four parallel arrays (`feature`/`threshold`/`left`/
 //! `leaf_proba`) plus the root index and minimum leaf depth of each
 //! tree.
@@ -54,8 +53,8 @@ const LANES: usize = 16;
 /// A forest's flattened node storage: one allocation per array, shared
 /// by every tree in the ensemble.
 ///
-/// Built internally by [`RandomForest`](crate::RandomForest) at fit and
-/// decode time; exposed read-only for diagnostics and benchmarks.
+/// Built internally by [`RandomForest`](crate::RandomForest) at fit time;
+/// exposed read-only for diagnostics, benchmarks and equality oracles.
 #[derive(Debug, Clone, Default)]
 pub struct TreeArena {
     /// Split feature per node; 0 (a dead in-bounds load) for leaves.

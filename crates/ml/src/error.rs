@@ -35,8 +35,6 @@ pub enum MlError {
     NotFitted,
     /// An invalid hyper-parameter was supplied.
     InvalidParameter(String),
-    /// Serialized model bytes failed validation during decoding.
-    Decode(String),
 }
 
 impl fmt::Display for MlError {
@@ -56,7 +54,6 @@ impl fmt::Display for MlError {
             }
             MlError::NotFitted => f.write_str("model has not been fitted"),
             MlError::InvalidParameter(p) => write!(f, "invalid parameter: {p}"),
-            MlError::Decode(detail) => write!(f, "model decode failed: {detail}"),
         }
     }
 }

@@ -7,7 +7,6 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::arena::TreeArena;
-use crate::codec;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::tree::{DecisionTree, Presorted};
@@ -74,8 +73,8 @@ pub struct RandomForest {
     seed: u64,
     parallelism: TrainParallelism,
     trees: Vec<DecisionTree>,
-    /// Flattened prediction arena, rebuilt from `trees` at every fit and
-    /// decode; empty exactly when `trees` is empty.
+    /// Flattened prediction arena, rebuilt from `trees` at every fit;
+    /// empty exactly when `trees` is empty.
     arena: TreeArena,
 }
 
@@ -212,8 +211,8 @@ impl RandomForest {
     }
 
     /// Rebuilds the flat arena from the pointer trees. Every path that
-    /// installs trees (fit, text/binary decode) calls this, so the two
-    /// representations can never diverge.
+    /// installs trees calls this, so the two representations can never
+    /// diverge.
     fn rebuild_arena(&mut self) {
         self.arena.clear();
         for tree in &self.trees {
@@ -243,13 +242,12 @@ impl RandomForest {
     /// cache-friendly pass (trees outer, samples inner), bit-identical
     /// to calling [`predict_proba`] per sample.
     ///
-    /// Unlike the trait path this is export-consistent about training
-    /// state: an unfitted forest is rejected instead of answering with
-    /// the prior.
+    /// Unlike the trait path this is strict about training state: an
+    /// unfitted forest is rejected instead of answering with the prior.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::NotFitted`] before a successful fit or decode.
+    /// Returns [`MlError::NotFitted`] before a successful fit.
     ///
     /// [`predict_proba`]: Classifier::predict_proba
     pub fn predict_batch<S: AsRef<[f64]>>(&self, samples: &[S]) -> Result<Vec<f64>, MlError> {
@@ -257,98 +255,6 @@ impl RandomForest {
             return Err(MlError::NotFitted);
         }
         Ok(self.arena.predict_batch(samples))
-    }
-}
-
-impl RandomForest {
-    /// Serialises the fitted forest into a versioned binary form.
-    ///
-    /// Every `f64` travels as its exact IEEE-754 bit pattern, so
-    /// [`from_bytes`](Self::from_bytes) restores a forest whose
-    /// predictions are bit-identical — the property the engine
-    /// checkpoint relies on for recovery determinism. Returns `None`
-    /// before fitting.
-    #[must_use]
-    pub fn to_bytes(&self) -> Option<Vec<u8>> {
-        if self.trees.is_empty() {
-            return None;
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(b"SFRF");
-        codec::put_u16(&mut out, 1); // format version
-        codec::put_f64(&mut out, self.threshold);
-        codec::put_u32(&mut out, self.trees.len() as u32);
-        for tree in &self.trees {
-            if !tree.write_binary(&mut out) {
-                return None;
-            }
-        }
-        Some(out)
-    }
-
-    /// Reconstructs a fitted forest from its [`to_bytes`](Self::to_bytes)
-    /// form. Training hyper-parameters not needed for prediction are
-    /// restored to defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::Decode`] describing the first structural
-    /// problem; malformed bytes never panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, MlError> {
-        let mut r = codec::Reader::new(bytes);
-        let magic = r.slice(4, "forest magic")?;
-        if magic != b"SFRF" {
-            return Err(MlError::Decode("bad forest magic".into()));
-        }
-        let version = r.u16()?;
-        if version != 1 {
-            return Err(MlError::Decode(format!(
-                "unsupported forest format version {version}"
-            )));
-        }
-        let threshold = r.f64()?;
-        if !(threshold > 0.0 && threshold < 1.0) {
-            return Err(MlError::Decode(format!(
-                "threshold {threshold} out of range"
-            )));
-        }
-        let n_trees = r.u32()? as usize;
-        if n_trees == 0 {
-            return Err(MlError::Decode("forest must hold at least one tree".into()));
-        }
-        // The smallest tree is one leaf: a tag and a probability. A count
-        // the remaining bytes cannot hold is refused before it is
-        // reserved for.
-        const MIN_TREE_BYTES: usize = 1 + 8;
-        if n_trees > r.remaining() / MIN_TREE_BYTES {
-            return Err(MlError::Decode(format!(
-                "{n_trees} trees claimed, {} bytes left",
-                r.remaining()
-            )));
-        }
-        let mut trees = Vec::with_capacity(n_trees);
-        for _ in 0..n_trees {
-            trees.push(DecisionTree::read_binary(&mut r)?);
-        }
-        if !r.is_exhausted() {
-            return Err(MlError::Decode("trailing bytes after forest".into()));
-        }
-        // Decoded forests predict through the same flat arena as freshly
-        // fitted ones: the checkpoint/recovery path must not fall back to
-        // a different (if bit-identical) traversal strategy.
-        let mut forest = Self {
-            n_trees,
-            max_depth: 16,
-            min_samples_split: 2,
-            max_features: None,
-            threshold,
-            seed: 0,
-            parallelism: TrainParallelism::Auto,
-            trees,
-            arena: TreeArena::new(),
-        };
-        forest.rebuild_arena();
-        Ok(forest)
     }
 }
 
@@ -441,10 +347,6 @@ impl Classifier for RandomForest {
     fn predict(&self, features: &[f64]) -> bool {
         self.predict_proba(features) >= self.threshold
     }
-
-    fn export_bytes(&self) -> Option<Vec<u8>> {
-        self.to_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -480,10 +382,10 @@ mod tests {
 
     proptest! {
         /// The forest half of the differential oracle: at every worker
-        /// count the presorted fit serialises to the bytes of the
-        /// reference fit.
+        /// count the presorted fit flattens to the arena of the reference
+        /// fit, node for node.
         #[test]
-        fn presorted_forest_bytes_match_reference(
+        fn presorted_forest_arena_matches_reference(
             seed in any::<u64>(),
             (n_rows, n_features) in (1usize..70, 1usize..=6),
             (n_trees, max_depth, min_samples_split) in (1usize..=9, 1usize..=12, 2usize..=6),
@@ -498,7 +400,7 @@ mod tests {
 
             let mut reference = config.clone();
             fit_reference(&mut reference, &data);
-            let expected = reference.to_bytes();
+            let expected = reference.arena();
             for parallelism in [
                 TrainParallelism::Fixed(1),
                 TrainParallelism::Fixed(2),
@@ -507,7 +409,7 @@ mod tests {
             ] {
                 let mut forest = config.clone().with_parallelism(parallelism);
                 forest.fit(&data).unwrap();
-                prop_assert_eq!(forest.to_bytes(), expected.clone(), "{:?}", parallelism);
+                prop_assert_eq!(forest.arena(), expected, "{:?}", parallelism);
             }
         }
     }
@@ -620,9 +522,9 @@ mod tests {
             .with_parallelism(TrainParallelism::Fixed(4));
         sequential.fit(&banded()).unwrap();
         parallel.fit(&banded()).unwrap();
-        // Tree-for-tree identity, not just equal predictions: the codec
-        // serialises every node, so equal bytes mean equal forests.
-        assert_eq!(sequential.to_bytes(), parallel.to_bytes());
+        // Tree-for-tree identity, not just equal predictions: the arena
+        // holds every node bit for bit, so equal arenas mean equal forests.
+        assert_eq!(sequential.arena(), parallel.arena());
         assert_eq!(TrainParallelism::Fixed(0).workers(), 1);
         assert!(TrainParallelism::Auto.workers() >= 1);
     }
@@ -631,53 +533,6 @@ mod tests {
     #[should_panic(expected = "at least one tree")]
     fn zero_trees_panics() {
         let _ = RandomForest::new(0);
-    }
-
-    #[test]
-    fn binary_roundtrip_is_exact() {
-        let mut rf = RandomForest::new(9).with_threshold(0.3).with_seed(2);
-        rf.fit(&banded()).unwrap();
-        let bytes = rf.to_bytes().unwrap();
-        let restored = RandomForest::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.n_trees(), 9);
-        assert_eq!(restored.threshold(), 0.3);
-        // Bit-exact: the restored forest is the same PartialEq value up to
-        // non-serialized training hyper-parameters, so probe predictions
-        // must match everywhere.
-        for x in -10..40 {
-            let probe = [f64::from(x)];
-            assert_eq!(rf.predict_proba(&probe), restored.predict_proba(&probe));
-            assert_eq!(rf.predict(&probe), restored.predict(&probe));
-        }
-        // And the codec is stable: re-serialising reproduces the bytes.
-        assert_eq!(restored.to_bytes().unwrap(), bytes);
-        assert!(RandomForest::new(3).to_bytes().is_none());
-        // export_bytes (the Classifier hook) is the same codec.
-        assert_eq!(rf.export_bytes().unwrap(), bytes);
-    }
-
-    #[test]
-    fn from_bytes_rejects_malformed_input() {
-        assert!(matches!(
-            RandomForest::from_bytes(b""),
-            Err(MlError::Decode(_))
-        ));
-        assert!(RandomForest::from_bytes(b"NOPE").is_err());
-        let mut rf = RandomForest::new(3).with_seed(1);
-        rf.fit(&banded()).unwrap();
-        let good = rf.to_bytes().unwrap();
-        // Every truncation is rejected cleanly, never a panic.
-        for cut in 0..good.len() {
-            assert!(RandomForest::from_bytes(&good[..cut]).is_err(), "cut {cut}");
-        }
-        // Trailing garbage is rejected too.
-        let mut extended = good.clone();
-        extended.push(0);
-        assert!(RandomForest::from_bytes(&extended).is_err());
-        // A version bump is refused rather than misread.
-        let mut vbumped = good;
-        vbumped[4] = 2;
-        assert!(RandomForest::from_bytes(&vbumped).is_err());
     }
 
     #[test]

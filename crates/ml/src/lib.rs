@@ -37,11 +37,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::any::Any;
+
 pub mod crossval;
 pub mod metrics;
 
 mod arena;
-mod codec;
 mod dataset;
 mod error;
 mod forest;
@@ -70,8 +71,9 @@ pub use tree::DecisionTree;
 /// All SmartFlux predictors are expressed against this trait, so the Random
 /// Forest default can be swapped for any other implementation (§3.2: "we
 /// adopted RF as our default learning approach, although they can be
-/// switched").
-pub trait Classifier: Send + Sync {
+/// switched"). `Any` lets a caller that knows the concrete type get it
+/// back from a `dyn Classifier`, e.g. to compare fitted forests by arena.
+pub trait Classifier: Any + Send + Sync {
     /// Fits the model to a dataset.
     ///
     /// # Errors
@@ -81,8 +83,8 @@ pub trait Classifier: Send + Sync {
     /// model is learned.
     fn fit(&mut self, data: &Dataset) -> Result<(), MlError>;
 
-    /// `true` once a successful [`fit`](Classifier::fit) (or a codec
-    /// decode of a fitted model) has produced queryable state.
+    /// `true` once a successful [`fit`](Classifier::fit) has produced
+    /// queryable state.
     fn is_fitted(&self) -> bool;
 
     /// Probability that `features` belongs to the positive class.
@@ -100,9 +102,7 @@ pub trait Classifier: Send + Sync {
     }
 
     /// [`predict_proba`](Classifier::predict_proba) that rejects
-    /// untrained models instead of answering with the prior,
-    /// export-consistent with `to_bytes` returning `None`
-    /// before a fit.
+    /// untrained models instead of answering with the prior.
     ///
     /// # Errors
     ///
@@ -133,16 +133,6 @@ pub trait Classifier: Send + Sync {
             Err(MlError::NotFitted)
         }
     }
-
-    /// Serialises the fitted model into a self-describing binary form
-    /// suitable for checkpoints, if the implementation supports it.
-    ///
-    /// The default returns `None` — engines checkpoint such models by
-    /// retraining deterministically from the knowledge base instead.
-    /// [`RandomForest`] overrides this with its exact binary codec.
-    fn export_bytes(&self) -> Option<Vec<u8>> {
-        None
-    }
 }
 
 impl Classifier for Box<dyn Classifier> {
@@ -168,9 +158,5 @@ impl Classifier for Box<dyn Classifier> {
 
     fn try_predict(&self, features: &[f64]) -> Result<bool, MlError> {
         (**self).try_predict(features)
-    }
-
-    fn export_bytes(&self) -> Option<Vec<u8>> {
-        (**self).export_bytes()
     }
 }

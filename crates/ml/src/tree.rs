@@ -5,7 +5,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::arena::TreeArena;
-use crate::codec;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::Classifier;
@@ -398,89 +397,6 @@ impl DecisionTree {
     /// bootstrap's draw counts inside a forest.
     pub(crate) fn fit_presorted(&mut self, view: &Presorted, labels: &[bool], weight: &[u32]) {
         self.root = Some(Grower::new(self, view, labels, weight).grow_root());
-    }
-
-    /// Appends the fitted tree in binary preorder form (tag 0 = leaf with
-    /// probability bits, tag 1 = split with feature index and threshold
-    /// bits). Returns `false` (appending nothing) before fitting.
-    pub(crate) fn write_binary(&self, out: &mut Vec<u8>) -> bool {
-        fn emit(node: &Node, out: &mut Vec<u8>) {
-            match node {
-                Node::Leaf { p_positive } => {
-                    codec::put_u8(out, 0);
-                    codec::put_f64(out, *p_positive);
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    codec::put_u8(out, 1);
-                    codec::put_u32(out, *feature as u32);
-                    codec::put_f64(out, *threshold);
-                    emit(left, out);
-                    emit(right, out);
-                }
-            }
-        }
-        match &self.root {
-            Some(root) => {
-                emit(root, out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Reads one tree in [`write_binary`](Self::write_binary) form from
-    /// the reader, consuming exactly the tree's bytes. Restores default
-    /// hyper-parameters (they do not affect a fitted tree's predictions).
-    pub(crate) fn read_binary(r: &mut codec::Reader<'_>) -> Result<Self, MlError> {
-        // Depth-bounded so corrupt bytes cannot encode a pathologically
-        // nested chain of splits and overflow the stack during recovery.
-        // Real trees never exceed their max_depth (default 16).
-        const MAX_DECODE_DEPTH: usize = 512;
-        fn parse(r: &mut codec::Reader<'_>, depth: usize) -> Result<Node, MlError> {
-            if depth > MAX_DECODE_DEPTH {
-                return Err(MlError::Decode(format!(
-                    "tree nesting exceeds {MAX_DECODE_DEPTH} levels"
-                )));
-            }
-            match r.u8()? {
-                0 => {
-                    let p = r.f64()?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(MlError::Decode(format!(
-                            "leaf probability {p} out of range"
-                        )));
-                    }
-                    Ok(Node::Leaf { p_positive: p })
-                }
-                1 => {
-                    let feature = r.u32()? as usize;
-                    let threshold = r.f64()?;
-                    if !threshold.is_finite() {
-                        return Err(MlError::Decode(format!(
-                            "split threshold {threshold} is not finite"
-                        )));
-                    }
-                    let left = parse(r, depth + 1)?;
-                    let right = parse(r, depth + 1)?;
-                    Ok(Node::Split {
-                        feature,
-                        threshold,
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    })
-                }
-                tag => Err(MlError::Decode(format!("unknown tree node tag {tag}"))),
-            }
-        }
-        let root = parse(r, 0)?;
-        let mut tree = DecisionTree::new();
-        tree.root = Some(root);
-        Ok(tree)
     }
 
     /// Appends the fitted tree to a forest arena: the root slot is

@@ -133,7 +133,7 @@ pub struct RaceReport {
 
 fn shard_policy(choice: ShardChoice) -> ShardPolicy {
     match choice {
-        ShardChoice::Single => ShardPolicy::Single,
+        ShardChoice::Single => ShardPolicy::Fixed(1),
         ShardChoice::Fixed(n) => ShardPolicy::Fixed(n as usize),
         ShardChoice::Auto => ShardPolicy::Auto,
     }

@@ -29,7 +29,7 @@ pub const MAX_WAVES: u64 = 10_000;
 /// The store sharding the scenario runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardChoice {
-    /// One global lock (the seed's original behaviour).
+    /// One shard (`ShardPolicy::Fixed(1)`), spelled `single` in repros.
     Single,
     /// A fixed shard count.
     Fixed(u32),

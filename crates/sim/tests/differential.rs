@@ -1,9 +1,9 @@
 //! The damage batteries over what a checkpoint holds — the engine-state
-//! blob (`SFES`), the checkpoint file around it (`SFCP`) and the forests
-//! inside it (`SFRF`) — flipped and truncated at every offset
-//! ([`smartflux_sim::faults::wire`]): a typed error every time, nothing
-//! changed, no panic, no reservation a damaged count talked the decoder
-//! into.
+//! blob (`SFES`) and the checkpoint file around it (`SFCP`) — flipped and
+//! truncated at every offset ([`smartflux_sim::faults::wire`]): a typed
+//! error every time, nothing changed, no panic, no reservation a damaged
+//! count talked the decoder into. The blob holds no models (recovery
+//! refits them from its knowledge base), so there is no third format.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,7 +14,6 @@ use smartflux_durability::codec::{write_frame, FRAME_HEADER};
 use smartflux_durability::{
     encode_store_state, read_checkpoint, write_checkpoint, Checkpoint, CHECKPOINT_FILE,
 };
-use smartflux_ml::{Classifier, Dataset, MlError, RandomForest};
 use smartflux_sim::faults::wire;
 use smartflux_sim::{workload, Scenario};
 use smartflux_wms::Scheduler;
@@ -209,77 +208,4 @@ fn checkpoint_file_damaged_at_every_offset_is_a_typed_error() {
     // And the undamaged file still reads as what was written.
     assert_eq!(read(&file).0.unwrap(), Some(checkpoint));
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn forest_bytes_damaged_at_every_offset_decode_faithfully_or_not_at_all() {
-    let data = Dataset::new(
-        (0..120).map(|i| vec![f64::from(i * 37 % 101)]).collect(),
-        (0..120).map(|i| i * 37 % 101 > 50 || i % 11 == 0).collect(),
-    )
-    .unwrap();
-    let mut forest = RandomForest::new(4).with_max_depth(6).with_seed(3);
-    forest.fit(&data).unwrap();
-    let bytes = forest.to_bytes().unwrap();
-
-    // `SFRF` carries no checksum — the CRC is the `SFES` frame's, around
-    // it — so damage that lands in a threshold or a probability and leaves
-    // it in range decodes. What must hold then is that the forest is the
-    // bytes: it re-encodes to exactly what it was read from.
-    // Whether `damaged` was refused, and the largest heap request made on
-    // the way.
-    let decode = |what: String, damaged: &[u8]| {
-        LARGEST.set(0);
-        let refused = match RandomForest::from_bytes(damaged) {
-            Err(MlError::Decode(_)) => true,
-            Ok(decoded) => {
-                assert_eq!(
-                    decoded.to_bytes().as_deref(),
-                    Some(damaged),
-                    "{what}: decoded to a forest that is not its bytes"
-                );
-                false
-            }
-            Err(other) => panic!("{what}: expected a decode error, got {other:?}"),
-        };
-        (refused, LARGEST.get())
-    };
-    for (offset, damaged) in wire::flips(&bytes).enumerate() {
-        decode(format!("flip at {offset}"), &damaged);
-    }
-    for (keep, damaged) in wire::truncations(&bytes) {
-        decode(format!("truncation to {keep}"), &damaged);
-    }
-
-    // Lies a flip cannot tell: a tree count of `u32::MAX`, and splits nested
-    // past any tree a fit produces. Both are refused, having reserved for no
-    // more than the bytes behind them could hold.
-    // magic | version | threshold | n_trees
-    let n_trees_at = 4 + 2 + 8;
-    let mut crowded = bytes.clone();
-    assert_eq!(crowded[n_trees_at..n_trees_at + 4], 4u32.to_le_bytes());
-    crowded[n_trees_at..n_trees_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let mut nested = bytes[..n_trees_at].to_vec();
-    nested.extend_from_slice(&1u32.to_le_bytes());
-    for _ in 0..1_000 {
-        nested.push(1); // split tag
-        nested.extend_from_slice(&0u32.to_le_bytes());
-        nested.extend_from_slice(&0.5f64.to_le_bytes());
-    }
-    for (what, lie) in [
-        ("tree count of u32::MAX", crowded),
-        ("bottomless nesting", nested),
-    ] {
-        let (refused, largest) = decode(what.into(), &lie);
-        assert!(refused, "{what}: accepted");
-        assert!(
-            largest <= 8 * lie.len(),
-            "{what}: a {largest}-byte request for {} bytes",
-            lie.len()
-        );
-    }
-
-    // And the undamaged bytes still decode to the forest that wrote them.
-    let restored = RandomForest::from_bytes(&bytes).unwrap();
-    assert_eq!(restored.arena(), forest.arena());
 }

@@ -1,11 +1,11 @@
 //! Shard-policy parity for wave execution: the LRB-style pipeline must
 //! behave identically — decision for decision, cell for cell — whether
-//! its store runs on the seed's single global lock (`ShardPolicy::Single`)
-//! or on the sharded layout, and whether waves run sequentially or via
+//! its store runs on one shard (`ShardPolicy::Fixed(1)`) or on the
+//! sharded layout, and whether waves run sequentially or via
 //! `run_wave_parallel`.
 //!
 //! Two tiers of equality apply. Sequential runs are fully deterministic,
-//! so Single-vs-sharded sequential runs must agree on the *entire*
+//! so one-shard-vs-sharded sequential runs must agree on the *entire*
 //! exported state, per-cell timestamps and logical clock included.
 //! Parallel waves may interleave sibling steps differently between runs,
 //! so there the bar is: identical wave outcomes, identical final values,
@@ -125,7 +125,7 @@ fn store_state(sched: &Scheduler) -> Vec<Snapshot> {
 fn sequential_waves_are_export_identical_across_shard_policies() {
     // Sequential execution is fully deterministic, so every shard policy
     // must produce the same exported state down to cell timestamps.
-    let mut single = lrb_scheduler_on(ShardPolicy::Single);
+    let mut single = lrb_scheduler_on(ShardPolicy::Fixed(1));
     let mut fixed = lrb_scheduler_on(ShardPolicy::Fixed(4));
     let mut auto = lrb_scheduler_on(ShardPolicy::Auto);
 
@@ -147,8 +147,8 @@ fn sequential_waves_are_export_identical_across_shard_policies() {
 fn parallel_waves_on_a_sharded_store_match_the_sequential_single_run() {
     // The satellite acceptance run: 200 waves, `run_wave_parallel` against
     // the sharded store, decision-for-decision and value-for-value
-    // identical to the seed configuration (sequential, single lock).
-    let mut seq = lrb_scheduler_on(ShardPolicy::Single);
+    // identical to the seed configuration (sequential, one shard).
+    let mut seq = lrb_scheduler_on(ShardPolicy::Fixed(1));
     let mut par = lrb_scheduler_on(ShardPolicy::Auto);
 
     for wave in 0..WAVES {
@@ -190,7 +190,7 @@ fn parallel_waves_on_a_sharded_store_match_the_sequential_single_run() {
 fn parallel_waves_agree_across_shard_policies() {
     // Parallel-vs-parallel: the shard layout must not leak into decisions
     // or final values either.
-    let mut single = lrb_scheduler_on(ShardPolicy::Single);
+    let mut single = lrb_scheduler_on(ShardPolicy::Fixed(1));
     let mut auto = lrb_scheduler_on(ShardPolicy::Auto);
 
     for wave in 0..WAVES {

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smartflux::eval::EvalPolicy;
-use smartflux::{DurabilityOptions, SmartFluxSession, SyncPolicy};
+use smartflux::{DurabilityOptions, SmartFluxSession};
 use smartflux_bench::{diag, pct, Workload};
 use smartflux_obs::{http, openmetrics, perfetto, preregister};
 use smartflux_obs::{ObsServer, ObsSources, RingJournal, RingTraceSink};
@@ -91,18 +91,18 @@ fn run_json(args: &Args) {
     for wl in [Workload::Lrb, Workload::Aqhi] {
         let oracle = wl.evaluate_policy(args.bound, EvalPolicy::Oracle, wl.application_waves());
 
-        // Journal the run through a scratch WAL so the JSON carries real
-        // durability figures (overhead, checkpoint cadence) per workload.
-        let wal_dir = std::env::temp_dir().join(format!(
-            "smartflux-diagnose-wal-{}-{}",
+        // Checkpoint the run into a scratch directory so the JSON carries
+        // real durability figures (checkpoint cadence) per workload.
+        let state_dir = std::env::temp_dir().join(format!(
+            "smartflux-diagnose-state-{}-{}",
             wl.id(),
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&state_dir);
         let mut config = wl
             .engine_config(args.bound)
             .with_telemetry(true)
-            .with_durability(DurabilityOptions::new(&wal_dir).with_sync(SyncPolicy::Never));
+            .with_durability(DurabilityOptions::new(&state_dir));
         if let Some(dir) = &args.journal_dir {
             config = config.with_journal_path(dir.join(format!("{}-journal.jsonl", wl.id())));
         }
@@ -150,7 +150,7 @@ fn run_json(args: &Args) {
             static_analysis,
             snapshot.to_json(),
         );
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&state_dir);
     }
 }
 
@@ -203,13 +203,14 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> ServeArgs {
 fn run_serve(args: &ServeArgs) {
     let store = smartflux_datastore::DataStore::new();
     let workflow = Workload::Lrb.factory(args.bound).build(&store);
-    let wal_dir = std::env::temp_dir().join(format!("smartflux-serve-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    let state_dir =
+        std::env::temp_dir().join(format!("smartflux-serve-state-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
     let config = Workload::Lrb
         .engine_config(args.bound)
         .with_telemetry(true)
         .with_training_waves(args.training)
-        .with_durability(DurabilityOptions::new(&wal_dir).with_sync(SyncPolicy::Never));
+        .with_durability(DurabilityOptions::new(&state_dir));
     let mut session = SmartFluxSession::new(workflow, store, config).expect("LRB declares QoD");
 
     let telemetry = session.telemetry().clone();
@@ -245,7 +246,7 @@ fn run_serve(args: &ServeArgs) {
 
     if args.once {
         server.shutdown();
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&state_dir);
         return;
     }
     // Keep serving the final state until killed (CI scrapes us here).
@@ -339,8 +340,6 @@ fn run_scrape(args: &ScrapeArgs) -> Result<(), String> {
     for counter in [
         names::STEP_RETRIES,
         names::STEPS_EXECUTED,
-        names::WAL_RECORDS,
-        names::WAL_BYTES,
         names::CHECKPOINTS,
         names::STORE_WRITES,
     ] {

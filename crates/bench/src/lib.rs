@@ -275,5 +275,4 @@ pub mod exp {
     pub mod overhead;
     pub mod roc;
     pub mod store_scaling;
-    pub mod wal_overhead;
 }

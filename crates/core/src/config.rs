@@ -67,13 +67,16 @@ pub struct EngineConfig {
     ///
     /// [`WaveDecisionRecord`]: smartflux_telemetry::WaveDecisionRecord
     pub journal_path: Option<PathBuf>,
-    /// When set, the session write-ahead-logs every store mutation,
-    /// group-commits at wave boundaries, checkpoints store + engine state
-    /// at the configured interval, and can resume after a crash via
-    /// [`SmartFluxSession::recover`]. `None` (the default) disables
-    /// durability entirely.
+    /// When set, the session checkpoints store + engine state at the
+    /// configured interval (and on demand, e.g. at an orderly shutdown,
+    /// via [`SmartFluxSession::checkpoint`]) and can resume after
+    /// a crash via [`SmartFluxSession::recover`], which re-executes the
+    /// waves since the last checkpoint. No store mutation is logged, so
+    /// the options' sync policy does not apply to a session. `None` (the
+    /// default) disables durability entirely.
     ///
     /// [`SmartFluxSession::recover`]: crate::SmartFluxSession::recover
+    /// [`SmartFluxSession::checkpoint`]: crate::SmartFluxSession::checkpoint
     pub durability: Option<DurabilityOptions>,
 }
 
@@ -209,9 +212,8 @@ impl EngineConfig {
         self
     }
 
-    /// Enables the durability subsystem: WAL commits at every wave
-    /// boundary plus periodic checkpoints of store and engine state, as
-    /// configured by `options`.
+    /// Enables the durability subsystem: periodic checkpoints of store and
+    /// engine state every `options.checkpoint_interval()` waves.
     #[must_use]
     pub fn with_durability(mut self, options: DurabilityOptions) -> Self {
         self.durability = Some(options);

@@ -210,10 +210,9 @@ pub struct QodEngine {
     /// the journal records.
     deferred_this_wave: u64,
     /// The durability manager, when [`EngineConfig::durability`] is set:
-    /// WAL group-commit at every wave boundary plus periodic checkpoints
-    /// of store and engine state.
+    /// periodic checkpoints of store and engine state.
     durability: Option<DurabilityManager>,
-    /// A WAL/checkpoint failure raised inside `end_wave` (which cannot
+    /// A checkpoint failure raised inside `end_wave` (which cannot
     /// return errors); surfaced by the session on the next wave call.
     durability_error: Option<DurabilityError>,
     /// Size of the last [`export_state`](Self::export_state) blob.
@@ -285,18 +284,15 @@ impl QodEngine {
         }
         monitor.attach(&store);
 
-        let durability = match &config.durability {
-            Some(options) => {
-                let manager =
-                    DurabilityManager::open(options.clone()).map_err(CoreError::Durability)?;
-                // The returned handle is only needed for explicit
-                // unregistration; the observer stays registered for the
-                // store's lifetime.
-                let _handle = manager.attach(&store);
-                Some(manager)
-            }
-            None => None,
-        };
+        // Checkpoints only: no write-capture observer is attached, since
+        // recovery re-executes the waves past the checkpoint rather than
+        // replaying their writes.
+        let durability = config
+            .durability
+            .clone()
+            .map(DurabilityManager::open)
+            .transpose()
+            .map_err(CoreError::Durability)?;
 
         let step_names: Vec<String> = steps.iter().map(|s| s.name.clone()).collect();
         let mut predictor = Predictor::new(config.model.clone(), config.seed);
@@ -359,10 +355,10 @@ impl QodEngine {
     /// and the predictor, refit from the knowledge base) are restored
     /// exactly as they were at the end of the checkpointed wave `c`, and
     /// the returned next wave is `c + 1`.
-    /// Waves after `c` that ran before the crash re-execute — the WAL tail
-    /// covering them is truncated so they re-commit cleanly — and, because
+    /// Waves after `c` that ran before the crash re-execute and, because
     /// every engine input is deterministic, re-produce the decisions of
-    /// the uninterrupted run.
+    /// the uninterrupted run. A session logs no store mutation, so there
+    /// is no log tail to replay or discard.
     ///
     /// Returns the engine, the recovered store, and the wave to resume at.
     ///
@@ -391,11 +387,6 @@ impl QodEngine {
         config.initial_knowledge = None;
         let mut engine = Self::from_workflow(workflow, store.clone(), config)?;
         engine.import_state(&checkpoint.engine)?;
-        if let Some(manager) = &engine.durability {
-            // The WAL tail past the checkpoint describes waves that will
-            // re-execute and re-commit; a stale copy must not survive.
-            manager.reset_wal().map_err(CoreError::Durability)?;
-        }
         Ok((engine, store, checkpoint.wave + 1))
     }
 
@@ -713,19 +704,14 @@ impl QodEngine {
         }
     }
 
-    /// Wave-boundary durability point: group-commits the wave's buffered
-    /// store mutations to the WAL and, on the configured interval,
-    /// checkpoints store plus engine state (compacting the WAL prefix the
-    /// checkpoint covers). A failure is remembered for the session to
-    /// surface — `end_wave` itself cannot return one.
+    /// Wave-boundary durability point: on the configured interval,
+    /// checkpoints store plus engine state. A failure is remembered for
+    /// the session to surface — `end_wave` itself cannot return one.
     fn durability_commit(&mut self, wave: u64) {
         let Some(manager) = &self.durability else {
             return;
         };
-        let result = manager
-            .commit_wave(wave, self.store.clock())
-            .and_then(|()| manager.maybe_checkpoint(wave, &self.store, || self.export_state()));
-        if let Err(e) = result {
+        if let Err(e) = manager.maybe_checkpoint(wave, &self.store, || self.export_state()) {
             self.durability_error = Some(e);
         }
     }
@@ -1222,13 +1208,11 @@ impl TriggerPolicy for QodEngine {
                 .gauge(names::QOD_MODEL_AGE_WAVES)
                 .set(i64::try_from(age).unwrap_or(i64::MAX));
             if let Some(manager) = &self.durability {
-                if let Ok(len) = manager.wal_len() {
-                    health.set_wal_lag_bytes(len);
-                }
-                health.set_checkpoint_lag(
-                    manager.checkpoint_lag_waves(wave),
-                    manager.options().checkpoint_interval(),
-                );
+                let lag = manager.checkpoint_lag_waves(wave);
+                health.set_checkpoint_lag(lag, manager.options().checkpoint_interval());
+                self.telemetry
+                    .gauge(names::CHECKPOINT_LAG_WAVES)
+                    .set(i64::try_from(lag).unwrap_or(i64::MAX));
             }
         }
     }

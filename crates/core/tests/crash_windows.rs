@@ -12,9 +12,7 @@
 
 use std::path::{Path, PathBuf};
 
-use smartflux::{
-    DurabilityOptions, EngineConfig, QodEngine, SmartFluxSession, SyncPolicy, WaveDiagnostics,
-};
+use smartflux::{DurabilityOptions, EngineConfig, QodEngine, SmartFluxSession, WaveDiagnostics};
 use smartflux_datastore::{ContainerRef, DataStore, StoreState, Value};
 use smartflux_durability::{write_checkpoint, Checkpoint, CHECKPOINT_FILE, WAL_FILE};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
@@ -84,11 +82,7 @@ fn config(dir: &Path) -> EngineConfig {
         .with_training_waves(25)
         .with_quality_gates(0.0, 0.0)
         .with_seed(3)
-        .with_durability(
-            DurabilityOptions::new(dir)
-                .with_sync(SyncPolicy::Never)
-                .with_checkpoint_interval(OLD_CHECKPOINT_WAVE),
-        )
+        .with_durability(DurabilityOptions::new(dir).with_checkpoint_interval(OLD_CHECKPOINT_WAVE))
 }
 
 fn fresh_session(dir: &Path) -> SmartFluxSession {
@@ -108,7 +102,7 @@ fn finish(session: &mut SmartFluxSession) -> (Vec<WaveDiagnostics>, StoreState) 
 }
 
 /// Runs a session to [`KILL_WAVE`] in `dir` — one periodic checkpoint at
-/// [`OLD_CHECKPOINT_WAVE`], everything later in the WAL — capturing, but
+/// [`OLD_CHECKPOINT_WAVE`], nothing later on disk — capturing, but
 /// not writing, a checkpoint at [`CHECKPOINT_WAVE`]. Dropping the session
 /// is the crash.
 fn doomed_run(dir: &Path) -> Checkpoint {

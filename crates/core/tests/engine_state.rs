@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use smartflux::{
     AccumulationMode, CoreError, DurabilityError, DurabilityOptions, EngineConfig, ModelKind,
-    Phase, QodEngine, QodSpec, SharedEngine, SmartFluxSession, SyncPolicy, WaveDiagnostics,
+    Phase, QodEngine, QodSpec, SharedEngine, SmartFluxSession, WaveDiagnostics,
 };
 use smartflux_datastore::{ContainerRef, DataStore, StoreState, Value};
 use smartflux_durability::codec::{read_frame, write_frame, FrameRead};
@@ -249,11 +249,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// `config` with durability in `dir`, checkpointing only when asked.
 fn durable(config: EngineConfig, dir: &Path) -> EngineConfig {
-    config.with_durability(
-        DurabilityOptions::new(dir)
-            .with_sync(SyncPolicy::Never)
-            .with_checkpoint_interval(10_000),
-    )
+    config.with_durability(DurabilityOptions::new(dir).with_checkpoint_interval(10_000))
 }
 
 fn session(config: EngineConfig) -> SmartFluxSession {

@@ -9,11 +9,11 @@
 //!
 //! # Architecture
 //!
-//! - [`DurabilityManager`] hooks the store's write-observer surface and
-//!   buffers every mutation. At each wave boundary the engine calls
-//!   [`DurabilityManager::commit_wave`], which group-commits the wave's
-//!   operations as one CRC-framed record in the append-only WAL
-//!   ([`Wal`]), flushing per the configured [`SyncPolicy`].
+//! - [`DurabilityManager::attach`] hooks the store's write-observer
+//!   surface and buffers every mutation; [`DurabilityManager::commit_wave`]
+//!   group-commits them as one CRC-framed record in the append-only WAL
+//!   ([`Wal`]), flushing per the configured [`SyncPolicy`]. This is a
+//!   store-level API: an engine session does not attach it.
 //! - Every [`DurabilityOptions::checkpoint_interval`] waves,
 //!   [`DurabilityManager::maybe_checkpoint`] writes a [`Checkpoint`] — the
 //!   full store state plus opaque engine bytes — via an atomic
@@ -25,10 +25,10 @@
 //!   mid-append). Everything else that is malformed yields a typed
 //!   [`DurabilityError`]; recovery never panics on corrupt input.
 //!
-//! Engine-level recovery (`QodEngine::recover` in the `smartflux` crate)
-//! builds on the same primitives: it restores from the checkpoint only
-//! and resets the WAL, because the waves after the checkpoint re-execute
-//! deterministically.
+//! Engine-level durability (`QodEngine` in the `smartflux` crate) uses
+//! the checkpoints only: a session logs no store mutation, and
+//! `QodEngine::recover` restores the checkpoint, because the waves after
+//! it re-execute deterministically.
 //!
 //! # Example
 //!

@@ -294,11 +294,7 @@ impl DurabilityManager {
         wave.saturating_sub(self.durable_wave.load(Ordering::Relaxed))
     }
 
-    /// Truncates the WAL to empty.
-    ///
-    /// Recovery support: after an engine restart from a checkpoint, the
-    /// waves recorded in the WAL tail will re-execute and re-commit, so
-    /// the stale tail must not survive.
+    /// Truncates the WAL to empty and drops the buffered operations.
     ///
     /// # Errors
     ///

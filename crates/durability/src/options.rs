@@ -4,11 +4,14 @@ use std::path::{Path, PathBuf};
 
 /// When WAL appends are flushed to stable storage.
 ///
-/// Mirrors the classic WAL trade-off: `Always` gives per-wave durability
+/// Mirrors the classic WAL trade-off: `Always` gives per-commit durability
 /// at an fsync per commit, `Interval(n)` amortises the fsync over `n`
 /// commits, and `Never` leaves flushing to the operating system (data
-/// survives process crashes but not host crashes — the mode used by the
-/// WAL-overhead micro-bench).
+/// survives process crashes but not host crashes). It governs only the
+/// store-level [`DurabilityManager::commit_wave`] API; an engine session
+/// logs nothing and its checkpoints are always synced.
+///
+/// [`DurabilityManager::commit_wave`]: crate::DurabilityManager::commit_wave
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Fsync after every committed batch.

@@ -466,7 +466,8 @@ impl Wal {
     /// kept): usually nothing, the checkpoint having just superseded the
     /// whole log. Bytes no index entry covers (a torn final record) are
     /// dropped; a damaged frame in the superseded prefix is dropped like
-    /// any other.
+    /// any other. An empty log — a session's, which logs nothing — has
+    /// nothing to supersede and is left alone: no temporary file, no sync.
     ///
     /// # Errors
     ///
@@ -474,6 +475,9 @@ impl Wal {
     /// [`DurabilityError::Corrupt`] if a frame that would be kept fails
     /// validation; the log is then left as it was.
     pub fn compact(&mut self, checkpoint_wave: u64) -> Result<(), DurabilityError> {
+        if self.is_empty() {
+            return Ok(());
+        }
         self.buf.clear();
         let mut kept = Vec::new();
         let mut log = &self.file;
@@ -885,6 +889,45 @@ mod tests {
         // The log stays appendable after compaction.
         wal.append(&sample_batch(6)).unwrap();
         assert_eq!(read_wal(&path).unwrap().batches.len(), 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn compacting_an_empty_log_touches_nothing() {
+        let path = tmp_path("compact-empty");
+        let _ = std::fs::remove_file(&path);
+        // A directory squatting on the temporary file's name fails any
+        // compaction that tries to create it.
+        let tmp = path.with_extension("tmp");
+        let _ = std::fs::remove_dir(&tmp);
+        std::fs::create_dir(&tmp).unwrap();
+        let mut wal = Wal::open(&path, SyncPolicy::Always).unwrap();
+        wal.compact(7).expect("an empty compaction touched wal.tmp");
+        std::fs::remove_dir(&tmp).unwrap();
+        assert_eq!(wal.len(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        // Still appendable, and the append reads back.
+        let mut ops = Vec::new();
+        encode_op_put(&mut ops, "t", "f", "r", "q", 80, &Value::from(8.0));
+        wal.append_encoded(8, 80, 1, &ops).unwrap();
+        let read = read_wal(&path).unwrap();
+        assert!(!read.torn_tail);
+        assert_eq!(
+            read.batches,
+            [WalBatch {
+                wave: 8,
+                clock: 80,
+                ops: vec![WalOp::Put {
+                    table: "t".into(),
+                    family: "f".into(),
+                    row: "r".into(),
+                    qualifier: "q".into(),
+                    value: Value::from(8.0),
+                    timestamp: 80,
+                }],
+            }]
+        );
+        assert_eq!(wal.len(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).unwrap();
     }
 

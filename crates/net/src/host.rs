@@ -1,7 +1,7 @@
 //! The multi-session engine host.
 //!
 //! An [`EngineHost`] holds N independent SmartFlux sessions — each with
-//! its own [`SmartFluxSession`] (engine + sharded store + optional WAL)
+//! its own [`SmartFluxSession`] (engine + sharded store + optional checkpoints)
 //! — and runs every request on the thread that made it. The host spawns
 //! no thread: its callers are already threads waiting for an answer (a
 //! [`NetServer`](crate::NetServer) connection has one outstanding
@@ -28,8 +28,8 @@
 //!   resumes exactly where processing stopped.
 //! - [`kill`](EngineHost::kill) — simulated crash: waiting callers are
 //!   answered with a `shutting-down` error and **no** checkpoint is
-//!   written, leaving recovery to the periodic checkpoint + WAL exactly
-//!   as a real crash would.
+//!   written, leaving recovery to the periodic checkpoint (and the
+//!   re-execution of the waves after it) exactly as a real crash would.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -37,9 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use smartflux::{
-    CoreError, DurabilityError, DurabilityOptions, Phase, SmartFluxSession, SyncPolicy,
-};
+use smartflux::{CoreError, DurabilityError, DurabilityOptions, Phase, SmartFluxSession};
 use smartflux_datastore::{DataStore, StoreError};
 use smartflux_durability::encode_store_state;
 use smartflux_telemetry::{names, Counter, Gauge, Telemetry};
@@ -172,9 +170,9 @@ pub struct ShutdownReport {
     /// Durable sessions whose close-time checkpoint was written.
     pub checkpointed: usize,
     /// Close-time checkpoint failures, one `session <id>: <error>` line
-    /// each. Durable sessions run under `SyncPolicy::Never`, so a
-    /// session listed here may have an unsynced WAL tail — an orderly
-    /// shutdown with failures must not be treated as clean.
+    /// each. Nothing a session listed here did after its last periodic
+    /// checkpoint is on disk — an orderly shutdown with failures must not
+    /// be treated as clean.
     pub checkpoint_failures: Vec<String>,
 }
 
@@ -269,7 +267,6 @@ impl EngineHost {
             }
             config = config.with_durability(
                 DurabilityOptions::new(root.join(key))
-                    .with_sync(SyncPolicy::Never)
                     .with_checkpoint_interval(inner.config.checkpoint_interval),
             );
         }
@@ -313,8 +310,9 @@ impl EngineHost {
             waiting: AtomicU32::new(0),
         });
         {
-            // Construction above is slow (a recovery replays a WAL) and a
-            // shutdown may have emptied the map meanwhile. Shutdown clears
+            // Construction above is slow (a recovery restores a checkpoint
+            // and refits the predictor) and a shutdown may have emptied the
+            // map meanwhile. Shutdown clears
             // `accepting` before it takes this lock, so re-checking under
             // it leaves no window in which a session is inserted that
             // nothing will ever checkpoint or close.
@@ -421,8 +419,9 @@ impl EngineHost {
     /// session's executing request, then checkpoints and closes every
     /// durable session. The report counts the checkpoints written and
     /// lists every checkpoint that *failed* — a failure means the
-    /// session's WAL tail may be unsynced, so callers must not fold it
-    /// into "nothing to checkpoint". Idempotent.
+    /// session's waves since its last periodic checkpoint are not on disk,
+    /// so callers must not fold it into "nothing to checkpoint".
+    /// Idempotent.
     pub fn shutdown(&self) -> ShutdownReport {
         let mut report = ShutdownReport::default();
         for (slot, mut session) in self.take_sessions() {

@@ -71,7 +71,8 @@ impl NetServer {
     /// host keeps accepting until every connection handler has
     /// returned, so no request a connection already read is refused.
     /// The report counts checkpoints written and lists any that failed
-    /// (whose sessions' WAL tails may be unsynced).
+    /// (whose sessions' waves since their last periodic checkpoint are
+    /// not on disk).
     pub fn shutdown(self) -> ShutdownReport {
         self.pool.shutdown();
         self.host.shutdown()

@@ -113,7 +113,7 @@ pub struct SessionSpec {
     /// Overrides the registered config's training-phase length.
     pub training_waves: Option<u32>,
     /// Keys this session's durability directory under the host's
-    /// durability root; `None` runs the session without a WAL.
+    /// durability root; `None` runs the session without checkpoints.
     pub durable_key: Option<String>,
     /// With a `durable_key`: resume from that key's checkpoint if one
     /// exists instead of starting fresh.

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use smartflux::eval::WorkloadFactory;
-use smartflux::{DurabilityOptions, EngineConfig, SmartFluxSession, SyncPolicy, WaveDiagnostics};
+use smartflux::{DurabilityOptions, EngineConfig, SmartFluxSession, WaveDiagnostics};
 use smartflux_datastore::{DataStore, StoreState};
 use smartflux_net::{
     Client, DecisionRow, EngineHost, HostConfig, NetServer, SessionSpec, WorkflowRegistry,
@@ -62,11 +62,8 @@ fn start_host(root: &PathBuf) -> NetServer {
 fn reference_run(dir: &PathBuf) -> (Vec<WaveDiagnostics>, StoreState, u64) {
     let store = DataStore::new();
     let workflow = LrbFactory::with_bound(0.1).build(&store);
-    let config = lrb_config().with_durability(
-        DurabilityOptions::new(dir)
-            .with_sync(SyncPolicy::Never)
-            .with_checkpoint_interval(CHECKPOINT_INTERVAL),
-    );
+    let config = lrb_config()
+        .with_durability(DurabilityOptions::new(dir).with_checkpoint_interval(CHECKPOINT_INTERVAL));
     let mut session = SmartFluxSession::new(workflow, store, config).expect("session builds");
     for _ in 0..TOTAL_WAVES {
         session.run_wave().expect("wave runs");
@@ -116,17 +113,26 @@ fn kill_mid_submit_then_resume_matches_the_reference() {
     // host dies under it. The submits that land before the kill succeed;
     // the first one after it must fail *promptly and typed* — no hang,
     // no panic, no torn session state.
+    let (started, first_submit) = std::sync::mpsc::channel();
     let victim = std::thread::spawn(move || {
         let mut feeder = Client::connect(addr).unwrap();
         let mut submitted = 0u64;
         loop {
             match feeder.submit_wave(session, vec![]) {
-                Ok(_) => submitted += 1,
+                Ok(_) => {
+                    submitted += 1;
+                    if submitted == 1 {
+                        let _ = started.send(());
+                    }
+                }
                 Err(e) => return (submitted, e.to_string()),
             }
         }
     });
-    std::thread::sleep(Duration::from_millis(25));
+    // Kill a few milliseconds into the feeder's run: mid-submit, and far
+    // short of the schedule's end at any wave speed.
+    first_submit.recv().unwrap();
+    std::thread::sleep(Duration::from_millis(5));
     server.kill();
     let (extra, error) = victim.join().unwrap();
     assert!(!error.is_empty(), "the interrupted submit reports an error");
@@ -137,8 +143,8 @@ fn kill_mid_submit_then_resume_matches_the_reference() {
     );
 
     // Fresh host over the same root: the session resumes from the last
-    // durable checkpoint (a multiple of the interval; the WAL tail past
-    // it is deliberately discarded, crash-recovery style).
+    // durable checkpoint (a multiple of the interval; the waves past it
+    // re-execute, crash-recovery style).
     let server = start_host(&root);
     let mut client = Client::connect(server.addr()).unwrap();
     let reopened = client.open_session(&spec).unwrap();

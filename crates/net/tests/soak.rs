@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use smartflux::eval::WorkloadFactory;
-use smartflux::{DurabilityOptions, EngineConfig, SmartFluxSession, SyncPolicy, WaveDiagnostics};
+use smartflux::{DurabilityOptions, EngineConfig, SmartFluxSession, WaveDiagnostics};
 use smartflux_datastore::{DataStore, StoreState};
 use smartflux_net::{Client, EngineHost, HostConfig, NetServer, SessionSpec, WorkflowRegistry};
 use smartflux_obs::{openmetrics, ObsServer, ObsSources};
@@ -46,11 +46,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn reference_run(dir: &PathBuf) -> (Vec<WaveDiagnostics>, StoreState, u64) {
     let store = DataStore::new();
     let workflow = LrbFactory::with_bound(0.1).build(&store);
-    let config = lrb_config().with_durability(
-        DurabilityOptions::new(dir)
-            .with_sync(SyncPolicy::Never)
-            .with_checkpoint_interval(20),
-    );
+    let config =
+        lrb_config().with_durability(DurabilityOptions::new(dir).with_checkpoint_interval(20));
     let mut session = SmartFluxSession::new(workflow, store, config).expect("session builds");
     for _ in 0..TOTAL_WAVES {
         session.run_wave().expect("wave runs");

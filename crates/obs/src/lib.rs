@@ -6,8 +6,8 @@
 //! servable instead of post-hoc:
 //!
 //! - **[`ObsServer`]** — a dependency-free HTTP/1.1 server exposing
-//!   `/metrics` (OpenMetrics text), `/healthz` (engine phase, WAL lag,
-//!   last-wave age), `/waves` (recent wave decisions as JSON), and
+//!   `/metrics` (OpenMetrics text), `/healthz` (engine phase, checkpoint
+//!   lag, last-wave age), `/waves` (recent wave decisions as JSON), and
 //!   `/trace` (Chrome trace JSON for Perfetto).
 //! - **[`RingTraceSink`] / [`RingJournal`]** — lock-free bounded rings
 //!   that retain the newest spans and wave-decision records at fixed

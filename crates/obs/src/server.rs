@@ -11,7 +11,7 @@
 //! | Path        | Content                                                   |
 //! |-------------|-----------------------------------------------------------|
 //! | `/metrics`  | OpenMetrics exposition of the telemetry snapshot          |
-//! | `/healthz`  | JSON: status, phase, last wave + age, WAL/checkpoint lag  |
+//! | `/healthz`  | JSON: status, phase, last wave + age, checkpoint lag      |
 //! | `/waves`    | JSON array: ring-buffered tail of wave-decision records   |
 //! | `/trace`    | Chrome trace JSON of the span ring (`?waves=N` to filter) |
 
@@ -142,8 +142,8 @@ fn query_u64(request: &Request, key: &str) -> Option<u64> {
     request.query.get(key).and_then(|v| v.parse().ok())
 }
 
-/// Renders `/healthz`: status, engine phase, last wave and its age, WAL
-/// and checkpoint lag, the model's build time and age. The status is
+/// Renders `/healthz`: status, engine phase, last wave and its age,
+/// checkpoint lag, the model's build time and age. The status is
 /// `degraded` while checkpoints are overdue (more than two intervals of
 /// waves since the last durable one).
 fn health_json(telemetry: &Telemetry) -> String {
@@ -157,11 +157,10 @@ fn health_json(telemetry: &Telemetry) -> String {
         "ok"
     };
     format!(
-        "{{\"status\":\"{status}\",\"phase\":\"{}\",\"last_wave\":{},\"last_wave_age_ms\":{},\"wal_lag_bytes\":{},\"checkpoint_lag_waves\":{},\"model_build_ms\":{},\"model_age_waves\":{}}}",
+        "{{\"status\":\"{status}\",\"phase\":\"{}\",\"last_wave\":{},\"last_wave_age_ms\":{},\"checkpoint_lag_waves\":{},\"model_build_ms\":{},\"model_age_waves\":{}}}",
         health.phase,
         health.last_wave,
         age,
-        health.wal_lag_bytes,
         health.checkpoint_lag_waves,
         health.model_build_ms,
         health.model_age_waves
@@ -313,7 +312,6 @@ mod tests {
         s.telemetry.counter(names::STEP_RETRIES).add(2);
         s.telemetry.health().set_phase("application");
         s.telemetry.health().note_wave(17);
-        s.telemetry.health().set_wal_lag_bytes(512);
         s.telemetry.health().set_model_build_ms(180);
         s.telemetry.health().set_model_age_waves(9);
         {
@@ -363,7 +361,7 @@ mod tests {
         assert_eq!(status, 200);
         assert!(health.contains("\"phase\":\"application\""));
         assert!(health.contains("\"last_wave\":17"));
-        assert!(health.contains("\"wal_lag_bytes\":512"));
+        assert!(!health.contains("wal_lag_bytes"));
         assert!(health.contains("\"model_build_ms\":180,\"model_age_waves\":9"));
         assert!(health.contains("\"status\":\"ok\""));
         // Checkpoints stopped landing: the report degrades.

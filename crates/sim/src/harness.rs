@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use smartflux::{CoreError, SmartFluxSession};
 use smartflux_datastore::{DataStore, ShardPolicy, StoreState};
-use smartflux_durability::{DurabilityOptions, SyncPolicy};
+use smartflux_durability::DurabilityOptions;
 use smartflux_net::wire::{self, FrameIn};
 use smartflux_net::{
     Client, EngineHost, ErrorCode, HostConfig, NetError, NetServer, Request, Response, SessionSpec,
@@ -143,9 +143,7 @@ fn config_for(scenario: &Scenario, durability_dir: Option<&Path>) -> smartflux::
     let mut config = workload::engine_config(scenario);
     if let (Some(dir), Some(plan)) = (durability_dir, &scenario.durability) {
         config = config.with_durability(
-            DurabilityOptions::new(dir)
-                .with_sync(SyncPolicy::Never)
-                .with_checkpoint_interval(plan.checkpoint_interval),
+            DurabilityOptions::new(dir).with_checkpoint_interval(plan.checkpoint_interval),
         );
     }
     config

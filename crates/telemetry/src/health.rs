@@ -1,9 +1,8 @@
 //! Engine health state served by the observability plane's `/healthz`.
 //!
 //! A tiny always-on bundle of atomics the engine refreshes at wave
-//! boundaries: phase, last completed wave (with its timestamp), the WAL
-//! lag in bytes, the checkpoint lag in waves, and the model's build time
-//! and age. Living in the telemetry crate keeps the server crate
+//! boundaries: phase, last completed wave (with its timestamp), the
+//! checkpoint lag in waves, and the model's build time and age. Living in the telemetry crate keeps the server crate
 //! free of engine dependencies — the engine writes through its
 //! [`Telemetry`](crate::Telemetry) handle, the server reads a
 //! [`HealthSnapshot`].
@@ -25,8 +24,6 @@ pub struct Health {
     /// Trace-epoch nanoseconds of the last `note_wave`; `0` = never.
     // tidy:atomic(last_wave_at_ns: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
     last_wave_at_ns: AtomicU64,
-    // tidy:atomic(wal_lag_bytes: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
-    wal_lag_bytes: AtomicU64,
     // tidy:atomic(checkpoint_lag_waves: relaxed): liveness gauge sampled by /health — a stale value only ages the report by one poll
     checkpoint_lag_waves: AtomicU64,
     /// Configured waves between checkpoints; `0` = no durability.
@@ -44,7 +41,6 @@ impl Default for Health {
             phase: RwLock::new("idle"),
             last_wave: AtomicU64::new(0),
             last_wave_at_ns: AtomicU64::new(0),
-            wal_lag_bytes: AtomicU64::new(0),
             checkpoint_lag_waves: AtomicU64::new(0),
             checkpoint_interval: AtomicU64::new(0),
             model_build_ms: AtomicU64::new(0),
@@ -66,12 +62,7 @@ impl Health {
             .store(trace_epoch_ns().max(1), Ordering::Relaxed);
     }
 
-    /// Publishes the current WAL length (bytes past the last checkpoint).
-    pub fn set_wal_lag_bytes(&self, bytes: u64) {
-        self.wal_lag_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Publishes how many waves were committed since the last durable
+    /// Publishes how many waves completed since the last durable
     /// checkpoint, beside the configured `interval` between checkpoints.
     pub fn set_checkpoint_lag(&self, waves: u64, interval: u64) {
         self.checkpoint_lag_waves.store(waves, Ordering::Relaxed);
@@ -101,7 +92,6 @@ impl Health {
             phase: *self.phase.read(),
             last_wave: self.last_wave.load(Ordering::Relaxed),
             last_wave_age,
-            wal_lag_bytes: self.wal_lag_bytes.load(Ordering::Relaxed),
             checkpoint_lag_waves: self.checkpoint_lag_waves.load(Ordering::Relaxed),
             checkpoint_interval: self.checkpoint_interval.load(Ordering::Relaxed),
             model_build_ms: self.model_build_ms.load(Ordering::Relaxed),
@@ -119,9 +109,7 @@ pub struct HealthSnapshot {
     pub last_wave: u64,
     /// Time since the last completed wave, `None` before the first.
     pub last_wave_age: Option<Duration>,
-    /// WAL bytes accumulated since the last checkpoint.
-    pub wal_lag_bytes: u64,
-    /// Waves committed since the last durable checkpoint.
+    /// Waves completed since the last durable checkpoint.
     pub checkpoint_lag_waves: u64,
     /// Configured waves between checkpoints (0 = durability off).
     pub checkpoint_interval: u64,
@@ -133,8 +121,8 @@ pub struct HealthSnapshot {
 
 impl HealthSnapshot {
     /// Whether checkpoints have stopped landing: more than two intervals
-    /// of waves committed since the last durable one. Every such wave is
-    /// in the WAL only, and would be re-executed after a crash.
+    /// of waves completed since the last durable one. Every such wave
+    /// would be re-executed after a crash.
     #[must_use]
     pub fn checkpoints_overdue(&self) -> bool {
         self.checkpoint_interval > 0 && self.checkpoint_lag_waves > 2 * self.checkpoint_interval
@@ -152,7 +140,7 @@ mod tests {
         assert_eq!(s.phase, "idle");
         assert_eq!(s.last_wave, 0);
         assert!(s.last_wave_age.is_none());
-        assert_eq!(s.wal_lag_bytes, 0);
+        assert_eq!(s.checkpoint_lag_waves, 0);
     }
 
     #[test]
@@ -160,13 +148,11 @@ mod tests {
         let h = Health::default();
         h.set_phase("application");
         h.note_wave(42);
-        h.set_wal_lag_bytes(4096);
         let s = h.snapshot();
         assert_eq!(s.phase, "application");
         assert_eq!(s.last_wave, 42);
         assert!(s.last_wave_age.is_some());
         assert!(s.last_wave_age.unwrap() < Duration::from_secs(60));
-        assert_eq!(s.wal_lag_bytes, 4096);
     }
 
     #[test]

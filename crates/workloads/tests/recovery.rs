@@ -8,9 +8,10 @@
 use std::path::PathBuf;
 
 use smartflux::eval::WorkloadFactory;
+use smartflux::telemetry_names::{CHECKPOINTS, WAL_BYTES, WAL_RECORDS};
 use smartflux::{
     recover_store, CoreError, DurabilityError, DurabilityOptions, EngineConfig, SmartFluxSession,
-    SyncPolicy, WaveDiagnostics,
+    WaveDiagnostics,
 };
 use smartflux_datastore::DataStore;
 use smartflux_workloads::lrb::LrbFactory;
@@ -32,11 +33,7 @@ fn config(dir: &PathBuf) -> EngineConfig {
         .with_training_waves(30)
         .with_quality_gates(0.3, 0.3)
         .with_seed(11)
-        .with_durability(
-            DurabilityOptions::new(dir)
-                .with_sync(SyncPolicy::Never)
-                .with_checkpoint_interval(CHECKPOINT_INTERVAL),
-        )
+        .with_durability(DurabilityOptions::new(dir).with_checkpoint_interval(CHECKPOINT_INTERVAL))
 }
 
 fn fresh_session(dir: &PathBuf) -> SmartFluxSession {
@@ -76,24 +73,27 @@ fn kill_at_wave_k_recovery_is_deterministic() {
         let dir = tmp_dir(&format!("kill{kill_wave}"));
 
         // The doomed run: `drop` without any orderly checkpoint stands in
-        // for the crash — everything after the last checkpoint interval
-        // survives only in the WAL, which recovery deliberately discards
-        // in favour of deterministic re-execution.
+        // for the crash — everything after the last checkpoint interval is
+        // lost, and recovery re-executes it deterministically.
+        let checkpoint_wave = kill_wave - kill_wave % CHECKPOINT_INTERVAL;
         let mut doomed = fresh_session(&dir);
-        run_waves(&mut doomed, kill_wave);
-        let state_at_kill = doomed.scheduler().store().export_state();
+        run_waves(&mut doomed, checkpoint_wave);
+        let state_at_checkpoint = doomed.scheduler().store().export_state();
+        run_waves(&mut doomed, kill_wave - checkpoint_wave);
         drop(doomed);
 
-        // The standalone store-level path replays checkpoint + WAL tail
-        // and must land exactly on the killed run's store.
+        // The session logs no store mutation, so the standalone
+        // store-level path finds the checkpoint and nothing after it.
         let recovered = recover_store(&dir).expect("store recovery succeeds");
         assert_eq!(
             recovered.store.export_state(),
-            state_at_kill,
-            "WAL replay diverged from the killed store at wave {kill_wave}"
+            state_at_checkpoint,
+            "store recovery missed the last checkpoint before wave {kill_wave}"
         );
-        assert_eq!(recovered.last_wave, kill_wave);
-        assert!(!recovered.torn_tail, "clean shutdown left a torn tail");
+        assert_eq!(recovered.store.clock(), state_at_checkpoint.clock);
+        assert_eq!(recovered.checkpoint_wave, checkpoint_wave);
+        assert_eq!(recovered.last_wave, checkpoint_wave);
+        assert!(!recovered.torn_tail, "an empty log read as torn");
 
         // The engine-level path: resume from the checkpoint and replay the
         // remaining waves of the schedule.
@@ -102,7 +102,6 @@ fn kill_at_wave_k_recovery_is_deterministic() {
         let mut resumed =
             SmartFluxSession::recover(workflow, config(&dir)).expect("session recovery succeeds");
         let resume_wave = resumed.scheduler().next_wave();
-        let checkpoint_wave = kill_wave - kill_wave % CHECKPOINT_INTERVAL;
         assert_eq!(
             resume_wave,
             checkpoint_wave + 1,
@@ -156,9 +155,49 @@ fn kill_at_wave_k_recovery_is_deterministic() {
 }
 
 #[test]
+fn a_durable_session_writes_checkpoints_and_no_log() {
+    let waves = 3 * CHECKPOINT_INTERVAL + 7;
+    let run = |durable: Option<&PathBuf>| {
+        let store = DataStore::new();
+        let workflow = LrbFactory::with_bound(0.1).build(&store);
+        let config = match durable {
+            Some(dir) => config(dir),
+            None => EngineConfig::new()
+                .with_training_waves(30)
+                .with_quality_gates(0.3, 0.3)
+                .with_seed(11),
+        };
+        let mut session = SmartFluxSession::new(workflow, store, config.with_telemetry(true))
+            .expect("session builds");
+        run_waves(&mut session, waves);
+        let store = session.scheduler().store().clone();
+        (
+            session.diagnostics(),
+            store.export_state(),
+            store.clock(),
+            session.telemetry().snapshot(),
+        )
+    };
+
+    let dir = tmp_dir("nolog");
+    let (diags, state, clock, snapshot) = run(Some(&dir));
+    let (plain_diags, plain_state, plain_clock, _) = run(None);
+    assert_eq!(diags, plain_diags, "durability changed a decision");
+    assert_eq!(state, plain_state, "durability changed the store");
+    assert_eq!(clock, plain_clock);
+
+    assert_eq!(snapshot.counter(CHECKPOINTS), 3);
+    assert_eq!(snapshot.counter(WAL_RECORDS), 0);
+    assert_eq!(snapshot.counter(WAL_BYTES), 0);
+    let log = std::fs::metadata(dir.join("wal.log")).expect("log exists");
+    assert_eq!(log.len(), 0, "a session wrote to the WAL");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn recover_without_checkpoint_is_a_typed_error() {
     let dir = tmp_dir("nocheckpoint");
-    // A run shorter than one checkpoint interval leaves only WAL records.
+    // A run shorter than one checkpoint interval leaves nothing to resume.
     let mut session = fresh_session(&dir);
     run_waves(&mut session, CHECKPOINT_INTERVAL / 2);
     drop(session);

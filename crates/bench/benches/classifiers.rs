@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use smartflux_ml::{
     Classifier, Dataset, DecisionTree, GaussianNaiveBayes, LinearSvm, LogisticRegression,
-    NeuralNetwork, RandomForest, TrainParallelism,
+    NeuralNetwork, RandomForest,
 };
 
 /// A noisy threshold problem of the size SmartFlux trains per label:
@@ -71,12 +71,11 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
-/// The training set a session builds its forests from, at `aqhi`'s size:
-/// 768 waves of near-continuous impacts, `width` of them per row
-/// (1 = `FeatureMode::OwnImpact`, 6 = a `FullVector` workflow), the label a
-/// threshold on the first with one wave in sixteen flipped — noise is what
+/// The training set a session builds each label's forest from, at `aqhi`'s
+/// size: 768 waves of one near-continuous impact (the step's own), the
+/// label a threshold on it with one wave in sixteen flipped — noise is what
 /// makes the trees deep, and depth is what induction costs.
-fn session_shaped(width: usize) -> Dataset {
+fn session_shaped() -> Dataset {
     let mut state = 0x5EED_u64;
     let mut next = move || {
         // splitmix64
@@ -87,11 +86,7 @@ fn session_shaped(width: usize) -> Dataset {
         z ^ (z >> 31)
     };
     let x: Vec<Vec<f64>> = (0..768)
-        .map(|_| {
-            (0..width)
-                .map(|_| (next() % 100_000) as f64 / 1000.0)
-                .collect()
-        })
+        .map(|_| vec![(next() % 100_000) as f64 / 1000.0])
         .collect();
     let y = x
         .iter()
@@ -101,34 +96,19 @@ fn session_shaped(width: usize) -> Dataset {
 }
 
 /// The model build's kernel: one forest fit at the default `ModelKind`
-/// (60 trees, depth 12), single-threaded and at the host's parallelism.
+/// (60 trees, depth 12) on the host's workers.
 fn bench_forest_fit(c: &mut Criterion) {
-    for (name, data, max_features) in [
-        ("fit_768x1", session_shaped(1), None),
-        ("fit_768x6", session_shaped(6), Some(3)),
-    ] {
-        let mut group = c.benchmark_group(name);
-        group.sample_size(20);
-        for (id, parallelism) in [
-            ("random_forest_60/fixed1", TrainParallelism::Fixed(1)),
-            ("random_forest_60/auto", TrainParallelism::Auto),
-        ] {
-            group.bench_function(id, |b| {
-                b.iter(|| {
-                    let mut m = RandomForest::new(60)
-                        .with_max_depth(12)
-                        .with_seed(7)
-                        .with_parallelism(parallelism);
-                    if let Some(k) = max_features {
-                        m = m.with_max_features(k);
-                    }
-                    m.fit(black_box(&data)).expect("fit succeeds");
-                    black_box(m.arena().n_nodes())
-                });
-            });
-        }
-        group.finish();
-    }
+    let data = session_shaped();
+    let mut group = c.benchmark_group("fit_768x1");
+    group.sample_size(20);
+    group.bench_function("random_forest_60", |b| {
+        b.iter(|| {
+            let mut m = RandomForest::new(60).with_max_depth(12).with_seed(7);
+            m.fit(black_box(&data)).expect("fit succeeds");
+            black_box(m.arena().n_nodes())
+        });
+    });
+    group.finish();
 }
 
 fn bench_predict(c: &mut Criterion) {

@@ -287,8 +287,8 @@ pub fn run() {
         );
     }
     if flat < 3.0 || batched < 3.0 {
-        // Same reporting stance as store_scaling: print the honest number
-        // and explain the regime rather than massage the measurement. A
+        // Print the honest number and explain the regime rather than
+        // massage the measurement. A
         // 50-tree/depth-16 forest over 4 features is a few hundred KB of
         // nodes, so on this host the scalar baseline already runs mostly
         // out of L2 and the latency gap the interleaved walk hides is

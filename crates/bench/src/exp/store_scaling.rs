@@ -1,45 +1,34 @@
-//! Store-scaling micro-bench: sharded vs single-lock throughput.
+//! Store-scaling micro-bench: throughput of the sharded store by thread
+//! count.
 //!
-//! Measures aggregate store throughput (operations per second) for one
-//! shard (`ShardPolicy::Fixed(1)`) against the sharded layout
-//! (`ShardPolicy::Auto`) at 1, 2, 4 and 8 threads, over three
-//! workloads: pure reads, pure writes and a 80/20 read/write mix. A fixed
-//! total operation count is split across the threads, so the number is
+//! Measures aggregate store throughput (operations per second) at 1, 2, 4
+//! and 8 threads over four workloads: pure reads, pure writes, a 80/20
+//! read/write mix, and writers beside long-running scanners. A fixed total
+//! operation count is split across the threads, so the number is
 //! end-to-end wall clock for the same work at every level.
 //!
-//! Acceptance targets: the sharded store reaches at least 2× the
-//! single-lock aggregate throughput at 8 threads, and stays within 5% of
-//! the single-lock (seed) throughput on one thread, where sharding buys
-//! nothing and its hash/indirection overhead is all that could show.
-//!
-//! The wall-clock separation needs real hardware parallelism: on a host
-//! with fewer cores than client threads both configurations serialize on
-//! the CPU and throughput stays flat regardless of lock granularity. The
-//! bench therefore also records each run's shard-contention counters —
-//! the number of lock acquisitions that found the lock held — which
-//! expose the serialization the single lock imposes on every host. The
-//! acceptance line reports which regime the host is in.
+//! Throughput only scales with real hardware parallelism: on a host with
+//! fewer cores than client threads the threads serialize on the CPU. The
+//! bench therefore also records each run's shard-contention counters — the
+//! number of lock acquisitions that found the lock held — which show how
+//! often threads met on a shard whatever the host.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use smartflux_datastore::{DataStore, ScanFilter, ShardPolicy, Value};
+use smartflux_datastore::{DataStore, ScanFilter, Value};
 
-use crate::{heading, pct, write_csv};
+use crate::{heading, write_csv};
 
 /// One measured configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreScalingRow {
-    /// Workload label (`read`, `mixed`, `write`).
+    /// Workload label (`read`, `mixed`, `write`, `scanwrite`).
     pub workload: String,
-    /// Policy label (`single`, `sharded`).
-    pub policy: String,
     /// Concurrent client threads.
     pub threads: usize,
     /// Aggregate operations per second (best of the repetitions).
     pub ops_per_sec: f64,
-    /// Throughput relative to `single` at the same workload/threads.
-    pub speedup: f64,
     /// Read-guard acquisitions that found the lock held (same rep).
     pub read_contention: u64,
     /// Write-guard acquisitions that found the lock held (same rep).
@@ -66,10 +55,10 @@ impl Rng {
     }
 }
 
-/// Builds a store under `policy` with every cell of the keyspace
-/// pre-populated, so reads always hit.
-fn build_store(policy: ShardPolicy) -> DataStore {
-    let store = DataStore::with_shard_policy(policy);
+/// Builds a store with every cell of the keyspace pre-populated, so reads
+/// always hit.
+fn build_store() -> DataStore {
+    let store = DataStore::new();
     // tidy:allow(panic): bench harness aborts loudly on setup failure
     store.create_table(TABLE).expect("fresh table");
     for family in FAMILIES {
@@ -97,8 +86,8 @@ fn build_store(policy: ShardPolicy) -> DataStore {
 /// `(aggregate ops per second, read contention, write contention)`.
 /// `write_percent` sets the put share of each thread's stream; the rest
 /// are gets.
-fn run_once(policy: ShardPolicy, threads: usize, write_percent: u64) -> (f64, u64, u64) {
-    let store = build_store(policy);
+fn run_once(threads: usize, write_percent: u64) -> (f64, u64, u64) {
+    let store = build_store();
     let populated = store.shard_stats();
     let per_thread = TOTAL_OPS / threads;
     let start = Instant::now();
@@ -140,22 +129,20 @@ fn run_once(policy: ShardPolicy, threads: usize, write_percent: u64) -> (f64, u6
 const SCAN_WRITE_BUDGET: Duration = Duration::from_millis(200);
 
 /// Rows in each scanner family: scans are long enough that a scanner
-/// preempted mid-scan is a realistic event, which is exactly when the
-/// global lock makes writers wait out a whole scheduling round.
+/// preempted mid-scan is a realistic event, which is exactly when a writer
+/// sharing its lock would wait out a whole scheduling round.
 const SCAN_ROWS: usize = 384;
 
 /// The `scanwrite` workload: half the threads scan their own family in a
 /// tight loop (long-lived read guards — the shape of a workflow step
 /// reading its input), the other half put into *disjoint* families (a
 /// sibling step writing its output). Reported throughput is the writers'
-/// aggregate puts per second: under the global lock every put waits out
-/// the scanners' read guards; on the sharded store disjoint families
-/// never share a lock, so writers proceed at full speed. Unlike the
-/// fixed-op workloads this separation does not need hardware parallelism.
-/// With one thread there are no scanners and the measurement reduces to
-/// the pure single-writer baseline.
-fn run_scan_write(policy: ShardPolicy, threads: usize) -> (f64, u64, u64) {
-    let store = build_store(policy);
+/// aggregate puts per second; a put waits out a scanner's read guard only
+/// when the two families share a shard. With one thread there are no
+/// scanners and the measurement reduces to the pure single-writer
+/// baseline.
+fn run_scan_write(threads: usize) -> (f64, u64, u64) {
+    let store = build_store();
     let scanners = threads / 2;
     let writers = threads - scanners;
     // Deepen the scanner families so a full scan is substantial work.
@@ -230,127 +217,62 @@ fn run_scan_write(policy: ShardPolicy, threads: usize) -> (f64, u64, u64) {
     )
 }
 
-/// Measures every workload × thread count × policy combination.
+/// Measures every workload × thread count combination.
 ///
 /// Each cell runs `reps` times and the fastest repetition is kept: the
 /// operation stream is deterministic work, so the maximum throughput is
 /// the measurement and everything below it is scheduler/allocator noise.
 #[must_use]
 pub fn measure(reps: u32) -> Vec<StoreScalingRow> {
-    type Runner = fn(ShardPolicy, usize) -> (f64, u64, u64);
+    type Runner = fn(usize) -> (f64, u64, u64);
     let workloads: [(&str, Runner); 4] = [
-        ("read", |p, t| run_once(p, t, 0)),
-        ("mixed", |p, t| run_once(p, t, 20)),
-        ("write", |p, t| run_once(p, t, 100)),
+        ("read", |t| run_once(t, 0)),
+        ("mixed", |t| run_once(t, 20)),
+        ("write", |t| run_once(t, 100)),
         ("scanwrite", run_scan_write),
     ];
-    let thread_counts = [1usize, 2, 4, 8];
-    let policies: [(&str, ShardPolicy); 2] = [
-        ("single", ShardPolicy::Fixed(1)),
-        ("sharded", ShardPolicy::Auto),
-    ];
-
     let mut rows = Vec::new();
     for (workload, runner) in workloads {
-        for threads in thread_counts {
-            let mut baseline = 0.0;
-            for (policy_name, policy) in policies {
-                let mut best = (0.0f64, 0, 0);
-                for _ in 0..reps.max(1) {
-                    let sample = runner(policy, threads);
-                    if sample.0 > best.0 {
-                        best = sample;
-                    }
+        for threads in [1usize, 2, 4, 8] {
+            let mut best = (0.0f64, 0, 0);
+            for _ in 0..reps.max(1) {
+                let sample = runner(threads);
+                if sample.0 > best.0 {
+                    best = sample;
                 }
-                if policy_name == "single" {
-                    baseline = best.0;
-                }
-                rows.push(StoreScalingRow {
-                    workload: workload.to_owned(),
-                    policy: policy_name.to_owned(),
-                    threads,
-                    ops_per_sec: best.0,
-                    speedup: best.0 / baseline,
-                    read_contention: best.1,
-                    write_contention: best.2,
-                });
             }
+            rows.push(StoreScalingRow {
+                workload: workload.to_owned(),
+                threads,
+                ops_per_sec: best.0,
+                read_contention: best.1,
+                write_contention: best.2,
+            });
         }
     }
     rows
 }
 
-/// The `(sharded, single)` throughput ratio for a workload/thread cell.
-fn ratio(rows: &[StoreScalingRow], workload: &str, threads: usize) -> f64 {
-    let find = |policy: &str| {
-        rows.iter()
-            .find(|r| r.workload == workload && r.threads == threads && r.policy == policy)
-            .map_or(0.0, |r| r.ops_per_sec)
-    };
-    find("sharded") / find("single")
-}
-
 /// Runs the micro-bench and prints + persists the table.
 pub fn run() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    heading("Store scaling — sharded vs single-lock throughput");
-    println!("acceptance: sharded ≥ 2× single-lock at 8 threads, within 5% at 1 thread");
+    heading("Store scaling — throughput by thread count");
     println!("host parallelism: {cores} core(s)\n");
     let rows = measure(5);
     let mut csv = Vec::new();
     for r in &rows {
         println!(
-            "  {:<6} {:<8} {:>2} threads  {:>12.0} ops/s  {:>6.2}x vs single  \
-             contention r/w {:>8}/{:<8}",
-            r.workload,
-            r.policy,
-            r.threads,
-            r.ops_per_sec,
-            r.speedup,
-            r.read_contention,
-            r.write_contention
+            "  {:<9} {:>2} threads  {:>12.0} ops/s  contention r/w {:>8}/{:<8}",
+            r.workload, r.threads, r.ops_per_sec, r.read_contention, r.write_contention
         );
         csv.push(format!(
-            "{},{},{},{:.0},{:.3},{},{}",
-            r.workload,
-            r.policy,
-            r.threads,
-            r.ops_per_sec,
-            r.speedup,
-            r.read_contention,
-            r.write_contention
+            "{},{},{:.0},{},{}",
+            r.workload, r.threads, r.ops_per_sec, r.read_contention, r.write_contention
         ));
-    }
-    println!();
-    for workload in ["read", "mixed", "write", "scanwrite"] {
-        let at8 = ratio(&rows, workload, 8);
-        let at1 = ratio(&rows, workload, 1);
-        println!(
-            "  {workload:<9} 8-thread speedup {at8:.2}x ({}), 1-thread ratio {at1:.2} ({})",
-            if at8 >= 2.0 {
-                "meets ≥2x".to_owned()
-            } else if cores < 8 {
-                format!("wall-clock flat on {cores}-core host")
-            } else {
-                "BELOW 2x".to_owned()
-            },
-            if at1 >= 0.95 {
-                "within 5%".to_owned()
-            } else {
-                format!("{} below single", pct(1.0 - at1))
-            }
-        );
-    }
-    if cores < 8 {
-        println!(
-            "\n  note: with {cores} core(s) the fixed-op workloads serialize on the CPU\n  \
-             regardless of lock granularity; `scanwrite` (writers vs long read\n  \
-             guards) is the cell that exposes the single lock on any host."
-        );
     }
     write_csv(
         "store_scaling.csv",
-        "workload,policy,threads,ops_per_sec,speedup_vs_single,read_contention,write_contention",
+        "workload,threads,ops_per_sec,read_contention,write_contention",
         &csv,
     );
 }

@@ -62,7 +62,7 @@ pub use metric::{
 };
 pub use monitoring::{Monitor, TrackerId};
 pub use policy::{EveryNPolicy, RandomSkipPolicy};
-pub use predictor::{FeatureMode, ModelKind, Predictor, PredictorQuality};
+pub use predictor::{ModelKind, Predictor, PredictorQuality};
 pub use qod::{AccumulationMode, ErrorBound, ImpactCombiner, QodSpec};
 pub use session::SmartFluxSession;
 

@@ -97,23 +97,9 @@ impl ModelKind {
     }
 }
 
-/// Which features each per-label classifier sees.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FeatureMode {
-    /// Label `j`'s classifier sees only step `j`'s own input impact.
-    ///
-    /// This is the default: under adaptive execution a step's neighbours
-    /// stop producing output whenever they are skipped, so their impact
-    /// features collapse to zero — a region the synchronous training run
-    /// never visits. Conditioning each label only on its own impact keeps
-    /// the training and application feature distributions aligned and
-    /// avoids the all-steps-deadlocked failure mode.
-    #[default]
-    OwnImpact,
-    /// Label `j`'s classifier sees the full impact vector (the literal
-    /// `h(X) = Y` formulation of §3.1).
-    FullVector,
-}
+/// Folds of the test phase's cross-validation (§3.2 "Test Phase"), clamped
+/// to half the knowledge base at train time.
+const CV_FOLDS: usize = 10;
 
 /// Test-phase quality of a trained predictor, pooled across labels by
 /// 10-fold cross-validation (§3.2 "Test Phase").
@@ -127,8 +113,16 @@ pub struct PredictorQuality {
     pub recall: f64,
 }
 
-/// The Predictor: one classifier per QoD step over the shared impact
-/// feature vector, with test-phase quality assessment.
+/// The Predictor: one classifier per QoD step, with test-phase quality
+/// assessment.
+///
+/// Queries take the whole impact vector, but label `j`'s classifier sees
+/// only step `j`'s own impact. Under adaptive execution a step's neighbours
+/// stop producing output whenever they are skipped, so their impacts
+/// collapse to zero — a region the synchronous training run never visits.
+/// Conditioning each label only on its own impact keeps the training and
+/// application feature distributions aligned and avoids the
+/// all-steps-deadlocked failure mode (DESIGN.md §5.4).
 ///
 /// # Example
 ///
@@ -149,8 +143,6 @@ pub struct PredictorQuality {
 pub struct Predictor {
     kind: ModelKind,
     seed: u64,
-    cv_folds: usize,
-    feature_mode: FeatureMode,
     models: Vec<Box<dyn Classifier>>,
     quality: Option<PredictorQuality>,
     last_build_time: Option<Duration>,
@@ -166,8 +158,6 @@ impl Predictor {
         Self {
             kind,
             seed,
-            cv_folds: 10,
-            feature_mode: FeatureMode::default(),
             models: Vec::new(),
             quality: None,
             last_build_time: None,
@@ -182,50 +172,15 @@ impl Predictor {
         self.telemetry = telemetry;
     }
 
-    /// Sets the number of cross-validation folds used by the test phase
-    /// (default 10, clamped to the dataset size at train time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `folds < 2`.
-    #[must_use]
-    pub fn with_cv_folds(mut self, folds: usize) -> Self {
-        assert!(folds >= 2, "need at least two folds");
-        self.cv_folds = folds;
-        self
+    /// Label `j`'s features: step `j`'s impact, borrowed out of the shared
+    /// vector — the per-wave query path makes one per label, so allocating
+    /// here would put a `Vec` on the hot path of every decision.
+    fn project(j: usize, impacts: &[f64]) -> &[f64] {
+        &impacts[j..=j]
     }
 
-    /// Selects which features each per-label classifier sees.
-    #[must_use]
-    pub fn with_feature_mode(mut self, mode: FeatureMode) -> Self {
-        self.feature_mode = mode;
-        self
-    }
-
-    /// The feature mode in use.
-    #[must_use]
-    pub fn feature_mode(&self) -> FeatureMode {
-        self.feature_mode
-    }
-
-    /// Projects the shared impact vector into the features label `j`'s
-    /// classifier consumes.
-    ///
-    /// Returns a borrow into `impacts` — the per-wave query path makes one
-    /// projection per label, so allocating here would put a `Vec` on the
-    /// hot path of every decision.
-    fn project<'a>(&self, j: usize, impacts: &'a [f64]) -> &'a [f64] {
-        match self.feature_mode {
-            FeatureMode::OwnImpact => &impacts[j..=j],
-            FeatureMode::FullVector => impacts,
-        }
-    }
-
-    /// Rejects queries an untrained or wrong-width model cannot answer.
-    ///
-    /// Both feature modes consume an `n_labels`-wide impact vector (each
-    /// label projects its own slice out of it), so the width check is
-    /// mode-independent.
+    /// Rejects queries an untrained or wrong-width model cannot answer:
+    /// every query carries the whole `n_labels`-wide impact vector.
     fn check_query(&self, impacts: &[f64]) -> Result<(), CoreError> {
         if self.models.is_empty() {
             return Err(CoreError::NotTrained);
@@ -249,20 +204,12 @@ impl Predictor {
         }
     }
 
-    /// Builds the single-label training view for label `j`.
-    fn label_view(
-        &self,
-        data: &MultiLabelDataset,
-        j: usize,
-    ) -> Result<smartflux_ml::Dataset, CoreError> {
-        match self.feature_mode {
-            FeatureMode::FullVector => Ok(data.binary_view(j)?),
-            FeatureMode::OwnImpact => {
-                let x: Vec<Vec<f64>> = data.x().iter().map(|r| vec![r[j]]).collect();
-                let y = data.label_column(j)?;
-                Ok(smartflux_ml::Dataset::new(x, y)?)
-            }
-        }
+    /// Builds the single-label training view for label `j`: step `j`'s
+    /// impact against step `j`'s label.
+    fn label_view(data: &MultiLabelDataset, j: usize) -> Result<smartflux_ml::Dataset, CoreError> {
+        let x: Vec<Vec<f64>> = data.x().iter().map(|r| vec![r[j]]).collect();
+        let y = data.label_column(j)?;
+        Ok(smartflux_ml::Dataset::new(x, y)?)
     }
 
     /// Returns `true` once a model has been trained.
@@ -312,7 +259,7 @@ impl Predictor {
         let start = Instant::now();
         // One single-label view per step, shared by the test phase and
         // the final fit.
-        let views = self.label_views(kb)?;
+        let views = Self::label_views(kb)?;
         let quality = self.assess(&views)?;
         self.models = self.fit_views(&views)?;
         self.quality = Some(quality);
@@ -330,7 +277,7 @@ impl Predictor {
     ///
     /// As [`train`](Self::train).
     pub(crate) fn refit(&self, kb: &KnowledgeBase) -> Result<Vec<Box<dyn Classifier>>, CoreError> {
-        self.fit_views(&self.label_views(kb)?)
+        self.fit_views(&Self::label_views(kb)?)
     }
 
     /// Installs what [`refit`](Self::refit) built — no models leave the
@@ -349,7 +296,7 @@ impl Predictor {
 
     /// One single-label training view of `kb` per step; a log of fewer
     /// than four examples is refused.
-    fn label_views(&self, kb: &KnowledgeBase) -> Result<Vec<smartflux_ml::Dataset>, CoreError> {
+    fn label_views(kb: &KnowledgeBase) -> Result<Vec<smartflux_ml::Dataset>, CoreError> {
         let data = kb.to_dataset()?;
         if data.len() < 4 {
             return Err(CoreError::InsufficientTraining {
@@ -358,7 +305,7 @@ impl Predictor {
             });
         }
         (0..data.n_labels())
-            .map(|j| self.label_view(&data, j))
+            .map(|j| Self::label_view(&data, j))
             .collect()
     }
 
@@ -387,7 +334,7 @@ impl Predictor {
     fn assess(&self, views: &[smartflux_ml::Dataset]) -> Result<PredictorQuality, CoreError> {
         let mut pooled = ConfusionMatrix::default();
         for (j, view) in views.iter().enumerate() {
-            let folds = self.cv_folds.min(view.len() / 2).max(2);
+            let folds = CV_FOLDS.min(view.len() / 2).max(2);
             let seed = self.seed.wrapping_add(j as u64);
             let result = cross_validate(view, folds, seed, || self.kind.build(seed))?;
             pooled.merge(&result.confusion);
@@ -435,7 +382,7 @@ impl Predictor {
         let mut decisions = Vec::with_capacity(self.models.len());
         for (j, m) in self.models.iter().enumerate() {
             decisions.push(
-                m.try_predict(self.project(j, impacts))
+                m.try_predict(Self::project(j, impacts))
                     .map_err(|_| CoreError::NotTrained)?,
             );
         }
@@ -458,7 +405,7 @@ impl Predictor {
         })?;
         let _span = self.telemetry.span(names::ML_PREDICT_LATENCY, j as u64);
         let decision = model
-            .try_predict(self.project(j, impacts))
+            .try_predict(Self::project(j, impacts))
             .map_err(|_| CoreError::NotTrained)?;
         self.record_batch_size(1);
         Ok(decision)
@@ -480,7 +427,7 @@ impl Predictor {
         let mut probabilities = Vec::with_capacity(self.models.len());
         for (j, m) in self.models.iter().enumerate() {
             probabilities.push(
-                m.try_predict_proba(self.project(j, impacts))
+                m.try_predict_proba(Self::project(j, impacts))
                     .map_err(|_| CoreError::NotTrained)?,
             );
         }

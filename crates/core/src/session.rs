@@ -110,8 +110,8 @@ impl SmartFluxSession {
     /// The store, engine phase, knowledge base, impact trackers, and
     /// confidence counters are all restored exactly as they were at the
     /// checkpoint, and the trained models are refit from the knowledge base
-    /// to exactly what they were; the scheduler resumes at the following wave
-    /// and the WAL is reset so re-executed waves are re-journaled. Given a
+    /// to exactly what they were; the scheduler resumes at the following
+    /// wave, re-executing any waves that ran after the checkpoint. Given a
     /// deterministic workflow, the recovered session makes the same
     /// decisions the uninterrupted run would have made.
     ///
@@ -519,7 +519,7 @@ mod tests {
     #[test]
     fn shard_gauges_are_published_with_telemetry_on() {
         let store = DataStore::new();
-        let shard_count = store.shard_count() as i64;
+        let shard_count = store.shard_stats().shards as i64;
         let raw = ContainerRef::family("t", "raw");
         let out = ContainerRef::family("t", "out");
         store.ensure_container(&raw).unwrap();

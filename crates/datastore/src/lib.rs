@@ -35,11 +35,11 @@
 //! # Concurrency
 //!
 //! The store is hash-sharded by container: each `(table, family)` pair maps
-//! to one of a fixed set of shards, each behind its own reader-writer lock,
-//! with a single atomic logical clock ordering all writes. [`ShardPolicy`]
-//! selects the partitioning (`ShardPolicy::Fixed(1)` is one shard, for
-//! A/B comparison) and [`DataStore::shard_stats`] exposes
-//! contention counters. See `DESIGN.md` §11 for the full model.
+//! to one of sixteen shards, each behind its own reader-writer lock, with a
+//! single atomic logical clock ordering all writes. The layout is fixed —
+//! a store's contents, timestamps and clock never depend on it — and
+//! [`DataStore::shard_stats`] exposes its contention counters. See
+//! `DESIGN.md` §11 for the full model.
 //!
 //! # Family handles
 //!
@@ -94,7 +94,7 @@ pub use observer::{
     WriteRef,
 };
 pub use scan::{RowScan, ScanFilter};
-pub use shard::{ShardPolicy, ShardStats, AUTO_SHARDS};
+pub use shard::ShardStats;
 pub use snapshot::{SlotChange, Snapshot, SnapshotDiff};
 pub use state::{CellState, FamilyState, StoreState, TableState};
 pub use store::{DataStore, FamilyHandle};

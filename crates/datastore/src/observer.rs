@@ -146,33 +146,51 @@ pub struct ObserverHandle(pub(crate) u64);
 /// A dispatch list as writers share it.
 pub(crate) type ObserverList = Arc<Vec<Arc<dyn WriteObserver>>>;
 
-/// Internal registry of observers.
+/// The registry of write observers.
+pub(crate) type ObserverBus = Bus<dyn WriteObserver>;
+
+/// The registry of op observers.
+pub(crate) type OpObserverBus = Bus<dyn OpObserver>;
+
+/// A registry of observers of one kind, addressed by registration id.
 ///
 /// The dispatch list is kept pre-materialized as a shared `Arc` slice,
-/// rebuilt on (un)registration, so the per-write hot path clones one `Arc`
-/// under the bus read guard instead of allocating a fresh `Vec`.
-#[derive(Default)]
-pub(crate) struct ObserverBus {
+/// rebuilt on (un)registration, so the per-operation hot path clones one
+/// `Arc` under the bus read guard instead of allocating a fresh `Vec`.
+pub(crate) struct Bus<O: ?Sized> {
     next_id: u64,
-    observers: Vec<(u64, Arc<dyn WriteObserver>)>,
-    cached: ObserverList,
+    observers: Vec<(u64, Arc<O>)>,
+    cached: Arc<Vec<Arc<O>>>,
     /// Bumped whenever `cached` is rebuilt: a writer holding a list from
     /// generation `g` knows it is current while the bus is still at `g`.
     generation: u64,
 }
 
-impl ObserverBus {
-    pub(crate) fn register(&mut self, observer: Arc<dyn WriteObserver>) -> ObserverHandle {
+impl<O: ?Sized> Default for Bus<O> {
+    fn default() -> Self {
+        Self {
+            next_id: 0,
+            observers: Vec::new(),
+            cached: Arc::default(),
+            generation: 0,
+        }
+    }
+}
+
+impl<O: ?Sized> Bus<O> {
+    /// Adds `observer` and returns its id.
+    pub(crate) fn register(&mut self, observer: Arc<O>) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.observers.push((id, observer));
         self.rebuild();
-        ObserverHandle(id)
+        id
     }
 
-    pub(crate) fn unregister(&mut self, handle: ObserverHandle) -> bool {
+    /// Removes the observer registered as `id`; `false` if there is none.
+    pub(crate) fn unregister(&mut self, id: u64) -> bool {
         let before = self.observers.len();
-        self.observers.retain(|(id, _)| *id != handle.0);
+        self.observers.retain(|(other, _)| *other != id);
         let removed = self.observers.len() != before;
         if removed {
             self.rebuild();
@@ -185,7 +203,7 @@ impl ObserverBus {
         self.generation += 1;
     }
 
-    pub(crate) fn snapshot(&self) -> ObserverList {
+    pub(crate) fn snapshot(&self) -> Arc<Vec<Arc<O>>> {
         Arc::clone(&self.cached)
     }
 
@@ -198,9 +216,9 @@ impl ObserverBus {
     }
 }
 
-impl fmt::Debug for ObserverBus {
+impl<O: ?Sized> fmt::Debug for Bus<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ObserverBus")
+        f.debug_struct("Bus")
             .field("observers", &self.observers.len())
             .finish()
     }
@@ -304,56 +322,6 @@ where
 /// [`DataStore::unregister_op_observer`]: crate::DataStore::unregister_op_observer
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpObserverHandle(pub(crate) u64);
-
-/// Internal registry of op observers.
-///
-/// Dispatch list pre-materialized exactly like [`ObserverBus`]'s.
-#[derive(Default)]
-pub(crate) struct OpObserverBus {
-    next_id: u64,
-    observers: Vec<(u64, Arc<dyn OpObserver>)>,
-    cached: Arc<Vec<Arc<dyn OpObserver>>>,
-}
-
-impl OpObserverBus {
-    pub(crate) fn register(&mut self, observer: Arc<dyn OpObserver>) -> OpObserverHandle {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.observers.push((id, observer));
-        self.rebuild();
-        OpObserverHandle(id)
-    }
-
-    pub(crate) fn unregister(&mut self, handle: OpObserverHandle) -> bool {
-        let before = self.observers.len();
-        self.observers.retain(|(id, _)| *id != handle.0);
-        let removed = self.observers.len() != before;
-        if removed {
-            self.rebuild();
-        }
-        removed
-    }
-
-    fn rebuild(&mut self) {
-        self.cached = Arc::new(self.observers.iter().map(|(_, o)| Arc::clone(o)).collect());
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.observers.len()
-    }
-
-    pub(crate) fn snapshot(&self) -> Arc<Vec<Arc<dyn OpObserver>>> {
-        Arc::clone(&self.cached)
-    }
-}
-
-impl fmt::Debug for OpObserverBus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OpObserverBus")
-            .field("observers", &self.observers.len())
-            .finish()
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -32,7 +32,7 @@ use crate::observer::{
     WriteKind, WriteObserver, WriteRef,
 };
 use crate::scan::{RowScan, ScanFilter};
-use crate::shard::{shard_index, ShardPolicy, ShardStats};
+use crate::shard::{shard_index, ShardStats, SHARDS};
 use crate::snapshot::Snapshot;
 use crate::state::{CellState, FamilyState, StoreState, TableState};
 use crate::table::{ColumnFamily, Row};
@@ -78,9 +78,6 @@ struct Shard {
 }
 
 struct StoreShared {
-    policy: ShardPolicy,
-    /// `shards.len() - 1`; shard counts are powers of two.
-    mask: usize,
     shards: Box<[Shard]>,
     /// All table names, including tables with no families yet.
     registry: RwLock<BTreeSet<String>>,
@@ -134,27 +131,9 @@ pub struct DataStore {
 
 impl Default for DataStore {
     fn default() -> Self {
-        Self::with_shard_policy(ShardPolicy::default())
-    }
-}
-
-impl DataStore {
-    /// Creates an empty store with the default shard policy.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty store partitioned per `policy`; `Fixed(1)` is one
-    /// shard, kept for A/B benchmarking.
-    #[must_use]
-    pub fn with_shard_policy(policy: ShardPolicy) -> Self {
-        let shard_count = policy.shard_count();
-        let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::default()).collect();
+        let shards: Box<[Shard]> = (0..SHARDS).map(|_| Shard::default()).collect();
         Self {
             shared: Arc::new(StoreShared {
-                policy,
-                mask: shard_count - 1,
                 shards,
                 registry: RwLock::new(BTreeSet::new()),
                 clock: AtomicU64::new(0),
@@ -167,17 +146,13 @@ impl DataStore {
             op_observer_count: Arc::new(AtomicUsize::new(0)),
         }
     }
+}
 
-    /// The shard policy this store was built with.
+impl DataStore {
+    /// Creates an empty store.
     #[must_use]
-    pub fn shard_policy(&self) -> ShardPolicy {
-        self.shared.policy
-    }
-
-    /// Number of shards the store was built with (a power of two ≥ 1).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Point-in-time shard-level concurrency counters.
@@ -223,7 +198,7 @@ impl DataStore {
         if !registry.contains(table) {
             return Err(StoreError::TableNotFound(table.to_owned()));
         }
-        let mut data = self.shard_mut(shard_index(self.shared.mask, table, family));
+        let mut data = self.shard_mut(shard_index(table, family));
         let ShardData { index, families } = &mut *data;
         let slots = index.entry(table.to_owned()).or_default();
         if slots.contains_key(family) {
@@ -623,7 +598,7 @@ impl DataStore {
     /// Registers a write observer; returns a handle for unregistration.
     pub fn register_observer(&self, observer: Arc<dyn WriteObserver>) -> ObserverHandle {
         let mut bus = self.observers.write();
-        let handle = bus.register(observer);
+        let handle = ObserverHandle(bus.register(observer));
         self.publish_observers(&bus);
         handle
     }
@@ -631,7 +606,7 @@ impl DataStore {
     /// Unregisters an observer. Returns `false` if the handle was unknown.
     pub fn unregister_observer(&self, handle: ObserverHandle) -> bool {
         let mut bus = self.observers.write();
-        let removed = bus.unregister(handle);
+        let removed = bus.unregister(handle.0);
         self.publish_observers(&bus);
         removed
     }
@@ -648,7 +623,7 @@ impl DataStore {
     /// unregistration. See [`OpObserver`] for the cost contract.
     pub fn register_op_observer(&self, observer: Arc<dyn OpObserver>) -> OpObserverHandle {
         let mut bus = self.op_observers.write();
-        let handle = bus.register(observer);
+        let handle = OpObserverHandle(bus.register(observer));
         self.op_observer_count.store(bus.len(), Ordering::Release);
         handle
     }
@@ -657,7 +632,7 @@ impl DataStore {
     /// unknown.
     pub fn unregister_op_observer(&self, handle: OpObserverHandle) -> bool {
         let mut bus = self.op_observers.write();
-        let removed = bus.unregister(handle);
+        let removed = bus.unregister(handle.0);
         self.op_observer_count.store(bus.len(), Ordering::Release);
         removed
     }
@@ -847,19 +822,7 @@ impl DataStore {
     ///
     /// Returns an error if the state names a duplicate table or family.
     pub fn from_state(state: StoreState) -> Result<Self, StoreError> {
-        Self::from_state_with_policy(state, ShardPolicy::default())
-    }
-
-    /// Like [`from_state`](Self::from_state) with an explicit shard policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the state names a duplicate table or family.
-    pub fn from_state_with_policy(
-        state: StoreState,
-        policy: ShardPolicy,
-    ) -> Result<Self, StoreError> {
-        let store = Self::with_shard_policy(policy);
+        let store = Self::new();
         for table in state.tables {
             store.create_table(&table.name)?;
             for family in table.families {
@@ -904,7 +867,7 @@ impl DataStore {
         FamilyAddr {
             table,
             family,
-            shard: shard_index(self.shared.mask, table, family),
+            shard: shard_index(table, family),
             slot: None,
         }
     }
@@ -1241,53 +1204,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_policy_is_configurable_and_observable() {
-        let auto = DataStore::new();
-        assert_eq!(auto.shard_policy(), ShardPolicy::Auto);
-        assert_eq!(auto.shard_count(), crate::shard::AUTO_SHARDS);
-
-        let single = DataStore::with_shard_policy(ShardPolicy::Fixed(1));
-        assert_eq!(single.shard_count(), 1);
-
-        let fixed = DataStore::with_shard_policy(ShardPolicy::Fixed(5));
-        assert_eq!(fixed.shard_count(), 8);
-
-        let stats = auto.shard_stats();
-        assert_eq!(stats.shards, crate::shard::AUTO_SHARDS);
+    fn shard_stats_report_the_layout() {
+        let stats = DataStore::new().shard_stats();
+        assert_eq!(stats.shards, SHARDS);
         assert_eq!(stats.read_contention, 0);
         assert_eq!(stats.write_contention, 0);
-    }
-
-    #[test]
-    fn single_and_sharded_stores_agree_on_everything() {
-        // The same operation sequence applied to a one-shard store and
-        // an Auto-policy store must export identical state — timestamps,
-        // values, clock, the lot.
-        let build = |policy| {
-            let s = DataStore::with_shard_policy(policy);
-            s.create_table("t").unwrap();
-            for f in ["a", "b", "c"] {
-                s.create_family("t", f).unwrap();
-            }
-            s.create_table("empty").unwrap();
-            for i in 0..20u32 {
-                let fam = ["a", "b", "c"][(i % 3) as usize];
-                s.put(
-                    "t",
-                    fam,
-                    &format!("r{}", i % 4),
-                    "q",
-                    Value::from(f64::from(i)),
-                )
-                .unwrap();
-            }
-            s.delete("t", "b", "r1", "q").unwrap();
-            s
-        };
-        let single = build(ShardPolicy::Fixed(1));
-        let sharded = build(ShardPolicy::Auto);
-        assert_eq!(single.export_state(), sharded.export_state());
-        assert_eq!(single.clock(), sharded.clock());
     }
 
     #[test]
@@ -1343,21 +1264,6 @@ mod tests {
         assert!(restored.has_table("empty"));
         let cell = &state.tables[1].families[0].cells[0];
         assert_eq!(cell.versions, [(5, Value::from(4.0))]);
-    }
-
-    #[test]
-    fn from_state_with_policy_preserves_layout_equality() {
-        let s = store_with_tf();
-        for i in 0..8 {
-            s.put("t", "f", &format!("r{i}"), "q", Value::from(f64::from(i)))
-                .unwrap();
-        }
-        let state = s.export_state();
-        let single =
-            DataStore::from_state_with_policy(state.clone(), ShardPolicy::Fixed(1)).unwrap();
-        let sharded = DataStore::from_state_with_policy(state.clone(), ShardPolicy::Auto).unwrap();
-        assert_eq!(single.export_state(), state);
-        assert_eq!(sharded.export_state(), state);
     }
 
     #[test]
@@ -1450,7 +1356,7 @@ mod tests {
         s.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
         s.get("t", "f", "r", "q").unwrap();
         let seen = rec.shards.lock().clone();
-        let expected = shard_index(s.shared.mask, "t", "f");
+        let expected = shard_index("t", "f");
         assert_eq!(seen, vec![(OpKind::Put, expected), (OpKind::Get, expected)]);
     }
 }

@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use smartflux_datastore::{
-    DataStore, ObserverHandle, OpKind, OpObserver, ShardPolicy, Value, WriteEvent, WriteKind,
-    WriteObserver, WriteRef,
+    DataStore, ObserverHandle, OpKind, OpObserver, Value, WriteEvent, WriteKind, WriteObserver,
+    WriteRef,
 };
 
 const THREADS: usize = 4;
@@ -87,8 +87,30 @@ fn observer(
     }
 }
 
+/// Records the shard of every operation.
+struct Ops(Mutex<Vec<(OpKind, usize)>>);
+
+impl OpObserver for Ops {
+    fn on_op(&self, _op: OpKind, _elapsed: Duration) {}
+    fn on_shard_op(&self, op: OpKind, shard: usize, _elapsed: Duration) {
+        self.0.lock().unwrap().push((op, shard));
+    }
+}
+
+/// The shard `table/f` lives on, as the store's op observers report it.
+fn shard_of(store: &DataStore, table: &str) -> usize {
+    let ops = Arc::new(Ops(Mutex::default()));
+    let handle = store.register_op_observer(Arc::clone(&ops) as Arc<dyn OpObserver>);
+    store.get(table, "f", "r", "q").unwrap();
+    store.unregister_op_observer(handle);
+    let [(OpKind::Get, shard)] = ops.0.lock().unwrap()[..] else {
+        panic!("a get is one op");
+    };
+    shard
+}
+
 fn sharded_store(tables: &[&str]) -> DataStore {
-    let store = DataStore::with_shard_policy(ShardPolicy::Auto);
+    let store = DataStore::new();
     for table in tables {
         store.create_table(table).unwrap();
         store.create_family(table, "f").unwrap();
@@ -164,60 +186,56 @@ fn callbacks_may_reenter_the_store_without_deadlocking() {
     // Each observer mirrors every write on `src` into a table of its own —
     // a write issued from inside a write callback, with the borrowed view
     // of the outer write still alive on the stack below it. Shard guards
-    // are released before dispatch, so this must not deadlock even when
-    // `src/f` and the mirror hash to the same shard (with one shard they
-    // always do).
-    const MIRRORS: [&str; 2] = ["mirror0", "mirror1"];
-    for policy in [
-        ShardPolicy::Fixed(1),
-        ShardPolicy::Fixed(2),
-        ShardPolicy::Auto,
-    ] {
-        for (mix, via) in cases() {
-            let store = sharded_store(&["src", MIRRORS[0], MIRRORS[1]]);
-            let store = DataStore::from_state_with_policy(store.export_state(), policy).unwrap();
-            for (&form, mirror) in mix.iter().zip(MIRRORS) {
-                let mirror_writer = store.clone();
-                store.register_observer(observer(form, move |event| {
-                    if event.table != "src" {
-                        return; // don't mirror the mirror writes
+    // are released before dispatch, so this must not deadlock even though
+    // both mirrors hash to the shard `src/f` lives on. The store is rebuilt
+    // through `from_state`, whose families must dispatch like created ones.
+    const MIRRORS: [&str; 2] = ["mirror1", "mirror23"];
+    for (mix, via) in cases() {
+        let store = sharded_store(&["src", MIRRORS[0], MIRRORS[1]]);
+        let store = DataStore::from_state(store.export_state()).unwrap();
+        let src_shard = shard_of(&store, "src");
+        assert_eq!(MIRRORS.map(|m| shard_of(&store, m)), [src_shard; 2]);
+        for (&form, mirror) in mix.iter().zip(MIRRORS) {
+            let mirror_writer = store.clone();
+            store.register_observer(observer(form, move |event| {
+                if event.table != "src" {
+                    return; // don't mirror the mirror writes
+                }
+                // The re-entrant write takes the same route as the
+                // outer one: a handle built inside the callback.
+                let value = event.new.cloned().unwrap();
+                match via {
+                    Via::OneShot => {
+                        mirror_writer.put(mirror, "f", event.row, event.qualifier, value)
                     }
-                    // The re-entrant write takes the same route as the
-                    // outer one: a handle built inside the callback.
-                    let value = event.new.cloned().unwrap();
-                    match via {
-                        Via::OneShot => {
-                            mirror_writer.put(mirror, "f", event.row, event.qualifier, value)
-                        }
-                        Via::Handle => mirror_writer.family(mirror, "f").unwrap().put(
-                            event.row,
-                            event.qualifier,
-                            value,
-                        ),
-                    }
-                    .unwrap();
-                }));
-            }
+                    Via::Handle => mirror_writer.family(mirror, "f").unwrap().put(
+                        event.row,
+                        event.qualifier,
+                        value,
+                    ),
+                }
+                .unwrap();
+            }));
+        }
 
-            hammer_puts(&store, "src", via);
+        hammer_puts(&store, "src", via);
 
-            // Every src cell has a mirror twin with the same final value.
-            // (Mirror writes race with src writes, so only the *final* value
-            // per cell is deterministic: the mirror put for the winning src
-            // write happens strictly after it.)
-            for mirror in &MIRRORS[..mix.len()] {
-                for i in 0..16 {
-                    let row = format!("r{i}");
-                    for t in 0..THREADS {
-                        let qual = format!("q{t}");
-                        let src = store.get("src", "f", &row, &qual).unwrap();
-                        let twin = store.get(mirror, "f", &row, &qual).unwrap();
-                        assert!(src.is_some());
-                        assert_eq!(
-                            src, twin,
-                            "{mirror} of {row}/{qual} diverged ({policy:?}, {mix:?}, {via:?})"
-                        );
-                    }
+        // Every src cell has a mirror twin with the same final value.
+        // (Mirror writes race with src writes, so only the *final* value
+        // per cell is deterministic: the mirror put for the winning src
+        // write happens strictly after it.)
+        for mirror in &MIRRORS[..mix.len()] {
+            for i in 0..16 {
+                let row = format!("r{i}");
+                for t in 0..THREADS {
+                    let qual = format!("q{t}");
+                    let src = store.get("src", "f", &row, &qual).unwrap();
+                    let twin = store.get(mirror, "f", &row, &qual).unwrap();
+                    assert!(src.is_some());
+                    assert_eq!(
+                        src, twin,
+                        "{mirror} of {row}/{qual} diverged ({mix:?}, {via:?})"
+                    );
                 }
             }
         }
@@ -325,14 +343,6 @@ fn a_handle_call_is_one_op_on_the_family_s_shard() {
     // `clock == store.writes` count ops: a handle call must be exactly the
     // op its string-addressed twin is, on the same shard, and resolving a
     // handle must be none.
-    struct Ops(Mutex<Vec<(OpKind, usize)>>);
-    impl OpObserver for Ops {
-        fn on_op(&self, _op: OpKind, _elapsed: Duration) {}
-        fn on_shard_op(&self, op: OpKind, shard: usize, _elapsed: Duration) {
-            self.0.lock().unwrap().push((op, shard));
-        }
-    }
-
     let store = sharded_store(&["a", "b", "c"]);
     let ops = Arc::new(Ops(Mutex::default()));
     store.register_op_observer(Arc::clone(&ops) as Arc<dyn OpObserver>);

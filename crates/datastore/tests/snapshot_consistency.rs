@@ -10,18 +10,17 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use smartflux_datastore::{ContainerRef, DataStore, ShardPolicy, Value};
+use smartflux_datastore::{ContainerRef, DataStore, Value};
 
 const TABLE: &str = "inv";
 /// Family pairs; each writer bumps `pair.0` then `pair.1`, so any atomic
 /// cut must observe `value(pair.1) <= value(pair.0)`. The pairs hash to
-/// assorted shards under `ShardPolicy::Auto`, exercising the cross-shard
-/// path of `export_state`.
+/// assorted shards, exercising the cross-shard path of `export_state`.
 const PAIRS: [(&str, &str); 4] = [("a0", "a1"), ("b0", "b1"), ("c0", "c1"), ("d0", "d1")];
 const WRITES_PER_PAIR: i64 = 2_000;
 
-fn store_with_pairs(policy: ShardPolicy) -> DataStore {
-    let store = DataStore::with_shard_policy(policy);
+fn store_with_pairs() -> DataStore {
+    let store = DataStore::new();
     store.create_table(TABLE).unwrap();
     for (first, second) in PAIRS {
         store.create_family(TABLE, first).unwrap();
@@ -59,7 +58,7 @@ fn exported(state: &smartflux_datastore::StoreState, family: &str) -> i64 {
 
 #[test]
 fn export_state_is_a_clock_consistent_cut_under_concurrent_writers() {
-    let store = store_with_pairs(ShardPolicy::Auto);
+    let store = store_with_pairs();
     let done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
@@ -147,7 +146,7 @@ fn family_snapshot_is_atomic_within_the_family() {
     // Both cells live in the same family (same shard), and `snapshot`
     // holds that shard's read guard across the whole capture — so the
     // first-then-second write order can never appear inverted.
-    let store = store_with_pairs(ShardPolicy::Auto);
+    let store = store_with_pairs();
     let container = ContainerRef::family(TABLE, "a0");
 
     std::thread::scope(|scope| {
@@ -188,7 +187,7 @@ fn export_under_writers_round_trips_through_from_state() {
     // A cut taken mid-stream must be a valid store image: rebuilding from
     // it and re-exporting yields the identical state (this is exactly the
     // path a durability checkpoint takes).
-    let store = store_with_pairs(ShardPolicy::Auto);
+    let store = store_with_pairs();
 
     std::thread::scope(|scope| {
         for (first, second) in PAIRS {

@@ -3,19 +3,17 @@
 //! The linearizability bar for the sharded design: N writer threads issue
 //! seeded random puts, deletes, gets and scans concurrently; every
 //! mutation the store reports through its observer bus is collected, then
-//! replayed single-threaded — in store-timestamp order — against a
-//! one-shard (`ShardPolicy::Fixed(1)`) oracle. Because the logical clock only advances
-//! inside the owning shard's write guard, timestamp order per cell equals
-//! apply order, so the replayed oracle must land on the *identical* final
-//! state: same cells, same values, same timestamps, same clock.
+//! replayed single-threaded — in store-timestamp order — onto a fresh
+//! store. Because the logical clock only advances inside the owning
+//! shard's write guard, timestamp order per cell equals apply order, so the
+//! replayed oracle must land on the *identical* final state: same cells,
+//! same values, same timestamps, same clock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smartflux_datastore::{
-    ContainerRef, DataStore, ScanFilter, ShardPolicy, Value, WriteEvent, WriteKind,
-};
+use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value, WriteEvent, WriteKind};
 
 /// Writer threads per stress run.
 const THREADS: usize = 4;
@@ -46,8 +44,8 @@ impl Rng {
     }
 }
 
-fn store_with_containers(policy: ShardPolicy) -> DataStore {
-    let store = DataStore::with_shard_policy(policy);
+fn store_with_containers() -> DataStore {
+    let store = DataStore::new();
     for table in TABLES {
         store.create_table(table).unwrap();
         for family in FAMILIES {
@@ -57,12 +55,13 @@ fn store_with_containers(policy: ShardPolicy) -> DataStore {
     store
 }
 
-/// Runs the seeded workload on `store` from `THREADS` concurrent threads.
+/// Runs the seeded workload on `store` from `THREADS` concurrent threads,
+/// each operation on a container drawn from `tables` × `families`.
 ///
 /// Returns the total number of mutation *attempts* issued (puts plus
 /// deletes, including no-op deletes of absent cells — which do not tick
 /// the clock).
-fn hammer(store: &DataStore, seed: u64) -> u64 {
+fn hammer(store: &DataStore, seed: u64, tables: &[&str], families: &[&str]) -> u64 {
     let mutations = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -75,8 +74,8 @@ fn hammer(store: &DataStore, seed: u64) -> u64 {
                 let mut local = 0usize;
                 for wave in 0..WAVES {
                     for _ in 0..OPS_PER_WAVE {
-                        let table = rng.pick(&TABLES);
-                        let family = rng.pick(&FAMILIES);
+                        let table = rng.pick(tables);
+                        let family = rng.pick(families);
                         let row = rng.pick(&ROWS);
                         let qual = rng.pick(&QUALS);
                         match rng.next() % 10 {
@@ -112,17 +111,17 @@ fn hammer(store: &DataStore, seed: u64) -> u64 {
     mutations.load(Ordering::Relaxed) as u64
 }
 
-/// Collects every observed mutation, replays it on a one-shard oracle in
+/// Collects every observed mutation, replays it on a fresh store in
 /// timestamp order, and asserts the oracle matches the concurrent store.
-fn assert_replay_matches(policy: ShardPolicy, seed: u64) {
-    let store = store_with_containers(policy);
+fn assert_replay_matches(seed: u64, tables: &[&str], families: &[&str]) {
+    let store = store_with_containers();
     let log: Arc<Mutex<Vec<WriteEvent>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&log);
     store.register_observer(Arc::new(move |event: &WriteEvent| {
         sink.lock().push(event.clone());
     }));
 
-    let mutations = hammer(&store, seed);
+    let mutations = hammer(&store, seed, tables, families);
 
     // Every clock tick is accounted for: one per *applied* mutation, which
     // is exactly one per observable event. No-op deletes of absent cells
@@ -131,7 +130,7 @@ fn assert_replay_matches(policy: ShardPolicy, seed: u64) {
     assert_eq!(store.clock(), events_observed);
     assert!(store.clock() <= mutations);
 
-    // Replay on the single-lock oracle in timestamp order. Timestamps are
+    // Replay on one thread in timestamp order. Timestamps are
     // assigned under the owning shard's write guard, so per-cell order in
     // the sorted log equals the order the concurrent store applied them.
     let mut events = Arc::try_unwrap(log)
@@ -143,7 +142,7 @@ fn assert_replay_matches(policy: ShardPolicy, seed: u64) {
     dedup.dedup();
     assert_eq!(timestamps, dedup, "store timestamps must be unique");
 
-    let oracle = store_with_containers(ShardPolicy::Fixed(1));
+    let oracle = store_with_containers();
     for event in &events {
         match event.kind {
             WriteKind::Put => oracle
@@ -182,29 +181,23 @@ fn assert_replay_matches(policy: ShardPolicy, seed: u64) {
 }
 
 #[test]
-fn concurrent_auto_sharded_run_replays_on_single_oracle() {
-    assert_replay_matches(ShardPolicy::Auto, 0xDEAD_BEEF);
+fn concurrent_run_replays_on_a_fresh_store() {
+    assert_replay_matches(0xDEAD_BEEF, &TABLES, &FAMILIES);
 }
 
 #[test]
-fn concurrent_two_shard_run_replays_on_single_oracle() {
-    // Two shards maximizes cross-thread traffic per shard — the hostile
-    // case for clock/apply-order agreement.
-    assert_replay_matches(ShardPolicy::Fixed(2), 0xC0FF_EE00);
-}
-
-#[test]
-fn concurrent_single_shard_run_replays_on_single_oracle() {
-    // The degenerate policy must satisfy the same contract.
-    assert_replay_matches(ShardPolicy::Fixed(1), 0x5EED_5EED);
+fn concurrent_run_on_one_container_replays_on_a_fresh_store() {
+    // Every thread hammering one container puts all traffic on one shard
+    // lock — the hostile case for clock/apply-order agreement.
+    assert_replay_matches(0xC0FF_EE00, &TABLES[..1], &FAMILIES[..1]);
 }
 
 #[test]
 fn single_threaded_runs_are_bit_for_bit_deterministic() {
     // With one thread the whole run is deterministic: two stores driven by
-    // the same seed export identical state even across shard policies.
-    let run = |policy| {
-        let store = store_with_containers(policy);
+    // the same seed export identical state.
+    let run = || {
+        let store = store_with_containers();
         let mut rng = Rng(42);
         for _ in 0..500 {
             let table = rng.pick(&TABLES);
@@ -220,8 +213,5 @@ fn single_threaded_runs_are_bit_for_bit_deterministic() {
         }
         store.export_state()
     };
-    let single = run(ShardPolicy::Fixed(1));
-    let sharded = run(ShardPolicy::Auto);
-    assert_eq!(single, sharded);
-    assert_eq!(run(ShardPolicy::Auto), sharded, "same seed, same state");
+    assert_eq!(run(), run(), "same seed, same state");
 }

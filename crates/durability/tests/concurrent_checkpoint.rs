@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use smartflux_datastore::{DataStore, ShardPolicy, Value};
+use smartflux_datastore::{DataStore, Value};
 use smartflux_durability::{
     read_checkpoint, recover_store, DurabilityManager, DurabilityOptions, SyncPolicy,
 };
@@ -31,7 +31,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn sharded_store() -> DataStore {
-    let store = DataStore::with_shard_policy(ShardPolicy::Auto);
+    let store = DataStore::new();
     store.create_table(TABLE).unwrap();
     for family in FAMILIES {
         store.create_family(TABLE, family).unwrap();
@@ -166,10 +166,10 @@ fn repeated_mid_stream_checkpoints_keep_the_wal_and_image_coherent() {
 }
 
 #[test]
-fn recovered_store_matches_across_shard_policies() {
-    // The same WAL + checkpoint recover to the same image regardless of
-    // the shard policy the recovered store is rebuilt with.
-    let dir = tmp_dir("policies");
+fn recovered_store_round_trips_through_from_state() {
+    // The image recovered from a WAL written by concurrent writers rebuilds
+    // into a store that exports it unchanged.
+    let dir = tmp_dir("round-trip");
     let mgr =
         DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never)).unwrap();
     let store = sharded_store();
@@ -184,14 +184,8 @@ fn recovered_store_matches_across_shard_policies() {
     let baseline = recovered.export_state();
     assert_eq!(baseline, store.export_state());
 
-    for policy in [
-        ShardPolicy::Fixed(1),
-        ShardPolicy::Fixed(2),
-        ShardPolicy::Auto,
-    ] {
-        let rebuilt = DataStore::from_state_with_policy(baseline.clone(), policy).unwrap();
-        assert_eq!(rebuilt.export_state(), baseline, "{policy:?}");
-    }
+    let rebuilt = DataStore::from_state(baseline.clone()).unwrap();
+    assert_eq!(rebuilt.export_state(), baseline);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -223,22 +223,6 @@ impl MultiLabelDataset {
         &self.y
     }
 
-    /// Projects label column `j` into a single-label [`Dataset`]
-    /// (the binary-relevance transformation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidParameter`] if `j` is out of range.
-    pub fn binary_view(&self, j: usize) -> Result<Dataset, MlError> {
-        if j >= self.n_labels {
-            return Err(MlError::InvalidParameter(format!(
-                "label column {j} out of range (have {})",
-                self.n_labels
-            )));
-        }
-        Dataset::new(self.x.clone(), self.y.iter().map(|r| r[j]).collect())
-    }
-
     /// Label column `j` as a plain vector.
     ///
     /// # Errors
@@ -330,15 +314,14 @@ mod tests {
     }
 
     #[test]
-    fn multilabel_binary_view() {
+    fn multilabel_label_column() {
         let d = MultiLabelDataset::new(
             vec![vec![1.0], vec![2.0]],
             vec![vec![true, false], vec![true, true]],
         )
         .unwrap();
-        let col1 = d.binary_view(1).unwrap();
-        assert_eq!(col1.y(), &[false, true]);
-        assert!(d.binary_view(2).is_err());
+        assert_eq!(d.label_column(1).unwrap(), [false, true]);
+        assert!(d.label_column(2).is_err());
     }
 
     #[test]

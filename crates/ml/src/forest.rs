@@ -12,33 +12,6 @@ use crate::error::MlError;
 use crate::tree::{DecisionTree, Presorted};
 use crate::Classifier;
 
-/// Worker budget for [`RandomForest::fit`].
-///
-/// Training is deterministic at every setting: bootstrap samples are
-/// drawn sequentially from the forest RNG before any tree is fitted and
-/// per-tree feature-subsampling seeds derive from the tree index, so
-/// `Fixed(1)` and `Auto` produce bit-identical forests — `Fixed(1)` is
-/// kept for parity tests and single-core baselines, not correctness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TrainParallelism {
-    /// One worker per available hardware thread (the default).
-    #[default]
-    Auto,
-    /// Exactly `n` workers; `Fixed(1)` fits trees on the calling thread.
-    Fixed(usize),
-}
-
-impl TrainParallelism {
-    /// Resolved worker count (always ≥ 1).
-    #[must_use]
-    pub fn workers(self) -> usize {
-        match self {
-            Self::Auto => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-            Self::Fixed(n) => n.max(1),
-        }
-    }
-}
-
 /// A Random Forest classifier: bagged decision trees with per-split feature
 /// subsampling, as in Breiman 2001.
 ///
@@ -48,6 +21,9 @@ impl TrainParallelism {
 /// maximum tree depth — are exposed here, plus a decision threshold used by
 /// SmartFlux to optimise for recall (fewer missed `maxε` violations at the
 /// cost of extra executions).
+///
+/// [`fit`](Classifier::fit) grows the trees on one worker per available
+/// hardware thread; the fitted forest is bit-identical whatever that count.
 ///
 /// # Example
 ///
@@ -71,7 +47,6 @@ pub struct RandomForest {
     max_features: Option<usize>,
     threshold: f64,
     seed: u64,
-    parallelism: TrainParallelism,
     trees: Vec<DecisionTree>,
     /// Flattened prediction arena, rebuilt from `trees` at every fit;
     /// empty exactly when `trees` is empty.
@@ -101,7 +76,6 @@ impl RandomForest {
             max_features: None, // √d chosen at fit time
             threshold: 0.5,
             seed: 0,
-            parallelism: TrainParallelism::Auto,
             trees: Vec::new(),
             arena: TreeArena::new(),
         }
@@ -162,16 +136,6 @@ impl RandomForest {
         self
     }
 
-    /// Sets the training worker budget (default [`TrainParallelism::Auto`]).
-    ///
-    /// The fitted forest is bit-identical at every setting; see
-    /// [`TrainParallelism`].
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: TrainParallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Number of trees in the (fitted or configured) ensemble.
     #[must_use]
     pub fn n_trees(&self) -> usize {
@@ -182,12 +146,6 @@ impl RandomForest {
     #[must_use]
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// The configured training worker budget.
-    #[must_use]
-    pub fn parallelism(&self) -> TrainParallelism {
-        self.parallelism
     }
 
     /// The flattened prediction arena (empty before fitting).
@@ -256,10 +214,12 @@ impl RandomForest {
         }
         Ok(self.arena.predict_batch(samples))
     }
-}
 
-impl Classifier for RandomForest {
-    fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
+    /// [`fit`](Classifier::fit) on at most `workers` threads (one when
+    /// `workers` ≤ 1). The forest is bit-identical at every count: the
+    /// bootstrap samples are drawn before any tree is grown and each tree's
+    /// feature-subsampling seed derives from its index.
+    fn fit_with_workers(&mut self, data: &Dataset, workers: usize) -> Result<(), MlError> {
         if data.is_empty() {
             return Err(MlError::EmptyDataset); // `Dataset::subset(&[])`
         }
@@ -272,7 +232,7 @@ impl Classifier for RandomForest {
         // grower walks the shared sort order with those counts as
         // weights, so no tree copies or sorts a row. Per-tree feature
         // subsampling is seeded from the tree index, so the fitted
-        // ensemble is bit-identical at every parallelism setting.
+        // ensemble is bit-identical at every worker count.
         let n = data.len();
         let mut draws = vec![0_u32; self.n_trees * n];
         for sample in draws.chunks_exact_mut(n) {
@@ -288,7 +248,7 @@ impl Classifier for RandomForest {
             tree
         };
 
-        let workers = self.parallelism.workers().min(self.n_trees);
+        let workers = workers.min(self.n_trees);
         let mut slots: Vec<Option<DecisionTree>> = Vec::new();
         slots.resize_with(self.n_trees, || None);
         if workers <= 1 {
@@ -327,6 +287,13 @@ impl Classifier for RandomForest {
         self.trees = trees;
         self.rebuild_arena();
         Ok(())
+    }
+}
+
+impl Classifier for RandomForest {
+    fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.fit_with_workers(data, workers)
     }
 
     fn is_fitted(&self) -> bool {
@@ -401,16 +368,14 @@ mod tests {
             let mut reference = config.clone();
             fit_reference(&mut reference, &data);
             let expected = reference.arena();
-            for parallelism in [
-                TrainParallelism::Fixed(1),
-                TrainParallelism::Fixed(2),
-                TrainParallelism::Fixed(4),
-                TrainParallelism::Auto,
-            ] {
-                let mut forest = config.clone().with_parallelism(parallelism);
-                forest.fit(&data).unwrap();
-                prop_assert_eq!(forest.arena(), expected, "{:?}", parallelism);
+            for workers in [1, 2, 4] {
+                let mut forest = config.clone();
+                forest.fit_with_workers(&data, workers).unwrap();
+                prop_assert_eq!(forest.arena(), expected, "{} workers", workers);
             }
+            let mut forest = config.clone();
+            forest.fit(&data).unwrap();
+            prop_assert_eq!(forest.arena(), expected, "host workers");
         }
     }
 
@@ -512,21 +477,45 @@ mod tests {
         }
     }
 
+    /// Deterministic four-feature dataset: two near-continuous columns,
+    /// one with seven distinct values, an interacting label.
+    fn noisy(n: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (x, y) = (0..n)
+            .map(|_| {
+                let a = f64::from(rng.random_range(0..1000_u32)) / 100.0;
+                let b = f64::from(rng.random_range(0..100_u32)) / 10.0;
+                let c = f64::from(rng.random_range(0..7_u32));
+                let d = f64::from(rng.random_range(0..1000_u32)) / 250.0;
+                (vec![a, b, c, d], a + b * 0.5 > 7.5 || (c >= 4.0 && d > 2.0))
+            })
+            .unzip();
+        Dataset::new(x, y).unwrap()
+    }
+
     #[test]
-    fn parallel_training_is_bit_identical() {
-        let mut sequential = RandomForest::new(16)
-            .with_seed(21)
-            .with_parallelism(TrainParallelism::Fixed(1));
-        let mut parallel = RandomForest::new(16)
-            .with_seed(21)
-            .with_parallelism(TrainParallelism::Fixed(4));
-        sequential.fit(&banded()).unwrap();
-        parallel.fit(&banded()).unwrap();
-        // Tree-for-tree identity, not just equal predictions: the arena
-        // holds every node bit for bit, so equal arenas mean equal forests.
-        assert_eq!(sequential.arena(), parallel.arena());
-        assert_eq!(TrainParallelism::Fixed(0).workers(), 1);
-        assert!(TrainParallelism::Auto.workers() >= 1);
+    fn training_is_bit_identical_at_every_worker_count() {
+        let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        for seed in [2_u64, 77] {
+            let data = noisy(250, seed);
+            let config = RandomForest::new(13).with_max_depth(9).with_seed(seed);
+            let mut baseline = config.clone();
+            baseline.fit_with_workers(&data, 1).unwrap();
+            // Tree-for-tree identity, not just equal predictions: the arena
+            // holds every node bit for bit, so equal arenas mean equal forests.
+            for workers in [2, 3, 8, 64, host] {
+                let mut forest = config.clone();
+                forest.fit_with_workers(&data, workers).unwrap();
+                assert_eq!(
+                    forest.arena(),
+                    baseline.arena(),
+                    "seed={seed} workers={workers}"
+                );
+            }
+            let mut forest = config.clone();
+            forest.fit(&data).unwrap();
+            assert_eq!(forest.arena(), baseline.arena(), "seed={seed} fit");
+        }
     }
 
     #[test]

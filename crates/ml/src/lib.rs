@@ -57,7 +57,7 @@ mod tree;
 pub use arena::TreeArena;
 pub use dataset::{Dataset, MultiLabelDataset};
 pub use error::MlError;
-pub use forest::{RandomForest, TrainParallelism};
+pub use forest::RandomForest;
 pub use kernel_svm::{Kernel, KernelSvm};
 pub use logistic::LogisticRegression;
 pub use mlp::NeuralNetwork;

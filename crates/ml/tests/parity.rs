@@ -1,13 +1,13 @@
 //! Seeded parity suite for the flattened forest kernel.
 //!
-//! The flat struct-of-arrays arena, the batched predict path, and the
-//! parallel trainer are pure performance work: every one of them must be
-//! bit-identical to the original pointer-walking, sequential
-//! implementation. These tests pin that equivalence with `==` on `f64`
+//! The flat struct-of-arrays arena and the batched predict path are pure
+//! performance work: both must be bit-identical to the original
+//! pointer-walking implementation (the forest's unit tests pin training
+//! at every worker count). These tests pin that equivalence with `==` on `f64`
 //! (never a tolerance) across a grid of seeds, ensemble sizes, and
 //! depths. Forests are compared by their arenas, which `==` bit for bit.
 
-use smartflux_ml::{Classifier, Dataset, RandomForest, TrainParallelism};
+use smartflux_ml::{Classifier, Dataset, RandomForest};
 
 /// Deterministic multi-feature dataset with interacting signal, noise,
 /// and duplicated values (so trees exercise tie handling).
@@ -82,47 +82,6 @@ fn batched_predictions_are_bit_identical_to_per_sample() {
             assert!(rf.predict_proba_reference(probe) == *p, "seed={seed}");
         }
     }
-}
-
-#[test]
-fn train_parallelism_is_tree_for_tree_identical() {
-    for seed in [2_u64, 77] {
-        for workers in [2_usize, 3, 8, 64] {
-            let mut baseline = RandomForest::new(13)
-                .with_max_depth(9)
-                .with_seed(seed)
-                .with_parallelism(TrainParallelism::Fixed(1));
-            let mut parallel = RandomForest::new(13)
-                .with_max_depth(9)
-                .with_seed(seed)
-                .with_parallelism(TrainParallelism::Fixed(workers));
-            let data = dataset(250, seed);
-            baseline.fit(&data).expect("fit");
-            parallel.fit(&data).expect("fit");
-            // The arena holds every node's feature, threshold bits and
-            // leaf probability bits, so equal arenas prove the ensembles
-            // match node for node.
-            assert_eq!(
-                baseline.arena(),
-                parallel.arena(),
-                "seed={seed} workers={workers}"
-            );
-        }
-    }
-}
-
-#[test]
-fn auto_parallelism_matches_sequential_training() {
-    let mut baseline = RandomForest::new(10)
-        .with_seed(4)
-        .with_parallelism(TrainParallelism::Fixed(1));
-    let mut auto = RandomForest::new(10)
-        .with_seed(4)
-        .with_parallelism(TrainParallelism::Auto);
-    let data = dataset(200, 4);
-    baseline.fit(&data).expect("fit");
-    auto.fit(&data).expect("fit");
-    assert_eq!(baseline.arena(), auto.arena());
 }
 
 /// FNV-1a (64-bit) of a byte string.

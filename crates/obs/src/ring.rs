@@ -1,8 +1,7 @@
 //! Bounded ring buffers collecting telemetry streams for live serving.
 //!
-//! Both rings share the same shape: a fixed number of slots claimed by a
-//! single `fetch_add` on a head counter, each slot behind its own tiny
-//! mutex. Writers never block each other (distinct claims hit distinct
+//! Both rings are one ring: a fixed number of slots claimed by a single
+//! `fetch_add` on a head counter, each slot behind its own tiny mutex. Writers never block each other (distinct claims hit distinct
 //! slots; a lapped writer only contends with the reader on one slot), the
 //! memory footprint is fixed, and the reader reconstructs the tail in
 //! oldest-to-newest order from the head counter.
@@ -12,23 +11,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use smartflux_telemetry::{JournalSink, SpanEvent, TraceSink, WaveDecisionRecord};
 
-/// A lock-free bounded ring of completed [`SpanEvent`]s.
-///
-/// The production [`TraceSink`]: attach with
-/// [`Telemetry::set_trace_sink`](smartflux_telemetry::Telemetry::set_trace_sink)
-/// and the last `capacity` spans stay available for `/trace` exports and
-/// invariant checks, no matter how long the run is.
+/// The claim-counter ring both public rings are.
 #[derive(Debug)]
-pub struct RingTraceSink {
-    slots: Vec<Mutex<Option<SpanEvent>>>,
+struct Ring<T> {
+    slots: Vec<Mutex<Option<T>>>,
     // tidy:atomic(head: acq-rel): claim counter — acq-rel claims pair with acquire reads so a reader never walks slots ahead of the claims it observed
     head: AtomicU64,
 }
 
-impl RingTraceSink {
-    /// Creates a ring keeping the last `capacity` spans (min 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+impl<T: Clone> Ring<T> {
+    fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
@@ -36,24 +28,20 @@ impl RingTraceSink {
         }
     }
 
-    /// Maximum number of retained spans.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+    fn push(&self, item: T) {
+        let claim = self.head.fetch_add(1, Ordering::AcqRel);
+        let idx = (claim % self.slots.len() as u64) as usize;
+        *self.slots[idx].lock() = Some(item);
     }
 
-    /// Total spans ever recorded (not the retained count).
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
+    fn recorded(&self) -> u64 {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Copies the retained spans out, oldest first.
-    ///
-    /// Concurrent writers may lap slots while this runs; the result is a
-    /// best-effort tail, which is all a live endpoint needs.
-    #[must_use]
-    pub fn events(&self) -> Vec<SpanEvent> {
+    /// The retained items, oldest first. Concurrent writers may lap slots
+    /// while this runs; the result is a best-effort tail, which is all a
+    /// live endpoint needs.
+    fn items(&self) -> Vec<T> {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let mut out = Vec::with_capacity(self.slots.len());
@@ -61,19 +49,53 @@ impl RingTraceSink {
         let start = head.saturating_sub(cap);
         for claim in start..head {
             let idx = (claim % cap) as usize;
-            if let Some(event) = self.slots[idx].lock().clone() {
-                out.push(event);
+            if let Some(item) = self.slots[idx].lock().clone() {
+                out.push(item);
             }
         }
         out
     }
 }
 
+/// A lock-free bounded ring of completed [`SpanEvent`]s.
+///
+/// The production [`TraceSink`]: attach with
+/// [`Telemetry::set_trace_sink`](smartflux_telemetry::Telemetry::set_trace_sink)
+/// and the last `capacity` spans stay available for `/trace` exports and
+/// invariant checks, no matter how long the run is.
+#[derive(Debug)]
+pub struct RingTraceSink(Ring<SpanEvent>);
+
+impl RingTraceSink {
+    /// Creates a ring keeping the last `capacity` spans (min 1).
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self(Ring::with_capacity(capacity))
+    }
+
+    /// Maximum number of retained spans.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.0.slots.len()
+    }
+
+    /// Total spans ever recorded (not the retained count).
+    #[must_use]
+    pub fn recorded(&self) -> u64 {
+        self.0.recorded()
+    }
+
+    /// Copies the retained spans out, oldest first (a best-effort tail
+    /// under concurrent writers).
+    #[must_use]
+    pub fn events(&self) -> Vec<SpanEvent> {
+        self.0.items()
+    }
+}
+
 impl TraceSink for RingTraceSink {
     fn span_completed(&self, event: &SpanEvent) {
-        let claim = self.head.fetch_add(1, Ordering::AcqRel);
-        let idx = (claim % self.slots.len() as u64) as usize;
-        *self.slots[idx].lock() = Some(event.clone());
+        self.0.push(event.clone());
     }
 }
 
@@ -82,45 +104,25 @@ impl TraceSink for RingTraceSink {
 /// Attach as a journal sink and the `/waves` endpoint can serve the tail
 /// of the wave-decision journal without any file I/O.
 #[derive(Debug)]
-pub struct RingJournal {
-    slots: Vec<Mutex<Option<WaveDecisionRecord>>>,
-    // tidy:atomic(head: acq-rel): claim counter — acq-rel claims pair with acquire reads so a reader never walks slots ahead of the claims it observed
-    head: AtomicU64,
-}
+pub struct RingJournal(Ring<WaveDecisionRecord>);
 
 impl RingJournal {
     /// Creates a ring keeping the last `capacity` records (min 1).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicU64::new(0),
-        }
+        Self(Ring::with_capacity(capacity))
     }
 
     /// Copies the retained records out, oldest first.
     #[must_use]
     pub fn records(&self) -> Vec<WaveDecisionRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let mut out = Vec::with_capacity(self.slots.len());
-        let start = head.saturating_sub(cap);
-        for claim in start..head {
-            let idx = (claim % cap) as usize;
-            if let Some(record) = self.slots[idx].lock().clone() {
-                out.push(record);
-            }
-        }
-        out
+        self.0.items()
     }
 }
 
 impl JournalSink for RingJournal {
     fn record(&self, record: &WaveDecisionRecord) -> std::io::Result<()> {
-        let claim = self.head.fetch_add(1, Ordering::AcqRel);
-        let idx = (claim % self.slots.len() as u64) as usize;
-        *self.slots[idx].lock() = Some(record.clone());
+        self.0.push(record.clone());
         Ok(())
     }
 
@@ -132,7 +134,6 @@ impl JournalSink for RingJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn span(tag: u64) -> SpanEvent {
@@ -168,41 +169,49 @@ mod tests {
         assert_eq!(ring.events().len(), 3);
     }
 
+    fn record(wave: u64) -> WaveDecisionRecord {
+        WaveDecisionRecord {
+            wave,
+            phase: "application",
+            step: "agg".into(),
+            step_index: 0,
+            impacts: vec![0.1],
+            predicted: vec![true],
+            executed: true,
+            deferred: 0,
+            confidence: 1.0,
+            max_epsilon: 0.1,
+            measured_epsilon: None,
+        }
+    }
+
     #[test]
     fn concurrent_writers_never_lose_the_ring() {
-        let ring = Arc::new(RingTraceSink::with_capacity(64));
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let ring = Arc::clone(&ring);
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        ring.span_completed(&span(t * 1000 + i));
-                    }
-                });
-            }
-        });
-        assert_eq!(ring.recorded(), 400);
-        assert_eq!(ring.events().len(), 64);
+        /// Four threads, 100 distinct pushes each.
+        fn hammer(push: impl Fn(u64) + Sync) {
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let push = &push;
+                    scope.spawn(move || (0..100).for_each(|i| push(t * 1000 + i)));
+                }
+            });
+        }
+        let spans = RingTraceSink::with_capacity(64);
+        hammer(|tag| spans.span_completed(&span(tag)));
+        assert_eq!(spans.recorded(), 400);
+        assert_eq!(spans.events().len(), 64);
+
+        let journal = RingJournal::with_capacity(64);
+        hammer(|wave| journal.record(&record(wave)).unwrap());
+        assert_eq!(journal.0.recorded(), 400);
+        assert_eq!(journal.records().len(), 64);
     }
 
     #[test]
     fn journal_ring_retains_records() {
         let ring = RingJournal::with_capacity(2);
         for wave in 1..=3u64 {
-            ring.record(&WaveDecisionRecord {
-                wave,
-                phase: "application",
-                step: "agg".into(),
-                step_index: 0,
-                impacts: vec![0.1],
-                predicted: vec![true],
-                executed: true,
-                deferred: 0,
-                confidence: 1.0,
-                max_epsilon: 0.1,
-                measured_epsilon: None,
-            })
-            .unwrap();
+            ring.record(&record(wave)).unwrap();
         }
         let waves: Vec<u64> = ring.records().iter().map(|r| r.wave).collect();
         assert_eq!(waves, vec![2, 3]);

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use smartflux::{CoreError, SmartFluxSession};
-use smartflux_datastore::{DataStore, ShardPolicy, StoreState};
+use smartflux_datastore::{DataStore, StoreState};
 use smartflux_durability::DurabilityOptions;
 use smartflux_net::wire::{self, FrameIn};
 use smartflux_net::{
@@ -40,7 +40,7 @@ use smartflux_wms::{SchedulerEvent, WmsError};
 
 use crate::error::SimError;
 use crate::faults::wire as wire_faults;
-use crate::scenario::{Scenario, ShardChoice};
+use crate::scenario::Scenario;
 use crate::workload;
 
 /// Counters that must be bit-identical across same-mode runs of one
@@ -129,14 +129,6 @@ pub struct RaceReport {
     /// One line per protocol violation (a submit stranded or answered as
     /// if the host were shutting down while it was alive).
     pub violations: Vec<String>,
-}
-
-fn shard_policy(choice: ShardChoice) -> ShardPolicy {
-    match choice {
-        ShardChoice::Single => ShardPolicy::Fixed(1),
-        ShardChoice::Fixed(n) => ShardPolicy::Fixed(n as usize),
-        ShardChoice::Auto => ShardPolicy::Auto,
-    }
 }
 
 fn config_for(scenario: &Scenario, durability_dir: Option<&Path>) -> smartflux::EngineConfig {
@@ -287,7 +279,7 @@ fn run_in_process(
 
     let mut artifacts = empty_artifacts();
 
-    let store = DataStore::with_shard_policy(shard_policy(scenario.shards));
+    let store = DataStore::new();
     let workflow = workload::build_workflow(scenario, &store)?;
     let mut session = SmartFluxSession::new(workflow, store, config.clone())?;
 

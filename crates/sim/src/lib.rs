@@ -3,7 +3,7 @@
 //! FoundationDB-style simulation testing for the whole SmartFlux stack:
 //! a single `u64` seed expands into a random-but-fully-determined
 //! [`Scenario`] — an arbitrary workflow DAG, a drifting/spiking write
-//! stream, shard/retry/durability/net configuration and a scripted fault
+//! stream, retry/durability/net configuration and a scripted fault
 //! schedule — which the harness then drives through the real engine,
 //! scheduler, store, durability and network planes while a set of
 //! whole-stack **oracles** watches for divergence:
@@ -47,6 +47,6 @@ pub use error::SimError;
 pub use harness::{DecisionSummary, RaceReport, RunArtifacts, WireArtifacts};
 pub use oracles::Violation;
 pub use rng::SimRng;
-pub use scenario::{DurabilityPlan, FaultKind, NetPlan, Scenario, ShardChoice, StepFault};
+pub use scenario::{DurabilityPlan, FaultKind, NetPlan, Scenario, StepFault};
 pub use shrink::Failure;
 pub use sweep::{SweepOptions, SweepOutcome};

@@ -1,7 +1,7 @@
 //! Scenario: the complete, serialisable description of one simulated run.
 //!
 //! A [`Scenario`] pins down everything random about a case — workflow
-//! shape, wave count, write-distribution drift and spikes, shard/retry
+//! shape, wave count, write-distribution drift and spikes, retry
 //! configuration, the scripted fault schedule, crash points and network
 //! exercise — as plain data derived from a single `u64` seed. The harness
 //! never consults the seed again after generation: replaying a scenario
@@ -25,17 +25,6 @@ pub const MAX_STEPS: usize = 64;
 
 /// Hard ceiling on generated run length, for the same reason.
 pub const MAX_WAVES: u64 = 10_000;
-
-/// The store sharding the scenario runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardChoice {
-    /// One shard (`ShardPolicy::Fixed(1)`), spelled `single` in repros.
-    Single,
-    /// A fixed shard count.
-    Fixed(u32),
-    /// The store's default sizing.
-    Auto,
-}
 
 /// One scripted fault bound to one generated step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,8 +116,6 @@ pub struct Scenario {
     pub spike_every: u64,
     /// Spike amplitude added on spike waves.
     pub spike_magnitude: f64,
-    /// Store sharding.
-    pub shards: ShardChoice,
     /// Per-step retry budget (attempts, ≥ 1).
     pub retry_attempts: u32,
     /// Scripted step faults.
@@ -173,11 +160,6 @@ impl Scenario {
             1.0 + stream.unit_f64() * 3.0
         };
 
-        let shards = match policy.range_u64(0, 9) {
-            0..=2 => ShardChoice::Single,
-            3..=5 => ShardChoice::Fixed(1 << policy.range_u64(1, 3)),
-            _ => ShardChoice::Auto,
-        };
         let retry_attempts = policy.range_u64(1, 3) as u32;
 
         let mut durability = None;
@@ -248,7 +230,6 @@ impl Scenario {
             drift,
             spike_every,
             spike_magnitude,
-            shards,
             retry_attempts,
             faults,
             durability,
@@ -392,7 +373,7 @@ impl fmt::Display for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "sfsim1;seed=0x{:x};steps={};edges={};waves={};train={};wpw={};rows={};drift={:?};spike={}@{:?};shards={};retry={}",
+            "sfsim1;seed=0x{:x};steps={};edges={};waves={};train={};wpw={};rows={};drift={:?};spike={}@{:?};retry={}",
             self.seed,
             self.steps,
             self.extra_edges,
@@ -403,11 +384,6 @@ impl fmt::Display for Scenario {
             self.drift,
             self.spike_every,
             self.spike_magnitude,
-            match self.shards {
-                ShardChoice::Single => "single".to_string(),
-                ShardChoice::Auto => "auto".to_string(),
-                ShardChoice::Fixed(n) => format!("fixed{n}"),
-            },
             self.retry_attempts,
         )?;
         write!(f, ";faults=")?;
@@ -532,7 +508,6 @@ impl FromStr for Scenario {
         let mut rows = None;
         let mut drift = None;
         let mut spike = None;
-        let mut shards = None;
         let mut retry = None;
         let mut faults = None;
         let mut dur = None;
@@ -558,18 +533,6 @@ impl FromStr for Scenario {
                         parse_u64("spike every", every)?,
                         parse_f64("spike magnitude", magnitude)?,
                     ));
-                }
-                "shards" => {
-                    shards = Some(match value {
-                        "single" => ShardChoice::Single,
-                        "auto" => ShardChoice::Auto,
-                        other => {
-                            let n = other
-                                .strip_prefix("fixed")
-                                .ok_or_else(|| bad(format!("unknown shards `{other}`")))?;
-                            ShardChoice::Fixed(parse_u64("shards", n)? as u32)
-                        }
-                    });
                 }
                 "retry" => retry = Some(parse_u64(key, value)? as u32),
                 "faults" => {
@@ -632,7 +595,6 @@ impl FromStr for Scenario {
             drift: drift.ok_or_else(|| bad("missing `drift`"))?,
             spike_every,
             spike_magnitude,
-            shards: shards.ok_or_else(|| bad("missing `shards`"))?,
             retry_attempts: retry.ok_or_else(|| bad("missing `retry`"))?,
             faults: faults.ok_or_else(|| bad("missing `faults`"))?,
             durability: dur.ok_or_else(|| bad("missing `dur`"))?,
@@ -690,10 +652,6 @@ mod tests {
             .any(|s| s.net.is_some_and(|n| n.close_race)));
         assert!(scenarios.iter().any(|s| !s.faults.is_empty()));
         assert!(scenarios.iter().any(Scenario::has_hangs));
-        assert!(scenarios.iter().any(|s| s.shards == ShardChoice::Single));
-        assert!(scenarios
-            .iter()
-            .any(|s| matches!(s.shards, ShardChoice::Fixed(_))));
     }
 
     #[test]
@@ -703,8 +661,10 @@ mod tests {
             "sfsim2;seed=0x1",
             "sfsim1;seed=",
             "sfsim1;seed=0x1;steps=1", // missing fields and steps < 2
-            "sfsim1;seed=0x1;steps=3;edges=0;waves=10;train=20;wpw=1;rows=2;drift=0.0;spike=0@0.0;shards=auto;retry=1;faults=none;dur=none;net=none", // train >= waves
-            "sfsim1;seed=0x1;steps=3;edges=0;waves=30;train=2;wpw=1;rows=2;drift=0.0;spike=0@0.0;shards=auto;retry=1;faults=zzz@0:1;dur=none;net=none",
+            "sfsim1;seed=0x1;steps=3;edges=0;waves=10;train=20;wpw=1;rows=2;drift=0.0;spike=0@0.0;retry=1;faults=none;dur=none;net=none", // train >= waves
+            "sfsim1;seed=0x1;steps=3;edges=0;waves=30;train=2;wpw=1;rows=2;drift=0.0;spike=0@0.0;retry=1;faults=zzz@0:1;dur=none;net=none",
+            // The store has one shard layout; a repro naming one is stale.
+            "sfsim1;seed=0x1;steps=3;edges=0;waves=30;train=2;wpw=1;rows=2;drift=0.0;spike=0@0.0;shards=auto;retry=1;faults=none;dur=none;net=none",
         ] {
             assert!(bad.parse::<Scenario>().is_err(), "accepted `{bad}`");
         }

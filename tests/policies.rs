@@ -202,7 +202,7 @@ fn higher_bounds_do_not_cost_more_executions() {
 #[test]
 fn qod_to_sdf_revert_survives_crash_recovery() {
     const REPRO: &str = "sfsim1;seed=0x51af;steps=4;edges=0;waves=24;train=8;wpw=2;rows=3;\
-                         drift=0.01;spike=0@0.0;shards=auto;retry=1;faults=ekw@0:7x1;\
+                         drift=0.01;spike=0@0.0;retry=1;faults=ekw@0:7x1;\
                          dur=5+14;net=none";
     let pinned = REPRO.replace(char::is_whitespace, "");
     let scenario: Scenario = pinned.parse().expect("pinned repro must parse");

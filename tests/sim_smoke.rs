@@ -12,7 +12,7 @@ const SEEDS: [(u64, &str); 4] = [
     (
         16,
         "two crash-kills recovering in the application phase (the predictor \
-         refit), step faults, one shard",
+         refit), step faults",
     ),
     (
         40,

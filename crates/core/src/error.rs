@@ -37,6 +37,13 @@ pub enum CoreError {
         /// Required recall.
         min_recall: f64,
     },
+    /// The training phase was still running after the most waves its
+    /// configuration allows (every extension taken) — the model could not
+    /// be built from what the workload produced.
+    TrainingUnfinished {
+        /// Training waves run.
+        waves: u64,
+    },
     /// An operation required a trained predictor but none exists yet.
     NotTrained,
     /// A data-store operation failed.
@@ -84,6 +91,9 @@ impl fmt::Display for CoreError {
                 "model quality below gates: accuracy {accuracy:.3} (min {min_accuracy:.3}), \
                  recall {recall:.3} (min {min_recall:.3})"
             ),
+            CoreError::TrainingUnfinished { waves } => {
+                write!(f, "training did not finish within {waves} waves")
+            }
             CoreError::NotTrained => f.write_str("predictor has not been trained"),
             CoreError::Store(e) => write!(f, "data store error: {e}"),
             CoreError::Workflow(e) => write!(f, "workflow execution failed: {e}"),

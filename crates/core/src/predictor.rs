@@ -101,6 +101,10 @@ impl ModelKind {
 /// to half the knowledge base at train time.
 const CV_FOLDS: usize = 10;
 
+/// The fewest knowledge-base rows a model is built from; training on a
+/// smaller log is refused and the engine extends its training phase.
+pub(crate) const MIN_TRAINING_ROWS: usize = 4;
+
 /// Test-phase quality of a trained predictor, pooled across labels by
 /// 10-fold cross-validation (§3.2 "Test Phase").
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,13 +299,13 @@ impl Predictor {
     }
 
     /// One single-label training view of `kb` per step; a log of fewer
-    /// than four examples is refused.
+    /// than [`MIN_TRAINING_ROWS`] examples is refused.
     fn label_views(kb: &KnowledgeBase) -> Result<Vec<smartflux_ml::Dataset>, CoreError> {
         let data = kb.to_dataset()?;
-        if data.len() < 4 {
+        if data.len() < MIN_TRAINING_ROWS {
             return Err(CoreError::InsufficientTraining {
                 have: data.len(),
-                need: 4,
+                need: MIN_TRAINING_ROWS,
             });
         }
         (0..data.n_labels())

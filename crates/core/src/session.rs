@@ -218,21 +218,6 @@ impl SmartFluxSession {
         Ok(out)
     }
 
-    /// Runs one wave executing independent DAG levels in parallel (see
-    /// [`Scheduler::run_wave_parallel`]). Trigger decisions stay sequential,
-    /// so the engine observes the same state as under [`run_wave`].
-    ///
-    /// [`Scheduler::run_wave_parallel`]: smartflux_wms::Scheduler::run_wave_parallel
-    /// [`run_wave`]: Self::run_wave
-    ///
-    /// # Errors
-    ///
-    /// As [`run_wave`](Self::run_wave).
-    pub fn run_wave_parallel(&mut self) -> Result<WaveOutcome, CoreError> {
-        let result = self.scheduler.run_wave_parallel();
-        self.after_wave(result)
-    }
-
     /// Number of waves executed so far.
     #[must_use]
     pub fn executed_waves(&self) -> u64 {

@@ -1,16 +1,16 @@
 //! Shard mapping for the store.
 //!
 //! The store partitions its containers across a fixed set of shards, each
-//! protected by its own reader-writer lock, so concurrent workflow steps
-//! touching different containers never contend on a global lock. A
+//! protected by its own reader-writer lock, so concurrent writers (a
+//! step on its watchdog thread, host ingest beside a checkpoint, cloned
+//! handles) touching different containers never contend on a global lock. A
 //! container — a `(table, family)` pair — is the unit of placement: every
 //! cell of a family lives on exactly one shard, chosen by hashing the
 //! container name.
 
 /// Number of shards every store is built with.
 ///
-/// Sixteen comfortably exceeds the per-level step fan-out of the bundled
-/// workloads, so parallel waves rarely co-locate two hot containers, while
+/// Sixteen keeps concurrent writers on different containers apart while
 /// keeping the all-shard quiesce in `export_state` cheap. A power of two, so
 /// placement is a mask instead of a modulo.
 pub(crate) const SHARDS: usize = 16;

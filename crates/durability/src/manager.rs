@@ -24,8 +24,8 @@ pub const WAL_FILE: &str = "wal.log";
 ///
 /// Alongside the bytes, the buffer records each op's `(timestamp, start
 /// offset)`. Observer callbacks run outside the store's shard guards, so
-/// under a parallel wave two writes to the same cell can reach this buffer
-/// with their encodings swapped relative to their store timestamps; replay
+/// when two threads write the same cell concurrently their writes can
+/// reach this buffer with their encodings swapped relative to their store timestamps; replay
 /// applies ops in buffer order, which would then resurrect the older
 /// value. [`commit_wave`](DurabilityManager::commit_wave) restores
 /// timestamp order before the batch hits the log.
@@ -163,9 +163,9 @@ impl DurabilityManager {
     /// `clock` must be the store's logical clock at the wave boundary;
     /// replay restores it after applying the batch. Empty batches are
     /// committed too, so clock advances from no-op deletes survive a
-    /// crash. Ops captured out of timestamp order (possible under a
-    /// parallel wave on the sharded store) are re-sorted so replay applies
-    /// them as the store did.
+    /// crash. Ops captured out of timestamp order (possible when several
+    /// threads write the sharded store at once) are re-sorted so replay
+    /// applies them as the store did.
     ///
     /// # Errors
     ///

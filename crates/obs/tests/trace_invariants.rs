@@ -13,6 +13,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_obs::trace::build_forest;
@@ -130,23 +131,61 @@ fn chaos_run_produces_one_connected_tree_per_wave() {
 }
 
 #[test]
-fn parallel_waves_keep_spans_attached_to_their_wave() {
+fn watchdog_attempts_parent_their_trace_events() {
+    // A step under a timeout runs on the watchdog's worker thread; the
+    // trace event it emits there must still land under its attempt span.
     let telemetry = Telemetry::enabled();
     let ring = Arc::new(RingTraceSink::with_capacity(4096));
     telemetry.set_trace_sink(Some(Arc::clone(&ring) as Arc<dyn TraceSink>));
 
-    let mut scheduler = chaos_scheduler(telemetry);
-    for _ in 0..6 {
-        scheduler.run_wave_parallel().unwrap();
-    }
+    let mut b = GraphBuilder::new("watchdog");
+    let timed = b.add_step("timed");
+    let mut w = Workflow::new(b.build().unwrap());
+    let emitter = telemetry.clone();
+    w.bind(
+        timed,
+        FnStep::new(move |ctx: &StepContext| {
+            emitter.trace_event(
+                names::STORE_WRITE_LATENCY,
+                ctx.wave(),
+                Duration::from_micros(1),
+            );
+            Ok(())
+        }),
+    )
+    .source()
+    .retry(RetryPolicy::none().with_timeout(Duration::from_secs(10)));
+    let mut scheduler = Scheduler::new(w, DataStore::new(), Box::new(SynchronousPolicy));
+    scheduler.set_telemetry(telemetry);
+    scheduler.run_waves(6).unwrap();
 
     let forest = build_forest(&ring.events());
     assert!(forest.single_rooted());
     assert_eq!(forest.trees.len(), 6);
-    assert_eq!(forest.orphans, 0, "worker threads must propagate context");
+    assert_eq!(
+        forest.orphans, 0,
+        "the watchdog thread must propagate context"
+    );
     for tree in &forest.trees {
         assert_eq!(tree.root.event.name, names::WAVE_LATENCY);
-        // Both steps ran (src, flaky) on every wave.
-        assert_eq!(tree.root.children.len(), 2);
+        let [step] = tree.root.children.as_slice() else {
+            panic!("one step span per wave, got {:?}", tree.root.children);
+        };
+        assert_eq!(step.event.name, names::STEP_TOTAL_LATENCY);
+        let [attempt] = step.children.as_slice() else {
+            panic!("one attempt span per step, got {:?}", step.children);
+        };
+        assert_eq!(attempt.event.name, names::STEP_ATTEMPT_LATENCY);
+        let [event] = attempt.children.as_slice() else {
+            panic!(
+                "the step's trace event under its attempt, got {:?}",
+                attempt.children
+            );
+        };
+        assert_eq!(event.event.name, names::STORE_WRITE_LATENCY);
+        assert_eq!(
+            event.event.tag, tree.root.event.tag,
+            "emitted during its own wave"
+        );
     }
 }

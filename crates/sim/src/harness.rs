@@ -144,7 +144,7 @@ fn config_for(scenario: &Scenario, durability_dir: Option<&Path>) -> smartflux::
 /// The wave number a wave-level workflow failure belongs to.
 fn aborted_wave(error: &WmsError) -> Option<u64> {
     match error {
-        WmsError::StepFailed { wave, .. } | WmsError::WaveAborted { wave, .. } => Some(*wave),
+        WmsError::StepFailed { wave, .. } => Some(*wave),
         WmsError::UnboundStep(_) => None,
     }
 }

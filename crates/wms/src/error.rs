@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::graph::StepId;
 use crate::step::StepError;
 
 /// Errors produced while constructing a workflow graph.
@@ -35,35 +34,6 @@ impl fmt::Display for GraphError {
 
 impl Error for GraphError {}
 
-/// One step's unrecoverable failure within a wave, with full retry detail.
-///
-/// Carried by [`WmsError::WaveAborted`] so that the parallel scheduler can
-/// surface *every* sibling failure of a level instead of only the first.
-#[derive(Debug)]
-pub struct StepFailure {
-    /// The failed step.
-    pub step: StepId,
-    /// Name of the failed step.
-    pub step_name: String,
-    /// Total attempts performed before giving up (1 = retries disabled).
-    pub attempts: u32,
-    /// The final attempt's error.
-    pub source: StepError,
-}
-
-impl fmt::Display for StepFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "step `{}` failed after {} attempt{}: {}",
-            self.step_name,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.source
-        )
-    }
-}
-
 /// Errors produced while running a workflow.
 #[derive(Debug)]
 pub enum WmsError {
@@ -80,44 +50,6 @@ pub enum WmsError {
         /// The underlying failure.
         source: StepError,
     },
-    /// A wave aborted with multiple step failures (parallel execution can
-    /// fail several siblings in one level; none are dropped).
-    WaveAborted {
-        /// Wave during which the failures occurred.
-        wave: u64,
-        /// Every step failure observed this wave.
-        failures: Vec<StepFailure>,
-    },
-}
-
-impl WmsError {
-    /// Builds the canonical error for an aborted wave: a single failure
-    /// stays the familiar [`WmsError::StepFailed`]; several become
-    /// [`WmsError::WaveAborted`] so no sibling failure is dropped.
-    pub(crate) fn from_failures(wave: u64, mut failures: Vec<StepFailure>) -> Self {
-        if failures.len() == 1 {
-            if let Some(failure) = failures.pop() {
-                return WmsError::StepFailed {
-                    step: failure.step_name,
-                    wave,
-                    attempts: failure.attempts,
-                    source: failure.source,
-                };
-            }
-        }
-        WmsError::WaveAborted { wave, failures }
-    }
-
-    /// The individual step failures behind this error, for callers that
-    /// want per-step detail regardless of the variant.
-    #[must_use]
-    pub fn failure_count(&self) -> usize {
-        match self {
-            WmsError::UnboundStep(_) => 0,
-            WmsError::StepFailed { .. } => 1,
-            WmsError::WaveAborted { failures, .. } => failures.len(),
-        }
-    }
 }
 
 impl fmt::Display for WmsError {
@@ -136,13 +68,6 @@ impl fmt::Display for WmsError {
                 }
                 write!(f, ": {source}")
             }
-            WmsError::WaveAborted { wave, failures } => {
-                write!(f, "wave {wave} aborted with {} failures:", failures.len())?;
-                for failure in failures {
-                    write!(f, " [{failure}]")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -151,9 +76,6 @@ impl Error for WmsError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             WmsError::StepFailed { source, .. } => Some(source),
-            WmsError::WaveAborted { failures, .. } => failures
-                .first()
-                .map(|f| &f.source as &(dyn Error + 'static)),
             WmsError::UnboundStep(_) => None,
         }
     }
@@ -186,39 +108,13 @@ mod tests {
         assert!(e.to_string().contains("wave 3"));
         assert!(!e.to_string().contains("attempts"), "1 attempt is implied");
         assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn single_failure_collapses_to_step_failed() {
-        let e = WmsError::from_failures(
-            4,
-            vec![StepFailure {
-                step: StepId(1),
-                step_name: "s".into(),
-                attempts: 3,
-                source: StepError::msg("boom"),
-            }],
-        );
-        assert!(matches!(e, WmsError::StepFailed { attempts: 3, .. }));
-        assert!(e.to_string().contains("after 3 attempts"));
-        assert_eq!(e.failure_count(), 1);
-    }
-
-    #[test]
-    fn multiple_failures_become_wave_aborted() {
-        let mk = |name: &str| StepFailure {
-            step: StepId(0),
-            step_name: name.into(),
-            attempts: 1,
-            source: StepError::msg(format!("{name} broke")),
+        let e = WmsError::StepFailed {
+            step: "s".into(),
+            wave: 3,
+            attempts: 3,
+            source: StepError::msg("boom"),
         };
-        let e = WmsError::from_failures(7, vec![mk("a"), mk("b")]);
-        assert!(matches!(e, WmsError::WaveAborted { .. }));
-        assert_eq!(e.failure_count(), 2);
-        let text = e.to_string();
-        assert!(text.contains("wave 7 aborted with 2 failures"));
-        assert!(text.contains("a broke") && text.contains("b broke"));
-        assert!(e.source().is_some());
+        assert!(e.to_string().contains("after 3 attempts"));
     }
 
     #[test]

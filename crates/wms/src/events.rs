@@ -75,7 +75,7 @@ pub enum SchedulerEvent {
         /// Number of steps deferred during the wave.
         deferred: usize,
     },
-    /// A wave ended because one or more steps failed unrecoverably.
+    /// A wave ended because a step failed unrecoverably.
     ///
     /// Exactly one of `WaveCompleted` or `WaveAborted` closes every
     /// `WaveStarted`; after an abort the scheduler is consistent and the
@@ -89,10 +89,8 @@ pub enum SchedulerEvent {
         skipped: usize,
         /// Steps deferred before the abort.
         deferred: usize,
-        /// Every step that failed this wave (the parallel scheduler can
-        /// abort with several sibling failures; the sequential one stops
-        /// at the first).
-        failed: Vec<StepId>,
+        /// The step whose failure ended the wave.
+        failed: StepId,
     },
 }
 

@@ -109,8 +109,7 @@ struct FaultState {
 /// [`FaultSchedule`], delegating to the inner step otherwise.
 ///
 /// Attempt numbers are inferred by counting executions per wave, so the
-/// wrapper works under both the sequential and the parallel scheduler
-/// without cooperation from the retry machinery.
+/// wrapper needs no cooperation from the retry machinery.
 #[derive(Debug)]
 pub struct FaultyStep<S> {
     inner: S,

@@ -88,7 +88,7 @@ mod step;
 mod workflow;
 mod xmlspec;
 
-pub use error::{GraphError, StepFailure, WmsError};
+pub use error::{GraphError, WmsError};
 pub use events::{EventSubscription, SchedulerEvent};
 pub use faults::{FaultSchedule, FaultyStep};
 pub use graph::{GraphBuilder, StepId, WorkflowGraph};

@@ -10,9 +10,9 @@ use parking_lot::Mutex;
 use smartflux_datastore::DataStore;
 use smartflux_telemetry::{names, Telemetry};
 
-use crate::error::{StepFailure, WmsError};
+use crate::error::WmsError;
 use crate::events::{EventBus, EventSubscription, SchedulerEvent};
-use crate::graph::{StepId, WorkflowGraph};
+use crate::graph::StepId;
 use crate::policy::TriggerPolicy;
 use crate::stats::ExecutionStats;
 use crate::step::{Step, StepContext, StepError};
@@ -112,8 +112,7 @@ struct StepExecution {
 /// Executes `step` under its `RetryPolicy`: up to `max_attempts` tries,
 /// separated by the policy's deterministic backoff delays, each optionally
 /// bounded by a watchdog timeout. A fresh [`StepContext`] is built per
-/// attempt. Runs on the calling thread, so the workers of a multi-step
-/// batch each invoke it and sibling backoffs overlap instead of serialising.
+/// attempt. Backoff delays sleep the calling (wave) thread.
 ///
 /// Each attempt opens a `wms.step_attempt` span (tag = attempt number), so
 /// retries show up as sibling children of the enclosing step span in trace
@@ -236,8 +235,8 @@ fn attempt_with_watchdog(
 
 /// Drives a [`Workflow`] through waves of continuous processing.
 ///
-/// Each wave walks the DAG level by level, in topological order. For every
-/// step the scheduler applies the paper's triggering semantics:
+/// Each wave walks the DAG in topological order, one step at a time. For
+/// every step the scheduler applies the paper's triggering semantics:
 ///
 /// 1. if any predecessor has never completed an execution, the step is
 ///    *deferred* (not counted as a skip — it is simply not eligible yet);
@@ -256,11 +255,6 @@ pub struct Scheduler {
     ever_executed: Vec<bool>,
     next_wave: WaveId,
     abandoned: AbandonedWatchdogs,
-    /// The DAG's topological levels (level 0 holds the sources, level k the
-    /// steps whose deepest predecessor sits in level k−1); concatenated they
-    /// are exactly `topo_order()`. Computed once — the graph is immutable —
-    /// and shared so a wave can walk them while it mutates the scheduler.
-    levels: Arc<[Vec<StepId>]>,
 }
 
 impl Scheduler {
@@ -268,7 +262,6 @@ impl Scheduler {
     #[must_use]
     pub fn new(workflow: Workflow, store: DataStore, policy: Box<dyn TriggerPolicy>) -> Self {
         let n = workflow.graph().len();
-        let levels = topological_levels(workflow.graph()).into();
         Self {
             workflow,
             store,
@@ -279,7 +272,6 @@ impl Scheduler {
             ever_executed: vec![false; n],
             next_wave: 1,
             abandoned: AbandonedWatchdogs::default(),
-            levels,
         }
     }
 
@@ -368,7 +360,8 @@ impl Scheduler {
         }
     }
 
-    /// Runs a single wave, one step at a time.
+    /// Runs a single wave: walks `topo_order()` one step at a time —
+    /// defer, decide, run, notify — and stops at the first step that fails.
     ///
     /// # Errors
     ///
@@ -382,54 +375,6 @@ impl Scheduler {
     /// [`RetryPolicy`]: crate::retry::RetryPolicy
     /// [`WaveAborted`]: SchedulerEvent::WaveAborted
     pub fn run_wave(&mut self) -> Result<WaveOutcome, WmsError> {
-        self.run_wave_in_batches(1)
-    }
-
-    /// Runs `count` consecutive waves, returning each outcome.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing wave and returns its error.
-    pub fn run_waves(&mut self, count: u64) -> Result<Vec<WaveOutcome>, WmsError> {
-        let mut outcomes = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            outcomes.push(self.run_wave()?);
-        }
-        Ok(outcomes)
-    }
-
-    /// Runs a single wave executing independent steps in parallel.
-    ///
-    /// Steps are processed a whole level at a time (a level being the set
-    /// of steps whose predecessors all belong to earlier levels — the
-    /// natural parallelism of the paper's Hadoop deployment). Trigger
-    /// decisions are still made sequentially in topological order, so
-    /// adaptive policies observe exactly the same state they would under
-    /// [`run_wave`]; only the `execute` calls of one level run
-    /// concurrently, on scoped threads — and a level with a single
-    /// triggered step runs it on the calling thread.
-    ///
-    /// [`run_wave`]: Self::run_wave
-    ///
-    /// # Errors
-    ///
-    /// As [`run_wave`](Self::run_wave); if several steps of a level fail,
-    /// *every* failure is recorded (stats, `StepFailed` events, policy
-    /// callbacks) and surfaced — one failure yields the familiar
-    /// [`WmsError::StepFailed`], several yield [`WmsError::WaveAborted`]
-    /// carrying them all. The wave aborts before later levels run, with
-    /// the same clean-abort guarantees as `run_wave`.
-    pub fn run_wave_parallel(&mut self) -> Result<WaveOutcome, WmsError> {
-        self.run_wave_in_batches(usize::MAX)
-    }
-
-    /// The wave executor. Walks the levels in batches of at most
-    /// `max_batch` steps: decide the batch sequentially, execute its
-    /// triggered steps, process their results in order, abort the wave if
-    /// any failed. Batches of one are the sequential wave — decide, run,
-    /// notify, step by step, stopping at the first failure — and a whole
-    /// level per batch is the parallel one.
-    fn run_wave_in_batches(&mut self, max_batch: usize) -> Result<WaveOutcome, WmsError> {
         if let Some(id) = self.workflow.first_unbound() {
             return Err(WmsError::UnboundStep(
                 self.workflow.graph().step_name(id).to_owned(),
@@ -449,66 +394,64 @@ impl Scheduler {
             deferred: Vec::new(),
         };
 
-        let levels = Arc::clone(&self.levels);
-        let mut to_run: Vec<StepId> = Vec::new();
-        for batch in levels.iter().flat_map(|level| level.chunks(max_batch)) {
-            to_run.clear();
-            for &step in batch {
-                let preds_ready = self
-                    .workflow
-                    .graph()
-                    .predecessors(step)
-                    .iter()
-                    .all(|p| self.ever_executed[p.index()]);
-                if !preds_ready {
-                    self.stats.record_deferral(step);
-                    self.count(names::STEPS_DEFERRED, 1);
-                    outcome.deferred.push(step);
-                    self.policy.step_deferred(wave, step, &self.workflow);
-                    self.events
-                        .publish(&SchedulerEvent::StepDeferred { wave, step });
-                } else if self.workflow.info(step).always_run()
-                    || self.policy.should_trigger(wave, step, &self.workflow)
-                {
-                    self.events
-                        .publish(&SchedulerEvent::StepTriggered { wave, step });
-                    to_run.push(step);
-                } else {
-                    self.stats.record_skip(step);
-                    self.count(names::STEPS_SKIPPED, 1);
-                    outcome.skipped.push(step);
-                    self.policy.step_skipped(wave, step, &self.workflow);
-                    self.events
-                        .publish(&SchedulerEvent::StepSkipped { wave, step });
-                }
+        // Indexed rather than iterated: the body needs `&mut self`.
+        for i in 0..self.workflow.graph().len() {
+            let step = self.workflow.graph().topo_order()[i];
+            let preds_ready = self
+                .workflow
+                .graph()
+                .predecessors(step)
+                .iter()
+                .all(|p| self.ever_executed[p.index()]);
+            if !preds_ready {
+                self.stats.record_deferral(step);
+                self.count(names::STEPS_DEFERRED, 1);
+                outcome.deferred.push(step);
+                self.policy.step_deferred(wave, step, &self.workflow);
+                self.events
+                    .publish(&SchedulerEvent::StepDeferred { wave, step });
+                continue;
             }
-
-            // Results are processed in topological order whatever order the
-            // steps finished in, and every failure is kept: a batch must not
-            // drop the failures of a failed step's siblings.
-            let mut failures: Vec<StepFailure> = Vec::new();
-            for (&step, exec) in to_run.iter().zip(self.execute(wave, &to_run)) {
-                self.publish_retries(wave, step, exec.attempts);
-                match exec.outcome {
-                    Ok(elapsed) => {
-                        self.stats.record_execution(step, elapsed);
-                        self.note_executed(elapsed);
-                        self.ever_executed[step.index()] = true;
-                        outcome.executed.push(step);
-                        self.policy.step_completed(wave, step, &self.workflow);
-                        self.events
-                            .publish(&SchedulerEvent::StepCompleted { wave, step });
-                    }
-                    Err(source) => failures.push(StepFailure {
-                        step,
-                        step_name: self.workflow.graph().step_name(step).to_owned(),
-                        attempts: exec.attempts,
-                        source,
-                    }),
-                }
+            if !self.workflow.info(step).always_run()
+                && !self.policy.should_trigger(wave, step, &self.workflow)
+            {
+                self.stats.record_skip(step);
+                self.count(names::STEPS_SKIPPED, 1);
+                outcome.skipped.push(step);
+                self.policy.step_skipped(wave, step, &self.workflow);
+                self.events
+                    .publish(&SchedulerEvent::StepSkipped { wave, step });
+                continue;
             }
-            if !failures.is_empty() {
-                return Err(self.abort_wave(wave, &outcome, failures));
+            self.events
+                .publish(&SchedulerEvent::StepTriggered { wave, step });
+            let exec = {
+                let _step_span = self
+                    .telemetry
+                    .span(names::STEP_TOTAL_LATENCY, step.index() as u64);
+                run_step_with_retry(
+                    &self.telemetry,
+                    &self.abandoned,
+                    &self.workflow,
+                    &self.store,
+                    wave,
+                    step,
+                )
+            };
+            self.publish_retries(wave, step, exec.attempts);
+            match exec.outcome {
+                Ok(elapsed) => {
+                    self.stats.record_execution(step, elapsed);
+                    self.note_executed(elapsed);
+                    self.ever_executed[step.index()] = true;
+                    outcome.executed.push(step);
+                    self.policy.step_completed(wave, step, &self.workflow);
+                    self.events
+                        .publish(&SchedulerEvent::StepCompleted { wave, step });
+                }
+                Err(source) => {
+                    return Err(self.abort_wave(&outcome, step, exec.attempts, source));
+                }
             }
         }
 
@@ -524,69 +467,40 @@ impl Scheduler {
         Ok(outcome)
     }
 
-    /// Executes the triggered steps of one batch through their retry
-    /// budgets, returning one result per step in `steps` order. A lone step
-    /// runs on the calling thread; several run concurrently on scoped
-    /// threads, each re-entering the wave span's trace context so its step
-    /// span parents under the wave root. Either way the step span (tag =
-    /// step index) closes before any policy callback runs.
-    fn execute(&self, wave: WaveId, steps: &[StepId]) -> Vec<StepExecution> {
-        let (telemetry, abandoned) = (&self.telemetry, &self.abandoned);
-        let (workflow, store) = (&self.workflow, &self.store);
-        let run = |step: StepId| {
-            let _step_span = telemetry.span(names::STEP_TOTAL_LATENCY, step.index() as u64);
-            run_step_with_retry(telemetry, abandoned, workflow, store, wave, step)
-        };
-        if steps.len() <= 1 {
-            return steps.iter().map(|&step| run(step)).collect();
+    /// Runs `count` consecutive waves, returning each outcome.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failing wave and returns its error.
+    pub fn run_waves(&mut self, count: u64) -> Result<Vec<WaveOutcome>, WmsError> {
+        let mut outcomes = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            outcomes.push(self.run_wave()?);
         }
-        let trace_ctx = telemetry.trace_context();
-        let run = &run;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = steps
-                .iter()
-                .map(|&step| {
-                    scope.spawn(move || {
-                        let _trace_guard = telemetry.propagate(trace_ctx);
-                        run(step)
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|worker| {
-                    // `run_step_with_retry` catches step panics itself;
-                    // this guards the worker harness, not the step.
-                    worker.join().unwrap_or_else(|_| StepExecution {
-                        outcome: Err(StepError::msg("step panicked")),
-                        attempts: 1,
-                    })
-                })
-                .collect()
-        })
+        Ok(outcomes)
     }
 
-    /// Completes a wave that cannot finish: records every failure, keeps
-    /// the policy lifecycle balanced (`step_failed` then `end_wave`),
-    /// counts the aborted wave, and publishes the terminal
+    /// Completes a wave that cannot finish because `step` failed: records
+    /// the failure, keeps the policy lifecycle balanced (`step_failed` then
+    /// `end_wave`), counts the aborted wave, and publishes the terminal
     /// [`WaveAborted`](SchedulerEvent::WaveAborted) event. The scheduler
     /// is left consistent — the next `run_wave` starts a clean wave.
     fn abort_wave(
         &mut self,
-        wave: WaveId,
         outcome: &WaveOutcome,
-        failures: Vec<StepFailure>,
+        step: StepId,
+        attempts: u32,
+        source: StepError,
     ) -> WmsError {
-        for failure in &failures {
-            self.stats.record_failure(failure.step);
-            self.count(names::STEPS_FAILED, 1);
-            self.policy.step_failed(wave, failure.step, &self.workflow);
-            self.events.publish(&SchedulerEvent::StepFailed {
-                wave,
-                step: failure.step,
-                attempts: failure.attempts,
-            });
-        }
+        let wave = outcome.wave;
+        self.stats.record_failure(step);
+        self.count(names::STEPS_FAILED, 1);
+        self.policy.step_failed(wave, step, &self.workflow);
+        self.events.publish(&SchedulerEvent::StepFailed {
+            wave,
+            step,
+            attempts,
+        });
         self.policy.end_wave(wave, &self.workflow);
         self.stats.record_aborted_wave();
         self.abandoned.reap_finished();
@@ -596,9 +510,14 @@ impl Scheduler {
             executed: outcome.executed.len(),
             skipped: outcome.skipped.len(),
             deferred: outcome.deferred.len(),
-            failed: failures.iter().map(|f| f.step).collect(),
+            failed: step,
         });
-        WmsError::from_failures(wave, failures)
+        WmsError::StepFailed {
+            step: self.workflow.graph().step_name(step).to_owned(),
+            wave,
+            attempts,
+            source,
+        }
     }
 
     /// Publishes `StepRetried` events for attempts 2..=`attempts` and
@@ -633,28 +552,6 @@ impl Scheduler {
             self.telemetry.counter(counter).add(n);
         }
     }
-}
-
-/// Groups the DAG into topological levels: level 0 holds the sources,
-/// level k the steps whose deepest predecessor sits in level k−1. Each
-/// level keeps `topo_order()`'s relative order; that order never visits a
-/// shallower step after a deeper one, so the levels concatenate back to it.
-fn topological_levels(graph: &WorkflowGraph) -> Vec<Vec<StepId>> {
-    let mut depth = vec![0usize; graph.len()];
-    for &step in graph.topo_order() {
-        depth[step.index()] = graph
-            .predecessors(step)
-            .iter()
-            .map(|p| depth[p.index()] + 1)
-            .max()
-            .unwrap_or(0);
-    }
-    let max_depth = depth.iter().copied().max().unwrap_or(0);
-    let mut levels = vec![Vec::new(); max_depth + 1];
-    for &step in graph.topo_order() {
-        levels[depth[step.index()]].push(step);
-    }
-    levels
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -784,33 +681,66 @@ mod tests {
 
     #[test]
     fn failing_step_aborts_wave() {
+        // Two failing sources share the first level: the wave stops at
+        // the first of them in `topo_order()` and never triggers the other.
         let store = DataStore::new();
         let mut b = GraphBuilder::new("w");
         let a = b.add_step("a");
+        let c = b.add_step("c");
         let mut w = Workflow::new(b.build().unwrap());
         w.bind(
             a,
-            FnStep::new(|_: &StepContext| Err(StepError::msg("boom"))),
+            FnStep::new(|_: &StepContext| Err(StepError::msg("a broke"))),
         )
         .source();
+        w.bind(
+            c,
+            FnStep::new(|_: &StepContext| Err(StepError::msg("c broke"))),
+        )
+        .source();
+        let (first, second) = (w.graph().topo_order()[0], w.graph().topo_order()[1]);
         let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
         let sub = s.subscribe();
         let err = s.run_wave().unwrap_err();
-        assert!(err.to_string().contains("boom"));
+        let first_name = s.workflow().graph().step_name(first).to_owned();
+        match &err {
+            WmsError::StepFailed { step, wave: 1, .. } => assert_eq!(*step, first_name),
+            other => panic!("expected StepFailed, got {other:?}"),
+        }
+        assert!(err.to_string().contains(&format!("{first_name} broke")));
 
         // The abort is clean: terminal event published, stats recorded,
         // and the next wave starts fresh.
         let events = sub.drain();
-        assert!(matches!(
+        assert_eq!(
             events.last(),
-            Some(SchedulerEvent::WaveAborted { wave: 1, .. })
-        ));
-        assert!(events
+            Some(&SchedulerEvent::WaveAborted {
+                wave: 1,
+                executed: 0,
+                skipped: 0,
+                deferred: 0,
+                failed: first,
+            })
+        );
+        let failed: Vec<_> = events
             .iter()
-            .any(|e| matches!(e, SchedulerEvent::StepFailed { attempts: 1, .. })));
+            .filter(|e| matches!(e, SchedulerEvent::StepFailed { .. }))
+            .collect();
+        assert_eq!(
+            failed,
+            [&SchedulerEvent::StepFailed {
+                wave: 1,
+                step: first,
+                attempts: 1,
+            }]
+        );
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, SchedulerEvent::StepTriggered { step, .. } if *step == second)));
         assert_eq!(s.stats().waves(), 0);
         assert_eq!(s.stats().waves_aborted(), 1);
-        assert_eq!(s.stats().failures(a), 1);
+        assert_eq!(s.stats().failures(first), 1);
+        assert_eq!(s.stats().failures(second), 0);
         assert_eq!(s.next_wave(), 2);
     }
 
@@ -888,75 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn lone_triggered_step_of_a_level_runs_on_the_calling_thread() {
-        // Two steps share level 0 but the policy skips one, so the batch
-        // holds a single triggered step: no worker thread is spawned.
-        use std::thread::ThreadId;
-        let ran_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
-        let record = |ran_on: &Arc<Mutex<Vec<ThreadId>>>| {
-            let ran_on = Arc::clone(ran_on);
-            FnStep::new(move |_: &StepContext| {
-                ran_on.lock().push(std::thread::current().id());
-                Ok(())
-            })
-        };
-        let mut b = GraphBuilder::new("lone");
-        let a = b.add_step("a");
-        let c = b.add_step("c");
-        let mut w = Workflow::new(b.build().unwrap());
-        w.bind(a, record(&ran_on));
-        w.bind(c, record(&ran_on));
-        let mut s = Scheduler::new(w, DataStore::new(), Box::new(SkipStep(c)));
-        let o = s.run_wave_parallel().unwrap();
-        assert_eq!((o.executed, o.skipped), (vec![a], vec![c]));
-        assert_eq!(*ran_on.lock(), [std::thread::current().id()]);
-
-        // With both triggered the level does fan out, off the caller.
-        s.swap_policy(Box::new(SynchronousPolicy));
-        ran_on.lock().clear();
-        s.run_wave_parallel().unwrap();
-        let ran_on = ran_on.lock();
-        assert_eq!(ran_on.len(), 2);
-        assert!(!ran_on.contains(&std::thread::current().id()));
-    }
-
-    #[test]
-    fn parallel_wave_keeps_every_sibling_failure() {
-        // Two independent sources fail in the same level: both must be
-        // recorded and surfaced, not just the first.
-        let store = DataStore::new();
-        let mut b = GraphBuilder::new("boom2");
-        let a = b.add_step("a");
-        let c = b.add_step("c");
-        let mut w = Workflow::new(b.build().unwrap());
-        w.bind(
-            a,
-            FnStep::new(|_: &StepContext| Err(StepError::msg("a broke"))),
-        )
-        .source();
-        w.bind(
-            c,
-            FnStep::new(|_: &StepContext| Err(StepError::msg("c broke"))),
-        )
-        .source();
-        let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
-        let sub = s.subscribe();
-        let err = s.run_wave_parallel().unwrap_err();
-        assert_eq!(err.failure_count(), 2);
-        let text = err.to_string();
-        assert!(text.contains("a broke") && text.contains("c broke"));
-        assert_eq!(s.stats().failures(a), 1);
-        assert_eq!(s.stats().failures(c), 1);
-        let events = sub.drain();
-        match events.last() {
-            Some(SchedulerEvent::WaveAborted { failed, .. }) => {
-                assert_eq!(failed.as_slice(), &[a, c]);
-            }
-            other => panic!("expected WaveAborted, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn telemetry_records_waves_steps_and_skips() {
         use smartflux_telemetry::{names, Telemetry};
         let (mut s, _a, c) = pipeline(Box::new(SynchronousPolicy));
@@ -964,8 +825,7 @@ mod tests {
         s.set_telemetry(telemetry.clone());
         s.run_waves(2).unwrap();
         s.swap_policy(Box::new(SkipStep(c)));
-        s.run_wave().unwrap();
-        s.run_wave_parallel().unwrap();
+        s.run_waves(2).unwrap();
 
         let snap = telemetry.snapshot();
         assert_eq!(snap.histogram(names::WAVE_LATENCY).unwrap().count, 4);

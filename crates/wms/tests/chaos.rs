@@ -281,66 +281,6 @@ fn without_retries_the_same_faults_abort_cleanly() {
     );
 }
 
-/// The step an event refers to, if any (`None` for wave-boundary events).
-fn step_of(event: &SchedulerEvent) -> Option<StepId> {
-    match event {
-        SchedulerEvent::StepTriggered { step, .. }
-        | SchedulerEvent::StepCompleted { step, .. }
-        | SchedulerEvent::StepSkipped { step, .. }
-        | SchedulerEvent::StepDeferred { step, .. }
-        | SchedulerEvent::StepRetried { step, .. }
-        | SchedulerEvent::StepFailed { step, .. } => Some(*step),
-        _ => None,
-    }
-}
-
-#[test]
-fn parallel_and_sequential_waves_agree_under_faults() {
-    let retry = RetryPolicy::attempts(3);
-    let mut seq = lrb_scheduler(Some(retry));
-    let mut par = lrb_scheduler(Some(retry));
-    let seq_sub = seq.subscribe();
-    let par_sub = par.subscribe();
-
-    for _ in 0..60 {
-        let a = seq.run_wave().unwrap();
-        let b = par.run_wave_parallel().unwrap();
-        assert_eq!(a, b);
-    }
-
-    assert_eq!(store_state(&seq), store_state(&par));
-
-    // Parallel execution may interleave sibling steps differently, but the
-    // per-step event sequence and the wave-boundary sequence (with their
-    // executed/skipped/deferred counts) must match exactly.
-    let seq_events = seq_sub.drain();
-    let par_events = par_sub.drain();
-    let project = |events: &[SchedulerEvent], step: Option<StepId>| -> Vec<SchedulerEvent> {
-        events
-            .iter()
-            .filter(|e| step_of(e) == step)
-            .cloned()
-            .collect()
-    };
-    assert_eq!(project(&seq_events, None), project(&par_events, None));
-    for family in FAMILIES {
-        let s = seq.workflow().graph().step_id(family).unwrap();
-        assert_eq!(
-            project(&seq_events, Some(s)),
-            project(&par_events, Some(s)),
-            "per-step event stream of `{family}`"
-        );
-    }
-    for family in FAMILIES {
-        let s = seq.workflow().graph().step_id(family).unwrap();
-        let p = par.workflow().graph().step_id(family).unwrap();
-        assert_eq!(seq.stats().executions(s), par.stats().executions(p));
-        assert_eq!(seq.stats().skips(s), par.stats().skips(p));
-        assert_eq!(seq.stats().retries(s), par.stats().retries(p));
-        assert_eq!(seq.stats().failures(s), par.stats().failures(p));
-    }
-}
-
 #[test]
 fn watchdog_timeout_recovers_a_hung_step() {
     let store = DataStore::new();

@@ -54,38 +54,18 @@ proptest! {
         }
     }
 
-    /// The invariant the wave executor rests on: depth (longest path from a
-    /// source) never decreases along `topo_order()`, so the scheduler's
-    /// levels concatenate back to it — observed as the order a parallel
-    /// wave, which walks those levels, triggers the steps in.
+    /// A wave triggers its steps in exactly `topo_order()`.
     #[test]
-    fn topo_order_is_level_ordered((n, edges) in forward_dag()) {
+    fn a_wave_triggers_steps_in_topo_order((n, edges) in forward_dag()) {
         let g = build_graph(n, &edges);
         let order = g.topo_order().to_vec();
-        let mut depth = vec![0usize; n];
-        for &id in &order {
-            depth[id.index()] = g
-                .predecessors(id)
-                .iter()
-                .map(|p| depth[p.index()] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        for pair in order.windows(2) {
-            prop_assert!(
-                depth[pair[0].index()] <= depth[pair[1].index()],
-                "{} (depth {}) precedes {} (depth {})",
-                pair[0], depth[pair[0].index()], pair[1], depth[pair[1].index()]
-            );
-        }
-
         let mut wf = Workflow::new(g);
         for id in order.iter().copied() {
             wf.bind(id, FnStep::new(|_: &StepContext| Ok(())));
         }
         let mut sched = Scheduler::new(wf, DataStore::new(), Box::new(SynchronousPolicy));
         let events = sched.subscribe();
-        sched.run_wave_parallel().expect("synchronous wave succeeds");
+        sched.run_wave().expect("synchronous wave succeeds");
         let triggered: Vec<StepId> = events
             .drain()
             .into_iter()

@@ -168,47 +168,3 @@ fn engine_requires_at_least_one_bounded_step() {
         .expect_err("no QoD steps should be rejected");
     assert!(err.to_string().contains("no QoD-managed steps"));
 }
-
-#[test]
-fn parallel_adaptive_execution_matches_sequential() {
-    // Two sessions over identical feeds: one runs waves sequentially, one
-    // with level-parallel execution. Decisions are made sequentially in
-    // both, and no same-level steps share written containers, so outcomes
-    // and container state must agree exactly.
-    let build = || {
-        let store = DataStore::new();
-        let (wf, ..) = diamond(&store);
-        let config = EngineConfig::new()
-            .with_training_waves(60)
-            .with_quality_gates(0.0, 0.0)
-            .with_seed(5);
-        (
-            SmartFluxSession::new(wf, store.clone(), config).expect("bounded steps exist"),
-            store,
-        )
-    };
-    let (mut seq, seq_store) = build();
-    let (mut par, par_store) = build();
-    seq.run_training().expect("training succeeds");
-    while matches!(par.phase(), smartflux::Phase::Training { .. }) {
-        par.run_wave_parallel().expect("parallel training wave");
-    }
-    for _ in 0..40 {
-        let a = seq.run_wave().expect("sequential wave");
-        let b = par.run_wave_parallel().expect("parallel wave");
-        assert_eq!(a.wave, b.wave);
-        let mut ae = a.executed.clone();
-        let mut be = b.executed.clone();
-        ae.sort_unstable();
-        be.sort_unstable();
-        assert_eq!(ae, be, "wave {} decisions diverged", a.wave);
-    }
-    for fam in ["fast", "slow", "join"] {
-        let c = ContainerRef::family("t", fam);
-        assert_eq!(
-            seq_store.snapshot(&c).expect("exists"),
-            par_store.snapshot(&c).expect("exists"),
-            "{fam} containers diverged"
-        );
-    }
-}

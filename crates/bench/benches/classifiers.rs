@@ -4,10 +4,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use smartflux_ml::{
-    Classifier, Dataset, DecisionTree, GaussianNaiveBayes, LinearSvm, LogisticRegression,
-    NeuralNetwork, RandomForest,
+use smartflux_bench::classifiers::{
+    GaussianNaiveBayes, LinearSvm, LogisticRegression, NeuralNetwork,
 };
+use smartflux_ml::{Classifier, Dataset, DecisionTree, RandomForest};
 
 /// A noisy threshold problem of the size SmartFlux trains per label:
 /// a few hundred waves, one impact feature.

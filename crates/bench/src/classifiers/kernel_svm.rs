@@ -4,10 +4,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::dataset::Dataset;
-use crate::error::MlError;
-use crate::scaler::StandardScaler;
-use crate::Classifier;
+use smartflux_ml::{Classifier, Dataset, MlError};
+
+use super::scaler::StandardScaler;
 
 /// Kernels available to [`KernelSvm`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,7 +14,7 @@ pub enum Kernel {
     /// The linear kernel `⟨x, z⟩` (equivalent to [`LinearSvm`] up to the
     /// optimiser).
     ///
-    /// [`LinearSvm`]: crate::LinearSvm
+    /// [`LinearSvm`]: super::LinearSvm
     Linear,
     /// The Gaussian radial-basis-function kernel `exp(−γ‖x − z‖²)`.
     Rbf {
@@ -63,7 +62,8 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// # Example
 ///
 /// ```
-/// use smartflux_ml::{Classifier, Dataset, KernelSvm};
+/// use smartflux_bench::classifiers::KernelSvm;
+/// use smartflux_ml::{Classifier, Dataset};
 ///
 /// // A band: positive only in the middle — not linearly separable.
 /// let data = Dataset::new(

@@ -1,9 +1,8 @@
 //! Logistic regression.
 
-use crate::dataset::Dataset;
-use crate::error::MlError;
-use crate::scaler::StandardScaler;
-use crate::Classifier;
+use smartflux_ml::{Classifier, Dataset, MlError};
+
+use super::scaler::StandardScaler;
 
 fn sigmoid(z: f64) -> f64 {
     if z >= 0.0 {
@@ -22,7 +21,8 @@ fn sigmoid(z: f64) -> f64 {
 /// # Example
 ///
 /// ```
-/// use smartflux_ml::{Classifier, Dataset, LogisticRegression};
+/// use smartflux_bench::classifiers::LogisticRegression;
+/// use smartflux_ml::{Classifier, Dataset};
 ///
 /// let data = Dataset::new(
 ///     (0..20).map(|i| vec![i as f64]).collect(),

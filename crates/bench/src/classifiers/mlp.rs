@@ -4,10 +4,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::dataset::Dataset;
-use crate::error::MlError;
-use crate::scaler::StandardScaler;
-use crate::Classifier;
+use smartflux_ml::{Classifier, Dataset, MlError};
+
+use super::scaler::StandardScaler;
 
 fn sigmoid(z: f64) -> f64 {
     if z >= 0.0 {
@@ -26,7 +25,8 @@ fn sigmoid(z: f64) -> f64 {
 /// # Example
 ///
 /// ```
-/// use smartflux_ml::{Classifier, Dataset, NeuralNetwork};
+/// use smartflux_bench::classifiers::NeuralNetwork;
+/// use smartflux_ml::{Classifier, Dataset};
 ///
 /// // XOR — not linearly separable, needs the hidden layer.
 /// let data = Dataset::new(

@@ -1,8 +1,6 @@
 //! Gaussian naive Bayes (the Bayes-network stand-in of §3.2).
 
-use crate::dataset::Dataset;
-use crate::error::MlError;
-use crate::Classifier;
+use smartflux_ml::{Classifier, Dataset, MlError};
 
 const MIN_VARIANCE: f64 = 1e-9;
 
@@ -34,7 +32,8 @@ impl ClassModel {
 /// # Example
 ///
 /// ```
-/// use smartflux_ml::{Classifier, Dataset, GaussianNaiveBayes};
+/// use smartflux_bench::classifiers::GaussianNaiveBayes;
+/// use smartflux_ml::{Classifier, Dataset};
 ///
 /// let data = Dataset::new(
 ///     vec![vec![1.0], vec![1.2], vec![8.0], vec![8.4]],

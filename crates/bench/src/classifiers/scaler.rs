@@ -9,7 +9,7 @@
 /// # Example
 ///
 /// ```
-/// use smartflux_ml::StandardScaler;
+/// use smartflux_bench::classifiers::StandardScaler;
 ///
 /// let scaler = StandardScaler::fit(&[vec![0.0, 10.0], vec![2.0, 30.0]]);
 /// let t = scaler.transform(&[1.0, 20.0]);
@@ -93,7 +93,31 @@ impl StandardScaler {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    proptest! {
+        /// Scaler transform is exactly invertible from its stored statistics.
+        #[test]
+        fn scaler_is_affine(rows in prop::collection::vec(
+            prop::collection::vec(-1e4f64..1e4, 3), 2..30,
+        )) {
+            let scaler = StandardScaler::fit(&rows);
+            // Affine check: t(a) - t(b) is proportional to a - b per column.
+            let a = &rows[0];
+            let b = &rows[rows.len() - 1];
+            let ta = scaler.transform(a);
+            let tb = scaler.transform(b);
+            for j in 0..3 {
+                let lhs = ta[j] - tb[j];
+                // Reconstruct the scale from another pair of points.
+                let probe_hi = scaler.transform(&[a[0] + 1.0, a[1] + 1.0, a[2] + 1.0]);
+                let scale = probe_hi[j] - ta[j];
+                prop_assert!((lhs - (a[j] - b[j]) * scale).abs() < 1e-6);
+            }
+        }
+    }
 
     #[test]
     fn standardises_to_zero_mean_unit_variance() {

@@ -4,25 +4,24 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::dataset::Dataset;
-use crate::error::MlError;
-use crate::scaler::StandardScaler;
-use crate::Classifier;
+use smartflux_ml::{Classifier, Dataset, MlError};
+
+use super::scaler::StandardScaler;
 
 /// A linear SVM trained with the Pegasos stochastic sub-gradient method.
 ///
 /// The paper found SVM the runner-up to Random Forest (ROC area 0.82 vs
 /// 0.86) but rejected it as the default because of its parameterisation
-/// burden; it is provided here both for the §3.2 comparison and as an
-/// alternative predictor. Probability estimates squash the signed margin
-/// through a logistic link.
+/// burden; it is kept here for the §3.2 comparison. Probability estimates
+/// squash the signed margin through a logistic link.
 ///
 /// Features are standardised internally.
 ///
 /// # Example
 ///
 /// ```
-/// use smartflux_ml::{Classifier, Dataset, LinearSvm};
+/// use smartflux_bench::classifiers::LinearSvm;
+/// use smartflux_ml::{Classifier, Dataset};
 ///
 /// let data = Dataset::new(
 ///     (0..30).map(|i| vec![i as f64]).collect(),

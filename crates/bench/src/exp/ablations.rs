@@ -77,19 +77,20 @@ pub fn ablate(workload: Workload) -> Vec<Ablation> {
         out.push(run_with(workload, config, "eq2-relative-impact"));
     }
 
+    let ModelKind::RandomForest {
+        trees,
+        max_depth,
+        threshold,
+    } = baseline.model;
+
     // 5. Balanced decision threshold (no recall optimisation).
     {
         let mut config = baseline.clone();
-        if let ModelKind::RandomForest {
-            trees, max_depth, ..
-        } = config.model
-        {
-            config.model = ModelKind::RandomForest {
-                trees,
-                max_depth,
-                threshold: 0.5,
-            };
-        }
+        config.model = ModelKind::RandomForest {
+            trees,
+            max_depth,
+            threshold: 0.5,
+        };
         out.push(run_with(workload, config, "balanced-threshold"));
     }
 
@@ -100,10 +101,14 @@ pub fn ablate(workload: Workload) -> Vec<Ablation> {
         out.push(run_with(workload, config, "single-cycle-training"));
     }
 
-    // 7. A single decision tree instead of the forest.
+    // 7. A one-tree forest instead of the full forest.
     {
         let mut config = baseline;
-        config.model = ModelKind::DecisionTree;
+        config.model = ModelKind::RandomForest {
+            trees: 1,
+            max_depth,
+            threshold,
+        };
         out.push(run_with(workload, config, "single-tree-model"));
     }
 

@@ -12,11 +12,11 @@ use smartflux::eval::EvalPolicy;
 use smartflux::KnowledgeBase;
 use smartflux_ml::crossval::stratified_folds;
 use smartflux_ml::metrics::roc_auc;
-use smartflux_ml::{
-    Classifier, Dataset, DecisionTree, GaussianNaiveBayes, KernelSvm, LinearSvm,
-    LogisticRegression, NeuralNetwork, RandomForest,
-};
+use smartflux_ml::{Classifier, Dataset, DecisionTree, RandomForest};
 
+use crate::classifiers::{
+    GaussianNaiveBayes, KernelSvm, LinearSvm, LogisticRegression, NeuralNetwork,
+};
 use crate::{heading, write_csv, Workload};
 
 /// The algorithms compared, in the paper's order, plus the linear-SVM

@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod classifiers;
 pub mod diag;
 
 use std::fs;

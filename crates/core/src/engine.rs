@@ -225,7 +225,10 @@ impl QodEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NoQodSteps`] if no step declares an error bound.
+    /// Returns [`CoreError::NoQodSteps`] if no step declares an error bound,
+    /// and [`CoreError::Ml`] with
+    /// [`MlError::InvalidParameter`](smartflux_ml::MlError::InvalidParameter)
+    /// for a forest no model could be built from.
     pub fn from_workflow(
         workflow: &Workflow,
         store: DataStore,
@@ -235,6 +238,7 @@ impl QodEngine {
         if qod_ids.is_empty() {
             return Err(CoreError::NoQodSteps);
         }
+        config.model.validate()?;
 
         // Guard against typos: every per-step override must name a step
         // that exists in the workflow.
@@ -1010,33 +1014,22 @@ impl QodEngine {
 const STATE_MAGIC: &[u8; 4] = b"SFES";
 const STATE_VERSION: u16 = 4;
 
-/// What the predictor's models are a function of besides the knowledge
-/// base: the model kind with its parameters, and the seed. `SFES` records
-/// these bytes in place of the models, and import refits only under the
-/// same ones.
+/// What the predictor's forests are a function of besides the knowledge
+/// base: the forest parameters and the seed. `SFES` records these bytes in
+/// place of the forests, and import refits only under the same ones. The
+/// leading `0` is the kind byte of a format that once held seven model
+/// kinds; it stays so the v4 bytes do.
 fn model_identity(config: &EngineConfig) -> Vec<u8> {
+    let ModelKind::RandomForest {
+        trees,
+        max_depth,
+        threshold,
+    } = config.model;
     let mut out = Vec::with_capacity(33);
-    match config.model {
-        ModelKind::RandomForest {
-            trees,
-            max_depth,
-            threshold,
-        } => {
-            codec::put_u8(&mut out, 0);
-            codec::put_u64(&mut out, trees as u64);
-            codec::put_u64(&mut out, max_depth as u64);
-            codec::put_f64(&mut out, threshold);
-        }
-        ModelKind::DecisionTree => codec::put_u8(&mut out, 1),
-        ModelKind::Logistic => codec::put_u8(&mut out, 2),
-        ModelKind::NaiveBayes => codec::put_u8(&mut out, 3),
-        ModelKind::Svm => codec::put_u8(&mut out, 4),
-        ModelKind::KernelSvm => codec::put_u8(&mut out, 5),
-        ModelKind::NeuralNetwork { hidden } => {
-            codec::put_u8(&mut out, 6);
-            codec::put_u64(&mut out, hidden as u64);
-        }
-    }
+    codec::put_u8(&mut out, 0);
+    codec::put_u64(&mut out, trees as u64);
+    codec::put_u64(&mut out, max_depth as u64);
+    codec::put_f64(&mut out, threshold);
     codec::put_u64(&mut out, config.seed);
     out
 }

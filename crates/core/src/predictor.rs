@@ -1,28 +1,26 @@
 //! The Predictor component: multi-label classification of execution
 //! configurations.
 
-use std::any::Any;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use smartflux_ml::crossval::cross_validate;
 use smartflux_ml::metrics::ConfusionMatrix;
-use smartflux_ml::{
-    Classifier, DecisionTree, GaussianNaiveBayes, LinearSvm, LogisticRegression, MultiLabelDataset,
-    NeuralNetwork, RandomForest,
-};
+use smartflux_ml::{Classifier, MlError, MultiLabelDataset, RandomForest};
 use smartflux_telemetry::{names, Telemetry};
 
 use crate::error::CoreError;
 use crate::knowledge::KnowledgeBase;
 
-/// Which classification algorithm the predictor builds per label.
+/// The Random Forest the predictor builds per label.
 ///
-/// The paper compares six algorithms (§3.2) and defaults to Random Forest;
-/// all six are available here and can be switched freely.
+/// The paper compares six algorithms once (§3.2) and runs SmartFlux on
+/// Random Forest; the others live with that comparison in the bench
+/// harness. An enum of one variant, so configurations name it as
+/// `ModelKind::RandomForest { .. }`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelKind {
-    /// Random Forest (the default). `threshold < 0.5` optimises for recall.
+    /// Random Forest. `threshold < 0.5` optimises for recall.
     RandomForest {
         /// Number of trees ("maximum number of trees to be generated").
         trees: usize,
@@ -30,21 +28,6 @@ pub enum ModelKind {
         max_depth: usize,
         /// Decision threshold; lower favours recall over precision.
         threshold: f64,
-    },
-    /// A single CART decision tree (the J48 stand-in).
-    DecisionTree,
-    /// Logistic regression.
-    Logistic,
-    /// Gaussian naive Bayes (the Bayes-network stand-in).
-    NaiveBayes,
-    /// A linear SVM (Pegasos).
-    Svm,
-    /// A kernelised SVM (RBF by default, kernel Pegasos).
-    KernelSvm,
-    /// A one-hidden-layer MLP.
-    NeuralNetwork {
-        /// Hidden units.
-        hidden: usize,
     },
 }
 
@@ -71,29 +54,37 @@ impl ModelKind {
         }
     }
 
-    /// Instantiates an untrained classifier of this kind.
-    #[must_use]
-    pub fn build(&self, seed: u64) -> Box<dyn Classifier> {
-        match *self {
-            ModelKind::RandomForest {
-                trees,
-                max_depth,
-                threshold,
-            } => Box::new(
-                RandomForest::new(trees)
-                    .with_max_depth(max_depth)
-                    .with_threshold(threshold)
-                    .with_seed(seed),
-            ),
-            ModelKind::DecisionTree => Box::new(DecisionTree::new()),
-            ModelKind::Logistic => Box::new(LogisticRegression::new()),
-            ModelKind::NaiveBayes => Box::new(GaussianNaiveBayes::new()),
-            ModelKind::Svm => Box::new(LinearSvm::new().with_seed(seed)),
-            ModelKind::KernelSvm => Box::new(smartflux_ml::KernelSvm::rbf().with_seed(seed)),
-            ModelKind::NeuralNetwork { hidden } => {
-                Box::new(NeuralNetwork::new(hidden).with_seed(seed))
-            }
-        }
+    /// Refuses the parameters [`build`](Self::build) would panic on: no
+    /// trees, zero depth, or a threshold outside `(0, 1)`.
+    pub(crate) fn validate(&self) -> Result<(), MlError> {
+        let ModelKind::RandomForest {
+            trees,
+            max_depth,
+            threshold,
+        } = *self;
+        let problem = if trees == 0 {
+            "a forest needs at least one tree".to_owned()
+        } else if max_depth == 0 {
+            "max depth must be positive".to_owned()
+        } else if threshold.is_nan() || threshold <= 0.0 || threshold >= 1.0 {
+            format!("threshold {threshold} is outside (0, 1)")
+        } else {
+            return Ok(());
+        };
+        Err(MlError::InvalidParameter(problem))
+    }
+
+    /// An untrained forest of this kind, seeded with `seed`.
+    fn build(&self, seed: u64) -> RandomForest {
+        let ModelKind::RandomForest {
+            trees,
+            max_depth,
+            threshold,
+        } = *self;
+        RandomForest::new(trees)
+            .with_max_depth(max_depth)
+            .with_threshold(threshold)
+            .with_seed(seed)
     }
 }
 
@@ -117,7 +108,7 @@ pub struct PredictorQuality {
     pub recall: f64,
 }
 
-/// The Predictor: one classifier per QoD step, with test-phase quality
+/// The Predictor: one Random Forest per QoD step, with test-phase quality
 /// assessment.
 ///
 /// Queries take the whole impact vector, but label `j`'s classifier sees
@@ -147,7 +138,7 @@ pub struct PredictorQuality {
 pub struct Predictor {
     kind: ModelKind,
     seed: u64,
-    models: Vec<Box<dyn Classifier>>,
+    models: Vec<RandomForest>,
     quality: Option<PredictorQuality>,
     last_build_time: Option<Duration>,
     /// Inert (disabled) unless the owning engine attaches a handle; feeds
@@ -156,7 +147,7 @@ pub struct Predictor {
 }
 
 impl Predictor {
-    /// Creates an untrained predictor using `kind` models.
+    /// Creates an untrained predictor of `kind` forests.
     #[must_use]
     pub fn new(kind: ModelKind, seed: u64) -> Self {
         Self {
@@ -228,13 +219,12 @@ impl Predictor {
         &self.kind
     }
 
-    /// Label `j`'s fitted model as a [`RandomForest`], when the model kind
-    /// is one — what node-for-node equality oracles compare the
-    /// [`arena`](RandomForest::arena) of.
+    /// Label `j`'s fitted forest — what node-for-node equality oracles
+    /// compare the [`arena`](RandomForest::arena) of. `None` for a label
+    /// the predictor has no forest for.
     #[must_use]
     pub fn forest(&self, j: usize) -> Option<&RandomForest> {
-        let model: &dyn Any = &**self.models.get(j)?;
-        model.downcast_ref()
+        self.models.get(j)
     }
 
     /// Quality measured at the latest training, if any.
@@ -271,7 +261,7 @@ impl Predictor {
         Ok(quality)
     }
 
-    /// The models [`train`](Self::train) installs for `kb`, without its
+    /// The forests [`train`](Self::train) installs for `kb`, without its
     /// test phase. They are a function of `kb`, the model kind and the
     /// seed alone — fitting is seeded and bit-identical at every worker
     /// count — which is what lets a checkpoint keep the knowledge base
@@ -280,7 +270,7 @@ impl Predictor {
     /// # Errors
     ///
     /// As [`train`](Self::train).
-    pub(crate) fn refit(&self, kb: &KnowledgeBase) -> Result<Vec<Box<dyn Classifier>>, CoreError> {
+    pub(crate) fn refit(&self, kb: &KnowledgeBase) -> Result<Vec<RandomForest>, CoreError> {
         self.fit_views(&Self::label_views(kb)?)
     }
 
@@ -288,11 +278,7 @@ impl Predictor {
     /// predictor untrained — with the quality the test phase measured when
     /// the models were first trained. The build-time measurement does not
     /// survive recovery (it is reporting-only).
-    pub(crate) fn restore(
-        &mut self,
-        models: Vec<Box<dyn Classifier>>,
-        quality: Option<PredictorQuality>,
-    ) {
+    pub(crate) fn restore(&mut self, models: Vec<RandomForest>, quality: Option<PredictorQuality>) {
         self.models = models;
         self.quality = quality;
         self.last_build_time = None;
@@ -313,11 +299,8 @@ impl Predictor {
             .collect()
     }
 
-    /// Fits one model per label view, label `j`'s seeded with `seed + j`.
-    fn fit_views(
-        &self,
-        views: &[smartflux_ml::Dataset],
-    ) -> Result<Vec<Box<dyn Classifier>>, CoreError> {
+    /// Fits one forest per label view, label `j`'s seeded with `seed + j`.
+    fn fit_views(&self, views: &[smartflux_ml::Dataset]) -> Result<Vec<RandomForest>, CoreError> {
         // The fit span covers only the kernel work (per-label model
         // fitting), not the cross-validated test phase — `ml.fit_ns`
         // answers "how long does (re)building the models take", the
@@ -514,22 +497,6 @@ mod tests {
                 .count()
         };
         assert!(fires(&recallish) >= fires(&balanced));
-    }
-
-    #[test]
-    fn alternative_model_kinds_train() {
-        for kind in [
-            ModelKind::DecisionTree,
-            ModelKind::Logistic,
-            ModelKind::NaiveBayes,
-            ModelKind::Svm,
-            ModelKind::KernelSvm,
-            ModelKind::NeuralNetwork { hidden: 4 },
-        ] {
-            let mut p = Predictor::new(kind.clone(), 2);
-            let q = p.train(&kb_two_steps()).unwrap();
-            assert!(q.accuracy > 0.7, "kind {kind:?} accuracy {}", q.accuracy);
-        }
     }
 
     #[test]

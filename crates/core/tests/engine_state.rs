@@ -289,8 +289,8 @@ fn bits(trail: &[WaveDiagnostics]) -> Vec<WaveBits> {
 }
 
 /// What the predictor is, as far as an oracle can compare it: each label's
-/// forest arena when the kind is a forest, else its probabilities over a
-/// probe grid of impact vectors — and the recorded test-phase quality.
+/// forest arena, its probabilities over a probe grid of impact vectors, and
+/// the recorded test-phase quality.
 #[derive(Debug, PartialEq)]
 struct ModelPrint {
     forests: Vec<TreeArena>,
@@ -383,14 +383,6 @@ fn recovery_refits_the_predictor_the_uninterrupted_run_used() {
     assert_eq!(live.forests.len(), 2);
     assert_eq!(refit, live, "initial knowledge: refit predictor");
 
-    // (d) A kind without a forest — the path that used to retrain with its
-    // test phase — is refit like every other.
-    let logistic = base.clone().with_model(ModelKind::Logistic);
-    let [live, refit] = kill_and_recover(&logistic, CHECKPOINT_WAVE, "logistic");
-    assert!(live.forests.is_empty());
-    assert_eq!(live.probabilities.len(), 40);
-    assert_eq!(refit, live, "logistic: refit predictor");
-
     // (b) Mid-retraining: application waves 26–35, then a fresh training
     // phase whose knowledge base no longer holds the rows the live model
     // was fit on. The recovered predictor stays untrained — nothing
@@ -429,14 +421,22 @@ fn a_blob_the_config_cannot_refit_is_refused_and_changes_nothing() {
 
     // Forests used to carry themselves; now the config must be the one the
     // models are a function of.
+    // Every field of the identity counts on its own: each forest row
+    // changes exactly one parameter of the default forest.
     let base = config(AccumulationMode::Cancel);
+    let forest = |trees, max_depth, threshold| {
+        base.clone().with_model(ModelKind::RandomForest {
+            trees,
+            max_depth,
+            threshold,
+        })
+    };
+    assert_eq!(base.model, forest(60, 12, 0.5).model, "the default forest");
     for (what, other) in [
         ("another seed", base.clone().with_seed(4)),
-        ("another kind", base.clone().with_model(ModelKind::Logistic)),
-        (
-            "another forest",
-            base.clone().with_model(ModelKind::recall_optimised()),
-        ),
+        ("another tree count", forest(61, 12, 0.5)),
+        ("another depth", forest(60, 13, 0.5)),
+        ("another threshold", forest(60, 12, 0.45)),
     ] {
         let target = stand_up_with(&DataStore::from_state(store.export_state()).unwrap(), other).0;
         let pristine = target.with(QodEngine::export_state);

@@ -1,14 +1,13 @@
-//! A from-scratch machine-learning library for the SmartFlux reproduction.
+//! The forest library of the SmartFlux reproduction.
 //!
-//! Stands in for the paper's WEKA/MEKA stack. Implements the six classifier
-//! families compared in §3.2 of the paper — Bayes (Gaussian naive Bayes),
-//! a CART/J48-style [`DecisionTree`], [`LogisticRegression`], a small
-//! [`NeuralNetwork`] (MLP), [`RandomForest`], and a linear [`LinearSvm`]
-//! (Pegasos) — plus the supporting machinery:
+//! Stands in for the paper's WEKA/MEKA stack on the path SmartFlux runs:
+//! a CART/J48-style [`DecisionTree`] and the [`RandomForest`] built from it
+//! (§3.2 adopts Random Forest as the learning approach), plus the
+//! supporting machinery:
 //!
 //! - [`Dataset`] / [`MultiLabelDataset`] containers (the MEKA role —
 //!   binary relevance, one classifier per label — is played by
-//!   `smartflux::Predictor`, which fits one [`Classifier`] per
+//!   `smartflux::Predictor`, which fits one [`RandomForest`] per
 //!   `MultiLabelDataset` label);
 //! - evaluation [`metrics`]: accuracy, precision, recall, F1, ROC AUC;
 //! - stratified k-fold [`crossval`] (the paper's 10-fold test phase).
@@ -37,8 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::any::Any;
-
 pub mod crossval;
 pub mod metrics;
 
@@ -46,34 +43,19 @@ mod arena;
 mod dataset;
 mod error;
 mod forest;
-mod kernel_svm;
-mod logistic;
-mod mlp;
-mod naive_bayes;
-mod scaler;
-mod svm;
 mod tree;
 
 pub use arena::TreeArena;
 pub use dataset::{Dataset, MultiLabelDataset};
 pub use error::MlError;
 pub use forest::RandomForest;
-pub use kernel_svm::{Kernel, KernelSvm};
-pub use logistic::LogisticRegression;
-pub use mlp::NeuralNetwork;
-pub use naive_bayes::GaussianNaiveBayes;
-pub use scaler::StandardScaler;
-pub use svm::LinearSvm;
 pub use tree::DecisionTree;
 
 /// A trainable binary classifier producing a positive-class probability.
 ///
-/// All SmartFlux predictors are expressed against this trait, so the Random
-/// Forest default can be swapped for any other implementation (§3.2: "we
-/// adopted RF as our default learning approach, although they can be
-/// switched"). `Any` lets a caller that knows the concrete type get it
-/// back from a `dyn Classifier`, e.g. to compare fitted forests by arena.
-pub trait Classifier: Any + Send + Sync {
+/// [`DecisionTree`] and [`RandomForest`] implement it, and so do the other
+/// §3.2 comparison classifiers; [`crossval`] evaluates any of them.
+pub trait Classifier {
     /// Fits the model to a dataset.
     ///
     /// # Errors
@@ -132,31 +114,5 @@ pub trait Classifier: Any + Send + Sync {
         } else {
             Err(MlError::NotFitted)
         }
-    }
-}
-
-impl Classifier for Box<dyn Classifier> {
-    fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
-        (**self).fit(data)
-    }
-
-    fn is_fitted(&self) -> bool {
-        (**self).is_fitted()
-    }
-
-    fn predict_proba(&self, features: &[f64]) -> f64 {
-        (**self).predict_proba(features)
-    }
-
-    fn predict(&self, features: &[f64]) -> bool {
-        (**self).predict(features)
-    }
-
-    fn try_predict_proba(&self, features: &[f64]) -> Result<f64, MlError> {
-        (**self).try_predict_proba(features)
-    }
-
-    fn try_predict(&self, features: &[f64]) -> Result<bool, MlError> {
-        (**self).try_predict(features)
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use smartflux_ml::crossval::stratified_folds;
 use smartflux_ml::metrics::{accuracy, precision, recall, roc_auc, ConfusionMatrix};
-use smartflux_ml::{Classifier, Dataset, DecisionTree, RandomForest, StandardScaler};
+use smartflux_ml::{Classifier, Dataset, DecisionTree, RandomForest};
 
 fn labels() -> impl Strategy<Value = Vec<bool>> {
     prop::collection::vec(any::<bool>(), 4..60)
@@ -72,26 +72,6 @@ proptest! {
         seen.sort_unstable();
         let expected: Vec<usize> = (0..labels.len()).collect();
         prop_assert_eq!(seen, expected);
-    }
-
-    /// Scaler transform is exactly invertible from its stored statistics.
-    #[test]
-    fn scaler_is_affine(rows in prop::collection::vec(
-        prop::collection::vec(-1e4f64..1e4, 3), 2..30,
-    )) {
-        let scaler = StandardScaler::fit(&rows);
-        // Affine check: t(a) - t(b) is proportional to a - b per column.
-        let a = &rows[0];
-        let b = &rows[rows.len() - 1];
-        let ta = scaler.transform(a);
-        let tb = scaler.transform(b);
-        for j in 0..3 {
-            let lhs = ta[j] - tb[j];
-            // Reconstruct the scale from another pair of points.
-            let probe_hi = scaler.transform(&[a[0] + 1.0, a[1] + 1.0, a[2] + 1.0]);
-            let scale = probe_hi[j] - ta[j];
-            prop_assert!((lhs - (a[j] - b[j]) * scale).abs() < 1e-6);
-        }
     }
 
     /// Tree and forest probabilities always stay within [0, 1] and their

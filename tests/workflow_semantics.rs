@@ -4,8 +4,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use smartflux::{EngineConfig, SmartFluxSession};
+use smartflux::{CoreError, EngineConfig, ModelKind, SmartFluxSession};
 use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_ml::MlError;
 use smartflux_wms::{
     FnStep, GraphBuilder, Scheduler, StepContext, SynchronousPolicy, TriggerPolicy, Workflow,
 };
@@ -167,4 +168,34 @@ fn engine_requires_at_least_one_bounded_step() {
     let err = SmartFluxSession::new(wf, store, EngineConfig::new())
         .expect_err("no QoD steps should be rejected");
     assert!(err.to_string().contains("no QoD-managed steps"));
+}
+
+#[test]
+fn a_forest_no_model_can_be_built_from_is_refused_up_front() {
+    // The forests are built only when training ends, inside a wave, where
+    // these parameters would panic; construction must refuse them.
+    for (trees, max_depth, threshold) in [
+        (0, 12, 0.5),
+        (60, 0, 0.5),
+        (60, 12, 0.0),
+        (60, 12, 1.0),
+        (60, 12, -0.2),
+        (60, 12, f64::NAN),
+    ] {
+        let store = DataStore::new();
+        let (wf, _, _) = diamond(&store);
+        let config = EngineConfig::new().with_model(ModelKind::RandomForest {
+            trees,
+            max_depth,
+            threshold,
+        });
+        let what = format!("trees {trees}, depth {max_depth}, threshold {threshold}");
+        let err = SmartFluxSession::new(wf, store, config)
+            .map(|_| ())
+            .expect_err(&what);
+        assert!(
+            matches!(err, CoreError::Ml(MlError::InvalidParameter(_))),
+            "{what}: {err:?}"
+        );
+    }
 }

@@ -11,8 +11,10 @@
 //! histograms, word counts, PageRank scores and the top-k ranking — the
 //! outputs §2.3 names (word counts, page ranking, reverse links).
 
+use std::sync::Arc;
+
 use smartflux::eval::WorkloadFactory;
-use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_datastore::{ContainerRef, DataStore, FamilyHandle, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
@@ -116,15 +118,73 @@ pub fn word_count(cfg: &PagerankConfig, page: usize, wave: u64) -> f64 {
     (base * (0.8 + 0.4 * drift * popularity(cfg.seed, page, wave))).round()
 }
 
-fn page_row(p: usize) -> String {
-    format!("page-{p:04}")
+/// The row key of every page, `page-NNNN`, indexed by page.
+fn page_rows(pages: usize) -> Arc<[String]> {
+    (0..pages).map(|p| format!("page-{p:04}")).collect()
 }
 
 /// The qualifiers a page's outlinks are stored under.
-fn link_qualifiers(links_per_page: usize) -> Vec<String> {
+fn link_qualifiers(links_per_page: usize) -> Arc<[String]> {
     (0..links_per_page)
         .map(|slot| format!("link{slot}"))
         .collect()
+}
+
+/// The crawled adjacency: each page's in-range, non-self outlinks, read
+/// from the `crawl` family. A page never crawled has none.
+fn crawled_adjacency(
+    crawl: &FamilyHandle<'_>,
+    pages: usize,
+    links: &[String],
+) -> Result<Vec<Vec<usize>>, StoreError> {
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); pages];
+    crawl.for_each_row(|key, row| {
+        let Some(p) = key
+            .strip_prefix("page-")
+            .and_then(|s| s.parse::<usize>().ok())
+        else {
+            return;
+        };
+        for link in links {
+            if let Some(target) = row.f64(link) {
+                let t = target as usize;
+                if t < pages && t != p {
+                    out[p].push(t);
+                }
+            }
+        }
+    })?;
+    Ok(out)
+}
+
+/// PageRank by power iteration over `out`, starting from the uniform
+/// vector. A dangling page (no outlinks) spreads its rank uniformly, so
+/// each iteration sums the dangling mass once and folds it into the base
+/// every page starts from; only the linked pages' shares are scattered.
+/// O(iterations × (pages + links)); Σ rank stays 1.
+fn power_iteration(out: &[Vec<usize>], damping: f64, iterations: usize) -> Vec<f64> {
+    let n = out.len() as f64;
+    let mut rank = vec![1.0 / n; out.len()];
+    let mut next = vec![0.0; out.len()];
+    for _ in 0..iterations {
+        let dangling: f64 = out
+            .iter()
+            .zip(&rank)
+            .filter(|(targets, _)| targets.is_empty())
+            .map(|(_, r)| r)
+            .sum();
+        next.fill((1.0 - damping) / n + damping * dangling / n);
+        for (targets, r) in out.iter().zip(&rank) {
+            if !targets.is_empty() {
+                let share = damping * r / targets.len() as f64;
+                for &t in targets {
+                    next[t] += share;
+                }
+            }
+        }
+        std::mem::swap(&mut rank, &mut next);
+    }
+    rank
 }
 
 /// Builds the PageRank workflow over a store.
@@ -145,7 +205,6 @@ impl PagerankFactory {
 }
 
 impl WorkloadFactory for PagerankFactory {
-    #[allow(clippy::too_many_lines)]
     fn build(&self, store: &DataStore) -> Workflow {
         let cfg = self.config.clone();
         for f in ["crawl", "histogram", "words", "ranks", "top"] {
@@ -172,22 +231,26 @@ impl WorkloadFactory for PagerankFactory {
         let ranksc = ContainerRef::family(TABLE, "ranks");
         let topc = ContainerRef::family(TABLE, "top");
 
+        // Row keys and link qualifiers are built once per workflow and
+        // shared by every wave.
+        let rows = page_rows(cfg.pages);
+        let links = link_qualifiers(cfg.links_per_page);
+
         // Step 1: the crawler refreshes a rotating batch of pages.
-        let c = cfg.clone();
+        let (c, r, l) = (cfg.clone(), Arc::clone(&rows), Arc::clone(&links));
         wf.bind(
             crawl,
             FnStep::new(move |ctx: &StepContext| {
                 let wave = ctx.wave();
                 let crawl = ctx.family(TABLE, "crawl")?;
-                let links = link_qualifiers(c.links_per_page);
                 for b in 0..c.crawl_batch {
                     let page = ((wave as usize * c.crawl_batch + b) * 7919 + b) % c.pages;
-                    let row = page_row(page);
-                    for (slot, link) in links.iter().enumerate() {
+                    let row = &r[page];
+                    for (slot, link) in l.iter().enumerate() {
                         let target = outlink(&c, page, slot, wave);
-                        crawl.put(&row, link, Value::from(target as i64))?;
+                        crawl.put(row, link, Value::from(target as i64))?;
                     }
-                    crawl.put(&row, "words", Value::from(word_count(&c, page, wave)))?;
+                    crawl.put(row, "words", Value::from(word_count(&c, page, wave)))?;
                 }
                 Ok(())
             }),
@@ -197,25 +260,24 @@ impl WorkloadFactory for PagerankFactory {
 
         // Step 2: histogram of link-count differences per target page
         // (in-degree — §2.3's "reverse links").
-        let c = cfg.clone();
+        let (r, l) = (Arc::clone(&rows), Arc::clone(&links));
         wf.bind(
             histogram,
             FnStep::new(move |ctx: &StepContext| {
-                let mut indegree = vec![0i64; c.pages];
-                let links = link_qualifiers(c.links_per_page);
+                let mut indegree = vec![0i64; r.len()];
                 ctx.family(TABLE, "crawl")?.for_each_row(|_, row| {
-                    for link in &links {
+                    for link in l.iter() {
                         if let Some(target) = row.f64(link) {
                             let t = target as usize;
-                            if t < c.pages {
+                            if t < indegree.len() {
                                 indegree[t] += 1;
                             }
                         }
                     }
                 })?;
                 let histogram = ctx.family(TABLE, "histogram")?;
-                for (p, count) in indegree.iter().enumerate() {
-                    histogram.put(&page_row(p), "indegree", Value::from(*count))?;
+                for (row, count) in r.iter().zip(&indegree) {
+                    histogram.put(row, "indegree", Value::from(*count))?;
                 }
                 Ok(())
             }),
@@ -225,7 +287,6 @@ impl WorkloadFactory for PagerankFactory {
         .error_bound(cfg.bound * 0.5);
 
         // Step 3: aggregate word counts (a content-volume histogram).
-        let c = cfg.clone();
         wf.bind(
             words,
             FnStep::new(move |ctx: &StepContext| {
@@ -238,7 +299,6 @@ impl WorkloadFactory for PagerankFactory {
                         buckets[b] += 1;
                     }
                 })?;
-                let _ = &c;
                 let words = ctx.family(TABLE, "words")?;
                 for (i, count) in buckets.iter().enumerate() {
                     words.put(&format!("bucket-{i}"), "pages", Value::from(*count))?;
@@ -255,49 +315,13 @@ impl WorkloadFactory for PagerankFactory {
         wf.bind(
             pagerank,
             FnStep::new(move |ctx: &StepContext| {
-                // Load adjacency.
-                let mut out: Vec<Vec<usize>> = vec![Vec::new(); c.pages];
-                let links = link_qualifiers(c.links_per_page);
-                ctx.family(TABLE, "crawl")?.for_each_row(|key, row| {
-                    let Some(p) = key
-                        .strip_prefix("page-")
-                        .and_then(|s| s.parse::<usize>().ok())
-                    else {
-                        return;
-                    };
-                    for link in &links {
-                        if let Some(target) = row.f64(link) {
-                            let t = target as usize;
-                            if t < c.pages && t != p {
-                                out[p].push(t);
-                            }
-                        }
-                    }
-                })?;
+                let out = crawled_adjacency(&ctx.family(TABLE, "crawl")?, c.pages, &links)?;
+                let rank = power_iteration(&out, c.damping, c.iterations);
                 let n = c.pages as f64;
-                let mut rank = vec![1.0 / n; c.pages];
-                for _ in 0..c.iterations {
-                    let mut next = vec![(1.0 - c.damping) / n; c.pages];
-                    for (p, targets) in out.iter().enumerate() {
-                        if targets.is_empty() {
-                            // Dangling mass spreads uniformly.
-                            let share = c.damping * rank[p] / n;
-                            for v in &mut next {
-                                *v += share;
-                            }
-                        } else {
-                            let share = c.damping * rank[p] / targets.len() as f64;
-                            for &t in targets {
-                                next[t] += share;
-                            }
-                        }
-                    }
-                    rank = next;
-                }
                 let ranks = ctx.family(TABLE, "ranks")?;
-                for (p, r) in rank.iter().enumerate() {
+                for (row, r) in rows.iter().zip(&rank) {
                     // Scaled to ~[0, 1000] for readability.
-                    ranks.put(&page_row(p), "value", Value::from(r * 1000.0 * n))?;
+                    ranks.put(row, "value", Value::from(r * 1000.0 * n))?;
                 }
                 Ok(())
             }),
@@ -392,48 +416,151 @@ mod tests {
         assert!(rate > 0.005, "links never churn: {rate}");
     }
 
-    #[test]
-    fn workflow_produces_a_ranking() {
-        let factory = PagerankFactory::with_bound(0.1);
+    /// The default configuration and the wide one the end-to-end benchmark
+    /// runs (1 000 pages, batch 25: 80 % of pages dangling).
+    fn factories(bound: f64) -> [PagerankFactory; 2] {
+        let default = PagerankFactory::with_bound(bound);
+        let mut wide = default.clone();
+        wide.config.pages = 1000;
+        wide.config.crawl_batch = 25;
+        [default, wide]
+    }
+
+    /// The crawled adjacency after `waves` synchronous waves.
+    fn adjacency_after(factory: &PagerankFactory, waves: u64) -> Vec<Vec<usize>> {
         let store = DataStore::new();
         let wf = factory.build(&store);
-        assert_eq!(wf.graph().len(), 5);
         let mut sched = Scheduler::new(wf, store.clone(), Box::new(SynchronousPolicy));
-        // Crawl enough waves to cover all pages at least once.
-        sched.run_waves(8).unwrap();
-        let top = store.scan(TABLE, "top", &ScanFilter::all()).unwrap();
-        assert_eq!(top.len(), factory.config.top_k);
-        // Scores are sorted descending by position.
-        let scores: Vec<f64> = top.iter().filter_map(|r| r.f64("score")).collect();
-        for pair in scores.windows(2) {
-            assert!(pair[0] >= pair[1], "ranking must be sorted: {scores:?}");
+        sched.run_waves(waves).unwrap();
+        let links = link_qualifiers(factory.config.links_per_page);
+        let crawl = store.family(TABLE, "crawl").unwrap();
+        crawled_adjacency(&crawl, factory.config.pages, &links).unwrap()
+    }
+
+    /// The power iteration `power_iteration` replaced: every dangling page
+    /// adds its share to every entry of `next`, O(pages²) per iteration.
+    fn power_iteration_reference(out: &[Vec<usize>], damping: f64, iterations: usize) -> Vec<f64> {
+        let n = out.len() as f64;
+        let mut rank = vec![1.0 / n; out.len()];
+        for _ in 0..iterations {
+            let mut next = vec![(1.0 - damping) / n; out.len()];
+            for (p, targets) in out.iter().enumerate() {
+                if targets.is_empty() {
+                    let share = damping * rank[p] / n;
+                    for v in &mut next {
+                        *v += share;
+                    }
+                } else {
+                    let share = damping * rank[p] / targets.len() as f64;
+                    for &t in targets {
+                        next[t] += share;
+                    }
+                }
+            }
+            rank = next;
         }
-        // Power iteration conserves probability mass: Σ rank = 1, and each
-        // stored value is rank × 1000 × n, so the stored total is 1000 × n.
-        let total: f64 = store
-            .scan(TABLE, "ranks", &ScanFilter::all())
-            .unwrap()
-            .iter()
-            .filter_map(|r| r.f64("value"))
-            .sum();
-        let expected = 1000.0 * factory.config.pages as f64;
-        assert!(
-            (total - expected).abs() / expected < 0.01,
-            "rank mass {total} vs expected {expected}"
+        rank
+    }
+
+    #[test]
+    fn power_iteration_matches_the_quadratic_reference() {
+        let [default, wide] = factories(0.1);
+        let dangling = |out: &[Vec<usize>]| out.iter().filter(|t| t.is_empty()).count();
+        let crawled_default = adjacency_after(&default, 8);
+        assert_eq!(
+            dangling(&crawled_default),
+            116,
+            "the crawl reaches 4 of 120 pages"
         );
+        let crawled_wide = adjacency_after(&wide, 40);
+        assert_eq!(
+            dangling(&crawled_wide),
+            800,
+            "the crawl reaches 200 of 1 000 pages"
+        );
+        let all_dangling = vec![Vec::new(); 64];
+        let none_dangling: Vec<Vec<usize>> = (0..64)
+            .map(|p| vec![(p + 1) % 64, (p * 7 + 3) % 64])
+            .collect();
+        let duplicates: Vec<Vec<usize>> = (0..64)
+            .map(|p| match p % 3 {
+                0 => vec![(p + 1) % 64, (p + 1) % 64, (p + 5) % 64],
+                1 => vec![0, 0],
+                _ => Vec::new(),
+            })
+            .collect();
+        for (name, out) in [
+            ("default crawl", &crawled_default),
+            ("wide crawl", &crawled_wide),
+            ("all dangling", &all_dangling),
+            ("none dangling", &none_dangling),
+            ("duplicate targets", &duplicates),
+        ] {
+            let fast = power_iteration(out, 0.85, 15);
+            let reference = power_iteration_reference(out, 0.85, 15);
+            assert_eq!(fast.len(), reference.len(), "{name}");
+            for (p, (f, r)) in fast.iter().zip(&reference).enumerate() {
+                assert!(
+                    (f - r).abs() <= 1e-12 * r.abs(),
+                    "{name}: page {p} rank {f} vs reference {r}"
+                );
+            }
+            let mass: f64 = fast.iter().sum();
+            assert!((mass - 1.0).abs() <= 1e-12, "{name}: Σ rank = {mass}");
+        }
+    }
+
+    #[test]
+    fn workflow_produces_a_ranking() {
+        for factory in factories(0.1) {
+            let pages = factory.config.pages;
+            let store = DataStore::new();
+            let wf = factory.build(&store);
+            assert_eq!(wf.graph().len(), 5);
+            let mut sched = Scheduler::new(wf, store.clone(), Box::new(SynchronousPolicy));
+            // Eight waves of crawling, then rank what was crawled.
+            sched.run_waves(8).unwrap();
+            let top = store.scan(TABLE, "top", &ScanFilter::all()).unwrap();
+            assert_eq!(top.len(), factory.config.top_k, "{pages} pages");
+            // Scores are sorted descending by position.
+            let scores: Vec<f64> = top.iter().filter_map(|r| r.f64("score")).collect();
+            for pair in scores.windows(2) {
+                assert!(pair[0] >= pair[1], "ranking must be sorted: {scores:?}");
+            }
+            // Power iteration conserves probability mass: Σ rank = 1, and
+            // each stored value is rank × 1000 × n, so the stored total is
+            // 1000 × n.
+            let total: f64 = store
+                .scan(TABLE, "ranks", &ScanFilter::all())
+                .unwrap()
+                .iter()
+                .filter_map(|r| r.f64("value"))
+                .sum();
+            let expected = 1000.0 * pages as f64;
+            assert!(
+                (total - expected).abs() / expected < 0.01,
+                "{pages} pages: rank mass {total} vs expected {expected}"
+            );
+        }
     }
 
     #[test]
     fn twin_builds_are_identical() {
-        let factory = PagerankFactory::with_bound(0.05);
-        let (s1, s2) = (DataStore::new(), DataStore::new());
-        let mut a = Scheduler::new(factory.build(&s1), s1.clone(), Box::new(SynchronousPolicy));
-        let mut b = Scheduler::new(factory.build(&s2), s2.clone(), Box::new(SynchronousPolicy));
-        a.run_waves(6).unwrap();
-        b.run_waves(6).unwrap();
-        for fam in ["top", "ranks", "histogram"] {
-            let c = ContainerRef::family(TABLE, fam);
-            assert_eq!(s1.snapshot(&c).unwrap(), s2.snapshot(&c).unwrap(), "{fam}");
+        for factory in factories(0.05) {
+            let (s1, s2) = (DataStore::new(), DataStore::new());
+            let mut a = Scheduler::new(factory.build(&s1), s1.clone(), Box::new(SynchronousPolicy));
+            let mut b = Scheduler::new(factory.build(&s2), s2.clone(), Box::new(SynchronousPolicy));
+            a.run_waves(6).unwrap();
+            b.run_waves(6).unwrap();
+            for fam in ["top", "ranks", "histogram"] {
+                let c = ContainerRef::family(TABLE, fam);
+                let pages = factory.config.pages;
+                assert_eq!(
+                    s1.snapshot(&c).unwrap(),
+                    s2.snapshot(&c).unwrap(),
+                    "{fam}, {pages} pages"
+                );
+            }
         }
     }
 

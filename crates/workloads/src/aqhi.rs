@@ -9,9 +9,11 @@
 //! map, detects hotspots, and emits a health-risk index classified as low
 //! (1–3), moderate (4–6), high (7–10) or very high (above 10).
 
+use std::sync::Arc;
+
 use smartflux::eval::WorkloadFactory;
 use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value};
-use smartflux_wms::{FnStep, GraphBuilder, StepContext, StepError, Workflow};
+use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
 
@@ -82,38 +84,78 @@ impl AqhiConfig {
 /// (diurnal cycles plus slow value-noise drift). Returns `[0, 100]`.
 #[must_use]
 pub fn sensor_value(seed: u64, pollutant: Pollutant, x: usize, y: usize, wave: u64) -> f64 {
-    let (phase, weight_diurnal, drift_period) = match pollutant {
-        Pollutant::O3 => (0.0, 0.55, 6),   // photochemical: afternoon peak
-        Pollutant::Pm25 => (3.0, 0.4, 8),  // slow-moving particulates
-        Pollutant::No2 => (-4.0, 0.45, 4), // traffic-correlated
-    };
-    let p = pollutant as u64;
-    let day = diurnal(wave, phase);
-    // Activity regime: pollution dynamics are driven by photochemistry and
-    // traffic, so nights are quiet (small input changes AND small output
-    // changes) while days are busy — the correlated-regimes premise of
-    // §2.3 that makes input impact predictive of output error.
-    let activity = 0.02 + 0.98 * day * day.sqrt();
-    // A pollution plume wandering smoothly over the grid: the spatial peak
-    // moves hour by hour, so zone rankings (and hence hotspots) keep
-    // shifting the way real pollution fronts do.
-    let cx = 8.0 * periodic_noise(seed ^ 0xC1, p, wave, 56, WEEK_WAVES);
-    let cy = 8.0 * periodic_noise(seed ^ 0xC2, p, wave, 84, WEEK_WAVES);
-    let dist = (((x as f64 - cx).powi(2) + (y as f64 - cy).powi(2)).sqrt() / 8.0).min(1.0);
-    let spatial = 0.3 + 0.55 * (1.0 - dist) + 0.15 * unit_hash(seed, p * 100 + x as u64, y as u64);
-    let fast = periodic_noise(
-        seed ^ 0xA0,
-        p * 10_000 + (x * 97 + y) as u64,
-        wave,
-        drift_period,
-        WEEK_WAVES,
-    );
-    let temporal = weight_diurnal * day + (1.0 - weight_diurnal) * fast;
-    let value = (100.0 * spatial * (0.25 + 0.75 * temporal * activity)).clamp(0.0, 100.0);
-    // Detectors report with a finite resolution of one unit — far above the
-    // overnight micro-noise but well below daytime swings — so the quiet
-    // regime produces genuinely unchanged readings.
-    value.round()
+    PollutantField::new(seed, pollutant, wave).value(x, y)
+}
+
+/// One pollutant's field during one wave: everything [`sensor_value`]
+/// computes that does not depend on the detector.
+#[derive(Debug)]
+struct PollutantField {
+    seed: u64,
+    wave: u64,
+    p: u64,
+    weight_diurnal: f64,
+    drift_period: u64,
+    day: f64,
+    activity: f64,
+    cx: f64,
+    cy: f64,
+}
+
+impl PollutantField {
+    fn new(seed: u64, pollutant: Pollutant, wave: u64) -> Self {
+        let (phase, weight_diurnal, drift_period) = match pollutant {
+            Pollutant::O3 => (0.0, 0.55, 6),   // photochemical: afternoon peak
+            Pollutant::Pm25 => (3.0, 0.4, 8),  // slow-moving particulates
+            Pollutant::No2 => (-4.0, 0.45, 4), // traffic-correlated
+        };
+        let p = pollutant as u64;
+        let day = diurnal(wave, phase);
+        // Activity regime: pollution dynamics are driven by photochemistry
+        // and traffic, so nights are quiet (small input changes AND small
+        // output changes) while days are busy — the correlated-regimes
+        // premise of §2.3 that makes input impact predictive of output
+        // error.
+        let activity = 0.02 + 0.98 * day * day.sqrt();
+        // A pollution plume wandering smoothly over the grid: the spatial
+        // peak moves hour by hour, so zone rankings (and hence hotspots)
+        // keep shifting the way real pollution fronts do.
+        let cx = 8.0 * periodic_noise(seed ^ 0xC1, p, wave, 56, WEEK_WAVES);
+        let cy = 8.0 * periodic_noise(seed ^ 0xC2, p, wave, 84, WEEK_WAVES);
+        Self {
+            seed,
+            wave,
+            p,
+            weight_diurnal,
+            drift_period,
+            day,
+            activity,
+            cx,
+            cy,
+        }
+    }
+
+    /// The reading of the detector at `(x, y)`.
+    fn value(&self, x: usize, y: usize) -> f64 {
+        let (seed, p) = (self.seed, self.p);
+        let dist =
+            (((x as f64 - self.cx).powi(2) + (y as f64 - self.cy).powi(2)).sqrt() / 8.0).min(1.0);
+        let spatial =
+            0.3 + 0.55 * (1.0 - dist) + 0.15 * unit_hash(seed, p * 100 + x as u64, y as u64);
+        let fast = periodic_noise(
+            seed ^ 0xA0,
+            p * 10_000 + (x * 97 + y) as u64,
+            self.wave,
+            self.drift_period,
+            WEEK_WAVES,
+        );
+        let temporal = self.weight_diurnal * self.day + (1.0 - self.weight_diurnal) * fast;
+        let value = (100.0 * spatial * (0.25 + 0.75 * temporal * self.activity)).clamp(0.0, 100.0);
+        // Detectors report with a finite resolution of one unit — far above
+        // the overnight micro-noise but well below daytime swings — so the
+        // quiet regime produces genuinely unchanged readings.
+        value.round()
+    }
 }
 
 /// The three pollutants gauged by each detector.
@@ -141,12 +183,26 @@ pub fn risk_class(index: f64) -> &'static str {
     }
 }
 
-fn det_row(x: usize, y: usize) -> String {
-    format!("det-{x:02}-{y:02}")
+/// The row key of every detector, `det-XX-YY`, indexed by `x * grid + y`.
+fn detector_rows(grid: usize) -> Arc<[String]> {
+    (0..grid)
+        .flat_map(|x| (0..grid).map(move |y| format!("det-{x:02}-{y:02}")))
+        .collect()
 }
 
-fn zone_row(zx: usize, zy: usize) -> String {
-    format!("zone-{zx}-{zy}")
+/// The row key of every zone, `zone-X-Y`, indexed by `zx * per_side + zy`.
+fn zone_rows(per_side: usize) -> Arc<[String]> {
+    (0..per_side)
+        .flat_map(|zx| (0..per_side).map(move |zy| format!("zone-{zx}-{zy}")))
+        .collect()
+}
+
+/// The row key of every interpolation cell (the square between four
+/// neighbouring detectors), `cell-XX-YY`, indexed by `x * (grid - 1) + y`.
+fn cell_rows(grid: usize) -> Arc<[String]> {
+    (0..grid - 1)
+        .flat_map(|x| (0..grid - 1).map(move |y| format!("cell-{x:02}-{y:02}")))
+        .collect()
 }
 
 /// Builds the AQHI workflow over `store` (the [`WorkloadFactory`] for this
@@ -220,24 +276,28 @@ impl WorkloadFactory for AqhiFactory {
         let interpc = ContainerRef::family(TABLE, "interp");
         let hotsc = ContainerRef::family(TABLE, "hotspots");
 
+        // Row keys are built once per workflow and shared by every wave.
+        let det_keys = detector_rows(cfg.grid);
+        let zone_keys = zone_rows(cfg.grid / cfg.zone_size);
+        let cell_keys = cell_rows(cfg.grid);
+
         // Step 1: simulate asynchronous arrival of sensory data; always runs.
-        let c = cfg.clone();
+        let (c, d) = (cfg.clone(), Arc::clone(&det_keys));
         wf.bind(
             ingest,
             FnStep::new(move |ctx: &StepContext| {
                 let wave = ctx.wave();
+                let [o3, pm25, no2] = [Pollutant::O3, Pollutant::Pm25, Pollutant::No2]
+                    .map(|pollutant| PollutantField::new(c.seed, pollutant, wave));
                 let readings = ctx.family(TABLE, "readings")?;
                 for x in 0..c.grid {
                     for y in 0..c.grid {
-                        let row = det_row(x, y);
-                        let reading =
-                            |pollutant| Value::from(sensor_value(c.seed, pollutant, x, y, wave));
                         readings.put_row(
-                            &row,
+                            &d[x * c.grid + y],
                             [
-                                ("o3", reading(Pollutant::O3)),
-                                ("pm25", reading(Pollutant::Pm25)),
-                                ("no2", reading(Pollutant::No2)),
+                                ("o3", Value::from(o3.value(x, y))),
+                                ("pm25", Value::from(pm25.value(x, y))),
+                                ("no2", Value::from(no2.value(x, y))),
                             ],
                         )?;
                     }
@@ -255,24 +315,21 @@ impl WorkloadFactory for AqhiFactory {
         // combiner configured in the engine's QoD spec).
 
         // Step 2: combined concentration via a multiplicative model.
-        let c = cfg.clone();
+        let d = Arc::clone(&det_keys);
         wf.bind(
             concentration,
             FnStep::new(move |ctx: &StepContext| {
                 let readings = ctx.family(TABLE, "readings")?;
                 let concentration = ctx.family(TABLE, "concentration")?;
-                for x in 0..c.grid {
-                    for y in 0..c.grid {
-                        let row = det_row(x, y);
-                        let o3 = readings.get_f64(&row, "o3")?.unwrap_or(0.0);
-                        let pm = readings.get_f64(&row, "pm25")?.unwrap_or(0.0);
-                        let no2 = readings.get_f64(&row, "no2")?.unwrap_or(0.0);
-                        let combined = 100.0
-                            * (o3 / 100.0).powf(0.40)
-                            * (pm / 100.0).powf(0.35)
-                            * (no2 / 100.0).powf(0.25);
-                        concentration.put(&row, "value", Value::from(combined))?;
-                    }
+                for row in d.iter() {
+                    let o3 = readings.get_f64(row, "o3")?.unwrap_or(0.0);
+                    let pm = readings.get_f64(row, "pm25")?.unwrap_or(0.0);
+                    let no2 = readings.get_f64(row, "no2")?.unwrap_or(0.0);
+                    let combined = 100.0
+                        * (o3 / 100.0).powf(0.40)
+                        * (pm / 100.0).powf(0.35)
+                        * (no2 / 100.0).powf(0.25);
+                    concentration.put(row, "value", Value::from(combined))?;
                 }
                 Ok(())
             }),
@@ -282,7 +339,7 @@ impl WorkloadFactory for AqhiFactory {
         .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
 
         // Step 3a: aggregate concentration per zone.
-        let c = cfg.clone();
+        let (c, d, z) = (cfg.clone(), Arc::clone(&det_keys), zone_keys);
         wf.bind(
             zones,
             FnStep::new(move |ctx: &StepContext| {
@@ -294,12 +351,13 @@ impl WorkloadFactory for AqhiFactory {
                         let mut sum = 0.0;
                         for dx in 0..c.zone_size {
                             for dy in 0..c.zone_size {
-                                let row = det_row(zx * c.zone_size + dx, zy * c.zone_size + dy);
-                                sum += concentration.get_f64(&row, "value")?.unwrap_or(0.0);
+                                let (x, y) = (zx * c.zone_size + dx, zy * c.zone_size + dy);
+                                let row = &d[x * c.grid + y];
+                                sum += concentration.get_f64(row, "value")?.unwrap_or(0.0);
                             }
                         }
                         let avg = sum / (c.zone_size * c.zone_size) as f64;
-                        zones.put(&zone_row(zx, zy), "value", Value::from(avg))?;
+                        zones.put(&z[zx * per_side + zy], "value", Value::from(avg))?;
                     }
                 }
                 Ok(())
@@ -312,22 +370,21 @@ impl WorkloadFactory for AqhiFactory {
 
         // Step 3b: interpolate the concentration between detectors (the
         // monitoring-station chart).
-        let c = cfg.clone();
+        let (grid, d, cells) = (cfg.grid, det_keys, cell_keys);
         wf.bind(
             interp,
             FnStep::new(move |ctx: &StepContext| {
                 let concentration = ctx.family(TABLE, "concentration")?;
                 let interp = ctx.family(TABLE, "interp")?;
-                for x in 0..c.grid - 1 {
-                    for y in 0..c.grid - 1 {
+                for x in 0..grid - 1 {
+                    for y in 0..grid - 1 {
                         let mut sum = 0.0;
                         for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
-                            sum += concentration
-                                .get_f64(&det_row(x + dx, y + dy), "value")?
-                                .unwrap_or(0.0);
+                            let row = &d[(x + dx) * grid + y + dy];
+                            sum += concentration.get_f64(row, "value")?.unwrap_or(0.0);
                         }
-                        let row = format!("cell-{x:02}-{y:02}");
-                        interp.put(&row, "value", Value::from(sum / 4.0))?;
+                        let cell = &cells[x * (grid - 1) + y];
+                        interp.put(cell, "value", Value::from(sum / 4.0))?;
                     }
                 }
                 Ok(())
@@ -374,15 +431,10 @@ impl WorkloadFactory for AqhiFactory {
                 // Additive model: each hotspot contributes its pollution
                 // excess, so the index moves smoothly as fronts build up
                 // rather than jumping by whole units per zone flip.
-                let mut hot_count = 0.0;
                 let mut hot_excess = 0.0;
                 ctx.family(TABLE, "hotspots")?.for_each_row(|_, row| {
-                    if row.f64("hot").unwrap_or(1.0) > 1.5 {
-                        hot_count += 1.0;
-                    }
                     hot_excess += row.f64("excess").unwrap_or(0.0);
                 })?;
-                let _ = hot_count;
                 let index_value = 1.0 + hot_excess / 8.0;
                 ctx.family(TABLE, "index")?.put_row(
                     "region",
@@ -412,9 +464,6 @@ impl WorkloadFactory for AqhiFactory {
     }
 }
 
-/// Convenience error type alias for step closures.
-pub type StepResult = Result<(), StepError>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,6 +483,96 @@ mod tests {
             })
             .fold(0.0, f64::max);
         assert!(max_step < 15.0, "hourly jump {max_step} too steep");
+    }
+
+    /// The ingest step's path — each pollutant's field once per wave, then
+    /// one read per detector — reports `sensor_value` bit for bit, for every
+    /// detector and pollutant over a whole week.
+    #[test]
+    fn per_wave_fields_equal_sensor_value() {
+        let cfg = AqhiConfig::default();
+        for seed in [42, 17] {
+            for wave in 0..WEEK_WAVES {
+                for pollutant in [Pollutant::O3, Pollutant::Pm25, Pollutant::No2] {
+                    let field = PollutantField::new(seed, pollutant, wave);
+                    for x in 0..cfg.grid {
+                        for y in 0..cfg.grid {
+                            assert_eq!(
+                                field.value(x, y).to_bits(),
+                                sensor_value(seed, pollutant, x, y, wave).to_bits(),
+                                "seed {seed} {pollutant:?} ({x}, {y}) wave {wave}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// What the ingest step writes is `sensor_value`.
+    #[test]
+    fn ingest_writes_sensor_value() {
+        let factory = AqhiFactory::default();
+        let cfg = &factory.config;
+        let store = DataStore::new();
+        let mut sched = Scheduler::new(
+            factory.build(&store),
+            store.clone(),
+            Box::new(SynchronousPolicy),
+        );
+        for _ in 0..24 {
+            let wave = sched.next_wave();
+            sched.run_waves(1).unwrap();
+            for x in 0..cfg.grid {
+                for y in 0..cfg.grid {
+                    let row = format!("det-{x:02}-{y:02}");
+                    for (col, pollutant) in [
+                        ("o3", Pollutant::O3),
+                        ("pm25", Pollutant::Pm25),
+                        ("no2", Pollutant::No2),
+                    ] {
+                        let got = store.get(TABLE, "readings", &row, col).unwrap().unwrap();
+                        let want = sensor_value(cfg.seed, pollutant, x, y, wave);
+                        assert_eq!(got.as_f64(), Some(want), "{row} {col} wave {wave}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The prebuilt key tables hold the keys the steps once formatted per
+    /// cell, at the index the steps look them up by.
+    #[test]
+    fn key_tables_match_formatted_keys() {
+        let wide = AqhiConfig {
+            grid: 10,
+            zone_size: 5,
+            ..AqhiConfig::default()
+        };
+        for cfg in [AqhiConfig::default(), wide] {
+            let detectors = detector_rows(cfg.grid);
+            assert_eq!(detectors.len(), cfg.detectors());
+            let per_side = cfg.grid / cfg.zone_size;
+            let zones = zone_rows(per_side);
+            assert_eq!(zones.len(), cfg.zones());
+            let cells = cell_rows(cfg.grid);
+            assert_eq!(cells.len(), (cfg.grid - 1) * (cfg.grid - 1));
+            for x in 0..cfg.grid {
+                for y in 0..cfg.grid {
+                    assert_eq!(detectors[x * cfg.grid + y], format!("det-{x:02}-{y:02}"));
+                }
+            }
+            for zx in 0..per_side {
+                for zy in 0..per_side {
+                    assert_eq!(zones[zx * per_side + zy], format!("zone-{zx}-{zy}"));
+                }
+            }
+            for x in 0..cfg.grid - 1 {
+                for y in 0..cfg.grid - 1 {
+                    assert_eq!(cells[x * (cfg.grid - 1) + y], format!("cell-{x:02}-{y:02}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -494,10 +494,18 @@ impl QodEngine {
     /// Requests a fresh training phase of `waves` waves starting at the next
     /// wave — the paper's on-demand retraining "useful if data patterns
     /// start to change suddenly".
+    ///
+    /// Training measures each step's output error against its last
+    /// execution, which is what the step's output containers hold now. The
+    /// application phase never moves the output baselines, so they restart
+    /// here instead of where the previous training phase left them.
     pub fn request_training(&mut self, next_wave: u64, waves: usize) {
         self.kb.clear();
         self.training_extensions_used = 0;
         self.application_waves_since_training = 0;
+        for idx in 0..self.steps.len() {
+            self.reset_output_baselines(idx);
+        }
         self.phase = Phase::Training {
             until_wave: next_wave + waves as u64 - 1,
         };

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use smartflux_ml::crossval::cross_validate;
+use smartflux_ml::crossval::{build_forests, BuiltForest, ForestBuild};
 use smartflux_ml::metrics::ConfusionMatrix;
 use smartflux_ml::{Classifier, MlError, MultiLabelDataset, RandomForest};
 use smartflux_telemetry::{names, Telemetry};
@@ -241,7 +241,9 @@ impl Predictor {
     }
 
     /// Trains one model per QoD step from the knowledge base and runs the
-    /// test phase (k-fold cross-validation pooled across labels).
+    /// test phase (k-fold cross-validation pooled across labels). Every
+    /// label's fold forests and final forest are one batch, fitted side by
+    /// side.
     ///
     /// # Errors
     ///
@@ -251,11 +253,21 @@ impl Predictor {
         // tidy:allow(time): measures model build latency (Table 2), which is
         // reported, never replayed
         let start = Instant::now();
-        // One single-label view per step, shared by the test phase and
-        // the final fit.
-        let views = Self::label_views(kb)?;
-        let quality = self.assess(&views)?;
-        self.models = self.fit_views(&views)?;
+        let built = self.build(&Self::label_views(kb)?, true)?;
+        let mut pooled = ConfusionMatrix::default();
+        let mut models = Vec::with_capacity(built.len());
+        for label in built {
+            if let Some(cv) = label.cross_validation {
+                pooled.merge(&cv.confusion);
+            }
+            models.push(label.forest);
+        }
+        let quality = PredictorQuality {
+            accuracy: pooled.accuracy(),
+            precision: pooled.precision(),
+            recall: pooled.recall(),
+        };
+        self.models = models;
         self.quality = Some(quality);
         self.last_build_time = Some(start.elapsed());
         Ok(quality)
@@ -271,7 +283,8 @@ impl Predictor {
     ///
     /// As [`train`](Self::train).
     pub(crate) fn refit(&self, kb: &KnowledgeBase) -> Result<Vec<RandomForest>, CoreError> {
-        self.fit_views(&Self::label_views(kb)?)
+        let built = self.build(&Self::label_views(kb)?, false)?;
+        Ok(built.into_iter().map(|label| label.forest).collect())
     }
 
     /// Installs what [`refit`](Self::refit) built — no models leave the
@@ -299,38 +312,34 @@ impl Predictor {
             .collect()
     }
 
-    /// Fits one forest per label view, label `j`'s seeded with `seed + j`.
-    fn fit_views(&self, views: &[smartflux_ml::Dataset]) -> Result<Vec<RandomForest>, CoreError> {
-        // The fit span covers only the kernel work (per-label model
-        // fitting), not the cross-validated test phase — `ml.fit_ns`
-        // answers "how long does (re)building the models take", the
-        // engine-level `engine.train` span covers the whole phase.
+    /// Fits one forest per label view, label `j`'s seeded with `seed + j`,
+    /// after a k-fold test phase per label (fold seed `seed + j` too) when
+    /// `test_phase` is set — all of them one batch of jobs.
+    fn build(
+        &self,
+        views: &[smartflux_ml::Dataset],
+        test_phase: bool,
+    ) -> Result<Vec<BuiltForest>, CoreError> {
+        // `ml.fit_ns` spans the batch: the whole build in `train`, the
+        // final forests in `refit`. The engine-level `engine.train` span
+        // adds the phase bookkeeping around it.
         let _fit_span = self
             .telemetry
             .span(names::ML_FIT_LATENCY, views.len() as u64);
-        let mut models = Vec::with_capacity(views.len());
-        for (j, view) in views.iter().enumerate() {
-            let mut model = self.kind.build(self.seed.wrapping_add(j as u64));
-            model.fit(view)?;
-            models.push(model);
-        }
-        Ok(models)
-    }
-
-    /// Runs the test phase only: k-fold CV per label view, pooled.
-    fn assess(&self, views: &[smartflux_ml::Dataset]) -> Result<PredictorQuality, CoreError> {
-        let mut pooled = ConfusionMatrix::default();
-        for (j, view) in views.iter().enumerate() {
-            let folds = CV_FOLDS.min(view.len() / 2).max(2);
-            let seed = self.seed.wrapping_add(j as u64);
-            let result = cross_validate(view, folds, seed, || self.kind.build(seed))?;
-            pooled.merge(&result.confusion);
-        }
-        Ok(PredictorQuality {
-            accuracy: pooled.accuracy(),
-            precision: pooled.precision(),
-            recall: pooled.recall(),
-        })
+        let builds: Vec<ForestBuild<'_>> = views
+            .iter()
+            .enumerate()
+            .map(|(j, view)| {
+                let seed = self.seed.wrapping_add(j as u64);
+                let build = ForestBuild::new(self.kind.build(seed), view);
+                if test_phase {
+                    build.cross_validated(CV_FOLDS.min(view.len() / 2).max(2), seed)
+                } else {
+                    build
+                }
+            })
+            .collect();
+        Ok(build_forests(&builds)?)
     }
 
     /// Predicts which steps must execute for the given impact vector
@@ -457,6 +466,35 @@ mod tests {
         assert_eq!(p.predict(&[0.0, 5.0]).unwrap(), vec![false, true]);
         assert!(p.predict_step(0, &[9.0, 0.0]).unwrap());
         assert!(p.last_build_time().is_some());
+    }
+
+    #[test]
+    fn train_installs_the_lone_fits_and_their_pooled_test_phase() {
+        use smartflux_ml::crossval::cross_validate;
+
+        let kb = kb_two_steps();
+        let kind = ModelKind::default();
+        let mut p = Predictor::new(kind.clone(), 3);
+        let quality = p.train(&kb).unwrap();
+        let data = kb.to_dataset().unwrap();
+        let mut pooled = ConfusionMatrix::default();
+        for j in 0..2 {
+            let view = Predictor::label_view(&data, j).unwrap();
+            let seed = 3 + j as u64;
+            let mut alone = kind.build(seed);
+            alone.fit(&view).unwrap();
+            assert_eq!(p.forest(j).unwrap().arena(), alone.arena(), "label {j}");
+            let cv = cross_validate(&view, CV_FOLDS, seed, || kind.build(seed)).unwrap();
+            pooled.merge(&cv.confusion);
+        }
+        assert_eq!(quality.accuracy, pooled.accuracy());
+        assert_eq!(quality.precision, pooled.precision());
+        assert_eq!(quality.recall, pooled.recall());
+        let refit = p.refit(&kb).unwrap();
+        assert_eq!(refit.len(), 2);
+        for (j, forest) in refit.iter().enumerate() {
+            assert_eq!(forest.arena(), p.forest(j).unwrap().arena(), "refit {j}");
+        }
     }
 
     #[test]

@@ -429,6 +429,12 @@ mod tests {
     use smartflux_wms::{FnStep, GraphBuilder, StepContext};
 
     fn session(training_waves: usize) -> SmartFluxSession {
+        session_with_bound(training_waves, 0.05)
+    }
+
+    /// `feed → agg`: the feed writes `100 + wave`, `agg` copies it under
+    /// `max_epsilon`.
+    fn session_with_bound(training_waves: usize, max_epsilon: f64) -> SmartFluxSession {
         let store = DataStore::new();
         let raw = ContainerRef::family("t", "raw");
         let out = ContainerRef::family("t", "out");
@@ -460,7 +466,7 @@ mod tests {
         )
         .reads(raw)
         .writes(out)
-        .error_bound(0.05);
+        .error_bound(max_epsilon);
 
         let config = EngineConfig::new()
             .with_training_waves(training_waves)
@@ -603,6 +609,28 @@ mod tests {
         let ran = s.run_training().unwrap();
         assert!(ran >= 15);
         assert_eq!(s.phase(), Phase::Application);
+    }
+
+    #[test]
+    fn retraining_measures_error_from_the_last_execution() {
+        let mut s = session_with_bound(20, 0.5);
+        s.run_training().unwrap();
+        s.run_waves(200).unwrap();
+        s.request_training(10);
+        s.run_wave().unwrap();
+        let diagnostics = s.diagnostics();
+        let first = diagnostics.last().unwrap();
+        assert!(first.training);
+        // `agg` last executed a few waves ago and its output has grown by
+        // a few percent since. Measured against where the previous
+        // training phase left its baseline, 200 waves back, ε saturates
+        // at 1 and the example reads "must execute".
+        assert!(
+            first.errors[0] > 0.0 && first.errors[0] < 0.5,
+            "ε {}",
+            first.errors[0]
+        );
+        assert_eq!(first.decisions, vec![false]);
     }
 
     #[test]

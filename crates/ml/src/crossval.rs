@@ -1,4 +1,6 @@
-//! Stratified k-fold cross-validation (the paper's 10-fold test phase).
+//! Stratified k-fold cross-validation (the paper's 10-fold test phase),
+//! and the model build it is part of: [`build_forests`] fits every fold
+//! forest and every final forest of a batch on one pool of workers.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -6,7 +8,9 @@ use rand::SeedableRng;
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
+use crate::forest::RandomForest;
 use crate::metrics::ConfusionMatrix;
+use crate::pool;
 use crate::Classifier;
 
 /// Produces stratified fold assignments: positives and negatives are split
@@ -83,12 +87,38 @@ impl CrossValResult {
     }
 }
 
+/// Fits `model` on the rows of `data` outside `held_out` and scores it on
+/// `held_out`: one fold of a test phase, building its own training set. A
+/// fold that leaves nothing to train on scores nothing.
+fn fit_fold<C: Classifier>(
+    mut model: C,
+    data: &Dataset,
+    held_out: &[usize],
+) -> Result<ConfusionMatrix, MlError> {
+    let mut held = vec![false; data.len()];
+    for &i in held_out {
+        held[i] = true;
+    }
+    let train_idx: Vec<usize> = (0..data.len()).filter(|&i| !held[i]).collect();
+    if train_idx.is_empty() {
+        return Ok(ConfusionMatrix::default());
+    }
+    model.fit(&data.subset(&train_idx))?;
+    let actual: Vec<bool> = held_out.iter().map(|&i| data.label(i)).collect();
+    let predicted: Vec<bool> = held_out
+        .iter()
+        .map(|&i| model.predict(data.features(i)))
+        .collect();
+    Ok(ConfusionMatrix::from_pairs(&actual, &predicted))
+}
+
 /// Runs k-fold cross-validation of `make_model` over `data`.
 ///
 /// `make_model` is called once per fold to obtain a fresh classifier, which
 /// is trained on the other `k−1` folds and evaluated on the held-out fold.
 /// This is how SmartFlux's test phase "assesses the quality of the trained
-/// model" before entering the application phase.
+/// model" before entering the application phase. The folds are fitted side
+/// by side, one per job, as [`build_forests`] fits a model build.
 ///
 /// # Errors
 ///
@@ -119,33 +149,158 @@ pub fn cross_validate<C, F>(
 ) -> Result<CrossValResult, MlError>
 where
     C: Classifier,
-    F: Fn() -> C,
+    F: Fn() -> C + Sync,
 {
     let folds = stratified_folds(data.y(), k, seed);
+    let scored = pool::run(folds.len(), pool::host_workers(), |f| {
+        fit_fold(make_model(), data, &folds[f])
+    });
     let mut pooled = ConfusionMatrix::default();
-    for held_out in &folds {
-        let mut held = vec![false; data.len()];
-        for &i in held_out {
-            held[i] = true;
-        }
-        let train_idx: Vec<usize> = (0..data.len()).filter(|&i| !held[i]).collect();
-        if train_idx.is_empty() {
-            continue;
-        }
-        let train = data.subset(&train_idx);
-        let mut model = make_model();
-        model.fit(&train)?;
-        let actual: Vec<bool> = held_out.iter().map(|&i| data.label(i)).collect();
-        let predicted: Vec<bool> = held_out
-            .iter()
-            .map(|&i| model.predict(data.features(i)))
-            .collect();
-        pooled.merge(&ConfusionMatrix::from_pairs(&actual, &predicted));
+    for confusion in scored {
+        pooled.merge(&confusion?);
     }
     Ok(CrossValResult {
         confusion: pooled,
         folds: folds.len(),
     })
+}
+
+/// One dataset's model build: an unfitted forest's final fit on all of
+/// `data`, after its k-fold test phase if
+/// [`cross_validated`](Self::cross_validated) set one.
+#[derive(Debug, Clone)]
+pub struct ForestBuild<'a> {
+    forest: RandomForest,
+    data: &'a Dataset,
+    /// The test phase's held-out folds; empty without one.
+    folds: Vec<Vec<usize>>,
+}
+
+impl<'a> ForestBuild<'a> {
+    /// `forest` (configured, unfitted) fitted on `data`, with no test phase.
+    #[must_use]
+    pub fn new(forest: RandomForest, data: &'a Dataset) -> Self {
+        Self {
+            forest,
+            data,
+            folds: Vec::new(),
+        }
+    }
+
+    /// Adds a test phase: a clone of the build's forest per
+    /// [`stratified_folds`]`(data, k, seed)` fold, fitted on the other
+    /// folds and scored on that one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < 2` or `k > data.len()`.
+    #[must_use]
+    pub fn cross_validated(mut self, k: usize, seed: u64) -> Self {
+        self.folds = stratified_folds(self.data.y(), k, seed);
+        self
+    }
+}
+
+/// What one [`ForestBuild`] produced.
+#[derive(Debug, Clone)]
+pub struct BuiltForest {
+    /// The forest fitted on all of the build's data.
+    pub forest: RandomForest,
+    /// The test phase's pooled held-out confusion; `None` without one.
+    pub cross_validation: Option<CrossValResult>,
+}
+
+/// What one job of [`build_forests`] fitted.
+enum Fitted {
+    /// A build's final forest.
+    Forest(RandomForest),
+    /// One held-out fold's confusion.
+    Fold(ConfusionMatrix),
+}
+
+/// Fits every forest of every build — each test phase's fold forests and
+/// each final forest — as independent jobs on one pool of workers, one per
+/// available hardware thread. Each forest is fitted on one thread and is a
+/// function of its data and seed alone, so the results are the same as
+/// fitting the forests one at a time, at any worker count.
+///
+/// # Errors
+///
+/// Returns the first training error in job order: the folds in build
+/// order, then the final fits.
+///
+/// # Example
+///
+/// ```
+/// use smartflux_ml::crossval::{build_forests, ForestBuild};
+/// use smartflux_ml::{Classifier, Dataset, RandomForest};
+///
+/// let data = Dataset::new(
+///     (0..40).map(|i| vec![i as f64]).collect(),
+///     (0..40).map(|i| i >= 20).collect(),
+/// ).unwrap();
+/// let build = ForestBuild::new(RandomForest::new(10).with_seed(3), &data)
+///     .cross_validated(5, 3);
+/// let built = build_forests(&[build]).unwrap();
+/// assert!(built[0].forest.predict(&[35.0]));
+/// assert!(built[0].cross_validation.unwrap().accuracy() > 0.9);
+/// ```
+pub fn build_forests(builds: &[ForestBuild<'_>]) -> Result<Vec<BuiltForest>, MlError> {
+    build_forests_with_workers(builds, pool::host_workers())
+}
+
+/// [`build_forests`] on at most `workers` threads: the seam the
+/// determinism oracle varies.
+pub(crate) fn build_forests_with_workers(
+    builds: &[ForestBuild<'_>],
+    workers: usize,
+) -> Result<Vec<BuiltForest>, MlError> {
+    // The folds go first: a fold forest is dropped inside its job, a final
+    // forest lives on, so fitting the finals last lets them reuse the
+    // folds' memory instead of adding the folds in flight to the peak.
+    let jobs: Vec<(usize, Option<usize>)> = builds
+        .iter()
+        .enumerate()
+        .flat_map(|(b, build)| (0..build.folds.len()).map(move |f| (b, Some(f))))
+        .chain((0..builds.len()).map(|b| (b, None)))
+        .collect();
+    let fitted = pool::run(jobs.len(), workers, |i| {
+        let (b, fold) = jobs[i];
+        let build = &builds[b];
+        match fold {
+            None => {
+                let mut forest = build.forest.clone();
+                forest.fit(build.data).map(|()| Fitted::Forest(forest))
+            }
+            Some(f) => {
+                fit_fold(build.forest.clone(), build.data, &build.folds[f]).map(Fitted::Fold)
+            }
+        }
+    });
+
+    let mut forests: Vec<Option<RandomForest>> = builds.iter().map(|_| None).collect();
+    let mut confusions = vec![ConfusionMatrix::default(); builds.len()];
+    for (&(b, _), fitted) in jobs.iter().zip(fitted) {
+        match fitted? {
+            Fitted::Forest(forest) => forests[b] = Some(forest),
+            Fitted::Fold(confusion) => confusions[b].merge(&confusion),
+        }
+    }
+    builds
+        .iter()
+        .zip(forests)
+        .zip(confusions)
+        .map(|((build, forest), confusion)| {
+            Ok(BuiltForest {
+                // Every build has a final-fit job, so this is never `None`.
+                forest: forest.ok_or(MlError::NotFitted)?,
+                cross_validation: (!build.folds.is_empty()).then_some(CrossValResult {
+                    confusion,
+                    folds: build.folds.len(),
+                }),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -227,6 +382,104 @@ mod tests {
         assert_eq!(r.folds, 10);
         assert!(r.accuracy() > 0.9, "accuracy {}", r.accuracy());
         assert!(r.recall() > 0.85);
+    }
+
+    /// Deterministic four-feature dataset: two near-continuous columns,
+    /// one with seven distinct values, an interacting label.
+    fn noisy(n: usize, seed: u64) -> Dataset {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (x, y) = (0..n)
+            .map(|_| {
+                let a = f64::from(rng.random_range(0..1000_u32)) / 100.0;
+                let b = f64::from(rng.random_range(0..100_u32)) / 10.0;
+                let c = f64::from(rng.random_range(0..7_u32));
+                let d = f64::from(rng.random_range(0..1000_u32)) / 250.0;
+                (vec![a, b, c, d], a + b * 0.5 > 7.5 || (c >= 4.0 && d > 2.0))
+            })
+            .unzip();
+        Dataset::new(x, y).unwrap()
+    }
+
+    /// A build fitted the way it was before the pool: each fold forest,
+    /// then the final forest, alone and in order on the calling thread,
+    /// with the training rows found by a plain `contains` scan.
+    fn build_alone(build: &ForestBuild<'_>) -> BuiltForest {
+        let data = build.data;
+        let cross_validation = (!build.folds.is_empty()).then(|| {
+            let mut confusion = ConfusionMatrix::default();
+            for held_out in &build.folds {
+                let train: Vec<usize> = (0..data.len()).filter(|i| !held_out.contains(i)).collect();
+                let mut model = build.forest.clone();
+                model.fit(&data.subset(&train)).unwrap();
+                for &i in held_out {
+                    let predicted = model.predict(data.features(i));
+                    confusion.merge(&ConfusionMatrix::from_pairs(&[data.label(i)], &[predicted]));
+                }
+            }
+            CrossValResult {
+                confusion,
+                folds: build.folds.len(),
+            }
+        });
+        let mut forest = build.forest.clone();
+        forest.fit(data).unwrap();
+        BuiltForest {
+            forest,
+            cross_validation,
+        }
+    }
+
+    #[test]
+    fn pooled_build_is_bit_identical_at_every_worker_count() {
+        let wide = [noisy(250, 2), noisy(250, 77)];
+        // A four-row, two-label knowledge base's per-label views: two
+        // folds of two rows each, and a label that never fires.
+        let x: Vec<Vec<f64>> = [0.5, 3.0, 1.5, 4.0].iter().map(|&v| vec![v]).collect();
+        let tiny = [
+            Dataset::new(x.clone(), vec![false, true, false, true]).unwrap(),
+            Dataset::new(x, vec![false; 4]).unwrap(),
+        ];
+        let forest = |seed: u64| RandomForest::new(13).with_max_depth(9).with_seed(seed);
+        let batch = vec![
+            ForestBuild::new(forest(2), &wide[0]).cross_validated(10, 2),
+            ForestBuild::new(forest(77), &wide[1]).cross_validated(10, 77),
+            ForestBuild::new(forest(5), &tiny[0]).cross_validated(2, 5),
+            ForestBuild::new(forest(6), &tiny[1]).cross_validated(2, 6),
+            // A recovery refit: final forests only.
+            ForestBuild::new(forest(2), &wide[0]),
+        ];
+        let expected: Vec<BuiltForest> = batch.iter().map(build_alone).collect();
+        let pooled = |built: &[BuiltForest]| {
+            let mut total = ConfusionMatrix::default();
+            for cv in built.iter().filter_map(|b| b.cross_validation) {
+                total.merge(&cv.confusion);
+            }
+            total
+        };
+        assert_eq!(expected[3].cross_validation.unwrap().confusion.tn, 4);
+
+        let host = pool::host_workers();
+        for workers in [1, 2, 3, 8, 64, host] {
+            let built = build_forests_with_workers(&batch, workers).unwrap();
+            assert_eq!(built.len(), expected.len());
+            for (b, (got, want)) in built.iter().zip(&expected).enumerate() {
+                // Arena equality is bitwise, NaN leaf thresholds included:
+                // equal arenas are equal forests, node for node.
+                assert_eq!(
+                    got.forest.arena(),
+                    want.forest.arena(),
+                    "build {b}, {workers} workers"
+                );
+                assert_eq!(
+                    got.cross_validation, want.cross_validation,
+                    "build {b}, {workers} workers"
+                );
+            }
+            assert_eq!(pooled(&built), pooled(&expected), "{workers} workers");
+        }
+        let built = build_forests(&batch).unwrap();
+        assert_eq!(pooled(&built), pooled(&expected), "build_forests");
     }
 
     #[test]

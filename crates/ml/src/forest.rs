@@ -1,7 +1,5 @@
 //! Random Forests — the paper's default learning approach.
 
-use std::num::NonZeroUsize;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -22,8 +20,9 @@ use crate::Classifier;
 /// SmartFlux to optimise for recall (fewer missed `maxε` violations at the
 /// cost of extra executions).
 ///
-/// [`fit`](Classifier::fit) grows the trees on one worker per available
-/// hardware thread; the fitted forest is bit-identical whatever that count.
+/// [`fit`](Classifier::fit) grows the trees on the calling thread. A model
+/// build's many forests are fitted side by side by
+/// [`build_forests`](crate::crossval::build_forests), one forest per job.
 ///
 /// # Example
 ///
@@ -214,86 +213,40 @@ impl RandomForest {
         }
         Ok(self.arena.predict_batch(samples))
     }
+}
 
-    /// [`fit`](Classifier::fit) on at most `workers` threads (one when
-    /// `workers` ≤ 1). The forest is bit-identical at every count: the
-    /// bootstrap samples are drawn before any tree is grown and each tree's
-    /// feature-subsampling seed derives from its index.
-    fn fit_with_workers(&mut self, data: &Dataset, workers: usize) -> Result<(), MlError> {
+impl Classifier for RandomForest {
+    /// Grows every tree on the calling thread, in ensemble order. Tree
+    /// `t`'s bootstrap sample is draws [t·n, (t+1)·n) of the forest's
+    /// seeded RNG and its feature-subsampling seed derives from `t`, so the
+    /// forest is a function of its data and seed alone, wherever it is
+    /// fitted.
+    fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
         if data.is_empty() {
             return Err(MlError::EmptyDataset); // `Dataset::subset(&[])`
         }
+        let view = Presorted::new(data)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // Bootstrap samples (with replacement) are drawn sequentially
-        // from the single forest RNG *before* any tree is fitted,
-        // preserving the historical draw order: tree `t` always receives
-        // draws [t·n, (t+1)·n), no matter how many workers then fit the
-        // trees. A sample is kept as how often each row was drawn — the
-        // grower walks the shared sort order with those counts as
-        // weights, so no tree copies or sorts a row. Per-tree feature
-        // subsampling is seeded from the tree index, so the fitted
-        // ensemble is bit-identical at every worker count.
+        // A sample is kept as how often each row was drawn — the grower
+        // walks the shared sort order with those counts as weights, so no
+        // tree copies or sorts a row. Growing a tree draws nothing from
+        // the forest RNG, so drawing each sample just before its tree
+        // gives the draws the order they had when all were drawn first.
         let n = data.len();
-        let mut draws = vec![0_u32; self.n_trees * n];
-        for sample in draws.chunks_exact_mut(n) {
+        let mut sample = vec![0_u32; n];
+        let mut trees = Vec::with_capacity(self.n_trees);
+        for t in 0..self.n_trees {
+            sample.fill(0);
             for _ in 0..n {
                 sample[rng.random_range(0..n)] += 1;
             }
-        }
-        let view = Presorted::new(data)?;
-
-        let fit_one = |t: usize, sample: &[u32]| -> DecisionTree {
             let mut tree = self.tree_config(data.n_features(), t);
-            tree.fit_presorted(&view, data.y(), sample);
-            tree
-        };
-
-        let workers = workers.min(self.n_trees);
-        let mut slots: Vec<Option<DecisionTree>> = Vec::new();
-        slots.resize_with(self.n_trees, || None);
-        if workers <= 1 {
-            for (t, (sample, slot)) in draws.chunks_exact(n).zip(&mut slots).enumerate() {
-                *slot = Some(fit_one(t, sample));
-            }
-        } else {
-            // Contiguous chunks keep every worker's output slots disjoint;
-            // scoped threads propagate worker panics at join, so no
-            // channel plumbing or unwraps are needed.
-            let per = self.n_trees.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (w, (sample_chunk, slot_chunk)) in
-                    draws.chunks(per * n).zip(slots.chunks_mut(per)).enumerate()
-                {
-                    let fit_one = &fit_one;
-                    scope.spawn(move || {
-                        for (i, (sample, slot)) in sample_chunk
-                            .chunks_exact(n)
-                            .zip(slot_chunk.iter_mut())
-                            .enumerate()
-                        {
-                            *slot = Some(fit_one(w * per + i, sample));
-                        }
-                    });
-                }
-            });
-        }
-
-        let mut trees = Vec::with_capacity(self.n_trees);
-        for slot in slots {
-            // Unreachable — the chunked loops fill every slot — but
-            // handled without panicking per the lib-code discipline.
-            trees.push(slot.ok_or(MlError::NotFitted)?);
+            tree.fit_presorted(&view, data.y(), &sample);
+            trees.push(tree);
         }
         self.trees = trees;
         self.rebuild_arena();
         Ok(())
-    }
-}
-
-impl Classifier for RandomForest {
-    fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.fit_with_workers(data, workers)
     }
 
     fn is_fitted(&self) -> bool {
@@ -321,6 +274,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::crossval::{build_forests_with_workers, ForestBuild};
     use crate::tree::tied_dataset;
 
     /// `fit` as it was before the presorted grower: every tree's
@@ -348,9 +302,9 @@ mod tests {
     }
 
     proptest! {
-        /// The forest half of the differential oracle: at every worker
-        /// count the presorted fit flattens to the arena of the reference
-        /// fit, node for node.
+        /// The forest half of the differential oracle: alone and in a
+        /// pooled batch at 1, 2 and 4 workers, the presorted fit flattens
+        /// to the arena of the reference fit, node for node.
         #[test]
         fn presorted_forest_arena_matches_reference(
             seed in any::<u64>(),
@@ -368,14 +322,15 @@ mod tests {
             let mut reference = config.clone();
             fit_reference(&mut reference, &data);
             let expected = reference.arena();
+            let batch = vec![ForestBuild::new(config.clone(), &data); 3];
             for workers in [1, 2, 4] {
-                let mut forest = config.clone();
-                forest.fit_with_workers(&data, workers).unwrap();
-                prop_assert_eq!(forest.arena(), expected, "{} workers", workers);
+                for built in build_forests_with_workers(&batch, workers).unwrap() {
+                    prop_assert_eq!(built.forest.arena(), expected, "{} workers", workers);
+                }
             }
             let mut forest = config.clone();
             forest.fit(&data).unwrap();
-            prop_assert_eq!(forest.arena(), expected, "host workers");
+            prop_assert_eq!(forest.arena(), expected, "alone");
         }
     }
 
@@ -474,47 +429,6 @@ mod tests {
         let batched = rf.predict_batch(&samples).unwrap();
         for (sample, p) in samples.iter().zip(&batched) {
             assert_eq!(rf.predict_proba(sample), *p);
-        }
-    }
-
-    /// Deterministic four-feature dataset: two near-continuous columns,
-    /// one with seven distinct values, an interacting label.
-    fn noisy(n: usize, seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (x, y) = (0..n)
-            .map(|_| {
-                let a = f64::from(rng.random_range(0..1000_u32)) / 100.0;
-                let b = f64::from(rng.random_range(0..100_u32)) / 10.0;
-                let c = f64::from(rng.random_range(0..7_u32));
-                let d = f64::from(rng.random_range(0..1000_u32)) / 250.0;
-                (vec![a, b, c, d], a + b * 0.5 > 7.5 || (c >= 4.0 && d > 2.0))
-            })
-            .unzip();
-        Dataset::new(x, y).unwrap()
-    }
-
-    #[test]
-    fn training_is_bit_identical_at_every_worker_count() {
-        let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        for seed in [2_u64, 77] {
-            let data = noisy(250, seed);
-            let config = RandomForest::new(13).with_max_depth(9).with_seed(seed);
-            let mut baseline = config.clone();
-            baseline.fit_with_workers(&data, 1).unwrap();
-            // Tree-for-tree identity, not just equal predictions: the arena
-            // holds every node bit for bit, so equal arenas mean equal forests.
-            for workers in [2, 3, 8, 64, host] {
-                let mut forest = config.clone();
-                forest.fit_with_workers(&data, workers).unwrap();
-                assert_eq!(
-                    forest.arena(),
-                    baseline.arena(),
-                    "seed={seed} workers={workers}"
-                );
-            }
-            let mut forest = config.clone();
-            forest.fit(&data).unwrap();
-            assert_eq!(forest.arena(), baseline.arena(), "seed={seed} fit");
         }
     }
 

@@ -10,7 +10,9 @@
 //!   `smartflux::Predictor`, which fits one [`RandomForest`] per
 //!   `MultiLabelDataset` label);
 //! - evaluation [`metrics`]: accuracy, precision, recall, F1, ROC AUC;
-//! - stratified k-fold [`crossval`] (the paper's 10-fold test phase).
+//! - stratified k-fold [`crossval`] (the paper's 10-fold test phase) and
+//!   [`crossval::build_forests`], which fits a model build's forests —
+//!   every fold and every final fit — side by side on one pool of workers.
 //!
 //! All training is deterministic given a seed; randomised algorithms take
 //! explicit seeds rather than global RNG state.
@@ -43,6 +45,7 @@ mod arena;
 mod dataset;
 mod error;
 mod forest;
+mod pool;
 mod tree;
 
 pub use arena::TreeArena;

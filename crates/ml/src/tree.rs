@@ -26,9 +26,9 @@ enum Node {
 /// A [`Dataset`] laid out for tree induction: feature values column-major
 /// and, per feature, the row ids in ascending value order.
 ///
-/// Built once per `fit` call — once per forest, shared by reference across
-/// its worker threads; once for a standalone tree — so no node of any tree
-/// sorts anything. Rows with equal values sit in whatever order the sort
+/// Built once per `fit` call — once per forest, shared by every tree it
+/// grows; once for a standalone tree — so no node of any tree sorts
+/// anything. Rows with equal values sit in whatever order the sort
 /// left them: no split candidate lies between equal values and the counts
 /// at a candidate cover every instance at or below it, so tie order never
 /// reaches a float (DESIGN.md §14, "Presorted induction").

@@ -2,8 +2,8 @@
 //!
 //! The flat struct-of-arrays arena and the batched predict path are pure
 //! performance work: both must be bit-identical to the original
-//! pointer-walking implementation (the forest's unit tests pin training
-//! at every worker count). These tests pin that equivalence with `==` on `f64`
+//! pointer-walking implementation (the crate's unit tests pin a pooled
+//! model build at every worker count). These tests pin that equivalence with `==` on `f64`
 //! (never a tolerance) across a grid of seeds, ensemble sizes, and
 //! depths. Forests are compared by their arenas, which `==` bit for bit.
 

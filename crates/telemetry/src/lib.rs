@@ -338,9 +338,11 @@ pub mod names {
     /// Latency of one ML-kernel inference pass (the flat-forest walk
     /// itself, excluding engine bookkeeping around the query).
     pub const ML_PREDICT_LATENCY: &str = "ml.predict_ns";
-    /// Latency of one ML-kernel training pass (per-label model fitting
-    /// only, excluding the cross-validated test phase that
-    /// [`TRAIN_LATENCY`] covers).
+    /// Latency of one ML-kernel fit batch: every forest of a model build
+    /// fitted side by side on one pool of workers — in a training phase's
+    /// build, every label's cross-validation folds and final forest; in a
+    /// recovery refit, the final forests only. [`TRAIN_LATENCY`] adds the
+    /// engine's bookkeeping around a training build.
     pub const ML_FIT_LATENCY: &str = "ml.fit_ns";
     /// Labels answered by the latest prediction pass (1 for per-step
     /// queries, the label count for whole-vector `predict_all` passes).

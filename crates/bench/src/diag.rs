@@ -6,7 +6,7 @@
 //! are omitted entirely instead of being emitted as all-zero objects —
 //! a run without fault injection has no `fault_tolerance` key, a run
 //! without a WAL has no `durability` key, and a run that never published
-//! shard statistics has no `store` key.
+//! store-lock statistics has no `store` key.
 
 use smartflux_telemetry::{names, MetricsSnapshot};
 
@@ -15,8 +15,9 @@ use smartflux_telemetry::{names, MetricsSnapshot};
 /// History: 1 = original flat layout with always-present sections;
 /// 2 = added `schema_version`, empty sections omitted;
 /// 3 = added the `static_analysis` section (tidy findings + lock-order
-/// graph summary), present whenever the workspace sources are reachable.
-pub const SCHEMA_VERSION: u64 = 3;
+/// graph summary), present whenever the workspace sources are reachable;
+/// 4 = the `store` section lost `shards` (the store has one lock).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// The `fault_tolerance` section, or `None` when the run saw no aborts,
 /// retries, failures, or SDF fallbacks (nothing to report).
@@ -52,19 +53,22 @@ pub fn durability_json(snapshot: &MetricsSnapshot) -> Option<String> {
     ))
 }
 
-/// The `store` section, or `None` when shard statistics were never
-/// published (the `store.shards` gauge is absent, not merely zero).
+/// The `store` section, or `None` when store-lock statistics were never
+/// published (the `store.shard_write_contention` gauge is absent, not
+/// merely zero).
 #[must_use]
 pub fn store_json(snapshot: &MetricsSnapshot) -> Option<String> {
-    if !snapshot.gauges.contains_key(names::STORE_SHARDS) {
+    if !snapshot
+        .gauges
+        .contains_key(names::STORE_SHARD_WRITE_CONTENTION)
+    {
         return None;
     }
     Some(format!(
-        "{{\"reads\":{},\"writes\":{},\"shards\":{},\"shard_read_contention\":{},\
+        "{{\"reads\":{},\"writes\":{},\"shard_read_contention\":{},\
          \"shard_write_contention\":{},\"quiesces\":{}}}",
         snapshot.counter(names::STORE_READS),
         snapshot.counter(names::STORE_WRITES),
-        snapshot.gauge(names::STORE_SHARDS),
         snapshot.gauge(names::STORE_SHARD_READ_CONTENTION),
         snapshot.gauge(names::STORE_SHARD_WRITE_CONTENTION),
         snapshot.gauge(names::STORE_QUIESCES),
@@ -154,15 +158,15 @@ mod tests {
         let t = Telemetry::enabled();
         t.counter(names::STEP_RETRIES).add(3);
         t.counter(names::WAL_RECORDS).add(7);
-        t.gauge(names::STORE_SHARDS).set(16);
+        t.gauge(names::STORE_SHARD_WRITE_CONTENTION).set(2);
         let snapshot = t.snapshot();
 
         let fault = fault_tolerance_json(&snapshot).expect("retries present");
         assert!(fault.contains("\"step_retries\":3"));
         let durability = durability_json(&snapshot).expect("wal present");
         assert!(durability.contains("\"wal_records\":7"));
-        let store = store_json(&snapshot).expect("shards gauge present");
-        assert!(store.contains("\"shards\":16"));
+        let store = store_json(&snapshot).expect("contention gauge present");
+        assert!(store.contains("\"shard_write_contention\":2"));
 
         let sections = optional_sections(&snapshot);
         assert!(sections.starts_with(",\"fault_tolerance\":{"));
@@ -186,11 +190,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_gauge_still_counts_as_published() {
+    fn zero_contention_gauge_still_counts_as_published() {
         // Presence, not value, decides: a published all-zero stats block
         // (e.g. a store that saw no contention) must stay visible.
         let t = Telemetry::enabled();
-        t.gauge(names::STORE_SHARDS).set(0);
+        t.gauge(names::STORE_SHARD_WRITE_CONTENTION).set(0);
         assert!(store_json(&t.snapshot()).is_some());
     }
 }

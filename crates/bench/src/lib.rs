@@ -275,5 +275,4 @@ pub mod exp {
     pub mod net_throughput;
     pub mod overhead;
     pub mod roc;
-    pub mod store_scaling;
 }

@@ -35,7 +35,7 @@ struct Change {
     /// The cell's interned key (index into [`WatchEntry::keys`]).
     slot: usize,
     /// Timestamps of the earliest and latest events folded in. Observers are
-    /// notified after the shard guard drops, so two writers of one cell can
+    /// notified after the store guard drops, so two writers of one cell can
     /// deliver out of order; the store timestamp says which `old` is the
     /// value at the mark and which `new` is the latest.
     first_ts: u64,
@@ -487,7 +487,7 @@ impl Monitor {
                 .collect()
         };
         for (pos, container) in tracked {
-            // Copied out under the shard guard alone, folded in under the
+            // Copied out under the store guard alone, folded in under the
             // monitor lock alone: the two are never nested. A container
             // that does not exist yet holds no cells.
             let cells = store

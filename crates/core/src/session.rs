@@ -144,7 +144,7 @@ impl SmartFluxSession {
         Ok(session)
     }
 
-    /// Publishes the store's shard-level concurrency counters as gauges.
+    /// Publishes the store's lock counters as gauges.
     ///
     /// Called at construction and after every wave.
     fn publish_shard_stats(&self) {
@@ -153,7 +153,7 @@ impl SmartFluxSession {
 
     /// The post-wave hook, run after every wave — completed or aborted,
     /// since an aborted wave still ends (and commits) in the engine:
-    /// refreshes the shard gauges and surfaces a durability failure the
+    /// refreshes the store gauges and surfaces a durability failure the
     /// engine recorded at the wave boundary (`end_wave` itself cannot
     /// return one). A durability failure outranks the wave's own: a step
     /// failure is retriable, lost data is not.
@@ -344,9 +344,9 @@ pub(crate) fn telemetry_for(
 }
 
 /// Feeds store operation timings into telemetry: read/write counters and
-/// latency histograms from `on_op`, plus a per-shard trace event for each
-/// write so store mutations appear as children of the step attempt that
-/// issued them in the wave's trace tree (reads are too hot to trace).
+/// latency histograms, plus a trace event for each write so store mutations
+/// appear as children of the step attempt that issued them in the wave's
+/// trace tree (reads are too hot to trace).
 struct StoreTelemetryObserver {
     telemetry: Telemetry,
 }
@@ -360,24 +360,18 @@ impl OpObserver for StoreTelemetryObserver {
         if op.is_write() {
             t.counter(names::STORE_WRITES).incr();
             t.histogram(names::STORE_WRITE_LATENCY).record(elapsed);
+            t.trace_event(names::STORE_WRITE_LATENCY, 0, elapsed);
         } else {
             t.counter(names::STORE_READS).incr();
             t.histogram(names::STORE_READ_LATENCY).record(elapsed);
         }
     }
-
-    fn on_shard_op(&self, op: OpKind, shard: usize, elapsed: Duration) {
-        if op.is_write() {
-            self.telemetry
-                .trace_event(names::STORE_WRITE_LATENCY, shard as u64, elapsed);
-        }
-    }
 }
 
-/// Publishes a store's [`ShardStats`] as `store.*` gauges — gauges (not
-/// counters) because the stats are already cumulative. Shared by the
-/// session (at construction and every wave boundary) and the evaluation
-/// harness (at the end of a run).
+/// Publishes a store's lock counters ([`ShardStats`]) as `store.*` gauges —
+/// gauges (not counters) because the stats are already cumulative. Shared
+/// by the session (at construction and every wave boundary) and the
+/// evaluation harness (at the end of a run).
 ///
 /// [`ShardStats`]: smartflux_datastore::ShardStats
 pub(crate) fn publish_shard_stats(telemetry: &Telemetry, store: &DataStore) {
@@ -385,9 +379,6 @@ pub(crate) fn publish_shard_stats(telemetry: &Telemetry, store: &DataStore) {
         return;
     }
     let stats = store.shard_stats();
-    telemetry
-        .gauge(names::STORE_SHARDS)
-        .set(stats.shards as i64);
     telemetry
         .gauge(names::STORE_SHARD_READ_CONTENTION)
         .set(i64::try_from(stats.read_contention).unwrap_or(i64::MAX));
@@ -510,7 +501,6 @@ mod tests {
     #[test]
     fn shard_gauges_are_published_with_telemetry_on() {
         let store = DataStore::new();
-        let shard_count = store.shard_stats().shards as i64;
         let raw = ContainerRef::family("t", "raw");
         let out = ContainerRef::family("t", "out");
         store.ensure_container(&raw).unwrap();
@@ -535,11 +525,10 @@ mod tests {
         let mut s = SmartFluxSession::new(wf, store, config).unwrap();
         s.run_waves(3).unwrap();
         let snap = s.telemetry().snapshot();
-        assert_eq!(
-            snap.gauge(smartflux_telemetry::names::STORE_SHARDS),
-            shard_count
-        );
-        // Single-threaded waves never contend on a shard lock.
+        assert!(snap
+            .gauges
+            .contains_key(smartflux_telemetry::names::STORE_SHARD_WRITE_CONTENTION));
+        // Single-threaded waves never contend on the store lock.
         assert_eq!(
             snap.gauge(smartflux_telemetry::names::STORE_SHARD_WRITE_CONTENTION),
             0
@@ -550,7 +539,7 @@ mod tests {
     fn aborted_wave_runs_the_post_wave_hook() {
         // Wave 3 aborts on a step failure *and* its wave-boundary checkpoint
         // fails. That wave must report the durability error (it outranks
-        // the retriable step failure) and refresh the shard gauges; wave 4
+        // the retriable step failure) and refresh the store gauges; wave 4
         // must not inherit it.
         use smartflux_durability::{DurabilityOptions, CHECKPOINT_FILE};
         let dir = std::env::temp_dir().join(format!("sf-session-abort-{}", std::process::id()));

@@ -156,7 +156,7 @@ fn mark(store: &DataStore, monitor: &Monitor, r: &mut Reference, t: &mut Tracked
 }
 
 /// Delivers the events recorded since the last quiescent point to the
-/// monitor, shuffled by `seed`: observers run after the shard guard drops,
+/// monitor, shuffled by `seed`: observers run after the store guard drops,
 /// so concurrent writers may deliver in any order.
 fn deliver(monitor: &Monitor, pending: &Mutex<Vec<WriteEvent>>, seed: &mut u64) {
     let mut events = std::mem::take(&mut *pending.lock());

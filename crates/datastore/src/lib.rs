@@ -34,11 +34,13 @@
 //!
 //! # Concurrency
 //!
-//! The store is hash-sharded by container: each `(table, family)` pair maps
-//! to one of sixteen shards, each behind its own reader-writer lock, with a
-//! single atomic logical clock ordering all writes. The layout is fixed —
-//! a store's contents, timestamps and clock never depend on it — and
-//! [`DataStore::shard_stats`] exposes its contention counters. See
+//! The store is one reader-writer lock over all of its tables, with a
+//! single atomic logical clock, ticked inside the write guard, ordering all
+//! writes. Every operation takes the guard once; observers run after it is
+//! released, so they may call back into the store. The closures that
+//! [`DataStore::fold_cells`] and [`FamilyHandle::for_each_row`] take run
+//! *under* the read guard and must not: a write from inside one deadlocks.
+//! [`DataStore::shard_stats`] exposes the lock's contention counters. See
 //! `DESIGN.md` §11 for the full model.
 //!
 //! # Family handles
@@ -79,7 +81,6 @@ mod container;
 mod error;
 mod observer;
 mod scan;
-mod shard;
 mod snapshot;
 mod state;
 mod store;
@@ -94,9 +95,8 @@ pub use observer::{
     WriteRef,
 };
 pub use scan::{RowScan, ScanFilter};
-pub use shard::ShardStats;
 pub use snapshot::{SlotChange, Snapshot, SnapshotDiff};
 pub use state::{CellState, FamilyState, StoreState, TableState};
-pub use store::{DataStore, FamilyHandle};
+pub use store::{DataStore, FamilyHandle, ShardStats};
 pub use table::{ColumnFamily, Row, Table};
 pub use value::Value;

@@ -296,14 +296,6 @@ impl fmt::Display for OpKind {
 pub trait OpObserver: Send + Sync {
     /// Called once per completed store operation.
     fn on_op(&self, op: OpKind, elapsed: Duration);
-
-    /// Called once per completed store operation with the shard that
-    /// served it. Default is a no-op so shard-agnostic observers (and the
-    /// blanket closure impl) need not care; the observability plane
-    /// overrides it to attribute latency and trace events per shard.
-    fn on_shard_op(&self, op: OpKind, shard: usize, elapsed: Duration) {
-        let _ = (op, shard, elapsed);
-    }
 }
 
 impl<F> OpObserver for F

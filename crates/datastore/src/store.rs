@@ -2,21 +2,17 @@
 //!
 //! # Concurrency model
 //!
-//! The store is hash-sharded: each `(table, family)` container lives on
-//! exactly one shard (see [`crate::shard`]), and each shard is guarded by
-//! its own reader-writer lock, so steps touching different containers
-//! proceed without contention. Write timestamps come from one atomic
+//! The store is one reader-writer lock over its [`Tables`]: every table,
+//! every family and the name index over them. Each operation takes the
+//! guard once — a read guard to read, the write guard to write — resolves
+//! its family under it and is done. Write timestamps come from one atomic
 //! logical clock, advanced only for mutations that actually apply (never
 //! for rejected writes or absent-cell deletes) and always *inside* the
-//! owning shard's write guard, which makes per-cell timestamp order
-//! identical to apply order and every tick correspond to exactly one
-//! observable [`WriteRef`]. A table
-//! registry (names only) backs existence checks for tables whose families
-//! are spread across shards; lock order is registry → shard, and a shard
-//! guard is always dropped before the registry is consulted on an error
-//! path. Observer callbacks never run under any guard.
+//! write guard, which makes per-cell timestamp order identical to apply
+//! order and every tick correspond to exactly one observable [`WriteRef`].
+//! Observer callbacks never run under the guard.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,7 +28,6 @@ use crate::observer::{
     WriteKind, WriteObserver, WriteRef,
 };
 use crate::scan::{RowScan, ScanFilter};
-use crate::shard::{shard_index, ShardStats, SHARDS};
 use crate::snapshot::Snapshot;
 use crate::state::{CellState, FamilyState, StoreState, TableState};
 use crate::table::{ColumnFamily, Row};
@@ -42,14 +37,13 @@ mod handle;
 
 pub use handle::FamilyHandle;
 
-/// Per-shard payload: a name index over the families placed on this shard.
-///
-/// A table entry exists on a shard once one of its families hashed there.
+/// Everything the store holds, behind its one lock.
 #[derive(Default)]
-struct ShardData {
-    /// `table → family → slot` in `families`. Nested so a lookup works from
-    /// `&str` keys without allocating; ordered so an export walks families
-    /// by name whatever order they were created in.
+struct Tables {
+    /// `table → family → slot` in `families`. A table with no family yet is
+    /// an empty entry. Nested so a lookup works from `&str` keys without
+    /// allocating; ordered so tables and families list by name whatever
+    /// order they were created in.
     index: BTreeMap<String, BTreeMap<String, usize>>,
     /// The families, in creation order. None is ever removed, so a slot
     /// stays valid for the store's life — what lets a [`FamilyHandle`]
@@ -57,33 +51,41 @@ struct ShardData {
     families: Vec<ColumnFamily>,
 }
 
-/// A family's address: its names, the shard they hash to and — once
-/// resolved — its slot there. String-addressed calls carry `slot: None` and
-/// resolve under the guard the operation takes anyway.
+/// A family's address: its names and — once resolved — its slot.
+/// String-addressed calls carry `slot: None` and resolve under the guard
+/// the operation takes anyway.
 #[derive(Debug, Clone, Copy)]
 struct FamilyAddr<'a> {
     table: &'a str,
     family: &'a str,
-    shard: usize,
     slot: Option<usize>,
 }
 
-#[derive(Default)]
-struct Shard {
-    data: RwLock<ShardData>,
+/// A point-in-time view of the store lock's counters.
+///
+/// Contention is counted optimistically: each lock acquisition first tries
+/// a non-blocking grab and bumps the matching counter only when it has to
+/// fall back to a blocking wait, so the counters measure *actual* lock
+/// waits, not traffic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Read acquisitions that had to block on a writer.
+    pub read_contention: u64,
+    /// Write acquisitions that had to block on another holder.
+    pub write_contention: u64,
+    /// State exports taken ([`DataStore::export_state`] calls).
+    pub quiesces: u64,
+}
+
+struct StoreShared {
+    tables: RwLock<Tables>,
     // tidy:atomic(read_contention: relaxed): monitoring counter; no other data is ordered by it
     read_contention: AtomicU64,
     // tidy:atomic(write_contention: relaxed): monitoring counter; no other data is ordered by it
     write_contention: AtomicU64,
-}
-
-struct StoreShared {
-    shards: Box<[Shard]>,
-    /// All table names, including tables with no families yet.
-    registry: RwLock<BTreeSet<String>>,
-    /// Logical write clock. Only advanced while holding the write guard of
-    /// the shard being mutated, so per-cell timestamps order like applies.
-    // tidy:atomic(clock: load=acquire, store=release, rmw=relaxed): advances happen under the shard write guard, so rmw needs no extra ordering; recovery publishes a restored clock with release and snapshot readers pair with acquire
+    /// Logical write clock. Only advanced while holding the write guard,
+    /// so per-cell timestamps order like applies.
+    // tidy:atomic(clock: load=acquire, store=release, rmw=relaxed): advances happen under the write guard, so rmw needs no extra ordering; recovery publishes a restored clock with release and snapshot readers pair with acquire
     clock: AtomicU64,
     // tidy:atomic(quiesces: relaxed): monitoring counter; no other data is ordered by it
     quiesces: AtomicU64,
@@ -131,11 +133,11 @@ pub struct DataStore {
 
 impl Default for DataStore {
     fn default() -> Self {
-        let shards: Box<[Shard]> = (0..SHARDS).map(|_| Shard::default()).collect();
         Self {
             shared: Arc::new(StoreShared {
-                shards,
-                registry: RwLock::new(BTreeSet::new()),
+                tables: RwLock::new(Tables::default()),
+                read_contention: AtomicU64::new(0),
+                write_contention: AtomicU64::new(0),
                 clock: AtomicU64::new(0),
                 quiesces: AtomicU64::new(0),
             }),
@@ -155,19 +157,21 @@ impl DataStore {
         Self::default()
     }
 
-    /// Point-in-time shard-level concurrency counters.
+    /// Point-in-time counters of the store lock: blocking read and write
+    /// acquisitions, and state exports.
+    ///
+    /// The method, its type and the `store.shard_*` gauges fed from it keep
+    /// the names they had when the store was sharded: `benchmark/` reads
+    /// `write_contention` and `diagnose scrape` requires the
+    /// `store.shard_write_contention` gauge, so renaming them waits for the
+    /// next re-baseline of `benchmark/`.
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
-        let mut stats = ShardStats {
-            shards: self.shared.shards.len(),
+        ShardStats {
+            read_contention: self.shared.read_contention.load(Ordering::Relaxed),
+            write_contention: self.shared.write_contention.load(Ordering::Relaxed),
             quiesces: self.shared.quiesces.load(Ordering::Relaxed),
-            ..ShardStats::default()
-        };
-        for shard in self.shared.shards.iter() {
-            stats.read_contention += shard.read_contention.load(Ordering::Relaxed);
-            stats.write_contention += shard.write_contention.load(Ordering::Relaxed);
         }
-        stats
     }
 
     /// Creates a table.
@@ -176,11 +180,7 @@ impl DataStore {
     ///
     /// Returns [`StoreError::TableExists`] if the name is taken.
     pub fn create_table(&self, name: &str) -> Result<(), StoreError> {
-        let mut registry = self.shared.registry.write();
-        if !registry.insert(name.to_owned()) {
-            return Err(StoreError::TableExists(name.to_owned()));
-        }
-        Ok(())
+        self.lock_write().create_table(name)
     }
 
     /// Creates a column family inside an existing table.
@@ -190,26 +190,7 @@ impl DataStore {
     /// Returns [`StoreError::TableNotFound`] if the table does not exist and
     /// [`StoreError::FamilyExists`] if the family name is taken.
     pub fn create_family(&self, table: &str, family: &str) -> Result<(), StoreError> {
-        // Lock order: registry before shard. The registry guard is held
-        // across the shard write so the table cannot vanish mid-create
-        // (no drop-table API today, but the ordering keeps it deadlock-free
-        // if one arrives).
-        let registry = self.shared.registry.read();
-        if !registry.contains(table) {
-            return Err(StoreError::TableNotFound(table.to_owned()));
-        }
-        let mut data = self.shard_mut(shard_index(table, family));
-        let ShardData { index, families } = &mut *data;
-        let slots = index.entry(table.to_owned()).or_default();
-        if slots.contains_key(family) {
-            return Err(StoreError::FamilyExists {
-                table: table.to_owned(),
-                family: family.to_owned(),
-            });
-        }
-        slots.insert(family.to_owned(), families.len());
-        families.push(ColumnFamily::new());
-        Ok(())
+        self.lock_write().create_family(table, family).map(drop)
     }
 
     /// Creates a table and family in one call, ignoring pre-existing ones.
@@ -233,7 +214,7 @@ impl DataStore {
     /// Returns `true` if the table exists.
     #[must_use]
     pub fn has_table(&self, name: &str) -> bool {
-        self.shared.registry.read().contains(name)
+        self.lock_read().index.contains_key(name)
     }
 
     /// Resolves `(table, family)` once and returns a handle whose reads and
@@ -249,7 +230,7 @@ impl DataStore {
         table: &'a str,
         family: &'a str,
     ) -> Result<FamilyHandle<'a>, StoreError> {
-        let mut at = self.addr(table, family);
+        let mut at = addr(table, family);
         let Some(slot) = self.read_at(&at).map(|(_, slot)| slot) else {
             return Err(self.missing(&at));
         };
@@ -268,9 +249,7 @@ impl DataStore {
     /// write does **not** advance the logical clock: the container is
     /// resolved first and the timestamp is only drawn once the mutation
     /// is guaranteed to apply, so every tick corresponds to exactly one
-    /// observable [`WriteRef`]. (The original global-lock
-    /// implementation ticked before resolving the container, leaving
-    /// gaps in the timestamp sequence on rejected writes.)
+    /// observable [`WriteRef`].
     pub fn put(
         &self,
         table: &str,
@@ -279,7 +258,7 @@ impl DataStore {
         qualifier: &str,
         value: Value,
     ) -> Result<Option<Value>, StoreError> {
-        self.put_at(&self.addr(table, family), self, row, qualifier, value)
+        self.put_at(&addr(table, family), self, row, qualifier, value)
     }
 
     /// [`put`](Self::put) on the family at `at`, observers reached `via` the
@@ -292,7 +271,7 @@ impl DataStore {
         qualifier: &str,
         value: Value,
     ) -> Result<Option<Value>, StoreError> {
-        self.timed(OpKind::Put, 1, at.shard, || {
+        self.timed(OpKind::Put, 1, || {
             // The cell takes `value`; observers get the one copy kept here,
             // and an unobserved write keeps none.
             let new = via.observed().then(|| value.clone());
@@ -300,8 +279,8 @@ impl DataStore {
                 return Err(self.missing(at));
             };
             // Tick only now that the write is certain to apply. The tick
-            // happens inside the shard write guard, so the timestamp
-            // order matches the apply order within the shard.
+            // happens inside the write guard, so the timestamp order
+            // matches the apply order.
             let ts = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
             let old = data.families[slot].put_cell(row, qualifier, value, ts);
             drop(data);
@@ -334,7 +313,7 @@ impl DataStore {
         row: &str,
         cells: [(&str, Value); N],
     ) -> Result<[Option<Value>; N], StoreError> {
-        self.timed(OpKind::Put, N, at.shard, || {
+        self.timed(OpKind::Put, N, || {
             let observed = via.observed();
             let written = cells
                 .each_ref()
@@ -384,7 +363,7 @@ impl DataStore {
         row: &str,
         qualifier: &str,
     ) -> Result<Option<Value>, StoreError> {
-        self.delete_at(&self.addr(table, family), self, row, qualifier)
+        self.delete_at(&addr(table, family), self, row, qualifier)
     }
 
     /// [`delete`](Self::delete) on the family at `at`, observers reached
@@ -396,13 +375,13 @@ impl DataStore {
         row: &str,
         qualifier: &str,
     ) -> Result<Option<Value>, StoreError> {
-        self.timed(OpKind::Delete, 1, at.shard, || {
+        self.timed(OpKind::Delete, 1, || {
             let Some((mut data, slot)) = self.write_at(at) else {
                 return Err(self.missing(at));
             };
             let old = data.families[slot].delete_cell(row, qualifier);
             // Tick only when a value was actually removed, inside the
-            // shard guard so timestamp order matches apply order.
+            // write guard so timestamp order matches apply order.
             let ts = old
                 .is_some()
                 .then(|| self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1);
@@ -438,11 +417,11 @@ impl DataStore {
         row: &str,
         qualifier: &str,
     ) -> Result<Option<Value>, StoreError> {
-        self.read_cell(&self.addr(table, family), row, qualifier, |v| v.cloned())
+        self.read_cell(&addr(table, family), row, qualifier, |v| v.cloned())
     }
 
     /// One `get` on the family at `at`: runs `f` on the cell's current
-    /// value in place, under the shard read guard, and returns what it kept.
+    /// value in place, under the read guard, and returns what it kept.
     fn read_cell<T>(
         &self,
         at: &FamilyAddr<'_>,
@@ -450,7 +429,7 @@ impl DataStore {
         qualifier: &str,
         f: impl FnOnce(Option<&Value>) -> T,
     ) -> Result<T, StoreError> {
-        self.timed(OpKind::Get, 1, at.shard, || {
+        self.timed(OpKind::Get, 1, || {
             let Some((data, slot)) = self.read_at(at) else {
                 return Err(self.missing(at));
             };
@@ -470,13 +449,16 @@ impl DataStore {
         family: &str,
         filter: &ScanFilter,
     ) -> Result<Vec<RowScan>, StoreError> {
-        let at = self.addr(table, family);
-        self.timed(OpKind::Scan, 1, at.shard, || {
+        let at = addr(table, family);
+        self.timed(OpKind::Scan, 1, || {
             let Some((data, slot)) = self.read_at(&at) else {
                 return Err(self.missing(&at));
             };
             let mut out = Vec::new();
             for (key, row) in data.families[slot].iter() {
+                if filter.limit.is_some_and(|l| out.len() >= l) {
+                    break;
+                }
                 if !filter.matches_row(key) {
                     continue;
                 }
@@ -492,22 +474,19 @@ impl DataStore {
                     key: key.to_owned(),
                     columns,
                 });
-                if filter.limit.is_some_and(|l| out.len() >= l) {
-                    break;
-                }
             }
             Ok(out)
         })
     }
 
     /// One scan of the family at `at`: `f` sees every row, in key order,
-    /// under the shard read guard.
+    /// under the read guard.
     fn visit_rows(
         &self,
         at: &FamilyAddr<'_>,
         mut f: impl FnMut(&str, &Row),
     ) -> Result<(), StoreError> {
-        self.timed(OpKind::Scan, 1, at.shard, || {
+        self.timed(OpKind::Scan, 1, || {
             let Some((data, slot)) = self.read_at(at) else {
                 return Err(self.missing(at));
             };
@@ -518,18 +497,15 @@ impl DataStore {
         })
     }
 
-    /// Captures a point-in-time snapshot of a container's current values.
-    ///
-    /// A container lives entirely on one shard, so the snapshot is taken
-    /// under a single shard read guard and is always self-consistent —
-    /// concurrent writers to *other* containers are not blocked.
+    /// Captures a point-in-time snapshot of a container's current values,
+    /// under one read guard: it is always self-consistent.
     ///
     /// # Errors
     ///
     /// Returns an error if the container's table or family does not exist.
     pub fn snapshot(&self, container: &ContainerRef) -> Result<Snapshot, StoreError> {
-        let at = self.addr(container.table(), container.family_name());
-        self.timed(OpKind::Snapshot, 1, at.shard, || {
+        let at = addr(container.table(), container.family_name());
+        self.timed(OpKind::Snapshot, 1, || {
             let Some((data, slot)) = self.read_at(&at) else {
                 return Err(self.missing(&at));
             };
@@ -549,8 +525,9 @@ impl DataStore {
     /// `(row, qualifier)` order — the order [`snapshot`](Self::snapshot)
     /// iterates in — without copying a key or a value.
     ///
-    /// `f` runs under the owning shard's read guard: it must not call back
-    /// into the store.
+    /// `f` runs under the store's read guard, so it must not call back into
+    /// the store: a write from inside it deadlocks every time, and so does
+    /// a read whenever a writer is waiting for the lock.
     ///
     /// # Errors
     ///
@@ -561,8 +538,8 @@ impl DataStore {
         init: T,
         mut f: impl FnMut(T, &str, &str, &Value) -> T,
     ) -> Result<T, StoreError> {
-        let at = self.addr(container.table(), container.family_name());
-        self.timed(OpKind::Scan, 1, at.shard, || {
+        let at = addr(container.table(), container.family_name());
+        self.timed(OpKind::Scan, 1, || {
             let Some((data, slot)) = self.read_at(&at) else {
                 return Err(self.missing(&at));
             };
@@ -584,7 +561,7 @@ impl DataStore {
     ///
     /// Returns an error if the container's table or family does not exist.
     pub fn cell_count(&self, container: &ContainerRef) -> Result<usize, StoreError> {
-        let at = self.addr(container.table(), container.family_name());
+        let at = addr(container.table(), container.family_name());
         let Some((data, slot)) = self.read_at(&at) else {
             return Err(self.missing(&at));
         };
@@ -638,10 +615,9 @@ impl DataStore {
     }
 
     /// Runs `op_body` — `count` operations of kind `op` in one — reporting
-    /// each with an equal share of the duration (and the serving shard) to
-    /// op observers — unless none is registered, in which case nothing is
-    /// measured at all.
-    fn timed<T>(&self, op: OpKind, count: usize, shard: usize, op_body: impl FnOnce() -> T) -> T {
+    /// each with an equal share of the duration to op observers — unless
+    /// none is registered, in which case nothing is measured at all.
+    fn timed<T>(&self, op: OpKind, count: usize, op_body: impl FnOnce() -> T) -> T {
         if self.op_observer_count.load(Ordering::Relaxed) == 0 {
             return op_body();
         }
@@ -657,7 +633,6 @@ impl DataStore {
         for _ in 0..count {
             for obs in observers.iter() {
                 obs.on_op(op, elapsed);
-                obs.on_shard_op(op, shard, elapsed);
             }
         }
         out
@@ -697,7 +672,7 @@ impl DataStore {
         value: Value,
         ts: Timestamp,
     ) -> Result<(), StoreError> {
-        self.apply_put_at(&self.addr(table, family), row, qualifier, value, ts)
+        self.apply_put_at(&addr(table, family), row, qualifier, value, ts)
     }
 
     /// [`apply_put`](Self::apply_put) on the family at `at`.
@@ -731,7 +706,7 @@ impl DataStore {
         row: &str,
         qualifier: &str,
     ) -> Result<(), StoreError> {
-        self.apply_delete_at(&self.addr(table, family), row, qualifier)
+        self.apply_delete_at(&addr(table, family), row, qualifier)
     }
 
     /// [`apply_delete`](Self::apply_delete) on the family at `at`.
@@ -756,56 +731,37 @@ impl DataStore {
     ///
     /// # Consistency
     ///
-    /// The export briefly *quiesces writers*: it takes a read guard on
-    /// every shard (in index order) before serializing anything. Because
-    /// the clock only advances inside a shard write guard, the clock value
-    /// read under the all-shard read guards is an exact consistent cut —
-    /// the state contains every write with `ts ≤ clock` and none after.
-    /// Concurrent readers are unaffected; writers block for the duration
-    /// of the copy.
+    /// The export is taken under one read guard. Because the clock only
+    /// advances inside the write guard, the clock read under it is an exact
+    /// consistent cut — the state contains every write with `ts ≤ clock`
+    /// and none after. Concurrent readers are unaffected; writers block for
+    /// the duration of the copy.
     #[must_use]
     pub fn export_state(&self) -> StoreState {
         self.shared.quiesces.fetch_add(1, Ordering::Relaxed);
-        let registry = self.shared.registry.read();
-        let guards: Vec<RwLockReadGuard<'_, ShardData>> = self
-            .shared
-            .shards
-            .iter()
-            .map(|shard| shard.data.read())
-            .collect();
+        let data = self.lock_read();
         let clock = self.shared.clock.load(Ordering::Acquire);
-        let tables = registry
+        let tables = data
+            .index
             .iter()
-            .map(|name| {
-                // A table's families are spread across shards; each family
-                // lives wholly on one shard. Merge and re-sort by name so
-                // the layout matches a single-shard export byte for byte.
-                let mut families: Vec<FamilyState> = Vec::new();
-                for guard in &guards {
-                    let Some(slots) = guard.index.get(name.as_str()) else {
-                        continue;
-                    };
-                    for (fname, &slot) in slots {
-                        families.push(FamilyState {
-                            name: fname.clone(),
-                            cells: guard.families[slot]
-                                .iter()
-                                .flat_map(|(row, r)| {
-                                    r.iter().map(move |(q, ts, value)| CellState {
-                                        row: row.to_owned(),
-                                        qualifier: q.to_owned(),
-                                        versions: [(ts, value.clone())],
-                                    })
+            .map(|(name, slots)| TableState {
+                name: name.clone(),
+                families: slots
+                    .iter()
+                    .map(|(fname, &slot)| FamilyState {
+                        name: fname.clone(),
+                        cells: data.families[slot]
+                            .iter()
+                            .flat_map(|(row, r)| {
+                                r.iter().map(move |(q, ts, value)| CellState {
+                                    row: row.to_owned(),
+                                    qualifier: q.to_owned(),
+                                    versions: [(ts, value.clone())],
                                 })
-                                .collect(),
-                        });
-                    }
-                }
-                families.sort_by(|a, b| a.name.cmp(&b.name));
-                TableState {
-                    name: name.clone(),
-                    families,
-                }
+                            })
+                            .collect(),
+                    })
+                    .collect(),
             })
             .collect();
         StoreState { clock, tables }
@@ -823,15 +779,11 @@ impl DataStore {
     /// Returns an error if the state names a duplicate table or family.
     pub fn from_state(state: StoreState) -> Result<Self, StoreError> {
         let store = Self::new();
+        let mut data = store.lock_write();
         for table in state.tables {
-            store.create_table(&table.name)?;
+            data.create_table(&table.name)?;
             for family in table.families {
-                store.create_family(&table.name, &family.name)?;
-                // One resolution and one guard for all of the family's cells.
-                let at = store.addr(&table.name, &family.name);
-                let Some((mut data, slot)) = store.write_at(&at) else {
-                    return Err(store.missing(&at));
-                };
+                let slot = data.create_family(&table.name, &family.name)?;
                 let fam = &mut data.families[slot];
                 for cell in family.cells {
                     let [(ts, value)] = cell.versions;
@@ -839,6 +791,7 @@ impl DataStore {
                 }
             }
         }
+        drop(data);
         store.set_clock(state.clock);
         Ok(store)
     }
@@ -846,7 +799,7 @@ impl DataStore {
     /// Names of all tables, in order.
     #[must_use]
     pub fn table_names(&self) -> Vec<String> {
-        self.shared.registry.read().iter().cloned().collect()
+        self.lock_read().index.keys().cloned().collect()
     }
 
     /// The bus's generation as the lock-free hint has it.
@@ -861,43 +814,32 @@ impl DataStore {
         (bus.generation(), bus.snapshot())
     }
 
-    /// Where `(table, family)` lives, as far as its names say.
+    /// Takes the read guard and finds the family at `at` under it — the one
+    /// place a read resolves its family. `None`, with the guard dropped
+    /// again, when it is not there: see [`Self::missing`].
     #[inline]
-    fn addr<'a>(&self, table: &'a str, family: &'a str) -> FamilyAddr<'a> {
-        FamilyAddr {
-            table,
-            family,
-            shard: shard_index(table, family),
-            slot: None,
-        }
-    }
-
-    /// Takes the read guard of `at`'s shard and finds the family's slot
-    /// under it — the one place a read resolves its family. `None`, with
-    /// the guard dropped again, when it is not there: see [`Self::missing`].
-    #[inline]
-    fn read_at(&self, at: &FamilyAddr<'_>) -> Option<(RwLockReadGuard<'_, ShardData>, usize)> {
-        let data = self.shard_ref(at.shard);
+    fn read_at(&self, at: &FamilyAddr<'_>) -> Option<(RwLockReadGuard<'_, Tables>, usize)> {
+        let data = self.lock_read();
         let slot = data.slot(at)?;
         Some((data, slot))
     }
 
-    /// Takes the write guard of `at`'s shard and finds the family's slot
-    /// under it — the one place a write resolves its family; `None` as for
+    /// Takes the write guard and finds the family at `at` under it — the
+    /// one place a write resolves its family; `None` as for
     /// [`read_at`](Self::read_at). The caller drops the guard before it
     /// notifies anyone.
     #[inline]
-    fn write_at(&self, at: &FamilyAddr<'_>) -> Option<(RwLockWriteGuard<'_, ShardData>, usize)> {
-        let data = self.shard_mut(at.shard);
+    fn write_at(&self, at: &FamilyAddr<'_>) -> Option<(RwLockWriteGuard<'_, Tables>, usize)> {
+        let data = self.lock_write();
         let slot = data.slot(at)?;
         Some((data, slot))
     }
 
     /// Why nothing was found at `at`: "table missing" or "family missing".
-    /// Lock order: the resolver has dropped its shard guard — the registry
-    /// is never acquired under a shard guard.
+    /// Called once the resolver has dropped its guard, so the error stays
+    /// off the hot path's return.
     fn missing(&self, at: &FamilyAddr<'_>) -> StoreError {
-        if self.shared.registry.read().contains(at.table) {
+        if self.lock_read().index.contains_key(at.table) {
             StoreError::FamilyNotFound {
                 table: at.table.to_owned(),
                 family: at.family.to_owned(),
@@ -907,34 +849,67 @@ impl DataStore {
         }
     }
 
-    /// Acquires a shard's read guard, counting blocking acquisitions.
-    fn shard_ref(&self, idx: usize) -> RwLockReadGuard<'_, ShardData> {
-        let shard = &self.shared.shards[idx];
-        if let Some(guard) = shard.data.try_read() {
+    /// Acquires the read guard, counting blocking acquisitions.
+    fn lock_read(&self) -> RwLockReadGuard<'_, Tables> {
+        if let Some(guard) = self.shared.tables.try_read() {
             return guard;
         }
-        shard.read_contention.fetch_add(1, Ordering::Relaxed);
-        shard.data.read()
+        self.shared.read_contention.fetch_add(1, Ordering::Relaxed);
+        self.shared.tables.read()
     }
 
-    /// Acquires a shard's write guard, counting blocking acquisitions.
-    fn shard_mut(&self, idx: usize) -> RwLockWriteGuard<'_, ShardData> {
-        let shard = &self.shared.shards[idx];
-        if let Some(guard) = shard.data.try_write() {
+    /// Acquires the write guard, counting blocking acquisitions.
+    fn lock_write(&self) -> RwLockWriteGuard<'_, Tables> {
+        if let Some(guard) = self.shared.tables.try_write() {
             return guard;
         }
-        shard.write_contention.fetch_add(1, Ordering::Relaxed);
-        shard.data.write()
+        self.shared.write_contention.fetch_add(1, Ordering::Relaxed);
+        self.shared.tables.write()
     }
 }
 
-impl ShardData {
+/// The unresolved address of `(table, family)`.
+#[inline]
+fn addr<'a>(table: &'a str, family: &'a str) -> FamilyAddr<'a> {
+    FamilyAddr {
+        table,
+        family,
+        slot: None,
+    }
+}
+
+impl Tables {
     /// The slot of the family at `at`: the one a handle resolved, else the
     /// name index's.
     #[inline]
     fn slot(&self, at: &FamilyAddr<'_>) -> Option<usize> {
         at.slot
             .or_else(|| self.index.get(at.table)?.get(at.family).copied())
+    }
+
+    fn create_table(&mut self, name: &str) -> Result<(), StoreError> {
+        if self.index.contains_key(name) {
+            return Err(StoreError::TableExists(name.to_owned()));
+        }
+        self.index.insert(name.to_owned(), BTreeMap::new());
+        Ok(())
+    }
+
+    /// Adds an empty family and returns its slot.
+    fn create_family(&mut self, table: &str, family: &str) -> Result<usize, StoreError> {
+        let Some(slots) = self.index.get_mut(table) else {
+            return Err(StoreError::TableNotFound(table.to_owned()));
+        };
+        if slots.contains_key(family) {
+            return Err(StoreError::FamilyExists {
+                table: table.to_owned(),
+                family: family.to_owned(),
+            });
+        }
+        let slot = self.families.len();
+        slots.insert(family.to_owned(), slot);
+        self.families.push(ColumnFamily::new());
+        Ok(slot)
     }
 }
 
@@ -966,8 +941,7 @@ impl Notify for DataStore {
 impl fmt::Debug for DataStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DataStore")
-            .field("tables", &self.shared.registry.read().len())
-            .field("shards", &self.shared.shards.len())
+            .field("tables", &self.lock_read().index.len())
             .field("clock", &self.clock())
             .finish()
     }
@@ -1117,15 +1091,18 @@ mod tests {
             s.put("t", "f", &format!("veh-{i}"), "pos", Value::from(i as f64))
                 .unwrap();
         }
-        let rows = s
-            .scan(
-                "t",
-                "f",
-                &ScanFilter::all().with_row_prefix("seg-").with_limit(3),
-            )
-            .unwrap();
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.key.starts_with("seg-")));
+        // The limit is checked before a row is taken, so 0 means none.
+        for limit in [0, 1, 3] {
+            let rows = s
+                .scan(
+                    "t",
+                    "f",
+                    &ScanFilter::all().with_row_prefix("seg-").with_limit(limit),
+                )
+                .unwrap();
+            assert_eq!(rows.len(), limit, "limit {limit}");
+            assert!(rows.iter().all(|r| r.key.starts_with("seg-")));
+        }
     }
 
     #[test]
@@ -1201,14 +1178,6 @@ mod tests {
     fn store_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DataStore>();
-    }
-
-    #[test]
-    fn shard_stats_report_the_layout() {
-        let stats = DataStore::new().shard_stats();
-        assert_eq!(stats.shards, SHARDS);
-        assert_eq!(stats.read_contention, 0);
-        assert_eq!(stats.write_contention, 0);
     }
 
     #[test]
@@ -1333,30 +1302,5 @@ mod tests {
         assert!(!s.unregister_op_observer(h));
         s.put("t", "f", "r", "q", Value::from(2.0)).unwrap();
         assert_eq!(writes.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn op_observer_reports_the_serving_shard() {
-        use parking_lot::Mutex;
-        struct ShardRecorder {
-            shards: Mutex<Vec<(OpKind, usize)>>,
-        }
-        impl crate::OpObserver for ShardRecorder {
-            fn on_op(&self, _op: OpKind, _elapsed: std::time::Duration) {}
-            fn on_shard_op(&self, op: OpKind, shard: usize, _elapsed: std::time::Duration) {
-                self.shards.lock().push((op, shard));
-            }
-        }
-
-        let s = store_with_tf();
-        let rec = Arc::new(ShardRecorder {
-            shards: Mutex::new(Vec::new()),
-        });
-        s.register_op_observer(Arc::clone(&rec) as Arc<dyn crate::OpObserver>);
-        s.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
-        s.get("t", "f", "r", "q").unwrap();
-        let seen = rec.shards.lock().clone();
-        let expected = shard_index("t", "f");
-        assert_eq!(seen, vec![(OpKind::Put, expected), (OpKind::Get, expected)]);
     }
 }

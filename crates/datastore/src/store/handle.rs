@@ -16,7 +16,7 @@ use crate::value::Value;
 /// in a row.
 ///
 /// Every call is the string-addressed call of the same name without the
-/// shard hash and the two name lookups — same routine, same guard taken and
+/// two name lookups — same routine, same guard taken and
 /// released per call, same clock tick inside the write guard, same
 /// [`WriteRef`] handed to the same observers after the guard is gone. A
 /// handle holds **no** guard between calls, so a step may read and write
@@ -140,8 +140,10 @@ impl<'a> FamilyHandle<'a> {
     /// Visits every row of the family in key order without copying a key
     /// or a value — one scan.
     ///
-    /// `f` runs under the owning shard's read guard: it must not call back
-    /// into the store, through this handle or any other way.
+    /// `f` runs under the store's read guard, so it must not call back into
+    /// the store, through this handle or any other way: a write from inside
+    /// it deadlocks every time, and so does a read whenever a writer is
+    /// waiting for the lock.
     ///
     /// # Errors
     ///
@@ -208,7 +210,7 @@ impl fmt::Debug for FamilyHandle<'_> {
         f.debug_struct("FamilyHandle")
             .field("table", &self.at.table)
             .field("family", &self.at.family)
-            .field("shard", &self.at.shard)
+            .field("slot", &self.at.slot)
             .finish()
     }
 }

@@ -118,7 +118,7 @@ impl Row {
 #[derive(Debug, Default)]
 pub struct ColumnFamily {
     rows: Vec<(Box<str>, Row)>,
-    // tidy:atomic(finger: relaxed): a lookup hint moved by readers under the shard's read guard; it publishes nothing and any value, however stale, is only a missed shortcut
+    // tidy:atomic(finger: relaxed): a lookup hint moved by readers under the store's read guard; it publishes nothing and any value, however stale, is only a missed shortcut
     finger: AtomicUsize,
 }
 

@@ -1,12 +1,12 @@
-//! Observer dispatch under shard concurrency.
+//! Observer dispatch under concurrent writers.
 //!
-//! The sharded store notifies `WriteObserver`s and `OpObserver`s *after*
-//! releasing the owning shard's guard, from a pre-materialized `Arc`
-//! snapshot of the dispatch list. These tests pin down the contract that
-//! matters for the Monitor and the WAL: every mutation produces exactly
-//! one callback (no drops, no duplicates under concurrency), callbacks may
-//! re-enter the store — even the same shard — without deadlocking, and an
-//! observer may unregister itself from inside its own callback.
+//! The store notifies `WriteObserver`s and `OpObserver`s *after* releasing
+//! its lock, from a pre-materialized `Arc` snapshot of the dispatch list.
+//! These tests pin down the contract that matters for the Monitor and the
+//! WAL: every mutation produces exactly one callback (no drops, no
+//! duplicates under concurrency), callbacks may re-enter the store without
+//! deadlocking, and an observer may unregister itself from inside its own
+//! callback.
 //!
 //! There is one dispatch path and two ways onto it: an observer that reads
 //! the borrowed `WriteRef` in place (the Monitor, the WAL capture), and an
@@ -27,7 +27,7 @@ use smartflux_datastore::{
 
 const THREADS: usize = 4;
 // Miri interprets every operation and runs orders of magnitude slower
-// than native; a smaller hammer still drives the same cross-shard and
+// than native; a smaller hammer still drives the same lock and
 // dispatch-list interleavings the suite exists to check.
 #[cfg(not(miri))]
 const PUTS_PER_THREAD: usize = 1_000;
@@ -87,29 +87,16 @@ fn observer(
     }
 }
 
-/// Records the shard of every operation.
-struct Ops(Mutex<Vec<(OpKind, usize)>>);
+/// Records the kind of every operation.
+struct Ops(Mutex<Vec<OpKind>>);
 
 impl OpObserver for Ops {
-    fn on_op(&self, _op: OpKind, _elapsed: Duration) {}
-    fn on_shard_op(&self, op: OpKind, shard: usize, _elapsed: Duration) {
-        self.0.lock().unwrap().push((op, shard));
+    fn on_op(&self, op: OpKind, _elapsed: Duration) {
+        self.0.lock().unwrap().push(op);
     }
 }
 
-/// The shard `table/f` lives on, as the store's op observers report it.
-fn shard_of(store: &DataStore, table: &str) -> usize {
-    let ops = Arc::new(Ops(Mutex::default()));
-    let handle = store.register_op_observer(Arc::clone(&ops) as Arc<dyn OpObserver>);
-    store.get(table, "f", "r", "q").unwrap();
-    store.unregister_op_observer(handle);
-    let [(OpKind::Get, shard)] = ops.0.lock().unwrap()[..] else {
-        panic!("a get is one op");
-    };
-    shard
-}
-
-fn sharded_store(tables: &[&str]) -> DataStore {
+fn store_with(tables: &[&str]) -> DataStore {
     let store = DataStore::new();
     for table in tables {
         store.create_table(table).unwrap();
@@ -142,7 +129,7 @@ fn hammer_puts(store: &DataStore, table: &'static str, via: Via) {
 #[test]
 fn every_write_fires_exactly_one_callback() {
     for (mix, via) in cases() {
-        let store = sharded_store(&["src"]);
+        let store = store_with(&["src"]);
         let logs: Vec<Arc<Mutex<Vec<u64>>>> = mix
             .iter()
             .map(|&form| {
@@ -185,16 +172,14 @@ fn every_write_fires_exactly_one_callback() {
 fn callbacks_may_reenter_the_store_without_deadlocking() {
     // Each observer mirrors every write on `src` into a table of its own —
     // a write issued from inside a write callback, with the borrowed view
-    // of the outer write still alive on the stack below it. Shard guards
-    // are released before dispatch, so this must not deadlock even though
-    // both mirrors hash to the shard `src/f` lives on. The store is rebuilt
-    // through `from_state`, whose families must dispatch like created ones.
-    const MIRRORS: [&str; 2] = ["mirror1", "mirror23"];
+    // of the outer write still alive on the stack below it. It needs the
+    // lock the outer write took, which is released before dispatch, so
+    // this must not deadlock. The store is rebuilt through `from_state`,
+    // whose families must dispatch like created ones.
+    const MIRRORS: [&str; 2] = ["mirror1", "mirror2"];
     for (mix, via) in cases() {
-        let store = sharded_store(&["src", MIRRORS[0], MIRRORS[1]]);
+        let store = store_with(&["src", MIRRORS[0], MIRRORS[1]]);
         let store = DataStore::from_state(store.export_state()).unwrap();
-        let src_shard = shard_of(&store, "src");
-        assert_eq!(MIRRORS.map(|m| shard_of(&store, m)), [src_shard; 2]);
         for (&form, mirror) in mix.iter().zip(MIRRORS) {
             let mirror_writer = store.clone();
             store.register_observer(observer(form, move |event| {
@@ -250,7 +235,7 @@ fn an_observer_can_unregister_itself_from_its_own_callback() {
     // during which the first one left. A handle's cached dispatch list is
     // from before the callback ran: the second write must notice it is stale.
     for (mix, via) in cases() {
-        let store = sharded_store(&["src"]);
+        let store = store_with(&["src"]);
         let registered: Vec<(ObserverHandle, Arc<AtomicU64>)> = mix
             .iter()
             .map(|&form| {
@@ -294,7 +279,7 @@ fn registration_churn_does_not_disturb_a_permanent_observer() {
     // rebuilds race with in-flight notifications, but every permanent
     // observer still sees every write exactly once.
     for (mix, via) in cases() {
-        let store = sharded_store(&["src"]);
+        let store = store_with(&["src"]);
         let permanent: Vec<Arc<AtomicU64>> = mix
             .iter()
             .map(|&form| {
@@ -338,40 +323,37 @@ fn registration_churn_does_not_disturb_a_permanent_observer() {
 }
 
 #[test]
-fn a_handle_call_is_one_op_on_the_family_s_shard() {
+fn a_handle_call_is_one_op() {
     // `datastore.writes_per_wave` / `reads_per_wave` and the simulator's
     // `clock == store.writes` count ops: a handle call must be exactly the
-    // op its string-addressed twin is, on the same shard, and resolving a
-    // handle must be none.
-    let store = sharded_store(&["a", "b", "c"]);
+    // op its string-addressed twin is, and resolving a handle must be none.
+    let store = store_with(&["a", "b", "c"]);
     let ops = Arc::new(Ops(Mutex::default()));
     store.register_op_observer(Arc::clone(&ops) as Arc<dyn OpObserver>);
     let seen = || std::mem::take(&mut *ops.0.lock().unwrap());
     for table in ["a", "b", "c"] {
         store.put(table, "f", "r", "q", Value::I64(0)).unwrap();
-        let [(OpKind::Put, shard)] = seen()[..] else {
-            panic!("a one-shot put is one op");
-        };
+        assert_eq!(seen(), [OpKind::Put], "a one-shot put is one op");
 
         let family = store.family(table, "f").unwrap();
         assert_eq!(seen(), [], "resolving a handle is not an op");
         family.put("r", "q", Value::I64(1)).unwrap();
-        assert_eq!(seen(), [(OpKind::Put, shard)]);
+        assert_eq!(seen(), [OpKind::Put]);
         assert_eq!(family.get("r", "q").unwrap(), Some(Value::I64(1)));
-        assert_eq!(seen(), [(OpKind::Get, shard)]);
+        assert_eq!(seen(), [OpKind::Get]);
         assert_eq!(family.get_f64("r", "q").unwrap(), Some(1.0));
-        assert_eq!(seen(), [(OpKind::Get, shard)]);
+        assert_eq!(seen(), [OpKind::Get]);
         let mut rows = 0;
         family.for_each_row(|_, _| rows += 1).unwrap();
-        assert_eq!((rows, seen()), (1, vec![(OpKind::Scan, shard)]));
+        assert_eq!((rows, seen()), (1, vec![OpKind::Scan]));
         // A row put is as many puts as it has cells.
         let cells = ["q", "q2", "q3"].map(|q| (q, Value::I64(2)));
         family.put_row("r", cells).unwrap();
-        assert_eq!(seen(), [(OpKind::Put, shard); 3]);
+        assert_eq!(seen(), [OpKind::Put; 3]);
         family.delete("r", "q").unwrap();
-        assert_eq!(seen(), [(OpKind::Delete, shard)]);
+        assert_eq!(seen(), [OpKind::Delete]);
         // A delete that removes nothing is still the op that was paid for.
         family.delete("r", "q").unwrap();
-        assert_eq!(seen(), [(OpKind::Delete, shard)]);
+        assert_eq!(seen(), [OpKind::Delete]);
     }
 }

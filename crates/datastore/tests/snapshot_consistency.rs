@@ -1,12 +1,11 @@
 //! Snapshot and state-export consistency under concurrent writers.
 //!
-//! `DataStore::export_state` briefly quiesces writers (all shard read
-//! guards held at once) so the exported state is a clock-consistent cut:
-//! no version from the future of its clock, no torn view across shards.
-//! Per-family `snapshot()` holds the owning shard's read guard for the
-//! whole capture, so it is atomic within the family. These tests drive
-//! writers that maintain cross-cell invariants and assert every capture
-//! observes the invariants intact.
+//! `DataStore::export_state` holds the store's read guard for the whole
+//! copy, so the exported state is a clock-consistent cut: no version from
+//! the future of its clock, no torn view across families. Per-family
+//! `snapshot()` holds the same guard for the whole capture, so it is atomic
+//! within the family. These tests drive writers that maintain cross-cell
+//! invariants and assert every capture observes the invariants intact.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -14,8 +13,7 @@ use smartflux_datastore::{ContainerRef, DataStore, Value};
 
 const TABLE: &str = "inv";
 /// Family pairs; each writer bumps `pair.0` then `pair.1`, so any atomic
-/// cut must observe `value(pair.1) <= value(pair.0)`. The pairs hash to
-/// assorted shards, exercising the cross-shard path of `export_state`.
+/// cut must observe `value(pair.1) <= value(pair.0)`.
 const PAIRS: [(&str, &str); 4] = [("a0", "a1"), ("b0", "b1"), ("c0", "c1"), ("d0", "d1")];
 const WRITES_PER_PAIR: i64 = 2_000;
 
@@ -106,7 +104,7 @@ fn export_state_is_a_clock_consistent_cut_under_concurrent_writers() {
                 }
 
                 // Pair invariant: writes land first-then-second, so a torn
-                // cross-shard view would show `second > first`.
+                // cross-family view would show `second > first`.
                 for (first, second) in PAIRS {
                     let a = exported(&state, first);
                     let b = exported(&state, second);
@@ -143,9 +141,9 @@ fn export_state_is_a_clock_consistent_cut_under_concurrent_writers() {
 
 #[test]
 fn family_snapshot_is_atomic_within_the_family() {
-    // Both cells live in the same family (same shard), and `snapshot`
-    // holds that shard's read guard across the whole capture — so the
-    // first-then-second write order can never appear inverted.
+    // Both cells live in the same family, and `snapshot` holds the read
+    // guard across the whole capture — so the first-then-second write
+    // order can never appear inverted.
     let store = store_with_pairs();
     let container = ContainerRef::family(TABLE, "a0");
 

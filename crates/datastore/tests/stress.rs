@@ -1,13 +1,12 @@
-//! Seeded multi-threaded stress tests for the sharded store.
+//! Seeded multi-threaded stress tests for the store.
 //!
-//! The linearizability bar for the sharded design: N writer threads issue
-//! seeded random puts, deletes, gets and scans concurrently; every
-//! mutation the store reports through its observer bus is collected, then
-//! replayed single-threaded — in store-timestamp order — onto a fresh
-//! store. Because the logical clock only advances inside the owning
-//! shard's write guard, timestamp order per cell equals apply order, so the
-//! replayed oracle must land on the *identical* final state: same cells,
-//! same values, same timestamps, same clock.
+//! The linearizability bar: N writer threads issue seeded random puts,
+//! deletes, gets and scans concurrently; every mutation the store reports
+//! through its observer bus is collected, then replayed single-threaded —
+//! in store-timestamp order — onto a fresh store. Because the logical clock
+//! only advances inside the store's write guard, timestamp order per cell
+//! equals apply order, so the replayed oracle must land on the *identical*
+//! final state: same cells, same values, same timestamps, same clock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -93,7 +92,7 @@ fn hammer(store: &DataStore, seed: u64, tables: &[&str], families: &[&str]) -> u
                                 mutations.fetch_add(1, Ordering::Relaxed);
                             }
                             // 10% point reads, 10% scans — concurrent read
-                            // traffic against the shards under mutation.
+                            // traffic against the containers under mutation.
                             8 => {
                                 store.get(table, family, row, qual).unwrap();
                             }
@@ -131,8 +130,8 @@ fn assert_replay_matches(seed: u64, tables: &[&str], families: &[&str]) {
     assert!(store.clock() <= mutations);
 
     // Replay on one thread in timestamp order. Timestamps are
-    // assigned under the owning shard's write guard, so per-cell order in
-    // the sorted log equals the order the concurrent store applied them.
+    // assigned under the store's write guard, so per-cell order in the
+    // sorted log equals the order the concurrent store applied them.
     let mut events = Arc::try_unwrap(log)
         .map(Mutex::into_inner)
         .unwrap_or_else(|arc| arc.lock().clone());
@@ -182,13 +181,15 @@ fn assert_replay_matches(seed: u64, tables: &[&str], families: &[&str]) {
 
 #[test]
 fn concurrent_run_replays_on_a_fresh_store() {
+    // Every thread spread over every container.
     assert_replay_matches(0xDEAD_BEEF, &TABLES, &FAMILIES);
 }
 
 #[test]
 fn concurrent_run_on_one_container_replays_on_a_fresh_store() {
-    // Every thread hammering one container puts all traffic on one shard
-    // lock — the hostile case for clock/apply-order agreement.
+    // Every thread hammering one container puts all traffic on the same
+    // rows of one family — the hostile case for clock/apply-order
+    // agreement.
     assert_replay_matches(0xC0FF_EE00, &TABLES[..1], &FAMILIES[..1]);
 }
 

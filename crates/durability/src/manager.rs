@@ -23,7 +23,7 @@ pub const WAL_FILE: &str = "wal.log";
 /// four strings and a value per mutation.
 ///
 /// Alongside the bytes, the buffer records each op's `(timestamp, start
-/// offset)`. Observer callbacks run outside the store's shard guards, so
+/// offset)`. Observer callbacks run outside the store's guard, so
 /// when two threads write the same cell concurrently their writes can
 /// reach this buffer with their encodings swapped relative to their store timestamps; replay
 /// applies ops in buffer order, which would then resurrect the older
@@ -164,7 +164,7 @@ impl DurabilityManager {
     /// replay restores it after applying the batch. Empty batches are
     /// committed too, so clock advances from no-op deletes survive a
     /// crash. Ops captured out of timestamp order (possible when several
-    /// threads write the sharded store at once) are re-sorted so replay
+    /// threads write the store at once) are re-sorted so replay
     /// applies them as the store did.
     ///
     /// # Errors

@@ -1,4 +1,4 @@
-//! Durability under concurrent writers on the sharded store.
+//! Durability under concurrent writers on one store.
 //!
 //! A checkpoint is a consistent cut (`export_state` quiesces writers), and
 //! WAL replay skips ops at or below the cut's clock — so a checkpoint
@@ -30,7 +30,7 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn sharded_store() -> DataStore {
+fn store_with_families() -> DataStore {
     let store = DataStore::new();
     store.create_table(TABLE).unwrap();
     for family in FAMILIES {
@@ -63,7 +63,7 @@ fn mid_stream_checkpoint_under_concurrent_writers_recovers_exactly() {
     let dir = tmp_dir("mid-stream");
     let mgr =
         DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never)).unwrap();
-    let store = sharded_store();
+    let store = store_with_families();
     let _h = mgr.attach(&store);
     let total = (THREADS * PUTS_PER_THREAD) as u64;
 
@@ -114,7 +114,7 @@ fn repeated_mid_stream_checkpoints_keep_the_wal_and_image_coherent() {
     let dir = tmp_dir("repeated");
     let mgr =
         DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never)).unwrap();
-    let store = sharded_store();
+    let store = store_with_families();
     let _h = mgr.attach(&store);
     let total = (THREADS * PUTS_PER_THREAD) as u64;
     let done = AtomicBool::new(false);
@@ -172,7 +172,7 @@ fn recovered_store_round_trips_through_from_state() {
     let dir = tmp_dir("round-trip");
     let mgr =
         DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never)).unwrap();
-    let store = sharded_store();
+    let store = store_with_families();
     let _h = mgr.attach(&store);
 
     std::thread::scope(|scope| {

@@ -1,7 +1,7 @@
 //! The multi-session engine host.
 //!
 //! An [`EngineHost`] holds N independent SmartFlux sessions — each with
-//! its own [`SmartFluxSession`] (engine + sharded store + optional checkpoints)
+//! its own [`SmartFluxSession`] (engine + store + optional checkpoints)
 //! — and runs every request on the thread that made it. The host spawns
 //! no thread: its callers are already threads waiting for an answer (a
 //! [`NetServer`](crate::NetServer) connection has one outstanding

@@ -246,7 +246,6 @@ pub fn preregister(telemetry: &Telemetry) {
         let _ = telemetry.counter(name);
     }
     for name in [
-        names::STORE_SHARDS,
         names::STORE_SHARD_READ_CONTENTION,
         names::STORE_SHARD_WRITE_CONTENTION,
         names::STORE_QUIESCES,

@@ -663,7 +663,7 @@ mod tests {
             "sfsim1;seed=0x1;steps=1", // missing fields and steps < 2
             "sfsim1;seed=0x1;steps=3;edges=0;waves=10;train=20;wpw=1;rows=2;drift=0.0;spike=0@0.0;retry=1;faults=none;dur=none;net=none", // train >= waves
             "sfsim1;seed=0x1;steps=3;edges=0;waves=30;train=2;wpw=1;rows=2;drift=0.0;spike=0@0.0;retry=1;faults=zzz@0:1;dur=none;net=none",
-            // The store has one shard layout; a repro naming one is stale.
+            // The store has no shard layout; a repro naming one is stale.
             "sfsim1;seed=0x1;steps=3;edges=0;waves=30;train=2;wpw=1;rows=2;drift=0.0;spike=0@0.0;shards=auto;retry=1;faults=none;dur=none;net=none",
         ] {
             assert!(bad.parse::<Scenario>().is_err(), "accepted `{bad}`");

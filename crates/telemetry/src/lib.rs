@@ -361,13 +361,12 @@ pub mod names {
     pub const STORE_READ_LATENCY: &str = "store.read";
     /// Latency of data-store write operations.
     pub const STORE_WRITE_LATENCY: &str = "store.write";
-    /// Number of shards the data store was built with.
-    pub const STORE_SHARDS: &str = "store.shards";
-    /// Shard read-lock acquisitions that had to block on a writer.
+    /// Store read-lock acquisitions that had to block on a writer. (The
+    /// `shard_` names date from the sharded store.)
     pub const STORE_SHARD_READ_CONTENTION: &str = "store.shard_read_contention";
-    /// Shard write-lock acquisitions that had to block on another holder.
+    /// Store write-lock acquisitions that had to block on another holder.
     pub const STORE_SHARD_WRITE_CONTENTION: &str = "store.shard_write_contention";
-    /// Full-store writer quiesces taken (state exports / checkpoints).
+    /// State exports taken (checkpoints and other full-store copies).
     pub const STORE_QUIESCES: &str = "store.quiesces";
     /// Journal sink failures (failed record writes or flushes).
     pub const JOURNAL_ERRORS: &str = "telemetry.journal_errors";

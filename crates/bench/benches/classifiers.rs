@@ -120,8 +120,8 @@ fn bench_forest_fit(c: &mut Criterion) {
 /// The production case: a whole model build, `Predictor::train`, on a
 /// session-shaped knowledge base of `aqhi`'s shape — five labels, 768
 /// waves, `aqhi`'s forest (100 trees, depth 12, threshold 0.35). That is
-/// 55 forests (five labels × ten folds plus five final fits) in one batch
-/// on the host's workers.
+/// five forests, one per label, each collecting its out-of-bag test phase
+/// as it grows, in one batch on the host's workers.
 fn bench_model_build(c: &mut Criterion) {
     let columns: Vec<(Vec<f64>, Vec<bool>)> =
         (0..5).map(|j| session_shaped_column(0x5EED + j)).collect();

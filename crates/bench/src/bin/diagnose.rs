@@ -472,7 +472,7 @@ fn main() {
             }
             if let Some(q) = e.predictor().quality() {
                 println!(
-                    "\nmodel quality (10-fold CV): accuracy {:.3}, precision {:.3}, recall {:.3}",
+                    "\nmodel quality (out-of-bag): accuracy {:.3}, precision {:.3}, recall {:.3}",
                     q.accuracy, q.precision, q.recall
                 );
             }

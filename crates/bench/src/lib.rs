@@ -273,6 +273,7 @@ pub mod exp {
     pub mod forest_inference;
     pub mod motivating;
     pub mod net_throughput;
+    pub mod oob_agreement;
     pub mod overhead;
     pub mod roc;
 }

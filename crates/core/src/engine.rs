@@ -8,8 +8,8 @@
 //!   skipped since its last *virtual* execution), appending
 //!   `(ι, ε > maxε)` examples to the [`KnowledgeBase`]; when enough waves
 //!   were observed it builds a classification model and assesses it with
-//!   cross-validation (the test phase), extending training if quality gates
-//!   fail;
+//!   its out-of-bag votes (the test phase), extending training if quality
+//!   gates fail or the test phase scored nothing;
 //! - **execution (application) mode** — at each step's scheduling point the
 //!   engine computes the current impact vector, queries the [`Predictor`],
 //!   and triggers the step only when the model predicts its error bound

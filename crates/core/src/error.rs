@@ -25,6 +25,24 @@ pub enum CoreError {
         /// Examples required.
         need: usize,
     },
+    /// The test phase scored nothing: every tree of every forest drew every
+    /// knowledge-base row, so no row was left out of bag to judge the
+    /// model by. Its quality is unknown, not perfect.
+    EmptyTestPhase {
+        /// Knowledge-base rows the forests were fitted on.
+        rows: usize,
+    },
+    /// A knowledge-base CSV field is not what its column holds: a wave that
+    /// is not an unsigned integer, an impact that is not a finite number, or
+    /// a label that is not exactly `0` or `1`.
+    MalformedCsv {
+        /// 1-based line of the field (the header is line 1).
+        line: usize,
+        /// 1-based column of the field.
+        column: usize,
+        /// What the column expected.
+        expected: &'static str,
+    },
     /// The trained model failed the test-phase quality gates even after the
     /// allowed training extensions.
     QualityGateFailed {
@@ -81,6 +99,18 @@ impl fmt::Display for CoreError {
                     "insufficient training examples: have {have}, need {need}"
                 )
             }
+            CoreError::EmptyTestPhase { rows } => write!(
+                f,
+                "test phase scored no example: every tree drew all {rows} training rows"
+            ),
+            CoreError::MalformedCsv {
+                line,
+                column,
+                expected,
+            } => write!(
+                f,
+                "knowledge-base CSV line {line}, column {column}: expected {expected}"
+            ),
             CoreError::QualityGateFailed {
                 accuracy,
                 recall,

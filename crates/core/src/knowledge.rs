@@ -195,8 +195,11 @@ impl KnowledgeBase {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ShapeMismatch`] for structural problems and
-    /// [`CoreError::InsufficientTraining`] for a CSV without data rows.
+    /// Returns [`CoreError::ShapeMismatch`] for structural problems,
+    /// [`CoreError::MalformedCsv`] naming the line and column of a field
+    /// that does not parse — a label is exactly `0` or `1`, an impact a
+    /// finite number — and [`CoreError::InsufficientTraining`] for a CSV
+    /// without data rows.
     pub fn from_csv(csv: &str) -> Result<Self, CoreError> {
         let mut lines = csv.lines();
         let header = lines
@@ -232,32 +235,44 @@ impl KnowledgeBase {
         }
 
         let mut kb = KnowledgeBase::new(step_names);
-        for line in lines {
-            if line.trim().is_empty() {
+        // The header is line 1; data lines count from 2, blank ones too.
+        for (line, text) in (2..).zip(lines) {
+            if text.trim().is_empty() {
                 continue;
             }
-            let fields: Vec<&str> = line.split(',').collect();
+            let fields: Vec<&str> = text.split(',').collect();
             if fields.len() != 1 + 2 * n {
                 return Err(CoreError::ShapeMismatch {
                     expected: 1 + 2 * n,
                     found: fields.len(),
                 });
             }
-            let parse_err = |_| CoreError::ShapeMismatch {
-                expected: 1 + 2 * n,
-                found: 0,
+            let malformed = |column: usize, expected| CoreError::MalformedCsv {
+                line,
+                column: column + 1,
+                expected,
             };
-            let wave: u64 = fields[0].parse().map_err(parse_err)?;
-            let impacts: Vec<f64> = fields[1..=n]
-                .iter()
-                .map(|f| {
-                    f.parse::<f64>().map_err(|_| CoreError::ShapeMismatch {
-                        expected: 1 + 2 * n,
-                        found: 0,
-                    })
+            let wave: u64 = fields[0]
+                .parse()
+                .map_err(|_| malformed(0, "an unsigned wave number"))?;
+            let impacts: Vec<f64> = (1..=n)
+                .map(|c| {
+                    fields[c]
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|v| v.is_finite())
+                        .ok_or_else(|| malformed(c, "a finite impact"))
                 })
                 .collect::<Result<_, _>>()?;
-            let labels: Vec<bool> = fields[1 + n..].iter().map(|f| *f == "1").collect();
+            // A damaged label must not read as "skip": that is the unsafe
+            // direction for the error bound, so only `0` and `1` parse.
+            let labels: Vec<bool> = (1 + n..=2 * n)
+                .map(|c| match fields[c] {
+                    "0" => Ok(false),
+                    "1" => Ok(true),
+                    _ => Err(malformed(c, "a label of exactly 0 or 1")),
+                })
+                .collect::<Result<_, _>>()?;
             kb.append(wave, impacts, labels)?;
         }
         if kb.is_empty() {
@@ -347,6 +362,49 @@ mod tests {
         assert!(KnowledgeBase::from_csv("wave,impact_a,exec_a\n1,2").is_err());
         // Mismatched label column name.
         assert!(KnowledgeBase::from_csv("wave,impact_a,exec_b\n1,2,1").is_err());
+    }
+
+    #[test]
+    fn csv_refuses_every_damaged_field_by_line_and_column() {
+        let mut three = kb();
+        three
+            .append(7, vec![-0.5, 1e-9], vec![false, false])
+            .unwrap();
+        let csv = three.to_csv();
+        assert_eq!(KnowledgeBase::from_csv(&csv).unwrap(), three);
+
+        let lines: Vec<&str> = csv.lines().collect();
+        let label_tokens = [
+            "true", "false", "2", "-1", "01", "1.0", "", " 1", "\u{fffd}",
+        ];
+        let number_tokens = ["x", "", "true", "NaN", "inf", "-inf", "1e999", "\u{fffd}"];
+        for (r, row) in lines.iter().enumerate().skip(1) {
+            let fields: Vec<&str> = row.split(',').collect();
+            for column in 0..fields.len() {
+                let tokens: &[&str] = if column >= 3 {
+                    &label_tokens
+                } else {
+                    &number_tokens
+                };
+                for &token in tokens {
+                    let mut damaged = fields.clone();
+                    damaged[column] = token;
+                    let mut text: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+                    text[r] = damaged.join(",");
+                    let err = KnowledgeBase::from_csv(&text.join("\n")).unwrap_err();
+                    assert!(
+                        matches!(
+                            err,
+                            CoreError::MalformedCsv { line, column: c, .. }
+                                if line == r + 1 && c == column + 1
+                        ),
+                        "line {} column {} token {token:?}: {err}",
+                        r + 1,
+                        column + 1
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!    leave behind.
 //! 3. During a synchronous **training phase** the [`QodEngine`] collects
 //!    `(ι, ε > maxε)` examples in the [`KnowledgeBase`], then builds a
-//!    multi-label Random Forest [`Predictor`] and validates it with
-//!    cross-validation (the test phase).
+//!    multi-label Random Forest [`Predictor`] and validates it with each
+//!    forest's out-of-bag votes (the test phase).
 //! 4. In the **application phase** the engine triggers only the steps whose
 //!    error bound the model predicts would otherwise be violated — saving
 //!    resources while keeping the output within `maxε` with high

@@ -88,16 +88,13 @@ impl ModelKind {
     }
 }
 
-/// Folds of the test phase's cross-validation (§3.2 "Test Phase"), clamped
-/// to half the knowledge base at train time.
-const CV_FOLDS: usize = 10;
-
 /// The fewest knowledge-base rows a model is built from; training on a
 /// smaller log is refused and the engine extends its training phase.
 pub(crate) const MIN_TRAINING_ROWS: usize = 4;
 
-/// Test-phase quality of a trained predictor, pooled across labels by
-/// 10-fold cross-validation (§3.2 "Test Phase").
+/// Test-phase quality of a trained predictor (§3.2 "Test Phase"): each
+/// label's forest judged by its out-of-bag votes, the confusion counts
+/// pooled across labels.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorQuality {
     /// Proportion of instances correctly classified.
@@ -241,14 +238,16 @@ impl Predictor {
     }
 
     /// Trains one model per QoD step from the knowledge base and runs the
-    /// test phase (k-fold cross-validation pooled across labels). Every
-    /// label's fold forests and final forest are one batch, fitted side by
-    /// side.
+    /// test phase: each forest's out-of-bag votes, pooled across labels.
+    /// One forest per label, the labels fitted side by side.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InsufficientTraining`] for logs smaller than
-    /// the fold count and propagates training failures.
+    /// Returns [`CoreError::InsufficientTraining`] for logs of fewer than
+    /// [`MIN_TRAINING_ROWS`] examples, [`CoreError::EmptyTestPhase`] when
+    /// no forest left any row out of bag (nothing was tested, so no quality
+    /// is known), and propagates training failures. The predictor is left
+    /// as it was on every error.
     pub fn train(&mut self, kb: &KnowledgeBase) -> Result<PredictorQuality, CoreError> {
         // tidy:allow(time): measures model build latency (Table 2), which is
         // reported, never replayed
@@ -257,10 +256,13 @@ impl Predictor {
         let mut pooled = ConfusionMatrix::default();
         let mut models = Vec::with_capacity(built.len());
         for label in built {
-            if let Some(cv) = label.cross_validation {
-                pooled.merge(&cv.confusion);
+            if let Some(out_of_bag) = label.out_of_bag {
+                pooled.merge(&out_of_bag);
             }
             models.push(label.forest);
+        }
+        if pooled.total() == 0 {
+            return Err(CoreError::EmptyTestPhase { rows: kb.len() });
         }
         let quality = PredictorQuality {
             accuracy: pooled.accuracy(),
@@ -313,16 +315,16 @@ impl Predictor {
     }
 
     /// Fits one forest per label view, label `j`'s seeded with `seed + j`,
-    /// after a k-fold test phase per label (fold seed `seed + j` too) when
-    /// `test_phase` is set — all of them one batch of jobs.
+    /// collecting its out-of-bag test phase when `test_phase` is set — one
+    /// batch, one job per label.
     fn build(
         &self,
         views: &[smartflux_ml::Dataset],
         test_phase: bool,
     ) -> Result<Vec<BuiltForest>, CoreError> {
-        // `ml.fit_ns` spans the batch: the whole build in `train`, the
-        // final forests in `refit`. The engine-level `engine.train` span
-        // adds the phase bookkeeping around it.
+        // `ml.fit_ns` spans the batch, in `train` and in `refit` alike. The
+        // engine-level `engine.train` span adds the phase bookkeeping
+        // around it.
         let _fit_span = self
             .telemetry
             .span(names::ML_FIT_LATENCY, views.len() as u64);
@@ -330,13 +332,8 @@ impl Predictor {
             .iter()
             .enumerate()
             .map(|(j, view)| {
-                let seed = self.seed.wrapping_add(j as u64);
-                let build = ForestBuild::new(self.kind.build(seed), view);
-                if test_phase {
-                    build.cross_validated(CV_FOLDS.min(view.len() / 2).max(2), seed)
-                } else {
-                    build
-                }
+                ForestBuild::new(self.kind.build(self.seed.wrapping_add(j as u64)), view)
+                    .with_out_of_bag(test_phase)
             })
             .collect();
         Ok(build_forests(&builds)?)
@@ -468,10 +465,56 @@ mod tests {
         assert!(p.last_build_time().is_some());
     }
 
+    /// The test phase's reference for label view `view` of a `kind` forest
+    /// seeded `seed`, computed apart from the build: each tree's bootstrap
+    /// re-drawn from the forest seed (`n` draws per tree, in tree order),
+    /// the tree re-grown alone on that materialised sample with its own
+    /// derived seed, every row the sample never names scored by that tree,
+    /// and each row's mean vote cut at the kind's threshold.
+    fn out_of_bag_reference(
+        kind: &ModelKind,
+        seed: u64,
+        view: &smartflux_ml::Dataset,
+    ) -> ConfusionMatrix {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use smartflux_ml::DecisionTree;
+
+        let ModelKind::RandomForest {
+            trees,
+            max_depth,
+            threshold,
+        } = *kind;
+        let n = view.len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut votes = vec![(0.0, 0_u32); n];
+        for t in 0..trees {
+            let sample: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
+            // One feature per label view: `√1` candidates per split.
+            let mut tree = DecisionTree::new()
+                .with_max_depth(max_depth)
+                .with_max_features(1)
+                .with_seed(seed.wrapping_add(t as u64).wrapping_mul(0x9E37_79B9));
+            tree.fit(&view.subset(&sample)).unwrap();
+            for (i, (sum, count)) in votes.iter_mut().enumerate() {
+                if !sample.contains(&i) {
+                    *sum += tree.predict_proba(view.features(i));
+                    *count += 1;
+                }
+            }
+        }
+        let mut confusion = ConfusionMatrix::default();
+        for (i, &(sum, count)) in votes.iter().enumerate() {
+            if count > 0 {
+                let predicted = sum / f64::from(count) >= threshold;
+                confusion.merge(&ConfusionMatrix::from_pairs(&[view.label(i)], &[predicted]));
+            }
+        }
+        confusion
+    }
+
     #[test]
     fn train_installs_the_lone_fits_and_their_pooled_test_phase() {
-        use smartflux_ml::crossval::cross_validate;
-
         let kb = kb_two_steps();
         let kind = ModelKind::default();
         let mut p = Predictor::new(kind.clone(), 3);
@@ -484,9 +527,9 @@ mod tests {
             let mut alone = kind.build(seed);
             alone.fit(&view).unwrap();
             assert_eq!(p.forest(j).unwrap().arena(), alone.arena(), "label {j}");
-            let cv = cross_validate(&view, CV_FOLDS, seed, || kind.build(seed)).unwrap();
-            pooled.merge(&cv.confusion);
+            pooled.merge(&out_of_bag_reference(&kind, seed, &view));
         }
+        assert!(pooled.total() > 0);
         assert_eq!(quality.accuracy, pooled.accuracy());
         assert_eq!(quality.precision, pooled.precision());
         assert_eq!(quality.recall, pooled.recall());
@@ -495,6 +538,33 @@ mod tests {
         for (j, forest) in refit.iter().enumerate() {
             assert_eq!(forest.arena(), p.forest(j).unwrap().arena(), "refit {j}");
         }
+    }
+
+    #[test]
+    fn a_test_phase_that_scored_nothing_is_refused() {
+        // One tree on the smallest log a build accepts: at seed 21 its
+        // bootstrap draws all four rows, so no row is out of bag and the
+        // empty confusion matrix would read as accuracy and recall 1.0.
+        let mut kb = KnowledgeBase::new(vec!["a".into()]);
+        for w in 0..MIN_TRAINING_ROWS as u64 {
+            kb.append(w, vec![w as f64], vec![w % 2 == 0]).unwrap();
+        }
+        let kind = ModelKind::RandomForest {
+            trees: 1,
+            max_depth: 4,
+            threshold: 0.5,
+        };
+        let mut p = Predictor::new(kind.clone(), 21);
+        assert!(matches!(
+            p.train(&kb),
+            Err(CoreError::EmptyTestPhase { rows: 4 })
+        ));
+        assert!(!p.is_trained());
+        assert_eq!(p.quality(), None);
+        // A seed whose bootstrap leaves a row out is tested and installed.
+        let mut p = Predictor::new(kind, 20);
+        assert!(p.train(&kb).is_ok());
+        assert!(p.is_trained());
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! Stratified k-fold cross-validation (the paper's 10-fold test phase),
-//! and the model build it is part of: [`build_forests`] fits every fold
-//! forest and every final forest of a batch on one pool of workers.
+//! The model build and its test phases.
+//!
+//! [`build_forests`] fits a batch of forests, one job per forest on one
+//! pool of workers; SmartFlux's test phase is each forest's out-of-bag
+//! estimate, collected during that one fit. Stratified k-fold
+//! cross-validation — the paper's 10-fold test phase — stays for the
+//! experiments that reproduce or compare against it.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -116,9 +120,10 @@ fn fit_fold<C: Classifier>(
 ///
 /// `make_model` is called once per fold to obtain a fresh classifier, which
 /// is trained on the other `k−1` folds and evaluated on the held-out fold.
-/// This is how SmartFlux's test phase "assesses the quality of the trained
-/// model" before entering the application phase. The folds are fitted side
-/// by side, one per job, as [`build_forests`] fits a model build.
+/// This is how the paper's test phase "assesses the quality of the trained
+/// model"; SmartFlux's engine gets the same held-out judgement from the
+/// final forest's out-of-bag votes ([`ForestBuild::with_out_of_bag`]). The
+/// folds are fitted side by side, one per job.
 ///
 /// # Errors
 ///
@@ -165,15 +170,14 @@ where
     })
 }
 
-/// One dataset's model build: an unfitted forest's final fit on all of
-/// `data`, after its k-fold test phase if
-/// [`cross_validated`](Self::cross_validated) set one.
+/// One dataset's model build: an unfitted forest's fit on all of `data`,
+/// with an out-of-bag test phase if [`with_out_of_bag`](Self::with_out_of_bag)
+/// switched one on.
 #[derive(Debug, Clone)]
 pub struct ForestBuild<'a> {
     forest: RandomForest,
     data: &'a Dataset,
-    /// The test phase's held-out folds; empty without one.
-    folds: Vec<Vec<usize>>,
+    out_of_bag: bool,
 }
 
 impl<'a> ForestBuild<'a> {
@@ -183,20 +187,18 @@ impl<'a> ForestBuild<'a> {
         Self {
             forest,
             data,
-            folds: Vec::new(),
+            out_of_bag: false,
         }
     }
 
-    /// Adds a test phase: a clone of the build's forest per
-    /// [`stratified_folds`]`(data, k, seed)` fold, fitted on the other
-    /// folds and scored on that one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` or `k > data.len()`.
+    /// Switches the test phase on or off: the fitted forest's out-of-bag
+    /// votes (Breiman 2001, §3.1) scored against `data`'s labels. Each row
+    /// is judged only by the trees whose bootstrap left it out, at the
+    /// forest's own threshold, so the forest assesses itself without a
+    /// second fit.
     #[must_use]
-    pub fn cross_validated(mut self, k: usize, seed: u64) -> Self {
-        self.folds = stratified_folds(self.data.y(), k, seed);
+    pub fn with_out_of_bag(mut self, on: bool) -> Self {
+        self.out_of_bag = on;
         self
     }
 }
@@ -206,28 +208,21 @@ impl<'a> ForestBuild<'a> {
 pub struct BuiltForest {
     /// The forest fitted on all of the build's data.
     pub forest: RandomForest,
-    /// The test phase's pooled held-out confusion; `None` without one.
-    pub cross_validation: Option<CrossValResult>,
+    /// The test phase's out-of-bag confusion over every row some tree left
+    /// out — empty when every tree drew every row; `None` without a test
+    /// phase.
+    pub out_of_bag: Option<ConfusionMatrix>,
 }
 
-/// What one job of [`build_forests`] fitted.
-enum Fitted {
-    /// A build's final forest.
-    Forest(RandomForest),
-    /// One held-out fold's confusion.
-    Fold(ConfusionMatrix),
-}
-
-/// Fits every forest of every build — each test phase's fold forests and
-/// each final forest — as independent jobs on one pool of workers, one per
+/// Fits every build's forest — with its out-of-bag test phase where one is
+/// switched on — as one job per build on one pool of workers, one per
 /// available hardware thread. Each forest is fitted on one thread and is a
 /// function of its data and seed alone, so the results are the same as
 /// fitting the forests one at a time, at any worker count.
 ///
 /// # Errors
 ///
-/// Returns the first training error in job order: the folds in build
-/// order, then the final fits.
+/// Returns the first training error in build order.
 ///
 /// # Example
 ///
@@ -240,10 +235,10 @@ enum Fitted {
 ///     (0..40).map(|i| i >= 20).collect(),
 /// ).unwrap();
 /// let build = ForestBuild::new(RandomForest::new(10).with_seed(3), &data)
-///     .cross_validated(5, 3);
+///     .with_out_of_bag(true);
 /// let built = build_forests(&[build]).unwrap();
 /// assert!(built[0].forest.predict(&[35.0]));
-/// assert!(built[0].cross_validation.unwrap().accuracy() > 0.9);
+/// assert!(built[0].out_of_bag.unwrap().accuracy() > 0.9);
 /// ```
 pub fn build_forests(builds: &[ForestBuild<'_>]) -> Result<Vec<BuiltForest>, MlError> {
     build_forests_with_workers(builds, pool::host_workers())
@@ -255,57 +250,26 @@ pub(crate) fn build_forests_with_workers(
     builds: &[ForestBuild<'_>],
     workers: usize,
 ) -> Result<Vec<BuiltForest>, MlError> {
-    // The folds go first: a fold forest is dropped inside its job, a final
-    // forest lives on, so fitting the finals last lets them reuse the
-    // folds' memory instead of adding the folds in flight to the peak.
-    let jobs: Vec<(usize, Option<usize>)> = builds
-        .iter()
-        .enumerate()
-        .flat_map(|(b, build)| (0..build.folds.len()).map(move |f| (b, Some(f))))
-        .chain((0..builds.len()).map(|b| (b, None)))
-        .collect();
-    let fitted = pool::run(jobs.len(), workers, |i| {
-        let (b, fold) = jobs[i];
+    pool::run(builds.len(), workers, |b| {
         let build = &builds[b];
-        match fold {
-            None => {
-                let mut forest = build.forest.clone();
-                forest.fit(build.data).map(|()| Fitted::Forest(forest))
-            }
-            Some(f) => {
-                fit_fold(build.forest.clone(), build.data, &build.folds[f]).map(Fitted::Fold)
-            }
-        }
-    });
-
-    let mut forests: Vec<Option<RandomForest>> = builds.iter().map(|_| None).collect();
-    let mut confusions = vec![ConfusionMatrix::default(); builds.len()];
-    for (&(b, _), fitted) in jobs.iter().zip(fitted) {
-        match fitted? {
-            Fitted::Forest(forest) => forests[b] = Some(forest),
-            Fitted::Fold(confusion) => confusions[b].merge(&confusion),
-        }
-    }
-    builds
-        .iter()
-        .zip(forests)
-        .zip(confusions)
-        .map(|((build, forest), confusion)| {
-            Ok(BuiltForest {
-                // Every build has a final-fit job, so this is never `None`.
-                forest: forest.ok_or(MlError::NotFitted)?,
-                cross_validation: (!build.folds.is_empty()).then_some(CrossValResult {
-                    confusion,
-                    folds: build.folds.len(),
-                }),
-            })
-        })
-        .collect()
+        let mut forest = build.forest.clone();
+        let out_of_bag = if build.out_of_bag {
+            let votes = forest.fit_out_of_bag(build.data)?;
+            Some(forest.out_of_bag_confusion(&votes, build.data.y()))
+        } else {
+            forest.fit(build.data)?;
+            None
+        };
+        Ok(BuiltForest { forest, out_of_bag })
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest::out_of_bag_reference;
     use crate::tree::DecisionTree;
 
     #[test]
@@ -401,40 +365,24 @@ mod tests {
         Dataset::new(x, y).unwrap()
     }
 
-    /// A build fitted the way it was before the pool: each fold forest,
-    /// then the final forest, alone and in order on the calling thread,
-    /// with the training rows found by a plain `contains` scan.
+    /// A build fitted alone on the calling thread: the forest by a plain
+    /// `fit`, its test phase scored from the independently recomputed
+    /// out-of-bag votes.
     fn build_alone(build: &ForestBuild<'_>) -> BuiltForest {
-        let data = build.data;
-        let cross_validation = (!build.folds.is_empty()).then(|| {
-            let mut confusion = ConfusionMatrix::default();
-            for held_out in &build.folds {
-                let train: Vec<usize> = (0..data.len()).filter(|i| !held_out.contains(i)).collect();
-                let mut model = build.forest.clone();
-                model.fit(&data.subset(&train)).unwrap();
-                for &i in held_out {
-                    let predicted = model.predict(data.features(i));
-                    confusion.merge(&ConfusionMatrix::from_pairs(&[data.label(i)], &[predicted]));
-                }
-            }
-            CrossValResult {
-                confusion,
-                folds: build.folds.len(),
-            }
-        });
         let mut forest = build.forest.clone();
-        forest.fit(data).unwrap();
-        BuiltForest {
-            forest,
-            cross_validation,
-        }
+        forest.fit(build.data).unwrap();
+        let out_of_bag = build.out_of_bag.then(|| {
+            let votes = out_of_bag_reference(&build.forest, build.data);
+            forest.out_of_bag_confusion(&votes, build.data.y())
+        });
+        BuiltForest { forest, out_of_bag }
     }
 
     #[test]
     fn pooled_build_is_bit_identical_at_every_worker_count() {
         let wide = [noisy(250, 2), noisy(250, 77)];
-        // A four-row, two-label knowledge base's per-label views: two
-        // folds of two rows each, and a label that never fires.
+        // A four-row, two-label knowledge base's per-label views, one
+        // label never firing.
         let x: Vec<Vec<f64>> = [0.5, 3.0, 1.5, 4.0].iter().map(|&v| vec![v]).collect();
         let tiny = [
             Dataset::new(x.clone(), vec![false, true, false, true]).unwrap(),
@@ -442,22 +390,23 @@ mod tests {
         ];
         let forest = |seed: u64| RandomForest::new(13).with_max_depth(9).with_seed(seed);
         let batch = vec![
-            ForestBuild::new(forest(2), &wide[0]).cross_validated(10, 2),
-            ForestBuild::new(forest(77), &wide[1]).cross_validated(10, 77),
-            ForestBuild::new(forest(5), &tiny[0]).cross_validated(2, 5),
-            ForestBuild::new(forest(6), &tiny[1]).cross_validated(2, 6),
+            ForestBuild::new(forest(2), &wide[0]).with_out_of_bag(true),
+            ForestBuild::new(forest(77).with_threshold(0.3), &wide[1]).with_out_of_bag(true),
+            ForestBuild::new(forest(5), &tiny[0]).with_out_of_bag(true),
+            ForestBuild::new(forest(6), &tiny[1]).with_out_of_bag(true),
             // A recovery refit: final forests only.
             ForestBuild::new(forest(2), &wide[0]),
         ];
         let expected: Vec<BuiltForest> = batch.iter().map(build_alone).collect();
         let pooled = |built: &[BuiltForest]| {
             let mut total = ConfusionMatrix::default();
-            for cv in built.iter().filter_map(|b| b.cross_validation) {
-                total.merge(&cv.confusion);
+            for confusion in built.iter().filter_map(|b| b.out_of_bag) {
+                total.merge(&confusion);
             }
             total
         };
-        assert_eq!(expected[3].cross_validation.unwrap().confusion.tn, 4);
+        assert_eq!(expected[3].out_of_bag.unwrap().tn, 4);
+        assert!(expected[4].out_of_bag.is_none());
 
         let host = pool::host_workers();
         for workers in [1, 2, 3, 8, 64, host] {
@@ -472,7 +421,7 @@ mod tests {
                     "build {b}, {workers} workers"
                 );
                 assert_eq!(
-                    got.cross_validation, want.cross_validation,
+                    got.out_of_bag, want.out_of_bag,
                     "build {b}, {workers} workers"
                 );
             }

@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use crate::arena::TreeArena;
 use crate::dataset::Dataset;
 use crate::error::MlError;
+use crate::metrics::ConfusionMatrix;
 use crate::tree::{DecisionTree, Presorted};
 use crate::Classifier;
 
@@ -167,6 +168,82 @@ impl RandomForest {
             .with_seed(self.seed.wrapping_add(t as u64).wrapping_mul(0x9E37_79B9))
     }
 
+    /// Grows every tree on the calling thread, in ensemble order, and hands
+    /// each one with its bootstrap's per-row draw counts to `on_tree`
+    /// before the next is drawn. Tree `t`'s bootstrap sample is draws
+    /// [t·n, (t+1)·n) of the forest's seeded RNG and its
+    /// feature-subsampling seed derives from `t`, so the forest is a
+    /// function of its data and seed alone, wherever it is fitted, and
+    /// whatever `on_tree` does.
+    fn grow(
+        &mut self,
+        data: &Dataset,
+        mut on_tree: impl FnMut(&DecisionTree, &[u32]),
+    ) -> Result<(), MlError> {
+        if data.is_empty() {
+            return Err(MlError::EmptyDataset); // `Dataset::subset(&[])`
+        }
+        let view = Presorted::new(data)?;
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        // A sample is kept as how often each row was drawn — the grower
+        // walks the shared sort order with those counts as weights, so no
+        // tree copies or sorts a row. Growing a tree draws nothing from
+        // the forest RNG, so drawing each sample just before its tree
+        // gives the draws the order they had when all were drawn first.
+        let n = data.len();
+        let mut sample = vec![0_u32; n];
+        let mut trees = Vec::with_capacity(self.n_trees);
+        for t in 0..self.n_trees {
+            sample.fill(0);
+            for _ in 0..n {
+                sample[rng.random_range(0..n)] += 1;
+            }
+            let mut tree = self.tree_config(data.n_features(), t);
+            tree.fit_presorted(&view, data.y(), &sample);
+            on_tree(&tree, &sample);
+            trees.push(tree);
+        }
+        self.trees = trees;
+        self.rebuild_arena();
+        Ok(())
+    }
+
+    /// [`fit`](Classifier::fit), collecting each row's out-of-bag votes on
+    /// the way (Breiman 2001, §3.1): after each tree is grown, its leaf
+    /// probability for every row its bootstrap did not draw is added to
+    /// that row's `(sum, count)`. The forest is the one `fit` grows, bit
+    /// for bit — the votes draw nothing from the forest RNG.
+    pub(crate) fn fit_out_of_bag(&mut self, data: &Dataset) -> Result<Vec<(f64, u32)>, MlError> {
+        let mut votes = vec![(0.0, 0_u32); data.len()];
+        self.grow(data, |tree, sample| {
+            for (i, (&drawn, (sum, count))) in sample.iter().zip(&mut votes).enumerate() {
+                if drawn == 0 {
+                    *sum += tree.predict_proba(data.features(i));
+                    *count += 1;
+                }
+            }
+        })?;
+        Ok(votes)
+    }
+
+    /// Scores out-of-bag `votes` against `labels`: a row is predicted
+    /// positive when its vote fraction `sum / count` reaches the forest's
+    /// threshold. A row no tree left out scores nothing.
+    pub(crate) fn out_of_bag_confusion(
+        &self,
+        votes: &[(f64, u32)],
+        labels: &[bool],
+    ) -> ConfusionMatrix {
+        let mut confusion = ConfusionMatrix::default();
+        for (&(sum, count), &actual) in votes.iter().zip(labels) {
+            if count > 0 {
+                let predicted = sum / f64::from(count) >= self.threshold;
+                confusion.merge(&ConfusionMatrix::from_pairs(&[actual], &[predicted]));
+            }
+        }
+        confusion
+    }
+
     /// Rebuilds the flat arena from the pointer trees. Every path that
     /// installs trees calls this, so the two representations can never
     /// diverge.
@@ -216,37 +293,11 @@ impl RandomForest {
 }
 
 impl Classifier for RandomForest {
-    /// Grows every tree on the calling thread, in ensemble order. Tree
-    /// `t`'s bootstrap sample is draws [t·n, (t+1)·n) of the forest's
-    /// seeded RNG and its feature-subsampling seed derives from `t`, so the
+    /// Grows every tree on the calling thread, in ensemble order; the
     /// forest is a function of its data and seed alone, wherever it is
     /// fitted.
     fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
-        if data.is_empty() {
-            return Err(MlError::EmptyDataset); // `Dataset::subset(&[])`
-        }
-        let view = Presorted::new(data)?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // A sample is kept as how often each row was drawn — the grower
-        // walks the shared sort order with those counts as weights, so no
-        // tree copies or sorts a row. Growing a tree draws nothing from
-        // the forest RNG, so drawing each sample just before its tree
-        // gives the draws the order they had when all were drawn first.
-        let n = data.len();
-        let mut sample = vec![0_u32; n];
-        let mut trees = Vec::with_capacity(self.n_trees);
-        for t in 0..self.n_trees {
-            sample.fill(0);
-            for _ in 0..n {
-                sample[rng.random_range(0..n)] += 1;
-            }
-            let mut tree = self.tree_config(data.n_features(), t);
-            tree.fit_presorted(&view, data.y(), &sample);
-            trees.push(tree);
-        }
-        self.trees = trees;
-        self.rebuild_arena();
-        Ok(())
+        self.grow(data, |_, _| {})
     }
 
     fn is_fitted(&self) -> bool {
@@ -267,6 +318,31 @@ impl Classifier for RandomForest {
     fn predict(&self, features: &[f64]) -> bool {
         self.predict_proba(features) >= self.threshold
     }
+}
+
+/// The out-of-bag votes of `config` fitted on `data`, computed apart from
+/// any fit: each tree's bootstrap re-drawn from the forest seed as a list
+/// of row indices, the tree grown on that materialised sample by the
+/// reference grower, and every row the sample never names scored by that
+/// tree alone. Shared by the forest and the pool oracles.
+#[cfg(test)]
+pub(crate) fn out_of_bag_reference(config: &RandomForest, data: &Dataset) -> Vec<(f64, u32)> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut votes = vec![(0.0, 0); data.len()];
+    for t in 0..config.n_trees {
+        let sample: Vec<usize> = (0..data.len())
+            .map(|_| rng.random_range(0..data.len()))
+            .collect();
+        let mut tree = config.tree_config(data.n_features(), t);
+        tree.fit_reference(&data.subset(&sample));
+        for (i, (sum, count)) in votes.iter_mut().enumerate() {
+            if !sample.contains(&i) {
+                *sum += tree.predict_proba(data.features(i));
+                *count += 1;
+            }
+        }
+    }
+    votes
 }
 
 #[cfg(test)]
@@ -332,6 +408,50 @@ mod tests {
             forest.fit(&data).unwrap();
             prop_assert_eq!(forest.arena(), expected, "alone");
         }
+
+        /// The out-of-bag oracle: the votes collected during the fit equal
+        /// the independently recomputed reference, `==` on every `f64`
+        /// sum, and collecting them leaves the forest's arena bit-identical
+        /// to a plain fit's.
+        #[test]
+        fn out_of_bag_votes_match_reference(
+            seed in any::<u64>(),
+            (n_rows, n_features) in (1usize..70, 1usize..=6),
+            (n_trees, max_depth, min_samples_split) in (1usize..=9, 1usize..=12, 2usize..=6),
+            max_features in proptest::option::of(1usize..=6),
+        ) {
+            let data = tied_dataset(&mut StdRng::seed_from_u64(seed), n_rows, n_features);
+            let mut config = RandomForest::new(n_trees)
+                .with_max_depth(max_depth)
+                .with_min_samples_split(min_samples_split)
+                .with_seed(seed);
+            config.max_features = max_features;
+
+            let mut plain = config.clone();
+            plain.fit(&data).unwrap();
+            let mut voted = config.clone();
+            let votes = voted.fit_out_of_bag(&data).unwrap();
+            prop_assert_eq!(voted.arena(), plain.arena());
+            prop_assert_eq!(votes, out_of_bag_reference(&config, &data));
+        }
+    }
+
+    #[test]
+    fn out_of_bag_confusion_scores_held_out_rows_at_the_threshold() {
+        let forest = RandomForest::new(3).with_threshold(0.3);
+        // Vote fractions 0.3 (at the threshold), 0.25, 1.0, and a row no
+        // tree left out.
+        let votes = [(0.6, 2), (0.5, 2), (3.0, 3), (0.0, 0)];
+        let confusion = forest.out_of_bag_confusion(&votes, &[false, true, true, true]);
+        assert_eq!(
+            confusion,
+            ConfusionMatrix {
+                tp: 1,
+                fp: 1,
+                tn: 0,
+                fn_: 1
+            }
+        );
     }
 
     fn banded() -> Dataset {

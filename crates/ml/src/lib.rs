@@ -10,9 +10,11 @@
 //!   `smartflux::Predictor`, which fits one [`RandomForest`] per
 //!   `MultiLabelDataset` label);
 //! - evaluation [`metrics`]: accuracy, precision, recall, F1, ROC AUC;
-//! - stratified k-fold [`crossval`] (the paper's 10-fold test phase) and
-//!   [`crossval::build_forests`], which fits a model build's forests —
-//!   every fold and every final fit — side by side on one pool of workers.
+//! - [`crossval::build_forests`], which fits a model build's forests side
+//!   by side on one pool of workers, each assessed by its out-of-bag votes
+//!   (SmartFlux's test phase), and stratified k-fold
+//!   [`crossval::cross_validate`] (the paper's 10-fold test phase, kept for
+//!   the experiments).
 //!
 //! All training is deterministic given a seed; randomised algorithms take
 //! explicit seeds rather than global RNG state.

@@ -1,8 +1,9 @@
 //! The crate's one parallel site: a batch of independent jobs run by one
 //! set of workers.
 //!
-//! A model build is dozens of forests — every label's cross-validation
-//! folds and its final fit ([`crate::crossval::build_forests`]). Each one
+//! A model build is one forest per label, each assessed by its own
+//! out-of-bag votes ([`crate::crossval::build_forests`]); a k-fold
+//! [`crate::crossval::cross_validate`] is one forest per fold. Each forest
 //! is a job, fitted on one thread from start to end; the workers pull job
 //! indices from one shared cursor until none are left, so a slow job only
 //! delays the worker that drew it. A job's result depends on its index

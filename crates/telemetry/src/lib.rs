@@ -333,23 +333,23 @@ pub mod names {
     pub const END_WAVE_LATENCY: &str = "engine.end_wave";
     /// Latency of one predictor query.
     pub const PREDICT_LATENCY: &str = "engine.predict";
-    /// Latency of one model (re)build, including cross-validation.
+    /// Latency of one model (re)build, including its out-of-bag test phase.
     pub const TRAIN_LATENCY: &str = "engine.train";
     /// Latency of one ML-kernel inference pass (the flat-forest walk
     /// itself, excluding engine bookkeeping around the query).
     pub const ML_PREDICT_LATENCY: &str = "ml.predict_ns";
-    /// Latency of one ML-kernel fit batch: every forest of a model build
-    /// fitted side by side on one pool of workers — in a training phase's
-    /// build, every label's cross-validation folds and final forest; in a
-    /// recovery refit, the final forests only. [`TRAIN_LATENCY`] adds the
-    /// engine's bookkeeping around a training build.
+    /// Latency of one ML-kernel fit batch: one forest per label fitted
+    /// side by side on one pool of workers — in a training phase's build
+    /// with each forest's out-of-bag votes collected as it grows, in a
+    /// recovery refit without. [`TRAIN_LATENCY`] adds the engine's
+    /// bookkeeping around a training build.
     pub const ML_FIT_LATENCY: &str = "ml.fit_ns";
     /// Labels answered by the latest prediction pass (1 for per-step
     /// queries, the label count for whole-vector `predict_all` passes).
     pub const ML_BATCH_SIZE: &str = "ml.batch_size";
-    /// Wall-clock milliseconds the latest model build took: the
-    /// cross-validated test phase plus the per-label fits (0 before the
-    /// first build and after a recovery, which restores models unbuilt).
+    /// Wall-clock milliseconds the latest model build took: the per-label
+    /// fits and their out-of-bag test phase (0 before the first build and
+    /// after a recovery, which restores models unbuilt).
     pub const ML_MODEL_BUILD_MS: &str = "ml.model_build_ms";
     /// Application waves decided by the current model since it was built.
     pub const QOD_MODEL_AGE_WAVES: &str = "qod.model_age_waves";

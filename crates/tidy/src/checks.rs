@@ -32,8 +32,6 @@ pub enum CheckId {
     Time,
     /// Tabs, trailing whitespace, `dbg!`, unreferenced `TODO`s, lint headers.
     Hygiene,
-    /// No cycle in the interprocedural lock-order graph.
-    LockOrder,
     /// Every `Ordering::*` use matches the field's declared discipline.
     AtomicOrdering,
     /// No guard held across a blocking call (send/recv/join/file I/O).
@@ -43,7 +41,7 @@ pub enum CheckId {
 }
 
 /// All checks, in reporting order.
-pub const ALL_CHECKS: [CheckId; 11] = [
+pub const ALL_CHECKS: [CheckId; 10] = [
     CheckId::Layering,
     CheckId::Panic,
     CheckId::LockStd,
@@ -51,7 +49,6 @@ pub const ALL_CHECKS: [CheckId; 11] = [
     CheckId::TelemetryGuard,
     CheckId::Time,
     CheckId::Hygiene,
-    CheckId::LockOrder,
     CheckId::AtomicOrdering,
     CheckId::GuardBlocking,
     CheckId::AllowDangling,
@@ -70,7 +67,6 @@ impl CheckId {
             Self::TelemetryGuard => "telemetry-guard",
             Self::Time => "time",
             Self::Hygiene => "hygiene",
-            Self::LockOrder => "lock-order",
             Self::AtomicOrdering => "atomic-ordering",
             Self::GuardBlocking => "guard-blocking",
             Self::AllowDangling => "allow-dangling",
@@ -94,7 +90,6 @@ impl CheckId {
             Self::TelemetryGuard => "metrics calls sit behind an is_enabled() guard",
             Self::Time => "no Instant::now()/SystemTime outside telemetry and bench",
             Self::Hygiene => "tabs, trailing whitespace, dbg!, TODO refs, lint headers",
-            Self::LockOrder => "no cycle in the interprocedural lock-order graph",
             Self::AtomicOrdering => "atomic Ordering uses match the declared per-field discipline",
             Self::GuardBlocking => "no guard held across a blocking call (send/recv/join/file I/O)",
             Self::AllowDangling => "every tidy:allow suppresses at least one finding",

@@ -149,8 +149,8 @@ pub fn check(crate_name: &str, files: &[SourceFile], model: &Model) -> Vec<Diagn
     out
 }
 
-fn held_list(held: &[super::callgraph::Held]) -> String {
-    let mut classes: Vec<String> = held.iter().map(|h| format!("`{}`", h.class)).collect();
+fn held_list(held: &[String]) -> String {
+    let mut classes: Vec<String> = held.iter().map(|class| format!("`{class}`")).collect();
     classes.dedup();
     format!(
         "lock{} {}",

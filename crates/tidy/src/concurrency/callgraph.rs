@@ -3,37 +3,34 @@
 //! The scanner groups lexed code lines into *statements* (joined text, so
 //! multi-line method chains and call argument lists analyze as one unit),
 //! then walks each function's statements in order tracking which lock
-//! guards are live. Three kinds of events come out, each with a snapshot
-//! of the guards held at that point:
+//! guards are live. Acquisitions — `.lock()` / `.read()` / `.write()` and
+//! their `try_` variants — add to the held set; two kinds of events come
+//! out, each with the lock classes held at that point:
 //!
-//! - **acquisitions** — `.lock()` / `.read()` / `.write()` (and their
-//!   non-blocking `try_` variants, which never form deadlock edges but do
-//!   count as held guards),
 //! - **calls** — method, bare, and path calls, resolved against the
 //!   crate's symbol table by name (one candidate = resolved, several =
 //!   conservatively ambiguous, none = unknown/external),
 //! - **blocking hits** — direct `send`/`recv`/`join`/file-I/O tokens.
 //!
 //! Guard liveness is lexical: a `let g = x.lock();` binding (or a binding
-//! of a guard-returning fn like a shard accessor) lives until its block
-//! closes or a `drop(g)`; a guard temporary inside a `for`/`if let`/
-//! `match` head lives for the block it opens; other temporaries die at
-//! the end of their statement.
+//! of a guard-returning fn, like `let data = self.lock_write();` in
+//! `DataStore::write_at`) lives until its block closes or a `drop(g)`; a
+//! guard temporary inside a `for`/`if let`/`match` head lives for the
+//! block it opens; other temporaries die at the end of their statement.
 
 use std::collections::HashMap;
 
 use super::symbols::SymbolTable;
-use super::LockMode;
 use crate::source::{FileRole, SourceFile};
 
-/// Lock acquisition tokens: `(token, mode, is_try)`.
-pub const ACQ_TOKENS: [(&str, LockMode, bool); 6] = [
-    (".try_lock()", LockMode::Write, true),
-    (".try_read()", LockMode::Read, true),
-    (".try_write()", LockMode::Write, true),
-    (".lock()", LockMode::Write, false),
-    (".read()", LockMode::Read, false),
-    (".write()", LockMode::Write, false),
+/// Lock acquisition tokens: `(token, is_try)`.
+pub const ACQ_TOKENS: [(&str, bool); 6] = [
+    (".try_lock()", true),
+    (".try_read()", true),
+    (".try_write()", true),
+    (".lock()", false),
+    (".read()", false),
+    (".write()", false),
 ];
 
 /// Direct blocking tokens and what they are: `send`/`recv`/`join` and the
@@ -152,30 +149,6 @@ pub fn statements(file: &SourceFile) -> Vec<Stmt> {
     out
 }
 
-/// A guard held at the moment an event fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Held {
-    /// Lock class (receiver field name, or `Type.N` for tuple fields).
-    pub class: String,
-    /// Acquisition mode.
-    pub mode: LockMode,
-    /// Binding name, when the guard is a named `let`.
-    pub name: Option<String>,
-}
-
-/// A blocking lock acquisition with the guards held when it ran.
-#[derive(Debug, Clone)]
-pub struct AcqEvent {
-    /// Lock class acquired.
-    pub class: String,
-    /// Acquisition mode.
-    pub mode: LockMode,
-    /// 1-based source line.
-    pub line: usize,
-    /// Guards held at this point (may include same-class temporaries).
-    pub held: Vec<Held>,
-}
-
 /// How a call site resolved against the symbol table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
@@ -197,8 +170,9 @@ pub struct CallEvent {
     pub is_method: bool,
     /// 1-based source line.
     pub line: usize,
-    /// Guards held at this point.
-    pub held: Vec<Held>,
+    /// Lock classes held at this point (receiver field name, or `Type.N`
+    /// for tuple fields).
+    pub held: Vec<String>,
     /// The receiver is itself a (fresh or named) guard — the
     /// mutex-protects-the-resource pattern, exempt from `guard-blocking`.
     pub on_guard: bool,
@@ -215,8 +189,8 @@ pub struct BlockingHit {
     pub line: usize,
     /// What kind of blocking operation.
     pub what: &'static str,
-    /// Guards held at this point.
-    pub held: Vec<Held>,
+    /// Lock classes held at this point.
+    pub held: Vec<String>,
     /// The blocking call runs *on* a held guard (the guard protects the
     /// resource being driven), which is the intended pattern.
     pub exempt: bool,
@@ -225,8 +199,9 @@ pub struct BlockingHit {
 /// Everything extracted from one function body.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
-    /// Blocking acquisitions, in order.
-    pub acqs: Vec<AcqEvent>,
+    /// Class of the fn's first blocking (non-`try_`) acquisition: for a
+    /// guard-returning fn, the lock its guard protects.
+    pub first_acq: Option<String>,
     /// Call sites, in order.
     pub calls: Vec<CallEvent>,
     /// Direct blocking tokens, in order.
@@ -240,18 +215,19 @@ pub struct Model {
     pub symbols: SymbolTable,
     /// Facts parallel to `symbols.fns`.
     pub facts: Vec<FnFacts>,
-    /// For guard-returning fns: the lock class and mode their guard
-    /// protects (derived from the fn's own first acquisition).
-    pub guard_class: HashMap<usize, (String, LockMode)>,
+    /// For guard-returning fns: the lock class their guard protects
+    /// (derived from the fn's own first acquisition).
+    pub guard_class: HashMap<usize, String>,
 }
 
 impl Model {
     /// Builds the symbol table and per-fn facts for one crate's files.
     ///
     /// Runs the scan twice: the first pass discovers which fns return
-    /// guards and which lock class each guards (e.g. a shard accessor
-    /// returning `RwLockWriteGuard`), the second pass uses that so `let g
-    /// = self.shard_mut(i);` binds a live guard of the right class.
+    /// guards and which lock class each guards (e.g. `DataStore::lock_write`
+    /// returning `RwLockWriteGuard` over `tables`), the second pass uses
+    /// that so `let data = self.lock_write();` in `DataStore::write_at`
+    /// binds a live guard of the right class.
     #[must_use]
     pub fn build(files: &[SourceFile]) -> Self {
         let symbols = SymbolTable::build(files);
@@ -268,9 +244,9 @@ impl Model {
         let first = scan(&symbols, files, &stmts, &HashMap::new());
         let mut guard_class = HashMap::new();
         for (idx, f) in symbols.fns.iter().enumerate() {
-            if let Some(mode) = f.returns_guard {
-                if let Some(acq) = first[idx].acqs.first() {
-                    guard_class.insert(idx, (acq.class.clone(), mode));
+            if f.returns_guard {
+                if let Some(class) = first[idx].first_acq.clone() {
+                    guard_class.insert(idx, class);
                 }
             }
         }
@@ -286,27 +262,20 @@ impl Model {
 /// A live guard during the per-fn walk.
 struct LiveGuard {
     class: String,
-    mode: LockMode,
     name: Option<String>,
     binding_depth: usize,
     temp: bool, // acquired in the current statement
 }
 
-fn snapshot(held: &[LiveGuard]) -> Vec<Held> {
-    held.iter()
-        .map(|g| Held {
-            class: g.class.clone(),
-            mode: g.mode,
-            name: g.name.clone(),
-        })
-        .collect()
+fn snapshot(held: &[LiveGuard]) -> Vec<String> {
+    held.iter().map(|g| g.class.clone()).collect()
 }
 
 fn scan(
     symbols: &SymbolTable,
     files: &[SourceFile],
     stmts: &[Vec<Stmt>],
-    guard_class: &HashMap<usize, (String, LockMode)>,
+    guard_class: &HashMap<usize, String>,
 ) -> Vec<FnFacts> {
     let mut facts: Vec<FnFacts> = vec![FnFacts::default(); symbols.fns.len()];
     for (fid, def) in symbols.fns.iter().enumerate() {
@@ -344,7 +313,7 @@ fn scan(
 fn scan_stmt(
     symbols: &SymbolTable,
     caller_impl: Option<&str>,
-    guard_class: &HashMap<usize, (String, LockMode)>,
+    guard_class: &HashMap<usize, String>,
     stmt: &Stmt,
     held: &mut Vec<LiveGuard>,
     facts: &mut FnFacts,
@@ -368,22 +337,15 @@ fn scan_stmt(
         let c = bytes[i] as char;
         // Acquisition tokens.
         if c == '.' {
-            if let Some(&(tok, mode, is_try)) =
-                ACQ_TOKENS.iter().find(|(t, _, _)| text[i..].starts_with(t))
+            if let Some(&(tok, is_try)) = ACQ_TOKENS.iter().find(|(t, _)| text[i..].starts_with(t))
             {
                 let chain = chain_before(text, i);
                 let class = lock_class(&chain, caller_impl);
-                if !is_try {
-                    facts.acqs.push(AcqEvent {
-                        class: class.clone(),
-                        mode,
-                        line: stmt.line_of(i),
-                        held: snapshot(held),
-                    });
+                if !is_try && facts.first_acq.is_none() {
+                    facts.first_acq = Some(class.clone());
                 }
                 held.push(LiveGuard {
                     class,
-                    mode,
                     name: None,
                     binding_depth: temp_depth,
                     temp: true,
@@ -512,7 +474,7 @@ fn scan_stmt(
             last_temp.temp = false;
         }
     } else if let Some(name) = &binding {
-        // `let g = self.shard_mut(i);` — a trailing call whose every
+        // `let data = self.lock_write();` — a trailing call whose every
         // candidate returns a guard binds that guard's class.
         for (open, candidates) in &call_opens {
             let Some(close) = matching_close(text, *open) else {
@@ -525,10 +487,8 @@ fn scan_stmt(
             if candidates.is_empty() || !candidates.iter().all(|f| guard_class.contains_key(f)) {
                 continue;
             }
-            let (class, mode) = guard_class[&candidates[0]].clone();
             held.push(LiveGuard {
-                class,
-                mode,
+                class: guard_class[&candidates[0]].clone(),
                 name: Some(name.clone()),
                 binding_depth: stmt.depth,
                 temp: false,
@@ -756,7 +716,7 @@ fn lock_class(chain: &str, caller_impl: Option<&str>) -> String {
 /// Whether a receiver chain is itself a guard: it ends in an acquisition
 /// token (fresh guard) or its root is a named held guard.
 fn receiver_is_guard(chain: &str, held: &[LiveGuard]) -> bool {
-    if ACQ_TOKENS.iter().any(|(t, _, _)| chain.ends_with(t)) {
+    if ACQ_TOKENS.iter().any(|(t, _)| chain.ends_with(t)) {
         return true;
     }
     let root: String = chain
@@ -778,7 +738,7 @@ fn first_arg_is_guard(after_paren: &str, held: &[LiveGuard]) -> bool {
         .trim()
         .trim_start_matches("&mut ")
         .trim_start_matches('*');
-    if ACQ_TOKENS.iter().any(|(t, _, _)| arg.ends_with(t)) {
+    if ACQ_TOKENS.iter().any(|(t, _)| arg.ends_with(t)) {
         return true;
     }
     held.iter().any(|g| g.name.as_deref() == Some(arg))
@@ -808,7 +768,7 @@ fn ends_in_acq_token(trimmed: &str) -> bool {
             }
         }
     }
-    ACQ_TOKENS.iter().any(|(t, _, _)| s.ends_with(t))
+    ACQ_TOKENS.iter().any(|(t, _)| s.ends_with(t))
 }
 
 /// The index of the `)` matching the `(` at `open`.
@@ -886,19 +846,18 @@ mod tests {
             "impl S {\n\
              \x20   fn f(&self) {\n\
              \x20       let g = self.state.lock();\n\
-             \x20       self.other.lock();\n\
+             \x20       self.other.ping();\n\
              \x20       drop(g);\n\
-             \x20       self.third.lock();\n\
+             \x20       self.third.ping();\n\
              \x20   }\n\
              }\n",
         );
         let facts = fn_named(&m, "f");
-        assert_eq!(facts.acqs.len(), 3);
-        assert_eq!(facts.acqs[1].class, "other");
-        assert_eq!(facts.acqs[1].held.len(), 1);
-        assert_eq!(facts.acqs[1].held[0].class, "state");
+        assert_eq!(facts.first_acq.as_deref(), Some("state"));
+        assert_eq!(facts.calls.len(), 2);
+        assert_eq!(facts.calls[0].held, ["state"]);
         assert!(
-            facts.acqs[2].held.is_empty(),
+            facts.calls[1].held.is_empty(),
             "drop(g) must clear the guard"
         );
     }
@@ -907,20 +866,18 @@ mod tests {
     fn guard_returning_fn_binding_is_a_live_guard() {
         let m = model(
             "impl S {\n\
-             \x20   fn shard_mut(&self) -> RwLockWriteGuard<'_, Data> {\n\
-             \x20       self.data.write()\n\
+             \x20   fn lock_write(&self) -> RwLockWriteGuard<'_, Tables> {\n\
+             \x20       self.tables.write()\n\
              \x20   }\n\
              \x20   fn put(&self) {\n\
-             \x20       let mut d = self.shard_mut();\n\
-             \x20       self.registry.read();\n\
+             \x20       let mut data = self.lock_write();\n\
+             \x20       self.index.ping();\n\
              \x20   }\n\
              }\n",
         );
         let facts = fn_named(&m, "put");
-        let reg = facts.acqs.iter().find(|a| a.class == "registry").unwrap();
-        assert_eq!(reg.held.len(), 1);
-        assert_eq!(reg.held[0].class, "data");
-        assert_eq!(reg.held[0].mode, LockMode::Write);
+        let ping = facts.calls.iter().find(|c| c.name == "ping").unwrap();
+        assert_eq!(ping.held, ["tables"]);
     }
 
     #[test]
@@ -1005,16 +962,16 @@ mod tests {
             "impl S {\n\
              \x20   fn publish(&self) {\n\
              \x20       for s in self.subs.lock().iter() {\n\
-             \x20           self.state.lock();\n\
+             \x20           s.notify();\n\
              \x20       }\n\
-             \x20       self.after.lock();\n\
+             \x20       self.after();\n\
              \x20   }\n\
              }\n",
         );
         let facts = fn_named(&m, "publish");
-        let state = facts.acqs.iter().find(|a| a.class == "state").unwrap();
-        assert!(state.held.iter().any(|h| h.class == "subs"));
-        let after = facts.acqs.iter().find(|a| a.class == "after").unwrap();
+        let notify = facts.calls.iter().find(|c| c.name == "notify").unwrap();
+        assert_eq!(notify.held, ["subs"]);
+        let after = facts.calls.iter().find(|c| c.name == "after").unwrap();
         assert!(after.held.is_empty());
     }
 }

@@ -4,11 +4,8 @@
 //! passes in this module see one *crate* at a time: a lightweight
 //! symbol table ([`symbols`]) and call-graph/lock model ([`callgraph`])
 //! are built from the same comment- and string-stripped line views the
-//! lexer already produces, and three analyses run on top:
+//! lexer already produces, and two analyses run on top:
 //!
-//! - [`lock_order`] — interprocedural lock-acquisition-order graph;
-//!   any cycle is a potential deadlock, reported with a full witness
-//!   path (`lock-order`).
 //! - [`atomics`] — every atomic field must declare an ordering
 //!   discipline via `tidy:atomic(...)`; every `Ordering::*` use must
 //!   match it (`atomic-ordering`).
@@ -25,7 +22,6 @@
 pub mod atomics;
 pub mod blocking;
 pub mod callgraph;
-pub mod lock_order;
 pub mod symbols;
 
 /// Crates the concurrency passes run on. Leaf/bench/tooling crates are
@@ -40,23 +36,3 @@ pub const CONCURRENCY_CRATES: [&str; 8] = [
     "smartflux-net",
     "smartflux-sim",
 ];
-
-/// Acquisition mode of a lock class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LockMode {
-    /// Shared (`RwLock::read`).
-    Read,
-    /// Exclusive (`Mutex::lock`, `RwLock::write`).
-    Write,
-}
-
-impl LockMode {
-    /// Lower-case display name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Read => "read",
-            Self::Write => "write",
-        }
-    }
-}

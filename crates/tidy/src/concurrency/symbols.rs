@@ -10,8 +10,6 @@ use std::collections::HashMap;
 
 use crate::source::{FileRole, SourceFile};
 
-use super::LockMode;
-
 /// One function (or method) definition with a body.
 #[derive(Debug, Clone)]
 pub struct FnDef {
@@ -29,9 +27,9 @@ pub struct FnDef {
     pub body_end: usize,
     /// Signature text (decl through the body-opening brace).
     pub signature: String,
-    /// `Some(mode)` when the return type is a lock guard
+    /// Whether the return type is a lock guard
     /// (`MutexGuard`/`RwLockReadGuard`/`RwLockWriteGuard`).
-    pub returns_guard: Option<LockMode>,
+    pub returns_guard: bool,
     /// Whether the definition sits in test code (`#[cfg(test)]` block).
     pub is_test: bool,
 }
@@ -339,16 +337,14 @@ fn impl_target(text: &str) -> Option<String> {
     }
 }
 
-/// Whether a signature returns a lock guard, and in which mode.
-fn guard_return(sig: &str) -> Option<LockMode> {
-    let ret = &sig[sig.find("->")? + 2..];
-    if ret.contains("RwLockWriteGuard") || ret.contains("MutexGuard") {
-        Some(LockMode::Write)
-    } else if ret.contains("RwLockReadGuard") {
-        Some(LockMode::Read)
-    } else {
-        None
-    }
+/// Whether a signature returns a lock guard.
+fn guard_return(sig: &str) -> bool {
+    sig.find("->").is_some_and(|arrow| {
+        let ret = &sig[arrow + 2..];
+        ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"]
+            .iter()
+            .any(|g| ret.contains(g))
+    })
 }
 
 #[cfg(test)]
@@ -399,10 +395,12 @@ mod tests {
             "impl S {\n\
              \x20   fn shard(&self) -> RwLockWriteGuard<'_, Data> {\n        self.data.write()\n    }\n\
              \x20   fn view(&self) -> RwLockReadGuard<'_, Data> {\n        self.data.read()\n    }\n\
+             \x20   fn label(&self) -> &str {\n        \"guard\"\n    }\n\
              }\n",
         );
-        assert_eq!(t.fns[0].returns_guard, Some(LockMode::Write));
-        assert_eq!(t.fns[1].returns_guard, Some(LockMode::Read));
+        assert!(t.fns[0].returns_guard);
+        assert!(t.fns[1].returns_guard);
+        assert!(!t.fns[2].returns_guard);
     }
 
     #[test]

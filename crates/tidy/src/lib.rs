@@ -18,16 +18,15 @@
 //! | `telemetry-guard` | metrics calls sit behind an `is_enabled()` guard |
 //! | `time`            | no ambient clock reads outside telemetry/bench |
 //! | `hygiene`         | tabs, trailing whitespace, `dbg!`, `TODO` refs, lint headers |
-//! | `lock-order`      | no cycle in the interprocedural lock-acquisition-order graph |
 //! | `atomic-ordering` | every atomic field declares a `tidy:atomic` discipline and every `Ordering::*` use matches it |
 //! | `guard-blocking`  | no guard held across a call that (transitively) reaches blocking I/O |
 //! | `allow-dangling`  | every `tidy:allow` suppresses something; stale allows are errors |
 //!
-//! The first seven are lexical, line-at-a-time checks. The last three
-//! come from the [`concurrency`] passes, which build a per-crate symbol
-//! table and call graph on top of the same lexer and reason
-//! interprocedurally (see that module's docs for the witness format and
-//! documented exclusions).
+//! The first seven are lexical, line-at-a-time checks. `atomic-ordering`
+//! and `guard-blocking` come from the [`concurrency`] passes, which build
+//! a per-crate symbol table and call graph on top of the same lexer and
+//! reason interprocedurally (see that module's docs for the witness
+//! format and documented exclusions).
 //!
 //! Checks are suppressed per line with a machine-readable
 //! `// tidy:allow(<check-id>): <reason>` comment — and since checks emit

@@ -25,7 +25,7 @@ OPTIONS:
                          fail too until the file is tightened
     --write-ratchet      rewrite the --ratchet file with the live counts
     --json <file>        also write a machine-readable report (checks run,
-                         per-crate counts, findings, lock-order graphs)
+                         per-crate counts, findings)
     --list-checks        print every check id and exit
     --help               print this help
 ";
@@ -133,9 +133,8 @@ fn run(opts: &Options) -> Result<bool, String> {
     };
 
     let units = runner::load_workspace(&root)?;
-    let run_report = runner::run_checks_full(&units, &selected);
-    let diagnostics = &run_report.diagnostics;
-    let live = runner::count_by_crate(&units, diagnostics);
+    let diagnostics = runner::run_checks(&units, &selected);
+    let live = runner::count_by_crate(&units, &diagnostics);
 
     let mut ok = true;
     if let Some(ratchet_path) = &opts.ratchet {
@@ -177,7 +176,7 @@ fn run(opts: &Options) -> Result<bool, String> {
             ok = report.is_clean();
         }
     } else {
-        for d in diagnostics {
+        for d in &diagnostics {
             println!("{d}");
         }
         ok = diagnostics.is_empty();
@@ -189,9 +188,8 @@ fn run(opts: &Options) -> Result<bool, String> {
             units.iter().map(|u| u.files.len()).sum::<usize>(),
             units.len(),
             start.elapsed().as_millis(),
-            diagnostics,
+            &diagnostics,
             &live,
-            &run_report.lock_graphs,
         );
         std::fs::write(json_path, doc).map_err(|e| format!("{}: {e}", json_path.display()))?;
         eprintln!("tidy: wrote report to {}", json_path.display());
@@ -226,4 +224,18 @@ fn crate_of(units: &[runner::CrateUnit], path: &str) -> Option<String> {
         }
     }
     best.map(|(_, n)| n)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_refuses_the_deleted_lock_order_check() {
+        let args = ["--workspace", "--only", "lock-order"].map(String::from);
+        let err = parse_args(&args)
+            .err()
+            .expect("lock-order is no longer a check");
+        assert_eq!(err, "unknown check `lock-order` (see --list-checks)");
+    }
 }

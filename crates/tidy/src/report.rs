@@ -2,18 +2,19 @@
 //!
 //! Hand-rolled writer (no serde — the crate stays dependency-free)
 //! producing a stable document for CI artifacts and `diagnose --json`:
-//! which checks ran, per-`(check, crate)` live counts, every live
-//! finding, and the per-crate lock-order graphs with their edge
-//! witnesses. Consumers should key on `schema_version`.
+//! which checks ran, per-`(check, crate)` live counts, and every live
+//! finding. Consumers should key on `schema_version`.
 
 use std::fmt::Write as _;
 
 use crate::checks::{CheckId, Diagnostic};
-use crate::concurrency::lock_order::LockGraph;
 use crate::ratchet::Counts;
 
 /// Bump when the report shape changes incompatibly.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// History: 1 = original layout; 2 = the `lock_order` array left with
+/// the lock-order check.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Escapes a string for a JSON literal.
 fn esc(s: &str) -> String {
@@ -43,7 +44,6 @@ pub fn render(
     duration_ms: u128,
     diagnostics: &[Diagnostic],
     counts: &Counts,
-    lock_graphs: &[LockGraph],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -96,48 +96,6 @@ pub fn render(
             esc(&d.message)
         );
     }
-    s.push_str("\n  ],\n");
-
-    s.push_str("  \"lock_order\": [");
-    for (i, g) in lock_graphs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"crate\": \"{}\", \"cycles\": {}, \"edges\": [",
-            esc(&g.crate_name),
-            g.cycles
-        );
-        for (j, e) in g.edges.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let via = e
-                .via
-                .iter()
-                .map(|v| format!("\"{}\"", esc(v)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                s,
-                "\n      {{\"from\": \"{}\", \"from_mode\": \"{}\", \"to\": \"{}\", \
-                 \"to_mode\": \"{}\", \"site\": \"{}:{}\", \"fn\": \"{}\", \"via\": [{via}]}}",
-                esc(&e.from),
-                e.from_mode.as_str(),
-                esc(&e.to),
-                e.to_mode.as_str(),
-                esc(&e.path),
-                e.line,
-                esc(&e.fn_name)
-            );
-        }
-        if g.edges.is_empty() {
-            s.push_str("]}");
-        } else {
-            s.push_str("\n    ]}");
-        }
-    }
     s.push_str("\n  ]\n}\n");
     s
 }
@@ -160,18 +118,20 @@ mod tests {
             .or_default()
             .insert("smartflux".into(), 1);
         let out = render(
-            &[CheckId::Panic, CheckId::LockOrder],
+            &[CheckId::Panic, CheckId::GuardBlocking],
             10,
             2,
             42,
             &diags,
             &counts,
-            &[],
         );
-        assert!(out.contains("\"schema_version\": 1"));
+        assert!(out.contains("\"schema_version\": 2"));
+        assert!(out.contains("\"checks\": [\"panic\", \"guard-blocking\"]"));
         assert!(out.contains("\\\"here\\\"\\n"));
         assert!(out.contains("\"panic\": {\"smartflux\": 1}"));
-        assert!(out.contains("\"lock_order\": ["));
+        // The findings array closes the document.
+        assert!(!out.contains("lock_order"));
+        assert!(out.ends_with("\"}\n  ]\n}\n"), "{out}");
         // Balanced braces/brackets as a cheap well-formedness probe.
         assert_eq!(out.matches('{').count(), out.matches('}').count());
         assert_eq!(out.matches('[').count(), out.matches(']').count());

@@ -5,7 +5,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::checks::{self, CheckId, Diagnostic};
-use crate::concurrency::{self, atomics, blocking, callgraph, lock_order};
+use crate::concurrency::{self, atomics, blocking, callgraph};
 use crate::manifest::{self, Manifest};
 use crate::ratchet::Counts;
 use crate::source::{FileRole, SourceFile};
@@ -124,17 +124,8 @@ pub fn load_workspace(root: &Path) -> Result<Vec<CrateUnit>, String> {
     Ok(units)
 }
 
-/// Everything a full run produces: the live diagnostics plus the
-/// per-crate lock-order graphs (for `--json` reporting).
-#[derive(Debug, Default)]
-pub struct RunReport {
-    /// Live (post-suppression) diagnostics, sorted by path and line.
-    pub diagnostics: Vec<Diagnostic>,
-    /// One lock-order graph per concurrency-analyzed crate.
-    pub lock_graphs: Vec<lock_order::LockGraph>,
-}
-
-/// Runs `selected` checks over `units`.
+/// Runs `selected` checks over `units`, returning live (non-allowed)
+/// diagnostics sorted by path and line.
 ///
 /// Checks emit *raw* diagnostics; suppression (`tidy:allow`) is applied
 /// centrally here, which is what lets the `allow-dangling` check see
@@ -142,9 +133,8 @@ pub struct RunReport {
 /// check)` never matched a raw diagnostic is dead weight and gets
 /// reported itself.
 #[must_use]
-pub fn run_checks_full(units: &[CrateUnit], selected: &[CheckId]) -> RunReport {
+pub fn run_checks(units: &[CrateUnit], selected: &[CheckId]) -> Vec<Diagnostic> {
     let mut raw = Vec::new();
-    let mut lock_graphs = Vec::new();
     for unit in units {
         if selected.contains(&CheckId::Layering) {
             raw.extend(checks::check_layering(&unit.manifest, unit.vendored));
@@ -159,7 +149,6 @@ pub fn run_checks_full(units: &[CrateUnit], selected: &[CheckId]) -> RunReport {
             for &check in selected {
                 let diags = match check {
                     CheckId::Layering
-                    | CheckId::LockOrder
                     | CheckId::AtomicOrdering
                     | CheckId::GuardBlocking
                     | CheckId::AllowDangling => continue,
@@ -178,18 +167,9 @@ pub fn run_checks_full(units: &[CrateUnit], selected: &[CheckId]) -> RunReport {
             if selected.contains(&CheckId::AtomicOrdering) {
                 raw.extend(atomics::check(&unit.name, &unit.files));
             }
-            let wants_model = selected.contains(&CheckId::LockOrder)
-                || selected.contains(&CheckId::GuardBlocking);
-            if wants_model {
+            if selected.contains(&CheckId::GuardBlocking) {
                 let model = callgraph::Model::build(&unit.files);
-                if selected.contains(&CheckId::LockOrder) {
-                    let (diags, graph) = lock_order::check(&unit.name, &unit.files, &model);
-                    raw.extend(diags);
-                    lock_graphs.push(graph);
-                }
-                if selected.contains(&CheckId::GuardBlocking) {
-                    raw.extend(blocking::check(&unit.name, &unit.files, &model));
-                }
+                raw.extend(blocking::check(&unit.name, &unit.files, &model));
             }
         }
     }
@@ -264,17 +244,7 @@ pub fn run_checks_full(units: &[CrateUnit], selected: &[CheckId]) -> RunReport {
         ))
     });
     live.dedup();
-    RunReport {
-        diagnostics: live,
-        lock_graphs,
-    }
-}
-
-/// Runs `selected` checks over `units`, returning live (non-allowed)
-/// diagnostics sorted by path and line.
-#[must_use]
-pub fn run_checks(units: &[CrateUnit], selected: &[CheckId]) -> Vec<Diagnostic> {
-    run_checks_full(units, selected).diagnostics
+    live
 }
 
 /// Buckets diagnostics into ratchet counts. Needs the crate of each

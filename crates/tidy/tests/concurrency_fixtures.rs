@@ -1,17 +1,11 @@
-//! Fixture-driven tests for the concurrency passes.
-//!
-//! The centerpiece is a regression fixture reintroducing the PR-2
-//! `DataStore::timed` deadlock shape — a shard guard held across
-//! observer dispatch while attachment takes the same locks in the
-//! opposite order — which must produce a `lock-order` cycle whose
-//! witness names both lock classes. Negative fixtures (reader-reader
-//! overlap, consistently-ordered acquisition) must stay silent.
+//! Fixture-driven tests for the concurrency passes: call-graph
+//! resolution, `guard-blocking` through the runner, and dangling
+//! suppressions end to end.
 
 use std::path::PathBuf;
 
 use smartflux_tidy::checks::{CheckId, ALL_CHECKS};
 use smartflux_tidy::concurrency::callgraph::{Model, Resolution};
-use smartflux_tidy::concurrency::lock_order;
 use smartflux_tidy::manifest;
 use smartflux_tidy::runner::{self, CrateUnit};
 use smartflux_tidy::source::{FileRole, SourceFile};
@@ -20,145 +14,50 @@ fn file(path: &str, src: &str) -> SourceFile {
     SourceFile::parse(PathBuf::from(path), FileRole::Lib, src)
 }
 
-fn lock_order_diags(src: &str) -> Vec<String> {
-    let files = vec![file("crates/ds/src/store.rs", src)];
-    let model = Model::build(&files);
-    let (diags, _graph) = lock_order::check("smartflux-datastore", &files, &model);
-    diags.into_iter().map(|d| d.message).collect()
-}
-
-// ------------------------------------------------- the PR-2 deadlock shape
-
-/// `timed` dispatches to observers while holding the shard's write guard;
-/// `attach` snapshots the shard while holding the observer bus. Two
-/// threads, opposite order, classic deadlock — the shape PR 2 fixed by
-/// moving dispatch outside the guard.
-const TIMED_DEADLOCK: &str = "\
-impl DataStore {
-    fn timed(&self, row: &str) -> u64 {
-        let mut shard = self.data.write();
-        shard.bump(row);
-        self.notify_observers(row)
-    }
-    fn notify_observers(&self, row: &str) -> u64 {
-        let bus = self.observers.read();
-        bus.dispatch_all(row)
-    }
-    fn attach(&self, name: &str) {
-        let mut bus = self.observers.write();
-        bus.register(name);
-        self.seed_from_snapshot(&mut bus);
-    }
-    fn seed_from_snapshot(&self, bus: &mut ObserverBus) {
-        let shard = self.data.read();
-        bus.seed(shard.rows());
-    }
-}
-";
-
-#[test]
-fn timed_fixture_reports_cycle_naming_both_lock_classes() {
-    let msgs = lock_order_diags(TIMED_DEADLOCK);
-    assert_eq!(msgs.len(), 1, "expected exactly one cycle: {msgs:?}");
-    let msg = &msgs[0];
-    // Visible under --nocapture; the README quotes this report verbatim.
-    println!("{msg}");
-    assert!(msg.contains("potential deadlock"), "{msg}");
-    assert!(msg.contains("`data`"), "witness must name `data`: {msg}");
-    assert!(
-        msg.contains("`observers`"),
-        "witness must name `observers`: {msg}"
-    );
-    // Both directions are interprocedural, so the witness carries the
-    // call chains that close the cycle.
-    assert!(msg.contains("notify_observers"), "{msg}");
-    assert!(msg.contains("seed_from_snapshot"), "{msg}");
-}
-
-#[test]
-fn timed_fixture_fails_a_full_tidy_run() {
-    // End-to-end: the same fixture inside a workspace unit named as a
-    // concurrency crate must fail `run_checks` with a lock-order finding.
-    let unit = CrateUnit {
-        name: "smartflux-datastore".to_owned(),
+fn unit(name: &str, files: Vec<SourceFile>) -> CrateUnit {
+    CrateUnit {
+        name: name.to_owned(),
         manifest: manifest::parse(
-            PathBuf::from("crates/ds/Cargo.toml"),
-            "[package]\nname = \"smartflux-datastore\"\n",
+            PathBuf::from("crates/fixture/Cargo.toml"),
+            &format!("[package]\nname = \"{name}\"\n"),
         ),
         vendored: false,
-        files: vec![file("crates/ds/src/store.rs", TIMED_DEADLOCK)],
-    };
-    let diags = runner::run_checks(std::slice::from_ref(&unit), &ALL_CHECKS);
-    let lock_order: Vec<_> = diags
-        .iter()
-        .filter(|d| d.check == CheckId::LockOrder)
-        .collect();
-    assert_eq!(lock_order.len(), 1, "{diags:?}");
+        files,
+    }
 }
 
-// ------------------------------------------------------ negative fixtures
+// ------------------------------------------------ guard-blocking via runner
 
 #[test]
-fn reader_reader_overlap_is_not_a_deadlock() {
-    // Opposite acquisition order, but every edge is read/read — shared
-    // RwLock readers cannot deadlock each other under parking_lot's
-    // writer-priority semantics unless a writer wedges between, which the
-    // pass deliberately leaves out (documented caveat).
-    let msgs = lock_order_diags(
-        "impl Store {\n\
-         \x20   fn scan(&self) -> u64 {\n\
-         \x20       let a = self.data.read();\n\
-         \x20       let b = self.index.read();\n\
-         \x20       a.len() + b.len()\n\
-         \x20   }\n\
-         \x20   fn audit(&self) -> u64 {\n\
-         \x20       let b = self.index.read();\n\
-         \x20       let a = self.data.read();\n\
-         \x20       b.len() + a.len()\n\
-         \x20   }\n\
-         }\n",
+fn guard_blocking_alone_still_builds_its_call_graph() {
+    // `append` holds the `state` guard across `persist`, which reaches
+    // `sync_data` one call further down: only the call graph sees it.
+    let unit = unit(
+        "smartflux-durability",
+        vec![file(
+            "crates/fixture/src/wal.rs",
+            "impl Wal {\n\
+             \x20   fn append(&self) {\n\
+             \x20       let g = self.state.lock();\n\
+             \x20       self.persist();\n\
+             \x20       drop(g);\n\
+             \x20   }\n\
+             \x20   fn persist(&self) {\n\
+             \x20       self.fsync_file();\n\
+             \x20   }\n\
+             \x20   fn fsync_file(&self) {\n\
+             \x20       self.file.sync_data().ok();\n\
+             \x20   }\n\
+             }\n",
+        )],
     );
-    assert!(msgs.is_empty(), "{msgs:?}");
-}
-
-#[test]
-fn consistently_ordered_acquisition_is_clean() {
-    let msgs = lock_order_diags(
-        "impl Store {\n\
-         \x20   fn put(&self) {\n\
-         \x20       let reg = self.registry.write();\n\
-         \x20       let mut shard = self.data.write();\n\
-         \x20       shard.apply(reg.epoch());\n\
-         \x20   }\n\
-         \x20   fn quiesce(&self) {\n\
-         \x20       let reg = self.registry.read();\n\
-         \x20       let shard = self.data.write();\n\
-         \x20       shard.freeze(reg.epoch());\n\
-         \x20   }\n\
-         }\n",
-    );
-    assert!(msgs.is_empty(), "{msgs:?}");
-}
-
-#[test]
-fn guard_dropped_before_reverse_acquisition_is_clean() {
-    let msgs = lock_order_diags(
-        "impl Store {\n\
-         \x20   fn forward(&self) {\n\
-         \x20       let a = self.data.write();\n\
-         \x20       drop(a);\n\
-         \x20       let b = self.observers.write();\n\
-         \x20       b.ping();\n\
-         \x20   }\n\
-         \x20   fn backward(&self) {\n\
-         \x20       let b = self.observers.write();\n\
-         \x20       drop(b);\n\
-         \x20       let a = self.data.write();\n\
-         \x20       a.ping();\n\
-         \x20   }\n\
-         }\n",
-    );
-    assert!(msgs.is_empty(), "{msgs:?}");
+    let diags = runner::run_checks(std::slice::from_ref(&unit), &[CheckId::GuardBlocking]);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].check, CheckId::GuardBlocking);
+    assert_eq!(diags[0].line, 4);
+    let msg = &diags[0].message;
+    assert!(msg.contains("(via persist -> fsync_file)"), "{msg}");
+    assert!(msg.contains("`state`"), "{msg}");
 }
 
 // -------------------------------------------------- call-graph resolution
@@ -244,15 +143,10 @@ fn closure_callback_is_conservatively_unknown() {
 
 #[test]
 fn stale_allow_is_reported_and_live_allow_is_not() {
-    let unit = CrateUnit {
-        name: "smartflux-datastore".to_owned(),
-        manifest: manifest::parse(
-            PathBuf::from("crates/ds/Cargo.toml"),
-            "[package]\nname = \"smartflux-datastore\"\n",
-        ),
-        vendored: false,
-        files: vec![file(
-            "crates/ds/src/lib.rs",
+    let unit = unit(
+        "smartflux-datastore",
+        vec![file(
+            "crates/fixture/src/lib.rs",
             "#![forbid(unsafe_code)]\n\
              #![warn(missing_docs)]\n\
              //! Fixture crate.\n\
@@ -265,18 +159,36 @@ fn stale_allow_is_reported_and_live_allow_is_not() {
              pub fn g(x: Option<u32>) -> u32 {\n\
              \x20   // tidy:allow(panic): fixture — this one is load-bearing\n\
              \x20   x.unwrap()\n\
+             }\n\
+             /// Doc.\n\
+             pub fn h() -> u32 {\n\
+             \x20   // tidy:allow(lock-order): fixture — names a deleted check\n\
+             \x20   3\n\
              }\n",
         )],
-    };
+    );
     let diags = runner::run_checks(std::slice::from_ref(&unit), &ALL_CHECKS);
     let dangling: Vec<_> = diags
         .iter()
         .filter(|d| d.check == CheckId::AllowDangling)
         .collect();
-    assert_eq!(dangling.len(), 1, "{diags:?}");
+    assert_eq!(dangling.len(), 2, "{diags:?}");
     // The allow covers the line after the comment, so that's where the
     // dangling diagnostic anchors.
     assert_eq!(dangling[0].line, 7);
+    assert!(
+        dangling[0].message.contains("suppresses nothing"),
+        "{diags:?}"
+    );
+    // An allow naming a check that no longer exists is refused, not
+    // silently ignored.
+    assert_eq!(dangling[1].line, 17);
+    assert!(
+        dangling[1]
+            .message
+            .contains("`tidy:allow(lock-order)` names an unknown check id"),
+        "{diags:?}"
+    );
     // The load-bearing allow on `g` is not flagged, and the panic it
     // suppresses stays suppressed.
     assert!(

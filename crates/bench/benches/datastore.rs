@@ -1,13 +1,14 @@
 //! Criterion benches of the datastore substrate: put/get/scan throughput
-//! with and without a registered observer (the paper's monitoring
-//! interception path).
+//! with and without a registered write observer (the notification bus; the
+//! Monitoring fold runs in the write path instead, see `monitor.rs`).
 //!
 //! `put_lrb_shaped` overwrites the cells of an `lrb`-shaped family (240
-//! rows × 3 qualifiers) in turn: `bare` is the store alone, which builds no
-//! event; `owned_closure` adds an `Fn(&WriteEvent)` observer, which is
-//! handed an owned copy per write; `bare_handle` is `bare` through a
-//! `FamilyHandle` resolved once outside the loop. The `Monitor` and
-//! WAL-capture cases over the same shape are in `monitor.rs`.
+//! rows × 3 qualifiers) in turn: `bare` is the store alone, unwatched and
+//! unobserved, which builds no event and folds nothing; `owned_closure`
+//! adds an `Fn(&WriteEvent)` observer, which is handed an owned copy per
+//! write; `bare_handle` is `bare` through a `FamilyHandle` resolved once
+//! outside the loop. The tracking-`Monitor` and WAL-capture cases over the
+//! same shape are in `monitor.rs`.
 //!
 //! `read_lrb_shaped` reads that family whole, three numbers a row, the way
 //! `lrb`'s `update-positions` does: by `scan` (a `String` key, a `Vec` and

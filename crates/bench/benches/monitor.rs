@@ -1,35 +1,37 @@
-//! Criterion bench for the Monitoring hot path: attributing one store
-//! write to the watched containers. The (table, family) index keeps the
-//! per-write cost flat as the watch list grows; before it, attribution
-//! scanned every watched container on every mutation.
+//! Criterion bench for the Monitoring hot path: the store folding one
+//! write into the watched containers, under the write guard the write
+//! already holds. Attribution is the written family's slot, so the
+//! per-write cost stays flat as the watch list grows.
 //!
 //! `monitor_change_sets` is the same write with 0, 1 and 2 change sets on
 //! the written container (what a source, and an intermediate container
 //! between two QoD steps, carry in the engine), rotating over 1 024 cells:
 //! the per-write price of write-driven impact tracking.
 //!
-//! `put_lrb_shaped` is the store→Monitor→WAL path per observed cell, on the
-//! family shape of `benches/datastore.rs` (240 rows × 3 qualifiers, each
-//! overwritten in turn): with a tracking `Monitor`, and with the `Monitor`
-//! plus the durability capture, both reading the borrowed `WriteRef` in
-//! place, each by string-addressed `put` and through a `FamilyHandle`
+//! `put_lrb_shaped` is the write path per tracked cell, on the family shape
+//! of `benches/datastore.rs` (240 rows × 3 qualifiers, each overwritten in
+//! turn; `bare` and `bare_handle` there are the same writes unwatched):
+//! with a tracking `Monitor`, and with the `Monitor` plus the durability
+//! capture, which reads the borrowed `WriteRef` in place once the guard is
+//! gone, each by string-addressed `put` and through a `FamilyHandle`
 //! resolved once per wave (`_handle`). Every 720th write ends a wave — the
 //! tracker's mark moves and the captured batch is committed
 //! (`sync = never`) — so the change set and the capture buffer cycle as
 //! they do in the engine.
 //!
-//! `monitor_arrival_order` is the `Monitor` alone — `on_write` called with
-//! prebuilt events, no store — over the same 720 cells with one change set:
-//! `in_order` delivers every wave in the order the cells were first seen
-//! (each write is the slot after the previous one's, found by two string
-//! comparisons), `shuffled` in a fixed random order (each write is found by
-//! joining and hashing its key, after the comparisons missed).
+//! `monitor_arrival_order` is a tracked write through a `FamilyHandle`
+//! over the same 720 cells: `in_order` writes every wave in the order the
+//! cells were first written (each write finds its row one on from the
+//! previous one's, and its change-set slot the slot after the previous
+//! one's, by string comparisons), `shuffled` in a fixed random order (each
+//! row is searched for, each slot found by joining and hashing its key,
+//! after the comparisons missed).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use smartflux::{DurabilityOptions, Monitor, SyncPolicy};
-use smartflux_datastore::{ContainerRef, DataStore, Value, WriteEvent, WriteKind, WriteObserver};
+use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_durability::DurabilityManager;
 
 fn bench_on_write(c: &mut Criterion) {
@@ -160,18 +162,8 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
 fn bench_arrival_order(c: &mut Criterion) {
     const QUALIFIERS: [&str; 3] = ["speed", "count", "toll"];
     let mut group = c.benchmark_group("monitor_arrival_order");
-    let in_order: Vec<WriteEvent> = (0..240)
+    let in_order: Vec<(String, &str)> = (0..240)
         .flat_map(|row| QUALIFIERS.map(|q| (format!("x{}-s{:02}", row / 60, row % 60), q)))
-        .map(|(row, qualifier)| WriteEvent {
-            table: "t".into(),
-            family: "f".into(),
-            row,
-            qualifier: qualifier.into(),
-            kind: WriteKind::Put,
-            old: Some(Value::from(1.0)),
-            new: Some(Value::from(2.0)),
-            timestamp: 1,
-        })
         .collect();
     let mut shuffled = in_order.clone();
     let mut seed = 0x9E37_79B9_7F4A_7C15u64;
@@ -182,16 +174,26 @@ fn bench_arrival_order(c: &mut Criterion) {
         shuffled.swap(i, (seed >> 33) as usize % (i + 1));
     }
     for (name, wave) in [("in_order", &in_order), ("shuffled", &shuffled)] {
+        let store = DataStore::new();
+        let fam = ContainerRef::family("t", "f");
+        store.ensure_container(&fam).expect("fresh store");
         let monitor = Monitor::new();
-        let tracker = monitor.track(ContainerRef::family("t", "f"));
-        // Both cases intern the cells in the same (first-arrival) order.
-        for event in &in_order {
-            monitor.on_write(&event.as_write_ref());
+        let tracker = monitor.track(fam);
+        monitor.attach(&store);
+        let family = store.family("t", "f").expect("watched family exists");
+        // Both cases intern the cells in the same (first-write) order.
+        for (row, qualifier) in &in_order {
+            family
+                .put(row, qualifier, Value::from(1.0))
+                .expect("watched family exists");
         }
         group.bench_function(name, |b| {
             let mut i = 0usize;
             b.iter(|| {
-                monitor.on_write(&wave[i % wave.len()].as_write_ref());
+                let (row, qualifier) = &wave[i % wave.len()];
+                family
+                    .put(row, qualifier, Value::from(i as f64))
+                    .expect("watched family exists");
                 i += 1;
                 if i.is_multiple_of(wave.len()) {
                     monitor.mark(tracker);

@@ -1300,82 +1300,3 @@ impl std::fmt::Debug for SharedEngine {
         self.0.lock().fmt(f)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use smartflux_wms::{FnStep, GraphBuilder, StepContext};
-
-    /// `feed → digest` over a fresh store; `digest` reads the family `t/f`
-    /// and, separately, its column `b`, so both land in the state blob.
-    fn engine(store: &DataStore, hash_only: bool) -> QodEngine {
-        let family = ContainerRef::family("t", "f");
-        let out = ContainerRef::family("t", "out");
-        for c in [&family, &out] {
-            store.ensure_container(c).unwrap();
-        }
-        let mut g = GraphBuilder::new("finger");
-        let feed = g.add_step("feed");
-        let digest = g.add_step("digest");
-        g.add_edge(feed, digest).unwrap();
-        let mut wf = Workflow::new(g.build().unwrap());
-        wf.bind(feed, FnStep::new(|_: &StepContext| Ok(())))
-            .source()
-            .writes(family.clone());
-        wf.bind(digest, FnStep::new(|_: &StepContext| Ok(())))
-            .reads(family)
-            .reads(ContainerRef::column("t", "f", "b"))
-            .writes(out)
-            .error_bound(0.1);
-        let engine = QodEngine::from_workflow(&wf, store.clone(), EngineConfig::new()).unwrap();
-        if hash_only {
-            engine.monitor.hash_only();
-        }
-        engine
-    }
-
-    #[test]
-    fn the_state_blob_does_not_depend_on_how_the_monitor_finds_a_slot() {
-        let stores = [DataStore::new(), DataStore::new()];
-        let mut engines = [engine(&stores[0], false), engine(&stores[1], true)];
-        let write = |order: &[(usize, &str)], stamp: f64| {
-            for (at, (row, qualifier)) in order.iter().enumerate() {
-                for store in &stores {
-                    let value = Value::from(stamp + at as f64);
-                    store
-                        .put("t", "f", &format!("r{row}"), qualifier, value)
-                        .unwrap();
-                }
-            }
-        };
-        let cells: Vec<(usize, &str)> = (0..4)
-            .flat_map(|row| ["a", "b", "c"].map(|q| (row, q)))
-            .collect();
-        let reversed: Vec<_> = cells.iter().rev().copied().collect();
-        let alternating: Vec<_> = (0..8).map(|i| [cells[1], cells[10]][i % 2]).collect();
-        // In order (every write after the first is a finger hit), then the
-        // orders that miss it, with a new row appearing mid-wave.
-        write(&cells, 0.0);
-        write(&reversed[..6], 100.0);
-        write(&[(9, "b"), (7, "a")], 200.0);
-        write(&reversed[6..], 300.0);
-        write(&alternating, 400.0);
-        let blobs = engines.each_ref().map(QodEngine::export_state);
-        assert_eq!(blobs[0], blobs[1]);
-        let needle = b"r9";
-        assert!(blobs[0].windows(needle.len()).any(|w| w == needle));
-
-        // Recovery interns the restored changes in key order; the first wave
-        // after it arrives in another.
-        for (at, blob) in blobs.iter().enumerate() {
-            engines[at] = engine(&stores[at], at == 1);
-            engines[at].import_state(blob).unwrap();
-        }
-        assert_eq!(engines[0].export_state(), blobs[0]);
-        write(&reversed, 500.0);
-        write(&[(5, "b")], 600.0);
-        write(&cells, 700.0);
-        let blobs = engines.each_ref().map(QodEngine::export_state);
-        assert_eq!(blobs[0], blobs[1]);
-    }
-}

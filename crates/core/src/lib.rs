@@ -12,7 +12,7 @@
 //!
 //! 1. Steps declare **Quality-of-Data** bounds: a maximum tolerated output
 //!    error `maxε` ([`ErrorBound`]) attached to their container annotations.
-//! 2. The [`Monitor`] observes all store traffic; [`MetricFn`]
+//! 2. The [`Monitor`] has the store track the containers it names; [`MetricFn`]
 //!    implementations quantify the **input impact** `ι` (Eq. 1–2) of new
 //!    data and the **output error** `ε` (Eq. 3–4) a skipped execution would
 //!    leave behind.

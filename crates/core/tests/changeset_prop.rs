@@ -8,9 +8,8 @@
 //! Covered: deletes, delete-then-re-add at the same value, fresh inserts,
 //! categorical values, a family watcher overlapping two column watchers,
 //! two trackers with independent marks on one container, a store populated
-//! before the monitor attaches, events delivered out of timestamp order,
-//! every built-in metric plus DSL metrics reading `prev_sum` and `total`,
-//! and both accumulation modes.
+//! before the monitor attaches, every built-in metric plus DSL metrics
+//! reading `prev_sum` and `total`, and both accumulation modes.
 //!
 //! A second property aims at the order the sets are streamed in, which is
 //! kept by integer key ranks: a key universe that keeps growing (keys
@@ -26,16 +25,21 @@
 //! reversed, or two cells turn about, with deletes and never-seen keys
 //! spliced into the middle of a wave. (The finger against the hash path it
 //! shortcuts, checkpointed change sets included, is a unit test beside the
-//! monitor: the switch that turns the finger off is `cfg(test)`.)
+//! store's change sets: the switch that turns the finger off is
+//! `cfg(test)`.)
+//!
+//! A fourth runs four writer threads against overlapping cells of the
+//! tracked family — one-shot puts, family-handle puts, row puts and deletes
+//! — and checks every tracker after each join: the store folds each write
+//! under its write guard, in apply order, however the writers interleave.
 
-use std::sync::Arc;
+use std::thread;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use smartflux::dsl::compile;
 use smartflux::{AccumulationMode, MetricContext, MetricFn, MetricKind, Monitor, TrackerId};
-use smartflux_datastore::{ContainerRef, DataStore, Snapshot, Value, WriteEvent, WriteObserver};
+use smartflux_datastore::{ContainerRef, DataStore, Snapshot, Value};
 
 const ROWS: [&str; 5] = ["r0", "r1", "r2", "r3", "r4"];
 const QUALIFIERS: [&str; 3] = ["a", "b", "c"];
@@ -155,22 +159,6 @@ fn mark(store: &DataStore, monitor: &Monitor, r: &mut Reference, t: &mut Tracked
         .unwrap();
 }
 
-/// Delivers the events recorded since the last quiescent point to the
-/// monitor, shuffled by `seed`: observers run after the store guard drops,
-/// so concurrent writers may deliver in any order.
-fn deliver(monitor: &Monitor, pending: &Mutex<Vec<WriteEvent>>, seed: &mut u64) {
-    let mut events = std::mem::take(&mut *pending.lock());
-    for i in (1..events.len()).rev() {
-        *seed = seed
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        events.swap(i, (*seed >> 33) as usize % (i + 1));
-    }
-    for event in &events {
-        monitor.on_write(&event.as_write_ref());
-    }
-}
-
 fn assert_same(
     store: &DataStore,
     monitor: &Monitor,
@@ -228,13 +216,38 @@ struct Universe<'a> {
     cell_values: bool,
 }
 
-fn run_case(
-    steps: &[Step],
-    universe: Universe<'_>,
-    prepopulated: usize,
-    shuffle: Option<u64>,
-    mode: AccumulationMode,
-) {
+/// Two independently marked trackers over the family `t/f`, one per column
+/// over two of its three qualifiers, each beside the snapshot-holding
+/// reference marked at the same (empty) state.
+fn trackers(monitor: &Monitor, kinds: &[MetricKind]) -> (Vec<Reference>, Vec<Tracked>) {
+    let family = ContainerRef::family("t", "f");
+    let containers = [
+        family.clone(),
+        family,
+        ContainerRef::column("t", "f", "a"),
+        ContainerRef::column("t", "f", "b"),
+    ];
+    let refs = containers
+        .iter()
+        .map(|c| Reference {
+            container: c.clone(),
+            baseline: Snapshot::new(),
+            accumulated: vec![0.0; kinds.len()],
+        })
+        .collect();
+    let tracked = containers
+        .iter()
+        .map(|c| Tracked {
+            id: monitor.track(c.clone()),
+            container: c.clone(),
+            previous_state_sum: -0.0,
+            accumulated: vec![0.0; kinds.len()],
+        })
+        .collect();
+    (refs, tracked)
+}
+
+fn run_case(steps: &[Step], universe: Universe<'_>, prepopulated: usize, mode: AccumulationMode) {
     let kinds = kinds();
     let store = DataStore::new();
     let family = ContainerRef::family("t", "f");
@@ -268,48 +281,9 @@ fn run_case(
         apply(at, step);
     }
 
-    // Two independently marked trackers over the family, one per column
-    // over two of its three qualifiers.
-    let containers = [
-        family.clone(),
-        family,
-        ContainerRef::column("t", "f", "a"),
-        ContainerRef::column("t", "f", "b"),
-    ];
     let monitor = Monitor::new();
-    let mut tracked: Vec<Tracked> = containers
-        .iter()
-        .map(|c| Tracked {
-            id: monitor.track(c.clone()),
-            container: c.clone(),
-            previous_state_sum: -0.0,
-            accumulated: vec![0.0; kinds.len()],
-        })
-        .collect();
-    let mut refs: Vec<Reference> = containers
-        .iter()
-        .map(|c| Reference {
-            container: c.clone(),
-            baseline: Snapshot::new(),
-            accumulated: vec![0.0; kinds.len()],
-        })
-        .collect();
-    let handle = monitor.attach(&store);
-
-    // Out-of-order delivery: a recorder stands in for the monitor on the
-    // bus and hands it each quiescent interval's events shuffled.
-    let pending = Arc::new(Mutex::new(Vec::new()));
-    let mut shuffle = shuffle;
-    if shuffle.is_some() {
-        store.unregister_observer(handle);
-        let sink = Arc::clone(&pending);
-        store.register_observer(Arc::new(move |e: &WriteEvent| sink.lock().push(e.clone())));
-    }
-    let mut settle = |monitor: &Monitor| {
-        if let Some(seed) = &mut shuffle {
-            deliver(monitor, &pending, seed);
-        }
-    };
+    let (mut refs, mut tracked) = trackers(&monitor, &kinds);
+    monitor.attach(&store);
 
     assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, 0);
     for (at, step) in steps.iter().enumerate().skip(prepopulated) {
@@ -317,7 +291,6 @@ fn run_case(
         match kind {
             // The tracked step "executes": its baseline restarts here.
             10 => {
-                settle(&monitor);
                 assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, at);
                 let (r, t) = (&mut refs[which], &mut tracked[which]);
                 if mode == AccumulationMode::Cancel {
@@ -328,7 +301,6 @@ fn run_case(
             }
             // A wave ends: under Accumulate every mark rolls forward.
             11 => {
-                settle(&monitor);
                 assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, at);
                 if mode == AccumulationMode::Accumulate {
                     for (r, t) in refs.iter_mut().zip(&mut tracked) {
@@ -345,7 +317,6 @@ fn run_case(
             _ => apply(at, step),
         }
     }
-    settle(&monitor);
     assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, steps.len());
 }
 
@@ -354,7 +325,6 @@ proptest! {
     fn change_sets_equal_snapshot_diffs(
         steps in steps(),
         prepopulated in 0usize..20,
-        shuffle in proptest::option::of(any::<u64>()),
     ) {
         for mode in [AccumulationMode::Cancel, AccumulationMode::Accumulate] {
             let universe = Universe {
@@ -362,7 +332,7 @@ proptest! {
                 growing: false,
                 cell_values: false,
             };
-            run_case(&steps, universe, prepopulated, shuffle, mode);
+            run_case(&steps, universe, prepopulated, mode);
         }
     }
 
@@ -378,7 +348,6 @@ proptest! {
             (0usize..48, 0usize..24, 0usize..3, 0usize..7, 0usize..4),
             100..400,
         ),
-        shuffle in proptest::option::of(any::<u64>()),
     ) {
         let rows = scattered_rows();
         let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
@@ -398,7 +367,7 @@ proptest! {
                     growing,
                     cell_values: true,
                 };
-                run_case(&steps, universe, 0, shuffle, mode);
+                run_case(&steps, universe, 0, mode);
             }
         }
     }
@@ -458,7 +427,7 @@ proptest! {
                 growing: false,
                 cell_values: true,
             };
-            run_case(&steps, universe, prepopulated, None, mode);
+            run_case(&steps, universe, prepopulated, mode);
         }
     }
 }
@@ -489,4 +458,74 @@ fn delete_then_readd_at_the_same_value_is_invisible() {
     store.delete("t", "f", "r", "q").unwrap();
     store.put("t", "f", "r", "q", Value::from(6.0)).unwrap();
     assert_eq!(magnitude(&monitor), (1, 1.0));
+}
+
+/// One writer thread's share of a round: `ops` writes drawn from `seed`
+/// over every cell of the family, by one-shot `put`, by `put` and `put_row`
+/// through a family handle, and by `delete`.
+fn writer(store: &DataStore, seed: u64, ops: usize) {
+    let family = store.family("t", "f").unwrap();
+    let mut state = seed;
+    for _ in 0..ops {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let pick = (state >> 33) as usize;
+        let (row, qualifier) = (ROWS[pick % ROWS.len()], QUALIFIERS[pick / 5 % 3]);
+        let value = value(pick / 15);
+        match pick / 105 % 4 {
+            0 => {
+                store.put("t", "f", row, qualifier, value).unwrap();
+            }
+            1 => {
+                family.put(row, qualifier, value).unwrap();
+            }
+            2 => {
+                family
+                    .put_row(row, [("a", value.clone()), ("c", value)])
+                    .unwrap();
+            }
+            _ => {
+                store.delete("t", "f", row, qualifier).unwrap();
+            }
+        }
+    }
+}
+
+/// Four writers on overlapping cells, joined between rounds: every tracker
+/// streams what the snapshot diff against its mark lists, bit for bit.
+#[test]
+fn concurrent_writers_leave_change_sets_equal_to_snapshot_diffs() {
+    const WRITERS: u64 = 4;
+    const ROUNDS: u64 = 6;
+    let kinds = kinds();
+    for seed in 0..8u64 {
+        let store = DataStore::new();
+        store
+            .ensure_container(&ContainerRef::family("t", "f"))
+            .unwrap();
+        let monitor = Monitor::new();
+        let (mut refs, mut tracked) = trackers(&monitor, &kinds);
+        monitor.attach(&store);
+        for round in 0..ROUNDS {
+            thread::scope(|scope| {
+                for w in 0..WRITERS {
+                    let store = &store;
+                    scope.spawn(move || writer(store, (seed * ROUNDS + round) * WRITERS + w, 60));
+                }
+            });
+            let at = round as usize;
+            assert_same(
+                &store,
+                &monitor,
+                AccumulationMode::Cancel,
+                &refs,
+                &tracked,
+                &kinds,
+                at,
+            );
+            let which = (seed + round) as usize % refs.len();
+            mark(&store, &monitor, &mut refs[which], &mut tracked[which]);
+        }
+    }
 }

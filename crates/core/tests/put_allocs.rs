@@ -1,9 +1,11 @@
-//! The store→Monitor→WAL path allocates nothing per observed cell.
+//! The write path allocates nothing per tracked and observed cell.
 //!
-//! Interception "costs next to nothing" (paper §5.3) only while the write
-//! notification stays a borrowed view: the store builds no event, the
-//! tracking `Monitor` and the WAL capture read it in place, and only an
-//! observer that asks for an owned `WriteEvent` pays for one. A counting
+//! Interception "costs next to nothing" (paper §5.3) only while nothing on
+//! the write path copies a key: the store folds the write into a tracking
+//! `Monitor`'s change set under its write guard (a cell seen before reuses
+//! its slot and its change), it builds no event, the WAL capture reads the
+//! borrowed notification in place, and only an observer that asks for an
+//! owned `WriteEvent` pays for one. A counting
 //! global allocator pins that down, so a stray `to_owned()` on the hot
 //! path fails here instead of showing up as a slower wave. A cell is its
 //! current value and nothing else, so an overwrite moves the displaced value
@@ -142,13 +144,14 @@ fn an_observed_overwriting_put_allocates_nothing() {
         2 * ROWS as u64
     );
 
-    // Observed by the two in-program observers: a tracking Monitor and the
-    // WAL capture, each reading the borrowed event in place.
+    // Tracked by a Monitor, whose change set the store folds the write
+    // into, and observed by the WAL capture, which reads the borrowed event
+    // in place.
     let store = DataStore::new();
     store.ensure_container(&container).unwrap();
     let monitor = Monitor::new();
     let tracker = monitor.track(container);
-    let _monitor_handle = monitor.attach(&store);
+    monitor.attach(&store);
     let dir = std::env::temp_dir().join(format!("smartflux-put-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let wal =
@@ -171,8 +174,13 @@ fn an_observed_overwriting_put_allocates_nothing() {
 
     // The same wave through a family handle, as a step writes it: neither
     // resolving the handle nor an observed overwrite through it allocates,
-    // and both observers still got every cell.
-    assert_eq!(requests_during(|| drop(store.family("t", "f").unwrap())), 0);
+    // and the capture still got every cell.
+    assert_eq!(
+        requests_during(|| {
+            store.family("t", "f").unwrap();
+        }),
+        0
+    );
     let family = store.family("t", "f").unwrap();
     assert_eq!(
         requests_during(|| write_wave_by_handle(&family, &rows, 9)),

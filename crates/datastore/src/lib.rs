@@ -25,21 +25,27 @@
 //!
 //! # Observation
 //!
-//! Every mutation is reported to registered [`WriteObserver`]s as a
+//! SmartFlux's Monitoring runs inside the write path, the way an HBase
+//! co-processor does: a client opens a [`WatchList`], watches containers
+//! and opens change sets over them ([`DataStore::watch`]), and every write
+//! is folded into them under the write guard, with the displaced value in
+//! hand — for each cell written since a set's mark, the value at the mark
+//! and the latest one.
+//!
+//! Every mutation is also reported to registered [`WriteObserver`]s as a
 //! [`WriteRef`] — a borrowed view carrying the old and new value, copied
-//! into an owned [`WriteEvent`] only for observers that keep it. This is the
-//! single interception point that replaces the paper's three options
-//! (adapted client libraries, adapted WMS shared libraries, HBase
-//! co-processors).
+//! into an owned [`WriteEvent`] only for observers that keep it (the WAL
+//! capture, recorders).
 //!
 //! # Concurrency
 //!
 //! The store is one reader-writer lock over all of its tables, with a
 //! single atomic logical clock, ticked inside the write guard, ordering all
-//! writes. Every operation takes the guard once; observers run after it is
-//! released, so they may call back into the store. The closures that
-//! [`DataStore::fold_cells`] and [`FamilyHandle::for_each_row`] take run
-//! *under* the read guard and must not: a write from inside one deadlocks.
+//! writes. Every operation takes the guard once; change sets are folded
+//! under it, and observers run after it is released, so they may call back
+//! into the store. The closures that [`DataStore::fold_cells`],
+//! [`FamilyHandle::for_each_row`] and [`DataStore::stream_changes`] take
+//! run *under* the guard and must not: a write from inside one deadlocks.
 //! [`DataStore::shard_stats`] exposes the lock's contention counters. See
 //! `DESIGN.md` §11 for the full model.
 //!
@@ -97,6 +103,6 @@ pub use observer::{
 pub use scan::{RowScan, ScanFilter};
 pub use snapshot::{SlotChange, Snapshot, SnapshotDiff};
 pub use state::{CellState, FamilyState, StoreState, TableState};
-pub use store::{DataStore, FamilyHandle, ShardStats};
+pub use store::{DataStore, FamilyHandle, ShardStats, WatchList};
 pub use table::{ColumnFamily, Row, Table};
 pub use value::Value;

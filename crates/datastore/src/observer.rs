@@ -109,10 +109,11 @@ impl WriteEvent {
 
 /// An observer of store mutations.
 ///
-/// This is the single interception surface standing in for the paper's three
-/// options (adapted application client libraries, adapted WMS shared
-/// libraries, and data-store co-processors/triggers). The SmartFlux
-/// Monitoring component registers one of these on the store.
+/// The notification surface for whoever wants to see every write — the
+/// store-level WAL capture, recorders, tests. SmartFlux's Monitoring does
+/// not register one: the store derives its change sets in the write path
+/// itself, as a co-processor would (see
+/// [`DataStore::watch`](crate::DataStore::watch)).
 ///
 /// Observers are invoked synchronously on the writing thread, after the write
 /// has been applied, with the store lock released; implementations must be
@@ -143,9 +144,6 @@ where
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObserverHandle(pub(crate) u64);
 
-/// A dispatch list as writers share it.
-pub(crate) type ObserverList = Arc<Vec<Arc<dyn WriteObserver>>>;
-
 /// The registry of write observers.
 pub(crate) type ObserverBus = Bus<dyn WriteObserver>;
 
@@ -161,9 +159,6 @@ pub(crate) struct Bus<O: ?Sized> {
     next_id: u64,
     observers: Vec<(u64, Arc<O>)>,
     cached: Arc<Vec<Arc<O>>>,
-    /// Bumped whenever `cached` is rebuilt: a writer holding a list from
-    /// generation `g` knows it is current while the bus is still at `g`.
-    generation: u64,
 }
 
 impl<O: ?Sized> Default for Bus<O> {
@@ -172,7 +167,6 @@ impl<O: ?Sized> Default for Bus<O> {
             next_id: 0,
             observers: Vec::new(),
             cached: Arc::default(),
-            generation: 0,
         }
     }
 }
@@ -200,15 +194,10 @@ impl<O: ?Sized> Bus<O> {
 
     fn rebuild(&mut self) {
         self.cached = Arc::new(self.observers.iter().map(|(_, o)| Arc::clone(o)).collect());
-        self.generation += 1;
     }
 
     pub(crate) fn snapshot(&self) -> Arc<Vec<Arc<O>>> {
         Arc::clone(&self.cached)
-    }
-
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -283,11 +272,11 @@ impl fmt::Display for OpKind {
 
 /// An observer of store operation timings.
 ///
-/// Where [`WriteObserver`] carries mutation *content* (the QoD monitoring
-/// interception point), this hook carries operation *cost*: each completed
-/// store call reports its kind and wall-clock duration. The telemetry
-/// layer registers one of these to populate read/write counters and
-/// latency histograms without the store depending on any metrics crate.
+/// Where [`WriteObserver`] carries mutation *content*, this hook carries
+/// operation *cost*: each completed store call reports its kind and
+/// wall-clock duration. The telemetry layer registers one of these to
+/// populate read/write counters and latency histograms without the store
+/// depending on any metrics crate.
 ///
 /// Invoked synchronously on the calling thread with the store lock
 /// released; implementations must be cheap and `Send + Sync`. When no op

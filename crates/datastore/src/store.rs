@@ -10,7 +10,8 @@
 //! for rejected writes or absent-cell deletes) and always *inside* the
 //! write guard, which makes per-cell timestamp order identical to apply
 //! order and every tick correspond to exactly one observable [`WriteRef`].
-//! Observer callbacks never run under the guard.
+//! Each write is folded into the change sets watching its family under the
+//! guard (`changes`); observer callbacks never run under it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,8 +25,8 @@ use crate::cell::Timestamp;
 use crate::container::ContainerRef;
 use crate::error::StoreError;
 use crate::observer::{
-    ObserverBus, ObserverHandle, ObserverList, OpKind, OpObserver, OpObserverBus, OpObserverHandle,
-    WriteKind, WriteObserver, WriteRef,
+    ObserverBus, ObserverHandle, OpKind, OpObserver, OpObserverBus, OpObserverHandle, WriteKind,
+    WriteObserver, WriteRef,
 };
 use crate::scan::{RowScan, ScanFilter};
 use crate::snapshot::Snapshot;
@@ -33,8 +34,10 @@ use crate::state::{CellState, FamilyState, StoreState, TableState};
 use crate::table::{ColumnFamily, Row};
 use crate::value::Value;
 
+mod changes;
 mod handle;
 
+pub use changes::WatchList;
 pub use handle::FamilyHandle;
 
 /// Everything the store holds, behind its one lock.
@@ -49,6 +52,9 @@ struct Tables {
     /// stays valid for the store's life — what lets a [`FamilyHandle`]
     /// resolve its family once.
     families: Vec<ColumnFamily>,
+    /// The watched containers and their change sets, folded by every write
+    /// under this lock.
+    changes: changes::Changes,
 }
 
 /// A family's address: its names and — once resolved — its slot.
@@ -120,10 +126,6 @@ pub struct DataStore {
     // skip the bus lock.
     // tidy:atomic(observer_count: load=relaxed, store=release): fast-path hint only — a stale zero skips a notification briefly, and the bus RwLock is the true synchronizer
     observer_count: Arc<AtomicUsize>,
-    // Mirror of the bus's registration generation, so a family handle
-    // knows its cached dispatch list is current without taking the bus lock.
-    // tidy:atomic(observer_generation: load=relaxed, store=release): staleness hint only — written under the bus write guard, and a handle that sees it moved re-reads generation and list together under the bus read guard
-    observer_generation: Arc<AtomicU64>,
     op_observers: Arc<RwLock<OpObserverBus>>,
     // Mirror of op_observers.len(), so the per-operation fast path is one
     // relaxed load instead of a lock acquisition.
@@ -143,7 +145,6 @@ impl Default for DataStore {
             }),
             observers: Arc::new(RwLock::new(ObserverBus::default())),
             observer_count: Arc::new(AtomicUsize::new(0)),
-            observer_generation: Arc::new(AtomicU64::new(0)),
             op_observers: Arc::new(RwLock::new(OpObserverBus::default())),
             op_observer_count: Arc::new(AtomicUsize::new(0)),
         }
@@ -258,23 +259,19 @@ impl DataStore {
         qualifier: &str,
         value: Value,
     ) -> Result<Option<Value>, StoreError> {
-        self.put_at(&addr(table, family), self, row, qualifier, value)
+        self.put_at(&addr(table, family), row, qualifier, value)
     }
 
-    /// [`put`](Self::put) on the family at `at`, observers reached `via` the
-    /// caller.
+    /// [`put`](Self::put) on the family at `at`.
     fn put_at(
         &self,
         at: &FamilyAddr<'_>,
-        via: &impl Notify,
         row: &str,
         qualifier: &str,
         value: Value,
     ) -> Result<Option<Value>, StoreError> {
         self.timed(OpKind::Put, 1, || {
-            // The cell takes `value`; observers get the one copy kept here,
-            // and an unobserved write keeps none.
-            let new = via.observed().then(|| value.clone());
+            let observed = self.observed();
             let Some((mut data, slot)) = self.write_at(at) else {
                 return Err(self.missing(at));
             };
@@ -282,10 +279,17 @@ impl DataStore {
             // happens inside the write guard, so the timestamp order
             // matches the apply order.
             let ts = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
+            // The cell takes `value`; change sets and observers get the one
+            // copy kept here, and an unwatched, unobserved write keeps none.
+            let new = (observed || data.changes.watches(slot)).then(|| value.clone());
             let old = data.families[slot].put_cell(row, qualifier, value, ts);
-            drop(data);
             if let Some(new) = &new {
-                via.notify(&WriteRef {
+                data.changes
+                    .fold(slot, row, qualifier, old.as_ref(), Some(new));
+            }
+            drop(data);
+            if let (true, Some(new)) = (observed, &new) {
+                self.notify(&WriteRef {
                     table: at.table,
                     family: at.family,
                     row,
@@ -302,34 +306,40 @@ impl DataStore {
 
     /// A row put on the family at `at`: `cells` — `(qualifier, value)`
     /// pairs, in order — go into one row under a single write guard, as `N`
-    /// puts with consecutive timestamps, and the observers reached `via` the
-    /// caller hear about each, in order, once the guard is gone. Returns the
-    /// displaced values. (A `put` is not this with `N = 1`: the arrays cost
-    /// a one-cell write 15–25 ns, measured.)
+    /// puts with consecutive timestamps, folded into the change sets in
+    /// order, and the observers hear about each, in order, once the guard is
+    /// gone. Returns the displaced values. (A `put` is not this with
+    /// `N = 1`: the arrays cost a one-cell write 15–25 ns, measured.)
     fn put_row_at<const N: usize>(
         &self,
         at: &FamilyAddr<'_>,
-        via: &impl Notify,
         row: &str,
         cells: [(&str, Value); N],
     ) -> Result<[Option<Value>; N], StoreError> {
         self.timed(OpKind::Put, N, || {
-            let observed = via.observed();
-            let written = cells
-                .each_ref()
-                .map(|(qualifier, value)| (*qualifier, observed.then(|| value.clone())));
+            let observed = self.observed();
             let Some((mut data, slot)) = self.write_at(at) else {
                 return Err(self.missing(at));
             };
             // As in `put_at`, `N` ticks at once.
             let first_ts = self.shared.clock.fetch_add(N as u64, Ordering::Relaxed) + 1;
+            let copied = observed || data.changes.watches(slot);
+            let written = cells
+                .each_ref()
+                .map(|(qualifier, value)| (*qualifier, copied.then(|| value.clone())));
             let olds = data.families[slot].put_cells(row, cells, first_ts);
+            if copied {
+                for ((qualifier, new), old) in written.iter().zip(&olds) {
+                    data.changes
+                        .fold(slot, row, qualifier, old.as_ref(), new.as_ref());
+                }
+            }
             drop(data);
             if observed {
                 for (timestamp, ((qualifier, new), old)) in
                     (first_ts..).zip(written.iter().zip(&olds))
                 {
-                    via.notify(&WriteRef {
+                    self.notify(&WriteRef {
                         table: at.table,
                         family: at.family,
                         row,
@@ -363,15 +373,13 @@ impl DataStore {
         row: &str,
         qualifier: &str,
     ) -> Result<Option<Value>, StoreError> {
-        self.delete_at(&addr(table, family), self, row, qualifier)
+        self.delete_at(&addr(table, family), row, qualifier)
     }
 
-    /// [`delete`](Self::delete) on the family at `at`, observers reached
-    /// `via` the caller.
+    /// [`delete`](Self::delete) on the family at `at`.
     fn delete_at(
         &self,
         at: &FamilyAddr<'_>,
-        via: &impl Notify,
         row: &str,
         qualifier: &str,
     ) -> Result<Option<Value>, StoreError> {
@@ -385,10 +393,13 @@ impl DataStore {
             let ts = old
                 .is_some()
                 .then(|| self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1);
+            if old.is_some() {
+                data.changes.fold(slot, row, qualifier, old.as_ref(), None);
+            }
             drop(data);
             if let (Some(old_value), Some(ts)) = (&old, ts) {
-                if via.observed() {
-                    via.notify(&WriteRef {
+                if self.observed() {
+                    self.notify(&WriteRef {
                         table: at.table,
                         family: at.family,
                         row,
@@ -576,7 +587,7 @@ impl DataStore {
     pub fn register_observer(&self, observer: Arc<dyn WriteObserver>) -> ObserverHandle {
         let mut bus = self.observers.write();
         let handle = ObserverHandle(bus.register(observer));
-        self.publish_observers(&bus);
+        self.observer_count.store(bus.len(), Ordering::Release);
         handle
     }
 
@@ -584,16 +595,25 @@ impl DataStore {
     pub fn unregister_observer(&self, handle: ObserverHandle) -> bool {
         let mut bus = self.observers.write();
         let removed = bus.unregister(handle.0);
-        self.publish_observers(&bus);
+        self.observer_count.store(bus.len(), Ordering::Release);
         removed
     }
 
-    /// Mirrors the bus's size and generation into the lock-free hints;
-    /// called with the bus write guard held.
-    fn publish_observers(&self, bus: &ObserverBus) {
-        self.observer_count.store(bus.len(), Ordering::Release);
-        self.observer_generation
-            .store(bus.generation(), Ordering::Release);
+    /// Whether anyone observes writes — asked before a write, so an
+    /// unobserved one keeps no copy of its value for them and builds no
+    /// event.
+    fn observed(&self) -> bool {
+        self.observer_count.load(Ordering::Relaxed) != 0
+    }
+
+    /// Hands `event` to every observer; called under no guard.
+    fn notify(&self, event: &WriteRef<'_>) {
+        // The snapshot is a cached Arc clone; the bus guard is released
+        // before any callback runs, so observers may re-enter the store.
+        let observers = self.observers.read().snapshot();
+        for obs in observers.iter() {
+            obs.on_write(event);
+        }
     }
 
     /// Registers an operation-timing observer; returns a handle for
@@ -802,18 +822,6 @@ impl DataStore {
         self.lock_read().index.keys().cloned().collect()
     }
 
-    /// The bus's generation as the lock-free hint has it.
-    fn observer_generation(&self) -> u64 {
-        self.observer_generation.load(Ordering::Relaxed)
-    }
-
-    /// The bus's generation and the dispatch list that goes with it, read
-    /// together under the bus read guard.
-    fn observers_at_generation(&self) -> (u64, ObserverList) {
-        let bus = self.observers.read();
-        (bus.generation(), bus.snapshot())
-    }
-
     /// Takes the read guard and finds the family at `at` under it — the one
     /// place a read resolves its family. `None`, with the guard dropped
     /// again, when it is not there: see [`Self::missing`].
@@ -909,32 +917,8 @@ impl Tables {
         let slot = self.families.len();
         slots.insert(family.to_owned(), slot);
         self.families.push(ColumnFamily::new());
+        self.changes.bind(table, family, slot);
         Ok(slot)
-    }
-}
-
-/// How a mutation reaches the write observers: a string-addressed call
-/// through the bus, a [`FamilyHandle`] through the dispatch list it caches.
-trait Notify {
-    /// Whether anyone observes — asked before the write, so an unobserved
-    /// one keeps no copy of its value and builds no event.
-    fn observed(&self) -> bool;
-    /// Hands `event` to every observer; called under no guard.
-    fn notify(&self, event: &WriteRef<'_>);
-}
-
-impl Notify for DataStore {
-    fn observed(&self) -> bool {
-        self.observer_count.load(Ordering::Relaxed) != 0
-    }
-
-    fn notify(&self, event: &WriteRef<'_>) {
-        // The snapshot is a cached Arc clone; the bus guard is released
-        // before any callback runs, so observers may re-enter the store.
-        let observers = self.observers.read().snapshot();
-        for obs in observers.iter() {
-            obs.on_write(event);
-        }
     }
 }
 

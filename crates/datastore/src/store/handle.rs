@@ -1,12 +1,8 @@
 //! A family resolved once: the store's operations minus the name lookup.
 
-use std::cell::Cell;
-use std::fmt;
-
-use super::{DataStore, FamilyAddr, Notify};
+use super::{DataStore, FamilyAddr};
 use crate::cell::Timestamp;
 use crate::error::StoreError;
-use crate::observer::{ObserverList, WriteRef};
 use crate::table::Row;
 use crate::value::Value;
 
@@ -16,16 +12,15 @@ use crate::value::Value;
 /// in a row.
 ///
 /// Every call is the string-addressed call of the same name without the
-/// two name lookups — same routine, same guard taken and
-/// released per call, same clock tick inside the write guard, same
-/// [`WriteRef`] handed to the same observers after the guard is gone. A
-/// handle holds **no** guard between calls, so a step may read and write
-/// one family through it in a single loop, and two handles never deadlock
-/// each other.
+/// two name lookups — same routine, same guard taken and released per call,
+/// same clock tick and change-set fold inside the write guard, same
+/// [`WriteRef`](crate::WriteRef) handed to the same observers after the
+/// guard is gone. A handle holds **no** guard between calls, so a step may
+/// read and write one family through it in a single loop, and two handles
+/// never deadlock each other.
 ///
-/// The handle borrows the store and the two names, owns nothing but the
-/// observer dispatch list it last used, and is meant to live for one step
-/// execution, not to be stored.
+/// The handle borrows the store and the two names, owns nothing, and is
+/// meant to live for one step execution, not to be stored.
 ///
 /// # Example
 ///
@@ -50,26 +45,16 @@ use crate::value::Value;
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Debug)]
 pub struct FamilyHandle<'a> {
     store: &'a DataStore,
     /// Always slot-addressed.
     at: FamilyAddr<'a>,
-    /// The bus generation a dispatch list was read at, and that list: what
-    /// the previous observed write notified, reused for as long as the
-    /// store's generation hint has not moved (one relaxed load instead of
-    /// the bus lock and an `Arc` clone per write). Taken out of the cell
-    /// while it is in use, so a callback that somehow reaches this handle
-    /// finds it empty and reads the bus.
-    observers: Cell<Option<(u64, ObserverList)>>,
 }
 
 impl<'a> FamilyHandle<'a> {
     pub(super) fn new(store: &'a DataStore, at: FamilyAddr<'a>) -> Self {
-        Self {
-            store,
-            at,
-            observers: Cell::new(None),
-        }
+        Self { store, at }
     }
 
     /// Writes `value` under `(row, qualifier)`; see [`DataStore::put`].
@@ -85,15 +70,16 @@ impl<'a> FamilyHandle<'a> {
         qualifier: &str,
         value: Value,
     ) -> Result<Option<Value>, StoreError> {
-        self.store.put_at(&self.at, self, row, qualifier, value)
+        self.store.put_at(&self.at, row, qualifier, value)
     }
 
     /// Writes several cells of one row — HBase's row-scoped `Put`: `cells`
     /// are `(qualifier, value)` pairs, applied in order under **one** write
     /// guard after one row lookup, so a reader sees all of them or none.
     /// In every other respect it is `cells.len()` [`put`](Self::put)s:
-    /// consecutive timestamps, one [`WriteRef`] each — in order, after the
-    /// guard is gone — and as many operations reported to op observers.
+    /// consecutive timestamps, one [`WriteRef`](crate::WriteRef) each — in
+    /// order, after the guard is gone — and as many operations reported to
+    /// op observers.
     /// Returns the displaced values.
     ///
     /// # Errors
@@ -104,7 +90,7 @@ impl<'a> FamilyHandle<'a> {
         row: &str,
         cells: [(&str, Value); N],
     ) -> Result<[Option<Value>; N], StoreError> {
-        self.store.put_row_at(&self.at, self, row, cells)
+        self.store.put_row_at(&self.at, row, cells)
     }
 
     /// Deletes the cell under `(row, qualifier)`; see [`DataStore::delete`].
@@ -113,7 +99,7 @@ impl<'a> FamilyHandle<'a> {
     ///
     /// None today; see [`put`](Self::put).
     pub fn delete(&self, row: &str, qualifier: &str) -> Result<Option<Value>, StoreError> {
-        self.store.delete_at(&self.at, self, row, qualifier)
+        self.store.delete_at(&self.at, row, qualifier)
     }
 
     /// Reads the current value of a cell; see [`DataStore::get`].
@@ -176,41 +162,5 @@ impl<'a> FamilyHandle<'a> {
     /// None today; see [`put`](Self::put).
     pub fn apply_delete(&self, row: &str, qualifier: &str) -> Result<(), StoreError> {
         self.store.apply_delete_at(&self.at, row, qualifier)
-    }
-
-    /// Runs `f` on the current dispatch list: the cached one while the
-    /// store's generation hint still matches it, else the bus's.
-    fn with_observers<T>(&self, f: impl FnOnce(&ObserverList) -> T) -> T {
-        let current = match self.observers.take() {
-            Some(cached) if cached.0 == self.store.observer_generation() => cached,
-            _ => self.store.observers_at_generation(),
-        };
-        let out = f(&current.1);
-        self.observers.set(Some(current));
-        out
-    }
-}
-
-impl Notify for FamilyHandle<'_> {
-    fn observed(&self) -> bool {
-        self.with_observers(|list| !list.is_empty())
-    }
-
-    fn notify(&self, event: &WriteRef<'_>) {
-        self.with_observers(|list| {
-            for obs in list.iter() {
-                obs.on_write(event);
-            }
-        });
-    }
-}
-
-impl fmt::Debug for FamilyHandle<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FamilyHandle")
-            .field("table", &self.at.table)
-            .field("family", &self.at.family)
-            .field("slot", &self.at.slot)
-            .finish()
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! The store notifies `WriteObserver`s and `OpObserver`s *after* releasing
 //! its lock, from a pre-materialized `Arc` snapshot of the dispatch list.
-//! These tests pin down the contract that matters for the Monitor and the
-//! WAL: every mutation produces exactly one callback (no drops, no
+//! These tests pin down the contract that matters for the WAL capture and
+//! any other observer: every mutation produces exactly one callback (no drops, no
 //! duplicates under concurrency), callbacks may re-enter the store without
 //! deadlocking, and an observer may unregister itself from inside its own
 //! callback.
 //!
 //! There is one dispatch path and two ways onto it: an observer that reads
-//! the borrowed `WriteRef` in place (the Monitor, the WAL capture), and an
+//! the borrowed `WriteRef` in place (the WAL capture), and an
 //! `Fn(&WriteEvent)` closure that is handed an owned copy. Every case runs
 //! for each form and for both registered side by side — and once with the
 //! writers string-addressing every `put`, once with each writer going
-//! through a `FamilyHandle` it resolved up front, whose cached dispatch
-//! list must keep all four guarantees.
+//! through a `FamilyHandle` it resolved up front, which must keep all four
+//! guarantees.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -232,8 +232,8 @@ fn an_observer_can_unregister_itself_from_its_own_callback() {
     // Dispatch iterates an Arc snapshot with the bus lock released, so an
     // observer calling back into `unregister_observer` must not deadlock —
     // and in a mix, the one behind it in the snapshot still gets the write
-    // during which the first one left. A handle's cached dispatch list is
-    // from before the callback ran: the second write must notice it is stale.
+    // during which the first one left; the second write, through a handle
+    // as through the store, reaches only the ones still registered.
     for (mix, via) in cases() {
         let store = store_with(&["src"]);
         let registered: Vec<(ObserverHandle, Arc<AtomicU64>)> = mix

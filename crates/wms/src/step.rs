@@ -61,7 +61,7 @@ impl From<StoreError> for StepError {
 /// wave metadata.
 ///
 /// All storage access goes through this context so that the store's write
-/// observers (SmartFlux monitoring) see every mutation the step performs.
+/// path (SmartFlux monitoring) sees every mutation the step performs.
 #[derive(Debug)]
 pub struct StepContext {
     store: DataStore,
@@ -109,7 +109,7 @@ impl StepContext {
 
     /// Resolves a family once, for a loop that reads or writes many of its
     /// cells: the handle's calls are this context's without the per-call
-    /// name lookup, and observers see the same mutations. See
+    /// name lookup, and monitoring sees the same mutations. See
     /// [`DataStore::family`].
     ///
     /// # Errors

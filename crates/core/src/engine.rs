@@ -39,6 +39,7 @@ use smartflux_wms::{StepId, TriggerPolicy, Workflow};
 
 use crate::confidence::ConfidenceTracker;
 use crate::config::EngineConfig;
+use crate::diagnostics::{Diagnostics, WaveDiagnostics};
 use crate::error::CoreError;
 use crate::knowledge::KnowledgeBase;
 use crate::metric::{MetricContext, MetricFn, MetricKind};
@@ -57,23 +58,6 @@ pub enum Phase {
     },
     /// Adaptive execution driven by the trained predictor.
     Application,
-}
-
-/// Per-wave record of what the engine observed and decided.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveDiagnostics {
-    /// Wave number.
-    pub wave: u64,
-    /// Input impact per QoD step (step order = [`QodEngine::qod_step_names`]).
-    pub impacts: Vec<f64>,
-    /// Simulated output error per QoD step. Only populated on training
-    /// waves (the application phase cannot observe true errors); this is
-    /// the data behind the paper's ι-vs-ε correlation plots (Fig. 7).
-    pub errors: Vec<f64>,
-    /// Decision per QoD step (`true` = executed).
-    pub decisions: Vec<bool>,
-    /// Whether this wave ran in training mode.
-    pub training: bool,
 }
 
 /// State tracked per monitored container of a QoD step: an input (the
@@ -193,7 +177,7 @@ pub struct QodEngine {
     /// waves with ground truth (training) and carried into journal records.
     confidence: Vec<ConfidenceTracker>,
     telemetry: Telemetry,
-    diagnostics: Vec<WaveDiagnostics>,
+    diagnostics: Diagnostics,
     training_extensions_used: usize,
     quality_met: bool,
     /// Application waves run since the last (re)training, for the periodic
@@ -338,7 +322,7 @@ impl QodEngine {
             container_impacts: Vec::new(),
             confidence: vec![ConfidenceTracker::new(); n],
             telemetry: Telemetry::disabled(),
-            diagnostics: Vec::new(),
+            diagnostics: Diagnostics::default(),
             training_extensions_used: 0,
             quality_met,
             application_waves_since_training: 0,
@@ -451,18 +435,11 @@ impl QodEngine {
         &self.monitor
     }
 
-    /// Per-wave diagnostics collected so far.
+    /// Per-wave diagnostics collected so far; a clone is a snapshot
+    /// that copies one pointer per chunk.
     #[must_use]
-    pub fn diagnostics(&self) -> &[WaveDiagnostics] {
+    pub fn diagnostics(&self) -> &Diagnostics {
         &self.diagnostics
-    }
-
-    /// The diagnostics of `wave` and every later wave. Waves are recorded
-    /// in strictly increasing order, so the tail is found by binary search.
-    #[must_use]
-    pub fn diagnostics_since(&self, wave: u64) -> &[WaveDiagnostics] {
-        let from = self.diagnostics.partition_point(|d| d.wave < wave);
-        &self.diagnostics[from..]
     }
 
     /// Whether the test-phase quality gates were met when the model was

@@ -41,6 +41,7 @@ pub mod eval;
 
 mod confidence;
 mod config;
+mod diagnostics;
 mod engine;
 mod error;
 mod knowledge;
@@ -53,7 +54,8 @@ mod session;
 
 pub use confidence::ConfidenceTracker;
 pub use config::EngineConfig;
-pub use engine::{Phase, QodEngine, SharedEngine, WaveDiagnostics};
+pub use diagnostics::{Diagnostics, DiagnosticsIter, WaveDiagnostics};
+pub use engine::{Phase, QodEngine, SharedEngine};
 pub use error::CoreError;
 pub use knowledge::{KnowledgeBase, KnowledgeRow};
 pub use metric::{

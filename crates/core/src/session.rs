@@ -8,7 +8,8 @@ use smartflux_telemetry::{names, JsonlSink, Telemetry};
 use smartflux_wms::{Scheduler, WaveOutcome, WmsError, Workflow};
 
 use crate::config::EngineConfig;
-use crate::engine::{Phase, QodEngine, SharedEngine, WaveDiagnostics};
+use crate::diagnostics::Diagnostics;
+use crate::engine::{Phase, QodEngine, SharedEngine};
 use crate::error::CoreError;
 use crate::knowledge::KnowledgeBase;
 use crate::predictor::PredictorQuality;
@@ -247,10 +248,12 @@ impl SmartFluxSession {
         self.engine.with(|e| e.knowledge_base().clone())
     }
 
-    /// Per-wave engine diagnostics (impacts, errors, decisions).
+    /// A snapshot of the per-wave engine diagnostics (impacts, errors,
+    /// decisions), taken under the engine lock in O(chunks): it copies one
+    /// pointer per chunk of the history, not the rows.
     #[must_use]
-    pub fn diagnostics(&self) -> Vec<WaveDiagnostics> {
-        self.engine.with(|e| e.diagnostics().to_vec())
+    pub fn diagnostics(&self) -> Diagnostics {
+        self.engine.with(|e| e.diagnostics().clone())
     }
 
     /// Shared handle to the engine for advanced introspection.
@@ -265,29 +268,30 @@ impl SmartFluxSession {
     #[must_use]
     pub fn diagnostics_csv(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("wave,phase,step,impact,error,executed\n");
-        self.engine.with(|e| {
+        let (names, diagnostics) = self.engine.with(|e| {
             let names: Vec<String> = e.qod_step_names().iter().map(|s| (*s).to_owned()).collect();
-            for d in e.diagnostics() {
-                for (j, name) in names.iter().enumerate() {
-                    let error = d.errors.get(j).copied();
-                    let _ = writeln!(
-                        out,
-                        "{},{},{},{},{},{}",
-                        d.wave,
-                        if d.training {
-                            "training"
-                        } else {
-                            "application"
-                        },
-                        name,
-                        d.impacts[j],
-                        error.map_or(String::new(), |v| format!("{v}")),
-                        u8::from(d.decisions[j]),
-                    );
-                }
-            }
+            (names, e.diagnostics().clone())
         });
+        let mut out = String::from("wave,phase,step,impact,error,executed\n");
+        for d in &diagnostics {
+            for (j, name) in names.iter().enumerate() {
+                let error = d.errors.get(j).copied();
+                let _ = writeln!(
+                    out,
+                    "{},{},{},{},{},{}",
+                    d.wave,
+                    if d.training {
+                        "training"
+                    } else {
+                        "application"
+                    },
+                    name,
+                    d.impacts[j],
+                    error.map_or(String::new(), |v| format!("{v}")),
+                    u8::from(d.decisions[j]),
+                );
+            }
+        }
         out
     }
 

@@ -96,7 +96,7 @@ fn finish(session: &mut SmartFluxSession) -> (Vec<WaveDiagnostics>, StoreState) 
         session.run_wave().unwrap();
     }
     (
-        session.diagnostics(),
+        session.diagnostics().iter().cloned().collect(),
         session.scheduler().store().export_state(),
     )
 }

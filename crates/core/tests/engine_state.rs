@@ -120,7 +120,7 @@ fn run(scheduler: &mut Scheduler, waves: u64) {
 }
 
 fn tail(engine: &SharedEngine, from_wave: u64) -> Vec<WaveDiagnostics> {
-    engine.with(|e| e.diagnostics_since(from_wave).to_vec())
+    engine.with(|e| e.diagnostics().since(from_wave).cloned().collect())
 }
 
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {
@@ -169,19 +169,34 @@ fn state_round_trips_with_live_change_sets_and_resumes_identically() {
 }
 
 #[test]
-fn diagnostics_since_returns_the_tail() {
+fn since_returns_the_tail() {
     let store = DataStore::new();
     let (engine, mut scheduler) = stand_up(&store, AccumulationMode::Cancel);
     run(&mut scheduler, 12);
     engine.with(|e| {
-        assert_eq!(e.diagnostics_since(0).len(), 12);
-        assert_eq!(e.diagnostics_since(1).len(), 12);
-        let tail = e.diagnostics_since(10);
-        assert_eq!(
-            tail.iter().map(|d| d.wave).collect::<Vec<_>>(),
-            [10, 11, 12]
-        );
-        assert!(e.diagnostics_since(13).is_empty());
+        let log = e.diagnostics();
+        assert_eq!(log.since(0).len(), 12);
+        assert_eq!(log.since(1).len(), 12);
+        let tail = log.since(10).map(|d| d.wave).collect::<Vec<_>>();
+        assert_eq!(tail, [10, 11, 12]);
+        assert_eq!(log.since(13).len(), 0);
+    });
+    // Waves 1..=4096 fill the first chunk, 4097..=8192 the second: a
+    // tail that starts on either side of a chunk edge, or past the last
+    // wave.
+    const LAST: u64 = 8200;
+    run(&mut scheduler, LAST - 12);
+    engine.with(|e| {
+        let log = e.diagnostics();
+        assert_eq!(log.len() as u64, LAST);
+        for from in [
+            0, 1, 4095, 4096, 4097, 4098, 8191, 8192, 8193, 8194, LAST, 8201, 9000,
+        ] {
+            let waves: Vec<u64> = log.since(from).map(|d| d.wave).collect();
+            let want: Vec<u64> = (from.max(1)..=LAST).collect();
+            assert_eq!(log.since(from).len(), want.len(), "since {from}");
+            assert_eq!(waves, want, "since {from}");
+        }
     });
 }
 
@@ -266,7 +281,7 @@ fn finish(session: &mut SmartFluxSession) -> (Vec<WaveDiagnostics>, StoreState) 
     }
     let tail = session
         .engine()
-        .with(|e| e.diagnostics_since(from).to_vec());
+        .with(|e| e.diagnostics().since(from).cloned().collect());
     (tail, session.scheduler().store().export_state())
 }
 

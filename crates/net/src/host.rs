@@ -387,8 +387,8 @@ impl EngineHost {
     pub fn query_decisions(&self, session: u64, from_wave: u64) -> Response {
         self.turn(session, true, |_, live| {
             let rows = live.as_ref()?.engine().with(|e| {
-                e.diagnostics_since(from_wave)
-                    .iter()
+                e.diagnostics()
+                    .since(from_wave)
                     .map(|d| DecisionRow {
                         wave: d.wave,
                         training: d.training,

@@ -296,6 +296,15 @@ const TAG_CLOSED: u8 = 0x88;
 const TAG_BUSY: u8 = 0x89;
 const TAG_ERROR: u8 = 0x8A;
 
+/// The fewest bytes an encoded item can take — an empty string; a write
+/// of four empty keys and an empty text; a decision row with no steps; one
+/// step's impact and decision — so a decoded count reserves for no more
+/// items than the bytes still unread could hold.
+const MIN_STR_BYTES: usize = 4;
+const MIN_WRITE_BYTES: usize = 4 * MIN_STR_BYTES + 1 + MIN_STR_BYTES;
+const MIN_ROW_BYTES: usize = 8 + 1 + 4;
+const STEP_BYTES: usize = 8 + 1;
+
 fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(v) => {
@@ -339,7 +348,7 @@ fn put_str_list(out: &mut Vec<u8>, items: &[String]) {
 
 fn read_str_list(r: &mut Reader<'_>) -> Result<Vec<String>, NetError> {
     let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(4096));
+    let mut out = Vec::with_capacity(n.min(r.remaining() / MIN_STR_BYTES));
     for _ in 0..n {
         out.push(r.str()?);
     }
@@ -432,7 +441,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, NetError> {
             let session = r.u64()?;
             let run_wave = r.u8()? != 0;
             let n = r.u32()? as usize;
-            let mut writes = Vec::with_capacity(n.min(65_536));
+            let mut writes = Vec::with_capacity(n.min(r.remaining() / MIN_WRITE_BYTES));
             for _ in 0..n {
                 writes.push(ContainerWrite {
                     table: r.str()?,
@@ -574,16 +583,17 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, NetError> {
         },
         TAG_DECISIONS => {
             let n = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(65_536));
+            let mut rows = Vec::with_capacity(n.min(r.remaining() / MIN_ROW_BYTES));
             for _ in 0..n {
                 let wave = r.u64()?;
                 let training = r.u8()? != 0;
                 let k = r.u32()? as usize;
-                let mut impacts = Vec::with_capacity(k.min(4096));
+                let steps = k.min(r.remaining() / STEP_BYTES);
+                let mut impacts = Vec::with_capacity(steps);
                 for _ in 0..k {
                     impacts.push(r.f64()?);
                 }
-                let mut decisions = Vec::with_capacity(k.min(4096));
+                let mut decisions = Vec::with_capacity(steps);
                 for _ in 0..k {
                     decisions.push(r.u8()? != 0);
                 }

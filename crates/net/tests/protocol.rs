@@ -1,7 +1,10 @@
 //! Wire-level robustness: damaged SFNP frames at every byte offset must
 //! earn a typed error (never a panic), close the connection cleanly, and
-//! leave session state untouched.
+//! leave session state untouched; a frame that declares more items than it
+//! carries must not make the decoder reserve memory for them.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
@@ -10,12 +13,63 @@ use smartflux::EngineConfig;
 use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_net::wire::{self, FrameIn};
 use smartflux_net::{
-    Client, ContainerWrite, EngineHost, ErrorCode, HostConfig, NetError, NetServer, Request,
-    Response, SessionSpec, WorkflowRegistry, MAX_FRAME, VERSION,
+    Client, ContainerWrite, DecisionRow, EngineHost, ErrorCode, HostConfig, NetError, NetServer,
+    Request, Response, SessionSpec, WaveReport, WorkflowRegistry, MAX_FRAME, VERSION,
 };
 use smartflux_sim::faults::wire as damage;
 use smartflux_telemetry::Telemetry;
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
+
+/// Forwards to the system allocator, counting the bytes this thread asks
+/// for.
+struct Counting;
+
+thread_local! {
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // No destructor is registered for a const-initialised `Cell<usize>`,
+    // so this is reachable at any point of a thread's life.
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap bytes this thread asks for in `f`.
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
+}
 
 fn ramp_workflow(store: &DataStore) -> Workflow {
     let raw = ContainerRef::family("t", "raw");
@@ -240,6 +294,61 @@ fn oversized_declared_length_is_rejected_before_allocation() {
         other => panic!("expected a typed rejection, got {other:?}"),
     }
     server.shutdown();
+}
+
+/// `payload` with the little-endian `u32` at `at` replaced by `u32::MAX`.
+fn declaring_u32_max(mut payload: Vec<u8>, at: usize) -> Vec<u8> {
+    payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    payload
+}
+
+#[test]
+fn a_short_frame_declaring_u32_max_items_fails_typed_without_reserving_for_them() {
+    let submit = wire::encode_request(&Request::SubmitWave {
+        session: 7,
+        writes: vec![],
+        run_wave: true,
+    });
+    let decisions = wire::encode_response(&Response::Decisions { rows: vec![] });
+    let row = DecisionRow {
+        wave: 3,
+        training: false,
+        impacts: vec![],
+        decisions: vec![],
+    };
+    let steps = wire::encode_response(&Response::Decisions { rows: vec![row] });
+    let report = wire::encode_response(&Response::WaveResult(WaveReport {
+        wave: 3,
+        training: false,
+        clock: 9,
+        executed: vec![],
+        skipped: vec![],
+        deferred: vec![],
+    }));
+    // Each count is followed by a few bytes, too few for one item.
+    let cases = [
+        ("submit writes", submit.len() - 4, submit, true),
+        ("decision rows", decisions.len() - 4, decisions, false),
+        ("decision steps", steps.len() - 4, steps, false),
+        ("report step names", report.len() - 12, report, false),
+    ];
+    for (what, at, payload, request) in cases {
+        let mut payload = declaring_u32_max(payload, at);
+        payload.extend_from_slice(&[1, 2, 3]);
+        let (decoded, bytes) = bytes_during(|| {
+            if request {
+                wire::decode_request(&payload).map(drop)
+            } else {
+                wire::decode_response(&payload).map(drop)
+            }
+        });
+        assert!(
+            matches!(decoded, Err(NetError::Corrupt { .. })),
+            "{what}: {decoded:?}"
+        );
+        // The error message is all a decoder may allocate here.
+        assert!(bytes < 1024, "{what}: {bytes} bytes reserved");
+    }
 }
 
 #[test]

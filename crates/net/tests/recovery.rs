@@ -68,7 +68,7 @@ fn reference_run(dir: &PathBuf) -> (Vec<WaveDiagnostics>, StoreState, u64) {
     for _ in 0..TOTAL_WAVES {
         session.run_wave().expect("wave runs");
     }
-    let diags = session.diagnostics();
+    let diags = session.diagnostics().iter().cloned().collect();
     let store = session.scheduler().store().clone();
     drop(session);
     (diags, store.export_state(), store.clock())

@@ -197,7 +197,7 @@ fn collect_segment(
     subscription: &smartflux_wms::EventSubscription,
     artifacts: &mut RunArtifacts,
 ) {
-    for d in session.diagnostics() {
+    for d in &session.diagnostics() {
         artifacts.decisions.push(DecisionSummary {
             wave: d.wave,
             training: d.training,

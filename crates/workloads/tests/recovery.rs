@@ -53,7 +53,7 @@ fn run_waves(session: &mut SmartFluxSession, count: u64) {
 fn reference_run(dir: &PathBuf) -> (Vec<WaveDiagnostics>, smartflux_datastore::StoreState, u64) {
     let mut session = fresh_session(dir);
     run_waves(&mut session, TOTAL_WAVES);
-    let diags = session.diagnostics();
+    let diags = session.diagnostics().iter().cloned().collect();
     let store = session.scheduler().store().clone();
     drop(session);
     (diags, store.export_state(), store.clock())

@@ -27,6 +27,8 @@
 //! row is searched for, each slot found by joining and hashing its key,
 //! after the comparisons missed).
 
+#![allow(deprecated)] // `put_lrb_shaped` times the store-level WAL capture
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -107,14 +109,15 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
         let tracker = monitor.track(fam);
         monitor.attach(&store);
         let dir = std::env::temp_dir().join(format!("smartflux-bench-put-{}", std::process::id()));
-        let wal = with_wal.then(|| {
+        let open_wal = || {
             let _ = std::fs::remove_dir_all(&dir);
             let wal =
                 DurabilityManager::open(DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never))
                     .expect("scratch directory is writable");
-            wal.attach(&store);
-            wal
-        });
+            let capture = wal.attach(&store);
+            (wal, capture)
+        };
+        let mut wal = with_wal.then(open_wal);
         let name = match (with_wal, by_handle) {
             (false, false) => "monitor",
             (false, true) => "monitor_handle",
@@ -136,14 +139,19 @@ fn bench_put_lrb_shaped(c: &mut Criterion) {
                 .expect("watched family exists");
                 if i.is_multiple_of(cells) {
                     monitor.mark(tracker);
-                    if let Some(wal) = &wal {
-                        let wave = (i / cells) as u64;
-                        wal.commit_wave(wave, store.clock())
+                    let wave = (i / cells) as u64;
+                    if let Some((manager, _)) = &wal {
+                        manager
+                            .commit_wave(wave, store.clock())
                             .expect("commit succeeds");
-                        // Bound the log (~2 MiB) without giving up the
-                        // grown capture buffer more than once in 64 waves.
-                        if wave.is_multiple_of(64) {
-                            wal.reset_wal().expect("truncate succeeds");
+                    }
+                    // Bound the log (~2 MiB) without giving up the grown
+                    // capture buffer more than once in 64 waves: a fresh
+                    // manager on a fresh directory.
+                    if wave.is_multiple_of(64) {
+                        if let Some((_, capture)) = wal.take() {
+                            store.unregister_observer(capture);
+                            wal = Some(open_wal());
                         }
                     }
                     // A step resolves its handles anew every wave.

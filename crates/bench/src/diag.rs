@@ -5,7 +5,7 @@
 //! meaning or moves. Sections that would carry no information for a run
 //! are omitted entirely instead of being emitted as all-zero objects —
 //! a run without fault injection has no `fault_tolerance` key, a run
-//! without a WAL has no `durability` key, and a run that never published
+//! without durability has no `durability` key, and a run that never published
 //! store-lock statistics has no `store` key.
 
 use smartflux_telemetry::{names, MetricsSnapshot};
@@ -37,8 +37,8 @@ pub fn fault_tolerance_json(snapshot: &MetricsSnapshot) -> Option<String> {
     ))
 }
 
-/// The `durability` section, or `None` when the run wrote no WAL at all
-/// (durability not configured).
+/// The `durability` section, or `None` when the run wrote no checkpoint
+/// or WAL record and recovered nothing (durability not configured).
 #[must_use]
 pub fn durability_json(snapshot: &MetricsSnapshot) -> Option<String> {
     let wal_bytes = snapshot.counter(names::WAL_BYTES);

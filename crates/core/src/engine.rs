@@ -33,7 +33,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_durability::codec::{self, FrameRead};
-use smartflux_durability::{read_checkpoint, DurabilityError, DurabilityManager};
+use smartflux_durability::{read_checkpoint, Checkpointer, DurabilityError};
 use smartflux_telemetry::{names, Telemetry, WaveDecisionRecord};
 use smartflux_wms::{StepId, TriggerPolicy, Workflow};
 
@@ -193,9 +193,9 @@ pub struct QodEngine {
     /// Steps the scheduler deferred this wave (workflow-wide), carried into
     /// the journal records.
     deferred_this_wave: u64,
-    /// The durability manager, when [`EngineConfig::durability`] is set:
+    /// The checkpointer, when [`EngineConfig::durability`] is set:
     /// periodic checkpoints of store and engine state.
-    durability: Option<DurabilityManager>,
+    durability: Option<Checkpointer>,
     /// A checkpoint failure raised inside `end_wave` (which cannot
     /// return errors); surfaced by the session on the next wave call.
     durability_error: Option<DurabilityError>,
@@ -272,13 +272,12 @@ impl QodEngine {
         }
         monitor.attach(&store);
 
-        // Checkpoints only: no write-capture observer is attached, since
-        // recovery re-executes the waves past the checkpoint rather than
-        // replaying their writes.
+        // Checkpoints only: recovery re-executes the waves past the
+        // checkpoint rather than replaying their writes.
         let durability = config
             .durability
             .clone()
-            .map(DurabilityManager::open)
+            .map(Checkpointer::open)
             .transpose()
             .map_err(CoreError::Durability)?;
 
@@ -393,13 +392,13 @@ impl QodEngine {
     ///
     /// Returns [`CoreError::Durability`] if the checkpoint write fails.
     pub fn checkpoint_at(&mut self, wave: u64) -> Result<bool, CoreError> {
-        let Some(manager) = &self.durability else {
+        let Some(checkpointer) = &self.durability else {
             return Ok(false);
         };
         if wave == 0 {
             return Ok(false);
         }
-        manager
+        checkpointer
             .checkpoint(wave, &self.store, self.export_state())
             .map_err(CoreError::Durability)?;
         Ok(true)
@@ -454,8 +453,8 @@ impl QodEngine {
     /// emits one [`WaveDecisionRecord`] per wave per QoD step to the
     /// journal.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        if let Some(manager) = &mut self.durability {
-            manager.set_telemetry(telemetry.clone());
+        if let Some(checkpointer) = &mut self.durability {
+            checkpointer.set_telemetry(telemetry.clone());
         }
         self.predictor.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
@@ -697,10 +696,10 @@ impl QodEngine {
     /// checkpoints store plus engine state. A failure is remembered for
     /// the session to surface — `end_wave` itself cannot return one.
     fn durability_commit(&mut self, wave: u64) {
-        let Some(manager) = &self.durability else {
+        let Some(checkpointer) = &self.durability else {
             return;
         };
-        if let Err(e) = manager.maybe_checkpoint(wave, &self.store, || self.export_state()) {
+        if let Err(e) = checkpointer.maybe_checkpoint(wave, &self.store, || self.export_state()) {
             self.durability_error = Some(e);
         }
     }
@@ -1185,9 +1184,9 @@ impl TriggerPolicy for QodEngine {
             self.telemetry
                 .gauge(names::QOD_MODEL_AGE_WAVES)
                 .set(i64::try_from(age).unwrap_or(i64::MAX));
-            if let Some(manager) = &self.durability {
-                let lag = manager.checkpoint_lag_waves(wave);
-                health.set_checkpoint_lag(lag, manager.options().checkpoint_interval());
+            if let Some(checkpointer) = &self.durability {
+                let lag = checkpointer.checkpoint_lag_waves(wave);
+                health.set_checkpoint_lag(lag, checkpointer.options().checkpoint_interval());
                 self.telemetry
                     .gauge(names::CHECKPOINT_LAG_WAVES)
                     .set(i64::try_from(lag).unwrap_or(i64::MAX));

@@ -44,6 +44,7 @@ mod config;
 mod diagnostics;
 mod engine;
 mod error;
+mod frozen;
 mod knowledge;
 mod metric;
 mod monitoring;
@@ -70,9 +71,10 @@ pub use session::SmartFluxSession;
 
 // Re-export the durability surface so applications can configure
 // crash-safety and recovery without naming the durability crate.
-pub use smartflux_durability::{
-    recover_store, DurabilityError, DurabilityOptions, RecoveredStore, SyncPolicy,
-};
+pub use smartflux_durability::{DurabilityError, DurabilityOptions};
+// The deprecated durability items the benchmark spells through this
+// crate. A glob, so this line names no deprecated item.
+pub use frozen::*;
 
 // Re-export the telemetry surface so applications need only this crate to
 // consume metrics snapshots and journals.

@@ -1,20 +1,19 @@
 //! The crash windows of a checkpoint, at session level.
 //!
-//! The store-level battery (`crates/durability/tests/crash_windows.rs`)
-//! shows that `recover_store` lands on the uninterrupted state whatever
-//! step of a checkpoint the process died in. Here the same four
-//! directories — (a) captured, nothing written; (b) `checkpoint.ckpt.tmp`
-//! beside the old checkpoint; (c) new checkpoint renamed, WAL not
-//! compacted; (d) `wal.tmp` beside the log — are handed to
-//! [`SmartFluxSession::recover`]: the resumed session must finish the
-//! schedule with the decisions, store bytes and clock of the run that was
-//! never interrupted.
+//! A session's checkpoint is: capture in memory → write
+//! `checkpoint.ckpt.tmp` → fsync → rename over `checkpoint.ckpt`. The
+//! directories a crash can leave — (a) captured, nothing written; (b)
+//! `checkpoint.ckpt.tmp` beside the old checkpoint; (c) the new checkpoint
+//! renamed — plus (d) stale `wal.log` / `wal.tmp` bytes from the
+//! store-level log beside it are handed to [`SmartFluxSession::recover`]:
+//! the resumed session must finish the schedule with the decisions, store
+//! bytes and clock of the run that was never interrupted.
 
 use std::path::{Path, PathBuf};
 
 use smartflux::{DurabilityOptions, EngineConfig, QodEngine, SmartFluxSession, WaveDiagnostics};
 use smartflux_datastore::{ContainerRef, DataStore, StoreState, Value};
-use smartflux_durability::{write_checkpoint, Checkpoint, CHECKPOINT_FILE, WAL_FILE};
+use smartflux_durability::{write_checkpoint, Checkpoint, CHECKPOINT_FILE};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 /// The periodic checkpoint every window keeps (the "old" one) …
@@ -183,21 +182,20 @@ fn every_crash_window_resumes_to_the_uninterrupted_run() {
         );
     }
 
-    // (c) New checkpoint renamed; the log still starts behind the old one.
+    // (c) New checkpoint renamed.
     let dir = tmp_dir("c");
     let captured = doomed_run(&dir);
     write_checkpoint(&dir, &captured).unwrap();
     assert_resumes_like(&dir, CHECKPOINT_WAVE + 1, &reference, "window (c)");
 
-    // (d) … and the compaction's temporary file beside the log.
+    // (d) … beside stale store-level log files, which a session neither
+    // writes nor reads.
     let dir = tmp_dir("d");
     let captured = doomed_run(&dir);
     write_checkpoint(&dir, &captured).unwrap();
-    let log = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    std::fs::write(
-        dir.join(WAL_FILE).with_extension("tmp"),
-        &log[log.len() / 2..],
-    )
-    .unwrap();
+    assert!(!dir.join("wal.log").exists(), "a session created a log");
+    let stale: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+    std::fs::write(dir.join("wal.log"), &stale).unwrap();
+    std::fs::write(dir.join("wal.tmp"), &stale[..stale.len() / 3]).unwrap();
     assert_resumes_like(&dir, CHECKPOINT_WAVE + 1, &reference, "window (d)");
 }

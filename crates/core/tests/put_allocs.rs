@@ -19,6 +19,8 @@
 //! allocator is process-wide, hence a test binary of its own with a single
 //! test.
 
+#![allow(deprecated)] // the WAL capture is the store-level one, kept for benchmark/
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -34,8 +34,8 @@
 //!
 //! Every mutation is also reported to registered [`WriteObserver`]s as a
 //! [`WriteRef`] — a borrowed view carrying the old and new value, copied
-//! into an owned [`WriteEvent`] only for observers that keep it (the WAL
-//! capture, recorders).
+//! into an owned [`WriteEvent`] only for observers that keep it
+//! (recorders, tests).
 //!
 //! # Concurrency
 //!
@@ -85,6 +85,7 @@
 mod cell;
 mod container;
 mod error;
+mod frozen;
 mod observer;
 mod scan;
 mod snapshot;

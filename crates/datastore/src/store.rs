@@ -42,7 +42,7 @@ pub use handle::FamilyHandle;
 
 /// Everything the store holds, behind its one lock.
 #[derive(Default)]
-struct Tables {
+pub(crate) struct Tables {
     /// `table → family → slot` in `families`. A table with no family yet is
     /// an empty entry. Nested so a lookup works from `&str` keys without
     /// allocating; ordered so tables and families list by name whatever
@@ -51,7 +51,7 @@ struct Tables {
     /// The families, in creation order. None is ever removed, so a slot
     /// stays valid for the store's life — what lets a [`FamilyHandle`]
     /// resolve its family once.
-    families: Vec<ColumnFamily>,
+    pub(crate) families: Vec<ColumnFamily>,
     /// The watched containers and their change sets, folded by every write
     /// under this lock.
     changes: changes::Changes,
@@ -61,7 +61,7 @@ struct Tables {
 /// String-addressed calls carry `slot: None` and resolve under the guard
 /// the operation takes anyway.
 #[derive(Debug, Clone, Copy)]
-struct FamilyAddr<'a> {
+pub(crate) struct FamilyAddr<'a> {
     table: &'a str,
     family: &'a str,
     slot: Option<usize>,
@@ -674,75 +674,6 @@ impl DataStore {
         self.shared.clock.store(clock, Ordering::Release);
     }
 
-    /// Writes a cell with an explicit timestamp, without advancing the
-    /// clock or notifying observers.
-    ///
-    /// Recovery support: replays a logged `put` exactly as it originally
-    /// happened. Re-notifying observers here would double-log the write.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the table or family does not exist.
-    pub fn apply_put(
-        &self,
-        table: &str,
-        family: &str,
-        row: &str,
-        qualifier: &str,
-        value: Value,
-        ts: Timestamp,
-    ) -> Result<(), StoreError> {
-        self.apply_put_at(&addr(table, family), row, qualifier, value, ts)
-    }
-
-    /// [`apply_put`](Self::apply_put) on the family at `at`.
-    fn apply_put_at(
-        &self,
-        at: &FamilyAddr<'_>,
-        row: &str,
-        qualifier: &str,
-        value: Value,
-        ts: Timestamp,
-    ) -> Result<(), StoreError> {
-        let Some((mut data, slot)) = self.write_at(at) else {
-            return Err(self.missing(at));
-        };
-        data.families[slot].put_cell(row, qualifier, value, ts);
-        Ok(())
-    }
-
-    /// Deletes a cell without advancing the clock or notifying observers.
-    ///
-    /// Recovery support: replays a logged `delete`. Deleting an absent cell
-    /// is not an error (mirrors [`delete`](Self::delete)).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the table or family does not exist.
-    pub fn apply_delete(
-        &self,
-        table: &str,
-        family: &str,
-        row: &str,
-        qualifier: &str,
-    ) -> Result<(), StoreError> {
-        self.apply_delete_at(&addr(table, family), row, qualifier)
-    }
-
-    /// [`apply_delete`](Self::apply_delete) on the family at `at`.
-    fn apply_delete_at(
-        &self,
-        at: &FamilyAddr<'_>,
-        row: &str,
-        qualifier: &str,
-    ) -> Result<(), StoreError> {
-        let Some((mut data, slot)) = self.write_at(at) else {
-            return Err(self.missing(at));
-        };
-        data.families[slot].delete_cell(row, qualifier);
-        Ok(())
-    }
-
     /// Captures the full store contents — every table, family and cell, plus
     /// the logical clock — as plain data.
     ///
@@ -837,7 +768,10 @@ impl DataStore {
     /// [`read_at`](Self::read_at). The caller drops the guard before it
     /// notifies anyone.
     #[inline]
-    fn write_at(&self, at: &FamilyAddr<'_>) -> Option<(RwLockWriteGuard<'_, Tables>, usize)> {
+    pub(crate) fn write_at(
+        &self,
+        at: &FamilyAddr<'_>,
+    ) -> Option<(RwLockWriteGuard<'_, Tables>, usize)> {
         let data = self.lock_write();
         let slot = data.slot(at)?;
         Some((data, slot))
@@ -1236,23 +1170,6 @@ mod tests {
             DataStore::from_state(state),
             Err(StoreError::FamilyExists { .. })
         ));
-    }
-
-    #[test]
-    fn apply_put_and_delete_are_silent_and_clock_neutral() {
-        let s = store_with_tf();
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&count);
-        s.register_observer(Arc::new(move |_: &WriteEvent| {
-            c.fetch_add(1, Ordering::SeqCst);
-        }));
-        s.apply_put("t", "f", "r", "q", Value::from(1.0), 7)
-            .unwrap();
-        s.apply_delete("t", "f", "r", "q").unwrap();
-        assert_eq!(count.load(Ordering::SeqCst), 0);
-        assert_eq!(s.clock(), 0);
-        s.set_clock(7);
-        assert_eq!(s.clock(), 7);
     }
 
     #[test]

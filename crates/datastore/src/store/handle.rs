@@ -1,7 +1,6 @@
 //! A family resolved once: the store's operations minus the name lookup.
 
 use super::{DataStore, FamilyAddr};
-use crate::cell::Timestamp;
 use crate::error::StoreError;
 use crate::table::Row;
 use crate::value::Value;
@@ -47,9 +46,9 @@ use crate::value::Value;
 /// ```
 #[derive(Debug)]
 pub struct FamilyHandle<'a> {
-    store: &'a DataStore,
+    pub(crate) store: &'a DataStore,
     /// Always slot-addressed.
-    at: FamilyAddr<'a>,
+    pub(crate) at: FamilyAddr<'a>,
 }
 
 impl<'a> FamilyHandle<'a> {
@@ -136,31 +135,5 @@ impl<'a> FamilyHandle<'a> {
     /// None today; see [`put`](Self::put).
     pub fn for_each_row(&self, f: impl FnMut(&str, &Row)) -> Result<(), StoreError> {
         self.store.visit_rows(&self.at, f)
-    }
-
-    /// Recovery support: [`DataStore::apply_put`] for a run of logged
-    /// writes to one family.
-    ///
-    /// # Errors
-    ///
-    /// None today; see [`put`](Self::put).
-    pub fn apply_put(
-        &self,
-        row: &str,
-        qualifier: &str,
-        value: Value,
-        ts: Timestamp,
-    ) -> Result<(), StoreError> {
-        self.store.apply_put_at(&self.at, row, qualifier, value, ts)
-    }
-
-    /// Recovery support: [`DataStore::apply_delete`] for a run of logged
-    /// deletes in one family.
-    ///
-    /// # Errors
-    ///
-    /// None today; see [`put`](Self::put).
-    pub fn apply_delete(&self, row: &str, qualifier: &str) -> Result<(), StoreError> {
-        self.store.apply_delete_at(&self.at, row, qualifier)
     }
 }

@@ -8,6 +8,8 @@
 //! equals apply order, so the replayed oracle must land on the *identical*
 //! final state: same cells, same values, same timestamps, same clock.
 
+#![allow(deprecated)] // replays through `apply_put` / `apply_delete`, kept for the store-level WAL
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

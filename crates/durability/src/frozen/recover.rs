@@ -4,10 +4,10 @@ use std::path::Path;
 
 use smartflux_datastore::{ContainerRef, DataStore, FamilyHandle, StoreError};
 
+use super::manager::WAL_FILE;
+use super::wal::{read_wal, WalOp};
 use crate::checkpoint::read_checkpoint;
 use crate::error::DurabilityError;
-use crate::manager::WAL_FILE;
-use crate::wal::{read_wal, WalOp};
 
 /// A store rebuilt from a durability directory.
 #[derive(Debug)]
@@ -56,6 +56,7 @@ fn replay_error(e: &StoreError) -> DurabilityError {
 /// Returns an I/O error on filesystem failure or
 /// [`DurabilityError::Corrupt`] / [`DurabilityError::UnsupportedVersion`]
 /// on invalid content.
+#[deprecated(note = "kept only for benchmark/ until its re-baseline, ROADMAP item 3")]
 pub fn recover_store(dir: &Path) -> Result<RecoveredStore, DurabilityError> {
     let (store, checkpoint_wave, engine_state) = match read_checkpoint(dir)? {
         Some(ckpt) => {
@@ -156,8 +157,8 @@ mod tests {
 
     #[test]
     fn wal_only_recovery_recreates_logged_containers() {
-        use crate::manager::DurabilityManager;
-        use crate::options::{DurabilityOptions, SyncPolicy};
+        use crate::frozen::{DurabilityManager, SyncPolicy};
+        use crate::options::DurabilityOptions;
 
         let dir = tmp_dir("wal-only");
         let mgr =

@@ -19,16 +19,15 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use smartflux_datastore::Value;
 
+use super::SyncPolicy;
 use crate::codec::{
     begin_frame, end_frame, put_str, put_u32, put_u64, put_u8, put_value, read_frame, FrameRead,
     Reader, FRAME_HEADER,
 };
 use crate::error::DurabilityError;
-use crate::options::SyncPolicy;
 
 /// Record-type tag for a committed wave batch.
 const BATCH_TAG: u8 = 1;
@@ -82,7 +81,7 @@ pub struct WalBatch {
 ///
 /// Takes the fields by reference so the write-observer hot path can encode
 /// straight out of a borrowed event — no per-op string allocation.
-pub fn encode_op_put(
+pub(crate) fn encode_op_put(
     out: &mut Vec<u8>,
     table: &str,
     family: &str,
@@ -101,7 +100,7 @@ pub fn encode_op_put(
 }
 
 /// Appends one encoded delete op to `out` in the WAL op wire format.
-pub fn encode_op_delete(
+pub(crate) fn encode_op_delete(
     out: &mut Vec<u8>,
     table: &str,
     family: &str,
@@ -128,6 +127,7 @@ fn put_batch_header(out: &mut Vec<u8>, wave: u64, clock: u64, op_count: u32) {
 }
 
 /// Appends `batch` in the record wire format (the frame's payload).
+#[cfg(test)]
 fn put_batch(out: &mut Vec<u8>, batch: &WalBatch) {
     put_batch_header(out, batch.wave, batch.clock, batch.ops.len() as u32);
     for op in &batch.ops {
@@ -203,17 +203,6 @@ fn decode_batch(payload: &[u8]) -> Result<WalBatch, DurabilityError> {
     Ok(WalBatch { wave, clock, ops })
 }
 
-/// What one append cost, for the caller's telemetry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AppendOutcome {
-    /// Bytes appended to the log (frame header included).
-    pub bytes: u64,
-    /// Whether this append ended with an fsync.
-    pub synced: bool,
-    /// Duration of that fsync in nanoseconds (0 when not synced).
-    pub sync_nanos: u64,
-}
-
 /// Where one complete frame sits in the log file.
 #[derive(Debug, Clone, Copy)]
 struct FrameSpan {
@@ -236,7 +225,7 @@ const UNKNOWN_WAVE: u64 = u64::MAX;
 /// header-only scan — so [`compact`](Self::compact) drops a checkpointed
 /// prefix by copying the bytes of the frames it keeps, decoding nothing.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     path: PathBuf,
     file: File,
     policy: SyncPolicy,
@@ -339,30 +328,20 @@ impl Wal {
         })
     }
 
-    /// The log file's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current log length in bytes.
     #[must_use]
     pub fn len(&self) -> u64 {
         self.len
     }
 
-    /// Returns `true` if the log holds no bytes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends one committed batch, flushing per the sync policy.
+    /// Appends one committed batch, flushing per the sync policy; returns
+    /// whether it ended with an fsync.
     ///
     /// # Errors
     ///
     /// Returns an I/O error if the write or fsync fails.
-    pub fn append(&mut self, batch: &WalBatch) -> Result<AppendOutcome, DurabilityError> {
+    #[cfg(test)]
+    pub fn append(&mut self, batch: &WalBatch) -> Result<bool, DurabilityError> {
         self.buf.clear();
         let at = begin_frame(&mut self.buf);
         put_batch(&mut self.buf, batch);
@@ -373,7 +352,8 @@ impl Wal {
     /// Appends a batch whose ops were pre-encoded with [`encode_op_put`] /
     /// [`encode_op_delete`] — the group-commit fast path: the record is
     /// framed in place in a buffer the log keeps, so a commit copies the
-    /// op bytes once and allocates nothing.
+    /// op bytes once and allocates nothing. Returns whether the append
+    /// ended with an fsync.
     ///
     /// # Errors
     ///
@@ -384,7 +364,7 @@ impl Wal {
         clock: u64,
         op_count: u32,
         ops: &[u8],
-    ) -> Result<AppendOutcome, DurabilityError> {
+    ) -> Result<bool, DurabilityError> {
         self.buf.clear();
         let at = begin_frame(&mut self.buf);
         put_batch_header(&mut self.buf, wave, clock, op_count);
@@ -394,7 +374,7 @@ impl Wal {
     }
 
     /// Writes the one frame in `self.buf` to the end of the log.
-    fn write_frame_buf(&mut self, wave: u64) -> Result<AppendOutcome, DurabilityError> {
+    fn write_frame_buf(&mut self, wave: u64) -> Result<bool, DurabilityError> {
         if let Err(e) = self.file.write_all(&self.buf) {
             // A partial write leaves bytes no index entry covers; later
             // frames must be indexed where they really land.
@@ -416,45 +396,11 @@ impl Wal {
             SyncPolicy::Interval(n) => self.appends_since_sync >= n.max(1),
             SyncPolicy::Never => false,
         };
-        let mut outcome = AppendOutcome {
-            bytes,
-            ..AppendOutcome::default()
-        };
         if should_sync {
-            // tidy:allow(time): measures fsync latency for the
-            // durability.fsync histogram; reported, never replayed
-            let start = Instant::now();
             self.file.sync_data()?;
-            outcome.sync_nanos = start.elapsed().as_nanos() as u64;
-            outcome.synced = true;
             self.appends_since_sync = 0;
         }
-        Ok(outcome)
-    }
-
-    /// Forces an fsync regardless of policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the fsync fails.
-    pub fn sync(&mut self) -> Result<(), DurabilityError> {
-        self.file.sync_data()?;
-        self.appends_since_sync = 0;
-        Ok(())
-    }
-
-    /// Truncates the log to empty (recovery restarts from a checkpoint
-    /// and re-commits the waves behind it).
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the truncation fails.
-    pub fn reset(&mut self) -> Result<(), DurabilityError> {
-        self.file.set_len(0)?;
-        self.file.sync_data()?;
-        self.len = 0;
-        self.frames.clear();
-        Ok(())
+        Ok(should_sync)
     }
 
     /// Rewrites the log keeping only batches with `wave > checkpoint_wave`.
@@ -466,8 +412,7 @@ impl Wal {
     /// kept): usually nothing, the checkpoint having just superseded the
     /// whole log. Bytes no index entry covers (a torn final record) are
     /// dropped; a damaged frame in the superseded prefix is dropped like
-    /// any other. An empty log — a session's, which logs nothing — has
-    /// nothing to supersede and is left alone: no temporary file, no sync.
+    /// any other.
     ///
     /// # Errors
     ///
@@ -475,9 +420,6 @@ impl Wal {
     /// [`DurabilityError::Corrupt`] if a frame that would be kept fails
     /// validation; the log is then left as it was.
     pub fn compact(&mut self, checkpoint_wave: u64) -> Result<(), DurabilityError> {
-        if self.is_empty() {
-            return Ok(());
-        }
         self.buf.clear();
         let mut kept = Vec::new();
         let mut log = &self.file;
@@ -521,12 +463,13 @@ pub struct WalReadResult {
 ///
 /// A missing file reads as an empty log. A truncated final record — the
 /// signature of a crash mid-append — is reported via
-/// [`WalReadResult::torn_tail`] and otherwise ignored.
+/// `WalReadResult::torn_tail` and otherwise ignored.
 ///
 /// # Errors
 ///
 /// Returns an I/O error on read failure, or [`DurabilityError::Corrupt`]
 /// if a fully-present record fails its CRC or decodes to nonsense.
+#[deprecated(note = "kept only for benchmark/ until its re-baseline, ROADMAP item 3")]
 pub fn read_wal(path: &Path) -> Result<WalReadResult, DurabilityError> {
     let mut buf = Vec::new();
     match File::open(path) {
@@ -550,7 +493,7 @@ pub fn read_wal(path: &Path) -> Result<WalReadResult, DurabilityError> {
 ///
 /// Returns [`DurabilityError::Corrupt`] if a fully-present record fails
 /// validation.
-pub fn read_wal_bytes(buf: &[u8]) -> Result<WalReadResult, DurabilityError> {
+pub(crate) fn read_wal_bytes(buf: &[u8]) -> Result<WalReadResult, DurabilityError> {
     let mut batches = Vec::new();
     let mut pos = 0;
     loop {
@@ -805,9 +748,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path, SyncPolicy::Always).unwrap();
         for wave in 1..=3 {
-            let out = wal.append(&sample_batch(wave)).unwrap();
-            assert!(out.bytes > 8);
-            assert!(out.synced);
+            assert!(wal.append(&sample_batch(wave)).unwrap());
         }
         // Empty batches are legal and preserve the clock.
         wal.append(&WalBatch {
@@ -851,9 +792,9 @@ mod tests {
             }
         }
         let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
-        let out = wal.append_encoded(7, 70, 2, &ops).unwrap();
+        assert!(!wal.append_encoded(7, 70, 2, &ops).unwrap());
         assert_eq!(std::fs::read(&path).unwrap(), frame_of(&batch));
-        assert_eq!(out.bytes, wal.len());
+        assert_eq!(frame_of(&batch).len() as u64, wal.len());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -862,13 +803,12 @@ mod tests {
         let path = tmp_path("sync-policy");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path, SyncPolicy::Interval(2)).unwrap();
-        assert!(!wal.append(&sample_batch(1)).unwrap().synced);
-        assert!(wal.append(&sample_batch(2)).unwrap().synced);
-        assert!(!wal.append(&sample_batch(3)).unwrap().synced);
+        assert!(!wal.append(&sample_batch(1)).unwrap());
+        assert!(wal.append(&sample_batch(2)).unwrap());
+        assert!(!wal.append(&sample_batch(3)).unwrap());
         drop(wal);
         let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
-        assert!(!wal.append(&sample_batch(4)).unwrap().synced);
-        wal.sync().unwrap();
+        assert!(!wal.append(&sample_batch(4)).unwrap());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -889,45 +829,6 @@ mod tests {
         // The log stays appendable after compaction.
         wal.append(&sample_batch(6)).unwrap();
         assert_eq!(read_wal(&path).unwrap().batches.len(), 3);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn compacting_an_empty_log_touches_nothing() {
-        let path = tmp_path("compact-empty");
-        let _ = std::fs::remove_file(&path);
-        // A directory squatting on the temporary file's name fails any
-        // compaction that tries to create it.
-        let tmp = path.with_extension("tmp");
-        let _ = std::fs::remove_dir(&tmp);
-        std::fs::create_dir(&tmp).unwrap();
-        let mut wal = Wal::open(&path, SyncPolicy::Always).unwrap();
-        wal.compact(7).expect("an empty compaction touched wal.tmp");
-        std::fs::remove_dir(&tmp).unwrap();
-        assert_eq!(wal.len(), 0);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        // Still appendable, and the append reads back.
-        let mut ops = Vec::new();
-        encode_op_put(&mut ops, "t", "f", "r", "q", 80, &Value::from(8.0));
-        wal.append_encoded(8, 80, 1, &ops).unwrap();
-        let read = read_wal(&path).unwrap();
-        assert!(!read.torn_tail);
-        assert_eq!(
-            read.batches,
-            [WalBatch {
-                wave: 8,
-                clock: 80,
-                ops: vec![WalOp::Put {
-                    table: "t".into(),
-                    family: "f".into(),
-                    row: "r".into(),
-                    qualifier: "q".into(),
-                    value: Value::from(8.0),
-                    timestamp: 80,
-                }],
-            }]
-        );
-        assert_eq!(wal.len(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -966,23 +867,6 @@ mod tests {
         let read = read_wal(Path::new("/nonexistent/smartflux/wal.log")).unwrap();
         assert!(read.batches.is_empty());
         assert!(!read.torn_tail);
-    }
-
-    #[test]
-    fn reset_truncates() {
-        let path = tmp_path("reset");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, SyncPolicy::Always).unwrap();
-        wal.append(&sample_batch(1)).unwrap();
-        assert!(!wal.is_empty());
-        wal.reset().unwrap();
-        assert!(wal.is_empty());
-        assert!(read_wal(&path).unwrap().batches.is_empty());
-        // Appendable, and indexed from the start again.
-        wal.append(&sample_batch(2)).unwrap();
-        wal.compact(1).unwrap();
-        assert_eq!(read_wal(&path).unwrap().batches, [sample_batch(2)]);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Durability for the SmartFlux reproduction: write-ahead logging,
-//! checkpoints with log compaction, and crash recovery.
+//! Durability for the SmartFlux reproduction: periodic checkpoints of the
+//! store and the engine, and the recovery that resumes from them.
 //!
 //! The paper runs SmartFlux on HBase, whose WAL + memstore-flush design
 //! makes every container write durable. Our [`DataStore`] is purely
@@ -9,53 +9,49 @@
 //!
 //! # Architecture
 //!
-//! - [`DurabilityManager::attach`] hooks the store's write-observer
-//!   surface and buffers every mutation; [`DurabilityManager::commit_wave`]
-//!   group-commits them as one CRC-framed record in the append-only WAL
-//!   ([`Wal`]), flushing per the configured [`SyncPolicy`]. This is a
-//!   store-level API: an engine session does not attach it.
 //! - Every [`DurabilityOptions::checkpoint_interval`] waves,
-//!   [`DurabilityManager::maybe_checkpoint`] writes a [`Checkpoint`] — the
-//!   full store state plus opaque engine bytes — via an atomic
-//!   temp-file-and-rename, then compacts the WAL prefix it supersedes by
-//!   copying the byte ranges of the frames it keeps (the log indexes its
-//!   frames; nothing is decoded).
-//! - [`recover_store`] rebuilds a store from checkpoint + WAL tail,
-//!   tolerating a torn final record (the signature of a crash
-//!   mid-append). Everything else that is malformed yields a typed
-//!   [`DurabilityError`]; recovery never panics on corrupt input.
+//!   [`Checkpointer::maybe_checkpoint`] writes a [`Checkpoint`] — the full
+//!   store state plus opaque engine bytes — via an atomic
+//!   temp-file-and-rename, and tracks how many waves the newest durable
+//!   checkpoint lags.
+//! - [`read_checkpoint`] reads it back. Damage of any kind is a typed
+//!   [`DurabilityError`]; reading never panics on corrupt input.
 //!
-//! Engine-level durability (`QodEngine` in the `smartflux` crate) uses
-//! the checkpoints only: a session logs no store mutation, and
-//! `QodEngine::recover` restores the checkpoint, because the waves after
-//! it re-execute deterministically.
+//! A durable engine session (`QodEngine` in the `smartflux` crate) logs no
+//! store mutation: `QodEngine::recover` restores the checkpoint, and the
+//! waves after it re-execute deterministically.
+//!
+//! The store-level write-ahead log that predates this design
+//! (`DurabilityManager`, `SyncPolicy`, `recover_store`) is deprecated and
+//! kept, fenced off in one module, only for the frozen benchmark
+//! (`benchmark/`).
 //!
 //! # Example
 //!
 //! ```
 //! use smartflux_datastore::{DataStore, Value};
-//! use smartflux_durability::{recover_store, DurabilityManager, DurabilityOptions, SyncPolicy};
+//! use smartflux_durability::{read_checkpoint, Checkpointer, DurabilityOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dir = std::env::temp_dir().join(format!("sf-dur-doc-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
-//! let manager = DurabilityManager::open(
-//!     DurabilityOptions::new(&dir).with_sync(SyncPolicy::Never),
-//! )?;
+//! let checkpointer = Checkpointer::open(DurabilityOptions::new(&dir).with_checkpoint_interval(2))?;
 //!
 //! let store = DataStore::new();
 //! store.create_table("t")?;
 //! store.create_family("t", "f")?;
-//! let _observer = manager.attach(&store);
+//! for wave in 1..=3 {
+//!     store.put("t", "f", "row", "col", Value::from(wave as f64))?;
+//!     // Wave 2 is on the interval: the engine's bytes are asked for then.
+//!     checkpointer.maybe_checkpoint(wave, &store, || b"engine".to_vec())?;
+//! }
 //!
-//! store.put("t", "f", "row", "col", Value::from(42.0))?;
-//! manager.commit_wave(1, store.clock())?; // group-commit at the wave boundary
-//!
-//! let recovered = recover_store(&dir)?;
-//! assert_eq!(
-//!     recovered.store.get("t", "f", "row", "col")?,
-//!     Some(Value::from(42.0)),
-//! );
+//! let checkpoint = read_checkpoint(&dir)?.expect("wave 2 wrote one");
+//! assert_eq!(checkpoint.wave, 2);
+//! assert_eq!(checkpoint.engine, b"engine");
+//! assert_eq!(checkpointer.checkpoint_lag_waves(3), 1);
+//! let restored = DataStore::from_state(checkpoint.store)?;
+//! assert_eq!(restored.get("t", "f", "row", "col")?, Some(Value::from(2.0)));
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
 //! # }
@@ -71,18 +67,16 @@ pub mod codec;
 mod checkpoint;
 mod crc;
 mod error;
-mod manager;
+mod frozen;
 mod options;
-mod recover;
-mod wal;
 
 pub use checkpoint::{
     decode_store_state, encode_store_state, read_checkpoint, write_checkpoint, Checkpoint,
-    CHECKPOINT_FILE,
+    Checkpointer, CHECKPOINT_FILE,
 };
 pub use crc::crc32;
 pub use error::DurabilityError;
-pub use manager::{DurabilityManager, WAL_FILE};
-pub use options::{DurabilityOptions, SyncPolicy};
-pub use recover::{recover_store, RecoveredStore};
-pub use wal::{read_wal, read_wal_bytes, AppendOutcome, Wal, WalBatch, WalOp, WalReadResult};
+pub use options::DurabilityOptions;
+// The deprecated WAL surface the benchmark still spells. A glob, so this
+// line names no deprecated item; each user of one gets the warning.
+pub use frozen::*;

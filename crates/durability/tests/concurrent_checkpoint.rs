@@ -7,6 +7,8 @@
 //! holds the prefix, the WAL tail holds the rest, and nothing is lost or
 //! applied twice.
 
+#![allow(deprecated)] // exercises the store-level WAL kept for benchmark/
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -78,13 +78,6 @@ impl HostConfig {
         Self::default()
     }
 
-    /// Does nothing: requests run on their caller's thread, so there is
-    /// no worker pool to size. Kept so existing callers still compile.
-    #[must_use]
-    pub fn with_workers(self, _workers: usize) -> Self {
-        self
-    }
-
     /// Sets the per-session bound on waiting callers.
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {

@@ -35,6 +35,7 @@
 
 pub mod client;
 pub mod error;
+mod frozen;
 pub mod host;
 pub mod registry;
 pub mod server;

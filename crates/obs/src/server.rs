@@ -232,8 +232,6 @@ pub fn preregister(telemetry: &Telemetry) {
         names::SDF_FALLBACKS,
         names::STORE_READS,
         names::STORE_WRITES,
-        names::WAL_RECORDS,
-        names::WAL_BYTES,
         names::CHECKPOINTS,
         names::RECOVERIES,
         names::JOURNAL_ERRORS,
@@ -274,11 +272,8 @@ pub fn preregister(telemetry: &Telemetry) {
         names::ML_FIT_LATENCY,
         names::STORE_READ_LATENCY,
         names::STORE_WRITE_LATENCY,
-        names::FSYNC_LATENCY,
-        names::WAL_COMMIT_LATENCY,
         names::CHECKPOINT_WRITE_LATENCY,
         names::CHECKPOINT_CAPTURE_LATENCY,
-        names::WAL_COMPACT_LATENCY,
         names::NET_SUBMIT_LATENCY,
     ] {
         let _ = telemetry.histogram(name);
@@ -343,7 +338,7 @@ mod tests {
         assert_eq!(status, 200);
         let parsed = crate::openmetrics::parse(&metrics).unwrap();
         assert_eq!(parsed.counter_total("wms.step_retries"), Some(2.0));
-        assert_eq!(parsed.counter_total("durability.wal_records"), Some(0.0));
+        assert_eq!(parsed.counter_total("durability.checkpoints"), Some(0.0));
         for span in [
             names::ERROR_LATENCY,
             names::BASELINE_RESET_LATENCY,

@@ -89,7 +89,9 @@ impl CheckId {
             Self::LockSpan => "no lock guard held across step/observer/sink callbacks",
             Self::TelemetryGuard => "metrics calls sit behind an is_enabled() guard",
             Self::Time => "no Instant::now()/SystemTime outside telemetry and bench",
-            Self::Hygiene => "tabs, trailing whitespace, dbg!, TODO refs, lint headers",
+            Self::Hygiene => {
+                "tabs, trailing whitespace, dbg!, TODO refs, lint headers, allow(deprecated)"
+            }
             Self::AtomicOrdering => "atomic Ordering uses match the declared per-field discipline",
             Self::GuardBlocking => "no guard held across a blocking call (send/recv/join/file I/O)",
             Self::AllowDangling => "every tidy:allow suppresses at least one finding",
@@ -595,8 +597,29 @@ pub const MISSING_DOCS_OPT_IN: [&str; 11] = [
     "smartflux-sim",
 ];
 
+/// Whether `file` is in a crate's `frozen` module (`src/frozen.rs` or
+/// `src/frozen/`), home of the deprecated items kept for `benchmark/`.
+fn in_frozen_module(file: &SourceFile) -> bool {
+    let path = format!("/{}", file.path.to_string_lossy().replace('\\', "/"));
+    path.ends_with("/src/frozen.rs") || path.contains("/src/frozen/")
+}
+
+/// Whether a lint attribute on this line — `allow(..)` or `expect(..)` —
+/// names `deprecated`.
+fn allows_deprecated(code: &str) -> bool {
+    ["allow(", "expect("].into_iter().any(|opener| {
+        code.split(opener).skip(1).any(|rest| {
+            let list = rest.split(')').next().unwrap_or(rest);
+            list.split(',').any(|lint| lint.trim() == "deprecated")
+        })
+    })
+}
+
 /// Tabs, trailing whitespace, `dbg!`, `TODO`/`FIXME` without an issue
-/// reference, malformed `tidy:allow` comments, and missing lint headers.
+/// reference, malformed `tidy:allow` comments, missing lint headers, and
+/// `allow(deprecated)` in library or binary code outside a `frozen`
+/// module: the deprecated items are kept only for `benchmark/`, and the
+/// compiler rejects every production caller unless someone allows it.
 #[must_use]
 pub fn check_hygiene(file: &SourceFile, crate_name: &str, is_lib_root: bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -610,8 +633,17 @@ pub fn check_hygiene(file: &SourceFile, crate_name: &str, is_lib_root: bool) -> 
         });
     };
 
+    let fenced = matches!(file.role, FileRole::Lib | FileRole::Bin) && !in_frozen_module(file);
     for (idx, line) in file.lines.iter().enumerate() {
         let ln = idx + 1;
+        if fenced && !file.is_test_line(ln) && allows_deprecated(&line.code) {
+            push(
+                ln,
+                "`allow(deprecated)` outside a `frozen` module — deprecated items are kept \
+                 only for benchmark/, and production code must not call them"
+                    .into(),
+            );
+        }
         if line.raw.contains('\t') {
             push(ln, "tab character (use spaces)".into());
         }

@@ -310,6 +310,33 @@ fn hygiene_flags_malformed_allow_and_missing_headers() {
     assert!(diags.iter().any(|d| d.message.contains("missing_docs")));
 }
 
+#[test]
+fn hygiene_confines_allow_deprecated_to_frozen_modules() {
+    // Three attributes fire; a longer lint name, a string, a comment and
+    // a test module do not.
+    let src = "#![allow(deprecated)]\n#[allow(clippy::x, deprecated)]\n#[expect(deprecated)]\n\
+               #[allow(deprecated_in_future)]\nfn f() { g(\"allow(deprecated)\"); } // allow(deprecated)\n\
+               #[cfg(test)]\nmod tests {\n    #[allow(deprecated)]\n    fn t() {}\n}\n";
+    let at = |path: &str, role: FileRole| -> Vec<usize> {
+        let file = SourceFile::parse(PathBuf::from(path), role, src);
+        let diags = checks::check_hygiene(&file, "smartflux-wms", false);
+        lines_of(&diags)
+    };
+    assert_eq!(at("crates/x/src/lib.rs", FileRole::Lib), [1, 2, 3]);
+    assert_eq!(at("crates/x/src/bin/b.rs", FileRole::Bin), [1, 2, 3]);
+    assert_eq!(at("crates/x/src/frozen_ish.rs", FileRole::Lib), [1, 2, 3]);
+    // The frozen modules, tests, benches and examples are exempt.
+    for (path, role) in [
+        ("crates/x/src/frozen.rs", FileRole::Lib),
+        ("crates/x/src/frozen/wal.rs", FileRole::Lib),
+        ("crates/x/tests/t.rs", FileRole::Test),
+        ("crates/x/benches/b.rs", FileRole::Bench),
+        ("crates/x/examples/e.rs", FileRole::Example),
+    ] {
+        assert!(at(path, role).is_empty(), "{path}");
+    }
+}
+
 // -------------------------------------------------------------- ratchet
 
 fn counts(cells: &[(&str, &str, usize)]) -> Counts {

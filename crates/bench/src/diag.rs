@@ -17,8 +17,9 @@ use smartflux_telemetry::{names, MetricsSnapshot};
 /// 3 = added the `static_analysis` section (tidy findings + lock-order
 /// graph summary), present whenever the workspace sources are reachable;
 /// 4 = the `store` section lost `shards` (the store has one lock);
-/// 5 = `static_analysis` lost its `lock_order` object (the check is gone).
-pub const SCHEMA_VERSION: u64 = 5;
+/// 5 = `static_analysis` lost its `lock_order` object (the check is gone);
+/// 6 = `durability` lost `wal_bytes` and `wal_records` (no session logs).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// The `fault_tolerance` section, or `None` when the run saw no aborts,
 /// retries, failures, or SDF fallbacks (nothing to report).
@@ -38,19 +39,16 @@ pub fn fault_tolerance_json(snapshot: &MetricsSnapshot) -> Option<String> {
 }
 
 /// The `durability` section, or `None` when the run wrote no checkpoint
-/// or WAL record and recovered nothing (durability not configured).
+/// and recovered nothing (durability not configured).
 #[must_use]
 pub fn durability_json(snapshot: &MetricsSnapshot) -> Option<String> {
-    let wal_bytes = snapshot.counter(names::WAL_BYTES);
-    let wal_records = snapshot.counter(names::WAL_RECORDS);
     let checkpoints = snapshot.counter(names::CHECKPOINTS);
     let recoveries = snapshot.counter(names::RECOVERIES);
-    if wal_bytes == 0 && wal_records == 0 && checkpoints == 0 && recoveries == 0 {
+    if checkpoints == 0 && recoveries == 0 {
         return None;
     }
     Some(format!(
-        "{{\"wal_bytes\":{wal_bytes},\"wal_records\":{wal_records},\
-         \"checkpoints\":{checkpoints},\"recoveries\":{recoveries}}}"
+        "{{\"checkpoints\":{checkpoints},\"recoveries\":{recoveries}}}"
     ))
 }
 
@@ -154,14 +152,14 @@ mod tests {
     fn active_sections_appear_with_their_counters() {
         let t = Telemetry::enabled();
         t.counter(names::STEP_RETRIES).add(3);
-        t.counter(names::WAL_RECORDS).add(7);
+        t.counter(names::CHECKPOINTS).add(7);
         t.gauge(names::STORE_SHARD_WRITE_CONTENTION).set(2);
         let snapshot = t.snapshot();
 
         let fault = fault_tolerance_json(&snapshot).expect("retries present");
         assert!(fault.contains("\"step_retries\":3"));
-        let durability = durability_json(&snapshot).expect("wal present");
-        assert!(durability.contains("\"wal_records\":7"));
+        let durability = durability_json(&snapshot).expect("checkpoints present");
+        assert!(durability.contains("\"checkpoints\":7"));
         let store = store_json(&snapshot).expect("contention gauge present");
         assert!(store.contains("\"shard_write_contention\":2"));
 

@@ -6,7 +6,8 @@
 //! process can die between any two of these. Whatever the directory then
 //! holds, `recover_store` must land on exactly the state and clock of the
 //! run that was never interrupted, and a manager reopened on the
-//! directory must keep checkpointing.
+//! directory must keep checkpointing. The last test pins a session's two
+//! checkpoint entry points, periodic and explicit, to one write path.
 
 #![allow(deprecated)] // exercises the store-level WAL kept for benchmark/
 
@@ -14,8 +15,8 @@ use std::path::{Path, PathBuf};
 
 use smartflux_datastore::{DataStore, StoreState, Value};
 use smartflux_durability::{
-    read_checkpoint, read_wal, recover_store, write_checkpoint, Checkpoint, DurabilityManager,
-    DurabilityOptions, SyncPolicy, CHECKPOINT_FILE, WAL_FILE,
+    read_checkpoint, read_wal, recover_store, write_checkpoint, Checkpoint, Checkpointer,
+    DurabilityManager, DurabilityOptions, SyncPolicy, CHECKPOINT_FILE, WAL_FILE,
 };
 
 /// The checkpoint whose windows are exercised is taken at this wave …
@@ -210,4 +211,45 @@ fn temporary_wal_beside_the_log() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+#[test]
+fn periodic_and_explicit_checkpoints_write_the_same_bytes() {
+    // `maybe_checkpoint` on its interval (a session's per-wave path) and
+    // `checkpoint` (`checkpoint_at`, orderly shutdown) are one write
+    // path: over the same store and engine state they leave the same
+    // file, and nothing beside it.
+    let file = |periodic: bool| {
+        let dir = tmp_dir(if periodic { "periodic" } else { "explicit" });
+        let checkpointer =
+            Checkpointer::open(DurabilityOptions::new(&dir).with_checkpoint_interval(4)).unwrap();
+        let store = store_with_tf();
+        for wave in 1..=5 {
+            write_wave(&store, wave);
+            if periodic {
+                let due = checkpointer
+                    .maybe_checkpoint(wave, &store, || b"engine".to_vec())
+                    .unwrap();
+                assert_eq!(due, wave == 4);
+            } else if wave == 4 {
+                checkpointer
+                    .checkpoint(wave, &store, b"engine".to_vec())
+                    .unwrap();
+            }
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [CHECKPOINT_FILE]);
+        let written = read_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!(
+            (written.wave, written.engine.as_slice()),
+            (4, &b"engine"[..])
+        );
+        let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        bytes
+    };
+    assert_eq!(file(true), file(false));
 }

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use crate::manifest::Manifest;
+use crate::manifest::{self, Manifest};
 use crate::source::{FileRole, SourceFile};
 
 /// Identifier of one check family.
@@ -604,13 +604,21 @@ fn in_frozen_module(file: &SourceFile) -> bool {
     path.ends_with("/src/frozen.rs") || path.contains("/src/frozen/")
 }
 
-/// Whether a lint attribute on this line — `allow(..)` or `expect(..)` —
-/// names `deprecated`.
-fn allows_deprecated(code: &str) -> bool {
+/// Whether a lint attribute opening on line `idx` — `allow(..)` or
+/// `expect(..)` — names `deprecated`, or the `warnings` group that holds
+/// it. A list that rustfmt split across lines is joined up to its `)`.
+fn allows_deprecated(file: &SourceFile, idx: usize) -> bool {
     ["allow(", "expect("].into_iter().any(|opener| {
-        code.split(opener).skip(1).any(|rest| {
-            let list = rest.split(')').next().unwrap_or(rest);
-            list.split(',').any(|lint| lint.trim() == "deprecated")
+        file.lines[idx].code.split(opener).skip(1).any(|rest| {
+            let mut list = rest.to_owned();
+            for line in &file.lines[idx + 1..] {
+                if list.contains(')') {
+                    break;
+                }
+                list.push_str(&line.code);
+            }
+            let list = list.split(')').next().unwrap_or_default();
+            list.split(',').any(manifest::silences_deprecated)
         })
     })
 }
@@ -620,6 +628,7 @@ fn allows_deprecated(code: &str) -> bool {
 /// `allow(deprecated)` in library or binary code outside a `frozen`
 /// module: the deprecated items are kept only for `benchmark/`, and the
 /// compiler rejects every production caller unless someone allows it.
+/// `allow(warnings)` silences `deprecated` too, so it counts the same.
 #[must_use]
 pub fn check_hygiene(file: &SourceFile, crate_name: &str, is_lib_root: bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -636,11 +645,12 @@ pub fn check_hygiene(file: &SourceFile, crate_name: &str, is_lib_root: bool) -> 
     let fenced = matches!(file.role, FileRole::Lib | FileRole::Bin) && !in_frozen_module(file);
     for (idx, line) in file.lines.iter().enumerate() {
         let ln = idx + 1;
-        if fenced && !file.is_test_line(ln) && allows_deprecated(&line.code) {
+        if fenced && !file.is_test_line(ln) && allows_deprecated(file, idx) {
             push(
                 ln,
-                "`allow(deprecated)` outside a `frozen` module — deprecated items are kept \
-                 only for benchmark/, and production code must not call them"
+                "`allow(deprecated)` or `allow(warnings)` outside a `frozen` module — \
+                 deprecated items are kept only for benchmark/, and production code must \
+                 not call them"
                     .into(),
             );
         }
@@ -692,4 +702,24 @@ pub fn check_hygiene(file: &SourceFile, crate_name: &str, is_lib_root: bool) -> 
         }
     }
     out
+}
+
+/// A `Cargo.toml` that sets the rustc lint `deprecated`, or the
+/// `warnings` group, to `allow` silences the `frozen` fence for a whole
+/// crate (or workspace), so it is a `hygiene` finding as well.
+#[must_use]
+pub fn check_lint_levels(manifest: &Manifest) -> Vec<Diagnostic> {
+    let path = manifest.path.display().to_string();
+    manifest
+        .allows_deprecated
+        .iter()
+        .map(|&line| Diagnostic {
+            path: path.clone(),
+            line,
+            check: CheckId::Hygiene,
+            message: "a `[lints.rust]` entry allows `deprecated` or `warnings`, which \
+                      silences the `frozen` fence crate-wide"
+                .into(),
+        })
+        .collect()
 }

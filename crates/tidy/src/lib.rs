@@ -17,7 +17,7 @@
 //! | `lock-span`       | no lock guard held across step/observer/sink callbacks |
 //! | `telemetry-guard` | metrics calls sit behind an `is_enabled()` guard |
 //! | `time`            | no ambient clock reads outside telemetry/bench |
-//! | `hygiene`         | tabs, trailing whitespace, `dbg!`, `TODO` refs, lint headers, `allow(deprecated)` outside `frozen` |
+//! | `hygiene`         | tabs, trailing whitespace, `dbg!`, `TODO` refs, lint headers, `allow(deprecated)` or `allow(warnings)` outside `frozen` |
 //! | `atomic-ordering` | every atomic field declares a `tidy:atomic` discipline and every `Ordering::*` use matches it |
 //! | `guard-blocking`  | no guard held across a call that (transitively) reaches blocking I/O |
 //! | `allow-dangling`  | every `tidy:allow` suppresses something; stale allows are errors |

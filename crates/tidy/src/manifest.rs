@@ -1,6 +1,7 @@
 //! A minimal `Cargo.toml` reader: just enough TOML to recover the package
 //! name and the dependency names (with their line numbers) that the crate
-//! layering check needs. Not a general TOML parser.
+//! layering check needs, and the lint levels the `hygiene` check reads.
+//! Not a general TOML parser.
 
 use std::path::PathBuf;
 
@@ -16,7 +17,7 @@ pub struct Dependency {
     pub dev: bool,
 }
 
-/// The subset of a `Cargo.toml` the layering check consumes.
+/// The subset of a `Cargo.toml` the layering and hygiene checks consume.
 #[derive(Debug, Clone, Default)]
 pub struct Manifest {
     /// Path as reported in diagnostics.
@@ -27,6 +28,10 @@ pub struct Manifest {
     pub deps: Vec<Dependency>,
     /// Whether the manifest declares `[lints] workspace = true`.
     pub inherits_workspace_lints: bool,
+    /// Lines that set the rustc lint `deprecated`, or the `warnings` group,
+    /// to `allow` in `[lints.rust]` or `[workspace.lints.rust]`, either as
+    /// an entry or as a `[lints.rust.<lint>]` table's `level`.
+    pub allows_deprecated: Vec<usize>,
 }
 
 /// Parses the manifest subset from `content`.
@@ -38,6 +43,10 @@ pub fn parse(path: PathBuf, content: &str) -> Manifest {
         Deps,
         DevDeps,
         Lints,
+        RustLints,
+        /// A `[lints.rust.<lint>]` table: whether the lint silences
+        /// `deprecated`.
+        RustLint(bool),
         Other,
     }
     let mut m = Manifest {
@@ -56,6 +65,7 @@ pub fn parse(path: PathBuf, content: &str) -> Manifest {
                 "dependencies" | "target.'cfg(test)'.dependencies" => Section::Deps,
                 "dev-dependencies" => Section::DevDeps,
                 "lints" => Section::Lints,
+                "lints.rust" | "workspace.lints.rust" => Section::RustLints,
                 other => {
                     // Table-form entries: `[dependencies.foo]`.
                     if let Some(dep) = other.strip_prefix("dependencies.") {
@@ -71,7 +81,11 @@ pub fn parse(path: PathBuf, content: &str) -> Manifest {
                             dev: true,
                         });
                     }
-                    Section::Other
+                    let lint = other.strip_prefix("workspace.").unwrap_or(other);
+                    lint.strip_prefix("lints.rust.")
+                        .map_or(Section::Other, |l| {
+                            Section::RustLint(silences_deprecated(l))
+                        })
                 }
             };
             continue;
@@ -95,10 +109,24 @@ pub fn parse(path: PathBuf, content: &str) -> Manifest {
             Section::Lints if key == "workspace" && value == "true" => {
                 m.inherits_workspace_lints = true;
             }
+            // `lint = "allow"` or `lint = { level = "allow", .. }` …
+            Section::RustLints if silences_deprecated(key) && value.contains("\"allow\"") => {
+                m.allows_deprecated.push(idx + 1);
+            }
+            // … or `level = "allow"` in the lint's own table.
+            Section::RustLint(true) if key == "level" && value.contains("\"allow\"") => {
+                m.allows_deprecated.push(idx + 1);
+            }
             _ => {}
         }
     }
     m
+}
+
+/// Whether `lint` is `deprecated` or the `warnings` group that holds it.
+#[must_use]
+pub fn silences_deprecated(lint: &str) -> bool {
+    matches!(lint.trim(), "deprecated" | "warnings")
 }
 
 /// Removes a `#` comment that is not inside a quoted string.

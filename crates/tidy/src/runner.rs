@@ -144,6 +144,9 @@ pub fn run_checks(units: &[CrateUnit], selected: &[CheckId]) -> Vec<Diagnostic> 
             // nothing source-level) applies to them.
             continue;
         }
+        if selected.contains(&CheckId::Hygiene) {
+            raw.extend(checks::check_lint_levels(&unit.manifest));
+        }
         for file in &unit.files {
             let is_lib_root = file.path.ends_with("src/lib.rs");
             for &check in selected {

@@ -312,19 +312,25 @@ fn hygiene_flags_malformed_allow_and_missing_headers() {
 
 #[test]
 fn hygiene_confines_allow_deprecated_to_frozen_modules() {
-    // Three attributes fire; a longer lint name, a string, a comment and
-    // a test module do not.
+    // Five attributes fire: the lint itself, in a list, as `expect`, split
+    // across lines the way rustfmt splits a long list, and the `warnings`
+    // group that holds it. A longer lint name, a string, a comment and a
+    // test module do not.
     let src = "#![allow(deprecated)]\n#[allow(clippy::x, deprecated)]\n#[expect(deprecated)]\n\
                #[allow(deprecated_in_future)]\nfn f() { g(\"allow(deprecated)\"); } // allow(deprecated)\n\
+               #[allow(\n    clippy::x,\n    deprecated,\n)]\n#![allow(warnings)]\n\
                #[cfg(test)]\nmod tests {\n    #[allow(deprecated)]\n    fn t() {}\n}\n";
     let at = |path: &str, role: FileRole| -> Vec<usize> {
         let file = SourceFile::parse(PathBuf::from(path), role, src);
         let diags = checks::check_hygiene(&file, "smartflux-wms", false);
         lines_of(&diags)
     };
-    assert_eq!(at("crates/x/src/lib.rs", FileRole::Lib), [1, 2, 3]);
-    assert_eq!(at("crates/x/src/bin/b.rs", FileRole::Bin), [1, 2, 3]);
-    assert_eq!(at("crates/x/src/frozen_ish.rs", FileRole::Lib), [1, 2, 3]);
+    assert_eq!(at("crates/x/src/lib.rs", FileRole::Lib), [1, 2, 3, 6, 10]);
+    assert_eq!(at("crates/x/src/bin/b.rs", FileRole::Bin), [1, 2, 3, 6, 10]);
+    assert_eq!(
+        at("crates/x/src/frozen_ish.rs", FileRole::Lib),
+        [1, 2, 3, 6, 10]
+    );
     // The frozen modules, tests, benches and examples are exempt.
     for (path, role) in [
         ("crates/x/src/frozen.rs", FileRole::Lib),
@@ -335,6 +341,19 @@ fn hygiene_confines_allow_deprecated_to_frozen_modules() {
     ] {
         assert!(at(path, role).is_empty(), "{path}");
     }
+}
+
+#[test]
+fn hygiene_refuses_a_manifest_that_allows_deprecated() {
+    // Either lint, in either table form, and in the workspace's table.
+    let toml = "[package]\nname = \"smartflux-wms\"\n[lints.rust]\n\
+                warnings = { level = \"allow\", priority = -1 }\n\
+                deprecated_in_future = \"allow\"\ndeprecated = \"deny\"\n\
+                [lints.rust.deprecated]\nlevel = \"allow\"\n\
+                [workspace.lints.rust]\ndeprecated = \"allow\"\n\
+                [workspace.lints.clippy]\ndeprecated = \"allow\"\n";
+    let m = manifest::parse(PathBuf::from("crates/wms/Cargo.toml"), toml);
+    assert_eq!(lines_of(&checks::check_lint_levels(&m)), [4, 8, 10]);
 }
 
 // -------------------------------------------------------------- ratchet

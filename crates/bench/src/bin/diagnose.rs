@@ -36,7 +36,7 @@ use smartflux::{DurabilityOptions, SmartFluxSession};
 use smartflux_bench::{diag, pct, Workload};
 use smartflux_obs::{http, openmetrics, perfetto, preregister};
 use smartflux_obs::{ObsServer, ObsSources, RingJournal, RingTraceSink};
-use smartflux_telemetry::{json_string, names, JournalSink, TraceSink};
+use smartflux_telemetry::{json_string, names, JournalEntry, JournalSink, TraceSink};
 
 struct Args {
     bound: f64,
@@ -103,8 +103,10 @@ fn run_json(args: &Args) {
             .engine_config(args.bound)
             .with_telemetry(true)
             .with_durability(DurabilityOptions::new(&state_dir));
-        if let Some(dir) = &args.journal_dir {
-            config = config.with_journal_path(dir.join(format!("{}-journal.jsonl", wl.id())));
+        let journal =
+            (args.journal_dir.as_ref()).map(|dir| dir.join(format!("{}-journal.jsonl", wl.id())));
+        if let Some(path) = &journal {
+            config = config.with_journal_path(path);
         }
         let report = wl.evaluate_policy(
             args.bound,
@@ -125,7 +127,7 @@ fn run_json(args: &Args) {
                 )
             },
         );
-        let journal_json = report.telemetry.journal_path().map_or_else(
+        let journal_json = journal.map_or_else(
             || "null".to_owned(),
             |p| json_string(&p.display().to_string()),
         );
@@ -375,13 +377,22 @@ fn run_scrape(args: &ScrapeArgs) -> Result<(), String> {
             .unwrap_or(0.0),
     );
 
-    // 3. /waves serves the journal tail as a JSON array of decisions.
+    // 3. /waves serves the newest waves' journal lines: `n` counts waves,
+    // consecutive and increasing, each with one entry per QoD step.
     let (status, body) =
         http::get(&args.addr, "/waves?n=5", io_timeout).map_err(|e| format!("GET /waves: {e}"))?;
-    if status != 200 || !body.trim_start().starts_with('[') || !body.contains("\"wave\":") {
-        return Err(format!("GET /waves returned {status} with unexpected body"));
+    let entries = JournalEntry::list_from_json(&body).unwrap_or_default();
+    let waves: Vec<u64> = entries.iter().map(|e| e.row.wave).collect();
+    let shaped =
+        |e: &JournalEntry| [e.row.impacts.len(), e.row.decisions.len()] == [e.steps.len(); 2];
+    if status != 200
+        || waves.len() != 5
+        || waves.windows(2).any(|w| w[1] != w[0] + 1)
+        || !entries.iter().all(shaped)
+    {
+        return Err(format!("GET /waves?n=5 returned {status}, not 5 consecutive waves with one impact and decision per step: {body}"));
     }
-    println!("scrape: /waves ok ({} bytes)", body.len());
+    println!("scrape: /waves ok (waves {waves:?}, {} bytes)", body.len());
 
     // 4. /trace serves loadable Chrome trace JSON with wave roots.
     let (status, body) = http::get(&args.addr, "/trace?waves=8", io_timeout)

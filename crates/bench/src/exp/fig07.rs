@@ -42,7 +42,7 @@ pub fn collect(workload: Workload) -> Vec<StepCorrelation> {
             .enumerate()
             .map(|(j, name)| {
                 let impacts: Vec<f64> = training.iter().map(|d| d.impacts[j]).collect();
-                let errors: Vec<f64> = training.iter().map(|d| d.errors[j]).collect();
+                let errors: Vec<f64> = training.iter().map(|d| d.errors()[j]).collect();
                 let r = pearson(&impacts, &errors);
                 StepCorrelation {
                     step: name.clone(),

@@ -62,10 +62,11 @@ pub struct EngineConfig {
     /// instrumentation site then costs a single relaxed atomic load.
     pub telemetry_enabled: bool,
     /// When set (and telemetry is enabled), the session attaches a JSONL
-    /// sink writing one [`WaveDecisionRecord`] per wave per QoD step to
-    /// this path.
+    /// sink writing one line per wave to this path: the wave's
+    /// [`WaveDiagnostics`] row with the QoD steps' names and `maxε`
+    /// (journal schema v2).
     ///
-    /// [`WaveDecisionRecord`]: smartflux_telemetry::WaveDecisionRecord
+    /// [`WaveDiagnostics`]: smartflux_telemetry::WaveDiagnostics
     pub journal_path: Option<PathBuf>,
     /// When set, the session checkpoints store + engine state at the
     /// configured interval (and on demand, e.g. at an orderly shutdown,
@@ -204,7 +205,7 @@ impl EngineConfig {
     }
 
     /// Enables telemetry and writes the wave-decision journal to `path`
-    /// as JSON lines (one record per wave per QoD step).
+    /// as JSON lines (one line per wave).
     #[must_use]
     pub fn with_journal_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.telemetry_enabled = true;

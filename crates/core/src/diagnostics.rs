@@ -13,30 +13,13 @@
 
 use std::sync::Arc;
 
+use smartflux_telemetry::WaveDiagnostics;
+
 /// Rows per chunk: the most a held snapshot can make the engine copy
 /// (≈ 0.2 ms at this size). Measured, not derived: with 256-row chunks
 /// `aqhi` waves ran ≈ 2 µs slower and the benchmark completed ≈ 3 % fewer
 /// of them (EXPERIMENTS.md, "Decision history snapshots").
 const CHUNK_ROWS: usize = 4096;
-
-/// Per-wave record of what the engine observed and decided.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveDiagnostics {
-    /// Wave number.
-    pub wave: u64,
-    /// Input impact per QoD step (step order = [`QodEngine::qod_step_names`]).
-    ///
-    /// [`QodEngine::qod_step_names`]: crate::QodEngine::qod_step_names
-    pub impacts: Vec<f64>,
-    /// Simulated output error per QoD step. Only populated on training
-    /// waves (the application phase cannot observe true errors); this is
-    /// the data behind the paper's ι-vs-ε correlation plots (Fig. 7).
-    pub errors: Vec<f64>,
-    /// Decision per QoD step (`true` = executed).
-    pub decisions: Vec<bool>,
-    /// Whether this wave ran in training mode.
-    pub training: bool,
-}
 
 /// The engine's per-wave decision history, oldest wave first.
 ///
@@ -166,16 +149,23 @@ impl ExactSizeIterator for DiagnosticsIter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartflux_telemetry::GroundTruth;
 
     /// A row whose every field is derived from `wave`; training waves carry
-    /// errors, application waves do not.
+    /// ground truth, application waves do not.
     fn row(wave: u64) -> WaveDiagnostics {
         let training = wave.is_multiple_of(3);
         WaveDiagnostics {
             wave,
             impacts: vec![wave as f64 * 0.5, -(wave as f64)],
-            errors: if training { vec![0.25; 2] } else { Vec::new() },
             decisions: vec![wave.is_multiple_of(2), wave.is_multiple_of(5)],
+            deferred: wave % 4,
+            ground_truth: training.then(|| {
+                Box::new(GroundTruth {
+                    errors: vec![0.25; 2],
+                    confidence: vec![1.0, 0.5],
+                })
+            }),
             training,
         }
     }

@@ -34,12 +34,12 @@ use parking_lot::Mutex;
 use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_durability::codec::{self, FrameRead};
 use smartflux_durability::{read_checkpoint, Checkpointer, DurabilityError};
-use smartflux_telemetry::{names, Telemetry, WaveDecisionRecord};
+use smartflux_telemetry::{names, GroundTruth, QodStep, Telemetry, WaveDiagnostics};
 use smartflux_wms::{StepId, TriggerPolicy, Workflow};
 
 use crate::confidence::ConfidenceTracker;
 use crate::config::EngineConfig;
-use crate::diagnostics::{Diagnostics, WaveDiagnostics};
+use crate::diagnostics::Diagnostics;
 use crate::error::CoreError;
 use crate::knowledge::KnowledgeBase;
 use crate::metric::{MetricContext, MetricFn, MetricKind};
@@ -147,7 +147,6 @@ impl Tracker {
 
 /// Everything the engine tracks for one QoD-managed step.
 struct QodStepState {
-    name: String,
     bound: ErrorBound,
     spec: QodSpec,
     inputs: Vec<Tracker>,
@@ -162,6 +161,9 @@ pub struct QodEngine {
     store: DataStore,
     config: EngineConfig,
     steps: Vec<QodStepState>,
+    /// Name and `maxε` of each QoD step, in the order of `steps`: the
+    /// session constants every decision row is indexed by.
+    qod_steps: Arc<[QodStep]>,
     index_of: HashMap<StepId, usize>,
     phase: Phase,
     kb: KnowledgeBase,
@@ -174,7 +176,7 @@ pub struct QodEngine {
     /// Per-container impacts of the step being evaluated, before combining.
     container_impacts: Vec<f64>,
     /// Per-step running bound-compliance confidence (Fig. 10), updated on
-    /// waves with ground truth (training) and carried into journal records.
+    /// waves with ground truth (training) and carried into their rows.
     confidence: Vec<ConfidenceTracker>,
     telemetry: Telemetry,
     diagnostics: Diagnostics,
@@ -191,7 +193,7 @@ pub struct QodEngine {
     /// trustworthy ground truth, so training examples from it are dropped.
     failed_this_wave: bool,
     /// Steps the scheduler deferred this wave (workflow-wide), carried into
-    /// the journal records.
+    /// the wave's row.
     deferred_this_wave: u64,
     /// The checkpointer, when [`EngineConfig::durability`] is set:
     /// periodic checkpoints of store and engine state.
@@ -234,6 +236,7 @@ impl QodEngine {
 
         let monitor = Monitor::new();
         let mut steps = Vec::with_capacity(qod_ids.len());
+        let mut qod_steps = Vec::with_capacity(qod_ids.len());
         let mut index_of = HashMap::new();
         for (idx, &id) in qod_ids.iter().enumerate() {
             let info = workflow.info(id);
@@ -261,8 +264,11 @@ impl QodEngine {
                 .iter()
                 .map(|c| Tracker::new(&monitor, c, &spec.error))
                 .collect();
+            qod_steps.push(QodStep {
+                name,
+                max_epsilon: bound.value(),
+            });
             steps.push(QodStepState {
-                name: name.clone(),
                 bound,
                 spec,
                 inputs,
@@ -281,7 +287,7 @@ impl QodEngine {
             .transpose()
             .map_err(CoreError::Durability)?;
 
-        let step_names: Vec<String> = steps.iter().map(|s| s.name.clone()).collect();
+        let step_names: Vec<String> = qod_steps.iter().map(|s| s.name.clone()).collect();
         let mut predictor = Predictor::new(config.model.clone(), config.seed);
         let n = steps.len();
 
@@ -311,6 +317,7 @@ impl QodEngine {
             store,
             config,
             steps,
+            qod_steps: qod_steps.into(),
             index_of,
             phase,
             kb,
@@ -413,7 +420,7 @@ impl QodEngine {
     /// Names of the QoD-managed steps, in feature/label order.
     #[must_use]
     pub fn qod_step_names(&self) -> Vec<&str> {
-        self.steps.iter().map(|s| s.name.as_str()).collect()
+        self.qod_steps.iter().map(|s| s.name.as_str()).collect()
     }
 
     /// The accumulated training log.
@@ -450,8 +457,7 @@ impl QodEngine {
 
     /// Attaches a telemetry handle; the engine then feeds the impact /
     /// predict / train latency histograms, the durability counters, and
-    /// emits one [`WaveDecisionRecord`] per wave per QoD step to the
-    /// journal.
+    /// hands each wave's [`WaveDiagnostics`] row to the journal.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         if let Some(checkpointer) = &mut self.durability {
             checkpointer.set_telemetry(telemetry.clone());
@@ -592,13 +598,17 @@ impl QodEngine {
                 self.confidence[idx].record(!*fired);
             }
         }
-        self.journal_wave(wave, "training", &impacts, &labels, Some(&errors));
-
-        self.diagnostics.push(WaveDiagnostics {
+        let confidence = self
+            .confidence
+            .iter()
+            .map(ConfidenceTracker::confidence)
+            .collect();
+        self.record_wave(WaveDiagnostics {
             wave,
             impacts,
-            errors,
             decisions: labels,
+            deferred: self.deferred_this_wave,
+            ground_truth: Some(Box::new(GroundTruth { errors, confidence })),
             training: true,
         });
 
@@ -607,35 +617,12 @@ impl QodEngine {
         }
     }
 
-    /// Emits one [`WaveDecisionRecord`] per QoD step for this wave. No-op
-    /// when telemetry is disabled or no journal sink is attached, so the
-    /// per-wave cost without a journal is one atomic load.
-    fn journal_wave(
-        &self,
-        wave: u64,
-        phase: &'static str,
-        impacts: &[f64],
-        predicted: &[bool],
-        errors: Option<&[f64]>,
-    ) {
-        if !self.telemetry.is_enabled() || !self.telemetry.has_journal_sinks() {
-            return;
-        }
-        for (idx, step) in self.steps.iter().enumerate() {
-            self.telemetry.journal(&WaveDecisionRecord {
-                wave,
-                phase,
-                step: step.name.clone(),
-                step_index: idx,
-                impacts: impacts.to_vec(),
-                predicted: predicted.to_vec(),
-                executed: predicted[idx],
-                deferred: self.deferred_this_wave,
-                confidence: self.confidence[idx].confidence(),
-                max_epsilon: step.bound.value(),
-                measured_epsilon: errors.map(|e| e[idx]),
-            });
-        }
+    /// Hands the wave's row to the journal sinks, then keeps it in the
+    /// decision history. Without telemetry the journal costs one atomic
+    /// load.
+    fn record_wave(&mut self, row: WaveDiagnostics) {
+        self.telemetry.journal(&self.qod_steps, &row);
+        self.diagnostics.push(row);
     }
 
     /// Counts one graceful-degradation decision (predictor unavailable or a
@@ -877,7 +864,7 @@ impl QodEngine {
         }
         if names
             .iter()
-            .zip(&self.steps)
+            .zip(self.qod_steps.iter())
             .any(|(name, step)| *name != step.name)
         {
             return Err(corrupt("checkpointed step names do not match workflow"));
@@ -1148,18 +1135,12 @@ impl TriggerPolicy for QodEngine {
             }
             Phase::Application => {
                 self.roll_wave_marks();
-                self.journal_wave(
-                    wave,
-                    "application",
-                    &self.current_impacts,
-                    &self.current_decisions,
-                    None,
-                );
-                self.diagnostics.push(WaveDiagnostics {
+                self.record_wave(WaveDiagnostics {
                     wave,
                     impacts: self.current_impacts.clone(),
-                    errors: Vec::new(),
                     decisions: self.current_decisions.clone(),
+                    deferred: self.deferred_this_wave,
+                    ground_truth: None,
                     training: false,
                 });
                 self.application_waves_since_training += 1;

@@ -55,7 +55,7 @@ mod session;
 
 pub use confidence::ConfidenceTracker;
 pub use config::EngineConfig;
-pub use diagnostics::{Diagnostics, DiagnosticsIter, WaveDiagnostics};
+pub use diagnostics::{Diagnostics, DiagnosticsIter};
 pub use engine::{Phase, QodEngine, SharedEngine};
 pub use error::CoreError;
 pub use knowledge::{KnowledgeBase, KnowledgeRow};
@@ -79,6 +79,6 @@ pub use frozen::*;
 // Re-export the telemetry surface so applications need only this crate to
 // consume metrics snapshots and journals.
 pub use smartflux_telemetry::{
-    names as telemetry_names, read_journal, JsonlSink, MemoryJournal, MetricsSnapshot, Telemetry,
-    WaveDecisionRecord,
+    names as telemetry_names, read_journal, GroundTruth, JournalEntry, JournalError, JsonlSink,
+    MemoryJournal, MetricsSnapshot, Telemetry, WaveDiagnostics,
 };

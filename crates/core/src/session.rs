@@ -262,39 +262,6 @@ impl SmartFluxSession {
         self.engine.clone()
     }
 
-    /// Serialises the per-wave diagnostics (impacts, training errors,
-    /// decisions) as CSV, one row per `(wave, step)` pair — ready for
-    /// plotting the paper's Fig. 7-style scatters for a custom workload.
-    #[must_use]
-    pub fn diagnostics_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let (names, diagnostics) = self.engine.with(|e| {
-            let names: Vec<String> = e.qod_step_names().iter().map(|s| (*s).to_owned()).collect();
-            (names, e.diagnostics().clone())
-        });
-        let mut out = String::from("wave,phase,step,impact,error,executed\n");
-        for d in &diagnostics {
-            for (j, name) in names.iter().enumerate() {
-                let error = d.errors.get(j).copied();
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},{}",
-                    d.wave,
-                    if d.training {
-                        "training"
-                    } else {
-                        "application"
-                    },
-                    name,
-                    d.impacts[j],
-                    error.map_or(String::new(), |v| format!("{v}")),
-                    u8::from(d.decisions[j]),
-                );
-            }
-        }
-        out
-    }
-
     /// Requests on-demand retraining for `waves` waves starting at the next
     /// wave (§3.1: "on-demand, useful if data patterns start to change
     /// suddenly").
@@ -495,11 +462,11 @@ mod tests {
         assert!(diags
             .iter()
             .filter(|d| d.training)
-            .all(|d| d.errors.len() == 1));
+            .all(|d| d.errors().len() == 1));
         assert!(diags
             .iter()
             .filter(|d| !d.training)
-            .all(|d| d.errors.is_empty()));
+            .all(|d| d.errors().is_empty()));
     }
 
     #[test]
@@ -619,9 +586,9 @@ mod tests {
         // training phase left its baseline, 200 waves back, ε saturates
         // at 1 and the example reads "must execute".
         assert!(
-            first.errors[0] > 0.0 && first.errors[0] < 0.5,
+            first.errors()[0] > 0.0 && first.errors()[0] < 0.5,
             "ε {}",
-            first.errors[0]
+            first.errors()[0]
         );
         assert_eq!(first.decisions, vec![false]);
     }
@@ -679,21 +646,6 @@ mod tests {
             !s.engine().with(|e| e.quality_met()),
             "impossible gates cannot be met"
         );
-    }
-
-    #[test]
-    fn diagnostics_csv_has_one_row_per_wave_and_step() {
-        let mut s = session(20);
-        s.run_training().unwrap();
-        s.run_waves(5).unwrap();
-        let csv = s.diagnostics_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("wave,phase,step,impact,error,executed"));
-        let rows = lines.count();
-        let waves = s.diagnostics().len();
-        assert_eq!(rows, waves); // one QoD step in this workflow
-        assert!(csv.contains(",training,"));
-        assert!(csv.contains(",application,"));
     }
 
     #[test]

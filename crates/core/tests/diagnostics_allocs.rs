@@ -7,8 +7,9 @@
 //! global allocator pins that down — one heap request after a thousand
 //! waves and one after twenty thousand — so a read that deep-copies the
 //! rows again (two or three requests per recorded wave) fails here. The
-//! allocator is process-wide, hence a test binary of its own with a single
-//! test.
+//! allocator is process-wide, hence a test binary of its own. It also pins
+//! what a retained row holds: the ground truth of training rows costs an
+//! application row no heap block.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,4 +129,20 @@ fn a_diagnostics_read_makes_one_request_however_long_the_history() {
     let long = read(&s);
     assert_eq!(short, (1, 1_000));
     assert_eq!(long, (1, 20_000));
+}
+
+#[test]
+fn an_application_row_holds_two_heap_blocks_and_a_training_row_five() {
+    let mut s = session();
+    s.run_waves(50).unwrap();
+    let blocks = |training: bool| {
+        let row = s
+            .diagnostics()
+            .iter()
+            .find(|d| d.training == training)
+            .cloned();
+        requests_during(|| drop(std::hint::black_box(row.clone())))
+    };
+    // Impacts and decisions; a training row adds the box, ε and confidence.
+    assert_eq!((blocks(false), blocks(true)), (2, 5));
 }

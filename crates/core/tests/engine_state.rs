@@ -297,7 +297,7 @@ fn bits(trail: &[WaveDiagnostics]) -> Vec<WaveBits> {
         .iter()
         .map(|d| {
             let impacts = as_bits(&d.impacts);
-            let errors = as_bits(&d.errors);
+            let errors = as_bits(d.errors());
             (d.wave, impacts, errors, d.decisions.clone(), d.training)
         })
         .collect()

@@ -6,8 +6,11 @@
 
 use std::path::PathBuf;
 
-use smartflux::{read_journal, telemetry_names as names, EngineConfig, SmartFluxSession};
+use smartflux::{
+    read_journal, telemetry_names as names, EngineConfig, JournalEntry, SmartFluxSession,
+};
 use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_telemetry::{json_string, QodStep};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 fn temp_journal(tag: &str) -> PathBuf {
@@ -22,13 +25,17 @@ fn temp_journal(tag: &str) -> PathBuf {
 fn workflow(store: &DataStore) -> Workflow {
     let raw = ContainerRef::family("t", "raw");
     let out = ContainerRef::family("t", "out");
-    store.ensure_container(&raw).unwrap();
-    store.ensure_container(&out).unwrap();
+    let scaled = ContainerRef::family("t", "scaled");
+    for c in [&raw, &out, &scaled] {
+        store.ensure_container(c).unwrap();
+    }
 
     let mut g = GraphBuilder::new("telemetry");
     let feed = g.add_step("feed");
     let agg = g.add_step("agg");
+    let scale = g.add_step("scale");
     g.add_edge(feed, agg).unwrap();
+    g.add_edge(agg, scale).unwrap();
     let mut wf = Workflow::new(g.build().unwrap());
     wf.bind(
         feed,
@@ -55,8 +62,19 @@ fn workflow(store: &DataStore) -> Workflow {
         }),
     )
     .reads(raw)
-    .writes(out)
+    .writes(out.clone())
     .error_bound(0.05);
+    wf.bind(
+        scale,
+        FnStep::new(|ctx: &StepContext| {
+            let v = ctx.get_f64("t", "out", "r", "v", 0.0)?;
+            ctx.put("t", "scaled", "r", "v", Value::from(v.sqrt()))?;
+            Ok(())
+        }),
+    )
+    .reads(out)
+    .writes(scaled)
+    .error_bound(0.01);
     wf
 }
 
@@ -74,59 +92,116 @@ fn journal_reconstructs_epsilon_and_confidence() {
         .with_journal_path(&path);
     let mut session = SmartFluxSession::new(wf, store, config).unwrap();
     assert!(session.telemetry().is_enabled());
-    assert_eq!(session.telemetry().journal_path().as_deref(), Some(&*path));
 
     session.run_training().unwrap();
     session.run_waves(12).unwrap();
     session.telemetry().flush().unwrap();
 
-    let records = read_journal(&path).unwrap();
+    let entries = read_journal(&path).unwrap();
     let diags = session.diagnostics();
-    // One QoD step ("agg") → one record per wave.
-    assert_eq!(records.len(), diags.len());
+    // One line per wave, carrying the engine's own row.
+    assert_eq!(entries.len(), diags.len());
 
-    // Reconstruct, wave by wave, the measured ε and the running confidence
-    // from the journal alone, and match them against the engine.
-    let mut compliant = 0u64;
+    // Reconstruct, wave by wave, each step's running confidence from the
+    // journal alone, and match it against the one the line carries.
+    let mut compliant = [0u64; 2];
     let mut total = 0u64;
-    for (rec, diag) in records.iter().zip(&diags) {
-        assert_eq!(rec.wave, diag.wave);
-        assert_eq!(rec.step, "agg");
-        assert_eq!(rec.step_index, 0);
-        assert_eq!(rec.max_epsilon, 0.05);
-        assert_eq!(rec.impacts.len(), 1);
-        assert!((rec.impacts[0] - diag.impacts[0]).abs() < 1e-9);
-        assert_eq!(rec.predicted, diag.decisions);
-        assert_eq!(rec.executed, diag.decisions[0]);
-        if diag.training {
-            assert_eq!(rec.phase, "training");
-            let eps = rec.measured_epsilon.expect("training waves carry ε");
-            assert!((eps - diag.errors[0]).abs() < 1e-9);
-            // Running confidence: fraction of ground-truth waves where
-            // ε stayed within maxε.
-            total += 1;
-            if eps <= rec.max_epsilon {
-                compliant += 1;
+    for (entry, diag) in entries.iter().zip(&diags) {
+        assert_eq!(entry.row, *diag);
+        let names: Vec<&str> = entry.steps.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["agg", "scale"]);
+        let Some(truth) = &entry.row.ground_truth else {
+            assert!(!entry.row.training, "training waves carry ε");
+            continue;
+        };
+        // Running confidence: fraction of ground-truth waves where ε
+        // stayed within maxε.
+        total += 1;
+        for (i, step) in entry.steps.iter().enumerate() {
+            if truth.errors[i] <= step.max_epsilon {
+                compliant[i] += 1;
             }
-            let expected = compliant as f64 / total as f64;
+            let expected = compliant[i] as f64 / total as f64;
+            let wave = entry.row.wave;
             assert!(
-                (rec.confidence - expected).abs() < 1e-9,
-                "wave {}: journal confidence {} != reconstructed {}",
-                rec.wave,
-                rec.confidence,
-                expected
+                (truth.confidence[i] - expected).abs() < 1e-9,
+                "wave {wave} step {i}"
             );
-        } else {
-            assert_eq!(rec.phase, "application");
-            assert!(rec.measured_epsilon.is_none());
-            // Application waves carry the last ground-truth confidence.
-            let expected = compliant as f64 / total as f64;
-            assert!((rec.confidence - expected).abs() < 1e-9);
         }
     }
     assert!(total >= 25, "training waves journaled");
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// A v1 journal (one line per QoD step per wave) written for this seeded
+/// run before the schema moved to one line per wave.
+const V1_JOURNAL: &str = include_str!("fixtures/journal-v1.jsonl");
+
+/// Renders one v2 line as its v1 lines under DESIGN.md's mapping:
+/// `predicted` = `decisions`, `executed` = `decisions[i]`,
+/// `measured_epsilon` = `errors[i]` (null on application waves). The
+/// confidence is the training wave's own; on an application wave v1
+/// repeated the last training wave's (`carried`), which v2 drops.
+fn as_v1(JournalEntry { steps, row }: &JournalEntry, carried: &mut Vec<f64>) -> Vec<String> {
+    fn list<T: std::fmt::Display>(items: &[T]) -> String {
+        let items: Vec<String> = items.iter().map(ToString::to_string).collect();
+        format!("[{}]", items.join(","))
+    }
+    if let Some(truth) = &row.ground_truth {
+        carried.clone_from(&truth.confidence);
+    }
+    let phase = if row.training {
+        "training"
+    } else {
+        "application"
+    };
+    let line = |(i, step): (usize, &QodStep)| {
+        let measured = row.errors().get(i).map_or("null".into(), f64::to_string);
+        format!(
+            "{{\"wave\":{},\"phase\":\"{phase}\",\"step\":{},\"step_index\":{i},\
+             \"impacts\":{},\"predicted\":{},\"executed\":{},\"deferred\":{},\
+             \"confidence\":{},\"max_epsilon\":{},\"measured_epsilon\":{measured}}}",
+            row.wave,
+            json_string(&step.name),
+            list(&row.impacts),
+            list(&row.decisions),
+            row.decisions[i],
+            row.deferred,
+            carried[i],
+            step.max_epsilon,
+        )
+    };
+    steps.iter().enumerate().map(line).collect()
+}
+
+#[test]
+fn v1_journal_equals_the_v2_journal_under_the_mapping() {
+    let path = temp_journal("v1-mapping");
+    let store = DataStore::new();
+    let wf = workflow(&store);
+    let config = EngineConfig::new()
+        .with_training_waves(8)
+        .with_quality_gates(0.0, 0.0)
+        .with_seed(3)
+        .with_journal_path(&path);
+    let mut session = SmartFluxSession::new(wf, store, config).unwrap();
+    session.run_training().unwrap();
+    session.run_waves(4).unwrap();
+    session.telemetry().flush().unwrap();
+    let entries = read_journal(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(entries.iter().any(|e| e.row.training) && entries.iter().any(|e| !e.row.training));
+
+    // The fixture's lines grouped by wave, against each v2 line's rendering.
+    let v1: Vec<&str> = V1_JOURNAL.lines().collect();
+    let same_wave = |a: &&str, b: &&str| a.split(',').next() == b.split(',').next();
+    let v1: Vec<&[&str]> = v1.chunk_by(same_wave).collect();
+    assert_eq!(v1.len(), entries.len());
+    let mut carried = Vec::new();
+    for (lines, entry) in v1.into_iter().zip(&entries) {
+        assert_eq!(lines, as_v1(entry, &mut carried), "wave {}", entry.row.wave);
+    }
 }
 
 #[test]
@@ -208,7 +283,6 @@ fn disabled_telemetry_stays_silent() {
     session.run_waves(3).unwrap();
 
     assert!(!session.telemetry().is_enabled());
-    assert!(session.telemetry().journal_path().is_none());
     let snap = session.telemetry().snapshot();
     assert_eq!(snap.counter(names::STEPS_EXECUTED), 0);
     assert_eq!(snap.counter(names::STORE_READS), 0);

@@ -382,12 +382,7 @@ impl EngineHost {
             let rows = live.as_ref()?.engine().with(|e| {
                 e.diagnostics()
                     .since(from_wave)
-                    .map(|d| DecisionRow {
-                        wave: d.wave,
-                        training: d.training,
-                        impacts: d.impacts.clone(),
-                        decisions: d.decisions.clone(),
-                    })
+                    .map(DecisionRow::from)
                     .collect()
             });
             Some(Response::Decisions { rows })

@@ -26,6 +26,7 @@ use smartflux_durability::codec::{
     put_bytes, put_f64, put_str, put_u16, put_u32, put_u64, put_u8, put_value, Reader,
 };
 use smartflux_durability::crc32;
+use smartflux_telemetry::WaveDiagnostics;
 
 use crate::error::NetError;
 
@@ -146,6 +147,17 @@ pub struct DecisionRow {
     pub impacts: Vec<f64>,
     /// Trigger decision per QoD step.
     pub decisions: Vec<bool>,
+}
+
+impl From<&WaveDiagnostics> for DecisionRow {
+    fn from(d: &WaveDiagnostics) -> Self {
+        Self {
+            wave: d.wave,
+            training: d.training,
+            impacts: d.impacts.clone(),
+            decisions: d.decisions.clone(),
+        }
+    }
 }
 
 /// The result of one triggered wave, served by [`Response::WaveResult`].

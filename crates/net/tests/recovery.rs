@@ -77,10 +77,7 @@ fn reference_run(dir: &PathBuf) -> (Vec<WaveDiagnostics>, StoreState, u64) {
 fn assert_rows_match_reference(rows: &[DecisionRow], reference: &[WaveDiagnostics]) {
     for row in rows {
         let diag = &reference[usize::try_from(row.wave).unwrap() - 1];
-        assert_eq!(row.wave, diag.wave);
-        assert_eq!(row.training, diag.training);
-        assert_eq!(row.impacts, diag.impacts, "wave {} impacts", row.wave);
-        assert_eq!(row.decisions, diag.decisions, "wave {} decisions", row.wave);
+        assert_eq!(*row, DecisionRow::from(diag), "wave {}", row.wave);
     }
 }
 

@@ -13,7 +13,9 @@ use std::time::Duration;
 use smartflux::eval::WorkloadFactory;
 use smartflux::{DurabilityOptions, EngineConfig, SmartFluxSession, WaveDiagnostics};
 use smartflux_datastore::{DataStore, StoreState};
-use smartflux_net::{Client, EngineHost, HostConfig, NetServer, SessionSpec, WorkflowRegistry};
+use smartflux_net::{
+    Client, DecisionRow, EngineHost, HostConfig, NetServer, SessionSpec, WorkflowRegistry,
+};
 use smartflux_obs::{openmetrics, ObsServer, ObsSources};
 use smartflux_telemetry::{names, Telemetry};
 use smartflux_workloads::lrb::LrbFactory;
@@ -133,10 +135,7 @@ fn four_concurrent_clients_match_the_in_process_run_exactly() {
         // impacts bit-exact.
         assert_eq!(rows.len(), ref_diags.len());
         for (row, diag) in rows.iter().zip(&ref_diags) {
-            assert_eq!(row.wave, diag.wave);
-            assert_eq!(row.training, diag.training);
-            assert_eq!(row.impacts, diag.impacts);
-            assert_eq!(row.decisions, diag.decisions);
+            assert_eq!(*row, DecisionRow::from(diag));
         }
         // Store-byte and clock-tick equivalence.
         assert_eq!(clock, ref_clock, "logical clocks diverged");

@@ -10,9 +10,9 @@
 //!   lag, last-wave age), `/waves` (recent wave decisions as JSON), and
 //!   `/trace` (Chrome trace JSON for Perfetto).
 //! - **[`RingTraceSink`] / [`RingJournal`]** — lock-free bounded rings
-//!   that retain the newest spans and wave-decision records at fixed
+//!   that retain the newest spans and waves' decision rows at fixed
 //!   memory cost; the production consumers of
-//!   [`Telemetry::set_trace_sink`] and the journal fan-out.
+//!   [`Telemetry::set_trace_sink`] and the journal sinks.
 //! - **[`trace`]** — causal span-tree reassembly (`trace_id` /
 //!   `span_id` / `parent_id`) and the invariants the scheduler's span
 //!   taxonomy guarantees.

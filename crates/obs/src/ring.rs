@@ -7,9 +7,12 @@
 //! oldest-to-newest order from the head counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smartflux_telemetry::{JournalSink, SpanEvent, TraceSink, WaveDecisionRecord};
+use smartflux_telemetry::{
+    JournalEntry, JournalSink, QodStep, SpanEvent, TraceSink, WaveDiagnostics,
+};
 
 /// The claim-counter ring both public rings are.
 #[derive(Debug)]
@@ -99,30 +102,33 @@ impl TraceSink for RingTraceSink {
     }
 }
 
-/// A bounded ring of recent [`WaveDecisionRecord`]s.
+/// A bounded ring of the rows of recent waves, one slot per wave.
 ///
 /// Attach as a journal sink and the `/waves` endpoint can serve the tail
 /// of the wave-decision journal without any file I/O.
 #[derive(Debug)]
-pub struct RingJournal(Ring<WaveDecisionRecord>);
+pub struct RingJournal(Ring<JournalEntry>);
 
 impl RingJournal {
-    /// Creates a ring keeping the last `capacity` records (min 1).
+    /// Creates a ring keeping the last `capacity` waves (min 1).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self(Ring::with_capacity(capacity))
     }
 
-    /// Copies the retained records out, oldest first.
+    /// Copies the retained waves out, oldest first.
     #[must_use]
-    pub fn records(&self) -> Vec<WaveDecisionRecord> {
+    pub fn entries(&self) -> Vec<JournalEntry> {
         self.0.items()
     }
 }
 
 impl JournalSink for RingJournal {
-    fn record(&self, record: &WaveDecisionRecord) -> std::io::Result<()> {
-        self.0.push(record.clone());
+    fn record(&self, steps: &Arc<[QodStep]>, row: &WaveDiagnostics) -> std::io::Result<()> {
+        self.0.push(JournalEntry {
+            steps: Arc::clone(steps),
+            row: row.clone(),
+        });
         Ok(())
     }
 
@@ -169,19 +175,14 @@ mod tests {
         assert_eq!(ring.events().len(), 3);
     }
 
-    fn record(wave: u64) -> WaveDecisionRecord {
-        WaveDecisionRecord {
+    fn row(wave: u64) -> WaveDiagnostics {
+        WaveDiagnostics {
             wave,
-            phase: "application",
-            step: "agg".into(),
-            step_index: 0,
             impacts: vec![0.1],
-            predicted: vec![true],
-            executed: true,
+            decisions: vec![true],
             deferred: 0,
-            confidence: 1.0,
-            max_epsilon: 0.1,
-            measured_epsilon: None,
+            ground_truth: None,
+            training: false,
         }
     }
 
@@ -202,18 +203,19 @@ mod tests {
         assert_eq!(spans.events().len(), 64);
 
         let journal = RingJournal::with_capacity(64);
-        hammer(|wave| journal.record(&record(wave)).unwrap());
+        let steps: Arc<[QodStep]> = Arc::from([]);
+        hammer(|wave| journal.record(&steps, &row(wave)).unwrap());
         assert_eq!(journal.0.recorded(), 400);
-        assert_eq!(journal.records().len(), 64);
+        assert_eq!(journal.entries().len(), 64);
     }
 
     #[test]
-    fn journal_ring_retains_records() {
+    fn journal_ring_retains_waves() {
         let ring = RingJournal::with_capacity(2);
         for wave in 1..=3u64 {
-            ring.record(&record(wave)).unwrap();
+            ring.record(&Arc::from([]), &row(wave)).unwrap();
         }
-        let waves: Vec<u64> = ring.records().iter().map(|r| r.wave).collect();
+        let waves: Vec<u64> = ring.entries().iter().map(|e| e.row.wave).collect();
         assert_eq!(waves, vec![2, 3]);
         ring.flush().unwrap();
     }

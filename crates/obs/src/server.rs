@@ -12,7 +12,7 @@
 //! |-------------|-----------------------------------------------------------|
 //! | `/metrics`  | OpenMetrics exposition of the telemetry snapshot          |
 //! | `/healthz`  | JSON: status, phase, last wave + age, checkpoint lag      |
-//! | `/waves`    | JSON array: ring-buffered tail of wave-decision records   |
+//! | `/waves`    | JSON array: one journal line per wave (`?n=N`: newest N)  |
 //! | `/trace`    | Chrome trace JSON of the span ring (`?waves=N` to filter) |
 
 use std::io;
@@ -167,20 +167,22 @@ fn health_json(telemetry: &Telemetry) -> String {
     )
 }
 
-/// Renders `/waves`: the journal ring tail as a JSON array, newest last.
+/// Renders `/waves`: the journal ring tail as a JSON array of journal
+/// lines, newest last; `limit` (the `n` query) counts waves.
 fn waves_json(sources: &ObsSources, limit: Option<usize>) -> String {
-    let records = sources
+    use std::fmt::Write as _;
+    let entries = sources
         .waves
         .as_ref()
-        .map(|ring| ring.records())
+        .map(|ring| ring.entries())
         .unwrap_or_default();
-    let skip = limit.map_or(0, |l| records.len().saturating_sub(l));
+    let skip = limit.map_or(0, |l| entries.len().saturating_sub(l));
     let mut out = String::from("[");
-    for (i, record) in records.iter().skip(skip).enumerate() {
+    for (i, entry) in entries.iter().skip(skip).enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&record.to_json());
+        let _ = write!(out, "{entry}");
     }
     out.push(']');
     out
@@ -284,7 +286,7 @@ pub fn preregister(telemetry: &Telemetry) {
 mod tests {
     use super::*;
     use crate::http::get;
-    use smartflux_telemetry::{JournalSink, TraceSink, WaveDecisionRecord};
+    use smartflux_telemetry::{JournalEntry, JournalSink, QodStep, TraceSink, WaveDiagnostics};
     use std::time::Duration;
 
     fn sources() -> ObsSources {
@@ -300,6 +302,23 @@ mod tests {
         }
     }
 
+    /// Hands the `/waves` ring one application wave of a one-step session.
+    fn record_wave(s: &ObsSources, wave: u64) {
+        let steps = Arc::from(vec![QodStep {
+            name: "agg".into(),
+            max_epsilon: 0.1,
+        }]);
+        let row = WaveDiagnostics {
+            wave,
+            impacts: vec![0.5],
+            decisions: vec![false],
+            deferred: 0,
+            ground_truth: None,
+            training: false,
+        };
+        s.waves.as_ref().unwrap().record(&steps, &row).unwrap();
+    }
+
     #[test]
     fn serves_metrics_health_waves_and_trace() {
         let s = sources();
@@ -311,23 +330,7 @@ mod tests {
         {
             let _span = s.telemetry.span(names::WAVE_LATENCY, 1);
         }
-        s.waves
-            .as_ref()
-            .unwrap()
-            .record(&WaveDecisionRecord {
-                wave: 17,
-                phase: "application",
-                step: "agg".into(),
-                step_index: 0,
-                impacts: vec![0.5],
-                predicted: vec![false],
-                executed: false,
-                deferred: 0,
-                confidence: 0.9,
-                max_epsilon: 0.1,
-                measured_epsilon: None,
-            })
-            .unwrap();
+        record_wave(&s, 17);
 
         let telemetry = s.telemetry.clone();
         let server = ObsServer::start("127.0.0.1:0", s, 2).unwrap();
@@ -367,8 +370,10 @@ mod tests {
 
         let (status, waves) = get(&addr, "/waves", timeout).unwrap();
         assert_eq!(status, 200);
-        assert!(waves.starts_with('[') && waves.ends_with(']'));
-        assert!(waves.contains("\"wave\":17"));
+        let waves = JournalEntry::list_from_json(&waves).unwrap();
+        assert_eq!(waves.len(), 1);
+        assert_eq!(waves[0].row.wave, 17);
+        assert_eq!(waves[0].steps[0].name, "agg");
 
         let (status, trace) = get(&addr, "/trace?waves=5", timeout).unwrap();
         assert_eq!(status, 200);
@@ -395,29 +400,17 @@ mod tests {
     fn waves_endpoint_honours_the_limit() {
         let s = sources();
         for wave in 1..=5u64 {
-            s.waves
-                .as_ref()
-                .unwrap()
-                .record(&WaveDecisionRecord {
-                    wave,
-                    phase: "training",
-                    step: "x".into(),
-                    step_index: 0,
-                    impacts: vec![],
-                    predicted: vec![],
-                    executed: true,
-                    deferred: 0,
-                    confidence: 1.0,
-                    max_epsilon: 0.1,
-                    measured_epsilon: Some(0.0),
-                })
-                .unwrap();
+            record_wave(&s, wave);
         }
         let server = ObsServer::start("127.0.0.1:0", s, 1).unwrap();
         let addr = server.addr().to_string();
         let (_, body) = get(&addr, "/waves?n=2", Duration::from_secs(5)).unwrap();
-        assert!(!body.contains("\"wave\":3"));
-        assert!(body.contains("\"wave\":4") && body.contains("\"wave\":5"));
+        let waves: Vec<u64> = JournalEntry::list_from_json(&body)
+            .unwrap()
+            .iter()
+            .map(|e| e.row.wave)
+            .collect();
+        assert_eq!(waves, [4, 5]);
         server.shutdown();
     }
 }

@@ -25,17 +25,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smartflux::{CoreError, SmartFluxSession};
+use smartflux::{CoreError, SmartFluxSession, WaveDiagnostics};
 use smartflux_datastore::{DataStore, StoreState};
 use smartflux_durability::DurabilityOptions;
 use smartflux_net::wire::{self, FrameIn};
 use smartflux_net::{
-    Client, EngineHost, ErrorCode, HostConfig, NetError, NetServer, Request, Response, SessionSpec,
-    WorkflowRegistry, VERSION,
+    Client, DecisionRow, EngineHost, ErrorCode, HostConfig, NetError, NetServer, Request, Response,
+    SessionSpec, WorkflowRegistry, VERSION,
 };
-use smartflux_telemetry::{
-    names, MemoryJournal, MemoryTraceSink, SpanEvent, Telemetry, WaveDecisionRecord,
-};
+use smartflux_telemetry::{names, MemoryJournal, MemoryTraceSink, SpanEvent, Telemetry};
 use smartflux_wms::{SchedulerEvent, WmsError};
 
 use crate::error::SimError;
@@ -57,34 +55,13 @@ pub const DETERMINISTIC_COUNTERS: &[&str] = &[
     names::STORE_WRITES,
 ];
 
-/// One wave's engine decisions, in a comparable shape ([`WaveDiagnostics`]
-/// itself is deliberately not `PartialEq`).
-///
-/// [`WaveDiagnostics`]: smartflux::WaveDiagnostics
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecisionSummary {
-    /// Absolute wave number.
-    pub wave: u64,
-    /// Whether the wave ran in the training phase.
-    pub training: bool,
-    /// Impact ι per QoD step, bit-exact.
-    pub impacts: Vec<f64>,
-    /// Simulated error per QoD step (training waves only; empty over the
-    /// wire, where [`DecisionRow`] does not carry errors).
-    ///
-    /// [`DecisionRow`]: smartflux_net::DecisionRow
-    pub errors: Vec<f64>,
-    /// Trigger decision per QoD step.
-    pub decisions: Vec<bool>,
-}
-
 /// Everything one in-process run produced that an oracle may inspect.
 #[derive(Debug, Clone)]
 pub struct RunArtifacts {
-    /// Decision observations from every session segment, in observation
-    /// order. Waves replayed after a crash appear once per segment that
-    /// executed them.
-    pub decisions: Vec<DecisionSummary>,
+    /// Decision rows (`diagnostics()`) from every session segment, in
+    /// observation order. Waves replayed after a crash appear once per
+    /// segment that executed them.
+    pub decisions: Vec<WaveDiagnostics>,
     /// Full store image at the end of the run.
     pub store: StoreState,
     /// Store logical clock at the end of the run.
@@ -93,8 +70,8 @@ pub struct RunArtifacts {
     pub aborted_waves: Vec<u64>,
     /// Scheduler events from every segment, concatenated in order.
     pub events: Vec<SchedulerEvent>,
-    /// Wave-decision journal records from every segment.
-    pub journal: Vec<WaveDecisionRecord>,
+    /// The rows each segment's journal sink received, concatenated.
+    pub journal: Vec<WaveDiagnostics>,
     /// Completed trace spans from every segment.
     pub spans: Vec<SpanEvent>,
     /// [`DETERMINISTIC_COUNTERS`] summed across segments.
@@ -106,8 +83,8 @@ pub struct RunArtifacts {
 /// What one scenario run through the wire plane produced.
 #[derive(Debug, Clone)]
 pub struct WireArtifacts {
-    /// Decision rows queried back from the server (errors always empty).
-    pub decisions: Vec<DecisionSummary>,
+    /// Decision rows queried back from the server.
+    pub decisions: Vec<DecisionRow>,
     /// Full store image queried at the end of the run.
     pub store: StoreState,
     /// Store logical clock at the end of the run.
@@ -197,17 +174,11 @@ fn collect_segment(
     subscription: &smartflux_wms::EventSubscription,
     artifacts: &mut RunArtifacts,
 ) {
-    for d in &session.diagnostics() {
-        artifacts.decisions.push(DecisionSummary {
-            wave: d.wave,
-            training: d.training,
-            impacts: d.impacts.clone(),
-            errors: d.errors.clone(),
-            decisions: d.decisions.clone(),
-        });
-    }
+    artifacts
+        .decisions
+        .extend(session.diagnostics().iter().cloned());
     artifacts.events.extend(subscription.drain());
-    artifacts.journal.extend(capture.journal.records());
+    artifacts.journal.extend(capture.journal.rows());
     artifacts.spans.extend(capture.spans.events());
     let snapshot = session.telemetry().snapshot();
     for &name in DETERMINISTIC_COUNTERS {
@@ -454,17 +425,7 @@ fn drive_wire(scenario: &Scenario, server: &NetServer) -> Result<WireArtifacts, 
         }
     }
 
-    let rows = client.query_decisions(session, 0)?;
-    let decisions = rows
-        .into_iter()
-        .map(|r| DecisionSummary {
-            wave: r.wave,
-            training: r.training,
-            impacts: r.impacts,
-            errors: Vec::new(),
-            decisions: r.decisions,
-        })
-        .collect();
+    let decisions = client.query_decisions(session, 0)?;
     let (clock, store) = client.query_store(session)?;
     client.close_session(session)?;
 

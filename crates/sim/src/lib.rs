@@ -17,7 +17,8 @@
 //!    loopback network plane must match the in-process run.
 //! 4. **Invariants** — logical clock == applied writes, every
 //!    `WaveStarted` closed by exactly one terminal event, trace trees
-//!    connected, telemetry counters consistent with journal records.
+//!    connected, telemetry counters consistent with scheduler events, and
+//!    the journal sink fed exactly the engine's decision rows.
 //!
 //! When an oracle trips, the harness **shrinks** the scenario (fewer
 //! waves, fewer faults, smaller DAG, simpler plans) while the failure
@@ -44,7 +45,7 @@ pub mod workload;
 
 pub use clock::VirtualClock;
 pub use error::SimError;
-pub use harness::{DecisionSummary, RaceReport, RunArtifacts, WireArtifacts};
+pub use harness::{RaceReport, RunArtifacts, WireArtifacts};
 pub use oracles::Violation;
 pub use rng::SimRng;
 pub use scenario::{DurabilityPlan, FaultKind, NetPlan, Scenario, StepFault};

@@ -18,11 +18,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
+use smartflux::WaveDiagnostics;
+use smartflux_net::DecisionRow;
 use smartflux_telemetry::{names, SpanEvent};
 use smartflux_wms::SchedulerEvent;
 
 use crate::error::SimError;
-use crate::harness::{self, DecisionSummary, RunArtifacts, WireArtifacts, DETERMINISTIC_COUNTERS};
+use crate::harness::{self, RunArtifacts, WireArtifacts, DETERMINISTIC_COUNTERS};
 use crate::scenario::Scenario;
 
 /// One oracle finding: a property the run violated.
@@ -132,7 +134,7 @@ pub fn check_determinism(a: &RunArtifacts, b: &RunArtifacts) -> Vec<Violation> {
 
 /// Last observation per wave (in crash runs a wave may be observed by
 /// several segments; the latest is the surviving execution).
-fn final_by_wave(decisions: &[DecisionSummary]) -> BTreeMap<u64, &DecisionSummary> {
+fn final_by_wave(decisions: &[WaveDiagnostics]) -> BTreeMap<u64, &WaveDiagnostics> {
     decisions.iter().map(|d| (d.wave, d)).collect()
 }
 
@@ -187,9 +189,10 @@ pub fn check_crash_equivalence(crash: &RunArtifacts, reference: &RunArtifacts) -
     found
 }
 
-/// The loopback wire run must match the in-process run: same decisions
-/// (modulo errors, which the wire rows do not carry), same store, same
-/// clock, same aborted waves — and every damaged frame rejected.
+/// The loopback wire run must match the in-process run: the same
+/// decision rows (each what [`DecisionRow::from`] makes of the in-process
+/// row), same store, same clock, same aborted waves — and every damaged
+/// frame rejected.
 #[must_use]
 pub fn check_wire_equivalence(wire: &WireArtifacts, local: &RunArtifacts) -> Vec<Violation> {
     const ORACLE: &str = "wire-equivalence";
@@ -213,10 +216,7 @@ pub fn check_wire_equivalence(wire: &WireArtifacts, local: &RunArtifacts) -> Vec
             ));
             continue;
         };
-        if row.training != local_row.training
-            || row.impacts != local_row.impacts
-            || row.decisions != local_row.decisions
-        {
+        if *row != DecisionRow::from(*local_row) {
             found.push(violation(
                 ORACLE,
                 format!("wave {} diverged between wire and in-process", row.wave),
@@ -264,7 +264,7 @@ fn count_events(events: &[SchedulerEvent], pred: impl Fn(&SchedulerEvent) -> boo
 }
 
 /// Single-run invariants: clock accounting, wave lifecycle, counter/event
-/// consistency, journal/diagnostics agreement, trace-tree connectivity.
+/// consistency, journal = diagnostics, trace-tree connectivity.
 #[must_use]
 pub fn check_invariants(scenario: &Scenario, run: &RunArtifacts) -> Vec<Violation> {
     const ORACLE: &str = "invariants";
@@ -406,29 +406,12 @@ pub fn check_invariants(scenario: &Scenario, run: &RunArtifacts) -> Vec<Violatio
         ));
     }
 
-    // 5. Journal records must agree with the engine diagnostics.
-    let by_wave = final_by_wave(&run.decisions);
-    for record in &run.journal {
-        let Some(summary) = by_wave.get(&record.wave) else {
-            found.push(violation(
-                ORACLE,
-                format!("journal record for wave {} has no diagnostics", record.wave),
-            ));
-            continue;
-        };
-        let consistent = record.predicted == summary.decisions
-            && record.impacts == summary.impacts
-            && summary.decisions.get(record.step_index) == Some(&record.executed)
-            && (record.phase == "training") == summary.training;
-        if !consistent {
-            found.push(violation(
-                ORACLE,
-                format!(
-                    "journal record for step `{}` wave {} contradicts diagnostics",
-                    record.step, record.wave
-                ),
-            ));
-        }
+    // 5. The journal sinks saw exactly the diagnostics rows, in order.
+    if run.journal != run.decisions {
+        found.push(violation(
+            ORACLE,
+            "the journal saw rows other than diagnostics()",
+        ));
     }
 
     // 6. Trace trees must be connected: every traced span's parent exists

@@ -6,10 +6,11 @@
 //! 1. a **metrics registry** ([`MetricsRegistry`]) — named atomic counters,
 //!    gauges, and fixed-bucket latency histograms with p50/p95/p99
 //!    summaries and a cheap [`snapshot`](Telemetry::snapshot);
-//! 2. a **wave-decision journal** ([`WaveDecisionRecord`]) — one structured
-//!    record per wave per QoD-managed step (phase, impact vector ι,
-//!    predicted trigger set, confidence, `maxε`, measured ε), fanned out to
-//!    pluggable [`JournalSink`]s such as the JSONL file sink;
+//! 2. a **wave-decision journal** — one [`WaveDiagnostics`] row per wave
+//!    (impact vector ι, trigger set, deferred steps, and on training waves
+//!    the measured ε and running confidence), handed with the session's
+//!    [`QodStep`]s to pluggable [`JournalSink`]s such as the JSONL file
+//!    sink;
 //! 3. a **span API** ([`Span`], [`span!`]) — RAII guards timing code
 //!    regions into the histogram registry and an optional [`TraceSink`].
 //!
@@ -22,7 +23,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use smartflux_telemetry::{span, MemoryJournal, Telemetry, WaveDecisionRecord};
+//! use smartflux_telemetry::{span, MemoryJournal, QodStep, Telemetry, WaveDiagnostics};
 //!
 //! let telemetry = Telemetry::enabled();
 //! let journal = Arc::new(MemoryJournal::new());
@@ -32,24 +33,23 @@
 //!     let _wave = span!(telemetry, "wms.wave", tag = 1);
 //!     telemetry.counter("store.writes").incr();
 //! }
-//! telemetry.journal(&WaveDecisionRecord {
-//!     wave: 1,
-//!     phase: "training",
-//!     step: "aggregate".into(),
-//!     step_index: 0,
-//!     impacts: vec![0.3],
-//!     predicted: vec![true],
-//!     executed: true,
-//!     deferred: 0,
-//!     confidence: 1.0,
+//! let steps: Arc<[QodStep]> = Arc::from(vec![QodStep {
+//!     name: "aggregate".into(),
 //!     max_epsilon: 0.05,
-//!     measured_epsilon: Some(0.07),
+//! }]);
+//! telemetry.journal(&steps, &WaveDiagnostics {
+//!     wave: 1,
+//!     impacts: vec![0.3],
+//!     decisions: vec![true],
+//!     deferred: 0,
+//!     ground_truth: None,
+//!     training: false,
 //! });
 //!
 //! let snap = telemetry.snapshot();
 //! assert_eq!(snap.counter("store.writes"), 1);
 //! assert_eq!(snap.histogram("wms.wave").unwrap().count, 1);
-//! assert_eq!(journal.len(), 1);
+//! assert_eq!(journal.rows().len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,7 +62,8 @@ mod span;
 
 pub use health::{Health, HealthSnapshot};
 pub use journal::{
-    read_journal, Journal, JournalSink, JsonlSink, MemoryJournal, WaveDecisionRecord,
+    read_journal, GroundTruth, JournalEntry, JournalError, JournalSink, JsonlSink, MemoryJournal,
+    QodStep, WaveDiagnostics,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
@@ -72,7 +73,6 @@ pub use span::{
     trace_epoch_ns, ContextGuard, MemoryTraceSink, Span, SpanEvent, TraceContext, TraceSink,
 };
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -105,7 +105,7 @@ struct TelemetryInner {
     // tidy:atomic(enabled: relaxed): advisory on/off flag — callers tolerate a briefly stale read, and no data is published through it
     enabled: AtomicBool,
     registry: MetricsRegistry,
-    journal: RwLock<Journal>,
+    journal: RwLock<Vec<Arc<dyn JournalSink>>>,
     trace: RwLock<Option<Arc<dyn TraceSink>>>,
     health: Health,
 }
@@ -185,16 +185,10 @@ impl Telemetry {
         Span::start(name, tag, histogram, trace)
     }
 
-    /// Attaches a journal sink (wave-decision records fan out to every
-    /// attached sink).
+    /// Attaches a journal sink (every wave's row goes to every attached
+    /// sink).
     pub fn add_journal_sink(&self, sink: Arc<dyn JournalSink>) {
-        self.inner.journal.write().add_sink(sink);
-    }
-
-    /// Whether any journal sink is attached.
-    #[must_use]
-    pub fn has_journal_sinks(&self) -> bool {
-        self.inner.journal.read().has_sinks()
+        self.inner.journal.write().push(sink);
     }
 
     /// Sets (or clears) the trace sink receiving completed spans.
@@ -254,15 +248,19 @@ impl Telemetry {
         &self.inner.health
     }
 
-    /// Writes one wave-decision record to every attached journal sink.
-    /// No-op while disabled. A sink failure never propagates into the
-    /// wave: it is counted into [`names::JOURNAL_ERRORS`] instead.
-    pub fn journal(&self, record: &WaveDecisionRecord) {
+    /// Hands one wave's row to every attached journal sink; `steps` index
+    /// its per-step vectors. No-op while disabled. A sink failure never
+    /// propagates into the wave: it is counted into
+    /// [`names::JOURNAL_ERRORS`] instead, and the later sinks still get
+    /// the row.
+    pub fn journal(&self, steps: &Arc<[QodStep]>, row: &WaveDiagnostics) {
         if !self.is_enabled() {
             return;
         }
-        if self.inner.journal.read().record(record).is_err() {
-            self.inner.registry.counter(names::JOURNAL_ERRORS).incr();
+        for sink in self.inner.journal.read().iter() {
+            if sink.record(steps, row).is_err() {
+                self.inner.registry.counter(names::JOURNAL_ERRORS).incr();
+            }
         }
     }
 
@@ -271,19 +269,19 @@ impl Telemetry {
     ///
     /// # Errors
     ///
-    /// Returns the first sink failure so shutdown paths can surface it.
+    /// Returns the first sink failure so shutdown paths can surface it;
+    /// every sink is flushed even after one fails.
     pub fn flush(&self) -> std::io::Result<()> {
-        let result = self.inner.journal.read().flush();
-        if result.is_err() {
-            self.inner.registry.counter(names::JOURNAL_ERRORS).incr();
+        // Flushing blocks on I/O: do it without holding the sink list.
+        let sinks = self.inner.journal.read().clone();
+        let mut first_err = None;
+        for sink in &sinks {
+            if let Err(e) = sink.flush() {
+                self.inner.registry.counter(names::JOURNAL_ERRORS).incr();
+                first_err.get_or_insert(e);
+            }
         }
-        result
-    }
-
-    /// The first file-backed journal sink's path, if any.
-    #[must_use]
-    pub fn journal_path(&self) -> Option<std::path::PathBuf> {
-        self.inner.journal.read().file_path().map(Path::to_path_buf)
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Captures a point-in-time snapshot of every instrument.
@@ -421,6 +419,17 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn row() -> WaveDiagnostics {
+        WaveDiagnostics {
+            wave: 1,
+            impacts: vec![],
+            decisions: vec![],
+            deferred: 0,
+            ground_truth: None,
+            training: false,
+        }
+    }
+
     #[test]
     fn disabled_by_default_and_inert() {
         let t = Telemetry::disabled();
@@ -431,20 +440,8 @@ mod tests {
             let s = span!(t, "op");
             assert!(!s.is_recording());
         }
-        t.journal(&WaveDecisionRecord {
-            wave: 1,
-            phase: "training",
-            step: "s".into(),
-            step_index: 0,
-            impacts: vec![],
-            predicted: vec![],
-            executed: true,
-            deferred: 0,
-            confidence: 1.0,
-            max_epsilon: 0.1,
-            measured_epsilon: None,
-        });
-        assert!(journal.is_empty());
+        t.journal(&Arc::from(vec![]), &row());
+        assert!(journal.rows().is_empty());
         assert_eq!(t.snapshot().histograms.len(), 0);
     }
 
@@ -475,24 +472,11 @@ mod tests {
         assert!(events[0].elapsed < Duration::from_secs(1));
     }
 
-    #[test]
-    fn journal_path_reports_file_sink() {
-        let t = Telemetry::enabled();
-        assert!(t.journal_path().is_none());
-        let path = std::env::temp_dir().join(format!(
-            "smartflux-telemetry-path-{}.jsonl",
-            std::process::id()
-        ));
-        t.add_journal_sink(Arc::new(JsonlSink::create(&path).unwrap()));
-        assert_eq!(t.journal_path(), Some(path.clone()));
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[derive(Debug)]
     struct FailingSink;
 
     impl JournalSink for FailingSink {
-        fn record(&self, _record: &WaveDecisionRecord) -> std::io::Result<()> {
+        fn record(&self, _steps: &Arc<[QodStep]>, _row: &WaveDiagnostics) -> std::io::Result<()> {
             Err(std::io::Error::other("sink broken"))
         }
 
@@ -509,20 +493,8 @@ mod tests {
         let healthy = Arc::new(MemoryJournal::new());
         t.add_journal_sink(healthy.clone());
 
-        t.journal(&WaveDecisionRecord {
-            wave: 1,
-            phase: "training",
-            step: "s".into(),
-            step_index: 0,
-            impacts: vec![],
-            predicted: vec![],
-            executed: true,
-            deferred: 0,
-            confidence: 1.0,
-            max_epsilon: 0.1,
-            measured_epsilon: None,
-        });
-        assert_eq!(healthy.len(), 1);
+        t.journal(&Arc::from(vec![]), &row());
+        assert_eq!(healthy.rows().len(), 1);
         assert_eq!(t.snapshot().counter(names::JOURNAL_ERRORS), 1);
 
         let flushed = t.flush();

@@ -125,18 +125,8 @@ fn kill_at_wave_k_recovery_is_deterministic() {
                 .find(|r| r.wave == d.wave)
                 .expect("reference has every wave");
             assert_eq!(
-                d.decisions, reference.decisions,
-                "decisions diverged at wave {} after kill at {kill_wave}",
-                d.wave
-            );
-            assert_eq!(
-                d.impacts, reference.impacts,
-                "impacts diverged at wave {} after kill at {kill_wave}",
-                d.wave
-            );
-            assert_eq!(
-                d.training, reference.training,
-                "phase diverged at {}",
+                d, reference,
+                "wave {} diverged after kill at {kill_wave}",
                 d.wave
             );
         }

@@ -167,7 +167,7 @@ fn accumulate_mode_after_an_execution_follows_the_worked_numbers() {
 
     let diagnostics = session.diagnostics();
     let impacts: Vec<f64> = diagnostics.iter().map(|d| d.impacts[0]).collect();
-    let errors: Vec<f64> = diagnostics.iter().map(|d| d.errors[0] * 256.0).collect();
+    let errors: Vec<f64> = diagnostics.iter().map(|d| d.errors()[0] * 256.0).collect();
     let fired: Vec<bool> = diagnostics.iter().map(|d| d.decisions[0]).collect();
     assert_eq!(impacts, expected_impacts);
     assert_eq!(errors, expected_impacts);

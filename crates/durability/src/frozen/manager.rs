@@ -1,6 +1,7 @@
-//! The store-level write-ahead log's manager: buffers observed writes,
-//! group-commits them at wave boundaries, and compacts the log behind
-//! each checkpoint its [`Checkpointer`] writes.
+//! The store-level write-ahead log's manager: buffers observed writes and
+//! group-commits them at wave boundaries. It takes no checkpoint; a
+//! [`Checkpointer`](crate::Checkpointer) beside it does, and recovery
+//! skips the waves that checkpoint covers.
 
 use std::sync::Arc;
 
@@ -8,7 +9,6 @@ use parking_lot::Mutex;
 use smartflux_datastore::{DataStore, ObserverHandle, Value, WriteKind, WriteObserver, WriteRef};
 
 use super::wal::{encode_op_delete, encode_op_put, Wal};
-use crate::checkpoint::Checkpointer;
 use crate::error::DurabilityError;
 use crate::options::DurabilityOptions;
 
@@ -87,17 +87,14 @@ fn sort_batch(bytes: &[u8], ops: &[(u64, usize)]) -> Vec<u8> {
     sorted
 }
 
-/// A [`Checkpointer`] plus the store-op WAL: every put and effective
-/// delete on an attached store is captured into an in-memory buffer,
-/// [`commit_wave`] drains the buffer into one atomic, CRC-framed WAL
-/// record, and every checkpoint is followed by compacting the WAL prefix
-/// it supersedes.
+/// The store-op WAL: every put and effective delete on an attached store
+/// is captured into an in-memory buffer, and [`commit_wave`] drains the
+/// buffer into one atomic, CRC-framed WAL record.
 ///
 /// [`commit_wave`]: Self::commit_wave
 #[deprecated(note = "kept only for benchmark/ until its re-baseline, ROADMAP item 3")]
 #[derive(Debug)]
 pub struct DurabilityManager {
-    checkpointer: Checkpointer,
     wal: Mutex<Wal>,
     buffer: Arc<Mutex<OpBuffer>>,
 }
@@ -107,14 +104,13 @@ impl DurabilityManager {
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the directory or log cannot be created.
+    /// Returns an I/O error if the directory or log cannot be created, or
+    /// [`DurabilityError::Corrupt`] if a complete frame of an existing log
+    /// fails its CRC.
     pub fn open(options: DurabilityOptions) -> Result<Self, DurabilityError> {
-        let (path, sync) = (options.dir().join(WAL_FILE), options.sync());
-        // Creates the directory the log goes in.
-        let checkpointer = Checkpointer::open(options)?;
+        std::fs::create_dir_all(options.dir())?;
         Ok(Self {
-            checkpointer,
-            wal: Mutex::new(Wal::open(path, sync)?),
+            wal: Mutex::new(Wal::open(&options.dir().join(WAL_FILE), options.sync())?),
             buffer: Arc::new(Mutex::new(OpBuffer::default())),
         })
     }
@@ -172,26 +168,7 @@ impl DurabilityManager {
                 *live = batch;
             }
         }
-        appended.map(drop)
-    }
-
-    /// [`Checkpointer::checkpoint`], then compaction of the WAL prefix the
-    /// checkpoint covers — in that order: the log's prefix is only
-    /// superseded once the rename (and the directory entry) are on disk,
-    /// so a crash in between finds either the old checkpoint with the
-    /// whole log, or the new one with a prefix recovery skips.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if writing or compaction fails.
-    pub fn checkpoint(
-        &self,
-        wave: u64,
-        store: &DataStore,
-        engine: Vec<u8>,
-    ) -> Result<(), DurabilityError> {
-        self.checkpointer.checkpoint(wave, store, engine)?;
-        self.wal.lock().compact(wave)
+        appended
     }
 
     /// Current WAL length in bytes.

@@ -8,6 +8,12 @@
 //! [`SyncPolicy`]s and [`recover_store`]; `benchmark/src/inproc.rs` sets
 //! `with_sync(SyncPolicy::Never)` on its durable sessions. What cannot
 //! move here: `DurabilityOptions`' `sync` field, read through [`WalSync`].
+//!
+//! The log is never compacted: it grows by one frame per committed wave,
+//! and [`recover_store`] skips the waves a checkpoint covers. That is
+//! acceptable only because its one non-test caller is a benchmark probe
+//! that commits a bounded number of waves. Reopening a log cuts a torn
+//! final record off before anything is appended.
 
 #![allow(deprecated)]
 
@@ -19,18 +25,14 @@ use crate::options::DurabilityOptions;
 
 pub use manager::{DurabilityManager, WAL_FILE};
 pub use recover::recover_store;
-pub use wal::read_wal;
 
-/// When WAL appends are flushed to stable storage: after every commit,
-/// after every `n`, or never (left to the operating system). Checkpoints
-/// are always synced.
+/// When WAL appends are flushed to stable storage: after every commit, or
+/// never (left to the operating system). Checkpoints are always synced.
 #[deprecated(note = "kept only for benchmark/ until its re-baseline, ROADMAP item 3")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Fsync after every committed batch.
     Always,
-    /// Fsync after every `n` committed batches.
-    Interval(u64),
     /// Never fsync; rely on OS write-back.
     Never,
 }

@@ -36,11 +36,11 @@ fn replay_error(e: &StoreError) -> DurabilityError {
 /// Recovery invariants:
 ///
 /// - The checkpoint (if any) seeds the store with its exact contents and
-///   logical clock; WAL batches with `wave <= checkpoint_wave` were
-///   compacted away or are skipped. Within a replayed batch, ops whose
-///   timestamp is at or below the checkpoint's clock are skipped too: a
-///   checkpoint taken *mid-wave* under concurrent writers is a consistent
-///   cut that already contains them.
+///   logical clock; WAL batches with `wave <= checkpoint_wave` are
+///   skipped. Within a replayed batch, ops whose timestamp is at or below
+///   the checkpoint's clock are skipped too: a checkpoint taken *mid-wave*
+///   under concurrent writers is a consistent cut that already contains
+///   them.
 /// - Each remaining batch is applied atomically: its operations replay
 ///   with their original timestamps, then the clock is set to the batch's
 ///   committed clock. Containers named by ops are created on demand — a

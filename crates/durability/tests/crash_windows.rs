@@ -1,13 +1,14 @@
 //! The crash windows of a checkpoint, built by doing its steps by hand.
 //!
 //! A checkpoint is: capture in memory → write `checkpoint.ckpt.tmp` →
-//! fsync → rename over `checkpoint.ckpt` → directory sync → write the
-//! WAL's kept suffix to `wal.tmp` → fsync → rename over `wal.log`. A
-//! process can die between any two of these. Whatever the directory then
-//! holds, `recover_store` must land on exactly the state and clock of the
-//! run that was never interrupted, and a manager reopened on the
-//! directory must keep checkpointing. The last test pins a session's two
-//! checkpoint entry points, periodic and explicit, to one write path.
+//! fsync → rename over `checkpoint.ckpt` → directory sync. The store-level
+//! log beside it is never compacted, so a process can die only before the
+//! temporary file, inside it, or after the rename. Whatever the directory
+//! then holds, `recover_store` must land on exactly the state and clock of
+//! the run that was never interrupted, and a manager and checkpointer
+//! reopened on the directory must keep going. The last test pins a
+//! session's two checkpoint entry points, periodic and explicit, to one
+//! write path.
 
 #![allow(deprecated)] // exercises the store-level WAL kept for benchmark/
 
@@ -15,8 +16,8 @@ use std::path::{Path, PathBuf};
 
 use smartflux_datastore::{DataStore, StoreState, Value};
 use smartflux_durability::{
-    read_checkpoint, read_wal, recover_store, write_checkpoint, Checkpoint, Checkpointer,
-    DurabilityManager, DurabilityOptions, SyncPolicy, CHECKPOINT_FILE, WAL_FILE,
+    read_checkpoint, recover_store, write_checkpoint, Checkpoint, Checkpointer, DurabilityManager,
+    DurabilityOptions, SyncPolicy, CHECKPOINT_FILE, WAL_FILE,
 };
 
 /// The checkpoint whose windows are exercised is taken at this wave …
@@ -71,9 +72,10 @@ struct Scene {
 
 /// Commits waves `1..=LAST_WAVE` into `dir` with a checkpoint at
 /// [`OLD_CHECKPOINT_WAVE`], and captures — only captures — one at
-/// [`CHECKPOINT_WAVE`]: window (a), every later wave in the WAL.
+/// [`CHECKPOINT_WAVE`]: window (a), every wave in the WAL.
 fn stage(dir: &Path) -> Scene {
     let mgr = DurabilityManager::open(options(dir)).unwrap();
+    let checkpointer = Checkpointer::open(options(dir)).unwrap();
     let store = store_with_tf();
     let _h = mgr.attach(&store);
     let mut captured = None;
@@ -81,7 +83,9 @@ fn stage(dir: &Path) -> Scene {
         write_wave(&store, wave);
         mgr.commit_wave(wave, store.clock()).unwrap();
         if wave == OLD_CHECKPOINT_WAVE {
-            mgr.checkpoint(wave, &store, b"old".to_vec()).unwrap();
+            checkpointer
+                .checkpoint(wave, &store, b"old".to_vec())
+                .unwrap();
         }
         if wave == CHECKPOINT_WAVE {
             let state = store.export_state();
@@ -109,8 +113,9 @@ fn checkpoint_bytes(checkpoint: &Checkpoint) -> Vec<u8> {
 }
 
 /// Recovers `dir`, checks it against the uninterrupted run, then reopens
-/// a manager on it and runs two more waves with a checkpoint in between:
-/// leftovers of the crash must not get in the way of the next one.
+/// a manager and a checkpointer on it and runs two more waves with a
+/// checkpoint in between: leftovers of the crash must not get in the way
+/// of the next one.
 fn assert_recovers(dir: &Path, scene: &Scene, checkpoint_wave: u64, what: &str) {
     let recovered = recover_store(dir).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(recovered.checkpoint_wave, checkpoint_wave, "{what}");
@@ -120,22 +125,35 @@ fn assert_recovers(dir: &Path, scene: &Scene, checkpoint_wave: u64, what: &str) 
     assert_eq!(recovered.store.clock(), scene.expected.clock, "{what}");
 
     let mgr = DurabilityManager::open(options(dir)).unwrap();
+    let checkpointer = Checkpointer::open(options(dir)).unwrap();
     let store = recovered.store;
     let _h = mgr.attach(&store);
     write_wave(&store, LAST_WAVE + 1);
     mgr.commit_wave(LAST_WAVE + 1, store.clock()).unwrap();
-    mgr.checkpoint(LAST_WAVE + 1, &store, Vec::new()).unwrap();
+    checkpointer
+        .checkpoint(LAST_WAVE + 1, &store, Vec::new())
+        .unwrap();
     write_wave(&store, LAST_WAVE + 2);
     mgr.commit_wave(LAST_WAVE + 2, store.clock()).unwrap();
     let again = recover_store(dir).unwrap_or_else(|e| panic!("{what}, continued: {e}"));
+    // Recovery replayed only the wave after the checkpoint …
     assert_eq!(again.checkpoint_wave, LAST_WAVE + 1, "{what}");
     assert_eq!(again.last_wave, LAST_WAVE + 2, "{what}");
     assert_eq!(again.store.export_state(), store.export_state(), "{what}");
-    // The checkpoint superseded everything but the last wave.
-    let log = read_wal(&dir.join(WAL_FILE)).unwrap();
+    // … while the log holds every committed wave: alone, it rebuilds the
+    // whole run.
+    let log_only = dir.join("log-only");
+    std::fs::create_dir(&log_only).unwrap();
+    std::fs::copy(dir.join(WAL_FILE), log_only.join(WAL_FILE)).unwrap();
+    let replayed = recover_store(&log_only).unwrap_or_else(|e| panic!("{what}, log only: {e}"));
     assert_eq!(
-        log.batches.iter().map(|b| b.wave).collect::<Vec<_>>(),
-        [LAST_WAVE + 2],
+        (replayed.checkpoint_wave, replayed.last_wave),
+        (0, LAST_WAVE + 2),
+        "{what}"
+    );
+    assert_eq!(
+        replayed.store.export_state(),
+        store.export_state(),
         "{what}"
     );
 }
@@ -174,43 +192,15 @@ fn temporary_checkpoint_beside_the_old_one() {
 
 #[test]
 fn checkpoint_renamed_but_wal_not_compacted() {
+    // The rename went through: what a finished checkpoint leaves behind,
+    // the log still starting at wave 1. Recovery skips what the new
+    // checkpoint covers.
     let dir = tmp_dir("c");
     let scene = stage(&dir);
     write_checkpoint(&dir, &scene.captured).unwrap();
-    // The log still starts behind the *old* checkpoint: recovery skips
-    // what the new one covers.
-    let log = read_wal(&dir.join(WAL_FILE)).unwrap();
-    assert_eq!(log.batches.first().unwrap().wave, OLD_CHECKPOINT_WAVE + 1);
     assert_eq!(read_checkpoint(&dir).unwrap().unwrap().engine, b"new");
     assert_recovers(&dir, &scene, CHECKPOINT_WAVE, "window (c)");
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn temporary_wal_beside_the_log() {
-    // Died inside the compaction: `wal.tmp` holds some or all of the
-    // suffix the new log would have had.
-    let dir = tmp_dir("d-bytes");
-    stage(&dir);
-    let log = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-    for keep in [log.len(), log.len() / 3, 0] {
-        let dir = tmp_dir("d");
-        let scene = stage(&dir);
-        write_checkpoint(&dir, &scene.captured).unwrap();
-        std::fs::write(
-            dir.join(WAL_FILE).with_extension("tmp"),
-            &log[log.len() - keep..],
-        )
-        .unwrap();
-        assert_recovers(
-            &dir,
-            &scene,
-            CHECKPOINT_WAVE,
-            &format!("window (d), {keep} bytes"),
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }
 
 #[test]

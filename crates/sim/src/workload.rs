@@ -39,8 +39,10 @@ pub const TABLE: &str = "sim";
 /// How long a scripted hang stalls the first attempt. Far above
 /// [`WATCHDOG_TIMEOUT`] so the watchdog always fires first, and far above
 /// a wave's real runtime so the abandoned runaway finishes strictly after
-/// the wave's own writes (the harness joins it at the wave boundary).
-pub const HANG_STALL: Duration = Duration::from_millis(40);
+/// the wave's own writes (the harness joins it at the wave boundary). A
+/// checkpoint wave's fsyncs alone take 25–40 ms on a slow disk (2-vCPU VM,
+/// debug build), so the margin is five times that.
+pub const HANG_STALL: Duration = Duration::from_millis(200);
 
 /// Per-attempt watchdog timeout on hang-faulted steps.
 pub const WATCHDOG_TIMEOUT: Duration = Duration::from_millis(5);

@@ -368,18 +368,10 @@ pub mod names {
     pub const STORE_QUIESCES: &str = "store.quiesces";
     /// Journal sink failures (failed record writes or flushes).
     pub const JOURNAL_ERRORS: &str = "telemetry.journal_errors";
-    /// Store-level WAL bytes appended. Nothing reports it any more.
-    pub const WAL_BYTES: &str = "durability.wal_bytes";
-    /// Store-level WAL records appended. Nothing reports it any more.
-    pub const WAL_RECORDS: &str = "durability.wal_records";
     /// Checkpoints written.
     pub const CHECKPOINTS: &str = "durability.checkpoints";
     /// Successful engine/store recoveries from a durability directory.
     pub const RECOVERIES: &str = "durability.recoveries";
-    /// Store-level WAL fsync latency. Nothing reports it any more.
-    pub const FSYNC_LATENCY: &str = "durability.fsync";
-    /// Store-level WAL group-commit latency. Nothing reports it any more.
-    pub const WAL_COMMIT_LATENCY: &str = "durability.commit";
     /// Latency of one checkpoint capture — the store export under the
     /// quiesce plus the engine blob, all in memory (inside
     /// [`CHECKPOINT_WRITE_LATENCY`]).
@@ -387,8 +379,6 @@ pub mod names {
     /// Latency of one whole checkpoint: the capture, then encode, file
     /// write, fsync and rename.
     pub const CHECKPOINT_WRITE_LATENCY: &str = "durability.checkpoint_write";
-    /// Store-level WAL compaction latency. Nothing reports it any more.
-    pub const WAL_COMPACT_LATENCY: &str = "durability.wal_compact";
     /// Waves completed since the last checkpoint that is durable on disk.
     pub const CHECKPOINT_LAG_WAVES: &str = "durability.checkpoint_lag_waves";
     /// Connections accepted by the network plane since start.

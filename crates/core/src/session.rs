@@ -541,9 +541,11 @@ mod tests {
         let mut s = SmartFluxSession::new(wf, store, config).unwrap();
         s.run_waves(2).unwrap();
 
-        // Plant the failure: a directory squatting on the checkpoint's
-        // temporary path makes the next checkpoint write fail.
+        // Plant the failure: a directory in place of the checkpoint's spare
+        // (the file of the checkpoint before the last) makes the next
+        // checkpoint write fail.
         let squatter = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+        std::fs::remove_file(&squatter).unwrap();
         std::fs::create_dir(&squatter).unwrap();
         let err = s.run_wave().unwrap_err();
         assert!(matches!(err, CoreError::Durability(_)), "got {err}");

@@ -1,13 +1,17 @@
 //! The crash windows of a checkpoint, at session level.
 //!
-//! A session's checkpoint is: capture in memory → write
-//! `checkpoint.ckpt.tmp` → fsync → rename over `checkpoint.ckpt`. The
-//! directories a crash can leave — (a) captured, nothing written; (b)
-//! `checkpoint.ckpt.tmp` beside the old checkpoint; (c) the new checkpoint
-//! renamed — plus (d) stale `wal.log` / `wal.tmp` bytes from the
-//! store-level log beside it are handed to [`SmartFluxSession::recover`]:
-//! the resumed session must finish the schedule with the decisions, store
-//! bytes and clock of the run that was never interrupted.
+//! A session's checkpoint is: capture in memory → overwrite the spare
+//! `checkpoint.ckpt.tmp` (the previous checkpoint's file) → fsync → link
+//! `checkpoint.ckpt` as `checkpoint.ckpt.prev` → rename the spare over
+//! `checkpoint.ckpt` → rename `.prev` to the spare. The directories a
+//! crash can leave — (a) captured, nothing written; (b) the new checkpoint
+//! in the spare beside the old one; (c) the new checkpoint swapped in;
+//! (e) (b) plus `.prev`, a second name of the old checkpoint; (f) the new
+//! checkpoint renamed, the old one still at `.prev` — plus (d) stale
+//! `wal.log` / `wal.tmp` bytes from the store-level log beside it are
+//! handed to [`SmartFluxSession::recover`]: the resumed session must
+//! finish the schedule with the decisions, store bytes and clock of the
+//! run that was never interrupted.
 
 use std::path::{Path, PathBuf};
 
@@ -122,6 +126,32 @@ fn doomed_run(dir: &Path) -> Checkpoint {
     captured.unwrap()
 }
 
+/// The bytes `write_checkpoint` produces for `checkpoint`, written in a
+/// directory of its own named after `window`.
+fn checkpoint_bytes(window: &str, checkpoint: &Checkpoint) -> Vec<u8> {
+    let dir = tmp_dir(&format!("{window}-bytes"));
+    std::fs::create_dir_all(&dir).unwrap();
+    write_checkpoint(&dir, checkpoint).unwrap();
+    let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    bytes
+}
+
+/// The spare and the swap's second name for the live checkpoint.
+fn spare(dir: &Path) -> PathBuf {
+    dir.join(format!("{CHECKPOINT_FILE}.tmp"))
+}
+
+fn prev(dir: &Path) -> PathBuf {
+    dir.join(format!("{CHECKPOINT_FILE}.prev"))
+}
+
+#[cfg(unix)]
+fn inode(path: &Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(path).unwrap().ino()
+}
+
 fn assert_resumes_like(
     dir: &Path,
     resume_wave: u64,
@@ -140,7 +170,6 @@ fn assert_resumes_like(
         "{what}: decision trail"
     );
     assert_eq!(state, reference.1, "{what}: store bytes and clock");
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -159,34 +188,33 @@ fn every_crash_window_resumes_to_the_uninterrupted_run() {
     let dir = tmp_dir("a");
     doomed_run(&dir);
     assert_resumes_like(&dir, OLD_CHECKPOINT_WAVE + 1, &reference, "window (a)");
+    std::fs::remove_dir_all(&dir).unwrap();
 
-    // (b) The temporary checkpoint — whole, or cut short — beside the old
-    // one.
+    // (b) The new checkpoint in the spare — whole, or cut short — beside
+    // the old one.
     for whole in [true, false] {
         let dir = tmp_dir("b");
         let captured = doomed_run(&dir);
-        let scratch = tmp_dir("b-bytes");
-        std::fs::create_dir_all(&scratch).unwrap();
-        write_checkpoint(&scratch, &captured).unwrap();
-        let mut bytes = std::fs::read(scratch.join(CHECKPOINT_FILE)).unwrap();
+        let mut bytes = checkpoint_bytes("b", &captured);
         if !whole {
             bytes.truncate(bytes.len() / 2);
         }
-        std::fs::write(dir.join(format!("{CHECKPOINT_FILE}.tmp")), bytes).unwrap();
-        std::fs::remove_dir_all(&scratch).unwrap();
+        std::fs::write(spare(&dir), bytes).unwrap();
         assert_resumes_like(
             &dir,
             OLD_CHECKPOINT_WAVE + 1,
             &reference,
             &format!("window (b), whole: {whole}"),
         );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // (c) New checkpoint renamed.
+    // (c) New checkpoint swapped in.
     let dir = tmp_dir("c");
     let captured = doomed_run(&dir);
     write_checkpoint(&dir, &captured).unwrap();
     assert_resumes_like(&dir, CHECKPOINT_WAVE + 1, &reference, "window (c)");
+    std::fs::remove_dir_all(&dir).unwrap();
 
     // (d) … beside stale store-level log files, which a session neither
     // writes nor reads.
@@ -198,4 +226,37 @@ fn every_crash_window_resumes_to_the_uninterrupted_run() {
     std::fs::write(dir.join("wal.log"), &stale).unwrap();
     std::fs::write(dir.join("wal.tmp"), &stale[..stale.len() / 3]).unwrap();
     assert_resumes_like(&dir, CHECKPOINT_WAVE + 1, &reference, "window (d)");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // (e) Died after linking the live checkpoint as `.prev`: the old
+    // checkpoint is live, the new one whole in the spare. The next
+    // checkpoint drops `.prev` and writes into the spare, so the old live
+    // file's bytes become the next spare untouched.
+    let dir = tmp_dir("e");
+    let captured = doomed_run(&dir);
+    let live = dir.join(CHECKPOINT_FILE);
+    std::fs::hard_link(&live, prev(&dir)).unwrap();
+    std::fs::write(spare(&dir), checkpoint_bytes("e", &captured)).unwrap();
+    let old = std::fs::read(&live).unwrap();
+    assert_resumes_like(&dir, OLD_CHECKPOINT_WAVE + 1, &reference, "window (e)");
+    assert!(!prev(&dir).exists(), "window (e): `.prev` left behind");
+    assert_eq!(std::fs::read(spare(&dir)).unwrap(), old, "window (e)");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // (f) Died after renaming the spare over the live checkpoint: the new
+    // checkpoint is live, the old one at `.prev`, no spare. The next
+    // checkpoint takes `.prev`'s file for its spare.
+    let dir = tmp_dir("f");
+    let captured = doomed_run(&dir);
+    let live = dir.join(CHECKPOINT_FILE);
+    std::fs::hard_link(&live, prev(&dir)).unwrap();
+    std::fs::write(spare(&dir), checkpoint_bytes("f", &captured)).unwrap();
+    std::fs::rename(spare(&dir), &live).unwrap();
+    #[cfg(unix)]
+    let old_inode = inode(&prev(&dir));
+    assert_resumes_like(&dir, CHECKPOINT_WAVE + 1, &reference, "window (f)");
+    assert!(!prev(&dir).exists(), "window (f): `.prev` left behind");
+    #[cfg(unix)]
+    assert_eq!(inode(&live), old_inode, "window (f)");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,25 +4,31 @@
 //! A checkpoint is a single file of three CRC frames:
 //!
 //! ```text
-//! frame(meta)   := "SFCP" | version:u16 | wave:u64 | clock:u64
+//! frame(meta)   := "SFCP" | version:u16 | wave:u64 | clock:u64 | len:u64
 //! frame(store)  := clock:u64 | n_tables:u32 | (name | n_families:u32 |
 //!                    (name | n_cells:u32 | (row | qualifier | ts:u64 | value)*)*)*
 //! frame(engine) := opaque engine bytes (may be empty)
 //! ```
 //!
-//! A checkpoint does not outlive the binary that wrote it: a file of any
-//! other version is refused as [`DurabilityError::UnsupportedVersion`], and
-//! there is no migration.
+//! `len` is the checkpoint's byte length: the three frames end exactly
+//! there, and whatever the file holds past it is a stale tail that reading
+//! ignores. A checkpoint does not outlive the binary that wrote it: a file
+//! of any other version is refused as
+//! [`DurabilityError::UnsupportedVersion`], and there is no migration.
 //!
-//! The file is written to a temporary name, fsynced, and atomically
-//! renamed over the previous checkpoint, so there is always at most one
-//! valid checkpoint and never a half-written one. Because of the rename,
-//! *any* damage — including truncation — reads as
+//! The previous checkpoint's file is kept as a spare, `checkpoint.ckpt.tmp`.
+//! A checkpoint overwrites the spare in place — never shrinking it — and
+//! fsyncs it, then swaps it with the live file by a hard link and two
+//! renames, and syncs the directory. Nothing is unlinked, so no block is
+//! freed: on a filesystem that discards freed blocks, a sync after a free
+//! costs tens of milliseconds. There is always at most one valid checkpoint
+//! at `checkpoint.ckpt` and never a half-written one. Because of the
+//! renames, *any* damage inside `len` — including truncation — reads as
 //! [`DurabilityError::Corrupt`], unlike the WAL where a torn tail is
 //! expected.
 
-use std::fs::File;
-use std::io::{Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,9 +46,13 @@ use crate::options::DurabilityOptions;
 pub const CHECKPOINT_FILE: &str = "checkpoint.ckpt";
 
 const MAGIC: &[u8; 4] = b"SFCP";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 /// Bytes of the meta frame's payload.
-const META_LEN: usize = 22;
+const META_LEN: usize = 30;
+/// The previous checkpoint's file, overwritten by the next one.
+const SPARE_FILE: &str = "checkpoint.ckpt.tmp";
+/// A second name for the live checkpoint while the spare replaces it.
+const PREV_FILE: &str = "checkpoint.ckpt.prev";
 
 /// A decoded checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,37 +142,103 @@ pub fn decode_store_state(payload: &[u8]) -> Result<StoreState, DurabilityError>
     Ok(StoreState { clock, tables })
 }
 
-/// Writes `checkpoint` into `dir` atomically, returning the file size.
+/// Writes `checkpoint` into `dir` atomically, returning its length in
+/// bytes. The file may be longer: it is the previous checkpoint's,
+/// overwritten in place, and keeps any tail past the new length.
 ///
 /// # Errors
 ///
 /// Returns an I/O error if writing, syncing or renaming fails.
 pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> Result<u64, DurabilityError> {
+    let store = encode_store_state(&checkpoint.store);
+    let len = 3 * FRAME_HEADER + META_LEN + store.len() + checkpoint.engine.len();
     let mut meta = Vec::with_capacity(META_LEN);
     meta.extend_from_slice(MAGIC);
     put_u16(&mut meta, VERSION);
     put_u64(&mut meta, checkpoint.wave);
     put_u64(&mut meta, checkpoint.clock);
+    put_u64(&mut meta, len as u64);
 
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(len);
     write_frame(&mut buf, &meta);
-    write_frame(&mut buf, &encode_store_state(&checkpoint.store));
+    write_frame(&mut buf, &store);
     write_frame(&mut buf, &checkpoint.engine);
 
-    let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-    let dst = dir.join(CHECKPOINT_FILE);
+    let live = dir.join(CHECKPOINT_FILE);
+    let spare = dir.join(SPARE_FILE);
+    let prev = dir.join(PREV_FILE);
+    // A crash inside the swap below can leave `.prev`. Beside a spare it is
+    // a second name of the live file (the crash came before the first
+    // rename) and goes; alone it is the old checkpoint (after it) and is
+    // the spare.
+    if std::fs::symlink_metadata(&prev).is_ok() {
+        if std::fs::symlink_metadata(&spare).is_ok() {
+            std::fs::remove_file(&prev)?;
+        } else {
+            std::fs::rename(&prev, &spare)?;
+        }
+    }
     {
-        let mut f = File::create(&tmp)?;
+        let mut f = open_spare(&spare)?;
         f.write_all(&buf)?;
         f.sync_data()?;
     }
-    std::fs::rename(&tmp, &dst)?;
-    // Best-effort directory fsync so the rename itself is durable. Some
-    // filesystems refuse to open directories for writing; that is fine.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+    if std::fs::hard_link(&live, &prev).is_ok() {
+        std::fs::rename(&spare, &live)?;
+        std::fs::rename(&prev, &spare)?;
+    } else {
+        // No live checkpoint yet, or no hard links on this filesystem.
+        std::fs::rename(&spare, &live)?;
     }
+    sync_dir(dir)?;
     Ok(buf.len() as u64)
+}
+
+/// Opens the spare for an overwrite at offset 0 without truncating it,
+/// creating it if absent. A spare with a second name is replaced by a
+/// fresh file first, so the overwrite never reaches another file's bytes.
+fn open_spare(spare: &Path) -> io::Result<File> {
+    let f = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(spare)?;
+    if !has_other_names(&f)? {
+        return Ok(f);
+    }
+    drop(f);
+    std::fs::remove_file(spare)?;
+    OpenOptions::new().write(true).create_new(true).open(spare)
+}
+
+#[cfg(unix)]
+fn has_other_names(f: &File) -> io::Result<bool> {
+    use std::os::unix::fs::MetadataExt;
+    Ok(f.metadata()?.nlink() > 1)
+}
+
+/// Without a portable link count, every spare may have another name.
+#[cfg(not(unix))]
+fn has_other_names(_: &File) -> io::Result<bool> {
+    Ok(true)
+}
+
+/// Syncs `dir`, which makes the renames in it durable. A directory that
+/// cannot be opened is tolerated, as is a filesystem that cannot sync one.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    match File::open(dir) {
+        Ok(d) => d.sync_all().or_else(tolerate_unsupported_sync),
+        Err(_) => Ok(()),
+    }
+}
+
+/// Whether a directory sync's error still lets the checkpoint count as
+/// written: only when the filesystem reports the sync as unsupported.
+fn tolerate_unsupported_sync(e: io::Error) -> io::Result<()> {
+    match e.kind() {
+        io::ErrorKind::Unsupported | io::ErrorKind::InvalidInput => Ok(()),
+        _ => Err(e),
+    }
 }
 
 /// Reads the checkpoint from `dir`, or `None` if none was ever written.
@@ -171,7 +247,7 @@ pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> Result<u64, Dura
 ///
 /// Returns an I/O error on read failure, [`DurabilityError::Corrupt`] on
 /// any validation failure, or [`DurabilityError::UnsupportedVersion`] for
-/// a future format version.
+/// a format version other than this build's.
 pub fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, DurabilityError> {
     let path = dir.join(CHECKPOINT_FILE);
     let mut buf = Vec::new();
@@ -183,39 +259,57 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, DurabilityError
         Err(e) => return Err(e.into()),
     }
 
-    let mut frames = Vec::with_capacity(3);
+    let truncated = || DurabilityError::Corrupt {
+        context: "checkpoint file is truncated".to_owned(),
+    };
+    let FrameRead::Frame { payload, .. } = read_frame(&buf, 0)? else {
+        return Err(truncated());
+    };
+    let meta = decode_meta(payload)?;
+    let len = usize::try_from(meta.len)
+        .ok()
+        .filter(|&len| len <= buf.len())
+        .ok_or_else(truncated)?;
+    let checkpoint = &buf[..len];
+    let mut frames = [&[][..]; 3];
     let mut pos = 0;
-    loop {
-        match read_frame(&buf, pos)? {
+    for frame in &mut frames {
+        match read_frame(checkpoint, pos)? {
             FrameRead::Frame { payload, next } => {
-                frames.push(payload);
+                *frame = payload;
                 pos = next;
             }
-            FrameRead::End => break,
-            FrameRead::Torn => {
+            FrameRead::End | FrameRead::Torn => {
                 return Err(DurabilityError::Corrupt {
-                    context: "checkpoint file is truncated".to_owned(),
+                    context: format!("checkpoint frames end before its length {len}"),
                 })
             }
         }
     }
-    if frames.len() != 3 {
+    if pos != len {
         return Err(DurabilityError::Corrupt {
-            context: format!("checkpoint has {} frames, expected 3", frames.len()),
+            context: format!("checkpoint frames end at {pos}, its length is {len}"),
         });
     }
 
-    let (wave, clock) = decode_meta(frames[0])?;
     Ok(Some(Checkpoint {
-        wave,
-        clock,
+        wave: meta.wave,
+        clock: meta.clock,
         store: decode_store_state(frames[1])?,
         engine: frames[2].to_vec(),
     }))
 }
 
-/// Decodes the meta frame's payload into `(wave, clock)`.
-fn decode_meta(payload: &[u8]) -> Result<(u64, u64), DurabilityError> {
+/// The meta frame's fields.
+struct Meta {
+    wave: u64,
+    clock: u64,
+    /// The checkpoint's byte length, meta frame included.
+    len: u64,
+}
+
+/// Decodes the meta frame's payload.
+fn decode_meta(payload: &[u8]) -> Result<Meta, DurabilityError> {
     let mut meta = Reader::new(payload);
     let magic = [meta.u8()?, meta.u8()?, meta.u8()?, meta.u8()?];
     if &magic != MAGIC {
@@ -227,7 +321,11 @@ fn decode_meta(payload: &[u8]) -> Result<(u64, u64), DurabilityError> {
     if version != VERSION {
         return Err(DurabilityError::UnsupportedVersion { found: version });
     }
-    Ok((meta.u64()?, meta.u64()?))
+    Ok(Meta {
+        wave: meta.u64()?,
+        clock: meta.u64()?,
+        len: meta.u64()?,
+    })
 }
 
 /// The wave of the checkpoint in `dir`, read from the meta frame alone;
@@ -240,7 +338,7 @@ fn checkpoint_wave(dir: &Path) -> Option<u64> {
         .read_exact(&mut head)
         .ok()?;
     match read_frame(&head, 0) {
-        Ok(FrameRead::Frame { payload, .. }) => decode_meta(payload).ok().map(|(wave, _)| wave),
+        Ok(FrameRead::Frame { payload, .. }) => decode_meta(payload).ok().map(|meta| meta.wave),
         _ => None,
     }
 }
@@ -448,19 +546,92 @@ mod tests {
         }
         assert_eq!(checkpointer.checkpoint_lag_waves(3), 1);
         assert_eq!(read_checkpoint(&dir).unwrap().unwrap().engine, vec![2]);
-        // A checkpoint that fails is not durable.
-        let squatter = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+        // A checkpoint that fails is not durable. A directory squats on
+        // the spare's path (the first checkpoint left no spare).
+        let squatter = dir.join(SPARE_FILE);
+        assert!(!squatter.exists());
         std::fs::create_dir(&squatter).unwrap();
         assert!(checkpointer.checkpoint(4, &store, Vec::new()).is_err());
         assert_eq!(checkpointer.checkpoint_lag_waves(5), 3);
         std::fs::remove_dir(&squatter).unwrap();
         // A reopened checkpointer finds the checkpoint on disk; the
-        // directory holds nothing else.
+        // directory holds it and its spare, nothing else.
         let checkpointer = Checkpointer::open(options).unwrap();
         assert_eq!(checkpointer.checkpoint_lag_waves(5), 3);
         checkpointer.checkpoint(5, &store, Vec::new()).unwrap();
         assert_eq!(checkpointer.checkpoint_lag_waves(5), 0);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [CHECKPOINT_FILE, SPARE_FILE]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn checkpoints_reuse_two_files_and_never_shrink_them() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp_dir("inodes");
+        let live = dir.join(CHECKPOINT_FILE);
+        let spare = dir.join(SPARE_FILE);
+        // Each of the two files' lengths, by inode: neither ever shrinks.
+        let mut lengths = std::collections::BTreeMap::new();
+        for wave in 1..=40u64 {
+            // Engine blobs that grow and shrink by up to 10 KB.
+            let mut ckpt = sample_checkpoint();
+            ckpt.wave = wave;
+            ckpt.engine = vec![wave as u8; 20_000 + (wave as usize * 7_919) % 10_001];
+            write_checkpoint(&dir, &ckpt).unwrap();
+            assert_eq!(read_checkpoint(&dir).unwrap().unwrap(), ckpt);
+            if wave == 1 {
+                continue;
+            }
+            for path in [&live, &spare] {
+                let meta = std::fs::metadata(path).unwrap();
+                let len = lengths.entry(meta.ino()).or_insert(0);
+                assert!(meta.len() >= *len, "wave {wave}: {} shrank", path.display());
+                *len = meta.len();
+            }
+            assert_eq!(
+                lengths.len(),
+                2,
+                "wave {wave}: a checkpoint took a new file"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_spare_with_a_second_name_is_replaced_not_overwritten() {
+        let dir = tmp_dir("nlink");
+        let ckpt = sample_checkpoint();
+        write_checkpoint(&dir, &ckpt).unwrap();
+        write_checkpoint(&dir, &ckpt).unwrap();
+        let other = dir.join("other");
+        std::fs::hard_link(dir.join(SPARE_FILE), &other).unwrap();
+        let before = std::fs::read(&other).unwrap();
+        let mut next = sample_checkpoint();
+        next.wave = 43;
+        write_checkpoint(&dir, &next).unwrap();
+        assert_eq!(std::fs::read(&other).unwrap(), before);
+        assert_eq!(read_checkpoint(&dir).unwrap().unwrap(), next);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_directory_sync_error_fails_unless_unsupported() {
+        use std::io::ErrorKind;
+        for kind in [ErrorKind::Unsupported, ErrorKind::InvalidInput] {
+            assert!(tolerate_unsupported_sync(kind.into()).is_ok(), "{kind:?}");
+        }
+        for kind in [
+            ErrorKind::Other,
+            ErrorKind::PermissionDenied,
+            ErrorKind::StorageFull,
+        ] {
+            assert!(tolerate_unsupported_sync(kind.into()).is_err(), "{kind:?}");
+        }
     }
 }

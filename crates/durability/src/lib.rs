@@ -11,11 +11,13 @@
 //!
 //! - Every [`DurabilityOptions::checkpoint_interval`] waves,
 //!   [`Checkpointer::maybe_checkpoint`] writes a [`Checkpoint`] — the full
-//!   store state plus opaque engine bytes — via an atomic
-//!   temp-file-and-rename, and tracks how many waves the newest durable
-//!   checkpoint lags.
-//! - [`read_checkpoint`] reads it back. Damage of any kind is a typed
-//!   [`DurabilityError`]; reading never panics on corrupt input.
+//!   store state plus opaque engine bytes — into the previous checkpoint's
+//!   file, overwritten in place, and swaps it in atomically by a hard link
+//!   and two renames, so no block is freed. It tracks how many waves the
+//!   newest durable checkpoint lags.
+//! - [`read_checkpoint`] reads it back, up to the length its header
+//!   records. Damage of any kind within it is a typed [`DurabilityError`];
+//!   reading never panics on corrupt input.
 //!
 //! A durable engine session (`QodEngine` in the `smartflux` crate) logs no
 //! store mutation: `QodEngine::recover` restores the checkpoint, and the

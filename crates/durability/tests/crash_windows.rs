@@ -1,14 +1,17 @@
 //! The crash windows of a checkpoint, built by doing its steps by hand.
 //!
-//! A checkpoint is: capture in memory → write `checkpoint.ckpt.tmp` →
-//! fsync → rename over `checkpoint.ckpt` → directory sync. The store-level
-//! log beside it is never compacted, so a process can die only before the
-//! temporary file, inside it, or after the rename. Whatever the directory
-//! then holds, `recover_store` must land on exactly the state and clock of
-//! the run that was never interrupted, and a manager and checkpointer
-//! reopened on the directory must keep going. The last test pins a
-//! session's two checkpoint entry points, periodic and explicit, to one
-//! write path.
+//! A checkpoint is: capture in memory → overwrite the spare
+//! `checkpoint.ckpt.tmp` (the previous checkpoint's file) → fsync → link
+//! `checkpoint.ckpt` as `checkpoint.ckpt.prev` → rename the spare over
+//! `checkpoint.ckpt` → rename `.prev` to the spare → directory sync. The
+//! store-level log beside it is never compacted, so a process can die
+//! (a) before the spare is touched, (b) inside it, (e) after the link,
+//! (f) after the first rename, or (c) after the swap. Whatever the
+//! directory then holds, `recover_store` must land on exactly the state
+//! and clock of the run that was never interrupted, and a manager and
+//! checkpointer reopened on the directory must keep going. The last test
+//! pins a session's two checkpoint entry points, periodic and explicit,
+//! to one write path.
 
 #![allow(deprecated)] // exercises the store-level WAL kept for benchmark/
 
@@ -103,13 +106,23 @@ fn stage(dir: &Path) -> Scene {
     }
 }
 
-/// The bytes `write_checkpoint` produces for `checkpoint`.
-fn checkpoint_bytes(checkpoint: &Checkpoint) -> Vec<u8> {
-    let dir = tmp_dir("bytes");
+/// The bytes `write_checkpoint` produces for `checkpoint`, written in a
+/// directory of its own named after `window`.
+fn checkpoint_bytes(window: &str, checkpoint: &Checkpoint) -> Vec<u8> {
+    let dir = tmp_dir(&format!("{window}-bytes"));
     write_checkpoint(&dir, checkpoint).unwrap();
     let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     bytes
+}
+
+/// The spare and the swap's second name for the live checkpoint.
+fn spare(dir: &Path) -> PathBuf {
+    dir.join(format!("{CHECKPOINT_FILE}.tmp"))
+}
+
+fn prev(dir: &Path) -> PathBuf {
+    dir.join(format!("{CHECKPOINT_FILE}.prev"))
 }
 
 /// Recovers `dir`, checks it against the uninterrupted run, then reopens
@@ -168,18 +181,18 @@ fn captured_but_nothing_written() {
 
 #[test]
 fn temporary_checkpoint_beside_the_old_one() {
-    // Died while writing — or right before renaming — the temporary
-    // file: whole, half and empty.
+    // Died while overwriting the spare — or right before linking the live
+    // checkpoint: the new checkpoint whole, half and empty.
     let bytes = {
-        let dir = tmp_dir("b-bytes");
+        let dir = tmp_dir("b-stage");
         let scene = stage(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
-        checkpoint_bytes(&scene.captured)
+        checkpoint_bytes("b", &scene.captured)
     };
     for keep in [bytes.len(), bytes.len() / 2, 0] {
         let dir = tmp_dir("b");
         let scene = stage(&dir);
-        std::fs::write(dir.join(format!("{CHECKPOINT_FILE}.tmp")), &bytes[..keep]).unwrap();
+        std::fs::write(spare(&dir), &bytes[..keep]).unwrap();
         assert_recovers(
             &dir,
             &scene,
@@ -192,7 +205,7 @@ fn temporary_checkpoint_beside_the_old_one() {
 
 #[test]
 fn checkpoint_renamed_but_wal_not_compacted() {
-    // The rename went through: what a finished checkpoint leaves behind,
+    // The swap went through: what a finished checkpoint leaves behind,
     // the log still starting at wave 1. Recovery skips what the new
     // checkpoint covers.
     let dir = tmp_dir("c");
@@ -200,6 +213,48 @@ fn checkpoint_renamed_but_wal_not_compacted() {
     write_checkpoint(&dir, &scene.captured).unwrap();
     assert_eq!(read_checkpoint(&dir).unwrap().unwrap().engine, b"new");
     assert_recovers(&dir, &scene, CHECKPOINT_WAVE, "window (c)");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn crash_after_linking_the_live_checkpoint() {
+    // Window (e): the live file is still the old checkpoint, `.prev` is a
+    // second name for it, and the new checkpoint is whole in the spare.
+    let dir = tmp_dir("e");
+    let scene = stage(&dir);
+    let live = dir.join(CHECKPOINT_FILE);
+    std::fs::hard_link(&live, prev(&dir)).unwrap();
+    std::fs::write(spare(&dir), checkpoint_bytes("e", &scene.captured)).unwrap();
+    let old = std::fs::read(&live).unwrap();
+    assert_recovers(&dir, &scene, OLD_CHECKPOINT_WAVE, "window (e)");
+    // The next checkpoint dropped `.prev` and wrote into the spare: the
+    // old live file's bytes went untouched into the next spare.
+    assert!(!prev(&dir).exists(), "window (e): `.prev` left behind");
+    assert_eq!(std::fs::read(spare(&dir)).unwrap(), old, "window (e)");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn crash_after_renaming_the_spare_over_the_live_checkpoint() {
+    // Window (f): the live file is the new checkpoint, `.prev` the old
+    // one, and there is no spare.
+    use std::os::unix::fs::MetadataExt;
+    let dir = tmp_dir("f");
+    let scene = stage(&dir);
+    let live = dir.join(CHECKPOINT_FILE);
+    std::fs::hard_link(&live, prev(&dir)).unwrap();
+    std::fs::write(spare(&dir), checkpoint_bytes("f", &scene.captured)).unwrap();
+    std::fs::rename(spare(&dir), &live).unwrap();
+    let old_inode = std::fs::metadata(prev(&dir)).unwrap().ino();
+    assert_recovers(&dir, &scene, CHECKPOINT_WAVE, "window (f)");
+    // The next checkpoint was written into `.prev`'s file.
+    assert!(!prev(&dir).exists(), "window (f): `.prev` left behind");
+    assert_eq!(
+        std::fs::metadata(&live).unwrap().ino(),
+        old_inode,
+        "window (f)"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

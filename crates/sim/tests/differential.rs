@@ -171,15 +171,30 @@ fn checkpoint_file_damaged_at_every_offset_is_a_typed_error() {
         refused(format!("truncation to {keep}"), &damaged);
     }
 
+    // The v3 meta frame, "SFCP" | version:u16 | wave:u64 | clock:u64 |
+    // len:u64, rebuilt with another version and length.
+    const META_LEN: usize = 4 + 2 + 8 + 8 + 8;
+    let meta_end = FRAME_HEADER + META_LEN;
+    let version = u16::from_le_bytes([file[FRAME_HEADER + 4], file[FRAME_HEADER + 5]]);
+    let meta_frame = |version: u16, len: usize| {
+        let mut meta = file[FRAME_HEADER..meta_end].to_vec();
+        meta[4..6].copy_from_slice(&version.to_le_bytes());
+        meta[META_LEN - 8..].copy_from_slice(&(len as u64).to_le_bytes());
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &meta);
+        bytes
+    };
+    assert_eq!(meta_frame(version, file.len()), file[..meta_end]);
+
     // Damage a CRC cannot see — the store frame was written that way: a
     // cell count of `u32::MAX`, and a frame that ends inside its last value.
     // Both are refused, and a claimed count reserves for no more cells than
     // the bytes behind it could hold (a few times their size, never the
     // count's).
-    let meta_end = FRAME_HEADER + 22;
     let store_frame = encode_store_state(&checkpoint.store);
     let reframed = |payload: &[u8]| {
-        let mut bytes = file[..meta_end].to_vec();
+        let len = meta_end + 2 * FRAME_HEADER + payload.len() + checkpoint.engine.len();
+        let mut bytes = meta_frame(version, len);
         write_frame(&mut bytes, payload);
         write_frame(&mut bytes, &checkpoint.engine);
         bytes
@@ -190,19 +205,80 @@ fn checkpoint_file_damaged_at_every_offset_is_a_typed_error() {
     let mut huge = store_frame.clone();
     assert_eq!(huge[n_cells_at..n_cells_at + 4], 3u32.to_le_bytes());
     huge[n_cells_at..n_cells_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    for (what, payload) in [
-        ("cell count of u32::MAX", &huge[..]),
+    // A length the frames do not end at, or the file does not reach.
+    let relength = |len: usize, tail: &[u8]| {
+        let mut bytes = meta_frame(version, len);
+        bytes.extend_from_slice(&file[meta_end..]);
+        bytes.extend_from_slice(tail);
+        bytes
+    };
+    for (what, bytes) in [
+        ("cell count of u32::MAX", reframed(&huge)),
         (
             "frame ends inside a value",
-            &store_frame[..store_frame.len() - 2],
+            reframed(&store_frame[..store_frame.len() - 2]),
         ),
+        ("frames run past the length", relength(file.len() - 1, &[])),
+        (
+            "frames end before the length",
+            relength(file.len() + 1, &[0]),
+        ),
+        (
+            "length past the end of the file",
+            relength(file.len() + 1, &[]),
+        ),
+        ("length of u64::MAX", relength(usize::MAX, &[])),
     ] {
-        let largest = refused(what.into(), &reframed(payload));
+        let largest = refused(what.into(), &bytes);
         assert!(
             largest <= 8 * file.len(),
             "{what}: a {largest}-byte request for a {}-byte file",
             file.len()
         );
+    }
+    assert!(matches!(
+        read(&relength(file.len() + 1, &[])).0,
+        Err(DurabilityError::Corrupt { .. })
+    ));
+
+    // A file of the format before `len` is refused by version, not read.
+    let mut v2 = file[FRAME_HEADER..meta_end - 8].to_vec();
+    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let mut v2_file = Vec::new();
+    write_frame(&mut v2_file, &v2);
+    write_frame(&mut v2_file, &store_frame);
+    write_frame(&mut v2_file, &checkpoint.engine);
+    assert!(matches!(
+        read(&v2_file).0,
+        Err(DurabilityError::UnsupportedVersion { found: 2 })
+    ));
+
+    // Past `len` is the stale tail of the longer checkpoint the file held
+    // before (it is overwritten in place, never shrunk), or anything else:
+    // nothing there is read.
+    let mut longer = checkpoint.clone();
+    longer.engine = vec![0xAB; 64];
+    write_checkpoint(&dir, &longer).unwrap();
+    let stale = [&file[..], &std::fs::read(&path).unwrap()[file.len()..]].concat();
+    let mut framed_garbage = file.clone();
+    write_frame(&mut framed_garbage, b"not a checkpoint frame");
+    let mut tails = vec![
+        ("stale tail".to_owned(), stale.clone()),
+        (
+            "appended garbage".to_owned(),
+            [&file[..], &[0xFF; 37]].concat(),
+        ),
+        ("appended frame".to_owned(), framed_garbage),
+    ];
+    tails.extend(
+        wire::flips(&stale)
+            .enumerate()
+            .skip(file.len())
+            .map(|(offset, bytes)| (format!("tail flip at {offset}"), bytes)),
+    );
+    for (what, bytes) in tails {
+        let (read_back, _) = read(&bytes);
+        assert_eq!(read_back.unwrap(), Some(checkpoint.clone()), "{what}");
     }
 
     // And the undamaged file still reads as what was written.

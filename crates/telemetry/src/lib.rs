@@ -377,7 +377,7 @@ pub mod names {
     /// [`CHECKPOINT_WRITE_LATENCY`]).
     pub const CHECKPOINT_CAPTURE_LATENCY: &str = "durability.checkpoint_capture";
     /// Latency of one whole checkpoint: the capture, then encode, file
-    /// write, fsync and rename.
+    /// write, fsync, the swap's link and renames, and the directory sync.
     pub const CHECKPOINT_WRITE_LATENCY: &str = "durability.checkpoint_write";
     /// Waves completed since the last checkpoint that is durable on disk.
     pub const CHECKPOINT_LAG_WAVES: &str = "durability.checkpoint_lag_waves";

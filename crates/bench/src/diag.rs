@@ -18,8 +18,9 @@ use smartflux_telemetry::{names, MetricsSnapshot};
 /// graph summary), present whenever the workspace sources are reachable;
 /// 4 = the `store` section lost `shards` (the store has one lock);
 /// 5 = `static_analysis` lost its `lock_order` object (the check is gone);
-/// 6 = `durability` lost `wal_bytes` and `wal_records` (no session logs).
-pub const SCHEMA_VERSION: u64 = 6;
+/// 6 = `durability` lost `wal_bytes` and `wal_records` (no session logs);
+/// 7 = the `store` section lost `reads` (nothing counts reads).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// The `fault_tolerance` section, or `None` when the run saw no aborts,
 /// retries, failures, or SDF fallbacks (nothing to report).
@@ -64,9 +65,8 @@ pub fn store_json(snapshot: &MetricsSnapshot) -> Option<String> {
         return None;
     }
     Some(format!(
-        "{{\"reads\":{},\"writes\":{},\"shard_read_contention\":{},\
+        "{{\"writes\":{},\"shard_read_contention\":{},\
          \"shard_write_contention\":{},\"quiesces\":{}}}",
-        snapshot.counter(names::STORE_READS),
         snapshot.counter(names::STORE_WRITES),
         snapshot.gauge(names::STORE_SHARD_READ_CONTENTION),
         snapshot.gauge(names::STORE_SHARD_WRITE_CONTENTION),

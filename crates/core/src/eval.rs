@@ -300,6 +300,7 @@ pub fn evaluate<F: WorkloadFactory>(
 
     let adapt_store = DataStore::new();
     let adapt_wf = factory.build(&adapt_store);
+    let clock_base = adapt_store.clock();
 
     let output_step = adapt_wf
         .graph()
@@ -341,7 +342,7 @@ pub fn evaluate<F: WorkloadFactory>(
         }
         EvalPolicy::SmartFlux(config) => {
             max_prologue = max_training_waves(config);
-            telemetry = crate::session::telemetry_for(config, &adapt_store)?;
+            telemetry = crate::session::telemetry_for(config)?;
             let mut engine =
                 QodEngine::from_workflow(&adapt_wf, adapt_store.clone(), (**config).clone())?;
             engine.set_telemetry(telemetry.clone());
@@ -432,7 +433,7 @@ pub fn evaluate<F: WorkloadFactory>(
         });
     }
 
-    crate::session::publish_shard_stats(&telemetry, &adapt_store);
+    crate::session::publish_store_stats(&telemetry, &adapt_store, clock_base);
     telemetry.flush().map_err(CoreError::Journal)?;
     Ok(EvalReport {
         workload: factory.name().to_owned(),

@@ -1,9 +1,8 @@
 //! The user-facing session: store + WMS + engine, wired together.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use smartflux_datastore::{DataStore, OpKind, OpObserver};
+use smartflux_datastore::{DataStore, Timestamp};
 use smartflux_telemetry::{names, JsonlSink, Telemetry};
 use smartflux_wms::{Scheduler, WaveOutcome, WmsError, Workflow};
 
@@ -66,6 +65,9 @@ pub struct SmartFluxSession {
     engine: SharedEngine,
     telemetry: Telemetry,
     store: DataStore,
+    /// The store clock when the session was built: `store.writes` is its
+    /// growth since.
+    clock_base: Timestamp,
 }
 
 impl SmartFluxSession {
@@ -73,10 +75,10 @@ impl SmartFluxSession {
     ///
     /// When [`EngineConfig::telemetry_enabled`] is set, one [`Telemetry`]
     /// handle is shared by the scheduler (wave/step latency, execution
-    /// counters), the engine (impact/predict/train latency, wave-decision
-    /// journal), and the store (read/write counters and latency via an op
-    /// observer). With telemetry off — the default — every instrumentation
-    /// site short-circuits on one relaxed atomic load.
+    /// counters) and the engine (impact/predict/train latency, wave-decision
+    /// journal); the session itself publishes the store's write count and
+    /// lock gauges at wave boundaries. With telemetry off — the default —
+    /// every instrumentation site short-circuits on one relaxed atomic load.
     ///
     /// # Errors
     ///
@@ -88,7 +90,8 @@ impl SmartFluxSession {
         store: DataStore,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        let telemetry = telemetry_for(&config, &store)?;
+        let telemetry = telemetry_for(&config)?;
+        let clock_base = store.clock();
         let mut engine = QodEngine::from_workflow(&workflow, store.clone(), config)?;
         engine.set_telemetry(telemetry.clone());
         let shared = SharedEngine::new(engine);
@@ -99,8 +102,9 @@ impl SmartFluxSession {
             engine: shared,
             telemetry,
             store,
+            clock_base,
         };
-        session.publish_shard_stats();
+        session.publish_store_stats();
         Ok(session)
     }
 
@@ -126,7 +130,8 @@ impl SmartFluxSession {
     /// [`DurabilityError::NoCheckpoint`]: smartflux_durability::DurabilityError::NoCheckpoint
     pub fn recover(workflow: Workflow, config: EngineConfig) -> Result<Self, CoreError> {
         let (mut engine, store, next_wave) = QodEngine::recover(&workflow, config.clone())?;
-        let telemetry = telemetry_for(&config, &store)?;
+        let telemetry = telemetry_for(&config)?;
+        let clock_base = store.clock();
         engine.set_telemetry(telemetry.clone());
         if telemetry.is_enabled() {
             telemetry.counter(names::RECOVERIES).incr();
@@ -140,16 +145,18 @@ impl SmartFluxSession {
             engine: shared,
             telemetry,
             store,
+            clock_base,
         };
-        session.publish_shard_stats();
+        session.publish_store_stats();
         Ok(session)
     }
 
-    /// Publishes the store's lock counters as gauges.
+    /// Publishes the store's write count and lock counters.
     ///
-    /// Called at construction and after every wave.
-    fn publish_shard_stats(&self) {
-        publish_shard_stats(&self.telemetry, &self.store);
+    /// Called at construction, after every wave and whenever the
+    /// telemetry handle is handed out.
+    fn publish_store_stats(&self) {
+        publish_store_stats(&self.telemetry, &self.store, self.clock_base);
     }
 
     /// The post-wave hook, run after every wave — completed or aborted,
@@ -159,7 +166,7 @@ impl SmartFluxSession {
     /// return one). A durability failure outranks the wave's own: a step
     /// failure is retriable, lost data is not.
     fn after_wave(&self, result: Result<WaveOutcome, WmsError>) -> Result<WaveOutcome, CoreError> {
-        self.publish_shard_stats();
+        self.publish_store_stats();
         match self.engine.with_mut(QodEngine::take_durability_error) {
             Some(e) => Err(CoreError::Durability(e)),
             None => Ok(result?),
@@ -168,8 +175,13 @@ impl SmartFluxSession {
 
     /// The session's telemetry handle: metrics snapshot, journal, spans.
     /// Inert (disabled) unless [`EngineConfig::telemetry_enabled`] was set.
+    ///
+    /// Publishes the store stats first, so a snapshot taken once the store
+    /// is quiescent counts writes that landed after the last wave boundary
+    /// too (an attempt the watchdog abandoned writes late).
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
+        self.publish_store_stats();
         &self.telemetry
     }
 
@@ -287,16 +299,11 @@ impl SmartFluxSession {
     }
 }
 
-/// Builds the telemetry handle `config` asks for and wires the store's op
-/// observer: a disabled (inert) handle when telemetry is off, otherwise an
-/// enabled handle with the optional JSONL journal sink attached and store
-/// read/write counters and latency histograms fed by an [`OpKind`]
-/// observer. Shared by [`SmartFluxSession::new`] and the evaluation
-/// harness.
-pub(crate) fn telemetry_for(
-    config: &EngineConfig,
-    store: &DataStore,
-) -> Result<Telemetry, CoreError> {
+/// Builds the telemetry handle `config` asks for: a disabled (inert) handle
+/// when telemetry is off, otherwise an enabled handle, with the optional
+/// JSONL journal sink attached either way. Shared by
+/// [`SmartFluxSession::new`] and the evaluation harness.
+pub(crate) fn telemetry_for(config: &EngineConfig) -> Result<Telemetry, CoreError> {
     let telemetry = if config.telemetry_enabled {
         Telemetry::enabled()
     } else {
@@ -306,49 +313,24 @@ pub(crate) fn telemetry_for(
         let sink = JsonlSink::create(path).map_err(CoreError::Journal)?;
         telemetry.add_journal_sink(Arc::new(sink));
     }
-    if telemetry.is_enabled() {
-        store.register_op_observer(Arc::new(StoreTelemetryObserver {
-            telemetry: telemetry.clone(),
-        }));
-    }
     Ok(telemetry)
 }
 
-/// Feeds store operation timings into telemetry: read/write counters and
-/// latency histograms, plus a trace event for each write so store mutations
-/// appear as children of the step attempt that issued them in the wave's
-/// trace tree (reads are too hot to trace).
-struct StoreTelemetryObserver {
-    telemetry: Telemetry,
-}
-
-impl OpObserver for StoreTelemetryObserver {
-    fn on_op(&self, op: OpKind, elapsed: Duration) {
-        let t = &self.telemetry;
-        if !t.is_enabled() {
-            return;
-        }
-        if op.is_write() {
-            t.counter(names::STORE_WRITES).incr();
-            t.histogram(names::STORE_WRITE_LATENCY).record(elapsed);
-            t.trace_event(names::STORE_WRITE_LATENCY, 0, elapsed);
-        } else {
-            t.counter(names::STORE_READS).incr();
-            t.histogram(names::STORE_READ_LATENCY).record(elapsed);
-        }
-    }
-}
-
-/// Publishes a store's lock counters ([`ShardStats`]) as `store.*` gauges —
-/// gauges (not counters) because the stats are already cumulative. Shared
-/// by the session (at construction and every wave boundary) and the
-/// evaluation harness (at the end of a run).
+/// Publishes a store's traffic: `store.writes` is topped up to the clock's
+/// growth since `clock_base` (the clock ticks once per applied write), and
+/// the lock counters ([`ShardStats`]) become `store.*` gauges — gauges
+/// (not counters) because the stats are already cumulative. Shared by the
+/// session (at construction and every wave boundary) and the evaluation
+/// harness (at the end of a run).
 ///
 /// [`ShardStats`]: smartflux_datastore::ShardStats
-pub(crate) fn publish_shard_stats(telemetry: &Telemetry, store: &DataStore) {
+pub(crate) fn publish_store_stats(telemetry: &Telemetry, store: &DataStore, clock_base: Timestamp) {
     if !telemetry.is_enabled() {
         return;
     }
+    let writes = telemetry.counter(names::STORE_WRITES);
+    let grown = store.clock().saturating_sub(clock_base);
+    writes.add(grown.saturating_sub(writes.get()));
     let stats = store.shard_stats();
     telemetry
         .gauge(names::STORE_SHARD_READ_CONTENTION)

@@ -1,16 +1,20 @@
 //! Acceptance tests for the unified telemetry subsystem: a session run
 //! with a JSONL journal sink must produce a journal from which the
 //! per-step measured ε and the running confidence can be reconstructed and
-//! matched against the engine's own [`WaveDiagnostics`], and the metrics
-//! snapshot must carry wave latency and store traffic.
+//! matched against the engine's own [`WaveDiagnostics`], the metrics
+//! snapshot must carry wave latency and store traffic, and a traced wave's
+//! event count must follow its steps, not the cells they write.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use smartflux::{
-    read_journal, telemetry_names as names, EngineConfig, JournalEntry, SmartFluxSession,
+    read_journal, telemetry_names as names, DurabilityOptions, EngineConfig, JournalEntry,
+    SmartFluxSession,
 };
 use smartflux_datastore::{ContainerRef, DataStore, Value};
-use smartflux_telemetry::{json_string, QodStep};
+use smartflux_telemetry::{json_string, MemoryTraceSink, QodStep, SpanEvent};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 fn temp_journal(tag: &str) -> PathBuf {
@@ -204,16 +208,11 @@ fn v1_journal_equals_the_v2_journal_under_the_mapping() {
     }
 }
 
-#[test]
-fn snapshot_reports_waves_and_store_traffic() {
-    let store = DataStore::new();
-    let wf = workflow(&store);
-    let config = EngineConfig::new()
-        .with_training_waves(15)
-        .with_quality_gates(0.3, 0.3)
-        .with_seed(11)
-        .with_telemetry(true);
-    let mut session = SmartFluxSession::new(wf, store, config).unwrap();
+/// Runs `session` through training and five application waves, then checks
+/// the snapshot's wave, step and engine series, and that `store.writes` is
+/// exactly the store clock's growth since `clock_base`, the clock when the
+/// session was built.
+fn assert_reports_waves_and_store_traffic(session: &mut SmartFluxSession, clock_base: u64) {
     session.run_training().unwrap();
     session.run_waves(5).unwrap();
 
@@ -227,10 +226,12 @@ fn snapshot_reports_waves_and_store_traffic() {
         .expect("step latency histogram exists");
     assert!(steps.count > 0);
     assert!(snap.counter(names::STEPS_EXECUTED) > 0);
-    assert!(snap.counter(names::STORE_READS) > 0, "store reads counted");
-    assert!(
-        snap.counter(names::STORE_WRITES) > 0,
-        "store writes counted"
+    let clock = session.scheduler().store().clock();
+    assert!(clock > clock_base, "the waves wrote");
+    assert_eq!(
+        snap.counter(names::STORE_WRITES),
+        clock - clock_base,
+        "store writes are the clock's growth since the session was built"
     );
     assert!(
         snap.histogram(names::IMPACT_LATENCY).is_some(),
@@ -270,6 +271,127 @@ fn snapshot_reports_waves_and_store_traffic() {
     );
 }
 
+fn telemetry_on() -> EngineConfig {
+    EngineConfig::new()
+        .with_training_waves(15)
+        .with_quality_gates(0.3, 0.3)
+        .with_seed(11)
+        .with_telemetry(true)
+}
+
+#[test]
+fn snapshot_reports_waves_and_store_traffic() {
+    let store = DataStore::new();
+    let wf = workflow(&store);
+    assert_eq!(store.clock(), 0);
+    let mut session = SmartFluxSession::new(wf, store, telemetry_on()).unwrap();
+    assert_eq!(
+        session.telemetry().snapshot().counter(names::STORE_WRITES),
+        0
+    );
+    assert_reports_waves_and_store_traffic(&mut session, 0);
+}
+
+#[test]
+fn store_writes_exclude_writes_made_before_the_session() {
+    let store = DataStore::new();
+    let wf = workflow(&store);
+    for row in ["a", "b", "c"] {
+        store.put("t", "raw", row, "v", Value::from(1.0)).unwrap();
+    }
+    let base = store.clock();
+    assert_eq!(base, 3);
+    let mut session = SmartFluxSession::new(wf, store, telemetry_on()).unwrap();
+    assert_eq!(
+        session.telemetry().snapshot().counter(names::STORE_WRITES),
+        0
+    );
+    assert_reports_waves_and_store_traffic(&mut session, base);
+}
+
+#[test]
+fn store_writes_of_a_recovered_session_start_at_its_checkpoint() {
+    let dir = std::env::temp_dir().join(format!(
+        "smartflux-telemetry-recover-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config =
+        telemetry_on().with_durability(DurabilityOptions::new(&dir).with_checkpoint_interval(4));
+    let store = DataStore::new();
+    let mut first = SmartFluxSession::new(workflow(&store), store, config.clone()).unwrap();
+    first.run_waves(10).unwrap();
+    drop(first);
+
+    // The checkpoint at wave 8 restores a clock past zero; the recovered
+    // session counts only what it writes itself.
+    let mut session = SmartFluxSession::recover(workflow(&DataStore::new()), config).unwrap();
+    let base = session.scheduler().store().clock();
+    assert!(base > 0, "the checkpoint restored a written store");
+    assert_eq!(
+        session.telemetry().snapshot().counter(names::STORE_WRITES),
+        0
+    );
+    assert_reports_waves_and_store_traffic(&mut session, base);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Trace events one LRB wave may emit per step and per step attempt. A
+/// wave's spans are its root, one `wms.step_total` and one
+/// `wms.step_attempt` per executed step and attempt, the engine's impact,
+/// predict (with its `ml.predict_ns`), error and baseline-reset spans per
+/// QoD step, its end-of-wave span and, on the last training wave, the
+/// build: at seed 17 at most 48 for 9 steps and 9 attempts, however many
+/// cells the steps write.
+const TRACE_EVENTS_PER_STEP: usize = 4;
+
+#[test]
+fn a_traced_lrb_wave_emits_events_per_step_not_per_write() {
+    use smartflux::eval::WorkloadFactory;
+    use smartflux_workloads::lrb::LrbFactory;
+
+    let store = DataStore::new();
+    let wf = LrbFactory::with_bound(0.1).build(&store);
+    let steps = wf.graph().len();
+    let config = EngineConfig::new()
+        .with_training_waves(20)
+        .with_quality_gates(0.0, 0.0)
+        .with_seed(17)
+        .with_telemetry(true);
+    let mut session = SmartFluxSession::new(wf, store, config).unwrap();
+    let sink = Arc::new(MemoryTraceSink::new());
+    session.telemetry().set_trace_sink(Some(sink.clone()));
+    session.run_training().unwrap();
+    session.run_waves(10).unwrap();
+
+    let mut waves: BTreeMap<u64, Vec<SpanEvent>> = BTreeMap::new();
+    for event in sink.events() {
+        waves.entry(event.trace_id).or_default().push(event);
+    }
+    assert_eq!(waves.len() as u64, session.executed_waves());
+    let writes = session.telemetry().snapshot().counter(names::STORE_WRITES);
+    assert!(
+        writes / session.executed_waves() > 1_000,
+        "an LRB wave writes over a thousand cells ({writes} in all)"
+    );
+    for events in waves.values() {
+        assert!(
+            events.iter().all(|e| e.name != "store.write"),
+            "no per-write trace event"
+        );
+        let attempts = events
+            .iter()
+            .filter(|e| e.name == names::STEP_ATTEMPT_LATENCY)
+            .count();
+        assert!(attempts > 0);
+        assert!(
+            events.len() <= TRACE_EVENTS_PER_STEP * (steps + attempts),
+            "{} events for {steps} steps and {attempts} attempts",
+            events.len()
+        );
+    }
+}
+
 #[test]
 fn disabled_telemetry_stays_silent() {
     let store = DataStore::new();
@@ -285,7 +407,7 @@ fn disabled_telemetry_stays_silent() {
     assert!(!session.telemetry().is_enabled());
     let snap = session.telemetry().snapshot();
     assert_eq!(snap.counter(names::STEPS_EXECUTED), 0);
-    assert_eq!(snap.counter(names::STORE_READS), 0);
+    assert_eq!(snap.counter(names::STORE_WRITES), 0);
     assert!(snap.histogram(names::WAVE_LATENCY).is_none());
     assert_eq!(snap.gauge(names::QOD_MODEL_AGE_WAVES), 0);
 }

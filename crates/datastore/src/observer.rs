@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::value::Value;
 
@@ -147,9 +146,6 @@ pub struct ObserverHandle(pub(crate) u64);
 /// The registry of write observers.
 pub(crate) type ObserverBus = Bus<dyn WriteObserver>;
 
-/// The registry of op observers.
-pub(crate) type OpObserverBus = Bus<dyn OpObserver>;
-
 /// A registry of observers of one kind, addressed by registration id.
 ///
 /// The dispatch list is kept pre-materialized as a shared `Arc` slice,
@@ -214,6 +210,8 @@ impl<O: ?Sized> fmt::Debug for Bus<O> {
 }
 
 /// The kind of store operation an [`OpObserver`] is notified about.
+///
+/// [`OpObserver`]: crate::OpObserver
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Single-cell read ([`DataStore::get`]).
@@ -239,70 +237,12 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Whether the operation reads store state.
-    #[must_use]
-    pub fn is_read(self) -> bool {
-        !self.is_write()
-    }
-
     /// Whether the operation mutates store state.
     #[must_use]
     pub fn is_write(self) -> bool {
         matches!(self, OpKind::Put | OpKind::Delete)
     }
-
-    /// Stable lowercase name, suitable for metric labels.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Get => "get",
-            OpKind::Scan => "scan",
-            OpKind::Snapshot => "snapshot",
-            OpKind::Put => "put",
-            OpKind::Delete => "delete",
-        }
-    }
 }
-
-impl fmt::Display for OpKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// An observer of store operation timings.
-///
-/// Where [`WriteObserver`] carries mutation *content*, this hook carries
-/// operation *cost*: each completed store call reports its kind and
-/// wall-clock duration. The telemetry layer registers one of these to
-/// populate read/write counters and latency histograms without the store
-/// depending on any metrics crate.
-///
-/// Invoked synchronously on the calling thread with the store lock
-/// released; implementations must be cheap and `Send + Sync`. When no op
-/// observer is registered the store skips timing entirely (one relaxed
-/// atomic load per operation).
-pub trait OpObserver: Send + Sync {
-    /// Called once per completed store operation.
-    fn on_op(&self, op: OpKind, elapsed: Duration);
-}
-
-impl<F> OpObserver for F
-where
-    F: Fn(OpKind, Duration) + Send + Sync,
-{
-    fn on_op(&self, op: OpKind, elapsed: Duration) {
-        self(op, elapsed);
-    }
-}
-
-/// Handle returned by [`DataStore::register_op_observer`]; pass it to
-/// [`DataStore::unregister_op_observer`] to stop receiving timings.
-///
-/// [`DataStore::register_op_observer`]: crate::DataStore::register_op_observer
-/// [`DataStore::unregister_op_observer`]: crate::DataStore::unregister_op_observer
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OpObserverHandle(pub(crate) u64);
 
 #[cfg(test)]
 mod tests {

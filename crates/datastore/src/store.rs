@@ -17,17 +17,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::cell::Timestamp;
 use crate::container::ContainerRef;
 use crate::error::StoreError;
-use crate::observer::{
-    ObserverBus, ObserverHandle, OpKind, OpObserver, OpObserverBus, OpObserverHandle, WriteKind,
-    WriteObserver, WriteRef,
-};
+use crate::frozen::OpObserverBus;
+use crate::observer::{ObserverBus, ObserverHandle, OpKind, WriteKind, WriteObserver, WriteRef};
 use crate::scan::{RowScan, ScanFilter};
 use crate::snapshot::Snapshot;
 use crate::state::{CellState, FamilyState, StoreState, TableState};
@@ -126,11 +123,11 @@ pub struct DataStore {
     // skip the bus lock.
     // tidy:atomic(observer_count: load=relaxed, store=release): fast-path hint only — a stale zero skips a notification briefly, and the bus RwLock is the true synchronizer
     observer_count: Arc<AtomicUsize>,
-    op_observers: Arc<RwLock<OpObserverBus>>,
+    pub(crate) op_observers: Arc<RwLock<OpObserverBus>>,
     // Mirror of op_observers.len(), so the per-operation fast path is one
     // relaxed load instead of a lock acquisition.
     // tidy:atomic(op_observer_count: load=relaxed, store=release): fast-path hint only — a stale zero skips the bus lock briefly, and the bus RwLock is the true synchronizer
-    op_observer_count: Arc<AtomicUsize>,
+    pub(crate) op_observer_count: Arc<AtomicUsize>,
 }
 
 impl Default for DataStore {
@@ -614,48 +611,6 @@ impl DataStore {
         for obs in observers.iter() {
             obs.on_write(event);
         }
-    }
-
-    /// Registers an operation-timing observer; returns a handle for
-    /// unregistration. See [`OpObserver`] for the cost contract.
-    pub fn register_op_observer(&self, observer: Arc<dyn OpObserver>) -> OpObserverHandle {
-        let mut bus = self.op_observers.write();
-        let handle = OpObserverHandle(bus.register(observer));
-        self.op_observer_count.store(bus.len(), Ordering::Release);
-        handle
-    }
-
-    /// Unregisters an op observer. Returns `false` if the handle was
-    /// unknown.
-    pub fn unregister_op_observer(&self, handle: OpObserverHandle) -> bool {
-        let mut bus = self.op_observers.write();
-        let removed = bus.unregister(handle.0);
-        self.op_observer_count.store(bus.len(), Ordering::Release);
-        removed
-    }
-
-    /// Runs `op_body` — `count` operations of kind `op` in one — reporting
-    /// each with an equal share of the duration to op observers — unless
-    /// none is registered, in which case nothing is measured at all.
-    fn timed<T>(&self, op: OpKind, count: usize, op_body: impl FnOnce() -> T) -> T {
-        if self.op_observer_count.load(Ordering::Relaxed) == 0 {
-            return op_body();
-        }
-        // tidy:allow(time): measures op latency for registered observers;
-        // reported, never replayed
-        let start = Instant::now();
-        let out = op_body();
-        let elapsed = start.elapsed() / u32::try_from(count.max(1)).unwrap_or(u32::MAX);
-        // Snapshot first so the observer-bus guard is released before any
-        // callback runs: an observer that (un)registers an observer or
-        // touches the store again must not deadlock on the bus lock.
-        let observers = self.op_observers.read().snapshot();
-        for _ in 0..count {
-            for obs in observers.iter() {
-                obs.on_op(op, elapsed);
-            }
-        }
-        out
     }
 
     /// Current logical clock value (timestamp of the most recent write).
@@ -1170,38 +1125,5 @@ mod tests {
             DataStore::from_state(state),
             Err(StoreError::FamilyExists { .. })
         ));
-    }
-
-    #[test]
-    fn op_observer_times_reads_and_writes() {
-        let s = store_with_tf();
-        let reads = Arc::new(AtomicUsize::new(0));
-        let writes = Arc::new(AtomicUsize::new(0));
-        let (r, w) = (Arc::clone(&reads), Arc::clone(&writes));
-        let h = s.register_op_observer(Arc::new(
-            move |op: OpKind, _elapsed: std::time::Duration| {
-                if op.is_read() {
-                    r.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    w.fetch_add(1, Ordering::SeqCst);
-                }
-            },
-        ));
-        s.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
-        s.get("t", "f", "r", "q").unwrap();
-        s.scan("t", "f", &ScanFilter::all()).unwrap();
-        s.snapshot(&ContainerRef::family("t", "f")).unwrap();
-        s.delete("t", "f", "r", "q").unwrap();
-        assert_eq!(reads.load(Ordering::SeqCst), 3);
-        assert_eq!(writes.load(Ordering::SeqCst), 2);
-
-        // Failed operations are still timed (the cost was paid).
-        let _ = s.get("t", "missing", "r", "q");
-        assert_eq!(reads.load(Ordering::SeqCst), 4);
-
-        assert!(s.unregister_op_observer(h));
-        assert!(!s.unregister_op_observer(h));
-        s.put("t", "f", "r", "q", Value::from(2.0)).unwrap();
-        assert_eq!(writes.load(Ordering::SeqCst), 2);
     }
 }

@@ -16,6 +16,8 @@
 //! through a `FamilyHandle` it resolved up front, which must keep all four
 //! guarantees.
 
+#![allow(deprecated)] // the op-observer bus, kept for benchmark/
+
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;

@@ -232,7 +232,6 @@ pub fn preregister(telemetry: &Telemetry) {
         names::STEPS_FAILED,
         names::WAVES_ABORTED,
         names::SDF_FALLBACKS,
-        names::STORE_READS,
         names::STORE_WRITES,
         names::CHECKPOINTS,
         names::RECOVERIES,
@@ -272,8 +271,6 @@ pub fn preregister(telemetry: &Telemetry) {
         names::TRAIN_LATENCY,
         names::ML_PREDICT_LATENCY,
         names::ML_FIT_LATENCY,
-        names::STORE_READ_LATENCY,
-        names::STORE_WRITE_LATENCY,
         names::CHECKPOINT_WRITE_LATENCY,
         names::CHECKPOINT_CAPTURE_LATENCY,
         names::NET_SUBMIT_LATENCY,

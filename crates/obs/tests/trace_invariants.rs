@@ -130,6 +130,9 @@ fn chaos_run_produces_one_connected_tree_per_wave() {
     assert_eq!(treed, events.len());
 }
 
+/// The trace event the watchdog test's step emits: any name will do.
+const STEP_EVENT: &str = "test.step_event";
+
 #[test]
 fn watchdog_attempts_parent_their_trace_events() {
     // A step under a timeout runs on the watchdog's worker thread; the
@@ -145,11 +148,7 @@ fn watchdog_attempts_parent_their_trace_events() {
     w.bind(
         timed,
         FnStep::new(move |ctx: &StepContext| {
-            emitter.trace_event(
-                names::STORE_WRITE_LATENCY,
-                ctx.wave(),
-                Duration::from_micros(1),
-            );
+            emitter.trace_event(STEP_EVENT, ctx.wave(), Duration::from_micros(1));
             Ok(())
         }),
     )
@@ -182,7 +181,7 @@ fn watchdog_attempts_parent_their_trace_events() {
                 attempt.children
             );
         };
-        assert_eq!(event.event.name, names::STORE_WRITE_LATENCY);
+        assert_eq!(event.event.name, STEP_EVENT);
         assert_eq!(
             event.event.tag, tree.root.event.tag,
             "emitted during its own wave"

@@ -561,6 +561,28 @@ mod tests {
     }
 
     #[test]
+    fn writes_of_a_runaway_abandoned_on_the_final_wave_are_counted() {
+        // The watchdog abandons the source's first attempt on the last
+        // wave; the runaway writes only after `run_wave` returned, past
+        // the last wave boundary. Once it is joined, `store.writes` must
+        // still be exactly the clock's growth.
+        let mut scenario = plain_scenario();
+        scenario.retry_attempts = 2;
+        scenario.faults = vec![crate::scenario::StepFault {
+            step: 0,
+            kind: crate::scenario::FaultKind::Hang {
+                every: scenario.waves,
+            },
+        }];
+        let dir = workdir("final-hang");
+        let run = run_scenario(&scenario, &dir, "a").unwrap();
+        assert_eq!(run.decisions.len() as u64, scenario.waves);
+        assert_eq!(run.counters[names::STEP_RETRIES], 1, "one hang, one retry");
+        assert_eq!(run.clock, run.counters[names::STORE_WRITES]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn crash_run_replays_and_recovers() {
         let scenario = (0..500u64)
             .map(Scenario::generate)

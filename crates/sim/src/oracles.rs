@@ -274,9 +274,13 @@ pub fn check_invariants(scenario: &Scenario, run: &RunArtifacts) -> Vec<Violatio
         .as_ref()
         .is_some_and(|d| !d.kills.is_empty());
 
-    // 1. Logical clock == applied writes. After a crash the recovered
-    // clock restarts at the checkpoint while counters keep counting
-    // doomed writes, so the identity only holds for single-segment runs.
+    // 1. Logical clock == `store.writes`: the session's accounting (the
+    // clock's growth since it was built) holds across aborts, retries and
+    // runaway attempts that write after their wave. That the store ticks
+    // once per applied write is pinned by the datastore's `prop.rs`.
+    // After a crash the recovered clock restarts at the checkpoint while
+    // the segments' counters add up doomed writes, so the identity only
+    // holds for single-segment runs.
     if !killed {
         let writes = run.counters.get(names::STORE_WRITES).copied().unwrap_or(0);
         if run.clock != writes {

@@ -40,11 +40,10 @@ pub const TABLE: &str = "sim";
 /// [`WATCHDOG_TIMEOUT`] so the watchdog always fires first, and far above
 /// a wave's real runtime so the abandoned runaway finishes strictly after
 /// the wave's own writes (the harness joins it at the wave boundary). A
-/// checkpoint wave's fsyncs once took 25–40 ms on a 2-vCPU VM (debug
-/// build); that was the filesystem discarding the blocks each checkpoint
-/// freed. Checkpoints now free none, but a disk that stalls a sync for
-/// other reasons still fits five times over.
-pub const HANG_STALL: Duration = Duration::from_millis(200);
+/// checkpoint frees no blocks (its syncs once took 25–40 ms on a 2-vCPU
+/// VM, debug build), and the runaway's late writes emit no trace events
+/// that could land inside a later span of the wave's tree.
+pub const HANG_STALL: Duration = Duration::from_millis(40);
 
 /// Per-attempt watchdog timeout on hang-faulted steps.
 pub const WATCHDOG_TIMEOUT: Duration = Duration::from_millis(5);

@@ -225,12 +225,12 @@ impl Telemetry {
         }
     }
 
-    /// Emits a retrospective trace-only span for an operation measured by
-    /// the caller (e.g. a store op timed by its observer): recorded as a
-    /// child of the current thread's innermost span, with its start
-    /// back-dated by `elapsed`. Unlike [`span`](Self::span) this records
-    /// no histogram — it exists purely for the causal tree, and it is
-    /// dropped (never an orphan root) outside a traced region.
+    /// Emits a retrospective trace-only span for an operation the caller
+    /// timed itself: recorded as a child of the current thread's innermost
+    /// span, with its start back-dated by `elapsed`. Unlike
+    /// [`span`](Self::span) this records no histogram — it exists purely
+    /// for the causal tree, and it is dropped (never an orphan root)
+    /// outside a traced region.
     pub fn trace_event(&self, name: &'static str, tag: u64, elapsed: std::time::Duration) {
         if !self.is_enabled() {
             return;
@@ -351,14 +351,10 @@ pub mod names {
     pub const ML_MODEL_BUILD_MS: &str = "ml.model_build_ms";
     /// Application waves decided by the current model since it was built.
     pub const QOD_MODEL_AGE_WAVES: &str = "qod.model_age_waves";
-    /// Data-store read operations (gets, scans, snapshots).
-    pub const STORE_READS: &str = "store.reads";
-    /// Data-store write operations (puts, deletes).
+    /// Data-store writes (puts and deletes that applied): the store
+    /// clock's growth since the session was built, published at wave
+    /// boundaries.
     pub const STORE_WRITES: &str = "store.writes";
-    /// Latency of data-store read operations.
-    pub const STORE_READ_LATENCY: &str = "store.read";
-    /// Latency of data-store write operations.
-    pub const STORE_WRITE_LATENCY: &str = "store.write";
     /// Store read-lock acquisitions that had to block on a writer. (The
     /// `shard_` names date from the sharded store.)
     pub const STORE_SHARD_READ_CONTENTION: &str = "store.shard_read_contention";

@@ -84,10 +84,6 @@ fn run_json(args: &Args) {
             std::process::exit(2);
         }
     }
-    // Workspace-global, so computed once and spliced into every workload
-    // object — each output line stays self-contained for downstream tools.
-    let static_analysis = diag::static_analysis_json()
-        .map_or_else(String::new, |json| format!(",\"static_analysis\":{json}"));
     for wl in [Workload::Lrb, Workload::Aqhi] {
         let oracle = wl.evaluate_policy(args.bound, EvalPolicy::Oracle, wl.application_waves());
 
@@ -136,7 +132,7 @@ fn run_json(args: &Args) {
             "{{\"schema_version\":{},\"workload\":{},\"bound\":{},\
              \"oracle\":{{\"executions\":{},\"confidence\":{},\"violations\":{}}},\
              \"smartflux\":{{\"executions\":{},\"confidence\":{},\"violations\":{}}},\
-             \"model_quality\":{},\"journal_path\":{}{}{},\"telemetry\":{}}}",
+             \"model_quality\":{},\"journal_path\":{}{},\"telemetry\":{}}}",
             diag::SCHEMA_VERSION,
             json_string(wl.id()),
             args.bound,
@@ -149,7 +145,6 @@ fn run_json(args: &Args) {
             quality_json,
             journal_json,
             diag::optional_sections(&snapshot),
-            static_analysis,
             snapshot.to_json(),
         );
         let _ = std::fs::remove_dir_all(&state_dir);

@@ -3,8 +3,7 @@
 //! `smartflux-ml`), plus the feature scaler the scale-sensitive ones share.
 //!
 //! SmartFlux runs on Random Forest alone; these exist for the ROC
-//! comparison in [`exp::roc`](crate::exp::roc) and the `classifiers`
-//! Criterion bench.
+//! comparison in [`exp::roc`](crate::exp::roc).
 
 mod kernel_svm;
 mod logistic;

@@ -19,8 +19,10 @@ use smartflux_telemetry::{names, MetricsSnapshot};
 /// 4 = the `store` section lost `shards` (the store has one lock);
 /// 5 = `static_analysis` lost its `lock_order` object (the check is gone);
 /// 6 = `durability` lost `wal_bytes` and `wal_records` (no session logs);
-/// 7 = the `store` section lost `reads` (nothing counts reads).
-pub const SCHEMA_VERSION: u64 = 7;
+/// 7 = the `store` section lost `reads` (nothing counts reads);
+/// 8 = the `static_analysis` section is gone (CI's tidy report is the
+/// static-analysis record).
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// The `fault_tolerance` section, or `None` when the run saw no aborts,
 /// retries, failures, or SDF fallbacks (nothing to report).
@@ -71,43 +73,6 @@ pub fn store_json(snapshot: &MetricsSnapshot) -> Option<String> {
         snapshot.gauge(names::STORE_SHARD_READ_CONTENTION),
         snapshot.gauge(names::STORE_SHARD_WRITE_CONTENTION),
         snapshot.gauge(names::STORE_QUIESCES),
-    ))
-}
-
-/// The `static_analysis` section: a fresh tidy run over the workspace
-/// sources, summarized (finding counts per check). `None` when no workspace root is reachable from the
-/// current directory — e.g. an installed binary run outside the repo —
-/// matching the omit-empty doctrine above.
-///
-/// This re-analyzes the sources on every call (~0.1 s for the full
-/// workspace); `diagnose` is a diagnostic tool, staleness would be
-/// worse than the latency.
-#[must_use]
-pub fn static_analysis_json() -> Option<String> {
-    use smartflux_tidy::checks::ALL_CHECKS;
-    use smartflux_tidy::runner;
-
-    let cwd = std::env::current_dir().ok()?;
-    let root = runner::find_workspace_root(&cwd).ok()?;
-    let units = runner::load_workspace(&root).ok()?;
-    let diagnostics = runner::run_checks(&units, &ALL_CHECKS);
-
-    let mut by_check: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for d in &diagnostics {
-        *by_check.entry(d.check.as_str()).or_insert(0) += 1;
-    }
-    let by_check = by_check
-        .iter()
-        .map(|(check, n)| format!("\"{check}\":{n}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    Some(format!(
-        "{{\"checks\":{},\"files\":{},\"crates\":{},\"finding_count\":{},\
-         \"findings_by_check\":{{{by_check}}}}}",
-        ALL_CHECKS.len(),
-        units.iter().map(|u| u.files.len()).sum::<usize>(),
-        units.len(),
-        diagnostics.len(),
     ))
 }
 
@@ -167,21 +132,6 @@ mod tests {
         assert!(sections.starts_with(",\"fault_tolerance\":{"));
         assert!(sections.contains(",\"durability\":{"));
         assert!(sections.contains(",\"store\":{"));
-    }
-
-    #[test]
-    fn static_analysis_section_summarizes_the_tidy_run() {
-        // Tests run with the crate directory as cwd, inside the workspace,
-        // so the section must materialize.
-        match static_analysis_json() {
-            Some(json) => {
-                assert!(!json.contains("lock_order"), "{json}");
-                assert!(json.starts_with("{\"checks\":10,"), "{json}");
-                assert!(json.contains("\"finding_count\":"), "{json}");
-                assert!(json.contains("\"findings_by_check\":{"), "{json}");
-            }
-            None => unreachable!("workspace root not reachable from test cwd"),
-        }
     }
 
     #[test]

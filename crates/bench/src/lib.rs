@@ -270,9 +270,7 @@ pub mod exp {
     pub mod fig08;
     pub mod fig09_12;
     pub mod fig11;
-    pub mod forest_inference;
     pub mod motivating;
-    pub mod net_throughput;
     pub mod oob_agreement;
     pub mod overhead;
     pub mod roc;

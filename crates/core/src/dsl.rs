@@ -22,6 +22,12 @@
 //! | `total` | the paper's `n` — elements in the container |
 //! | `prev_sum` | `Σ x'` over **all** elements (Eq. 3's denominator) |
 //!
+//! A change reads as the built-in metrics read it. Its `|new − old|` is 1
+//! when a non-numeric value is on either side, and an inserted or deleted
+//! number counts its own magnitude. In `sum_delta`, `sum_new`, `sum_old` and
+//! `sum_max` an absent or non-numeric value reads as 0, and a change between
+//! two such values adds +1 to `sum_delta`.
+//!
 //! Functions: `abs(x)`, `sqrt(x)`, `min(a, b)`, `max(a, b)`, `clamp01(x)`.
 //!
 //! The paper's built-in equations in DSL form:
@@ -52,7 +58,9 @@ use std::sync::Arc;
 
 use smartflux_datastore::Value;
 
-use crate::metric::{MetricContext, MetricFn, MetricKind};
+use crate::metric::{
+    change_magnitude, numeric_or_zero, signed_change, MetricContext, MetricFn, MetricKind,
+};
 
 /// Errors produced while parsing a DSL expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -417,37 +425,20 @@ impl MetricFn for DslMetric {
     }
 
     fn update(&mut self, new: Option<&Value>, old: Option<&Value>) {
-        let n = new.and_then(Value::as_f64);
-        let o = old.and_then(Value::as_f64);
-        // Absent values count as zero state; pure categorical changes count
-        // as unit churn, consistent with the built-in metrics.
-        let changed = match (new, old) {
-            (Some(a), Some(b)) => a != b,
-            (None, None) => false,
-            _ => true,
-        };
-        if !changed {
-            return;
+        // The built-in metrics' reading of a change, so that the DSL forms
+        // of Eq. 1–4 equal them on categorical changes, inserts and deletes.
+        let d = change_magnitude(new, old);
+        if d > 0.0 {
+            let (nv, ov) = (numeric_or_zero(new), numeric_or_zero(old));
+            let s = &mut self.state;
+            s.sum_abs_delta += d;
+            s.sum_delta += signed_change(new, old);
+            s.sum_sq_delta += d * d;
+            s.sum_new += nv;
+            s.sum_old += ov;
+            s.sum_max += nv.abs().max(ov.abs());
+            s.modified += 1;
         }
-        let (nv, ov) = match (n, o) {
-            (Some(a), Some(b)) => (a, b),
-            (Some(a), None) => (a, 0.0),
-            (None, Some(b)) => (0.0, b),
-            (None, None) => (1.0, 0.0), // categorical: unit change
-        };
-        let delta = nv - ov;
-        if delta == 0.0 {
-            // e.g. `F64(1)` replaced by `I64(1)`: no numeric change.
-            return;
-        }
-        let s = &mut self.state;
-        s.sum_abs_delta += delta.abs();
-        s.sum_delta += delta;
-        s.sum_sq_delta += delta * delta;
-        s.sum_new += nv;
-        s.sum_old += ov;
-        s.sum_max += nv.abs().max(ov.abs());
-        s.modified += 1;
     }
 
     fn compute(&self, ctx: &MetricContext) -> f64 {
@@ -492,7 +483,6 @@ pub fn compile(src: &str) -> Result<MetricKind, DslError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{MagnitudeImpact, MeanRelativeError, RelativeError, RmseError};
 
     fn v(x: f64) -> Value {
         Value::from(x)
@@ -501,13 +491,6 @@ mod tests {
     fn run(src: &str, pairs: &[(f64, f64)], ctx: &MetricContext) -> f64 {
         let kind = compile(src).expect("compiles");
         let mut m = kind.instantiate();
-        for (new, old) in pairs {
-            m.update(Some(&v(*new)), Some(&v(*old)));
-        }
-        m.compute(ctx)
-    }
-
-    fn run_builtin(m: &mut dyn MetricFn, pairs: &[(f64, f64)], ctx: &MetricContext) -> f64 {
         for (new, old) in pairs {
             m.update(Some(&v(*new)), Some(&v(*old)));
         }
@@ -538,40 +521,81 @@ mod tests {
         assert_eq!(run("clamp01(-1)", &[], &ctx), 0.0);
     }
 
+    /// `(new, old)` changes the built-in metrics read differently from a
+    /// plain numeric difference: a categorical change, a fresh insert, a
+    /// delete, and a number replacing a categorical value.
+    fn edge_changes() -> Vec<(Option<Value>, Option<Value>)> {
+        vec![
+            (Some(Value::from("hot")), Some(Value::from("cold"))),
+            (Some(v(5.0)), None),
+            (None, Some(v(2.0))),
+            (Some(v(3.0)), Some(Value::from("x"))),
+        ]
+    }
+
+    /// Asserts that `src` equals the built-in metric on the numeric pairs,
+    /// on each edge change alone, and on all of them in one wave.
+    fn assert_matches_builtin(src: &str, builtin: &MetricKind) {
+        let ctx = MetricContext::new(4, 14.0);
+        let numeric: Vec<_> = PAIRS
+            .iter()
+            .map(|&(new, old)| (Some(v(new)), Some(v(old))))
+            .collect();
+        let mut waves: Vec<Vec<_>> = vec![numeric.clone()];
+        waves.extend(edge_changes().into_iter().map(|change| vec![change]));
+        waves.push(numeric.into_iter().chain(edge_changes()).collect());
+        let kind = compile(src).expect("compiles");
+        for wave in waves {
+            let (mut dsl, mut reference) = (kind.instantiate(), builtin.instantiate());
+            for (new, old) in &wave {
+                dsl.update(new.as_ref(), old.as_ref());
+                reference.update(new.as_ref(), old.as_ref());
+            }
+            let (d, b) = (dsl.compute(&ctx), reference.compute(&ctx));
+            assert!((d - b).abs() < 1e-12, "`{src}` on {wave:?}: {d} vs {b}");
+        }
+    }
+
     #[test]
     fn eq1_matches_builtin() {
-        let ctx = MetricContext::new(4, 14.0);
-        let dsl = run("sum_abs_delta * modified", PAIRS, &ctx);
-        let builtin = run_builtin(&mut MagnitudeImpact::new(), PAIRS, &ctx);
-        assert_eq!(dsl, builtin);
+        assert_matches_builtin("sum_abs_delta * modified", &MetricKind::Magnitude);
+    }
+
+    #[test]
+    fn eq2_matches_builtin() {
+        assert_matches_builtin(
+            "clamp01(sum_abs_delta * modified / (sum_max * total))",
+            &MetricKind::RelativeImpact,
+        );
     }
 
     #[test]
     fn eq3_matches_builtin() {
-        let ctx = MetricContext::new(4, 14.0);
-        let dsl = run(
+        assert_matches_builtin(
             "clamp01(sum_abs_delta * modified / (prev_sum * total))",
-            PAIRS,
-            &ctx,
+            &MetricKind::RelativeError,
         );
-        let builtin = run_builtin(&mut RelativeError::new(), PAIRS, &ctx);
-        assert!((dsl - builtin).abs() < 1e-12);
     }
 
     #[test]
     fn eq4_matches_builtin() {
-        let ctx = MetricContext::new(4, 0.0);
-        let dsl = run("sqrt(sum_sq_delta / modified)", PAIRS, &ctx);
-        let builtin = run_builtin(&mut RmseError::new(), PAIRS, &ctx);
-        assert!((dsl - builtin).abs() < 1e-12);
+        assert_matches_builtin(
+            "sqrt(sum_sq_delta / modified)",
+            &MetricKind::Rmse { scale: 1.0 },
+        );
+    }
+
+    #[test]
+    fn net_drift_matches_builtin() {
+        assert_matches_builtin("abs(sum_delta)", &MetricKind::NetDrift);
     }
 
     #[test]
     fn mean_relative_matches_builtin() {
-        let ctx = MetricContext::new(4, 14.0);
-        let dsl = run("clamp01(sum_abs_delta / prev_sum)", PAIRS, &ctx);
-        let builtin = run_builtin(&mut MeanRelativeError::new(), PAIRS, &ctx);
-        assert!((dsl - builtin).abs() < 1e-12);
+        assert_matches_builtin(
+            "clamp01(sum_abs_delta / prev_sum)",
+            &MetricKind::MeanRelative,
+        );
     }
 
     #[test]

@@ -52,7 +52,10 @@ pub trait MetricFn: Send {
     fn compute(&self, ctx: &MetricContext) -> f64;
 }
 
-fn change_magnitude(new: Option<&Value>, old: Option<&Value>) -> f64 {
+/// How much one element changed: `|new − old|` over numeric values, the
+/// value's own magnitude for a numeric insert or delete, and 1 for any other
+/// change (a categorical value, or a numeric one replacing it).
+pub(crate) fn change_magnitude(new: Option<&Value>, old: Option<&Value>) -> f64 {
     match (old, new) {
         (Some(o), Some(n)) => n.abs_diff(o),
         (None, Some(n)) => n.as_f64().map_or(1.0, f64::abs),
@@ -61,8 +64,23 @@ fn change_magnitude(new: Option<&Value>, old: Option<&Value>) -> f64 {
     }
 }
 
-fn numeric_or_zero(v: Option<&Value>) -> f64 {
+/// An element's numeric reading: its value, or 0 if it is absent or not
+/// numeric.
+pub(crate) fn numeric_or_zero(v: Option<&Value>) -> f64 {
     v.and_then(Value::as_f64).unwrap_or(0.0)
+}
+
+/// The signed change of one element: `new − old` over numeric readings, or
+/// +1 for a change that leaves both readings equal (a categorical change).
+pub(crate) fn signed_change(new: Option<&Value>, old: Option<&Value>) -> f64 {
+    let (n, o) = (numeric_or_zero(new), numeric_or_zero(old));
+    if n != o {
+        n - o
+    } else if change_magnitude(new, old) > 0.0 {
+        1.0
+    } else {
+        0.0
+    }
 }
 
 /// Eq. 1: `ι = Σ|x_i − x'_i| × m` — absolute magnitude of changes scaled by
@@ -328,14 +346,9 @@ impl MetricFn for NetDriftImpact {
     }
 
     fn update(&mut self, new: Option<&Value>, old: Option<&Value>) {
-        let n = numeric_or_zero(new);
-        let o = numeric_or_zero(old);
-        if n != o {
-            self.signed_sum += n - o;
-            self.modified += 1;
-        } else if change_magnitude(new, old) > 0.0 {
-            // Categorical change: counts as unit churn.
-            self.signed_sum += 1.0;
+        let d = signed_change(new, old);
+        if d != 0.0 {
+            self.signed_sum += d;
             self.modified += 1;
         }
     }

@@ -84,15 +84,6 @@ impl ContainerRef {
             (Some(_), None) => false,
         }
     }
-
-    /// Returns `true` if a write to `(family, qualifier)` in `table` falls
-    /// inside this container.
-    #[must_use]
-    pub fn matches_write(&self, table: &str, family: &str, qualifier: &str) -> bool {
-        self.table == table
-            && self.family == family
-            && self.qualifier.as_deref().is_none_or(|q| q == qualifier)
-    }
 }
 
 impl fmt::Display for ContainerRef {
@@ -121,16 +112,6 @@ mod tests {
         assert!(!col.contains(&fam));
         assert!(!col.contains(&other_col));
         assert!(!other_fam.contains(&col));
-    }
-
-    #[test]
-    fn matches_write_respects_qualifier() {
-        let fam = ContainerRef::family("t", "f");
-        let col = ContainerRef::column("t", "f", "q");
-        assert!(fam.matches_write("t", "f", "anything"));
-        assert!(col.matches_write("t", "f", "q"));
-        assert!(!col.matches_write("t", "f", "other"));
-        assert!(!fam.matches_write("t", "g", "q"));
     }
 
     #[test]

@@ -287,11 +287,6 @@ impl Table {
         self.families.get(name)
     }
 
-    /// Returns the family named `name` mutably, if present.
-    pub fn family_mut(&mut self, name: &str) -> Option<&mut ColumnFamily> {
-        self.families.get_mut(name)
-    }
-
     /// Adds an empty family; returns `false` if it already existed.
     pub fn add_family(&mut self, name: &str) -> bool {
         if self.families.contains_key(name) {

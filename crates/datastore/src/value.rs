@@ -62,12 +62,6 @@ impl Value {
         }
     }
 
-    /// Returns `true` if the value is numeric (`F64` or `I64`).
-    #[must_use]
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::F64(_) | Value::I64(_))
-    }
-
     /// Absolute numeric difference between two values.
     ///
     /// Numeric pairs return `|a - b|`. Mixed or non-numeric pairs return
@@ -137,8 +131,6 @@ mod tests {
     fn numeric_conversions() {
         assert_eq!(Value::from(2.0).as_f64(), Some(2.0));
         assert_eq!(Value::from(7i64).as_f64(), Some(7.0));
-        assert!(Value::from(1.0).is_numeric());
-        assert!(!Value::from("x").is_numeric());
     }
 
     #[test]

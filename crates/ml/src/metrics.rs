@@ -259,22 +259,6 @@ impl MultiLabelReport {
     pub fn pooled(&self) -> &ConfusionMatrix {
         &self.pooled
     }
-
-    /// Exact-match ratio: fraction of instances whose whole label row was
-    /// predicted correctly (the strictest multi-label accuracy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrices differ in shape.
-    #[must_use]
-    pub fn exact_match(actual: &[Vec<bool>], predicted: &[Vec<bool>]) -> f64 {
-        assert_eq!(actual.len(), predicted.len(), "row count mismatch");
-        if actual.is_empty() {
-            return 1.0;
-        }
-        let hits = actual.iter().zip(predicted).filter(|(a, p)| a == p).count();
-        hits as f64 / actual.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -346,6 +330,5 @@ mod tests {
         assert_eq!(r.label(1).fp, 1);
         assert_eq!(r.pooled().total(), 4);
         assert_eq!(r.pooled().accuracy(), 0.75);
-        assert_eq!(MultiLabelReport::exact_match(&actual, &predicted), 0.5);
     }
 }

@@ -73,14 +73,6 @@ impl TraceForest {
     pub fn single_rooted(&self) -> bool {
         self.trace_count() == self.trees.len()
     }
-
-    /// The tree rooted at the span named `name` with tag `tag`, if any.
-    #[must_use]
-    pub fn tree_for_root(&self, name: &str, tag: u64) -> Option<&TraceTree> {
-        self.trees
-            .iter()
-            .find(|t| t.root.event.name == name && t.root.event.tag == tag)
-    }
 }
 
 /// Reassembles a flat stream of completed spans into causal trees.

@@ -34,13 +34,6 @@ impl VirtualClock {
         self.now_ns
     }
 
-    /// Current virtual time in (fractional) seconds, for distribution
-    /// math.
-    #[must_use]
-    pub fn now_secs(&self) -> f64 {
-        self.now_ns as f64 / 1e9
-    }
-
     /// Advances past one wave boundary and returns the new time.
     pub fn tick_wave(&mut self) -> u64 {
         self.now_ns = self.now_ns.saturating_add(self.wave_quantum_ns);

@@ -114,11 +114,6 @@ impl EventSubscription {
         }
         out
     }
-
-    /// Receives the next event, if one is pending.
-    pub fn try_next(&self) -> Option<SchedulerEvent> {
-        self.receiver.try_recv().ok()
-    }
 }
 
 /// Internal fan-out of scheduler events to subscribers.
@@ -163,7 +158,6 @@ mod tests {
         }
         bus.publish(&SchedulerEvent::WaveStarted { wave: 1 });
         assert_eq!(bus.senders.len(), 1);
-        assert_eq!(a.try_next(), Some(SchedulerEvent::WaveStarted { wave: 1 }));
-        assert_eq!(a.try_next(), None);
+        assert_eq!(a.drain(), vec![SchedulerEvent::WaveStarted { wave: 1 }]);
     }
 }

@@ -86,7 +86,6 @@ mod scheduler;
 mod stats;
 mod step;
 mod workflow;
-mod xmlspec;
 
 pub use error::{GraphError, WmsError};
 pub use events::{EventSubscription, SchedulerEvent};
@@ -98,4 +97,3 @@ pub use scheduler::{Scheduler, WaveId, WaveOutcome};
 pub use stats::ExecutionStats;
 pub use step::{FnStep, Step, StepContext, StepError};
 pub use workflow::{StepBindingBuilder, StepInfo, Workflow};
-pub use xmlspec::{ActionSpec, SpecError, WorkflowSpec};

@@ -441,7 +441,7 @@ impl Scheduler {
             self.publish_retries(wave, step, exec.attempts);
             match exec.outcome {
                 Ok(elapsed) => {
-                    self.stats.record_execution(step, elapsed);
+                    self.stats.record_execution(step);
                     self.note_executed(elapsed);
                     self.ever_executed[step.index()] = true;
                     outcome.executed.push(step);

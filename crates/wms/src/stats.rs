@@ -1,7 +1,5 @@
 //! Per-step execution statistics — the paper's resource-usage metric.
 
-use std::time::Duration;
-
 use crate::graph::StepId;
 
 #[derive(Debug, Clone, Default)]
@@ -11,10 +9,9 @@ struct StepStats {
     deferred: u64,
     failed: u64,
     retried: u64,
-    busy: Duration,
 }
 
-/// Counts executions, skips and deferrals per step, and total busy time.
+/// Counts executions, skips, deferrals, failures and retries per step.
 ///
 /// "Executions performed" is the paper's primary resource metric (Fig. 12):
 /// every avoided execution is saved compute, and the latest emitted result
@@ -37,10 +34,8 @@ impl ExecutionStats {
         }
     }
 
-    pub(crate) fn record_execution(&mut self, step: StepId, elapsed: Duration) {
-        let s = &mut self.steps[step.index()];
-        s.executed += 1;
-        s.busy += elapsed;
+    pub(crate) fn record_execution(&mut self, step: StepId) {
+        self.steps[step.index()].executed += 1;
     }
 
     pub(crate) fn record_skip(&mut self, step: StepId) {
@@ -111,12 +106,6 @@ impl ExecutionStats {
         self.steps[step.index()].retried
     }
 
-    /// Total busy time accumulated by `step`.
-    #[must_use]
-    pub fn busy_time(&self, step: StepId) -> Duration {
-        self.steps[step.index()].busy
-    }
-
     /// Total executions across all steps.
     #[must_use]
     pub fn total_executions(&self) -> u64 {
@@ -133,12 +122,6 @@ impl ExecutionStats {
     #[must_use]
     pub fn total_failures(&self) -> u64 {
         self.steps.iter().map(|s| s.failed).sum()
-    }
-
-    /// Total retry attempts across all steps.
-    #[must_use]
-    pub fn total_retries(&self) -> u64 {
-        self.steps.iter().map(|s| s.retried).sum()
     }
 
     /// Executions divided by (executions + skips): the paper's *normalised
@@ -165,8 +148,8 @@ mod tests {
         let mut st = ExecutionStats::new(2);
         let a = StepId(0);
         let b = StepId(1);
-        st.record_execution(a, Duration::from_millis(5));
-        st.record_execution(a, Duration::from_millis(5));
+        st.record_execution(a);
+        st.record_execution(a);
         st.record_skip(b);
         st.record_deferral(b);
         st.record_wave();
@@ -176,7 +159,6 @@ mod tests {
         assert_eq!(st.deferrals(b), 1);
         assert_eq!(st.waves(), 1);
         assert_eq!(st.total_executions(), 2);
-        assert_eq!(st.busy_time(a), Duration::from_millis(10));
     }
 
     #[test]
@@ -184,14 +166,13 @@ mod tests {
         let mut st = ExecutionStats::new(2);
         let a = StepId(0);
         st.record_retries(a, 2);
-        st.record_execution(a, Duration::ZERO);
+        st.record_execution(a);
         st.record_failure(a);
         st.record_aborted_wave();
         st.record_wave();
 
         assert_eq!(st.retries(a), 2);
         assert_eq!(st.failures(a), 1);
-        assert_eq!(st.total_retries(), 2);
         assert_eq!(st.total_failures(), 1);
         assert_eq!(st.waves(), 1);
         assert_eq!(st.waves_aborted(), 1);
@@ -202,7 +183,7 @@ mod tests {
     fn normalized_executions_ratio() {
         let mut st = ExecutionStats::new(1);
         let a = StepId(0);
-        st.record_execution(a, Duration::ZERO);
+        st.record_execution(a);
         st.record_skip(a);
         st.record_skip(a);
         st.record_skip(a);

@@ -14,7 +14,7 @@
 //! | aggregate | meaning |
 //! |---|---|
 //! | `sum_abs_delta` | `Σ\|new − old\|` over changed elements |
-//! | `sum_delta` | `Σ(new − old)` (signed) |
+//! | `sum_delta` | `Σ ±\|new − old\|`, signed by `new − old` |
 //! | `sum_sq_delta` | `Σ(new − old)²` |
 //! | `sum_new` / `sum_old` | `Σ new` / `Σ old` over changed elements |
 //! | `sum_max` | `Σ max(\|new\|, \|old\|)` over changed elements |
@@ -24,9 +24,9 @@
 //!
 //! A change reads as the built-in metrics read it. Its `|new − old|` is 1
 //! when a non-numeric value is on either side, and an inserted or deleted
-//! number counts its own magnitude. In `sum_delta`, `sum_new`, `sum_old` and
-//! `sum_max` an absent or non-numeric value reads as 0, and a change between
-//! two such values adds +1 to `sum_delta`.
+//! number counts its own magnitude. `sum_delta` adds that same magnitude,
+//! negative when the numeric reading fell. In that sign, and in `sum_new`,
+//! `sum_old` and `sum_max`, an absent or non-numeric value reads as 0.
 //!
 //! Functions: `abs(x)`, `sqrt(x)`, `min(a, b)`, `max(a, b)`, `clamp01(x)`.
 //!

@@ -8,9 +8,7 @@
 //! far the adaptive run's output drifted from the truth.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use smartflux_datastore::{ContainerRef, DataStore, Snapshot};
 use smartflux_telemetry::Telemetry;
 use smartflux_wms::{Scheduler, StepId, SynchronousPolicy, TriggerPolicy, Workflow};
@@ -370,12 +368,11 @@ pub fn evaluate<F: WorkloadFactory>(
         }
     }
 
-    // Shared baseline for the predicted-error series.
-    let predicted_baseline: Arc<Mutex<Snapshot>> = Arc::new(Mutex::new(
-        sync_store
-            .snapshot(&output_containers[0])
-            .unwrap_or_default(),
-    ));
+    // Baseline for the predicted-error series: the output at its last
+    // execution.
+    let mut predicted_baseline: Snapshot = sync_store
+        .snapshot(&output_containers[0])
+        .unwrap_or_default();
 
     let mut records = Vec::with_capacity(waves as usize);
     let mut confidence = ConfidenceTracker::new();
@@ -393,18 +390,20 @@ pub fn evaluate<F: WorkloadFactory>(
         let executed_output = outcome.did_execute(output_step);
 
         let predicted = {
-            let mut baseline = predicted_baseline.lock();
             let truth = sync_store
                 .snapshot(&output_containers[0])
                 .unwrap_or_default();
             if executed_output {
-                *baseline = truth;
+                predicted_baseline = truth;
                 0.0
             } else {
-                let diff = truth.diff(&baseline);
+                let diff = truth.diff(&predicted_baseline);
                 let ctx = MetricContext::new(
-                    truth.len().max(baseline.len()),
-                    baseline.iter().filter_map(|(_, v)| v.as_f64()).sum(),
+                    truth.len().max(predicted_baseline.len()),
+                    predicted_baseline
+                        .iter()
+                        .filter_map(|(_, v)| v.as_f64())
+                        .sum(),
                 );
                 measure_metric.evaluate(&diff, &ctx)
             }

@@ -70,16 +70,16 @@ pub(crate) fn numeric_or_zero(v: Option<&Value>) -> f64 {
     v.and_then(Value::as_f64).unwrap_or(0.0)
 }
 
-/// The signed change of one element: `new − old` over numeric readings, or
-/// +1 for a change that leaves both readings equal (a categorical change).
+/// The signed change of one element: its [`change_magnitude`], negative
+/// when the numeric reading fell (`new < old`, absent or non-numeric
+/// reading as 0) and positive otherwise — so a categorical change counts
+/// +1, and `|signed_change|` is always `change_magnitude`.
 pub(crate) fn signed_change(new: Option<&Value>, old: Option<&Value>) -> f64 {
-    let (n, o) = (numeric_or_zero(new), numeric_or_zero(old));
-    if n != o {
-        n - o
-    } else if change_magnitude(new, old) > 0.0 {
-        1.0
+    let magnitude = change_magnitude(new, old);
+    if numeric_or_zero(new) < numeric_or_zero(old) {
+        -magnitude
     } else {
-        0.0
+        magnitude
     }
 }
 
@@ -535,6 +535,40 @@ mod tests {
         let mut m = MagnitudeImpact::new();
         m.update(Some(&Value::from("high")), Some(&Value::from("low")));
         assert_eq!(m.compute(&MetricContext::new(1, 0.0)), 1.0);
+    }
+
+    #[test]
+    fn signed_change_has_the_magnitude_of_the_change() {
+        let cat = |s: &str| Value::from(s);
+        let pairs = [
+            (Some(v(3.0)), Some(v(1.0))),       // numeric rise
+            (Some(v(1.0)), Some(v(3.5))),       // numeric fall
+            (Some(v(2.0)), Some(v(2.0))),       // unchanged
+            (Some(cat("hi")), Some(cat("lo"))), // categorical
+            (Some(v(-4.0)), None),              // numeric insert
+            (Some(cat("x")), None),             // categorical insert
+            (None, Some(v(5.0))),               // numeric delete
+            (None, Some(cat("x"))),             // categorical delete
+            (Some(v(3.0)), Some(cat("x"))),     // number replaces category
+            (Some(cat("x")), Some(v(3.0))),     // category replaces number
+            (Some(v(-2.0)), Some(cat("x"))),    // negative number replaces category
+        ];
+        for (new, old) in &pairs {
+            let (new, old) = (new.as_ref(), old.as_ref());
+            let signed = signed_change(new, old);
+            assert_eq!(
+                signed.abs(),
+                change_magnitude(new, old),
+                "{new:?} over {old:?}"
+            );
+            let (n, o) = (numeric_or_zero(new), numeric_or_zero(old));
+            if n != o {
+                assert_eq!(signed.signum(), (n - o).signum(), "{new:?} over {old:?}");
+            }
+        }
+        assert_eq!(signed_change(Some(&v(3.0)), Some(&cat("x"))), 1.0);
+        assert_eq!(signed_change(Some(&cat("x")), Some(&v(3.0))), -1.0);
+        assert_eq!(signed_change(Some(&cat("hi")), Some(&cat("lo"))), 1.0);
     }
 
     #[test]

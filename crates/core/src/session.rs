@@ -176,9 +176,9 @@ impl SmartFluxSession {
     /// The session's telemetry handle: metrics snapshot, journal, spans.
     /// Inert (disabled) unless [`EngineConfig::telemetry_enabled`] was set.
     ///
-    /// Publishes the store stats first, so a snapshot taken once the store
-    /// is quiescent counts writes that landed after the last wave boundary
-    /// too (an attempt the watchdog abandoned writes late).
+    /// Publishes the store stats first, so a snapshot counts writes made
+    /// straight into the store since the last wave boundary too (a host's
+    /// ingest between waves, say).
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         self.publish_store_stats();

@@ -12,6 +12,7 @@
 //!    an extra root.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +22,7 @@ use smartflux_obs::RingTraceSink;
 use smartflux_telemetry::{names, Telemetry, TraceSink};
 use smartflux_wms::{
     FaultSchedule, FaultyStep, FnStep, GraphBuilder, RetryPolicy, Scheduler, StepContext,
-    SynchronousPolicy, Workflow,
+    StepError, SynchronousPolicy, Workflow,
 };
 
 fn chaos_scheduler(telemetry: Telemetry) -> Scheduler {
@@ -130,61 +131,68 @@ fn chaos_run_produces_one_connected_tree_per_wave() {
     assert_eq!(treed, events.len());
 }
 
-/// The trace event the watchdog test's step emits: any name will do.
+/// The trace event the retried step emits on every attempt: any name will do.
 const STEP_EVENT: &str = "test.step_event";
 
 #[test]
-fn watchdog_attempts_parent_their_trace_events() {
-    // A step under a timeout runs on the watchdog's worker thread; the
-    // trace event it emits there must still land under its attempt span.
+fn retried_attempts_parent_their_trace_events() {
+    // Every attempt runs on the wave's thread, so the trace event each one
+    // emits lands under its own attempt span, failed attempts included.
     let telemetry = Telemetry::enabled();
     let ring = Arc::new(RingTraceSink::with_capacity(4096));
     telemetry.set_trace_sink(Some(Arc::clone(&ring) as Arc<dyn TraceSink>));
 
-    let mut b = GraphBuilder::new("watchdog");
-    let timed = b.add_step("timed");
+    let mut b = GraphBuilder::new("retried");
+    let flaky = b.add_step("flaky");
     let mut w = Workflow::new(b.build().unwrap());
     let emitter = telemetry.clone();
+    let executions = AtomicU64::new(0);
     w.bind(
-        timed,
-        FnStep::new(move |ctx: &StepContext| {
-            emitter.trace_event(STEP_EVENT, ctx.wave(), Duration::from_micros(1));
+        flaky,
+        FnStep::new(move |_: &StepContext| {
+            // Attempt 1 of each wave fails, attempt 2 succeeds.
+            let attempt = executions.fetch_add(1, Ordering::Relaxed) % 2 + 1;
+            emitter.trace_event(STEP_EVENT, attempt, Duration::from_micros(1));
+            if attempt == 1 {
+                return Err(StepError::msg("first attempt fails"));
+            }
             Ok(())
         }),
     )
     .source()
-    .retry(RetryPolicy::none().with_timeout(Duration::from_secs(10)));
+    .retry(RetryPolicy::attempts(2));
     let mut scheduler = Scheduler::new(w, DataStore::new(), Box::new(SynchronousPolicy));
     scheduler.set_telemetry(telemetry);
     scheduler.run_waves(6).unwrap();
+    assert_eq!(scheduler.stats().retries(flaky), 6);
 
     let forest = build_forest(&ring.events());
     assert!(forest.single_rooted());
     assert_eq!(forest.trees.len(), 6);
-    assert_eq!(
-        forest.orphans, 0,
-        "the watchdog thread must propagate context"
-    );
+    assert_eq!(forest.orphans, 0);
     for tree in &forest.trees {
         assert_eq!(tree.root.event.name, names::WAVE_LATENCY);
         let [step] = tree.root.children.as_slice() else {
             panic!("one step span per wave, got {:?}", tree.root.children);
         };
         assert_eq!(step.event.name, names::STEP_TOTAL_LATENCY);
-        let [attempt] = step.children.as_slice() else {
-            panic!("one attempt span per step, got {:?}", step.children);
-        };
-        assert_eq!(attempt.event.name, names::STEP_ATTEMPT_LATENCY);
-        let [event] = attempt.children.as_slice() else {
+        let [first, second] = step.children.as_slice() else {
             panic!(
-                "the step's trace event under its attempt, got {:?}",
-                attempt.children
+                "two sibling attempt spans per step, got {:?}",
+                step.children
             );
         };
-        assert_eq!(event.event.name, STEP_EVENT);
-        assert_eq!(
-            event.event.tag, tree.root.event.tag,
-            "emitted during its own wave"
-        );
+        for (attempt, number) in [(first, 1), (second, 2)] {
+            assert_eq!(attempt.event.name, names::STEP_ATTEMPT_LATENCY);
+            assert_eq!(attempt.event.tag, number);
+            let [event] = attempt.children.as_slice() else {
+                panic!(
+                    "the attempt's own trace event under it, got {:?}",
+                    attempt.children
+                );
+            };
+            assert_eq!(event.event.name, STEP_EVENT);
+            assert_eq!(event.event.tag, number, "emitted by its own attempt");
+        }
     }
 }

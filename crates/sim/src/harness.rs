@@ -141,11 +141,10 @@ fn attach_capture(session: &SmartFluxSession) -> Capture {
 }
 
 /// Drives `session` until `next_wave` passes `until` (inclusive),
-/// recording aborted waves and joining hang runaways at each boundary.
+/// recording aborted waves.
 fn drive(
     session: &mut SmartFluxSession,
     until: u64,
-    join_hangs: bool,
     aborted: &mut Vec<u64>,
 ) -> Result<(), SimError> {
     while session.scheduler().next_wave() <= until {
@@ -156,12 +155,6 @@ fn drive(
                 None => return Err(SimError::Wms(e)),
             },
             Err(other) => return Err(other.into()),
-        }
-        if join_hangs {
-            // The runaway attempt a watchdog abandoned may still be
-            // writing; the store must be quiescent before the next wave
-            // (and before any artifact capture) or replay diverges.
-            session.scheduler().join_abandoned();
         }
     }
     Ok(())
@@ -231,7 +224,6 @@ fn run_in_process(
         None
     };
     let config = config_for(scenario, dir.as_deref());
-    let join_hangs = scenario.has_hangs();
 
     let kills: Vec<u64> = if honour_kills {
         scenario
@@ -258,12 +250,7 @@ fn run_in_process(
     for (i, &until) in boundaries.iter().enumerate() {
         let capture = attach_capture(&session);
         let subscription = session.scheduler_mut().subscribe();
-        drive(
-            &mut session,
-            until,
-            join_hangs,
-            &mut artifacts.aborted_waves,
-        )?;
+        drive(&mut session, until, &mut artifacts.aborted_waves)?;
         collect_segment(&mut session, &capture, &subscription, &mut artifacts);
         if i == last {
             artifacts.clock = session.scheduler().store().clock();
@@ -561,32 +548,10 @@ mod tests {
     }
 
     #[test]
-    fn writes_of_a_runaway_abandoned_on_the_final_wave_are_counted() {
-        // The watchdog abandons the source's first attempt on the last
-        // wave; the runaway writes only after `run_wave` returned, past
-        // the last wave boundary. Once it is joined, `store.writes` must
-        // still be exactly the clock's growth.
-        let mut scenario = plain_scenario();
-        scenario.retry_attempts = 2;
-        scenario.faults = vec![crate::scenario::StepFault {
-            step: 0,
-            kind: crate::scenario::FaultKind::Hang {
-                every: scenario.waves,
-            },
-        }];
-        let dir = workdir("final-hang");
-        let run = run_scenario(&scenario, &dir, "a").unwrap();
-        assert_eq!(run.decisions.len() as u64, scenario.waves);
-        assert_eq!(run.counters[names::STEP_RETRIES], 1, "one hang, one retry");
-        assert_eq!(run.clock, run.counters[names::STORE_WRITES]);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn crash_run_replays_and_recovers() {
         let scenario = (0..500u64)
             .map(Scenario::generate)
-            .find(|s| s.durability.as_ref().is_some_and(|d| !d.kills.is_empty()) && !s.has_hangs())
+            .find(|s| s.durability.as_ref().is_some_and(|d| !d.kills.is_empty()))
             .expect("some small seed generates a crash scenario");
         let dir = workdir("crash");
         let kills = scenario.durability.as_ref().unwrap().kills.len();

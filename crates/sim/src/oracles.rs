@@ -275,8 +275,8 @@ pub fn check_invariants(scenario: &Scenario, run: &RunArtifacts) -> Vec<Violatio
         .is_some_and(|d| !d.kills.is_empty());
 
     // 1. Logical clock == `store.writes`: the session's accounting (the
-    // clock's growth since it was built) holds across aborts, retries and
-    // runaway attempts that write after their wave. That the store ticks
+    // clock's growth since it was built) holds across aborts and retries,
+    // including a failed attempt's partial writes. That the store ticks
     // once per applied write is pinned by the datastore's `prop.rs`.
     // After a crash the recovered clock restarts at the checkpoint while
     // the segments' counters add up doomed writes, so the identity only

@@ -60,14 +60,6 @@ pub enum FaultKind {
         /// Most consecutive failing attempts on one wave.
         max_consecutive: u32,
     },
-    /// Every `every`-th wave, the first attempt hangs past the watchdog
-    /// timeout. Requires a retry budget ≥ 2 and is incompatible with
-    /// crash and network plans (the runaway join point is owned by the
-    /// in-process harness loop).
-    Hang {
-        /// Wave period of the hang.
-        every: u64,
-    },
 }
 
 /// Crash plan: checkpointing cadence and the waves after which the
@@ -189,9 +181,6 @@ impl Scenario {
             });
         }
 
-        let hang_allowed = retry_attempts >= 2
-            && net.is_none()
-            && durability.as_ref().is_none_or(|d| d.kills.is_empty());
         let fault_count = faults_rng.range_usize(0, 2);
         let mut faults = Vec::new();
         for _ in 0..fault_count {
@@ -207,9 +196,6 @@ impl Scenario {
                 4..=7 => FaultKind::Seeded {
                     fail_percent: faults_rng.range_u64(10, 30) as u8,
                     max_consecutive: faults_rng.range_u64(1, 2) as u32,
-                },
-                _ if hang_allowed => FaultKind::Hang {
-                    every: faults_rng.range_u64(9, 15),
                 },
                 _ => FaultKind::Seeded {
                     fail_percent: faults_rng.range_u64(10, 30) as u8,
@@ -296,24 +282,6 @@ impl Scenario {
                         );
                     }
                 }
-                FaultKind::Hang { every } => {
-                    if every < 2 {
-                        return fail("hang fault needs every >= 2".to_string());
-                    }
-                    if self.retry_attempts < 2 {
-                        return fail("hang fault needs a retry budget >= 2".to_string());
-                    }
-                    if self.net.is_some() {
-                        return fail("hang faults are incompatible with net plans".to_string());
-                    }
-                    if self
-                        .durability
-                        .as_ref()
-                        .is_some_and(|d| !d.kills.is_empty())
-                    {
-                        return fail("hang faults are incompatible with crash kills".to_string());
-                    }
-                }
             }
         }
         if let Some(plan) = &self.durability {
@@ -351,15 +319,6 @@ impl Scenario {
             }
         }
         Ok(())
-    }
-
-    /// `true` when the scenario includes any hang fault (the harness must
-    /// own the runaway join points).
-    #[must_use]
-    pub fn has_hangs(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f.kind, FaultKind::Hang { .. }))
     }
 
     /// The one-line repro string (same as [`fmt::Display`]).
@@ -407,9 +366,6 @@ impl fmt::Display for Scenario {
                             "seeded@{}:{}p{}",
                             fault.step, fail_percent, max_consecutive
                         )?;
-                    }
-                    FaultKind::Hang { every } => {
-                        write!(f, "hang@{}:{}", fault.step, every)?;
                     }
                 }
             }
@@ -483,9 +439,6 @@ fn parse_fault(spec: &str) -> Result<StepFault, SimError> {
                 max_consecutive: parse_u64("seeded max_consecutive", max_consecutive)? as u32,
             }
         }
-        "hang" => FaultKind::Hang {
-            every: parse_u64("hang every", body)?,
-        },
         other => return Err(bad(format!("unknown fault kind `{other}`"))),
     };
     Ok(StepFault { step, kind })
@@ -651,7 +604,6 @@ mod tests {
             .iter()
             .any(|s| s.net.is_some_and(|n| n.close_race)));
         assert!(scenarios.iter().any(|s| !s.faults.is_empty()));
-        assert!(scenarios.iter().any(Scenario::has_hangs));
     }
 
     #[test]
@@ -668,21 +620,5 @@ mod tests {
         ] {
             assert!(bad.parse::<Scenario>().is_err(), "accepted `{bad}`");
         }
-    }
-
-    #[test]
-    fn validate_rejects_hang_with_kills() {
-        let mut scenario = Scenario::generate(0);
-        scenario.retry_attempts = 2;
-        scenario.net = None;
-        scenario.faults = vec![StepFault {
-            step: 0,
-            kind: FaultKind::Hang { every: 5 },
-        }];
-        scenario.durability = Some(DurabilityPlan {
-            checkpoint_interval: 5,
-            kills: vec![10],
-        });
-        assert!(scenario.validate().is_err());
     }
 }

@@ -122,7 +122,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         c.spike_magnitude = 0.0;
         out.push(c);
     }
-    if s.retry_attempts > 1 && !s.has_hangs() {
+    if s.retry_attempts > 1 {
         let mut c = s.clone();
         c.retry_attempts = 1;
         for fault in &mut c.faults {

@@ -18,7 +18,6 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 use smartflux::EngineConfig;
 use smartflux_datastore::{ContainerRef, DataStore, Value};
@@ -35,18 +34,6 @@ use crate::scenario::{FaultKind, Scenario};
 
 /// Table all generated containers live in.
 pub const TABLE: &str = "sim";
-
-/// How long a scripted hang stalls the first attempt. Far above
-/// [`WATCHDOG_TIMEOUT`] so the watchdog always fires first, and far above
-/// a wave's real runtime so the abandoned runaway finishes strictly after
-/// the wave's own writes (the harness joins it at the wave boundary). A
-/// checkpoint frees no blocks (its syncs once took 25–40 ms on a 2-vCPU
-/// VM, debug build), and the runaway's late writes emit no trace events
-/// that could land inside a later span of the wave's tree.
-pub const HANG_STALL: Duration = Duration::from_millis(40);
-
-/// Per-attempt watchdog timeout on hang-faulted steps.
-pub const WATCHDOG_TIMEOUT: Duration = Duration::from_millis(5);
 
 /// Salt for the topology RNG stream (independent of scenario generation).
 const TOPOLOGY_SALT: u64 = 0x7019_AC3D_5B11_42E7;
@@ -253,7 +240,6 @@ pub fn build_workflow(scenario: &Scenario, store: &DataStore) -> Result<Workflow
         } else {
             inner_body(scenario, i, preds.clone())
         };
-        let mut hang_faulted = false;
         for fault in scenario.faults.iter().filter(|f| f.step == i) {
             let schedule = match fault.kind {
                 FaultKind::EveryKth { every, failures } => {
@@ -267,25 +253,12 @@ pub fn build_workflow(scenario: &Scenario, store: &DataStore) -> Result<Workflow
                     fail_percent,
                     max_consecutive,
                 },
-                FaultKind::Hang { every } => {
-                    hang_faulted = true;
-                    FaultSchedule::Hang {
-                        every,
-                        duration: HANG_STALL,
-                    }
-                }
             };
             body = Arc::new(FaultyStep::new(DynStep(body), schedule));
         }
-        let retry = if hang_faulted {
-            RetryPolicy::attempts(scenario.retry_attempts.max(2)).with_timeout(WATCHDOG_TIMEOUT)
-        } else {
-            RetryPolicy::attempts(scenario.retry_attempts)
-        };
-
         let mut binding = workflow.bind(ids[i], DynStep(body));
         binding.writes(ContainerRef::family(TABLE, family(i)));
-        binding.retry(retry);
+        binding.retry(RetryPolicy::attempts(scenario.retry_attempts));
         if is_source {
             binding.source();
         } else {

@@ -69,9 +69,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     BUCKET_BOUNDS_NS, BUCKET_COUNT,
 };
-pub use span::{
-    trace_epoch_ns, ContextGuard, MemoryTraceSink, Span, SpanEvent, TraceContext, TraceSink,
-};
+pub use span::{trace_epoch_ns, MemoryTraceSink, Span, SpanEvent, TraceSink};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -202,29 +200,6 @@ impl Telemetry {
         self.inner.trace.read().is_some()
     }
 
-    /// Captures the current thread's position in the causal tree, for
-    /// re-entry on another thread via [`propagate`](Self::propagate).
-    /// `None` when disabled, when no trace sink is attached, or when the
-    /// thread is not inside a traced span.
-    #[must_use]
-    pub fn trace_context(&self) -> Option<TraceContext> {
-        if !self.is_enabled() || !self.has_trace_sink() {
-            return None;
-        }
-        span::current_context()
-    }
-
-    /// Re-enters a captured [`TraceContext`] on the current thread: while
-    /// the returned guard lives, spans opened here become children of the
-    /// captured span. `None` (or a disabled handle) yields an inert
-    /// guard, so call sites can propagate unconditionally.
-    pub fn propagate(&self, ctx: Option<TraceContext>) -> ContextGuard {
-        match ctx {
-            Some(ctx) if self.is_enabled() => ContextGuard::enter(ctx),
-            _ => ContextGuard::inert(),
-        }
-    }
-
     /// Emits a retrospective trace-only span for an operation the caller
     /// timed itself: recorded as a child of the current thread's innermost
     /// span, with its start back-dated by `elapsed`. Unlike
@@ -299,7 +274,7 @@ pub mod names {
     /// Latency of one step execution.
     pub const STEP_LATENCY: &str = "wms.step";
     /// End-to-end latency of one step's run under its retry budget
-    /// (attempts plus backoff delays); the step-level trace span.
+    /// (every attempt, retries included); the step-level trace span.
     pub const STEP_TOTAL_LATENCY: &str = "wms.step_total";
     /// Latency of one step attempt (each retry is its own attempt span,
     /// a child of the step's [`STEP_TOTAL_LATENCY`] span).

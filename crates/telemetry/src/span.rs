@@ -13,14 +13,9 @@
 //! of the enclosing span. Parentage is tracked through a per-thread
 //! context stack: a span opened while another span is live on the same
 //! thread becomes its child; a span opened with no live context starts a
-//! new trace and becomes its root.
-//!
-//! Work handed to other threads keeps its causal link explicitly: capture
-//! [`Telemetry::trace_context`] before spawning and re-enter it on the
-//! worker with [`Telemetry::propagate`].
-//!
-//! [`Telemetry::trace_context`]: crate::Telemetry::trace_context
-//! [`Telemetry::propagate`]: crate::Telemetry::propagate
+//! new trace and becomes its root. A span opened on another thread does
+//! not see this stack, so traced work stays on the thread that opened its
+//! parent span.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -100,21 +95,14 @@ pub fn trace_epoch_ns() -> u64 {
     u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A captured point in the causal tree, for crossing thread boundaries.
-///
-/// Obtained from [`Telemetry::trace_context`] on the spawning thread and
-/// re-entered with [`Telemetry::propagate`] on the worker, so spans (and
-/// trace events) opened on the worker stay children of the spawner's
-/// current span.
-///
-/// [`Telemetry::trace_context`]: crate::Telemetry::trace_context
-/// [`Telemetry::propagate`]: crate::Telemetry::propagate
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The trace the capturing thread was inside.
-    pub trace_id: u64,
-    /// The span that was innermost when the context was captured.
-    pub parent_span: u64,
+/// A thread's position in the causal tree: the trace it is inside and
+/// the innermost live span, parent of the next span opened there.
+#[derive(Clone, Copy)]
+struct TraceContext {
+    /// The trace the thread is inside.
+    trace_id: u64,
+    /// The innermost live span.
+    parent_span: u64,
 }
 
 thread_local! {
@@ -124,7 +112,7 @@ thread_local! {
 }
 
 /// The innermost live context on this thread, if any.
-pub(crate) fn current_context() -> Option<TraceContext> {
+fn current_context() -> Option<TraceContext> {
     CONTEXT.with(|c| c.borrow().last().copied())
 }
 
@@ -134,7 +122,7 @@ fn push_context(entry: TraceContext) {
 }
 
 /// Removes the topmost entry whose span matches `span_id`. Searching from
-/// the top tolerates out-of-order guard drops without corrupting the rest
+/// the top tolerates out-of-order span drops without corrupting the rest
 /// of the stack.
 fn pop_context(span_id: u64) {
     CONTEXT.with(|c| {
@@ -143,46 +131,6 @@ fn pop_context(span_id: u64) {
             stack.remove(pos);
         }
     });
-}
-
-/// RAII guard re-entering a [`TraceContext`] on the current thread.
-///
-/// Returned by [`Telemetry::propagate`]; while alive, spans opened on
-/// this thread parent under the captured context. Must be dropped on the
-/// thread that created it.
-///
-/// [`Telemetry::propagate`]: crate::Telemetry::propagate
-#[must_use = "the context is only active while the guard lives"]
-#[derive(Debug)]
-pub struct ContextGuard {
-    entered: Option<TraceContext>,
-    // Thread-local bookkeeping: keep the guard on its creating thread.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl ContextGuard {
-    pub(crate) fn inert() -> Self {
-        Self {
-            entered: None,
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    pub(crate) fn enter(ctx: TraceContext) -> Self {
-        push_context(ctx);
-        Self {
-            entered: Some(ctx),
-            _not_send: std::marker::PhantomData,
-        }
-    }
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        if let Some(ctx) = self.entered.take() {
-            pop_context(ctx.parent_span);
-        }
-    }
 }
 
 /// A trace sink retaining every event in memory (tests, inspection).
@@ -459,30 +407,6 @@ mod tests {
         let mut ids: Vec<u64> = events.iter().map(|e| e.trace_id).collect();
         ids.dedup();
         assert_eq!(ids.len(), 3, "each root starts its own trace");
-    }
-
-    #[test]
-    fn context_guard_links_across_threads() {
-        let h = Arc::new(Histogram::default());
-        let trace = Arc::new(MemoryTraceSink::new());
-        let parent_ctx;
-        {
-            let _root = Span::start("root", 0, Arc::clone(&h), Some(trace.clone() as _));
-            parent_ctx = current_context().unwrap();
-            let h2 = Arc::clone(&h);
-            let t2 = trace.clone();
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    let _g = ContextGuard::enter(parent_ctx);
-                    let _child = Span::start("remote", 1, h2, Some(t2 as _));
-                });
-            });
-        }
-        let events = trace.events();
-        let root = events.iter().find(|e| e.name == "root").unwrap();
-        let remote = events.iter().find(|e| e.name == "remote").unwrap();
-        assert_eq!(remote.trace_id, root.trace_id);
-        assert_eq!(remote.parent_id, root.span_id);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! between faulty and fault-free runs.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -46,25 +45,16 @@ pub enum FaultSchedule {
         /// Most consecutive attempts that can fail on one wave (≥ 1).
         max_consecutive: u32,
     },
-    /// On every wave where `wave % every == 0`, the first attempt hangs
-    /// for `duration` before delegating to the inner step — the shape a
-    /// per-attempt watchdog timeout exists to catch.
-    Hang {
-        /// Wave period of the hang.
-        every: u64,
-        /// How long the first attempt stalls.
-        duration: Duration,
-    },
 }
 
 impl FaultSchedule {
     /// The number of leading attempts this schedule fails on `wave`
-    /// (ignoring [`FaultSchedule::FailNThenSucceed`] history and hangs).
+    /// (ignoring [`FaultSchedule::FailNThenSucceed`] history).
     /// Exposed so chaos tests can compute expected retry counts.
     #[must_use]
     pub fn planned_failures(&self, wave: u64) -> u32 {
         match *self {
-            FaultSchedule::FailNThenSucceed { .. } | FaultSchedule::Hang { .. } => 0,
+            FaultSchedule::FailNThenSucceed { .. } => 0,
             FaultSchedule::EveryKthWave { every, failures } => {
                 if every > 0 && wave.is_multiple_of(every) {
                     failures
@@ -86,13 +76,6 @@ impl FaultSchedule {
             }
         }
     }
-}
-
-/// What the schedule decided for one execution.
-enum FaultDecision {
-    Pass,
-    Fail,
-    Stall(Duration),
 }
 
 #[derive(Debug, Default)]
@@ -140,7 +123,8 @@ impl<S: Step> FaultyStep<S> {
         self.schedule
     }
 
-    fn decide(&self, wave: u64) -> FaultDecision {
+    /// Whether the schedule fails this execution on `wave`.
+    fn fails(&self, wave: u64) -> bool {
         // The guard scope is confined to bookkeeping: it must be dropped
         // before the inner step's `execute` callback runs.
         let mut state = self.state.lock();
@@ -151,50 +135,31 @@ impl<S: Step> FaultyStep<S> {
         state.attempts_this_wave += 1;
         let attempt = state.attempts_this_wave;
 
-        let decision = match self.schedule {
+        let fails = match self.schedule {
             FaultSchedule::FailNThenSucceed { failures } => {
-                if state.total_failures < u64::from(failures) {
-                    FaultDecision::Fail
-                } else {
-                    FaultDecision::Pass
-                }
+                state.total_failures < u64::from(failures)
             }
             FaultSchedule::EveryKthWave { .. } | FaultSchedule::Seeded { .. } => {
-                if attempt <= self.schedule.planned_failures(wave) {
-                    FaultDecision::Fail
-                } else {
-                    FaultDecision::Pass
-                }
-            }
-            FaultSchedule::Hang { every, duration } => {
-                if every > 0 && wave.is_multiple_of(every) && attempt == 1 {
-                    FaultDecision::Stall(duration)
-                } else {
-                    FaultDecision::Pass
-                }
+                attempt <= self.schedule.planned_failures(wave)
             }
         };
-        if matches!(decision, FaultDecision::Fail) {
+        if fails {
             state.total_failures += 1;
         }
-        decision
+        fails
     }
 }
 
 impl<S: Step> Step for FaultyStep<S> {
     fn execute(&self, ctx: &StepContext) -> Result<(), StepError> {
-        match self.decide(ctx.wave()) {
-            FaultDecision::Pass => self.inner.execute(ctx),
-            FaultDecision::Fail => Err(StepError::msg(format!(
+        if self.fails(ctx.wave()) {
+            return Err(StepError::msg(format!(
                 "injected fault: step `{}` wave {}",
                 ctx.step_name(),
                 ctx.wave()
-            ))),
-            FaultDecision::Stall(duration) => {
-                std::thread::sleep(duration);
-                self.inner.execute(ctx)
-            }
+            )));
         }
+        self.inner.execute(ctx)
     }
 }
 
@@ -300,21 +265,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hang_stalls_then_delegates() {
-        let s = FaultyStep::new(
-            ok_step(),
-            FaultSchedule::Hang {
-                every: 2,
-                duration: Duration::from_millis(5),
-            },
-        );
-        // Wave 2, attempt 1 stalls briefly but still succeeds; attempt 2
-        // and non-multiple waves run straight through.
-        assert!(s.execute(&ctx(1)).is_ok());
-        assert!(s.execute(&ctx(2)).is_ok());
-        assert!(s.execute(&ctx(2)).is_ok());
     }
 }

@@ -15,8 +15,8 @@
 //!   Oozie↔SmartFlux RMI notification scheme;
 //! - per-step execution statistics ([`ExecutionStats`]), the resource-usage
 //!   metric of the paper's evaluation;
-//! - fault tolerance: per-step [`RetryPolicy`] (bounded attempts,
-//!   deterministic backoff, optional watchdog timeout), clean wave-abort
+//! - fault tolerance: per-step [`RetryPolicy`] (bounded, immediate
+//!   attempts, each on the thread that runs the wave), clean wave-abort
 //!   semantics (`WaveAborted` closes every started wave; the next wave is
 //!   fresh), and a deterministic fault-injection harness ([`FaultyStep`])
 //!   for chaos tests.
@@ -92,7 +92,7 @@ pub use events::{EventSubscription, SchedulerEvent};
 pub use faults::{FaultSchedule, FaultyStep};
 pub use graph::{GraphBuilder, StepId, WorkflowGraph};
 pub use policy::{SynchronousPolicy, TriggerPolicy};
-pub use retry::{Backoff, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use scheduler::{Scheduler, WaveId, WaveOutcome};
 pub use stats::ExecutionStats;
 pub use step::{FnStep, Step, StepContext, StepError};

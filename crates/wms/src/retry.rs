@@ -1,37 +1,14 @@
-//! Per-step retry policies: bounded re-execution with deterministic backoff.
+//! Per-step retry policies: bounded, immediate re-execution.
 //!
 //! Continuous workflows run for thousands of waves; a transient step failure
 //! (a flaky connector, a briefly unavailable region server) must not poison
 //! the whole run. A [`RetryPolicy`] bounds how many times the scheduler
-//! re-executes a failing step within one wave, how long it waits between
-//! attempts, and optionally how long a single attempt may run before a
-//! watchdog declares it dead.
-//!
-//! Delays are **jitterless and deterministic**: the same policy produces the
-//! same delay sequence on every run, preserving the repo-wide invariant that
-//! wave execution is replayable (no ambient randomness in the WMS).
-
-use std::time::Duration;
-
-/// The delay schedule between retry attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backoff {
-    /// Retry immediately, with no delay.
-    None,
-    /// The same delay before every retry.
-    Fixed(Duration),
-    /// `base · 2^(k−1)` before the k-th retry, saturating at `cap`.
-    Exponential {
-        /// Delay before the first retry.
-        base: Duration,
-        /// Upper bound on any single delay.
-        cap: Duration,
-    },
-}
+//! re-executes a failing step within one wave. Retries follow one another
+//! at once, on the wave's own thread, so a retried wave's outcome depends
+//! only on what its attempts return — never on wall-clock timing.
 
 /// How the scheduler responds to a step failure: at most `max_attempts`
-/// executions per wave, separated by [`Backoff`] delays, each optionally
-/// bounded by a wall-clock `timeout` enforced by a watchdog thread.
+/// executions per wave, run back to back.
 ///
 /// The default policy ([`RetryPolicy::none`]) performs a single attempt —
 /// the pre-fault-tolerance behaviour.
@@ -39,39 +16,25 @@ pub enum Backoff {
 /// # Example
 ///
 /// ```
-/// use std::time::Duration;
 /// use smartflux_wms::RetryPolicy;
 ///
-/// let policy = RetryPolicy::exponential(
-///     4,
-///     Duration::from_millis(10),
-///     Duration::from_millis(50),
-/// );
-/// assert_eq!(policy.max_attempts(), 4);
-/// // Delays before attempts 2, 3, 4: 10ms, 20ms, 40ms (capped at 50ms).
-/// assert_eq!(policy.delay_before(2), Duration::from_millis(10));
-/// assert_eq!(policy.delay_before(3), Duration::from_millis(20));
-/// assert_eq!(policy.delay_before(4), Duration::from_millis(40));
+/// let policy = RetryPolicy::attempts(3);
+/// assert_eq!(policy.max_attempts(), 3);
+/// assert_eq!(RetryPolicy::default().max_attempts(), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
-    backoff: Backoff,
-    timeout: Option<Duration>,
 }
 
 impl RetryPolicy {
-    /// No retries: one attempt, no backoff, no timeout (the default).
+    /// No retries: one attempt (the default).
     #[must_use]
     pub const fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            backoff: Backoff::None,
-            timeout: None,
-        }
+        Self { max_attempts: 1 }
     }
 
-    /// Up to `max_attempts` immediate attempts (no delay between them).
+    /// Up to `max_attempts` immediate attempts.
     ///
     /// # Panics
     ///
@@ -79,87 +42,13 @@ impl RetryPolicy {
     #[must_use]
     pub fn attempts(max_attempts: u32) -> Self {
         assert!(max_attempts >= 1, "a step needs at least one attempt");
-        Self {
-            max_attempts,
-            backoff: Backoff::None,
-            timeout: None,
-        }
-    }
-
-    /// Up to `max_attempts` attempts with a fixed `delay` between them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    #[must_use]
-    pub fn fixed(max_attempts: u32, delay: Duration) -> Self {
-        let mut policy = Self::attempts(max_attempts);
-        policy.backoff = Backoff::Fixed(delay);
-        policy
-    }
-
-    /// Up to `max_attempts` attempts with exponential backoff starting at
-    /// `base` and saturating at `cap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    #[must_use]
-    pub fn exponential(max_attempts: u32, base: Duration, cap: Duration) -> Self {
-        let mut policy = Self::attempts(max_attempts);
-        policy.backoff = Backoff::Exponential { base, cap };
-        policy
-    }
-
-    /// Adds a per-attempt wall-clock timeout. When an attempt exceeds it,
-    /// a watchdog fails the attempt (counting towards `max_attempts`) and
-    /// the runaway execution is abandoned in the background — step
-    /// implementations should therefore be idempotent per wave.
-    #[must_use]
-    pub const fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
+        Self { max_attempts }
     }
 
     /// Maximum number of executions per wave (at least 1).
     #[must_use]
     pub const fn max_attempts(&self) -> u32 {
         self.max_attempts
-    }
-
-    /// The backoff schedule between attempts.
-    #[must_use]
-    pub const fn backoff(&self) -> Backoff {
-        self.backoff
-    }
-
-    /// The per-attempt wall-clock timeout, if one is configured.
-    #[must_use]
-    pub const fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// The deterministic delay inserted before attempt number `attempt`
-    /// (attempts are numbered from 1; the first attempt never waits).
-    #[must_use]
-    pub fn delay_before(&self, attempt: u32) -> Duration {
-        if attempt <= 1 {
-            return Duration::ZERO;
-        }
-        match self.backoff {
-            Backoff::None => Duration::ZERO,
-            Backoff::Fixed(delay) => delay,
-            Backoff::Exponential { base, cap } => {
-                // Delay before the k-th retry is base · 2^(k−1); shifts
-                // past 31 would overflow the u32 factor and are far beyond
-                // any cap in practice, so they saturate to cap.
-                let exponent = attempt - 2;
-                if exponent >= 31 {
-                    return cap;
-                }
-                base.saturating_mul(1u32 << exponent).min(cap)
-            }
-        }
     }
 }
 
@@ -175,52 +64,14 @@ mod tests {
 
     #[test]
     fn default_is_single_attempt() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_attempts(), 1);
-        assert_eq!(p.backoff(), Backoff::None);
-        assert_eq!(p.timeout(), None);
-        assert_eq!(p.delay_before(1), Duration::ZERO);
-        assert_eq!(p.delay_before(5), Duration::ZERO);
-    }
-
-    #[test]
-    fn fixed_backoff_is_constant() {
-        let p = RetryPolicy::fixed(3, Duration::from_millis(7));
-        assert_eq!(p.delay_before(1), Duration::ZERO);
-        assert_eq!(p.delay_before(2), Duration::from_millis(7));
-        assert_eq!(p.delay_before(3), Duration::from_millis(7));
-    }
-
-    #[test]
-    fn exponential_backoff_doubles_and_caps() {
-        let p = RetryPolicy::exponential(10, Duration::from_millis(5), Duration::from_millis(33));
-        assert_eq!(p.delay_before(2), Duration::from_millis(5));
-        assert_eq!(p.delay_before(3), Duration::from_millis(10));
-        assert_eq!(p.delay_before(4), Duration::from_millis(20));
-        assert_eq!(p.delay_before(5), Duration::from_millis(33)); // capped
-        assert_eq!(p.delay_before(10), Duration::from_millis(33));
-        // Far-out attempts saturate instead of overflowing.
-        assert_eq!(p.delay_before(u32::MAX), Duration::from_millis(33));
-    }
-
-    #[test]
-    fn timeout_is_carried() {
-        let p = RetryPolicy::attempts(2).with_timeout(Duration::from_millis(50));
-        assert_eq!(p.timeout(), Some(Duration::from_millis(50)));
-        assert_eq!(p.max_attempts(), 2);
+        assert_eq!(RetryPolicy::default(), RetryPolicy::none());
+        assert_eq!(RetryPolicy::default().max_attempts(), 1);
+        assert_eq!(RetryPolicy::attempts(4).max_attempts(), 4);
     }
 
     #[test]
     #[should_panic(expected = "at least one attempt")]
     fn zero_attempts_rejected() {
         let _ = RetryPolicy::attempts(0);
-    }
-
-    #[test]
-    fn delays_are_deterministic() {
-        let p = RetryPolicy::exponential(6, Duration::from_millis(3), Duration::from_secs(1));
-        let a: Vec<_> = (1..=6).map(|k| p.delay_before(k)).collect();
-        let b: Vec<_> = (1..=6).map(|k| p.delay_before(k)).collect();
-        assert_eq!(a, b);
     }
 }

@@ -1,12 +1,8 @@
 //! The wave-based scheduler.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, RecvTimeoutError};
-use parking_lot::Mutex;
 use smartflux_datastore::DataStore;
 use smartflux_telemetry::{names, Telemetry};
 
@@ -42,64 +38,6 @@ impl WaveOutcome {
     }
 }
 
-/// Watchdog worker threads whose attempt timed out and was abandoned
-/// mid-flight.
-///
-/// Before this registry existed, a timed-out attempt's worker thread was
-/// simply detached — on a wave abort nothing ever joined it, so every
-/// hang-faulted wave leaked one OS thread for the life of the process.
-/// Now every abandoned handle is kept here: finished workers are reaped
-/// (joined) at each wave boundary — completed *and* aborted — and the
-/// scheduler's `Drop` joins whatever is still running, so no watchdog
-/// thread outlives its scheduler.
-#[derive(Clone, Default)]
-struct AbandonedWatchdogs {
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl AbandonedWatchdogs {
-    /// Records a worker whose attempt timed out and keeps running.
-    fn register(&self, handle: JoinHandle<()>) {
-        self.handles.lock().push(handle);
-    }
-
-    /// Joins every abandoned worker that has already finished; running
-    /// ones are left for a later reap or [`AbandonedWatchdogs::join_all`].
-    fn reap_finished(&self) {
-        let finished = {
-            let mut handles = self.handles.lock();
-            let mut finished = Vec::new();
-            let mut i = 0;
-            while i < handles.len() {
-                if handles[i].is_finished() {
-                    finished.push(handles.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            finished
-        };
-        // Joined outside the lock (a join may block, briefly even for a
-        // finished thread, and must never happen under a held guard).
-        for handle in finished {
-            let _ = handle.join();
-        }
-    }
-
-    /// Blocks until every abandoned worker has finished, joining them all.
-    fn join_all(&self) {
-        let drained = std::mem::take(&mut *self.handles.lock());
-        for handle in drained {
-            let _ = handle.join();
-        }
-    }
-
-    /// Abandoned workers not yet reaped (finished or not).
-    fn len(&self) -> usize {
-        self.handles.lock().len()
-    }
-}
-
 /// The result of driving one step through its retry budget.
 struct StepExecution {
     /// Final result: busy time on success, the last attempt's error on
@@ -110,16 +48,14 @@ struct StepExecution {
 }
 
 /// Executes `step` under its `RetryPolicy`: up to `max_attempts` tries,
-/// separated by the policy's deterministic backoff delays, each optionally
-/// bounded by a watchdog timeout. A fresh [`StepContext`] is built per
-/// attempt. Backoff delays sleep the calling (wave) thread.
+/// back to back, each on the calling (wave) thread. A fresh
+/// [`StepContext`] is built per attempt.
 ///
 /// Each attempt opens a `wms.step_attempt` span (tag = attempt number), so
 /// retries show up as sibling children of the enclosing step span in trace
 /// trees.
 fn run_step_with_retry(
     telemetry: &Telemetry,
-    abandoned: &AbandonedWatchdogs,
     workflow: &Workflow,
     store: &DataStore,
     wave: WaveId,
@@ -134,44 +70,16 @@ fn run_step_with_retry(
             attempts: 1,
         };
     };
-    let retry = info.retry();
+    let max_attempts = info.retry().max_attempts();
     let name = workflow.graph().step_name(step);
     let mut attempts = 0;
     loop {
         attempts += 1;
-        let delay = retry.delay_before(attempts);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
         let ctx = StepContext::new(store.clone(), wave, step, name);
-        let result = {
-            let _attempt_span = telemetry.span(names::STEP_ATTEMPT_LATENCY, u64::from(attempts));
-            match retry.timeout() {
-                None => attempt_inline(implementation, &ctx),
-                Some(limit) => attempt_with_watchdog(
-                    telemetry,
-                    abandoned,
-                    Arc::clone(implementation),
-                    ctx,
-                    limit,
-                ),
-            }
-        };
-        match result {
-            Ok(elapsed) => {
-                return StepExecution {
-                    outcome: Ok(elapsed),
-                    attempts,
-                }
-            }
-            Err(source) => {
-                if attempts >= retry.max_attempts() {
-                    return StepExecution {
-                        outcome: Err(source),
-                        attempts,
-                    };
-                }
-            }
+        let _attempt_span = telemetry.span(names::STEP_ATTEMPT_LATENCY, u64::from(attempts));
+        let outcome = attempt_inline(implementation.as_ref(), &ctx);
+        if outcome.is_ok() || attempts >= max_attempts {
+            return StepExecution { outcome, attempts };
         }
     }
 }
@@ -179,10 +87,7 @@ fn run_step_with_retry(
 /// One attempt on the calling thread. A panicking step becomes a
 /// [`StepError`] so it fails its wave through the normal retry/abort
 /// lifecycle instead of tearing down the scheduler.
-fn attempt_inline(
-    implementation: &Arc<dyn Step>,
-    ctx: &StepContext,
-) -> Result<Duration, StepError> {
+fn attempt_inline(implementation: &dyn Step, ctx: &StepContext) -> Result<Duration, StepError> {
     // tidy:allow(time): measures step latency for ExecutionStats;
     // reported, never replayed
     let start = Instant::now();
@@ -190,46 +95,6 @@ fn attempt_inline(
         Ok(Ok(())) => Ok(start.elapsed()),
         Ok(Err(source)) => Err(source),
         Err(_) => Err(StepError::msg("step panicked")),
-    }
-}
-
-/// One attempt bounded by a wall-clock watchdog: the step runs on a
-/// spawned thread while this thread waits at most `limit` for its result.
-/// On timeout the attempt fails and the runaway execution is abandoned to
-/// the scheduler's [`AbandonedWatchdogs`] registry (it keeps its own store
-/// clone) — which is why steps under a timeout should be idempotent per
-/// wave. Workers that finished (result or panic) are joined right here.
-fn attempt_with_watchdog(
-    telemetry: &Telemetry,
-    abandoned: &AbandonedWatchdogs,
-    implementation: Arc<dyn Step>,
-    ctx: StepContext,
-    limit: Duration,
-) -> Result<Duration, StepError> {
-    let (tx, rx) = unbounded();
-    // Hand the current trace context to the worker thread so store-op
-    // trace events emitted by the step still parent under its attempt span.
-    let trace_ctx = telemetry.trace_context();
-    let worker_telemetry = telemetry.clone();
-    let handle = std::thread::spawn(move || {
-        let _trace_guard = worker_telemetry.propagate(trace_ctx);
-        let _ = tx.send(attempt_inline(&implementation, &ctx));
-    });
-    match rx.recv_timeout(limit) {
-        Ok(result) => {
-            // The worker has sent its result and is exiting; join it so a
-            // successful timed attempt leaves no thread behind.
-            let _ = handle.join();
-            result
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            abandoned.register(handle);
-            Err(StepError::msg(format!("step timed out after {limit:?}")))
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            let _ = handle.join();
-            Err(StepError::msg("step panicked"))
-        }
     }
 }
 
@@ -254,7 +119,6 @@ pub struct Scheduler {
     telemetry: Telemetry,
     ever_executed: Vec<bool>,
     next_wave: WaveId,
-    abandoned: AbandonedWatchdogs,
 }
 
 impl Scheduler {
@@ -271,7 +135,6 @@ impl Scheduler {
             telemetry: Telemetry::disabled(),
             ever_executed: vec![false; n],
             next_wave: 1,
-            abandoned: AbandonedWatchdogs::default(),
         }
     }
 
@@ -316,25 +179,6 @@ impl Scheduler {
     /// Subscribes to scheduler events.
     pub fn subscribe(&mut self) -> EventSubscription {
         self.events.subscribe()
-    }
-
-    /// Blocks until every watchdog worker abandoned by a timed-out attempt
-    /// has finished, joining them all.
-    ///
-    /// Finished workers are reaped automatically at each wave boundary and
-    /// everything is joined on drop; call this between waves when a test
-    /// or harness needs the store quiescent — e.g. before comparing store
-    /// contents, so a runaway attempt's late writes land at a defined
-    /// point instead of racing the next wave.
-    pub fn join_abandoned(&self) {
-        self.abandoned.join_all();
-    }
-
-    /// Number of abandoned watchdog workers not yet reaped (finished or
-    /// still running).
-    #[must_use]
-    pub fn abandoned_watchdogs(&self) -> usize {
-        self.abandoned.len()
     }
 
     /// The number of the next wave to run.
@@ -429,14 +273,7 @@ impl Scheduler {
                 let _step_span = self
                     .telemetry
                     .span(names::STEP_TOTAL_LATENCY, step.index() as u64);
-                run_step_with_retry(
-                    &self.telemetry,
-                    &self.abandoned,
-                    &self.workflow,
-                    &self.store,
-                    wave,
-                    step,
-                )
+                run_step_with_retry(&self.telemetry, &self.workflow, &self.store, wave, step)
             };
             self.publish_retries(wave, step, exec.attempts);
             match exec.outcome {
@@ -457,7 +294,6 @@ impl Scheduler {
 
         self.policy.end_wave(wave, &self.workflow);
         self.stats.record_wave();
-        self.abandoned.reap_finished();
         self.events.publish(&SchedulerEvent::WaveCompleted {
             wave,
             executed: outcome.executed.len(),
@@ -503,7 +339,6 @@ impl Scheduler {
         });
         self.policy.end_wave(wave, &self.workflow);
         self.stats.record_aborted_wave();
-        self.abandoned.reap_finished();
         self.count(names::WAVES_ABORTED, 1);
         self.events.publish(&SchedulerEvent::WaveAborted {
             wave,
@@ -560,17 +395,6 @@ impl std::fmt::Debug for Scheduler {
             .field("workflow", &self.workflow)
             .field("next_wave", &self.next_wave)
             .finish()
-    }
-}
-
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        // A scheduler must not leave runaway watchdog workers behind: a
-        // timed-out step attempt may still be executing against a clone of
-        // the store, and letting it outlive the scheduler races whatever
-        // the owner does next with that store (export, comparison,
-        // recovery). Waits as long as the slowest runaway step.
-        self.abandoned.join_all();
     }
 }
 
@@ -775,6 +599,39 @@ mod tests {
             .drain()
             .iter()
             .any(|e| matches!(e, SchedulerEvent::StepRetried { attempt: 2, .. })));
+    }
+
+    #[test]
+    fn every_attempt_runs_on_the_wave_thread() {
+        use crate::retry::RetryPolicy;
+        use parking_lot::Mutex;
+        use std::sync::Arc;
+        use std::thread::ThreadId;
+
+        let threads: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+        let seen = Arc::clone(&threads);
+        let store = DataStore::new();
+        let mut b = GraphBuilder::new("w");
+        let a = b.add_step("a");
+        let mut w = Workflow::new(b.build().unwrap());
+        w.bind(
+            a,
+            FnStep::new(move |_: &StepContext| {
+                let mut seen = seen.lock();
+                seen.push(std::thread::current().id());
+                if seen.len() < 3 {
+                    Err(StepError::msg("transient"))
+                } else {
+                    Ok(())
+                }
+            }),
+        )
+        .source()
+        .retry(RetryPolicy::attempts(3));
+        let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
+        assert!(s.run_wave().unwrap().did_execute(a));
+        assert_eq!(s.stats().retries(a), 2);
+        assert_eq!(*threads.lock(), vec![std::thread::current().id(); 3]);
     }
 
     #[test]

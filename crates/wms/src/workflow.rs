@@ -264,7 +264,7 @@ mod tests {
     fn retry_policy_is_carried() {
         let (g, a, c) = two_step();
         let mut w = Workflow::new(g);
-        let policy = RetryPolicy::fixed(3, std::time::Duration::from_millis(1));
+        let policy = RetryPolicy::attempts(3);
         w.bind(a, noop()).retry(policy);
         w.bind(c, noop());
         assert_eq!(w.info(a).retry(), policy);

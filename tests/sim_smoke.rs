@@ -19,7 +19,11 @@ const SEEDS: [(u64, &str); 4] = [
         "a crash-kill recovering in the application phase, step faults, the \
          loopback wire plane",
     ),
-    (19, "two hanging steps, periodic checkpoints and no kill"),
+    (
+        19,
+        "seeded transient faults on two steps under a three-attempt retry \
+         budget, periodic checkpoints and no kill",
+    ),
 ];
 
 #[test]

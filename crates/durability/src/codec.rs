@@ -260,9 +260,19 @@ impl<'a> Reader<'a> {
     ///
     /// Returns [`DurabilityError::Corrupt`] on truncation or invalid UTF-8.
     pub fn str(&mut self) -> Result<String, DurabilityError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, borrowed from the
+    /// payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DurabilityError::Corrupt`] on truncation or invalid UTF-8.
+    pub fn str_ref(&mut self) -> Result<&'a str, DurabilityError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len, "string body")?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DurabilityError::Corrupt {
+        std::str::from_utf8(bytes).map_err(|_| DurabilityError::Corrupt {
             context: "string body is not valid UTF-8".to_owned(),
         })
     }
@@ -273,8 +283,18 @@ impl<'a> Reader<'a> {
     ///
     /// Returns [`DurabilityError::Corrupt`] on truncation.
     pub fn bytes(&mut self) -> Result<Vec<u8>, DurabilityError> {
+        self.bytes_ref().map(<[u8]>::to_vec)
+    }
+
+    /// Reads a length-prefixed byte blob in place, borrowed from the
+    /// payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DurabilityError::Corrupt`] on truncation.
+    pub fn bytes_ref(&mut self) -> Result<&'a [u8], DurabilityError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len, "byte blob")?.to_vec())
+        self.take(len, "byte blob")
     }
 
     /// Reads a tagged [`Value`].
@@ -288,10 +308,30 @@ impl<'a> Reader<'a> {
             1 => Ok(Value::I64(self.u64()? as i64)),
             2 => Ok(Value::Text(self.str()?)),
             3 => Ok(Value::Bytes(self.bytes()?)),
-            tag => Err(DurabilityError::Corrupt {
-                context: format!("unknown value tag {tag}"),
-            }),
+            tag => Err(unknown_value_tag(tag)),
         }
+    }
+
+    /// Steps over a tagged [`Value`], checking it as [`value`](Self::value)
+    /// would but building nothing, so it allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DurabilityError::Corrupt`] on truncation, invalid UTF-8 in
+    /// a text, or an unknown tag.
+    pub fn skip_value(&mut self) -> Result<(), DurabilityError> {
+        match self.u8()? {
+            0 | 1 => self.u64().map(drop),
+            2 => self.str_ref().map(drop),
+            3 => self.bytes_ref().map(drop),
+            tag => Err(unknown_value_tag(tag)),
+        }
+    }
+}
+
+fn unknown_value_tag(tag: u8) -> DurabilityError {
+    DurabilityError::Corrupt {
+        context: format!("unknown value tag {tag}"),
     }
 }
 
@@ -344,6 +384,35 @@ mod tests {
         put_u32(&mut buf, 100); // declared string longer than buffer
         let mut r = Reader::new(&buf);
         assert!(matches!(r.str(), Err(DurabilityError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn skip_value_steps_over_exactly_what_value_reads() {
+        let mut buf = Vec::new();
+        for v in [
+            Value::F64(-0.5),
+            Value::I64(-5),
+            Value::from("héllo"),
+            Value::from(vec![9u8, 8]),
+        ] {
+            put_value(&mut buf, &v);
+        }
+        let (mut skipped, mut read) = (Reader::new(&buf), Reader::new(&buf));
+        for _ in 0..4 {
+            skipped.skip_value().unwrap();
+            read.value().unwrap();
+            assert_eq!(skipped.remaining(), read.remaining());
+        }
+        assert!(skipped.is_exhausted());
+        // The checks `value` makes: a known tag, whole bodies, UTF-8 text.
+        for bad in [&[9u8][..], &[0, 1, 2], &[2, 1, 0, 0, 0, 0xFF]] {
+            let mut r = Reader::new(bad);
+            assert!(matches!(
+                r.skip_value(),
+                Err(DurabilityError::Corrupt { .. })
+            ));
+            assert!(Reader::new(bad).value().is_err());
+        }
     }
 
     #[test]

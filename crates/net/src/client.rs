@@ -23,6 +23,7 @@
 //! # }
 //! ```
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use smartflux_datastore::StoreState;
@@ -56,7 +57,10 @@ pub struct IngestReceipt {
 /// A blocking SFNP connection.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// The connection, read through a buffer so a response frame's header
+    /// and payload usually cost one `read`; requests are written to the
+    /// socket directly.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -72,7 +76,7 @@ impl Client {
     /// Connection failures, or a typed rejection when the server does
     /// not speak [`VERSION`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = BufReader::new(TcpStream::connect(addr)?);
         let mut client = Self { stream };
         match client.roundtrip(&Request::Hello { version: VERSION })? {
             Response::HelloOk { version: VERSION } => Ok(client),
@@ -90,7 +94,7 @@ impl Client {
     /// I/O failures, a torn/corrupt response frame, or
     /// [`NetError::Closed`] if the server hung up.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, NetError> {
-        wire::write_frame_to(&mut self.stream, &wire::encode_request(request))?;
+        wire::write_frame_to(self.stream.get_mut(), &wire::encode_request(request))?;
         self.read_response()
     }
 

@@ -44,7 +44,9 @@ use smartflux_telemetry::{names, Counter, Gauge, Telemetry};
 use smartflux_wms::StepId;
 
 use crate::registry::WorkflowRegistry;
-use crate::wire::{ContainerWrite, DecisionRow, ErrorCode, Response, SessionSpec, WaveReport};
+use crate::wire::{
+    ContainerWrite, DecisionRow, ErrorCode, Response, SessionSpec, WaveReport, WriteBatch, WriteRef,
+};
 
 /// Tuning knobs for an [`EngineHost`].
 #[derive(Debug, Clone)]
@@ -331,10 +333,31 @@ impl EngineHost {
     /// Returns [`Response::Busy`] immediately — without waiting — when
     /// `queue_capacity` callers are already waiting for the session.
     #[must_use]
-    pub fn submit(&self, session: u64, writes: Vec<ContainerWrite>, run_wave: bool) -> Response {
+    pub fn submit(
+        &self,
+        session: u64,
+        mut writes: Vec<ContainerWrite>,
+        run_wave: bool,
+    ) -> Response {
         let inner = &self.inner;
         self.turn(session, false, |_, live| {
+            let writes = writes.iter_mut().map(ContainerWrite::take_ref);
             Some(execute_submit(inner, live.as_mut()?, writes, run_wave))
+        })
+    }
+
+    /// [`submit`](Self::submit) for a batch still in its frame: each write
+    /// goes from the frame into the store, its keys never copied.
+    #[must_use]
+    pub fn submit_batch(&self, session: u64, writes: WriteBatch<'_>, run_wave: bool) -> Response {
+        let inner = &self.inner;
+        self.turn(session, false, |_, live| {
+            Some(execute_submit(
+                inner,
+                live.as_mut()?,
+                writes.into_iter(),
+                run_wave,
+            ))
         })
     }
 
@@ -556,19 +579,21 @@ fn shutting_down() -> Response {
     error_response(ErrorCode::ShuttingDown, "host is shutting down")
 }
 
-fn execute_submit(
+fn execute_submit<'w>(
     inner: &HostInner,
     session: &mut SmartFluxSession,
-    writes: Vec<ContainerWrite>,
+    writes: impl ExactSizeIterator<Item = WriteRef<'w>>,
     run_wave: bool,
 ) -> Response {
     let store = session.scheduler().store().clone();
     let count = writes.len() as u32;
-    // Each value is moved into its cell, and a run of consecutive writes to
-    // one `(table, family)` resolves the family once.
-    let mut writes = writes.into_iter().peekable();
+    // Each value is moved into its cell, the keys are only borrowed, and a
+    // run of consecutive writes to one `(table, family)` resolves the
+    // family once. A store error stops the batch: the writes before it
+    // stay applied and the error names the failing write.
+    let mut writes = writes.peekable();
     while let Some(first) = writes.next() {
-        let ContainerWrite {
+        let WriteRef {
             table,
             family,
             mut row,
@@ -581,13 +606,13 @@ fn execute_submit(
                 &format!("write to {table}/{family}/{row} failed: {e}"),
             )
         };
-        let handle = match store.family(&table, &family) {
+        let handle = match store.family(table, family) {
             Ok(handle) => handle,
-            Err(e) => return failed(&row, e),
+            Err(e) => return failed(row, e),
         };
         loop {
-            if let Err(e) = handle.put(&row, &qualifier, value) {
-                return failed(&row, e);
+            if let Err(e) = handle.put(row, qualifier, value) {
+                return failed(row, e);
             }
             let Some(w) = writes.next_if(|w| w.table == table && w.family == family) else {
                 break;

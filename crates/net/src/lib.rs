@@ -8,7 +8,9 @@
 //! - [`wire`] — the SFNP v2 framed binary protocol: `len|crc|payload`
 //!   envelopes reusing the durability codec's conventions, a versioned
 //!   handshake, and typed error frames. Torn and corrupt frames are
-//!   distinguished exactly like WAL damage and can never panic a peer.
+//!   distinguished exactly like WAL damage and can never panic a peer. A
+//!   `SubmitWave` body is checked whole, then its writes go from the
+//!   frame into the store with their keys borrowed ([`wire::WriteBatch`]).
 //! - [`registry`] — named workload catalogue
 //!   ([`WorkflowRegistry`]): clients open sessions by name; code never
 //!   travels over the wire.

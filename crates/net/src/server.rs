@@ -4,16 +4,20 @@
 //! lifetime (the protocol is strictly request/response, so a connection
 //! never needs more than one thread). The handler enforces the
 //! handshake-first rule, then loops: read one frame, dispatch to the
-//! host, write one response frame. Between frames it polls the pool's
-//! [`StopFlag`] on a short read timeout so [`NetServer::shutdown`]
-//! completes in bounded time even with idle clients connected.
+//! host, write one response frame. Frames are read through one buffer per
+//! connection, so a frame's header and payload usually cost one `read`.
+//! Between frames it polls the pool's [`StopFlag`] on a short read
+//! timeout so [`NetServer::shutdown`] completes in bounded time even with
+//! idle clients connected.
 //!
 //! Damage never propagates: a torn or corrupt inbound frame bumps
 //! `net.frame_errors`, earns a best-effort typed error frame, and closes
 //! the connection — the host and its sessions are untouched, because a
-//! request is only dispatched after its frame fully decoded.
+//! request is only dispatched after its frame fully decoded. A
+//! `SubmitWave` batch is checked whole, then applied from the frame in
+//! place ([`EngineHost::submit_batch`]).
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -21,7 +25,7 @@ use smartflux_obs::{ListenerPool, StopFlag};
 
 use crate::error::NetError;
 use crate::host::{EngineHost, ShutdownReport};
-use crate::wire::{self, ErrorCode, FrameIn, Request, Response, VERSION};
+use crate::wire::{self, ErrorCode, FrameIn, Request, RequestRef, Response, VERSION};
 
 /// How long a connection read blocks before the handler re-checks the
 /// stop flag. Bounds shutdown latency for idle connections.
@@ -47,8 +51,8 @@ impl NetServer {
     /// Returns binding errors (address in use, permission denied, ...).
     pub fn start(addr: &str, host: EngineHost, workers: usize) -> io::Result<Self> {
         let handler_host = host.clone();
-        let pool = ListenerPool::start(addr, workers, move |mut stream, stop| {
-            serve_connection(&mut stream, &handler_host, stop);
+        let pool = ListenerPool::start(addr, workers, move |stream, stop| {
+            serve_connection(&stream, &handler_host, stop);
         })?;
         Ok(Self { pool, host })
     }
@@ -87,7 +91,7 @@ impl NetServer {
     }
 }
 
-fn serve_connection(stream: &mut TcpStream, host: &EngineHost, stop: &StopFlag) {
+fn serve_connection(stream: &TcpStream, host: &EngineHost, stop: &StopFlag) {
     if let Some(m) = host.metrics() {
         m.connections.incr();
         m.active_connections.add(1);
@@ -100,15 +104,19 @@ fn serve_connection(stream: &mut TcpStream, host: &EngineHost, stop: &StopFlag) 
 
 /// Runs one connection to completion. Every exit path has already sent
 /// whatever goodbye frame it could; errors never escape to the pool.
-fn drive_connection(stream: &mut TcpStream, host: &EngineHost, stop: &StopFlag) {
+fn drive_connection(stream: &TcpStream, host: &EngineHost, stop: &StopFlag) {
     if stream.set_read_timeout(Some(IDLE_POLL)).is_err()
         || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return;
     }
+    // A read timeout surfaces through the buffer as it does from the
+    // socket, and consumes nothing, so idle polls and the mid-frame stall
+    // limit work as on the bare stream.
+    let mut frames = BufReader::new(stream);
     let mut hello_done = false;
     loop {
-        let payload = match wire::read_frame_from(stream) {
+        let payload = match wire::read_frame_from(&mut frames) {
             Ok(FrameIn::Frame(payload)) => payload,
             Ok(FrameIn::Idle) => {
                 if stop.is_set() {
@@ -134,7 +142,7 @@ fn drive_connection(stream: &mut TcpStream, host: &EngineHost, stop: &StopFlag) 
         if let Some(m) = host.metrics() {
             m.frames_in.incr();
         }
-        let request = match wire::decode_request(&payload) {
+        let request = match wire::decode_request_ref(&payload) {
             Ok(request) => request,
             Err(e) => {
                 note_frame_error(host);
@@ -151,7 +159,7 @@ fn drive_connection(stream: &mut TcpStream, host: &EngineHost, stop: &StopFlag) 
         };
         if !hello_done {
             match request {
-                Request::Hello { version: VERSION } => {
+                RequestRef::Other(Request::Hello { version: VERSION }) => {
                     if send_response(stream, host, &Response::HelloOk { version: VERSION }).is_err()
                     {
                         return;
@@ -159,7 +167,7 @@ fn drive_connection(stream: &mut TcpStream, host: &EngineHost, stop: &StopFlag) 
                     hello_done = true;
                     continue;
                 }
-                Request::Hello { version } => {
+                RequestRef::Other(Request::Hello { version }) => {
                     let _ = send_response(
                         stream,
                         host,
@@ -193,7 +201,15 @@ fn drive_connection(stream: &mut TcpStream, host: &EngineHost, stop: &StopFlag) 
     }
 }
 
-fn dispatch(host: &EngineHost, request: Request) -> Response {
+fn dispatch(host: &EngineHost, request: RequestRef<'_>) -> Response {
+    let request = match request {
+        RequestRef::SubmitWave {
+            session,
+            writes,
+            run_wave,
+        } => return host.submit_batch(session, writes, run_wave),
+        RequestRef::Other(request) => request,
+    };
     match request {
         Request::Hello { .. } => Response::Error {
             code: ErrorCode::BadFrame,
@@ -213,11 +229,11 @@ fn dispatch(host: &EngineHost, request: Request) -> Response {
 }
 
 fn send_response(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     host: &EngineHost,
     response: &Response,
 ) -> Result<(), NetError> {
-    match wire::write_frame_to(stream, &wire::encode_response(response)) {
+    match wire::write_frame_to(&mut stream, &wire::encode_response(response)) {
         Ok(()) => {}
         // The response (e.g. a StoreImage past MAX_FRAME), not the
         // connection, is at fault — and nothing hit the stream, so the
@@ -225,7 +241,7 @@ fn send_response(
         // stays alive instead of a corrupt-frame failure that kills it.
         Err(NetError::FrameTooLarge { len }) => {
             wire::write_frame_to(
-                stream,
+                &mut stream,
                 &wire::encode_response(&Response::Error {
                     code: ErrorCode::SessionFailed,
                     message: format!(

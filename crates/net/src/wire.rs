@@ -18,6 +18,13 @@
 //! or body fails validation is *corrupt* ([`NetError::Corrupt`]). Both
 //! close the connection with a typed error and neither ever touches
 //! session state.
+//!
+//! A `SubmitWave` body is checked whole — every length, count, UTF-8 key
+//! and value tag, and that nothing trails it — before anything reads it;
+//! the checked [`WriteBatch`] then hands out its writes with their keys
+//! borrowed from the frame ([`decode_request_ref`]), so a server applies a
+//! batch without building a `String` per key. [`decode_request`] is the
+//! same decoder followed by a copy into owned [`ContainerWrite`]s.
 
 use std::io::{Read, Write};
 
@@ -136,6 +143,125 @@ pub struct ContainerWrite {
     pub value: Value,
 }
 
+impl ContainerWrite {
+    /// A borrowed view of this write that moves its value out (leaving
+    /// `F64(0.0)` behind), so applying it copies neither keys nor value.
+    pub(crate) fn take_ref(&mut self) -> WriteRef<'_> {
+        WriteRef {
+            table: &self.table,
+            family: &self.family,
+            row: &self.row,
+            qualifier: &self.qualifier,
+            value: std::mem::replace(&mut self.value, Value::F64(0.0)),
+        }
+    }
+}
+
+/// One write of a [`WriteBatch`]: its keys borrowed from the frame, its
+/// value owned (only a `Text` or `Bytes` value allocates).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WriteRef<'a> {
+    /// Target table.
+    pub table: &'a str,
+    /// Target column family.
+    pub family: &'a str,
+    /// Row key.
+    pub row: &'a str,
+    /// Column qualifier.
+    pub qualifier: &'a str,
+    /// The value to write.
+    pub value: Value,
+}
+
+impl WriteRef<'_> {
+    /// The owned form, copying the four keys.
+    #[must_use]
+    pub fn into_owned(self) -> ContainerWrite {
+        ContainerWrite {
+            table: self.table.to_owned(),
+            family: self.family.to_owned(),
+            row: self.row.to_owned(),
+            qualifier: self.qualifier.to_owned(),
+            value: self.value,
+        }
+    }
+}
+
+/// The writes of a `SubmitWave` frame, checked whole and read in place.
+///
+/// Only [`decode_request_ref`] builds one, and only after every write's
+/// keys, value tag and lengths checked out and no byte trails the body —
+/// so iterating it cannot fail, and a batch that would fail part-way never
+/// reaches a session.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteBatch<'a> {
+    /// The encoded writes, from the first write to the end of the frame.
+    body: &'a [u8],
+    len: u32,
+}
+
+impl WriteBatch<'_> {
+    /// Number of writes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the batch carries no write.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl<'a> IntoIterator for WriteBatch<'a> {
+    type Item = WriteRef<'a>;
+    type IntoIter = Writes<'a>;
+
+    fn into_iter(self) -> Writes<'a> {
+        Writes {
+            r: Reader::new(self.body),
+            left: self.len,
+        }
+    }
+}
+
+/// Iterator over a [`WriteBatch`], in frame order.
+#[derive(Debug)]
+pub struct Writes<'a> {
+    r: Reader<'a>,
+    left: u32,
+}
+
+impl<'a> Iterator for Writes<'a> {
+    type Item = WriteRef<'a>;
+
+    fn next(&mut self) -> Option<WriteRef<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        // The batch was checked whole when it was built, so neither read
+        // fails; a failure would end the iteration, never panic.
+        let [table, family, row, qualifier] = read_keys(&mut self.r).ok()?;
+        Some(WriteRef {
+            table,
+            family,
+            row,
+            qualifier,
+            value: self.r.value().ok()?,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Writes<'_> {}
+
+/// A write's four keys, in place.
+fn read_keys<'a>(r: &mut Reader<'a>) -> Result<[&'a str; 4], NetError> {
+    Ok([r.str_ref()?, r.str_ref()?, r.str_ref()?, r.str_ref()?])
+}
+
 /// Per-wave decision row served by [`Response::Decisions`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRow {
@@ -219,6 +345,23 @@ pub enum Request {
         /// Target session.
         session: u64,
     },
+}
+
+/// A decoded request whose `SubmitWave` writes stay in their frame
+/// ([`decode_request_ref`]).
+#[derive(Debug, Clone)]
+pub enum RequestRef<'a> {
+    /// [`Request::SubmitWave`], its batch checked whole.
+    SubmitWave {
+        /// Target session.
+        session: u64,
+        /// Writes applied before the wave trigger.
+        writes: WriteBatch<'a>,
+        /// `false` ingests only (answered by [`Response::Ingested`]).
+        run_wave: bool,
+    },
+    /// Every other request, decoded as [`decode_request`] decodes it.
+    Other(Request),
 }
 
 /// Server→client messages.
@@ -308,14 +451,25 @@ const TAG_CLOSED: u8 = 0x88;
 const TAG_BUSY: u8 = 0x89;
 const TAG_ERROR: u8 = 0x8A;
 
-/// The fewest bytes an encoded item can take — an empty string; a write
-/// of four empty keys and an empty text; a decision row with no steps; one
-/// step's impact and decision — so a decoded count reserves for no more
-/// items than the bytes still unread could hold.
+/// The fewest bytes an encoded item can take — an empty string; a decision
+/// row with no steps; one step's impact and decision — so a decoded count
+/// reserves for no more items than the bytes still unread could hold. (A
+/// submitted batch is checked whole before anything is reserved for it.)
 const MIN_STR_BYTES: usize = 4;
-const MIN_WRITE_BYTES: usize = 4 * MIN_STR_BYTES + 1 + MIN_STR_BYTES;
 const MIN_ROW_BYTES: usize = 8 + 1 + 4;
 const STEP_BYTES: usize = 8 + 1;
+
+/// Reads a flag or option byte. The encoders write only 0 and 1, so any
+/// other byte is damage, named by `what`.
+fn read_flag(r: &mut Reader<'_>, what: &str) -> Result<bool, NetError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(NetError::Corrupt {
+            context: format!("{what} byte is {other}, not 0 or 1"),
+        }),
+    }
+}
 
 fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
@@ -327,10 +481,11 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, NetError> {
-    Ok(match r.u8()? {
-        0 => None,
-        _ => Some(r.u64()?),
+fn read_opt_u64(r: &mut Reader<'_>, what: &str) -> Result<Option<u64>, NetError> {
+    Ok(if read_flag(r, what)? {
+        Some(r.u64()?)
+    } else {
+        None
     })
 }
 
@@ -344,10 +499,11 @@ fn put_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
     }
 }
 
-fn read_opt_str(r: &mut Reader<'_>) -> Result<Option<String>, NetError> {
-    Ok(match r.u8()? {
-        0 => None,
-        _ => Some(r.str()?),
+fn read_opt_str(r: &mut Reader<'_>, what: &str) -> Result<Option<String>, NetError> {
+    Ok(if read_flag(r, what)? {
+        Some(r.str()?)
+    } else {
+        None
     })
 }
 
@@ -423,13 +579,38 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
     out
 }
 
-/// Decodes a frame payload into a [`Request`].
+/// Decodes a frame payload into a [`Request`], copying a `SubmitWave`'s
+/// writes out of the frame ([`decode_request_ref`] plus
+/// [`WriteRef::into_owned`]).
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Corrupt`] on an unknown tag, a truncated body, or
-/// trailing bytes; never panics on malformed input.
+/// Returns [`NetError::Corrupt`] on an unknown tag, a truncated body, a
+/// flag or option byte other than 0 and 1, or trailing bytes; never panics
+/// on malformed input.
 pub fn decode_request(payload: &[u8]) -> Result<Request, NetError> {
+    Ok(match decode_request_ref(payload)? {
+        RequestRef::SubmitWave {
+            session,
+            writes,
+            run_wave,
+        } => Request::SubmitWave {
+            session,
+            writes: writes.into_iter().map(WriteRef::into_owned).collect(),
+            run_wave,
+        },
+        RequestRef::Other(request) => request,
+    })
+}
+
+/// Decodes a frame payload, leaving a `SubmitWave`'s writes in the frame
+/// as a [`WriteBatch`] checked whole.
+///
+/// # Errors
+///
+/// As [`decode_request`]: the whole payload is checked before this
+/// returns, so a batch that is handed out cannot fail part-way.
+pub fn decode_request_ref(payload: &[u8]) -> Result<RequestRef<'_>, NetError> {
     let mut r = Reader::new(payload);
     let tag = r.u8()?;
     let request = match tag {
@@ -444,30 +625,32 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, NetError> {
         }
         TAG_OPEN_SESSION => Request::OpenSession(SessionSpec {
             workload: r.str()?,
-            seed: read_opt_u64(&mut r)?,
-            training_waves: read_opt_u64(&mut r)?.map(|v| v as u32),
-            durable_key: read_opt_str(&mut r)?,
-            resume: r.u8()? != 0,
+            seed: read_opt_u64(&mut r, "seed option")?,
+            training_waves: read_opt_u64(&mut r, "training_waves option")?
+                .map(|v| {
+                    u32::try_from(v).map_err(|_| NetError::Corrupt {
+                        context: format!("training_waves {v} exceeds u32"),
+                    })
+                })
+                .transpose()?,
+            durable_key: read_opt_str(&mut r, "durable_key option")?,
+            resume: read_flag(&mut r, "resume flag")?,
         }),
         TAG_SUBMIT_WAVE => {
             let session = r.u64()?;
-            let run_wave = r.u8()? != 0;
-            let n = r.u32()? as usize;
-            let mut writes = Vec::with_capacity(n.min(r.remaining() / MIN_WRITE_BYTES));
-            for _ in 0..n {
-                writes.push(ContainerWrite {
-                    table: r.str()?,
-                    family: r.str()?,
-                    row: r.str()?,
-                    qualifier: r.str()?,
-                    value: r.value()?,
-                });
+            let run_wave = read_flag(&mut r, "run_wave flag")?;
+            let len = r.u32()?;
+            let body = &payload[payload.len() - r.remaining()..];
+            for _ in 0..len {
+                read_keys(&mut r)?;
+                r.skip_value()?;
             }
-            Request::SubmitWave {
+            finish(&r)?;
+            return Ok(RequestRef::SubmitWave {
                 session,
-                writes,
+                writes: WriteBatch { body, len },
                 run_wave,
-            }
+            });
         }
         TAG_QUERY_DECISIONS => Request::QueryDecisions {
             session: r.u64()?,
@@ -483,7 +666,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, NetError> {
         }
     };
     finish(&r)?;
-    Ok(request)
+    Ok(RequestRef::Other(request))
 }
 
 /// Encodes `response` into a frame payload (tag + body).
@@ -578,12 +761,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, NetError> {
         TAG_HELLO_OK => Response::HelloOk { version: r.u16()? },
         TAG_SESSION_OPENED => Response::SessionOpened {
             session: r.u64()?,
-            resumed: r.u8()? != 0,
+            resumed: read_flag(&mut r, "resumed flag")?,
             next_wave: r.u64()?,
         },
         TAG_WAVE_RESULT => Response::WaveResult(WaveReport {
             wave: r.u64()?,
-            training: r.u8()? != 0,
+            training: read_flag(&mut r, "training flag")?,
             clock: r.u64()?,
             executed: read_str_list(&mut r)?,
             skipped: read_str_list(&mut r)?,
@@ -598,7 +781,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, NetError> {
             let mut rows = Vec::with_capacity(n.min(r.remaining() / MIN_ROW_BYTES));
             for _ in 0..n {
                 let wave = r.u64()?;
-                let training = r.u8()? != 0;
+                let training = read_flag(&mut r, "training flag")?;
                 let k = r.u32()? as usize;
                 let steps = k.min(r.remaining() / STEP_BYTES);
                 let mut impacts = Vec::with_capacity(steps);
@@ -607,7 +790,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, NetError> {
                 }
                 let mut decisions = Vec::with_capacity(steps);
                 for _ in 0..k {
-                    decisions.push(r.u8()? != 0);
+                    decisions.push(read_flag(&mut r, "decision")?);
                 }
                 rows.push(DecisionRow {
                     wave,
@@ -1020,6 +1203,184 @@ mod tests {
         let payload = vec![0u8; MAX_FRAME];
         write_frame_to(&mut sink, &payload).unwrap();
         assert_eq!(sink.len(), MAX_FRAME + 8);
+    }
+
+    #[test]
+    fn a_submitted_batch_is_read_in_place_from_its_frame() {
+        let Request::SubmitWave { writes, .. } = &sample_requests()[3] else {
+            panic!("the fourth sample is a submit");
+        };
+        let payload = encode_request(&sample_requests()[3]);
+        let Ok(RequestRef::SubmitWave {
+            session: 7,
+            writes: batch,
+            run_wave: true,
+        }) = decode_request_ref(&payload)
+        else {
+            panic!("the submit decodes in place");
+        };
+        assert_eq!(batch.len(), writes.len());
+        let frame = payload.as_ptr_range();
+        for (got, want) in batch.into_iter().zip(writes) {
+            assert!(frame.contains(&got.row.as_ptr()), "keys borrow the frame");
+            assert_eq!(got.into_owned(), *want);
+        }
+        // Trailing bytes after the last write refuse the whole batch.
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        assert!(matches!(
+            decode_request_ref(&trailing),
+            Err(NetError::Corrupt { .. })
+        ));
+        // An empty batch, and an empty body past its count.
+        let empty = encode_request(&sample_requests()[4]);
+        match decode_request_ref(&empty) {
+            Ok(RequestRef::SubmitWave { writes, .. }) => {
+                assert!(writes.is_empty());
+                assert_eq!(writes.into_iter().next(), None);
+            }
+            other => panic!("empty submit decoded to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn training_waves_past_u32_is_corrupt_not_wrapped() {
+        let open = |waves: u64| {
+            let mut p = vec![TAG_OPEN_SESSION];
+            put_str(&mut p, "lrb");
+            put_opt_u64(&mut p, None);
+            put_opt_u64(&mut p, Some(waves));
+            put_opt_str(&mut p, None);
+            put_u8(&mut p, 0);
+            p
+        };
+        match decode_request(&open((1 << 32) + 5)) {
+            Err(NetError::Corrupt { context }) => assert!(context.contains("training_waves")),
+            other => panic!("2^32 + 5 training waves decoded to {other:?}"),
+        }
+        match decode_request(&open(u64::from(u32::MAX))) {
+            Ok(Request::OpenSession(spec)) => assert_eq!(spec.training_waves, Some(u32::MAX)),
+            other => panic!("u32::MAX training waves decoded to {other:?}"),
+        }
+    }
+
+    /// `payload` decodes, and with the byte at `at` set to 2 or 0xFF it is
+    /// corruption that names `what` — in the owned and the in-place
+    /// request decoder alike. Each payload below decodes with 2 in place
+    /// of its 1, had that byte been read as "non-zero".
+    fn assert_flag_byte(payload: &[u8], at: usize, what: &str, request: bool) {
+        let decode = |p: &[u8]| -> Vec<Result<(), NetError>> {
+            if request {
+                vec![decode_request(p).map(drop), decode_request_ref(p).map(drop)]
+            } else {
+                vec![decode_response(p).map(drop)]
+            }
+        };
+        assert_eq!(payload[at], 1, "{what} is set in the sample");
+        assert!(decode(payload).iter().all(Result::is_ok), "{what}");
+        let mut p = payload.to_vec();
+        for byte in [2u8, 0xFF] {
+            p[at] = byte;
+            for result in decode(&p) {
+                match result {
+                    Err(NetError::Corrupt { context }) => {
+                        assert!(context.contains(what), "{what}: {context}");
+                    }
+                    other => panic!("{what} byte {byte} decoded to {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// `OpenSession` with every option present: tag 0, workload 1..6, seed
+    /// tag 6, training tag 15, key tag 24, resume 30.
+    fn full_open() -> Vec<u8> {
+        encode_request(&Request::OpenSession(SessionSpec {
+            workload: "w".into(),
+            seed: Some(3),
+            training_waves: Some(4),
+            durable_key: Some("k".into()),
+            resume: true,
+        }))
+    }
+
+    #[test]
+    fn seed_option_tag_is_0_or_1() {
+        assert_flag_byte(&full_open(), 6, "seed option", true);
+    }
+
+    #[test]
+    fn training_waves_option_tag_is_0_or_1() {
+        assert_flag_byte(&full_open(), 15, "training_waves option", true);
+    }
+
+    #[test]
+    fn durable_key_option_tag_is_0_or_1() {
+        assert_flag_byte(&full_open(), 24, "durable_key option", true);
+    }
+
+    #[test]
+    fn resume_flag_is_0_or_1() {
+        assert_flag_byte(&full_open(), 30, "resume flag", true);
+    }
+
+    #[test]
+    fn run_wave_flag_is_0_or_1() {
+        // Tag 0, session 1..9, run_wave 9.
+        let payload = encode_request(&Request::SubmitWave {
+            session: 7,
+            writes: vec![],
+            run_wave: true,
+        });
+        assert_flag_byte(&payload, 9, "run_wave flag", true);
+    }
+
+    #[test]
+    fn resumed_flag_is_0_or_1() {
+        // Tag 0, session 1..9, resumed 9.
+        let payload = encode_response(&Response::SessionOpened {
+            session: 7,
+            resumed: true,
+            next_wave: 41,
+        });
+        assert_flag_byte(&payload, 9, "resumed flag", false);
+    }
+
+    #[test]
+    fn wave_report_training_flag_is_0_or_1() {
+        // Tag 0, wave 1..9, training 9.
+        let payload = encode_response(&Response::WaveResult(WaveReport {
+            wave: 3,
+            training: true,
+            clock: 9,
+            executed: vec!["feed".into()],
+            skipped: vec![],
+            deferred: vec![],
+        }));
+        assert_flag_byte(&payload, 9, "training flag", false);
+    }
+
+    /// One decision row with one step: tag 0, count 1..5, wave 5..13,
+    /// training 13, steps 14..18, impact 18..26, decision 26.
+    fn one_row() -> Vec<u8> {
+        encode_response(&Response::Decisions {
+            rows: vec![DecisionRow {
+                wave: 12,
+                training: true,
+                impacts: vec![0.25],
+                decisions: vec![true],
+            }],
+        })
+    }
+
+    #[test]
+    fn decision_row_training_flag_is_0_or_1() {
+        assert_flag_byte(&one_row(), 13, "training flag", false);
+    }
+
+    #[test]
+    fn step_decision_is_0_or_1() {
+        assert_flag_byte(&one_row(), 26, "decision", false);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Wire-level robustness: damaged SFNP frames at every byte offset must
 //! earn a typed error (never a panic), close the connection cleanly, and
-//! leave session state untouched; a frame that declares more items than it
-//! carries must not make the decoder reserve memory for them.
+//! leave session state untouched — also when the damage sits behind a fresh
+//! CRC, so only the check of the body can catch it; a frame that declares
+//! more items than it carries must not make the decoder reserve memory for
+//! them; and the in-place batch reads every frame as the owned decode it
+//! replaced did.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -9,9 +12,12 @@ use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
+use proptest::prelude::*;
 use smartflux::EngineConfig;
 use smartflux_datastore::{ContainerRef, DataStore, Value};
-use smartflux_net::wire::{self, FrameIn};
+use smartflux_durability::codec::Reader;
+use smartflux_durability::DurabilityError;
+use smartflux_net::wire::{self, FrameIn, RequestRef};
 use smartflux_net::{
     Client, ContainerWrite, DecisionRow, EngineHost, ErrorCode, HostConfig, NetError, NetServer,
     Request, Response, SessionSpec, WaveReport, WorkflowRegistry, MAX_FRAME, VERSION,
@@ -276,6 +282,206 @@ fn damage_at_every_byte_offset_is_rejected_and_sessions_survive() {
     assert_eq!(report.wave, 4);
     client.close_session(session).unwrap();
     server.shutdown();
+}
+
+/// Four writes over both ramp families with every value type and
+/// non-ASCII keys.
+fn mixed_batch() -> Vec<ContainerWrite> {
+    let write = |family: &str, row: &str, qualifier: &str, value: Value| ContainerWrite {
+        table: "t".into(),
+        family: family.into(),
+        row: row.into(),
+        qualifier: qualifier.into(),
+        value,
+    };
+    vec![
+        write("raw", "héllo", "q", Value::F64(1.5)),
+        write("raw", "r→1", "λ", Value::I64(-7)),
+        write("out", "𝕊", "v", Value::from("naïve")),
+        write("raw", "x", "b", Value::from(vec![0u8, 1, 0xFF])),
+    ]
+}
+
+/// The session's store clock and image, as `QueryStore` serves them.
+fn store_image(client: &mut Client, session: u64) -> (u64, Vec<u8>) {
+    match client.roundtrip(&Request::QueryStore { session }).unwrap() {
+        Response::StoreImage { clock, bytes } => (clock, bytes),
+        other => panic!("store query answered {other:?}"),
+    }
+}
+
+#[test]
+fn a_damaged_batch_behind_a_fresh_crc_is_refused_whole_or_decodes() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let session = client
+        .open_session(&SessionSpec {
+            workload: "ramp".into(),
+            ..SessionSpec::default()
+        })
+        .unwrap()
+        .session;
+    let payload = wire::encode_request(&Request::SubmitWave {
+        session,
+        writes: mixed_batch(),
+        run_wave: false,
+    });
+    // Every payload byte flipped, and every cut short of the whole, each
+    // re-framed with its own CRC so the envelope checks out.
+    let flips = (0..payload.len()).map(|at| {
+        let mut damaged = payload.clone();
+        damaged[at] ^= 0xFF;
+        (format!("flip at {at}"), damaged)
+    });
+    let cuts = (0..payload.len()).map(|len| (format!("cut at {len}"), payload[..len].to_vec()));
+
+    let mut image = store_image(&mut client, session);
+    let (mut refused, mut decoded) = (0, 0);
+    for (case, damaged) in flips.chain(cuts) {
+        let mut stream = handshaken(&server);
+        let mut framed = Vec::new();
+        wire::write_frame_to(&mut framed, &damaged).unwrap();
+        stream.write_all(&framed).unwrap();
+        let reply = read_reply(&mut stream);
+        // Judged by the owned decode this battery's batch path replaced —
+        // plus the rule that a flag byte is 0 or 1 (`run_wave`, byte 9) —
+        // so a server whose check let damage through disagrees with it.
+        if owned_submit_decode(&damaged).is_ok() && damaged[9] <= 1 {
+            // A valid request (another value, another session id) is
+            // answered as one; it may write, so the image moves on.
+            decoded += 1;
+            assert!(
+                !matches!(
+                    reply,
+                    None | Some(Response::Error {
+                        code: ErrorCode::BadFrame,
+                        ..
+                    })
+                ),
+                "{case}: a valid request answered {reply:?}"
+            );
+            image = store_image(&mut client, session);
+        } else {
+            refused += 1;
+            match reply {
+                Some(Response::Error {
+                    code: ErrorCode::BadFrame,
+                    ..
+                }) => {}
+                other => panic!("{case}: a malformed batch answered {other:?}"),
+            }
+            // Not one write of a refused batch landed: no clock tick, no
+            // cell changed.
+            assert_eq!(store_image(&mut client, session), image, "{case}");
+        }
+    }
+    assert!(refused > payload.len(), "{refused} refused");
+    assert!(decoded > 0, "no flip left a valid request");
+    client.close_session(session).unwrap();
+    server.shutdown();
+}
+
+/// The owned `SubmitWave` decode the in-place batch replaced: each key is
+/// copied into a `String` as it is read, and a non-zero `run_wave` byte is
+/// `true`.
+fn owned_submit_decode(
+    payload: &[u8],
+) -> Result<(u64, bool, Vec<ContainerWrite>), DurabilityError> {
+    let corrupt = |context: &str| DurabilityError::Corrupt {
+        context: context.to_owned(),
+    };
+    let mut r = Reader::new(payload);
+    if r.u8()? != 3 {
+        return Err(corrupt("not a submit"));
+    }
+    let session = r.u64()?;
+    let run_wave = r.u8()? != 0;
+    let n = r.u32()?;
+    let mut writes = Vec::new();
+    for _ in 0..n {
+        writes.push(ContainerWrite {
+            table: r.str()?,
+            family: r.str()?,
+            row: r.str()?,
+            qualifier: r.str()?,
+            value: r.value()?,
+        });
+    }
+    if !r.is_exhausted() {
+        return Err(corrupt("trailing bytes"));
+    }
+    Ok((session, run_wave, writes))
+}
+
+/// `payload` read in place, each write copied out.
+fn in_place_submit_decode(payload: &[u8]) -> Result<(u64, bool, Vec<ContainerWrite>), NetError> {
+    match wire::decode_request_ref(payload)? {
+        RequestRef::SubmitWave {
+            session,
+            writes,
+            run_wave,
+        } => Ok((
+            session,
+            run_wave,
+            writes.into_iter().map(wire::WriteRef::into_owned).collect(),
+        )),
+        RequestRef::Other(other) => panic!("a submit decoded to {other:?}"),
+    }
+}
+
+/// The in-place read of `batch` equals the owned decode, and every cut of
+/// its payload is refused by both.
+fn assert_in_place_matches_owned(session: u64, run_wave: bool, batch: Vec<ContainerWrite>) {
+    let payload = wire::encode_request(&Request::SubmitWave {
+        session,
+        writes: batch.clone(),
+        run_wave,
+    });
+    let owned = owned_submit_decode(&payload).unwrap();
+    assert_eq!(owned, (session, run_wave, batch));
+    assert_eq!(in_place_submit_decode(&payload).unwrap(), owned);
+    for len in 0..payload.len() {
+        assert!(owned_submit_decode(&payload[..len]).is_err());
+        assert!(in_place_submit_decode(&payload[..len]).is_err());
+    }
+}
+
+fn value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-1e6f64..1e6).prop_map(Value::from),
+        any::<u64>().prop_map(|v| Value::I64(v as i64)),
+        ".{0,8}".prop_map(Value::from),
+        prop::collection::vec(any::<u8>(), 0..6).prop_map(Value::from),
+    ]
+}
+
+fn write() -> impl Strategy<Value = ContainerWrite> {
+    (".{0,4}", ".{0,4}", ".{0,6}", ".{0,4}", value()).prop_map(
+        |(table, family, row, qualifier, value)| ContainerWrite {
+            table,
+            family,
+            row,
+            qualifier,
+            value,
+        },
+    )
+}
+
+#[test]
+fn the_empty_batch_reads_in_place_as_the_owned_decode() {
+    assert_in_place_matches_owned(7, true, vec![]);
+    assert_in_place_matches_owned(u64::MAX, false, vec![]);
+}
+
+proptest! {
+    #[test]
+    fn in_place_batches_read_as_the_owned_decode(
+        session in any::<u64>(),
+        run_wave in any::<bool>(),
+        batch in prop::collection::vec(write(), 0..12),
+    ) {
+        assert_in_place_matches_owned(session, run_wave, batch);
+    }
 }
 
 #[test]

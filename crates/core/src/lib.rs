@@ -15,7 +15,8 @@
 //! 2. The [`Monitor`] has the store track the containers it names; [`MetricFn`]
 //!    implementations quantify the **input impact** `ι` (Eq. 1–2) of new
 //!    data and the **output error** `ε` (Eq. 3–4) a skipped execution would
-//!    leave behind.
+//!    leave behind. The built-in ones are [`MetricKind`] variants; a metric
+//!    of your own is a [`MetricFn`] passed as [`MetricKind::Custom`].
 //! 3. During a synchronous **training phase** the [`QodEngine`] collects
 //!    `(ι, ε > maxε)` examples in the [`KnowledgeBase`], then builds a
 //!    multi-label Random Forest [`Predictor`] and validates it with each
@@ -36,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dsl;
 pub mod eval;
 
 mod confidence;

@@ -8,8 +8,9 @@
 //! Covered: deletes, delete-then-re-add at the same value, fresh inserts,
 //! categorical values, a family watcher overlapping two column watchers,
 //! two trackers with independent marks on one container, a store populated
-//! before the monitor attaches, every built-in metric plus DSL metrics
-//! reading `prev_sum` and `total`, and both accumulation modes.
+//! before the monitor attaches, every built-in metric plus custom metrics
+//! reading the previous-state sum and the element count, and both
+//! accumulation modes.
 //!
 //! A second property aims at the order the sets are streamed in, which is
 //! kept by integer key ranks: a key universe that keeps growing (keys
@@ -33,11 +34,11 @@
 //! — and checks every tracker after each join: the store folds each write
 //! under its write guard, in apply order, however the writers interleave.
 
+use std::sync::Arc;
 use std::thread;
 
 use proptest::prelude::*;
 
-use smartflux::dsl::compile;
 use smartflux::{AccumulationMode, MetricContext, MetricFn, MetricKind, Monitor, TrackerId};
 use smartflux_datastore::{ContainerRef, DataStore, Snapshot, Value};
 
@@ -72,11 +73,70 @@ fn kinds() -> Vec<MetricKind> {
         MetricKind::MeanRelative,
         MetricKind::NetDrift,
         MetricKind::Rmse { scale: 2.0 },
-        compile("sum_abs_delta * modified / (1 + prev_sum + total)").unwrap(),
+        custom(|s, ctx| {
+            s.sum_abs_delta * s.modified
+                / (1.0 + ctx.previous_state_sum + ctx.total_elements as f64)
+        }),
         // Distinguishes an empty previous state summed from -0.0 (what
         // `Iterator::sum` yields) from one summed from +0.0.
-        compile("sum_delta + 1 / prev_sum").unwrap(),
+        custom(|s, ctx| s.sum_delta + 1.0 / ctx.previous_state_sum),
     ]
+}
+
+/// A custom metric over per-change sums, passed as [`MetricKind::Custom`].
+/// It reads a change as the built-in metrics do: `|new − old|` is 1 when a
+/// non-numeric value is on either side, an inserted or deleted number
+/// counts its own magnitude, and the signed sum takes that magnitude
+/// negative when the numeric reading (absent or non-numeric as 0) fell.
+struct Sums {
+    sum_abs_delta: f64,
+    sum_delta: f64,
+    modified: f64,
+    formula: fn(&Sums, &MetricContext) -> f64,
+}
+
+impl Sums {
+    fn new(formula: fn(&Sums, &MetricContext) -> f64) -> Self {
+        Self {
+            sum_abs_delta: 0.0,
+            sum_delta: 0.0,
+            modified: 0.0,
+            formula,
+        }
+    }
+}
+
+fn custom(formula: fn(&Sums, &MetricContext) -> f64) -> MetricKind {
+    MetricKind::Custom(Arc::new(move || Box::new(Sums::new(formula))))
+}
+
+impl MetricFn for Sums {
+    fn reset(&mut self) {
+        *self = Self::new(self.formula);
+    }
+
+    fn update(&mut self, new: Option<&Value>, old: Option<&Value>) {
+        let d = match (new, old) {
+            (Some(n), Some(o)) => n.abs_diff(o),
+            (Some(v), None) | (None, Some(v)) => v.as_f64().map_or(1.0, f64::abs),
+            (None, None) => 0.0,
+        };
+        if d > 0.0 {
+            let reading = |v: Option<&Value>| v.and_then(Value::as_f64).unwrap_or(0.0);
+            self.sum_abs_delta += d;
+            self.sum_delta += if reading(new) < reading(old) { -d } else { d };
+            self.modified += 1.0;
+        }
+    }
+
+    fn compute(&self, ctx: &MetricContext) -> f64 {
+        let v = (self.formula)(self, ctx);
+        if v.is_nan() {
+            0.0
+        } else {
+            v
+        }
+    }
 }
 
 /// One generated step: `(kind, row, qualifier, value, tracker)`.

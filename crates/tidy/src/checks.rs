@@ -93,7 +93,7 @@ impl CheckId {
                 "tabs, trailing whitespace, dbg!, TODO refs, lint headers, allow(deprecated)"
             }
             Self::AtomicOrdering => "atomic Ordering uses match the declared per-field discipline",
-            Self::GuardBlocking => "no guard held across a blocking call (send/recv/join/file I/O)",
+            Self::GuardBlocking => "no guard held across a blocking call (send/recv/join/file I/O) in the same function",
             Self::AllowDangling => "every tidy:allow suppresses at least one finding",
         }
     }

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use super::callgraph::statements;
+use super::stmt::statements;
 use crate::checks::{CheckId, Diagnostic};
 use crate::source::{FileRole, SourceFile};
 
@@ -309,7 +309,7 @@ fn check_stmt_ops(
     crate_name: &str,
     decls: &BTreeMap<String, (Discipline, String, usize)>,
     path: &str,
-    stmt: &super::callgraph::Stmt,
+    stmt: &super::stmt::Stmt,
     out: &mut Vec<Diagnostic>,
 ) {
     let text = &stmt.text;
@@ -325,14 +325,14 @@ fn check_stmt_ops(
             continue;
         };
         let open = i + tok.len() - 1;
-        let args_end = super::callgraph::matching_close(text, open).unwrap_or(text.len() - 1);
+        let args_end = super::stmt::matching_close(text, open).unwrap_or(text.len() - 1);
         let args = &text[open + 1..args_end];
         let orderings = ordering_tokens(args);
         if orderings.is_empty() {
             i += tok.len();
             continue; // not an atomic op (e.g. a codec `.load(path)`)
         }
-        let receiver = super::callgraph::receiver_field(text, i);
+        let receiver = super::stmt::receiver_field(text, i);
         let line = stmt.line_of(i);
         match decls.get(&receiver) {
             None => out.push(Diagnostic {

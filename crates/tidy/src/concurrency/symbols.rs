@@ -6,8 +6,6 @@
 //! and pending `fn` signatures (to find each body's opening brace even
 //! when the signature spans lines).
 
-use std::collections::HashMap;
-
 use crate::source::{FileRole, SourceFile};
 
 /// One function (or method) definition with a body.
@@ -25,21 +23,15 @@ pub struct FnDef {
     pub body_start: usize,
     /// 1-based line containing the body's closing `}`.
     pub body_end: usize,
-    /// Signature text (decl through the body-opening brace).
-    pub signature: String,
-    /// Whether the return type is a lock guard
-    /// (`MutexGuard`/`RwLockReadGuard`/`RwLockWriteGuard`).
-    pub returns_guard: bool,
     /// Whether the definition sits in test code (`#[cfg(test)]` block).
     pub is_test: bool,
 }
 
-/// All function definitions of one crate plus name/line indexes.
+/// All function definitions of one crate plus a line index.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
     /// Every extracted definition.
     pub fns: Vec<FnDef>,
-    by_name: HashMap<String, Vec<usize>>,
     /// Per file: the innermost fn owning each 0-based line, if any.
     owners: Vec<Vec<Option<usize>>>,
 }
@@ -56,10 +48,6 @@ impl SymbolTable {
                 extract_file(fi, file, &mut fns);
             }
         }
-        let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
-        for (idx, f) in fns.iter().enumerate() {
-            by_name.entry(f.name.clone()).or_default().push(idx);
-        }
         // Innermost-wins owner map: assign wide fns first so nested fns
         // (assigned later, being narrower) overwrite their range.
         let mut owners: Vec<Vec<Option<usize>>> =
@@ -74,17 +62,7 @@ impl SymbolTable {
                 }
             }
         }
-        Self {
-            fns,
-            by_name,
-            owners,
-        }
-    }
-
-    /// Definitions named `name`, in extraction order.
-    #[must_use]
-    pub fn named(&self, name: &str) -> &[usize] {
-        self.by_name.get(name).map_or(&[], Vec::as_slice)
+        Self { fns, owners }
     }
 
     /// The innermost fn owning 1-based `line` of file index `file`.
@@ -99,7 +77,6 @@ struct PendingFn {
     name: String,
     decl_line: usize,
     paren: i32,
-    sig: String,
 }
 
 /// One open `impl`/`trait` block.
@@ -133,7 +110,6 @@ fn extract_file(fi: usize, file: &SourceFile, fns: &mut Vec<FnDef>) {
                         name,
                         decl_line: ln,
                         paren: 0,
-                        sig: line.code[i..i + consumed].to_owned(),
                     });
                     i += consumed;
                     continue;
@@ -182,7 +158,6 @@ fn extract_file(fi: usize, file: &SourceFile, fns: &mut Vec<FnDef>) {
                             continue;
                         };
                         let impl_type = impl_stack.last().map(|s| s.target.clone());
-                        let returns_guard = guard_return(&pf.sig);
                         fns.push(FnDef {
                             name: pf.name,
                             impl_type,
@@ -190,8 +165,6 @@ fn extract_file(fi: usize, file: &SourceFile, fns: &mut Vec<FnDef>) {
                             decl_line: pf.decl_line,
                             body_start: ln,
                             body_end: ln, // fixed up at close
-                            signature: pf.sig,
-                            returns_guard,
                             is_test: file.role != FileRole::Lib || file.is_test_line(pf.decl_line),
                         });
                         open_fns.push(OpenFn {
@@ -204,7 +177,6 @@ fn extract_file(fi: usize, file: &SourceFile, fns: &mut Vec<FnDef>) {
                     }
                     _ => {}
                 }
-                pf.sig.push(c);
                 i += 1;
                 continue;
             }
@@ -224,9 +196,6 @@ fn extract_file(fi: usize, file: &SourceFile, fns: &mut Vec<FnDef>) {
                 _ => {}
             }
             i += 1;
-        }
-        if let Some(pf) = &mut pending_fn {
-            pf.sig.push(' ');
         }
         if let Some(text) = &mut pending_impl {
             text.push(' ');
@@ -337,16 +306,6 @@ fn impl_target(text: &str) -> Option<String> {
     }
 }
 
-/// Whether a signature returns a lock guard.
-fn guard_return(sig: &str) -> bool {
-    sig.find("->").is_some_and(|arrow| {
-        let ret = &sig[arrow + 2..];
-        ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"]
-            .iter()
-            .any(|g| ret.contains(g))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,20 +346,6 @@ mod tests {
         assert_eq!(t.fns[0].name, "long");
         assert_eq!(t.fns[0].body_start, 5);
         assert_eq!(t.fns[0].body_end, 7);
-    }
-
-    #[test]
-    fn guard_returning_fn_detected() {
-        let t = table(
-            "impl S {\n\
-             \x20   fn shard(&self) -> RwLockWriteGuard<'_, Data> {\n        self.data.write()\n    }\n\
-             \x20   fn view(&self) -> RwLockReadGuard<'_, Data> {\n        self.data.read()\n    }\n\
-             \x20   fn label(&self) -> &str {\n        \"guard\"\n    }\n\
-             }\n",
-        );
-        assert!(t.fns[0].returns_guard);
-        assert!(t.fns[1].returns_guard);
-        assert!(!t.fns[2].returns_guard);
     }
 
     #[test]

@@ -19,14 +19,16 @@
 //! | `time`            | no ambient clock reads outside telemetry/bench |
 //! | `hygiene`         | tabs, trailing whitespace, `dbg!`, `TODO` refs, lint headers, `allow(deprecated)` or `allow(warnings)` outside `frozen` |
 //! | `atomic-ordering` | every atomic field declares a `tidy:atomic` discipline and every `Ordering::*` use matches it |
-//! | `guard-blocking`  | no guard held across a call that (transitively) reaches blocking I/O |
+//! | `guard-blocking`  | no guard held across a blocking call (send/recv/join/file I/O) in the same function |
 //! | `allow-dangling`  | every `tidy:allow` suppresses something; stale allows are errors |
 //!
 //! The first seven are lexical, line-at-a-time checks. `atomic-ordering`
-//! and `guard-blocking` come from the [`concurrency`] passes, which build
-//! a per-crate symbol table and call graph on top of the same lexer and
-//! reason interprocedurally (see that module's docs for the witness
-//! format and documented exclusions).
+//! and `guard-blocking` come from the [`concurrency`] passes, which group
+//! the same lexed lines into statements and function bodies.
+//! `guard-blocking` looks at one function at a time and does not follow
+//! calls, so a guard held across a call into a function that blocks is
+//! outside its reach (see that module's docs for the real shapes of that
+//! kind and the documented exclusions).
 //!
 //! Checks are suppressed per line with a machine-readable
 //! `// tidy:allow(<check-id>): <reason>` comment — and since checks emit

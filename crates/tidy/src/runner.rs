@@ -5,7 +5,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::checks::{self, CheckId, Diagnostic};
-use crate::concurrency::{self, atomics, blocking, callgraph};
+use crate::concurrency::{self, atomics, blocking};
 use crate::manifest::{self, Manifest};
 use crate::ratchet::Counts;
 use crate::source::{FileRole, SourceFile};
@@ -171,8 +171,7 @@ pub fn run_checks(units: &[CrateUnit], selected: &[CheckId]) -> Vec<Diagnostic> 
                 raw.extend(atomics::check(&unit.name, &unit.files));
             }
             if selected.contains(&CheckId::GuardBlocking) {
-                let model = callgraph::Model::build(&unit.files);
-                raw.extend(blocking::check(&unit.name, &unit.files, &model));
+                raw.extend(blocking::check(&unit.files));
             }
         }
     }

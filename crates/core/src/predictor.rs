@@ -244,7 +244,7 @@ impl Predictor {
     /// # Errors
     ///
     /// Returns [`CoreError::InsufficientTraining`] for logs of fewer than
-    /// [`MIN_TRAINING_ROWS`] examples, [`CoreError::EmptyTestPhase`] when
+    /// `MIN_TRAINING_ROWS` (4) examples, [`CoreError::EmptyTestPhase`] when
     /// no forest left any row out of bag (nothing was tested, so no quality
     /// is known), and propagates training failures. The predictor is left
     /// as it was on every error.

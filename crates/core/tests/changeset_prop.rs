@@ -30,8 +30,8 @@
 //! `cfg(test)`.)
 //!
 //! A fourth runs four writer threads against overlapping cells of the
-//! tracked family — one-shot puts, family-handle puts, row puts and deletes
-//! — and checks every tracker after each join: the store folds each write
+//! tracked family — one-shot puts, family-handle puts, two-row batches and
+//! deletes — and checks every tracker after each join: the store folds each write
 //! under its write guard, in apply order, however the writers interleave.
 
 use std::sync::Arc;
@@ -521,8 +521,8 @@ fn delete_then_readd_at_the_same_value_is_invisible() {
 }
 
 /// One writer thread's share of a round: `ops` writes drawn from `seed`
-/// over every cell of the family, by one-shot `put`, by `put` and `put_row`
-/// through a family handle, and by `delete`.
+/// over every cell of the family, by one-shot `put`, by `put` and by a
+/// two-row `put_many` through a family handle, and by `delete`.
 fn writer(store: &DataStore, seed: u64, ops: usize) {
     let family = store.family("t", "f").unwrap();
     let mut state = seed;
@@ -541,8 +541,9 @@ fn writer(store: &DataStore, seed: u64, ops: usize) {
                 family.put(row, qualifier, value).unwrap();
             }
             2 => {
+                let next = ROWS[(pick + 1) % ROWS.len()];
                 family
-                    .put_row(row, [("a", value.clone()), ("c", value)])
+                    .put_many(vec![(row, "a", value.clone()), (next, "c", value)])
                     .unwrap();
             }
             _ => {

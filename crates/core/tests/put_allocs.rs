@@ -14,10 +14,11 @@
 //! vector's growth (it doubles, so one request in a while, not one a cell).
 //! The same holds through a `FamilyHandle` — resolving one, an observed
 //! overwriting `put`, a `get_f64` and a whole-family `for_each_row` request no
-//! heap — which is the point of reading rows in place: `scan` of the same
-//! family makes some 1 200 requests to hand back three numbers a row. The
-//! allocator is process-wide, hence a test binary of its own with a single
-//! test.
+//! heap, which is the point of reading rows in place: `scan` of the same
+//! family makes some 1 200 requests to hand back three numbers a row. A
+//! `put_many` of the whole wave asks for one buffer when observed and none
+//! otherwise. The allocator is process-wide, hence a test binary of its own
+//! with a single test.
 
 #![allow(deprecated)] // the WAL capture is the store-level one, kept for benchmark/
 
@@ -102,6 +103,17 @@ fn write_wave(store: &DataStore, rows: &[String], wave: u64) {
     }
 }
 
+/// [`write_wave`]'s cells as one batch, for `FamilyHandle::put_many`.
+fn wave_cells(rows: &[String], wave: u64) -> Vec<(&str, &'static str, Value)> {
+    let mut cells = Vec::with_capacity(rows.len() * QUALIFIERS.len());
+    for (r, row) in rows.iter().enumerate() {
+        for qualifier in QUALIFIERS {
+            cells.push((&**row, qualifier, Value::from((wave + r as u64) as f64)));
+        }
+    }
+    cells
+}
+
 /// [`write_wave`] through a handle resolved once.
 fn write_wave_by_handle(family: &FamilyHandle<'_>, rows: &[String], wave: u64) {
     for (r, row) in rows.iter().enumerate() {
@@ -123,6 +135,11 @@ fn an_observed_overwriting_put_allocates_nothing() {
     bare.ensure_container(&container).unwrap();
     write_wave(&bare, &rows, 0);
     assert_eq!(requests_during(|| write_wave(&bare, &rows, 1)), 0);
+    // ...nor as one batch: the caller built the cells, and the store asks
+    // for nothing more.
+    let batch = wave_cells(&rows, 2);
+    let bare_family = bare.family("t", "f").unwrap();
+    assert_eq!(requests_during(|| bare_family.put_many(batch).unwrap()), 0);
     // A first write to a new qualifier of an existing row asks for the
     // qualifier key, and for the row's cell vector to grow when it is full:
     // a row's vector starts at four cells and doubles, so the fourth cell of
@@ -190,14 +207,11 @@ fn an_observed_overwriting_put_allocates_nothing() {
     );
     assert_eq!(wal.pending_ops() as u64, CELLS);
     end_wave(9);
-    // ...and row by row, three cells under one guard.
-    let by_row = requests_during(|| {
-        for (r, row) in rows.iter().enumerate() {
-            let cells = QUALIFIERS.map(|q| (q, Value::from((9 + r) as f64)));
-            family.put_row(row, cells).unwrap();
-        }
-    });
-    assert_eq!(by_row, 0);
+    // ...and as one batch under one guard: observed, it asks for exactly
+    // one buffer, of the displaced values the observers are handed once the
+    // guard is gone — one a call, none a cell.
+    let batch = wave_cells(&rows, 9);
+    assert_eq!(requests_during(|| family.put_many(batch).unwrap()), 1);
     assert_eq!(wal.pending_ops() as u64, CELLS);
     end_wave(9);
 

@@ -54,10 +54,13 @@
 //! Every operation is addressed by `(table, family)` names, HBase-client
 //! style. A step that reads or writes hundreds of cells of one family in a
 //! row resolves it once with [`DataStore::family`]: the [`FamilyHandle`]'s
-//! `put` / `put_row` / `delete` / `get` / `get_f64` / `for_each_row` are the
-//! same routines minus the name lookup — same guard per call, same
-//! timestamps, same [`WriteRef`]s — and read rows in place instead of
-//! copying them out (`DESIGN.md` §11 "Family handles").
+//! `put` / `delete` / `get` / `get_f64` / `for_each_row` are the same
+//! routines minus the name lookup — same guard per call, same timestamps,
+//! same [`WriteRef`]s — and read rows in place instead of copying them out.
+//! Its `put_many` writes a step's cells of the family, built beforehand,
+//! under one guard: the same ticks, folds and [`WriteRef`]s as that many
+//! `put`s in order, for one lock round trip (`DESIGN.md` §11 "Family
+//! handles").
 //!
 //! # Example
 //!

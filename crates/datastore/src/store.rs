@@ -276,13 +276,16 @@ impl DataStore {
             // happens inside the write guard, so the timestamp order
             // matches the apply order.
             let ts = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
+            let Tables {
+                families, changes, ..
+            } = &mut *data;
+            let mut watching = changes.watching(slot);
             // The cell takes `value`; change sets and observers get the one
             // copy kept here, and an unwatched, unobserved write keeps none.
-            let new = (observed || data.changes.watches(slot)).then(|| value.clone());
-            let old = data.families[slot].put_cell(row, qualifier, value, ts);
-            if let Some(new) = &new {
-                data.changes
-                    .fold(slot, row, qualifier, old.as_ref(), Some(new));
+            let new = (observed || watching.is_some()).then(|| value.clone());
+            let old = families[slot].put_cell(row, qualifier, value, ts);
+            if let (Some(watching), Some(new)) = (&mut watching, &new) {
+                watching.fold(row, qualifier, old.as_ref(), Some(new));
             }
             drop(data);
             if let (true, Some(new)) = (observed, &new) {
@@ -301,54 +304,72 @@ impl DataStore {
         })
     }
 
-    /// A row put on the family at `at`: `cells` — `(qualifier, value)`
-    /// pairs, in order — go into one row under a single write guard, as `N`
-    /// puts with consecutive timestamps, folded into the change sets in
-    /// order, and the observers hear about each, in order, once the guard is
-    /// gone. Returns the displaced values. (A `put` is not this with
-    /// `N = 1`: the arrays cost a one-cell write 15–25 ns, measured.)
-    fn put_row_at<const N: usize>(
+    /// A batch put on the family at `at`: `cells` — `(row, qualifier,
+    /// value)`, in order — are applied under a single write guard as
+    /// `cells.len()` [`put_at`](Self::put_at)s would be, one after the
+    /// other: consecutive timestamps, each folded into the change sets in
+    /// order (their watchers looked up once), and the observers hear about
+    /// each, in order, once the guard is gone. The displaced values are
+    /// dropped.
+    ///
+    /// An unobserved batch asks the heap for nothing beyond what its cells
+    /// do; an observed one for a single buffer, of the displaced values it
+    /// hands the observers after the guard is gone.
+    fn put_many_at(
         &self,
         at: &FamilyAddr<'_>,
-        row: &str,
-        cells: [(&str, Value); N],
-    ) -> Result<[Option<Value>; N], StoreError> {
-        self.timed(OpKind::Put, N, || {
+        cells: Vec<(&str, &str, Value)>,
+    ) -> Result<(), StoreError> {
+        self.timed(OpKind::Put, cells.len(), || {
             let observed = self.observed();
             let Some((mut data, slot)) = self.write_at(at) else {
                 return Err(self.missing(at));
             };
-            // As in `put_at`, `N` ticks at once.
-            let first_ts = self.shared.clock.fetch_add(N as u64, Ordering::Relaxed) + 1;
-            let copied = observed || data.changes.watches(slot);
-            let written = cells
-                .each_ref()
-                .map(|(qualifier, value)| (*qualifier, copied.then(|| value.clone())));
-            let olds = data.families[slot].put_cells(row, cells, first_ts);
-            if copied {
-                for ((qualifier, new), old) in written.iter().zip(&olds) {
-                    data.changes
-                        .fold(slot, row, qualifier, old.as_ref(), new.as_ref());
+            // As in `put_at`, one tick per cell, all under the guard.
+            let first_ts = self
+                .shared
+                .clock
+                .fetch_add(cells.len() as u64, Ordering::Relaxed)
+                + 1;
+            let Tables {
+                families, changes, ..
+            } = &mut *data;
+            let family = &mut families[slot];
+            let mut watching = changes.watching(slot);
+            if !observed && watching.is_none() {
+                for (ts, (row, qualifier, value)) in (first_ts..).zip(cells) {
+                    family.put_cell(row, qualifier, value, ts);
+                }
+                return Ok(());
+            }
+            // Each cell takes a copy; the change sets and the observers
+            // read the value left in `cells`.
+            let mut olds = Vec::with_capacity(if observed { cells.len() } else { 0 });
+            for (ts, (row, qualifier, new)) in (first_ts..).zip(&cells) {
+                let old = family.put_cell(row, qualifier, new.clone(), ts);
+                if let Some(watching) = &mut watching {
+                    watching.fold(row, qualifier, old.as_ref(), Some(new));
+                }
+                if observed {
+                    olds.push(old);
                 }
             }
             drop(data);
-            if observed {
-                for (timestamp, ((qualifier, new), old)) in
-                    (first_ts..).zip(written.iter().zip(&olds))
-                {
-                    self.notify(&WriteRef {
-                        table: at.table,
-                        family: at.family,
-                        row,
-                        qualifier,
-                        kind: WriteKind::Put,
-                        old: old.as_ref(),
-                        new: new.as_ref(),
-                        timestamp,
-                    });
-                }
+            for (timestamp, ((row, qualifier, new), old)) in
+                (first_ts..).zip(cells.iter().zip(&olds))
+            {
+                self.notify(&WriteRef {
+                    table: at.table,
+                    family: at.family,
+                    row,
+                    qualifier,
+                    kind: WriteKind::Put,
+                    old: old.as_ref(),
+                    new: Some(new),
+                    timestamp,
+                });
             }
-            Ok(olds)
+            Ok(())
         })
     }
 
@@ -390,8 +411,8 @@ impl DataStore {
             let ts = old
                 .is_some()
                 .then(|| self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1);
-            if old.is_some() {
-                data.changes.fold(slot, row, qualifier, old.as_ref(), None);
+            if let Some(mut watching) = data.changes.watching(slot).filter(|_| old.is_some()) {
+                watching.fold(row, qualifier, old.as_ref(), None);
             }
             drop(data);
             if let (Some(old_value), Some(ts)) = (&old, ts) {

@@ -311,42 +311,23 @@ pub(super) struct Changes {
 }
 
 impl Changes {
-    /// Whether a container over the family at `family` is watched: asked
-    /// before a write, so an unwatched one keeps no copy of its value.
+    /// The containers watching the family at `family`, looked up once for
+    /// the writes about to be applied to it; `None` when none is, so an
+    /// unwatched write keeps no copy of its value.
     #[inline]
-    pub(super) fn watches(&self, family: usize) -> bool {
-        self.by_family.get(family).is_some_and(|e| !e.is_empty())
-    }
-
-    /// Folds one applied write into every container watching it: its write
-    /// count, its live count and each of its change sets.
-    pub(super) fn fold(
-        &mut self,
-        family: usize,
-        row: &str,
-        qualifier: &str,
-        old: Option<&Value>,
-        new: Option<&Value>,
-    ) {
-        let Some(watching) = self.by_family.get(family) else {
-            return;
-        };
-        for &e in watching {
-            let entry = &mut self.entries[e];
-            if !entry.holds(qualifier) {
-                continue;
-            }
-            entry.total_writes += 1;
-            if entry.trackers.is_empty() {
-                continue;
-            }
-            entry.live_cells = (entry.live_cells + usize::from(new.is_some()))
-                .saturating_sub(usize::from(old.is_some()));
-            let slot = entry.slot(row, qualifier);
-            for &t in &entry.trackers {
-                self.change_sets[t].fold_write(slot, old, new);
-            }
-        }
+    pub(super) fn watching(&mut self, family: usize) -> Option<Watching<'_>> {
+        let Self {
+            by_family,
+            entries,
+            change_sets,
+            ..
+        } = self;
+        let containers = by_family.get(family).filter(|e| !e.is_empty())?;
+        Some(Watching {
+            containers,
+            entries,
+            change_sets,
+        })
     }
 
     /// Watches by name that waited for `(table, family)` start watching the
@@ -429,6 +410,44 @@ impl Changes {
     fn set(&self, list: WatchList, number: usize) -> Option<usize> {
         let set = *self.lists.get(list.0)?.change_sets.get(number)?;
         (set != UNTOUCHED).then_some(set)
+    }
+}
+
+/// The containers watching one family, found by
+/// [`Changes::watching`] before a run of writes to it.
+pub(super) struct Watching<'a> {
+    /// The watched containers over the family (indices into `entries`).
+    containers: &'a [usize],
+    entries: &'a mut [WatchEntry],
+    change_sets: &'a mut [ChangeSet],
+}
+
+impl Watching<'_> {
+    /// Folds one applied write into every container watching it: its write
+    /// count, its live count and each of its change sets.
+    pub(super) fn fold(
+        &mut self,
+        row: &str,
+        qualifier: &str,
+        old: Option<&Value>,
+        new: Option<&Value>,
+    ) {
+        for &e in self.containers {
+            let entry = &mut self.entries[e];
+            if !entry.holds(qualifier) {
+                continue;
+            }
+            entry.total_writes += 1;
+            if entry.trackers.is_empty() {
+                continue;
+            }
+            entry.live_cells = (entry.live_cells + usize::from(new.is_some()))
+                .saturating_sub(usize::from(old.is_some()));
+            let slot = entry.slot(row, qualifier);
+            for &t in &entry.trackers {
+                self.change_sets[t].fold_write(slot, old, new);
+            }
+        }
     }
 }
 

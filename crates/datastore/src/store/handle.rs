@@ -10,13 +10,14 @@ use crate::value::Value;
 /// calls, for the step that reads or writes hundreds of cells of one family
 /// in a row.
 ///
-/// Every call is the string-addressed call of the same name without the
-/// two name lookups — same routine, same guard taken and released per call,
-/// same clock tick and change-set fold inside the write guard, same
-/// [`WriteRef`](crate::WriteRef) handed to the same observers after the
-/// guard is gone. A handle holds **no** guard between calls, so a step may
-/// read and write one family through it in a single loop, and two handles
-/// never deadlock each other.
+/// Every call but [`put_many`](Self::put_many) is the string-addressed call
+/// of the same name without the two name lookups — same routine, same guard
+/// taken and released per call, same clock tick and change-set fold inside
+/// the write guard, same [`WriteRef`](crate::WriteRef) handed to the same
+/// observers after the guard is gone; `put_many` is that many `put`s under
+/// one guard. A handle holds **no** guard between calls, so a step may read
+/// and write one family through it in a single loop, and two handles never
+/// deadlock each other.
 ///
 /// The handle borrows the store and the two names, owns nothing, and is
 /// meant to live for one step execution, not to be stored.
@@ -32,9 +33,11 @@ use crate::value::Value;
 /// store.create_family("lrb", "positions")?;
 ///
 /// let positions = store.family("lrb", "positions")?;
-/// for v in 0..3 {
-///     positions.put(&format!("veh-{v}"), "speed", Value::from(60.0 + f64::from(v)))?;
-/// }
+/// let rows = ["veh-0", "veh-1", "veh-2"];
+/// let cells = (0..3)
+///     .map(|v| (rows[v], "speed", Value::from(60.0 + v as f64)))
+///     .collect();
+/// positions.put_many(cells)?;
 /// let mut sum = 0.0;
 /// positions.for_each_row(|_key, row| {
 ///     sum += row.f64("speed").unwrap_or(0.0);
@@ -72,24 +75,24 @@ impl<'a> FamilyHandle<'a> {
         self.store.put_at(&self.at, row, qualifier, value)
     }
 
-    /// Writes several cells of one row — HBase's row-scoped `Put`: `cells`
-    /// are `(qualifier, value)` pairs, applied in order under **one** write
-    /// guard after one row lookup, so a reader sees all of them or none.
-    /// In every other respect it is `cells.len()` [`put`](Self::put)s:
-    /// consecutive timestamps, one [`WriteRef`](crate::WriteRef) each — in
-    /// order, after the guard is gone — and as many operations reported to
-    /// op observers.
-    /// Returns the displaced values.
+    /// Writes a batch of cells the caller has built — `(row, qualifier,
+    /// value)`, in any rows, applied in the given order — under **one**
+    /// write guard, so a reader sees all of them or none. In every other
+    /// respect it is `cells.len()` [`put`](Self::put)s in that order:
+    /// consecutive timestamps, each folded into the change sets in turn,
+    /// one [`WriteRef`](crate::WriteRef) each — in order, after the guard
+    /// is gone — and as many operations reported to op observers. The
+    /// displaced values are dropped.
+    ///
+    /// The step that writes a family once per execution reads what it needs
+    /// first, then builds `cells`: nothing of the caller's runs under the
+    /// guard.
     ///
     /// # Errors
     ///
     /// None today; see [`put`](Self::put).
-    pub fn put_row<const N: usize>(
-        &self,
-        row: &str,
-        cells: [(&str, Value); N],
-    ) -> Result<[Option<Value>; N], StoreError> {
-        self.store.put_row_at(&self.at, row, cells)
+    pub fn put_many(&self, cells: Vec<(&str, &str, Value)>) -> Result<(), StoreError> {
+        self.store.put_many_at(&self.at, cells)
     }
 
     /// Deletes the cell under `(row, qualifier)`; see [`DataStore::delete`].

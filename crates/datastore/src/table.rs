@@ -207,26 +207,6 @@ impl ColumnFamily {
         self.row_mut(key).put(qualifier, value, ts)
     }
 
-    /// Writes `cells` — `(qualifier, value)` pairs, applied in order — into
-    /// the row under `key`, creating it if absent: the first at `first_ts`,
-    /// each next one a timestamp later. Returns the displaced values.
-    ///
-    /// One row lookup for all of them.
-    pub fn put_cells<const N: usize>(
-        &mut self,
-        key: &str,
-        cells: [(&str, Value); N],
-        first_ts: Timestamp,
-    ) -> [Option<Value>; N] {
-        let row = self.row_mut(key);
-        let mut ts = first_ts;
-        cells.map(|(qualifier, value)| {
-            let old = row.put(qualifier, value, ts);
-            ts += 1;
-            old
-        })
-    }
-
     /// Removes an entire row, returning it.
     pub fn delete_row(&mut self, key: &str) -> Option<Row> {
         let at = self.find(key).ok()?;
@@ -343,26 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn family_put_cells_is_put_cell_in_order_with_consecutive_timestamps() {
-        let mut by_row = ColumnFamily::new();
-        let olds = by_row.put_cells(
-            "r",
-            [
-                ("a", Value::from(1.0)),
-                ("b", Value::from(2.0)),
-                ("a", Value::from(3.0)),
-            ],
-            7,
-        );
-        assert_eq!(olds, [None, None, Some(Value::from(1.0))]);
-        let mut by_cell = ColumnFamily::new();
-        by_cell.put_cell("r", "a", Value::from(1.0), 7);
-        by_cell.put_cell("r", "b", Value::from(2.0), 8);
-        by_cell.put_cell("r", "a", Value::from(3.0), 9);
-        assert_eq!(by_row, by_cell);
-    }
-
-    #[test]
     fn family_delete_cell_drops_empty_row() {
         let mut fam = ColumnFamily::new();
         fam.put_cell("r", "q", Value::from(1.0), 1);
@@ -468,26 +428,6 @@ mod tests {
                     .put(qualifier, value, ts)
             }
 
-            pub fn put_cells<const N: usize>(
-                &mut self,
-                key: &str,
-                cells: [(&str, Value); N],
-                first_ts: Timestamp,
-            ) -> [Option<Value>; N] {
-                let mut ts = first_ts;
-                let put = |row: &mut Row| {
-                    cells.map(|(qualifier, value)| {
-                        let old = row.put(qualifier, value, ts);
-                        ts += 1;
-                        old
-                    })
-                };
-                if let Some(row) = self.rows.get_mut(key) {
-                    return put(row);
-                }
-                put(self.rows.entry(key.to_owned()).or_default())
-            }
-
             pub fn delete_row(&mut self, key: &str) -> Option<Row> {
                 self.rows.remove(key)
             }
@@ -530,7 +470,6 @@ mod tests {
         #[derive(Debug, Clone, Copy)]
         enum Kind {
             PutCell,
-            PutCells,
             DeleteCell,
             DeleteRow,
             Read,
@@ -549,7 +488,6 @@ mod tests {
             let kind = prop_oneof![
                 Just(Kind::PutCell),
                 Just(Kind::PutCell),
-                Just(Kind::PutCells),
                 Just(Kind::DeleteCell),
                 Just(Kind::DeleteRow),
                 Just(Kind::Read),
@@ -617,15 +555,6 @@ mod tests {
                         new.put_cell(&key, &q, value.clone(), ts),
                         old.put_cell(&key, &q, value, ts),
                     ),
-                    Kind::PutCells => {
-                        // The second qualifier may repeat the first.
-                        let q2 = qualifier(op.qualifier + op.row % 2);
-                        let cells = [(q.as_str(), value.clone()), (q2.as_str(), value)];
-                        assert_eq!(
-                            new.put_cells(&key, cells.clone(), ts),
-                            old.put_cells(&key, cells, ts),
-                        );
-                    }
                     Kind::DeleteCell => {
                         assert_eq!(new.delete_cell(&key, &q), old.delete_cell(&key, &q));
                     }

@@ -348,10 +348,13 @@ fn a_handle_call_is_one_op() {
         let mut rows = 0;
         family.for_each_row(|_, _| rows += 1).unwrap();
         assert_eq!((rows, seen()), (1, vec![OpKind::Scan]));
-        // A row put is as many puts as it has cells.
-        let cells = ["q", "q2", "q3"].map(|q| (q, Value::I64(2)));
-        family.put_row("r", cells).unwrap();
+        // A batch is as many puts as it has cells, whatever rows they are
+        // in, and an empty one is none.
+        let cells = [("r", "q"), ("r2", "q2"), ("r", "q3")].map(|(r, q)| (r, q, Value::I64(2)));
+        family.put_many(cells.to_vec()).unwrap();
         assert_eq!(seen(), [OpKind::Put; 3]);
+        family.put_many(Vec::new()).unwrap();
+        assert_eq!(seen(), []);
         family.delete("r", "q").unwrap();
         assert_eq!(seen(), [OpKind::Delete]);
         // A delete that removes nothing is still the op that was paid for.

@@ -1,13 +1,15 @@
 //! Property-based tests for the datastore invariants.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use smartflux_datastore::{
-    ContainerRef, DataStore, FamilyHandle, ObserverHandle, ScanFilter, StoreError, StoreState,
-    Value, WriteEvent, WriteKind, WriteObserver, WriteRef,
+    ContainerRef, DataStore, FamilyHandle, ObserverHandle, OpKind, ScanFilter, StoreError,
+    StoreState, Value, WriteEvent, WriteKind, WriteObserver, WriteRef,
 };
 use smartflux_durability::{decode_store_state, encode_store_state};
 
@@ -60,12 +62,11 @@ enum HandleOp {
         put: Option<Value>,
         one_shot: bool,
     },
-    /// Puts of one to three cells of one row, in order — qualifiers may
-    /// repeat: one `put_row` in the handle run, that many `put`s otherwise.
-    WriteRow {
+    /// Puts of zero to four cells, in order, over any rows — keys may
+    /// repeat: one `put_many` in the handle run, that many `put`s otherwise.
+    WriteMany {
         family: usize,
-        row: u8,
-        cells: Vec<(u8, Value)>,
+        cells: Vec<(u8, u8, Value)>,
     },
     /// Registers the transient observer, or unregisters it if it is on.
     ToggleObserver,
@@ -85,15 +86,14 @@ fn handle_ops() -> impl Strategy<Value = Vec<HandleOp>> {
         0u8..3,
         0u8..3,
         prop::option::of(value()),
-        prop::collection::vec((0u8..3, value()), 1..4),
+        prop::collection::vec((0u8..3, 0u8..3, value()), 0..5),
     )
         .prop_map(
             |((kind, flag), row, qualifier, put, cells)| match (kind, flag) {
                 (0, _) => HandleOp::ToggleObserver,
                 (1, _) => HandleOp::CreateLate,
-                (2..=5, true) => HandleOp::WriteRow {
+                (2..=5, true) => HandleOp::WriteMany {
                     family: TARGETS[kind - 2],
-                    row,
                     cells,
                 },
                 _ => HandleOp::Write {
@@ -116,7 +116,8 @@ struct HandleRun {
     permanent: Vec<WriteEvent>,
     /// What the observer toggled mid-sequence saw.
     transient: Vec<WriteEvent>,
-    /// Results of the writes, in order, cell by cell.
+    /// Results of the writes, in order, cell by cell; a cell of a batch
+    /// displaces `None` (a batch hands back no displaced values).
     results: Vec<Result<Option<Value>, StoreError>>,
     clock: u64,
     state: StoreState,
@@ -193,32 +194,28 @@ fn run_handle_ops(ops: &[HandleOp], through_handles: bool) -> HandleRun {
                 assert_eq!(s.clock(), clock_before + u64::from(applied));
                 results.push(result);
             }
-            HandleOp::WriteRow { family, row, cells } => {
+            HandleOp::WriteMany { family, cells } => {
                 let (table, name) = FAMILIES[*family];
-                let row = format!("r{row}");
-                let cells: Vec<(String, Value)> = cells
+                let cells: Vec<(String, String, Value)> = cells
                     .iter()
-                    .map(|(q, v)| (format!("q{q}"), v.clone()))
+                    .map(|(r, q, v)| (format!("r{r}"), format!("q{q}"), v.clone()))
                     .collect();
                 let clock_before = s.clock();
                 if through_handles {
-                    let cell = |i: usize| (cells[i].0.as_str(), cells[i].1.clone());
+                    let batch = cells
+                        .iter()
+                        .map(|(r, q, v)| (r.as_str(), q.as_str(), v.clone()))
+                        .collect();
                     let handle = resolved(&s, &mut handles, *family);
-                    let olds = handle.and_then(|handle| match cells.len() {
-                        1 => handle.put_row(&row, [cell(0)]).map(Vec::from),
-                        2 => handle.put_row(&row, [cell(0), cell(1)]).map(Vec::from),
-                        _ => handle
-                            .put_row(&row, [cell(0), cell(1), cell(2)])
-                            .map(Vec::from),
-                    });
-                    match olds {
-                        Ok(olds) => results.extend(olds.into_iter().map(Ok)),
-                        // The row is refused whole, like each put of it.
+                    match handle.and_then(|handle| handle.put_many(batch)) {
+                        Ok(()) => results.extend(cells.iter().map(|_| Ok(None))),
+                        // The batch is refused whole, like each put of it.
                         Err(e) => results.extend(cells.iter().map(|_| Err(e.clone()))),
                     }
                 } else {
-                    for (qualifier, value) in &cells {
-                        results.push(s.put(table, name, &row, qualifier, value.clone()));
+                    for (row, qualifier, value) in &cells {
+                        let result = s.put(table, name, row, qualifier, value.clone());
+                        results.push(result.map(|_| None));
                     }
                 }
                 let applied = results[results.len() - cells.len()..]
@@ -235,6 +232,180 @@ fn run_handle_ops(ops: &[HandleOp], through_handles: bool) -> HandleRun {
         permanent,
         transient,
         results,
+        clock: s.clock(),
+        state: s.export_state(),
+    }
+}
+
+/// One step of the batch-versus-one-shot comparison.
+#[derive(Debug, Clone)]
+enum BatchOp {
+    /// Cells of family `BATCH_FAMILIES[family]`, in order: one `put_many`
+    /// in the batch run, that many one-shot `put`s in the reference.
+    Batch {
+        family: usize,
+        cells: Vec<(u8, u8, Value)>,
+    },
+    /// Unregisters the observer, or registers it again: unobserved, a
+    /// batch to a tracked family only folds, to `h` it only stores.
+    ToggleObserver,
+    /// Records every change set's stream, then moves its mark to now.
+    Mark,
+}
+
+/// Two tracked families, an untracked one, and one that never exists.
+const BATCH_FAMILIES: [&str; 4] = ["f", "g", "h", "nope"];
+
+/// The containers the watch list tracks, each with a change set of its own
+/// (numbered by position): both families, and one column of `f`.
+fn tracked() -> [ContainerRef; 3] {
+    [
+        ContainerRef::family("t", "f"),
+        ContainerRef::family("t", "g"),
+        ContainerRef::column("t", "f", "q1"),
+    ]
+}
+
+fn batch_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-1e6f64..1e6).prop_map(Value::from),
+        (-50i64..50).prop_map(Value::I64),
+        ".{0,6}".prop_map(Value::from),
+        prop::collection::vec(any::<u8>(), 0..4).prop_map(Value::Bytes),
+    ]
+}
+
+/// Batches of zero to eight cells over few rows and qualifiers — so keys
+/// repeat within a batch and across batches, and new rows and cells keep
+/// arriving — mostly to `f` and `g`, now and then to `h` and to the
+/// missing family.
+fn batch_ops() -> impl Strategy<Value = Vec<BatchOp>> {
+    const TARGETS: [usize; 8] = [0, 1, 0, 1, 0, 1, 2, 3];
+    let op = (
+        0usize..10,
+        prop::collection::vec((0u8..5, 0u8..3, batch_value()), 0..9),
+    )
+        .prop_map(|(kind, cells)| match kind {
+            0 => BatchOp::ToggleObserver,
+            1 => BatchOp::Mark,
+            _ => BatchOp::Batch {
+                family: TARGETS[kind - 2],
+                cells,
+            },
+        });
+    prop::collection::vec(op, 1..60)
+}
+
+/// `(n, the (new, old) pairs streamed)` of one change set.
+type Streamed = (usize, Vec<(Option<Value>, Option<Value>)>);
+
+/// Everything observable about a run of [`BatchOp`]s.
+#[derive(Debug, PartialEq)]
+struct BatchRun {
+    /// What the observer saw while it was registered.
+    seen: Vec<WriteEvent>,
+    /// Put operations reported to op observers for cells that applied (a
+    /// refused one-shot is timed too; a batch to a missing family never
+    /// gets a handle to put through).
+    puts: usize,
+    /// Cells refused, batch by batch.
+    refused: Vec<usize>,
+    /// Every change set's stream at each mark and at the end.
+    streams: Vec<Streamed>,
+    /// Writes each tracked container counted.
+    watched: Vec<u64>,
+    clock: u64,
+    state: StoreState,
+}
+
+/// Applies `ops` to a fresh store whose containers are tracked by a watch
+/// list, as a `Monitor` tracks them: each batch through one `put_many`
+/// on a handle or, as the reference, as in-order one-shot `put`s.
+#[allow(deprecated)] // op observers are kept for the end-to-end benchmark
+fn run_batch_ops(ops: &[BatchOp], batched: bool) -> BatchRun {
+    let s = store();
+    s.create_family("t", "g").expect("fresh store");
+    s.create_family("t", "h").expect("fresh store");
+    let list = s.watch_list();
+    for (number, container) in tracked().iter().enumerate() {
+        s.watch(list, container, Some(number));
+    }
+    let log = Arc::new(BorrowedLog::default());
+    let observer = || Arc::clone(&log) as Arc<dyn WriteObserver>;
+    let mut observing = Some(s.register_observer(observer()));
+    let puts = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&puts);
+    s.register_op_observer(Arc::new(move |op: OpKind, _: Duration| {
+        if op == OpKind::Put {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }));
+    let stream_all = |streams: &mut Vec<Streamed>| {
+        for number in 0..tracked().len() {
+            let mut updates = Vec::new();
+            let n = s.stream_changes(list, number, |new, old| {
+                updates.push((new.cloned(), old.cloned()));
+            });
+            streams.push((n, updates));
+        }
+    };
+    let (mut refused, mut streams) = (Vec::new(), Vec::new());
+    for op in ops {
+        match op {
+            BatchOp::ToggleObserver => match observing.take() {
+                Some(h) => assert!(s.unregister_observer(h)),
+                None => observing = Some(s.register_observer(observer())),
+            },
+            BatchOp::Mark => {
+                stream_all(&mut streams);
+                for number in 0..tracked().len() {
+                    s.mark_changes(list, number, Vec::new());
+                }
+            }
+            BatchOp::Batch { family, cells } => {
+                let name = BATCH_FAMILIES[*family];
+                let cells: Vec<(String, String, Value)> = cells
+                    .iter()
+                    .map(|(r, q, v)| (format!("r{r}"), format!("q{q}"), v.clone()))
+                    .collect();
+                let clock_before = s.clock();
+                let refused_cells = if batched {
+                    let batch = cells
+                        .iter()
+                        .map(|(r, q, v)| (r.as_str(), q.as_str(), v.clone()))
+                        .collect();
+                    match s.family("t", name) {
+                        Ok(handle) => {
+                            handle.put_many(batch).expect("a handle's family is there");
+                            0
+                        }
+                        Err(StoreError::FamilyNotFound { .. }) => cells.len(),
+                        Err(e) => panic!("unexpected error: {e}"),
+                    }
+                } else {
+                    cells
+                        .iter()
+                        .filter(|(r, q, v)| s.put("t", name, r, q, v.clone()).is_err())
+                        .count()
+                };
+                // One tick per cell applied; a refused batch applies none.
+                let applied = cells.len() - refused_cells;
+                assert_eq!(s.clock(), clock_before + applied as u64);
+                refused.push(refused_cells);
+            }
+        }
+    }
+    stream_all(&mut streams);
+    let seen = log.0.lock().unwrap().clone();
+    BatchRun {
+        seen,
+        puts: puts.load(Ordering::Relaxed) - if batched { 0 } else { refused.iter().sum() },
+        refused,
+        streams,
+        watched: tracked()
+            .iter()
+            .map(|c| s.watched_writes(list, c))
+            .collect(),
         clock: s.clock(),
         state: s.export_state(),
     }
@@ -307,7 +478,7 @@ proptest! {
         prop_assert_eq!(from_empty.modified_count(), snap.len());
     }
 
-    /// A cell is the last write applied to it: after puts, row puts and
+    /// A cell is the last write applied to it: after puts, batches and
     /// deletes through handles and one-shots mixed, every exported cell
     /// carries the timestamp and value of the last write a recording observer
     /// saw for it (and a deleted cell is gone), no timestamp is ahead of the
@@ -425,13 +596,13 @@ proptest! {
     }
 
     /// Differential oracle for family handles: a sequence of puts,
-    /// overwrites, row puts of one to three cells, deletes of present and
+    /// overwrites, batches of zero to four cells, deletes of present and
     /// absent cells, writes to a missing table and to a family created only
     /// after the handles were built, with an observer registering and
     /// unregistering along the way, applied through handles to two
-    /// interleaved families (one-shots mixed in, each row put one
-    /// `put_row`) leaves exactly what string-addressed one-shots — each row
-    /// put that many `put`s — leave: the same
+    /// interleaved families (one-shots mixed in, each batch one
+    /// `put_many`) leaves exactly what string-addressed one-shots — each
+    /// batch that many `put`s — leave: the same
     /// `WriteRef::to_owned()` streams with the same timestamps, the same
     /// results and typed errors, the same clock, the same exported state.
     #[test]
@@ -440,6 +611,24 @@ proptest! {
         let one_shots = run_handle_ops(&ops, false);
         prop_assert_eq!(by_handle.clock, by_handle.permanent.len() as u64);
         prop_assert_eq!(by_handle, one_shots);
+    }
+
+    /// Differential oracle for batches: random batches — empty ones, keys
+    /// repeated within and across them, new rows and cells, numbers, texts
+    /// and bytes, to tracked families, an untracked one and a missing one —
+    /// sent through `put_many` leave exactly what the same cells sent as
+    /// in-order one-shot `put`s leave, with the one observer toggled and the
+    /// change sets marked along the way: the same exported state (timestamps
+    /// included) and clock, the same `WriteRef::to_owned()` stream, the same
+    /// count of put operations reported, the same cells refused, and the
+    /// same change-set streams and write counts of a watch list tracking two
+    /// families and a column.
+    #[test]
+    fn a_batch_is_its_cells_put_one_by_one(ops in batch_ops()) {
+        let batched = run_batch_ops(&ops, true);
+        let one_by_one = run_batch_ops(&ops, false);
+        prop_assert_eq!(batched.puts as u64, batched.clock);
+        prop_assert_eq!(batched, one_by_one);
     }
 
     /// Deleting every written slot leaves the container empty.
@@ -541,13 +730,15 @@ fn concurrent_writes_to_one_cell_serialise() {
     assert_eq!(state.clock, newest.timestamp);
 }
 
-/// Concurrency: `put_row` writes its cells under one write guard, so a
-/// reader that visits the row — under the read guard — sees the cells of one
-/// row put, never a mix of two.
+/// Concurrency: `put_many` writes its cells under one write guard, so a
+/// reader that visits the family — under the read guard — sees the cells of
+/// one batch, never a mix of two, even when the batch spans rows.
 #[test]
-fn a_row_put_is_atomic_for_readers() {
+fn a_batch_is_atomic_for_readers() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
+    const ROWS: [&str; 3] = ["r0", "r1", "r2"];
+    const QUALIFIERS: [&str; 2] = ["a", "b"];
     let store = store();
     const ROUNDS: i64 = 2_000;
     let done = AtomicBool::new(false);
@@ -555,25 +746,29 @@ fn a_row_put_is_atomic_for_readers() {
         scope.spawn(|| {
             let family = store.family("t", "f").expect("family exists");
             for i in 1..=ROUNDS {
-                let cells = ["a", "b", "c"].map(|q| (q, Value::I64(i)));
-                family.put_row("r", cells).expect("write succeeds");
+                let cells = ROWS
+                    .iter()
+                    .flat_map(|r| QUALIFIERS.map(|q| (*r, q, Value::I64(i))))
+                    .collect();
+                family.put_many(cells).expect("write succeeds");
             }
             done.store(true, Ordering::Release);
         });
         scope.spawn(|| {
             let family = store.family("t", "f").expect("family exists");
             while !done.load(Ordering::Acquire) {
+                let mut seen = Vec::new();
                 family
                     .for_each_row(|_, row| {
-                        let seen = ["a", "b", "c"].map(|q| row.value(q).cloned());
-                        assert!(
-                            seen[0] == seen[1] && seen[1] == seen[2],
-                            "half a row: {seen:?}"
-                        );
+                        seen.extend(QUALIFIERS.map(|q| row.value(q).cloned()));
                     })
                     .expect("family exists");
+                assert!(
+                    seen.is_empty() || (seen.len() == 6 && seen.iter().all(|v| *v == seen[0])),
+                    "half a batch: {seen:?}"
+                );
             }
         });
     });
-    assert_eq!(store.clock(), 3 * ROUNDS as u64);
+    assert_eq!(store.clock(), 6 * ROUNDS as u64);
 }

@@ -223,7 +223,7 @@ impl TreeArena {
     /// Ensemble-averaged positive probability for one sample, summing
     /// trees in ensemble order (bit-identical to the pointer walk).
     ///
-    /// Walks up to [`LANES`] trees concurrently (one lane per tree) so
+    /// Walks up to `LANES` (16) trees concurrently (one lane per tree) so
     /// their per-level loads overlap; the leaf probabilities are still
     /// added strictly in ensemble order, so the f64 sum is unchanged.
     ///
@@ -251,11 +251,13 @@ impl TreeArena {
     /// Ensemble-averaged probabilities for a batch of samples.
     ///
     /// Iterates trees in the outer loop so each tree's node region stays
-    /// hot in cache across the whole batch, walking [`LANES`] samples
+    /// hot in cache across the whole batch, walking `LANES` (16) samples
     /// concurrently per tree (one lane per sample). Per sample the tree
     /// contributions accumulate in ensemble order — the same f64
     /// addition sequence as [`predict_proba`] — keeping batch results
     /// bit-identical to per-sample results.
+    ///
+    /// [`predict_proba`]: Self::predict_proba
     #[must_use]
     pub fn predict_batch<S: AsRef<[f64]>>(&self, samples: &[S]) -> Vec<f64> {
         let mut sums = vec![0.0_f64; samples.len()];

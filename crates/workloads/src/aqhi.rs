@@ -289,19 +289,18 @@ impl WorkloadFactory for AqhiFactory {
                 let wave = ctx.wave();
                 let [o3, pm25, no2] = [Pollutant::O3, Pollutant::Pm25, Pollutant::No2]
                     .map(|pollutant| PollutantField::new(c.seed, pollutant, wave));
-                let readings = ctx.family(TABLE, "readings")?;
+                let mut readings = Vec::with_capacity(3 * d.len());
                 for x in 0..c.grid {
                     for y in 0..c.grid {
-                        readings.put_row(
-                            &d[x * c.grid + y],
-                            [
-                                ("o3", Value::from(o3.value(x, y))),
-                                ("pm25", Value::from(pm25.value(x, y))),
-                                ("no2", Value::from(no2.value(x, y))),
-                            ],
-                        )?;
+                        let row = &*d[x * c.grid + y];
+                        readings.extend([
+                            (row, "o3", Value::from(o3.value(x, y))),
+                            (row, "pm25", Value::from(pm25.value(x, y))),
+                            (row, "no2", Value::from(no2.value(x, y))),
+                        ]);
                     }
                 }
+                ctx.family(TABLE, "readings")?.put_many(readings)?;
                 Ok(())
             }),
         )
@@ -320,7 +319,7 @@ impl WorkloadFactory for AqhiFactory {
             concentration,
             FnStep::new(move |ctx: &StepContext| {
                 let readings = ctx.family(TABLE, "readings")?;
-                let concentration = ctx.family(TABLE, "concentration")?;
+                let mut concentration = Vec::with_capacity(d.len());
                 for row in d.iter() {
                     let o3 = readings.get_f64(row, "o3")?.unwrap_or(0.0);
                     let pm = readings.get_f64(row, "pm25")?.unwrap_or(0.0);
@@ -329,8 +328,10 @@ impl WorkloadFactory for AqhiFactory {
                         * (o3 / 100.0).powf(0.40)
                         * (pm / 100.0).powf(0.35)
                         * (no2 / 100.0).powf(0.25);
-                    concentration.put(row, "value", Value::from(combined))?;
+                    concentration.push((&**row, "value", Value::from(combined)));
                 }
+                ctx.family(TABLE, "concentration")?
+                    .put_many(concentration)?;
                 Ok(())
             }),
         )
@@ -345,7 +346,7 @@ impl WorkloadFactory for AqhiFactory {
             FnStep::new(move |ctx: &StepContext| {
                 let per_side = c.grid / c.zone_size;
                 let concentration = ctx.family(TABLE, "concentration")?;
-                let zones = ctx.family(TABLE, "zones")?;
+                let mut zones = Vec::with_capacity(z.len());
                 for zx in 0..per_side {
                     for zy in 0..per_side {
                         let mut sum = 0.0;
@@ -357,9 +358,10 @@ impl WorkloadFactory for AqhiFactory {
                             }
                         }
                         let avg = sum / (c.zone_size * c.zone_size) as f64;
-                        zones.put(&z[zx * per_side + zy], "value", Value::from(avg))?;
+                        zones.push((&*z[zx * per_side + zy], "value", Value::from(avg)));
                     }
                 }
+                ctx.family(TABLE, "zones")?.put_many(zones)?;
                 Ok(())
             }),
         )
@@ -375,7 +377,7 @@ impl WorkloadFactory for AqhiFactory {
             interp,
             FnStep::new(move |ctx: &StepContext| {
                 let concentration = ctx.family(TABLE, "concentration")?;
-                let interp = ctx.family(TABLE, "interp")?;
+                let mut interp = Vec::with_capacity(cells.len());
                 for x in 0..grid - 1 {
                     for y in 0..grid - 1 {
                         let mut sum = 0.0;
@@ -383,10 +385,11 @@ impl WorkloadFactory for AqhiFactory {
                             let row = &d[(x + dx) * grid + y + dy];
                             sum += concentration.get_f64(row, "value")?.unwrap_or(0.0);
                         }
-                        let cell = &cells[x * (grid - 1) + y];
-                        interp.put(cell, "value", Value::from(sum / 4.0))?;
+                        let cell = &*cells[x * (grid - 1) + y];
+                        interp.push((cell, "value", Value::from(sum / 4.0)));
                     }
                 }
+                ctx.family(TABLE, "interp")?.put_many(interp)?;
                 Ok(())
             }),
         )
@@ -401,21 +404,23 @@ impl WorkloadFactory for AqhiFactory {
             hotspots,
             FnStep::new(move |ctx: &StepContext| {
                 let rows = ctx.scan(TABLE, "zones", &ScanFilter::all())?;
-                let hotspots = ctx.family(TABLE, "hotspots")?;
-                for row in rows {
+                let mut hotspots = Vec::with_capacity(2 * rows.len());
+                for row in &rows {
                     let v = row.f64("value").unwrap_or(0.0);
                     let hot = v > c.hotspot_reference;
                     // Flags are encoded 1 (clear) / 2 (hotspot) so the
                     // container keeps a non-zero previous-state sum for the
                     // relative error metrics.
-                    hotspots.put_row(
-                        &row.key,
-                        [
-                            ("hot", Value::from(if hot { 2i64 } else { 1i64 })),
-                            ("excess", Value::from((v - c.hotspot_reference).max(0.0))),
-                        ],
-                    )?;
+                    hotspots.extend([
+                        (&*row.key, "hot", Value::from(if hot { 2i64 } else { 1i64 })),
+                        (
+                            &row.key,
+                            "excess",
+                            Value::from((v - c.hotspot_reference).max(0.0)),
+                        ),
+                    ]);
                 }
+                ctx.family(TABLE, "hotspots")?.put_many(hotspots)?;
                 Ok(())
             }),
         )
@@ -436,13 +441,10 @@ impl WorkloadFactory for AqhiFactory {
                     hot_excess += row.f64("excess").unwrap_or(0.0);
                 })?;
                 let index_value = 1.0 + hot_excess / 8.0;
-                ctx.family(TABLE, "index")?.put_row(
-                    "region",
-                    [
-                        ("value", Value::from(index_value)),
-                        ("class", Value::from(risk_class(index_value))),
-                    ],
-                )?;
+                ctx.family(TABLE, "index")?.put_many(vec![
+                    ("region", "value", Value::from(index_value)),
+                    ("region", "class", Value::from(risk_class(index_value))),
+                ])?;
                 Ok(())
             }),
         )

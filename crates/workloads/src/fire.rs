@@ -9,6 +9,8 @@
 //! imagery for burning areas and issuing a displacement order to the fire
 //! department.
 
+use std::sync::Arc;
+
 use smartflux::eval::WorkloadFactory;
 use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
@@ -116,12 +118,18 @@ pub fn risk_level(score: f64) -> i64 {
     ((score * 5.0) as i64).min(4)
 }
 
-fn sensor_row(x: usize, y: usize) -> String {
-    format!("s-{x:02}-{y:02}")
+/// The row key of every sensor, `s-XX-YY`, indexed by `x * grid + y`.
+fn sensor_rows(grid: usize) -> Arc<[String]> {
+    (0..grid)
+        .flat_map(|x| (0..grid).map(move |y| format!("s-{x:02}-{y:02}")))
+        .collect()
 }
 
-fn area_row(ax: usize, ay: usize) -> String {
-    format!("a-{ax}-{ay}")
+/// The row key of every area, `a-X-Y`, indexed by `ax * per_side + ay`.
+fn area_rows(per_side: usize) -> Arc<[String]> {
+    (0..per_side)
+        .flat_map(|ax| (0..per_side).map(move |ay| format!("a-{ax}-{ay}")))
+        .collect()
 }
 
 /// Builds the fire-risk workflow over a store.
@@ -182,28 +190,30 @@ impl WorkloadFactory for FireFactory {
         let satc = ContainerRef::family(TABLE, "satellite");
         let ordersc = ContainerRef::family(TABLE, "orders");
 
+        // Row keys are built once per workflow and shared by every wave.
+        let sensor_keys = sensor_rows(cfg.grid);
+        let area_keys = area_rows(cfg.grid / cfg.area_size);
+
         // Step 1: map update — always executed ("it is not possible to
         // maintain sensory data across waves without the execution of this
         // step").
-        let c = cfg.clone();
+        let (c, k) = (cfg.clone(), Arc::clone(&sensor_keys));
         wf.bind(
             map_update,
             FnStep::new(move |ctx: &StepContext| {
-                let sensors = ctx.family(TABLE, "sensors")?;
+                let mut sensors = Vec::with_capacity(3 * k.len());
                 for x in 0..c.grid {
                     for y in 0..c.grid {
                         let w = weather(c.seed, x, y, ctx.wave(), c.heat_wave);
-                        let row = sensor_row(x, y);
-                        sensors.put_row(
-                            &row,
-                            [
-                                ("temp", Value::from(w.temperature)),
-                                ("precip", Value::from(w.precipitation)),
-                                ("wind", Value::from(w.wind)),
-                            ],
-                        )?;
+                        let row = &*k[x * c.grid + y];
+                        sensors.extend([
+                            (row, "temp", Value::from(w.temperature)),
+                            (row, "precip", Value::from(w.precipitation)),
+                            (row, "wind", Value::from(w.wind)),
+                        ]);
                     }
                 }
+                ctx.family(TABLE, "sensors")?.put_many(sensors)?;
                 Ok(())
             }),
         )
@@ -220,30 +230,29 @@ impl WorkloadFactory for FireFactory {
             FnStep::new(move |ctx: &StepContext| {
                 let per_side = c.grid / c.area_size;
                 let sensors = ctx.family(TABLE, "sensors")?;
-                let areas = ctx.family(TABLE, "areas")?;
+                let mut areas = Vec::with_capacity(3 * area_keys.len());
                 for ax in 0..per_side {
                     for ay in 0..per_side {
                         let (mut t, mut p, mut w) = (0.0, 0.0, 0.0);
                         for dx in 0..c.area_size {
                             for dy in 0..c.area_size {
-                                let row = sensor_row(ax * c.area_size + dx, ay * c.area_size + dy);
-                                t += sensors.get_f64(&row, "temp")?.unwrap_or(0.0);
-                                p += sensors.get_f64(&row, "precip")?.unwrap_or(0.0);
-                                w += sensors.get_f64(&row, "wind")?.unwrap_or(0.0);
+                                let (x, y) = (ax * c.area_size + dx, ay * c.area_size + dy);
+                                let row = &sensor_keys[x * c.grid + y];
+                                t += sensors.get_f64(row, "temp")?.unwrap_or(0.0);
+                                p += sensors.get_f64(row, "precip")?.unwrap_or(0.0);
+                                w += sensors.get_f64(row, "wind")?.unwrap_or(0.0);
                             }
                         }
                         let n = (c.area_size * c.area_size) as f64;
-                        let row = area_row(ax, ay);
-                        areas.put_row(
-                            &row,
-                            [
-                                ("temp", Value::from(t / n)),
-                                ("precip", Value::from(p / n)),
-                                ("wind", Value::from(w / n)),
-                            ],
-                        )?;
+                        let row = &*area_keys[ax * per_side + ay];
+                        areas.extend([
+                            (row, "temp", Value::from(t / n)),
+                            (row, "precip", Value::from(p / n)),
+                            (row, "wind", Value::from(w / n)),
+                        ]);
                     }
                 }
+                ctx.family(TABLE, "areas")?.put_many(areas)?;
                 Ok(())
             }),
         )
@@ -255,13 +264,15 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             thermal,
             FnStep::new(move |ctx: &StepContext| {
-                let thermal = ctx.family(TABLE, "thermal")?;
-                for row in ctx.scan(TABLE, "areas", &ScanFilter::all().with_qualifier("temp"))? {
+                let rows = ctx.scan(TABLE, "areas", &ScanFilter::all().with_qualifier("temp"))?;
+                let mut thermal = Vec::with_capacity(rows.len());
+                for row in &rows {
                     let t = row.f64("temp").unwrap_or(24.0);
                     // Shade in [0, 255] for the rendering pipeline.
                     let shade = ((t - 22.0) / 12.0 * 255.0).clamp(0.0, 255.0);
-                    thermal.put(&row.key, "shade", Value::from(shade))?;
+                    thermal.push((&*row.key, "shade", Value::from(shade)));
                 }
+                ctx.family(TABLE, "thermal")?.put_many(thermal)?;
                 Ok(())
             }),
         )
@@ -273,20 +284,19 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             area_risk,
             FnStep::new(move |ctx: &StepContext| {
-                let risk = ctx.family(TABLE, "risk")?;
-                for row in ctx.scan(TABLE, "areas", &ScanFilter::all())? {
+                let rows = ctx.scan(TABLE, "areas", &ScanFilter::all())?;
+                let mut risk = Vec::with_capacity(2 * rows.len());
+                for row in &rows {
                     let t = row.f64("temp").unwrap_or(24.0);
                     let p = row.f64("precip").unwrap_or(0.0);
                     let w = row.f64("wind").unwrap_or(2.0);
                     let score = risk_score(t, p, w);
-                    risk.put_row(
-                        &row.key,
-                        [
-                            ("score", Value::from(score)),
-                            ("level", Value::from(risk_level(score))),
-                        ],
-                    )?;
+                    risk.extend([
+                        (&*row.key, "score", Value::from(score)),
+                        (&row.key, "level", Value::from(risk_level(score))),
+                    ]);
                 }
+                ctx.family(TABLE, "risk")?.put_many(risk)?;
                 Ok(())
             }),
         )
@@ -312,14 +322,11 @@ impl WorkloadFactory for FireFactory {
                     }
                 })?;
                 let avg = if n > 0.0 { total / n } else { 0.0 };
-                ctx.family(TABLE, "overall")?.put_row(
-                    "region",
-                    [
-                        ("risk", Value::from(avg)),
-                        ("hotspots", Value::from(hotspots)),
-                        ("level", Value::from(risk_level(avg))),
-                    ],
-                )?;
+                ctx.family(TABLE, "overall")?.put_many(vec![
+                    ("region", "risk", Value::from(avg)),
+                    ("region", "hotspots", Value::from(hotspots)),
+                    ("region", "level", Value::from(risk_level(avg))),
+                ])?;
                 Ok(())
             }),
         )
@@ -334,20 +341,22 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             satellite,
             FnStep::new(move |ctx: &StepContext| {
-                let satellite = ctx.family(TABLE, "satellite")?;
-                for row in ctx.scan(TABLE, "risk", &ScanFilter::all().with_qualifier("level"))? {
+                let rows = ctx.scan(TABLE, "risk", &ScanFilter::all().with_qualifier("level"))?;
+                let mut satellite = Vec::new();
+                for row in &rows {
                     let level = row.f64("level").unwrap_or(0.0);
                     if level >= 4.0 {
                         // Deterministic "image analysis": confirm a fire in
                         // a small fraction of extreme-risk inspections.
                         let confirmed = unit_hash(c.seed ^ 0xAB, ctx.wave(), 0) < 0.3;
-                        satellite.put(
-                            &row.key,
+                        satellite.push((
+                            &*row.key,
                             "fire_confirmed",
                             Value::from(i64::from(confirmed)),
-                        )?;
+                        ));
                     }
                 }
+                ctx.family(TABLE, "satellite")?.put_many(satellite)?;
                 Ok(())
             }),
         )
@@ -457,6 +466,34 @@ mod tests {
         b.run_waves(6).unwrap();
         let c = ContainerRef::family(TABLE, "overall");
         assert_eq!(s1.snapshot(&c).unwrap(), s2.snapshot(&c).unwrap());
+    }
+
+    /// The prebuilt key tables hold the keys the steps once formatted per
+    /// cell, at the index the steps look them up by.
+    #[test]
+    fn key_tables_match_formatted_keys() {
+        let wide = FireConfig {
+            grid: 10,
+            area_size: 5,
+            ..FireConfig::default()
+        };
+        for cfg in [FireConfig::default(), wide] {
+            let sensors = sensor_rows(cfg.grid);
+            assert_eq!(sensors.len(), cfg.grid * cfg.grid);
+            let per_side = cfg.grid / cfg.area_size;
+            let areas = area_rows(per_side);
+            assert_eq!(areas.len(), per_side * per_side);
+            for x in 0..cfg.grid {
+                for y in 0..cfg.grid {
+                    assert_eq!(sensors[x * cfg.grid + y], format!("s-{x:02}-{y:02}"));
+                }
+            }
+            for ax in 0..per_side {
+                for ay in 0..per_side {
+                    assert_eq!(areas[ax * per_side + ay], format!("a-{ax}-{ay}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -325,21 +325,19 @@ impl WorkloadFactory for LrbFactory {
                 let wave = ctx.wave();
                 let xways: Vec<XwayWave> =
                     (0..c.xways).map(|x| XwayWave::new(&c, x, wave)).collect();
-                let positions = ctx.family(TABLE, "positions")?;
+                let mut positions = Vec::with_capacity(3 * vehicle_keys.len());
                 for (v, row) in vehicle_keys.iter().enumerate() {
                     let xway = v % c.xways;
                     let seg = vehicle_segment(c.seed, v, c.segments, wave);
                     let speed = xways[xway].speed(v, seg);
-                    positions.put_row(
-                        row,
-                        [
-                            ("xway", Value::from(xway as i64)),
-                            ("seg", Value::from(seg as i64)),
-                            ("speed", Value::from(speed)),
-                        ],
-                    )?;
+                    positions.extend([
+                        (&**row, "xway", Value::from(xway as i64)),
+                        (row, "seg", Value::from(seg as i64)),
+                        (row, "speed", Value::from(speed)),
+                    ]);
                 }
-                let queries = ctx.family(TABLE, "queries")?;
+                ctx.family(TABLE, "positions")?.put_many(positions)?;
+                let mut queries = Vec::new();
                 let day_wave = wave % DAY_WAVES;
                 for (q, row) in query_keys.iter().enumerate() {
                     // A slot re-issues a query roughly every third wave.
@@ -350,17 +348,15 @@ impl WorkloadFactory for LrbFactory {
                             % c.segments as i64;
                         let len = 1 + (unit_hash(c.seed ^ 0x99, q as u64, day_wave) * 6.0) as i64;
                         let to = (from + len).min(c.segments as i64 - 1);
-                        queries.put_row(
-                            row,
-                            [
-                                ("veh", Value::from(veh)),
-                                ("from", Value::from(from)),
-                                ("to", Value::from(to)),
-                                ("wave", Value::from(wave as i64)),
-                            ],
-                        )?;
+                        queries.extend([
+                            (&**row, "veh", Value::from(veh)),
+                            (row, "from", Value::from(from)),
+                            (row, "to", Value::from(to)),
+                            (row, "wave", Value::from(wave as i64)),
+                        ]);
                     }
                 }
+                ctx.family(TABLE, "queries")?.put_many(queries)?;
                 Ok(())
             }),
         )
@@ -383,16 +379,14 @@ impl WorkloadFactory for LrbFactory {
                     sum[i] += speed;
                     count[i] += 1;
                 })?;
-                let segments = ctx.family(TABLE, "segments")?;
+                let mut segments = Vec::with_capacity(2 * k.len());
                 for ((key, sum), count) in k.iter().zip(&sum).zip(&count) {
-                    segments.put_row(
-                        key,
-                        [
-                            ("sum_speed", Value::from(*sum)),
-                            ("count", Value::from(i64::from(*count))),
-                        ],
-                    )?;
+                    segments.extend([
+                        (&**key, "sum_speed", Value::from(*sum)),
+                        (key, "count", Value::from(i64::from(*count))),
+                    ]);
                 }
+                ctx.family(TABLE, "segments")?.put_many(segments)?;
                 Ok(())
             }),
         )
@@ -406,13 +400,15 @@ impl WorkloadFactory for LrbFactory {
         wf.bind(
             process_queries,
             FnStep::new(move |ctx: &StepContext| {
-                let queue = ctx.family(TABLE, "query_queue")?;
-                for row in ctx.scan(TABLE, "queries", &ScanFilter::all())? {
+                let queries = ctx.scan(TABLE, "queries", &ScanFilter::all())?;
+                let mut queue = Vec::with_capacity(queries.len());
+                for row in &queries {
                     let from = row.f64("from").unwrap_or(0.0);
                     let to = row.f64("to").unwrap_or(0.0);
                     let priority = (to - from).abs() + unit_hash(c.seed, 1, ctx.wave());
-                    queue.put(&row.key, "priority", Value::from(priority))?;
+                    queue.push((&*row.key, "priority", Value::from(priority)));
                 }
+                ctx.family(TABLE, "query_queue")?.put_many(queue)?;
                 Ok(())
             }),
         )
@@ -428,14 +424,15 @@ impl WorkloadFactory for LrbFactory {
             FnStep::new(move |ctx: &StepContext| {
                 let segments = ctx.family(TABLE, "segments")?;
                 let avg_speed = ctx.family(TABLE, "avg_speed")?;
+                let mut rolled = Vec::with_capacity(k.len());
                 for key in k.iter() {
                     let sum = segments.get_f64(key, "sum_speed")?.unwrap_or(0.0);
                     let count = segments.get_f64(key, "count")?.unwrap_or(0.0);
                     let instant = if count > 0.0 { sum / count } else { 90.0 };
                     let prev = avg_speed.get_f64(key, "value")?.unwrap_or(instant);
-                    let rolled = 0.7 * prev + 0.3 * instant;
-                    avg_speed.put(key, "value", Value::from(rolled))?;
+                    rolled.push((&**key, "value", Value::from(0.7 * prev + 0.3 * instant)));
                 }
+                avg_speed.put_many(rolled)?;
                 Ok(())
             }),
         )
@@ -449,11 +446,12 @@ impl WorkloadFactory for LrbFactory {
             car_count,
             FnStep::new(move |ctx: &StepContext| {
                 let segments = ctx.family(TABLE, "segments")?;
-                let car_counts = ctx.family(TABLE, "car_counts")?;
+                let mut counts = Vec::with_capacity(k.len());
                 for key in k.iter() {
                     let count = segments.get_f64(key, "count")?.unwrap_or(0.0);
-                    car_counts.put(key, "value", Value::from(count))?;
+                    counts.push((&**key, "value", Value::from(count)));
                 }
+                ctx.family(TABLE, "car_counts")?.put_many(counts)?;
                 Ok(())
             }),
         )
@@ -467,14 +465,15 @@ impl WorkloadFactory for LrbFactory {
             detect_accidents,
             FnStep::new(move |ctx: &StepContext| {
                 let segments = ctx.family(TABLE, "segments")?;
-                let accidents = ctx.family(TABLE, "accidents")?;
+                let mut accidents = Vec::with_capacity(k.len());
                 for key in k.iter() {
                     let sum = segments.get_f64(key, "sum_speed")?.unwrap_or(0.0);
                     let count = segments.get_f64(key, "count")?.unwrap_or(0.0);
                     let avg = if count > 0.0 { sum / count } else { 90.0 };
                     let accident = count >= 2.0 && avg < 20.0;
-                    accidents.put(key, "value", Value::from(i64::from(accident)))?;
+                    accidents.push((&**key, "value", Value::from(i64::from(accident))));
                 }
+                ctx.family(TABLE, "accidents")?.put_many(accidents)?;
                 Ok(())
             }),
         )
@@ -491,7 +490,7 @@ impl WorkloadFactory for LrbFactory {
                 let avg_speed = ctx.family(TABLE, "avg_speed")?;
                 let car_counts = ctx.family(TABLE, "car_counts")?;
                 let accidents = ctx.family(TABLE, "accidents")?;
-                let congestion = ctx.family(TABLE, "congestion")?;
+                let mut tolls = Vec::with_capacity(k.len());
                 for key in k.iter() {
                     let speed = avg_speed.get_f64(key, "value")?.unwrap_or(90.0);
                     let cars = car_counts.get_f64(key, "value")?.unwrap_or(0.0);
@@ -504,8 +503,9 @@ impl WorkloadFactory for LrbFactory {
                     if accident {
                         toll *= 2.0;
                     }
-                    congestion.put(key, "toll", Value::from(toll))?;
+                    tolls.push((&**key, "toll", Value::from(toll)));
                 }
+                ctx.family(TABLE, "congestion")?.put_many(tolls)?;
                 Ok(())
             }),
         )
@@ -522,15 +522,16 @@ impl WorkloadFactory for LrbFactory {
             classify,
             FnStep::new(move |ctx: &StepContext| {
                 let congestion = ctx.family(TABLE, "congestion")?;
-                let classes = ctx.family(TABLE, "classes")?;
+                let mut classes = Vec::with_capacity(k.len());
                 for key in k.iter() {
                     let toll = congestion.get_f64(key, "toll")?.unwrap_or(0.0);
                     // Classes 1..=5: low / guarded / medium / high /
                     // extreme. Fine enough that the workflow output
                     // tracks the rush-hour cycle wave by wave.
                     let class = toll_class(toll);
-                    classes.put(key, "class", Value::from(class))?;
+                    classes.push((&**key, "class", Value::from(class)));
                 }
+                ctx.family(TABLE, "classes")?.put_many(classes)?;
                 Ok(())
             }),
         )
@@ -547,8 +548,9 @@ impl WorkloadFactory for LrbFactory {
                 let queries = ctx.family(TABLE, "queries")?;
                 let avg_speed = ctx.family(TABLE, "avg_speed")?;
                 let congestion = ctx.family(TABLE, "congestion")?;
-                let travel_times = ctx.family(TABLE, "travel_times")?;
-                for row in ctx.scan(TABLE, "query_queue", &ScanFilter::all())? {
+                let queue = ctx.scan(TABLE, "query_queue", &ScanFilter::all())?;
+                let mut travel_times = Vec::with_capacity(2 * queue.len());
+                for row in &queue {
                     let from = queries.get_f64(&row.key, "from")?.unwrap_or(0.0) as usize;
                     let to = queries.get_f64(&row.key, "to")?.unwrap_or(0.0) as usize;
                     let veh = queries.get_f64(&row.key, "veh")?.unwrap_or(0.0) as usize;
@@ -561,14 +563,12 @@ impl WorkloadFactory for LrbFactory {
                         minutes += 60.0 / speed.max(5.0);
                         cost += congestion.get_f64(key, "toll")?.unwrap_or(0.0);
                     }
-                    travel_times.put_row(
-                        &row.key,
-                        [
-                            ("minutes", Value::from(minutes)),
-                            ("cost", Value::from(cost)),
-                        ],
-                    )?;
+                    travel_times.extend([
+                        (&*row.key, "minutes", Value::from(minutes)),
+                        (&row.key, "cost", Value::from(cost)),
+                    ]);
                 }
+                ctx.family(TABLE, "travel_times")?.put_many(travel_times)?;
                 Ok(())
             }),
         )

@@ -242,16 +242,17 @@ impl WorkloadFactory for PagerankFactory {
             crawl,
             FnStep::new(move |ctx: &StepContext| {
                 let wave = ctx.wave();
-                let crawl = ctx.family(TABLE, "crawl")?;
+                let mut crawl = Vec::with_capacity(c.crawl_batch * (l.len() + 1));
                 for b in 0..c.crawl_batch {
                     let page = ((wave as usize * c.crawl_batch + b) * 7919 + b) % c.pages;
-                    let row = &r[page];
+                    let row = &*r[page];
                     for (slot, link) in l.iter().enumerate() {
                         let target = outlink(&c, page, slot, wave);
-                        crawl.put(row, link, Value::from(target as i64))?;
+                        crawl.push((row, &**link, Value::from(target as i64)));
                     }
-                    crawl.put(row, "words", Value::from(word_count(&c, page, wave)))?;
+                    crawl.push((row, "words", Value::from(word_count(&c, page, wave))));
                 }
+                ctx.family(TABLE, "crawl")?.put_many(crawl)?;
                 Ok(())
             }),
         )
@@ -275,10 +276,12 @@ impl WorkloadFactory for PagerankFactory {
                         }
                     }
                 })?;
-                let histogram = ctx.family(TABLE, "histogram")?;
-                for (row, count) in r.iter().zip(&indegree) {
-                    histogram.put(row, "indegree", Value::from(*count))?;
-                }
+                let histogram = r
+                    .iter()
+                    .zip(&indegree)
+                    .map(|(row, count)| (&**row, "indegree", Value::from(*count)))
+                    .collect();
+                ctx.family(TABLE, "histogram")?.put_many(histogram)?;
                 Ok(())
             }),
         )
@@ -287,6 +290,7 @@ impl WorkloadFactory for PagerankFactory {
         .error_bound(cfg.bound * 0.5);
 
         // Step 3: aggregate word counts (a content-volume histogram).
+        let bucket_keys: Vec<String> = (0..8).map(|i| format!("bucket-{i}")).collect();
         wf.bind(
             words,
             FnStep::new(move |ctx: &StepContext| {
@@ -299,10 +303,12 @@ impl WorkloadFactory for PagerankFactory {
                         buckets[b] += 1;
                     }
                 })?;
-                let words = ctx.family(TABLE, "words")?;
-                for (i, count) in buckets.iter().enumerate() {
-                    words.put(&format!("bucket-{i}"), "pages", Value::from(*count))?;
-                }
+                let words = bucket_keys
+                    .iter()
+                    .zip(buckets)
+                    .map(|(row, count)| (&**row, "pages", Value::from(count)))
+                    .collect();
+                ctx.family(TABLE, "words")?.put_many(words)?;
                 Ok(())
             }),
         )
@@ -318,11 +324,13 @@ impl WorkloadFactory for PagerankFactory {
                 let out = crawled_adjacency(&ctx.family(TABLE, "crawl")?, c.pages, &links)?;
                 let rank = power_iteration(&out, c.damping, c.iterations);
                 let n = c.pages as f64;
-                let ranks = ctx.family(TABLE, "ranks")?;
-                for (row, r) in rows.iter().zip(&rank) {
-                    // Scaled to ~[0, 1000] for readability.
-                    ranks.put(row, "value", Value::from(r * 1000.0 * n))?;
-                }
+                // Scaled to ~[0, 1000] for readability.
+                let ranks = rows
+                    .iter()
+                    .zip(&rank)
+                    .map(|(row, r)| (&**row, "value", Value::from(r * 1000.0 * n)))
+                    .collect();
+                ctx.family(TABLE, "ranks")?.put_many(ranks)?;
                 Ok(())
             }),
         )
@@ -333,7 +341,7 @@ impl WorkloadFactory for PagerankFactory {
 
         // Step 5: publish the top-k ranking — the workflow output whose
         // significance decision makers care about.
-        let c = cfg.clone();
+        let top_keys: Vec<String> = (0..cfg.top_k).map(|i| format!("pos-{i:02}")).collect();
         wf.bind(
             ranking,
             FnStep::new(move |ctx: &StepContext| {
@@ -342,11 +350,12 @@ impl WorkloadFactory for PagerankFactory {
                     scores.push(row.f64("value").unwrap_or(0.0));
                 })?;
                 scores.sort_by(|a, b| b.partial_cmp(a).expect("ranks are finite"));
-                let top = ctx.family(TABLE, "top")?;
-                for (i, score) in scores.iter().take(c.top_k).enumerate() {
-                    let row = format!("pos-{i:02}");
-                    top.put(&row, "score", Value::from(*score))?;
-                }
+                let top = top_keys
+                    .iter()
+                    .zip(scores)
+                    .map(|(row, score)| (&**row, "score", Value::from(score)))
+                    .collect();
+                ctx.family(TABLE, "top")?.put_many(top)?;
                 Ok(())
             }),
         )

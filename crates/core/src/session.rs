@@ -224,7 +224,8 @@ impl SmartFluxSession {
     ///
     /// Stops at the first failing wave.
     pub fn run_waves(&mut self, count: u64) -> Result<Vec<WaveOutcome>, CoreError> {
-        let mut out = Vec::with_capacity(count as usize);
+        // Not preallocated: see `Scheduler::run_waves`.
+        let mut out = Vec::new();
         for _ in 0..count {
             out.push(self.run_wave()?);
         }
@@ -237,15 +238,10 @@ impl SmartFluxSession {
         self.scheduler.stats().waves()
     }
 
-    /// The scheduler (statistics, event subscription).
+    /// The scheduler (statistics, store, wave clock).
     #[must_use]
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
-    }
-
-    /// The scheduler, mutably (e.g. to subscribe to events).
-    pub fn scheduler_mut(&mut self) -> &mut Scheduler {
-        &mut self.scheduler
     }
 
     /// Test-phase quality of the trained model, if training completed.
@@ -541,6 +537,28 @@ mod tests {
         std::fs::remove_dir(&squatter).unwrap();
         s.run_wave().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_waves_stops_at_a_failure_whatever_its_count() {
+        let store = DataStore::new();
+        let raw = ContainerRef::family("t", "raw");
+        store.ensure_container(&raw).unwrap();
+        let mut g = GraphBuilder::new("demo");
+        let feed = g.add_step("feed");
+        let mut wf = Workflow::new(g.build().unwrap());
+        wf.bind(
+            feed,
+            FnStep::new(|_: &StepContext| Err(smartflux_wms::StepError::msg("broke"))),
+        )
+        .source()
+        .writes(raw)
+        .error_bound(0.1);
+        let mut s = SmartFluxSession::new(wf, store, EngineConfig::new()).unwrap();
+        assert!(matches!(
+            s.run_waves(u64::MAX),
+            Err(CoreError::Workflow(WmsError::StepFailed { wave: 1, .. }))
+        ));
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn workflow(store: &DataStore) -> Workflow {
             if ctx.wave().is_multiple_of(3) {
                 ctx.put("t", "raw", "transient", "s0", Value::from(w))?;
             } else {
-                ctx.delete("t", "raw", "transient", "s0")?;
+                ctx.family("t", "raw")?.delete("transient", "s0")?;
             }
             Ok(())
         }),

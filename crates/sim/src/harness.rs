@@ -34,7 +34,7 @@ use smartflux_net::{
     SessionSpec, WorkflowRegistry, VERSION,
 };
 use smartflux_telemetry::{names, MemoryJournal, MemoryTraceSink, SpanEvent, Telemetry};
-use smartflux_wms::{SchedulerEvent, WmsError};
+use smartflux_wms::{Scheduler, WmsError};
 
 use crate::error::SimError;
 use crate::faults::wire as wire_faults;
@@ -66,18 +66,57 @@ pub struct RunArtifacts {
     pub store: StoreState,
     /// Store logical clock at the end of the run.
     pub clock: u64,
-    /// Waves that aborted (scripted faults exhausting the retry budget).
+    /// Waves that aborted (scripted faults exhausting the retry budget):
+    /// the wave of each `StepFailed` error, in order.
     pub aborted_waves: Vec<u64>,
-    /// Scheduler events from every segment, concatenated in order.
-    pub events: Vec<SchedulerEvent>,
     /// The rows each segment's journal sink received, concatenated.
     pub journal: Vec<WaveDiagnostics>,
     /// Completed trace spans from every segment.
     pub spans: Vec<SpanEvent>,
     /// [`DETERMINISTIC_COUNTERS`] summed across segments.
     pub counters: BTreeMap<String, u64>,
-    /// Session segments the run used (1 + number of crash kills).
-    pub segments: usize,
+    /// What each session segment ran, in order (1 + number of crash
+    /// kills).
+    pub segments: Vec<Segment>,
+}
+
+/// What one session segment ran, as the harness and the segment's
+/// scheduler recorded it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    /// The wave of every `run_wave` call, in order: the completed
+    /// outcome's wave or the `StepFailed` error's.
+    pub waves: Vec<u64>,
+    /// [`ExecutionStats::waves`](smartflux_wms::ExecutionStats::waves):
+    /// the waves that completed.
+    pub completed: u64,
+    /// The segment's [`ExecutionStats`](smartflux_wms::ExecutionStats)
+    /// summed over the steps, under the name of the `wms.*` counter each
+    /// must equal.
+    pub stats: BTreeMap<&'static str, u64>,
+}
+
+impl Segment {
+    fn new(waves: Vec<u64>, scheduler: &Scheduler) -> Self {
+        let stats = scheduler.stats();
+        let mut totals = BTreeMap::from([(names::WAVES_ABORTED, stats.waves_aborted())]);
+        for step in scheduler.workflow().graph().step_ids() {
+            for (name, n) in [
+                (names::STEPS_EXECUTED, stats.executions(step)),
+                (names::STEPS_SKIPPED, stats.skips(step)),
+                (names::STEPS_DEFERRED, stats.deferrals(step)),
+                (names::STEP_RETRIES, stats.retries(step)),
+                (names::STEPS_FAILED, stats.failures(step)),
+            ] {
+                *totals.entry(name).or_insert(0) += n;
+            }
+        }
+        Self {
+            waves,
+            completed: stats.waves(),
+            stats: totals,
+        }
+    }
 }
 
 /// What one scenario run through the wire plane produced.
@@ -141,36 +180,39 @@ fn attach_capture(session: &SmartFluxSession) -> Capture {
 }
 
 /// Drives `session` until `next_wave` passes `until` (inclusive),
-/// recording aborted waves.
+/// recording every wave it ran, and the aborted ones.
 fn drive(
     session: &mut SmartFluxSession,
     until: u64,
     aborted: &mut Vec<u64>,
-) -> Result<(), SimError> {
+) -> Result<Vec<u64>, SimError> {
+    let mut waves = Vec::new();
     while session.scheduler().next_wave() <= until {
         match session.run_wave() {
-            Ok(_) => {}
+            Ok(outcome) => waves.push(outcome.wave),
             Err(CoreError::Workflow(e)) => match aborted_wave(&e) {
-                Some(wave) => aborted.push(wave),
+                Some(wave) => {
+                    waves.push(wave);
+                    aborted.push(wave);
+                }
                 None => return Err(SimError::Wms(e)),
             },
             Err(other) => return Err(other.into()),
         }
     }
-    Ok(())
+    Ok(waves)
 }
 
 /// Collects one segment's observations into the accumulating artifacts.
 fn collect_segment(
-    session: &mut SmartFluxSession,
+    session: &SmartFluxSession,
     capture: &Capture,
-    subscription: &smartflux_wms::EventSubscription,
+    waves: Vec<u64>,
     artifacts: &mut RunArtifacts,
 ) {
     artifacts
         .decisions
         .extend(session.diagnostics().iter().cloned());
-    artifacts.events.extend(subscription.drain());
     artifacts.journal.extend(capture.journal.rows());
     artifacts.spans.extend(capture.spans.events());
     let snapshot = session.telemetry().snapshot();
@@ -179,7 +221,9 @@ fn collect_segment(
         // oracles, not a hot-path registry emit.
         *artifacts.counters.entry(name.to_string()).or_insert(0) += snapshot.counter(name);
     }
-    artifacts.segments += 1;
+    artifacts
+        .segments
+        .push(Segment::new(waves, session.scheduler()));
 }
 
 fn empty_artifacts() -> RunArtifacts {
@@ -188,11 +232,10 @@ fn empty_artifacts() -> RunArtifacts {
         store: DataStore::new().export_state(),
         clock: 0,
         aborted_waves: Vec::new(),
-        events: Vec::new(),
         journal: Vec::new(),
         spans: Vec::new(),
         counters: BTreeMap::new(),
-        segments: 0,
+        segments: Vec::new(),
     }
 }
 
@@ -249,9 +292,8 @@ fn run_in_process(
     let last = boundaries.len() - 1;
     for (i, &until) in boundaries.iter().enumerate() {
         let capture = attach_capture(&session);
-        let subscription = session.scheduler_mut().subscribe();
-        drive(&mut session, until, &mut artifacts.aborted_waves)?;
-        collect_segment(&mut session, &capture, &subscription, &mut artifacts);
+        let waves = drive(&mut session, until, &mut artifacts.aborted_waves)?;
+        collect_segment(&session, &capture, waves, &mut artifacts);
         if i == last {
             artifacts.clock = session.scheduler().store().clock();
             artifacts.store = session.scheduler().store().export_state();
@@ -537,11 +579,15 @@ mod tests {
         let scenario = plain_scenario();
         let dir = workdir("plain");
         let run = run_scenario(&scenario, &dir, "a").unwrap();
-        assert_eq!(run.segments, 1);
+        assert_eq!(run.segments.len(), 1);
+        assert_eq!(
+            run.segments[0].waves,
+            (1..=scenario.waves).collect::<Vec<_>>()
+        );
+        assert_eq!(run.segments[0].completed, scenario.waves);
         assert_eq!(run.decisions.len() as u64, scenario.waves);
         assert!(run.aborted_waves.is_empty());
         assert_eq!(run.clock, run.counters[names::STORE_WRITES]);
-        assert!(!run.events.is_empty());
         assert!(!run.journal.is_empty());
         assert!(!run.spans.is_empty());
         let _ = std::fs::remove_dir_all(dir);
@@ -556,12 +602,12 @@ mod tests {
         let dir = workdir("crash");
         let kills = scenario.durability.as_ref().unwrap().kills.len();
         let run = run_scenario(&scenario, &dir, "a").unwrap();
-        assert_eq!(run.segments, kills + 1);
+        assert_eq!(run.segments.len(), kills + 1);
         // Every wave observed at least once, last wave present.
         let last = run.decisions.iter().map(|d| d.wave).max().unwrap();
         assert_eq!(last, scenario.waves);
         let reference = run_uninterrupted(&scenario, &dir, "ref").unwrap();
-        assert_eq!(reference.segments, 1);
+        assert_eq!(reference.segments.len(), 1);
         assert_eq!(run.clock, reference.clock);
         assert_eq!(run.store, reference.store);
         let _ = std::fs::remove_dir_all(dir);

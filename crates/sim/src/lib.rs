@@ -15,9 +15,10 @@
 //!    decision-for-decision.
 //! 3. **Wire-equivalence** — the same scenario driven through the
 //!    loopback network plane must match the in-process run.
-//! 4. **Invariants** — logical clock == applied writes, every
-//!    `WaveStarted` closed by exactly one terminal event, trace trees
-//!    connected, telemetry counters consistent with scheduler events, and
+//! 4. **Invariants** — logical clock == applied writes, contiguous wave
+//!    numbers within a session segment and every scheduled wave run, each
+//!    `wms.*` counter equal to the segments' `ExecutionStats`, aborted
+//!    waves equal to the `StepFailed` errors, trace trees connected, and
 //!    the journal sink fed exactly the engine's decision rows.
 //!
 //! When an oracle trips, the harness **shrinks** the scenario (fewer
@@ -45,7 +46,7 @@ pub mod workload;
 
 pub use clock::VirtualClock;
 pub use error::SimError;
-pub use harness::{RaceReport, RunArtifacts, WireArtifacts};
+pub use harness::{RaceReport, RunArtifacts, Segment, WireArtifacts};
 pub use oracles::Violation;
 pub use rng::SimRng;
 pub use scenario::{DurabilityPlan, FaultKind, NetPlan, Scenario, StepFault};

@@ -11,7 +11,7 @@
 //! | `determinism` | same scenario twice → bit-identical artifacts |
 //! | `crash-equivalence` | kill+recover replays match the uninterrupted run |
 //! | `wire-equivalence` | the loopback net plane matches the in-process run |
-//! | `invariants` | clock = writes; waves closed; traces connected; counters = events |
+//! | `invariants` | clock = writes; waves contiguous and all run; counters = `ExecutionStats`; aborts = `StepFailed`s; traces connected |
 //! | `close-race` | a submit racing a close is answered, never stranded |
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -21,7 +21,6 @@ use std::path::Path;
 use smartflux::WaveDiagnostics;
 use smartflux_net::DecisionRow;
 use smartflux_telemetry::{names, SpanEvent};
-use smartflux_wms::SchedulerEvent;
 
 use crate::error::SimError;
 use crate::harness::{self, RunArtifacts, WireArtifacts, DETERMINISTIC_COUNTERS};
@@ -120,8 +119,11 @@ pub fn check_determinism(a: &RunArtifacts, b: &RunArtifacts) -> Vec<Violation> {
             format!("decisions diverged (first at wave {wave})"),
         ));
     }
-    if a.events != b.events {
-        found.push(violation(ORACLE, "scheduler event streams diverged"));
+    if a.segments != b.segments {
+        found.push(violation(
+            ORACLE,
+            "segment waves or execution stats diverged",
+        ));
     }
     if a.journal != b.journal {
         found.push(violation(ORACLE, "wave-decision journals diverged"));
@@ -259,12 +261,9 @@ pub fn check_wire_equivalence(wire: &WireArtifacts, local: &RunArtifacts) -> Vec
     found
 }
 
-fn count_events(events: &[SchedulerEvent], pred: impl Fn(&SchedulerEvent) -> bool) -> u64 {
-    events.iter().filter(|e| pred(e)).count() as u64
-}
-
-/// Single-run invariants: clock accounting, wave lifecycle, counter/event
-/// consistency, journal = diagnostics, trace-tree connectivity.
+/// Single-run invariants: clock accounting, wave numbering, counters =
+/// execution stats, aborts = `StepFailed` errors, journal = diagnostics,
+/// trace-tree connectivity.
 #[must_use]
 pub fn check_invariants(scenario: &Scenario, run: &RunArtifacts) -> Vec<Violation> {
     const ORACLE: &str = "invariants";
@@ -291,121 +290,79 @@ pub fn check_invariants(scenario: &Scenario, run: &RunArtifacts) -> Vec<Violatio
         }
     }
 
-    // 2. Wave lifecycle: every WaveStarted closed by exactly one matching
-    // terminal before the next wave starts, numbering contiguous within a
-    // segment (a restart to an earlier wave is legal only after a kill),
-    // and every scheduled wave observed.
-    let mut open: Option<u64> = None;
+    // 2. Wave numbering: contiguous within a segment (a restart to an
+    // earlier wave is legal only at a segment boundary, after a kill),
+    // every wave a segment ran counted once by its scheduler as completed
+    // or aborted, and every scheduled wave run.
     let mut prev: Option<u64> = None;
-    let mut started = BTreeSet::new();
-    for event in &run.events {
-        match event {
-            SchedulerEvent::WaveStarted { wave } => {
-                if let Some(open_wave) = open {
+    let mut ran = BTreeSet::new();
+    for (i, segment) in run.segments.iter().enumerate() {
+        for (j, &wave) in segment.waves.iter().enumerate() {
+            if let Some(prev) = prev {
+                let restart = j == 0 && i > 0 && wave <= prev + 1;
+                if wave != prev + 1 && !restart {
                     found.push(violation(
                         ORACLE,
-                        format!("wave {open_wave} never closed before wave {wave} started"),
+                        format!("wave numbering jumped from {prev} to {wave}"),
                     ));
                 }
-                open = Some(*wave);
-                if let Some(prev) = prev {
-                    if *wave != prev + 1 && (!killed || *wave > prev + 1) {
-                        found.push(violation(
-                            ORACLE,
-                            format!("wave numbering jumped from {prev} to {wave}"),
-                        ));
-                    }
-                }
-                prev = Some(*wave);
-                started.insert(*wave);
             }
-            SchedulerEvent::WaveCompleted { wave, .. }
-            | SchedulerEvent::WaveAborted { wave, .. } => {
-                if open != Some(*wave) {
-                    found.push(violation(
-                        ORACLE,
-                        format!("wave {wave} closed while {open:?} was open"),
-                    ));
-                }
-                open = None;
-            }
-            _ => {}
+            prev = Some(wave);
+            ran.insert(wave);
+        }
+        let aborted = segment
+            .stats
+            .get(names::WAVES_ABORTED)
+            .copied()
+            .unwrap_or(0);
+        if segment.completed + aborted != segment.waves.len() as u64 {
+            found.push(violation(
+                ORACLE,
+                format!(
+                    "segment {i} ran {} waves but its scheduler closed {} + {aborted} aborted",
+                    segment.waves.len(),
+                    segment.completed
+                ),
+            ));
         }
     }
-    if let Some(open_wave) = open {
-        found.push(violation(ORACLE, format!("wave {open_wave} never closed")));
-    }
     for wave in 1..=scenario.waves {
-        if !started.contains(&wave) {
-            found.push(violation(ORACLE, format!("wave {wave} never started")));
+        if !ran.contains(&wave) {
+            found.push(violation(ORACLE, format!("wave {wave} never ran")));
         }
     }
 
-    // 3. Telemetry counters must agree with the event stream.
-    let pairs: [(&str, u64); 6] = [
-        (
-            names::STEPS_EXECUTED,
-            count_events(&run.events, |e| {
-                matches!(e, SchedulerEvent::StepCompleted { .. })
-            }),
-        ),
-        (
-            names::STEPS_SKIPPED,
-            count_events(&run.events, |e| {
-                matches!(e, SchedulerEvent::StepSkipped { .. })
-            }),
-        ),
-        (
-            names::STEPS_DEFERRED,
-            count_events(&run.events, |e| {
-                matches!(e, SchedulerEvent::StepDeferred { .. })
-            }),
-        ),
-        (
-            names::STEP_RETRIES,
-            count_events(&run.events, |e| {
-                matches!(e, SchedulerEvent::StepRetried { .. })
-            }),
-        ),
-        (
-            names::STEPS_FAILED,
-            count_events(&run.events, |e| {
-                matches!(e, SchedulerEvent::StepFailed { .. })
-            }),
-        ),
-        (
-            names::WAVES_ABORTED,
-            count_events(&run.events, |e| {
-                matches!(e, SchedulerEvent::WaveAborted { .. })
-            }),
-        ),
-    ];
-    for (name, from_events) in pairs {
+    // 3. Every `wms.*` decision counter equals the segments' summed
+    // execution stats.
+    let mut from_stats: BTreeMap<&str, u64> = BTreeMap::new();
+    for segment in &run.segments {
+        for (&name, &n) in &segment.stats {
+            *from_stats.entry(name).or_insert(0) += n;
+        }
+    }
+    for (name, from_stats) in from_stats {
         let from_counter = run.counters.get(name).copied().unwrap_or(0);
-        if from_counter != from_events {
+        if from_counter != from_stats {
             found.push(violation(
                 ORACLE,
-                format!("counter {name} = {from_counter} but events say {from_events}"),
+                format!("counter {name} = {from_counter} but execution stats say {from_stats}"),
             ));
         }
     }
 
-    // 4. The aborted waves the harness saw must be exactly the aborted
-    // waves the scheduler announced.
-    let aborted_events: Vec<u64> = run
-        .events
+    // 4. The aborted waves (the `StepFailed` errors the harness saw) must
+    // be as many as the schedulers counted.
+    let aborted_stats: u64 = run
+        .segments
         .iter()
-        .filter_map(|e| match e {
-            SchedulerEvent::WaveAborted { wave, .. } => Some(*wave),
-            _ => None,
-        })
-        .collect();
-    if aborted_events != run.aborted_waves {
+        .filter_map(|s| s.stats.get(names::WAVES_ABORTED))
+        .sum();
+    if run.aborted_waves.len() as u64 != aborted_stats {
         found.push(violation(
             ORACLE,
             format!(
-                "aborted waves {:?} disagree with WaveAborted events {:?}",
-                run.aborted_waves, aborted_events
+                "aborted waves {:?} disagree with waves_aborted() = {aborted_stats}",
+                run.aborted_waves
             ),
         ));
     }
@@ -543,27 +500,43 @@ mod tests {
     }
 
     #[test]
-    fn invariant_oracle_detects_unclosed_waves() {
+    fn invariant_oracle_detects_a_lost_wave() {
         let scenario = Scenario::generate(3);
-        let dir = workdir("unclosed");
+        let dir = workdir("lost");
         let mut run = run_scenario(&scenario, &dir, "a").unwrap();
-        // Drop the final terminal event: its wave is now unclosed.
-        let last_terminal = run
-            .events
-            .iter()
-            .rposition(|e| {
-                matches!(
-                    e,
-                    SchedulerEvent::WaveCompleted { .. } | SchedulerEvent::WaveAborted { .. }
-                )
-            })
-            .unwrap();
-        run.events.remove(last_terminal);
+        // Drop a middle wave: numbering jumps, the scheduler closed more
+        // waves than the segment ran, and the wave never ran.
+        let waves = &mut run.segments[0].waves;
+        let lost = waves.remove(waves.len() / 2);
         let found = check_invariants(&scenario, &run);
-        assert!(
-            found.iter().any(|v| v.detail.contains("never closed")),
-            "expected an unclosed-wave violation, got {found:?}"
-        );
+        for expected in [
+            "jumped",
+            "scheduler closed",
+            &format!("wave {lost} never ran"),
+        ] {
+            assert!(
+                found.iter().any(|v| v.detail.contains(expected)),
+                "expected a `{expected}` violation, got {found:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn invariant_oracle_detects_counters_that_disagree_with_stats() {
+        let scenario = Scenario::generate(3);
+        let dir = workdir("counters");
+        let mut run = run_scenario(&scenario, &dir, "a").unwrap();
+        assert!(check_invariants(&scenario, &run).is_empty());
+        *run.segments[0].stats.get_mut(names::STEPS_SKIPPED).unwrap() += 1;
+        *run.segments[0].stats.get_mut(names::WAVES_ABORTED).unwrap() += 1;
+        let found = check_invariants(&scenario, &run);
+        for expected in [names::STEPS_SKIPPED, "waves_aborted()"] {
+            assert!(
+                found.iter().any(|v| v.detail.contains(expected)),
+                "expected a `{expected}` violation, got {found:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 }

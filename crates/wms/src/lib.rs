@@ -10,16 +10,17 @@
 //!   annotations (the paper's extended Oozie XML schema, as a typed builder);
 //! - a wave-based [`Scheduler`] whose triggering is delegated to a pluggable
 //!   [`TriggerPolicy`] — the integration surface SmartFlux patches (the
-//!   paper's "WMS Adaptation" component);
-//! - completion/trigger notifications ([`SchedulerEvent`]) mirroring the
-//!   Oozie↔SmartFlux RMI notification scheme;
+//!   paper's "WMS Adaptation" component). Its hooks are also the
+//!   completion notifications of the paper's Oozie↔SmartFlux RMI scheme:
+//!   one `begin_wave`, one decision per step reached, one `end_wave`;
 //! - per-step execution statistics ([`ExecutionStats`]), the resource-usage
 //!   metric of the paper's evaluation;
 //! - fault tolerance: per-step [`RetryPolicy`] (bounded, immediate
 //!   attempts, each on the thread that runs the wave), clean wave-abort
-//!   semantics (`WaveAborted` closes every started wave; the next wave is
-//!   fresh), and a deterministic fault-injection harness ([`FaultyStep`])
-//!   for chaos tests.
+//!   semantics (the policy still sees `step_failed` then `end_wave`, the
+//!   wave returns [`WmsError::StepFailed`], and the next wave is fresh),
+//!   and a deterministic fault-injection harness ([`FaultyStep`]) for
+//!   chaos tests.
 //!
 //! # Triggering semantics
 //!
@@ -77,7 +78,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod events;
 mod faults;
 mod graph;
 mod policy;
@@ -88,7 +88,6 @@ mod step;
 mod workflow;
 
 pub use error::{GraphError, WmsError};
-pub use events::{EventSubscription, SchedulerEvent};
 pub use faults::{FaultSchedule, FaultyStep};
 pub use graph::{GraphBuilder, StepId, WorkflowGraph};
 pub use policy::{SynchronousPolicy, TriggerPolicy};

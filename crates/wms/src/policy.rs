@@ -36,8 +36,9 @@ pub trait TriggerPolicy: Send {
     /// follows, so implementations can rely on a balanced lifecycle.
     fn step_failed(&mut self, _wave: u64, _step: StepId, _workflow: &Workflow) {}
 
-    /// Called once when a wave ends — after `WaveCompleted` *and* after an
-    /// abort, so `begin_wave`/`end_wave` always pair up.
+    /// Called once when a wave ends — after its last step *and* after an
+    /// abort (following `step_failed`), so `begin_wave`/`end_wave` always
+    /// pair up.
     fn end_wave(&mut self, _wave: u64, _workflow: &Workflow) {}
 }
 

@@ -7,7 +7,6 @@ use smartflux_datastore::DataStore;
 use smartflux_telemetry::{names, Telemetry};
 
 use crate::error::WmsError;
-use crate::events::{EventBus, EventSubscription, SchedulerEvent};
 use crate::graph::StepId;
 use crate::policy::TriggerPolicy;
 use crate::stats::ExecutionStats;
@@ -108,14 +107,13 @@ fn attempt_inline(implementation: &dyn Step, ctx: &StepContext) -> Result<Durati
 /// 2. if the step is marked always-run, it executes;
 /// 3. otherwise the [`TriggerPolicy`] decides.
 ///
-/// Every decision is published as a [`SchedulerEvent`] and recorded in
-/// [`ExecutionStats`].
+/// Every decision is reported to the policy through its hooks and recorded
+/// in [`ExecutionStats`], the [`WaveOutcome`] and the `wms.*` counters.
 pub struct Scheduler {
     workflow: Workflow,
     store: DataStore,
     policy: Box<dyn TriggerPolicy>,
     stats: ExecutionStats,
-    events: EventBus,
     telemetry: Telemetry,
     ever_executed: Vec<bool>,
     next_wave: WaveId,
@@ -131,7 +129,6 @@ impl Scheduler {
             store,
             policy,
             stats: ExecutionStats::new(n),
-            events: EventBus::default(),
             telemetry: Telemetry::disabled(),
             ever_executed: vec![false; n],
             next_wave: 1,
@@ -169,18 +166,6 @@ impl Scheduler {
         &self.stats
     }
 
-    /// Replaces the trigger policy (e.g. switching from a synchronous
-    /// training phase to the adaptive application phase), returning the old
-    /// one.
-    pub fn swap_policy(&mut self, policy: Box<dyn TriggerPolicy>) -> Box<dyn TriggerPolicy> {
-        std::mem::replace(&mut self.policy, policy)
-    }
-
-    /// Subscribes to scheduler events.
-    pub fn subscribe(&mut self) -> EventSubscription {
-        self.events.subscribe()
-    }
-
     /// The number of the next wave to run.
     #[must_use]
     pub fn next_wave(&self) -> WaveId {
@@ -213,11 +198,10 @@ impl Scheduler {
     /// and [`WmsError::StepFailed`] if a step errors after exhausting its
     /// [`RetryPolicy`]. The wave aborts at the failing step, but the abort
     /// is *clean*: the policy still receives `step_failed` and `end_wave`,
-    /// stats record the aborted wave, a terminal [`WaveAborted`] event is
-    /// published, and the next `run_wave` starts a fresh wave.
+    /// stats record the aborted wave, and the next `run_wave` starts a
+    /// fresh wave.
     ///
     /// [`RetryPolicy`]: crate::retry::RetryPolicy
-    /// [`WaveAborted`]: SchedulerEvent::WaveAborted
     pub fn run_wave(&mut self) -> Result<WaveOutcome, WmsError> {
         if let Some(id) = self.workflow.first_unbound() {
             return Err(WmsError::UnboundStep(
@@ -228,7 +212,6 @@ impl Scheduler {
         self.next_wave += 1;
 
         let _wave_span = self.telemetry.span(names::WAVE_LATENCY, wave);
-        self.events.publish(&SchedulerEvent::WaveStarted { wave });
         self.policy.begin_wave(wave, &self.workflow);
 
         let mut outcome = WaveOutcome {
@@ -252,8 +235,6 @@ impl Scheduler {
                 self.count(names::STEPS_DEFERRED, 1);
                 outcome.deferred.push(step);
                 self.policy.step_deferred(wave, step, &self.workflow);
-                self.events
-                    .publish(&SchedulerEvent::StepDeferred { wave, step });
                 continue;
             }
             if !self.workflow.info(step).always_run()
@@ -263,19 +244,15 @@ impl Scheduler {
                 self.count(names::STEPS_SKIPPED, 1);
                 outcome.skipped.push(step);
                 self.policy.step_skipped(wave, step, &self.workflow);
-                self.events
-                    .publish(&SchedulerEvent::StepSkipped { wave, step });
                 continue;
             }
-            self.events
-                .publish(&SchedulerEvent::StepTriggered { wave, step });
             let exec = {
                 let _step_span = self
                     .telemetry
                     .span(names::STEP_TOTAL_LATENCY, step.index() as u64);
                 run_step_with_retry(&self.telemetry, &self.workflow, &self.store, wave, step)
             };
-            self.publish_retries(wave, step, exec.attempts);
+            self.record_retries(step, exec.attempts);
             match exec.outcome {
                 Ok(elapsed) => {
                     self.stats.record_execution(step);
@@ -283,23 +260,15 @@ impl Scheduler {
                     self.ever_executed[step.index()] = true;
                     outcome.executed.push(step);
                     self.policy.step_completed(wave, step, &self.workflow);
-                    self.events
-                        .publish(&SchedulerEvent::StepCompleted { wave, step });
                 }
                 Err(source) => {
-                    return Err(self.abort_wave(&outcome, step, exec.attempts, source));
+                    return Err(self.abort_wave(wave, step, exec.attempts, source));
                 }
             }
         }
 
         self.policy.end_wave(wave, &self.workflow);
         self.stats.record_wave();
-        self.events.publish(&SchedulerEvent::WaveCompleted {
-            wave,
-            executed: outcome.executed.len(),
-            skipped: outcome.skipped.len(),
-            deferred: outcome.deferred.len(),
-        });
         Ok(outcome)
     }
 
@@ -309,7 +278,9 @@ impl Scheduler {
     ///
     /// Stops at the first failing wave and returns its error.
     pub fn run_waves(&mut self, count: u64) -> Result<Vec<WaveOutcome>, WmsError> {
-        let mut outcomes = Vec::with_capacity(count as usize);
+        // Not preallocated: `count` comes from outside and may be far more
+        // waves than will ever run before one fails.
+        let mut outcomes = Vec::new();
         for _ in 0..count {
             outcomes.push(self.run_wave()?);
         }
@@ -318,35 +289,21 @@ impl Scheduler {
 
     /// Completes a wave that cannot finish because `step` failed: records
     /// the failure, keeps the policy lifecycle balanced (`step_failed` then
-    /// `end_wave`), counts the aborted wave, and publishes the terminal
-    /// [`WaveAborted`](SchedulerEvent::WaveAborted) event. The scheduler
-    /// is left consistent — the next `run_wave` starts a clean wave.
+    /// `end_wave`) and counts the aborted wave. The scheduler is left
+    /// consistent — the next `run_wave` starts a clean wave.
     fn abort_wave(
         &mut self,
-        outcome: &WaveOutcome,
+        wave: WaveId,
         step: StepId,
         attempts: u32,
         source: StepError,
     ) -> WmsError {
-        let wave = outcome.wave;
         self.stats.record_failure(step);
         self.count(names::STEPS_FAILED, 1);
         self.policy.step_failed(wave, step, &self.workflow);
-        self.events.publish(&SchedulerEvent::StepFailed {
-            wave,
-            step,
-            attempts,
-        });
         self.policy.end_wave(wave, &self.workflow);
         self.stats.record_aborted_wave();
         self.count(names::WAVES_ABORTED, 1);
-        self.events.publish(&SchedulerEvent::WaveAborted {
-            wave,
-            executed: outcome.executed.len(),
-            skipped: outcome.skipped.len(),
-            deferred: outcome.deferred.len(),
-            failed: step,
-        });
         WmsError::StepFailed {
             step: self.workflow.graph().step_name(step).to_owned(),
             wave,
@@ -355,16 +312,8 @@ impl Scheduler {
         }
     }
 
-    /// Publishes `StepRetried` events for attempts 2..=`attempts` and
-    /// records the consumed retries in stats and telemetry.
-    fn publish_retries(&mut self, wave: WaveId, step: StepId, attempts: u32) {
-        for attempt in 2..=attempts {
-            self.events.publish(&SchedulerEvent::StepRetried {
-                wave,
-                step,
-                attempt,
-            });
-        }
+    /// Records the retries `attempts` consumed in stats and telemetry.
+    fn record_retries(&mut self, step: StepId, attempts: u32) {
         if attempts > 1 {
             let retries = u64::from(attempts - 1);
             self.stats.record_retries(step, retries);
@@ -414,7 +363,10 @@ mod tests {
         })
     }
 
-    fn pipeline(policy: Box<dyn TriggerPolicy>) -> (Scheduler, StepId, StepId) {
+    /// `a → c`, with the policy `policy(c)` builds.
+    fn pipeline(
+        policy: impl FnOnce(StepId) -> Box<dyn TriggerPolicy>,
+    ) -> (Scheduler, StepId, StepId) {
         let store = DataStore::new();
         store
             .ensure_container(&ContainerRef::family("t", "f"))
@@ -426,12 +378,12 @@ mod tests {
         let mut w = Workflow::new(b.build().unwrap());
         w.bind(a, counter_step("t", "a")).source();
         w.bind(c, counter_step("t", "c")).error_bound(0.1);
-        (Scheduler::new(w, store, policy), a, c)
+        (Scheduler::new(w, store, policy(c)), a, c)
     }
 
     #[test]
     fn synchronous_runs_everything() {
-        let (mut s, a, c) = pipeline(Box::new(SynchronousPolicy));
+        let (mut s, a, c) = pipeline(|_| Box::new(SynchronousPolicy));
         s.run_waves(5).unwrap();
         assert_eq!(s.stats().executions(a), 5);
         assert_eq!(s.stats().executions(c), 5);
@@ -442,20 +394,19 @@ mod tests {
         );
     }
 
-    /// A policy that skips a specific step always.
-    struct SkipStep(StepId);
+    /// A policy that skips one step on the waves in a range.
+    struct SkipStep(StepId, std::ops::RangeInclusive<u64>);
     impl TriggerPolicy for SkipStep {
-        fn should_trigger(&mut self, _w: u64, step: StepId, _wf: &Workflow) -> bool {
-            step != self.0
+        fn should_trigger(&mut self, wave: u64, step: StepId, _wf: &Workflow) -> bool {
+            step != self.0 || !self.1.contains(&wave)
         }
     }
 
     #[test]
     fn skipped_steps_keep_last_output() {
-        let (mut s, a, c) = pipeline(Box::new(SynchronousPolicy));
-        s.run_waves(2).unwrap();
-        s.swap_policy(Box::new(SkipStep(c)));
-        s.run_waves(3).unwrap();
+        // Waves 1-2 run both steps; waves 3-5 skip `c`.
+        let (mut s, a, c) = pipeline(|c| Box::new(SkipStep(c, 3..=u64::MAX)));
+        s.run_waves(5).unwrap();
         assert_eq!(s.stats().executions(a), 5);
         assert_eq!(s.stats().executions(c), 2);
         assert_eq!(s.stats().skips(c), 3);
@@ -481,13 +432,13 @@ mod tests {
         let mut w = Workflow::new(b.build().unwrap());
         w.bind(x, counter_step("t", "x"));
         w.bind(y, counter_step("t", "y"));
-        let mut s2 = Scheduler::new(w, store, Box::new(SkipStep(x)));
+        // x is skipped on wave 1 only.
+        let mut s2 = Scheduler::new(w, store, Box::new(SkipStep(x, 1..=1)));
         let o = s2.run_wave().unwrap();
         assert!(o.skipped.contains(&x));
         assert!(o.deferred.contains(&y));
         assert_eq!(s2.stats().deferrals(y), 1);
         // Once x runs, y becomes eligible.
-        s2.swap_policy(Box::new(SynchronousPolicy));
         let o2 = s2.run_wave().unwrap();
         assert!(o2.did_execute(x));
         assert!(o2.did_execute(y));
@@ -524,47 +475,47 @@ mod tests {
         .source();
         let (first, second) = (w.graph().topo_order()[0], w.graph().topo_order()[1]);
         let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
-        let sub = s.subscribe();
         let err = s.run_wave().unwrap_err();
         let first_name = s.workflow().graph().step_name(first).to_owned();
         match &err {
-            WmsError::StepFailed { step, wave: 1, .. } => assert_eq!(*step, first_name),
+            WmsError::StepFailed {
+                step,
+                wave: 1,
+                attempts: 1,
+                ..
+            } => assert_eq!(*step, first_name),
             other => panic!("expected StepFailed, got {other:?}"),
         }
         assert!(err.to_string().contains(&format!("{first_name} broke")));
 
-        // The abort is clean: terminal event published, stats recorded,
-        // and the next wave starts fresh.
-        let events = sub.drain();
-        assert_eq!(
-            events.last(),
-            Some(&SchedulerEvent::WaveAborted {
-                wave: 1,
-                executed: 0,
-                skipped: 0,
-                deferred: 0,
-                failed: first,
-            })
-        );
-        let failed: Vec<_> = events
-            .iter()
-            .filter(|e| matches!(e, SchedulerEvent::StepFailed { .. }))
-            .collect();
-        assert_eq!(
-            failed,
-            [&SchedulerEvent::StepFailed {
-                wave: 1,
-                step: first,
-                attempts: 1,
-            }]
-        );
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, SchedulerEvent::StepTriggered { step, .. } if *step == second)));
+        // The abort is clean: stats recorded, the second source never
+        // reached, and the next wave starts fresh.
         assert_eq!(s.stats().waves(), 0);
         assert_eq!(s.stats().waves_aborted(), 1);
         assert_eq!(s.stats().failures(first), 1);
         assert_eq!(s.stats().failures(second), 0);
+        assert_eq!(s.stats().executions(second), 0);
+        assert_eq!(s.next_wave(), 2);
+    }
+
+    #[test]
+    fn run_waves_stops_at_a_failure_whatever_its_count() {
+        // The count is not a capacity: a huge one must not be allocated
+        // for before the first wave fails.
+        let store = DataStore::new();
+        let mut b = GraphBuilder::new("w");
+        let a = b.add_step("a");
+        let mut w = Workflow::new(b.build().unwrap());
+        w.bind(
+            a,
+            FnStep::new(|_: &StepContext| Err(StepError::msg("broke"))),
+        )
+        .source();
+        let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
+        assert!(matches!(
+            s.run_waves(u64::MAX),
+            Err(WmsError::StepFailed { wave: 1, .. })
+        ));
         assert_eq!(s.next_wave(), 2);
     }
 
@@ -590,15 +541,10 @@ mod tests {
         .source()
         .retry(RetryPolicy::attempts(2));
         let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
-        let sub = s.subscribe();
         let o = s.run_wave().unwrap();
         assert!(o.did_execute(a));
         assert_eq!(s.stats().retries(a), 1);
         assert_eq!(s.stats().failures(a), 0);
-        assert!(sub
-            .drain()
-            .iter()
-            .any(|e| matches!(e, SchedulerEvent::StepRetried { attempt: 2, .. })));
     }
 
     #[test]
@@ -646,43 +592,19 @@ mod tests {
         )
         .source();
         let mut s = Scheduler::new(w, store, Box::new(SynchronousPolicy));
-        let sub = s.subscribe();
         let err = s.run_wave().unwrap_err();
         assert!(err.to_string().contains("panicked"));
-        assert!(matches!(
-            sub.drain().last(),
-            Some(SchedulerEvent::WaveAborted { .. })
-        ));
-    }
-
-    #[test]
-    fn events_trace_the_wave() {
-        let (mut s, _a, c) = pipeline(Box::new(SynchronousPolicy));
-        let sub = s.subscribe();
-        s.run_wave().unwrap();
-        let events = sub.drain();
-        assert!(matches!(
-            events.first(),
-            Some(SchedulerEvent::WaveStarted { wave: 1 })
-        ));
-        assert!(matches!(
-            events.last(),
-            Some(SchedulerEvent::WaveCompleted { executed: 2, .. })
-        ));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, SchedulerEvent::StepCompleted { step, .. } if *step == c)));
+        assert_eq!(s.stats().waves_aborted(), 1);
+        assert_eq!(s.stats().failures(a), 1);
     }
 
     #[test]
     fn telemetry_records_waves_steps_and_skips() {
         use smartflux_telemetry::{names, Telemetry};
-        let (mut s, _a, c) = pipeline(Box::new(SynchronousPolicy));
+        let (mut s, ..) = pipeline(|c| Box::new(SkipStep(c, 3..=u64::MAX)));
         let telemetry = Telemetry::enabled();
         s.set_telemetry(telemetry.clone());
-        s.run_waves(2).unwrap();
-        s.swap_policy(Box::new(SkipStep(c)));
-        s.run_waves(2).unwrap();
+        s.run_waves(4).unwrap();
 
         let snap = telemetry.snapshot();
         assert_eq!(snap.histogram(names::WAVE_LATENCY).unwrap().count, 4);
@@ -703,7 +625,7 @@ mod tests {
     #[test]
     fn disabled_telemetry_records_nothing() {
         use smartflux_telemetry::names;
-        let (mut s, ..) = pipeline(Box::new(SynchronousPolicy));
+        let (mut s, ..) = pipeline(|_| Box::new(SynchronousPolicy));
         s.run_waves(3).unwrap();
         let snap = s.telemetry().snapshot();
         assert!(snap.histogram(names::WAVE_LATENCY).is_none());
@@ -715,7 +637,7 @@ mod tests {
         // A freshly-built pipeline resumed at wave 42 runs every step
         // immediately (no deferral for the downstream step) and numbers the
         // wave as the checkpointed run would have.
-        let (mut s, a, c) = pipeline(Box::new(SynchronousPolicy));
+        let (mut s, a, c) = pipeline(|_| Box::new(SynchronousPolicy));
         s.resume(42);
         assert_eq!(s.next_wave(), 42);
         let o = s.run_wave().unwrap();
@@ -723,14 +645,14 @@ mod tests {
         assert!(o.did_execute(a) && o.did_execute(c));
         assert!(o.deferred.is_empty());
         // Resume clamps to wave 1 — wave numbering starts at 1.
-        let (mut s2, ..) = pipeline(Box::new(SynchronousPolicy));
+        let (mut s2, ..) = pipeline(|_| Box::new(SynchronousPolicy));
         s2.resume(0);
         assert_eq!(s2.next_wave(), 1);
     }
 
     #[test]
     fn wave_numbers_increase() {
-        let (mut s, ..) = pipeline(Box::new(SynchronousPolicy));
+        let (mut s, ..) = pipeline(|_| Box::new(SynchronousPolicy));
         assert_eq!(s.next_wave(), 1);
         let o1 = s.run_wave().unwrap();
         let o2 = s.run_wave().unwrap();

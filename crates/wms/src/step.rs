@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use smartflux_datastore::{DataStore, FamilyHandle, ScanFilter, StoreError, Value};
+use smartflux_datastore::{DataStore, FamilyHandle, StoreError, Value};
 
 use crate::graph::StepId;
 
@@ -100,13 +100,6 @@ impl StepContext {
         &self.step_name
     }
 
-    /// The underlying store handle, for operations not covered by the
-    /// convenience methods.
-    #[must_use]
-    pub fn store(&self) -> &DataStore {
-        &self.store
-    }
-
     /// Resolves a family once, for a loop that reads or writes many of its
     /// cells: the handle's calls are this context's without the per-call
     /// name lookup, and monitoring sees the same mutations. See
@@ -172,35 +165,6 @@ impl StepContext {
             .get(table, family, row, qualifier)?
             .and_then(|v| v.as_f64())
             .unwrap_or(default))
-    }
-
-    /// Scans rows of a family.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the table or family does not exist.
-    pub fn scan(
-        &self,
-        table: &str,
-        family: &str,
-        filter: &ScanFilter,
-    ) -> Result<Vec<smartflux_datastore::RowScan>, StepError> {
-        Ok(self.store.scan(table, family, filter)?)
-    }
-
-    /// Deletes a cell.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the table or family does not exist.
-    pub fn delete(
-        &self,
-        table: &str,
-        family: &str,
-        row: &str,
-        qualifier: &str,
-    ) -> Result<Option<Value>, StepError> {
-        Ok(self.store.delete(table, family, row, qualifier)?)
     }
 }
 

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_wms::{
-    FnStep, GraphBuilder, Scheduler, SchedulerEvent, StepContext, StepId, SynchronousPolicy,
-    TriggerPolicy, Workflow,
+    FnStep, GraphBuilder, Scheduler, StepContext, StepId, SynchronousPolicy, TriggerPolicy,
+    Workflow,
 };
 
 /// Random forward-edge DAGs: edges only go from lower to higher indices,
@@ -54,7 +54,7 @@ proptest! {
         }
     }
 
-    /// A wave triggers its steps in exactly `topo_order()`.
+    /// A synchronous wave executes its steps in exactly `topo_order()`.
     #[test]
     fn a_wave_triggers_steps_in_topo_order((n, edges) in forward_dag()) {
         let g = build_graph(n, &edges);
@@ -64,17 +64,8 @@ proptest! {
             wf.bind(id, FnStep::new(|_: &StepContext| Ok(())));
         }
         let mut sched = Scheduler::new(wf, DataStore::new(), Box::new(SynchronousPolicy));
-        let events = sched.subscribe();
-        sched.run_wave().expect("synchronous wave succeeds");
-        let triggered: Vec<StepId> = events
-            .drain()
-            .into_iter()
-            .filter_map(|e| match e {
-                SchedulerEvent::StepTriggered { step, .. } => Some(step),
-                _ => None,
-            })
-            .collect();
-        prop_assert_eq!(triggered, order);
+        let outcome = sched.run_wave().expect("synchronous wave succeeds");
+        prop_assert_eq!(outcome.executed, order);
     }
 
     /// `precedes` agrees with reachability implied by the edges.

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use smartflux::eval::WorkloadFactory;
-use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value};
+use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
@@ -403,18 +403,20 @@ impl WorkloadFactory for AqhiFactory {
         wf.bind(
             hotspots,
             FnStep::new(move |ctx: &StepContext| {
-                let rows = ctx.scan(TABLE, "zones", &ScanFilter::all())?;
-                let mut hotspots = Vec::with_capacity(2 * rows.len());
-                for row in &rows {
-                    let v = row.f64("value").unwrap_or(0.0);
-                    let hot = v > c.hotspot_reference;
+                let mut zones = Vec::new();
+                ctx.family(TABLE, "zones")?.for_each_row(|key, row| {
+                    zones.push((key.to_owned(), row.f64("value").unwrap_or(0.0)));
+                })?;
+                let mut hotspots = Vec::with_capacity(2 * zones.len());
+                for (key, v) in &zones {
+                    let hot = *v > c.hotspot_reference;
                     // Flags are encoded 1 (clear) / 2 (hotspot) so the
                     // container keeps a non-zero previous-state sum for the
                     // relative error metrics.
                     hotspots.extend([
-                        (&*row.key, "hot", Value::from(if hot { 2i64 } else { 1i64 })),
+                        (&**key, "hot", Value::from(if hot { 2i64 } else { 1i64 })),
                         (
-                            &row.key,
+                            key,
                             "excess",
                             Value::from((v - c.hotspot_reference).max(0.0)),
                         ),

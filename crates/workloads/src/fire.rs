@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use smartflux::eval::WorkloadFactory;
-use smartflux_datastore::{ContainerRef, DataStore, ScanFilter, Value};
+use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
@@ -264,13 +264,18 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             thermal,
             FnStep::new(move |ctx: &StepContext| {
-                let rows = ctx.scan(TABLE, "areas", &ScanFilter::all().with_qualifier("temp"))?;
-                let mut thermal = Vec::with_capacity(rows.len());
-                for row in &rows {
-                    let t = row.f64("temp").unwrap_or(24.0);
+                // Areas without a temperature get no shade.
+                let mut temps = Vec::new();
+                ctx.family(TABLE, "areas")?.for_each_row(|key, row| {
+                    if let Some(t) = row.value("temp") {
+                        temps.push((key.to_owned(), t.as_f64().unwrap_or(24.0)));
+                    }
+                })?;
+                let mut thermal = Vec::with_capacity(temps.len());
+                for (key, t) in &temps {
                     // Shade in [0, 255] for the rendering pipeline.
                     let shade = ((t - 22.0) / 12.0 * 255.0).clamp(0.0, 255.0);
-                    thermal.push((&*row.key, "shade", Value::from(shade)));
+                    thermal.push((&**key, "shade", Value::from(shade)));
                 }
                 ctx.family(TABLE, "thermal")?.put_many(thermal)?;
                 Ok(())
@@ -284,16 +289,18 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             area_risk,
             FnStep::new(move |ctx: &StepContext| {
-                let rows = ctx.scan(TABLE, "areas", &ScanFilter::all())?;
-                let mut risk = Vec::with_capacity(2 * rows.len());
-                for row in &rows {
+                let mut scores = Vec::new();
+                ctx.family(TABLE, "areas")?.for_each_row(|key, row| {
                     let t = row.f64("temp").unwrap_or(24.0);
                     let p = row.f64("precip").unwrap_or(0.0);
                     let w = row.f64("wind").unwrap_or(2.0);
-                    let score = risk_score(t, p, w);
+                    scores.push((key.to_owned(), risk_score(t, p, w)));
+                })?;
+                let mut risk = Vec::with_capacity(2 * scores.len());
+                for (key, score) in &scores {
                     risk.extend([
-                        (&*row.key, "score", Value::from(score)),
-                        (&row.key, "level", Value::from(risk_level(score))),
+                        (&**key, "score", Value::from(*score)),
+                        (key, "level", Value::from(risk_level(*score))),
                     ]);
                 }
                 ctx.family(TABLE, "risk")?.put_many(risk)?;
@@ -341,21 +348,19 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             satellite,
             FnStep::new(move |ctx: &StepContext| {
-                let rows = ctx.scan(TABLE, "risk", &ScanFilter::all().with_qualifier("level"))?;
-                let mut satellite = Vec::new();
-                for row in &rows {
-                    let level = row.f64("level").unwrap_or(0.0);
-                    if level >= 4.0 {
-                        // Deterministic "image analysis": confirm a fire in
-                        // a small fraction of extreme-risk inspections.
-                        let confirmed = unit_hash(c.seed ^ 0xAB, ctx.wave(), 0) < 0.3;
-                        satellite.push((
-                            &*row.key,
-                            "fire_confirmed",
-                            Value::from(i64::from(confirmed)),
-                        ));
+                let mut burning = Vec::new();
+                ctx.family(TABLE, "risk")?.for_each_row(|key, row| {
+                    if row.f64("level").unwrap_or(0.0) >= 4.0 {
+                        burning.push(key.to_owned());
                     }
-                }
+                })?;
+                // Deterministic "image analysis": confirm a fire in a small
+                // fraction of extreme-risk inspections.
+                let confirmed = unit_hash(c.seed ^ 0xAB, ctx.wave(), 0) < 0.3;
+                let satellite = burning
+                    .iter()
+                    .map(|key| (&**key, "fire_confirmed", Value::from(i64::from(confirmed))))
+                    .collect();
                 ctx.family(TABLE, "satellite")?.put_many(satellite)?;
                 Ok(())
             }),

@@ -11,7 +11,7 @@
 use smartflux::eval::WorkloadFactory;
 use smartflux::{EngineConfig, QodEngine, SharedEngine};
 use smartflux_datastore::DataStore;
-use smartflux_wms::{Scheduler, SchedulerEvent};
+use smartflux_wms::Scheduler;
 use smartflux_workloads::fire::{FireFactory, TABLE};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,14 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_seed(3);
     let engine = SharedEngine::new(QodEngine::from_workflow(&workflow, store.clone(), config)?);
     let mut scheduler = Scheduler::new(workflow, store.clone(), Box::new(engine.clone()));
-    let events = scheduler.subscribe();
 
     // Training: the workflow runs synchronously while SmartFlux learns the
     // correlation between sensor changes and risk changes.
     while engine.with(|e| matches!(e.phase(), smartflux::Phase::Training { .. })) {
         scheduler.run_wave()?;
     }
-    let _ = events.drain();
+    let trained_skips = scheduler.stats().total_skips();
     println!(
         "trained on {} waves; model quality: {:?}",
         scheduler.stats().waves(),
@@ -77,11 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nadaptive day: {} of 24 overall-risk recomputations skipped",
         stats.skips(overall)
     );
-    let step_events = events
-        .drain()
-        .into_iter()
-        .filter(|e| matches!(e, SchedulerEvent::StepSkipped { .. }))
-        .count();
-    println!("{step_events} step executions avoided across the whole workflow");
+    println!(
+        "{} step executions avoided across the whole workflow",
+        stats.total_skips() - trained_skips
+    );
     Ok(())
 }

@@ -215,7 +215,11 @@ fn qod_to_sdf_revert_survives_crash_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // The session was killed once and recovered once.
-    assert_eq!(crash.segments, 2, "expected exactly one crash/recover");
+    assert_eq!(
+        crash.segments.len(),
+        2,
+        "expected exactly one crash/recover"
+    );
     // The scripted fault aborted a post-training wave (seen in both the
     // pre-crash segment and the recovery replay)...
     assert!(

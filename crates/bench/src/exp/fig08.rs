@@ -75,7 +75,7 @@ pub fn learning_curve(workload: Workload, bound: f64, log: &KnowledgeBase) -> Ve
             let actual: Vec<Vec<bool>> = test_rows.iter().map(|r| r.must_execute.clone()).collect();
             let predicted: Vec<Vec<bool>> = test_rows
                 .iter()
-                .map(|r| predictor.predict(&r.impacts).expect("trained"))
+                .map(|r| predictor.predict_all(&r.impacts).expect("trained"))
                 .collect();
             let report = MultiLabelReport::from_matrices(&actual, &predicted);
             CurvePoint {

@@ -13,13 +13,11 @@
 //! Each estimate gets the gate verdict at the default gates (accuracy 0.7,
 //! recall 0.8); one row per step, plus the pooled row the engine gates on.
 
-use smartflux::{
-    CoreError, EngineConfig, ImpactCombiner, KnowledgeBase, ModelKind, QodSpec, SmartFluxSession,
-};
+use smartflux::{CoreError, EngineConfig, ImpactCombiner, ModelKind, QodSpec, SmartFluxSession};
 use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_ml::crossval::{build_forests, cross_validate, ForestBuild};
 use smartflux_ml::metrics::ConfusionMatrix;
-use smartflux_ml::{Dataset, RandomForest};
+use smartflux_ml::RandomForest;
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 use smartflux_workloads::aqhi::AqhiFactory;
 use smartflux_workloads::lrb::{self, LrbFactory};
@@ -221,7 +219,9 @@ pub fn assess(flow: Flow, seed: u64) -> Result<Vec<Case>, CoreError> {
     let kb = session.knowledge_base();
     let reported = session.predictor_quality().ok_or(CoreError::NotTrained)?;
 
-    let views = label_views(&kb)?;
+    let views = (0..kb.step_names().len())
+        .map(|j| kb.label_dataset(j))
+        .collect::<Result<Vec<_>, _>>()?;
     let forest = |j: usize| {
         let ModelKind::RandomForest {
             trees,
@@ -285,18 +285,6 @@ pub fn assess(flow: Flow, seed: u64) -> Result<Vec<Case>, CoreError> {
     );
     cases.push(pooled);
     Ok(cases)
-}
-
-/// Step `j`'s training view, as the predictor builds it: the step's own
-/// impact against the step's label.
-fn label_views(kb: &KnowledgeBase) -> Result<Vec<Dataset>, CoreError> {
-    (0..kb.step_names().len())
-        .map(|j| {
-            let x = kb.rows().iter().map(|r| vec![r.impacts[j]]).collect();
-            let y = kb.rows().iter().map(|r| r.must_execute[j]).collect();
-            Ok(Dataset::new(x, y)?)
-        })
-        .collect()
 }
 
 /// Runs every flow at every seed in `seeds`, prints the disagreements and

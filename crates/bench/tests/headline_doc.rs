@@ -1,8 +1,9 @@
 //! The prose is pinned to the figures: every row of EXPERIMENTS.md's
 //! headline table must print the saved executions, the confidence and the
 //! speedup of `results/headline_summary.csv`, rounded to the precision the
-//! table prints. A figure regenerated without its table (or a table edited
-//! without its figure) fails here.
+//! table prints, and README's lead sentence the ranges of both and how
+//! many rows reach the paper's 95 % confidence. A figure regenerated
+//! without its prose (or prose edited without its figure) fails here.
 
 use std::fs;
 use std::path::Path;
@@ -125,6 +126,44 @@ fn headline_table_prints_the_headline_csv() {
             "{at}: speedup {}x printed as {}x",
             want.speedup,
             got.speedup
+        );
+    }
+}
+
+/// A percentage as the README prints it: one decimal, none when it is 0.
+fn percent(value: f64) -> String {
+    let text = format!("{value:.1}");
+    text.strip_suffix(".0").map_or(text.clone(), str::to_owned)
+}
+
+#[test]
+fn readme_lead_sentence_states_the_headline_csv() {
+    let readme = repo_file("README.md");
+    let lead = readme
+        .split("\n\n")
+        .find(|p| p.starts_with("Measured on this repository's two benchmark workloads"))
+        .expect("README has the measured lead paragraph")
+        .replace('\n', " ")
+        .replace('*', "");
+    let csv = csv_rows(&repo_file("results/headline_summary.csv"));
+    let range = |value: fn(&Row) -> f64| {
+        let values = csv.iter().map(value);
+        let low = values.clone().fold(f64::INFINITY, f64::min);
+        (low, values.fold(f64::NEG_INFINITY, f64::max))
+    };
+    let (least, most) = range(|r| r.saved_pct);
+    let saved = format!("{least:.0}–{most:.0} % of step executions avoided");
+    let (least, most) = range(|r| r.confidence_pct);
+    let confidence = format!("{}–{} % confidence", percent(least), percent(most));
+    let meeting = csv.iter().filter(|r| r.confidence_pct >= 95.0).count();
+    let paper = format!(
+        "{meeting} of the {} settings reach the paper's > 95 % confidence",
+        csv.len()
+    );
+    for claim in [saved, confidence, paper] {
+        assert!(
+            lead.contains(&claim),
+            "README's lead should say {claim:?}: {lead}"
         );
     }
 }

@@ -28,17 +28,15 @@ use crate::qod::QodSpec;
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of waves the initial training phase lasts (user-configured
-    /// per §3.2 "The duration of this phase is configured by users").
+    /// per §3.2 "The duration of this phase is configured by users"). A
+    /// model build that fails, or misses the quality gates, extends it by
+    /// 50 waves, three times at most.
     pub training_waves: usize,
     /// Minimum test-phase accuracy required to enter the application phase.
     pub min_accuracy: f64,
     /// Minimum test-phase recall required to enter the application phase
     /// (high recall ⇒ few missed `maxε` violations).
     pub min_recall: f64,
-    /// How many times training may be extended when gates fail.
-    pub max_training_extensions: usize,
-    /// Extra waves per training extension.
-    pub extension_waves: usize,
     /// Classifier family and hyper-parameters.
     pub model: ModelKind,
     /// Seed for all randomised components.
@@ -87,8 +85,6 @@ impl Default for EngineConfig {
             training_waves: 100,
             min_accuracy: 0.7,
             min_recall: 0.8,
-            max_training_extensions: 3,
-            extension_waves: 50,
             model: ModelKind::default(),
             seed: 0,
             default_spec: QodSpec::default(),
@@ -189,14 +185,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets how many training extensions are allowed and their length.
-    #[must_use]
-    pub fn with_training_extensions(mut self, max: usize, waves_each: usize) -> Self {
-        self.max_training_extensions = max;
-        self.extension_waves = waves_each.max(1);
-        self
-    }
-
     /// Turns the telemetry subsystem on or off (off by default).
     #[must_use]
     pub fn with_telemetry(mut self, enabled: bool) -> Self {
@@ -232,14 +220,11 @@ mod tests {
         let c = EngineConfig::new()
             .with_training_waves(200)
             .with_quality_gates(0.8, 0.9)
-            .with_seed(5)
-            .with_training_extensions(2, 25);
+            .with_seed(5);
         assert_eq!(c.training_waves, 200);
         assert_eq!(c.min_accuracy, 0.8);
         assert_eq!(c.min_recall, 0.9);
         assert_eq!(c.seed, 5);
-        assert_eq!(c.max_training_extensions, 2);
-        assert_eq!(c.extension_waves, 25);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_datastore::{ContainerRef, DataStore, Value, WatchList};
 use smartflux_durability::codec::{self, FrameRead};
 use smartflux_durability::{read_checkpoint, Checkpointer, DurabilityError};
 use smartflux_telemetry::{names, GroundTruth, QodStep, Telemetry, WaveDiagnostics};
@@ -43,7 +43,6 @@ use crate::diagnostics::Diagnostics;
 use crate::error::CoreError;
 use crate::knowledge::KnowledgeBase;
 use crate::metric::{MetricContext, MetricFn, MetricKind};
-use crate::monitoring::{Monitor, TrackerId};
 use crate::predictor::{ModelKind, Predictor};
 use crate::qod::{AccumulationMode, ErrorBound, QodSpec};
 
@@ -64,11 +63,12 @@ pub enum Phase {
 /// step's impact metric) or, in training mode, an output (its error metric).
 ///
 /// The previous state the metric compares against is a *mark* on the
-/// [`Monitor`]'s change set `id`: the step's last (virtual or actual)
-/// execution under [`AccumulationMode::Cancel`], the end of the previous
-/// wave under [`AccumulationMode::Accumulate`].
+/// store's change set `change_set` in the engine's [`WatchList`]: the
+/// step's last (virtual or actual) execution under
+/// [`AccumulationMode::Cancel`], the end of the previous wave under
+/// [`AccumulationMode::Accumulate`].
 struct Tracker {
-    id: TrackerId,
+    change_set: usize,
     container: ContainerRef,
     /// The metric's accumulator, reset and reused by every evaluation.
     metric: Box<dyn MetricFn>,
@@ -79,14 +79,21 @@ struct Tracker {
     accumulated: f64,
 }
 
+/// How many times a training phase is extended by [`EXTENSION_WAVES`]
+/// when its model build fails or misses the quality gates.
+const MAX_TRAINING_EXTENSIONS: usize = 3;
+
+/// Waves each training extension adds.
+const EXTENSION_WAVES: u64 = 50;
+
 /// `Σ x'` of an empty container: the identity `Iterator::sum` starts from,
 /// so summing nothing yields the same bits here as it does there.
 const EMPTY_SUM: f64 = -0.0;
 
 impl Tracker {
-    fn new(monitor: &Monitor, container: &ContainerRef, kind: &MetricKind) -> Self {
+    fn new(change_set: usize, container: &ContainerRef, kind: &MetricKind) -> Self {
         Self {
-            id: monitor.track(container.clone()),
+            change_set,
             container: container.clone(),
             metric: kind.instantiate(),
             previous_state_sum: kind.reads_previous_state_sum().then_some(EMPTY_SUM),
@@ -94,10 +101,14 @@ impl Tracker {
         }
     }
 
-    /// The metric over everything that changed since the mark.
-    fn since_mark(&mut self, monitor: &Monitor) -> f64 {
+    /// The metric over everything that changed since the mark: the paper's
+    /// `update(new, old)` once per changed cell (§4.2), streamed under the
+    /// store's lock.
+    fn since_mark(&mut self, store: &DataStore, list: WatchList) -> f64 {
         self.metric.reset();
-        let total_elements = monitor.stream_changes(self.id, self.metric.as_mut());
+        let metric = self.metric.as_mut();
+        let total_elements =
+            store.stream_changes(list, self.change_set, |new, old| metric.update(new, old));
         self.metric.compute(&MetricContext::new(
             total_elements,
             self.previous_state_sum.unwrap_or(EMPTY_SUM),
@@ -105,8 +116,8 @@ impl Tracker {
     }
 
     /// The metric since the step's last execution.
-    fn evaluate(&mut self, mode: AccumulationMode, monitor: &Monitor) -> f64 {
-        let since_mark = self.since_mark(monitor);
+    fn evaluate(&mut self, mode: AccumulationMode, store: &DataStore, list: WatchList) -> f64 {
+        let since_mark = self.since_mark(store, list);
         match mode {
             AccumulationMode::Cancel => since_mark,
             AccumulationMode::Accumulate => self.accumulated + since_mark,
@@ -114,8 +125,8 @@ impl Tracker {
     }
 
     /// Moves the mark to the container's current state.
-    fn mark(&mut self, monitor: &Monitor, store: &DataStore) {
-        monitor.mark(self.id);
+    fn mark(&mut self, store: &DataStore, list: WatchList) {
+        store.mark_changes(list, self.change_set, Vec::new());
         if let Some(sum) = &mut self.previous_state_sum {
             // One ordered pass over the live cells: at the mark the change
             // set is empty, so the container *is* the previous state.
@@ -130,18 +141,18 @@ impl Tracker {
     /// The step executed (actually or virtually): the metric restarts from
     /// the current container state. Accumulate-mode marks follow the wave
     /// boundary instead, so there only the accumulated value restarts.
-    fn restart(&mut self, mode: AccumulationMode, monitor: &Monitor, store: &DataStore) {
+    fn restart(&mut self, mode: AccumulationMode, store: &DataStore, list: WatchList) {
         if mode == AccumulationMode::Cancel {
-            self.mark(monitor, store);
+            self.mark(store, list);
         }
         self.accumulated = 0.0;
     }
 
     /// A wave ended under Accumulate mode: what changed during it joins the
     /// accumulated value, and the next wave's changes count from here.
-    fn roll_wave(&mut self, monitor: &Monitor, store: &DataStore) {
-        self.accumulated += self.since_mark(monitor);
-        self.mark(monitor, store);
+    fn roll_wave(&mut self, store: &DataStore, list: WatchList) {
+        self.accumulated += self.since_mark(store, list);
+        self.mark(store, list);
     }
 }
 
@@ -168,7 +179,9 @@ pub struct QodEngine {
     phase: Phase,
     kb: KnowledgeBase,
     predictor: Predictor,
-    monitor: Monitor,
+    /// The store's change sets the trackers read, numbered in tracker
+    /// order: per step its inputs, then its outputs.
+    changes: WatchList,
     /// Latest computed impact per QoD step (the classifier feature vector).
     current_impacts: Vec<f64>,
     /// Decisions of the current wave (diagnostics).
@@ -234,10 +247,10 @@ impl QodEngine {
             }
         }
 
-        let monitor = Monitor::new();
         let mut steps = Vec::with_capacity(qod_ids.len());
         let mut qod_steps = Vec::with_capacity(qod_ids.len());
         let mut index_of = HashMap::new();
+        let mut trackers = 0;
         for (idx, &id) in qod_ids.iter().enumerate() {
             let info = workflow.info(id);
             let name = workflow.graph().step_name(id).to_owned();
@@ -254,15 +267,20 @@ impl QodEngine {
                 .get(&name)
                 .cloned()
                 .unwrap_or_else(|| config.default_spec.clone());
+            let mut tracker = |c: &ContainerRef, kind: &MetricKind| {
+                let tracker = Tracker::new(trackers, c, kind);
+                trackers += 1;
+                tracker
+            };
             let inputs = info
                 .inputs()
                 .iter()
-                .map(|c| Tracker::new(&monitor, c, &spec.impact))
+                .map(|c| tracker(c, &spec.impact))
                 .collect();
             let outputs = info
                 .outputs()
                 .iter()
-                .map(|c| Tracker::new(&monitor, c, &spec.error))
+                .map(|c| tracker(c, &spec.error))
                 .collect();
             qod_steps.push(QodStep {
                 name,
@@ -276,8 +294,6 @@ impl QodEngine {
             });
             index_of.insert(id, idx);
         }
-        monitor.attach(&store);
-
         // Checkpoints only: recovery re-executes the waves past the
         // checkpoint rather than replaying their writes.
         let durability = config
@@ -313,6 +329,15 @@ impl QodEngine {
             KnowledgeBase::new(step_names)
         };
 
+        // Opened last, so a refused engine leaves its store unwatched. The
+        // store folds every write to a watched container into the change
+        // sets over it; each opens marked at the empty container, so the
+        // cells stored now count as inserted until the first mark.
+        let changes = store.watch_list();
+        for tracker in steps.iter().flat_map(|s| s.inputs.iter().chain(&s.outputs)) {
+            store.watch(changes, &tracker.container, Some(tracker.change_set));
+        }
+
         Ok(Self {
             store,
             config,
@@ -322,7 +347,7 @@ impl QodEngine {
             phase,
             kb,
             predictor,
-            monitor,
+            changes,
             current_impacts: vec![0.0; n],
             current_decisions: vec![true; n],
             container_impacts: Vec::new(),
@@ -435,17 +460,25 @@ impl QodEngine {
         &self.predictor
     }
 
-    /// The monitoring component.
-    #[must_use]
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
     /// Per-wave diagnostics collected so far; a clone is a snapshot
     /// that copies one pointer per chunk.
     #[must_use]
     pub fn diagnostics(&self) -> &Diagnostics {
         &self.diagnostics
+    }
+
+    /// Whether training has given up: the model build after the last
+    /// training extension failed too, so no model can be built from what
+    /// the workload produces. The engine keeps extending training if it is
+    /// driven on; [`SmartFluxSession::run_training`] and the evaluation's
+    /// training prologue stop here with
+    /// [`CoreError::TrainingUnfinished`].
+    ///
+    /// [`SmartFluxSession::run_training`]: crate::SmartFluxSession::run_training
+    #[must_use]
+    pub fn training_exhausted(&self) -> bool {
+        matches!(self.phase, Phase::Training { .. })
+            && self.training_extensions_used > MAX_TRAINING_EXTENSIONS
     }
 
     /// Whether the test-phase quality gates were met when the model was
@@ -500,8 +533,11 @@ impl QodEngine {
         let step = &mut self.steps[idx];
         self.container_impacts.clear();
         for tracker in &mut step.inputs {
-            self.container_impacts
-                .push(tracker.evaluate(step.spec.mode, &self.monitor));
+            self.container_impacts.push(tracker.evaluate(
+                step.spec.mode,
+                &self.store,
+                self.changes,
+            ));
         }
         step.spec.combiner.combine(&self.container_impacts)
     }
@@ -513,7 +549,7 @@ impl QodEngine {
         let step = &mut self.steps[idx];
         let mut worst: f64 = 0.0;
         for tracker in &mut step.outputs {
-            worst = worst.max(tracker.evaluate(step.spec.mode, &self.monitor));
+            worst = worst.max(tracker.evaluate(step.spec.mode, &self.store, self.changes));
         }
         worst
     }
@@ -526,7 +562,7 @@ impl QodEngine {
             .span(names::BASELINE_RESET_LATENCY, idx as u64);
         let step = &mut self.steps[idx];
         for tracker in &mut step.inputs {
-            tracker.restart(step.spec.mode, &self.monitor, &self.store);
+            tracker.restart(step.spec.mode, &self.store, self.changes);
         }
     }
 
@@ -538,7 +574,7 @@ impl QodEngine {
             .span(names::BASELINE_RESET_LATENCY, idx as u64);
         let step = &mut self.steps[idx];
         for tracker in &mut step.outputs {
-            tracker.restart(step.spec.mode, &self.monitor, &self.store);
+            tracker.restart(step.spec.mode, &self.store, self.changes);
         }
     }
 
@@ -547,7 +583,7 @@ impl QodEngine {
         for step in &mut self.steps {
             if step.spec.mode == AccumulationMode::Accumulate {
                 for tracker in step.inputs.iter_mut().chain(&mut step.outputs) {
-                    tracker.roll_wave(&self.monitor, &self.store);
+                    tracker.roll_wave(&self.store, self.changes);
                 }
             }
         }
@@ -653,8 +689,7 @@ impl QodEngine {
             Ok(quality) => {
                 let gates_met = quality.accuracy >= self.config.min_accuracy
                     && quality.recall >= self.config.min_recall;
-                if gates_met || self.training_extensions_used >= self.config.max_training_extensions
-                {
+                if gates_met || self.training_extensions_used >= MAX_TRAINING_EXTENSIONS {
                     self.quality_met = gates_met;
                     self.phase = Phase::Application;
                     // Actual baselines: every step just executed (training is
@@ -665,15 +700,16 @@ impl QodEngine {
                 } else {
                     self.training_extensions_used += 1;
                     self.phase = Phase::Training {
-                        until_wave: wave + self.config.extension_waves as u64,
+                        until_wave: wave + EXTENSION_WAVES,
                     };
                 }
             }
             Err(_) => {
-                // Not enough data yet — keep training.
+                // Not enough data yet — keep training. Past the last
+                // extension, `training_exhausted` reports the failure.
                 self.training_extensions_used += 1;
                 self.phase = Phase::Training {
-                    until_wave: wave + self.config.extension_waves as u64,
+                    until_wave: wave + EXTENSION_WAVES,
                 };
             }
         }
@@ -788,14 +824,17 @@ impl QodEngine {
         let count_at = out.len();
         codec::put_u32(out, 0);
         let mut count = 0u32;
-        self.monitor
-            .for_each_change(tracker.id, |row, qualifier, at_mark, latest| {
+        self.store.visit_changes(
+            self.changes,
+            tracker.change_set,
+            |row, qualifier, at_mark, latest| {
                 codec::put_str(out, row);
                 codec::put_str(out, qualifier);
                 put_optional_value(out, at_mark);
                 put_optional_value(out, latest);
                 count += 1;
-            });
+            },
+        );
         out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
     }
 
@@ -968,7 +1007,8 @@ impl QodEngine {
                 if let Some(sum) = &mut tracker.previous_state_sum {
                     *sum = previous_state_sum;
                 }
-                self.monitor.restore_changes(tracker.id, changes);
+                self.store
+                    .mark_changes(self.changes, tracker.change_set, changes);
             }
         }
         self.failed_this_wave = false;

@@ -55,11 +55,11 @@ pub enum CoreError {
         /// Required recall.
         min_recall: f64,
     },
-    /// The training phase was still running after the most waves its
-    /// configuration allows (every extension taken) — the model could not
-    /// be built from what the workload produced.
+    /// No model could be built from what the workload produced, even
+    /// after every training extension
+    /// ([`QodEngine::training_exhausted`](crate::QodEngine::training_exhausted)).
     TrainingUnfinished {
-        /// Training waves run.
+        /// Training waves run by the call that gave up.
         waves: u64,
     },
     /// An operation required a trained predictor but none exists yet.

@@ -19,7 +19,6 @@ use crate::engine::{QodEngine, SharedEngine};
 use crate::error::CoreError;
 use crate::metric::{MetricContext, MetricKind};
 use crate::policy::{EveryNPolicy, RandomSkipPolicy};
-use crate::predictor::MIN_TRAINING_ROWS;
 use crate::qod::ErrorBound;
 
 /// Builds identical, deterministic workflow instances over any store.
@@ -260,21 +259,6 @@ fn bounded(workflow: &Workflow, step: StepId) -> Result<ErrorBound, CoreError> {
     ErrorBound::new(raw).map_err(|detail| CoreError::InvalidBound { step: name, detail })
 }
 
-/// The most waves `config`'s training phase can last when every wave
-/// appends one knowledge-base row: the initial window plus every extension
-/// the engine may take. Extensions are forced while the knowledge base
-/// holds fewer than [`MIN_TRAINING_ROWS`] rows and granted while the
-/// quality gates fail; both draw on one counter, so the larger of the two
-/// counts bounds them.
-fn max_training_waves(config: &EngineConfig) -> u64 {
-    let window = config.training_waves.max(1) as u64;
-    let each = config.extension_waves.max(1) as u64;
-    let forced = (MIN_TRAINING_ROWS as u64)
-        .saturating_sub(window)
-        .div_ceil(each);
-    window + forced.max(config.max_training_extensions as u64) * each
-}
-
 /// Runs the twin-run evaluation of `policy` over `factory`'s workload.
 ///
 /// `waves` counts *application* waves for SmartFlux runs (the training
@@ -284,8 +268,9 @@ fn max_training_waves(config: &EngineConfig) -> u64 {
 ///
 /// Propagates workflow execution failures, rejects a factory whose output
 /// step is missing or carries an invalid error bound, and returns
-/// [`CoreError::TrainingUnfinished`] when a SmartFlux run is still training
-/// after every extension its config allows.
+/// [`CoreError::TrainingUnfinished`] when a SmartFlux run can build no
+/// model after every training extension
+/// ([`QodEngine::training_exhausted`]).
 pub fn evaluate<F: WorkloadFactory>(
     factory: &F,
     policy: EvalPolicy,
@@ -316,7 +301,6 @@ pub fn evaluate<F: WorkloadFactory>(
 
     let mut engine_handle = None;
     let mut telemetry = Telemetry::disabled();
-    let mut max_prologue = 0u64;
     let (policy_name, trigger): (String, Box<dyn TriggerPolicy>) = match &policy {
         EvalPolicy::Sync => ("sync".into(), Box::new(SynchronousPolicy)),
         EvalPolicy::Random { seed } => ("random".into(), Box::new(RandomSkipPolicy::new(*seed))),
@@ -339,7 +323,6 @@ pub fn evaluate<F: WorkloadFactory>(
             )
         }
         EvalPolicy::SmartFlux(config) => {
-            max_prologue = max_training_waves(config);
             telemetry = crate::session::telemetry_for(config)?;
             let mut engine =
                 QodEngine::from_workflow(&adapt_wf, adapt_store.clone(), (**config).clone())?;
@@ -359,7 +342,7 @@ pub fn evaluate<F: WorkloadFactory>(
     if let Some(engine) = engine_handle.as_ref() {
         let mut prologue = 0u64;
         while engine.with(|e| matches!(e.phase(), crate::engine::Phase::Training { .. })) {
-            if prologue == max_prologue {
+            if engine.with(QodEngine::training_exhausted) {
                 return Err(CoreError::TrainingUnfinished { waves: prologue });
             }
             sync_sched.run_wave()?;
@@ -447,6 +430,7 @@ pub fn evaluate<F: WorkloadFactory>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SmartFluxSession;
     use smartflux_datastore::Value;
     use smartflux_wms::{FnStep, GraphBuilder, StepContext};
 
@@ -573,7 +557,7 @@ mod tests {
     #[test]
     fn training_prologue_covers_every_extension() {
         let cases = [
-            // Unreachable gates: the engine takes all three default 50-wave
+            // Unreachable gates: the engine takes all three 50-wave
             // extensions and enters the application phase after wave 160.
             (
                 EngineConfig::new()
@@ -581,17 +565,16 @@ mod tests {
                     .with_quality_gates(1.0, 1.0),
                 160,
             ),
-            // A one-wave window with one-wave extensions and no gate
-            // budget: the engine still extends until the log has four rows.
+            // A one-wave window: the one-row log is refused, and the
+            // engine extends training until it can build a model.
             (
                 EngineConfig::new()
                     .with_training_waves(1)
-                    .with_training_extensions(0, 1),
-                4,
+                    .with_quality_gates(0.0, 0.0),
+                51,
             ),
         ];
         for (config, last_training_wave) in cases {
-            assert_eq!(max_training_waves(&config), last_training_wave);
             let report = evaluate(
                 &Ramp { bound: 0.05 },
                 EvalPolicy::SmartFlux(Box::new(config.with_seed(9))),
@@ -606,53 +589,73 @@ mod tests {
         }
     }
 
+    /// A feed that jumps to infinity every other wave: its impacts are
+    /// non-finite, so no model is ever built from its log.
+    struct Unbounded;
+
+    impl WorkloadFactory for Unbounded {
+        fn build(&self, store: &DataStore) -> Workflow {
+            let mut wf = Ramp { bound: 0.05 }.build(store);
+            let feed = wf.graph().step_id("feed").unwrap();
+            wf.bind(
+                feed,
+                FnStep::new(|ctx: &StepContext| {
+                    let v = if ctx.wave().is_multiple_of(2) {
+                        f64::INFINITY
+                    } else {
+                        1.0
+                    };
+                    ctx.put("t", "raw", "r", "v", Value::from(v))?;
+                    Ok(())
+                }),
+            )
+            .source()
+            .writes(ContainerRef::family("t", "raw"));
+            wf
+        }
+        fn output_step(&self) -> &str {
+            "copy"
+        }
+        fn name(&self) -> &str {
+            "unbounded"
+        }
+    }
+
+    /// 5 initial training waves, then three 50-wave extensions whose
+    /// builds all fail: training gives up after wave 155.
+    const UNBOUNDED_TRAINING_WAVES: u64 = 155;
+
+    fn unbounded_config() -> EngineConfig {
+        EngineConfig::new().with_training_waves(5).with_seed(9)
+    }
+
     #[test]
     fn training_that_never_finishes_is_a_typed_error() {
-        // A feed that jumps to infinity every other wave yields
-        // non-finite impacts, so no model is ever built from its log.
-        struct Unbounded;
-        impl WorkloadFactory for Unbounded {
-            fn build(&self, store: &DataStore) -> Workflow {
-                let mut wf = Ramp { bound: 0.05 }.build(store);
-                let feed = wf.graph().step_id("feed").unwrap();
-                wf.bind(
-                    feed,
-                    FnStep::new(|ctx: &StepContext| {
-                        let v = if ctx.wave().is_multiple_of(2) {
-                            f64::INFINITY
-                        } else {
-                            1.0
-                        };
-                        ctx.put("t", "raw", "r", "v", Value::from(v))?;
-                        Ok(())
-                    }),
-                )
-                .source()
-                .writes(ContainerRef::family("t", "raw"));
-                wf
-            }
-            fn output_step(&self) -> &str {
-                "copy"
-            }
-            fn name(&self) -> &str {
-                "unbounded"
-            }
-        }
-        let config = EngineConfig::new()
-            .with_training_waves(5)
-            .with_training_extensions(2, 5)
-            .with_seed(9);
         let err = evaluate(
             &Unbounded,
-            EvalPolicy::SmartFlux(Box::new(config)),
+            EvalPolicy::SmartFlux(Box::new(unbounded_config())),
             5,
             MetricKind::RelativeError,
         )
         .unwrap_err();
         assert!(
-            matches!(err, CoreError::TrainingUnfinished { waves: 15 }),
+            matches!(err, CoreError::TrainingUnfinished { waves } if waves == UNBOUNDED_TRAINING_WAVES),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_session_whose_training_never_finishes_returns_a_typed_error() {
+        let store = DataStore::new();
+        let mut session =
+            SmartFluxSession::new(Unbounded.build(&store), store, unbounded_config()).unwrap();
+        let err = session.run_training().unwrap_err();
+        assert!(
+            matches!(err, CoreError::TrainingUnfinished { waves } if waves == UNBOUNDED_TRAINING_WAVES),
+            "{err}"
+        );
+        assert_eq!(session.executed_waves(), UNBOUNDED_TRAINING_WAVES);
+        assert!(session.engine().with(QodEngine::training_exhausted));
     }
 
     #[test]

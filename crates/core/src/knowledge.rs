@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use smartflux_ml::MultiLabelDataset;
+use smartflux_ml::Dataset;
 
 use crate::error::CoreError;
 
@@ -35,8 +35,10 @@ pub struct KnowledgeRow {
 /// kb.append(1, vec![120.0, 30.5], vec![true, false]).unwrap();
 /// kb.append(2, vec![80.0, 55.0], vec![false, true]).unwrap();
 /// assert_eq!(kb.len(), 2);
-/// let dataset = kb.to_dataset().unwrap();
-/// assert_eq!(dataset.n_labels(), 2);
+/// // Step 1's forest learns from step 1's impact against step 1's label.
+/// let hotspots = kb.label_dataset(1).unwrap();
+/// assert_eq!(hotspots.x(), [[30.5], [55.0]]);
+/// assert_eq!(hotspots.y(), [false, true]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KnowledgeBase {
@@ -104,18 +106,25 @@ impl KnowledgeBase {
         Ok(())
     }
 
-    /// Converts the log into a multi-label dataset for training.
+    /// Step `j`'s training set: step `j`'s impact, the one feature its
+    /// forest sees, against step `j`'s label. One such set per step is the
+    /// paper's binary-relevance (MEKA) view of the multi-label log.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InsufficientTraining`] when the log is empty.
-    pub fn to_dataset(&self) -> Result<MultiLabelDataset, CoreError> {
-        if self.rows.is_empty() {
-            return Err(CoreError::InsufficientTraining { have: 0, need: 1 });
+    /// Returns [`CoreError::ShapeMismatch`] for a step index out of range
+    /// and [`CoreError::Ml`] for an empty log or a non-finite impact of
+    /// step `j`.
+    pub fn label_dataset(&self, j: usize) -> Result<Dataset, CoreError> {
+        if j >= self.step_names.len() {
+            return Err(CoreError::ShapeMismatch {
+                expected: self.step_names.len(),
+                found: j,
+            });
         }
-        let x = self.rows.iter().map(|r| r.impacts.clone()).collect();
-        let y = self.rows.iter().map(|r| r.must_execute.clone()).collect();
-        MultiLabelDataset::new(x, y).map_err(CoreError::from)
+        let x = self.rows.iter().map(|r| vec![r.impacts[j]]).collect();
+        let y = self.rows.iter().map(|r| r.must_execute[j]).collect();
+        Ok(Dataset::new(x, y)?)
     }
 
     /// Fraction of rows where step `j` had to execute (the label base rate,
@@ -312,20 +321,21 @@ mod tests {
     }
 
     #[test]
-    fn dataset_roundtrip() {
-        let d = kb().to_dataset().unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.n_features(), 2);
-        assert_eq!(d.n_labels(), 2);
-        assert_eq!(d.label_column(0).unwrap(), vec![true, true]);
-    }
-
-    #[test]
-    fn empty_dataset_is_an_error() {
-        let kb = KnowledgeBase::new(vec!["a".into()]);
+    fn label_datasets_hold_their_own_step_column() {
+        let kb = kb();
+        let b = kb.label_dataset(1).unwrap();
+        assert_eq!(b.x(), [[2.0], [4.0]]);
+        assert_eq!(b.y(), [false, true]);
         assert!(matches!(
-            kb.to_dataset(),
-            Err(CoreError::InsufficientTraining { .. })
+            kb.label_dataset(2),
+            Err(CoreError::ShapeMismatch {
+                expected: 2,
+                found: 2
+            })
+        ));
+        assert!(matches!(
+            KnowledgeBase::new(vec!["a".into()]).label_dataset(0),
+            Err(CoreError::Ml(_))
         ));
     }
 

@@ -12,7 +12,8 @@
 //!
 //! 1. Steps declare **Quality-of-Data** bounds: a maximum tolerated output
 //!    error `maxε` ([`ErrorBound`]) attached to their container annotations.
-//! 2. The [`Monitor`] has the store track the containers it names; [`MetricFn`]
+//! 2. The engine has the data store keep a **change set** per monitored
+//!    container (the paper's Monitoring component, §4); [`MetricFn`]
 //!    implementations quantify the **input impact** `ι` (Eq. 1–2) of new
 //!    data and the **output error** `ε` (Eq. 3–4) a skipped execution would
 //!    leave behind. The built-in ones are [`MetricKind`] variants; a metric
@@ -47,7 +48,6 @@ mod error;
 mod frozen;
 mod knowledge;
 mod metric;
-mod monitoring;
 mod policy;
 mod predictor;
 mod qod;
@@ -60,10 +60,9 @@ pub use engine::{Phase, QodEngine, SharedEngine};
 pub use error::CoreError;
 pub use knowledge::{KnowledgeBase, KnowledgeRow};
 pub use metric::{
-    MagnitudeImpact, MeanRelativeError, MetricContext, MetricFn, MetricKind, NetDriftImpact,
-    RelativeError, RelativeImpact, RmseError,
+    MagnitudeImpact, MeanRelativeError, MetricContext, MetricFn, MetricKind, RelativeError,
+    RelativeImpact, RmseError,
 };
-pub use monitoring::{Monitor, TrackerId};
 pub use policy::{EveryNPolicy, RandomSkipPolicy};
 pub use predictor::{ModelKind, Predictor, PredictorQuality};
 pub use qod::{AccumulationMode, ErrorBound, ImpactCombiner, QodSpec};
@@ -72,8 +71,8 @@ pub use session::SmartFluxSession;
 // Re-export the durability surface so applications can configure
 // crash-safety and recovery without naming the durability crate.
 pub use smartflux_durability::{DurabilityError, DurabilityOptions};
-// The deprecated durability items the benchmark spells through this
-// crate. A glob, so this line names no deprecated item.
+// The deprecated items the benchmark spells through this crate. A glob,
+// so this line names no deprecated item.
 pub use frozen::*;
 
 // Re-export the telemetry surface so applications need only this crate to

@@ -70,19 +70,6 @@ pub(crate) fn numeric_or_zero(v: Option<&Value>) -> f64 {
     v.and_then(Value::as_f64).unwrap_or(0.0)
 }
 
-/// The signed change of one element: its [`change_magnitude`], negative
-/// when the numeric reading fell (`new < old`, absent or non-numeric
-/// reading as 0) and positive otherwise — so a categorical change counts
-/// +1, and `|signed_change|` is always `change_magnitude`.
-pub(crate) fn signed_change(new: Option<&Value>, old: Option<&Value>) -> f64 {
-    let magnitude = change_magnitude(new, old);
-    if numeric_or_zero(new) < numeric_or_zero(old) {
-        -magnitude
-    } else {
-        magnitude
-    }
-}
-
 /// Eq. 1: `ι = Σ|x_i − x'_i| × m` — absolute magnitude of changes scaled by
 /// the number of modified elements.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -316,48 +303,6 @@ impl MetricFn for MeanRelativeError {
     }
 }
 
-/// Net-drift impact: `ι = |Σ (x_i − x'_i)|` — the absolute value of the
-/// *signed* sum of element changes.
-///
-/// Where [`MagnitudeImpact`] measures how much data churned, net drift
-/// measures how far the container's aggregate moved. For steps whose output
-/// is (close to) a linear aggregate of their input — zone averages, excess
-/// sums, health indices — this tracks the output error far more tightly,
-/// because spatially-cancelling churn (a plume moving across the grid)
-/// produces large magnitude but little drift. Categorical changes count as
-/// unit churn.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NetDriftImpact {
-    signed_sum: f64,
-    modified: usize,
-}
-
-impl NetDriftImpact {
-    /// Creates a zeroed accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MetricFn for NetDriftImpact {
-    fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    fn update(&mut self, new: Option<&Value>, old: Option<&Value>) {
-        let d = signed_change(new, old);
-        if d != 0.0 {
-            self.signed_sum += d;
-            self.modified += 1;
-        }
-    }
-
-    fn compute(&self, _ctx: &MetricContext) -> f64 {
-        self.signed_sum.abs()
-    }
-}
-
 /// A factory for metric instances: selects among the built-in equations or a
 /// user-supplied custom function (§4.2's extension point).
 #[derive(Clone)]
@@ -371,8 +316,6 @@ pub enum MetricKind {
     /// Scale-free Eq. 3 variant ([`MeanRelativeError`]) — the default error
     /// function.
     MeanRelative,
-    /// Net-drift impact ([`NetDriftImpact`]): |signed sum of changes|.
-    NetDrift,
     /// Eq. 4 ([`RmseError`]), divided by the given scale.
     Rmse {
         /// Normalisation scale (1.0 for the raw RMSE).
@@ -391,7 +334,6 @@ impl MetricKind {
             MetricKind::RelativeImpact => Box::new(RelativeImpact::new()),
             MetricKind::RelativeError => Box::new(RelativeError::new()),
             MetricKind::MeanRelative => Box::new(MeanRelativeError::new()),
-            MetricKind::NetDrift => Box::new(NetDriftImpact::new()),
             MetricKind::Rmse { scale } => Box::new(RmseError::with_scale(*scale)),
             MetricKind::Custom(f) => f(),
         }
@@ -428,7 +370,6 @@ impl fmt::Debug for MetricKind {
             MetricKind::RelativeImpact => f.write_str("RelativeImpact"),
             MetricKind::RelativeError => f.write_str("RelativeError"),
             MetricKind::MeanRelative => f.write_str("MeanRelative"),
-            MetricKind::NetDrift => f.write_str("NetDrift"),
             MetricKind::Rmse { scale } => write!(f, "Rmse(scale={scale})"),
             MetricKind::Custom(_) => f.write_str("Custom(..)"),
         }
@@ -535,40 +476,6 @@ mod tests {
         let mut m = MagnitudeImpact::new();
         m.update(Some(&Value::from("high")), Some(&Value::from("low")));
         assert_eq!(m.compute(&MetricContext::new(1, 0.0)), 1.0);
-    }
-
-    #[test]
-    fn signed_change_has_the_magnitude_of_the_change() {
-        let cat = |s: &str| Value::from(s);
-        let pairs = [
-            (Some(v(3.0)), Some(v(1.0))),       // numeric rise
-            (Some(v(1.0)), Some(v(3.5))),       // numeric fall
-            (Some(v(2.0)), Some(v(2.0))),       // unchanged
-            (Some(cat("hi")), Some(cat("lo"))), // categorical
-            (Some(v(-4.0)), None),              // numeric insert
-            (Some(cat("x")), None),             // categorical insert
-            (None, Some(v(5.0))),               // numeric delete
-            (None, Some(cat("x"))),             // categorical delete
-            (Some(v(3.0)), Some(cat("x"))),     // number replaces category
-            (Some(cat("x")), Some(v(3.0))),     // category replaces number
-            (Some(v(-2.0)), Some(cat("x"))),    // negative number replaces category
-        ];
-        for (new, old) in &pairs {
-            let (new, old) = (new.as_ref(), old.as_ref());
-            let signed = signed_change(new, old);
-            assert_eq!(
-                signed.abs(),
-                change_magnitude(new, old),
-                "{new:?} over {old:?}"
-            );
-            let (n, o) = (numeric_or_zero(new), numeric_or_zero(old));
-            if n != o {
-                assert_eq!(signed.signum(), (n - o).signum(), "{new:?} over {old:?}");
-            }
-        }
-        assert_eq!(signed_change(Some(&v(3.0)), Some(&cat("x"))), 1.0);
-        assert_eq!(signed_change(Some(&cat("x")), Some(&v(3.0))), -1.0);
-        assert_eq!(signed_change(Some(&cat("hi")), Some(&cat("lo"))), 1.0);
     }
 
     #[test]

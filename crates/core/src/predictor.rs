@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use smartflux_ml::crossval::{build_forests, BuiltForest, ForestBuild};
 use smartflux_ml::metrics::ConfusionMatrix;
-use smartflux_ml::{Classifier, MlError, MultiLabelDataset, RandomForest};
+use smartflux_ml::{Classifier, Dataset, MlError, RandomForest};
 use smartflux_telemetry::{names, Telemetry};
 
 use crate::error::CoreError;
@@ -90,7 +90,7 @@ impl ModelKind {
 
 /// The fewest knowledge-base rows a model is built from; training on a
 /// smaller log is refused and the engine extends its training phase.
-pub(crate) const MIN_TRAINING_ROWS: usize = 4;
+const MIN_TRAINING_ROWS: usize = 4;
 
 /// Test-phase quality of a trained predictor (§3.2 "Test Phase"): each
 /// label's forest judged by its out-of-bag votes, the confusion counts
@@ -129,8 +129,8 @@ pub struct PredictorQuality {
 /// let mut p = Predictor::new(ModelKind::default(), 7);
 /// let quality = p.train(&kb).unwrap();
 /// assert!(quality.accuracy > 0.9);
-/// assert_eq!(p.predict(&[7.0]).unwrap(), vec![true]);
-/// assert_eq!(p.predict(&[0.0]).unwrap(), vec![false]);
+/// assert_eq!(p.predict_all(&[7.0]).unwrap(), vec![true]);
+/// assert_eq!(p.predict_all(&[0.0]).unwrap(), vec![false]);
 /// ```
 pub struct Predictor {
     kind: ModelKind,
@@ -139,7 +139,7 @@ pub struct Predictor {
     quality: Option<PredictorQuality>,
     last_build_time: Option<Duration>,
     /// Inert (disabled) unless the owning engine attaches a handle; feeds
-    /// the `ml.predict_ns` / `ml.fit_ns` / `ml.batch_size` instruments.
+    /// the `ml.fit_ns` instrument.
     telemetry: Telemetry,
 }
 
@@ -157,9 +157,9 @@ impl Predictor {
         }
     }
 
-    /// Attaches a telemetry handle; the predictor then feeds the
-    /// ML-kernel instruments (`ml.predict_ns`, `ml.fit_ns`,
-    /// `ml.batch_size`).
+    /// Attaches a telemetry handle; the predictor then times each fit
+    /// batch (`ml.fit_ns`), a recovery refit's included. Queries are timed
+    /// by the engine's `engine.predict` span around them.
     pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -184,24 +184,6 @@ impl Predictor {
             });
         }
         Ok(())
-    }
-
-    /// Records how many labels the latest prediction pass answered (1
-    /// for per-step queries, `n_labels` for whole-vector passes). A
-    /// gauge rather than a histogram: histograms are exported in time
-    /// units by the observability plane.
-    fn record_batch_size(&self, n: usize) {
-        if self.telemetry.is_enabled() {
-            self.telemetry.gauge(names::ML_BATCH_SIZE).set(n as i64);
-        }
-    }
-
-    /// Builds the single-label training view for label `j`: step `j`'s
-    /// impact against step `j`'s label.
-    fn label_view(data: &MultiLabelDataset, j: usize) -> Result<smartflux_ml::Dataset, CoreError> {
-        let x: Vec<Vec<f64>> = data.x().iter().map(|r| vec![r[j]]).collect();
-        let y = data.label_column(j)?;
-        Ok(smartflux_ml::Dataset::new(x, y)?)
     }
 
     /// Returns `true` once a model has been trained.
@@ -301,27 +283,22 @@ impl Predictor {
 
     /// One single-label training view of `kb` per step; a log of fewer
     /// than [`MIN_TRAINING_ROWS`] examples is refused.
-    fn label_views(kb: &KnowledgeBase) -> Result<Vec<smartflux_ml::Dataset>, CoreError> {
-        let data = kb.to_dataset()?;
-        if data.len() < MIN_TRAINING_ROWS {
+    fn label_views(kb: &KnowledgeBase) -> Result<Vec<Dataset>, CoreError> {
+        if kb.len() < MIN_TRAINING_ROWS {
             return Err(CoreError::InsufficientTraining {
-                have: data.len(),
+                have: kb.len(),
                 need: MIN_TRAINING_ROWS,
             });
         }
-        (0..data.n_labels())
-            .map(|j| Self::label_view(&data, j))
+        (0..kb.step_names().len())
+            .map(|j| kb.label_dataset(j))
             .collect()
     }
 
     /// Fits one forest per label view, label `j`'s seeded with `seed + j`,
     /// collecting its out-of-bag test phase when `test_phase` is set — one
     /// batch, one job per label.
-    fn build(
-        &self,
-        views: &[smartflux_ml::Dataset],
-        test_phase: bool,
-    ) -> Result<Vec<BuiltForest>, CoreError> {
+    fn build(&self, views: &[Dataset], test_phase: bool) -> Result<Vec<BuiltForest>, CoreError> {
         // `ml.fit_ns` spans the batch, in `train` and in `refit` alike. The
         // engine-level `engine.train` span adds the phase bookkeeping
         // around it.
@@ -340,21 +317,9 @@ impl Predictor {
     }
 
     /// Predicts which steps must execute for the given impact vector
-    /// (`true` = the step's error bound would otherwise be exceeded).
-    ///
-    /// Equivalent to [`predict_all`](Self::predict_all), kept under the
-    /// paper's name for the `h(X) = Y` query of §3.1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotTrained`] before training and
-    /// [`CoreError::ShapeMismatch`] on a wrong-width feature vector.
-    pub fn predict(&self, impacts: &[f64]) -> Result<Vec<bool>, CoreError> {
-        self.predict_all(impacts)
-    }
-
-    /// Walks every label model over one impact vector in a single pass:
-    /// the per-wave query shape. Each label projects its feature slice
+    /// (`true` = the step's error bound would otherwise be exceeded) — the
+    /// paper's `h(X) = Y` query of §3.1 — walking every label model over
+    /// it in a single pass. Each label projects its feature slice
     /// out of the shared vector without copying, so the whole pass is
     /// allocation-free apart from the result.
     ///
@@ -369,9 +334,6 @@ impl Predictor {
     /// a wrong-width impact vector.
     pub fn predict_all(&self, impacts: &[f64]) -> Result<Vec<bool>, CoreError> {
         self.check_query(impacts)?;
-        let _span = self
-            .telemetry
-            .span(names::ML_PREDICT_LATENCY, self.models.len() as u64);
         let mut decisions = Vec::with_capacity(self.models.len());
         for (j, m) in self.models.iter().enumerate() {
             decisions.push(
@@ -379,7 +341,6 @@ impl Predictor {
                     .map_err(|_| CoreError::NotTrained)?,
             );
         }
-        self.record_batch_size(decisions.len());
         Ok(decisions)
     }
 
@@ -396,12 +357,9 @@ impl Predictor {
             expected: self.models.len(),
             found: j,
         })?;
-        let _span = self.telemetry.span(names::ML_PREDICT_LATENCY, j as u64);
-        let decision = model
+        model
             .try_predict(Self::project(j, impacts))
-            .map_err(|_| CoreError::NotTrained)?;
-        self.record_batch_size(1);
-        Ok(decision)
+            .map_err(|_| CoreError::NotTrained)
     }
 
     /// Per-label execution probabilities, in the same single pass as
@@ -414,9 +372,6 @@ impl Predictor {
     /// a wrong-width impact vector.
     pub fn predict_proba(&self, impacts: &[f64]) -> Result<Vec<f64>, CoreError> {
         self.check_query(impacts)?;
-        let _span = self
-            .telemetry
-            .span(names::ML_PREDICT_LATENCY, self.models.len() as u64);
         let mut probabilities = Vec::with_capacity(self.models.len());
         for (j, m) in self.models.iter().enumerate() {
             probabilities.push(
@@ -424,7 +379,6 @@ impl Predictor {
                     .map_err(|_| CoreError::NotTrained)?,
             );
         }
-        self.record_batch_size(probabilities.len());
         Ok(probabilities)
     }
 }
@@ -459,8 +413,8 @@ mod tests {
         let mut p = Predictor::new(ModelKind::default(), 3);
         let q = p.train(&kb_two_steps()).unwrap();
         assert!(q.accuracy > 0.9, "accuracy {}", q.accuracy);
-        assert_eq!(p.predict(&[9.0, 0.0]).unwrap(), vec![true, false]);
-        assert_eq!(p.predict(&[0.0, 5.0]).unwrap(), vec![false, true]);
+        assert_eq!(p.predict_all(&[9.0, 0.0]).unwrap(), vec![true, false]);
+        assert_eq!(p.predict_all(&[0.0, 5.0]).unwrap(), vec![false, true]);
         assert!(p.predict_step(0, &[9.0, 0.0]).unwrap());
         assert!(p.last_build_time().is_some());
     }
@@ -471,11 +425,7 @@ mod tests {
     /// the tree re-grown alone on that materialised sample with its own
     /// derived seed, every row the sample never names scored by that tree,
     /// and each row's mean vote cut at the kind's threshold.
-    fn out_of_bag_reference(
-        kind: &ModelKind,
-        seed: u64,
-        view: &smartflux_ml::Dataset,
-    ) -> ConfusionMatrix {
+    fn out_of_bag_reference(kind: &ModelKind, seed: u64, view: &Dataset) -> ConfusionMatrix {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use smartflux_ml::DecisionTree;
@@ -519,10 +469,9 @@ mod tests {
         let kind = ModelKind::default();
         let mut p = Predictor::new(kind.clone(), 3);
         let quality = p.train(&kb).unwrap();
-        let data = kb.to_dataset().unwrap();
         let mut pooled = ConfusionMatrix::default();
         for j in 0..2 {
-            let view = Predictor::label_view(&data, j).unwrap();
+            let view = kb.label_dataset(j).unwrap();
             let seed = 3 + j as u64;
             let mut alone = kind.build(seed);
             alone.fit(&view).unwrap();
@@ -570,7 +519,7 @@ mod tests {
     #[test]
     fn untrained_prediction_fails() {
         let p = Predictor::new(ModelKind::default(), 0);
-        assert!(matches!(p.predict(&[1.0]), Err(CoreError::NotTrained)));
+        assert!(matches!(p.predict_all(&[1.0]), Err(CoreError::NotTrained)));
         assert!(!p.is_trained());
     }
 
@@ -601,7 +550,7 @@ mod tests {
         recallish.train(&kb).unwrap();
         let fires = |p: &Predictor| {
             (0..12)
-                .filter(|&i| p.predict(&[i as f64]).unwrap()[0])
+                .filter(|&i| p.predict_all(&[i as f64]).unwrap()[0])
                 .count()
         };
         assert!(fires(&recallish) >= fires(&balanced));

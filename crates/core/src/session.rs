@@ -196,11 +196,16 @@ impl SmartFluxSession {
     ///
     /// # Errors
     ///
-    /// Propagates workflow failures; fails if training does not converge
-    /// within the configured extensions.
+    /// Propagates workflow failures, and returns
+    /// [`CoreError::TrainingUnfinished`] with the waves this call ran once
+    /// no model could be built after every training extension
+    /// ([`QodEngine::training_exhausted`]).
     pub fn run_training(&mut self) -> Result<u64, CoreError> {
         let mut ran = 0;
         while matches!(self.phase(), Phase::Training { .. }) {
+            if self.engine.with(QodEngine::training_exhausted) {
+                return Err(CoreError::TrainingUnfinished { waves: ran });
+            }
             self.run_wave()?;
             ran += 1;
         }
@@ -637,12 +642,11 @@ mod tests {
         let config = EngineConfig::new()
             .with_training_waves(20)
             .with_quality_gates(1.0, 1.0) // unattainable on noise
-            .with_training_extensions(2, 10)
             .with_seed(3);
         let mut s = SmartFluxSession::new(wf, store, config).unwrap();
         let ran = s.run_training().unwrap();
-        // 20 initial + 2 extensions × 10.
-        assert_eq!(ran, 40);
+        // 20 initial + 3 extensions × 50.
+        assert_eq!(ran, 170);
         assert_eq!(s.phase(), Phase::Application);
         assert!(
             !s.engine().with(|e| e.quality_met()),

@@ -2,13 +2,13 @@
 //! they replaced.
 //!
 //! For random put/delete sequences the metric value obtained by streaming a
-//! [`Monitor`] change set must equal — `==` on the f64 bits — the value
+//! store change set (`DataStore::stream_changes`) must equal — `==` on the f64 bits — the value
 //! obtained from `DataStore::snapshot` + `Snapshot::diff` +
 //! [`MetricKind::evaluate`] against a snapshot kept since the same mark.
 //! Covered: deletes, delete-then-re-add at the same value, fresh inserts,
 //! categorical values, a family watcher overlapping two column watchers,
 //! two trackers with independent marks on one container, a store populated
-//! before the monitor attaches, every built-in metric plus custom metrics
+//! before the sets open, every built-in metric plus custom metrics
 //! reading the previous-state sum and the element count, and both
 //! accumulation modes.
 //!
@@ -20,7 +20,7 @@
 //! that covers most of its container) — all still bit-equal to the snapshot
 //! diff, whose `BTreeMap` order is the `(row, qualifier)` order itself.
 //!
-//! A third aims at the finger the monitor finds a written cell's slot with
+//! A third aims at the finger the store finds a written cell's slot with
 //! (the slot after the previous write's, then the same one, then a hash):
 //! waves that rewrite the same cells in the order they were first written,
 //! reversed, or two cells turn about, with deletes and never-seen keys
@@ -39,8 +39,8 @@ use std::thread;
 
 use proptest::prelude::*;
 
-use smartflux::{AccumulationMode, MetricContext, MetricFn, MetricKind, Monitor, TrackerId};
-use smartflux_datastore::{ContainerRef, DataStore, Snapshot, Value};
+use smartflux::{AccumulationMode, MetricContext, MetricFn, MetricKind};
+use smartflux_datastore::{ContainerRef, DataStore, Snapshot, Value, WatchList};
 
 const ROWS: [&str; 5] = ["r0", "r1", "r2", "r3", "r4"];
 const QUALIFIERS: [&str; 3] = ["a", "b", "c"];
@@ -71,7 +71,6 @@ fn kinds() -> Vec<MetricKind> {
         MetricKind::RelativeImpact,
         MetricKind::RelativeError,
         MetricKind::MeanRelative,
-        MetricKind::NetDrift,
         MetricKind::Rmse { scale: 2.0 },
         custom(|s, ctx| {
             s.sum_abs_delta * s.modified
@@ -159,7 +158,8 @@ struct Reference {
 /// The change-set tracker, with the previous-state sum kept the way the
 /// engine keeps it: one ordered fold over the container at every mark.
 struct Tracked {
-    id: TrackerId,
+    /// Its change set's number in the case's watch list.
+    change_set: usize,
     container: ContainerRef,
     previous_state_sum: f64,
     accumulated: Vec<f64>,
@@ -176,13 +176,23 @@ fn reference_values(store: &DataStore, t: &Reference, kinds: &[MetricKind]) -> (
     )
 }
 
-fn tracked_values(monitor: &Monitor, t: &Tracked, kinds: &[MetricKind]) -> (usize, Vec<f64>) {
+/// Streams change set `t` into `metric`, as the engine does; returns `n`.
+fn stream(store: &DataStore, list: WatchList, t: &Tracked, metric: &mut dyn MetricFn) -> usize {
+    store.stream_changes(list, t.change_set, |new, old| metric.update(new, old))
+}
+
+fn tracked_values(
+    store: &DataStore,
+    list: WatchList,
+    t: &Tracked,
+    kinds: &[MetricKind],
+) -> (usize, Vec<f64>) {
     let mut total = 0;
     let values = kinds
         .iter()
         .map(|k| {
             let mut metric = k.instantiate();
-            total = monitor.stream_changes(t.id, metric.as_mut());
+            total = stream(store, list, t, metric.as_mut());
             metric.compute(&MetricContext::new(total, t.previous_state_sum))
         })
         .collect();
@@ -209,9 +219,9 @@ impl MetricFn for Recorder {
     }
 }
 
-fn mark(store: &DataStore, monitor: &Monitor, r: &mut Reference, t: &mut Tracked) {
+fn mark(store: &DataStore, list: WatchList, r: &mut Reference, t: &mut Tracked) {
     r.baseline = store.snapshot(&r.container).unwrap();
-    monitor.mark(t.id);
+    store.mark_changes(list, t.change_set, Vec::new());
     t.previous_state_sum = store
         .fold_cells(&t.container, -0.0, |sum, _, _, v| {
             v.as_f64().map_or(sum, |x| sum + x)
@@ -221,7 +231,7 @@ fn mark(store: &DataStore, monitor: &Monitor, r: &mut Reference, t: &mut Tracked
 
 fn assert_same(
     store: &DataStore,
-    monitor: &Monitor,
+    list: WatchList,
     mode: AccumulationMode,
     refs: &[Reference],
     tracked: &[Tracked],
@@ -230,13 +240,13 @@ fn assert_same(
 ) {
     for (slot, (r, t)) in refs.iter().zip(tracked).enumerate() {
         let (ref_total, ref_values) = reference_values(store, r, kinds);
-        let (new_total, new_values) = tracked_values(monitor, t, kinds);
+        let (new_total, new_values) = tracked_values(store, list, t, kinds);
         assert_eq!(
             new_total, ref_total,
             "element count, tracker {slot} at step {at}"
         );
         let mut streamed = Recorder::default();
-        monitor.stream_changes(t.id, &mut streamed);
+        stream(store, list, t, &mut streamed);
         let listed: Vec<_> = store
             .snapshot(&r.container)
             .unwrap()
@@ -278,8 +288,10 @@ struct Universe<'a> {
 
 /// Two independently marked trackers over the family `t/f`, one per column
 /// over two of its three qualifiers, each beside the snapshot-holding
-/// reference marked at the same (empty) state.
-fn trackers(monitor: &Monitor, kinds: &[MetricKind]) -> (Vec<Reference>, Vec<Tracked>) {
+/// reference marked at the same (empty) state: change sets 0–3 of a watch
+/// list opened in `store` now.
+fn trackers(store: &DataStore, kinds: &[MetricKind]) -> (WatchList, Vec<Reference>, Vec<Tracked>) {
+    let list = store.watch_list();
     let family = ContainerRef::family("t", "f");
     let containers = [
         family.clone(),
@@ -297,14 +309,18 @@ fn trackers(monitor: &Monitor, kinds: &[MetricKind]) -> (Vec<Reference>, Vec<Tra
         .collect();
     let tracked = containers
         .iter()
-        .map(|c| Tracked {
-            id: monitor.track(c.clone()),
-            container: c.clone(),
-            previous_state_sum: -0.0,
-            accumulated: vec![0.0; kinds.len()],
+        .enumerate()
+        .map(|(change_set, c)| {
+            store.watch(list, c, Some(change_set));
+            Tracked {
+                change_set,
+                container: c.clone(),
+                previous_state_sum: -0.0,
+                accumulated: vec![0.0; kinds.len()],
+            }
         })
         .collect();
-    (refs, tracked)
+    (list, refs, tracked)
 }
 
 fn run_case(steps: &[Step], universe: Universe<'_>, prepopulated: usize, mode: AccumulationMode) {
@@ -341,43 +357,41 @@ fn run_case(steps: &[Step], universe: Universe<'_>, prepopulated: usize, mode: A
         apply(at, step);
     }
 
-    let monitor = Monitor::new();
-    let (mut refs, mut tracked) = trackers(&monitor, &kinds);
-    monitor.attach(&store);
+    let (list, mut refs, mut tracked) = trackers(&store, &kinds);
 
-    assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, 0);
+    assert_same(&store, list, mode, &refs, &tracked, &kinds, 0);
     for (at, step) in steps.iter().enumerate().skip(prepopulated) {
         let (kind, .., which) = *step;
         match kind {
             // The tracked step "executes": its baseline restarts here.
             10 => {
-                assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, at);
+                assert_same(&store, list, mode, &refs, &tracked, &kinds, at);
                 let (r, t) = (&mut refs[which], &mut tracked[which]);
                 if mode == AccumulationMode::Cancel {
-                    mark(&store, &monitor, r, t);
+                    mark(&store, list, r, t);
                 }
                 r.accumulated.fill(0.0);
                 t.accumulated.fill(0.0);
             }
             // A wave ends: under Accumulate every mark rolls forward.
             11 => {
-                assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, at);
+                assert_same(&store, list, mode, &refs, &tracked, &kinds, at);
                 if mode == AccumulationMode::Accumulate {
                     for (r, t) in refs.iter_mut().zip(&mut tracked) {
                         let (_, ref_values) = reference_values(&store, r, &kinds);
-                        let (_, new_values) = tracked_values(&monitor, t, &kinds);
+                        let (_, new_values) = tracked_values(&store, list, t, &kinds);
                         for k in 0..kinds.len() {
                             r.accumulated[k] += ref_values[k];
                             t.accumulated[k] += new_values[k];
                         }
-                        mark(&store, &monitor, r, t);
+                        mark(&store, list, r, t);
                     }
                 }
             }
             _ => apply(at, step),
         }
     }
-    assert_same(&store, &monitor, mode, &refs, &tracked, &kinds, steps.len());
+    assert_same(&store, list, mode, &refs, &tracked, &kinds, steps.len());
 }
 
 proptest! {
@@ -501,23 +515,22 @@ fn delete_then_readd_at_the_same_value_is_invisible() {
     let c = ContainerRef::family("t", "f");
     store.ensure_container(&c).unwrap();
     store.put("t", "f", "r", "q", Value::from(5.0)).unwrap();
-    let monitor = Monitor::new();
-    let tracker = monitor.track(c);
-    monitor.attach(&store);
-    monitor.mark(tracker);
+    let list = store.watch_list();
+    store.watch(list, &c, Some(0));
+    store.mark_changes(list, 0, Vec::new());
 
-    let magnitude = |monitor: &Monitor| {
+    let magnitude = |store: &DataStore| {
         let mut m = MetricKind::Magnitude.instantiate();
-        let total = monitor.stream_changes(tracker, m.as_mut());
+        let total = store.stream_changes(list, 0, |new, old| m.update(new, old));
         (total, m.compute(&MetricContext::new(total, 5.0)))
     };
     store.delete("t", "f", "r", "q").unwrap();
-    assert_eq!(magnitude(&monitor), (1, 5.0));
+    assert_eq!(magnitude(&store), (1, 5.0));
     store.put("t", "f", "r", "q", Value::from(5.0)).unwrap();
-    assert_eq!(magnitude(&monitor), (1, 0.0));
+    assert_eq!(magnitude(&store), (1, 0.0));
     store.delete("t", "f", "r", "q").unwrap();
     store.put("t", "f", "r", "q", Value::from(6.0)).unwrap();
-    assert_eq!(magnitude(&monitor), (1, 1.0));
+    assert_eq!(magnitude(&store), (1, 1.0));
 }
 
 /// One writer thread's share of a round: `ops` writes drawn from `seed`
@@ -565,9 +578,7 @@ fn concurrent_writers_leave_change_sets_equal_to_snapshot_diffs() {
         store
             .ensure_container(&ContainerRef::family("t", "f"))
             .unwrap();
-        let monitor = Monitor::new();
-        let (mut refs, mut tracked) = trackers(&monitor, &kinds);
-        monitor.attach(&store);
+        let (list, mut refs, mut tracked) = trackers(&store, &kinds);
         for round in 0..ROUNDS {
             thread::scope(|scope| {
                 for w in 0..WRITERS {
@@ -578,7 +589,7 @@ fn concurrent_writers_leave_change_sets_equal_to_snapshot_diffs() {
             let at = round as usize;
             assert_same(
                 &store,
-                &monitor,
+                list,
                 AccumulationMode::Cancel,
                 &refs,
                 &tracked,
@@ -586,7 +597,7 @@ fn concurrent_writers_leave_change_sets_equal_to_snapshot_diffs() {
                 at,
             );
             let which = (seed + round) as usize % refs.len();
-            mark(&store, &monitor, &mut refs[which], &mut tracked[which]);
+            mark(&store, list, &mut refs[which], &mut tracked[which]);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The write path allocates nothing per tracked and observed cell.
 //!
 //! Interception "costs next to nothing" (paper §5.3) only while nothing on
-//! the write path copies a key: the store folds the write into a tracking
-//! `Monitor`'s change set under its write guard (a cell seen before reuses
+//! the write path copies a key: the store folds the write into a watch
+//! list's change set under its write guard (a cell seen before reuses
 //! its slot and its change), it builds no event, the WAL capture reads the
 //! borrowed notification in place, and only an observer that asks for an
 //! owned `WriteEvent` pays for one. A counting
@@ -27,7 +27,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use smartflux::{DurabilityOptions, Monitor, SyncPolicy};
+use smartflux::{DurabilityOptions, SyncPolicy};
 use smartflux_datastore::{ContainerRef, DataStore, FamilyHandle, ScanFilter, Value, WriteEvent};
 use smartflux_durability::DurabilityManager;
 
@@ -163,14 +163,12 @@ fn an_observed_overwriting_put_allocates_nothing() {
         2 * ROWS as u64
     );
 
-    // Tracked by a Monitor, whose change set the store folds the write
-    // into, and observed by the WAL capture, which reads the borrowed event
-    // in place.
+    // Tracked by a change set, which the store folds the write into, and
+    // observed by the WAL capture, which reads the borrowed event in place.
     let store = DataStore::new();
     store.ensure_container(&container).unwrap();
-    let monitor = Monitor::new();
-    let tracker = monitor.track(container);
-    monitor.attach(&store);
+    let changes = store.watch_list();
+    store.watch(changes, &container, Some(0));
     let dir = std::env::temp_dir().join(format!("smartflux-put-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let wal =
@@ -180,7 +178,7 @@ fn an_observed_overwriting_put_allocates_nothing() {
     // moves, the batch is committed. Warm-up grows the change set and the
     // capture buffer to their steady size.
     let end_wave = |wave: u64| {
-        monitor.mark(tracker);
+        store.mark_changes(changes, 0, Vec::new());
         wal.commit_wave(wave, store.clock()).unwrap();
     };
     for wave in 0..8 {

@@ -222,7 +222,7 @@ fn assert_reports_waves_and_store_traffic(session: &mut SmartFluxSession, clock_
         .expect("wave latency histogram exists");
     assert_eq!(waves.count, session.executed_waves());
     let steps = snap
-        .histogram(names::STEP_LATENCY)
+        .histogram(names::STEP_TOTAL_LATENCY)
         .expect("step latency histogram exists");
     assert!(steps.count > 0);
     assert!(snap.counter(names::STEPS_EXECUTED) > 0);
@@ -339,7 +339,7 @@ fn store_writes_of_a_recovered_session_start_at_its_checkpoint() {
 /// Trace events one LRB wave may emit per step and per step attempt. A
 /// wave's spans are its root, one `wms.step_total` and one
 /// `wms.step_attempt` per executed step and attempt, the engine's impact,
-/// predict (with its `ml.predict_ns`), error and baseline-reset spans per
+/// predict, error and baseline-reset spans per
 /// QoD step, its end-of-wave span and, on the last training wave, the
 /// build: at seed 17 at most 48 for 9 steps and 9 attempts, however many
 /// cells the steps write.

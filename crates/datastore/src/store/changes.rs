@@ -7,7 +7,7 @@
 //! value it held at the mark and its latest value. The fold runs in apply
 //! order whatever the number of writers, and it is the store's own code:
 //! nothing foreign runs under the guard on a write. A client (the
-//! `Monitor`) keeps its watches and change sets in a [`WatchList`].
+//! engine) keeps its watches and change sets in a [`WatchList`].
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -642,6 +642,152 @@ mod tests {
         assert_eq!(streamed(&store, list, 0), (0, Vec::new()));
         assert_eq!(streamed(&store, WatchList(7), 0), (0, Vec::new()));
         assert_eq!(store.watched_writes(WatchList(7), &family), 0);
+    }
+
+    fn store_with(containers: &[&ContainerRef]) -> DataStore {
+        let store = DataStore::new();
+        for container in containers {
+            store.ensure_container(container).unwrap();
+        }
+        store
+    }
+
+    fn num(v: f64) -> Option<Value> {
+        Some(Value::from(v))
+    }
+
+    #[test]
+    fn a_column_counts_only_its_qualifier_and_overlapping_containers_both_count() {
+        let family = ContainerRef::family("t", "f");
+        let (a, b) = (
+            ContainerRef::column("t", "f", "a"),
+            ContainerRef::column("t", "f", "b"),
+        );
+        let other = ContainerRef::family("t", "other");
+        let store = store_with(&[&family, &other]);
+        let list = store.watch_list();
+        for container in [&family, &a, &b] {
+            store.watch(list, container, None);
+        }
+        store.put("t", "f", "r", "a", Value::from(1.0)).unwrap();
+        store.put("t", "f", "r", "a", Value::from(4.0)).unwrap();
+        store.put("t", "f", "r", "c", Value::from(1.0)).unwrap();
+        store.put("t", "other", "r", "a", Value::from(1.0)).unwrap();
+        assert_eq!(store.watched_writes(list, &family), 3);
+        assert_eq!(store.watched_writes(list, &a), 2);
+        assert_eq!(store.watched_writes(list, &b), 0);
+        assert_eq!(store.watched_writes(list, &other), 0, "not watched");
+    }
+
+    #[test]
+    fn a_duplicate_watch_is_one_watch() {
+        let family = ContainerRef::family("t", "f");
+        let store = store_with(&[&family]);
+        let list = store.watch_list();
+        store.watch(list, &family, None);
+        store.watch(list, &family, Some(0));
+        store.watch(list, &family, None);
+        store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
+        assert_eq!(store.watched_writes(list, &family), 1);
+        assert_eq!(store.lock_read().changes.entries.len(), 1);
+        assert_eq!(streamed(&store, list, 0), (1, vec![(num(1.0), None)]));
+    }
+
+    #[test]
+    fn cells_stored_when_a_set_opens_count_as_inserted() {
+        let family = ContainerRef::family("t", "f");
+        let store = store_with(&[&family]);
+        let list = store.watch_list();
+        store.watch(list, &family, None);
+        for row in 0..10 {
+            let value = Value::from(f64::from(row));
+            store.put("t", "f", &format!("r{row}"), "q", value).unwrap();
+        }
+        store.watch(list, &family, Some(0));
+        let (n, inserted) = streamed(&store, list, 0);
+        assert_eq!(n, 10);
+        let expected: Vec<_> = (0..10).map(|row| (num(f64::from(row)), None)).collect();
+        assert_eq!(inserted, expected);
+        store.mark_changes(list, 0, Vec::new());
+        assert_eq!(streamed(&store, list, 0), (10, Vec::new()));
+        store.put("t", "f", "r3", "q", Value::from(7.0)).unwrap();
+        assert_eq!(streamed(&store, list, 0), (10, vec![(num(7.0), num(3.0))]));
+    }
+
+    #[test]
+    fn sets_over_one_container_mark_independently() {
+        let family = ContainerRef::family("t", "f");
+        let store = store_with(&[&family]);
+        let list = store.watch_list();
+        store.watch(list, &family, Some(0));
+        store.watch(list, &family, Some(1));
+        store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
+        store.mark_changes(list, 1, Vec::new());
+        store.put("t", "f", "r", "q", Value::from(4.0)).unwrap();
+        assert_eq!(streamed(&store, list, 0), (1, vec![(num(4.0), None)]));
+        assert_eq!(streamed(&store, list, 1), (1, vec![(num(4.0), num(1.0))]));
+        // A removed cell still counts towards `n` when it was there at the
+        // mark; one inserted since the mark and removed again is no change.
+        store.delete("t", "f", "r", "q").unwrap();
+        assert_eq!(streamed(&store, list, 1), (1, vec![(None, num(1.0))]));
+        assert_eq!(streamed(&store, list, 0), (0, Vec::new()));
+    }
+
+    #[test]
+    fn a_change_set_survives_visit_then_mark_restore() {
+        let family = ContainerRef::family("t", "f");
+        let store = store_with(&[&family]);
+        let list = store.watch_list();
+        store.watch(list, &family, Some(0));
+        store.put("t", "f", "b", "q", Value::from(1.0)).unwrap();
+        store.mark_changes(list, 0, Vec::new());
+        store.put("t", "f", "b", "q", Value::from(2.0)).unwrap();
+        store.put("t", "f", "a", "q", Value::from(7.0)).unwrap();
+        let mut visited = Vec::new();
+        store.visit_changes(list, 0, |row, qualifier, at_mark, latest| {
+            visited.push((
+                row.to_owned(),
+                qualifier.to_owned(),
+                at_mark.cloned(),
+                latest.cloned(),
+            ));
+        });
+        let change = |row: &str, at_mark, latest| (row.to_owned(), "q".to_owned(), at_mark, latest);
+        assert_eq!(
+            visited,
+            [change("a", None, num(7.0)), change("b", num(1.0), num(2.0))]
+        );
+
+        // A fresh list over the same store, as recovery builds one.
+        let restored = store.watch_list();
+        store.watch(restored, &family, Some(0));
+        store.mark_changes(restored, 0, visited);
+        let expected = (2, vec![(num(7.0), None), (num(2.0), num(1.0))]);
+        assert_eq!(streamed(&store, list, 0), expected);
+        assert_eq!(streamed(&store, restored, 0), expected);
+    }
+
+    #[test]
+    fn attribution_stays_exact_over_many_containers() {
+        let store = DataStore::new();
+        let list = store.watch_list();
+        for i in 0..50 {
+            let family = ContainerRef::family("t", format!("f{i}"));
+            store.ensure_container(&family).unwrap();
+            store.watch(list, &family, None);
+            store.watch(list, &ContainerRef::column("t", format!("f{i}"), "q"), None);
+        }
+        store.put("t", "f7", "r", "q", Value::from(3.0)).unwrap();
+        store
+            .put("t", "f7", "r", "other", Value::from(1.0))
+            .unwrap();
+        for i in 0..50 {
+            let family = ContainerRef::family("t", format!("f{i}"));
+            let column = ContainerRef::column("t", format!("f{i}"), "q");
+            let hit = u64::from(i == 7);
+            assert_eq!(store.watched_writes(list, &family), 2 * hit, "f{i}");
+            assert_eq!(store.watched_writes(list, &column), hit, "f{i}:q");
+        }
     }
 
     mod finger {

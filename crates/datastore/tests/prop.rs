@@ -319,7 +319,7 @@ struct BatchRun {
 }
 
 /// Applies `ops` to a fresh store whose containers are tracked by a watch
-/// list, as a `Monitor` tracks them: each batch through one `put_many`
+/// list, as the engine tracks them: each batch through one `put_many`
 /// on a handle or, as the reference, as in-order one-shot `put`s.
 #[allow(deprecated)] // op observers are kept for the end-to-end benchmark
 fn run_batch_ops(ops: &[BatchOp], batched: bool) -> BatchRun {

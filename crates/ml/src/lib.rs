@@ -5,10 +5,10 @@
 //! (§3.2 adopts Random Forest as the learning approach), plus the
 //! supporting machinery:
 //!
-//! - [`Dataset`] / [`MultiLabelDataset`] containers (the MEKA role —
-//!   binary relevance, one classifier per label — is played by
-//!   `smartflux::Predictor`, which fits one [`RandomForest`] per
-//!   `MultiLabelDataset` label);
+//! - the [`Dataset`] container (the MEKA role — binary relevance, one
+//!   classifier per label — is played by `smartflux::Predictor`, which
+//!   fits one [`RandomForest`] per label on a `Dataset` the knowledge base
+//!   builds for it);
 //! - evaluation [`metrics`]: accuracy, precision, recall, F1, ROC AUC;
 //! - [`crossval::build_forests`], which fits a model build's forests side
 //!   by side on one pool of workers, each assessed by its out-of-bag votes
@@ -51,7 +51,7 @@ mod pool;
 mod tree;
 
 pub use arena::TreeArena;
-pub use dataset::{Dataset, MultiLabelDataset};
+pub use dataset::Dataset;
 pub use error::MlError;
 pub use forest::RandomForest;
 pub use tree::DecisionTree;

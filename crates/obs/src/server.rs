@@ -248,7 +248,6 @@ pub fn preregister(telemetry: &Telemetry) {
         names::STORE_SHARD_READ_CONTENTION,
         names::STORE_SHARD_WRITE_CONTENTION,
         names::STORE_QUIESCES,
-        names::ML_BATCH_SIZE,
         names::ML_MODEL_BUILD_MS,
         names::QOD_MODEL_AGE_WAVES,
         names::NET_ACTIVE_CONNECTIONS,
@@ -260,7 +259,6 @@ pub fn preregister(telemetry: &Telemetry) {
     }
     for name in [
         names::WAVE_LATENCY,
-        names::STEP_LATENCY,
         names::STEP_TOTAL_LATENCY,
         names::STEP_ATTEMPT_LATENCY,
         names::IMPACT_LATENCY,
@@ -269,7 +267,6 @@ pub fn preregister(telemetry: &Telemetry) {
         names::END_WAVE_LATENCY,
         names::PREDICT_LATENCY,
         names::TRAIN_LATENCY,
-        names::ML_PREDICT_LATENCY,
         names::ML_FIT_LATENCY,
         names::CHECKPOINT_WRITE_LATENCY,
         names::CHECKPOINT_CAPTURE_LATENCY,

@@ -271,8 +271,6 @@ impl Telemetry {
 pub mod names {
     /// Wall-clock latency of one full wave (`Scheduler::run_wave`).
     pub const WAVE_LATENCY: &str = "wms.wave";
-    /// Latency of one step execution.
-    pub const STEP_LATENCY: &str = "wms.step";
     /// End-to-end latency of one step's run under its retry budget
     /// (every attempt, retries included); the step-level trace span.
     pub const STEP_TOTAL_LATENCY: &str = "wms.step_total";
@@ -308,18 +306,12 @@ pub mod names {
     pub const PREDICT_LATENCY: &str = "engine.predict";
     /// Latency of one model (re)build, including its out-of-bag test phase.
     pub const TRAIN_LATENCY: &str = "engine.train";
-    /// Latency of one ML-kernel inference pass (the flat-forest walk
-    /// itself, excluding engine bookkeeping around the query).
-    pub const ML_PREDICT_LATENCY: &str = "ml.predict_ns";
     /// Latency of one ML-kernel fit batch: one forest per label fitted
     /// side by side on one pool of workers — in a training phase's build
     /// with each forest's out-of-bag votes collected as it grows, in a
     /// recovery refit without. [`TRAIN_LATENCY`] adds the engine's
     /// bookkeeping around a training build.
     pub const ML_FIT_LATENCY: &str = "ml.fit_ns";
-    /// Labels answered by the latest prediction pass (1 for per-step
-    /// queries, the label count for whole-vector `predict_all` passes).
-    pub const ML_BATCH_SIZE: &str = "ml.batch_size";
     /// Wall-clock milliseconds the latest model build took: the per-label
     /// fits and their out-of-bag test phase (0 before the first build and
     /// after a recovery, which restores models unbuilt).

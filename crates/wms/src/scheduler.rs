@@ -1,7 +1,6 @@
 //! The wave-based scheduler.
 
 use std::panic::AssertUnwindSafe;
-use std::time::{Duration, Instant};
 
 use smartflux_datastore::DataStore;
 use smartflux_telemetry::{names, Telemetry};
@@ -39,9 +38,8 @@ impl WaveOutcome {
 
 /// The result of driving one step through its retry budget.
 struct StepExecution {
-    /// Final result: busy time on success, the last attempt's error on
-    /// exhaustion.
-    outcome: Result<Duration, StepError>,
+    /// Final result: the last attempt's error on exhaustion.
+    outcome: Result<(), StepError>,
     /// Total attempts performed (1 = succeeded first try or no retries).
     attempts: u32,
 }
@@ -86,12 +84,9 @@ fn run_step_with_retry(
 /// One attempt on the calling thread. A panicking step becomes a
 /// [`StepError`] so it fails its wave through the normal retry/abort
 /// lifecycle instead of tearing down the scheduler.
-fn attempt_inline(implementation: &dyn Step, ctx: &StepContext) -> Result<Duration, StepError> {
-    // tidy:allow(time): measures step latency for ExecutionStats;
-    // reported, never replayed
-    let start = Instant::now();
+fn attempt_inline(implementation: &dyn Step, ctx: &StepContext) -> Result<(), StepError> {
     match std::panic::catch_unwind(AssertUnwindSafe(|| implementation.execute(ctx))) {
-        Ok(Ok(())) => Ok(start.elapsed()),
+        Ok(Ok(())) => Ok(()),
         Ok(Err(source)) => Err(source),
         Err(_) => Err(StepError::msg("step panicked")),
     }
@@ -254,9 +249,9 @@ impl Scheduler {
             };
             self.record_retries(step, exec.attempts);
             match exec.outcome {
-                Ok(elapsed) => {
+                Ok(()) => {
                     self.stats.record_execution(step);
-                    self.note_executed(elapsed);
+                    self.count(names::STEPS_EXECUTED, 1);
                     self.ever_executed[step.index()] = true;
                     outcome.executed.push(step);
                     self.policy.step_completed(wave, step, &self.workflow);
@@ -318,15 +313,6 @@ impl Scheduler {
             let retries = u64::from(attempts - 1);
             self.stats.record_retries(step, retries);
             self.count(names::STEP_RETRIES, retries);
-        }
-    }
-
-    fn note_executed(&self, elapsed: std::time::Duration) {
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .histogram(names::STEP_LATENCY)
-                .record(elapsed);
-            self.telemetry.counter(names::STEPS_EXECUTED).incr();
         }
     }
 
@@ -611,10 +597,7 @@ mod tests {
         // Waves 1-2 run both steps; waves 3-4 skip `c`.
         assert_eq!(snap.counter(names::STEPS_EXECUTED), 6);
         assert_eq!(snap.counter(names::STEPS_SKIPPED), 2);
-        assert_eq!(snap.histogram(names::STEP_LATENCY).unwrap().count, 6);
-        assert!(snap.histogram(names::STEP_LATENCY).unwrap().p95_ns > 0);
-        // The step/attempt spans record alongside the legacy histogram:
-        // 6 executions, each a single attempt.
+        // The step and attempt spans: 6 executions, each a single attempt.
         assert_eq!(snap.histogram(names::STEP_TOTAL_LATENCY).unwrap().count, 6);
         assert_eq!(
             snap.histogram(names::STEP_ATTEMPT_LATENCY).unwrap().count,

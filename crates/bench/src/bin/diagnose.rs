@@ -96,7 +96,7 @@ fn run_json(args: &Args) {
         ));
         let _ = std::fs::remove_dir_all(&state_dir);
         let mut config = wl
-            .engine_config(args.bound)
+            .engine_config()
             .with_telemetry(true)
             .with_durability(DurabilityOptions::new(&state_dir));
         let journal =
@@ -204,7 +204,7 @@ fn run_serve(args: &ServeArgs) {
         std::env::temp_dir().join(format!("smartflux-serve-state-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state_dir);
     let config = Workload::Lrb
-        .engine_config(args.bound)
+        .engine_config()
         .with_telemetry(true)
         .with_training_waves(args.training)
         .with_durability(DurabilityOptions::new(&state_dir));
@@ -442,7 +442,7 @@ fn main() {
         // SmartFlux run with full diagnostics.
         let report = wl.evaluate_policy(
             bound,
-            EvalPolicy::SmartFlux(Box::new(wl.engine_config(bound))),
+            EvalPolicy::SmartFlux(Box::new(wl.engine_config())),
             wl.application_waves(),
         );
         println!(

@@ -19,7 +19,7 @@ fn main() {
         let mut saved = Vec::new();
         let mut conf = Vec::new();
         for &seed in &seeds {
-            let mut config = wl.engine_config(bound);
+            let mut config = wl.engine_config();
             config.seed = seed;
             // Vary the feed seed as well as the model seed.
             let report = match wl {

@@ -38,7 +38,7 @@ fn run_with(workload: Workload, config: EngineConfig, label: &str) -> Ablation {
 /// Runs every ablation of one workload at the 5% bound.
 #[must_use]
 pub fn ablate(workload: Workload) -> Vec<Ablation> {
-    let baseline = workload.engine_config(0.05);
+    let baseline = workload.engine_config();
     let mut out = vec![run_with(workload, baseline.clone(), "calibrated-default")];
 
     // 1. Accumulate mode instead of Cancel (no error cancellation).

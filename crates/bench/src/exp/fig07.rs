@@ -30,7 +30,7 @@ pub fn collect(workload: Workload) -> Vec<StepCorrelation> {
     let bound = 0.20;
     let report = workload.evaluate_policy(
         bound,
-        EvalPolicy::SmartFlux(Box::new(workload.engine_config(bound))),
+        EvalPolicy::SmartFlux(Box::new(workload.engine_config())),
         1, // training diagnostics are what we need
     );
     let engine = report.engine.expect("smartflux run provides the engine");

@@ -39,20 +39,20 @@ fn training_sizes(workload: Workload) -> Vec<usize> {
 pub fn collect_log(workload: Workload, bound: f64) -> KnowledgeBase {
     let max_train = *training_sizes(workload).last().expect("non-empty sizes");
     let test_len = workload.application_waves() as usize;
-    let mut config = workload.engine_config(bound);
+    let mut config = workload.engine_config();
     config.training_waves = max_train + test_len;
     let report = workload.evaluate_policy(bound, EvalPolicy::SmartFlux(Box::new(config)), 1);
     let engine = report.engine.expect("smartflux run provides the engine");
     engine.with(|e| e.knowledge_base().clone())
 }
 
-/// Computes the learning curve for one (workload, bound) pair.
+/// Computes the learning curve over one (workload, bound) pair's log.
 ///
 /// # Panics
 ///
 /// Panics if the log is shorter than the largest training size plus one.
 #[must_use]
-pub fn learning_curve(workload: Workload, bound: f64, log: &KnowledgeBase) -> Vec<CurvePoint> {
+pub fn learning_curve(workload: Workload, log: &KnowledgeBase) -> Vec<CurvePoint> {
     let sizes = training_sizes(workload);
     let max_train = *sizes.last().expect("non-empty sizes");
     assert!(log.len() > max_train, "log too short: {}", log.len());
@@ -69,7 +69,7 @@ pub fn learning_curve(workload: Workload, bound: f64, log: &KnowledgeBase) -> Ve
                     .append(row.wave, row.impacts.clone(), row.must_execute.clone())
                     .expect("schema matches");
             }
-            let mut predictor = Predictor::new(workload.engine_config(bound).model, 17);
+            let mut predictor = Predictor::new(workload.engine_config().model, 17);
             predictor.train(&train_kb).expect("training succeeds");
 
             let actual: Vec<Vec<bool>> = test_rows.iter().map(|r| r.must_execute.clone()).collect();
@@ -96,7 +96,7 @@ pub fn run() {
         let mut csv = Vec::new();
         for bound in BOUNDS {
             let log = collect_log(wl, bound);
-            let curve = learning_curve(wl, bound, &log);
+            let curve = learning_curve(wl, &log);
             println!("\n{} bound {}:", wl.id(), pct(bound));
             println!(
                 "  {:>8} {:>9} {:>10} {:>7}",

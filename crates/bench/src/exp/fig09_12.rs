@@ -43,7 +43,7 @@ pub fn run_workload(workload: Workload) -> Vec<BoundRun> {
         .map(|&bound| {
             let smartflux = workload.evaluate_policy(
                 bound,
-                EvalPolicy::SmartFlux(Box::new(workload.engine_config(bound))),
+                EvalPolicy::SmartFlux(Box::new(workload.engine_config())),
                 waves,
             );
             let oracle = workload.evaluate_policy(bound, EvalPolicy::Oracle, waves);

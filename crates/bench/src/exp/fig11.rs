@@ -27,7 +27,7 @@ pub fn compare(workload: Workload) -> Vec<PolicyResult> {
     let policies: Vec<(String, EvalPolicy)> = vec![
         (
             "smartflux".into(),
-            EvalPolicy::SmartFlux(Box::new(workload.engine_config(bound))),
+            EvalPolicy::SmartFlux(Box::new(workload.engine_config())),
         ),
         ("random".into(), EvalPolicy::Random { seed: 23 }),
         ("seq2".into(), EvalPolicy::EveryN { n: 2 }),

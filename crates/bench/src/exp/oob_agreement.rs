@@ -13,17 +13,17 @@
 //! Each estimate gets the gate verdict at the default gates (accuracy 0.7,
 //! recall 0.8); one row per step, plus the pooled row the engine gates on.
 
-use smartflux::{CoreError, EngineConfig, ImpactCombiner, ModelKind, QodSpec, SmartFluxSession};
+use smartflux::{CoreError, EngineConfig, ModelKind, SmartFluxSession};
 use smartflux_datastore::{ContainerRef, DataStore, Value};
 use smartflux_ml::crossval::{build_forests, cross_validate, ForestBuild};
 use smartflux_ml::metrics::ConfusionMatrix;
 use smartflux_ml::RandomForest;
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 use smartflux_workloads::aqhi::AqhiFactory;
-use smartflux_workloads::lrb::{self, LrbFactory};
+use smartflux_workloads::lrb::LrbFactory;
 use smartflux_workloads::pagerank::PagerankFactory;
 
-use crate::{heading, write_csv};
+use crate::{heading, write_csv, Workload};
 
 /// Error bound every flow runs at: wavebench's, the paper's tightest.
 const BOUND: f64 = 0.05;
@@ -67,36 +67,25 @@ impl Flow {
 
     /// The flow's wavebench engine configuration: fixed-length training at
     /// the workload's length, gates off, the workload's forest and specs.
+    /// LRB and AQHI take the headline settings of [`Workload`].
     #[must_use]
     pub fn engine_config(self, seed: u64) -> EngineConfig {
-        let training_waves = match self {
-            Flow::Lrb => 1000,
-            Flow::Aqhi => 768,
-            Flow::Pagerank => 336,
-            Flow::Ramp => 256,
+        let fixed_length = |training_waves| {
+            EngineConfig::new()
+                .with_training_waves(training_waves)
+                .with_quality_gates(0.0, 0.0)
         };
-        let config = EngineConfig::new()
-            .with_training_waves(training_waves)
-            .with_quality_gates(0.0, 0.0)
-            .with_seed(seed);
-        match self {
-            Flow::Lrb => config
-                .with_model(ModelKind::recall_optimised())
-                .with_step_spec("classify", lrb::classify_qod_spec()),
-            Flow::Aqhi => config
-                .with_model(ModelKind::RandomForest {
-                    trees: 100,
-                    max_depth: 12,
-                    threshold: 0.35,
-                })
-                .with_default_spec(QodSpec::default().with_combiner(ImpactCombiner::Max)),
-            Flow::Pagerank => config.with_model(ModelKind::RandomForest {
+        let config = match self {
+            Flow::Lrb => Workload::Lrb.engine_config(),
+            Flow::Aqhi => Workload::Aqhi.engine_config(),
+            Flow::Pagerank => fixed_length(336).with_model(ModelKind::RandomForest {
                 trees: 60,
                 max_depth: 12,
                 threshold: 0.4,
             }),
-            Flow::Ramp => config,
-        }
+            Flow::Ramp => fixed_length(256),
+        };
+        config.with_seed(seed)
     }
 
     /// The flow's workflow over `store`, its inputs seeded with `seed`.

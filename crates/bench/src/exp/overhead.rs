@@ -160,7 +160,7 @@ pub fn measure(workload: Workload, waves: u64) -> OverheadReport {
     // knowledge-base logging on top of synchronous execution.
     let store = DataStore::new();
     let wf = workload.factory(bound).build(&store);
-    let mut config = workload.engine_config(bound);
+    let mut config = workload.engine_config();
     config.training_waves = waves as usize;
     let engine =
         QodEngine::from_workflow(&wf, store.clone(), config).expect("workloads declare QoD steps");
@@ -178,7 +178,7 @@ pub fn measure(workload: Workload, waves: u64) -> OverheadReport {
     // Application phase: run a training prologue, then time adaptive waves.
     let store = DataStore::new();
     let wf = workload.factory(bound).build(&store);
-    let mut config = workload.engine_config(bound);
+    let mut config = workload.engine_config();
     config.training_waves = waves as usize;
     let engine =
         QodEngine::from_workflow(&wf, store.clone(), config).expect("workloads declare QoD steps");

@@ -73,7 +73,7 @@ pub fn collect_kb(workload: Workload) -> KnowledgeBase {
     let bound = 0.10;
     let report = workload.evaluate_policy(
         bound,
-        EvalPolicy::SmartFlux(Box::new(workload.engine_config(bound))),
+        EvalPolicy::SmartFlux(Box::new(workload.engine_config())),
         1,
     );
     let engine = report.engine.expect("smartflux run provides the engine");

@@ -24,7 +24,7 @@ fn lrb_run(with_obs: bool, training: usize, waves: u64) -> Duration {
     let store = smartflux_datastore::DataStore::new();
     let workflow = Workload::Lrb.factory(0.10).build(&store);
     let config = Workload::Lrb
-        .engine_config(0.10)
+        .engine_config()
         .with_telemetry(true)
         .with_training_waves(training);
     let mut session = SmartFluxSession::new(workflow, store, config).expect("LRB declares QoD");

@@ -1,4 +1,7 @@
-//! Engine configuration.
+//! Engine configuration: the training window, quality gates, model, QoD
+//! specs, an optional training set given beforehand, telemetry and
+//! durability. Retraining has no setting here; it is requested through
+//! [`SmartFluxSession::request_training`](crate::SmartFluxSession::request_training).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -48,13 +51,10 @@ pub struct EngineConfig {
     /// A training set "given beforehand" (§3.2): when present and matching
     /// the workflow's QoD steps, the engine trains on it immediately and
     /// starts in the application phase, skipping the synchronous training
-    /// phase entirely.
+    /// phase entirely. It is built with [`KnowledgeBase::append`] or taken
+    /// from another session's
+    /// [`knowledge_base`](crate::SmartFluxSession::knowledge_base).
     pub initial_knowledge: Option<KnowledgeBase>,
-    /// Periodic retraining (§3.1: the training and test phases "can be
-    /// performed either regularly from time to time or on-demand"): after
-    /// this many application waves the engine automatically starts a fresh
-    /// training phase. `None` disables the schedule.
-    pub retraining_interval: Option<u64>,
     /// Whether the unified telemetry subsystem (metrics registry, spans,
     /// wave-decision journal) is live. Disabled by default: every
     /// instrumentation site then costs a single relaxed atomic load.
@@ -90,7 +90,6 @@ impl Default for EngineConfig {
             default_spec: QodSpec::default(),
             per_step_specs: HashMap::new(),
             initial_knowledge: None,
-            retraining_interval: None,
             telemetry_enabled: false,
             journal_path: None,
             durability: None,
@@ -169,19 +168,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_initial_knowledge(mut self, kb: KnowledgeBase) -> Self {
         self.initial_knowledge = Some(kb);
-        self
-    }
-
-    /// Schedules automatic retraining every `interval` application waves
-    /// (§3.1's "regularly from time to time").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn with_retraining_interval(mut self, interval: u64) -> Self {
-        assert!(interval > 0, "retraining interval must be positive");
-        self.retraining_interval = Some(interval);
         self
     }
 

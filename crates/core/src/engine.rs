@@ -195,8 +195,8 @@ pub struct QodEngine {
     diagnostics: Diagnostics,
     training_extensions_used: usize,
     quality_met: bool,
-    /// Application waves run since the last (re)training, for the periodic
-    /// retraining schedule.
+    /// Application waves run since the last (re)training: the model's age,
+    /// reported as `qod.model_age_waves`.
     application_waves_since_training: u64,
     /// Graceful degradation: QoD steps forced back to synchronous (always
     /// trigger) execution because they — or an upstream step — failed.
@@ -508,7 +508,8 @@ impl QodEngine {
 
     /// Requests a fresh training phase of `waves` waves starting at the next
     /// wave — the paper's on-demand retraining "useful if data patterns
-    /// start to change suddenly".
+    /// start to change suddenly". It is the one retraining trigger: §3.1's
+    /// "regularly from time to time" is this call on the caller's schedule.
     ///
     /// Training measures each step's output error against its last
     /// execution, which is what the step's output containers hold now. The
@@ -1184,12 +1185,6 @@ impl TriggerPolicy for QodEngine {
                     training: false,
                 });
                 self.application_waves_since_training += 1;
-                if let Some(interval) = self.config.retraining_interval {
-                    if self.application_waves_since_training >= interval {
-                        // §3.1: retrain "regularly from time to time".
-                        self.request_training(wave + 1, self.config.training_waves);
-                    }
-                }
             }
         }
         self.durability_commit(wave);

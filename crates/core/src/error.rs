@@ -32,29 +32,6 @@ pub enum CoreError {
         /// Knowledge-base rows the forests were fitted on.
         rows: usize,
     },
-    /// A knowledge-base CSV field is not what its column holds: a wave that
-    /// is not an unsigned integer, an impact that is not a finite number, or
-    /// a label that is not exactly `0` or `1`.
-    MalformedCsv {
-        /// 1-based line of the field (the header is line 1).
-        line: usize,
-        /// 1-based column of the field.
-        column: usize,
-        /// What the column expected.
-        expected: &'static str,
-    },
-    /// The trained model failed the test-phase quality gates even after the
-    /// allowed training extensions.
-    QualityGateFailed {
-        /// Achieved accuracy.
-        accuracy: f64,
-        /// Achieved recall.
-        recall: f64,
-        /// Required accuracy.
-        min_accuracy: f64,
-        /// Required recall.
-        min_recall: f64,
-    },
     /// No model could be built from what the workload produced, even
     /// after every training extension
     /// ([`QodEngine::training_exhausted`](crate::QodEngine::training_exhausted)).
@@ -102,24 +79,6 @@ impl fmt::Display for CoreError {
             CoreError::EmptyTestPhase { rows } => write!(
                 f,
                 "test phase scored no example: every tree drew all {rows} training rows"
-            ),
-            CoreError::MalformedCsv {
-                line,
-                column,
-                expected,
-            } => write!(
-                f,
-                "knowledge-base CSV line {line}, column {column}: expected {expected}"
-            ),
-            CoreError::QualityGateFailed {
-                accuracy,
-                recall,
-                min_accuracy,
-                min_recall,
-            } => write!(
-                f,
-                "model quality below gates: accuracy {accuracy:.3} (min {min_accuracy:.3}), \
-                 recall {recall:.3} (min {min_recall:.3})"
             ),
             CoreError::TrainingUnfinished { waves } => {
                 write!(f, "training did not finish within {waves} waves")

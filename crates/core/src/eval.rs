@@ -160,15 +160,6 @@ impl EvalReport {
             .map(|w| running.record(w.compliant))
             .collect()
     }
-
-    /// Fraction of waves where the bound was violated.
-    #[must_use]
-    pub fn violation_rate(&self) -> f64 {
-        if self.waves.is_empty() {
-            return 0.0;
-        }
-        self.waves.iter().filter(|w| !w.compliant).count() as f64 / self.waves.len() as f64
-    }
 }
 
 /// The oracle policy: consults the synchronous twin for the true error a
@@ -514,7 +505,7 @@ mod tests {
         assert!((report.normalized_executions() - 1.0 / 3.0).abs() < 0.05);
         // Skipped waves deviate from the synchronous truth.
         assert!(report.waves.iter().any(|w| w.measured_error > 0.0));
-        assert!(report.violation_rate() > 0.0);
+        assert!(report.confidence.violations() > 0);
     }
 
     #[test]
@@ -526,7 +517,7 @@ mod tests {
             MetricKind::RelativeError,
         )
         .unwrap();
-        assert_eq!(report.violation_rate(), 0.0, "oracle must be perfect");
+        assert_eq!(report.confidence.violations(), 0, "oracle must be perfect");
         assert!(
             report.normalized_executions() < 1.0,
             "the drifting feed is slow enough to allow savings"

@@ -277,7 +277,8 @@ impl SmartFluxSession {
 
     /// Requests on-demand retraining for `waves` waves starting at the next
     /// wave (§3.1: "on-demand, useful if data patterns start to change
-    /// suddenly").
+    /// suddenly"). Retraining "regularly from time to time" is this call on
+    /// the caller's own schedule.
     pub fn request_training(&mut self, waves: usize) {
         let next = self.scheduler.next_wave();
         self.engine.with_mut(|e| e.request_training(next, waves));

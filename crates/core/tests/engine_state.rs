@@ -272,11 +272,19 @@ fn session(config: EngineConfig) -> SmartFluxSession {
     SmartFluxSession::new(workflow(&store), store, config).unwrap()
 }
 
-/// Runs `session` through [`TOTAL_WAVES`]: its diagnostics from here on,
-/// and the store (cells, timestamps, clock) it ends with.
-fn finish(session: &mut SmartFluxSession) -> (Vec<WaveDiagnostics>, StoreState) {
+/// What a run does to its session ahead of each wave, besides running it.
+type Hook = fn(&mut SmartFluxSession);
+
+/// A run that only runs waves.
+fn no_hook(_: &mut SmartFluxSession) {}
+
+/// Runs `session` through [`TOTAL_WAVES`], calling `hook` ahead of each
+/// wave: its diagnostics from here on, and the store (cells, timestamps,
+/// clock) it ends with.
+fn finish(session: &mut SmartFluxSession, hook: Hook) -> (Vec<WaveDiagnostics>, StoreState) {
     let from = session.scheduler().next_wave();
     while session.scheduler().next_wave() <= TOTAL_WAVES {
+        hook(session);
         session.run_wave().unwrap();
     }
     let tail = session
@@ -347,15 +355,22 @@ fn model_print(engine: &SharedEngine) -> ModelPrint {
 /// schedule: the resumed run must make the uninterrupted run's decisions
 /// on the same impact bits and end on its store bytes and clock. Returns
 /// the checkpointing and the recovered predictors, as the recovered one
-/// stood before its first wave.
-fn kill_and_recover(config: &EngineConfig, checkpoint: u64, what: &str) -> [ModelPrint; 2] {
-    let reference = finish(&mut session(config.clone()));
+/// stood before its first wave. Every run calls `hook` ahead of each of
+/// its waves.
+fn kill_and_recover(
+    config: &EngineConfig,
+    checkpoint: u64,
+    what: &str,
+    hook: Hook,
+) -> [ModelPrint; 2] {
+    let reference = finish(&mut session(config.clone()), hook);
     assert_eq!(reference.0.len() as u64, TOTAL_WAVES, "{what}");
 
     let dir = tmp_dir(what);
     let config = durable(config.clone(), &dir);
     let mut doomed = session(config.clone());
     while doomed.scheduler().next_wave() <= checkpoint {
+        hook(&mut doomed);
         doomed.run_wave().unwrap();
     }
     assert!(doomed.checkpoint().unwrap(), "{what}");
@@ -367,7 +382,7 @@ fn kill_and_recover(config: &EngineConfig, checkpoint: u64, what: &str) -> [Mode
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(resumed.scheduler().next_wave(), checkpoint + 1, "{what}");
     let refit = model_print(&resumed.engine());
-    let (trail, store) = finish(&mut resumed);
+    let (trail, store) = finish(&mut resumed, hook);
     assert_eq!(
         bits(&trail),
         bits(&reference.0[checkpoint as usize..]),
@@ -384,7 +399,7 @@ fn recovery_refits_the_predictor_the_uninterrupted_run_used() {
 
     // (a) The application phase: the refit forests are the checkpointing
     // engine's, node for node.
-    let [live, refit] = kill_and_recover(&base, CHECKPOINT_WAVE, "application");
+    let [live, refit] = kill_and_recover(&base, CHECKPOINT_WAVE, "application", no_hook);
     assert_eq!(live.forests.len(), 2, "one forest per QoD step");
     assert_eq!(refit, live, "application: refit predictor");
 
@@ -394,23 +409,29 @@ fn recovery_refits_the_predictor_the_uninterrupted_run_used() {
     let mut donor = session(base.clone());
     donor.run_waves(30).unwrap();
     let given = base.clone().with_initial_knowledge(donor.knowledge_base());
-    let [live, refit] = kill_and_recover(&given, 15, "initial-knowledge");
+    let [live, refit] = kill_and_recover(&given, 15, "initial-knowledge", no_hook);
     assert_eq!(live.forests.len(), 2);
     assert_eq!(refit, live, "initial knowledge: refit predictor");
 
     // (b) Mid-retraining: application waves 26–35, then a fresh training
-    // phase whose knowledge base no longer holds the rows the live model
-    // was fit on. The recovered predictor stays untrained — nothing
-    // consults it before that phase ends and rebuilds it — and the run
-    // still ends where the uninterrupted one does.
-    let retraining = base.clone().with_retraining_interval(10);
-    let [live, refit] = kill_and_recover(&retraining, 45, "retraining");
+    // phase (waves 36–60), requested ahead of wave 36 in every run, whose
+    // knowledge base no longer holds the rows the live model was fit on.
+    // The checkpoint at wave 45 falls inside it. The recovered predictor
+    // stays untrained — nothing consults it before that phase ends and
+    // rebuilds it — and the run still ends where the uninterrupted one
+    // does.
+    let retrain_before_wave_36: Hook = |s| {
+        if s.scheduler().next_wave() == 36 {
+            s.request_training(25);
+        }
+    };
+    let [live, refit] = kill_and_recover(&base, 45, "retraining", retrain_before_wave_36);
     assert_eq!(live.forests.len(), 2, "the live model outlives its rows");
     assert!(refit.forests.is_empty() && refit.probabilities.is_empty());
     assert_eq!(refit.quality, live.quality);
 
     // (e) The first training phase, before any model exists.
-    let [live, refit] = kill_and_recover(&base, 13, "first-training");
+    let [live, refit] = kill_and_recover(&base, 13, "first-training", no_hook);
     assert!(live.quality.is_none());
     assert_eq!(refit, live);
 }

@@ -9,7 +9,7 @@
 //! # Data model
 //!
 //! The store follows the BigTable/HBase model: a [`DataStore`] holds named
-//! [`Table`]s; each table holds named *column families*; each family maps a
+//! tables; each table holds named *column families*; each family maps a
 //! row key to a set of *column qualifiers*; each `(row, qualifier)` slot is a
 //! cell holding its current [`Value`] and the [`Timestamp`] of the write that
 //! put it there. The paper keeps the previous state next to the current one
@@ -108,5 +108,5 @@ pub use scan::{RowScan, ScanFilter};
 pub use snapshot::{SlotChange, Snapshot, SnapshotDiff};
 pub use state::{CellState, FamilyState, StoreState, TableState};
 pub use store::{DataStore, FamilyHandle, ShardStats, WatchList};
-pub use table::{ColumnFamily, Row, Table};
+pub use table::{ColumnFamily, Row};
 pub use value::Value;

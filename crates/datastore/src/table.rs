@@ -1,4 +1,4 @@
-//! Tables, column families and rows.
+//! Column families and rows.
 //!
 //! This is the only file that knows how rows and cells are laid out. A
 //! continuous workflow asks for the cells the previous wave asked for, in
@@ -7,7 +7,6 @@
 //! previous lookup ended (DESIGN.md §11).
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use crate::cell::Timestamp;
@@ -207,12 +206,6 @@ impl ColumnFamily {
         self.row_mut(key).put(qualifier, value, ts)
     }
 
-    /// Removes an entire row, returning it.
-    pub fn delete_row(&mut self, key: &str) -> Option<Row> {
-        let at = self.find(key).ok()?;
-        Some(self.rows.remove(at).1)
-    }
-
     /// Removes a single cell; drops the row if it becomes empty.
     pub fn delete_cell(&mut self, key: &str, qualifier: &str) -> Option<Value> {
         let at = self.find(key).ok()?;
@@ -245,52 +238,6 @@ impl ColumnFamily {
     #[must_use]
     pub fn cell_count(&self) -> usize {
         self.rows.iter().map(|(_, row)| row.len()).sum()
-    }
-}
-
-/// A table: a set of named column families.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Table {
-    families: BTreeMap<String, ColumnFamily>,
-}
-
-impl Table {
-    /// Creates a table with no column families.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the family named `name`, if present.
-    #[must_use]
-    pub fn family(&self, name: &str) -> Option<&ColumnFamily> {
-        self.families.get(name)
-    }
-
-    /// Adds an empty family; returns `false` if it already existed.
-    pub fn add_family(&mut self, name: &str) -> bool {
-        if self.families.contains_key(name) {
-            return false;
-        }
-        self.families.insert(name.to_owned(), ColumnFamily::new());
-        true
-    }
-
-    /// Returns `true` if a family named `name` exists.
-    #[must_use]
-    pub fn has_family(&self, name: &str) -> bool {
-        self.families.contains_key(name)
-    }
-
-    /// Iterates `(family name, family)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &ColumnFamily)> {
-        self.families.iter().map(|(n, f)| (n.as_str(), f))
-    }
-
-    /// Names of all column families, in order.
-    #[must_use]
-    pub fn family_names(&self) -> Vec<&str> {
-        self.families.keys().map(String::as_str).collect()
     }
 }
 
@@ -339,15 +286,6 @@ mod tests {
         fam.put_cell("a", "q2", Value::from(1.0), 1);
         fam.put_cell("b", "q1", Value::from(1.0), 1);
         assert_eq!(fam.cell_count(), 3);
-    }
-
-    #[test]
-    fn table_add_family_idempotence() {
-        let mut t = Table::new();
-        assert!(t.add_family("f"));
-        assert!(!t.add_family("f"));
-        assert!(t.has_family("f"));
-        assert_eq!(t.family_names(), vec!["f"]);
     }
 
     #[test]
@@ -428,10 +366,6 @@ mod tests {
                     .put(qualifier, value, ts)
             }
 
-            pub fn delete_row(&mut self, key: &str) -> Option<Row> {
-                self.rows.remove(key)
-            }
-
             pub fn delete_cell(&mut self, key: &str, qualifier: &str) -> Option<Value> {
                 let row = self.rows.get_mut(key)?;
                 let old = row.delete(qualifier);
@@ -471,7 +405,6 @@ mod tests {
         enum Kind {
             PutCell,
             DeleteCell,
-            DeleteRow,
             Read,
         }
 
@@ -489,7 +422,7 @@ mod tests {
                 Just(Kind::PutCell),
                 Just(Kind::PutCell),
                 Just(Kind::DeleteCell),
-                Just(Kind::DeleteRow),
+                Just(Kind::DeleteCell),
                 Just(Kind::Read),
                 Just(Kind::Read),
             ];
@@ -558,10 +491,6 @@ mod tests {
                     Kind::DeleteCell => {
                         assert_eq!(new.delete_cell(&key, &q), old.delete_cell(&key, &q));
                     }
-                    Kind::DeleteRow => assert_eq!(
-                        new.delete_row(&key).map(|row| list_row(row.iter())),
-                        old.delete_row(&key).map(|row| list_row(row.iter())),
-                    ),
                     Kind::Read => {}
                 }
                 // Reads of the row just touched (deleted, perhaps: the
@@ -609,9 +538,10 @@ mod tests {
             for key in ["a", "b", "c"] {
                 fam.put_cell(key, "q", Value::from(1.0), 1);
             }
-            // The finger is on the last row; deleting it leaves the finger
-            // past the end, and the next lookups still find what is there.
-            assert!(fam.delete_row("c").is_some());
+            // The finger is on the last row; deleting its one cell drops
+            // it and leaves the finger past the end, and the next lookups
+            // still find what is there.
+            assert_eq!(fam.delete_cell("c", "q"), Some(Value::from(1.0)));
             assert!(fam.row("c").is_none());
             assert!(fam.row("a").is_some());
             // A row's last cell goes, and the row with it, under the finger.

@@ -234,6 +234,11 @@ impl EngineHost {
         if !inner.accepting.load(Ordering::Acquire) {
             return shutting_down();
         }
+        // The config builder asserts a training window of at least one wave;
+        // a client must not be able to reach that panic.
+        if spec.training_waves == Some(0) {
+            return error_response(ErrorCode::BadFrame, "training_waves must be at least 1");
+        }
         let Some((mut config, builder)) = inner.registry.get(&spec.workload) else {
             return error_response(
                 ErrorCode::UnknownWorkload,

@@ -111,6 +111,9 @@ fn ramp_workflow(store: &DataStore) -> Workflow {
     wf
 }
 
+/// Accept workers of the test server.
+const WORKERS: usize = 4;
+
 fn start_server() -> NetServer {
     let mut registry = WorkflowRegistry::new();
     registry.register(
@@ -122,7 +125,7 @@ fn start_server() -> NetServer {
         ramp_workflow,
     );
     let host = EngineHost::new(registry, HostConfig::new(), Telemetry::disabled());
-    NetServer::start("127.0.0.1:0", host, 4).unwrap()
+    NetServer::start("127.0.0.1:0", host, WORKERS).unwrap()
 }
 
 /// Encodes `request` as one complete frame (header + payload).
@@ -381,6 +384,75 @@ fn a_damaged_batch_behind_a_fresh_crc_is_refused_whole_or_decodes() {
     server.shutdown();
 }
 
+#[test]
+fn an_open_session_damaged_at_every_body_byte_is_answered_or_refused() {
+    let server = start_server();
+    let payload = wire::encode_request(&Request::OpenSession(SessionSpec {
+        workload: "ramp".into(),
+        seed: Some(7),
+        training_waves: Some(10),
+        durable_key: None,
+        resume: true,
+    }));
+    // Every payload byte set to 0x00 and then to 0xFF, each re-framed with
+    // its own CRC so the envelope checks out.
+    let damaged = (0..payload.len()).flat_map(|at| {
+        [0x00, 0xFF].map(|byte| {
+            let mut damaged = payload.clone();
+            damaged[at] = byte;
+            (format!("byte {at} set to {byte:#04x}"), damaged)
+        })
+    });
+    let (mut refused, mut decoded) = (0, 0);
+    for (case, damaged) in damaged {
+        let mut stream = handshaken(&server);
+        let mut framed = Vec::new();
+        wire::write_frame_to(&mut framed, &damaged).unwrap();
+        stream.write_all(&framed).unwrap();
+        let reply = read_damage_reply(&mut stream);
+        match wire::decode_request(&damaged) {
+            Ok(request) => {
+                // A request the decoder accepts is answered, whatever it
+                // asks; a zero training window as a typed refusal.
+                decoded += 1;
+                let zero_window = matches!(
+                    request,
+                    Request::OpenSession(SessionSpec {
+                        training_waves: Some(0),
+                        ..
+                    })
+                );
+                match reply {
+                    Some(Response::Error {
+                        code: ErrorCode::BadFrame,
+                        ..
+                    }) if zero_window => {}
+                    Some(_) if !zero_window => {}
+                    other => panic!("{case}: {request:?} answered {other:?}"),
+                }
+            }
+            Err(_) => {
+                refused += 1;
+                match reply {
+                    Some(Response::Error {
+                        code: ErrorCode::BadFrame,
+                        ..
+                    })
+                    | None => {}
+                    other => panic!("{case}: a malformed request answered {other:?}"),
+                }
+            }
+        }
+    }
+    assert!(
+        refused > 0 && decoded > 0,
+        "{refused} refused, {decoded} decoded"
+    );
+    // No damaged request took an accept worker down with it.
+    drop(handshaken(&server));
+    server.shutdown();
+}
+
 /// The owned `SubmitWave` decode the in-place batch replaced: each key is
 /// copied into a `String` as it is read, and a non-zero `run_wave` byte is
 /// `true`.
@@ -580,5 +652,46 @@ fn client_surfaces_remote_errors_as_typed_values() {
         })
         .unwrap();
     assert_eq!(opened.next_wave, 1);
+    server.shutdown();
+}
+
+#[test]
+fn a_zero_training_window_is_refused_and_the_server_lives_on() {
+    let server = start_server();
+    let zero = SessionSpec {
+        workload: "ramp".into(),
+        training_waves: Some(0),
+        ..SessionSpec::default()
+    };
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.open_session(&zero) {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::BadFrame);
+            assert!(message.contains("training_waves"), "{message}");
+        }
+        other => panic!("expected bad-frame, got {other:?}"),
+    }
+    // The same connection opens a session with a real training window.
+    let opened = client
+        .open_session(&SessionSpec {
+            training_waves: Some(1),
+            ..zero.clone()
+        })
+        .unwrap();
+    assert_eq!(opened.next_wave, 1);
+
+    // More such requests than there are accept workers, each on its own
+    // connection: none of them costs the server a worker.
+    for _ in 0..=WORKERS {
+        let mut client = Client::connect(server.addr()).unwrap();
+        assert!(matches!(
+            client.open_session(&zero),
+            Err(NetError::Remote {
+                code: ErrorCode::BadFrame,
+                ..
+            })
+        ));
+    }
+    drop(handshaken(&server));
     server.shutdown();
 }

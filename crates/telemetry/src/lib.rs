@@ -194,12 +194,6 @@ impl Telemetry {
         *self.inner.trace.write() = sink;
     }
 
-    /// Whether a trace sink is attached (spans carry causal identity).
-    #[must_use]
-    pub fn has_trace_sink(&self) -> bool {
-        self.inner.trace.read().is_some()
-    }
-
     /// Emits a retrospective trace-only span for an operation the caller
     /// timed itself: recorded as a child of the current thread's innermost
     /// span, with its start back-dated by `elapsed`. Unlike

@@ -84,12 +84,6 @@ pub fn diurnal(wave: u64, phase_hours: f64) -> f64 {
     (radians.sin() + 1.0) / 2.0
 }
 
-/// Linear interpolation helper.
-#[must_use]
-pub fn lerp(lo: f64, hi: f64, t: f64) -> f64 {
-    lo + (hi - lo) * t.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,12 +149,5 @@ mod tests {
         assert!(midnight < 0.1);
         // 24-wave periodicity.
         assert!((diurnal(5, 0.0) - diurnal(29, 0.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_clamps() {
-        assert_eq!(lerp(0.0, 10.0, 0.5), 5.0);
-        assert_eq!(lerp(0.0, 10.0, -1.0), 0.0);
-        assert_eq!(lerp(0.0, 10.0, 2.0), 10.0);
     }
 }

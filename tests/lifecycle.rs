@@ -89,30 +89,13 @@ fn retraining_resets_the_knowledge_base() {
 }
 
 #[test]
-fn knowledge_base_exports_csv() {
-    let mut s = session(0.10, 48);
-    s.run_training().expect("training succeeds");
-    let csv = s.knowledge_base().to_csv();
-    let mut lines = csv.lines();
-    let header = lines.next().expect("has header");
-    assert!(header.starts_with("wave,impact_"));
-    assert!(header.contains("exec_index"));
-    assert_eq!(lines.count(), s.knowledge_base().len());
-}
-
-#[test]
 fn pretrained_knowledge_skips_the_training_phase() {
     // Collect a knowledge base the normal way…
     let mut donor = session(0.10, 96);
     donor.run_training().expect("training succeeds");
-    let kb = donor.knowledge_base();
-    let csv = kb.to_csv();
 
-    // …ship it as CSV and boot a fresh deployment straight into the
-    // application phase (§3.2 "Unless a training set is given beforehand").
-    let restored = smartflux::KnowledgeBase::from_csv(&csv).expect("csv parses");
-    assert_eq!(restored, kb);
-
+    // …and boot a fresh deployment on it straight into the application
+    // phase (§3.2 "Unless a training set is given beforehand").
     let factory = small_factory(0.10);
     let store = DataStore::new();
     let workflow = factory.build(&store);
@@ -125,7 +108,7 @@ fn pretrained_knowledge_skips_the_training_phase() {
         })
         .with_quality_gates(0.0, 0.0)
         .with_default_spec(spec)
-        .with_initial_knowledge(restored)
+        .with_initial_knowledge(donor.knowledge_base())
         .with_seed(5);
     let mut s = SmartFluxSession::new(workflow, store, config).expect("valid config");
     assert_eq!(s.phase(), Phase::Application, "no synchronous phase needed");
@@ -145,41 +128,4 @@ fn mismatched_initial_knowledge_is_rejected() {
     let config = EngineConfig::new().with_initial_knowledge(alien);
     let err = SmartFluxSession::new(workflow, store, config).unwrap_err();
     assert!(err.to_string().contains("per-step values"));
-}
-
-#[test]
-fn periodic_retraining_reenters_the_training_phase() {
-    let factory = small_factory(0.10);
-    let store = DataStore::new();
-    let workflow = factory.build(&store);
-    let spec = QodSpec::new().with_combiner(ImpactCombiner::Max);
-    let config = EngineConfig::new()
-        .with_training_waves(24)
-        .with_model(ModelKind::RandomForest {
-            trees: 20,
-            max_depth: 8,
-            threshold: 0.4,
-        })
-        .with_quality_gates(0.0, 0.0)
-        .with_default_spec(spec)
-        .with_retraining_interval(12) // retrain every 12 application waves
-        .with_seed(5);
-    let mut s = SmartFluxSession::new(workflow, store, config).expect("valid config");
-    s.run_training().expect("initial training succeeds");
-    assert_eq!(s.phase(), Phase::Application);
-
-    // Run past the retraining interval: the engine flips back to training
-    // by itself and, after another full training window, returns to the
-    // application phase with a fresh knowledge base.
-    s.run_waves(12).expect("application waves succeed");
-    assert!(
-        matches!(s.phase(), Phase::Training { .. }),
-        "schedule should have re-entered training"
-    );
-    s.run_training().expect("retraining succeeds");
-    assert_eq!(s.phase(), Phase::Application);
-    assert_eq!(s.knowledge_base().len(), 24, "fresh training log");
-    // The cycle repeats.
-    s.run_waves(12).expect("second application window");
-    assert!(matches!(s.phase(), Phase::Training { .. }));
 }

@@ -66,7 +66,9 @@ pub enum Phase {
 /// store's change set `change_set` in the engine's [`WatchList`]: the
 /// step's last (virtual or actual) execution under
 /// [`AccumulationMode::Cancel`], the end of the previous wave under
-/// [`AccumulationMode::Accumulate`].
+/// [`AccumulationMode::Accumulate`]. Only training reads an output's
+/// error, so the application phase pauses the outputs' change sets
+/// ([`DataStore::pause_changes`]) and a fresh training phase reopens them.
 struct Tracker {
     change_set: usize,
     container: ContainerRef,
@@ -153,6 +155,14 @@ impl Tracker {
     fn roll_wave(&mut self, store: &DataStore, list: WatchList) {
         self.accumulated += self.since_mark(store, list);
         self.mark(store, list);
+    }
+
+    /// Reopens the change set, marked at the container's current state,
+    /// with nothing accumulated: the output error of a fresh training
+    /// phase counts from here.
+    fn reopen(&mut self, store: &DataStore, list: WatchList) {
+        self.mark(store, list);
+        self.accumulated = 0.0;
     }
 }
 
@@ -338,7 +348,7 @@ impl QodEngine {
             store.watch(changes, &tracker.container, Some(tracker.change_set));
         }
 
-        Ok(Self {
+        let engine = Self {
             store,
             config,
             steps,
@@ -363,7 +373,11 @@ impl QodEngine {
             durability,
             durability_error: None,
             exported_len: Cell::new(0),
-        })
+        };
+        if engine.phase == Phase::Application {
+            engine.pause_outputs();
+        }
+        Ok(engine)
     }
 
     /// Restores an engine (and its data store) from the latest durability
@@ -513,14 +527,19 @@ impl QodEngine {
     ///
     /// Training measures each step's output error against its last
     /// execution, which is what the step's output containers hold now. The
-    /// application phase never moves the output baselines, so they restart
-    /// here instead of where the previous training phase left them.
+    /// application phase pauses the outputs' change sets, so they reopen
+    /// here, marked at the containers' current state.
     pub fn request_training(&mut self, next_wave: u64, waves: usize) {
         self.kb.clear();
         self.training_extensions_used = 0;
         self.application_waves_since_training = 0;
-        for idx in 0..self.steps.len() {
-            self.reset_output_baselines(idx);
+        for (idx, step) in self.steps.iter_mut().enumerate() {
+            let _span = self
+                .telemetry
+                .span(names::BASELINE_RESET_LATENCY, idx as u64);
+            for tracker in &mut step.outputs {
+                tracker.reopen(&self.store, self.changes);
+            }
         }
         self.phase = Phase::Training {
             until_wave: next_wave + waves as u64 - 1,
@@ -579,14 +598,30 @@ impl QodEngine {
         }
     }
 
-    /// Rolls the per-wave marks forward (Accumulate-mode bookkeeping).
+    /// Rolls the per-wave marks forward (Accumulate-mode bookkeeping):
+    /// the inputs' always, the outputs' only in training — elsewhere their
+    /// change sets are paused.
     fn roll_wave_marks(&mut self) {
+        let training = matches!(self.phase, Phase::Training { .. });
         for step in &mut self.steps {
             if step.spec.mode == AccumulationMode::Accumulate {
-                for tracker in step.inputs.iter_mut().chain(&mut step.outputs) {
+                let outputs = if training {
+                    &mut step.outputs[..]
+                } else {
+                    &mut []
+                };
+                for tracker in step.inputs.iter_mut().chain(outputs) {
                     tracker.roll_wave(&self.store, self.changes);
                 }
             }
+        }
+    }
+
+    /// Pauses every output's change set: only training reads an output's
+    /// error, and `request_training` reopens them.
+    fn pause_outputs(&self) {
+        for tracker in self.steps.iter().flat_map(|s| &s.outputs) {
+            self.store.pause_changes(self.changes, tracker.change_set);
         }
     }
 
@@ -693,6 +728,7 @@ impl QodEngine {
                 if gates_met || self.training_extensions_used >= MAX_TRAINING_EXTENSIONS {
                     self.quality_met = gates_met;
                     self.phase = Phase::Application;
+                    self.pause_outputs();
                     // Actual baselines: every step just executed (training is
                     // synchronous), so impacts restart from the current state.
                     for idx in 0..self.steps.len() {
@@ -734,7 +770,8 @@ impl QodEngine {
     /// captured: phase, knowledge base, the model kind and seed the
     /// predictor is a function of, quality flags, confidence counters, SDF
     /// fallbacks, and per tracker its accumulated value, previous-state sum
-    /// and change set. The fitted models are not: recovery refits them
+    /// and change set — empty for an output in the application phase,
+    /// whose set is paused. The fitted models are not: recovery refits them
     /// from the knowledge base (see [`import_state`](Self::import_state)).
     /// Per-wave diagnostics are reporting-only and deliberately excluded.
     #[must_use]
@@ -1011,6 +1048,11 @@ impl QodEngine {
                 self.store
                     .mark_changes(self.changes, tracker.change_set, changes);
             }
+        }
+        // An older blob may carry output changes from the application
+        // phase; restored above, they are dropped here with the pause.
+        if self.phase == Phase::Application {
+            self.pause_outputs();
         }
         self.failed_this_wave = false;
         self.deferred_this_wave = 0;

@@ -505,3 +505,45 @@ fn a_blob_the_config_cannot_refit_is_refused_and_changes_nothing() {
     target.with_mut(|e| e.import_state(&training)).unwrap();
     assert_eq!(target.with(QodEngine::export_state), training);
 }
+
+#[test]
+fn an_application_blob_with_output_changes_decodes_and_drops_them() {
+    // What a writer that kept folding outputs after training left: an
+    // application-phase blob whose output change sets are not empty. Made
+    // here from a wave-24 training blob (Cancel mode, so every set holds
+    // the changes since its step's last virtual execution), its phase tag
+    // flipped and its `until_wave` dropped.
+    let store = DataStore::new();
+    let (early, mut scheduler) = stand_up(&store, AccumulationMode::Cancel);
+    run(&mut scheduler, 24);
+    let training = early.with(QodEngine::export_state);
+    let older = reframed(&training, |body| {
+        assert_eq!(body[0], 0, "a training-phase tag");
+        [&[1u8][..], &body[9..]].concat()
+    });
+
+    let restore = |blob: &[u8]| {
+        let copy = DataStore::from_state(store.export_state()).unwrap();
+        let (engine, mut scheduler) = stand_up(&copy, AccumulationMode::Cancel);
+        engine.with_mut(|e| e.import_state(blob)).unwrap();
+        scheduler.resume(25);
+        (engine, scheduler)
+    };
+    let (from_older, mut older_run) = restore(&older);
+    assert_eq!(from_older.with(QodEngine::phase), Phase::Application);
+    // The output sets are paused on import: the engine re-exports them
+    // empty, and that blob restores the same engine.
+    let current = from_older.with(QodEngine::export_state);
+    assert!(current.len() < older.len(), "output changes were dropped");
+    let (from_current, mut current_run) = restore(&current);
+    assert_eq!(from_current.with(QodEngine::export_state), current);
+
+    // Application decisions never read an output set: both runs agree.
+    run(&mut older_run, 20);
+    run(&mut current_run, 20);
+    assert_eq!(bits(&tail(&from_older, 25)), bits(&tail(&from_current, 25)));
+    assert_eq!(
+        older_run.store().export_state(),
+        current_run.store().export_state()
+    );
+}

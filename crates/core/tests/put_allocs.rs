@@ -12,13 +12,17 @@
 //! out to the caller — a text is not copied on the way — and a new cell asks
 //! for its qualifier key plus, when the row's cell vector is full, that
 //! vector's growth (it doubles, so one request in a while, not one a cell).
-//! The same holds through a `FamilyHandle` — resolving one, an observed
-//! overwriting `put`, a `get_f64` and a whole-family `for_each_row` request no
-//! heap, which is the point of reading rows in place: `scan` of the same
-//! family makes some 1 200 requests to hand back three numbers a row. A
-//! `put_many` of the whole wave asks for one buffer when observed and none
-//! otherwise. The allocator is process-wide, hence a test binary of its own
-//! with a single test.
+//! The same holds through a `FamilyHandle` — resolving one and an observed
+//! overwriting `put` request no heap — and a `put_many` of the whole wave
+//! asks for one buffer when observed and none otherwise. Reading is free
+//! too: a `DataStore::read` scope over three families that reads every
+//! cell, by row and by walk, requests no heap, which is the point of reading
+//! rows in place: `scan` of one family makes some 1 200 requests to hand
+//! back three numbers a row. And a step attempt's `StepContext` borrows the
+//! store and the step's name, so a wave asks the heap for nothing per step
+//! it runs. The allocator is process-wide, hence a test binary of its own;
+//! it counts each thread's requests apart, so its tests may run side by
+//! side.
 
 #![allow(deprecated)] // the WAL capture is the store-level one, kept for benchmark/
 
@@ -30,6 +34,7 @@ use std::sync::Arc;
 use smartflux::{DurabilityOptions, SyncPolicy};
 use smartflux_datastore::{ContainerRef, DataStore, FamilyHandle, ScanFilter, Value, WriteEvent};
 use smartflux_durability::DurabilityManager;
+use smartflux_wms::{FnStep, GraphBuilder, Scheduler, StepContext, SynchronousPolicy, Workflow};
 
 /// Forwards to the system allocator, counting this thread's requests.
 struct Counting;
@@ -213,25 +218,38 @@ fn an_observed_overwriting_put_allocates_nothing() {
     assert_eq!(wal.pending_ops() as u64, CELLS);
     end_wave(9);
 
-    // Reading in place: a numeric get, and the whole family row by row.
+    // Reading in place, under one guard: three families, every cell read
+    // by key (a whole row found once) and every row walked.
+    for other in ["g", "h"] {
+        store.create_family("t", other).unwrap();
+        let cells = wave_cells(&rows, 3);
+        store.family("t", other).unwrap().put_many(cells).unwrap();
+    }
+    end_wave(9);
     let mut sum = 0.0;
-    let gets = requests_during(|| {
-        for row in &rows {
-            sum += family.get_f64(row, "speed").unwrap().unwrap_or(0.0);
-        }
-    });
-    let visit = requests_during(|| {
-        family
-            .for_each_row(|_, row| {
-                for qualifier in QUALIFIERS {
-                    sum -= row.f64(qualifier).unwrap_or(0.0);
+    let scope = requests_during(|| {
+        store.read(|r| {
+            for name in ["f", "g", "h"] {
+                let family = r.family("t", name).unwrap();
+                for row in &rows {
+                    let cells = family.row(row);
+                    sum += QUALIFIERS
+                        .iter()
+                        .map(|q| cells.f64(q).unwrap_or(0.0))
+                        .sum::<f64>();
+                    sum += family.get_f64(row, "speed").unwrap_or(0.0);
                 }
-            })
-            .unwrap();
+                for (_, row) in family.rows() {
+                    for qualifier in QUALIFIERS {
+                        sum -= row.f64(qualifier).unwrap_or(0.0);
+                    }
+                }
+            }
+        });
     });
-    assert_eq!((gets, visit), (0, 0));
-    assert!(sum < 0.0);
-    // What the visitor replaces: `scan` copies a key, a column vector and
+    assert_eq!(scope, 0);
+    assert!(sum > 0.0);
+    // What reading in place replaces: `scan` copies a key, a column vector and
     // three qualifiers per row (plus the growth of the result vector).
     let scan = requests_during(|| {
         let rows = store.scan("t", "f", &ScanFilter::all()).unwrap();
@@ -258,4 +276,31 @@ fn an_observed_overwriting_put_allocates_nothing() {
     assert!(kept.load(Ordering::Relaxed) > 0);
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A no-op step: it asks the heap for nothing itself.
+fn idle(_: &StepContext) -> Result<(), smartflux_wms::StepError> {
+    Ok(())
+}
+
+#[test]
+fn a_step_attempt_builds_its_context_without_the_heap() {
+    let store = DataStore::new();
+    let mut graph = GraphBuilder::new("idle");
+    let steps: Vec<_> = (0..4)
+        .map(|i| graph.add_step(format!("a-step-with-a-long-name-{i}")))
+        .collect();
+    let mut workflow = Workflow::new(graph.build().unwrap());
+    for step in steps {
+        workflow.bind(step, FnStep::new(idle)).source();
+    }
+    let mut scheduler = Scheduler::new(workflow, store.clone(), Box::new(SynchronousPolicy));
+    scheduler.run_wave().unwrap();
+    // Four attempts, four contexts: the wave's one request is the list of
+    // the steps it ran, in its outcome.
+    let wave = requests_during(|| {
+        let outcome = scheduler.run_wave().unwrap();
+        assert_eq!(outcome.executed.len(), 4);
+    });
+    assert_eq!(wave, 1);
 }

@@ -82,24 +82,43 @@ impl DataStore {
     /// each with an equal share of the duration to op observers — unless
     /// none is registered, in which case nothing is measured at all.
     pub(crate) fn timed<T>(&self, op: OpKind, count: usize, op_body: impl FnOnce() -> T) -> T {
+        let start = self.op_clock();
+        let out = op_body();
+        self.report_ops(start, &[(op, count)]);
+        out
+    }
+
+    /// The start of a run of operations to report, when an op observer is
+    /// registered to hear of them.
+    pub(crate) fn op_clock(&self) -> Option<Instant> {
         if self.op_observer_count.load(Ordering::Relaxed) == 0 {
-            return op_body();
+            return None;
         }
         // tidy:allow(time): measures op latency for registered observers;
         // reported, never replayed
-        let start = Instant::now();
-        let out = op_body();
-        let elapsed = start.elapsed() / u32::try_from(count.max(1)).unwrap_or(u32::MAX);
+        Some(Instant::now())
+    }
+
+    /// Reports `ops` — `(kind, count)` — that ran since `start`, each with
+    /// an equal share of the time, to the op observers: none when `start`
+    /// is `None`.
+    pub(crate) fn report_ops(&self, start: Option<Instant>, ops: &[(OpKind, usize)]) {
+        let Some(start) = start else {
+            return;
+        };
+        let total: usize = ops.iter().map(|&(_, count)| count).sum();
+        let elapsed = start.elapsed() / u32::try_from(total.max(1)).unwrap_or(u32::MAX);
         // Snapshot first so the observer-bus guard is released before any
         // callback runs: an observer that (un)registers an observer or
         // touches the store again must not deadlock on the bus lock.
         let observers = self.op_observers.read().snapshot();
-        for _ in 0..count {
-            for obs in observers.iter() {
-                obs.on_op(op, elapsed);
+        for &(op, count) in ops {
+            for _ in 0..count {
+                for obs in observers.iter() {
+                    obs.on_op(op, elapsed);
+                }
             }
         }
-        out
     }
 
     /// Writes a cell with an explicit timestamp, without advancing the

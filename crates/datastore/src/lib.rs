@@ -43,24 +43,24 @@
 //! single atomic logical clock, ticked inside the write guard, ordering all
 //! writes. Every operation takes the guard once; change sets are folded
 //! under it, and observers run after it is released, so they may call back
-//! into the store. The closures that [`DataStore::fold_cells`],
-//! [`FamilyHandle::for_each_row`] and [`DataStore::stream_changes`] take
-//! run *under* the guard and must not: a write from inside one deadlocks.
+//! into the store. The closures that [`DataStore::read`],
+//! [`DataStore::fold_cells`] and [`DataStore::stream_changes`] take run
+//! *under* the guard and must not: a write from inside one deadlocks.
 //! [`DataStore::shard_stats`] exposes the lock's contention counters. See
 //! `DESIGN.md` §11 for the full model.
 //!
-//! # Family handles
+//! # Reading and writing a step's families
 //!
-//! Every operation is addressed by `(table, family)` names, HBase-client
-//! style. A step that reads or writes hundreds of cells of one family in a
-//! row resolves it once with [`DataStore::family`]: the [`FamilyHandle`]'s
-//! `put` / `delete` / `get` / `get_f64` / `for_each_row` are the same
-//! routines minus the name lookup — same guard per call, same timestamps,
-//! same [`WriteRef`]s — and read rows in place instead of copying them out.
-//! Its `put_many` writes a step's cells of the family, built beforehand,
-//! under one guard: the same ticks, folds and [`WriteRef`]s as that many
-//! `put`s in order, for one lock round trip (`DESIGN.md` §11 "Family
-//! handles").
+//! Every one-shot operation is addressed by `(table, family)` names,
+//! HBase-client style, and takes the guard once. A step reads everything
+//! it needs inside one [`DataStore::read`] scope — one read guard, any
+//! family resolved by name under it, cells and rows read in place through
+//! a [`FamilyView`] — and then writes. It resolves each family it writes
+//! once with [`DataStore::family`]: the [`FamilyHandle`]'s `put` / `delete`
+//! are the one-shots minus the name lookup, and its `put_many` writes a
+//! step's cells of the family, built beforehand, under one guard: the same
+//! ticks, folds and [`WriteRef`]s as that many `put`s in order, for one
+//! lock round trip (`DESIGN.md` §11 "Family handles").
 //!
 //! # Example
 //!
@@ -107,6 +107,6 @@ pub use observer::{ObserverHandle, OpKind, WriteEvent, WriteKind, WriteObserver,
 pub use scan::{RowScan, ScanFilter};
 pub use snapshot::{SlotChange, Snapshot, SnapshotDiff};
 pub use state::{CellState, FamilyState, StoreState, TableState};
-pub use store::{DataStore, FamilyHandle, ShardStats, WatchList};
+pub use store::{DataStore, FamilyHandle, FamilyView, RowView, ShardStats, StoreView, WatchList};
 pub use table::{ColumnFamily, Row};
 pub use value::Value;

@@ -28,14 +28,16 @@ use crate::observer::{ObserverBus, ObserverHandle, OpKind, WriteKind, WriteObser
 use crate::scan::{RowScan, ScanFilter};
 use crate::snapshot::Snapshot;
 use crate::state::{CellState, FamilyState, StoreState, TableState};
-use crate::table::{ColumnFamily, Row};
+use crate::table::ColumnFamily;
 use crate::value::Value;
 
 mod changes;
 mod handle;
+mod view;
 
 pub use changes::WatchList;
 pub use handle::FamilyHandle;
+pub use view::{FamilyView, RowView, StoreView};
 
 /// Everything the store holds, behind its one lock.
 #[derive(Default)]
@@ -446,25 +448,64 @@ impl DataStore {
         row: &str,
         qualifier: &str,
     ) -> Result<Option<Value>, StoreError> {
-        self.read_cell(&addr(table, family), row, qualifier, |v| v.cloned())
-    }
-
-    /// One `get` on the family at `at`: runs `f` on the cell's current
-    /// value in place, under the read guard, and returns what it kept.
-    fn read_cell<T>(
-        &self,
-        at: &FamilyAddr<'_>,
-        row: &str,
-        qualifier: &str,
-        f: impl FnOnce(Option<&Value>) -> T,
-    ) -> Result<T, StoreError> {
+        let at = addr(table, family);
         self.timed(OpKind::Get, 1, || {
-            let Some((data, slot)) = self.read_at(at) else {
-                return Err(self.missing(at));
+            let Some((data, slot)) = self.read_at(&at) else {
+                return Err(self.missing(&at));
             };
             let row = data.families[slot].row(row);
-            Ok(f(row.and_then(|r| r.value(qualifier))))
+            Ok(row.and_then(|r| r.value(qualifier)).cloned())
         })
+    }
+
+    /// Runs `f` over the store under **one** read guard: every read it
+    /// makes through the [`StoreView`] — any family, resolved by name, any
+    /// number of cells and row walks — sees one state and takes no lock of
+    /// its own. A step reads what it needs here, then writes with
+    /// [`FamilyHandle::put_many`].
+    ///
+    /// `f` runs under the guard, so it must not call back into the store: a
+    /// write from inside it deadlocks every time, and so does a read
+    /// whenever a writer is waiting for the lock. Once the guard is gone,
+    /// op observers hear of one get per cell read and one scan per row walk,
+    /// as they would of the same reads made one call at a time.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use smartflux_datastore::{DataStore, Value};
+    ///
+    /// # fn main() -> Result<(), smartflux_datastore::StoreError> {
+    /// let store = DataStore::new();
+    /// store.create_table("lrb")?;
+    /// store.create_family("lrb", "positions")?;
+    /// let positions = store.family("lrb", "positions")?;
+    /// positions.put_many(vec![
+    ///     ("veh-0", "speed", Value::from(60.0)),
+    ///     ("veh-1", "speed", Value::from(61.0)),
+    /// ])?;
+    ///
+    /// let (sum, one) = store.read(|r| {
+    ///     let positions = r.family("lrb", "positions")?;
+    ///     let sum: f64 = positions
+    ///         .rows()
+    ///         .filter_map(|(_, row)| row.f64("speed"))
+    ///         .sum();
+    ///     Ok::<_, smartflux_datastore::StoreError>((sum, positions.get_f64("veh-1", "speed")))
+    /// })?;
+    /// assert_eq!((sum, one), (121.0, Some(61.0)));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn read<R>(&self, f: impl FnOnce(&StoreView<'_>) -> R) -> R {
+        let start = self.op_clock();
+        let data = self.lock_read();
+        let view = StoreView::new(&data);
+        let out = f(&view);
+        let ops = view.ops();
+        drop(data);
+        self.report_ops(start, &ops);
+        out
     }
 
     /// Scans rows of a column family, subject to `filter`.
@@ -505,24 +546,6 @@ impl DataStore {
                 });
             }
             Ok(out)
-        })
-    }
-
-    /// One scan of the family at `at`: `f` sees every row, in key order,
-    /// under the read guard.
-    fn visit_rows(
-        &self,
-        at: &FamilyAddr<'_>,
-        mut f: impl FnMut(&str, &Row),
-    ) -> Result<(), StoreError> {
-        self.timed(OpKind::Scan, 1, || {
-            let Some((data, slot)) = self.read_at(at) else {
-                return Err(self.missing(at));
-            };
-            for (key, row) in data.families[slot].iter() {
-                f(key, row);
-            }
-            Ok(())
         })
     }
 
@@ -757,14 +780,7 @@ impl DataStore {
     /// Called once the resolver has dropped its guard, so the error stays
     /// off the hot path's return.
     fn missing(&self, at: &FamilyAddr<'_>) -> StoreError {
-        if self.lock_read().index.contains_key(at.table) {
-            StoreError::FamilyNotFound {
-                table: at.table.to_owned(),
-                family: at.family.to_owned(),
-            }
-        } else {
-            StoreError::TableNotFound(at.table.to_owned())
-        }
+        self.lock_read().missing(at)
     }
 
     /// Acquires the read guard, counting blocking acquisitions.
@@ -803,6 +819,18 @@ impl Tables {
     fn slot(&self, at: &FamilyAddr<'_>) -> Option<usize> {
         at.slot
             .or_else(|| self.index.get(at.table)?.get(at.family).copied())
+    }
+
+    /// Why nothing is at `at`: "table missing" or "family missing".
+    fn missing(&self, at: &FamilyAddr<'_>) -> StoreError {
+        if self.index.contains_key(at.table) {
+            StoreError::FamilyNotFound {
+                table: at.table.to_owned(),
+                family: at.family.to_owned(),
+            }
+        } else {
+            StoreError::TableNotFound(at.table.to_owned())
+        }
     }
 
     fn create_table(&mut self, name: &str) -> Result<(), StoreError> {

@@ -7,7 +7,10 @@
 //! value it held at the mark and its latest value. The fold runs in apply
 //! order whatever the number of writers, and it is the store's own code:
 //! nothing foreign runs under the guard on a write. A client (the
-//! engine) keeps its watches and change sets in a [`WatchList`].
+//! engine) keeps its watches and change sets in a [`WatchList`], and
+//! pauses a set it will not read for a while
+//! ([`DataStore::pause_changes`]): a paused set folds nothing until its
+//! next mark.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -49,6 +52,9 @@ struct ChangeSet {
     changes: Vec<Change>,
     /// Whether `changes` is in ascending key order.
     sorted: bool,
+    /// Paused: not among its container's open sets, so no write folds into
+    /// it, and it holds nothing until a mark reopens it.
+    paused: bool,
 }
 
 impl ChangeSet {
@@ -58,6 +64,7 @@ impl ChangeSet {
             position: Vec::new(),
             changes: Vec::new(),
             sorted: true,
+            paused: false,
         }
     }
 
@@ -177,11 +184,12 @@ struct WatchEntry {
     /// String comparisons made since the last ranking because a key was
     /// unranked — what not ranking has cost so far.
     string_compares: usize,
-    /// Cells currently in the container, counted when a change set opens.
+    /// Cells currently in the container, counted when the first change set
+    /// over it opens or reopens.
     live_cells: usize,
-    /// The change sets over this container (indices into
-    /// [`Changes::change_sets`]). Keys and the live count are only
-    /// maintained while there is one.
+    /// The open change sets over this container (indices into
+    /// [`Changes::change_sets`]); a paused one is not among them. Keys and
+    /// the live count are only maintained while there is one.
     trackers: Vec<usize>,
 }
 
@@ -209,6 +217,17 @@ impl WatchEntry {
     /// container.
     fn holds(&self, qualifier: &str) -> bool {
         self.container.qualifier().is_none_or(|q| q == qualifier)
+    }
+
+    /// The container's cells stored in `families` now.
+    fn count_live(&self, families: &[ColumnFamily]) -> usize {
+        let Some(family) = self.family.and_then(|f| families.get(f)) else {
+            return 0;
+        };
+        family
+            .iter()
+            .map(|(_, cells)| cells.iter().filter(|(q, _, _)| self.holds(q)).count())
+            .sum()
     }
 
     /// The slot of `(row, qualifier)`, interning the key when it is new.
@@ -398,10 +417,13 @@ impl Changes {
     }
 
     /// Change set `number` of `list` and its container, in ascending key
-    /// order; `None` when no such set is open.
+    /// order; `None` when no such set is open, or it is paused.
     fn ordered(&mut self, list: WatchList, number: usize) -> Option<(&WatchEntry, &[Change])> {
         let set = self.set(list, number)?;
         let set = &mut self.change_sets[set];
+        if set.paused {
+            return None;
+        }
         let entry = &mut self.entries[set.entry];
         set.sort(entry);
         Some((entry, &set.changes))
@@ -537,8 +559,8 @@ impl DataStore {
 
     /// Visits the change set in ascending `(row, qualifier)` order as
     /// `(row, qualifier, value at the mark, latest value)` — what a
-    /// checkpoint keeps of it. `f` runs under the write guard, as for
-    /// [`stream_changes`](Self::stream_changes).
+    /// checkpoint keeps of it; nothing for a paused set. `f` runs under the
+    /// write guard, as for [`stream_changes`](Self::stream_changes).
     pub fn visit_changes(
         &self,
         list: WatchList,
@@ -564,7 +586,8 @@ impl DataStore {
     /// records `since` — `(row, qualifier, value at the mark, latest
     /// value)`, as [`visit_changes`](Self::visit_changes) lists them — as
     /// changed since it: empty for a plain mark, a checkpoint's changes to
-    /// restore one. The live count is the store's own.
+    /// restore one. The live count is the store's own. A paused set reopens
+    /// here: writes fold into it again from this mark on.
     pub fn mark_changes(
         &self,
         list: WatchList,
@@ -572,17 +595,50 @@ impl DataStore {
         since: Vec<(String, String, Option<Value>, Option<Value>)>,
     ) {
         let mut data = self.lock_write();
-        let changes = &mut data.changes;
-        let Some(set) = changes.set(list, change_set) else {
+        let Tables {
+            families, changes, ..
+        } = &mut *data;
+        let Some(number) = changes.set(list, change_set) else {
             return;
         };
-        let set = &mut changes.change_sets[set];
+        let set = &mut changes.change_sets[number];
         set.clear();
         let entry = &mut changes.entries[set.entry];
+        if set.paused {
+            set.paused = false;
+            if entry.trackers.is_empty() {
+                // Nothing kept the count while every set was paused.
+                entry.live_cells = entry.count_live(families);
+            }
+            entry.trackers.push(number);
+        }
         for (row, qualifier, at_mark, latest) in since {
             let slot = entry.slot(&row, &qualifier);
             set.fold_write(slot, at_mark.as_ref(), latest.as_ref());
         }
+    }
+
+    /// Pauses the change set: it drops what it holds and folds no write
+    /// until [`mark_changes`](Self::mark_changes) reopens it, marked at the
+    /// container's state then. Meanwhile it streams and visits nothing. A
+    /// container whose every set is paused keeps counting its writes
+    /// ([`watched_writes`](Self::watched_writes)) but interns no key and
+    /// keeps no live count. Pausing a paused or unopened set does nothing.
+    pub fn pause_changes(&self, list: WatchList, change_set: usize) {
+        let mut data = self.lock_write();
+        let changes = &mut data.changes;
+        let Some(number) = changes.set(list, change_set) else {
+            return;
+        };
+        let set = &mut changes.change_sets[number];
+        if set.paused {
+            return;
+        }
+        set.paused = true;
+        set.clear();
+        changes.entries[set.entry]
+            .trackers
+            .retain(|&open| open != number);
     }
 
     /// Writes to `container` counted since `list` began watching it; 0 for
@@ -765,6 +821,60 @@ mod tests {
         let expected = (2, vec![(num(7.0), None), (num(2.0), num(1.0))]);
         assert_eq!(streamed(&store, list, 0), expected);
         assert_eq!(streamed(&store, restored, 0), expected);
+    }
+
+    #[test]
+    fn a_paused_set_folds_nothing_and_reopens_at_the_current_state() {
+        let family = ContainerRef::family("t", "f");
+        let column = ContainerRef::column("t", "f", "a");
+        let store = store_with(&[&family]);
+        let list = store.watch_list();
+        store.watch(list, &family, Some(0));
+        store.watch(list, &column, Some(1));
+        store.watch(list, &column, Some(2));
+        for row in ["r0", "r1", "r2"] {
+            store.put("t", "f", row, "a", Value::from(1.0)).unwrap();
+            store.put("t", "f", row, "b", Value::from(1.0)).unwrap();
+        }
+        for number in 0..3 {
+            store.mark_changes(list, number, Vec::new());
+        }
+        // Set 0 is its family's only set; set 1 shares its column with 2.
+        store.pause_changes(list, 0);
+        store.pause_changes(list, 1);
+        store.pause_changes(list, 1);
+        store.pause_changes(list, 9);
+        store.put("t", "f", "r0", "a", Value::from(5.0)).unwrap();
+        store.delete("t", "f", "r1", "b").unwrap();
+        store.put("t", "f", "r3", "b", Value::from(2.0)).unwrap();
+        store.delete("t", "f", "r3", "b").unwrap();
+        store.put("t", "f", "r4", "b", Value::from(2.0)).unwrap();
+        assert_eq!(streamed(&store, list, 0), (0, Vec::new()));
+        assert_eq!(streamed(&store, list, 1), (0, Vec::new()));
+        let mut visited = 0;
+        store.visit_changes(list, 0, |_, _, _, _| visited += 1);
+        assert_eq!(visited, 0, "a paused set visits nothing");
+        assert_eq!(store.watched_writes(list, &family), 5 + 6);
+        // The open set over the shared column saw the write.
+        assert_eq!(streamed(&store, list, 2), (3, vec![(num(5.0), num(1.0))]));
+        {
+            let data = store.lock_read();
+            let entry = &data.changes.entries[0];
+            assert!(entry.trackers.is_empty());
+            assert_eq!(entry.keys.len(), 6, "no key interned while paused");
+        }
+
+        // Reopened, each is marked at the container as it stands — the
+        // family's live count counted again — and folds from there.
+        store.mark_changes(list, 0, Vec::new());
+        store.mark_changes(list, 1, Vec::new());
+        assert_eq!(streamed(&store, list, 0), (6, Vec::new()));
+        assert_eq!(streamed(&store, list, 1), (3, Vec::new()));
+        store.delete("t", "f", "r0", "a").unwrap();
+        store.put("t", "f", "r5", "a", Value::from(3.0)).unwrap();
+        let expected = vec![(num(3.0), None), (None, num(5.0))];
+        assert_eq!(streamed(&store, list, 0), (6, expected.clone()));
+        assert_eq!(streamed(&store, list, 1), (3, expected));
     }
 
     #[test]

@@ -2,22 +2,20 @@
 
 use super::{DataStore, FamilyAddr};
 use crate::error::StoreError;
-use crate::table::Row;
 use crate::value::Value;
 
 /// One column family of a [`DataStore`], resolved by
 /// [`DataStore::family`]: the loop-friendly form of the string-addressed
-/// calls, for the step that reads or writes hundreds of cells of one family
-/// in a row.
+/// writes, for the step that writes hundreds of cells of one family.
 ///
 /// Every call but [`put_many`](Self::put_many) is the string-addressed call
 /// of the same name without the two name lookups — same routine, same guard
 /// taken and released per call, same clock tick and change-set fold inside
 /// the write guard, same [`WriteRef`](crate::WriteRef) handed to the same
 /// observers after the guard is gone; `put_many` is that many `put`s under
-/// one guard. A handle holds **no** guard between calls, so a step may read
-/// and write one family through it in a single loop, and two handles never
-/// deadlock each other.
+/// one guard. A handle holds **no** guard between calls, and two handles
+/// never deadlock each other. A step reads through one
+/// [`DataStore::read`] scope first, then writes through handles.
 ///
 /// The handle borrows the store and the two names, owns nothing, and is
 /// meant to live for one step execution, not to be stored.
@@ -38,12 +36,9 @@ use crate::value::Value;
 ///     .map(|v| (rows[v], "speed", Value::from(60.0 + v as f64)))
 ///     .collect();
 /// positions.put_many(cells)?;
-/// let mut sum = 0.0;
-/// positions.for_each_row(|_key, row| {
-///     sum += row.f64("speed").unwrap_or(0.0);
-/// })?;
-/// assert_eq!(sum, 183.0);
-/// assert_eq!(positions.get_f64("veh-1", "speed")?, Some(61.0));
+/// positions.delete("veh-2", "speed")?;
+/// assert_eq!(store.get("lrb", "positions", "veh-1", "speed")?, Some(Value::from(61.0)));
+/// assert_eq!(store.get("lrb", "positions", "veh-2", "speed")?, None);
 /// # Ok(())
 /// # }
 /// ```
@@ -102,41 +97,5 @@ impl<'a> FamilyHandle<'a> {
     /// None today; see [`put`](Self::put).
     pub fn delete(&self, row: &str, qualifier: &str) -> Result<Option<Value>, StoreError> {
         self.store.delete_at(&self.at, row, qualifier)
-    }
-
-    /// Reads the current value of a cell; see [`DataStore::get`].
-    ///
-    /// # Errors
-    ///
-    /// None today; see [`put`](Self::put).
-    pub fn get(&self, row: &str, qualifier: &str) -> Result<Option<Value>, StoreError> {
-        self.store
-            .read_cell(&self.at, row, qualifier, |v| v.cloned())
-    }
-
-    /// Reads a cell as a number, in place: `None` when the cell is absent
-    /// or not numeric. One `get` that copies nothing.
-    ///
-    /// # Errors
-    ///
-    /// None today; see [`put`](Self::put).
-    pub fn get_f64(&self, row: &str, qualifier: &str) -> Result<Option<f64>, StoreError> {
-        self.store
-            .read_cell(&self.at, row, qualifier, |v| v.and_then(Value::as_f64))
-    }
-
-    /// Visits every row of the family in key order without copying a key
-    /// or a value — one scan.
-    ///
-    /// `f` runs under the store's read guard, so it must not call back into
-    /// the store, through this handle or any other way: a write from inside
-    /// it deadlocks every time, and so does a read whenever a writer is
-    /// waiting for the lock.
-    ///
-    /// # Errors
-    ///
-    /// None today; see [`put`](Self::put).
-    pub fn for_each_row(&self, f: impl FnMut(&str, &Row)) -> Result<(), StoreError> {
-        self.store.visit_rows(&self.at, f)
     }
 }

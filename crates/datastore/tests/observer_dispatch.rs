@@ -341,13 +341,28 @@ fn a_handle_call_is_one_op() {
         assert_eq!(seen(), [], "resolving a handle is not an op");
         family.put("r", "q", Value::I64(1)).unwrap();
         assert_eq!(seen(), [OpKind::Put]);
-        assert_eq!(family.get("r", "q").unwrap(), Some(Value::I64(1)));
-        assert_eq!(seen(), [OpKind::Get]);
-        assert_eq!(family.get_f64("r", "q").unwrap(), Some(1.0));
-        assert_eq!(seen(), [OpKind::Get]);
-        let mut rows = 0;
-        family.for_each_row(|_, _| rows += 1).unwrap();
-        assert_eq!((rows, seen()), (1, vec![OpKind::Scan]));
+        // A read scope is as many gets as it reads cells — by key or from
+        // a row found once — and a scan per row walk; resolving a family in
+        // it, or finding none, is no op.
+        let read = store.read(|r| {
+            let f = r.family(table, "f").unwrap();
+            assert!(r.family(table, "missing").is_err());
+            let row = f.row("r");
+            let cells = (f.get("r", "q").cloned(), f.get_f64("r", "q"), row.f64("q"));
+            (cells, row.value("absent").cloned(), f.rows().count())
+        });
+        let cells = (Some(Value::I64(1)), Some(1.0), Some(1.0));
+        assert_eq!(read, (cells, None, 1));
+        let reads = [
+            OpKind::Get,
+            OpKind::Get,
+            OpKind::Get,
+            OpKind::Get,
+            OpKind::Scan,
+        ];
+        assert_eq!(seen(), reads);
+        store.read(|r| r.family(table, "f").map(|_| ())).unwrap();
+        assert_eq!(seen(), []);
         // A batch is as many puts as it has cells, whatever rows they are
         // in, and an empty one is none.
         let cells = [("r", "q"), ("r2", "q2"), ("r", "q3")].map(|(r, q)| (r, q, Value::I64(2)));

@@ -68,6 +68,14 @@ enum HandleOp {
         family: usize,
         cells: Vec<(u8, u8, Value)>,
     },
+    /// Reads cell `(row, qualifier)` of `FAMILIES[family]` by `get`, by
+    /// `get_f64` and from its row found once, then walks every row: one
+    /// read scope in the handle run, one-shot `get`s and a `scan` otherwise.
+    Read {
+        family: usize,
+        row: u8,
+        qualifier: u8,
+    },
     /// Registers the transient observer, or unregisters it if it is on.
     ToggleObserver,
     /// Creates `t/late` — after the handles to `t/f` and `t/g` were built.
@@ -82,16 +90,22 @@ fn handle_ops() -> impl Strategy<Value = Vec<HandleOp>> {
     // `f` and `g` take most writes, interleaved.
     const TARGETS: [usize; 12] = [0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 2, 3];
     let op = (
-        (0usize..14, any::<bool>()),
+        (0usize..16, any::<bool>()),
         0u8..3,
         0u8..3,
         prop::option::of(value()),
         prop::collection::vec((0u8..3, 0u8..3, value()), 0..5),
+        0usize..FAMILIES.len(),
     )
         .prop_map(
-            |((kind, flag), row, qualifier, put, cells)| match (kind, flag) {
+            |((kind, flag), row, qualifier, put, cells, read)| match (kind, flag) {
                 (0, _) => HandleOp::ToggleObserver,
                 (1, _) => HandleOp::CreateLate,
+                (14 | 15, _) => HandleOp::Read {
+                    family: read,
+                    row,
+                    qualifier,
+                },
                 (2..=5, true) => HandleOp::WriteMany {
                     family: TARGETS[kind - 2],
                     cells,
@@ -119,8 +133,79 @@ struct HandleRun {
     /// Results of the writes, in order, cell by cell; a cell of a batch
     /// displaces `None` (a batch hands back no displaced values).
     results: Vec<Result<Option<Value>, StoreError>>,
+    /// What each [`HandleOp::Read`] saw.
+    reads: Vec<Result<Read, StoreError>>,
+    /// Get and scan operations op observers heard of, for reads that found
+    /// their family (a refused one-shot is timed too; a scope that finds no
+    /// family reads nothing).
+    read_ops: [usize; 2],
     clock: u64,
     state: StoreState,
+}
+
+/// One [`HandleOp::Read`]: the cell by `get` and by `get_f64`, its row's
+/// three cells, and every row with its cells in order.
+#[derive(Debug, PartialEq)]
+struct Read {
+    value: Option<Value>,
+    number: Option<f64>,
+    row: [Option<Value>; 3],
+    rows: Vec<(String, Vec<(String, Value)>)>,
+}
+
+/// The qualifiers a [`HandleOp`] addresses.
+const QUALIFIERS: [&str; 3] = ["q0", "q1", "q2"];
+
+/// [`HandleOp::Read`] through one read scope.
+fn read_in_scope(
+    s: &DataStore,
+    family: usize,
+    row: &str,
+    qualifier: &str,
+) -> Result<Read, StoreError> {
+    let (table, name) = FAMILIES[family];
+    s.read(|r| {
+        let family = r.family(table, name)?;
+        let cells = family.row(row);
+        let rows = family.rows().map(|(key, row)| {
+            let cells = row.iter().map(|(q, _, v)| (q.to_owned(), v.clone()));
+            (key.to_owned(), cells.collect())
+        });
+        Ok(Read {
+            value: family.get(row, qualifier).cloned(),
+            number: family.get_f64(row, qualifier),
+            row: QUALIFIERS.map(|q| cells.value(q).cloned()),
+            rows: rows.collect(),
+        })
+    })
+}
+
+/// [`HandleOp::Read`] through string-addressed one-shots.
+fn read_by_one_shots(
+    s: &DataStore,
+    family: usize,
+    row: &str,
+    qualifier: &str,
+) -> Result<Read, StoreError> {
+    let (table, name) = FAMILIES[family];
+    let get = |q: &str| s.get(table, name, row, q);
+    let value = get(qualifier)?;
+    let number = get(qualifier)?.and_then(|v| v.as_f64());
+    let row = [
+        get(QUALIFIERS[0])?,
+        get(QUALIFIERS[1])?,
+        get(QUALIFIERS[2])?,
+    ];
+    let rows = s.scan(table, name, &ScanFilter::all())?;
+    Ok(Read {
+        value,
+        number,
+        row,
+        rows: rows
+            .into_iter()
+            .map(|scan| (scan.key, scan.columns))
+            .collect(),
+    })
 }
 
 /// The handle to `FAMILIES[family]`, resolved the first time it is there to
@@ -138,9 +223,10 @@ fn resolved<'h, 's>(
     }
 }
 
-/// Applies `ops` to a fresh store: through family handles (one-shots mixed
-/// in where an op says so) or, as the reference, through string-addressed
-/// one-shots only.
+/// Applies `ops` to a fresh store: through family handles and read scopes
+/// (one-shots mixed in where an op says so) or, as the reference, through
+/// string-addressed one-shots only.
+#[allow(deprecated)] // op observers are kept for the end-to-end benchmark
 fn run_handle_ops(ops: &[HandleOp], through_handles: bool) -> HandleRun {
     let s = store();
     s.create_family("t", "g").expect("fresh store");
@@ -154,9 +240,35 @@ fn run_handle_ops(ops: &[HandleOp], through_handles: bool) -> HandleRun {
     s.register_observer(Arc::clone(&permanent) as Arc<dyn WriteObserver>);
     let transient = Arc::new(BorrowedLog::default());
     let mut transient_on: Option<ObserverHandle> = None;
-    let mut results = Vec::new();
+    let read_ops = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let counter = Arc::clone(&read_ops);
+    s.register_op_observer(Arc::new(move |op: OpKind, _: Duration| match op {
+        OpKind::Get => _ = counter[0].fetch_add(1, Ordering::Relaxed),
+        OpKind::Scan => _ = counter[1].fetch_add(1, Ordering::Relaxed),
+        _ => {}
+    }));
+    let (mut results, mut reads) = (Vec::new(), Vec::new());
     for op in ops {
         match op {
+            HandleOp::Read {
+                family,
+                row,
+                qualifier,
+            } => {
+                let (row, qualifier) = (format!("r{row}"), format!("q{qualifier}"));
+                let clock_before = s.clock();
+                let read = if through_handles {
+                    read_in_scope(&s, *family, &row, &qualifier)
+                } else {
+                    let read = read_by_one_shots(&s, *family, &row, &qualifier);
+                    if read.is_err() {
+                        read_ops[0].fetch_sub(1, Ordering::Relaxed);
+                    }
+                    read
+                };
+                assert_eq!(s.clock(), clock_before, "a read ticks nothing");
+                reads.push(read);
+            }
             HandleOp::ToggleObserver => match transient_on.take() {
                 Some(h) => assert!(s.unregister_observer(h)),
                 None => {
@@ -232,6 +344,8 @@ fn run_handle_ops(ops: &[HandleOp], through_handles: bool) -> HandleRun {
         permanent,
         transient,
         results,
+        reads,
+        read_ops: [0, 1].map(|kind| read_ops[kind].load(Ordering::Relaxed)),
         clock: s.clock(),
         state: s.export_state(),
     }
@@ -601,10 +715,13 @@ proptest! {
     /// after the handles were built, with an observer registering and
     /// unregistering along the way, applied through handles to two
     /// interleaved families (one-shots mixed in, each batch one
-    /// `put_many`) leaves exactly what string-addressed one-shots — each
-    /// batch that many `put`s — leave: the same
+    /// `put_many`, reads in one read scope each) leaves exactly what
+    /// string-addressed one-shots — each batch that many `put`s, each read
+    /// that many `get`s and a `scan` — leave: the same
     /// `WriteRef::to_owned()` streams with the same timestamps, the same
-    /// results and typed errors, the same clock, the same exported state.
+    /// results and typed errors, the same values read, as many get and scan
+    /// operations reported to op observers, the same clock, the same
+    /// exported state.
     #[test]
     fn handles_and_one_shots_are_the_same_store(ops in handle_ops()) {
         let by_handle = run_handle_ops(&ops, true);
@@ -755,14 +872,13 @@ fn a_batch_is_atomic_for_readers() {
             done.store(true, Ordering::Release);
         });
         scope.spawn(|| {
-            let family = store.family("t", "f").expect("family exists");
             while !done.load(Ordering::Acquire) {
-                let mut seen = Vec::new();
-                family
-                    .for_each_row(|_, row| {
-                        seen.extend(QUALIFIERS.map(|q| row.value(q).cloned()));
-                    })
-                    .expect("family exists");
+                let seen: Vec<_> = store.read(|r| {
+                    let family = r.family("t", "f").expect("family exists");
+                    let rows = family.rows();
+                    rows.flat_map(|(_, row)| QUALIFIERS.map(|q| row.value(q).cloned()))
+                        .collect()
+                });
                 assert!(
                     seen.is_empty() || (seen.len() == 6 && seen.iter().all(|v| *v == seen[0])),
                     "half a batch: {seen:?}"

@@ -180,11 +180,15 @@ mod tests {
     use crate::graph::GraphBuilder;
     use crate::step::FnStep;
     use smartflux_datastore::DataStore;
+    use std::sync::LazyLock;
 
-    fn ctx(wave: u64) -> StepContext {
+    /// The store every test context borrows; the steps here never touch it.
+    static STORE: LazyLock<DataStore> = LazyLock::new(DataStore::new);
+
+    fn ctx(wave: u64) -> StepContext<'static> {
         let mut b = GraphBuilder::new("g");
         let id = b.add_step("s");
-        StepContext::new(DataStore::new(), wave, id, "s")
+        StepContext::new(&STORE, wave, id, "s")
     }
 
     fn ok_step() -> impl Step {

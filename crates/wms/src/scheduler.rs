@@ -46,7 +46,8 @@ struct StepExecution {
 
 /// Executes `step` under its `RetryPolicy`: up to `max_attempts` tries,
 /// back to back, each on the calling (wave) thread. A fresh
-/// [`StepContext`] is built per attempt.
+/// [`StepContext`] is built per attempt; it borrows the store and the
+/// step's name, so that asks the heap for nothing.
 ///
 /// Each attempt opens a `wms.step_attempt` span (tag = attempt number), so
 /// retries show up as sibling children of the enclosing step span in trace
@@ -72,7 +73,7 @@ fn run_step_with_retry(
     let mut attempts = 0;
     loop {
         attempts += 1;
-        let ctx = StepContext::new(store.clone(), wave, step, name);
+        let ctx = StepContext::new(store, wave, step, name);
         let _attempt_span = telemetry.span(names::STEP_ATTEMPT_LATENCY, u64::from(attempts));
         let outcome = attempt_inline(implementation.as_ref(), &ctx);
         if outcome.is_ok() || attempts >= max_attempts {

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use smartflux_datastore::{DataStore, FamilyHandle, StoreError, Value};
+use smartflux_datastore::{DataStore, FamilyHandle, StoreError, StoreView, Value};
 
 use crate::graph::StepId;
 
@@ -61,24 +61,26 @@ impl From<StoreError> for StepError {
 /// wave metadata.
 ///
 /// All storage access goes through this context so that the store's write
-/// path (SmartFlux monitoring) sees every mutation the step performs.
+/// path (SmartFlux monitoring) sees every mutation the step performs. The
+/// context borrows the store and the step's name from whoever runs the
+/// step, so building one per attempt asks the heap for nothing.
 #[derive(Debug)]
-pub struct StepContext {
-    store: DataStore,
+pub struct StepContext<'a> {
+    store: &'a DataStore,
     wave: u64,
     step: StepId,
-    step_name: String,
+    step_name: &'a str,
 }
 
-impl StepContext {
+impl<'a> StepContext<'a> {
     /// Creates a context for one step execution.
     #[must_use]
-    pub fn new(store: DataStore, wave: u64, step: StepId, step_name: impl Into<String>) -> Self {
+    pub fn new(store: &'a DataStore, wave: u64, step: StepId, step_name: &'a str) -> Self {
         Self {
             store,
             wave,
             step,
-            step_name: step_name.into(),
+            step_name,
         }
     }
 
@@ -96,23 +98,30 @@ impl StepContext {
 
     /// The name of the executing step.
     #[must_use]
-    pub fn step_name(&self) -> &str {
-        &self.step_name
+    pub fn step_name(&self) -> &'a str {
+        self.step_name
     }
 
-    /// Resolves a family once, for a loop that reads or writes many of its
-    /// cells: the handle's calls are this context's without the per-call
-    /// name lookup, and monitoring sees the same mutations. See
+    /// Runs `f` over the store under one read guard — the step's reads, in
+    /// place, before it writes; see [`DataStore::read`]. `f` must make no
+    /// store call: it runs under the guard.
+    pub fn read<R>(&self, f: impl FnOnce(&StoreView<'_>) -> R) -> R {
+        self.store.read(f)
+    }
+
+    /// Resolves a family once, for a step that writes many of its cells:
+    /// the handle's calls are this context's without the per-call name
+    /// lookup, and monitoring sees the same mutations. See
     /// [`DataStore::family`].
     ///
     /// # Errors
     ///
     /// Fails if the table or family does not exist.
-    pub fn family<'a>(
-        &'a self,
-        table: &'a str,
-        family: &'a str,
-    ) -> Result<FamilyHandle<'a>, StepError> {
+    pub fn family<'h>(
+        &'h self,
+        table: &'h str,
+        family: &'h str,
+    ) -> Result<FamilyHandle<'h>, StepError> {
         Ok(self.store.family(table, family)?)
     }
 
@@ -200,7 +209,7 @@ pub trait Step: Send + Sync {
 /// # store.create_table("t").unwrap();
 /// # store.create_family("t", "f").unwrap();
 /// # use smartflux_wms::StepId;
-/// # let ctx = StepContext::new(store, 1, smartflux_wms::GraphBuilder::new("g").add_step("s"), "s");
+/// # let ctx = StepContext::new(&store, 1, smartflux_wms::GraphBuilder::new("g").add_step("s"), "s");
 /// # step.execute(&ctx).unwrap();
 /// ```
 pub struct FnStep<F>(F);
@@ -236,10 +245,14 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
 
-    fn ctx() -> StepContext {
+    fn store() -> DataStore {
         let store = DataStore::new();
         store.create_table("t").unwrap();
         store.create_family("t", "f").unwrap();
+        store
+    }
+
+    fn ctx(store: &DataStore) -> StepContext<'_> {
         let mut b = GraphBuilder::new("g");
         let id = b.add_step("s");
         StepContext::new(store, 7, id, "s")
@@ -247,33 +260,39 @@ mod tests {
 
     #[test]
     fn context_exposes_metadata() {
-        let c = ctx();
+        let store = store();
+        let c = ctx(&store);
         assert_eq!(c.wave(), 7);
         assert_eq!(c.step_name(), "s");
     }
 
     #[test]
     fn context_put_get_roundtrip() {
-        let c = ctx();
+        let store = store();
+        let c = ctx(&store);
         c.put("t", "f", "r", "q", Value::from(2.5)).unwrap();
         assert_eq!(c.get_f64("t", "f", "r", "q", 0.0).unwrap(), 2.5);
         assert_eq!(c.get_f64("t", "f", "r", "missing", -1.0).unwrap(), -1.0);
     }
 
     #[test]
-    fn family_handle_forwards_to_the_store() {
-        let c = ctx();
+    fn family_handle_and_read_scope_reach_the_store() {
+        let store = store();
+        let c = ctx(&store);
         let f = c.family("t", "f").unwrap();
         f.put("r", "q", Value::from(2.5)).unwrap();
         assert_eq!(c.get_f64("t", "f", "r", "q", 0.0).unwrap(), 2.5);
-        assert_eq!(f.get_f64("r", "q").unwrap(), Some(2.5));
+        let read = c.read(|r| r.family("t", "f").map(|f| f.get_f64("r", "q")));
+        assert_eq!(read.unwrap(), Some(2.5));
         let err = c.family("t", "missing").unwrap_err();
         assert!(err.source().is_some());
+        assert!(c.read(|r| r.family("t", "missing").is_err()));
     }
 
     #[test]
     fn fn_step_executes_closure() {
-        let c = ctx();
+        let store = store();
+        let c = ctx(&store);
         let step = FnStep::new(|ctx: &StepContext| {
             ctx.put("t", "f", "r", "q", Value::from(1.0))?;
             Ok(())
@@ -284,7 +303,8 @@ mod tests {
 
     #[test]
     fn step_error_from_store_error() {
-        let c = ctx();
+        let store = store();
+        let c = ctx(&store);
         let err = c.get("missing", "f", "r", "q").unwrap_err();
         assert!(err.source().is_some());
         assert!(err.to_string().contains("data store"));

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use smartflux::eval::WorkloadFactory;
-use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_datastore::{ContainerRef, DataStore, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
@@ -318,18 +318,21 @@ impl WorkloadFactory for AqhiFactory {
         wf.bind(
             concentration,
             FnStep::new(move |ctx: &StepContext| {
-                let readings = ctx.family(TABLE, "readings")?;
-                let mut concentration = Vec::with_capacity(d.len());
-                for row in d.iter() {
-                    let o3 = readings.get_f64(row, "o3")?.unwrap_or(0.0);
-                    let pm = readings.get_f64(row, "pm25")?.unwrap_or(0.0);
-                    let no2 = readings.get_f64(row, "no2")?.unwrap_or(0.0);
-                    let combined = 100.0
-                        * (o3 / 100.0).powf(0.40)
-                        * (pm / 100.0).powf(0.35)
-                        * (no2 / 100.0).powf(0.25);
-                    concentration.push((&**row, "value", Value::from(combined)));
-                }
+                let concentration = ctx.read(|r| {
+                    let readings = r.family(TABLE, "readings")?;
+                    let concentration = d.iter().map(|key| {
+                        let reading = readings.row(key);
+                        let o3 = reading.f64("o3").unwrap_or(0.0);
+                        let pm = reading.f64("pm25").unwrap_or(0.0);
+                        let no2 = reading.f64("no2").unwrap_or(0.0);
+                        let combined = 100.0
+                            * (o3 / 100.0).powf(0.40)
+                            * (pm / 100.0).powf(0.35)
+                            * (no2 / 100.0).powf(0.25);
+                        (&**key, "value", Value::from(combined))
+                    });
+                    Ok::<_, StoreError>(concentration.collect::<Vec<_>>())
+                })?;
                 ctx.family(TABLE, "concentration")?
                     .put_many(concentration)?;
                 Ok(())
@@ -345,22 +348,25 @@ impl WorkloadFactory for AqhiFactory {
             zones,
             FnStep::new(move |ctx: &StepContext| {
                 let per_side = c.grid / c.zone_size;
-                let concentration = ctx.family(TABLE, "concentration")?;
-                let mut zones = Vec::with_capacity(z.len());
-                for zx in 0..per_side {
-                    for zy in 0..per_side {
-                        let mut sum = 0.0;
-                        for dx in 0..c.zone_size {
-                            for dy in 0..c.zone_size {
-                                let (x, y) = (zx * c.zone_size + dx, zy * c.zone_size + dy);
-                                let row = &d[x * c.grid + y];
-                                sum += concentration.get_f64(row, "value")?.unwrap_or(0.0);
+                let zones = ctx.read(|r| {
+                    let concentration = r.family(TABLE, "concentration")?;
+                    let mut zones = Vec::with_capacity(z.len());
+                    for zx in 0..per_side {
+                        for zy in 0..per_side {
+                            let mut sum = 0.0;
+                            for dx in 0..c.zone_size {
+                                for dy in 0..c.zone_size {
+                                    let (x, y) = (zx * c.zone_size + dx, zy * c.zone_size + dy);
+                                    let row = &d[x * c.grid + y];
+                                    sum += concentration.get_f64(row, "value").unwrap_or(0.0);
+                                }
                             }
+                            let avg = sum / (c.zone_size * c.zone_size) as f64;
+                            zones.push((&*z[zx * per_side + zy], "value", Value::from(avg)));
                         }
-                        let avg = sum / (c.zone_size * c.zone_size) as f64;
-                        zones.push((&*z[zx * per_side + zy], "value", Value::from(avg)));
                     }
-                }
+                    Ok::<_, StoreError>(zones)
+                })?;
                 ctx.family(TABLE, "zones")?.put_many(zones)?;
                 Ok(())
             }),
@@ -376,19 +382,22 @@ impl WorkloadFactory for AqhiFactory {
         wf.bind(
             interp,
             FnStep::new(move |ctx: &StepContext| {
-                let concentration = ctx.family(TABLE, "concentration")?;
-                let mut interp = Vec::with_capacity(cells.len());
-                for x in 0..grid - 1 {
-                    for y in 0..grid - 1 {
-                        let mut sum = 0.0;
-                        for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
-                            let row = &d[(x + dx) * grid + y + dy];
-                            sum += concentration.get_f64(row, "value")?.unwrap_or(0.0);
+                let interp = ctx.read(|r| {
+                    let concentration = r.family(TABLE, "concentration")?;
+                    let mut interp = Vec::with_capacity(cells.len());
+                    for x in 0..grid - 1 {
+                        for y in 0..grid - 1 {
+                            let mut sum = 0.0;
+                            for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                                let row = &d[(x + dx) * grid + y + dy];
+                                sum += concentration.get_f64(row, "value").unwrap_or(0.0);
+                            }
+                            let cell = &*cells[x * (grid - 1) + y];
+                            interp.push((cell, "value", Value::from(sum / 4.0)));
                         }
-                        let cell = &*cells[x * (grid - 1) + y];
-                        interp.push((cell, "value", Value::from(sum / 4.0)));
                     }
-                }
+                    Ok::<_, StoreError>(interp)
+                })?;
                 ctx.family(TABLE, "interp")?.put_many(interp)?;
                 Ok(())
             }),
@@ -403,9 +412,11 @@ impl WorkloadFactory for AqhiFactory {
         wf.bind(
             hotspots,
             FnStep::new(move |ctx: &StepContext| {
-                let mut zones = Vec::new();
-                ctx.family(TABLE, "zones")?.for_each_row(|key, row| {
-                    zones.push((key.to_owned(), row.f64("value").unwrap_or(0.0)));
+                let zones: Vec<(String, f64)> = ctx.read(|r| {
+                    let zones = r.family(TABLE, "zones")?.rows();
+                    let zones =
+                        zones.map(|(key, row)| (key.to_owned(), row.f64("value").unwrap_or(0.0)));
+                    Ok::<_, StoreError>(zones.collect())
                 })?;
                 let mut hotspots = Vec::with_capacity(2 * zones.len());
                 for (key, v) in &zones {
@@ -438,9 +449,10 @@ impl WorkloadFactory for AqhiFactory {
                 // Additive model: each hotspot contributes its pollution
                 // excess, so the index moves smoothly as fronts build up
                 // rather than jumping by whole units per zone flip.
-                let mut hot_excess = 0.0;
-                ctx.family(TABLE, "hotspots")?.for_each_row(|_, row| {
-                    hot_excess += row.f64("excess").unwrap_or(0.0);
+                let hot_excess = ctx.read(|r| {
+                    let hotspots = r.family(TABLE, "hotspots")?.rows();
+                    let excess = hotspots.map(|(_, row)| row.f64("excess").unwrap_or(0.0));
+                    Ok::<_, StoreError>(excess.fold(0.0, |sum, excess| sum + excess))
                 })?;
                 let index_value = 1.0 + hot_excess / 8.0;
                 ctx.family(TABLE, "index")?.put_many(vec![

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use smartflux::eval::WorkloadFactory;
-use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_datastore::{ContainerRef, DataStore, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
@@ -229,29 +229,32 @@ impl WorkloadFactory for FireFactory {
             calc_areas,
             FnStep::new(move |ctx: &StepContext| {
                 let per_side = c.grid / c.area_size;
-                let sensors = ctx.family(TABLE, "sensors")?;
-                let mut areas = Vec::with_capacity(3 * area_keys.len());
-                for ax in 0..per_side {
-                    for ay in 0..per_side {
-                        let (mut t, mut p, mut w) = (0.0, 0.0, 0.0);
-                        for dx in 0..c.area_size {
-                            for dy in 0..c.area_size {
-                                let (x, y) = (ax * c.area_size + dx, ay * c.area_size + dy);
-                                let row = &sensor_keys[x * c.grid + y];
-                                t += sensors.get_f64(row, "temp")?.unwrap_or(0.0);
-                                p += sensors.get_f64(row, "precip")?.unwrap_or(0.0);
-                                w += sensors.get_f64(row, "wind")?.unwrap_or(0.0);
+                let areas = ctx.read(|r| {
+                    let sensors = r.family(TABLE, "sensors")?;
+                    let mut areas = Vec::with_capacity(3 * area_keys.len());
+                    for ax in 0..per_side {
+                        for ay in 0..per_side {
+                            let (mut t, mut p, mut w) = (0.0, 0.0, 0.0);
+                            for dx in 0..c.area_size {
+                                for dy in 0..c.area_size {
+                                    let (x, y) = (ax * c.area_size + dx, ay * c.area_size + dy);
+                                    let sensor = sensors.row(&sensor_keys[x * c.grid + y]);
+                                    t += sensor.f64("temp").unwrap_or(0.0);
+                                    p += sensor.f64("precip").unwrap_or(0.0);
+                                    w += sensor.f64("wind").unwrap_or(0.0);
+                                }
                             }
+                            let n = (c.area_size * c.area_size) as f64;
+                            let row = &*area_keys[ax * per_side + ay];
+                            areas.extend([
+                                (row, "temp", Value::from(t / n)),
+                                (row, "precip", Value::from(p / n)),
+                                (row, "wind", Value::from(w / n)),
+                            ]);
                         }
-                        let n = (c.area_size * c.area_size) as f64;
-                        let row = &*area_keys[ax * per_side + ay];
-                        areas.extend([
-                            (row, "temp", Value::from(t / n)),
-                            (row, "precip", Value::from(p / n)),
-                            (row, "wind", Value::from(w / n)),
-                        ]);
                     }
-                }
+                    Ok::<_, StoreError>(areas)
+                })?;
                 ctx.family(TABLE, "areas")?.put_many(areas)?;
                 Ok(())
             }),
@@ -265,11 +268,13 @@ impl WorkloadFactory for FireFactory {
             thermal,
             FnStep::new(move |ctx: &StepContext| {
                 // Areas without a temperature get no shade.
-                let mut temps = Vec::new();
-                ctx.family(TABLE, "areas")?.for_each_row(|key, row| {
-                    if let Some(t) = row.value("temp") {
-                        temps.push((key.to_owned(), t.as_f64().unwrap_or(24.0)));
-                    }
+                let temps: Vec<(String, f64)> = ctx.read(|r| {
+                    let areas = r.family(TABLE, "areas")?.rows();
+                    let temps = areas.filter_map(|(key, row)| {
+                        let t = row.value("temp")?;
+                        Some((key.to_owned(), t.as_f64().unwrap_or(24.0)))
+                    });
+                    Ok::<_, StoreError>(temps.collect())
                 })?;
                 let mut thermal = Vec::with_capacity(temps.len());
                 for (key, t) in &temps {
@@ -289,12 +294,15 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             area_risk,
             FnStep::new(move |ctx: &StepContext| {
-                let mut scores = Vec::new();
-                ctx.family(TABLE, "areas")?.for_each_row(|key, row| {
-                    let t = row.f64("temp").unwrap_or(24.0);
-                    let p = row.f64("precip").unwrap_or(0.0);
-                    let w = row.f64("wind").unwrap_or(2.0);
-                    scores.push((key.to_owned(), risk_score(t, p, w)));
+                let scores: Vec<(String, f64)> = ctx.read(|r| {
+                    let areas = r.family(TABLE, "areas")?.rows();
+                    let scores = areas.map(|(key, row)| {
+                        let t = row.f64("temp").unwrap_or(24.0);
+                        let p = row.f64("precip").unwrap_or(0.0);
+                        let w = row.f64("wind").unwrap_or(2.0);
+                        (key.to_owned(), risk_score(t, p, w))
+                    });
+                    Ok::<_, StoreError>(scores.collect())
                 })?;
                 let mut risk = Vec::with_capacity(2 * scores.len());
                 for (key, score) in &scores {
@@ -320,13 +328,16 @@ impl WorkloadFactory for FireFactory {
                 let mut total = 0.0;
                 let mut n = 0.0;
                 let mut hotspots = 0.0;
-                ctx.family(TABLE, "risk")?.for_each_row(|_, row| {
-                    let score = row.f64("score").unwrap_or(0.0);
-                    total += score;
-                    n += 1.0;
-                    if row.f64("level").unwrap_or(0.0) >= 3.0 {
-                        hotspots += 1.0;
+                ctx.read(|r| {
+                    for (_, row) in r.family(TABLE, "risk")?.rows() {
+                        let score = row.f64("score").unwrap_or(0.0);
+                        total += score;
+                        n += 1.0;
+                        if row.f64("level").unwrap_or(0.0) >= 3.0 {
+                            hotspots += 1.0;
+                        }
                     }
+                    Ok::<_, StoreError>(())
                 })?;
                 let avg = if n > 0.0 { total / n } else { 0.0 };
                 ctx.family(TABLE, "overall")?.put_many(vec![
@@ -348,11 +359,10 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             satellite,
             FnStep::new(move |ctx: &StepContext| {
-                let mut burning = Vec::new();
-                ctx.family(TABLE, "risk")?.for_each_row(|key, row| {
-                    if row.f64("level").unwrap_or(0.0) >= 4.0 {
-                        burning.push(key.to_owned());
-                    }
+                let burning: Vec<String> = ctx.read(|r| {
+                    let risk = r.family(TABLE, "risk")?.rows();
+                    let burning = risk.filter(|(_, row)| row.f64("level").unwrap_or(0.0) >= 4.0);
+                    Ok::<_, StoreError>(burning.map(|(key, _)| key.to_owned()).collect())
                 })?;
                 // Deterministic "image analysis": confirm a fire in a small
                 // fraction of extreme-risk inspections.
@@ -374,9 +384,11 @@ impl WorkloadFactory for FireFactory {
         wf.bind(
             orders,
             FnStep::new(move |ctx: &StepContext| {
-                let mut confirmed = 0i64;
-                ctx.family(TABLE, "satellite")?.for_each_row(|_, row| {
-                    confirmed += i64::from(row.f64("fire_confirmed").unwrap_or(0.0) > 0.5);
+                let confirmed = ctx.read(|r| {
+                    let satellite = r.family(TABLE, "satellite")?.rows();
+                    let confirmed =
+                        satellite.filter(|(_, row)| row.f64("fire_confirmed").unwrap_or(0.0) > 0.5);
+                    Ok::<_, StoreError>(confirmed.count() as i64)
                 })?;
                 ctx.put(TABLE, "orders", "region", "pending", Value::from(confirmed))?;
                 Ok(())

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use smartflux::eval::WorkloadFactory;
-use smartflux_datastore::{ContainerRef, DataStore, FamilyHandle, StoreError, Value};
+use smartflux_datastore::{ContainerRef, DataStore, FamilyView, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 use crate::gen::{diurnal, periodic_noise, unit_hash};
@@ -132,18 +132,14 @@ fn link_qualifiers(links_per_page: usize) -> Arc<[String]> {
 
 /// The crawled adjacency: each page's in-range, non-self outlinks, read
 /// from the `crawl` family. A page never crawled has none.
-fn crawled_adjacency(
-    crawl: &FamilyHandle<'_>,
-    pages: usize,
-    links: &[String],
-) -> Result<Vec<Vec<usize>>, StoreError> {
+fn crawled_adjacency(crawl: &FamilyView<'_>, pages: usize, links: &[String]) -> Vec<Vec<usize>> {
     let mut out: Vec<Vec<usize>> = vec![Vec::new(); pages];
-    crawl.for_each_row(|key, row| {
+    for (key, row) in crawl.rows() {
         let Some(p) = key
             .strip_prefix("page-")
             .and_then(|s| s.parse::<usize>().ok())
         else {
-            return;
+            continue;
         };
         for link in links {
             if let Some(target) = row.f64(link) {
@@ -153,8 +149,8 @@ fn crawled_adjacency(
                 }
             }
         }
-    })?;
-    Ok(out)
+    }
+    out
 }
 
 /// PageRank by power iteration over `out`, starting from the uniform
@@ -266,15 +262,18 @@ impl WorkloadFactory for PagerankFactory {
             histogram,
             FnStep::new(move |ctx: &StepContext| {
                 let mut indegree = vec![0i64; r.len()];
-                ctx.family(TABLE, "crawl")?.for_each_row(|_, row| {
-                    for link in l.iter() {
-                        if let Some(target) = row.f64(link) {
-                            let t = target as usize;
-                            if t < indegree.len() {
-                                indegree[t] += 1;
+                ctx.read(|view| {
+                    for (_, row) in view.family(TABLE, "crawl")?.rows() {
+                        for link in l.iter() {
+                            if let Some(target) = row.f64(link) {
+                                let t = target as usize;
+                                if t < indegree.len() {
+                                    indegree[t] += 1;
+                                }
                             }
                         }
                     }
+                    Ok::<_, StoreError>(())
                 })?;
                 let histogram = r
                     .iter()
@@ -295,13 +294,16 @@ impl WorkloadFactory for PagerankFactory {
             words,
             FnStep::new(move |ctx: &StepContext| {
                 let mut buckets = [0i64; 8];
-                ctx.family(TABLE, "crawl")?.for_each_row(|_, row| {
-                    // A crawled row without a word count is not a page.
-                    if let Some(words) = row.value("words") {
-                        let w = words.as_f64().unwrap_or(0.0);
-                        let b = ((w / 150.0) as usize).min(7);
-                        buckets[b] += 1;
+                ctx.read(|r| {
+                    for (_, row) in r.family(TABLE, "crawl")?.rows() {
+                        // A crawled row without a word count is not a page.
+                        if let Some(words) = row.value("words") {
+                            let w = words.as_f64().unwrap_or(0.0);
+                            let b = ((w / 150.0) as usize).min(7);
+                            buckets[b] += 1;
+                        }
                     }
+                    Ok::<_, StoreError>(())
                 })?;
                 let words = bucket_keys
                     .iter()
@@ -321,7 +323,10 @@ impl WorkloadFactory for PagerankFactory {
         wf.bind(
             pagerank,
             FnStep::new(move |ctx: &StepContext| {
-                let out = crawled_adjacency(&ctx.family(TABLE, "crawl")?, c.pages, &links)?;
+                let out = ctx.read(|r| {
+                    let crawl = r.family(TABLE, "crawl")?;
+                    Ok::<_, StoreError>(crawled_adjacency(&crawl, c.pages, &links))
+                })?;
                 let rank = power_iteration(&out, c.damping, c.iterations);
                 let n = c.pages as f64;
                 // Scaled to ~[0, 1000] for readability.
@@ -345,9 +350,13 @@ impl WorkloadFactory for PagerankFactory {
         wf.bind(
             ranking,
             FnStep::new(move |ctx: &StepContext| {
-                let mut scores: Vec<f64> = Vec::new();
-                ctx.family(TABLE, "ranks")?.for_each_row(|_, row| {
-                    scores.push(row.f64("value").unwrap_or(0.0));
+                let mut scores: Vec<f64> = ctx.read(|r| {
+                    let ranks = r.family(TABLE, "ranks")?.rows();
+                    Ok::<_, StoreError>(
+                        ranks
+                            .map(|(_, row)| row.f64("value").unwrap_or(0.0))
+                            .collect(),
+                    )
                 })?;
                 scores.sort_by(|a, b| b.partial_cmp(a).expect("ranks are finite"));
                 let top = top_keys
@@ -442,8 +451,10 @@ mod tests {
         let mut sched = Scheduler::new(wf, store.clone(), Box::new(SynchronousPolicy));
         sched.run_waves(waves).unwrap();
         let links = link_qualifiers(factory.config.links_per_page);
-        let crawl = store.family(TABLE, "crawl").unwrap();
-        crawled_adjacency(&crawl, factory.config.pages, &links).unwrap()
+        store.read(|r| {
+            let crawl = r.family(TABLE, "crawl").unwrap();
+            crawled_adjacency(&crawl, factory.config.pages, &links)
+        })
     }
 
     /// The power iteration `power_iteration` replaced: every dangling page

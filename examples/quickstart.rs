@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use smartflux::{EngineConfig, Phase, SmartFluxSession};
-use smartflux_datastore::{ContainerRef, DataStore, Value};
+use smartflux_datastore::{ContainerRef, DataStore, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,11 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .bind(
             average,
             FnStep::new(|ctx: &StepContext| {
-                // Rows are read in place, under the store's read guard.
-                let (mut sum, mut rows) = (0.0, 0usize);
-                ctx.family("plant", "raw")?.for_each_row(|_sensor, row| {
-                    sum += row.f64("value").unwrap_or(0.0);
-                    rows += 1;
+                // Reads run in one scope under the store's read guard, rows
+                // read in place; the step writes once the scope is done.
+                let (sum, rows) = ctx.read(|r| {
+                    let raw = r.family("plant", "raw")?;
+                    let values = raw
+                        .rows()
+                        .map(|(_sensor, row)| row.f64("value").unwrap_or(0.0));
+                    Ok::<_, StoreError>(values.fold((0.0, 0usize), |(sum, n), v| (sum + v, n + 1)))
                 })?;
                 let mean = sum / rows.max(1) as f64;
                 ctx.put("plant", "avg", "all", "value", Value::from(mean))?;

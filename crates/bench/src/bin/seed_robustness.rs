@@ -4,10 +4,7 @@
 //!
 //! Run with: `cargo run --release -p smartflux-bench --bin seed_robustness`
 
-use smartflux::eval::{evaluate, EvalPolicy};
-use smartflux::MetricKind;
 use smartflux_bench::{heading, pct, write_csv, Workload};
-use smartflux_workloads::{aqhi::AqhiFactory, lrb::LrbFactory};
 
 fn main() {
     heading("Seed robustness — headline at the 5% bound across seeds");
@@ -19,32 +16,10 @@ fn main() {
         let mut saved = Vec::new();
         let mut conf = Vec::new();
         for &seed in &seeds {
-            let mut config = wl.engine_config();
-            config.seed = seed;
-            // Vary the feed seed as well as the model seed.
-            let report = match wl {
-                Workload::Lrb => {
-                    let mut f = LrbFactory::with_bound(bound);
-                    f.config.seed = seed ^ 0x5EED;
-                    evaluate(
-                        &f,
-                        EvalPolicy::SmartFlux(Box::new(config)),
-                        wl.application_waves(),
-                        MetricKind::MeanRelative,
-                    )
-                }
-                Workload::Aqhi => {
-                    let mut f = AqhiFactory::with_bound(bound);
-                    f.config.seed = seed ^ 0x5EED;
-                    evaluate(
-                        &f,
-                        EvalPolicy::SmartFlux(Box::new(config)),
-                        wl.application_waves(),
-                        MetricKind::MeanRelative,
-                    )
-                }
-            }
-            .expect("evaluation succeeds");
+            // Varies the feed seed as well as the model seed.
+            let report = wl
+                .evaluate_at_seed(bound, seed)
+                .expect("evaluation succeeds");
             saved.push(1.0 - report.normalized_executions());
             conf.push(report.confidence.confidence());
             csv.push(format!(

@@ -1,8 +1,10 @@
 //! The prose is pinned to the figures: every row of EXPERIMENTS.md's
 //! headline table must print the saved executions, the confidence and the
-//! speedup of `results/headline_summary.csv`, rounded to the precision the
-//! table prints, and README's lead sentence the ranges of both and how
-//! many rows reach the paper's 95 % confidence. A figure regenerated
+//! speedup of `results/headline_summary.csv`, and every row of the per-sink
+//! table under it the confidence and violations of
+//! `results/headline_sinks.csv`, rounded to the precision the tables
+//! print; README's lead sentence states the ranges of the first two and
+//! how many rows reach the paper's 95 % confidence. A figure regenerated
 //! without its prose (or prose edited without its figure) fails here.
 
 use std::fs;
@@ -36,27 +38,38 @@ fn printed(cell: &str) -> (f64, usize) {
     (value, decimals)
 }
 
-/// The rows of the table under `## Headline`, each number with the number
-/// of decimals it was printed with.
-fn doc_rows(doc: &str) -> Vec<(Row, [usize; 3])> {
+/// The tables under `## Headline`, in order: each the cells of its rows
+/// below the header and separator.
+fn doc_tables(doc: &str) -> Vec<Vec<Vec<&str>>> {
     let section = doc
         .split("\n## ")
         .find(|s| s.starts_with("Headline"))
         .expect("EXPERIMENTS.md has a Headline section");
     section
-        .lines()
-        .filter(|l| l.starts_with('|'))
-        .skip(2) // header and separator
-        .map(|line| {
-            let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
-            assert_eq!(cells.len(), 5, "headline row {line:?}");
+        .split("\n\n")
+        .filter(|block| block.starts_with('|'))
+        .map(|table| {
+            let rows = table.lines().skip(2); // header and separator
+            rows.map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// The rows of the first table under `## Headline`, each number with the
+/// number of decimals it was printed with.
+fn doc_rows(doc: &str) -> Vec<(Row, [usize; 3])> {
+    doc_tables(doc)[0]
+        .iter()
+        .map(|cells| {
+            assert_eq!(cells.len(), 5, "headline row {cells:?}");
             let (bound_pct, _) = printed(cells[1]);
             let (saved_pct, saved_dp) = printed(cells[2]);
             let (confidence_pct, confidence_dp) = printed(cells[3]);
             let (speedup, speedup_dp) = printed(cells[4]);
             (
                 Row {
-                    workload: cells[0].trim().to_lowercase(),
+                    workload: cells[0].to_lowercase(),
                     bound: bound_pct / 100.0,
                     saved_pct,
                     confidence_pct,
@@ -88,6 +101,64 @@ fn csv_rows(csv: &str) -> Vec<Row> {
                 saved_pct: number(3) * 100.0,
                 confidence_pct: number(4) * 100.0,
                 speedup: number(6),
+            }
+        })
+        .collect()
+}
+
+/// One managed sink's row of the per-sink table or of its CSV.
+#[derive(Debug)]
+struct SinkRow {
+    workload: String,
+    bound: f64,
+    sink: String,
+    confidence_pct: f64,
+    violations: u64,
+}
+
+/// The rows of the per-sink table, the second under `## Headline`, each
+/// with the decimals its confidence was printed with.
+fn doc_sink_rows(doc: &str) -> Vec<(SinkRow, usize)> {
+    let tables = doc_tables(doc);
+    assert_eq!(tables.len(), 2, "the headline table and the per-sink table");
+    tables[1]
+        .iter()
+        .map(|cells| {
+            assert_eq!(cells.len(), 5, "per-sink row {cells:?}");
+            let (bound_pct, _) = printed(cells[1]);
+            let (confidence_pct, confidence_dp) = printed(cells[3]);
+            let row = SinkRow {
+                workload: cells[0].to_lowercase(),
+                bound: bound_pct / 100.0,
+                sink: cells[2].trim_matches('`').to_owned(),
+                confidence_pct,
+                violations: cells[4].trim_matches('*').parse().expect("a count"),
+            };
+            (row, confidence_dp)
+        })
+        .collect()
+}
+
+fn csv_sink_rows(csv: &str) -> Vec<SinkRow> {
+    let mut lines = csv.lines();
+    assert_eq!(
+        lines.next(),
+        Some("workload,bound,sink,confidence,violations")
+    );
+    lines
+        .map(|line| {
+            let fields: Vec<&str> = line.split(',').collect();
+            let number = |i: usize| -> f64 {
+                fields[i]
+                    .parse()
+                    .unwrap_or_else(|e| panic!("field {i} of {line:?}: {e}"))
+            };
+            SinkRow {
+                workload: fields[0].to_owned(),
+                bound: number(1),
+                sink: fields[2].to_owned(),
+                confidence_pct: number(3) * 100.0,
+                violations: fields[4].parse().expect("a count"),
             }
         })
         .collect()
@@ -127,6 +198,26 @@ fn headline_table_prints_the_headline_csv() {
             want.speedup,
             got.speedup
         );
+    }
+
+    let doc = doc_sink_rows(&repo_file("EXPERIMENTS.md"));
+    let csv = csv_sink_rows(&repo_file("results/headline_sinks.csv"));
+    assert_eq!(doc.len(), csv.len(), "one per-sink row per CSV row");
+    for (want, (got, confidence_dp)) in csv.iter().zip(&doc) {
+        let at = format!("{} {} at {}", want.workload, want.sink, want.bound);
+        assert_eq!(
+            (&got.workload, &got.sink),
+            (&want.workload, &want.sink),
+            "{at}: row order"
+        );
+        assert!((got.bound - want.bound).abs() < 1e-9, "{at}: bound");
+        assert!(
+            rounds_to(want.confidence_pct, got.confidence_pct, *confidence_dp),
+            "{at}: confidence {}% printed as {}%",
+            want.confidence_pct,
+            got.confidence_pct
+        );
+        assert_eq!(got.violations, want.violations, "{at}: violations");
     }
 }
 

@@ -7,7 +7,7 @@
 //! evaluated and once fully synchronously — and measures, wave by wave, how
 //! far the adaptive run's output drifted from the truth.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use smartflux_datastore::{ContainerRef, DataStore, Snapshot};
 use smartflux_telemetry::Telemetry;
@@ -95,8 +95,14 @@ pub struct EvalReport {
     /// Per-wave records, for application waves only (training waves of a
     /// SmartFlux run are reported separately via the engine diagnostics).
     pub waves: Vec<WaveRecord>,
-    /// Confidence tracker over the application waves.
+    /// Confidence tracker over the application waves: the designated
+    /// output step's ([`WorkloadFactory::output_step`]) compliance with its
+    /// bound.
     pub confidence: ConfidenceTracker,
+    /// One confidence tracker per managed sink ([`managed_sinks`]), keyed
+    /// by step name: each sink's own outputs measured against its own
+    /// bound, over the same application waves.
+    pub sinks: BTreeMap<String, ConfidenceTracker>,
     /// The engine, for SmartFlux runs (training diagnostics, knowledge
     /// base, predictor quality).
     pub engine: Option<SharedEngine>,
@@ -237,6 +243,31 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (vx * vy).sqrt()
 }
 
+/// The policy-managed steps of `workflow`: bounded and not always-run.
+#[must_use]
+pub fn managed_steps(workflow: &Workflow) -> Vec<StepId> {
+    workflow
+        .qod_steps()
+        .into_iter()
+        .filter(|&id| !workflow.info(id).always_run())
+        .collect()
+}
+
+/// The managed sinks of `workflow`: the managed steps that no other managed
+/// step depends on, directly or through other steps. No skip downstream
+/// reads a sink's output, so each is a workflow output that keeps its
+/// deviation within its own bound.
+#[must_use]
+pub fn managed_sinks(workflow: &Workflow) -> Vec<StepId> {
+    let managed = managed_steps(workflow);
+    let graph = workflow.graph();
+    managed
+        .iter()
+        .copied()
+        .filter(|&step| !managed.iter().any(|&other| graph.precedes(step, other)))
+        .collect()
+}
+
 /// The validated bound of a step, or `CoreError::InvalidBound`.
 fn bounded(workflow: &Workflow, step: StepId) -> Result<ErrorBound, CoreError> {
     let name = workflow.graph().step_name(step).to_owned();
@@ -283,12 +314,21 @@ pub fn evaluate<F: WorkloadFactory>(
     let output_bound = bounded(&adapt_wf, output_step)?;
     let output_containers: Vec<ContainerRef> = adapt_wf.info(output_step).outputs().to_vec();
 
-    // Managed steps: bounded and not always-run.
-    let managed: Vec<StepId> = adapt_wf
-        .qod_steps()
-        .into_iter()
-        .filter(|&id| !adapt_wf.info(id).always_run())
-        .collect();
+    let managed = managed_steps(&adapt_wf);
+    // Per managed sink: its name, bound, outputs and compliance so far.
+    let mut sinks = Vec::new();
+    for id in managed_sinks(&adapt_wf) {
+        let info = adapt_wf.info(id);
+        let name = adapt_wf.graph().step_name(id).to_owned();
+        let outputs = info.outputs().to_vec();
+        sinks.push((
+            id,
+            name,
+            bounded(&adapt_wf, id)?,
+            outputs,
+            ConfidenceTracker::new(),
+        ));
+    }
 
     let mut engine_handle = None;
     let mut telemetry = Telemetry::disabled();
@@ -385,6 +425,14 @@ pub fn evaluate<F: WorkloadFactory>(
 
         let compliant = !output_bound.is_violated_by(measured);
         confidence.record(compliant);
+        for (id, _, bound, outputs, tracker) in &mut sinks {
+            let error = if *id == output_step {
+                measured
+            } else {
+                measure_divergence(&sync_store, &adapt_store, outputs, &measure_metric)
+            };
+            tracker.record(!bound.is_violated_by(error));
+        }
 
         let managed_executions = managed
             .iter()
@@ -413,6 +461,10 @@ pub fn evaluate<F: WorkloadFactory>(
         policy: policy_name,
         waves: records,
         confidence,
+        sinks: sinks
+            .into_iter()
+            .map(|(_, name, _, _, tracker)| (name, tracker))
+            .collect(),
         engine: engine_handle,
         telemetry,
     })
@@ -506,6 +558,29 @@ mod tests {
         // Skipped waves deviate from the synchronous truth.
         assert!(report.waves.iter().any(|w| w.measured_error > 0.0));
         assert!(report.confidence.violations() > 0);
+        // `copy` is the one managed sink, and the designated output.
+        let sinks: Vec<_> = report.sinks.iter().collect();
+        assert_eq!(sinks, [(&"copy".to_owned(), &report.confidence)]);
+    }
+
+    #[test]
+    fn managed_sinks_are_the_managed_steps_no_managed_step_reads() {
+        let noop = || FnStep::new(|_: &StepContext| Ok::<(), smartflux_wms::StepError>(()));
+        // feed → a → b → d, a → c, where `d` always runs: `a` feeds the
+        // managed `b` and `c`; `b` feeds only the always-run `d`.
+        let mut g = GraphBuilder::new("fork");
+        let [feed, a, b, c, d] = ["feed", "a", "b", "c", "d"].map(|n| g.add_step(n));
+        for (from, to) in [(feed, a), (a, b), (a, c), (b, d)] {
+            g.add_edge(from, to).unwrap();
+        }
+        let mut wf = Workflow::new(g.build().unwrap());
+        wf.bind(feed, noop()).source();
+        for step in [a, b, c] {
+            wf.bind(step, noop()).error_bound(0.1);
+        }
+        wf.bind(d, noop()).source().error_bound(0.1);
+        assert_eq!(managed_steps(&wf), [a, b, c]);
+        assert_eq!(managed_sinks(&wf), [b, c]);
     }
 
     #[test]

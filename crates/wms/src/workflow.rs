@@ -139,6 +139,22 @@ impl Workflow {
         &self.bindings[id.index()]
     }
 
+    /// Re-sets the `maxε` of a step that already carries an error bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this workflow's graph, if the step
+    /// carries no bound, or if `bound` is outside `[0, 1]` or not finite.
+    pub fn set_error_bound(&mut self, id: StepId, bound: f64) {
+        let info = &mut self.bindings[id.index()];
+        assert!(
+            info.error_bound.is_some(),
+            "step {} carries no error bound to re-set",
+            self.graph.step_name(id)
+        );
+        info.error_bound = Some(checked_bound(bound));
+    }
+
     /// Ids of steps that carry an error bound (the QoD-managed steps).
     #[must_use]
     pub fn qod_steps(&self) -> Vec<StepId> {
@@ -198,11 +214,7 @@ impl StepBindingBuilder<'_> {
     /// Panics if `bound` is outside `[0, 1]` or not finite — the paper's
     /// schema restricts bounds to values from 0 to 1.
     pub fn error_bound(&mut self, bound: f64) -> &mut Self {
-        assert!(
-            bound.is_finite() && (0.0..=1.0).contains(&bound),
-            "error bound must be within [0, 1], got {bound}"
-        );
-        self.info.error_bound = Some(bound);
+        self.info.error_bound = Some(checked_bound(bound));
         self
     }
 
@@ -211,6 +223,16 @@ impl StepBindingBuilder<'_> {
         self.info.retry = policy;
         self
     }
+}
+
+/// `bound` if it is a valid `maxε`: the paper's schema restricts bounds to
+/// values from 0 to 1.
+fn checked_bound(bound: f64) -> f64 {
+    assert!(
+        bound.is_finite() && (0.0..=1.0).contains(&bound),
+        "error bound must be within [0, 1], got {bound}"
+    );
+    bound
 }
 
 #[cfg(test)]
@@ -277,5 +299,24 @@ mod tests {
         let (g, a, _) = two_step();
         let mut w = Workflow::new(g);
         w.bind(a, noop()).error_bound(1.5);
+    }
+
+    #[test]
+    fn a_declared_bound_can_be_re_set() {
+        let (g, a, c) = two_step();
+        let mut w = Workflow::new(g);
+        w.bind(a, noop()).source();
+        w.bind(c, noop()).error_bound(0.1);
+        w.set_error_bound(c, 0.05);
+        assert_eq!(w.info(c).error_bound(), Some(0.05));
+    }
+
+    #[test]
+    #[should_panic(expected = "carries no error bound")]
+    fn re_setting_an_unbounded_step_panics() {
+        let (g, a, _) = two_step();
+        let mut w = Workflow::new(g);
+        w.bind(a, noop()).source();
+        w.set_error_bound(a, 0.1);
     }
 }

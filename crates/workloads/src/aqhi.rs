@@ -15,16 +15,13 @@ use smartflux::eval::WorkloadFactory;
 use smartflux_datastore::{ContainerRef, DataStore, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
+use crate::budget::{budget_upstream, UPSTREAM_FRACTION};
 use crate::gen::{diurnal, periodic_noise, unit_hash};
 
 /// Table name used by this workload.
 pub const TABLE: &str = "aqhi";
 /// Waves in the paper's full simulated week (168 hourly waves).
 pub const WEEK_WAVES: u64 = 168;
-/// Intermediate (non-output) steps receive this fraction of the workflow's
-/// error bound: budgeting half the tolerance to upstream staleness keeps the
-/// *output* step's compounded deviation within its own bound.
-pub const INTERMEDIATE_BOUND_FRACTION: f64 = 0.5;
 
 /// Configuration of the AQHI workload.
 #[derive(Debug, Clone)]
@@ -33,7 +30,8 @@ pub struct AqhiConfig {
     pub grid: usize,
     /// Detectors per zone side (`zone_size × zone_size` detectors per zone).
     pub zone_size: usize,
-    /// Error bound applied to every managed step.
+    /// The workflow's error bound: every managed sink's `maxε`, split
+    /// upstream by [`budget_upstream`].
     pub bound: f64,
     /// Concentration above which a zone is a hotspot.
     pub hotspot_reference: f64,
@@ -54,7 +52,7 @@ impl Default for AqhiConfig {
 }
 
 impl AqhiConfig {
-    /// A configuration with the given uniform error bound.
+    /// A configuration with the given workflow error bound.
     #[must_use]
     pub fn with_bound(bound: f64) -> Self {
         Self {
@@ -218,7 +216,7 @@ pub struct AqhiFactory {
 }
 
 impl AqhiFactory {
-    /// A factory with the given uniform error bound on all managed steps.
+    /// A factory with the given workflow error bound.
     #[must_use]
     pub fn with_bound(bound: f64) -> Self {
         Self {
@@ -340,7 +338,7 @@ impl WorkloadFactory for AqhiFactory {
         )
         .reads(readings.clone())
         .writes(conc.clone())
-        .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
+        .error_bound(cfg.bound);
 
         // Step 3a: aggregate concentration per zone.
         let (c, d, z) = (cfg.clone(), Arc::clone(&det_keys), zone_keys);
@@ -374,7 +372,7 @@ impl WorkloadFactory for AqhiFactory {
         .reads(conc.clone())
         .reads(readings.clone())
         .writes(zonesc.clone())
-        .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
+        .error_bound(cfg.bound);
 
         // Step 3b: interpolate the concentration between detectors (the
         // monitoring-station chart).
@@ -405,7 +403,7 @@ impl WorkloadFactory for AqhiFactory {
         .reads(conc.clone())
         .reads(readings.clone())
         .writes(interpc)
-        .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
+        .error_bound(cfg.bound);
 
         // Step 4: zones above the reference become hotspots.
         let c = cfg.clone();
@@ -440,7 +438,7 @@ impl WorkloadFactory for AqhiFactory {
         .reads(zonesc)
         .reads(readings.clone())
         .writes(hotsc.clone())
-        .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
+        .error_bound(cfg.bound);
 
         // Step 5: additive model over the detected hotspots.
         wf.bind(
@@ -468,6 +466,7 @@ impl WorkloadFactory for AqhiFactory {
         .error_bound(cfg.bound);
 
         debug_assert!(wf.first_unbound().is_none());
+        budget_upstream(&mut wf, UPSTREAM_FRACTION);
         wf
     }
 
@@ -656,15 +655,5 @@ mod tests {
         b.run_waves(2).unwrap();
         let c = ContainerRef::family(TABLE, "readings");
         assert_ne!(s1.snapshot(&c).unwrap(), s2.snapshot(&c).unwrap());
-    }
-
-    #[test]
-    fn factory_declares_output_step() {
-        let f = AqhiFactory::default();
-        let store = DataStore::new();
-        let wf = f.build(&store);
-        let id = wf.graph().step_id(f.output_step()).unwrap();
-        assert!(wf.graph().sinks().contains(&id));
-        assert!(wf.info(id).error_bound().is_some());
     }
 }

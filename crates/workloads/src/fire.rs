@@ -15,18 +15,20 @@ use smartflux::eval::WorkloadFactory;
 use smartflux_datastore::{ContainerRef, DataStore, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
+use crate::budget::budget_upstream;
 use crate::gen::{diurnal, periodic_noise, unit_hash};
 
 /// Table name used by this workload.
 pub const TABLE: &str = "fire";
 /// Waves in one repeating weather cycle (a simulated week of hourly waves).
 pub const WEEK_WAVES: u64 = 168;
-/// Intermediate (non-output) steps receive this fraction of the workflow's
-/// error bound. The fraction is small because the risk map amplifies
-/// relative staleness: the score is proportional to `T − 24 °C` while the
-/// sensor container's relative error is measured against `T ≈ 27 °C`, a
-/// gain of roughly 3–4× through the chain.
-pub const INTERMEDIATE_BOUND_FRACTION: f64 = 0.15;
+/// The fraction of the bound a managed step with a managed descendant
+/// spends ([`budget_upstream`]). It is smaller than the other workloads'
+/// [`UPSTREAM_FRACTION`](crate::budget::UPSTREAM_FRACTION) because the risk
+/// map amplifies relative staleness: the score is proportional to
+/// `T − 24 °C` while the sensor container's relative error is measured
+/// against `T ≈ 27 °C`, a gain of roughly 3–4× through the chain.
+pub const UPSTREAM_FRACTION: f64 = 0.15;
 
 /// Configuration of the fire-risk workload.
 #[derive(Debug, Clone)]
@@ -35,7 +37,8 @@ pub struct FireConfig {
     pub grid: usize,
     /// Sensors per area side.
     pub area_size: usize,
-    /// Error bound applied to every managed step.
+    /// The workflow's error bound: every managed sink's `maxε`, split
+    /// upstream by [`budget_upstream`].
     pub bound: f64,
     /// Feed seed.
     pub seed: u64,
@@ -57,7 +60,7 @@ impl Default for FireConfig {
 }
 
 impl FireConfig {
-    /// A configuration with the given uniform error bound.
+    /// A configuration with the given workflow error bound.
     #[must_use]
     pub fn with_bound(bound: f64) -> Self {
         Self {
@@ -140,7 +143,7 @@ pub struct FireFactory {
 }
 
 impl FireFactory {
-    /// A factory with the given uniform error bound on all managed steps.
+    /// A factory with the given workflow error bound.
     #[must_use]
     pub fn with_bound(bound: f64) -> Self {
         Self {
@@ -261,7 +264,7 @@ impl WorkloadFactory for FireFactory {
         )
         .reads(sensors.clone())
         .writes(areas.clone())
-        .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
+        .error_bound(cfg.bound);
 
         // Step 2b: thermal map for the monitoring station.
         wf.bind(
@@ -288,7 +291,7 @@ impl WorkloadFactory for FireFactory {
         )
         .reads(areas.clone())
         .writes(thermalc)
-        .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
+        .error_bound(cfg.bound);
 
         // Step 3: assess each area's fire risk.
         wf.bind(
@@ -318,7 +321,7 @@ impl WorkloadFactory for FireFactory {
         .reads(areas)
         .reads(sensors.clone())
         .writes(riskc.clone())
-        .error_bound(cfg.bound * INTERMEDIATE_BOUND_FRACTION);
+        .error_bound(cfg.bound);
 
         // Step 4a: overall risk and hotspots — the workflow output; its
         // bound should make only decision-relevant changes propagate.
@@ -399,6 +402,7 @@ impl WorkloadFactory for FireFactory {
         .writes(ordersc);
 
         debug_assert!(wf.first_unbound().is_none());
+        budget_upstream(&mut wf, UPSTREAM_FRACTION);
         wf
     }
 

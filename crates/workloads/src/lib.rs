@@ -17,12 +17,16 @@
 //! - [`pagerank`] — the web-crawl/PageRank application class of §2.3
 //!   (link-difference histograms, word counts, top-k rankings).
 //!
+//! Each factory declares the workflow's bound on every managed step and
+//! then splits it by one rule, [`budget::budget_upstream`].
+//!
 //! [`WorkloadFactory`]: smartflux::eval::WorkloadFactory
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aqhi;
+pub mod budget;
 pub mod fire;
 pub mod gen;
 pub mod lrb;

@@ -17,6 +17,7 @@ use smartflux::eval::WorkloadFactory;
 use smartflux_datastore::{ContainerRef, DataStore, FamilyView, StoreError, Value};
 use smartflux_wms::{FnStep, GraphBuilder, StepContext, Workflow};
 
+use crate::budget::{budget_upstream, UPSTREAM_FRACTION};
 use crate::gen::{diurnal, periodic_noise, unit_hash};
 
 /// Table name used by this workload.
@@ -39,7 +40,8 @@ pub struct PagerankConfig {
     pub damping: f64,
     /// Size of the published top-k ranking.
     pub top_k: usize,
-    /// Error bound applied to every managed step.
+    /// The workflow's error bound: every managed sink's `maxε`, split
+    /// upstream by [`budget_upstream`].
     pub bound: f64,
     /// Feed seed.
     pub seed: u64,
@@ -61,7 +63,7 @@ impl Default for PagerankConfig {
 }
 
 impl PagerankConfig {
-    /// A configuration with the given uniform error bound.
+    /// A configuration with the given workflow error bound.
     #[must_use]
     pub fn with_bound(bound: f64) -> Self {
         Self {
@@ -191,7 +193,7 @@ pub struct PagerankFactory {
 }
 
 impl PagerankFactory {
-    /// A factory with the given uniform error bound on all managed steps.
+    /// A factory with the given workflow error bound.
     #[must_use]
     pub fn with_bound(bound: f64) -> Self {
         Self {
@@ -286,7 +288,7 @@ impl WorkloadFactory for PagerankFactory {
         )
         .reads(crawlc.clone())
         .writes(histc.clone())
-        .error_bound(cfg.bound * 0.5);
+        .error_bound(cfg.bound);
 
         // Step 3: aggregate word counts (a content-volume histogram).
         let bucket_keys: Vec<String> = (0..8).map(|i| format!("bucket-{i}")).collect();
@@ -316,7 +318,7 @@ impl WorkloadFactory for PagerankFactory {
         )
         .reads(crawlc.clone())
         .writes(wordsc)
-        .error_bound(cfg.bound * 0.5);
+        .error_bound(cfg.bound);
 
         // Step 4: PageRank power iteration over the crawled adjacency.
         let c = cfg.clone();
@@ -342,7 +344,7 @@ impl WorkloadFactory for PagerankFactory {
         .reads(histc)
         .reads(crawlc)
         .writes(ranksc.clone())
-        .error_bound(cfg.bound * 0.5);
+        .error_bound(cfg.bound);
 
         // Step 5: publish the top-k ranking — the workflow output whose
         // significance decision makers care about.
@@ -373,6 +375,7 @@ impl WorkloadFactory for PagerankFactory {
         .error_bound(cfg.bound);
 
         debug_assert!(wf.first_unbound().is_none());
+        budget_upstream(&mut wf, UPSTREAM_FRACTION);
         wf
     }
 
@@ -582,15 +585,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn output_step_is_the_bounded_sink() {
-        let factory = PagerankFactory::default();
-        let store = DataStore::new();
-        let wf = factory.build(&store);
-        let id = wf.graph().step_id(factory.output_step()).unwrap();
-        assert!(wf.graph().sinks().contains(&id));
-        assert_eq!(wf.info(id).error_bound(), Some(factory.config.bound));
     }
 }

@@ -74,6 +74,33 @@ fn seq_policies_save_their_nominal_fraction() {
     }
 }
 
+/// LRB's one managed sink is its designated output, `classify`, so the
+/// sink's own tracker must agree with the harness's `confidence` on every
+/// wave. The twins are deterministic, so a run of `n` waves is the first
+/// `n` waves of a longer one: agreement after every length is agreement
+/// wave for wave.
+#[test]
+fn a_lone_managed_sink_is_measured_as_the_output() {
+    let mut violations = 0;
+    for waves in 1..=24 {
+        let report = evaluate(
+            &lrb(0.01),
+            EvalPolicy::EveryN { n: 4 },
+            waves,
+            MetricKind::MeanRelative,
+        )
+        .expect("evaluation succeeds");
+        let sinks: Vec<_> = report.sinks.iter().collect();
+        assert_eq!(
+            sinks,
+            [(&"classify".to_owned(), &report.confidence)],
+            "after {waves} waves"
+        );
+        violations = report.confidence.violations();
+    }
+    assert!(violations > 0, "the comparison must see violations");
+}
+
 #[test]
 fn oracle_dominates_naive_policies_on_confidence() {
     let waves = 168;

@@ -9,9 +9,11 @@
 //!
 //! Pass `--json` for machine-readable output: one JSON object per workload
 //! per line (layout versioned by `schema_version`), carrying the run
-//! summary, the model quality, the full telemetry snapshot and — when the
-//! run produced them — `fault_tolerance`, `durability` and `store`
-//! sections (sections with nothing to report are omitted). With
+//! summary, the model quality, each QoD step's compiled rule (`step_rules`:
+//! its cut count on ι and how often its decision flips along ι), the full
+//! telemetry snapshot and — when the run produced them — `fault_tolerance`,
+//! `durability` and `store` sections (sections with nothing to report are
+//! omitted). With
 //! `--journal <dir>` it also writes and reports the wave-decision journal.
 //!
 //! Two further modes drive the live observability plane:
@@ -123,6 +125,11 @@ fn run_json(args: &Args) {
                 )
             },
         );
+        let rules_json = report
+            .engine
+            .as_ref()
+            .and_then(|e| e.with(diag::step_rules_json))
+            .unwrap_or_else(|| "null".to_owned());
         let journal_json = journal.map_or_else(
             || "null".to_owned(),
             |p| json_string(&p.display().to_string()),
@@ -132,7 +139,7 @@ fn run_json(args: &Args) {
             "{{\"schema_version\":{},\"workload\":{},\"bound\":{},\
              \"oracle\":{{\"executions\":{},\"confidence\":{},\"violations\":{}}},\
              \"smartflux\":{{\"executions\":{},\"confidence\":{},\"violations\":{}}},\
-             \"model_quality\":{},\"journal_path\":{}{},\"telemetry\":{}}}",
+             \"model_quality\":{},\"step_rules\":{},\"journal_path\":{}{},\"telemetry\":{}}}",
             diag::SCHEMA_VERSION,
             json_string(wl.id()),
             args.bound,
@@ -143,6 +150,7 @@ fn run_json(args: &Args) {
             report.confidence.confidence(),
             report.confidence.violations(),
             quality_json,
+            rules_json,
             journal_json,
             diag::optional_sections(&snapshot),
             snapshot.to_json(),

@@ -8,7 +8,9 @@
 //! without durability has no `durability` key, and a run that never published
 //! store-lock statistics has no `store` key.
 
-use smartflux_telemetry::{names, MetricsSnapshot};
+use smartflux::QodEngine;
+use smartflux_ml::StepRule;
+use smartflux_telemetry::{json_string, names, MetricsSnapshot};
 
 /// Version of the `diagnose --json` object layout.
 ///
@@ -21,8 +23,9 @@ use smartflux_telemetry::{names, MetricsSnapshot};
 /// 6 = `durability` lost `wal_bytes` and `wal_records` (no session logs);
 /// 7 = the `store` section lost `reads` (nothing counts reads);
 /// 8 = the `static_analysis` section is gone (CI's tidy report is the
-/// static-analysis record).
-pub const SCHEMA_VERSION: u64 = 8;
+/// static-analysis record);
+/// 9 = added the `step_rules` section.
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// The `fault_tolerance` section, or `None` when the run saw no aborts,
 /// retries, failures, or SDF fallbacks (nothing to report).
@@ -76,6 +79,41 @@ pub fn store_json(snapshot: &MetricsSnapshot) -> Option<String> {
     ))
 }
 
+/// How often `rule`'s decision (`vote ≥ threshold`) flips between
+/// adjacent pieces along the impact axis: 0 for a step that always or
+/// never runs, 1 for a single-cut trigger.
+#[must_use]
+pub fn decision_flips(rule: &StepRule) -> usize {
+    rule.votes()
+        .windows(2)
+        .filter(|w| (w[0] >= rule.threshold()) != (w[1] >= rule.threshold()))
+        .count()
+}
+
+/// The `step_rules` section: per QoD step, the number of cuts in its
+/// compiled rule and its [`decision_flips`]; `None` while the predictor is
+/// untrained.
+#[must_use]
+pub fn step_rules_json(engine: &QodEngine) -> Option<String> {
+    let predictor = engine.predictor();
+    let steps: Option<Vec<String>> = engine
+        .qod_step_names()
+        .iter()
+        .enumerate()
+        .map(|(j, name)| {
+            predictor.rule(j).map(|rule| {
+                format!(
+                    "{{\"step\":{},\"cuts\":{},\"flips\":{}}}",
+                    json_string(name),
+                    rule.cuts().len(),
+                    decision_flips(rule)
+                )
+            })
+        })
+        .collect();
+    steps.map(|steps| format!("[{}]", steps.join(",")))
+}
+
 /// Renders the optional sections as `,"name":{...}` fragments ready to
 /// splice into the per-workload JSON object. Empty sections contribute
 /// nothing.
@@ -101,6 +139,22 @@ pub fn optional_sections(snapshot: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
     use smartflux_telemetry::Telemetry;
+
+    #[test]
+    fn flips_count_threshold_crossings_between_pieces() {
+        use smartflux_ml::{Classifier, Dataset, RandomForest};
+
+        let data = Dataset::new(
+            (0..40).map(|i| vec![f64::from(i)]).collect(),
+            (0..40).map(|i| (10..20).contains(&i)).collect(),
+        )
+        .unwrap();
+        let mut forest = RandomForest::new(1).with_seed(1);
+        forest.fit(&data).unwrap();
+        let rule = StepRule::compile(&forest).unwrap();
+        // One tree, labels positive on [10, 20): off, on, off.
+        assert_eq!(decision_flips(&rule), 2, "{rule:?}");
+    }
 
     #[test]
     fn clean_run_omits_every_optional_section() {

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use smartflux_ml::crossval::{build_forests, BuiltForest, ForestBuild};
 use smartflux_ml::metrics::ConfusionMatrix;
-use smartflux_ml::{Classifier, Dataset, MlError, RandomForest};
+use smartflux_ml::{Classifier, Dataset, MlError, RandomForest, StepRule};
 use smartflux_telemetry::{names, Telemetry};
 
 use crate::error::CoreError;
@@ -105,6 +105,37 @@ pub struct PredictorQuality {
     pub recall: f64,
 }
 
+/// One label's fitted forest and the [`StepRule`] compiled from it, which
+/// answers every query.
+#[derive(Debug)]
+pub(crate) struct LabelModel {
+    forest: RandomForest,
+    rule: StepRule,
+}
+
+impl LabelModel {
+    fn compile(forest: RandomForest) -> Result<Self, MlError> {
+        let rule = StepRule::compile(&forest)?;
+        Ok(Self { forest, rule })
+    }
+
+    /// The vote at label features `x`. Debug builds cross-check it against
+    /// the forest's arena walk, so every debug-build run checks the rule.
+    fn vote(&self, x: &[f64]) -> f64 {
+        let vote = self.rule.vote(x[0]);
+        debug_assert_eq!(
+            vote.to_bits(),
+            self.forest.predict_proba(x).to_bits(),
+            "step rule and forest disagree at {x:?}"
+        );
+        vote
+    }
+
+    fn predict(&self, x: &[f64]) -> bool {
+        self.vote(x) >= self.rule.threshold()
+    }
+}
+
 /// The Predictor: one Random Forest per QoD step, with test-phase quality
 /// assessment.
 ///
@@ -114,7 +145,11 @@ pub struct PredictorQuality {
 /// collapse to zero — a region the synchronous training run never visits.
 /// Conditioning each label only on its own impact keeps the training and
 /// application feature distributions aligned and avoids the
-/// all-steps-deadlocked failure mode (DESIGN.md §5.4).
+/// all-steps-deadlocked failure mode (DESIGN.md §5.4). A forest over one
+/// number is a step function of it, so after each build every label's
+/// forest is compiled into a [`StepRule`], and queries are answered from
+/// the rule: the forest's own vote, bit for bit, by one binary search
+/// (DESIGN.md §14, "Compiled step rules").
 ///
 /// # Example
 ///
@@ -135,7 +170,7 @@ pub struct PredictorQuality {
 pub struct Predictor {
     kind: ModelKind,
     seed: u64,
-    models: Vec<RandomForest>,
+    models: Vec<LabelModel>,
     quality: Option<PredictorQuality>,
     last_build_time: Option<Duration>,
     /// Inert (disabled) unless the owning engine attaches a handle; feeds
@@ -203,7 +238,16 @@ impl Predictor {
     /// the predictor has no forest for.
     #[must_use]
     pub fn forest(&self, j: usize) -> Option<&RandomForest> {
-        self.models.get(j)
+        self.models.get(j).map(|m| &m.forest)
+    }
+
+    /// Label `j`'s step rule, compiled from [`forest`](Self::forest) —
+    /// what every query answers from: the cuts on step `j`'s impact, the
+    /// vote on each piece and the threshold it is compared with. `None`
+    /// for a label the predictor has no forest for.
+    #[must_use]
+    pub fn rule(&self, j: usize) -> Option<&StepRule> {
+        self.models.get(j).map(|m| &m.rule)
     }
 
     /// Quality measured at the latest training, if any.
@@ -237,11 +281,11 @@ impl Predictor {
         let built = self.build(&Self::label_views(kb)?, true)?;
         let mut pooled = ConfusionMatrix::default();
         let mut models = Vec::with_capacity(built.len());
-        for label in built {
-            if let Some(out_of_bag) = label.out_of_bag {
+        for (model, out_of_bag) in built {
+            if let Some(out_of_bag) = out_of_bag {
                 pooled.merge(&out_of_bag);
             }
-            models.push(label.forest);
+            models.push(model);
         }
         if pooled.total() == 0 {
             return Err(CoreError::EmptyTestPhase { rows: kb.len() });
@@ -257,25 +301,25 @@ impl Predictor {
         Ok(quality)
     }
 
-    /// The forests [`train`](Self::train) installs for `kb`, without its
-    /// test phase. They are a function of `kb`, the model kind and the
-    /// seed alone — fitting is seeded and bit-identical at every worker
-    /// count — which is what lets a checkpoint keep the knowledge base
-    /// and recompute the models from it.
+    /// The forests [`train`](Self::train) installs for `kb`, and their
+    /// rules, without its test phase. They are a function of `kb`, the
+    /// model kind and the seed alone — fitting is seeded and bit-identical
+    /// at every worker count — which is what lets a checkpoint keep the
+    /// knowledge base and recompute the models from it.
     ///
     /// # Errors
     ///
     /// As [`train`](Self::train).
-    pub(crate) fn refit(&self, kb: &KnowledgeBase) -> Result<Vec<RandomForest>, CoreError> {
+    pub(crate) fn refit(&self, kb: &KnowledgeBase) -> Result<Vec<LabelModel>, CoreError> {
         let built = self.build(&Self::label_views(kb)?, false)?;
-        Ok(built.into_iter().map(|label| label.forest).collect())
+        Ok(built.into_iter().map(|(model, _)| model).collect())
     }
 
     /// Installs what [`refit`](Self::refit) built — no models leave the
     /// predictor untrained — with the quality the test phase measured when
     /// the models were first trained. The build-time measurement does not
     /// survive recovery (it is reporting-only).
-    pub(crate) fn restore(&mut self, models: Vec<RandomForest>, quality: Option<PredictorQuality>) {
+    pub(crate) fn restore(&mut self, models: Vec<LabelModel>, quality: Option<PredictorQuality>) {
         self.models = models;
         self.quality = quality;
         self.last_build_time = None;
@@ -297,11 +341,15 @@ impl Predictor {
 
     /// Fits one forest per label view, label `j`'s seeded with `seed + j`,
     /// collecting its out-of-bag test phase when `test_phase` is set — one
-    /// batch, one job per label.
-    fn build(&self, views: &[Dataset], test_phase: bool) -> Result<Vec<BuiltForest>, CoreError> {
-        // `ml.fit_ns` spans the batch, in `train` and in `refit` alike. The
-        // engine-level `engine.train` span adds the phase bookkeeping
-        // around it.
+    /// batch, one job per label — and compiles each forest's rule.
+    fn build(
+        &self,
+        views: &[Dataset],
+        test_phase: bool,
+    ) -> Result<Vec<(LabelModel, Option<ConfusionMatrix>)>, CoreError> {
+        // `ml.fit_ns` spans the batch and the compile, in `train` and in
+        // `refit` alike. The engine-level `engine.train` span adds the
+        // phase bookkeeping around it.
         let _fit_span = self
             .telemetry
             .span(names::ML_FIT_LATENCY, views.len() as u64);
@@ -313,73 +361,64 @@ impl Predictor {
                     .with_out_of_bag(test_phase)
             })
             .collect();
-        Ok(build_forests(&builds)?)
+        let mut models = Vec::with_capacity(views.len());
+        for BuiltForest { forest, out_of_bag } in build_forests(&builds)? {
+            models.push((LabelModel::compile(forest)?, out_of_bag));
+        }
+        Ok(models)
     }
 
     /// Predicts which steps must execute for the given impact vector
     /// (`true` = the step's error bound would otherwise be exceeded) — the
-    /// paper's `h(X) = Y` query of §3.1 — walking every label model over
-    /// it in a single pass. Each label projects its feature slice
-    /// out of the shared vector without copying, so the whole pass is
-    /// allocation-free apart from the result.
-    ///
-    /// Queries go through the checked `try_predict` path — a present but
-    /// unfitted model is rejected like an absent one, never answered
-    /// from the 0.5 prior.
+    /// paper's `h(X) = Y` query of §3.1 — asking every label's rule about
+    /// its own step's impact.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotTrained`] before training (or when any
-    /// per-label model is unfitted) and [`CoreError::ShapeMismatch`] on
-    /// a wrong-width impact vector.
+    /// Returns [`CoreError::NotTrained`] before training and
+    /// [`CoreError::ShapeMismatch`] on a wrong-width impact vector.
     pub fn predict_all(&self, impacts: &[f64]) -> Result<Vec<bool>, CoreError> {
         self.check_query(impacts)?;
-        let mut decisions = Vec::with_capacity(self.models.len());
-        for (j, m) in self.models.iter().enumerate() {
-            decisions.push(
-                m.try_predict(Self::project(j, impacts))
-                    .map_err(|_| CoreError::NotTrained)?,
-            );
-        }
-        Ok(decisions)
+        Ok(self
+            .models
+            .iter()
+            .enumerate()
+            .map(|(j, m)| m.predict(Self::project(j, impacts)))
+            .collect())
     }
 
-    /// Predicts the execution decision for a single step (label index `j`).
+    /// Predicts the execution decision for a single step (label index `j`)
+    /// from its rule: one binary search over the cuts on step `j`'s impact.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotTrained`] before training (or when the
-    /// model is unfitted) and [`CoreError::ShapeMismatch`] for an
-    /// unknown label index or wrong-width impact vector.
+    /// Returns [`CoreError::NotTrained`] before training and
+    /// [`CoreError::ShapeMismatch`] for an unknown label index or
+    /// wrong-width impact vector.
     pub fn predict_step(&self, j: usize, impacts: &[f64]) -> Result<bool, CoreError> {
         self.check_query(impacts)?;
         let model = self.models.get(j).ok_or(CoreError::ShapeMismatch {
             expected: self.models.len(),
             found: j,
         })?;
-        model
-            .try_predict(Self::project(j, impacts))
-            .map_err(|_| CoreError::NotTrained)
+        Ok(model.predict(Self::project(j, impacts)))
     }
 
-    /// Per-label execution probabilities, in the same single pass as
-    /// [`predict_all`](Self::predict_all).
+    /// Per-label execution probabilities: each rule's vote at its own
+    /// step's impact.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotTrained`] before training (or when any
-    /// per-label model is unfitted) and [`CoreError::ShapeMismatch`] on
-    /// a wrong-width impact vector.
+    /// Returns [`CoreError::NotTrained`] before training and
+    /// [`CoreError::ShapeMismatch`] on a wrong-width impact vector.
     pub fn predict_proba(&self, impacts: &[f64]) -> Result<Vec<f64>, CoreError> {
         self.check_query(impacts)?;
-        let mut probabilities = Vec::with_capacity(self.models.len());
-        for (j, m) in self.models.iter().enumerate() {
-            probabilities.push(
-                m.try_predict_proba(Self::project(j, impacts))
-                    .map_err(|_| CoreError::NotTrained)?,
-            );
-        }
-        Ok(probabilities)
+        Ok(self
+            .models
+            .iter()
+            .enumerate()
+            .map(|(j, m)| m.vote(Self::project(j, impacts)))
+            .collect())
     }
 }
 
@@ -484,8 +523,13 @@ mod tests {
         assert_eq!(quality.recall, pooled.recall());
         let refit = p.refit(&kb).unwrap();
         assert_eq!(refit.len(), 2);
-        for (j, forest) in refit.iter().enumerate() {
-            assert_eq!(forest.arena(), p.forest(j).unwrap().arena(), "refit {j}");
+        for (j, model) in refit.iter().enumerate() {
+            assert_eq!(
+                model.forest.arena(),
+                p.forest(j).unwrap().arena(),
+                "refit {j}"
+            );
+            assert_eq!(&model.rule, p.rule(j).unwrap(), "refit {j}");
         }
     }
 

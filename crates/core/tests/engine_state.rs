@@ -12,7 +12,7 @@ use smartflux::{
 };
 use smartflux_datastore::{ContainerRef, DataStore, StoreState, Value};
 use smartflux_durability::codec::{read_frame, write_frame, FrameRead};
-use smartflux_ml::TreeArena;
+use smartflux_ml::{StepRule, TreeArena};
 use smartflux_wms::{FnStep, GraphBuilder, Scheduler, StepContext, Workflow};
 
 /// Row key of the sensor cells; it reaches the blob only through a change
@@ -312,11 +312,13 @@ fn bits(trail: &[WaveDiagnostics]) -> Vec<WaveBits> {
 }
 
 /// What the predictor is, as far as an oracle can compare it: each label's
-/// forest arena, its probabilities over a probe grid of impact vectors, and
-/// the recorded test-phase quality.
+/// forest arena and the step rule compiled from it (its cuts and vote
+/// bits), its probabilities over a probe grid of impact vectors, and the
+/// recorded test-phase quality.
 #[derive(Debug, PartialEq)]
 struct ModelPrint {
     forests: Vec<TreeArena>,
+    rules: Vec<StepRule>,
     probabilities: Vec<Vec<u64>>,
     quality: Option<(u64, u64, u64)>,
 }
@@ -328,6 +330,7 @@ fn model_print(engine: &SharedEngine) -> ModelPrint {
         let forests = (0..labels)
             .filter_map(|j| p.forest(j).map(|f| f.arena().clone()))
             .collect();
+        let rules = (0..labels).filter_map(|j| p.rule(j).cloned()).collect();
         let probabilities = (0..40)
             .filter_map(|i| {
                 let impacts = vec![f64::from(i) * 0.05; labels];
@@ -344,6 +347,7 @@ fn model_print(engine: &SharedEngine) -> ModelPrint {
         });
         ModelPrint {
             forests,
+            rules,
             probabilities,
             quality,
         }
@@ -398,9 +402,11 @@ fn recovery_refits_the_predictor_the_uninterrupted_run_used() {
     let base = config(AccumulationMode::Cancel);
 
     // (a) The application phase: the refit forests are the checkpointing
-    // engine's, node for node.
+    // engine's, node for node, and so are their rules, cut for cut and vote
+    // bit for vote bit.
     let [live, refit] = kill_and_recover(&base, CHECKPOINT_WAVE, "application", no_hook);
     assert_eq!(live.forests.len(), 2, "one forest per QoD step");
+    assert_eq!(live.rules.len(), 2, "one rule per QoD step");
     assert_eq!(refit, live, "application: refit predictor");
 
     // (c) A session started from a training set given beforehand: the blob
@@ -427,7 +433,7 @@ fn recovery_refits_the_predictor_the_uninterrupted_run_used() {
     };
     let [live, refit] = kill_and_recover(&base, 45, "retraining", retrain_before_wave_36);
     assert_eq!(live.forests.len(), 2, "the live model outlives its rows");
-    assert!(refit.forests.is_empty() && refit.probabilities.is_empty());
+    assert!(refit.forests.is_empty() && refit.rules.is_empty() && refit.probabilities.is_empty());
     assert_eq!(refit.quality, live.quality);
 
     // (e) The first training phase, before any model exists.

@@ -77,7 +77,7 @@ pub struct TreeArena {
 
 /// Bitwise f64 slice equality: leaf thresholds are NaN by construction,
 /// so semantic `==` would report equal arenas as different.
-fn f64_bits_eq(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn f64_bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
@@ -125,6 +125,14 @@ impl TreeArena {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.roots.is_empty()
+    }
+
+    /// The threshold of every split node, in arena order, duplicates
+    /// included: the points at which some tree's routing changes.
+    pub(crate) fn split_thresholds(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.threshold.len() as u32)
+            .filter(|&i| !self.is_leaf(i))
+            .map(|i| self.threshold[i as usize])
     }
 
     /// Appends one node slot, initialised as a self-looping leaf.
@@ -273,6 +281,53 @@ impl TreeArena {
                 self.walk_lanes(lanes, safe, |l| refs[l]);
                 for (sum, &c) in sums_block.iter_mut().zip(lanes.iter()) {
                     *sum += self.leaf_proba[c as usize];
+                }
+            }
+        }
+        let n = self.roots.len() as f64;
+        for sum in &mut sums {
+            *sum /= n;
+        }
+        sums
+    }
+
+    /// Ensemble-averaged probability on each piece of a single-feature
+    /// forest's axis, where `cuts` holds every split threshold, sorted and
+    /// distinct: piece `k` is `(cuts[k-1], cuts[k]]`, and the last piece
+    /// lies above every cut (NaN included).
+    ///
+    /// One walk per tree sends each split's pieces to the side their upper
+    /// cut goes to, and adds every leaf's probability to the pieces that
+    /// reach it. Each piece thus gets one leaf per tree, added in ensemble
+    /// order, and one division: the f64 operations [`predict_proba`] makes
+    /// at any point of the piece, in its order, so each value is its
+    /// result bit for bit. Costs one visit per node plus one addition per
+    /// piece and tree, where a walk per piece would cost a descent per
+    /// piece and tree.
+    ///
+    /// [`predict_proba`]: Self::predict_proba
+    pub(crate) fn piece_votes(&self, cuts: &[f64]) -> Vec<f64> {
+        let mut sums = vec![0.0_f64; cuts.len() + 1];
+        let mut pending = Vec::new();
+        for &root in &self.roots {
+            pending.push((root, 0, sums.len()));
+            while let Some((node, lo, hi)) = pending.pop() {
+                let i = node as usize;
+                if self.is_leaf(node) {
+                    for sum in &mut sums[lo..hi] {
+                        *sum += self.leaf_proba[i];
+                    }
+                    continue;
+                }
+                // The pieces whose upper cut is at most the threshold go
+                // left (`x <= t`); the last piece has no cut and goes right.
+                let t = self.threshold[i];
+                let mid = lo + cuts[lo..hi.min(cuts.len())].partition_point(|&c| c <= t);
+                if lo < mid {
+                    pending.push((self.left[i], lo, mid));
+                }
+                if mid < hi {
+                    pending.push((self.left[i] + 1, mid, hi));
                 }
             }
         }

@@ -47,6 +47,8 @@ pub struct RandomForest {
     max_features: Option<usize>,
     threshold: f64,
     seed: u64,
+    /// Feature count of the data the trees were grown on; 0 before fitting.
+    n_features: usize,
     trees: Vec<DecisionTree>,
     /// Flattened prediction arena, rebuilt from `trees` at every fit;
     /// empty exactly when `trees` is empty.
@@ -76,6 +78,7 @@ impl RandomForest {
             max_features: None, // √d chosen at fit time
             threshold: 0.5,
             seed: 0,
+            n_features: 0,
             trees: Vec::new(),
             arena: TreeArena::new(),
         }
@@ -148,6 +151,12 @@ impl RandomForest {
         self.threshold
     }
 
+    /// Number of features the forest was fitted on (0 before fitting).
+    #[must_use]
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// The flattened prediction arena (empty before fitting).
     #[must_use]
     pub fn arena(&self) -> &TreeArena {
@@ -204,6 +213,7 @@ impl RandomForest {
             trees.push(tree);
         }
         self.trees = trees;
+        self.n_features = data.n_features();
         self.rebuild_arena();
         Ok(())
     }
@@ -362,6 +372,7 @@ mod tests {
                     .collect()
             })
             .collect();
+        forest.n_features = data.n_features();
         forest.trees = samples
             .iter()
             .enumerate()

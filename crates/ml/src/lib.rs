@@ -48,12 +48,14 @@ mod dataset;
 mod error;
 mod forest;
 mod pool;
+mod rule;
 mod tree;
 
 pub use arena::TreeArena;
 pub use dataset::Dataset;
 pub use error::MlError;
 pub use forest::RandomForest;
+pub use rule::StepRule;
 pub use tree::DecisionTree;
 
 /// A trainable binary classifier producing a positive-class probability.

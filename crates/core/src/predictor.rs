@@ -120,7 +120,7 @@ impl LabelModel {
     }
 
     /// The vote at label features `x`. Debug builds cross-check it against
-    /// the forest's arena walk, so every debug-build run checks the rule.
+    /// the forest's walk, so every debug-build run checks the rule.
     fn vote(&self, x: &[f64]) -> f64 {
         let vote = self.rule.vote(x[0]);
         debug_assert_eq!(
@@ -233,9 +233,9 @@ impl Predictor {
         &self.kind
     }
 
-    /// Label `j`'s fitted forest — what node-for-node equality oracles
-    /// compare the [`arena`](RandomForest::arena) of. `None` for a label
-    /// the predictor has no forest for.
+    /// Label `j`'s fitted forest: the model its [`rule`](Self::rule) is
+    /// compiled from, and what node-for-node equality oracles compare.
+    /// `None` for a label the predictor has no forest for.
     #[must_use]
     pub fn forest(&self, j: usize) -> Option<&RandomForest> {
         self.models.get(j).map(|m| &m.forest)
@@ -514,7 +514,7 @@ mod tests {
             let seed = 3 + j as u64;
             let mut alone = kind.build(seed);
             alone.fit(&view).unwrap();
-            assert_eq!(p.forest(j).unwrap().arena(), alone.arena(), "label {j}");
+            assert_eq!(p.forest(j).unwrap(), &alone, "label {j}");
             pooled.merge(&out_of_bag_reference(&kind, seed, &view));
         }
         assert!(pooled.total() > 0);
@@ -524,11 +524,7 @@ mod tests {
         let refit = p.refit(&kb).unwrap();
         assert_eq!(refit.len(), 2);
         for (j, model) in refit.iter().enumerate() {
-            assert_eq!(
-                model.forest.arena(),
-                p.forest(j).unwrap().arena(),
-                "refit {j}"
-            );
+            assert_eq!(&model.forest, p.forest(j).unwrap(), "refit {j}");
             assert_eq!(&model.rule, p.rule(j).unwrap(), "refit {j}");
         }
     }

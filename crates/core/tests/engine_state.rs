@@ -12,7 +12,7 @@ use smartflux::{
 };
 use smartflux_datastore::{ContainerRef, DataStore, StoreState, Value};
 use smartflux_durability::codec::{read_frame, write_frame, FrameRead};
-use smartflux_ml::{StepRule, TreeArena};
+use smartflux_ml::{RandomForest, StepRule};
 use smartflux_wms::{FnStep, GraphBuilder, Scheduler, StepContext, Workflow};
 
 /// Row key of the sensor cells; it reaches the blob only through a change
@@ -312,12 +312,12 @@ fn bits(trail: &[WaveDiagnostics]) -> Vec<WaveBits> {
 }
 
 /// What the predictor is, as far as an oracle can compare it: each label's
-/// forest arena and the step rule compiled from it (its cuts and vote
+/// forest (its trees, bit for bit) and the step rule compiled from it (its cuts and vote
 /// bits), its probabilities over a probe grid of impact vectors, and the
 /// recorded test-phase quality.
 #[derive(Debug, PartialEq)]
 struct ModelPrint {
-    forests: Vec<TreeArena>,
+    forests: Vec<RandomForest>,
     rules: Vec<StepRule>,
     probabilities: Vec<Vec<u64>>,
     quality: Option<(u64, u64, u64)>,
@@ -327,9 +327,7 @@ fn model_print(engine: &SharedEngine) -> ModelPrint {
     engine.with(|e| {
         let p = e.predictor();
         let labels = e.qod_step_names().len();
-        let forests = (0..labels)
-            .filter_map(|j| p.forest(j).map(|f| f.arena().clone()))
-            .collect();
+        let forests = (0..labels).filter_map(|j| p.forest(j).cloned()).collect();
         let rules = (0..labels).filter_map(|j| p.rule(j).cloned()).collect();
         let probabilities = (0..40)
             .filter_map(|i| {

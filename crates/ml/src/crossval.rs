@@ -413,13 +413,9 @@ mod tests {
             let built = build_forests_with_workers(&batch, workers).unwrap();
             assert_eq!(built.len(), expected.len());
             for (b, (got, want)) in built.iter().zip(&expected).enumerate() {
-                // Arena equality is bitwise, NaN leaf thresholds included:
-                // equal arenas are equal forests, node for node.
-                assert_eq!(
-                    got.forest.arena(),
-                    want.forest.arena(),
-                    "build {b}, {workers} workers"
-                );
+                // Tree equality is bitwise: equal forests are equal node
+                // for node, `-0.0` and `0.0` told apart.
+                assert_eq!(got.forest, want.forest, "build {b}, {workers} workers");
                 assert_eq!(
                     got.out_of_bag, want.out_of_bag,
                     "build {b}, {workers} workers"

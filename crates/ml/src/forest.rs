@@ -4,7 +4,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::arena::TreeArena;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::metrics::ConfusionMatrix;
@@ -50,9 +49,6 @@ pub struct RandomForest {
     /// Feature count of the data the trees were grown on; 0 before fitting.
     n_features: usize,
     trees: Vec<DecisionTree>,
-    /// Flattened prediction arena, rebuilt from `trees` at every fit;
-    /// empty exactly when `trees` is empty.
-    arena: TreeArena,
 }
 
 impl Default for RandomForest {
@@ -80,7 +76,6 @@ impl RandomForest {
             seed: 0,
             n_features: 0,
             trees: Vec::new(),
-            arena: TreeArena::new(),
         }
     }
 
@@ -157,10 +152,16 @@ impl RandomForest {
         self.n_features
     }
 
-    /// The flattened prediction arena (empty before fitting).
+    /// The fitted trees, in ensemble order (empty before fitting).
+    pub(crate) fn trees(&self) -> &[DecisionTree] {
+        &self.trees
+    }
+
+    /// Total node count over the fitted trees, leaves included; 0 before
+    /// fitting.
     #[must_use]
-    pub fn arena(&self) -> &TreeArena {
-        &self.arena
+    pub fn n_nodes(&self) -> usize {
+        self.trees.iter().map(DecisionTree::n_nodes).sum()
     }
 
     /// Tree `t` of the ensemble, unfitted: the forest's limits, `√d`
@@ -214,7 +215,6 @@ impl RandomForest {
         }
         self.trees = trees;
         self.n_features = data.n_features();
-        self.rebuild_arena();
         Ok(())
     }
 
@@ -253,52 +253,6 @@ impl RandomForest {
         }
         confusion
     }
-
-    /// Rebuilds the flat arena from the pointer trees. Every path that
-    /// installs trees calls this, so the two representations can never
-    /// diverge.
-    fn rebuild_arena(&mut self) {
-        self.arena.clear();
-        for tree in &self.trees {
-            tree.flatten_into(&mut self.arena);
-        }
-    }
-
-    /// The reference prediction path: per-tree `Box`-node pointer walks,
-    /// averaged in ensemble order. Kept as the independent oracle the
-    /// flat arena is parity-tested against; [`predict_proba`] serves the
-    /// same values from the flat arena.
-    ///
-    /// Returns the 0.5 prior before fitting, like [`predict_proba`].
-    ///
-    /// [`predict_proba`]: Classifier::predict_proba
-    #[cfg(test)]
-    fn predict_proba_reference(&self, features: &[f64]) -> f64 {
-        if self.trees.is_empty() {
-            return 0.5;
-        }
-        let sum: f64 = self.trees.iter().map(|t| t.predict_proba(features)).sum();
-        sum / self.trees.len() as f64
-    }
-
-    /// Ensemble probabilities for a batch of samples in one
-    /// cache-friendly pass (trees outer, samples inner), bit-identical
-    /// to calling [`predict_proba`] per sample.
-    ///
-    /// Unlike the trait path this is strict about training state: an
-    /// unfitted forest is rejected instead of answering with the prior.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::NotFitted`] before a successful fit.
-    ///
-    /// [`predict_proba`]: Classifier::predict_proba
-    pub fn predict_batch<S: AsRef<[f64]>>(&self, samples: &[S]) -> Result<Vec<f64>, MlError> {
-        if self.arena.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        Ok(self.arena.predict_batch(samples))
-    }
 }
 
 impl Classifier for RandomForest {
@@ -313,13 +267,17 @@ impl Classifier for RandomForest {
         !self.trees.is_empty()
     }
 
-    /// Flat-arena traversal, parity-tested against the `cfg(test)`
-    /// pointer walk (`predict_proba_reference`).
+    /// Every tree's walk, averaged: the leaf probabilities are added in
+    /// ensemble order, then divided by the tree count.
     fn predict_proba(&self, features: &[f64]) -> f64 {
-        if self.arena.is_empty() {
+        if self.trees.is_empty() {
             return 0.5; // the trait-level unfitted prior
         }
-        self.arena.predict_proba(features)
+        let mut sum = 0.0_f64;
+        for tree in &self.trees {
+            sum += tree.predict_proba(features);
+        }
+        sum / self.trees.len() as f64
     }
 
     fn predict(&self, features: &[f64]) -> bool {
@@ -382,15 +340,14 @@ mod tests {
                 tree
             })
             .collect();
-        forest.rebuild_arena();
     }
 
     proptest! {
         /// The forest half of the differential oracle: alone and in a
-        /// pooled batch at 1, 2 and 4 workers, the presorted fit flattens
-        /// to the arena of the reference fit, node for node.
+        /// pooled batch at 1, 2 and 4 workers, the presorted fit equals
+        /// the reference fit, node for node and bit for bit.
         #[test]
-        fn presorted_forest_arena_matches_reference(
+        fn presorted_forest_matches_reference(
             seed in any::<u64>(),
             (n_rows, n_features) in (1usize..70, 1usize..=6),
             (n_trees, max_depth, min_samples_split) in (1usize..=9, 1usize..=12, 2usize..=6),
@@ -405,22 +362,21 @@ mod tests {
 
             let mut reference = config.clone();
             fit_reference(&mut reference, &data);
-            let expected = reference.arena();
             let batch = vec![ForestBuild::new(config.clone(), &data); 3];
             for workers in [1, 2, 4] {
                 for built in build_forests_with_workers(&batch, workers).unwrap() {
-                    prop_assert_eq!(built.forest.arena(), expected, "{} workers", workers);
+                    prop_assert_eq!(&built.forest, &reference, "{} workers", workers);
                 }
             }
             let mut forest = config.clone();
             forest.fit(&data).unwrap();
-            prop_assert_eq!(forest.arena(), expected, "alone");
+            prop_assert_eq!(forest, reference, "alone");
         }
 
         /// The out-of-bag oracle: the votes collected during the fit equal
         /// the independently recomputed reference, `==` on every `f64`
-        /// sum, and collecting them leaves the forest's arena bit-identical
-        /// to a plain fit's.
+        /// sum, and collecting them leaves the forest bit-identical to a
+        /// plain fit's.
         #[test]
         fn out_of_bag_votes_match_reference(
             seed in any::<u64>(),
@@ -439,7 +395,7 @@ mod tests {
             plain.fit(&data).unwrap();
             let mut voted = config.clone();
             let votes = voted.fit_out_of_bag(&data).unwrap();
-            prop_assert_eq!(voted.arena(), plain.arena());
+            prop_assert_eq!(voted, plain);
             prop_assert_eq!(votes, out_of_bag_reference(&config, &data));
         }
     }
@@ -530,34 +486,6 @@ mod tests {
         // …which is exactly why the checked paths refuse to answer.
         assert_eq!(rf.try_predict_proba(&[1.0]), Err(MlError::NotFitted));
         assert_eq!(rf.try_predict(&[1.0]), Err(MlError::NotFitted));
-        assert_eq!(rf.predict_batch(&[vec![1.0]]), Err(MlError::NotFitted));
-    }
-
-    #[test]
-    fn flat_path_matches_reference_walk() {
-        let mut rf = RandomForest::new(25).with_seed(7);
-        rf.fit(&banded()).unwrap();
-        assert!(rf.is_fitted());
-        assert_eq!(rf.arena().n_trees(), 25);
-        for x in -10..40 {
-            let probe = [f64::from(x)];
-            assert_eq!(
-                rf.predict_proba(&probe),
-                rf.predict_proba_reference(&probe),
-                "x={x}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_sample_predictions() {
-        let mut rf = RandomForest::new(12).with_seed(8);
-        rf.fit(&banded()).unwrap();
-        let samples: Vec<Vec<f64>> = (-10..40).map(|x| vec![f64::from(x)]).collect();
-        let batched = rf.predict_batch(&samples).unwrap();
-        for (sample, p) in samples.iter().zip(&batched) {
-            assert_eq!(rf.predict_proba(sample), *p);
-        }
     }
 
     #[test]
@@ -576,17 +504,9 @@ mod tests {
         }
     }
 
-    /// Seeded parity suite for the flattened forest kernel.
-    ///
-    /// The flat struct-of-arrays arena and the batched predict path are
-    /// pure performance work: both must be bit-identical to the original
-    /// pointer-walking implementation (`crossval`'s tests pin a pooled
-    /// model build at every worker count). These tests pin that
-    /// equivalence with `==` on `f64` (never a tolerance) across a grid of
-    /// seeds, ensemble sizes, and depths. Forests are compared by their
-    /// arenas, which `==` bit for bit.
-    mod parity {
-        use crate::{Classifier, Dataset, RandomForest};
+    /// The induction golden: what one fixed forest is, pinned.
+    mod golden {
+        use crate::{Classifier, Dataset, DecisionTree, RandomForest};
 
         /// Deterministic multi-feature dataset with interacting signal, noise,
         /// and duplicated values (so trees exercise tie handling).
@@ -614,55 +534,6 @@ mod tests {
             Dataset::new(x, y).expect("synthetic dataset is well-formed")
         }
 
-        fn probes(n: usize) -> Vec<Vec<f64>> {
-            (0..n)
-                .map(|i| {
-                    let t = i as f64;
-                    vec![
-                        (t * 0.37) % 10.0,
-                        (t * 0.11) % 10.0,
-                        (t % 7.0),
-                        (t * 0.53) % 4.0,
-                    ]
-                })
-                .collect()
-        }
-
-        #[test]
-        fn flat_arena_is_bit_identical_to_pointer_walk() {
-            for seed in [0_u64, 1, 42, 0xDEAD_BEEF] {
-                for (n_trees, depth) in [(1, 1), (5, 4), (20, 8), (50, 16), (100, 16)] {
-                    let mut rf = RandomForest::new(n_trees)
-                        .with_max_depth(depth)
-                        .with_seed(seed);
-                    rf.fit(&dataset(300, seed)).expect("fit");
-                    for probe in probes(200) {
-                        let flat = rf.predict_proba(&probe);
-                        let reference = rf.predict_proba_reference(&probe);
-                        assert!(
-                            flat == reference,
-                            "seed={seed} trees={n_trees} depth={depth}: flat {flat} != ref {reference}"
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn batched_predictions_are_bit_identical_to_per_sample() {
-            for seed in [3_u64, 99] {
-                let mut rf = RandomForest::new(30).with_max_depth(12).with_seed(seed);
-                rf.fit(&dataset(400, seed)).expect("fit");
-                let batch = probes(500);
-                let batched = rf.predict_batch(&batch).expect("fitted");
-                assert_eq!(batched.len(), batch.len());
-                for (probe, p) in batch.iter().zip(&batched) {
-                    assert!(rf.predict_proba(probe) == *p, "seed={seed}");
-                    assert!(rf.predict_proba_reference(probe) == *p, "seed={seed}");
-                }
-            }
-        }
-
         /// FNV-1a (64-bit) of a byte string.
         fn fnv1a(bytes: &[u8]) -> u64 {
             bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
@@ -670,14 +541,16 @@ mod tests {
             })
         }
 
-        /// The models are the same models: the arena of one fixed forest, printed
-        /// with `Debug` (an f64 prints as the shortest string that reads back to
-        /// the same bits) and hashed. The pin was taken at the commit before the
-        /// forest codec was deleted, where the same forest's codec bytes still
-        /// matched their own pin from before the presorted grower. Induction is
-        /// deterministic (seeded RNG, IEEE arithmetic, no hash-map order), so any
-        /// change to this value is a change to what every session trains and
-        /// refits at recovery — never "harmless".
+        /// The models are the same models: the trees of one fixed forest, every
+        /// node printed in preorder with its feature and the bits of its threshold
+        /// or leaf probability, and hashed. The chain of pins: this print's pin was
+        /// taken at the commit that deleted the flat tree arena, from the fit that
+        /// still gave the arena's own `Debug` pin there; that pin was taken at the
+        /// commit before the forest codec was deleted, where the same forest's codec
+        /// bytes still matched their pin from before the presorted grower.
+        /// Induction is deterministic (seeded RNG, IEEE arithmetic, no hash-map
+        /// order), so any change to this value is a change to what every session
+        /// trains and refits at recovery — never "harmless".
         #[test]
         fn induction_golden_is_pinned() {
             let full = dataset(300, 19);
@@ -686,14 +559,10 @@ mod tests {
             let data = Dataset::new(x, full.y().to_vec()).expect("well-formed");
             let mut rf = RandomForest::new(20).with_max_depth(10).with_seed(19);
             rf.fit(&data).expect("fit");
-            let printed = format!("{:?}", rf.arena());
+            let printed: String = rf.trees.iter().map(DecisionTree::preorder_bits).collect();
             assert_eq!(
-                (
-                    rf.arena().n_nodes(),
-                    printed.len(),
-                    fnv1a(printed.as_bytes())
-                ),
-                (1_650, 33_943, 0x6E8F_3758_2780_2D8E_u64),
+                (rf.n_nodes(), printed.len(), fnv1a(printed.as_bytes())),
+                (1_650, 32_980, 0x898F_D47D_673C_910C_u64),
                 "forest induction no longer produces the pinned model"
             );
         }

@@ -5,6 +5,10 @@
 //! (§3.2 adopts Random Forest as the learning approach), plus the
 //! supporting machinery:
 //!
+//! - [`StepRule`], a forest fitted on one feature compiled into the step
+//!   function it computes: sorted cuts and one vote per piece. The trees
+//!   are a fitted forest's one representation; the rule is what a
+//!   SmartFlux query answers from;
 //! - the [`Dataset`] container (the MEKA role — binary relevance, one
 //!   classifier per label — is played by `smartflux::Predictor`, which
 //!   fits one [`RandomForest`] per label on a `Dataset` the knowledge base
@@ -43,15 +47,14 @@
 pub mod crossval;
 pub mod metrics;
 
-mod arena;
 mod dataset;
 mod error;
 mod forest;
+mod frozen;
 mod pool;
 mod rule;
 mod tree;
 
-pub use arena::TreeArena;
 pub use dataset::Dataset;
 pub use error::MlError;
 pub use forest::RandomForest;

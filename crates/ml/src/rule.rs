@@ -12,13 +12,14 @@
 //! piece's vote is therefore the forest's own vote at `cuts[k]`, and the
 //! last piece's is its vote at NaN, which fails every `x <= t` and goes
 //! right everywhere, as any `x` above every cut does. A lookup returns the
-//! f64 the arena walk returns, bit for bit.
+//! f64 the forest's walk returns, bit for bit.
 //!
 //! The votes are not read by querying the forest at each cut, a descent
 //! per cut and tree: one walk per tree hands each leaf's probability to the
-//! pieces that reach it, in ensemble order (`TreeArena::piece_votes`).
+//! pieces that reach it, in ensemble order (`DecisionTree::add_piece_votes`),
+//! and each piece's sum is then divided by the tree count, as the forest's
+//! own average is.
 
-use crate::arena::f64_bits_eq;
 use crate::error::MlError;
 use crate::forest::RandomForest;
 use crate::Classifier;
@@ -58,6 +59,11 @@ pub struct StepRule {
     threshold: f64,
 }
 
+/// Bitwise f64 slice equality.
+fn f64_bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Bitwise equality, as the votes are compared with the forest's.
 impl PartialEq for StepRule {
     fn eq(&self, other: &Self) -> bool {
@@ -88,13 +94,24 @@ impl StepRule {
             )));
         }
         // Thresholds are midpoints of finite feature values, never NaN.
-        let mut cuts: Vec<f64> = forest.arena().split_thresholds().collect();
+        let mut cuts = Vec::new();
+        for tree in forest.trees() {
+            tree.split_thresholds(&mut cuts);
+        }
         cuts.sort_by(f64::total_cmp);
         // `-0.0` and `0.0` route alike; the first stands for both.
         cuts.dedup_by(|a, b| a == b);
+        let mut votes = vec![0.0_f64; cuts.len() + 1];
+        for tree in forest.trees() {
+            tree.add_piece_votes(&cuts, &mut votes);
+        }
+        let n = forest.trees().len() as f64;
+        for vote in &mut votes {
+            *vote /= n;
+        }
         Ok(Self {
-            votes: forest.arena().piece_votes(&cuts),
             cuts,
+            votes,
             threshold: forest.threshold(),
         })
     }
@@ -107,8 +124,8 @@ impl StepRule {
         self.cuts.partition_point(|&c| x > c || x.is_nan())
     }
 
-    /// The forest's vote at `x`: the positive-class probability its arena
-    /// walk returns, bit for bit.
+    /// The forest's vote at `x`: the positive-class probability its walk
+    /// returns, bit for bit.
     #[must_use]
     pub fn vote(&self, x: f64) -> f64 {
         self.votes[self.piece(x)]
@@ -193,8 +210,8 @@ mod tests {
         points
     }
 
-    /// Compiles `forest` and checks its rule against the arena at every
-    /// query point, `to_bits` on each vote and `==` on each decision.
+    /// Compiles `forest` and checks its rule against the forest's walk at
+    /// every query point, `to_bits` on each vote and `==` on each decision.
     fn assert_rule_is_forest(forest: &RandomForest, rng: &mut StdRng) {
         let rule = StepRule::compile(forest).unwrap();
         assert_eq!(rule.votes().len(), rule.cuts().len() + 1);
@@ -211,7 +228,7 @@ mod tests {
         /// The rule ≡ forest oracle: on random tie-heavy single-feature
         /// datasets, seeds and forest sizes up to 100 trees, the rule's
         /// vote at every cut, both its neighbours, ±0, ±∞, NaN,
-        /// subnormals and random ι is the arena's, bit for bit.
+        /// subnormals and random ι is the forest walk's, bit for bit.
         #[test]
         fn step_rule_votes_as_the_forest(
             seed in any::<u64>(),

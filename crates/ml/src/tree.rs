@@ -4,12 +4,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::arena::TreeArena;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::Classifier;
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         /// Fraction of positive training instances at this leaf.
@@ -21,6 +20,91 @@ enum Node {
         left: Box<Node>,
         right: Box<Node>,
     },
+}
+
+/// Bitwise equality: `-0.0` and `0.0` are different models to every
+/// oracle that compares trees, so each f64 is compared by its bits.
+impl PartialEq for Node {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Node::Leaf { p_positive: a }, Node::Leaf { p_positive: b }) => {
+                a.to_bits() == b.to_bits()
+            }
+            (
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                },
+                Node::Split {
+                    feature: other_feature,
+                    threshold: other_threshold,
+                    left: other_left,
+                    right: other_right,
+                },
+            ) => {
+                feature == other_feature
+                    && threshold.to_bits() == other_threshold.to_bits()
+                    && left == other_left
+                    && right == other_right
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Node {
+    /// Node count of the subtree rooted here.
+    fn count(&self) -> usize {
+        match self {
+            Node::Leaf { .. } => 1,
+            Node::Split { left, right, .. } => 1 + left.count() + right.count(),
+        }
+    }
+
+    /// Pushes the threshold of every split below here, in preorder.
+    fn thresholds(&self, out: &mut Vec<f64>) {
+        if let Node::Split {
+            threshold,
+            left,
+            right,
+            ..
+        } = self
+        {
+            out.push(*threshold);
+            left.thresholds(out);
+            right.thresholds(out);
+        }
+    }
+
+    /// Adds each leaf's probability to `sums[k]` for every piece `k` in
+    /// `lo..hi` that reaches it. See [`DecisionTree::add_piece_votes`].
+    fn add_piece_votes(&self, cuts: &[f64], lo: usize, hi: usize, sums: &mut [f64]) {
+        match self {
+            Node::Leaf { p_positive } => {
+                for sum in &mut sums[lo..hi] {
+                    *sum += p_positive;
+                }
+            }
+            Node::Split {
+                threshold,
+                left,
+                right,
+                ..
+            } => {
+                // The pieces whose upper cut is at most the threshold go
+                // left (`x <= t`); the last piece has no cut and goes right.
+                let mid = lo + cuts[lo..hi.min(cuts.len())].partition_point(|&c| c <= *threshold);
+                if lo < mid {
+                    left.add_piece_votes(cuts, lo, mid, sums);
+                }
+                if mid < hi {
+                    right.add_piece_votes(cuts, mid, hi, sums);
+                }
+            }
+        }
+    }
 }
 
 /// A [`Dataset`] laid out for tree induction: feature values column-major
@@ -399,18 +483,47 @@ impl DecisionTree {
         self.root = Some(Grower::new(self, view, labels, weight).grow_root());
     }
 
-    /// Appends the fitted tree to a forest arena: the root slot is
-    /// reserved first, then each split reserves its two children as an
-    /// adjacent pair before recursing, so sibling nodes always end up
-    /// next to each other. Each `emit` returns its subtree's minimum
-    /// leaf depth so the arena can record the tree's check-free walk
-    /// prefix. Returns `false` (appending nothing) before fitting.
-    pub(crate) fn flatten_into(&self, arena: &mut TreeArena) -> bool {
-        fn emit(node: &Node, at: u32, arena: &mut TreeArena) -> u32 {
+    /// Node count of the fitted tree, leaves included; 0 before fitting.
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.root.as_ref().map_or(0, Node::count)
+    }
+
+    /// Pushes the threshold of every split, in preorder, duplicates
+    /// included: the points at which the tree's routing changes.
+    pub(crate) fn split_thresholds(&self, out: &mut Vec<f64>) {
+        if let Some(root) = &self.root {
+            root.thresholds(out);
+        }
+    }
+
+    /// Adds the tree's leaf probability on each piece of a single-feature
+    /// axis to `sums`, where `cuts` holds split thresholds, sorted and
+    /// distinct, and covers all of this tree's: piece `k` is
+    /// `(cuts[k-1], cuts[k]]`, and the last piece (`sums` has one more
+    /// entry than `cuts`) lies above every cut, NaN included.
+    ///
+    /// One walk sends each split's pieces to the side their upper cut goes
+    /// to, so every piece gets exactly one addition: the probability of
+    /// the leaf [`predict_proba`](Classifier::predict_proba) reaches at any
+    /// point of the piece. Costs one visit per node plus one addition per
+    /// piece, where a walk per piece would cost a descent per piece.
+    pub(crate) fn add_piece_votes(&self, cuts: &[f64], sums: &mut [f64]) {
+        debug_assert_eq!(sums.len(), cuts.len() + 1);
+        if let Some(root) = &self.root {
+            root.add_piece_votes(cuts, 0, sums.len(), sums);
+        }
+    }
+
+    /// Every node in preorder, one line each: a split as
+    /// `s <feature> <threshold bits>`, a leaf as `l <p_positive bits>`,
+    /// the bits in hex. Empty before fitting.
+    #[cfg(test)]
+    pub(crate) fn preorder_bits(&self) -> String {
+        use std::fmt::Write;
+        fn print(node: &Node, out: &mut String) {
             match node {
                 Node::Leaf { p_positive } => {
-                    arena.set_leaf(at, *p_positive);
-                    0
+                    let _ = writeln!(out, "l {:016x}", p_positive.to_bits());
                 }
                 Node::Split {
                     feature,
@@ -418,29 +531,22 @@ impl DecisionTree {
                     left,
                     right,
                 } => {
-                    let kids = arena.alloc_pair();
-                    arena.set_split(at, *feature as u32, *threshold, kids);
-                    let l = emit(left, kids, arena);
-                    let r = emit(right, kids + 1, arena);
-                    1 + l.min(r)
+                    let _ = writeln!(out, "s {feature} {:016x}", threshold.to_bits());
+                    print(left, out);
+                    print(right, out);
                 }
             }
         }
-        match &self.root {
-            Some(root) => {
-                let at = arena.alloc_root();
-                let depth = emit(root, at, arena);
-                arena.record_depth(depth);
-                true
-            }
-            None => false,
+        let mut out = String::new();
+        if let Some(root) = &self.root {
+            print(root, &mut out);
         }
+        out
     }
 
-    /// The reference prediction path: a pointer walk over the `Box`ed
-    /// training representation. The forest predicts through its
-    /// flattened [`TreeArena`] instead; this walk is kept as the
-    /// independent oracle the parity suite compares against.
+    /// The tree's prediction: a walk from the root that goes left at a
+    /// split exactly when `features[feature] <= threshold`, so a NaN
+    /// feature goes right. The 0.5 prior before fitting.
     fn leaf_probability(&self, features: &[f64]) -> f64 {
         let mut node = match &self.root {
             Some(n) => n,
@@ -699,6 +805,28 @@ mod tests {
             grown.fit(&data).unwrap();
             assert_eq!(grown, reference, "{data:?}");
         }
+    }
+
+    #[test]
+    fn equality_tells_the_zeros_apart() {
+        let tree = |root: Node| DecisionTree {
+            root: Some(root),
+            ..DecisionTree::new()
+        };
+        let leaf = |p_positive: f64| Box::new(Node::Leaf { p_positive });
+        let split = |threshold: f64, p_left: f64| Node::Split {
+            feature: 0,
+            threshold,
+            left: leaf(p_left),
+            right: leaf(1.0),
+        };
+        assert_eq!(tree(split(0.0, 0.0)), tree(split(0.0, 0.0)));
+        assert_ne!(tree(split(0.0, 0.0)), tree(split(-0.0, 0.0)));
+        assert_ne!(tree(split(0.0, 0.0)), tree(split(0.0, -0.0)));
+        assert_ne!(
+            tree(Node::Leaf { p_positive: 0.0 }),
+            tree(Node::Leaf { p_positive: -0.0 })
+        );
     }
 
     fn step_data() -> Dataset {

@@ -4,8 +4,8 @@
 //! Every query point is a real one: each knowledge-base row the forests
 //! were fitted on, and each impact vector the engine queried in the
 //! application phase. At each, `predict_step`, `predict_all` and
-//! `predict_proba` must give what the arena walk gives, `to_bits` on the
-//! votes.
+//! `predict_proba` must give what the forests' own walk gives, `to_bits`
+//! on the votes.
 
 use smartflux::eval::WorkloadFactory;
 use smartflux::{EngineConfig, ImpactCombiner, Predictor, QodSpec, SmartFluxSession};

@@ -10,7 +10,8 @@
 //! Pass `--json` for machine-readable output: one JSON object per workload
 //! per line (layout versioned by `schema_version`), carrying the run
 //! summary, the model quality, each QoD step's compiled rule (`step_rules`:
-//! its cut count on ι and how often its decision flips along ι), the full
+//! its cut count on ι, how often its decision flips along ι, and whether
+//! the application phase measures its ι at all), the full
 //! telemetry snapshot and — when the run produced them — `fault_tolerance`,
 //! `durability` and `store` sections (sections with nothing to report are
 //! omitted). With

@@ -24,8 +24,9 @@ use smartflux_telemetry::{json_string, names, MetricsSnapshot};
 /// 7 = the `store` section lost `reads` (nothing counts reads);
 /// 8 = the `static_analysis` section is gone (CI's tidy report is the
 /// static-analysis record);
-/// 9 = added the `step_rules` section.
-pub const SCHEMA_VERSION: u64 = 9;
+/// 9 = added the `step_rules` section;
+/// 10 = each `step_rules` entry gained `monitored`.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// The `fault_tolerance` section, or `None` when the run saw no aborts,
 /// retries, failures, or SDF fallbacks (nothing to report).
@@ -91,8 +92,8 @@ pub fn decision_flips(rule: &StepRule) -> usize {
 }
 
 /// The `step_rules` section: per QoD step, the number of cuts in its
-/// compiled rule and its [`decision_flips`]; `None` while the predictor is
-/// untrained.
+/// compiled rule, its [`decision_flips`] and whether its ι is measured
+/// ([`QodEngine::monitored`]); `None` while the predictor is untrained.
 #[must_use]
 pub fn step_rules_json(engine: &QodEngine) -> Option<String> {
     let predictor = engine.predictor();
@@ -103,10 +104,11 @@ pub fn step_rules_json(engine: &QodEngine) -> Option<String> {
         .map(|(j, name)| {
             predictor.rule(j).map(|rule| {
                 format!(
-                    "{{\"step\":{},\"cuts\":{},\"flips\":{}}}",
+                    "{{\"step\":{},\"cuts\":{},\"flips\":{},\"monitored\":{}}}",
                     json_string(name),
                     rule.cuts().len(),
-                    decision_flips(rule)
+                    decision_flips(rule),
+                    engine.monitored(j)
                 )
             })
         })

@@ -89,7 +89,7 @@ impl Flow {
     }
 
     /// The flow's workflow over `store`, its inputs seeded with `seed`.
-    fn workflow(self, seed: u64, store: &DataStore) -> Result<Workflow, CoreError> {
+    pub(crate) fn workflow(self, seed: u64, store: &DataStore) -> Result<Workflow, CoreError> {
         use smartflux::eval::WorkloadFactory;
         match self {
             Flow::Lrb => {

@@ -354,4 +354,5 @@ pub mod exp {
     pub mod oob_agreement;
     pub mod overhead;
     pub mod roc;
+    pub mod speedup;
 }

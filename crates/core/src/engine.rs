@@ -34,6 +34,7 @@ use parking_lot::Mutex;
 use smartflux_datastore::{ContainerRef, DataStore, Value, WatchList};
 use smartflux_durability::codec::{self, FrameRead};
 use smartflux_durability::{read_checkpoint, Checkpointer, DurabilityError};
+use smartflux_ml::StepRule;
 use smartflux_telemetry::{names, GroundTruth, QodStep, Telemetry, WaveDiagnostics};
 use smartflux_wms::{StepId, TriggerPolicy, Workflow};
 
@@ -68,7 +69,8 @@ pub enum Phase {
 /// [`AccumulationMode::Cancel`], the end of the previous wave under
 /// [`AccumulationMode::Accumulate`]. Only training reads an output's
 /// error, so the application phase pauses the outputs' change sets
-/// ([`DataStore::pause_changes`]) and a fresh training phase reopens them.
+/// ([`DataStore::pause_changes`]), and the inputs' of a step it does not
+/// monitor; a fresh training phase reopens them.
 struct Tracker {
     change_set: usize,
     container: ContainerRef,
@@ -172,6 +174,11 @@ struct QodStepState {
     spec: QodSpec,
     inputs: Vec<Tracker>,
     outputs: Vec<Tracker>,
+    /// Whether the step's ι is measured. An application phase stops
+    /// measuring a Cancel-mode step whose rule runs it at every ι: no
+    /// decision depends on its ι, so its input change sets pause, and
+    /// `request_training` reopens them.
+    monitored: bool,
 }
 
 /// The QoD Engine. Usually driven through [`SmartFluxSession`]; constructed
@@ -301,6 +308,7 @@ impl QodEngine {
                 spec,
                 inputs,
                 outputs,
+                monitored: true,
             });
             index_of.insert(id, idx);
         }
@@ -348,7 +356,7 @@ impl QodEngine {
             store.watch(changes, &tracker.container, Some(tracker.change_set));
         }
 
-        let engine = Self {
+        let mut engine = Self {
             store,
             config,
             steps,
@@ -375,7 +383,7 @@ impl QodEngine {
             exported_len: Cell::new(0),
         };
         if engine.phase == Phase::Application {
-            engine.pause_outputs();
+            engine.enter_application();
         }
         Ok(engine)
     }
@@ -462,6 +470,15 @@ impl QodEngine {
         self.qod_steps.iter().map(|s| s.name.as_str()).collect()
     }
 
+    /// Whether QoD step `j`'s ι is measured: `false` in an application
+    /// phase whose rule for the Cancel-mode step `j` runs it at every ι,
+    /// where its rows carry NaN for ι; `true` otherwise, and for an
+    /// unknown index.
+    #[must_use]
+    pub fn monitored(&self, j: usize) -> bool {
+        self.steps.get(j).is_none_or(|s| s.monitored)
+    }
+
     /// The accumulated training log.
     #[must_use]
     pub fn knowledge_base(&self) -> &KnowledgeBase {
@@ -528,7 +545,11 @@ impl QodEngine {
     /// Training measures each step's output error against its last
     /// execution, which is what the step's output containers hold now. The
     /// application phase pauses the outputs' change sets, so they reopen
-    /// here, marked at the containers' current state.
+    /// here, marked at the containers' current state. So do the input sets
+    /// of an unmonitored step: it ran at every wave, and each completion
+    /// marked its inputs, so the reopened mark is the one it would have
+    /// had unless its inputs were written after it last ran (an aborted
+    /// wave, a write between waves).
     pub fn request_training(&mut self, next_wave: u64, waves: usize) {
         self.kb.clear();
         self.training_extensions_used = 0;
@@ -537,9 +558,15 @@ impl QodEngine {
             let _span = self
                 .telemetry
                 .span(names::BASELINE_RESET_LATENCY, idx as u64);
-            for tracker in &mut step.outputs {
+            let inputs = if step.monitored {
+                &mut []
+            } else {
+                &mut step.inputs[..]
+            };
+            for tracker in inputs.iter_mut().chain(&mut step.outputs) {
                 tracker.reopen(&self.store, self.changes);
             }
+            step.monitored = true;
         }
         self.phase = Phase::Training {
             until_wave: next_wave + waves as u64 - 1,
@@ -617,11 +644,28 @@ impl QodEngine {
         }
     }
 
-    /// Pauses every output's change set: only training reads an output's
-    /// error, and `request_training` reopens them.
-    fn pause_outputs(&self) {
-        for tracker in self.steps.iter().flat_map(|s| &s.outputs) {
-            self.store.pause_changes(self.changes, tracker.change_set);
+    /// Settles what the application phase measures. Every output's change
+    /// set pauses: only training reads an output's error. A Cancel-mode
+    /// step whose rule runs it at every ι becomes unmonitored: its input
+    /// sets pause too, and its ι reads NaN, "not measured", in every row.
+    /// An Accumulate-mode step stays monitored, because its accumulated
+    /// value carries the last wave's changes, which a set reopened later
+    /// could not rebuild. `request_training` reopens every paused set.
+    fn enter_application(&mut self) {
+        for (idx, step) in self.steps.iter_mut().enumerate() {
+            step.monitored = step.spec.mode == AccumulationMode::Accumulate
+                || !self.predictor.rule(idx).is_some_and(StepRule::always_runs);
+            let inputs = if step.monitored {
+                &[][..]
+            } else {
+                &step.inputs[..]
+            };
+            for tracker in inputs.iter().chain(&step.outputs) {
+                self.store.pause_changes(self.changes, tracker.change_set);
+            }
+            if !step.monitored {
+                self.current_impacts[idx] = f64::NAN;
+            }
         }
     }
 
@@ -728,11 +772,13 @@ impl QodEngine {
                 if gates_met || self.training_extensions_used >= MAX_TRAINING_EXTENSIONS {
                     self.quality_met = gates_met;
                     self.phase = Phase::Application;
-                    self.pause_outputs();
+                    self.enter_application();
                     // Actual baselines: every step just executed (training is
                     // synchronous), so impacts restart from the current state.
                     for idx in 0..self.steps.len() {
-                        self.reset_input_baselines(idx);
+                        if self.steps[idx].monitored {
+                            self.reset_input_baselines(idx);
+                        }
                     }
                 } else {
                     self.training_extensions_used += 1;
@@ -770,9 +816,10 @@ impl QodEngine {
     /// captured: phase, knowledge base, the model kind and seed the
     /// predictor is a function of, quality flags, confidence counters, SDF
     /// fallbacks, and per tracker its accumulated value, previous-state sum
-    /// and change set — empty for an output in the application phase,
-    /// whose set is paused. The fitted models are not: recovery refits them
-    /// from the knowledge base (see [`import_state`](Self::import_state)).
+    /// and change set — empty for an output in the application phase, and
+    /// for an input of an unmonitored step, whose sets are paused. The
+    /// fitted models are not: recovery refits them from the knowledge base
+    /// (see [`import_state`](Self::import_state)).
     /// Per-wave diagnostics are reporting-only and deliberately excluded.
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
@@ -1049,10 +1096,16 @@ impl QodEngine {
                     .mark_changes(self.changes, tracker.change_set, changes);
             }
         }
-        // An older blob may carry output changes from the application
-        // phase; restored above, they are dropped here with the pause.
-        if self.phase == Phase::Application {
-            self.pause_outputs();
+        // An older blob may carry output changes, or input changes of a
+        // step now unmonitored, from the application phase; restored
+        // above, they are dropped here with the pause.
+        match self.phase {
+            Phase::Application => self.enter_application(),
+            Phase::Training { .. } => {
+                for step in &mut self.steps {
+                    step.monitored = true;
+                }
+            }
         }
         self.failed_this_wave = false;
         self.deferred_this_wave = 0;
@@ -1153,6 +1206,11 @@ impl TriggerPolicy for QodEngine {
                     self.current_decisions[idx] = true;
                     return true;
                 }
+                // Its rule runs it at every ι: nothing to measure.
+                if !self.steps[idx].monitored {
+                    self.current_decisions[idx] = true;
+                    return true;
+                }
                 self.current_impacts[idx] = self.compute_impact(idx);
                 // The impact vector is borrowed, not cloned: the per-step
                 // query path runs once per QoD step per wave, and the
@@ -1178,7 +1236,7 @@ impl TriggerPolicy for QodEngine {
         if let Some(&idx) = self.index_of.get(&step) {
             // A completed execution supersedes any failure-driven fallback.
             self.sdf_fallback[idx] = false;
-            if self.phase == Phase::Application {
+            if self.phase == Phase::Application && self.steps[idx].monitored {
                 // The step ran: its input impact restarts from here.
                 self.reset_input_baselines(idx);
             }

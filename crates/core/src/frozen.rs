@@ -7,7 +7,9 @@
 //!   `SyncPolicy`; `benchmark/src/inproc.rs`: `SyncPolicy`).
 //! - A watch-only [`Monitor`]: `benchmark/src/probes.rs` times the store's
 //!   write path with containers watched through `Monitor::{new, watch,
-//!   attach}`. The engine opens its store's change sets itself.
+//!   attach}`. A watch without a change set folds nothing, so that probe
+//!   (`core.observer_ns_per_write`) reads about 0. The engine opens its
+//!   store's change sets itself.
 //!
 //! What cannot move: the one-variant `ModelKind::RandomForest { .. }`,
 //! which the benchmark builds and matches as a struct literal
@@ -20,8 +22,9 @@ use smartflux_datastore::{ContainerRef, DataStore};
 
 pub use smartflux_durability::{recover_store, SyncPolicy};
 
-/// Containers to watch in a store: each write to one is counted there from
-/// [`attach`](Self::attach) on.
+/// Containers to watch in a store, without a change set: from
+/// [`attach`](Self::attach) on, a write to one costs what an unwatched
+/// write does.
 #[deprecated(note = "kept only for benchmark/ until its re-baseline, ROADMAP item 3")]
 #[derive(Debug, Default)]
 pub struct Monitor {

@@ -12,6 +12,8 @@
 //! out to the caller — a text is not copied on the way — and a new cell asks
 //! for its qualifier key plus, when the row's cell vector is full, that
 //! vector's growth (it doubles, so one request in a while, not one a cell).
+//! A container whose every change set is paused is written as an unwatched
+//! one: a text put into it is not copied for a fold that would drop it.
 //! The same holds through a `FamilyHandle` — resolving one and an observed
 //! overwriting `put` request no heap — and a `put_many` of the whole wave
 //! asks for one buffer when observed and none otherwise. Reading is free
@@ -276,6 +278,38 @@ fn an_observed_overwriting_put_allocates_nothing() {
     assert!(kept.load(Ordering::Relaxed) > 0);
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_text_put_into_a_paused_container_copies_nothing() {
+    let rows: Vec<String> = (0..ROWS).map(|i| format!("x{}-s{i:03}", i % 4)).collect();
+    let container = ContainerRef::family("t", "f");
+    let store = DataStore::new();
+    store.ensure_container(&container).unwrap();
+    let list = store.watch_list();
+    store.watch(list, &container, Some(0));
+    let labels = |tag: &str| -> Vec<Value> {
+        let label = |row| Value::from(format!("{tag}-{row}"));
+        rows.iter().map(label).collect()
+    };
+    let put_labels = |labels: Vec<Value>| {
+        for (row, label) in rows.iter().zip(labels) {
+            store.put("t", "f", row, "label", label).unwrap();
+        }
+    };
+    put_labels(labels("a"));
+    store.mark_changes(list, 0, Vec::new());
+    // Folded into the open set, a text overwrite keeps copies: the change's
+    // value at the mark and its latest value, and the copy the write hands
+    // the fold.
+    let open = labels("b");
+    assert_eq!(requests_during(|| put_labels(open)), 3 * ROWS as u64);
+    // Paused, the set folds nothing and the family is written as an
+    // unwatched one: the cell takes the caller's value, and nothing else
+    // asks for the heap.
+    store.pause_changes(list, 0);
+    let paused = labels("c");
+    assert_eq!(requests_during(|| put_labels(paused)), 0);
 }
 
 /// A no-op step: it asks the heap for nothing itself.

@@ -1,16 +1,16 @@
 //! Change sets, derived in the write path (DESIGN.md §5.8).
 //!
 //! Each write is folded, under the write guard it already holds and with
-//! the displaced value in hand, into the containers watched over its
-//! family: a write count, and per **change set** — opened by
-//! [`DataStore::watch`] — for each cell written since the set's mark, the
-//! value it held at the mark and its latest value. The fold runs in apply
-//! order whatever the number of writers, and it is the store's own code:
-//! nothing foreign runs under the guard on a write. A client (the
-//! engine) keeps its watches and change sets in a [`WatchList`], and
-//! pauses a set it will not read for a while
+//! the displaced value in hand, into the open **change sets** over its
+//! family — opened by [`DataStore::watch`] — each keeping, for every cell
+//! written since the set's mark, the value it held at the mark and its
+//! latest value. The fold runs in apply order whatever the number of
+//! writers, and it is the store's own code: nothing foreign runs under the
+//! guard on a write. A client (the engine) keeps its watches and change
+//! sets in a [`WatchList`], and pauses a set it will not read for a while
 //! ([`DataStore::pause_changes`]): a paused set folds nothing until its
-//! next mark.
+//! next mark, and a write to a family with no open set over it costs what
+//! an unwatched write does.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -157,8 +157,6 @@ struct WatchEntry {
     /// The family's slot in [`Tables::families`]; `None` until the family
     /// is created.
     family: Option<usize>,
-    /// Writes folded since watching began.
-    total_writes: u64,
     /// Interned cell keys, `row 0xFF qualifier → slot` (0xFF occurs in no
     /// UTF-8 string, so the joined key is unambiguous): a write to a cell
     /// seen before finds its slot by one lookup, allocating nothing.
@@ -198,7 +196,6 @@ impl WatchEntry {
         Self {
             container,
             family,
-            total_writes: 0,
             slots: HashMap::new(),
             joined_key: Vec::new(),
             keys: Vec::new(),
@@ -331,8 +328,8 @@ pub(super) struct Changes {
 
 impl Changes {
     /// The containers watching the family at `family`, looked up once for
-    /// the writes about to be applied to it; `None` when none is, so an
-    /// unwatched write keeps no copy of its value.
+    /// the writes about to be applied to it; `None` when none has an open
+    /// change set, so a write no set folds keeps no copy of its value.
     #[inline]
     pub(super) fn watching(&mut self, family: usize) -> Option<Watching<'_>> {
         let Self {
@@ -341,7 +338,9 @@ impl Changes {
             change_sets,
             ..
         } = self;
-        let containers = by_family.get(family).filter(|e| !e.is_empty())?;
+        let containers = by_family
+            .get(family)
+            .filter(|watchers| watchers.iter().any(|&e| !entries[e].trackers.is_empty()))?;
         Some(Watching {
             containers,
             entries,
@@ -445,8 +444,8 @@ pub(super) struct Watching<'a> {
 }
 
 impl Watching<'_> {
-    /// Folds one applied write into every container watching it: its write
-    /// count, its live count and each of its change sets.
+    /// Folds one applied write into every container watching it with an
+    /// open change set: its live count and each of those sets.
     pub(super) fn fold(
         &mut self,
         row: &str,
@@ -456,11 +455,7 @@ impl Watching<'_> {
     ) {
         for &e in self.containers {
             let entry = &mut self.entries[e];
-            if !entry.holds(qualifier) {
-                continue;
-            }
-            entry.total_writes += 1;
-            if entry.trackers.is_empty() {
+            if entry.trackers.is_empty() || !entry.holds(qualifier) {
                 continue;
             }
             entry.live_cells = (entry.live_cells + usize::from(new.is_some()))
@@ -491,12 +486,12 @@ impl DataStore {
         WatchList(lists.len() - 1)
     }
 
-    /// Watches `container` in `list`: from now on every write to it is
-    /// counted ([`watched_writes`](Self::watched_writes)). With
-    /// `change_set: Some(number)` it also opens the list's change set
-    /// `number` over the container, marked at the empty container: until
-    /// its first [`mark_changes`](Self::mark_changes) every cell counts as
-    /// inserted, the cells stored now included.
+    /// Watches `container` in `list`. With `change_set: Some(number)` it
+    /// opens the list's change set `number` over the container, marked at
+    /// the empty container: until its first
+    /// [`mark_changes`](Self::mark_changes) every cell counts as inserted,
+    /// the cells stored now included. A watch without an open set folds
+    /// nothing.
     ///
     /// Watching a container twice in one list is one watch; change sets are
     /// independent, also over one container, and a number names one set.
@@ -621,9 +616,10 @@ impl DataStore {
     /// Pauses the change set: it drops what it holds and folds no write
     /// until [`mark_changes`](Self::mark_changes) reopens it, marked at the
     /// container's state then. Meanwhile it streams and visits nothing. A
-    /// container whose every set is paused keeps counting its writes
-    /// ([`watched_writes`](Self::watched_writes)) but interns no key and
-    /// keeps no live count. Pausing a paused or unopened set does nothing.
+    /// container whose every set is paused interns no key and keeps no
+    /// live count, and a family whose every watched container is so takes
+    /// the unwatched write path: no copy of the value, no fold. Pausing a
+    /// paused or unopened set does nothing.
     pub fn pause_changes(&self, list: WatchList, change_set: usize) {
         let mut data = self.lock_write();
         let changes = &mut data.changes;
@@ -639,17 +635,6 @@ impl DataStore {
         changes.entries[set.entry]
             .trackers
             .retain(|&open| open != number);
-    }
-
-    /// Writes to `container` counted since `list` began watching it; 0 for
-    /// a container the list does not watch.
-    #[must_use]
-    pub fn watched_writes(&self, list: WatchList, container: &ContainerRef) -> u64 {
-        let data = self.lock_read();
-        let changes = &data.changes;
-        changes
-            .find(list.0, container)
-            .map_or(0, |e| changes.entries[e].total_writes)
     }
 
     /// Test switch: every container watched so far finds its slots by hash
@@ -684,20 +669,18 @@ mod tests {
         let family = ContainerRef::family("t", "f");
         let column = ContainerRef::column("t", "f", "b");
         store.watch(list, &family, Some(1));
-        store.watch(list, &column, None);
+        store.watch(list, &column, Some(2));
         store.watch(WatchList(7), &family, Some(0));
         store.ensure_container(&family).unwrap();
         store.put("t", "f", "r", "a", Value::from(2.0)).unwrap();
         store.put("t", "f", "r", "b", Value::from(3.0)).unwrap();
-        assert_eq!(store.watched_writes(list, &family), 2);
-        assert_eq!(store.watched_writes(list, &column), 1);
         let inserted = |v: f64| (Some(Value::from(v)), None);
         let both = vec![inserted(2.0), inserted(3.0)];
         assert_eq!(streamed(&store, list, 1), (2, both));
+        assert_eq!(streamed(&store, list, 2), (1, vec![inserted(3.0)]));
         // Set 0 of the list and list 7 were never opened.
         assert_eq!(streamed(&store, list, 0), (0, Vec::new()));
         assert_eq!(streamed(&store, WatchList(7), 0), (0, Vec::new()));
-        assert_eq!(store.watched_writes(WatchList(7), &family), 0);
     }
 
     fn store_with(containers: &[&ContainerRef]) -> DataStore {
@@ -722,17 +705,17 @@ mod tests {
         let other = ContainerRef::family("t", "other");
         let store = store_with(&[&family, &other]);
         let list = store.watch_list();
-        for container in [&family, &a, &b] {
-            store.watch(list, container, None);
+        for (number, container) in [&family, &a, &b].into_iter().enumerate() {
+            store.watch(list, container, Some(number));
         }
         store.put("t", "f", "r", "a", Value::from(1.0)).unwrap();
         store.put("t", "f", "r", "a", Value::from(4.0)).unwrap();
         store.put("t", "f", "r", "c", Value::from(1.0)).unwrap();
         store.put("t", "other", "r", "a", Value::from(1.0)).unwrap();
-        assert_eq!(store.watched_writes(list, &family), 3);
-        assert_eq!(store.watched_writes(list, &a), 2);
-        assert_eq!(store.watched_writes(list, &b), 0);
-        assert_eq!(store.watched_writes(list, &other), 0, "not watched");
+        let family_changes = vec![(num(4.0), None), (num(1.0), None)];
+        assert_eq!(streamed(&store, list, 0), (2, family_changes));
+        assert_eq!(streamed(&store, list, 1), (1, vec![(num(4.0), None)]));
+        assert_eq!(streamed(&store, list, 2), (0, Vec::new()));
     }
 
     #[test]
@@ -744,7 +727,6 @@ mod tests {
         store.watch(list, &family, Some(0));
         store.watch(list, &family, None);
         store.put("t", "f", "r", "q", Value::from(1.0)).unwrap();
-        assert_eq!(store.watched_writes(list, &family), 1);
         assert_eq!(store.lock_read().changes.entries.len(), 1);
         assert_eq!(streamed(&store, list, 0), (1, vec![(num(1.0), None)]));
     }
@@ -854,7 +836,6 @@ mod tests {
         let mut visited = 0;
         store.visit_changes(list, 0, |_, _, _, _| visited += 1);
         assert_eq!(visited, 0, "a paused set visits nothing");
-        assert_eq!(store.watched_writes(list, &family), 5 + 6);
         // The open set over the shared column saw the write.
         assert_eq!(streamed(&store, list, 2), (3, vec![(num(5.0), num(1.0))]));
         {
@@ -878,25 +859,62 @@ mod tests {
     }
 
     #[test]
+    fn a_family_whose_every_set_is_paused_is_written_as_unwatched() {
+        let family = ContainerRef::family("t", "f");
+        let column = ContainerRef::column("t", "f", "a");
+        let store = store_with(&[&family, &ContainerRef::family("t", "g")]);
+        let list = store.watch_list();
+        store.watch(list, &ContainerRef::family("t", "g"), None);
+        store.watch(list, &family, Some(0));
+        store.watch(list, &column, Some(1));
+        let watched = |name: &str| {
+            let mut data = store.lock_write();
+            let slot = data.slot(&addr("t", name)).unwrap();
+            data.changes.watching(slot).is_some()
+        };
+        assert!(!watched("g"), "a watch without a set folds nothing");
+        assert!(watched("f"));
+        store.pause_changes(list, 0);
+        assert!(watched("f"), "the column's set is still open");
+        store.pause_changes(list, 1);
+        assert!(!watched("f"));
+        store.put("t", "f", "r", "a", Value::from(1.0)).unwrap();
+        assert!(store.lock_read().changes.entries[1].keys.is_empty());
+        // Reopened at the container as it stands, the column folds again.
+        store.mark_changes(list, 1, Vec::new());
+        assert!(watched("f"));
+        store.put("t", "f", "r", "a", Value::from(2.0)).unwrap();
+        assert_eq!(streamed(&store, list, 1), (1, vec![(num(2.0), num(1.0))]));
+        assert_eq!(streamed(&store, list, 0), (0, Vec::new()));
+    }
+
+    #[test]
     fn attribution_stays_exact_over_many_containers() {
         let store = DataStore::new();
         let list = store.watch_list();
         for i in 0..50 {
             let family = ContainerRef::family("t", format!("f{i}"));
             store.ensure_container(&family).unwrap();
-            store.watch(list, &family, None);
-            store.watch(list, &ContainerRef::column("t", format!("f{i}"), "q"), None);
+            store.watch(list, &family, Some(2 * i));
+            let column = ContainerRef::column("t", format!("f{i}"), "q");
+            store.watch(list, &column, Some(2 * i + 1));
         }
         store.put("t", "f7", "r", "q", Value::from(3.0)).unwrap();
         store
             .put("t", "f7", "r", "other", Value::from(1.0))
             .unwrap();
         for i in 0..50 {
-            let family = ContainerRef::family("t", format!("f{i}"));
-            let column = ContainerRef::column("t", format!("f{i}"), "q");
-            let hit = u64::from(i == 7);
-            assert_eq!(store.watched_writes(list, &family), 2 * hit, "f{i}");
-            assert_eq!(store.watched_writes(list, &column), hit, "f{i}:q");
+            let (family, column) = if i == 7 {
+                (
+                    vec![(num(1.0), None), (num(3.0), None)],
+                    vec![(num(3.0), None)],
+                )
+            } else {
+                (Vec::new(), Vec::new())
+            };
+            let n = usize::from(i == 7);
+            assert_eq!(streamed(&store, list, 2 * i), (2 * n, family), "f{i}");
+            assert_eq!(streamed(&store, list, 2 * i + 1), (n, column), "f{i}:q");
         }
     }
 

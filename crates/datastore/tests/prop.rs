@@ -426,8 +426,6 @@ struct BatchRun {
     refused: Vec<usize>,
     /// Every change set's stream at each mark and at the end.
     streams: Vec<Streamed>,
-    /// Writes each tracked container counted.
-    watched: Vec<u64>,
     clock: u64,
     state: StoreState,
 }
@@ -516,10 +514,6 @@ fn run_batch_ops(ops: &[BatchOp], batched: bool) -> BatchRun {
         puts: puts.load(Ordering::Relaxed) - if batched { 0 } else { refused.iter().sum() },
         refused,
         streams,
-        watched: tracked()
-            .iter()
-            .map(|c| s.watched_writes(list, c))
-            .collect(),
         clock: s.clock(),
         state: s.export_state(),
     }

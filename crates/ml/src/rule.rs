@@ -150,6 +150,13 @@ impl StepRule {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
+
+    /// Whether the rule runs the step at every `x`, NaN included: every
+    /// piece's vote reaches the threshold, so no decision depends on `x`.
+    #[must_use]
+    pub fn always_runs(&self) -> bool {
+        self.votes.iter().all(|&vote| vote >= self.threshold)
+    }
 }
 
 #[cfg(test)]
@@ -216,12 +223,17 @@ mod tests {
         let rule = StepRule::compile(forest).unwrap();
         assert_eq!(rule.votes().len(), rule.cuts().len() + 1);
         assert!(rule.cuts().windows(2).all(|w| w[0] < w[1]));
+        // The points hit every piece: each cut ends one, and +∞ is in the
+        // last.
+        let mut every_point_runs = true;
         for x in query_points(&rule, rng) {
             let walked = forest.predict_proba(&[x]);
             assert_eq!(rule.vote(x).to_bits(), walked.to_bits(), "x = {x:e}");
             let decided = rule.vote(x) >= rule.threshold();
             assert_eq!(decided, forest.predict(&[x]), "x = {x:e}");
+            every_point_runs &= decided;
         }
+        assert_eq!(rule.always_runs(), every_point_runs);
     }
 
     proptest! {
@@ -263,6 +275,7 @@ mod tests {
         assert_eq!(rule.piece(f64::NEG_INFINITY), 0);
         assert_eq!(rule.piece(f64::NAN), 0);
         assert_eq!(rule.vote(-5.0), 1.0);
+        assert!(rule.always_runs());
     }
 
     #[test]
@@ -301,5 +314,7 @@ mod tests {
             assert_eq!(rule.piece(c.next_up()), k + 1);
         }
         assert_eq!(rule.piece(f64::INFINITY), rule.cuts().len());
+        // Below the first cut the forest votes to skip.
+        assert!(!rule.always_runs());
     }
 }

@@ -262,17 +262,29 @@ fn read_keys<'a>(r: &mut Reader<'a>) -> Result<[&'a str; 4], NetError> {
     Ok([r.str_ref()?, r.str_ref()?, r.str_ref()?, r.str_ref()?])
 }
 
-/// Per-wave decision row served by [`Response::Decisions`].
-#[derive(Debug, Clone, PartialEq)]
+/// Per-wave decision row served by [`Response::Decisions`]. Rows compare
+/// bitwise, as [`WaveDiagnostics`] rows do.
+#[derive(Debug, Clone)]
 pub struct DecisionRow {
     /// The wave the row describes.
     pub wave: u64,
     /// Whether the wave ran in the training phase.
     pub training: bool,
-    /// Impact ι per QoD step, bit-exact.
+    /// Impact ι per QoD step, bit-exact; NaN where it was not measured.
     pub impacts: Vec<f64>,
     /// Trigger decision per QoD step.
     pub decisions: Vec<bool>,
+}
+
+impl PartialEq for DecisionRow {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.impacts, &other.impacts);
+        self.wave == other.wave
+            && self.training == other.training
+            && a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            && self.decisions == other.decisions
+    }
 }
 
 impl From<&WaveDiagnostics> for DecisionRow {
@@ -1085,9 +1097,7 @@ mod tests {
         for resp in sample_responses() {
             let payload = encode_response(&resp);
             let back = decode_response(&payload).unwrap();
-            // NaN impacts make PartialEq fail; compare via re-encoding
-            // (the codec is bit-exact for f64).
-            assert_eq!(encode_response(&back), payload);
+            assert_eq!(back, resp);
         }
     }
 

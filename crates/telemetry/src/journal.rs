@@ -11,11 +11,17 @@
 //!
 //! Step names and `maxε` are session constants ([`QodStep`]): the engine
 //! holds them once and passes them beside each row. A journal line prints
-//! both, so every line describes itself (schema v2):
+//! both, so every line describes itself (schema v3):
 //!
 //! ```text
-//! {"v":2,"wave":31,"phase":"training","steps":["agg","scale"],"max_epsilon":[0.05,0.01],"impacts":[0.25,0.0015],"decisions":[true,false],"deferred":0,"errors":[0.0625,0.004],"confidence":[0.9,1]}
+//! {"v":3,"wave":31,"phase":"application","steps":["agg","scale"],"max_epsilon":[0.05,0.01],"impacts":[null,0.0015],"decisions":[true,false],"deferred":0}
 //! ```
+//!
+//! A line is JSON whatever the values: a NaN is written `null` — the ι of
+//! a step the engine does not monitor — and ±∞ as `±1e999`, which JSON
+//! readers take for ±∞. Every finite value prints as the shortest decimal
+//! that reads back to its bits. v2 lines, which printed those three as
+//! `NaN` and `±inf`, still read.
 
 use std::fmt;
 use std::fs::File;
@@ -29,12 +35,14 @@ use crate::json_string;
 
 /// One wave's decision: what the engine observed and decided.
 ///
-/// Every per-step vector is indexed like the session's [`QodStep`]s.
-#[derive(Debug, Clone, PartialEq)]
+/// Every per-step vector is indexed like the session's [`QodStep`]s. Rows
+/// compare bitwise: NaN equals NaN, and `0.0` differs from `-0.0`.
+#[derive(Debug, Clone)]
 pub struct WaveDiagnostics {
     /// Wave number.
     pub wave: u64,
-    /// Input impact ι per QoD step.
+    /// Input impact ι per QoD step; NaN on an application wave for a step
+    /// whose ι is not measured (its rule runs it at every ι).
     pub impacts: Vec<f64>,
     /// Decision per QoD step (`true` = executed). On training waves every
     /// step runs and this is the label vector: whether ε exceeded `maxε`.
@@ -54,8 +62,8 @@ pub struct WaveDiagnostics {
 // not grow: ground truth lives behind one pointer.
 const _: () = assert!(size_of::<WaveDiagnostics>() <= 88);
 
-/// The measurements a training wave adds to its row.
-#[derive(Debug, Clone, PartialEq)]
+/// The measurements a training wave adds to its row; compared bitwise.
+#[derive(Debug, Clone)]
 pub struct GroundTruth {
     /// Simulated output error ε per QoD step: the data behind the paper's
     /// ι-vs-ε correlation plots (Fig. 7).
@@ -63,6 +71,28 @@ pub struct GroundTruth {
     /// Running confidence per QoD step after this wave: the fraction of
     /// ground-truth waves whose ε stayed within `maxε` (Fig. 10).
     pub confidence: Vec<f64>,
+}
+
+/// Whether `a` and `b` hold the same f64 bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+impl PartialEq for WaveDiagnostics {
+    fn eq(&self, other: &Self) -> bool {
+        self.wave == other.wave
+            && same_bits(&self.impacts, &other.impacts)
+            && self.decisions == other.decisions
+            && self.deferred == other.deferred
+            && self.ground_truth == other.ground_truth
+            && self.training == other.training
+    }
+}
+
+impl PartialEq for GroundTruth {
+    fn eq(&self, other: &Self) -> bool {
+        same_bits(&self.errors, &other.errors) && same_bits(&self.confidence, &other.confidence)
+    }
 }
 
 impl WaveDiagnostics {
@@ -104,17 +134,36 @@ impl fmt::Display for Line<'_> {
         } else {
             "application"
         };
-        write!(f, "{{\"v\":2,\"wave\":{},\"phase\":\"{phase}\"", row.wave)?;
+        write!(f, "{{\"v\":3,\"wave\":{},\"phase\":\"{phase}\"", row.wave)?;
         list(f, "steps", steps.iter().map(|s| json_string(&s.name)))?;
-        list(f, "max_epsilon", steps.iter().map(|s| s.max_epsilon))?;
-        list(f, "impacts", &row.impacts)?;
+        list(
+            f,
+            "max_epsilon",
+            steps.iter().map(|s| Number(s.max_epsilon)),
+        )?;
+        list(f, "impacts", row.impacts.iter().map(|&x| Number(x)))?;
         list(f, "decisions", &row.decisions)?;
         write!(f, ",\"deferred\":{}", row.deferred)?;
         if let Some(truth) = &row.ground_truth {
-            list(f, "errors", &truth.errors)?;
-            list(f, "confidence", &truth.confidence)?;
+            list(f, "errors", truth.errors.iter().map(|&x| Number(x)))?;
+            list(f, "confidence", truth.confidence.iter().map(|&x| Number(x)))?;
         }
         f.write_str("}")
+    }
+}
+
+/// An f64 as a JSON value: `null` for NaN, `±1e999` for ±∞, the shortest
+/// decimal that reads back to its bits otherwise.
+struct Number(f64);
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            x if x.is_nan() => f.write_str("null"),
+            f64::INFINITY => f.write_str("1e999"),
+            f64::NEG_INFINITY => f.write_str("-1e999"),
+            x => write!(f, "{x}"),
+        }
     }
 }
 
@@ -139,7 +188,7 @@ impl fmt::Display for JournalEntry {
 }
 
 impl JournalEntry {
-    /// Parses one journal line: a complete v2 object or nothing, so a line
+    /// Parses one journal line: a complete v3 or v2 object or nothing, so a line
     /// cut short of its closing brace never reads as a record with a
     /// shortened value.
     #[must_use]
@@ -163,7 +212,7 @@ impl JournalEntry {
 pub enum JournalError {
     /// The file could not be read.
     Io(std::io::Error),
-    /// A line that is not a complete v2 record.
+    /// A line that is not a complete v3 or v2 record.
     Line {
         /// 1-based line number.
         line: usize,
@@ -179,10 +228,10 @@ impl fmt::Display for JournalError {
             Self::Io(e) => write!(f, "cannot read journal: {e}"),
             Self::Line { line, v1: true } => write!(
                 f,
-                "journal line {line} is a v1 per-step record; this reader reads v2, one line per wave"
+                "journal line {line} is a v1 per-step record; this reader reads v2 and v3, one line per wave"
             ),
             Self::Line { line, v1: false } => {
-                write!(f, "journal line {line} is not a complete v2 record")
+                write!(f, "journal line {line} is not a complete v3 or v2 record")
             }
         }
     }
@@ -206,6 +255,15 @@ impl Cursor<'_> {
         let (token, rest) = self.0.split_at(self.0.find([',', ']', '}'])?);
         self.0 = rest;
         token.parse().ok()
+    }
+
+    /// A number as [`Number`] writes it; `1e999` parses to ∞. A v2 line's
+    /// `NaN` and `inf` parse as Rust spells them.
+    fn number(&mut self) -> Option<f64> {
+        if self.eat("null").is_some() {
+            return Some(f64::NAN);
+        }
+        self.scalar()
     }
 
     /// A JSON string as [`json_string`] escapes it.
@@ -260,7 +318,12 @@ impl Cursor<'_> {
     }
 
     fn entry(&mut self) -> Option<JournalEntry> {
-        self.eat("{\"v\":2,\"wave\":")?;
+        self.eat("{\"v\":")?;
+        let version: u8 = self.scalar()?;
+        if !matches!(version, 2 | 3) {
+            return None;
+        }
+        self.eat(",\"wave\":")?;
         let wave = self.scalar()?;
         self.eat(",\"phase\":")?;
         let training = match self.string()?.as_str() {
@@ -269,14 +332,14 @@ impl Cursor<'_> {
             _ => return None,
         };
         let names = self.field("steps", Self::string)?;
-        let bounds = self.field("max_epsilon", Self::scalar)?;
-        let impacts = self.field("impacts", Self::scalar)?;
+        let bounds = self.field("max_epsilon", Self::number)?;
+        let impacts = self.field("impacts", Self::number)?;
         let decisions = self.field("decisions", Self::scalar)?;
         self.eat(",\"deferred\":")?;
         let deferred = self.scalar()?;
         let ground_truth = if training {
-            let errors = self.field("errors", Self::scalar)?;
-            let confidence = self.field("confidence", Self::scalar)?;
+            let errors = self.field("errors", Self::number)?;
+            let confidence = self.field("confidence", Self::number)?;
             Some(Box::new(GroundTruth { errors, confidence }))
         } else {
             None
@@ -400,7 +463,7 @@ impl JournalSink for MemoryJournal {
 ///
 /// [`JournalError::Io`] if the file cannot be read, and
 /// [`JournalError::Line`] naming the first line that is not a complete
-/// v2 record, and whether it is a v1 line.
+/// v3 or v2 record, and whether it is a v1 line.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<JournalEntry>, JournalError> {
     let content = std::fs::read_to_string(path).map_err(JournalError::Io)?;
     let entry = |(i, line): (usize, &str)| {
@@ -463,8 +526,9 @@ mod tests {
         let app = line(&sample(1, false));
         for bad in [
             "not json".to_owned(),
-            "{\"v\":2,\"wave\":1}".to_owned(),
-            app.replace("\"v\":2", "\"v\":3"),
+            "{\"v\":3,\"wave\":1}".to_owned(),
+            app.replace("\"v\":3", "\"v\":4"),
+            app.replace("\"v\":3", "\"v\":1"),
             // A training line must carry its ground truth.
             app.replace("application", "training"),
             // A list one entry short.
@@ -473,6 +537,72 @@ mod tests {
         ] {
             assert_eq!(JournalEntry::from_json(&bad), None, "{bad}");
         }
+    }
+
+    /// Rows with NaN, ±∞, `-0.0` and a subnormal in every f64 field.
+    fn awkward(training: bool) -> WaveDiagnostics {
+        let tiny = f64::from_bits(1);
+        WaveDiagnostics {
+            impacts: vec![f64::NAN, -0.0],
+            ground_truth: training.then(|| {
+                Box::new(GroundTruth {
+                    errors: vec![f64::INFINITY, tiny],
+                    confidence: vec![f64::NEG_INFINITY, 0.0],
+                })
+            }),
+            ..sample(4, training)
+        }
+    }
+
+    #[test]
+    fn rows_compare_bitwise() {
+        let row = awkward(true);
+        assert_eq!(row, row.clone(), "NaN equals NaN");
+        let mut zero = row.clone();
+        zero.impacts[1] = 0.0;
+        assert_ne!(row, zero, "0.0 differs from -0.0");
+        let mut truth = row.clone();
+        if let Some(truth) = &mut truth.ground_truth {
+            truth.confidence[1] = -0.0;
+        }
+        assert_ne!(row, truth, "ground truth compares bitwise");
+    }
+
+    #[test]
+    fn non_finite_values_are_json_and_read_back_to_their_bits() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for training in [true, false] {
+            let row = awkward(training);
+            let text = line(&row);
+            for token in ["NaN", "inf"] {
+                assert!(!text.contains(token), "{text}");
+            }
+            assert!(text.starts_with("{\"v\":3,") && text.contains("[null,-0]"));
+            let back = JournalEntry::from_json(&text).expect("a v3 line").row;
+            assert_eq!(bits(&back.impacts), bits(&row.impacts));
+            assert_eq!(bits(back.errors()), bits(row.errors()));
+            let confidence =
+                |r: &WaveDiagnostics| r.ground_truth.as_ref().map(|g| bits(&g.confidence));
+            assert_eq!(confidence(&back), confidence(&row));
+            assert_eq!(back, row);
+        }
+        assert!(line(&awkward(true)).contains("[1e999,0.000"));
+        assert!(line(&awkward(true)).contains("[-1e999,0]"));
+    }
+
+    #[test]
+    fn v2_lines_still_read() {
+        for row in [sample(3, true), sample(9, false)] {
+            let v2 = line(&row).replace("\"v\":3", "\"v\":2");
+            assert_eq!(JournalEntry::from_json(&v2).map(|e| e.row), Some(row));
+        }
+        // v2 printed non-finite values as Rust spells them.
+        let v2 = line(&sample(5, false))
+            .replace("\"v\":3", "\"v\":2")
+            .replace("[0.25,0.0015]", "[NaN,-inf]");
+        let row = JournalEntry::from_json(&v2).expect("a v2 line").row;
+        assert!(row.impacts[0].is_nan());
+        assert_eq!(row.impacts[1], f64::NEG_INFINITY);
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! A digest is FNV-1a over every diagnostics row of one step: the wave,
 //! the training flag, the step's impact, its measured error on training
 //! waves, and its decision.
+//!
+//! Eight digests were re-pinned when the application phase stopped
+//! measuring the ι of a Cancel-mode step whose rule runs it at every ι
+//! (`lrb` `update-positions` and `car-count`, `pagerank_wide`
+//! `link-histogram` and `pagerank`, at both seeds): each is the digest of
+//! the recorded trail with that step's ι replaced by NaN on its
+//! application rows, computed from the same run as the old digest.
 
 use smartflux::eval::WorkloadFactory;
 use smartflux::{EngineConfig, ImpactCombiner, QodSpec, SmartFluxSession};
@@ -29,9 +36,9 @@ const SEEDS: [u64; 2] = [17, 29];
 
 /// `(workload/step@seed, digest)` of the trails recorded before the rule.
 const EXPECTED: [(&str, u64); 26] = [
-    ("lrb/update-positions@17", 0x40363edd526bd5ed),
+    ("lrb/update-positions@17", 0x081adbf2d58bf899),
     ("lrb/avg-speed@17", 0x70b20d7825acbe6f),
-    ("lrb/car-count@17", 0x859aa3d4f7c19bfe),
+    ("lrb/car-count@17", 0x8242797d284a9ffe),
     ("lrb/detect-accidents@17", 0xfac6dad87e64cc33),
     ("lrb/congestion@17", 0x806e1841083fb181),
     ("lrb/classify@17", 0xd6e70d36c2fa3ae1),
@@ -39,12 +46,12 @@ const EXPECTED: [(&str, u64); 26] = [
     ("aqhi/zones@17", 0x191c568498409690),
     ("aqhi/hotspots@17", 0x86a562ce29ed2c93),
     ("aqhi/index@17", 0xc8a03da03e7a1134),
-    ("pagerank_wide/link-histogram@17", 0x0ef3cda7260a42f3),
-    ("pagerank_wide/pagerank@17", 0xa26fa1e25fa1de2c),
+    ("pagerank_wide/link-histogram@17", 0x618348908681cea2),
+    ("pagerank_wide/pagerank@17", 0x05388a5e514bc4a7),
     ("pagerank_wide/ranking@17", 0x98b5e32e84b02a6b),
-    ("lrb/update-positions@29", 0xb5bee3e2bf414cf1),
+    ("lrb/update-positions@29", 0x680aca22190ee53b),
     ("lrb/avg-speed@29", 0xd6f8490f8557d39d),
-    ("lrb/car-count@29", 0x89fcf2d9ce8bc57b),
+    ("lrb/car-count@29", 0xd569f8dd0a7a2974),
     ("lrb/detect-accidents@29", 0xab1a72dfd03d380e),
     ("lrb/congestion@29", 0x523ca6f4cbc54172),
     ("lrb/classify@29", 0x8d63ede1ab4e3ab2),
@@ -52,8 +59,8 @@ const EXPECTED: [(&str, u64); 26] = [
     ("aqhi/zones@29", 0x77a0c3368026ae94),
     ("aqhi/hotspots@29", 0x8f98a4550fd20a90),
     ("aqhi/index@29", 0x44fb4f06b8a7cba2),
-    ("pagerank_wide/link-histogram@29", 0xe6329244b9910294),
-    ("pagerank_wide/pagerank@29", 0x8209068768c74c02),
+    ("pagerank_wide/link-histogram@29", 0xe392453194559d6b),
+    ("pagerank_wide/pagerank@29", 0xf2914f5a460cc291),
     ("pagerank_wide/ranking@29", 0x1ee7bf85fcfe7e89),
 ];
 
